@@ -14,6 +14,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -188,10 +189,11 @@ func explainQueries(p *core.Pipeline, query string, k int, texts []string) {
 		} else {
 			fmt.Printf("query %d:\n", q)
 		}
-		results, exps, err := p.RelatedExplained(q, k)
+		ans, err := p.Query(context.Background(), q, k, true)
 		if err != nil {
 			fatal(err)
 		}
+		results, exps := ans.Results, ans.Explanations
 		for rank, r := range results {
 			if texts != nil {
 				fmt.Printf("  %d. post %-5d score %.4f  %s\n", rank+1, r.DocID, r.Score, truncate(texts[r.DocID], 70))

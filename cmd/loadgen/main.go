@@ -43,7 +43,7 @@ type result struct {
 	shed    bool
 }
 
-// cacheStats mirrors the cache block a hygiene-enabled server exposes
+// cacheStats mirrors the cache block a server run with -cache-entries exposes
 // on /stats (absent — nil — when caching is off).
 type cacheStats struct {
 	Hits    int64   `json:"hits"`

@@ -151,9 +151,9 @@ func benchFleet(nDocs, shards, topK, runs int, seed int64) (fleetReport, error) 
 	}
 	for _, doc := range queries[:4] { // the three paths must agree before timing means anything
 		want := mr.Match(doc, topK)
-		res, err := c.Related(context.Background(), doc, topK, nil)
+		res, err := c.Query(context.Background(), doc, topK, false)
 		if err != nil || res.Partial {
-			return fleetReport{}, fmt.Errorf("fleet query doc %d: partial=%v err=%v", doc, res != nil && res.Partial, err)
+			return fleetReport{}, fmt.Errorf("fleet query doc %d: partial=%v err=%v", doc, res.Partial, err)
 		}
 		if len(res.Results) != len(want) {
 			return fleetReport{}, fmt.Errorf("fleet query doc %d: %d results, single index has %d", doc, len(res.Results), len(want))
@@ -183,7 +183,7 @@ func benchFleet(nDocs, shards, topK, runs int, seed int64) (fleetReport, error) 
 		Docs: nDocs, Shards: shards, TopK: topK,
 		SingleNSPerOp: timePath(func(doc int) { mr.Match(doc, topK) }),
 		GroupNSPerOp:  timePath(func(doc int) { g.Match(doc, topK) }),
-		FleetNSPerOp:  timePath(func(doc int) { _, _ = c.Related(context.Background(), doc, topK, nil) }),
+		FleetNSPerOp:  timePath(func(doc int) { _, _ = c.Query(context.Background(), doc, topK, false) }),
 	}
 	if r.SingleNSPerOp > 0 {
 		r.FleetOverhead = float64(r.FleetNSPerOp) / float64(r.SingleNSPerOp)

@@ -11,8 +11,8 @@
 // The same binary also runs as one process of a networked shard fleet
 // (-shard-role): "shard" serves one or more partitions of a shard
 // directory over the internal probe endpoints, "coordinator" serves the
-// public /related surface by scattering over a fleet topology file. See
-// the "Networked shard fleet" section of README.md.
+// same public surface as the single process by scattering over a fleet
+// topology file. See the "Networked shard fleet" section of README.md.
 //
 // Usage:
 //
@@ -136,9 +136,8 @@ func main() {
 			fatal("coordinator bootstrap", err)
 		}
 		logger.Info("coordinator ready", "topology", *fleetFile,
-			"shards", c.NumShards(), "docs", c.NumDocs(), "epoch", c.Epoch())
-		runServer(*addr, serve.NewFleetServer(c, scfg).Handler(), logger,
-			"POST /related, GET /stats, GET /metrics, GET /healthz, GET /debug/traces")
+			"shards", c.NumShards(), "docs", c.NumDocs(), "epoch", c.SnapshotEpoch())
+		runServer(*addr, serve.New(c, scfg).Handler(), logger, publicEndpoints)
 		return
 	default:
 		fatal("flags", fmt.Errorf("unknown -shard-role %q (shard, coordinator)", *shardRole))
@@ -181,9 +180,12 @@ func main() {
 			"index_ms", st.Indexing.Milliseconds())
 	}
 
-	runServer(*addr, serve.New(p, scfg).Handler(), logger,
-		"POST /related, POST /add, GET /stats, GET /metrics, GET /debug/traces, GET /debug/pprof/")
+	runServer(*addr, serve.New(p, scfg).Handler(), logger, publicEndpoints)
 }
+
+// publicEndpoints is what serve.New answers, over a pipeline and over a
+// coordinator alike.
+const publicEndpoints = "POST /related, POST /add, GET /stats, GET /metrics, GET /healthz, GET /debug/traces, GET /debug/pprof/"
 
 // runServer serves handler on addr until SIGINT/SIGTERM, then drains
 // with a 10s grace period. Shared by all three roles so a fleet process

@@ -1,9 +1,9 @@
 // Package cache is the serving-hygiene layer for heavy skewed traffic:
 // a sharded (mutex-striped) LRU result cache for Related responses,
 // singleflight collapsing of concurrent identical queries, and bounded
-// admission with load shedding. internal/serve wires the three around
-// its /related handlers; all of them are off by default, and with every
-// knob at zero the serving path is byte-identical to a build without
+// admission with load shedding. internal/serve runs the three as stages
+// of its /related handler; all of them are off by default, and with
+// every knob at zero the responses are byte-identical to a build without
 // this package.
 //
 // Correctness rests on epoch keying, not on scanning invalidation. Eq 9
@@ -229,6 +229,17 @@ func (c *ResultCache) Stats() Stats {
 		Invalidations: c.invalidations.Load(),
 		Epoch:         c.lastEpoch.Load(),
 	}
+}
+
+// LayerStats is the hygiene part of a GET /stats body: one block per
+// layer that is switched on. The serving layer fills it and hands it to
+// the engine's self-description, which embeds it last. Pointers and
+// omitempty, so a server with every knob off serves the /stats bytes of
+// a build without this package.
+type LayerStats struct {
+	Cache        *Stats          `json:"cache,omitempty"`
+	Singleflight *FlightStats    `json:"singleflight,omitempty"`
+	Admission    *AdmissionStats `json:"admission,omitempty"`
 }
 
 // Intrusive list plumbing; every method runs under the stripe lock.

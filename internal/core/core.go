@@ -22,11 +22,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/lda"
 	"repro/internal/match"
 	"repro/internal/obs"
@@ -132,17 +134,31 @@ type Stats struct {
 	NumClusters   int
 }
 
+// segMatcher is the surface a segment-based matcher serves the
+// pipeline through. *match.MR (one index) and *shard.Group (the same
+// collection partitioned) both satisfy it, so sharding is a choice Build
+// makes once, not a branch in every method.
+type segMatcher interface {
+	match.Explainer
+	MatchTraced(docID, k int, tr *obs.Trace) []match.Result
+	PrepareAdd(d *segment.Doc) *match.PendingAdd
+	Generation() uint64
+	NumClusters() int
+	Centroids() [][]float64
+	SegmentCounts() (before, after []int)
+	ShardDocs() []int
+}
+
 // Pipeline is a built related-post retrieval system over one collection.
 //
 // mu guards docs and stats, the pipeline's only mutable state; matcher,
-// mr, and cfg are frozen at Build time. Holding mu across the matcher
+// seg, and cfg are frozen at Build time. Holding mu across the matcher
 // commit in Add keeps document ids aligned with the docs slice, so Doc
 // and Related agree on ids at all times.
 type Pipeline struct {
 	cfg     Config
 	matcher match.Matcher
-	mr      *match.MR    // non-nil for the unsharded MR methods
-	group   *shard.Group // non-nil when Config.Shards > 1
+	seg     segMatcher // matcher again, for the MR methods; nil for FullText and LDA
 
 	// epochBase offsets Epoch: 0 for a fresh Build, 1 for a pipeline
 	// restored from a snapshot, so loading a snapshot is itself an epoch
@@ -210,9 +226,9 @@ func Build(texts []string, cfg Config) (*Pipeline, error) {
 		case SentIntentMR:
 			mrCfg.Strategy = segment.Sentences{}
 		}
-		p.mr = match.NewMR(cfg.Method.String(), p.docs, mrCfg)
-		p.matcher = p.mr
-		bs := p.mr.Stats()
+		mr := match.NewMR(cfg.Method.String(), p.docs, mrCfg)
+		p.seg = mr
+		bs := mr.Stats()
 		p.stats.Segmentation = bs.Segmentation
 		p.stats.Vectorization = bs.Vectorization
 		p.stats.Clustering = bs.Clustering
@@ -222,16 +238,15 @@ func Build(texts []string, cfg Config) (*Pipeline, error) {
 		p.stats.NumSegments = bs.NumSegments
 		p.stats.NumClusters = bs.NumClusters
 		if cfg.Shards > 1 {
-			g, err := shard.NewGroup(p.mr, cfg.Shards, uint64(mrCfg.Seed))
+			g, err := shard.NewGroup(mr, cfg.Shards, uint64(mrCfg.Seed))
 			if err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
 			// The group re-indexed everything; drop the unsharded matcher
 			// rather than hold two copies of the postings.
-			p.group = g
-			p.matcher = g
-			p.mr = nil
+			p.seg = g
 		}
+		p.matcher = p.seg
 	default:
 		return nil, fmt.Errorf("core: unknown method %d", int(cfg.Method))
 	}
@@ -247,6 +262,15 @@ func (p *Pipeline) docTerms(d *segment.Doc) []string {
 	}
 	return d.Terms(0, d.Len())
 }
+
+// ErrUnknownDoc reports a query for a document id outside the
+// collection; ErrUnsupported reports an operation this pipeline's
+// method cannot perform (explain on LDA, Add on the whole-post
+// methods). The serving layer maps them to 404 and 422.
+var (
+	ErrUnknownDoc  = errors.New("core: unknown doc_id")
+	ErrUnsupported = errors.New("core: unsupported by this method")
+)
 
 // Related returns the top-k posts related to document docID (Sec 7's
 // online matching). Results never include docID and arrive best first.
@@ -265,10 +289,8 @@ func (p *Pipeline) RelatedContext(ctx context.Context, docID, k int) []Result {
 	tr := obs.TraceFrom(ctx)
 	tm := spanRelated.Start()
 	var out []Result
-	if p.group != nil {
-		out = p.group.RelatedTraced(docID, k, tr)
-	} else if p.mr != nil {
-		out = p.mr.MatchTraced(docID, k, tr)
+	if p.seg != nil {
+		out = p.seg.MatchTraced(docID, k, tr)
 	} else {
 		out = p.matcher.Match(docID, k)
 		if tr != nil {
@@ -279,19 +301,31 @@ func (p *Pipeline) RelatedContext(ctx context.Context, docID, k int) []Result {
 	return out
 }
 
-// RelatedExplained is Related with the Eq 7–9 score decomposition: each
-// result arrives with its per-intention-cluster contributions and the
-// term-level products behind them (see match.Explanation). It returns
-// an error for methods whose scores are not an Eq 7–9 sum (LDA).
-func (p *Pipeline) RelatedExplained(docID, k int) ([]Result, []match.Explanation, error) {
+// Query is the engine form of RelatedContext, the one internal/serve
+// drives (the fleet coordinator implements the same method). It
+// validates the id — ErrUnknownDoc distinguishes a bad id from an empty
+// but valid result list — and, when explain is set, adds the Eq 7–9
+// score decomposition: each result arrives with its per-intention-
+// cluster contributions and the term-level products behind them (see
+// match.Explanation), under the same trace events as the plain query.
+// Explain is ErrUnsupported for LDA, whose scores are not such a sum.
+func (p *Pipeline) Query(ctx context.Context, docID, k int, explain bool) (match.Answer, error) {
+	// HasDoc, not Doc: pipelines restored from a snapshot do not retain
+	// the prepared documents, but every id below the count is queryable.
+	if !p.HasDoc(docID) {
+		return match.Answer{}, ErrUnknownDoc
+	}
+	if !explain {
+		return match.Answer{Results: p.RelatedContext(ctx, docID, k)}, nil
+	}
 	ex, ok := p.matcher.(match.Explainer)
 	if !ok {
-		return nil, nil, fmt.Errorf("core: %s does not support explain", p.matcher.Name())
+		return match.Answer{}, fmt.Errorf("%w: %s does not support explain", ErrUnsupported, p.matcher.Name())
 	}
 	tm := spanRelated.Start()
-	out, exps := ex.MatchExplained(docID, k)
+	out, exps := ex.MatchExplained(docID, k, obs.TraceFrom(ctx))
 	tm.Stop()
-	return out, exps, nil
+	return match.Answer{Results: out, Explanations: exps}, nil
 }
 
 // Method returns the matcher's name.
@@ -309,43 +343,32 @@ func (p *Pipeline) Stats() Stats {
 // NumClusters returns the intention-cluster count (0 for whole-post
 // methods).
 func (p *Pipeline) NumClusters() int {
-	if p.group != nil {
-		return p.group.NumClusters()
-	}
-	if p.mr == nil {
+	if p.seg == nil {
 		return 0
 	}
-	return p.mr.NumClusters()
+	return p.seg.NumClusters()
 }
 
 // Shards returns the serving shard count: 0 for an unsharded pipeline,
 // Config.Shards otherwise.
-func (p *Pipeline) Shards() int {
-	if p.group == nil {
-		return 0
-	}
-	return p.group.NumShards()
-}
+func (p *Pipeline) Shards() int { return len(p.ShardDocs()) }
 
 // ShardDocs returns the per-shard document counts, or nil for an
 // unsharded pipeline.
 func (p *Pipeline) ShardDocs() []int {
-	if p.group == nil {
+	if p.seg == nil {
 		return nil
 	}
-	return p.group.ShardDocs()
+	return p.seg.ShardDocs()
 }
 
 // Centroids returns the intention-cluster centroids (Fig 3), or nil for
 // whole-post methods.
 func (p *Pipeline) Centroids() [][]float64 {
-	if p.group != nil {
-		return p.group.Centroids()
-	}
-	if p.mr == nil {
+	if p.seg == nil {
 		return nil
 	}
-	return p.mr.Centroids()
+	return p.seg.Centroids()
 }
 
 // SegmentCounts returns each document's segment count before grouping and
@@ -354,13 +377,10 @@ func (p *Pipeline) Centroids() [][]float64 {
 // (see match.MR.SegmentCounts): safe to retain and mutate while
 // concurrent Adds grow the live counts.
 func (p *Pipeline) SegmentCounts() (before, after []int) {
-	if p.group != nil {
-		return p.group.SegmentCounts()
-	}
-	if p.mr == nil { // p.mr is frozen at Build time — no lock needed
+	if p.seg == nil { // p.seg is frozen at Build time — no lock needed
 		return nil, nil
 	}
-	return p.mr.SegmentCounts()
+	return p.seg.SegmentCounts()
 }
 
 // Add ingests one new post into an already-built intention pipeline
@@ -368,8 +388,8 @@ func (p *Pipeline) SegmentCounts() (before, after []int) {
 // nearest existing intention clusters, and the per-cluster indices are
 // updated (Sec 9.2: intentions drift slowly, so nearest-centroid
 // assignment suffices between periodic rebuilds). It returns the new
-// post's document id, or an error for whole-post methods, which do not
-// support incremental addition.
+// post's document id, or ErrUnsupported for whole-post methods, which
+// do not support incremental addition.
 //
 // Add is safe to call concurrently with itself and with Related: the
 // expensive preparation (HTML cleaning, CM annotation, segmentation,
@@ -384,28 +404,18 @@ func (p *Pipeline) Add(text string) (int, error) {
 // (segment count after preparation, assigned id after commit), the
 // per-request view of the match.add.prepare/match.add.commit spans.
 func (p *Pipeline) AddContext(ctx context.Context, text string) (int, error) {
-	if p.mr == nil && p.group == nil {
-		return 0, fmt.Errorf("core: %s does not support incremental addition", p.matcher.Name())
+	if p.seg == nil {
+		return 0, fmt.Errorf("%w: %s does not support incremental addition", ErrUnsupported, p.matcher.Name())
 	}
 	tr := obs.TraceFrom(ctx)
 	tm := spanAdd.Start()
 	d := segment.NewDoc(text)
-	var pending *match.PendingAdd
-	if p.group != nil {
-		pending = p.group.PrepareAdd(d)
-	} else {
-		pending = p.mr.PrepareAdd(d)
-	}
+	pending := p.seg.PrepareAdd(d)
 	if tr != nil {
 		tr.Event("add.prepared", obs.N("segments", int64(pending.NumSegments())))
 	}
 	p.mu.Lock()
-	var id int
-	if p.group != nil {
-		id = p.group.CommitAdd(pending)
-	} else {
-		id = pending.Commit()
-	}
+	id := pending.Commit()
 	p.docs = append(p.docs, d)
 	p.stats.NumDocs++
 	gaugeDocs.Set(int64(p.stats.NumDocs))
@@ -441,14 +451,10 @@ func (p *Pipeline) Doc(docID int) *segment.Doc {
 // Whole-post methods (FullText, LDA) reject Add, so their epoch is
 // constantly epochBase.
 func (p *Pipeline) Epoch() uint64 {
-	var gen uint64
-	switch {
-	case p.group != nil:
-		gen = p.group.Generation()
-	case p.mr != nil:
-		gen = p.mr.Generation()
+	if p.seg == nil {
+		return p.epochBase
 	}
-	return p.epochBase + gen
+	return p.epochBase + p.seg.Generation()
 }
 
 // HasDoc reports whether docID names a document of the collection. It
@@ -460,6 +466,61 @@ func (p *Pipeline) HasDoc(docID int) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return docID >= 0 && docID < p.stats.NumDocs
+}
+
+// StatsReport is the pipeline's self-description, the GET /stats body
+// of a server over it: the offline build breakdown (Stats, durations in
+// nanoseconds), the shard topology, the Table 3 segment granularity of
+// the current collection, then the serving layer's hygiene blocks.
+type StatsReport struct {
+	Method      string            `json:"method"`
+	NumDocs     int               `json:"num_docs"`
+	NumSegments int               `json:"num_segments"`
+	NumClusters int               `json:"num_clusters"`
+	Shards      int               `json:"shards,omitempty"`
+	ShardDocs   []int             `json:"shard_docs,omitempty"`
+	PhaseNS     map[string]int64  `json:"phase_ns"`
+	Granularity GranularityReport `json:"granularity"`
+	cache.LayerStats
+}
+
+// GranularityReport carries the Table 3 rows: the share of posts with
+// 1, 2, 3, 4, and 5+ segments, before grouping and after refinement.
+type GranularityReport struct {
+	Buckets []string           `json:"buckets"`
+	Before  map[string]float64 `json:"before,omitempty"`
+	After   map[string]float64 `json:"after,omitempty"`
+}
+
+// Describe returns the pipeline's StatsReport around the serving
+// layer's hygiene blocks.
+func (p *Pipeline) Describe(hygiene cache.LayerStats) any {
+	st := p.Stats()
+	before, after := p.SegmentCounts()
+	shardDocs := p.ShardDocs()
+	return StatsReport{
+		Method:      p.Method(),
+		NumDocs:     st.NumDocs,
+		NumSegments: st.NumSegments,
+		NumClusters: p.NumClusters(),
+		Shards:      len(shardDocs),
+		ShardDocs:   shardDocs,
+		PhaseNS: map[string]int64{
+			"preprocess":    int64(st.Preprocess),
+			"segmentation":  int64(st.Segmentation),
+			"vectorization": int64(st.Vectorization),
+			"clustering":    int64(st.Clustering),
+			"refinement":    int64(st.Refinement),
+			"grouping":      int64(st.Grouping),
+			"indexing":      int64(st.Indexing),
+		},
+		Granularity: GranularityReport{
+			Buckets: GranularityBuckets(),
+			Before:  GranularityDistribution(before),
+			After:   GranularityDistribution(after),
+		},
+		LayerStats: hygiene,
+	}
 }
 
 // GranularityDistribution summarizes a segment-count vector into the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -31,10 +33,11 @@ func TestExplainReconcilesOnGoldenCorpus(t *testing.T) {
 	explained := 0
 	for doc := 0; doc < goldenPosts; doc++ {
 		want := p.Related(doc, goldenK)
-		got, exps, err := p.RelatedExplained(doc, goldenK)
+		ans, err := p.Query(context.Background(), doc, goldenK, true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got, exps := ans.Results, ans.Explanations
 		if len(got) != len(want) {
 			t.Fatalf("doc %d: explained returned %d results, plain %d", doc, len(got), len(want))
 		}
@@ -80,8 +83,8 @@ func TestExplainUnsupportedMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.RelatedExplained(0, 5); err == nil {
-		t.Fatal("LDA RelatedExplained must error")
+	if _, err := p.Query(context.Background(), 0, 5, true); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("LDA explain: %v, want ErrUnsupported", err)
 	}
 
 	// FullText, by contrast, explains over its single whole-post index.
@@ -89,10 +92,11 @@ func TestExplainUnsupportedMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, exps, err := ft.RelatedExplained(0, 5)
+	ans, err := ft.Query(context.Background(), 0, 5, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, exps := ans.Results, ans.Explanations
 	if len(res) == 0 || len(exps) != len(res) {
 		t.Fatalf("FullText explain: %d results, %d explanations", len(res), len(exps))
 	}

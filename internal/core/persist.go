@@ -36,10 +36,13 @@ func (p *Pipeline) WriteLegacyTo(w io.Writer) (int64, error) {
 }
 
 func (p *Pipeline) writeTo(w io.Writer, writeMR func(*match.MR, io.Writer) (int64, error)) (int64, error) {
-	if p.group != nil {
+	var mr *match.MR
+	switch m := p.matcher.(type) {
+	case *match.MR:
+		mr = m
+	case *shard.Group:
 		return 0, fmt.Errorf("core: sharded pipelines persist as a shard directory; use WriteShardDir")
-	}
-	if p.mr == nil {
+	default:
 		return 0, fmt.Errorf("core: %s pipelines are not persistable", p.matcher.Name())
 	}
 	cw := &countWriter{w: w}
@@ -50,7 +53,7 @@ func (p *Pipeline) writeTo(w io.Writer, writeMR func(*match.MR, io.Writer) (int6
 	if err := enc.Encode(p.stats); err != nil {
 		return cw.n, err
 	}
-	if _, err := writeMR(p.mr, cw); err != nil {
+	if _, err := writeMR(mr, cw); err != nil {
 		return cw.n, err
 	}
 	return cw.n, nil
@@ -78,13 +81,22 @@ func ReadPipeline(r io.Reader) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
+	return loaded(Config{Method: method}, mr, stats), nil
+}
+
+// loaded assembles a pipeline restored from a snapshot, the counterpart
+// of Build's tail: it publishes the collection size on the core.docs
+// gauge exactly as Build does, so a restored server's /metrics does not
+// report an empty collection until its first Add.
+func loaded(cfg Config, m segMatcher, stats Stats) *Pipeline {
+	gaugeDocs.Set(int64(stats.NumDocs))
 	return &Pipeline{
-		cfg:       Config{Method: method},
-		matcher:   mr,
-		mr:        mr,
+		cfg:       cfg,
+		matcher:   m,
+		seg:       m,
 		epochBase: 1, // loading is an epoch advance; see Pipeline.Epoch
 		stats:     stats,
-	}, nil
+	}
 }
 
 // WriteShardDir persists a sharded pipeline into dir: the shard
@@ -92,10 +104,11 @@ func ReadPipeline(r io.Reader) (*Pipeline, error) {
 // shard in the plain MR codec (see internal/shard). It errors for
 // unsharded pipelines, which persist as a single stream via WriteTo.
 func (p *Pipeline) WriteShardDir(dir string) error {
-	if p.group == nil {
+	g, ok := p.matcher.(*shard.Group)
+	if !ok {
 		return fmt.Errorf("core: %s pipeline is not sharded; use WriteTo", p.matcher.Name())
 	}
-	return p.group.WriteDir(dir)
+	return g.WriteDir(dir)
 }
 
 // ReadShardDir loads a sharded pipeline from a directory written by
@@ -115,17 +128,11 @@ func ReadShardDir(dir string) (*Pipeline, error) {
 		}
 	}
 	bs := g.Stats()
-	return &Pipeline{
-		cfg:       Config{Method: method, Shards: g.NumShards()},
-		matcher:   g,
-		group:     g,
-		epochBase: 1, // loading is an epoch advance; see Pipeline.Epoch
-		stats: Stats{
-			NumDocs:     g.NumDocs(),
-			NumSegments: bs.NumSegments,
-			NumClusters: bs.NumClusters,
-		},
-	}, nil
+	return loaded(Config{Method: method, Shards: g.NumShards()}, g, Stats{
+		NumDocs:     g.NumDocs(),
+		NumSegments: bs.NumSegments,
+		NumClusters: bs.NumClusters,
+	}), nil
 }
 
 // exactReader adapts an io.Reader into an io.ByteReader so gob decoders

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -75,10 +76,11 @@ func TestShardedPipeline(t *testing.T) {
 	check("post-add")
 
 	// Explain mode flows through the sharded matcher too.
-	res, exps, err := sharded.RelatedExplained(0, 3)
+	ans, err := sharded.Query(context.Background(), 0, 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, exps := ans.Results, ans.Explanations
 	if len(res) != len(exps) {
 		t.Fatalf("%d results, %d explanations", len(res), len(exps))
 	}

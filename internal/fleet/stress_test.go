@@ -135,7 +135,7 @@ func TestFleetChaosStress(t *testing.T) {
 			defer wg.Done()
 			for q := 0; q < queriesPerReader; q++ {
 				doc := (r*queriesPerReader + q*17) % len(docs)
-				res, err := c.Related(context.Background(), doc, k, nil)
+				res, err := c.Query(context.Background(), doc, k, false)
 				if err != nil {
 					var rpc *RPCError
 					if !errors.As(err, &rpc) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
@@ -205,7 +205,7 @@ func TestFleetChaosStress(t *testing.T) {
 	}
 	for doc := 0; doc < c2.NumDocs(); doc += 13 {
 		want := f.g.Match(doc, k)
-		res, err := c2.Related(context.Background(), doc, k, nil)
+		res, err := c2.Query(context.Background(), doc, k, false)
 		if err != nil {
 			t.Fatalf("post-stress doc %d: %v", doc, err)
 		}

@@ -160,62 +160,40 @@ func (t *HTTPTransport) roundTrip(ctx context.Context, url string, req, out any)
 	return nil
 }
 
-// Home implements Transport.
-func (t *HTTPTransport) Home(ctx context.Context, endpoint string, req *HomeRequest, deliver func(*HomeResponse, error)) {
+// httpCall runs one RPC on its own goroutine — POST req as JSON to url,
+// or GET when req is nil — and delivers the decoded reply or the error.
+func httpCall[Resp any](t *HTTPTransport, ctx context.Context, url string, req any, deliver func(*Resp, error)) {
 	go func() {
-		var out HomeResponse
-		if err := t.roundTrip(ctx, endpoint+"/internal/home", req, &out); err != nil {
+		var out Resp
+		if err := t.roundTrip(ctx, url, req, &out); err != nil {
 			deliver(nil, err)
 			return
 		}
 		deliver(&out, nil)
 	}()
+}
+
+// Home implements Transport.
+func (t *HTTPTransport) Home(ctx context.Context, endpoint string, req *HomeRequest, deliver func(*HomeResponse, error)) {
+	httpCall(t, ctx, endpoint+"/internal/home", req, deliver)
 }
 
 // Probe implements Transport.
 func (t *HTTPTransport) Probe(ctx context.Context, endpoint string, req *ProbeRequest, deliver func(*ProbeResponse, error)) {
-	go func() {
-		var out ProbeResponse
-		if err := t.roundTrip(ctx, endpoint+"/internal/probe", req, &out); err != nil {
-			deliver(nil, err)
-			return
-		}
-		deliver(&out, nil)
-	}()
+	httpCall(t, ctx, endpoint+"/internal/probe", req, deliver)
 }
 
 // Explain implements Transport.
 func (t *HTTPTransport) Explain(ctx context.Context, endpoint string, req *ExplainRequest, deliver func(*ExplainResponse, error)) {
-	go func() {
-		var out ExplainResponse
-		if err := t.roundTrip(ctx, endpoint+"/internal/explain", req, &out); err != nil {
-			deliver(nil, err)
-			return
-		}
-		deliver(&out, nil)
-	}()
+	httpCall(t, ctx, endpoint+"/internal/explain", req, deliver)
 }
 
 // Meta implements Transport.
 func (t *HTTPTransport) Meta(ctx context.Context, endpoint string, deliver func(*Meta, error)) {
-	go func() {
-		var out Meta
-		if err := t.roundTrip(ctx, endpoint+"/internal/meta", nil, &out); err != nil {
-			deliver(nil, err)
-			return
-		}
-		deliver(&out, nil)
-	}()
+	httpCall(t, ctx, endpoint+"/internal/meta", nil, deliver)
 }
 
 // Metrics implements Transport.
 func (t *HTTPTransport) Metrics(ctx context.Context, endpoint string, deliver func(*obs.Snapshot, error)) {
-	go func() {
-		var out obs.Snapshot
-		if err := t.roundTrip(ctx, endpoint+"/internal/metricsz", nil, &out); err != nil {
-			deliver(nil, err)
-			return
-		}
-		deliver(&out, nil)
-	}()
+	httpCall(t, ctx, endpoint+"/internal/metricsz", nil, deliver)
 }

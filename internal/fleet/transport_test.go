@@ -105,19 +105,19 @@ func TestHTTPTransportFleet(t *testing.T) {
 	httpC := f.coordinator(t, topo, Options{Transport: NewHTTPTransport()})
 	localC := f.coordinator(t, f.topo(0), Options{Transport: f.lt})
 
-	if httpC.Epoch() != localC.Epoch() || httpC.Epoch() == 0 {
-		t.Fatalf("epoch over HTTP %d, local %d", httpC.Epoch(), localC.Epoch())
+	if httpC.SnapshotEpoch() != localC.SnapshotEpoch() || httpC.SnapshotEpoch() == 0 {
+		t.Fatalf("epoch over HTTP %d, local %d", httpC.SnapshotEpoch(), localC.SnapshotEpoch())
 	}
-	if httpC.Name() != "MR" || httpC.NumShards() != 2 || httpC.NumDocs() != len(docs) {
+	if httpC.name != "MR" || httpC.NumShards() != 2 || httpC.NumDocs() != len(docs) {
 		t.Fatalf("bootstrap meta diverged: name %q shards %d docs %d",
-			httpC.Name(), httpC.NumShards(), httpC.NumDocs())
+			httpC.name, httpC.NumShards(), httpC.NumDocs())
 	}
 	for d := 0; d < len(docs); d++ {
-		want, err := localC.Related(context.Background(), d, 5, nil)
+		want, err := localC.Query(context.Background(), d, 5, false)
 		if err != nil {
 			t.Fatalf("local Related(%d): %v", d, err)
 		}
-		got, err := httpC.Related(context.Background(), d, 5, nil)
+		got, err := httpC.Query(context.Background(), d, 5, false)
 		if err != nil {
 			t.Fatalf("http Related(%d): %v", d, err)
 		}
@@ -128,11 +128,13 @@ func TestHTTPTransportFleet(t *testing.T) {
 	}
 	// One explained query end-to-end: the wire explain items must
 	// reconstruct identical term breakdowns.
-	wres, wexp, err := localC.RelatedExplained(context.Background(), 3, 5, nil)
+	wres, err := localC.Query(context.Background(), 3, 5, true)
+	wexp := wres.Explanations
 	if err != nil {
 		t.Fatalf("local RelatedExplained: %v", err)
 	}
-	gres, gexp, err := httpC.RelatedExplained(context.Background(), 3, 5, nil)
+	gres, err := httpC.Query(context.Background(), 3, 5, true)
+	gexp := gres.Explanations
 	if err != nil {
 		t.Fatalf("http RelatedExplained: %v", err)
 	}
@@ -420,7 +422,7 @@ func TestCoordinatorRejectsMalformedReplies(t *testing.T) {
 				AttemptTimeout: 200 * time.Millisecond,
 				Retries:        -1,
 			})
-			res, err := c.Related(context.Background(), 3, 5, nil)
+			res, err := c.Query(context.Background(), 3, 5, false)
 			if err != nil {
 				t.Fatalf("Related under a lying sibling must degrade, not fail: %v", err)
 			}

@@ -8,13 +8,14 @@ import (
 	"repro/internal/obs"
 )
 
-// WireVersion is the fleet's internal RPC protocol version. Version 2
-// added trace propagation: requests may carry a trace id + sampling
-// flag, replies may carry the shard-side event list. All trace fields
-// are omitempty, so an untraced version-2 request is byte-identical to
-// a version-1 request; the coordinator only sets them against peers
-// whose /internal/meta reports Wire >= 2 (version-1 servers decode
-// strictly and would reject unknown fields).
+// WireVersion is the fleet's internal RPC protocol version. Every
+// process of a fleet is built from one tree, so there is no
+// negotiation: a shard server reports the version on /internal/meta and
+// the coordinator refuses to bootstrap against any other value
+// (wire_mismatch) rather than guess which fields the peer decodes.
+// Version 2 carries trace propagation: requests may carry a trace id +
+// sampling flag, replies may carry the shard-side event list; all trace
+// fields are omitempty, so an untraced request does not pay for them.
 const WireVersion = 2
 
 // Wire types for the shard fleet's internal RPC surface. Everything
@@ -55,8 +56,8 @@ type HomeRequest struct {
 	LocalDoc int `json:"local_doc"`
 	K        int `json:"k"`
 	// TraceID correlates the shard-side child trace with the
-	// coordinator's trace; Trace asks the server to record one. Wire
-	// version 2; both absent on untraced requests.
+	// coordinator's trace; Trace asks the server to record one. Both
+	// absent on untraced requests.
 	TraceID string `json:"trace_id,omitempty"`
 	Trace   bool   `json:"trace,omitempty"`
 }
@@ -153,10 +154,8 @@ type Meta struct {
 	Clusters    int        `json:"clusters"`
 	Epoch       uint64     `json:"epoch"`
 	Params      MetaParams `json:"params"`
-	// Wire is the server's RPC protocol version (0 from version-1
-	// servers, which predate the field). The coordinator only sends
-	// trace-propagation fields to fleets whose every member reports a
-	// version that understands them.
+	// Wire is the server's RPC protocol version; the coordinator
+	// bootstraps only against WireVersion.
 	Wire int `json:"wire,omitempty"`
 }
 
@@ -211,6 +210,21 @@ func toClusterQueries(probes []WireProbe) []match.ClusterQuery {
 			Cluster: p.Cluster, TF: probeTF(p.Terms, p.QF),
 			Terms: p.Terms, QF: p.QF, IDF: p.IDF, AvgUnique: p.AvgUnique,
 		}
+	}
+	return out
+}
+
+// fromWireLists converts one leg's wire lists back to matcher form for
+// the shared merge (shard-local ids ride in DocID, as the in-process
+// scatter's do).
+func fromWireLists(lists [][]WireResult) [][]match.Result {
+	out := make([][]match.Result, len(lists))
+	for i, l := range lists {
+		m := make([]match.Result, len(l))
+		for j, r := range l {
+			m[j] = match.Result{DocID: r.Doc, Score: r.Score}
+		}
+		out[i] = m
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package match
 
 import (
 	"repro/internal/index"
+	"repro/internal/obs"
 )
 
 // This file is the score-explainability layer: MatchExplained returns,
@@ -56,38 +57,22 @@ type Explanation struct {
 type Explainer interface {
 	Matcher
 	// MatchExplained returns exactly what Match(docID, k) returns, plus
-	// one Explanation per result, index-aligned with the result list.
-	MatchExplained(docID, k int) ([]Result, []Explanation)
+	// one Explanation per result, index-aligned with the result list. A
+	// non-nil tr records the same per-stage events as the plain query.
+	MatchExplained(docID, k int, tr *obs.Trace) ([]Result, []Explanation)
 }
 
-// MatchExplained implements Explainer: Match with the score
-// decomposition retained. It holds the read lock across both the query
-// replay and the decomposition, so the explanation is computed against
-// the same index state as the scores and reconciles bit-for-bit even
-// with concurrent Adds in flight.
-func (mr *MR) MatchExplained(docID, k int) ([]Result, []Explanation) {
-	if k <= 0 {
-		return nil, nil
-	}
-	mr.mu.RLock()
-	defer mr.mu.RUnlock()
-	if docID < 0 || docID >= len(mr.docSegs) {
-		return nil, nil
-	}
-	segs, lists, _ := mr.queryListsLocked(docID, k, nil)
-	trimmed := make([][]index.Result, len(segs))
-	norms := make([]float64, len(segs))
-	scores := make(map[int]float64)
-	for i, seg := range segs {
-		res, norm := mr.trimList(lists[i])
-		trimmed[i], norms[i] = res, norm
-		owners := mr.unitDoc[seg.cluster]
-		for _, r := range res {
-			scores[owners[r.Unit]] += r.Score / norm
-		}
-	}
-	out := topK(scores, k, docID)
+// MatchExplained implements Explainer: MatchTraced with the score
+// decomposition retained (see match for the locking that makes the two
+// reconcile).
+func (mr *MR) MatchExplained(docID, k int, tr *obs.Trace) ([]Result, []Explanation) {
+	return mr.match(docID, k, tr, true)
+}
 
+// explainLocked decomposes each result of one query over the trimmed
+// per-segment lists (and their Algorithm 2 divisors) its score was
+// summed from. Callers hold at least the read lock.
+func (mr *MR) explainLocked(out []Result, segs []docSeg, trimmed [][]index.Result, norms []float64) []Explanation {
 	exps := make([]Explanation, len(out))
 	for ri, r := range out {
 		exp := Explanation{DocID: r.DocID, Score: r.Score}
@@ -109,7 +94,7 @@ func (mr *MR) MatchExplained(docID, k int) ([]Result, []Explanation) {
 		}
 		exps[ri] = exp
 	}
-	return out, exps
+	return exps
 }
 
 // termBreakdown decomposes one (query TF, result unit) list score into
@@ -154,8 +139,9 @@ func (mr *MR) ExplainDocCluster(localDoc, clusterID int, queryTF map[string]floa
 
 // MatchExplained implements Explainer for the whole-post baseline: the
 // score decomposes over a single pseudo-cluster 0 (the one
-// whole-collection index), with the full Eq 7–9 term breakdown.
-func (ft *FullText) MatchExplained(docID, k int) ([]Result, []Explanation) {
+// whole-collection index), with the full Eq 7–9 term breakdown. The
+// trace is unused: the whole-post query has no stages to record.
+func (ft *FullText) MatchExplained(docID, k int, _ *obs.Trace) ([]Result, []Explanation) {
 	if docID < 0 || docID >= len(ft.terms) {
 		return nil, nil
 	}

@@ -82,7 +82,7 @@ func TestMRMatchExplainedReconciles(t *testing.T) {
 			mr := NewMR("explain-test", docs, cfg)
 			for doc := 0; doc < 30; doc++ {
 				want := mr.Match(doc, 5)
-				got, exps := mr.MatchExplained(doc, 5)
+				got, exps := mr.MatchExplained(doc, 5, nil)
 				checkExplanations(t, want, got, exps, 1e-9)
 			}
 		})
@@ -92,13 +92,13 @@ func TestMRMatchExplainedReconciles(t *testing.T) {
 func TestMRMatchExplainedEdgeCases(t *testing.T) {
 	docs, _ := explainDocs(t, 40)
 	mr := NewMR("explain-edge", docs, MRConfig{Seed: 7})
-	if res, exps := mr.MatchExplained(0, 0); res != nil || exps != nil {
+	if res, exps := mr.MatchExplained(0, 0, nil); res != nil || exps != nil {
 		t.Fatal("k=0 must return nils")
 	}
-	if res, exps := mr.MatchExplained(-1, 5); res != nil || exps != nil {
+	if res, exps := mr.MatchExplained(-1, 5, nil); res != nil || exps != nil {
 		t.Fatal("negative doc id must return nils")
 	}
-	if res, exps := mr.MatchExplained(len(docs)+5, 5); res != nil || exps != nil {
+	if res, exps := mr.MatchExplained(len(docs)+5, 5, nil); res != nil || exps != nil {
 		t.Fatal("out-of-range doc id must return nils")
 	}
 }
@@ -115,7 +115,7 @@ func TestMRMatchExplainedAfterAdd(t *testing.T) {
 	}
 	for _, doc := range []int{0, 35, addedID} {
 		want := mr.Match(doc, 5)
-		got, exps := mr.MatchExplained(doc, 5)
+		got, exps := mr.MatchExplained(doc, 5, nil)
 		checkExplanations(t, want, got, exps, 1e-9)
 	}
 }
@@ -125,7 +125,7 @@ func TestFullTextMatchExplainedReconciles(t *testing.T) {
 	ft := NewFullText(terms)
 	for doc := 0; doc < 20; doc++ {
 		want := ft.Match(doc, 5)
-		got, exps := ft.MatchExplained(doc, 5)
+		got, exps := ft.MatchExplained(doc, 5, nil)
 		checkExplanations(t, want, got, exps, 1e-9)
 		for _, exp := range exps {
 			if len(exp.Clusters) != 1 || exp.Clusters[0].Cluster != 0 {

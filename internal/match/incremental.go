@@ -32,6 +32,9 @@ type PendingAdd struct {
 	mr        *MR
 	numRanges int
 	merged    map[int][]string // cluster → merged segment terms (refinement rule)
+	// commit, when set, is what Commit runs instead of committing into
+	// mr; see CommitVia.
+	commit func(*PendingAdd) int
 }
 
 // PrepareAdd segments a new document, assigns each segment to the nearest
@@ -76,7 +79,22 @@ func (pa *PendingAdd) NumSegments() int { return pa.numRanges }
 // Commit indexes the prepared segments under the matcher's write lock and
 // returns the document id assigned to the new post. Document ids are
 // assigned in commit order. Commit must be called at most once.
-func (pa *PendingAdd) Commit() int { return pa.CommitTo(pa.mr) }
+func (pa *PendingAdd) Commit() int {
+	if pa.commit != nil {
+		return pa.commit(pa)
+	}
+	return pa.CommitTo(pa.mr)
+}
+
+// CommitVia makes Commit run fn instead of committing into the
+// preparing matcher, and returns pa. The sharded serving layer uses it
+// so a document prepared by a group commits the way a document prepared
+// by a single matcher does — one Commit call — while fn picks the
+// owning shard, calls CommitTo on it, and returns the global id.
+func (pa *PendingAdd) CommitVia(fn func(*PendingAdd) int) *PendingAdd {
+	pa.commit = fn
+	return pa
+}
 
 // CommitTo commits the prepared document into mr, which may be a
 // different matcher than the one that prepared it — the sharded serving

@@ -22,6 +22,22 @@ type Result struct {
 	Score float64
 }
 
+// Answer is one answered Related query in the form every serving engine
+// returns it — the in-process pipeline (core) and the networked
+// coordinator (fleet) alike — so one HTTP server can sit over either.
+// Explanations is index-aligned with Results and nil unless the query
+// asked for the Eq 7–9 decomposition. Partial and Missing are only ever
+// set by an engine that scatters over a network: when Partial is false
+// the ranking is proven complete; when true, Missing names the shards
+// whose lists could not be fetched in budget and Results is exactly the
+// merge over the remaining shards.
+type Answer struct {
+	Results      []Result
+	Explanations []Explanation
+	Partial      bool
+	Missing      []int
+}
+
 // Matcher finds the documents most related to a reference document of the
 // prepared collection.
 type Matcher interface {

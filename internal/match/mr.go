@@ -470,20 +470,40 @@ func (mr *MR) Match(docID, k int) []Result {
 // and costs a pointer check per hook (the Fig 11c benchmarks gate it
 // at 0 extra allocations).
 func (mr *MR) MatchTraced(docID, k int, tr *obs.Trace) []Result {
+	out, _ := mr.match(docID, k, tr, false)
+	return out
+}
+
+// match is the one query path behind MatchTraced and MatchExplained:
+// Algorithm 1's lists, the trim, Algorithm 2's sums, the top-k — and,
+// when explain is set, the decomposition of every result over the very
+// lists the scores were summed from. The read lock is held across both
+// halves, so an explanation reconciles bit-for-bit with its scores even
+// with concurrent Adds in flight. The trimmed lists and divisors are
+// retained only for explain, which keeps the plain path at its
+// benchmark-gated allocation count.
+func (mr *MR) match(docID, k int, tr *obs.Trace, explain bool) ([]Result, []Explanation) {
 	if k <= 0 {
-		return nil
+		return nil, nil
 	}
 	tm := spanQuery.Start()
 	mr.mu.RLock()
 	defer mr.mu.RUnlock()
 	if docID < 0 || docID >= len(mr.docSegs) {
-		return nil
+		return nil, nil
 	}
 	segs, lists, _ := mr.queryListsLocked(docID, k, tr)
+	var norms []float64
+	if explain {
+		norms = make([]float64, len(segs))
+	}
 	// Algorithm 2: sum the per-intention list scores per owning document.
 	scores := make(map[int]float64)
 	for i, seg := range segs {
 		res, norm := mr.trimList(lists[i])
+		if explain {
+			lists[i], norms[i] = res, norm
+		}
 		owners := mr.unitDoc[seg.cluster]
 		for _, r := range res {
 			scores[owners[r.Unit]] += r.Score / norm
@@ -502,7 +522,10 @@ func (mr *MR) MatchTraced(docID, k int, tr *obs.Trace) []Result {
 		tr.Event("match.topk", obs.N("results", int64(len(out))))
 	}
 	tm.Stop()
-	return out
+	if !explain {
+		return out, nil
+	}
+	return out, mr.explainLocked(out, segs, lists, norms)
 }
 
 // queryListsLocked runs Algorithm 1: one top-n index query per
@@ -623,6 +646,11 @@ func (mr *MR) Stats() BuildStats {
 
 // NumClusters returns the number of intention clusters formed.
 func (mr *MR) NumClusters() int { return len(mr.clusters) }
+
+// ShardDocs returns nil: a single matcher is one unpartitioned
+// collection. The method gives the unsharded matcher and shard.Group
+// one surface for core.Pipeline to hold.
+func (mr *MR) ShardDocs() []int { return nil }
 
 // Centroids returns the cluster centroids in the segment vector space —
 // the columns of Fig 3. The centroids are frozen at build time (Add

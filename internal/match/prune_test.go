@@ -73,7 +73,7 @@ func TestMatchExplainedPrunedReconciles(t *testing.T) {
 	tc := buildCorpus(t, forum.TechSupport, 160, 4)
 	mr := NewMR("MR", tc.docs, MRConfig{Seed: 7})
 	for d := 0; d < mr.NumDocs(); d += 5 {
-		res, exps := mr.MatchExplained(d, 5)
+		res, exps := mr.MatchExplained(d, 5, nil)
 		served := mr.Match(d, 5)
 		if len(res) != len(served) {
 			t.Fatalf("doc %d: explained %d results, served %d", d, len(res), len(served))

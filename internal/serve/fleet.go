@@ -1,9 +1,9 @@
-// The fleet halves of the serving layer: ShardServer exposes one
-// fleet.Host's internal probe surface over HTTP, FleetServer exposes
-// the public /related surface backed by a fleet.Coordinator. Both
-// reuse the package's observe middleware, so fleet processes get the
-// same access logs, trace rings, and /metrics as the single-process
-// server.
+// The fleet-facing parts of the serving layer. ShardServer exposes one
+// fleet.Host's internal probe surface over HTTP; the public surface of a
+// fleet is the package's one Server over a fleet.Coordinator, which
+// also answers the federated /metrics?scope=fleet below. ShardServer
+// reuses the observe middleware, so shard processes get the same access
+// logs, trace rings, and /metrics as every other server.
 //
 // Shard server endpoints (internal, consumed by the coordinator):
 //
@@ -13,81 +13,24 @@
 //	GET  /internal/meta     topology self-description + snapshot epoch
 //	GET  /internal/metricsz raw obs snapshot for the federated scrape
 //	GET  /metrics, /healthz, /debug/traces
-//
-// Coordinator endpoints (public, same wire shapes as the single
-// binary; /related answers byte-identically when the fleet is
-// healthy):
-//
-//	POST /related           scatter-gather query; adds partial_results +
-//	                        shards_missing when degraded
-//	POST /add               501: the networked fleet serves read-only
-//	                        snapshots (writes go through rebuilds)
-//	GET  /stats             fleet topology view + per-shard health
-//	GET  /metrics           own process; ?scope=fleet scrapes every
-//	                        shard and merges the snapshots exactly
-//	GET  /healthz, /debug/traces
-//
-// Error bodies on these surfaces are typed:
-// {"error": {"kind": "...", "message": "..."}} — the kind strings
-// ("unknown_doc", "fleet_unavailable", ...) are stable contract, so
-// clients and the coordinator's transport can switch on them without
-// parsing prose.
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net/http"
 
-	"repro/internal/cache"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
-// Fleet-surface request counters, distinct from the single-process
-// http.* family so a coordinator's /metrics separates its own protocol
-// layer from any embedded pipeline.
+// Shard-surface request counters.
 var (
-	ctrFleetRelated = obs.NewCounter("http.fleet.related.requests")
-	ctrFleetPartial = obs.NewCounter("http.fleet.related.partial")
 	ctrShardHome    = obs.NewCounter("http.shard.home.requests")
 	ctrShardProbe   = obs.NewCounter("http.shard.probe.requests")
 	ctrShardExplain = obs.NewCounter("http.shard.explain.requests")
 	ctrShardMeta    = obs.NewCounter("http.shard.meta.requests")
 	ctrShardScrapes = obs.NewCounter("http.shard.metricsz.requests")
-	ctrFleetScrapes = obs.NewCounter("http.fleet.metrics.fleet_scope")
-	ctrTypedErrors  = obs.NewCounter("http.fleet.errors")
 )
-
-// ErrorBody is the typed error envelope of the fleet surfaces.
-type ErrorBody struct {
-	Kind    string `json:"kind"`
-	Message string `json:"message"`
-}
-
-// writeTypedError answers with the fleet error envelope, mapping
-// *fleet.RPCError to its status and kind.
-func writeTypedError(w http.ResponseWriter, err error) {
-	ctrTypedErrors.Inc()
-	status, kind := http.StatusBadGateway, "internal"
-	var rpc *fleet.RPCError
-	switch {
-	case errors.As(err, &rpc):
-		status, kind = rpc.Status, rpc.Kind
-		if status == 0 {
-			status = http.StatusBadGateway
-		}
-		if kind == "" {
-			kind = "internal"
-		}
-	case errors.Is(err, context.DeadlineExceeded):
-		status, kind = http.StatusGatewayTimeout, "deadline"
-	case errors.Is(err, context.Canceled):
-		status, kind = 499, "canceled" // nginx's client-closed-request
-	}
-	writeJSON(w, status, map[string]ErrorBody{"error": {Kind: kind, Message: err.Error()}})
-}
 
 // ShardServer serves one fleet.Host's internal probe surface.
 type ShardServer struct {
@@ -103,13 +46,13 @@ type ShardServer struct {
 func NewShardServer(h *fleet.Host, cfg Config) *ShardServer {
 	s := &ShardServer{host: h, mux: http.NewServeMux(), observer: newObserver(cfg)}
 	h.SetTracer(s.tracer)
-	s.mux.HandleFunc("POST /internal/home", s.observe("/internal/home", false, s.handleHome))
-	s.mux.HandleFunc("POST /internal/probe", s.observe("/internal/probe", false, s.handleProbe))
-	s.mux.HandleFunc("POST /internal/explain", s.observe("/internal/explain", false, s.handleExplain))
+	s.mux.HandleFunc("POST /internal/home", s.observe("/internal/home", false, hostRPC(ctrShardHome, h.HandleHome)))
+	s.mux.HandleFunc("POST /internal/probe", s.observe("/internal/probe", false, hostRPC(ctrShardProbe, h.HandleProbe)))
+	s.mux.HandleFunc("POST /internal/explain", s.observe("/internal/explain", false, hostRPC(ctrShardExplain, h.HandleExplain)))
 	s.mux.HandleFunc("GET /internal/meta", s.observe("/internal/meta", false, s.handleMeta))
 	s.mux.HandleFunc("GET /internal/metricsz", s.observe("/internal/metricsz", false, s.handleMetricsz))
 	s.mux.HandleFunc("GET /metrics", s.observe("/metrics", false, s.handleMetrics))
-	s.mux.HandleFunc("GET /healthz", s.observe("/healthz", false, s.handleHealthz))
+	s.mux.HandleFunc("GET /healthz", s.observe("/healthz", false, handleHealthz))
 	s.mux.HandleFunc("GET /debug/traces", s.observe("/debug/traces", false, s.handleTraces))
 	return s
 }
@@ -117,63 +60,27 @@ func NewShardServer(h *fleet.Host, cfg Config) *ShardServer {
 // Handler returns the shard server's root handler.
 func (s *ShardServer) Handler() http.Handler { return s.mux }
 
-func (s *ShardServer) handleHome(w http.ResponseWriter, r *http.Request) {
-	ctrShardHome.Inc()
-	var req fleet.HomeRequest
-	if !decodeJSON(w, r, &req) {
-		return
+// hostRPC is the handler of one internal RPC: decode the request, let
+// the host answer, write the reply or the typed error.
+func hostRPC[Req, Resp any](requests *obs.Counter, handle func(*Req) (*Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		requests.Inc()
+		var req Req
+		if !decodeJSON(w, r, &req) {
+			return
+		}
+		resp, err := handle(&req)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	resp, err := s.host.HandleHome(&req)
-	if err != nil {
-		writeTypedError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *ShardServer) handleProbe(w http.ResponseWriter, r *http.Request) {
-	ctrShardProbe.Inc()
-	var req fleet.ProbeRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	resp, err := s.host.HandleProbe(&req)
-	if err != nil {
-		writeTypedError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *ShardServer) handleExplain(w http.ResponseWriter, r *http.Request) {
-	ctrShardExplain.Inc()
-	var req fleet.ExplainRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	resp, err := s.host.HandleExplain(&req)
-	if err != nil {
-		writeTypedError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *ShardServer) handleMeta(w http.ResponseWriter, r *http.Request) {
 	ctrShardMeta.Inc()
 	writeJSON(w, http.StatusOK, s.host.Meta())
-}
-
-func (s *ShardServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	ctrMetricsRequests.Inc()
-	snap := obs.Default.Snapshot()
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", obs.PrometheusContentType)
-		w.WriteHeader(http.StatusOK)
-		_ = snap.WritePrometheus(w)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
 }
 
 // handleMetricsz is the federated-scrape leg: always the raw JSON
@@ -182,220 +89,6 @@ func (s *ShardServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *ShardServer) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	ctrShardScrapes.Inc()
 	writeJSON(w, http.StatusOK, obs.Default.Snapshot())
-}
-
-func (s *ShardServer) handleTraces(w http.ResponseWriter, r *http.Request) {
-	ctrTraceRequests.Inc()
-	writeJSON(w, http.StatusOK, TracesResponse{Traces: s.tracer.Snapshot()})
-}
-
-func (s *ShardServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// FleetServer serves the public surface backed by a coordinator.
-type FleetServer struct {
-	c   *fleet.Coordinator
-	mux *http.ServeMux
-	observer
-	hygiene
-}
-
-// NewFleetServer wraps a bootstrapped coordinator in the public HTTP
-// surface. The hygiene knobs of Config apply here too: merged results
-// are cached under the coordinator's fleet-wide cache epoch, which
-// advances when any shard reports growth or transitions to degraded —
-// and partial merges are never cached at all.
-func NewFleetServer(c *fleet.Coordinator, cfg Config) *FleetServer {
-	s := &FleetServer{c: c, mux: http.NewServeMux(), observer: newObserver(cfg), hygiene: newHygiene(cfg)}
-	s.mux.HandleFunc("POST /related", s.observe("/related", true, s.handleRelated))
-	s.mux.HandleFunc("POST /add", s.observe("/add", false, s.handleAdd))
-	s.mux.HandleFunc("GET /stats", s.observe("/stats", false, s.handleStats))
-	s.mux.HandleFunc("GET /metrics", s.observe("/metrics", false, s.handleMetrics))
-	s.mux.HandleFunc("GET /healthz", s.observe("/healthz", false, s.handleHealthz))
-	s.mux.HandleFunc("GET /debug/traces", s.observe("/debug/traces", false, s.handleTraces))
-	return s
-}
-
-// Handler returns the fleet server's root handler.
-func (s *FleetServer) Handler() http.Handler { return s.mux }
-
-func (s *FleetServer) handleRelated(w http.ResponseWriter, r *http.Request) {
-	ctrFleetRelated.Inc()
-	var req RelatedRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if req.K == 0 {
-		req.K = 5
-	}
-	if req.K < 0 || req.K > 100 {
-		writeTypedError(w, &fleet.RPCError{Status: http.StatusBadRequest, Kind: "bad_request", Msg: "k must be in [1,100]"})
-		return
-	}
-	if info := infoFrom(r.Context()); info != nil {
-		info.docID, info.hasDoc = req.DocID, true
-		info.k, info.hasK = req.K, true
-	}
-	tr := obs.TraceFrom(r.Context())
-	if s.hygiene.enabled() {
-		s.handleRelatedHygiene(w, r, req, tr)
-		return
-	}
-	resp, err := s.buildRelated(r.Context(), req, tr)
-	if err != nil {
-		writeTypedError(w, err)
-		return
-	}
-	if resp.PartialResults {
-		ctrFleetPartial.Inc()
-	}
-	if info := infoFrom(r.Context()); info != nil {
-		info.results, info.hasResults = len(resp.Results), true
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// buildRelated runs the scatter-gather for a validated request.
-// Factored out of handleRelated so the default path and the hygiene
-// path serve identical bytes.
-func (s *FleetServer) buildRelated(ctx context.Context, req RelatedRequest, tr *obs.Trace) (RelatedResponse, error) {
-	resp := RelatedResponse{DocID: req.DocID, K: req.K}
-	if req.Explain {
-		ctrExplainRequests.Inc()
-		res, exps, err := s.c.RelatedExplained(ctx, req.DocID, req.K, tr)
-		if err != nil {
-			return resp, err
-		}
-		resp.Results = make([]RelatedResult, len(res.Results))
-		for i, rr := range res.Results {
-			resp.Results[i] = RelatedResult{
-				DocID:   rr.DocID,
-				Score:   rr.Score,
-				Explain: explainClusters(exps[i]),
-			}
-		}
-		resp.PartialResults, resp.ShardsMissing = res.Partial, res.Missing
-	} else {
-		res, err := s.c.Related(ctx, req.DocID, req.K, tr)
-		if err != nil {
-			return resp, err
-		}
-		resp.Results = make([]RelatedResult, len(res.Results))
-		for i, rr := range res.Results {
-			resp.Results[i] = RelatedResult{DocID: rr.DocID, Score: rr.Score}
-		}
-		resp.PartialResults, resp.ShardsMissing = res.Partial, res.Missing
-	}
-	return resp, nil
-}
-
-// handleRelatedHygiene is the coordinator's /related path with hygiene
-// on. The cache key's epoch is the fleet-wide CacheEpoch; complete
-// merges computed at a still-current epoch are cached, partial merges
-// never are (they flow through singleflight to followers, then die).
-func (s *FleetServer) handleRelatedHygiene(w http.ResponseWriter, r *http.Request, req RelatedRequest, tr *obs.Trace) {
-	key := cache.Key{Doc: req.DocID, K: req.K, Explain: req.Explain, Epoch: s.c.CacheEpoch()}
-	cctx := s.computeCtx(r.Context())
-	e, err := s.relatedHygiene(r.Context(), key, tr, func() (cache.Entry, error) {
-		if s.admit != nil {
-			if aerr := s.admit.Acquire(cctx); aerr != nil {
-				return cache.Entry{}, aerr
-			}
-			defer s.admit.Release()
-		}
-		if s.testHookCompute != nil {
-			s.testHookCompute()
-		}
-		resp, berr := s.buildRelated(cctx, req, tr)
-		if berr != nil {
-			return cache.Entry{}, berr
-		}
-		body, encErr := encodeBody(resp)
-		if encErr != nil {
-			return cache.Entry{}, encErr
-		}
-		entry := cache.Entry{Body: body, Status: http.StatusOK, Results: len(resp.Results), Partial: resp.PartialResults}
-		// A degraded merge is never stored, and neither is a complete
-		// one whose epoch moved mid-flight (a shard failure during this
-		// very query advances CacheEpoch via the health transition, so
-		// the double condition usually collapses into one).
-		if s.cache != nil && !entry.Partial && s.c.CacheEpoch() == key.Epoch {
-			s.cache.Put(key, entry)
-		}
-		return entry, nil
-	})
-	if err != nil {
-		// Coordinator errors (typed RPC failures, timeouts) and hygiene
-		// errors (sheds, canceled waits) both terminate here; sheds get
-		// their dedicated envelope with Retry-After.
-		if err == cache.ErrOverloaded {
-			ctrTypedErrors.Inc()
-			if tr != nil {
-				tr.Event("admit.shed")
-			}
-			writeOverloaded(w)
-			return
-		}
-		writeTypedError(w, err)
-		return
-	}
-	if e.Partial {
-		ctrFleetPartial.Inc()
-	}
-	if info := infoFrom(r.Context()); info != nil {
-		info.results, info.hasResults = e.Results, true
-	}
-	writeRawJSON(w, e.Status, e.Body)
-}
-
-func (s *FleetServer) handleAdd(w http.ResponseWriter, r *http.Request) {
-	ctrAddRequests.Inc()
-	writeTypedError(w, &fleet.RPCError{
-		Status: http.StatusNotImplemented, Kind: "read_only",
-		Msg: "the networked fleet serves read-only snapshots; ingest through the offline build and redeploy the shard directory",
-	})
-}
-
-// FleetStatsResponse is the coordinator's GET /stats reply: the fleet
-// topology view plus the coordinator's live per-shard health ledger
-// (consecutive leg failures, last error kind, current hedge delay).
-type FleetStatsResponse struct {
-	Method      string              `json:"method"`
-	NumDocs     int                 `json:"num_docs"`
-	Shards      int                 `json:"shards"`
-	Epoch       uint64              `json:"epoch"`
-	ShardHealth []fleet.ShardHealth `json:"shard_health"`
-	// CacheEpoch and the hygiene blocks appear only when caching or
-	// admission is on, so a default coordinator's /stats bytes are
-	// unchanged.
-	CacheEpoch   uint64                `json:"cache_epoch,omitempty"`
-	Cache        *cache.Stats          `json:"cache,omitempty"`
-	Singleflight *cache.FlightStats    `json:"singleflight,omitempty"`
-	Admission    *cache.AdmissionStats `json:"admission,omitempty"`
-}
-
-func (s *FleetServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	ctrStatsRequests.Inc()
-	resp := FleetStatsResponse{
-		Method:      s.c.Name(),
-		NumDocs:     s.c.NumDocs(),
-		Shards:      s.c.NumShards(),
-		Epoch:       s.c.Epoch(),
-		ShardHealth: s.c.Health(),
-	}
-	if s.cache != nil {
-		resp.CacheEpoch = s.c.CacheEpoch()
-		cs := s.cache.Stats()
-		resp.Cache = &cs
-		fs := s.flight.Stats()
-		resp.Singleflight = &fs
-	}
-	if s.admit != nil {
-		as := s.admit.Stats()
-		resp.Admission = &as
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // FleetMetricsResponse is GET /metrics?scope=fleet: every shard's raw
@@ -410,30 +103,15 @@ type FleetMetricsResponse struct {
 	Scrape []fleet.ShardScrape `json:"scrape"`
 }
 
-func (s *FleetServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	ctrMetricsRequests.Inc()
-	if r.URL.Query().Get("scope") == "fleet" {
-		s.handleFleetMetrics(w, r)
-		return
-	}
-	snap := obs.Default.Snapshot()
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", obs.PrometheusContentType)
-		w.WriteHeader(http.StatusOK)
-		_ = snap.WritePrometheus(w)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
 // handleFleetMetrics answers the federated form. The Prometheus
 // exposition writes the fleet-merged series unprefixed (so dashboards
 // built against a single process keep working), then each shard's own
 // series under a fleet_shardNN_ prefix, led by a fleet_shardNN_up gauge
 // marking scrape success — the per-shard failure marker in text form.
-func (s *FleetServer) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
+func handleFleetMetrics(w http.ResponseWriter, r *http.Request, fs fleetScraper) {
+	ctrMetricsRequests.Inc()
 	ctrFleetScrapes.Inc()
-	scrapes, merged := s.c.ScrapeFleet(r.Context())
+	scrapes, merged := fs.ScrapeFleet(r.Context())
 	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", obs.PrometheusContentType)
 		w.WriteHeader(http.StatusOK)
@@ -457,13 +135,4 @@ func (s *FleetServer) handleFleetMetrics(w http.ResponseWriter, r *http.Request)
 		Fleet:  merged,
 		Scrape: scrapes,
 	})
-}
-
-func (s *FleetServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *FleetServer) handleTraces(w http.ResponseWriter, r *http.Request) {
-	ctrTraceRequests.Inc()
-	writeJSON(w, http.StatusOK, TracesResponse{Traces: s.tracer.Snapshot()})
 }

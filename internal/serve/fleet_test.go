@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/forum"
 	"repro/internal/match"
@@ -24,9 +26,9 @@ import (
 )
 
 // End-to-end tests of the networked fleet's HTTP surfaces: real
-// ShardServers on real sockets, the real HTTPTransport, a coordinator,
-// and a FleetServer — compared byte-for-byte against the single-process
-// Server over the same corpus. This is the HTTP leg of the equivalence
+// ShardServers on real sockets, the real HTTPTransport, and a Server
+// over the coordinator — compared byte-for-byte against a Server over
+// the single-process pipeline on the same corpus. This is the HTTP leg of the equivalence
 // matrix: it proves JSON round-trips (shortest-round-trip float
 // encoding) and the omitempty partial fields keep healthy fleet
 // responses indistinguishable from single-process responses.
@@ -53,7 +55,7 @@ var fleetBackend = sync.OnceValue(func() *fleetFixture {
 	return &fleetFixture{g: g, hosts: fleet.HostsForGroup(g)}
 })
 
-// typedError decodes the fleet error envelope.
+// typedError decodes the typed error envelope.
 func typedError(t *testing.T, body []byte) ErrorBody {
 	t.Helper()
 	var e struct {
@@ -98,7 +100,7 @@ func TestFleetServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fleet.New over HTTP: %v", err)
 	}
-	fleetTS := httptest.NewServer(NewFleetServer(c, Config{}).Handler())
+	fleetTS := httptest.NewServer(New(c, Config{}).Handler())
 	t.Cleanup(fleetTS.Close)
 	singleTS := httptest.NewServer(New(testPipeline(), Config{}).Handler())
 	t.Cleanup(singleTS.Close)
@@ -134,7 +136,7 @@ func TestFleetServeEndToEnd(t *testing.T) {
 			t.Fatalf("meta decode: %v", err)
 		}
 		resp.Body.Close()
-		if m.TotalShards != 4 || len(m.Shards) != 1 || m.Shards[0] != 1 || m.Epoch != c.Epoch() {
+		if m.TotalShards != 4 || len(m.Shards) != 1 || m.Shards[0] != 1 || m.Epoch != c.SnapshotEpoch() {
 			t.Fatalf("unexpected meta: %+v", m)
 		}
 
@@ -147,42 +149,18 @@ func TestFleetServeEndToEnd(t *testing.T) {
 			t.Fatalf("misdirected probe: status %d body %s", resp.StatusCode, body)
 		}
 		resp, body = postJSON(t, shardTS[1].URL+"/internal/home", `{bad json`)
-		if resp.StatusCode != http.StatusBadRequest {
+		if resp.StatusCode != http.StatusBadRequest || typedError(t, body).Kind != "bad_request" {
 			t.Fatalf("bad json: status %d body %s", resp.StatusCode, body)
 		}
 	})
 
-	t.Run("coordinator-surface", func(t *testing.T) {
-		resp, body := postJSON(t, fleetTS.URL+"/related", `{"doc_id": 3, "k": 200}`)
-		if resp.StatusCode != http.StatusBadRequest || typedError(t, body).Kind != "bad_request" {
-			t.Fatalf("k out of range: status %d body %s", resp.StatusCode, body)
-		}
-		resp, body = postJSON(t, fleetTS.URL+"/related", `{"doc_id": 100000, "k": 5}`)
+	// The contract table (contract_test.go) covers the coordinator's
+	// public surface on LocalTransport; what a real socket adds is the
+	// transport rebuilding a shard's typed 404 from its envelope.
+	t.Run("unknown-doc-over-http", func(t *testing.T) {
+		resp, body := postJSON(t, fleetTS.URL+"/related", `{"doc_id": 100000, "k": 5}`)
 		if resp.StatusCode != http.StatusNotFound || typedError(t, body).Kind != "unknown_doc" {
 			t.Fatalf("unknown doc: status %d body %s", resp.StatusCode, body)
-		}
-		resp, body = postJSON(t, fleetTS.URL+"/add", `{"text": "new post"}`)
-		if resp.StatusCode != http.StatusNotImplemented || typedError(t, body).Kind != "read_only" {
-			t.Fatalf("add on fleet: status %d body %s", resp.StatusCode, body)
-		}
-		gresp, err := http.Get(fleetTS.URL + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st FleetStatsResponse
-		if err := json.NewDecoder(gresp.Body).Decode(&st); err != nil {
-			t.Fatalf("stats decode: %v", err)
-		}
-		gresp.Body.Close()
-		if st.Method != "IntentIntent-MR" || st.NumDocs != 150 || st.Shards != 4 || st.Epoch != c.Epoch() {
-			t.Fatalf("unexpected fleet stats: %+v", st)
-		}
-		for _, ep := range []string{"/healthz", "/metrics", "/debug/traces"} {
-			r, err := http.Get(fleetTS.URL + ep)
-			if err != nil || r.StatusCode != http.StatusOK {
-				t.Fatalf("GET %s: %v / %v", ep, err, r)
-			}
-			r.Body.Close()
 		}
 	})
 
@@ -259,7 +237,7 @@ func TestFleetServeCancellationReleasesGoroutines(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := c.Related(ctx, 3, 5, nil); !errors.Is(err, context.Canceled) {
+	if _, err := c.Query(ctx, 3, 5, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	releaseDeadline := time.Now().Add(5 * time.Second)
@@ -281,106 +259,64 @@ func TestFleetServeCancellationReleasesGoroutines(t *testing.T) {
 	}
 }
 
-// TestFleetServeAuxSurfaces covers the operational endpoints of both
-// fleet binaries — /metrics in both formats, /healthz — plus the typed
-// error paths the happy-path equivalence tests never touch.
-func TestFleetServeAuxSurfaces(t *testing.T) {
+// TestShardServeAuxSurfaces covers the operational endpoints of the
+// shard binary — /metrics in both formats, /healthz — plus the typed
+// error path the happy-path equivalence tests never touch. (The public
+// server's are in the contract table.)
+func TestShardServeAuxSurfaces(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	f := fleetBackend()
-
-	shardTS := httptest.NewServer(NewShardServer(f.hosts[1], Config{}).Handler())
+	shardTS := httptest.NewServer(NewShardServer(fleetBackend().hosts[1], Config{}).Handler())
 	t.Cleanup(shardTS.Close)
 
-	lt := fleet.NewLocalTransport()
-	topo := fleet.Topology{}
-	for s := 0; s < f.g.NumShards(); s++ {
-		ep := fmt.Sprintf("aux-s%d", s)
-		lt.AddHost(ep, f.hosts[s])
-		topo.Endpoints = append(topo.Endpoints, fleet.ShardEndpoints{Shard: s, Primary: ep})
+	resp, body := do(t, "GET", shardTS.URL+"/healthz", "")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"ok"`) {
+		t.Fatalf("/healthz: status %d body %s", resp.StatusCode, body)
 	}
-	c, err := fleet.New(context.Background(), topo, fleet.Options{Transport: lt})
-	if err != nil {
-		t.Fatalf("fleet.New: %v", err)
+	resp, body = do(t, "GET", shardTS.URL+"/metrics", "")
+	if resp.StatusCode != http.StatusOK || !json.Valid(body) {
+		t.Fatalf("/metrics JSON: status %d body %.120s", resp.StatusCode, body)
 	}
-	fleetTS := httptest.NewServer(NewFleetServer(c, Config{}).Handler())
-	t.Cleanup(fleetTS.Close)
-
-	getWith := func(url, accept string) (*http.Response, []byte) {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, url, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, body
+	resp, body = do(t, "GET", shardTS.URL+"/metrics?format=prometheus", "")
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != obs.PrometheusContentType || !strings.Contains(string(body), "# TYPE") {
+		t.Fatalf("/metrics prometheus: status %d content-type %q body %.120s", resp.StatusCode, resp.Header.Get("Content-Type"), body)
 	}
-
-	for name, base := range map[string]string{"shard": shardTS.URL, "fleet": fleetTS.URL} {
-		resp, body := getWith(base+"/healthz", "")
-		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"ok"`) {
-			t.Fatalf("%s /healthz: status %d body %s", name, resp.StatusCode, body)
-		}
-		resp, body = getWith(base+"/metrics", "")
-		if resp.StatusCode != http.StatusOK || !json.Valid(body) {
-			t.Fatalf("%s /metrics JSON: status %d body %.120s", name, resp.StatusCode, body)
-		}
-		resp, body = getWith(base+"/metrics", obs.PrometheusContentType)
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != obs.PrometheusContentType {
-			t.Fatalf("%s /metrics prometheus: status %d content-type %q", name, resp.StatusCode, resp.Header.Get("Content-Type"))
-		}
-		if !strings.Contains(string(body), "# TYPE") {
-			t.Fatalf("%s /metrics prometheus exposition missing TYPE lines: %.120s", name, body)
-		}
-	}
-
-	// Typed errors on the shard surface: explain for a shard this server
-	// does not own.
-	resp, body := postJSON(t, shardTS.URL+"/internal/explain", `{"shard": 3, "items": []}`)
+	// Explain for a shard this server does not own.
+	resp, body = postJSON(t, shardTS.URL+"/internal/explain", `{"shard": 3, "items": []}`)
 	if resp.StatusCode != http.StatusMisdirectedRequest || typedError(t, body).Kind != "not_owned" {
 		t.Fatalf("misdirected explain: status %d body %s", resp.StatusCode, body)
 	}
-	// Typed errors on the coordinator surface down the explain branch:
-	// an unknown document must 404 identically to the plain branch.
-	resp, body = postJSON(t, fleetTS.URL+"/related", `{"doc_id": 999999, "k": 5, "explain": true}`)
-	if resp.StatusCode != http.StatusNotFound || typedError(t, body).Kind != "unknown_doc" {
-		t.Fatalf("explain for unknown doc: status %d body %s", resp.StatusCode, body)
-	}
 }
 
-// TestWriteTypedErrorMapping pins the error→(status, kind) table the
-// fleet surfaces answer with.
-func TestWriteTypedErrorMapping(t *testing.T) {
+// TestWriteErrorMapping pins the error→(status, kind) table of the one
+// function that writes an error body.
+func TestWriteErrorMapping(t *testing.T) {
 	cases := []struct {
 		err    error
 		status int
 		kind   string
 	}{
 		{&fleet.RPCError{Status: http.StatusNotFound, Kind: "unknown_doc", Msg: "x"}, http.StatusNotFound, "unknown_doc"},
+		{fmt.Errorf("wrapped: %w", &fleet.RPCError{Status: http.StatusServiceUnavailable, Kind: "fleet_unavailable", Msg: "x"}), http.StatusServiceUnavailable, "fleet_unavailable"},
 		{&fleet.RPCError{Status: 0, Kind: "", Msg: "x"}, http.StatusBadGateway, "internal"},
+		{core.ErrUnknownDoc, http.StatusNotFound, "unknown_doc"},
+		{fmt.Errorf("%w: LDA", core.ErrUnsupported), http.StatusUnprocessableEntity, "unsupported"},
+		{cache.ErrOverloaded, http.StatusServiceUnavailable, "overloaded"},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline"},
 		{context.Canceled, 499, "canceled"},
-		{errors.New("plain"), http.StatusBadGateway, "internal"},
+		{errors.New("plain"), http.StatusInternalServerError, "internal"},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
-		writeTypedError(rec, tc.err)
+		writeError(rec, tc.err)
 		if rec.Code != tc.status {
 			t.Fatalf("%v: status %d, want %d", tc.err, rec.Code, tc.status)
 		}
 		if got := typedError(t, rec.Body.Bytes()).Kind; got != tc.kind {
 			t.Fatalf("%v: kind %q, want %q", tc.err, got, tc.kind)
+		}
+		if got := rec.Header().Get("Retry-After"); (got == "1") != (tc.kind == "overloaded") {
+			t.Fatalf("%v: Retry-After %q", tc.err, got)
 		}
 	}
 }

@@ -1,124 +1,55 @@
 // Serving hygiene for the /related hot path: the result cache,
 // singleflight collapsing, and bounded admission of internal/cache,
-// wired around both the single-process Server and the fleet
-// coordinator surface. Everything here is opt-in through Config; with
-// the knobs at their zero values the handlers take their original code
-// paths and the server's responses are byte-identical to a build
-// without this layer.
+// as stages of the one path every /related request takes. Each stage is
+// opt-in through Config and a no-op when off, so a server with the
+// knobs at their zero values runs the same code and writes the same
+// bytes as one with them on.
 //
-// Layer order on a request (see DESIGN.md §10):
+// Stage order on a request (see DESIGN.md §10):
 //
 //	cache.Get ── hit: write cached bytes, done (no admission cost)
-//	   │ miss
+//	   │ miss, or no cache
 //	singleflight.Do ── follower: wait for the leader's entry
-//	   │ leader
+//	   │ leader, or no singleflight
 //	admission.Acquire ── queue full: typed 503 + Retry-After
-//	   │ slot
-//	compute → encode → cache.Put (complete 200s at an unchanged epoch only)
+//	   │ slot, or no admission
+//	engine.Query → encode once → cache.Put (complete answers at an
+//	unchanged epoch only)
 //
-// Correctness is carried by the epoch in the cache key (the pipeline's
-// mutation counter, or the coordinator's fleet-wide cache epoch): any
-// Add/commit/load — and, fleet-side, any degradation — advances it, so
-// stale entries become unreachable instead of being hunted down.
+// Correctness is carried by the epoch in the cache key (the engine's
+// Epoch: a pipeline's mutation counter, a coordinator's fleet-wide
+// cache epoch): any Add/commit/load — and, fleet-side, any degradation
+// — advances it, so stale entries become unreachable instead of being
+// hunted down.
 package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"repro/internal/cache"
 	"repro/internal/obs"
 )
 
-// hygiene is the per-server bundle of hygiene layers; nil fields mean
-// the corresponding knob is off.
-type hygiene struct {
-	cache  *cache.ResultCache
-	flight *cache.Flight
-	admit  *cache.Admission
-
-	// testHookCompute, when set, runs at the start of every hygiene-path
-	// compute: after cache lookup, singleflight election, and admission
-	// granting a slot. Tests use it to hold a leader in flight or to
-	// keep admission slots occupied; production never sets it.
-	testHookCompute func()
-}
-
-// newHygiene builds the layers cfg enables. The cache and singleflight
-// come as a pair: collapsing works on the same keys and exists to keep
-// a thundering herd from computing what the cache is about to hold.
-func newHygiene(cfg Config) hygiene {
-	var h hygiene
-	if cfg.CacheEntries > 0 {
-		h.cache = cache.New(cfg.CacheEntries)
-		h.flight = cache.NewFlight()
+// layerStats snapshots the layers that are on, for GET /stats.
+func (s *Server) layerStats() cache.LayerStats {
+	var ls cache.LayerStats
+	if s.cache != nil {
+		cs, fs := s.cache.Stats(), s.flight.Stats()
+		ls.Cache, ls.Singleflight = &cs, &fs
 	}
-	if cfg.MaxInflight > 0 {
-		h.admit = cache.NewAdmission(cfg.MaxInflight, cfg.MaxQueued)
+	if s.admit != nil {
+		as := s.admit.Stats()
+		ls.Admission = &as
 	}
-	return h
+	return ls
 }
 
-// enabled reports whether any hygiene layer is on; false routes
-// handlers onto their original, byte-identical code paths.
-func (h *hygiene) enabled() bool { return h.cache != nil || h.admit != nil }
-
-// encodeBody marshals v exactly as writeJSON would serialize it —
-// json.Encoder with two-space indent appends MarshalIndent's output
-// plus one newline — so a cached body is byte-for-byte what a cache
-// miss writes.
-func encodeBody(v any) ([]byte, error) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// writeRawJSON writes a pre-encoded JSON body.
-func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body) // client went away; nothing useful to do
-}
-
-// writeOverloaded answers a shed request: the typed overloaded
-// envelope plus Retry-After, the contract the load generator and
-// clients back off on. Sheds are immediate (the queue was full), so
-// the hint is the smallest the header's integer form allows.
-func writeOverloaded(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]ErrorBody{
-		"error": {Kind: "overloaded", Message: "in-flight limit and wait queue full; retry with backoff"},
-	})
-}
-
-// hygieneError terminates a hygiene-path request that failed before
-// compute produced a body: a shed, or the caller's context ending
-// while queued or waiting on a flight.
-func hygieneError(w http.ResponseWriter, err error, tr *obs.Trace) {
-	switch err {
-	case cache.ErrOverloaded:
-		if tr != nil {
-			tr.Event("admit.shed")
-		}
-		writeOverloaded(w)
-	case context.Canceled:
-		writeJSON(w, 499, map[string]ErrorBody{"error": {Kind: "canceled", Message: err.Error()}})
-	case context.DeadlineExceeded:
-		writeJSON(w, http.StatusGatewayTimeout, map[string]ErrorBody{"error": {Kind: "deadline", Message: err.Error()}})
-	default:
-		writeJSON(w, http.StatusInternalServerError, map[string]ErrorBody{"error": {Kind: "internal", Message: err.Error()}})
-	}
-}
-
-// relatedHygiene is the shared hygiene-path skeleton of both /related
-// handlers. key carries the collection epoch read at request start;
-// compute produces the full encoded entry (and decides what to cache).
-func (h *hygiene) relatedHygiene(ctx context.Context, key cache.Key, tr *obs.Trace, compute func() (cache.Entry, error)) (cache.Entry, error) {
-	if h.cache != nil {
-		if e, ok := h.cache.Get(key); ok {
+// answer produces the encoded entry for a validated /related request.
+// key carries the engine epoch read at request start.
+func (s *Server) answer(ctx context.Context, key cache.Key, tr *obs.Trace) (cache.Entry, error) {
+	if s.cache != nil {
+		if e, ok := s.cache.Get(key); ok {
 			if tr != nil {
 				tr.Event("cache.hit", obs.N("epoch", int64(key.Epoch)))
 			}
@@ -128,26 +59,55 @@ func (h *hygiene) relatedHygiene(ctx context.Context, key cache.Key, tr *obs.Tra
 			tr.Event("cache.miss", obs.N("epoch", int64(key.Epoch)))
 		}
 	}
-	if h.flight == nil {
-		return compute()
+	if s.flight == nil {
+		// The work belongs to exactly one request and stays cancelable,
+		// which is also what lets a queued admission wait unwind when its
+		// client gives up.
+		return s.compute(ctx, key)
 	}
-	e, err, leader := h.flight.Do(ctx, key, compute)
+	// The leader's work is shared by followers whose own requests are
+	// still live, so the compute detaches from the leader's cancellation
+	// (values — the trace — are preserved); one impatient client must not
+	// poison the herd.
+	cctx := context.WithoutCancel(ctx)
+	e, err, leader := s.flight.Do(ctx, key, func() (cache.Entry, error) { return s.compute(cctx, key) })
 	if !leader && tr != nil && err == nil {
 		tr.Event("singleflight.follower")
 	}
 	return e, err
 }
 
-// computeCtx is the context a hygiene compute runs under. With
-// singleflight on, the leader's work is shared by followers whose own
-// requests are still live, so the compute detaches from the leader's
-// cancellation (values — the trace — are preserved); one impatient
-// client must not poison the herd. Without collapsing the work belongs
-// to exactly one request and stays cancelable, which is also what lets
-// a queued admission wait unwind when its client gives up.
-func (h *hygiene) computeCtx(ctx context.Context) context.Context {
-	if h.flight != nil {
-		return context.WithoutCancel(ctx)
+// compute takes an admission slot, asks the engine, and serializes the
+// response once into the exact bytes writeJSON would produce.
+func (s *Server) compute(ctx context.Context, key cache.Key) (cache.Entry, error) {
+	if s.admit != nil {
+		if err := s.admit.Acquire(ctx); err != nil {
+			return cache.Entry{}, err
+		}
+		defer s.admit.Release()
 	}
-	return ctx
+	if s.testHookCompute != nil {
+		s.testHookCompute()
+	}
+	ans, err := s.eng.Query(ctx, key.Doc, key.K, key.Explain)
+	if err != nil {
+		return cache.Entry{}, err
+	}
+	body, err := encodeBody(relatedResponse(key, ans))
+	if err != nil {
+		return cache.Entry{}, err
+	}
+	entry := cache.Entry{Body: body, Status: http.StatusOK, Results: len(ans.Results), Partial: ans.Partial}
+	// Store only complete answers computed against a still-current
+	// epoch. A degraded merge must never be replayed as the complete
+	// one (it flows through singleflight to followers, then dies); a
+	// commit that landed during the flight has already moved readers to
+	// a new key, and this entry must not be reachable there. (A shard
+	// failure during this very query advances a coordinator's epoch via
+	// the health transition, so the two conditions usually collapse
+	// into one.)
+	if s.cache != nil && !entry.Partial && s.eng.Epoch() == key.Epoch {
+		s.cache.Put(key, entry)
+	}
+	return entry, nil
 }

@@ -142,8 +142,8 @@ func TestCacheOracleEquivalence(t *testing.T) {
 			if st.Invalidations == 0 {
 				t.Errorf("oracle run produced no epoch invalidations: %+v", st)
 			}
-			if got := cached.p.Epoch(); got != oracle.p.Epoch() {
-				t.Errorf("epochs diverged: cached %d, oracle %d", got, oracle.p.Epoch())
+			if got := cached.eng.Epoch(); got != oracle.eng.Epoch() {
+				t.Errorf("epochs diverged: cached %d, oracle %d", got, oracle.eng.Epoch())
 			}
 		})
 	}
@@ -360,8 +360,8 @@ func TestAdmissionShedServe(t *testing.T) {
 	}
 }
 
-// TestFleetCachedEquivalenceAndDegradation runs a cached FleetServer
-// against an uncached twin over the same LocalTransport fleet: healthy
+// TestFleetCachedEquivalenceAndDegradation runs a cached server over a
+// coordinator against an uncached twin over the same LocalTransport fleet: healthy
 // answers must match byte-for-byte (including explain) with repeats
 // served from the cache; killing a shard must advance the fleet cache
 // epoch on the first observed failure, making previously cached
@@ -387,8 +387,8 @@ func TestFleetCachedEquivalenceAndDegradation(t *testing.T) {
 		}
 		return c
 	}
-	cached := NewFleetServer(newCoord(), Config{CacheEntries: 128})
-	plain := NewFleetServer(newCoord(), Config{})
+	cached := New(newCoord(), Config{CacheEntries: 128})
+	plain := New(newCoord(), Config{})
 	cachedTS := httptest.NewServer(cached.Handler())
 	t.Cleanup(cachedTS.Close)
 	plainTS := httptest.NewServer(plain.Handler())
@@ -419,7 +419,7 @@ func TestFleetCachedEquivalenceAndDegradation(t *testing.T) {
 	if st := cached.cache.Stats(); st.Hits < int64(len(queries)) {
 		t.Fatalf("second pass not served from cache: %+v", st)
 	}
-	epoch0 := cached.c.CacheEpoch()
+	epoch0 := cached.eng.Epoch()
 
 	// Kill a shard that is not the warm doc's home (the home leg must
 	// stay resolvable for the query to degrade rather than fail).
@@ -439,7 +439,7 @@ func TestFleetCachedEquivalenceAndDegradation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !rr.PartialResults {
 		t.Fatalf("degraded query: status %d partial=%t body %s", resp.StatusCode, rr.PartialResults, body)
 	}
-	if got := cached.c.CacheEpoch(); got <= epoch0 {
+	if got := cached.eng.Epoch(); got <= epoch0 {
 		t.Fatalf("cache epoch did not advance on degradation: %d → %d", epoch0, got)
 	}
 	// Repeating it must recompute (a partial was never cached) and
@@ -467,47 +467,5 @@ func TestFleetCachedEquivalenceAndDegradation(t *testing.T) {
 	}
 	if got := cached.cache.Stats().Hits; got != hits0 {
 		t.Fatalf("stale complete entry was hit after epoch advance: hits %d → %d", hits0, got)
-	}
-}
-
-// TestStatsExposesHygieneBlocks pins the /stats contract: the cache,
-// singleflight, and admission blocks (with live hit-rate and config)
-// appear when the knobs are on, and are absent — leaving the response
-// bytes unchanged — when they are off.
-func TestStatsExposesHygieneBlocks(t *testing.T) {
-	ts := newTestServerCfg(t, Config{CacheEntries: 32, MaxInflight: 2, MaxQueued: 2})
-	for i := 0; i < 2; i++ { // miss then hit
-		if resp, body := postJSON(t, ts.URL+"/related", `{"doc_id": 1, "k": 4}`); resp.StatusCode != http.StatusOK {
-			t.Fatalf("warm query: status %d body %s", resp.StatusCode, body)
-		}
-	}
-	var st StatsResponse
-	if resp := getJSON(t, ts.URL+"/stats", &st); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/stats status %d", resp.StatusCode)
-	}
-	if st.Cache == nil || st.Singleflight == nil || st.Admission == nil {
-		t.Fatalf("hygiene blocks missing from /stats: %+v", st)
-	}
-	if st.Cache.Capacity != 32 || st.Cache.Hits != 1 || st.Cache.Misses != 1 || st.Cache.HitRate != 0.5 {
-		t.Fatalf("cache block = %+v, want capacity 32, 1 hit, 1 miss, rate 0.5", st.Cache)
-	}
-	if st.Admission.MaxInflight != 2 || st.Admission.MaxQueued != 2 {
-		t.Fatalf("admission block = %+v, want limits 2/2", st.Admission)
-	}
-
-	off := newTestServerCfg(t, Config{})
-	resp, err := http.Get(off.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{`"cache"`, `"singleflight"`, `"admission"`} {
-		if strings.Contains(string(body), field) {
-			t.Fatalf("default /stats leaked hygiene field %s: %s", field, body)
-		}
 	}
 }

@@ -4,17 +4,18 @@ import (
 	"context"
 	"log/slog"
 	"net/http"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// observer is the request-scoped observability shared by every server
-// flavor in this package (the single-process Server, the fleet's
-// ShardServer and FleetServer): a per-server tracer feeding the
-// /debug/traces ring and one structured access-log record per API
-// request. It is embedded, so servers call s.observe(...) and read
-// s.tracer directly.
+// observer is the request-scoped observability shared by both servers
+// of this package (Server and ShardServer): a per-server tracer feeding
+// the /debug/traces ring, one structured access-log record per API
+// request, and the three operational endpoints every process answers
+// the same way. It is embedded, so servers call s.observe(...) and
+// register s.handleMetrics / s.handleTraces directly.
 type observer struct {
 	log    *slog.Logger
 	tracer *obs.Tracer
@@ -35,6 +36,49 @@ func newObserver(cfg Config) observer {
 		}),
 		slo: slo,
 	}
+}
+
+// handleMetrics serves this process's registry snapshot: JSON, or the
+// Prometheus text exposition when wantsPrometheus says so.
+func (o *observer) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	ctrMetricsRequests.Inc()
+	snap := obs.Default.Snapshot()
+	if wantsPrometheus(r) {
+		w.Header().Set("Content-Type", obs.PrometheusContentType)
+		w.WriteHeader(http.StatusOK)
+		_ = snap.WritePrometheus(w) // client went away; nothing useful to do
+		return
+	}
+	writeJSON(w, http.StatusOK, snap)
+}
+
+// wantsPrometheus decides the /metrics representation: an explicit
+// ?format=prometheus (or ?format=json) query parameter wins; otherwise
+// an Accept header preferring text/plain — what Prometheus's scraper
+// sends — selects the text exposition, and everything else gets JSON.
+func wantsPrometheus(r *http.Request) bool {
+	switch r.URL.Query().Get("format") {
+	case "prometheus":
+		return true
+	case "json":
+		return false
+	}
+	accept := r.Header.Get("Accept")
+	return strings.Contains(accept, "text/plain")
+}
+
+// TracesResponse is the GET /debug/traces reply, most recent first.
+type TracesResponse struct {
+	Traces []obs.TraceRecord `json:"traces"`
+}
+
+func (o *observer) handleTraces(w http.ResponseWriter, r *http.Request) {
+	ctrTraceRequests.Inc()
+	writeJSON(w, http.StatusOK, TracesResponse{Traces: o.tracer.Snapshot()})
+}
+
+func handleHealthz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // statusWriter remembers the response status for the access log.

@@ -91,30 +91,6 @@ func TestRelatedExplain(t *testing.T) {
 	}
 }
 
-func TestRelatedExplainUnsupported(t *testing.T) {
-	obs.Enable()
-	t.Cleanup(obs.Disable)
-	posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: 40, Seed: 42})
-	texts := make([]string, len(posts))
-	for i, p := range posts {
-		texts[i] = p.Text
-	}
-	p, err := core.Build(texts, core.Config{Method: core.LDA, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newServerFor(t, p, Config{})
-	resp, body := postJSON(t, ts.URL+"/related", `{"doc_id": 0, "explain": true}`)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("LDA explain status = %d, want 422 (body %s)", resp.StatusCode, body)
-	}
-	// The same pipeline still answers unexplained queries.
-	resp, _ = postJSON(t, ts.URL+"/related", `{"doc_id": 0}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("LDA plain query status = %d", resp.StatusCode)
-	}
-}
-
 // --- /debug/traces ---
 
 func TestTracesCaptureEveryRequest(t *testing.T) {
@@ -180,6 +156,47 @@ func TestTracesCaptureEveryRequest(t *testing.T) {
 	}
 	if addNames["add.prepared"] == 0 || addNames["add.committed"] == 0 {
 		t.Fatalf("add trace missing prepare/commit events: %v", addNames)
+	}
+}
+
+// TestExplainedRequestIsTraced is the regression test for explain
+// requests being invisible to tracing: the explained query used to run
+// without the request's trace, so a captured "explain": true request
+// showed no Algorithm 1 / merge events at all. Plain and explained are
+// one query path; their traces must carry the same stage events,
+// unsharded and sharded.
+func TestExplainedRequestIsTraced(t *testing.T) {
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+	for shards, stages := range map[int][]string{
+		0: {"index.query", "match.list", "match.merge", "match.topk"},
+		4: {"index.query", "shard.list", "shard.merge", "shard.topk"},
+	} {
+		ts := newServerFor(t, freshHygienePipeline(t, 100, shards), Config{SlowQuery: 0})
+		for _, q := range []string{`{"doc_id": 3, "k": 4}`, `{"doc_id": 3, "k": 4, "explain": true}`} {
+			if resp, body := postJSON(t, ts.URL+"/related", q); resp.StatusCode != http.StatusOK {
+				t.Fatalf("shards=%d %s: status %d body %s", shards, q, resp.StatusCode, body)
+			}
+		}
+		var tres TracesResponse
+		getJSON(t, ts.URL+"/debug/traces", &tres)
+		if len(tres.Traces) != 2 {
+			t.Fatalf("shards=%d: captured %d traces, want 2", shards, len(tres.Traces))
+		}
+		count := func(rec obs.TraceRecord) map[string]int {
+			names := map[string]int{}
+			for _, ev := range rec.Events {
+				names[ev.Name]++
+			}
+			return names
+		}
+		explained, plain := count(tres.Traces[0]), count(tres.Traces[1]) // newest first
+		for _, stage := range stages {
+			if plain[stage] == 0 || explained[stage] != plain[stage] {
+				t.Fatalf("shards=%d: %d %q events on the explained request, %d on the plain one (explained %v)",
+					shards, explained[stage], stage, plain[stage], explained)
+			}
+		}
 	}
 }
 

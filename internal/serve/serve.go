@@ -1,23 +1,35 @@
-// Package serve is the long-running HTTP face of the pipeline: the
-// PR 1 RWMutex serving layer (core.Pipeline.Related/Add interleaving
-// freely) exposed as JSON endpoints, with the obs registry scrapeable
-// at runtime and net/http/pprof wired in. cmd/serve is the thin binary
-// around it; the handler is separated here so the -race stress test can
-// drive it through httptest.
+// Package serve is the long-running HTTP face of the system: one
+// Server over one Engine — a core.Pipeline (the PR 1 RWMutex serving
+// layer, unsharded or sharded in process) or a fleet.Coordinator (the
+// same collection scattered over shard servers) — exposed as JSON
+// endpoints, with the obs registry scrapeable at runtime and
+// net/http/pprof wired in. cmd/serve is the thin binary around it; the
+// handler is separated here so the -race stress test can drive it
+// through httptest.
 //
 // Endpoints:
 //
 //	POST /related        {"doc_id": 3, "k": 5}  → top-k related posts;
 //	                     {"explain": true} adds the Eq 7–9 score
-//	                     decomposition to each result
-//	POST /add            {"text": "<raw post>"} → new document id
-//	GET  /stats          offline BuildStats + Table 3 granularity
+//	                     decomposition to each result; a degraded fleet
+//	                     adds partial_results + shards_missing
+//	POST /add            {"text": "<raw post>"} → new document id (a
+//	                     coordinator refuses: 501 read_only)
+//	GET  /stats          the engine's self-description, plus the hygiene
+//	                     blocks that are switched on
 //	GET  /metrics        obs registry snapshot as JSON, or Prometheus
 //	                     text exposition with ?format=prometheus or
-//	                     Accept: text/plain
+//	                     Accept: text/plain; over a coordinator,
+//	                     ?scope=fleet scrapes and merges every shard
 //	GET  /debug/traces   recent request traces (sampled + slow-captured)
 //	GET  /healthz        liveness probe
 //	GET  /debug/pprof/   net/http/pprof profiles
+//
+// Every error body in this package is the typed envelope
+// {"error": {"kind": "...", "message": "..."}} written by writeError;
+// the kind strings ("bad_request", "unknown_doc", "overloaded",
+// "fleet_unavailable", ...) are stable contract, so clients and the
+// coordinator's transport switch on them without parsing prose.
 //
 // Each query and ingestion request passes through the server's
 // obs.Tracer: rate-sampled or slow-captured requests record per-stage
@@ -41,19 +53,22 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/match"
 	"repro/internal/obs"
 )
 
 // HTTP-surface metrics. The core.related/core.add spans time the
-// pipeline operations themselves; these counters track the protocol
+// engine operations themselves; these counters track the protocol
 // layer around them (request counts by endpoint, error responses), the
 // monotone quantities the stress test asserts across /metrics scrapes.
 var (
 	ctrRelatedRequests = obs.NewCounter("http.related.requests")
 	ctrExplainRequests = obs.NewCounter("http.related.explained")
+	ctrPartial         = obs.NewCounter("http.fleet.related.partial")
 	ctrAddRequests     = obs.NewCounter("http.add.requests")
 	ctrMetricsRequests = obs.NewCounter("http.metrics.requests")
+	ctrFleetScrapes    = obs.NewCounter("http.fleet.metrics.fleet_scope")
 	ctrStatsRequests   = obs.NewCounter("http.stats.requests")
 	ctrTraceRequests   = obs.NewCounter("http.traces.requests")
 	ctrTracesStarted   = obs.NewCounter("http.traces.started")
@@ -99,7 +114,7 @@ type Config struct {
 	// singleflight collapsing of concurrent identical queries with it).
 	// Entries are keyed by (doc, k, explain, collection epoch); every
 	// mutation advances the epoch, so no stale result survives an add.
-	// 0 disables both layers — the default, byte-identical serving path.
+	// 0 disables both layers — the default.
 	CacheEntries int
 	// MaxInflight bounds concurrently computing /related queries. The
 	// next MaxQueued requests wait FIFO for a slot; beyond that the
@@ -111,28 +126,63 @@ type Config struct {
 	MaxQueued int
 }
 
-// Server serves one built pipeline over HTTP. All handlers are safe for
-// arbitrary concurrency: they only touch the pipeline through its
-// locked public surface, the obs registry through atomic snapshots, and
-// the trace ring through atomic pointer loads.
-type Server struct {
-	p   *core.Pipeline
-	mux *http.ServeMux
-	observer
-	hygiene
+// Engine is what a Server serves, whatever topology computes it.
+// *core.Pipeline and *fleet.Coordinator both satisfy it.
+type Engine interface {
+	// Query answers the top-k related posts of docID, with the Eq 7–9
+	// decomposition of every score when explain is set; a context-carried
+	// obs.Trace records the stages of both forms.
+	Query(ctx context.Context, docID, k int, explain bool) (match.Answer, error)
+	// AddContext ingests one raw post and returns its document id.
+	AddContext(ctx context.Context, text string) (int, error)
+	// Epoch is the cache-invalidation epoch: an answer may be replayed
+	// exactly as long as Epoch still returns the value it was computed at.
+	Epoch() uint64
+	// Describe returns the GET /stats body: the engine's own fields with
+	// the server's hygiene blocks embedded last.
+	Describe(hygiene cache.LayerStats) any
 }
 
-// New wraps a built pipeline in an HTTP server. The pprof handlers are
+// fleetScraper is the optional Engine method behind /metrics?scope=fleet.
+type fleetScraper interface {
+	ScrapeFleet(ctx context.Context) ([]fleet.ShardScrape, obs.Snapshot)
+}
+
+// Server serves one engine over HTTP. All handlers are safe for
+// arbitrary concurrency: they only touch the engine through its locked
+// public surface, the obs registry through atomic snapshots, and the
+// trace ring through atomic pointer loads.
+type Server struct {
+	eng Engine
+	mux *http.ServeMux
+	observer
+
+	// The hygiene stages of /related (hygiene.go); nil means the knob is
+	// off. The cache and singleflight come as a pair: collapsing works on
+	// the same keys and exists to keep a thundering herd from computing
+	// what the cache is about to hold.
+	cache  *cache.ResultCache
+	flight *cache.Flight
+	admit  *cache.Admission
+	// testHookCompute, when set, runs at the start of every compute:
+	// after cache lookup, singleflight election, and admission granting a
+	// slot. Tests use it to hold a leader in flight or to keep admission
+	// slots occupied; production never sets it.
+	testHookCompute func()
+}
+
+// New wraps an engine in an HTTP server. The pprof handlers are
 // registered on the server's own mux (not http.DefaultServeMux), so
 // binaries embedding several servers do not collide. The tracer is
 // per-server for the same reason: tests run isolated trace rings side
 // by side.
-func New(p *core.Pipeline, cfg Config) *Server {
-	s := &Server{
-		p:        p,
-		mux:      http.NewServeMux(),
-		observer: newObserver(cfg),
-		hygiene:  newHygiene(cfg),
+func New(eng Engine, cfg Config) *Server {
+	s := &Server{eng: eng, mux: http.NewServeMux(), observer: newObserver(cfg)}
+	if cfg.CacheEntries > 0 {
+		s.cache, s.flight = cache.New(cfg.CacheEntries), cache.NewFlight()
+	}
+	if cfg.MaxInflight > 0 {
+		s.admit = cache.NewAdmission(cfg.MaxInflight, cfg.MaxQueued)
 	}
 	// The query and ingestion paths are traced; the read-only
 	// introspection endpoints only get the access log (tracing a
@@ -141,7 +191,7 @@ func New(p *core.Pipeline, cfg Config) *Server {
 	s.mux.HandleFunc("POST /add", s.observe("/add", true, s.handleAdd))
 	s.mux.HandleFunc("GET /metrics", s.observe("/metrics", false, s.handleMetrics))
 	s.mux.HandleFunc("GET /stats", s.observe("/stats", false, s.handleStats))
-	s.mux.HandleFunc("GET /healthz", s.observe("/healthz", false, s.handleHealthz))
+	s.mux.HandleFunc("GET /healthz", s.observe("/healthz", false, handleHealthz))
 	s.mux.HandleFunc("GET /debug/traces", s.observe("/debug/traces", false, s.handleTraces))
 	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -164,28 +214,18 @@ type RelatedRequest struct {
 	Explain bool `json:"explain,omitempty"`
 }
 
-// TermExplain is one term's contribution to a cluster score:
-// Contribution = QueryTF · Weight · IDF (Eq 9's summand over Eq 7/8's
-// weight), scaled by the result list's normalizer when NormalizeLists
-// is configured.
-type TermExplain struct {
-	Term         string  `json:"term"`
-	QueryTF      float64 `json:"query_tf"`
-	Weight       float64 `json:"weight"`
-	IDF          float64 `json:"idf"`
-	Contribution float64 `json:"contribution"`
-}
-
 // ClusterExplain is one intention cluster's contribution to a result's
 // score. Score is the full contribution; Terms holds the largest term
-// products (at most maxExplainTerms, by |contribution|), and
-// OmittedTerms counts elided ones — so Σ Terms[i].Contribution equals
-// Score only when OmittedTerms is 0.
+// products (at most maxExplainTerms, by |contribution|; each is
+// Contribution = QueryTF · Weight · IDF, Eq 9's summand over Eq 7/8's
+// weight, scaled by the list's normalizer when NormalizeLists is
+// configured), and OmittedTerms counts elided ones — so
+// Σ Terms[i].Contribution equals Score only when OmittedTerms is 0.
 type ClusterExplain struct {
-	Cluster      int           `json:"cluster"`
-	Score        float64       `json:"score"`
-	Terms        []TermExplain `json:"terms"`
-	OmittedTerms int           `json:"omitted_terms,omitempty"`
+	Cluster      int                      `json:"cluster"`
+	Score        float64                  `json:"score"`
+	Terms        []match.TermContribution `json:"terms"`
+	OmittedTerms int                      `json:"omitted_terms,omitempty"`
 }
 
 // RelatedResult is one entry of a RelatedResponse.
@@ -196,11 +236,10 @@ type RelatedResult struct {
 }
 
 // RelatedResponse is the POST /related reply. The two partial-result
-// fields are only ever set by the fleet coordinator surface
-// (FleetServer): when a shard misses its deadline, PartialResults is
-// true and ShardsMissing names it. Both are omitempty, so a healthy
-// fleet response is byte-identical to a single-process response — the
-// equivalence the smoke harness diffs.
+// fields are only ever set over a fleet coordinator: when a shard misses
+// its deadline, PartialResults is true and ShardsMissing names it. Both
+// are omitempty, so a healthy fleet response is byte-identical to a
+// single-process response — the equivalence the smoke harness diffs.
 type RelatedResponse struct {
 	DocID          int             `json:"doc_id"`
 	K              int             `json:"k"`
@@ -219,39 +258,18 @@ type AddResponse struct {
 	DocID int `json:"doc_id"`
 }
 
-// TracesResponse is the GET /debug/traces reply, most recent first.
-type TracesResponse struct {
-	Traces []obs.TraceRecord `json:"traces"`
-}
+// StatsResponse and FleetStatsResponse are the GET /stats replies over
+// a pipeline and over a coordinator. Each engine describes itself, so
+// the shapes live with the engines; these names are the serving
+// contract's.
+type (
+	StatsResponse      = core.StatsReport
+	FleetStatsResponse = fleet.StatsReport
+)
 
-// StatsResponse is the GET /stats reply: the offline build breakdown
-// (core.Stats, durations in nanoseconds) plus the Table 3 segment
-// granularity distribution of the current collection.
-type StatsResponse struct {
-	Method      string            `json:"method"`
-	NumDocs     int               `json:"num_docs"`
-	NumSegments int               `json:"num_segments"`
-	NumClusters int               `json:"num_clusters"`
-	Shards      int               `json:"shards,omitempty"`
-	ShardDocs   []int             `json:"shard_docs,omitempty"`
-	PhaseNS     map[string]int64  `json:"phase_ns"`
-	Granularity GranularityReport `json:"granularity"`
-	// The hygiene blocks appear only when the corresponding knob is on
-	// (pointers + omitempty), so a default server's /stats bytes are
-	// unchanged.
-	Cache        *cache.Stats          `json:"cache,omitempty"`
-	Singleflight *cache.FlightStats    `json:"singleflight,omitempty"`
-	Admission    *cache.AdmissionStats `json:"admission,omitempty"`
-}
-
-// GranularityReport carries the Table 3 rows: the share of posts with
-// 1, 2, 3, 4, and 5+ segments, before grouping and after refinement.
-type GranularityReport struct {
-	Buckets []string           `json:"buckets"`
-	Before  map[string]float64 `json:"before,omitempty"`
-	After   map[string]float64 `json:"after,omitempty"`
-}
-
+// handleRelated is the one /related path, whatever the engine and
+// whichever hygiene layers are on: decode, validate, then answer (see
+// hygiene.go) and write the encoded entry.
 func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 	ctrRelatedRequests.Inc()
 	var req RelatedRequest
@@ -262,118 +280,50 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 		req.K = 5
 	}
 	if req.K < 0 || req.K > 100 {
-		writeError(w, http.StatusBadRequest, "k must be in [1,100]")
+		writeError(w, reject(http.StatusBadRequest, "bad_request", "k must be in [1,100]"))
 		return
 	}
-	if info := infoFrom(r.Context()); info != nil {
+	info := infoFrom(r.Context())
+	if info != nil {
 		info.docID, info.hasDoc = req.DocID, true
 		info.k, info.hasK = req.K, true
 	}
-	// HasDoc validates the id under the pipeline lock, distinguishing a
-	// 404 from an empty (but valid) result list. (Not Doc: pipelines
-	// restored from a snapshot do not retain the prepared documents,
-	// but every id below the document count is queryable.)
-	if !s.p.HasDoc(req.DocID) {
-		writeError(w, http.StatusNotFound, "unknown doc_id")
-		return
-	}
-	if s.hygiene.enabled() {
-		s.handleRelatedHygiene(w, r, req)
-		return
-	}
-	resp, status, msg := s.buildRelated(r.Context(), req)
-	if status != http.StatusOK {
-		writeError(w, status, msg)
-		return
-	}
-	if info := infoFrom(r.Context()); info != nil {
-		info.results, info.hasResults = len(resp.Results), true
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// buildRelated computes the response for a validated /related request:
-// the response and StatusOK, or a non-200 status with its error
-// message. Factored out of handleRelated so the default path and the
-// hygiene (cache/singleflight/admission) path serve identical bytes.
-func (s *Server) buildRelated(ctx context.Context, req RelatedRequest) (RelatedResponse, int, string) {
-	resp := RelatedResponse{DocID: req.DocID, K: req.K}
 	if req.Explain {
 		ctrExplainRequests.Inc()
-		results, exps, err := s.p.RelatedExplained(req.DocID, req.K)
-		if err != nil {
-			// Well-formed request, but this pipeline's scores are not an
-			// Eq 7–9 sum (LDA) — same contract as unsupported /add.
-			return resp, http.StatusUnprocessableEntity, err.Error()
-		}
-		resp.Results = make([]RelatedResult, len(results))
-		for i, res := range results {
-			resp.Results[i] = RelatedResult{
-				DocID:   res.DocID,
-				Score:   res.Score,
-				Explain: explainClusters(exps[i]),
-			}
-		}
-	} else {
-		results := s.p.RelatedContext(ctx, req.DocID, req.K)
-		resp.Results = make([]RelatedResult, len(results))
-		for i, res := range results {
-			resp.Results[i] = RelatedResult{DocID: res.DocID, Score: res.Score}
-		}
 	}
-	return resp, http.StatusOK, ""
-}
-
-// handleRelatedHygiene is the /related path with any hygiene layer on:
-// epoch-keyed cache lookup, singleflight election, bounded admission,
-// then the same compute as the default path, serialized once into the
-// exact bytes writeJSON would produce.
-func (s *Server) handleRelatedHygiene(w http.ResponseWriter, r *http.Request, req RelatedRequest) {
 	tr := obs.TraceFrom(r.Context())
-	key := cache.Key{Doc: req.DocID, K: req.K, Explain: req.Explain, Epoch: s.p.Epoch()}
-	cctx := s.computeCtx(r.Context())
-	e, err := s.relatedHygiene(r.Context(), key, tr, func() (cache.Entry, error) {
-		if s.admit != nil {
-			if aerr := s.admit.Acquire(cctx); aerr != nil {
-				return cache.Entry{}, aerr
-			}
-			defer s.admit.Release()
-		}
-		if s.testHookCompute != nil {
-			s.testHookCompute()
-		}
-		resp, status, msg := s.buildRelated(cctx, req)
-		var body []byte
-		var encErr error
-		if status != http.StatusOK {
-			body, encErr = encodeBody(map[string]string{"error": msg})
-		} else {
-			body, encErr = encodeBody(resp)
-		}
-		if encErr != nil {
-			return cache.Entry{}, encErr
-		}
-		entry := cache.Entry{Body: body, Status: status, Results: len(resp.Results)}
-		// Store only complete 200s computed against a still-current
-		// epoch: a commit that landed during the flight has already
-		// moved readers to a new key, and this entry must not be
-		// reachable there.
-		if s.cache != nil && status == http.StatusOK && s.p.Epoch() == key.Epoch {
-			s.cache.Put(key, entry)
-		}
-		return entry, nil
-	})
+	key := cache.Key{Doc: req.DocID, K: req.K, Explain: req.Explain, Epoch: s.eng.Epoch()}
+	e, err := s.answer(r.Context(), key, tr)
 	if err != nil {
-		ctrErrors.Inc()
-		hygieneError(w, err, tr)
+		if tr != nil && errors.Is(err, cache.ErrOverloaded) {
+			tr.Event("admit.shed")
+		}
+		writeError(w, err)
 		return
 	}
-	if e.Status != http.StatusOK {
-		ctrErrors.Inc()
-	} else if info := infoFrom(r.Context()); info != nil {
+	if e.Partial {
+		ctrPartial.Inc()
+	}
+	if info != nil {
 		info.results, info.hasResults = e.Results, true
 	}
 	writeRawJSON(w, e.Status, e.Body)
+}
+
+// relatedResponse puts an engine's answer into its wire form.
+func relatedResponse(key cache.Key, ans match.Answer) RelatedResponse {
+	resp := RelatedResponse{
+		DocID: key.Doc, K: key.K,
+		Results:        make([]RelatedResult, len(ans.Results)),
+		PartialResults: ans.Partial, ShardsMissing: ans.Missing,
+	}
+	for i, res := range ans.Results {
+		resp.Results[i] = RelatedResult{DocID: res.DocID, Score: res.Score}
+		if key.Explain {
+			resp.Results[i].Explain = explainClusters(ans.Explanations[i])
+		}
+	}
+	return resp
 }
 
 // explainClusters converts one match.Explanation into its wire form,
@@ -385,16 +335,7 @@ func explainClusters(exp match.Explanation) []ClusterExplain {
 	out := make([]ClusterExplain, len(exp.Clusters))
 	for i, c := range exp.Clusters {
 		ce := ClusterExplain{Cluster: c.Cluster, Score: c.Score}
-		terms := make([]TermExplain, len(c.Terms))
-		for j, t := range c.Terms {
-			terms[j] = TermExplain{
-				Term:         t.Term,
-				QueryTF:      t.QueryTF,
-				Weight:       t.Weight,
-				IDF:          t.IDF,
-				Contribution: t.Contribution,
-			}
-		}
+		terms := append([]match.TermContribution(nil), c.Terms...)
 		sort.Slice(terms, func(a, b int) bool {
 			ca, cb := math.Abs(terms[a].Contribution), math.Abs(terms[b].Contribution)
 			if ca != cb {
@@ -419,14 +360,12 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if strings.TrimSpace(req.Text) == "" {
-		writeError(w, http.StatusBadRequest, "text must be non-empty")
+		writeError(w, reject(http.StatusBadRequest, "bad_request", "text must be non-empty"))
 		return
 	}
-	id, err := s.p.AddContext(r.Context(), req.Text)
+	id, err := s.eng.AddContext(r.Context(), req.Text)
 	if err != nil {
-		// Whole-post methods cannot ingest incrementally; the request is
-		// well-formed but unsupported by this pipeline configuration.
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		writeError(w, err)
 		return
 	}
 	if info := infoFrom(r.Context()); info != nil {
@@ -435,79 +374,19 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, AddResponse{DocID: id})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	ctrMetricsRequests.Inc()
-	snap := obs.Default.Snapshot()
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", obs.PrometheusContentType)
-		w.WriteHeader(http.StatusOK)
-		_ = snap.WritePrometheus(w) // client went away; nothing useful to do
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-// wantsPrometheus decides the /metrics representation: an explicit
-// ?format=prometheus (or ?format=json) query parameter wins; otherwise
-// an Accept header preferring text/plain — what Prometheus's scraper
-// sends — selects the text exposition, and everything else gets JSON.
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus":
-		return true
-	case "json":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain")
-}
-
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	ctrTraceRequests.Inc()
-	writeJSON(w, http.StatusOK, TracesResponse{Traces: s.tracer.Snapshot()})
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	ctrStatsRequests.Inc()
-	st := s.p.Stats()
-	before, after := s.p.SegmentCounts()
-	resp := StatsResponse{
-		Method:      s.p.Method(),
-		NumDocs:     st.NumDocs,
-		NumSegments: st.NumSegments,
-		NumClusters: s.p.NumClusters(),
-		Shards:      s.p.Shards(),
-		ShardDocs:   s.p.ShardDocs(),
-		PhaseNS: map[string]int64{
-			"preprocess":    int64(st.Preprocess),
-			"segmentation":  int64(st.Segmentation),
-			"vectorization": int64(st.Vectorization),
-			"clustering":    int64(st.Clustering),
-			"refinement":    int64(st.Refinement),
-			"grouping":      int64(st.Grouping),
-			"indexing":      int64(st.Indexing),
-		},
-		Granularity: GranularityReport{
-			Buckets: core.GranularityBuckets(),
-			Before:  core.GranularityDistribution(before),
-			After:   core.GranularityDistribution(after),
-		},
-	}
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		resp.Cache = &cs
-		fs := s.flight.Stats()
-		resp.Singleflight = &fs
-	}
-	if s.admit != nil {
-		as := s.admit.Stats()
-		resp.Admission = &as
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, s.eng.Describe(s.layerStats()))
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+// handleMetrics serves this process's registry, or — when asked for
+// ?scope=fleet over an engine that can scrape one — the federated view.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if fs, ok := s.eng.(fleetScraper); ok && r.URL.Query().Get("scope") == "fleet" {
+		handleFleetMetrics(w, r, fs)
+		return
+	}
+	s.observer.handleMetrics(w, r)
 }
 
 // decodeJSON parses the request body into v, answering 400 (or 413 for
@@ -519,24 +398,81 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body exceeds 1MB")
+			writeError(w, reject(http.StatusRequestEntityTooLarge, "too_large", "body exceeds 1MB"))
 			return false
 		}
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		writeError(w, reject(http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error()))
 		return false
 	}
 	return true
 }
 
+// writeJSON serializes v — two-space indent, one trailing newline — and
+// writes it. encodeBody is the same serialization kept as bytes, which
+// is what makes a cached /related body byte-for-byte a computed one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the client went away; nothing useful to do
+	body, err := encodeBody(v)
+	if err != nil { // a reply type json cannot marshal: a bug, not input
+		status, body = http.StatusInternalServerError, []byte("{}\n")
+	}
+	writeRawJSON(w, status, body)
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
+func encodeBody(v any) ([]byte, error) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	return append(b, '\n'), err
+}
+
+// writeRawJSON writes a pre-encoded JSON body.
+func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // client went away; nothing useful to do
+}
+
+// ErrorBody is the typed error envelope's payload.
+type ErrorBody struct {
+	Kind    string `json:"kind"`
+	Message string `json:"message"`
+}
+
+// reject builds a handler-level refusal (malformed or out-of-range
+// input) in the same typed form engine and fleet errors arrive in.
+func reject(status int, kind, msg string) error {
+	return &fleet.RPCError{Status: status, Kind: kind, Msg: msg}
+}
+
+// writeError is the one function that writes an error body: the typed
+// envelope under err's status and stable kind. A *fleet.RPCError — a
+// refusal built by reject, a shard host's failure, the coordinator's
+// fleet_unavailable — carries its own; the pipeline's sentinel errors,
+// admission sheds (with the Retry-After clients back off on: sheds are
+// immediate, so the hint is the smallest the header's integer form
+// allows), and a context ending mid-request are mapped here.
+func writeError(w http.ResponseWriter, err error) {
 	ctrErrors.Inc()
-	writeJSON(w, status, map[string]string{"error": msg})
+	status, kind, msg := http.StatusInternalServerError, "internal", err.Error()
+	var rpc *fleet.RPCError
+	switch {
+	case errors.As(err, &rpc):
+		status, kind, msg = rpc.Status, rpc.Kind, rpc.Msg
+		if status == 0 { // failed before any response: a gateway's problem
+			status = http.StatusBadGateway
+		}
+		if kind == "" {
+			kind = "internal"
+		}
+	case errors.Is(err, core.ErrUnknownDoc):
+		status, kind = http.StatusNotFound, "unknown_doc"
+	case errors.Is(err, core.ErrUnsupported):
+		status, kind = http.StatusUnprocessableEntity, "unsupported"
+	case errors.Is(err, cache.ErrOverloaded):
+		status, kind = http.StatusServiceUnavailable, "overloaded"
+		w.Header().Set("Retry-After", "1")
+	case errors.Is(err, context.DeadlineExceeded):
+		status, kind = http.StatusGatewayTimeout, "deadline"
+	case errors.Is(err, context.Canceled):
+		status, kind = 499, "canceled" // nginx's client-closed-request
+	}
+	writeJSON(w, status, map[string]ErrorBody{"error": {Kind: kind, Message: msg}})
 }

@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 
@@ -49,16 +46,7 @@ func newTestServerCfg(t *testing.T, cfg Config) *httptest.Server {
 
 func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	return resp, buf.Bytes()
+	return do(t, http.MethodPost, url, body)
 }
 
 func getJSON(t *testing.T, url string, v any) *http.Response {
@@ -74,133 +62,6 @@ func getJSON(t *testing.T, url string, v any) *http.Response {
 		}
 	}
 	return resp
-}
-
-func TestRelatedEndpoint(t *testing.T) {
-	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/related", `{"doc_id": 3, "k": 5}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body = %s", resp.StatusCode, body)
-	}
-	var rr RelatedResponse
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if rr.DocID != 3 || rr.K != 5 {
-		t.Fatalf("echoed doc_id/k = %d/%d, want 3/5", rr.DocID, rr.K)
-	}
-	if len(rr.Results) == 0 || len(rr.Results) > 5 {
-		t.Fatalf("got %d results, want 1..5", len(rr.Results))
-	}
-	for i, r := range rr.Results {
-		if r.DocID == 3 {
-			t.Fatal("results include the query document")
-		}
-		if i > 0 && r.Score > rr.Results[i-1].Score {
-			t.Fatal("results not in descending score order")
-		}
-	}
-}
-
-func TestRelatedDefaultsK(t *testing.T) {
-	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/related", `{"doc_id": 0}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body = %s", resp.StatusCode, body)
-	}
-	var rr RelatedResponse
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if rr.K != 5 {
-		t.Fatalf("default k = %d, want 5", rr.K)
-	}
-}
-
-func TestRelatedErrors(t *testing.T) {
-	ts := newTestServer(t)
-	for _, tc := range []struct {
-		name, body string
-		status     int
-	}{
-		{"unknown doc", `{"doc_id": 999999}`, http.StatusNotFound},
-		{"negative doc", `{"doc_id": -1}`, http.StatusNotFound},
-		{"bad k", `{"doc_id": 0, "k": 101}`, http.StatusBadRequest},
-		{"negative k", `{"doc_id": 0, "k": -2}`, http.StatusBadRequest},
-		{"malformed", `{"doc_id": `, http.StatusBadRequest},
-		{"unknown field", `{"doc": 3}`, http.StatusBadRequest},
-	} {
-		resp, body := postJSON(t, ts.URL+"/related", tc.body)
-		if resp.StatusCode != tc.status {
-			t.Errorf("%s: status = %d, want %d (body %s)", tc.name, resp.StatusCode, tc.status, body)
-		}
-		var e map[string]string
-		if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
-			t.Errorf("%s: error body not JSON with error field: %s", tc.name, body)
-		}
-	}
-	// Method not allowed comes from the mux's method patterns.
-	resp := getJSON(t, ts.URL+"/related", nil)
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /related status = %d, want 405", resp.StatusCode)
-	}
-}
-
-func TestAddEndpointRoundTrip(t *testing.T) {
-	ts := newTestServer(t)
-	var st StatsResponse
-	getJSON(t, ts.URL+"/stats", &st)
-	text := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: 1, Seed: 7})[0].Text
-	resp, body := postJSON(t, ts.URL+"/add", fmt.Sprintf(`{"text": %q}`, text))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body = %s", resp.StatusCode, body)
-	}
-	var ar AddResponse
-	if err := json.Unmarshal(body, &ar); err != nil {
-		t.Fatal(err)
-	}
-	if ar.DocID < st.NumDocs {
-		t.Fatalf("new doc id %d below pre-add collection size %d", ar.DocID, st.NumDocs)
-	}
-	// The added post is immediately queryable.
-	resp, body = postJSON(t, ts.URL+"/related", fmt.Sprintf(`{"doc_id": %d, "k": 3}`, ar.DocID))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query of added doc: status = %d, body = %s", resp.StatusCode, body)
-	}
-}
-
-func TestAddErrors(t *testing.T) {
-	ts := newTestServer(t)
-	resp, _ := postJSON(t, ts.URL+"/add", `{"text": "   "}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty text status = %d, want 400", resp.StatusCode)
-	}
-	// Oversized body → 413.
-	big := strings.Repeat("x", maxBodyBytes+1024)
-	resp, _ = postJSON(t, ts.URL+"/add", fmt.Sprintf(`{"text": %q}`, big))
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body status = %d, want 413", resp.StatusCode)
-	}
-}
-
-func TestAddUnsupportedMethod(t *testing.T) {
-	obs.Enable()
-	t.Cleanup(obs.Disable)
-	posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: 30, Seed: 42})
-	texts := make([]string, len(posts))
-	for i, p := range posts {
-		texts[i] = p.Text
-	}
-	p, err := core.Build(texts, core.Config{Method: core.FullText, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(p, Config{}).Handler())
-	defer ts.Close()
-	resp, body := postJSON(t, ts.URL+"/add", `{"text": "hello world"}`)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("FullText add status = %d, want 422 (body %s)", resp.StatusCode, body)
-	}
 }
 
 func TestStatsEndpoint(t *testing.T) {
@@ -251,28 +112,5 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if snap.Histograms["index.query.candidates"].Count == 0 {
 		t.Fatal("index.query.candidates empty after a query")
-	}
-}
-
-func TestHealthzAndPprof(t *testing.T) {
-	ts := newTestServer(t)
-	if resp := getJSON(t, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status = %d", resp.StatusCode)
-	}
-	resp, err := http.Get(ts.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pprof index status = %d", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/debug/pprof/goroutine?debug=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pprof goroutine status = %d", resp.StatusCode)
 	}
 }

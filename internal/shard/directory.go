@@ -1,0 +1,169 @@
+package shard
+
+import (
+	"sync"
+
+	"repro/internal/match"
+	"repro/internal/obs"
+	"repro/internal/topk"
+)
+
+// Directory is the global↔local document-id directory of one sharded
+// collection, and the merge that reads it. Routing is a pure function
+// of (seed, id, n), so the directory is never persisted or shipped: the
+// in-process Group and the networked coordinator (internal/fleet) each
+// replay it from a seed and a document count. Registration order is
+// global-id order, which keeps shard-local ids ascending with global
+// ids — invariant 3 of the package comment. Safe for concurrent use;
+// a writer serializes Grow with its commit itself (Group.addMu).
+type Directory struct {
+	seed uint64
+	n    int
+
+	mu     sync.RWMutex
+	owner  []int32   // global doc id → owning shard
+	local  []int32   // global doc id → shard-local doc id
+	global [][]int32 // shard → local doc id → global doc id
+}
+
+// NewDirectory returns the empty directory of an n-shard collection
+// routed by seed.
+func NewDirectory(seed uint64, n int) *Directory {
+	return &Directory{seed: seed, n: n, global: make([][]int32, n)}
+}
+
+// Route returns the shard that owns (or will own) global document id
+// doc.
+func (d *Directory) Route(doc int) int { return routeDoc(d.seed, doc, d.n) }
+
+// Grow registers global ids up to a collection of docs documents by
+// routing replay and reports whether the directory grew.
+func (d *Directory) Grow(docs int) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	grew := docs > len(d.owner)
+	for gid := len(d.owner); gid < docs; gid++ {
+		s := d.Route(gid)
+		d.owner = append(d.owner, int32(s))
+		d.local = append(d.local, int32(len(d.global[s])))
+		d.global[s] = append(d.global[s], int32(gid))
+	}
+	return grew
+}
+
+// NumDocs returns the number of registered documents.
+func (d *Directory) NumDocs() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.owner)
+}
+
+// ShardDocs returns the per-shard registered document counts.
+func (d *Directory) ShardDocs() []int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	out := make([]int, d.n)
+	for s := range out {
+		out[s] = len(d.global[s])
+	}
+	return out
+}
+
+// Lookup resolves a registered global document id to its owning shard
+// and shard-local id; ok is false for ids the directory does not hold.
+func (d *Directory) Lookup(doc int) (shard, local int, ok bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if doc < 0 || doc >= len(d.owner) {
+		return 0, 0, false
+	}
+	return int(d.owner[doc]), int(d.local[doc]), true
+}
+
+// Locate is Lookup for a reader whose view may lag the collection (the
+// coordinator learns of adds from reply metadata): a non-negative id
+// beyond the registered count is resolved by routing replay WITHOUT
+// registering it — whether the document exists is settled by its home
+// shard, and a query for a bogus id must not inflate NumDocs.
+func (d *Directory) Locate(doc int) (shard, local int) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if doc < len(d.owner) {
+		return int(d.owner[doc]), int(d.local[doc])
+	}
+	shard = d.Route(doc)
+	local = len(d.global[shard])
+	for gid := len(d.owner); gid < doc; gid++ {
+		if d.Route(gid) == shard {
+			local++
+		}
+	}
+	return shard, local
+}
+
+// MergedList is one intention cluster's globally merged, trimmed
+// candidate list: Items carry global document ids in descending
+// (score, ascending id) order, cut to the global top-n and the
+// configured score threshold; Norm is the Algorithm 2 divisor.
+type MergedList struct {
+	Cluster int
+	Items   []topk.Item
+	Norm    float64
+}
+
+// Merge is the gather half of a scatter-gather query, for Group and the
+// fleet coordinator alike. perShard[s][i] is shard s's top-n answer to
+// probe i (shard-local ids; clusters[i] names the probe's intention
+// cluster); a nil perShard[s] is a shard that did not answer, and the
+// result is then the exact merge over the rest. Per probe, the lists go
+// through one top-n heap in ascending shard order under the
+// deterministic tie-break, the merged list takes cfg's trim, and
+// Algorithm 2 sums it into the score map — probes in ascending order,
+// exactly as the unsharded walk, so the float sums are bit-identical. A
+// local id committed on its shard but not yet registered here is
+// skipped.
+func (d *Directory) Merge(cfg match.MRConfig, clusters []int, n int, perShard [][][]match.Result, tr *obs.Trace) ([]MergedList, map[int]float64) {
+	scores := make(map[int]float64)
+	lists := make([]MergedList, len(clusters))
+	d.mu.RLock()
+	for i, cluster := range clusters {
+		col := topk.New(n)
+		cand := 0
+		for s, answered := range perShard {
+			if answered == nil {
+				continue
+			}
+			glb := d.global[s]
+			for _, r := range answered[i] {
+				if r.DocID >= len(glb) {
+					continue
+				}
+				col.Offer(int(glb[r.DocID]), r.Score)
+				cand++
+			}
+		}
+		items := col.Results()
+		norm := 1.0
+		if len(items) > 0 {
+			cut, nrm := cfg.TrimParams(items[0].Score)
+			norm = nrm
+			for j, it := range items {
+				if it.Score < cut {
+					items = items[:j]
+					break
+				}
+				scores[it.ID] += it.Score / norm
+			}
+		}
+		lists[i] = MergedList{Cluster: cluster, Items: items, Norm: norm}
+		if tr != nil {
+			tr.Event("shard.merge",
+				obs.N("cluster", int64(cluster)),
+				obs.N("candidates", int64(cand)),
+				obs.N("kept", int64(len(items))))
+		}
+	}
+	d.mu.RUnlock()
+	histMerge.Observe(int64(len(scores)))
+	return lists, scores
+}

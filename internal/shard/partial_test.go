@@ -50,12 +50,27 @@ func TestReadDirShardsPartialLoad(t *testing.T) {
 		}
 	}
 
-	// Routing is a pure function of (seed, id, n); the exported replay
-	// must agree with the live group for every document.
+	// Routing is a pure function of (seed, id, n): a directory replayed
+	// from the manifest alone — what a coordinator builds — must agree
+	// with the live group's for every document, registered or located
+	// ahead of registration.
+	half := NewDirectory(m.RouteSeed, m.Shards)
+	half.Grow(m.Docs / 2)
+	full := NewDirectory(m.RouteSeed, m.Shards)
+	if !full.Grow(m.Docs) || full.Grow(m.Docs) || full.NumDocs() != g.NumDocs() {
+		t.Fatalf("Grow(%d) then Grow again: NumDocs %d", m.Docs, full.NumDocs())
+	}
 	for d := 0; d < g.NumDocs(); d++ {
-		if RouteDoc(g.Seed(), d, 4) != g.Route(d) {
-			t.Fatalf("RouteDoc diverges from Group.Route at doc %d", d)
+		ws, wl, _ := g.dir.Lookup(d)
+		if s, l, ok := full.Lookup(d); !ok || s != ws || l != wl {
+			t.Fatalf("replayed Lookup(%d) = (%d, %d, %t), group holds (%d, %d)", d, s, l, ok, ws, wl)
 		}
+		if s, l := half.Locate(d); s != ws || l != wl {
+			t.Fatalf("Locate(%d) from a half-grown directory = (%d, %d), group holds (%d, %d)", d, s, l, ws, wl)
+		}
+	}
+	if _, _, ok := full.Lookup(g.NumDocs()); ok || half.NumDocs() != m.Docs/2 {
+		t.Fatalf("Lookup past the count succeeded, or Locate registered ids (NumDocs %d)", half.NumDocs())
 	}
 }
 

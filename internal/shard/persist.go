@@ -69,7 +69,7 @@ func (g *Group) WriteDir(dir string) error {
 		Version:   manifestVersion,
 		Name:      g.Name(),
 		Shards:    g.n,
-		RouteSeed: g.seed,
+		RouteSeed: g.Seed(),
 		Docs:      g.NumDocs(),
 		Clusters:  g.NumClusters(),
 		Codec:     "compact",
@@ -140,11 +140,10 @@ func ReadDir(dir string) (*Group, error) {
 	}
 
 	g := newGroup(shards, stats, m.RouteSeed)
-	for d := 0; d < m.Docs; d++ {
-		g.register(routeDoc(m.RouteSeed, d, m.Shards))
-	}
+	g.dir.Grow(m.Docs)
+	predicted := g.dir.ShardDocs()
 	for s, sh := range shards {
-		if want, got := len(g.global[s]), sh.NumDocs(); want != got {
+		if want, got := predicted[s], sh.NumDocs(); want != got {
 			return nil, fmt.Errorf("shard: %s holds %d documents but routing %d over seed %d assigns it %d (wrong seed, or shard files from a different build?)",
 				ShardFileName(s), got, m.Docs, m.RouteSeed, want)
 		}
@@ -224,10 +223,9 @@ func ReadDirShards(dir string, own []int) (map[int]*match.MR, Manifest, error) {
 
 	// Routing replay: per-shard document counts predicted by the seed,
 	// used to validate every file we read (owned or streamed).
-	predicted := make([]int, m.Shards)
-	for d := 0; d < m.Docs; d++ {
-		predicted[routeDoc(m.RouteSeed, d, m.Shards)]++
-	}
+	replay := NewDirectory(m.RouteSeed, m.Shards)
+	replay.Grow(m.Docs)
+	predicted := replay.ShardDocs()
 
 	out := make(map[int]*match.MR, len(want))
 	for s := 0; s < m.Shards; s++ {

@@ -51,7 +51,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/segment"
-	"repro/internal/topk"
 )
 
 // Group-level observability. shard.related times the whole
@@ -68,10 +67,9 @@ var (
 // Group serves one logical collection partitioned across n shard
 // matchers.
 //
-// Locking model: the shards carry their own RWMutexes (match.MR) and
-// statistics pools their own (index.GlobalStats); the Group adds two.
-// dirMu guards the global↔local id directory (owner/local/global),
-// which queries read and Add appends to. addMu serializes the whole
+// Locking model: the shards carry their own RWMutexes (match.MR), the
+// statistics pools their own (index.GlobalStats), and the id Directory
+// its own; the Group adds one. addMu serializes the whole
 // commit+register step of Add — it is what keeps same-shard local ids
 // ascending in global-id order (invariant 3 of the package comment);
 // queries never touch it, so Related is blocked only by the owning
@@ -82,17 +80,12 @@ var (
 type Group struct {
 	cfg       match.MRConfig
 	n         int
-	seed      uint64
 	shards    []*match.MR
 	stats     []*index.GlobalStats
 	centroids [][]float64
+	dir       *Directory
 
 	addMu sync.Mutex // serializes Add commit+register; see type comment
-
-	dirMu  sync.RWMutex
-	owner  []int32   // global doc id → owning shard
-	local  []int32   // global doc id → shard-local doc id
-	global [][]int32 // shard → local doc id → global doc id
 
 	spanQuery  []*obs.Span      // shard.NN.query: per-shard scatter leg latency
 	ctrQueries []*obs.Counter   // shard.NN.queries: scatter legs answered
@@ -134,9 +127,7 @@ func NewGroup(mr *match.MR, n int, seed uint64) (*Group, error) {
 		return nil, err
 	}
 	g := newGroup(shards, stats, seed)
-	for d, numDocs := 0, mr.NumDocs(); d < numDocs; d++ {
-		g.register(routeDoc(seed, d, n))
-	}
+	g.dir.Grow(mr.NumDocs())
 	return g, nil
 }
 
@@ -147,11 +138,10 @@ func newGroup(shards []*match.MR, stats []*index.GlobalStats, seed uint64) *Grou
 	g := &Group{
 		cfg:       shards[0].Config(),
 		n:         n,
-		seed:      seed,
 		shards:    shards,
 		stats:     stats,
 		centroids: shards[0].Centroids(),
-		global:    make([][]int32, n),
+		dir:       NewDirectory(seed, n),
 
 		spanQuery:  make([]*obs.Span, n),
 		ctrQueries: make([]*obs.Counter, n),
@@ -168,19 +158,6 @@ func newGroup(shards []*match.MR, stats []*index.GlobalStats, seed uint64) *Grou
 	return g
 }
 
-// register appends the next global document id to the directory, owned
-// by shard s with the next local id. Callers must hold addMu (or be
-// the single construction goroutine).
-func (g *Group) register(s int) int {
-	g.dirMu.Lock()
-	gid := len(g.owner)
-	g.owner = append(g.owner, int32(s))
-	g.local = append(g.local, int32(len(g.global[s])))
-	g.global[s] = append(g.global[s], int32(gid))
-	g.dirMu.Unlock()
-	return gid
-}
-
 // Name implements match.Matcher; a group serves under its shards'
 // method name (the partitioning is topology, not a different method).
 func (g *Group) Name() string { return g.shards[0].Name() }
@@ -189,17 +166,11 @@ func (g *Group) Name() string { return g.shards[0].Name() }
 func (g *Group) NumShards() int { return g.n }
 
 // Seed returns the routing seed (persisted in the manifest).
-func (g *Group) Seed() uint64 { return g.seed }
+func (g *Group) Seed() uint64 { return g.dir.seed }
 
 // Route returns the shard that owns (or will own) global document id
 // doc.
-func (g *Group) Route(doc int) int { return routeDoc(g.seed, doc, g.n) }
-
-// RouteDoc exposes the routing function itself: the shard owning
-// global document doc under seed in an n-shard topology. The network
-// coordinator (internal/fleet) replays it to reconstruct and grow the
-// global↔local id directory from a manifest alone.
-func RouteDoc(seed uint64, doc, n int) int { return routeDoc(seed, doc, n) }
+func (g *Group) Route(doc int) int { return g.dir.Route(doc) }
 
 // ShardMR returns shard s's matcher. The fleet layer uses it to serve a
 // live group's partitions over the network probe surface; the matcher
@@ -208,22 +179,10 @@ func RouteDoc(seed uint64, doc, n int) int { return routeDoc(seed, doc, n) }
 func (g *Group) ShardMR(s int) *match.MR { return g.shards[s] }
 
 // NumDocs returns the number of documents across all shards.
-func (g *Group) NumDocs() int {
-	g.dirMu.RLock()
-	defer g.dirMu.RUnlock()
-	return len(g.owner)
-}
+func (g *Group) NumDocs() int { return g.dir.NumDocs() }
 
 // ShardDocs returns the per-shard document counts.
-func (g *Group) ShardDocs() []int {
-	g.dirMu.RLock()
-	defer g.dirMu.RUnlock()
-	out := make([]int, g.n)
-	for s := range out {
-		out[s] = len(g.global[s])
-	}
-	return out
-}
+func (g *Group) ShardDocs() []int { return g.dir.ShardDocs() }
 
 // NumClusters returns the intention-cluster count (identical on every
 // shard).
@@ -258,53 +217,36 @@ func (g *Group) Generation() uint64 {
 // and after refinement in global id order — the Table 3 view, merged
 // back from the per-shard counts.
 func (g *Group) SegmentCounts() (before, after []int) {
-	g.dirMu.RLock()
-	owner := append([]int32(nil), g.owner...)
-	local := append([]int32(nil), g.local...)
-	g.dirMu.RUnlock()
+	// Read the directory size before the shard counts: registration
+	// happens strictly after the shard commit, so every id below it has
+	// its counts in the shard snapshots taken afterwards.
+	numDocs := g.dir.NumDocs()
 	perB := make([][]int, g.n)
 	perA := make([][]int, g.n)
 	for s := 0; s < g.n; s++ {
 		perB[s], perA[s] = g.shards[s].SegmentCounts()
 	}
-	before = make([]int, len(owner))
-	after = make([]int, len(owner))
-	for gid := range owner {
-		s, l := owner[gid], int(local[gid])
-		// Registration happens strictly after the shard commit, so every
-		// directory entry has its counts in the shard snapshot.
-		if l < len(perB[s]) {
-			before[gid], after[gid] = perB[s][l], perA[s][l]
-		}
+	before = make([]int, numDocs)
+	after = make([]int, numDocs)
+	for gid := range before {
+		s, l, _ := g.dir.Lookup(gid)
+		before[gid], after[gid] = perB[s][l], perA[s][l]
 	}
 	return before, after
 }
 
 // Match implements match.Matcher.
-func (g *Group) Match(docID, k int) []match.Result { return g.RelatedTraced(docID, k, nil) }
+func (g *Group) Match(docID, k int) []match.Result { return g.MatchTraced(docID, k, nil) }
 
-// mergedList is one intention cluster's globally merged, trimmed
-// candidate list: items carry global document ids in descending
-// (score, ascending id) order, cut to the global top-n and the
-// configured score threshold; norm is the Algorithm 2 divisor.
-type mergedList struct {
-	cluster int
-	items   []topk.Item
-	norm    float64
-}
-
-// gather runs the scatter-gather front half shared by RelatedTraced
-// and MatchExplained: resolve the reference document, scatter its
-// probes, merge per cluster, and accumulate Algorithm 2 sums. ok is
-// false for unknown document ids.
-func (g *Group) gather(docID, k int, tr *obs.Trace) (probes []match.ClusterQuery, lists []mergedList, scores map[int]float64, ok bool) {
-	g.dirMu.RLock()
-	if docID < 0 || docID >= len(g.owner) {
-		g.dirMu.RUnlock()
+// gather runs the scatter-gather front half shared by MatchTraced and
+// MatchExplained: resolve the reference document, scatter its probes,
+// and hand the per-shard lists to the Directory's merge. ok is false
+// for unknown document ids.
+func (g *Group) gather(docID, k int, tr *obs.Trace) (probes []match.ClusterQuery, lists []MergedList, scores map[int]float64, ok bool) {
+	home, localQ, ok := g.dir.Lookup(docID)
+	if !ok {
 		return nil, nil, nil, false
 	}
-	home, localQ := int(g.owner[docID]), int(g.local[docID])
-	g.dirMu.RUnlock()
 
 	probes = g.shards[home].QuerySegs(localQ)
 	n := g.cfg.ListDepth(k)
@@ -358,70 +300,21 @@ func (g *Group) gather(docID, k int, tr *obs.Trace) (probes []match.ClusterQuery
 		}
 	}
 
-	// Gather: per cluster, merge the shard lists into the global top-n
-	// under the deterministic tie-break, trim, and sum — ascending
-	// cluster (probe) order, exactly as the unsharded Algorithm 2 walk.
-	scores = make(map[int]float64)
-	lists = make([]mergedList, len(probes))
-	g.dirMu.RLock()
-	for i := range probes {
-		col := topk.New(n)
-		cand := 0
-		for s := 0; s < g.n; s++ {
-			glb := g.global[s]
-			for _, r := range perShard[s][i] {
-				if r.DocID >= len(glb) {
-					continue // committed but not yet registered; see type comment
-				}
-				col.Offer(int(glb[r.DocID]), r.Score)
-				cand++
-			}
-		}
-		items := col.Results()
-		norm := 1.0
-		if len(items) > 0 {
-			cut, nrm := g.cfg.TrimParams(items[0].Score)
-			norm = nrm
-			for j, it := range items {
-				if it.Score < cut {
-					items = items[:j]
-					break
-				}
-				scores[it.ID] += it.Score / norm
-			}
-		}
-		lists[i] = mergedList{cluster: probes[i].Cluster, items: items, norm: norm}
-		if tr != nil {
-			tr.Event("shard.merge",
-				obs.N("cluster", int64(probes[i].Cluster)),
-				obs.N("candidates", int64(cand)),
-				obs.N("kept", int64(len(items))))
-		}
+	clusters := make([]int, len(probes))
+	for i, q := range probes {
+		clusters[i] = q.Cluster
 	}
-	g.dirMu.RUnlock()
-	histMerge.Observe(int64(len(scores)))
+	lists, scores = g.dir.Merge(g.cfg, clusters, n, perShard, tr)
 	return probes, lists, scores, true
 }
 
-// RelatedTraced answers one top-k query over the whole sharded
+// MatchTraced answers one top-k query over the whole sharded
 // collection — scatter, merge, Algorithm 2 — recording per-shard and
 // merge events into tr when non-nil. The result is bit-identical in
 // scores and identical in order to the unsharded matcher's
 // MatchTraced for the same collection.
-func (g *Group) RelatedTraced(docID, k int, tr *obs.Trace) []match.Result {
-	if k <= 0 {
-		return nil
-	}
-	tm := spanRelated.Start()
-	defer tm.Stop()
-	_, _, scores, ok := g.gather(docID, k, tr)
-	if !ok {
-		return nil
-	}
-	out := match.TopKScores(scores, k, docID)
-	if tr != nil {
-		tr.Event("shard.topk", obs.N("results", int64(len(out))))
-	}
+func (g *Group) MatchTraced(docID, k int, tr *obs.Trace) []match.Result {
+	out, _ := g.match(docID, k, tr, false)
 	return out
 }
 
@@ -430,30 +323,41 @@ func (g *Group) RelatedTraced(docID, k int, tr *obs.Trace) []match.Result {
 // contributions and term-level Eq 7–9 products, fetched from the
 // owning shard's pool-attached indices — so the factors reconcile with
 // the served scores exactly as on the unsharded path.
-func (g *Group) MatchExplained(docID, k int) ([]match.Result, []match.Explanation) {
+func (g *Group) MatchExplained(docID, k int, tr *obs.Trace) ([]match.Result, []match.Explanation) {
+	return g.match(docID, k, tr, true)
+}
+
+// match is the one query path behind MatchTraced and MatchExplained.
+func (g *Group) match(docID, k int, tr *obs.Trace, explain bool) ([]match.Result, []match.Explanation) {
 	if k <= 0 {
 		return nil, nil
 	}
-	probes, lists, scores, ok := g.gather(docID, k, nil)
+	tm := spanRelated.Start()
+	defer tm.Stop()
+	probes, lists, scores, ok := g.gather(docID, k, tr)
 	if !ok {
 		return nil, nil
 	}
 	out := match.TopKScores(scores, k, docID)
+	if tr != nil {
+		tr.Event("shard.topk", obs.N("results", int64(len(out))))
+	}
+	if !explain {
+		return out, nil
+	}
 	exps := make([]match.Explanation, len(out))
 	for ri, r := range out {
 		exp := match.Explanation{DocID: r.DocID, Score: r.Score}
-		g.dirMu.RLock()
-		s, l := int(g.owner[r.DocID]), int(g.local[r.DocID])
-		g.dirMu.RUnlock()
+		s, l, _ := g.dir.Lookup(r.DocID)
 		for i, ml := range lists {
-			for _, it := range ml.items {
+			for _, it := range ml.Items {
 				if it.ID != r.DocID {
 					continue
 				}
 				exp.Clusters = append(exp.Clusters, match.ClusterContribution{
-					Cluster: ml.cluster,
-					Score:   it.Score / ml.norm,
-					Terms:   g.shards[s].ExplainDocCluster(l, ml.cluster, probes[i].TF, ml.norm),
+					Cluster: ml.Cluster,
+					Score:   it.Score / ml.Norm,
+					Terms:   g.shards[s].ExplainDocCluster(l, ml.Cluster, probes[i].TF, ml.Norm),
 				})
 				break
 			}
@@ -466,27 +370,27 @@ func (g *Group) MatchExplained(docID, k int) ([]match.Result, []match.Explanatio
 // PrepareAdd segments and vectorizes a new document without touching
 // any shard's serving state. Preparation reads only configuration and
 // the frozen centroids — state every shard shares — so it is valid for
-// whichever shard the document ultimately routes to.
+// whichever shard the document ultimately routes to. Commit on the
+// result runs the group's commit, so a caller holds a group's pending
+// document exactly as it holds a single matcher's.
 func (g *Group) PrepareAdd(d *segment.Doc) *match.PendingAdd {
-	return g.shards[0].PrepareAdd(d)
+	return g.shards[0].PrepareAdd(d).CommitVia(g.commit)
 }
 
-// CommitAdd assigns the next global document id, commits the prepared
+// commit assigns the next global document id, commits the prepared
 // document into its owning shard, and registers it in the directory.
 // The whole step runs under addMu so same-shard local ids ascend in
 // global-id order (the tie-break invariant); the serialized section is
 // a few appends — the expensive preparation already happened — and
 // only the owning shard's write lock is taken, so readers of other
 // shards proceed untouched.
-func (g *Group) CommitAdd(pending *match.PendingAdd) int {
+func (g *Group) commit(pending *match.PendingAdd) int {
 	g.addMu.Lock()
 	defer g.addMu.Unlock()
-	g.dirMu.RLock()
-	next := len(g.owner)
-	g.dirMu.RUnlock()
-	s := g.Route(next)
+	gid := g.dir.NumDocs()
+	s := g.dir.Route(gid)
 	pending.CommitTo(g.shards[s])
-	gid := g.register(s)
+	g.dir.Grow(gid + 1)
 	g.ctrAdds[s].Inc()
 	return gid
 }
@@ -495,5 +399,5 @@ func (g *Group) CommitAdd(pending *match.PendingAdd) int {
 // owning shard, register. It returns the global document id; the
 // document is visible to every subsequent query.
 func (g *Group) Add(d *segment.Doc) int {
-	return g.CommitAdd(g.PrepareAdd(d))
+	return g.PrepareAdd(d).Commit()
 }

@@ -115,8 +115,8 @@ func TestShardExplainEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range []int{0, 17, 63, 149} {
-		wantRes, wantExp := mr.MatchExplained(d, 5)
-		gotRes, gotExp := g.MatchExplained(d, 5)
+		wantRes, wantExp := mr.MatchExplained(d, 5, nil)
+		gotRes, gotExp := g.MatchExplained(d, 5, nil)
 		sameResults(t, fmt.Sprintf("explain doc=%d", d), wantRes, gotRes)
 		if len(wantExp) != len(gotExp) {
 			t.Fatalf("doc %d: %d vs %d explanations", d, len(wantExp), len(gotExp))
@@ -222,7 +222,7 @@ func TestGroupAccessors(t *testing.T) {
 	}
 	sum := 0
 	for s, c := range g.ShardDocs() {
-		if want := len(g.global[s]); c != want {
+		if want := g.ShardMR(s).NumDocs(); c != want {
 			t.Errorf("ShardDocs()[%d] = %d, want %d", s, c, want)
 		}
 		sum += c
@@ -231,8 +231,8 @@ func TestGroupAccessors(t *testing.T) {
 		t.Errorf("ShardDocs sums to %d, NumDocs %d", sum, g.NumDocs())
 	}
 	for d := 0; d < g.NumDocs(); d++ {
-		if got, want := g.Route(d), int(g.owner[d]); got != want {
-			t.Fatalf("Route(%d) = %d, directory owner %d", d, got, want)
+		if owner, _, ok := g.dir.Lookup(d); !ok || g.Route(d) != owner {
+			t.Fatalf("Route(%d) = %d, directory owner %d (registered %t)", d, g.Route(d), owner, ok)
 		}
 	}
 	wb, wa := mr.SegmentCounts()
@@ -263,10 +263,10 @@ func TestGroupEdgeCases(t *testing.T) {
 	if got := g.Match(0, 0); got != nil {
 		t.Errorf("Match(k=0) = %v, want nil", got)
 	}
-	if res, exp := g.MatchExplained(-1, 5); res != nil || exp != nil {
+	if res, exp := g.MatchExplained(-1, 5, nil); res != nil || exp != nil {
 		t.Error("MatchExplained(-1) should return nils")
 	}
-	if res, exp := g.MatchExplained(0, 0); res != nil || exp != nil {
+	if res, exp := g.MatchExplained(0, 0, nil); res != nil || exp != nil {
 		t.Error("MatchExplained(k=0) should return nils")
 	}
 }

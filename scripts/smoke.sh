@@ -80,8 +80,11 @@ for doc in 3 17 57; do
 done
 curl -s -X POST "$BASE/related" -d '{"doc_id": 3, "k": 5, "explain": true}' >"$REF_DIR/explain_3.json"
 
+# Errors are the typed envelope on every surface: stable kind, prose message.
 check "POST /related 404" 404 -X POST "$BASE/related" -d '{"doc_id": 99999}'
+json  "  typed unknown_doc error" "b['error']['kind'] == 'unknown_doc' and b['error']['message']"
 check "POST /related 400" 400 -X POST "$BASE/related" -d '{"doc_id": 0, "k": 500}'
+json  "  typed bad_request error" "b['error']['kind'] == 'bad_request' and b['error']['message']"
 
 check "POST /add" 200 -X POST "$BASE/add" -d '{"text": "My printer shows a paper jam error after the firmware update. How do I clear it?"}'
 json  "  new id past corpus" "b['doc_id'] >= 200"
@@ -389,6 +392,8 @@ json  "  fleet topology" "b['shards'] == 4 and b['num_docs'] == 200 and b['epoch
 json  "  shard health ledger" "len(b['shard_health']) == 4 and all(h['consecutive_failures'] == 0 and h['hedge_delay_ns'] > 0 for h in b['shard_health'])"
 check "POST /add (fleet read-only)" 501 -X POST "$COORD/add" -d '{"text": "should be refused"}'
 json  "  typed read_only error" "b['error']['kind'] == 'read_only'"
+# The coordinator is the same server as the single process, profiles included.
+check "GET /debug/pprof/ (coordinator)" 200 "$COORD/debug/pprof/"
 
 # Distributed tracing: the coordinator captures every request
 # (-trace-slow 0) and flags its shard RPCs, so its /debug/traces must
