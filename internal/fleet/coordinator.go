@@ -963,10 +963,10 @@ type gatherOut struct {
 // home-seeded floors, then the global merge. Sibling failures fall
 // into missing; home failures are returned as typed errors.
 func (c *Coordinator) gather(ctx context.Context, docID, k int, tr *obs.Trace) (*gatherOut, error) {
-	if docID < 0 {
+	home, local, ok := c.dir.Lookup(docID)
+	if !ok {
 		return nil, ErrUnknownDoc
 	}
-	home, local := c.dir.Locate(docID)
 	sc := c.newScatter(ctx, tr)
 	defer sc.cancelAllLegs()
 	traced := tr != nil

@@ -306,6 +306,23 @@ func TestFaultInjection(t *testing.T) {
 		if _, err := sc.c.Query(context.Background(), -1, k, false); !errors.Is(err, ErrUnknownDoc) {
 			t.Fatalf("negative doc: want ErrUnknownDoc, got %v", err)
 		}
+		// An id far past the collection is refused from the directory's
+		// table. Resolving it by replaying the routing up to the id — two
+		// billion hashes under the directory's read lock — is what a
+		// request body must never be able to ask for.
+		done := make(chan error, 1)
+		go func() {
+			_, err := sc.c.Query(context.Background(), 2_000_000_000, k, false)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrUnknownDoc) {
+				t.Fatalf("doc two billion: want ErrUnknownDoc, got %v", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("doc two billion: the coordinator is still resolving the id after 2s")
+		}
 	})
 
 	t.Run("explain-shard-degrades-to-partial", func(t *testing.T) {

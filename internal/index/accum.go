@@ -1,0 +1,230 @@
+package index
+
+import (
+	"math/bits"
+	"sync"
+
+	"repro/internal/obs"
+)
+
+// accumulator is the pooled per-probe state of Algorithm 1: a dense
+// score array indexed by unit id — unit ids are dense in
+// [0, len(ix.units)), so a probe's partial scores need no hashing — and
+// the scratch slices one probe fills and drains. Two invariants make
+// one pool safe for every index in the process, whatever its size:
+//
+//   - Clean between probes. cells and touched are all zero whenever the
+//     accumulator sits in the pool: release is only reached after drain
+//     has zeroed every cell the probe wrote (a probe that panics never
+//     returns its accumulator), and growth allocates fresh zeroed arrays.
+//   - Sized under the lock. acquire is called with the probed index's
+//     read lock held and sizes cells to len(ix.units); units only grow
+//     under the write lock, so every posting the probe can see indexes
+//     inside the array.
+//
+// Cost follows what the probe touched: accumulate marks each written
+// cell in the touched bitset, drain visits only the set bits (reading
+// one word per 64 units of the probed index to find them) and comes out
+// in ascending unit order. Nothing walks the array itself. Memory is one
+// accumulator per in-flight probe — 8 bytes per unit of the largest
+// index it served, plus scratch proportional to that probe's
+// candidates — and the pool, not the index, owns it.
+type accumulator struct {
+	cells   []float64 // cells[u]: unit u's partial score in the running probe
+	touched []uint64  // bit u set ⇔ cells[u] was written by the running probe
+
+	// Per-probe scratch, meaningless between probes; riding here keeps the
+	// steady-state probe down to one allocation, its result slice.
+	terms  []string   // query's sorted terms and, aligned with them,
+	qf     []float64  // their query frequencies
+	idfs   []float64  // and pIDFs
+	active []scanTerm // the probe's non-empty, non-zero-pIDF lists
+	rem    []float64  // max-score suffix sums of active's bounds
+	rt     runningTopK
+	alive  []int32   // drained candidates, ascending unit order
+	ascore []float64 // scores parallel to alive
+	top    []Result  // final top-n selection heap
+
+	hit bool // the running probe allocated no cell storage (trace pool_hit)
+}
+
+// scorePool recycles accumulators across probes and across indices;
+// serving workloads run Query at high rates and the accumulator is the
+// probe's dominant memory.
+var scorePool = sync.Pool{
+	New: func() interface{} { return new(accumulator) },
+}
+
+// acquire takes an accumulator able to hold units cells. Callers hold
+// the read lock of the index whose unit count they pass.
+// index.scorepool.new counts the probes that had to allocate cell
+// storage — a fresh pool object or one grown for a larger index.
+func acquire(units int) *accumulator {
+	ctrScorePoolGet.Inc()
+	acc := scorePool.Get().(*accumulator)
+	acc.hit = len(acc.cells) >= units
+	if !acc.hit {
+		// A quarter of headroom: an index under Add grows one unit at a
+		// time and must not reallocate the pool's accumulators on each.
+		size := (units + units/4 + 63) &^ 63
+		acc.cells = make([]float64, size)
+		acc.touched = make([]uint64, size/64)
+		ctrScorePoolNew.Inc()
+	}
+	return acc
+}
+
+// release returns a drained accumulator to the pool, dropping the
+// scratch's references into index memory so a pooled object never pins
+// a posting array an Add has since replaced.
+func (acc *accumulator) release() {
+	clear(acc.terms)
+	clear(acc.active)
+	scorePool.Put(acc)
+}
+
+// accumulate is the Eq 9 inner loop, the only one: it adds a·w(t,unit)·b
+// to the cell of every unit in one posting list and marks the cell
+// touched. The exhaustive scan passes (f_q, pIDF) and so adds the exact
+// product f_q·w·pIDF; the max-score scan passes (f_q·pIDF, 1) — its
+// partials are threshold material, and multiplying by one is exact —
+// together with rt, which then tracks the n-th best partial over
+// non-excluded units. theta is the running threshold; the raised value
+// is returned. The fast path past the add is one compare per posting: a
+// partial at or below the heap root cannot change the threshold.
+func (acc *accumulator) accumulate(units []unitStats, posts []Posting, a, b, avgUnique float64, rt *runningTopK, exclude func(unit int) bool, theta float64) float64 {
+	cells, touched := acc.cells, acc.touched
+	for _, p := range posts {
+		s := cells[p.Unit] + a*weight(units[p.Unit], p.LogTF, avgUnique)*b
+		cells[p.Unit] = s
+		touched[p.Unit>>6] |= 1 << (uint32(p.Unit) & 63)
+		if rt == nil || (len(rt.h) == rt.k && s <= rt.h[0].score) {
+			continue
+		}
+		if exclude != nil && exclude(int(p.Unit)) {
+			continue // excluded units must not inflate the threshold
+		}
+		if t := rt.offer(p.Unit, s); t > theta {
+			theta = t
+		}
+	}
+	return theta
+}
+
+// drain empties the accumulator into alive/ascore — every touched unit
+// in ascending order, minus the excluded ones and, when a threshold is
+// known (theta > 0), minus those whose score plus slack cannot reach it
+// — zeroing each cell and touched word on the way, and returns how many
+// units had been touched. units is the probed index's unit count.
+func (acc *accumulator) drain(units int, theta, slack float64, exclude func(unit int) bool) (touchedUnits int) {
+	cells := acc.cells
+	alive, ascore := acc.alive[:0], acc.ascore[:0]
+	guard := theta * pruneGuard
+	for w, word := range acc.touched[:(units+63)>>6] {
+		if word == 0 {
+			continue
+		}
+		acc.touched[w] = 0
+		touchedUnits += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			u := int32(w<<6 | bits.TrailingZeros64(word))
+			s := cells[u]
+			cells[u] = 0
+			if theta > 0 && s+slack < guard {
+				continue
+			}
+			if exclude != nil && exclude(int(u)) {
+				continue
+			}
+			alive = append(alive, u)
+			ascore = append(ascore, s)
+		}
+	}
+	acc.alive, acc.ascore = alive, ascore
+	return touchedUnits
+}
+
+// finish is the shared tail of every scan: select the top-n of the
+// positive-score survivors in alive/ascore under the deterministic
+// order (score descending, unit ascending), record the scan histograms
+// and the optional trace event, and materialize the result list.
+// candidates is the number of units the probe accumulated a score for.
+func (acc *accumulator) finish(candidates, topN int, tr *obs.Trace) []Result {
+	top := acc.top[:0]
+	for i, u := range acc.alive {
+		if s := acc.ascore[i]; s > 0 {
+			top = offerResult(top, topN, Result{Unit: int(u), Score: s})
+		}
+	}
+	// Heapsort in place: the root is the worst retained result, so moving
+	// it behind the shrinking heap leaves the slice best first.
+	for n := len(top) - 1; n > 0; n-- {
+		top[0], top[n] = top[n], top[0]
+		siftDown(top[:n], 0)
+	}
+	acc.top = top
+	histQueryCandidates.Observe(int64(candidates))
+	histQueryResults.Observe(int64(len(top)))
+	if tr != nil {
+		hit := int64(0)
+		if acc.hit {
+			hit = 1
+		}
+		tr.Event("index.query",
+			obs.N("candidates", int64(candidates)),
+			obs.N("results", int64(len(top))),
+			obs.N("pool_hit", hit))
+	}
+	out := make([]Result, len(top))
+	copy(out, top)
+	return out
+}
+
+// worse reports whether a ranks below b: lower score, higher unit id on
+// equal scores — the ordering internal/topk uses, so rankings never
+// depend on the order candidates arrive in.
+func worse(a, b Result) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
+	}
+	return a.Unit > b.Unit
+}
+
+// offerResult keeps the k best results seen in h, a min-heap with the
+// worst retained result at the root. It is topk.Collector over pooled
+// storage: the collector allocates its heap and its drained list on
+// every probe.
+func offerResult(h []Result, k int, r Result) []Result {
+	if len(h) < k {
+		h = append(h, r)
+		for i := len(h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !worse(h[i], h[parent]) {
+				break
+			}
+			h[i], h[parent] = h[parent], h[i]
+			i = parent
+		}
+	} else if worse(h[0], r) {
+		h[0] = r
+		siftDown(h, 0)
+	}
+	return h
+}
+
+func siftDown(h []Result, i int) {
+	for {
+		min := 2*i + 1
+		if min >= len(h) {
+			return
+		}
+		if right := min + 1; right < len(h) && worse(h[right], h[min]) {
+			min = right
+		}
+		if !worse(h[min], h[i]) {
+			return
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
+}

@@ -1,0 +1,254 @@
+package index
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+)
+
+// naiveQuery is the independent Eq 7–9 oracle: a fresh map per call, the
+// formulas written out from the raw postings and unit statistics in
+// ascending term order, and a full sort for the ranking. It shares no
+// code with the scan paths — no pooled accumulator, no bounds, no
+// top-n heap — so agreeing with it bit-for-bit is evidence about them,
+// which agreeing with QueryExhaustive (same accumulator, same pool) is
+// not. Unattached indices only.
+func naiveQuery(ix *Index, queryTF map[string]float64, topN int, exclude func(unit int) bool) []Result {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	terms := make([]string, 0, len(queryTF))
+	for t := range queryTF {
+		terms = append(terms, t)
+	}
+	sort.Strings(terms)
+	n := len(ix.units)
+	avgUnique := float64(ix.totalUnique) / float64(n)
+	scores := make(map[int]float64)
+	for _, t := range terms {
+		posts := ix.postings[t]
+		df := len(posts)
+		if df == 0 {
+			continue
+		}
+		pIDF := math.Log((float64(n-df) + 0.5) / (float64(df) + 0.5))
+		if pIDF <= 0 {
+			continue
+		}
+		for _, p := range posts {
+			u := ix.units[p.Unit]
+			norm := 1.0
+			if ratio := float64(u.unique) / avgUnique; ratio > 1 {
+				norm = ratio
+			}
+			scores[int(p.Unit)] += queryTF[t] * (p.LogTF / (u.denom * norm)) * pIDF
+		}
+	}
+	out := []Result{}
+	for unit, s := range scores {
+		if s > 0 && (exclude == nil || !exclude(unit)) {
+			out = append(out, Result{Unit: unit, Score: s})
+		}
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Score != out[b].Score {
+			return out[a].Score > out[b].Score
+		}
+		return out[a].Unit < out[b].Unit
+	})
+	if len(out) > topN {
+		out = out[:topN]
+	}
+	return out
+}
+
+// checkAgainstOracle runs one query through every scan entry point —
+// Query, QueryExhaustive, QueryFrozen with and without a floor — and
+// holds each to the oracle bit-for-bit. Whether they take the pruned or
+// the exhaustive scan is the caller's PruneMinUnits.
+func checkAgainstOracle(t *testing.T, ix *Index, queryTF map[string]float64, topN int, exclude func(unit int) bool) {
+	t.Helper()
+	want := naiveQuery(ix, queryTF, topN, exclude)
+	if got := ix.Query(queryTF, topN, exclude); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Query topN=%d: %v, oracle %v", topN, got, want)
+	}
+	if got := ix.QueryExhaustive(queryTF, topN, exclude); !reflect.DeepEqual(got, want) {
+		t.Fatalf("QueryExhaustive topN=%d: %v, oracle %v", topN, got, want)
+	}
+	terms, qf, idfs, avg := frozenArgs(ix, queryTF)
+	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, 0, exclude, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("QueryFrozen topN=%d: %v, oracle %v", topN, got, want)
+	}
+	if len(want) == 0 {
+		return
+	}
+	// A floor proven by the list itself (its n-th score) loses nothing; a
+	// floor in the middle of the list must keep, in order, at least every
+	// entry that reaches it, and may only return entries of the list.
+	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, want[len(want)-1].Score, exclude, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("QueryFrozen floor=n-th: %v, oracle %v", got, want)
+	}
+	floor := want[len(want)/2].Score
+	got := ix.QueryFrozen(terms, qf, idfs, avg, topN, floor, exclude, nil)
+	pos := 0
+	for _, r := range got {
+		for pos < len(want) && want[pos] != r {
+			if want[pos].Score >= floor {
+				t.Fatalf("QueryFrozen floor=%g lost %v: %v, oracle %v", floor, want[pos], got, want)
+			}
+			pos++
+		}
+		if pos == len(want) {
+			t.Fatalf("QueryFrozen floor=%g returned %v, not in oracle order %v", floor, r, want)
+		}
+		pos++
+	}
+	for ; pos < len(want); pos++ {
+		if want[pos].Score >= floor {
+			t.Fatalf("QueryFrozen floor=%g lost %v: %v, oracle %v", floor, want[pos], got, want)
+		}
+	}
+}
+
+// checkPoolClean takes the accumulator the pool would hand the next
+// probe and verifies the invariant every probe relies on: no cell and no
+// touched word is non-zero.
+func checkPoolClean(t *testing.T) {
+	t.Helper()
+	acc := scorePool.Get().(*accumulator)
+	defer scorePool.Put(acc)
+	for u, c := range acc.cells {
+		if c != 0 {
+			t.Fatalf("pooled accumulator: stale cell %d = %g", u, c)
+		}
+	}
+	for w, word := range acc.touched {
+		if word != 0 {
+			t.Fatalf("pooled accumulator: stale touched word %d = %#x", w, word)
+		}
+	}
+}
+
+func TestScansMatchNaiveOracle(t *testing.T) {
+	for _, gate := range []int{1, 1 << 30} { // every scan pruned, then none
+		withPruneGate(t, gate)
+		rng := rand.New(rand.NewSource(29))
+		for trial := 0; trial < 20; trial++ {
+			units := 20 + rng.Intn(500)
+			docs := randomCorpus(rng, units, 40+rng.Intn(200))
+			ix := buildIndex(docs...)
+			var exclude func(int) bool
+			if trial%3 == 1 {
+				exclude = func(u int) bool { return u%3 == 0 }
+			}
+			for _, topN := range []int{1, 3, 10, units / pruneMinFanout, units} {
+				if topN < 1 {
+					continue
+				}
+				checkAgainstOracle(t, ix, TermFrequencies(docs[rng.Intn(units)]), topN, exclude)
+			}
+		}
+	}
+}
+
+// TestPoolSharedAcrossGrowingIndices is the pool-hygiene property: one
+// goroutine — so sync.Pool hands each probe the accumulator the last one
+// returned — drives indices of very different sizes through every scan
+// while Adds grow them past the capacity (units + 25 %) of whatever
+// accumulator last served them. A stale cell shows as a wrong score or
+// a dirty pool; an accumulator shorter than the index it scans panics.
+func TestPoolSharedAcrossGrowingIndices(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	docs := randomCorpus(rng, 4000, 150)
+	next := 0
+	take := func(n int) [][]string {
+		d := docs[next : next+n]
+		next += n
+		return d
+	}
+	indices := []*Index{buildIndex(take(30)...), buildIndex(take(900)...), buildIndex(take(200)...)}
+	withPruneGate(t, PruneMinUnits) // restores the gate the steps below flip
+	for step := 0; step < 150; step++ {
+		PruneMinUnits = []int{1, 1 << 30}[rng.Intn(2)]
+		ix := indices[rng.Intn(len(indices))]
+		if n := ix.NumUnits(); rng.Intn(4) == 0 && next+n/2+1 <= len(docs) {
+			for _, d := range take(n/2 + 1) { // past the quarter of headroom
+				ix.Add(d)
+			}
+		}
+		var exclude func(int) bool
+		if step%2 == 1 {
+			exclude = func(u int) bool { return u%5 == 0 }
+		}
+		checkAgainstOracle(t, ix, TermFrequencies(docs[rng.Intn(next)]), 1+rng.Intn(12), exclude)
+		checkPoolClean(t)
+	}
+}
+
+// TestConcurrentScansShareThePool is the -race leg: queriers on a small,
+// a large and a growing index draw from the one pool while an adder
+// grows the third. Concurrent results cannot be compared to a fixed
+// oracle, so they are held to what must hold whatever the interleaving
+// (rank order, positive scores, ids inside the index); once the adder is
+// done every index is checked against the oracle and the pool is clean.
+func TestConcurrentScansShareThePool(t *testing.T) {
+	withPruneGate(t, 64)
+	rng := rand.New(rand.NewSource(37))
+	docs := randomCorpus(rng, 1500, 120)
+	indices := []*Index{buildIndex(docs[:40]...), buildIndex(docs[40:840]...), buildIndex(docs[840:900]...)}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, d := range docs[900:] {
+			indices[2].Add(d)
+		}
+	}()
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ix := indices[g%len(indices)]
+			for i := 0; i < 150; i++ {
+				res := ix.Query(TermFrequencies(docs[(g*150+i)%len(docs)]), 8, nil)
+				units := ix.NumUnits()
+				for j, r := range res {
+					if r.Score <= 0 || r.Unit < 0 || r.Unit >= units || (j > 0 && worse(res[j-1], r)) {
+						t.Errorf("goroutine %d query %d: bad result list %v", g, i, res)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, ix := range indices {
+		checkAgainstOracle(t, ix, TermFrequencies(docs[7]), 8, nil)
+	}
+	checkPoolClean(t)
+}
+
+// TestScanAllocations gates the steady-state probe at one allocation —
+// its result slice — on both scans. (Before the dense accumulator the
+// exhaustive Query allocated 4 times and the pruned QueryFrozen 13.)
+func TestScanAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects at random under the race detector")
+	}
+	rng := rand.New(rand.NewSource(41))
+	docs := randomCorpus(rng, 600, 120)
+	ix := buildIndex(docs...)
+	queryTF := TermFrequencies(docs[3])
+	terms, qf, idfs, avg := frozenArgs(ix, queryTF)
+
+	withPruneGate(t, 1<<30)
+	if got := testing.AllocsPerRun(200, func() { ix.Query(queryTF, 10, nil) }); got > 1 {
+		t.Errorf("exhaustive Query: %v allocs per run, want at most 1", got)
+	}
+	withPruneGate(t, 1)
+	if got := testing.AllocsPerRun(200, func() { ix.QueryFrozen(terms, qf, idfs, avg, 10, 0, nil, nil) }); got > 1 {
+		t.Errorf("pruned QueryFrozen: %v allocs per run, want at most 1", got)
+	}
+}

@@ -59,34 +59,5 @@ func (ix *Index) QueryFrozen(terms []string, qf, idfs []float64, avgUnique float
 	if topN <= 0 || len(ix.units) == 0 {
 		return nil
 	}
-	if ix.shouldPruneLocked(topN) {
-		return ix.scanPrunedLocked(terms, qf, idfs, avgUnique, topN, floor, exclude, tr)
-	}
-	ctrScorePoolGet.Inc()
-	sm := scorePool.Get().(*scoreMap)
-	poolHit := sm.reused
-	sm.reused = true
-	scores := sm.m
-	defer func() {
-		clear(scores)
-		scorePool.Put(sm)
-	}()
-	var scanned int64
-	for i, term := range terms {
-		tIDF := idfs[i]
-		if tIDF == 0 {
-			continue
-		}
-		posts := ix.postings[term]
-		if len(posts) == 0 {
-			continue
-		}
-		f := qf[i]
-		scanned += int64(len(posts))
-		for _, p := range posts {
-			scores[p.Unit] += f * ix.weightLocked(p, avgUnique) * tIDF
-		}
-	}
-	ctrScanPostings.Add(scanned)
-	return finishQuery(scores, poolHit, topN, exclude, tr)
+	return ix.scanLocked(acquire(len(ix.units)), terms, qf, idfs, avgUnique, topN, floor, exclude, tr, ix.shouldPruneLocked(topN))
 }

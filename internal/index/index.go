@@ -13,10 +13,17 @@
 // read lock for their full duration, so any number of queries proceed
 // concurrently and additions serialize against them. Derived statistics
 // (average unique-term count, document frequencies, per-posting log-TF
-// numerators) are maintained incrementally at insertion time, and per-term
-// pIDF values are memoized with their validity conditions (collection
-// size, document frequency), so the query hot path recomputes nothing that
-// insertion already knows.
+// numerators) are maintained incrementally at insertion time, so the query
+// hot path recomputes nothing that insertion already knows.
+//
+// Scoring state: unit ids are dense, so a probe accumulates Eq 9 into a
+// dense array indexed by unit id, not a hash map. The array, the bitset
+// of cells the probe wrote and every scratch slice of the scan belong to
+// a pooled accumulator (accum.go) that is taken and sized under the read
+// lock, drained in O(units touched) and returned clean; one pool serves
+// every index in the process. All three entry points — Query,
+// QueryExhaustive, QueryFrozen — resolve their factors and run the one
+// scan in prune.go over the one accumulate loop.
 package index
 
 import (
@@ -25,13 +32,13 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/topk"
 )
 
 // Observability instruments for the per-cluster query internals. The
 // candidate/result histograms size the scoring stage (how many units a
-// query touches, how many survive the top-n heap); the scorepool
-// counters expose the pooled score-map hit rate (hits = get − new).
+// query accumulates a score for, how many survive the top-n heap); the
+// scorepool counters expose the accumulator pool: get counts probes, new
+// the probes that had to allocate cell storage (hits = get − new).
 // index.scan.postings counts postings actually touched by a scan
 // (full-list walks plus the pruned path's per-survivor binary probes) —
 // the denominator for the pruning counters in prune.go. All recording
@@ -91,28 +98,6 @@ func New() *Index {
 		postings: make(map[string][]Posting),
 		bounds:   make(map[string]listBound),
 	}
-}
-
-// scoreMap is the pooled per-query score accumulator. The reused flag
-// distinguishes a map freshly allocated by the pool from one recycled
-// from an earlier query — the per-request "pool hit" detail a trace
-// records (the aggregate hit rate is ctrScorePoolGet vs
-// ctrScorePoolNew).
-type scoreMap struct {
-	m      map[int32]float64
-	alive  []int32   // pruned-scan scratch: candidate units after compaction
-	ascore []float64 // pruned-scan scratch: partial scores parallel to alive
-	reused bool
-}
-
-// scorePool recycles the per-query score accumulator maps; serving
-// workloads run Query at high rates and the map is the query's dominant
-// allocation.
-var scorePool = sync.Pool{
-	New: func() interface{} {
-		ctrScorePoolNew.Inc()
-		return &scoreMap{m: make(map[int32]float64, 64)}
-	},
 }
 
 // Add indexes a unit's terms and returns the unit id the index assigned
@@ -238,11 +223,15 @@ func (ix *Index) Weight(term string, unit int) float64 {
 }
 
 func (ix *Index) weightLocked(p Posting, avgUnique float64) float64 {
-	u := ix.units[p.Unit]
+	return weight(ix.units[p.Unit], p.LogTF, avgUnique)
+}
+
+// weight is the Eq 7/8 weight of a posting with numerator logTF in unit u.
+func weight(u unitStats, logTF, avgUnique float64) float64 {
 	if u.denom == 0 {
 		return 0
 	}
-	return p.LogTF / (u.denom * nu(u.unique, avgUnique))
+	return logTF / (u.denom * nu(u.unique, avgUnique))
 }
 
 // IDF computes the smoothed probabilistic inverse document frequency of
@@ -305,23 +294,21 @@ func (ix *Index) Query(queryTF map[string]float64, topN int, exclude func(unit i
 // pruned-vs-exhaustive equivalence tests and benchmarks; serving paths
 // should use Query.
 func (ix *Index) QueryExhaustive(queryTF map[string]float64, topN int, exclude func(unit int) bool) []Result {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if topN <= 0 || len(ix.units) == 0 {
-		return nil
-	}
-	if ix.rlockStats() {
-		defer ix.global.mu.RUnlock()
-	}
-	terms := sortedTerms(queryTF)
-	return ix.scanExhaustiveLocked(terms, queryTF, topN, exclude, nil)
+	return ix.query(queryTF, topN, exclude, nil, false)
 }
 
 // QueryTraced is Query with request-scoped tracing: when tr is non-nil
 // it records one "index.query" event carrying the scan's candidate-set
-// width, result count, and whether the pooled score map was a reuse
-// (pool hit) or a fresh allocation. A nil tr costs one pointer check.
+// width, result count, and whether the pooled accumulator served the
+// probe without allocating (pool hit). A nil tr costs one pointer check.
 func (ix *Index) QueryTraced(queryTF map[string]float64, topN int, exclude func(unit int) bool, tr *obs.Trace) []Result {
+	return ix.query(queryTF, topN, exclude, tr, true)
+}
+
+// query resolves the collection-level factors of the query's terms —
+// the frozen-scoring shape, taken under the same lock hold as the scan —
+// and runs the shared scan, pruned when allowed and worth it.
+func (ix *Index) query(queryTF map[string]float64, topN int, exclude func(unit int) bool, tr *obs.Trace, mayPrune bool) []Result {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if topN <= 0 || len(ix.units) == 0 {
@@ -333,107 +320,23 @@ func (ix *Index) QueryTraced(queryTF map[string]float64, topN int, exclude func(
 	if ix.rlockStats() {
 		defer ix.global.mu.RUnlock()
 	}
-	terms := sortedTerms(queryTF)
-	if ix.shouldPruneLocked(topN) {
-		// Resolve the per-term factors upfront (the frozen-scoring shape)
-		// and run the max-score scan. Factor values are identical to the
-		// inline resolution below — the index and pool locks are held for
-		// the whole call — so the scans are interchangeable bit-for-bit.
-		qf := make([]float64, len(terms))
-		idfs := make([]float64, len(terms))
-		n := ix.nLocked()
-		for i, t := range terms {
-			qf[i] = queryTF[t]
-			idfs[i] = idf(n, ix.dfLocked(t, ix.postings[t]))
-		}
-		avgUnique := ix.avgUniqueLocked()
-		return ix.scanPrunedLocked(terms, qf, idfs, avgUnique, topN, 0, exclude, tr)
-	}
-	return ix.scanExhaustiveLocked(terms, queryTF, topN, exclude, tr)
-}
-
-// sortedTerms returns the query's terms in ascending order — the Eq 9
-// accumulation order. Float summation is not associative, so map-order
-// iteration would make scores vary at the ULP level across runs and
-// break tie determinism.
-func sortedTerms(queryTF map[string]float64) []string {
-	terms := make([]string, 0, len(queryTF))
+	acc := acquire(len(ix.units))
+	// Ascending term order is the Eq 9 accumulation order. Float summation
+	// is not associative, so map-order iteration would make scores vary at
+	// the ULP level across runs and break tie determinism.
+	terms := acc.terms[:0]
 	for term := range queryTF {
 		terms = append(terms, term)
 	}
 	sort.Strings(terms)
-	return terms
-}
-
-// scanExhaustiveLocked walks every posting of every query term into the
-// pooled accumulator — the pre-pruning scan, kept verbatim as the
-// reference semantics and as the fast path for collections too small
-// for pruning to pay. Callers hold the read lock (and the pool's when
-// attached).
-func (ix *Index) scanExhaustiveLocked(terms []string, queryTF map[string]float64, topN int, exclude func(unit int) bool, tr *obs.Trace) []Result {
-	avgUnique := ix.avgUniqueLocked()
-	ctrScorePoolGet.Inc()
-	sm := scorePool.Get().(*scoreMap)
-	poolHit := sm.reused
-	sm.reused = true
-	scores := sm.m
-	defer func() {
-		clear(scores)
-		scorePool.Put(sm)
-	}()
-	var scanned int64
-	for _, term := range terms {
-		qf := queryTF[term]
-		posts := ix.postings[term]
-		if len(posts) == 0 {
-			continue
-		}
-		tIDF := ix.idfLocked(term, ix.dfLocked(term, posts))
-		if tIDF == 0 {
-			continue
-		}
-		scanned += int64(len(posts))
-		for _, p := range posts {
-			scores[p.Unit] += qf * ix.weightLocked(p, avgUnique) * tIDF
-		}
+	qf, idfs := acc.qf[:0], acc.idfs[:0]
+	n := ix.nLocked()
+	for _, t := range terms {
+		qf = append(qf, queryTF[t])
+		idfs = append(idfs, idf(n, ix.dfLocked(t, ix.postings[t])))
 	}
-	ctrScanPostings.Add(scanned)
-	return finishQuery(scores, poolHit, topN, exclude, tr)
-}
-
-// finishQuery runs the shared tail of the scan paths (QueryTraced,
-// QueryFrozen): collect positive-score candidates into the top-n heap
-// under the deterministic tie-break, record the scan histograms and the
-// optional trace event, and materialize the result list.
-func finishQuery(scores map[int32]float64, poolHit bool, topN int, exclude func(unit int) bool, tr *obs.Trace) []Result {
-	histQueryCandidates.Observe(int64(len(scores)))
-	c := topk.New(topN)
-	for unit, score := range scores {
-		if score <= 0 {
-			continue
-		}
-		if exclude != nil && exclude(int(unit)) {
-			continue
-		}
-		c.Offer(int(unit), score)
-	}
-	items := c.Results()
-	histQueryResults.Observe(int64(len(items)))
-	if tr != nil {
-		hit := int64(0)
-		if poolHit {
-			hit = 1
-		}
-		tr.Event("index.query",
-			obs.N("candidates", int64(len(scores))),
-			obs.N("results", int64(len(items))),
-			obs.N("pool_hit", hit))
-	}
-	out := make([]Result, len(items))
-	for i, it := range items {
-		out[i] = Result{Unit: it.ID, Score: it.Score}
-	}
-	return out
+	acc.terms, acc.qf, acc.idfs = terms, qf, idfs
+	return ix.scanLocked(acc, terms, qf, idfs, ix.avgUniqueLocked(), topN, 0, exclude, tr, mayPrune && ix.shouldPruneLocked(topN))
 }
 
 // TermScore is one term's share of a unit's query score: the Eq 9

@@ -1,11 +1,10 @@
 package index
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/topk"
 )
 
 // Max-score pruning (Turtle & Flood-style, term-at-a-time) over the
@@ -59,11 +58,24 @@ var (
 
 // PruneMinUnits is the smallest collection (unit count) the query path
 // prunes on; below it the exhaustive scan is used — on small lists the
-// bookkeeping (threshold heap, candidate compaction, exact rescore)
-// costs more than the walk it saves, and the exhaustive path keeps its
-// allocation profile. querybench puts the crossover near 10^4 units on
-// forum-shaped corpora, so the default sits just under it. Results are
-// bit-identical either way. It is read at query time without
+// bookkeeping (threshold heap, update-mode probes, exact rescore) costs
+// more than the walk it saves. The value is the measured crossover:
+// BenchmarkQueryPrunedVsExhaustive (querybench's Zipf corpus, k = 10,
+// gate forced both ways, one CPU), exhaustive vs pruned per query:
+//
+//	 units   exhaustive    pruned   exhaustive/pruned
+//	  1000      32 µs       56 µs        0.57×
+//	  4000     126 µs      139 µs        0.90×
+//	  8000     244 µs      191 µs        1.2×  (1.03–1.28× over five runs)
+//	 16000     414 µs      369 µs        1.12×
+//	100000    2.89 ms     2.09 ms        1.38×
+//
+// and cmd/querybench at a million units 40.6 ms vs 24.4 ms (1.66×). With
+// the map accumulators this package had before, the same sweep crossed
+// over near 24 000 units (0.89× at 8000, 0.93× at 16 000, 1.01× at
+// 24 000), so 8192 was engaging the pruned scan where it lost; with the
+// dense accumulator it is the first power of two past the crossover.
+// Results are bit-identical either way. It is read at query time without
 // synchronization: set it at startup (or in tests before spawning
 // queriers), not while serving.
 var PruneMinUnits = 8192
@@ -206,8 +218,9 @@ type runningEntry struct {
 	score float64
 }
 
-func newRunningTopK(k int) *runningTopK {
-	return &runningTopK{k: k, h: make([]runningEntry, 0, k)}
+// reset empties the tracker for a probe of depth k, keeping its storage.
+func (r *runningTopK) reset(k int) {
+	r.k, r.h = k, r.h[:0]
 }
 
 // offer records unit's new partial score and returns the current
@@ -286,28 +299,32 @@ func findPosting(posts []Posting, u int32) int {
 	return -1
 }
 
-// prunedTerm is one query term of the max-score scan, in descending
-// upper-bound order.
-type prunedTerm struct {
-	idx   int     // position in ascending term order (the rescore order)
-	ub    float64 // slacked contribution upper bound f_q·bound·pIDF
+// scanTerm is one query term of a scan that has a posting list and a
+// non-zero pIDF.
+type scanTerm struct {
+	idx   int     // position in ascending term order (the summation order)
+	ub    float64 // slacked contribution upper bound f_q·bound·pIDF (max-score scan only)
 	qf    float64
 	idf   float64
 	posts []Posting
 }
 
-// scanPrunedLocked is the max-score scan. Terms arrive in ascending
-// order with aligned query frequencies and pIDFs (resolved under the
-// same lock hold, so they equal what the exhaustive scan would derive
-// inline); floor is an externally proven lower bound on the n-th best
-// score — 0 when none is known, the home shard's n-th list score on a
-// sharded scatter leg — and seeds the threshold before any partial
-// accumulates. Callers hold the read lock; only shard-local state
-// (postings, units, bounds) and the resolved factors are read, so the
-// scatter path's lock discipline carries over unchanged.
-func (ix *Index) scanPrunedLocked(terms []string, qf, idfs []float64, avgUnique float64, topN int, floor float64, exclude func(unit int) bool, tr *obs.Trace) []Result {
-	// Resolve the active terms (known, non-zero pIDF) and their bounds.
-	active := make([]prunedTerm, 0, len(terms))
+// scanLocked is the one scan behind Query, QueryExhaustive and
+// QueryFrozen. Terms arrive in ascending order with aligned query
+// frequencies and pIDFs, resolved by the caller under the same lock
+// hold or frozen from the collection pool. With prune unset it is the
+// exhaustive Eq 9 scan: every list is accumulated in term order and the
+// accumulator drained into the top-n. With prune set it is the
+// max-score scan described above; floor is then an externally proven
+// lower bound on the n-th best score — 0 when none is known, the home
+// shard's n-th list score on a sharded scatter leg — and seeds the
+// threshold before any partial accumulates. Callers hold the read lock
+// and pass an accumulator acquired under it, which scanLocked releases;
+// only shard-local state (postings, units, bounds) and the resolved
+// factors are read, so the scatter path's lock discipline carries over
+// unchanged.
+func (ix *Index) scanLocked(acc *accumulator, terms []string, qf, idfs []float64, avgUnique float64, topN int, floor float64, exclude func(unit int) bool, tr *obs.Trace, prune bool) []Result {
+	active := acc.active[:0]
 	var totalPostings int64
 	for i, t := range terms {
 		if idfs[i] == 0 {
@@ -318,51 +335,52 @@ func (ix *Index) scanPrunedLocked(terms []string, qf, idfs []float64, avgUnique 
 			continue
 		}
 		totalPostings += int64(len(posts))
-		active = append(active, prunedTerm{
-			idx:   i,
-			ub:    qf[i] * ix.bounds[t].bound(avgUnique) * idfs[i],
-			qf:    qf[i],
-			idf:   idfs[i],
-			posts: posts,
-		})
+		at := scanTerm{idx: i, qf: qf[i], idf: idfs[i], posts: posts}
+		if prune {
+			at.ub = qf[i] * ix.bounds[t].bound(avgUnique) * idfs[i]
+		}
+		active = append(active, at)
 	}
+	acc.active = active
+
+	if !prune {
+		for _, at := range active {
+			acc.accumulate(ix.units, at.posts, at.qf, at.idf, avgUnique, nil, nil, 0)
+		}
+		ctrScanPostings.Add(totalPostings)
+		candidates := acc.drain(len(ix.units), 0, 0, exclude)
+		res := acc.finish(candidates, topN, tr)
+		acc.release()
+		return res
+	}
+
 	// Descending upper bound; ascending term position on ties, so the
 	// processing order is deterministic.
-	sort.Slice(active, func(a, b int) bool {
-		if active[a].ub != active[b].ub {
-			return active[a].ub > active[b].ub
+	slices.SortFunc(active, func(a, b scanTerm) int {
+		if a.ub != b.ub {
+			return cmp.Compare(b.ub, a.ub)
 		}
-		return active[a].idx < active[b].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	// rem[j] = Σ_{i≥j} ub_i: the most any unit can still gain from terms
 	// j onward. Summed right-to-left so rem[j] is one float add per term.
-	rem := make([]float64, len(active)+1)
+	rem := append(acc.rem[:0], make([]float64, len(active)+1)...)
 	for j := len(active) - 1; j >= 0; j-- {
 		rem[j] = rem[j+1] + active[j].ub
 	}
-
-	ctrScorePoolGet.Inc()
-	sm := scorePool.Get().(*scoreMap)
-	poolHit := sm.reused
-	sm.reused = true
-	scores := sm.m
-	defer func() {
-		clear(scores)
-		scorePool.Put(sm)
-	}()
+	acc.rem = rem
 
 	// Phase A: scan the essential prefix, maintaining θ — the n-th best
 	// partial score over distinct units — exactly, via a position-indexed
-	// top-n heap updated as partials grow. The fast path is one float
-	// compare per posting: a partial at or below the heap root cannot
-	// change θ and is skipped without touching the heap (the in-heap copy
-	// of that unit may go stale-low, which only understates θ — safe).
-	// θ is monotone, and every partial is a lower bound on that unit's
-	// final score (all contributions are positive), so θ never exceeds
-	// the final n-th best score: the cutoffs it drives are conservative.
+	// top-n heap updated as partials grow (a stale-low in-heap copy of a
+	// unit only understates θ — safe). θ is monotone, and every partial
+	// is a lower bound on that unit's final score (all contributions are
+	// positive), so θ never exceeds the final n-th best score: the
+	// cutoffs it drives are conservative.
 	theta := floor
 	var scanned int64
-	rt := newRunningTopK(topN)
+	rt := &acc.rt
+	rt.reset(topN)
 	stop := len(active)
 	for j, at := range active {
 		if theta > 0 && rem[j] < theta*pruneGuard {
@@ -372,21 +390,8 @@ func (ix *Index) scanPrunedLocked(terms []string, qf, idfs []float64, avgUnique 
 			stop = j
 			break
 		}
-		c := at.qf * at.idf
 		scanned += int64(len(at.posts))
-		for _, p := range at.posts {
-			s := scores[p.Unit] + c*ix.weightLocked(p, avgUnique)
-			scores[p.Unit] = s
-			if len(rt.h) == topN && s <= rt.h[0].score {
-				continue
-			}
-			if exclude != nil && exclude(int(p.Unit)) {
-				continue // excluded units must not inflate the threshold
-			}
-			if t := rt.offer(p.Unit, s); t > theta {
-				theta = t
-			}
-		}
+		theta = acc.accumulate(ix.units, at.posts, at.qf*at.idf, 1, avgUnique, rt, exclude, theta)
 	}
 
 	// Phase A2, update mode (Turtle & Flood): past the cutoff no unseen
@@ -399,34 +404,16 @@ func (ix *Index) scanPrunedLocked(terms []string, qf, idfs []float64, avgUnique 
 	// and both θ (monotone) and the partials keep moving as probes land.
 	// Probe-phase partials accumulate in upper-bound order, so they are
 	// pruning/threshold material only; the exact rescore below redoes the
-	// survivors in the summation order the exhaustive scan uses.
-	alive := sm.alive[:0]
-	guard := theta * pruneGuard
-	for u, s := range scores {
-		if theta > 0 && s+rem[stop] < guard {
-			continue
-		}
-		if exclude != nil && exclude(int(u)) {
-			continue
-		}
-		alive = append(alive, u)
-	}
-	// Ascending unit order — the order the posting lists are stored in —
-	// so the update-mode merges walk both sides monotonically.
-	slices.Sort(alive)
-	aliveScore := sm.ascore
-	if cap(aliveScore) < len(alive) {
-		aliveScore = make([]float64, len(alive))
-	} else {
-		aliveScore = aliveScore[:len(alive)]
-	}
-	for i, u := range alive {
-		aliveScore[i] = scores[u]
-	}
+	// survivors in the summation order the exhaustive scan uses. The
+	// drain hands the accumulated units over in ascending unit order —
+	// the order the posting lists are stored in — so the update-mode
+	// merges walk both sides monotonically.
+	candidates := acc.drain(len(ix.units), theta, rem[stop], exclude)
+	alive, aliveScore := acc.alive, acc.ascore
 	var probed int64 // update-mode contributions actually computed
 	for j := stop; j < len(active); j++ {
 		at := active[j]
-		guard = theta * pruneGuard
+		guard := theta * pruneGuard
 		keep := 0
 		for i, u := range alive {
 			s := aliveScore[i]
@@ -479,7 +466,7 @@ func (ix *Index) scanPrunedLocked(terms []string, qf, idfs []float64, avgUnique 
 	// Final cut: everything is accounted for (rem = 0), so only units
 	// whose full — approximate, but guard-margined — score reaches θ can
 	// place in the top-n.
-	guard = theta * pruneGuard
+	guard := theta * pruneGuard
 	keep := 0
 	for i, u := range alive {
 		if theta > 0 && aliveScore[i] < guard {
@@ -488,24 +475,21 @@ func (ix *Index) scanPrunedLocked(terms []string, qf, idfs []float64, avgUnique 
 		alive[keep] = u
 		keep++
 	}
-	alive = alive[:keep]
+	alive, aliveScore = alive[:keep], aliveScore[:keep]
+
+	listsSkipped := int64(len(active) - stop)
+	postingsSkipped := -probed
+	for _, at := range active[stop:] {
+		postingsSkipped += int64(len(at.posts))
+	}
 
 	// Phase B: exact rescore of the survivors, in ascending term order —
 	// the exhaustive scan's summation sequence — with each weight fetched
-	// by binary search. postsByIdx re-keys the active lists by ascending
-	// term position.
-	postsByIdx := make([]*prunedTerm, len(terms))
-	for j := range active {
-		postsByIdx[active[j].idx] = &active[j]
-	}
-	out := topk.New(topN)
-	for _, u := range alive {
+	// by binary search.
+	slices.SortFunc(active, func(a, b scanTerm) int { return cmp.Compare(a.idx, b.idx) })
+	for i, u := range alive {
 		var s float64
-		for i := range postsByIdx {
-			at := postsByIdx[i]
-			if at == nil {
-				continue
-			}
+		for _, at := range active {
 			pi := findPosting(at.posts, u)
 			if pi < 0 {
 				continue
@@ -513,47 +497,24 @@ func (ix *Index) scanPrunedLocked(terms []string, qf, idfs []float64, avgUnique 
 			scanned++
 			s += at.qf * ix.weightLocked(at.posts[pi], avgUnique) * at.idf
 		}
-		if s > 0 {
-			out.Offer(int(u), s)
-		}
+		aliveScore[i] = s
 	}
+	acc.alive, acc.ascore = alive, aliveScore
 
-	scanned += probed
-	listsSkipped := int64(len(active) - stop)
-	var postingsSkipped int64
-	for j := stop; j < len(active); j++ {
-		postingsSkipped += int64(len(active[j].posts))
-	}
-	postingsSkipped -= probed
-	units := alive
-	ctrScanPostings.Add(scanned)
+	ctrScanPostings.Add(scanned + probed)
 	ctrPruneLists.Add(listsSkipped)
 	ctrPrunePostings.Add(postingsSkipped)
 	histPruneThreshold.Observe(int64(theta * 1e6))
-	histPruneSurvivors.Observe(int64(len(units)))
-	histQueryCandidates.Observe(int64(len(scores)))
-	items := out.Results()
-	histQueryResults.Observe(int64(len(items)))
+	histPruneSurvivors.Observe(int64(len(alive)))
+	res := acc.finish(candidates, topN, tr)
 	if tr != nil {
-		hit := int64(0)
-		if poolHit {
-			hit = 1
-		}
-		tr.Event("index.query",
-			obs.N("candidates", int64(len(scores))),
-			obs.N("results", int64(len(items))),
-			obs.N("pool_hit", hit))
 		tr.Event("index.prune",
 			obs.N("lists_skipped", listsSkipped),
 			obs.N("postings_skipped", postingsSkipped),
-			obs.N("survivors", int64(len(units))),
+			obs.N("survivors", int64(len(alive))),
 			obs.N("postings_total", totalPostings),
 			obs.N("threshold_micros", int64(theta*1e6)))
 	}
-	sm.alive, sm.ascore = alive[:0], aliveScore[:0] // recycle the scratch with the map
-	res := make([]Result, len(items))
-	for i, it := range items {
-		res[i] = Result{Unit: it.ID, Score: it.Score}
-	}
+	acc.release()
 	return res
 }

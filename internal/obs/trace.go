@@ -12,7 +12,7 @@ import (
 // registry metrics answer "how fast is the system on aggregate"; a
 // Trace answers "why was *this* query slow": one ordered record of what
 // a single request did — which stages ran, how wide each
-// per-intention-cluster candidate list was, whether the score-map pool
+// per-intention-cluster candidate list was, whether the accumulator pool
 // hit — with monotonic timestamps. Traces are created per request by a
 // Tracer (sampling + slow-query capture policy), threaded through the
 // call tree via context.Context at the serve boundary and as a plain

@@ -19,6 +19,14 @@ import (
 // the calls run inline on the caller's goroutine. Iterations are handed
 // out dynamically, so uneven per-item cost does not idle workers. fn must
 // be safe for concurrent invocation when workers > 1.
+//
+// The caller is one of the workers: Do starts workers-1 goroutines and
+// takes iterations itself until none are left. A serving request that
+// fans its probes out therefore keeps running on its own goroutine
+// instead of parking behind a full set of helpers and waiting to be
+// woken by the last of them — one goroutine start and one park/wake pair
+// fewer per call, which on a busy server is scheduler work the other
+// requests do not have to wait behind.
 func Do(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -34,19 +42,21 @@ func Do(n, workers int, fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
+	work := func() {
+		defer wg.Done()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}()
+			fn(i)
+		}
 	}
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
 	wg.Wait()
 }
 

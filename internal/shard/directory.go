@@ -71,6 +71,10 @@ func (d *Directory) ShardDocs() []int {
 
 // Lookup resolves a registered global document id to its owning shard
 // and shard-local id; ok is false for ids the directory does not hold.
+// The registered count is the largest collection size any shard has
+// reported (Grow), so an id at or past it cannot exist as far as this
+// reader has been told. Requests name the id: it must stay a table
+// read, never a routing replay up to the id.
 func (d *Directory) Lookup(doc int) (shard, local int, ok bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -78,27 +82,6 @@ func (d *Directory) Lookup(doc int) (shard, local int, ok bool) {
 		return 0, 0, false
 	}
 	return int(d.owner[doc]), int(d.local[doc]), true
-}
-
-// Locate is Lookup for a reader whose view may lag the collection (the
-// coordinator learns of adds from reply metadata): a non-negative id
-// beyond the registered count is resolved by routing replay WITHOUT
-// registering it — whether the document exists is settled by its home
-// shard, and a query for a bogus id must not inflate NumDocs.
-func (d *Directory) Locate(doc int) (shard, local int) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if doc < len(d.owner) {
-		return int(d.owner[doc]), int(d.local[doc])
-	}
-	shard = d.Route(doc)
-	local = len(d.global[shard])
-	for gid := len(d.owner); gid < doc; gid++ {
-		if d.Route(gid) == shard {
-			local++
-		}
-	}
-	return shard, local
 }
 
 // MergedList is one intention cluster's globally merged, trimmed

@@ -52,8 +52,10 @@ func TestReadDirShardsPartialLoad(t *testing.T) {
 
 	// Routing is a pure function of (seed, id, n): a directory replayed
 	// from the manifest alone — what a coordinator builds — must agree
-	// with the live group's for every document, registered or located
-	// ahead of registration.
+	// with the live group's for every document it has been told of, and
+	// hold nothing beyond: a half-grown directory answers "unknown" for
+	// the other half and for an id two billion past it alike, from the
+	// table, without replaying the routing up to the id.
 	half := NewDirectory(m.RouteSeed, m.Shards)
 	half.Grow(m.Docs / 2)
 	full := NewDirectory(m.RouteSeed, m.Shards)
@@ -65,12 +67,18 @@ func TestReadDirShardsPartialLoad(t *testing.T) {
 		if s, l, ok := full.Lookup(d); !ok || s != ws || l != wl {
 			t.Fatalf("replayed Lookup(%d) = (%d, %d, %t), group holds (%d, %d)", d, s, l, ok, ws, wl)
 		}
-		if s, l := half.Locate(d); s != ws || l != wl {
-			t.Fatalf("Locate(%d) from a half-grown directory = (%d, %d), group holds (%d, %d)", d, s, l, ws, wl)
+		s, l, ok := half.Lookup(d)
+		if known := d < m.Docs/2; ok != known || (known && (s != ws || l != wl)) {
+			t.Fatalf("Lookup(%d) from a half-grown directory = (%d, %d, %t), group holds (%d, %d)", d, s, l, ok, ws, wl)
 		}
 	}
-	if _, _, ok := full.Lookup(g.NumDocs()); ok || half.NumDocs() != m.Docs/2 {
-		t.Fatalf("Lookup past the count succeeded, or Locate registered ids (NumDocs %d)", half.NumDocs())
+	for _, d := range []int{-1, g.NumDocs(), 2_000_000_000} {
+		if _, _, ok := full.Lookup(d); ok {
+			t.Fatalf("Lookup(%d) succeeded on a directory of %d documents", d, full.NumDocs())
+		}
+	}
+	if half.NumDocs() != m.Docs/2 {
+		t.Fatalf("Lookup registered ids (NumDocs %d)", half.NumDocs())
 	}
 }
 

@@ -71,6 +71,9 @@ if [[ "${1:-}" == "-smoke" ]]; then
     # and a 1k-doc querybench pass (pruned vs exhaustive must both run;
     # the speedup gate only applies at full scale, so it is not set here).
     go test -run '^$' -bench 'BenchmarkFig11bClustering|BenchmarkFig11cRetrievalIntentObserved|BenchmarkPipelineBuild1k' -benchtime 1x .
+    # The index-layer benchmarks a scan change is judged by (the 100k-unit
+    # pruned-vs-exhaustive leg included) must keep compiling and running.
+    go test -run '^$' -bench 'QueryReadOnly|QueryPrunedVsExhaustive' -benchtime 1x ./internal/index
     go run ./cmd/persistbench -sizes 1000 -runs 2
     go run ./cmd/querybench -sizes 1000 -runs 16 -fleet-docs 300 -out /dev/null
     # Loadgen smoke: a 2-second open-loop run against a tiny live server
