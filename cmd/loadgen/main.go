@@ -54,15 +54,15 @@ type cacheStats struct {
 // report is the JSON written to -out (and stdout): everything the
 // bench harness needs to compare topologies at one glance.
 type report struct {
-	Name          string  `json:"name,omitempty"`
-	Target        string  `json:"target"`
-	RatePerSec    float64 `json:"rate_per_sec"`
-	DurationSec   float64 `json:"duration_sec"`
-	AddFrac       float64 `json:"add_frac"`
-	NumDocs       int     `json:"num_docs"`
-	Sent          int     `json:"sent"`
-	OK            int     `json:"ok"`
-	Errors        int     `json:"errors"`
+	Name        string  `json:"name,omitempty"`
+	Target      string  `json:"target"`
+	RatePerSec  float64 `json:"rate_per_sec"`
+	DurationSec float64 `json:"duration_sec"`
+	AddFrac     float64 `json:"add_frac"`
+	NumDocs     int     `json:"num_docs"`
+	Sent        int     `json:"sent"`
+	OK          int     `json:"ok"`
+	Errors      int     `json:"errors"`
 	// Shed counts typed 503 overload responses (a subset of Errors):
 	// the server refusing work by contract rather than failing at it.
 	Shed          int     `json:"shed"`

@@ -13,12 +13,26 @@ import (
 // contributes one count to interrogative/negative/affirmative and, if it
 // contains a verb, one count to passive or active.
 func Annotate(sent textproc.Sentence) Annotation {
-	words := make([]string, len(sent.Tokens))
-	for i, t := range sent.Tokens {
-		words[i] = t.Text
-	}
-	tagged := pos.TagWords(words)
+	return AnnotateTagged(sent, TagSentence(nil, sent))
+}
 
+// TagSentence returns the sentence's tokens lower-cased and tagged, in
+// buf's memory when that is large enough. It is the one pass over the words
+// that everything downstream shares: AnnotateTagged reads the tags, and a
+// caller that goes on to filter and stem the words
+// (segment.NewDocFromSentences) reads Lower instead of lower-casing again.
+func TagSentence(buf []pos.TaggedToken, sent textproc.Sentence) []pos.TaggedToken {
+	buf = buf[:0]
+	for _, t := range sent.Tokens {
+		buf = append(buf, pos.TaggedToken{Text: t.Text, Lower: t.Lower()})
+	}
+	pos.TagTokens(buf)
+	return buf
+}
+
+// AnnotateTagged is Annotate for a sentence whose tokens are already
+// tagged (by TagSentence).
+func AnnotateTagged(sent textproc.Sentence, tagged []pos.TaggedToken) Annotation {
 	var a Annotation
 	hasVerb := false
 	passive := false
@@ -75,15 +89,6 @@ func Annotate(sent textproc.Sentence) Annotation {
 		}
 	}
 	return a
-}
-
-// AnnotateAll annotates every sentence of a document.
-func AnnotateAll(sents []textproc.Sentence) []Annotation {
-	out := make([]Annotation, len(sents))
-	for i, s := range sents {
-		out[i] = Annotate(s)
-	}
-	return out
 }
 
 // Merge combines the annotations of a half-open sentence range [lo, hi)

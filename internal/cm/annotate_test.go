@@ -6,6 +6,15 @@ import (
 	"repro/internal/textproc"
 )
 
+// AnnotateAll annotates every sentence of a document.
+func AnnotateAll(sents []textproc.Sentence) []Annotation {
+	out := make([]Annotation, len(sents))
+	for i, s := range sents {
+		out[i] = Annotate(s)
+	}
+	return out
+}
+
 func annotateText(t *testing.T, text string) Annotation {
 	t.Helper()
 	sents := textproc.SplitSentences(text)

@@ -181,10 +181,17 @@ func Build(texts []string, cfg Config) (*Pipeline, error) {
 	p := &Pipeline{cfg: cfg}
 	tm := spanBuildPreprocess.StartAlways()
 	p.docs = make([]*segment.Doc, len(texts))
-	terms := make([][]string, len(texts))
+	// Only the whole-post methods index whole-post terms; the segment
+	// matchers read each segment's terms off the Doc.
+	var terms [][]string
+	if cfg.Method == FullText || cfg.Method == LDA {
+		terms = make([][]string, len(texts))
+	}
 	par.Do(len(texts), cfg.Workers, func(i int) {
 		p.docs[i] = segment.NewDoc(texts[i])
-		terms[i] = p.docTerms(p.docs[i])
+		if terms != nil {
+			terms[i] = p.docTerms(p.docs[i])
+		}
 	})
 	p.stats.Preprocess = tm.Stop()
 	p.stats.NumDocs = len(texts)

@@ -10,7 +10,8 @@ import (
 // whatever the tokenizer emits, including pure punctuation, digits
 // glued to letters, and mangled bytes — and must honor its structural
 // contract: one output per input, text preserved, Lower consistent,
-// and every tag inside the declared tag set. Splitting here is plain
+// every tag inside the declared tag set, and the lexical tag the one the
+// reference probe chain (oracle_test.go) assigns. Splitting here is plain
 // whitespace splitting so the harness does not depend on textproc.
 func FuzzTagWords(f *testing.F) {
 	f.Add("My hard disk makes a clicking noise when reading .")
@@ -33,6 +34,9 @@ func FuzzTagWords(f *testing.F) {
 			}
 			if tt.Tag > Punct {
 				t.Fatalf("token %d: tag %d outside the declared tag set", i, tt.Tag)
+			}
+			if got, want := lexicalTag(tt.Lower), refLexicalTag(tt.Lower); got != want {
+				t.Fatalf("token %d: lexicalTag(%q) = %v, the probe chain says %v", i, tt.Lower, got, want)
 			}
 		}
 		// Tagging is per-sentence in the pipeline, but the repair pass

@@ -5,190 +5,162 @@ import (
 	"unicode"
 )
 
-// Tag assigns a part-of-speech tag to every token of a sentence. Tokens are
-// the word/punctuation strings produced by textproc.Tokenize, in order.
-// Tagging proceeds in two passes: a lexical pass (closed-class lexicons,
-// irregular-verb tables, morphology and suffix heuristics) followed by a
-// contextual repair pass that fixes the classic ambiguities (noun/verb after
-// determiners, base form after modals and "to", participles after
-// auxiliaries).
-func TagWords(tokens []string) []TaggedToken {
-	out := make([]TaggedToken, len(tokens))
-	for i, tok := range tokens {
-		lower := strings.ToLower(tok)
-		out[i] = TaggedToken{Text: tok, Lower: lower, Tag: lexicalTag(tok, lower)}
+// TagTokens assigns a part-of-speech tag to every token of one sentence, in
+// place. Tokens are the word/punctuation strings produced by
+// textproc.Tokenize, in order; Text and Lower are the caller's, and Lower must be strings.ToLower(Text): a
+// caller that needs the lower-cased words again (to filter stop words, to
+// stem) lower-cases once and shares them through this field. Tagging
+// proceeds in two passes: a lexical pass (the lexicon, then morphology and
+// suffix heuristics) followed by a contextual repair pass that fixes the
+// classic ambiguities (noun/verb after determiners, base form after modals
+// and "to", participles after auxiliaries).
+func TagTokens(tt []TaggedToken) {
+	for i := range tt {
+		tt[i].Tag = lexicalTag(tt[i].Lower)
 	}
-	repair(out)
-	return out
+	repair(tt)
 }
 
-// lexicalTag assigns a context-free tag to a single token.
-func lexicalTag(tok, lower string) Tag {
+// firstByte classifies a token by its first byte, read as a Latin-1 code
+// point: what separates punctuation and numbers from words.
+var firstByte = func() (class [256]Tag) {
+	for c := range class {
+		switch r := rune(c); {
+		case unicode.IsDigit(r):
+			class[c] = Number
+		case !unicode.IsLetter(r):
+			class[c] = Punct
+		}
+	}
+	return class
+}()
+
+// lexicalTag assigns a context-free tag to a single lower-cased token.
+func lexicalTag(lower string) Tag {
 	if lower == "" {
 		return Other
 	}
-	r := rune(lower[0])
-	if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
-		return Punct
+	if t := firstByte[lower[0]]; t != Other {
+		return t
 	}
-	if unicode.IsDigit(r) {
-		return Number
+	if t, ok := lexicon[lower]; ok {
+		return t
 	}
-
-	// Negated contractions first: "didn't" must become a past verb, not be
-	// swallowed by a generic rule.
-	if strings.HasSuffix(lower, "n't") {
-		if modals[lower] {
-			return Modal
-		}
-		if auxPast[lower] {
-			return VerbPast
-		}
-		if auxPresent[lower] {
+	// Morphological derivations of known base verbs, then word shape. The
+	// three inflections end in different letters, so at most one applies.
+	switch lower[len(lower)-1] {
+	case 's':
+		if isVerbS(lower) {
 			return VerbPresent
 		}
+	case 'd':
+		if isVerbED(lower) {
+			return VerbPast
+		}
+	case 'g':
+		if isVerbING(lower) {
+			return VerbGerund
+		}
 	}
-
-	switch {
-	case pronounFirst[lower]:
-		return PronounFirst
-	case pronounSecond[lower]:
-		return PronounSecond
-	case pronounThird[lower]:
-		return PronounThird
-	case modals[lower]:
-		return Modal
-	case whWords[lower]:
-		return WhWord
-	case lower == "not":
-		return Particle
-	case auxPast[lower]:
-		return VerbPast
-	case auxPresent[lower]:
-		return VerbPresent
-	case lower == "be":
-		return VerbBase
-	case lower == "been", lower == "being":
-		// Repair pass refines "been" to a participle; lexical default below.
-		return VerbPastPart
-	case determiners[lower]:
-		return Determiner
-	case conjunctions[lower]:
-		return Conjunction
-	case prepositions[lower]:
-		return Preposition
-	case commonNouns[lower]:
-		return Noun
-	case commonAdverbs[lower]:
-		return Adverb
-	case commonAdjectives[lower]:
-		return Adjective
-	}
-
-	if _, ok := irregularPast[lower]; ok {
-		return VerbPast
-	}
-	if _, ok := irregularPart[lower]; ok {
-		return VerbPastPart
-	}
-	if baseVerbs[lower] {
-		return VerbPresent // finite by default; repair demotes to base form
-	}
-
-	// Morphological derivations of known base verbs.
-	if base, ok := stripVerbS(lower); ok && baseVerbs[base] {
-		return VerbPresent
-	}
-	if base, ok := stripVerbED(lower); ok && baseVerbs[base] {
-		return VerbPast
-	}
-	if base, ok := stripVerbING(lower); ok && baseVerbs[base] {
-		return VerbGerund
-	}
-
-	return suffixTag(tok, lower)
+	return suffixTag(lower)
 }
 
-// stripVerbS undoes third-person-singular inflection: "goes" → "go",
-// "tries" → "try", "installs" → "install".
-func stripVerbS(w string) (string, bool) {
+// isBaseVerb reports whether stem+tail is a known base verb; the candidate
+// is spelled into a stack buffer, so trying one allocates nothing.
+func isBaseVerb(stem, tail string) bool {
+	var buf [32]byte
+	if len(stem)+len(tail) > len(buf) {
+		return false // longer than any base verb
+	}
+	n := copy(buf[:], stem)
+	n += copy(buf[n:], tail)
+	return baseVerbs[string(buf[:n])]
+}
+
+// isVerbS undoes the third-person-singular inflection of a word ending in
+// s and looks the base up: "goes" → "go", "tries" → "try", "installs" →
+// "install".
+func isVerbS(w string) bool {
 	switch {
 	case strings.HasSuffix(w, "ies") && len(w) > 4:
-		return w[:len(w)-3] + "y", true
+		return isBaseVerb(w[:len(w)-3], "y")
 	case strings.HasSuffix(w, "sses"), strings.HasSuffix(w, "ches"),
 		strings.HasSuffix(w, "shes"), strings.HasSuffix(w, "xes"),
 		strings.HasSuffix(w, "zes"), strings.HasSuffix(w, "oes"):
-		if len(w) > 3 {
-			return w[:len(w)-2], true
-		}
-	case strings.HasSuffix(w, "s") && !strings.HasSuffix(w, "ss") && len(w) > 2:
-		return w[:len(w)-1], true
+		return len(w) > 3 && baseVerbs[w[:len(w)-2]]
+	case !strings.HasSuffix(w, "ss") && len(w) > 2:
+		return baseVerbs[w[:len(w)-1]]
 	}
-	return "", false
+	return false
 }
 
-// stripVerbED undoes regular past inflection: "installed" → "install",
-// "tried" → "try", "stopped" → "stop", "used" → "use".
-func stripVerbED(w string) (string, bool) {
+// isVerbED undoes regular past inflection: "installed" → "install",
+// "used" → "use", "tried" → "try", "stopped" → "stop".
+func isVerbED(w string) bool {
 	if !strings.HasSuffix(w, "ed") || len(w) < 4 {
-		return "", false
+		return false
 	}
 	stem := w[:len(w)-2]
-	if baseVerbs[stem] {
-		return stem, true // install-ed
-	}
-	if baseVerbs[stem+"e"] {
-		return stem + "e", true // us-ed → use
-	}
-	if strings.HasSuffix(stem, "i") && baseVerbs[stem[:len(stem)-1]+"y"] {
-		return stem[:len(stem)-1] + "y", true // tri-ed → try
-	}
-	if len(stem) >= 2 && stem[len(stem)-1] == stem[len(stem)-2] && baseVerbs[stem[:len(stem)-1]] {
-		return stem[:len(stem)-1], true // stopp-ed → stop
-	}
-	return "", false
+	return baseVerbs[stem] || isBaseVerb(stem, "e") ||
+		strings.HasSuffix(stem, "i") && isBaseVerb(stem[:len(stem)-1], "y") ||
+		isDoubledBaseVerb(stem)
 }
 
-// stripVerbING undoes progressive inflection: "installing" → "install",
+// isVerbING undoes progressive inflection: "installing" → "install",
 // "using" → "use", "stopping" → "stop".
-func stripVerbING(w string) (string, bool) {
+func isVerbING(w string) bool {
 	if !strings.HasSuffix(w, "ing") || len(w) < 5 {
-		return "", false
+		return false
 	}
 	stem := w[:len(w)-3]
-	if baseVerbs[stem] {
-		return stem, true
-	}
-	if baseVerbs[stem+"e"] {
-		return stem + "e", true
-	}
-	if len(stem) >= 2 && stem[len(stem)-1] == stem[len(stem)-2] && baseVerbs[stem[:len(stem)-1]] {
-		return stem[:len(stem)-1], true
-	}
-	return "", false
+	return baseVerbs[stem] || isBaseVerb(stem, "e") || isDoubledBaseVerb(stem)
 }
 
-// suffixTag guesses a tag for an open-class word from its shape.
-func suffixTag(tok, lower string) Tag {
-	switch {
-	case strings.HasSuffix(lower, "ly") && len(lower) > 4:
-		return Adverb
-	case strings.HasSuffix(lower, "ing") && len(lower) > 5:
-		return VerbGerund
-	case strings.HasSuffix(lower, "ed") && len(lower) > 4:
-		return VerbPast
-	case strings.HasSuffix(lower, "tion"), strings.HasSuffix(lower, "sion"),
-		strings.HasSuffix(lower, "ment"), strings.HasSuffix(lower, "ness"),
-		strings.HasSuffix(lower, "ity"), strings.HasSuffix(lower, "ance"),
-		strings.HasSuffix(lower, "ence"), strings.HasSuffix(lower, "ship"),
-		strings.HasSuffix(lower, "ism"), strings.HasSuffix(lower, "ware"),
-		strings.HasSuffix(lower, "age"):
-		return Noun
-	case strings.HasSuffix(lower, "ful"), strings.HasSuffix(lower, "ous"),
-		strings.HasSuffix(lower, "ive"), strings.HasSuffix(lower, "able"),
-		strings.HasSuffix(lower, "ible"), strings.HasSuffix(lower, "less"),
-		strings.HasSuffix(lower, "ish"), strings.HasSuffix(lower, "est"):
-		return Adjective
+// isDoubledBaseVerb undoes consonant doubling: "stopp" → "stop".
+func isDoubledBaseVerb(stem string) bool {
+	n := len(stem)
+	return n >= 2 && stem[n-1] == stem[n-2] && baseVerbs[stem[:n-1]]
+}
+
+// suffixTag guesses a tag for an open-class word from its shape. Anything
+// without a telling suffix is a noun, which is also what the noun suffixes
+// (-tion, -ment, -ness, -ity, ...) would say; no word ends in two of the
+// suffixes below, so their order is free.
+func suffixTag(lower string) Tag {
+	n := len(lower)
+	switch lower[n-1] {
+	case 'y':
+		if n > 4 && lower[n-2] == 'l' {
+			return Adverb
+		}
+	case 'g':
+		if n > 5 && strings.HasSuffix(lower, "ing") {
+			return VerbGerund
+		}
+	case 'd':
+		if n > 4 && lower[n-2] == 'e' {
+			return VerbPast
+		}
+	case 'l':
+		if strings.HasSuffix(lower, "ful") {
+			return Adjective
+		}
+	case 's':
+		if strings.HasSuffix(lower, "ous") || strings.HasSuffix(lower, "less") {
+			return Adjective
+		}
+	case 'e':
+		if strings.HasSuffix(lower, "ive") || strings.HasSuffix(lower, "able") || strings.HasSuffix(lower, "ible") {
+			return Adjective
+		}
+	case 'h':
+		if strings.HasSuffix(lower, "ish") {
+			return Adjective
+		}
+	case 't':
+		if strings.HasSuffix(lower, "est") {
+			return Adjective
+		}
 	}
 	return Noun
 }
@@ -310,7 +282,12 @@ func nextWord(tt []TaggedToken, i int) *TaggedToken {
 // IsNegation reports whether the lower-cased word functions as a negation
 // marker ("not", "never", "didn't", ...).
 func IsNegation(w string) bool {
-	return negationWords[w] || strings.HasSuffix(w, "n't")
+	switch w {
+	case "not", "no", "never", "none", "nothing", "nobody", "nowhere", "neither",
+		"nor", "cannot", "without", "hardly", "barely", "scarcely":
+		return true
+	}
+	return strings.HasSuffix(w, "n't") // contracted auxiliaries, and "n't" itself
 }
 
 // IsBeForm reports whether the lower-cased word is a form of "to be".
@@ -320,7 +297,7 @@ func IsBeForm(w string) bool { return beForms[w] }
 func IsGetForm(w string) bool { return getForms[w] }
 
 // IsWhWord reports whether the lower-cased word is an interrogative word.
-func IsWhWord(w string) bool { return whWords[w] }
+func IsWhWord(w string) bool { return lexicon[w] == WhWord }
 
 // IsFutureMarker reports whether the lower-cased word signals future tense
 // ("will", "shall", "'ll", "won't").

@@ -1,11 +1,23 @@
 package pos
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/textproc"
 )
+
+// TagWords tags the token strings of one sentence: TagTokens for callers
+// that have not lower-cased the words themselves.
+func TagWords(tokens []string) []TaggedToken {
+	out := make([]TaggedToken, len(tokens))
+	for i, tok := range tokens {
+		out[i] = TaggedToken{Text: tok, Lower: strings.ToLower(tok)}
+	}
+	TagTokens(out)
+	return out
+}
 
 // tagOf tags the sentence and returns the tag of the token at index i.
 func tagOf(t *testing.T, sentence string, i int) Tag {

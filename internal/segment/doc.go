@@ -11,8 +11,10 @@ package segment
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/cm"
+	"repro/internal/pos"
 	"repro/internal/textproc"
 )
 
@@ -21,12 +23,16 @@ import (
 // "annotation of sentences [lo,hi)" in constant time. Doc is immutable
 // after construction and safe for concurrent use.
 type Doc struct {
-	Text    string
-	Sents   []textproc.Sentence
-	Anns    []cm.Annotation
-	prefix  []cm.Annotation // prefix[i] = sum of Anns[0:i]
-	terms   [][]string      // stemmed content terms per sentence
-	termIDs map[string]int  // Doc-wide term interning for TF vectors
+	Text   string
+	Sents  []textproc.Sentence
+	Anns   []cm.Annotation
+	prefix []cm.Annotation // prefix[i] = sum of Anns[0:i]
+	terms  [][]string      // stemmed content terms per sentence
+
+	// termIDs interns the terms Doc-wide for the TF vectors of the
+	// term-based distance, the only reader; built on first use.
+	termIDsOnce sync.Once
+	termIDs     map[string]int
 }
 
 // NewDoc prepares raw post text for segmentation: HTML is stripped, the
@@ -38,40 +44,56 @@ func NewDoc(text string) *Doc {
 
 // NewDocFromSentences builds a Doc from pre-split sentences. The text must
 // be the string the sentence offsets refer to.
+//
+// Each sentence's tokens are lower-cased and tagged once (cm.TagSentence);
+// the annotation reads the tags and the content terms are the same
+// lower-cased words, stop words dropped, stemmed.
 func NewDocFromSentences(text string, sents []textproc.Sentence) *Doc {
 	d := &Doc{
-		Text:  text,
-		Sents: sents,
-		Anns:  cm.AnnotateAll(sents),
+		Text:   text,
+		Sents:  sents,
+		Anns:   make([]cm.Annotation, len(sents)),
+		prefix: make([]cm.Annotation, len(sents)+1),
+		terms:  make([][]string, len(sents)),
 	}
-	d.prefix = make([]cm.Annotation, len(sents)+1)
-	for i, a := range d.Anns {
-		d.prefix[i+1] = d.prefix[i].Add(a)
+	total, longest := 0, 0
+	for _, s := range sents {
+		total += len(s.Tokens)
+		longest = max(longest, len(s.Tokens))
 	}
-	d.terms = make([][]string, len(sents))
-	d.termIDs = make(map[string]int)
+	// One array for the terms of every sentence; it cannot grow past the
+	// token count, so the per-sentence slices of it stay valid.
+	terms := make([]string, 0, total)
+	tagged := make([]pos.TaggedToken, 0, longest)
 	for i, s := range sents {
-		d.terms[i] = textproc.StemAll(filterStopwords(s.Words()))
-		for _, t := range d.terms[i] {
-			if _, ok := d.termIDs[t]; !ok {
-				d.termIDs[t] = len(d.termIDs)
+		tagged = cm.TagSentence(tagged, s)
+		d.Anns[i] = cm.AnnotateTagged(s, tagged)
+		d.prefix[i].AddInto(&d.Anns[i], &d.prefix[i+1])
+		first := len(terms)
+		for j, t := range s.Tokens {
+			if w := tagged[j].Lower; t.IsWord() && !textproc.IsStopword(w) {
+				terms = append(terms, textproc.Stem(w))
 			}
 		}
+		d.terms[i] = terms[first:len(terms):len(terms)]
 	}
 	return d
 }
 
-// termID returns the Doc-wide integer id of a term known to the Doc.
-func (d *Doc) termID(t string) int { return d.termIDs[t] }
-
-func filterStopwords(words []string) []string {
-	out := words[:0]
-	for _, w := range words {
-		if !textproc.IsStopword(w) {
-			out = append(out, w)
+// termID returns the Doc-wide integer id of a term known to the Doc: terms
+// are numbered in order of first appearance.
+func (d *Doc) termID(t string) int {
+	d.termIDsOnce.Do(func() {
+		d.termIDs = make(map[string]int)
+		for _, ts := range d.terms {
+			for _, t := range ts {
+				if _, ok := d.termIDs[t]; !ok {
+					d.termIDs[t] = len(d.termIDs)
+				}
+			}
 		}
-	}
-	return out
+	})
+	return d.termIDs[t]
 }
 
 // Len returns the number of sentence units.

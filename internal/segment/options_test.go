@@ -1,6 +1,9 @@
 package segment
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestStrategyNames(t *testing.T) {
 	cases := map[string]Strategy{
@@ -68,6 +71,9 @@ func TestDocTerms(t *testing.T) {
 	}
 	first := d.Terms(0, 1)
 	second := d.Terms(1, 2)
+	if want := []string{"printer", "print", "page"}; !reflect.DeepEqual(first, want) {
+		t.Errorf("Terms(0, 1) = %v, want %v", first, want)
+	}
 	if len(first)+len(second) != len(all) {
 		t.Errorf("term ranges do not partition: %d + %d != %d", len(first), len(second), len(all))
 	}

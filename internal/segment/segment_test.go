@@ -308,13 +308,6 @@ func BenchmarkGreedySegment(b *testing.B) {
 	}
 }
 
-func BenchmarkNewDoc(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		NewDoc(docA)
-	}
-}
-
 func TestFStatScoreFunc(t *testing.T) {
 	d := NewDoc(threeIntentions)
 	f := FStat{}

@@ -23,6 +23,9 @@ import (
 //     entity decoder whose output alphabet includes '&', '<' and '>'
 //     ("&amp;lt;" decodes to "&lt;", which would decode again).
 //
+// Each target also holds the fast paths to the straight-line reference
+// implementations of oracle_test.go, input for input.
+//
 // Seed corpora live in testdata/fuzz/<FuzzName>/; CI replays them (and
 // runs a short -fuzz smoke) via scripts/fuzz.sh.
 
@@ -48,6 +51,7 @@ func FuzzTokenize(f *testing.F) {
 	f.Add("")
 	f.Fuzz(func(t *testing.T, text string) {
 		tokens := Tokenize(text)
+		sameTokens(t, "Tokenize", tokens, refTokenize(text))
 		prevEnd := 0
 		for i, tok := range tokens {
 			if tok.Start < 0 || tok.End > len(text) || tok.Start >= tok.End {
@@ -77,6 +81,7 @@ func FuzzSplitSentences(f *testing.F) {
 	f.Add("...!!!...   \n \t\n. . .")
 	f.Add("bad\xffbytes. mixed\xc2 in? yes.")
 	f.Fuzz(func(t *testing.T, text string) {
+		checkAgainstReference(t, text)
 		sentences := SplitSentences(text)
 		valid := utf8.ValidString(text)
 		prevEnd := 0
@@ -134,6 +139,9 @@ func FuzzStripHTML(f *testing.F) {
 	f.Add("&\x80<\xffentity&#xZZ;")
 	f.Fuzz(func(t *testing.T, raw string) {
 		out := StripHTML(raw)
+		if want := refStripHTML(raw); out != want {
+			t.Fatalf("StripHTML(%q) = %q, the reference has %q", raw, out, want)
+		}
 		// collapseSpace re-encodes every rune, so the output is valid
 		// UTF-8 no matter how mangled the input bytes are.
 		if !utf8.ValidString(out) {

@@ -13,6 +13,9 @@ import (
 // are dropped entirely, and <code>/<pre> contents are kept (StackOverflow
 // posts carry meaningful terms inside code blocks).
 func StripHTML(raw string) string {
+	if strings.IndexByte(raw, '<') < 0 && strings.IndexByte(raw, '&') < 0 {
+		return collapseSpace(raw) // no markup: nothing to rewrite
+	}
 	var b strings.Builder
 	b.Grow(len(raw))
 	i := 0
@@ -137,8 +140,12 @@ func decodeEntity(s string) (string, int, bool) {
 }
 
 // collapseSpace reduces runs of spaces/tabs to a single space and runs of 3+
-// newlines to a blank line, trimming the result.
+// newlines to a blank line, trimming the result. Text that is already in
+// that form — most posts — is returned as it is.
 func collapseSpace(s string) string {
+	if isCollapsed(s) {
+		return s
+	}
 	var b strings.Builder
 	b.Grow(len(s))
 	spacePending := false
@@ -166,4 +173,35 @@ func collapseSpace(s string) string {
 		}
 	}
 	return strings.TrimSpace(b.String())
+}
+
+// isCollapsed reports whether collapseSpace would return s unchanged, for
+// ASCII s (anything else is left to collapseSpace, which also re-encodes
+// invalid UTF-8): blanks are single spaces between two visible characters,
+// newlines come at most two in a row, and neither end is white space.
+func isCollapsed(s string) bool {
+	if s == "" {
+		return true
+	}
+	first, last := s[0], s[len(s)-1]
+	if first >= utf8.RuneSelf || last >= utf8.RuneSelf ||
+		asciiClass[first] == clsSpace || asciiClass[last] == clsSpace {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf, c == '\t', c == '\r':
+			return false
+		case c == ' ':
+			// The ends are not blank, so s[i-1] and s[i+1] exist.
+			if p, n := s[i-1], s[i+1]; p == ' ' || p == '\n' || n == '\n' {
+				return false
+			}
+		case c == '\n':
+			if i >= 2 && s[i-1] == '\n' && s[i-2] == '\n' {
+				return false
+			}
+		}
+	}
+	return true
 }

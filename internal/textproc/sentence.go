@@ -19,17 +19,6 @@ type Sentence struct {
 	Index  int // zero-based sentence index within the document
 }
 
-// Words returns the lower-cased word tokens of the sentence.
-func (s Sentence) Words() []string {
-	out := make([]string, 0, len(s.Tokens))
-	for _, t := range s.Tokens {
-		if t.IsWord() {
-			out = append(out, t.Lower())
-		}
-	}
-	return out
-}
-
 // EndsWith reports whether the sentence's final non-space rune equals r.
 func (s Sentence) EndsWith(r rune) bool {
 	text := strings.TrimRightFunc(s.Text, unicode.IsSpace)
@@ -46,7 +35,7 @@ var abbreviations = map[string]bool{
 	"fig": true, "figs": true, "no": true, "nos": true, "vol": true,
 	"approx": true, "dept": true, "est": true, "min": true, "max": true,
 	"inc": true, "ltd": true, "co": true, "corp": true, "u.s": true,
-	"a.m": true, "p.m": true, "am": false, "pm": false,
+	"a.m": true, "p.m": true,
 }
 
 // SplitSentences divides text into sentences. A sentence ends at '.', '!',
@@ -55,78 +44,75 @@ var abbreviations = map[string]bool{
 // decimal numbers ("5.5"), version strings ("MySQL 5.5.3"), and initials.
 // Newline pairs (blank lines) always terminate a sentence.
 func SplitSentences(text string) []Sentence {
-	var sentences []Sentence
+	var buf [16][2]int // a post is rarely longer: the spans stay on the stack
+	spans := sentenceSpans(buf[:0], text)
+	if len(spans) == 0 {
+		return nil
+	}
+	// One array holds the tokens of every sentence, each sentence a slice
+	// of it: one allocation for the post rather than a growing one per
+	// sentence.
+	sentences := make([]Sentence, len(spans))
+	tokens := make([]Token, 0, tokenEstimate(len(text)))
+	for i, sp := range spans {
+		sentences[i] = Sentence{Text: text[sp[0]:sp[1]], Start: sp[0], End: sp[1], Index: i}
+		spans[i][0] = len(tokens)
+		tokens = appendTokens(tokens, sentences[i].Text, sp[0])
+		spans[i][1] = len(tokens)
+	}
+	for i, sp := range spans {
+		sentences[i].Tokens = tokens[sp[0]:sp[1]:sp[1]]
+	}
+	return sentences
+}
+
+// sentenceSpans appends the [start, end) byte span of every sentence of
+// text, trimmed of surrounding space, to spans. Every byte it acts on is
+// ASCII ('.', '!', '?', newline, blank) apart from the two closing quotes,
+// and no byte of a multi-byte rune is ASCII, so it walks bytes, not runes.
+func sentenceSpans(spans [][2]int, text string) [][2]int {
 	start := 0
 	n := len(text)
-	i := 0
 	flush := func(end int) {
-		seg := text[start:end]
-		trimmed := strings.TrimSpace(seg)
-		if trimmed == "" {
-			start = end
-			return
+		if lead, trimmed := trimSpace(text[start:end]); trimmed != "" {
+			spans = append(spans, [2]int{start + lead, start + lead + len(trimmed)})
 		}
-		// Recompute offsets of the trimmed span.
-		lead := strings.Index(seg, trimmed)
-		s := Sentence{
-			Text:  trimmed,
-			Start: start + lead,
-			End:   start + lead + len(trimmed),
-			Index: len(sentences),
-		}
-		for _, t := range Tokenize(trimmed) {
-			t.Start += s.Start
-			t.End += s.Start
-			s.Tokens = append(s.Tokens, t)
-		}
-		sentences = append(sentences, s)
 		start = end
 	}
-	for i < n {
-		r, size := utf8.DecodeRuneInString(text[i:])
-		switch {
-		case r == '.' || r == '!' || r == '?':
+	for i := 0; i < n; {
+		switch c := text[i]; c {
+		case '.', '!', '?':
 			// Consume the full terminator run (e.g. "?!", "...").
-			j := i + size
-			for j < n {
-				r2, s2 := utf8.DecodeRuneInString(text[j:])
-				if r2 == '.' || r2 == '!' || r2 == '?' {
-					j += s2
-					continue
-				}
-				break
+			j := i + 1
+			for j < n && (text[j] == '.' || text[j] == '!' || text[j] == '?') {
+				j++
 			}
-			if r == '.' && !isSentencePeriod(text, i, j) {
+			if c == '.' && !isSentencePeriod(text, i, j) {
 				i = j
 				continue
 			}
 			// Include trailing closing quotes/parens in the sentence.
-			for j < n {
-				r2, s2 := utf8.DecodeRuneInString(text[j:])
-				if r2 == '"' || r2 == '\'' || r2 == ')' || r2 == '”' || r2 == '’' {
-					j += s2
-					continue
+			for {
+				k := closerLen(text[j:])
+				if k == 0 {
+					break
 				}
-				break
+				j += k
 			}
 			flush(j)
 			i = j
-		case r == '\n':
+		case '\n':
 			// A blank line (two newlines with only spaces between) ends a sentence.
-			j := i + size
+			j := i + 1
 			sawSecond := false
 			for j < n {
-				r2, s2 := utf8.DecodeRuneInString(text[j:])
-				if r2 == '\n' {
+				c2 := text[j]
+				if c2 == '\n' {
 					sawSecond = true
-					j += s2
-					continue
+				} else if c2 != ' ' && c2 != '\t' && c2 != '\r' {
+					break
 				}
-				if r2 == ' ' || r2 == '\t' || r2 == '\r' {
-					j += s2
-					continue
-				}
-				break
+				j++
 			}
 			if sawSecond {
 				flush(i)
@@ -134,13 +120,43 @@ func SplitSentences(text string) []Sentence {
 			}
 			i = j
 		default:
-			i += size
+			i++
 		}
 	}
 	if start < n {
 		flush(n)
 	}
-	return sentences
+	return spans
+}
+
+// closerLen is the byte length of the closing quote or parenthesis s starts
+// with, 0 if it starts with none.
+func closerLen(s string) int {
+	switch {
+	case s == "":
+		return 0
+	case s[0] == '"' || s[0] == '\'' || s[0] == ')':
+		return 1
+	case strings.HasPrefix(s, "”") || strings.HasPrefix(s, "’"):
+		return len("”")
+	}
+	return 0
+}
+
+// trimSpace returns seg without its leading and trailing white space, and
+// the offset in seg at which what is left begins.
+func trimSpace(seg string) (lead int, trimmed string) {
+	for lead < len(seg) && seg[lead] < utf8.RuneSelf && asciiClass[seg[lead]] == clsSpace {
+		lead++
+	}
+	if lead < len(seg) && seg[lead] >= utf8.RuneSelf {
+		// The span may open with multi-byte space; locate what remains
+		// after trimming the way a search would, which is also right when
+		// invalid UTF-8 makes a rune's tail look like the remainder's head.
+		trimmed = strings.TrimSpace(seg)
+		return strings.Index(seg, trimmed), trimmed
+	}
+	return lead, strings.TrimSpace(seg[lead:])
 }
 
 // isSentencePeriod decides whether the period at text[i] (with terminator run

@@ -132,19 +132,6 @@ func TestStemProperty(t *testing.T) {
 	}
 }
 
-func TestContentStems(t *testing.T) {
-	got := ContentStems("The printers were printing pages")
-	want := []string{"printer", "print", "page"}
-	if len(got) != len(want) {
-		t.Fatalf("ContentStems = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ContentStems = %v, want %v", got, want)
-		}
-	}
-}
-
 func BenchmarkStem(b *testing.B) {
 	words := []string{"relational", "installation", "printers", "configuring",
 		"recommendation", "performance", "degradation", "replication"}

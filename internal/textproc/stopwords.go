@@ -53,14 +53,3 @@ func ContentWords(text string) []string {
 	}
 	return out
 }
-
-// ContentStems returns ContentWords after Porter stemming. Stemming is
-// optional in the pipeline (Config.Stem); the paper's MySQL baseline does
-// not stem, so both forms are exposed.
-func ContentStems(text string) []string {
-	words := ContentWords(text)
-	for i, w := range words {
-		words[i] = Stem(w)
-	}
-	return words
-}

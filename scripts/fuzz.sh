@@ -21,6 +21,7 @@ declare -a TARGETS=(
     "./internal/textproc FuzzSplitSentences"
     "./internal/textproc FuzzStripHTML"
     "./internal/textproc FuzzDecodeEntity"
+    "./internal/textproc FuzzStem"
     "./internal/pos FuzzTagWords"
     "./internal/secfile FuzzDecode"
     "./internal/secfile FuzzParseStringTable"
