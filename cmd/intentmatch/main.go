@@ -43,8 +43,6 @@ func main() {
 	method := flag.String("method", "intent", "matching method: intent, fulltext, lda, content, sent")
 	seed := flag.Int64("seed", 1, "random seed")
 	save := flag.String("save", "", "write the built pipeline to this file and exit")
-	saveFormat := flag.String("save-format", "compact",
-		"snapshot layout for -save: compact (section format) or gob (legacy; for migration checks — loaders read both)")
 	saveShards := flag.Int("save-shards", 0,
 		"with -save: partition the build into this many shards and write a shard directory (servable whole with `serve -load`, or piecewise with `serve -shard-role shard -own N`)")
 	load := flag.String("load", "", "load a previously saved pipeline instead of building")
@@ -125,22 +123,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var n int64
-		switch *saveFormat {
-		case "compact":
-			n, err = p.WriteTo(f)
-		case "gob":
-			n, err = p.WriteLegacyTo(f)
-		default:
-			fatal(fmt.Errorf("unknown -save-format %q (compact, gob)", *saveFormat))
-		}
+		n, err := p.WriteTo(f)
 		if err == nil {
 			err = f.Close()
 		}
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("saved pipeline to %s (%d bytes, %s)\n", *save, n, *saveFormat)
+		fmt.Printf("saved pipeline to %s (%d bytes)\n", *save, n)
 		return
 	}
 
@@ -247,7 +237,7 @@ func servePipeline(path, query string, k int, explain bool) {
 		fatal(err)
 	}
 	defer f.Close()
-	p, err := core.ReadPipeline(bufio.NewReader(f))
+	p, err := core.ReadPipeline(f) // reads the whole file at once
 	if err != nil {
 		fatal(err)
 	}

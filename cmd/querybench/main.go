@@ -215,9 +215,15 @@ func main() {
 			os.Exit(2)
 		}
 		ix, queries := buildCorpus(n, *vocab, *seed)
+		// The exhaustive leg is Query with the pruning gate raised past
+		// the corpus: the same scan, pruning off. Nothing else is
+		// querying yet, which is when the gate may be moved.
+		gate := index.PruneMinUnits
+		index.PruneMinUnits = n + 1
 		exNS, exPost := measure(queries, *runs, func(q map[string]float64) {
-			ix.QueryExhaustive(q, *topK, nil)
+			ix.Query(q, *topK, nil)
 		})
+		index.PruneMinUnits = gate
 		prNS, prPost := measure(queries, *runs, func(q map[string]float64) {
 			ix.Query(q, *topK, nil)
 		})

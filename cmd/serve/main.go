@@ -56,7 +56,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	corpus := flag.String("corpus", "", "JSONL corpus file (cmd/gencorpus output); empty generates synthetically")
 	load := flag.String("load", "",
-		"serve a persisted pipeline instead of building: a snapshot file (compact or legacy gob, sniffed) or a shard directory")
+		"serve a persisted pipeline instead of building: a snapshot file or a shard directory")
 	domain := flag.String("domain", "tech", "synthetic domain: tech, travel, prog, or health")
 	n := flag.Int("n", 1000, "synthetic corpus size")
 	seed := flag.Int64("seed", 42, "random seed")
@@ -275,8 +275,7 @@ func bootstrapCoordinator(path string, opts fleet.Options, patience time.Duratio
 }
 
 // loadPipeline restores a persisted pipeline: a shard directory (from
-// core.WriteShardDir) or a single snapshot file (from Pipeline.WriteTo,
-// in either the compact or the legacy gob matcher layout).
+// core.WriteShardDir) or a single snapshot file (from Pipeline.WriteTo).
 func loadPipeline(path string) (*core.Pipeline, error) {
 	info, err := os.Stat(path)
 	if err != nil {
@@ -290,7 +289,7 @@ func loadPipeline(path string) (*core.Pipeline, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return core.ReadPipeline(bufio.NewReader(f))
+	return core.ReadPipeline(f) // reads the whole file at once
 }
 
 // loadCorpus reads post texts from a cmd/gencorpus JSONL file, or

@@ -29,7 +29,7 @@ const Noise = -1
 // through a Grid cell-list index with a reused neighbor buffer, dropping
 // the per-query cost from an O(n) scan to the candidate cells around the
 // query point; the labeling is identical to the naive quadratic form
-// (DBSCANNaive, kept as the test oracle). Use Sampled for collections
+// (the test oracle in export_test.go). Use Sampled for collections
 // where even near-linear passes per point are too slow.
 func DBSCAN(points [][]float64, eps float64, minPts int) (labels []int, k int) {
 	n := len(points)
@@ -69,62 +69,6 @@ func DBSCAN(points [][]float64, eps float64, minPts int) (labels []int, k int) {
 			nb = grid.Radius(points[j], eps, j, nb)
 			if len(nb)+1 >= minPts {
 				queue = append(queue, nb...)
-			}
-		}
-		k++
-	}
-	return labels, k
-}
-
-// DBSCANNaive is the exact O(n²) region-query form of DBSCAN — the
-// reference implementation the indexed DBSCAN is property-tested against.
-// It exists as the oracle: any labeling disagreement between the two is a
-// bug in the index, never a modeling choice.
-func DBSCANNaive(points [][]float64, eps float64, minPts int) (labels []int, k int) {
-	n := len(points)
-	labels = make([]int, n)
-	for i := range labels {
-		labels[i] = Noise - 1 // unvisited
-	}
-	const unvisited = Noise - 1
-
-	epsSq := eps * eps
-	neighbors := func(i int) []int {
-		var out []int
-		for j := 0; j < n; j++ {
-			if j != i && sqDist(points[i], points[j]) <= epsSq {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-
-	k = 0
-	for i := 0; i < n; i++ {
-		if labels[i] != unvisited {
-			continue
-		}
-		nb := neighbors(i)
-		if len(nb)+1 < minPts {
-			labels[i] = Noise
-			continue
-		}
-		labels[i] = k
-		queue := append([]int(nil), nb...)
-		for len(queue) > 0 {
-			j := queue[0]
-			queue = queue[1:]
-			if labels[j] == Noise {
-				labels[j] = k // border point
-				continue
-			}
-			if labels[j] != unvisited {
-				continue
-			}
-			labels[j] = k
-			jnb := neighbors(j)
-			if len(jnb)+1 >= minPts {
-				queue = append(queue, jnb...)
 			}
 		}
 		k++

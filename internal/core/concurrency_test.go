@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/forum"
+	"repro/internal/match"
 )
 
 // Run these under -race: they exercise the documented serving contract —
@@ -273,4 +275,55 @@ func ExamplePipeline_concurrent() {
 	wg.Wait()
 	fmt.Println(p.Stats().NumDocs)
 	// Output: 40
+}
+
+// TestWriteToDuringAdd saves the pipeline while posts are being added.
+// Every snapshot must reload and describe one collection: the header's
+// document count is the matcher's, so the last id the header admits is
+// one the restored server answers for. (A header read outside the lock
+// the adds commit under runs a document behind the matcher written
+// after it — and is a data race, which -race reports here.)
+func TestWriteToDuringAdd(t *testing.T) {
+	const basePosts, extraPosts = 100, 40
+	texts, _ := corpusTexts(t, forum.TechSupport, basePosts+extraPosts, 83)
+	p, err := Build(texts[:basePosts], Config{Seed: 83})
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := make(chan struct{})
+	go func() {
+		defer close(added)
+		for _, text := range texts[basePosts:] {
+			if _, err := p.Add(text); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var snaps []*bytes.Buffer
+	for done := false; !done; {
+		select {
+		case <-added:
+			done = true // one more save, of the final collection
+		default:
+		}
+		buf := new(bytes.Buffer)
+		if _, err := p.WriteTo(buf); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, buf)
+	}
+	for i, buf := range snaps {
+		loaded, err := ReadPipeline(buf)
+		if err != nil {
+			t.Fatalf("snapshot %d of %d does not reload: %v", i, len(snaps), err)
+		}
+		n := loaded.Stats().NumDocs
+		if held := loaded.matcher.(*match.MR).NumDocs(); n != held {
+			t.Fatalf("snapshot %d: header says %d docs, matcher holds %d", i, n, held)
+		}
+		if n < basePosts || !loaded.HasDoc(n-1) {
+			t.Fatalf("snapshot %d: %d docs, HasDoc(%d) = %v", i, n, n-1, loaded.HasDoc(n-1))
+		}
+	}
 }

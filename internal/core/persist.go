@@ -1,11 +1,13 @@
 package core
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 
 	"repro/internal/match"
+	"repro/internal/secfile"
 	"repro/internal/shard"
 )
 
@@ -15,27 +17,43 @@ import (
 // persistable — FullText rebuilds in milliseconds and LDA's model is
 // cheaper to retrain than to version.
 //
+// An unsharded pipeline is one secfile container — magic "RFCP",
+// version 1 — of two checksummed sections:
+//
+//	"head"  JSON header: the method by its Table 4 name and the full
+//	        Stats (durations in nanoseconds).
+//	"mtch"  the matcher's own compact file (magic "RFCM", see
+//	        match/compact.go), embedded verbatim the way that file
+//	        embeds its cluster indices.
+//
 // A loaded pipeline serves Related queries and accepts Add; it does not
 // retain the prepared documents, so Doc returns nil for pre-load ids.
 
-// WriteTo serializes a built MR pipeline: a small gob header (method,
-// stats) followed by the matcher in the compact section layout. It
+const (
+	pipelineMagic   = "RFCP"
+	pipelineVersion = 1
+)
+
+// pipelineHead is the JSON "head" section.
+type pipelineHead struct {
+	Method string `json:"method"`
+	Stats  Stats  `json:"stats"`
+}
+
+// mrMethod resolves a Table 4 name to the persistable method carrying it.
+func mrMethod(name string) (Method, bool) {
+	for _, m := range []Method{IntentIntentMR, ContentMR, SentIntentMR} {
+		if m.String() == name {
+			return m, true
+		}
+	}
+	return 0, false
+}
+
+// WriteTo serializes a built MR pipeline as one RFCP container. It
 // implements io.WriterTo. Sharded pipelines persist as a directory
 // instead — see WriteShardDir.
 func (p *Pipeline) WriteTo(w io.Writer) (int64, error) {
-	return p.writeTo(w, (*match.MR).WriteTo)
-}
-
-// WriteLegacyTo serializes the pipeline with the matcher in the legacy
-// gob layout — byte-compatible with what WriteTo produced before the
-// compact format existed. ReadPipeline loads both (it sniffs the
-// matcher's magic). Retained for migration tooling and the old-vs-new
-// equivalence checks; new snapshots should use WriteTo.
-func (p *Pipeline) WriteLegacyTo(w io.Writer) (int64, error) {
-	return p.writeTo(w, (*match.MR).WriteGobTo)
-}
-
-func (p *Pipeline) writeTo(w io.Writer, writeMR func(*match.MR, io.Writer) (int64, error)) (int64, error) {
 	var mr *match.MR
 	switch m := p.matcher.(type) {
 	case *match.MR:
@@ -45,43 +63,67 @@ func (p *Pipeline) writeTo(w io.Writer, writeMR func(*match.MR, io.Writer) (int6
 	default:
 		return 0, fmt.Errorf("core: %s pipelines are not persistable", p.matcher.Name())
 	}
-	cw := &countWriter{w: w}
-	enc := gob.NewEncoder(cw)
-	if err := enc.Encode(p.cfg.Method); err != nil {
-		return cw.n, err
+	// Add commits to the matcher and counts the document under the write
+	// lock, so under the read lock the header and the matcher describe
+	// the same collection.
+	var mtch bytes.Buffer
+	p.mu.RLock()
+	stats := p.stats
+	_, err := mr.WriteTo(&mtch)
+	p.mu.RUnlock()
+	if err != nil {
+		return 0, err
 	}
-	if err := enc.Encode(p.stats); err != nil {
-		return cw.n, err
+	head, err := json.Marshal(pipelineHead{Method: p.cfg.Method.String(), Stats: stats})
+	if err != nil {
+		return 0, fmt.Errorf("core: encoding pipeline header: %w", err)
 	}
-	if _, err := writeMR(mr, cw); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	return secfile.Encode(w, pipelineMagic, pipelineVersion, []secfile.Section{
+		{Tag: "head", Data: head},
+		{Tag: "mtch", Data: mtch.Bytes()},
+	})
 }
 
-// ReadPipeline deserializes a pipeline written with WriteTo.
-//
-// The stream holds two gob values (header) followed by the matcher's own
-// gob stream. A gob decoder over-reads only when its source lacks
-// io.ByteReader (it then wraps the source in a bufio.Reader), so both
-// decoding stages share one exactReader and each consumes precisely its
-// own bytes.
+// ReadPipeline deserializes a pipeline written with WriteTo. The source
+// is consumed to EOF. Beyond what the container and the matcher decoder
+// check, the header must describe the matcher beside it: a persistable
+// method, the matcher's name, the matcher's document count.
 func ReadPipeline(r io.Reader) (*Pipeline, error) {
-	er := &exactReader{r: r}
-	dec := gob.NewDecoder(er)
-	var method Method
-	if err := dec.Decode(&method); err != nil {
-		return nil, fmt.Errorf("core: decoding pipeline header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading pipeline: %w", err)
 	}
-	var stats Stats
-	if err := dec.Decode(&stats); err != nil {
-		return nil, err
-	}
-	mr, err := match.ReadMR(er)
+	f, err := secfile.Decode(data, pipelineMagic, pipelineVersion)
 	if err != nil {
 		return nil, err
 	}
-	return loaded(Config{Method: method}, mr, stats), nil
+	headSec, err := f.Section("head")
+	if err != nil {
+		return nil, err
+	}
+	var head pipelineHead
+	if err := json.Unmarshal(headSec, &head); err != nil {
+		return nil, fmt.Errorf("core: decoding pipeline header: %w", err)
+	}
+	method, ok := mrMethod(head.Method)
+	if !ok {
+		return nil, fmt.Errorf("core: pipeline header names method %q, which is not persistable", head.Method)
+	}
+	mtch, err := f.Section("mtch")
+	if err != nil {
+		return nil, err
+	}
+	mr, err := match.ReadMR(mtch)
+	if err != nil {
+		return nil, err
+	}
+	if mr.Name() != head.Method {
+		return nil, fmt.Errorf("core: pipeline header names method %q, matcher is %q", head.Method, mr.Name())
+	}
+	if head.Stats.NumDocs != mr.NumDocs() {
+		return nil, fmt.Errorf("core: pipeline header counts %d documents, matcher holds %d", head.Stats.NumDocs, mr.NumDocs())
+	}
+	return loaded(Config{Method: method}, mr, head.Stats), nil
 }
 
 // loaded assembles a pipeline restored from a snapshot, the counterpart
@@ -121,44 +163,11 @@ func ReadShardDir(dir string) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	method := IntentIntentMR
-	for m, name := range methodNames {
-		if name == g.Name() {
-			method = Method(m)
-		}
-	}
+	method, _ := mrMethod(g.Name()) // a custom matcher name loads as IntentIntentMR
 	bs := g.Stats()
 	return loaded(Config{Method: method, Shards: g.NumShards()}, g, Stats{
 		NumDocs:     g.NumDocs(),
 		NumSegments: bs.NumSegments,
 		NumClusters: bs.NumClusters,
 	}), nil
-}
-
-// exactReader adapts an io.Reader into an io.ByteReader so gob decoders
-// sharing the stream never buffer past their own values. Wrap slow sources
-// in a bufio.Reader before handing them to ReadPipeline.
-type exactReader struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func (e *exactReader) Read(p []byte) (int, error) { return e.r.Read(p) }
-
-func (e *exactReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(e.r, e.one[:]); err != nil {
-		return 0, err
-	}
-	return e.one[0], nil
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

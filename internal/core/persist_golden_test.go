@@ -10,14 +10,13 @@ import (
 	"repro/internal/forum"
 )
 
-// TestPersistedGoldenEquivalence is the old-vs-new acceptance gate at
-// the top of the stack: the golden corpus pipeline, persisted through
-// every layout the repo has ever written — the compact section format,
-// the legacy gob stream, and shard directories at 1, 2, and 4 shards —
-// must load back and render the committed golden rankings byte for
-// byte, full-precision scores included. A layout that shifted a single
-// score bit anywhere below (index postings, matcher tables, shard
-// routing) diffs here.
+// TestPersistedGoldenEquivalence is the persistence acceptance gate at
+// the top of the stack: the golden corpus pipeline, persisted as a
+// snapshot file and as shard directories at 2 and 4 shards, must load
+// back and render the committed golden rankings byte for byte,
+// full-precision scores included. A layout that shifted a single score
+// bit anywhere below (index postings, matcher tables, shard routing)
+// diffs here.
 func TestPersistedGoldenEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full 200-post builds")
@@ -36,29 +35,21 @@ func TestPersistedGoldenEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, layout := range []struct {
-		name  string
-		write func(*Pipeline, *bytes.Buffer) (int64, error)
-	}{
-		{"compact", func(p *Pipeline, b *bytes.Buffer) (int64, error) { return p.WriteTo(b) }},
-		{"legacy-gob", func(p *Pipeline, b *bytes.Buffer) (int64, error) { return p.WriteLegacyTo(b) }},
-	} {
-		t.Run(layout.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if _, err := layout.write(built, &buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := ReadPipeline(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := renderRelated(loaded); got != string(golden) {
-				t.Fatalf("%s round trip drifted from the golden rankings:\n--- want\n%s\n--- got\n%s", layout.name, golden, got)
-			}
-		})
-	}
+	t.Run("compact", func(t *testing.T) {
+		var buf bytes.Buffer
+		if _, err := built.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadPipeline(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderRelated(loaded); got != string(golden) {
+			t.Fatalf("snapshot round trip drifted from the golden rankings:\n--- want\n%s\n--- got\n%s", golden, got)
+		}
+	})
 
-	// Shards: 1 builds unsharded (covered by the single-stream legs above
+	// Shards: 1 builds unsharded (covered by the single-file leg above
 	// and the shard-package equivalence test); directories start at 2.
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("sharddir-%d", shards), func(t *testing.T) {

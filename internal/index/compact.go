@@ -38,7 +38,7 @@ import (
 
 const (
 	// CompactIndexMagic identifies a compact index file (or embedded
-	// cluster blob); anything else falls back to the legacy gob decoder.
+	// cluster blob).
 	CompactIndexMagic = "RFCI"
 	// compactIndexVersion is the newest compact index layout this build
 	// writes and reads.
@@ -113,8 +113,7 @@ func appendCompact(snap snapshot) ([]byte, error) {
 // decodeCompact parses a compact index file into snapshot form. It
 // reconstructs the postings map and unit columns; invariant validation
 // (ascending units in range, TF ≥ 1, consistent per-unit statistics) is
-// shared with the legacy path via validateSnapshot, which the caller
-// runs next.
+// validateSnapshot's, which the caller runs next.
 func decodeCompact(data []byte) (snapshot, error) {
 	var snap snapshot
 	f, err := secfile.Decode(data, CompactIndexMagic, compactIndexVersion)

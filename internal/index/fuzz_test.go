@@ -2,13 +2,12 @@ package index
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 )
 
 // FuzzIndexLoad drives arbitrary bytes through the full snapshot
-// loader — magic sniffing, compact or gob decode, the validateSnapshot
+// loader — container decode, section decode, the validateSnapshot
 // gauntlet. Whatever the input: a descriptive error or a queryable
 // index, never a panic. Any input that loads must canonicalize: its
 // compact re-encoding loads back and re-encodes to the identical bytes.
@@ -16,11 +15,8 @@ func FuzzIndexLoad(f *testing.F) {
 	ix := New()
 	ix.Add([]string{"raid", "disk", "raid"})
 	ix.Add([]string{"hotel", "pool"})
-	var compact, legacy bytes.Buffer
+	var compact bytes.Buffer
 	if _, err := ix.WriteTo(&compact); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := ix.WriteGobTo(&legacy); err != nil {
 		f.Fatal(err)
 	}
 	var empty bytes.Buffer
@@ -28,7 +24,7 @@ func FuzzIndexLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(compact.Bytes())
-	f.Add(legacy.Bytes())
+	f.Add(compact.Bytes()[:compact.Len()*2/3])
 	f.Add(empty.Bytes())
 	f.Add([]byte(CompactIndexMagic))
 	f.Add([]byte{})
@@ -56,11 +52,11 @@ func FuzzIndexLoad(f *testing.F) {
 	})
 }
 
-// FuzzGobSnapshot fuzzes the structured space the gob path accepts:
-// arbitrary posting/statistics values round-tripped through the real
-// gob codec, so the fuzzer explores validateSnapshot's decision surface
-// rather than gob's framing.
-func FuzzGobSnapshot(f *testing.F) {
+// FuzzValidateSnapshot fuzzes validateSnapshot's decision surface
+// directly: arbitrary posting and statistics values, including ones no
+// compact file can spell (a negative unit id), must be rejected unless
+// every invariant actually holds.
+func FuzzValidateSnapshot(f *testing.F) {
 	f.Add("raid", int32(0), int32(2), 1.6931471805599454, int32(1), int64(1))
 	f.Add("x", int32(-5), int32(0), 0.0, int32(3), int64(9))
 	f.Fuzz(func(t *testing.T, term string, unit, tf int32, denom float64, unique int32, total int64) {
@@ -70,12 +66,7 @@ func FuzzGobSnapshot(f *testing.F) {
 			Uniques:     []int32{unique},
 			TotalUnique: total,
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-			t.Skip() // gob rejects e.g. invalid UTF-8 term keys? keep going
-		}
-		loaded := New()
-		if err := loaded.Load(buf.Bytes()); err != nil {
+		if validateSnapshot(&snap) != nil {
 			return
 		}
 		// Accepted: the invariants must actually hold — including the

@@ -9,7 +9,7 @@
 // the same structure with documents as units.
 //
 // Locking model: a single RWMutex guards all index state. Add (and
-// ReadFrom) take the write lock; Query and every read accessor take the
+// Load) take the write lock; Query and every read accessor take the
 // read lock for their full duration, so any number of queries proceed
 // concurrently and additions serialize against them. Derived statistics
 // (average unique-term count, document frequencies, per-posting log-TF
@@ -21,9 +21,10 @@
 // of cells the probe wrote and every scratch slice of the scan belong to
 // a pooled accumulator (accum.go) that is taken and sized under the read
 // lock, drained in O(units touched) and returned clean; one pool serves
-// every index in the process. All three entry points — Query,
-// QueryExhaustive, QueryFrozen — resolve their factors and run the one
-// scan in prune.go over the one accumulate loop.
+// every index in the process. Both entry points — Query and
+// QueryFrozen — resolve their factors and run the one scan in prune.go
+// over the one accumulate loop, as does the tests' exhaustive reference
+// (export_test.go), which is that scan with pruning off.
 package index
 
 import (
@@ -282,19 +283,10 @@ type Result struct {
 // descending score order. The exclude predicate (may be nil) drops units
 // from the result, e.g. the query document's own segment. On large
 // collections the scan prunes with per-list score upper bounds (see
-// prune.go); the results are bit-identical to QueryExhaustive's in
-// every case.
+// prune.go); the results are bit-identical to the exhaustive scan's
+// in every case.
 func (ix *Index) Query(queryTF map[string]float64, topN int, exclude func(unit int) bool) []Result {
 	return ix.QueryTraced(queryTF, topN, exclude, nil)
-}
-
-// QueryExhaustive is the always-exhaustive reference scorer: every
-// posting of every query term is walked into the accumulator, exactly
-// as Query scored before max-score pruning existed. It exists for the
-// pruned-vs-exhaustive equivalence tests and benchmarks; serving paths
-// should use Query.
-func (ix *Index) QueryExhaustive(queryTF map[string]float64, topN int, exclude func(unit int) bool) []Result {
-	return ix.query(queryTF, topN, exclude, nil, false)
 }
 
 // QueryTraced is Query with request-scoped tracing: when tr is non-nil

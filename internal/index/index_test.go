@@ -280,8 +280,8 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatalf("WriteTo: %v", err)
 	}
 	restored := New()
-	if _, err := restored.ReadFrom(&buf); err != nil {
-		t.Fatalf("ReadFrom: %v", err)
+	if err := restored.Load(buf.Bytes()); err != nil {
+		t.Fatalf("Load: %v", err)
 	}
 	if restored.NumUnits() != ix.NumUnits() || restored.NumTerms() != ix.NumTerms() {
 		t.Fatal("restored index size mismatch")
@@ -307,8 +307,8 @@ func TestPersistEmptyIndex(t *testing.T) {
 		t.Fatalf("WriteTo empty: %v", err)
 	}
 	restored := New()
-	if _, err := restored.ReadFrom(&buf); err != nil {
-		t.Fatalf("ReadFrom empty: %v", err)
+	if err := restored.Load(buf.Bytes()); err != nil {
+		t.Fatalf("Load empty: %v", err)
 	}
 	if restored.NumUnits() != 0 {
 		t.Fatal("restored empty index has units")

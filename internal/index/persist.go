@@ -1,8 +1,6 @@
 package index
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -14,20 +12,18 @@ import (
 // be saved after that offline phase and reloaded for online matching
 // without re-processing the collection.
 //
-// WriteTo emits the compact section layout of compact.go; ReadFrom
-// sniffs the first four bytes and accepts either that layout or the
-// legacy gob snapshot earlier builds wrote. Both paths run the same
-// validateSnapshot gauntlet before any byte reaches the live index:
-// a snapshot that decodes cleanly but violates a query-path invariant
-// (posting unit ids out of range or non-ascending, TF = 0, per-unit
-// statistics inconsistent with the postings) is rejected with a
+// WriteTo emits the compact section layout of compact.go and Load
+// reads it back. A decoded snapshot runs the validateSnapshot gauntlet
+// before any byte reaches the live index: one that decodes cleanly but
+// violates a query-path invariant (posting unit ids out of range or
+// non-ascending, TF = 0, per-unit statistics inconsistent with the
+// postings) is rejected with a
 // descriptive error at load time — the only line of defense in a
 // build-rarely/serve-forever deployment, where the alternative is a
 // panic or silent misranking at query time.
 
-// snapshot is the codec-independent serialized form of an Index — the
-// gob wire struct of the legacy layout, and the intermediate
-// representation the compact codec encodes from and decodes into.
+// snapshot is the serialized form of an Index: what the compact codec
+// encodes from and decodes into, and what validateSnapshot checks.
 type snapshot struct {
 	Postings    map[string][]Posting
 	Denoms      []float64
@@ -63,42 +59,14 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// WriteGobTo serializes the index in the legacy gob snapshot layout —
-// what WriteTo wrote before the compact format existed. It is retained
-// for migration tooling and the old-vs-new equivalence tests; new
-// snapshots should use WriteTo.
-func (ix *Index) WriteGobTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	err := gob.NewEncoder(cw).Encode(ix.snapshotLocked())
-	return cw.n, err
-}
-
-// ReadFrom replaces the index contents with a serialized snapshot in
-// either layout — the compact format is recognized by its magic, any
-// other prefix is decoded as a legacy gob snapshot. It implements
-// io.ReaderFrom. The source is consumed to EOF; bytes after a valid
-// snapshot are an error in both layouts, so a concatenation or
-// double-write corruption fails at load instead of silently serving a
-// prefix.
-func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return int64(len(data)), err
-	}
-	return int64(len(data)), ix.Load(data)
-}
-
-// Load is ReadFrom over bytes already in memory (read or mapped): it
-// sniffs the layout, decodes, validates every query-path invariant, and
-// only then swaps the decoded state in under the write lock.
+// Load replaces the index contents with a snapshot written by WriteTo,
+// held in memory (read or mapped): it decodes, validates every
+// query-path invariant, and only then swaps the decoded state in under
+// the write lock. Bytes after a valid snapshot are an error, so a
+// concatenation or double-write corruption fails at load instead of
+// silently serving a prefix.
 func (ix *Index) Load(data []byte) error {
-	var snap snapshot
-	var err error
-	if isCompact := len(data) >= 4 && string(data[:4]) == CompactIndexMagic; isCompact {
-		snap, err = decodeCompact(data)
-	} else {
-		snap, err = decodeGob(data)
-	}
+	snap, err := decodeCompact(data)
 	if err != nil {
 		return err
 	}
@@ -109,13 +77,9 @@ func (ix *Index) Load(data []byte) error {
 	for i := range units {
 		units[i] = unitStats{denom: snap.Denoms[i], unique: snap.Uniques[i]}
 	}
-	if snap.Postings == nil {
-		snap.Postings = make(map[string][]Posting)
-	}
-	// The LogTF numerator is derived state; recompute it so snapshots
-	// written before the field existed (where gob leaves it zero) load
-	// correctly. validateSnapshot has established TF >= 1, so the value
-	// is >= 1, never 0 or -Inf.
+	// The LogTF numerator is derived state, not persisted; recompute it.
+	// validateSnapshot has established TF >= 1, so the value is >= 1,
+	// never 0 or -Inf.
 	for _, posts := range snap.Postings {
 		for i := range posts {
 			posts[i].LogTF = math.Log(float64(posts[i].TF)) + 1
@@ -125,34 +89,18 @@ func (ix *Index) Load(data []byte) error {
 	ix.postings = snap.Postings
 	ix.units = units
 	ix.totalUnique = snap.TotalUnique
-	// Posting-list score bounds are derived state, not persisted by
-	// either codec; rebuild them from the swapped-in postings. The
-	// rebuild evaluates the same expressions Add does over the same
-	// operands (LogTF recomputed above, denom and unique validated
-	// against the postings), so a loaded index carries bit-identical
-	// bounds to the index that wrote the snapshot.
+	// Posting-list score bounds are derived state too; rebuild them
+	// from the swapped-in postings. The rebuild evaluates the same
+	// expressions Add does over the same operands (LogTF recomputed
+	// above, denom and unique validated against the postings), so a
+	// loaded index carries bit-identical bounds to the index that wrote
+	// the snapshot.
 	ix.rebuildBoundsLocked()
 	ix.mu.Unlock()
 	return nil
 }
 
-// decodeGob parses a legacy gob snapshot and rejects trailing bytes —
-// gob itself stops at the end of its last value and would silently
-// ignore appended garbage.
-func decodeGob(data []byte) (snapshot, error) {
-	var snap snapshot
-	br := bytes.NewReader(data)
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
-		return snap, fmt.Errorf("index: decoding gob snapshot: %w", err)
-	}
-	if br.Len() != 0 {
-		return snap, fmt.Errorf("index: %d trailing bytes after gob snapshot", br.Len())
-	}
-	return snap, nil
-}
-
-// validateSnapshot checks every invariant the query path depends on,
-// whichever codec produced the snapshot:
+// validateSnapshot checks every invariant the query path depends on:
 //
 //   - Denoms and Uniques describe the same unit count.
 //   - Posting lists are strictly ascending in unit id (binary-search
@@ -215,15 +163,4 @@ func validateSnapshot(snap *snapshot) error {
 		return fmt.Errorf("totalUnique %d inconsistent with unit statistics (sum %d)", snap.TotalUnique, total)
 	}
 	return nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -2,20 +2,17 @@ package index
 
 import (
 	"bytes"
-	"encoding/gob"
-	"flag"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/secfile"
 )
 
-var regenGobFixtures = flag.Bool("regen-gob-fixtures", false,
-	"rewrite the corrupt-gob regression fixtures under testdata/ and exit")
-
-// fixtureSnapshot is the consistent base every corrupt fixture starts
+// fixtureSnapshot is the consistent base every corrupt snapshot starts
 // from: three units, three terms, statistics that validate.
 func fixtureSnapshot() snapshot {
 	logTF := func(tf int32) float64 { return math.Log(float64(tf)) + 1 }
@@ -31,210 +28,92 @@ func fixtureSnapshot() snapshot {
 	}
 }
 
-// gobFixtures enumerates the committed corrupt-gob regression
-// fixtures: each mutates the valid base snapshot into a stream that
-// gob-decodes cleanly (or not, for the stream-level cases) but must be
-// rejected by Load with the given error substring. These are the
-// snapshots that used to load silently and blow up at query time —
-// ix.units[p.Unit] panics on out-of-range ids, binary-search Weight
-// returns wrong weights on non-ascending ids, TF = 0 recomputes
-// LogTF = -Inf.
-var gobFixtures = []struct {
-	name    string
-	mutate  func(s *snapshot) // nil: stream-level corruption via raw below
-	raw     func(valid []byte) []byte
-	wantSub string
-}{
-	{
-		name:    "unit_out_of_range",
-		mutate:  func(s *snapshot) { s.Postings["raid"][1].Unit = 99 },
-		wantSub: "posting unit 99 out of range [0, 3)",
-	},
-	{
-		name:    "unit_negative",
-		mutate:  func(s *snapshot) { s.Postings["hotel"][0].Unit = -1 },
-		wantSub: "out of range",
-	},
-	{
-		name: "units_not_ascending",
-		mutate: func(s *snapshot) {
-			s.Postings["raid"] = []Posting{{Unit: 2, TF: 1}, {Unit: 0, TF: 2}}
+// TestValidateSnapshotRejects mutates the valid base snapshot one
+// invariant at a time and requires validateSnapshot to name the break:
+// these would otherwise load silently and panic (ix.units[p.Unit]) or
+// misrank (binary-search Weight, LogTF = -Inf) at query time. Several —
+// a negative unit, an empty list, ragged columns — no compact file can
+// spell, so they are reachable only here; TestCompactNegativePaths
+// proves the rest through Load as well.
+func TestValidateSnapshotRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mutate  func(s *snapshot)
+		wantSub string
+	}{
+		{
+			name:    "unit_out_of_range",
+			mutate:  func(s *snapshot) { s.Postings["raid"][1].Unit = 99 },
+			wantSub: "posting unit 99 out of range [0, 3)",
 		},
-		wantSub: "not strictly ascending",
-	},
-	{
-		name: "unit_duplicated",
-		mutate: func(s *snapshot) {
-			s.Postings["raid"] = []Posting{{Unit: 2, TF: 2}, {Unit: 2, TF: 1}}
+		{
+			name:    "unit_negative",
+			mutate:  func(s *snapshot) { s.Postings["hotel"][0].Unit = -1 },
+			wantSub: "out of range",
 		},
-		wantSub: "not strictly ascending",
-	},
-	{
-		name:    "zero_tf",
-		mutate:  func(s *snapshot) { s.Postings["hotel"][0].TF = 0 },
-		wantSub: "term frequency 0 (must be >= 1)",
-	},
-	{
-		name:    "empty_posting_list",
-		mutate:  func(s *snapshot) { s.Postings["ghost"] = nil },
-		wantSub: "empty posting list",
-	},
-	{
-		name:    "unique_count_mismatch",
-		mutate:  func(s *snapshot) { s.Uniques[1] = 7 },
-		wantSub: "declares 7 unique terms",
-	},
-	{
-		name:    "denominator_mismatch",
-		mutate:  func(s *snapshot) { s.Denoms[0] = 42 },
-		wantSub: "weight denominator 42 inconsistent",
-	},
-	{
-		name:    "total_unique_mismatch",
-		mutate:  func(s *snapshot) { s.TotalUnique = 99 },
-		wantSub: "totalUnique 99 inconsistent",
-	},
-	{
-		name:    "column_length_mismatch",
-		mutate:  func(s *snapshot) { s.Uniques = s.Uniques[:2] },
-		wantSub: "3 weight denominators but 2 unique-term counts",
-	},
-	{
-		name:    "trailing_garbage",
-		raw:     func(valid []byte) []byte { return append(valid, "garbage past the snapshot"...) },
-		wantSub: "trailing bytes after gob snapshot",
-	},
-	{
-		name:    "truncated",
-		raw:     func(valid []byte) []byte { return valid[:len(valid)-10] },
-		wantSub: "decoding gob snapshot",
-	},
-	{
-		name:    "not_gob",
-		raw:     func([]byte) []byte { return []byte("\x01\x02this is neither layout\x03") },
-		wantSub: "decoding gob snapshot",
-	},
-}
-
-func encodeFixture(t *testing.T, name string) []byte {
-	t.Helper()
-	for _, fx := range gobFixtures {
-		if fx.name != name {
-			continue
-		}
-		if fx.raw != nil {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(fixtureSnapshot()); err != nil {
-				t.Fatal(err)
-			}
-			return fx.raw(buf.Bytes())
-		}
-		snap := fixtureSnapshot()
-		fx.mutate(&snap)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	t.Fatalf("unknown fixture %q", name)
-	return nil
-}
-
-// TestRegenGobFixtures rewrites testdata/corrupt-gob/ when run with
-// -regen-gob-fixtures. The committed bytes are what the regression
-// test loads; regenerate only when the snapshot wire struct changes.
-func TestRegenGobFixtures(t *testing.T) {
-	if !*regenGobFixtures {
-		t.Skip("run with -regen-gob-fixtures to rewrite testdata/corrupt-gob/")
-	}
-	dir := filepath.Join("testdata", "corrupt-gob")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, fx := range gobFixtures {
-		if err := os.WriteFile(filepath.Join(dir, fx.name+".gob"), encodeFixture(t, fx.name), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestCorruptGobFixtures is the committed-fixture regression test: every
-// file under testdata/corrupt-gob/ must be rejected by Load with its
-// documented error, and a failed load must leave the live index intact.
-func TestCorruptGobFixtures(t *testing.T) {
-	for _, fx := range gobFixtures {
-		t.Run(fx.name, func(t *testing.T) {
-			data, err := os.ReadFile(filepath.Join("testdata", "corrupt-gob", fx.name+".gob"))
-			if err != nil {
-				t.Fatalf("missing committed fixture (regenerate with -regen-gob-fixtures): %v", err)
-			}
-			ix := buildIndex([]string{"alpha", "beta"})
-			if err := ix.Load(data); err == nil {
-				t.Fatal("corrupt snapshot loaded without error")
-			} else if !strings.Contains(err.Error(), fx.wantSub) {
-				t.Fatalf("error %q does not mention %q", err, fx.wantSub)
-			}
-			// Validation runs before the state swap: the index still serves
-			// its pre-load contents.
-			if ix.NumUnits() != 1 || ix.NumTerms() != 2 {
-				t.Fatalf("failed load mutated the index: %d units, %d terms", ix.NumUnits(), ix.NumTerms())
-			}
-		})
-	}
-}
-
-// TestGobFixturesMatchGenerators pins the committed fixture bytes to
-// their generators' *semantics*: each committed file and its freshly
-// generated counterpart must be rejected with the same error. (Gob map
-// encoding is order-randomized, so the bytes themselves may differ.)
-func TestGobFixturesMatchGenerators(t *testing.T) {
-	for _, fx := range gobFixtures {
-		t.Run(fx.name, func(t *testing.T) {
-			err := New().Load(encodeFixture(t, fx.name))
+		{
+			name: "units_not_ascending",
+			mutate: func(s *snapshot) {
+				s.Postings["raid"] = []Posting{{Unit: 2, TF: 1}, {Unit: 0, TF: 2}}
+			},
+			wantSub: "not strictly ascending",
+		},
+		{
+			name: "unit_duplicated",
+			mutate: func(s *snapshot) {
+				s.Postings["raid"] = []Posting{{Unit: 2, TF: 2}, {Unit: 2, TF: 1}}
+			},
+			wantSub: "not strictly ascending",
+		},
+		{
+			name:    "zero_tf",
+			mutate:  func(s *snapshot) { s.Postings["hotel"][0].TF = 0 },
+			wantSub: "term frequency 0 (must be >= 1)",
+		},
+		{
+			name:    "empty_posting_list",
+			mutate:  func(s *snapshot) { s.Postings["ghost"] = nil },
+			wantSub: "empty posting list",
+		},
+		{
+			name:    "unique_count_mismatch",
+			mutate:  func(s *snapshot) { s.Uniques[1] = 7 },
+			wantSub: "declares 7 unique terms",
+		},
+		{
+			name:    "denominator_mismatch",
+			mutate:  func(s *snapshot) { s.Denoms[0] = 42 },
+			wantSub: "weight denominator 42 inconsistent",
+		},
+		{
+			// NaN fails every ordered comparison; the tolerance check is
+			// written so that it is rejected, not waved through.
+			name:    "denominator_nan",
+			mutate:  func(s *snapshot) { s.Denoms[2] = math.NaN() },
+			wantSub: "weight denominator NaN inconsistent",
+		},
+		{
+			name:    "total_unique_mismatch",
+			mutate:  func(s *snapshot) { s.TotalUnique = 99 },
+			wantSub: "totalUnique 99 inconsistent",
+		},
+		{
+			name:    "column_length_mismatch",
+			mutate:  func(s *snapshot) { s.Uniques = s.Uniques[:2] },
+			wantSub: "3 weight denominators but 2 unique-term counts",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := fixtureSnapshot()
+			tc.mutate(&snap)
+			err := validateSnapshot(&snap)
 			if err == nil {
-				t.Fatal("generated fixture loaded without error")
+				t.Fatal("invariant-breaking snapshot validated")
 			}
-			if !strings.Contains(err.Error(), fx.wantSub) {
-				t.Fatalf("generated fixture error %q does not mention %q", err, fx.wantSub)
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
-	}
-}
-
-// TestLegacyGobRoundTrip pins the migration path: a snapshot written by
-// the legacy writer loads through the sniffing reader and serves the
-// same weights as the compact layout of the same index.
-func TestLegacyGobRoundTrip(t *testing.T) {
-	ix := buildIndex(
-		[]string{"raid", "controller", "performance"},
-		[]string{"hotel", "pool"},
-		[]string{"raid", "hotel"},
-	)
-	var legacy, compact bytes.Buffer
-	if _, err := ix.WriteGobTo(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.WriteTo(&compact); err != nil {
-		t.Fatal(err)
-	}
-	fromLegacy, fromCompact := New(), New()
-	if _, err := fromLegacy.ReadFrom(&legacy); err != nil {
-		t.Fatalf("legacy gob load: %v", err)
-	}
-	if _, err := fromCompact.ReadFrom(&compact); err != nil {
-		t.Fatalf("compact load: %v", err)
-	}
-	for _, term := range []string{"raid", "controller", "hotel", "pool", "absent"} {
-		for u := 0; u < 3; u++ {
-			a, b := fromLegacy.Weight(term, u), fromCompact.Weight(term, u)
-			if a != b {
-				t.Fatalf("Weight(%q, %d): legacy %v, compact %v", term, u, a, b)
-			}
-			if want := ix.Weight(term, u); a != want {
-				t.Fatalf("Weight(%q, %d) = %v after legacy round trip, want %v", term, u, a, want)
-			}
-		}
 	}
 }
 
@@ -296,6 +175,19 @@ func TestCompactNegativePaths(t *testing.T) {
 			b = appendUvarint(b, e)
 		}
 		return b
+	}
+	// unitSec spells the fixture's "unit" section with its columns
+	// edited: well-formed bytes whose statistics lie about the postings.
+	unitSec := func(edit func(s *snapshot)) []byte {
+		s := fixtureSnapshot()
+		edit(&s)
+		b := appendUvarint(nil, uint64(len(s.Denoms)))
+		b = secfile.AppendFloat64s(b, s.Denoms)
+		uniq := make([]uint32, len(s.Uniques))
+		for i, u := range s.Uniques {
+			uniq[i] = uint32(u)
+		}
+		return secfile.AppendUint32s(b, uniq)
 	}
 	cases := []struct {
 		name    string
@@ -389,6 +281,20 @@ func TestCompactNegativePaths(t *testing.T) {
 			wantSub: "totalUnique 9 inconsistent",
 		},
 		{
+			name: "unique count lies about the postings",
+			data: func(t *testing.T) []byte {
+				return corruptCompact(t, "unit", unitSec(func(s *snapshot) { s.Uniques[1] = 7 }))
+			},
+			wantSub: "declares 7 unique terms",
+		},
+		{
+			name: "denominator lies about the postings",
+			data: func(t *testing.T) []byte {
+				return corruptCompact(t, "unit", unitSec(func(s *snapshot) { s.Denoms[0] = 42 }))
+			},
+			wantSub: "weight denominator 42 inconsistent",
+		},
+		{
 			name: "payload bit flip",
 			data: func(t *testing.T) []byte {
 				valid, err := appendCompact(fixtureSnapshot())
@@ -440,29 +346,36 @@ func TestCompactNegativePaths(t *testing.T) {
 	}
 }
 
-// TestReadFromTrailingGarbage covers the reader entry point itself: the
-// stream is consumed to EOF and surplus bytes fail the load, in both
-// layouts.
+// TestReadFromTrailingGarbage covers reading a file that holds more than
+// one snapshot: surplus bytes after a valid one fail the load.
 func TestReadFromTrailingGarbage(t *testing.T) {
 	ix := buildIndex([]string{"raid"}, []string{"hotel"})
-	for _, layout := range []struct {
-		name  string
-		write func(*bytes.Buffer) error
-	}{
-		{"compact", func(b *bytes.Buffer) error { _, err := ix.WriteTo(b); return err }},
-		{"gob", func(b *bytes.Buffer) error { _, err := ix.WriteGobTo(b); return err }},
-	} {
-		t.Run(layout.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := layout.write(&buf); err != nil {
-				t.Fatal(err)
-			}
-			buf.WriteString("concatenated second snapshot, say")
-			if _, err := New().ReadFrom(&buf); err == nil {
-				t.Fatal("trailing garbage accepted")
-			} else if !strings.Contains(err.Error(), "trailing bytes") {
-				t.Fatalf("error %q does not mention trailing bytes", err)
-			}
-		})
+	t.Run("compact", func(t *testing.T) {
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		buf.WriteString("concatenated second snapshot, say")
+		if err := New().Load(buf.Bytes()); err == nil {
+			t.Fatal("trailing garbage accepted")
+		} else if !strings.Contains(err.Error(), "trailing bytes") {
+			t.Fatalf("error %q does not mention trailing bytes", err)
+		}
+	})
+}
+
+// TestWriteToErrors: a write that fails reports the error, and an index
+// whose state no file can carry is refused before anything is written.
+func TestWriteToErrors(t *testing.T) {
+	ix := buildIndex([]string{"raid", "raid"}, []string{"hotel"})
+	r, w := io.Pipe()
+	r.Close()
+	if _, err := ix.WriteTo(w); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("WriteTo into a closed pipe: %v", err)
+	}
+	ix.postings["raid"][0].TF = 0
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err == nil || !strings.Contains(err.Error(), "TF 0") || buf.Len() != 0 {
+		t.Fatalf("WriteTo of a zero-TF posting: %d bytes, %v", buf.Len(), err)
 	}
 }

@@ -151,9 +151,8 @@ func (lb listBound) bound(avgUnique float64) float64 {
 }
 
 // rebuildBoundsLocked recomputes every posting list's bound from
-// scratch — the snapshot-load half of bound maintenance, shared by the
-// compact and legacy-gob read paths (both funnel through Load). Callers
-// hold the write lock (or own the index exclusively).
+// scratch — the snapshot-load half of bound maintenance. Callers hold
+// the write lock (or own the index exclusively).
 func (ix *Index) rebuildBoundsLocked() {
 	ix.bounds = make(map[string]listBound, len(ix.postings))
 	for t, posts := range ix.postings {
@@ -309,9 +308,9 @@ type scanTerm struct {
 	posts []Posting
 }
 
-// scanLocked is the one scan behind Query, QueryExhaustive and
-// QueryFrozen. Terms arrive in ascending order with aligned query
-// frequencies and pIDFs, resolved by the caller under the same lock
+// scanLocked is the one scan behind Query and QueryFrozen (and the
+// tests' exhaustive reference). Terms arrive in ascending order with
+// aligned query frequencies and pIDFs, resolved by the caller under the same lock
 // hold or frozen from the collection pool. With prune unset it is the
 // exhaustive Eq 9 scan: every list is accumulated in term order and the
 // accumulator drained into the top-n. With prune set it is the

@@ -123,11 +123,10 @@ func TestBoundDominatesWeights(t *testing.T) {
 	}
 }
 
-// TestBoundsRoundTrip pins that bounds rebuilt on snapshot load — in
-// both the compact and legacy-gob read paths — are bitwise equal to the
-// bounds the writer maintained incrementally. Equality must be exact:
-// the rebuild evaluates Add's expressions over persisted operands, so
-// any drift means the two paths diverged.
+// TestBoundsRoundTrip pins that bounds rebuilt on snapshot load are
+// bitwise equal to the bounds the writer maintained incrementally.
+// Equality must be exact: the rebuild evaluates Add's expressions over
+// persisted operands, so any drift means the two paths diverged.
 func TestBoundsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	docs := randomCorpus(rng, 150, 70)
@@ -135,35 +134,20 @@ func TestBoundsRoundTrip(t *testing.T) {
 	for _, d := range docs {
 		ix.Add(d)
 	}
-	encode := map[string]func() ([]byte, error){
-		"compact": func() ([]byte, error) {
-			var buf bytes.Buffer
-			_, err := ix.WriteTo(&buf)
-			return buf.Bytes(), err
-		},
-		"gob": func() ([]byte, error) {
-			var buf bytes.Buffer
-			_, err := ix.WriteGobTo(&buf)
-			return buf.Bytes(), err
-		},
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatalf("encoding: %v", err)
 	}
-	for name, enc := range encode {
-		data, err := enc()
-		if err != nil {
-			t.Fatalf("%s: encoding: %v", name, err)
-		}
-		loaded := New()
-		if err := loaded.Load(data); err != nil {
-			t.Fatalf("%s: loading: %v", name, err)
-		}
-		if len(loaded.bounds) != len(ix.bounds) {
-			t.Fatalf("%s: %d rebuilt bounds, %d incremental", name, len(loaded.bounds), len(ix.bounds))
-		}
-		for term, want := range ix.bounds {
-			got := loaded.bounds[term]
-			if got != want {
-				t.Errorf("%s: term %q rebuilt bound %+v != incremental %+v", name, term, got, want)
-			}
+	loaded := New()
+	if err := loaded.Load(buf.Bytes()); err != nil {
+		t.Fatalf("loading: %v", err)
+	}
+	if len(loaded.bounds) != len(ix.bounds) {
+		t.Fatalf("%d rebuilt bounds, %d incremental", len(loaded.bounds), len(ix.bounds))
+	}
+	for term, want := range ix.bounds {
+		if got := loaded.bounds[term]; got != want {
+			t.Errorf("term %q rebuilt bound %+v != incremental %+v", term, got, want)
 		}
 	}
 }

@@ -36,7 +36,7 @@ import (
 //	"cidx"  cluster indices: uvarint count, then per cluster a uvarint
 //	        length prefix and the embedded compact index bytes.
 //
-// decodeCompactMR cross-checks the sections against each other (and
+// ReadMR cross-checks the sections against each other (and
 // against the decoded cluster indices) before anything is installed:
 // every cluster/unit/term/doc reference must land in range and the
 // unit-ownership tables must agree with the per-document segment lists,
@@ -44,8 +44,7 @@ import (
 // error instead of panicking mid-query.
 
 const (
-	// CompactMRMagic identifies a compact matcher file; anything else
-	// falls back to the legacy gob decoder.
+	// CompactMRMagic identifies a compact matcher file.
 	CompactMRMagic = "RFCM"
 	// compactMRVersion is the newest compact matcher layout this build
 	// writes and reads.
@@ -160,8 +159,11 @@ func appendCompactMR(mr *MR) ([]byte, error) {
 	return out.b, nil
 }
 
-// decodeCompactMR parses and cross-validates a compact matcher file.
-func decodeCompactMR(data []byte) (*MR, error) {
+// ReadMR parses and cross-validates a compact matcher file held in
+// memory (read, mapped, or embedded in a pipeline snapshot), as written
+// by WriteTo. Bytes after a valid matcher are an error. Nothing of the
+// result aliases data.
+func ReadMR(data []byte) (*MR, error) {
 	f, err := secfile.Decode(data, CompactMRMagic, compactMRVersion)
 	if err != nil {
 		return nil, err
@@ -199,8 +201,8 @@ func decodeCompactMR(data []byte) (*MR, error) {
 	if err != nil {
 		return nil, fmt.Errorf("match: cluster count: %w", err)
 	}
-	if nClusters64 > uint64(math.MaxInt32) {
-		return nil, fmt.Errorf("match: cluster count %d out of range", nClusters64)
+	if nClusters64 > uint64(len(cidxSec)) { // each index has a ≥ 1-byte length prefix
+		return nil, fmt.Errorf("match: %d cluster indices declared in %d bytes", nClusters64, len(cidxSec))
 	}
 	nClusters := int(nClusters64)
 	clusters := make([]*index.Index, nClusters)
@@ -231,8 +233,8 @@ func decodeCompactMR(data []byte) (*MR, error) {
 	if err != nil {
 		return nil, fmt.Errorf("match: document count: %w", err)
 	}
-	if nDocs64 > uint64(math.MaxInt32) {
-		return nil, fmt.Errorf("match: document count %d out of range", nDocs64)
+	if nDocs64 > uint64(len(dsegSec)) { // each document has a ≥ 1-byte segment count
+		return nil, fmt.Errorf("match: %d documents declared in %d bytes", nDocs64, len(dsegSec))
 	}
 	nDocs := int(nDocs64)
 	docSegs := make([][]docSeg, nDocs)

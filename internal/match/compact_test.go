@@ -2,7 +2,6 @@ package match
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,10 +19,10 @@ func smallMatcher(t testing.TB) *MR {
 	return NewMR("IntentIntent-MR", tc.docs, MRConfig{Seed: 7})
 }
 
-func writeMR(t *testing.T, mr *MR, write func(*MR, io.Writer) (int64, error)) []byte {
+func writeMR(t *testing.T, mr *MR) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := write(mr, &buf); err != nil {
+	if _, err := mr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -34,75 +33,71 @@ func writeMR(t *testing.T, mr *MR, write func(*MR, io.Writer) (int64, error)) []
 // and write → read → re-write reproduces the byte string exactly.
 func TestMRCompactByteIdentical(t *testing.T) {
 	mr := smallMatcher(t)
-	first := writeMR(t, mr, (*MR).WriteTo)
-	if again := writeMR(t, mr, (*MR).WriteTo); !bytes.Equal(first, again) {
+	first := writeMR(t, mr)
+	if again := writeMR(t, mr); !bytes.Equal(first, again) {
 		t.Fatal("two writes of the same matcher differ")
 	}
-	loaded, err := ReadMR(bytes.NewReader(first))
+	loaded, err := ReadMR(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second := writeMR(t, loaded, (*MR).WriteTo); !bytes.Equal(first, second) {
+	if second := writeMR(t, loaded); !bytes.Equal(first, second) {
 		t.Fatalf("re-written matcher differs (%d vs %d bytes)", len(first), len(second))
 	}
 }
 
-// TestMRLegacyCompactEquivalent loads the same matcher from its legacy
-// gob stream and its compact file and requires the two results to be
-// the same matcher, state for state: equal tables, and every cluster
-// index canonicalizing to identical compact bytes. Score equality then
-// follows structurally rather than sampled query by query.
+// TestMRLegacyCompactEquivalent requires a matcher loaded from its
+// compact file to be the matcher that wrote it, state for state: equal
+// tables, and every cluster index canonicalizing to identical compact
+// bytes. Score equality then follows structurally rather than sampled
+// query by query. (The name is from when a legacy layout was held to
+// the same standard.)
 func TestMRLegacyCompactEquivalent(t *testing.T) {
 	mr := smallMatcher(t)
-	fromLegacy, err := ReadMR(bytes.NewReader(writeMR(t, mr, (*MR).WriteGobTo)))
-	if err != nil {
-		t.Fatalf("legacy load: %v", err)
-	}
-	fromCompact, err := ReadMR(bytes.NewReader(writeMR(t, mr, (*MR).WriteTo)))
+	loaded, err := ReadMR(writeMR(t, mr))
 	if err != nil {
 		t.Fatalf("compact load: %v", err)
 	}
-	if fromLegacy.name != fromCompact.name || fromLegacy.cfg != fromCompact.cfg {
-		t.Error("name/config differ between layouts")
+	if mr.name != loaded.name || mr.cfg != loaded.cfg {
+		t.Error("name/config differ after the round trip")
 	}
-	if !reflect.DeepEqual(fromLegacy.unitDoc, fromCompact.unitDoc) {
-		t.Error("unit ownership differs between layouts")
+	if !reflect.DeepEqual(mr.unitDoc, loaded.unitDoc) {
+		t.Error("unit ownership differs after the round trip")
 	}
-	if !reflect.DeepEqual(fromLegacy.before, fromCompact.before) ||
-		!reflect.DeepEqual(fromLegacy.after, fromCompact.after) {
-		t.Error("segment accounting differs between layouts")
+	if !reflect.DeepEqual(mr.before, loaded.before) || !reflect.DeepEqual(mr.after, loaded.after) {
+		t.Error("segment accounting differs after the round trip")
 	}
-	if !reflect.DeepEqual(fromLegacy.centroids, fromCompact.centroids) {
-		t.Error("centroids differ between layouts")
+	if !reflect.DeepEqual(mr.centroids, loaded.centroids) {
+		t.Error("centroids differ after the round trip")
 	}
-	if !reflect.DeepEqual(fromLegacy.docSegs, fromCompact.docSegs) {
-		t.Error("per-document segments differ between layouts")
+	if !reflect.DeepEqual(mr.docSegs, loaded.docSegs) {
+		t.Error("per-document segments differ after the round trip")
 	}
-	if fromLegacy.stats != fromCompact.stats {
-		t.Error("build stats differ between layouts")
+	if mr.stats != loaded.stats {
+		t.Error("build stats differ after the round trip")
 	}
-	if len(fromLegacy.clusters) != len(fromCompact.clusters) {
-		t.Fatalf("cluster count %d vs %d", len(fromLegacy.clusters), len(fromCompact.clusters))
+	if len(mr.clusters) != len(loaded.clusters) {
+		t.Fatalf("cluster count %d vs %d", len(mr.clusters), len(loaded.clusters))
 	}
-	for c := range fromLegacy.clusters {
+	for c := range mr.clusters {
 		var a, b bytes.Buffer
-		if _, err := fromLegacy.clusters[c].WriteTo(&a); err != nil {
+		if _, err := mr.clusters[c].WriteTo(&a); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fromCompact.clusters[c].WriteTo(&b); err != nil {
+		if _, err := loaded.clusters[c].WriteTo(&b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("cluster %d canonical bytes differ between layouts", c)
+			t.Errorf("cluster %d canonical bytes differ after the round trip", c)
 		}
 	}
 }
 
 // TestReadMRRejectsInvariantBreaks mutates a freshly built matcher into
 // every cross-table inconsistency the query path depends on not having,
-// writes it through BOTH layouts, and requires each load to fail with a
-// descriptive error — the persistence layer's contract that a snapshot
-// which would misrank or panic at query time never installs.
+// writes it, and requires the load to fail with a descriptive error —
+// the persistence layer's contract that a snapshot which would misrank
+// or panic at query time never installs.
 func TestReadMRRejectsInvariantBreaks(t *testing.T) {
 	// pickSeg finds a document that actually has segments to corrupt.
 	pickSeg := func(mr *MR) (int, docSeg) {
@@ -165,26 +160,16 @@ func TestReadMRRejectsInvariantBreaks(t *testing.T) {
 			wantSub: "owned by doc",
 		},
 	}
-	layouts := []struct {
-		name  string
-		write func(*MR, io.Writer) (int64, error)
-	}{
-		{"compact", (*MR).WriteTo},
-		{"gob", (*MR).WriteGobTo},
-	}
 	for _, tc := range cases {
-		for _, layout := range layouts {
-			t.Run(tc.name+"/"+layout.name, func(t *testing.T) {
-				mr := smallMatcher(t)
-				tc.mutate(mr)
-				data := writeMR(t, mr, layout.write)
-				if _, err := ReadMR(bytes.NewReader(data)); err == nil {
-					t.Fatal("invariant-breaking snapshot loaded without error")
-				} else if !strings.Contains(err.Error(), tc.wantSub) {
-					t.Fatalf("error %q does not mention %q", err, tc.wantSub)
-				}
-			})
-		}
+		t.Run(tc.name+"/compact", func(t *testing.T) {
+			mr := smallMatcher(t)
+			tc.mutate(mr)
+			if _, err := ReadMR(writeMR(t, mr)); err == nil {
+				t.Fatal("invariant-breaking snapshot loaded without error")
+			} else if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
+			}
+		})
 	}
 }
 
@@ -225,7 +210,7 @@ func TestReadMRCompactNegativePaths(t *testing.T) {
 			})
 		}
 	}
-	valid := writeMR(t, smallMatcher(t), (*MR).WriteTo)
+	valid := writeMR(t, smallMatcher(t))
 	cases := []struct {
 		name    string
 		data    func(t *testing.T) []byte
@@ -285,9 +270,21 @@ func TestReadMRCompactNegativePaths(t *testing.T) {
 			wantSub: "trailing bytes in term dictionary",
 		},
 		{
+			// The count is checked against the bytes that follow before
+			// anything is allocated for it.
+			name:    "document count overruns the segment section",
+			data:    replace(valid, "dseg", secfile.AppendUvarint(nil, 1<<40)),
+			wantSub: "documents declared in 0 bytes",
+		},
+		{
 			name:    "segment section truncated",
-			data:    replace(valid, "dseg", secfile.AppendUvarint(nil, 3)),
+			data:    replace(valid, "dseg", []byte{3, 0, 0, 0x80}),
 			wantSub: "segment count",
+		},
+		{
+			name:    "cluster count overruns the index section",
+			data:    replace(valid, "cidx", secfile.AppendUvarint(nil, 1<<40)),
+			wantSub: "cluster indices declared in 0 bytes",
 		},
 		{
 			name:    "cluster section truncated",
@@ -303,7 +300,7 @@ func TestReadMRCompactNegativePaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadMR(bytes.NewReader(tc.data(t))); err == nil {
+			if _, err := ReadMR(tc.data(t)); err == nil {
 				t.Fatal("corrupt matcher file loaded without error")
 			} else if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
@@ -313,31 +310,21 @@ func TestReadMRCompactNegativePaths(t *testing.T) {
 }
 
 // TestReadMRTrailingGarbageBothLayouts covers the reader contract at
-// the stream level: the source is consumed to EOF and surplus bytes
-// after a valid matcher fail the load in either layout. Truncations of
-// either layout fail too.
+// the file level: surplus bytes after a valid matcher fail the load,
+// and so does a truncation.
 func TestReadMRTrailingGarbageBothLayouts(t *testing.T) {
-	mr := smallMatcher(t)
-	for _, layout := range []struct {
-		name  string
-		write func(*MR, io.Writer) (int64, error)
-	}{
-		{"compact", (*MR).WriteTo},
-		{"gob", (*MR).WriteGobTo},
-	} {
-		valid := writeMR(t, mr, layout.write)
-		t.Run(layout.name+"/trailing", func(t *testing.T) {
-			data := append(append([]byte(nil), valid...), "a second matcher, say"...)
-			if _, err := ReadMR(bytes.NewReader(data)); err == nil {
-				t.Fatal("trailing bytes accepted")
-			} else if !strings.Contains(err.Error(), "trailing bytes") {
-				t.Fatalf("error %q does not mention trailing bytes", err)
-			}
-		})
-		t.Run(layout.name+"/truncated", func(t *testing.T) {
-			if _, err := ReadMR(bytes.NewReader(valid[:len(valid)*2/3])); err == nil {
-				t.Fatal("truncated stream accepted")
-			}
-		})
-	}
+	valid := writeMR(t, smallMatcher(t))
+	t.Run("compact/trailing", func(t *testing.T) {
+		data := append(append([]byte(nil), valid...), "a second matcher, say"...)
+		if _, err := ReadMR(data); err == nil {
+			t.Fatal("trailing bytes accepted")
+		} else if !strings.Contains(err.Error(), "trailing bytes") {
+			t.Fatalf("error %q does not mention trailing bytes", err)
+		}
+	})
+	t.Run("compact/truncated", func(t *testing.T) {
+		if _, err := ReadMR(valid[:len(valid)*2/3]); err == nil {
+			t.Fatal("truncated stream accepted")
+		}
+	})
 }

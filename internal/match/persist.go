@@ -1,12 +1,8 @@
 package match
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"io"
 
-	"repro/internal/index"
 	"repro/internal/segment"
 )
 
@@ -15,11 +11,9 @@ import (
 // (top-k matching); persistence lets the offline result be built once,
 // written to disk, and served by separate processes.
 //
-// WriteTo emits the compact section layout of compact.go (magic "RFCM");
-// ReadMR sniffs the first four bytes and reads either that layout or the
-// legacy gob stream earlier builds wrote, so existing MR files keep
-// loading. Both decode paths reject trailing bytes after a valid stream
-// and validate the cross-table invariants the query path depends on.
+// WriteTo emits the compact section layout of compact.go (magic "RFCM")
+// and ReadMR reads it back, rejecting trailing bytes after a valid file
+// and validating the cross-table invariants the query path depends on.
 //
 // The segmentation strategy itself is configuration, not state: ReadMR
 // reconstructs it from the persisted ContentVectors flag and matcher name
@@ -30,23 +24,9 @@ import (
 // indices, unit ownership, per-document segment terms, centroids, and
 // statistics — round-trips exactly.
 
-// mrSnapshot is the gob-serializable state of an MR matcher (the legacy
-// layout's wire struct).
-type mrSnapshot struct {
-	Name      string
-	Cfg       mrConfigSnapshot
-	UnitDoc   [][]int
-	DocSegs   [][]docSegSnapshot
-	Before    []int
-	After     []int
-	Centroids [][]float64
-	Stats     BuildStats
-}
-
 // mrConfigSnapshot carries the serializable MRConfig fields (the Strategy
-// interface is reconstructed from the matcher name on load). It is the
-// wire form of the legacy gob layout and the JSON "meta" section of the
-// compact layout alike.
+// interface is reconstructed from the matcher name on load): the
+// config half of the compact layout's JSON "meta" section.
 type mrConfigSnapshot struct {
 	ContentVectors bool
 	ContentK       int
@@ -103,12 +83,6 @@ func (s mrConfigSnapshot) restore(name string) MRConfig {
 	}.withDefaults()
 }
 
-type docSegSnapshot struct {
-	Cluster int
-	Unit    int
-	Terms   []string
-}
-
 // WriteTo serializes the matcher in the compact section layout. It
 // implements io.WriterTo. It holds the matcher's read lock for the
 // duration, so the snapshot is consistent even while Adds are in flight
@@ -122,167 +96,6 @@ func (mr *MR) WriteTo(w io.Writer) (int64, error) {
 	}
 	n, err := w.Write(data)
 	return int64(n), err
-}
-
-// WriteGobTo serializes the matcher in the legacy gob layout — what
-// WriteTo wrote before the compact format existed, with each cluster
-// index embedded as a legacy gob blob. It is retained for migration
-// tooling and the old-vs-new equivalence tests; new snapshots should
-// use WriteTo.
-func (mr *MR) WriteGobTo(w io.Writer) (int64, error) {
-	mr.mu.RLock()
-	defer mr.mu.RUnlock()
-	snap := mrSnapshot{
-		Name:      mr.name,
-		Cfg:       mr.cfg.snapshot(),
-		UnitDoc:   mr.unitDoc,
-		Before:    mr.before,
-		After:     mr.after,
-		Centroids: mr.centroids,
-		Stats:     mr.stats,
-	}
-	snap.DocSegs = make([][]docSegSnapshot, len(mr.docSegs))
-	for d, segs := range mr.docSegs {
-		for _, s := range segs {
-			snap.DocSegs[d] = append(snap.DocSegs[d], docSegSnapshot{
-				Cluster: s.cluster, Unit: s.unit, Terms: s.terms,
-			})
-		}
-	}
-
-	// A gob decoder buffers past what it consumes, so nested gob streams
-	// cannot share a reader; each cluster index is serialized into its own
-	// byte slice inside the single outer stream.
-	cw := &countingWriter{w: w}
-	enc := gob.NewEncoder(cw)
-	if err := enc.Encode(snap); err != nil {
-		return cw.n, fmt.Errorf("match: encoding matcher: %w", err)
-	}
-	if err := enc.Encode(len(mr.clusters)); err != nil {
-		return cw.n, err
-	}
-	for _, ix := range mr.clusters {
-		var buf bytes.Buffer
-		if _, err := ix.WriteGobTo(&buf); err != nil {
-			return cw.n, fmt.Errorf("match: encoding cluster index: %w", err)
-		}
-		if err := enc.Encode(buf.Bytes()); err != nil {
-			return cw.n, err
-		}
-	}
-	return cw.n, nil
-}
-
-// ReadMR deserializes a matcher previously written with WriteTo — in
-// either layout; the compact format is recognized by its magic, any
-// other prefix is decoded as a legacy gob stream. The source is
-// consumed to EOF, and bytes after a valid matcher are an error in both
-// layouts.
-func ReadMR(r io.Reader) (*MR, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("match: reading matcher: %w", err)
-	}
-	if len(data) >= 4 && string(data[:4]) == CompactMRMagic {
-		return decodeCompactMR(data)
-	}
-	return decodeGobMR(data)
-}
-
-// decodeGobMR parses a legacy gob matcher stream and rejects trailing
-// bytes — gob stops at its last value and would silently ignore
-// appended garbage.
-func decodeGobMR(data []byte) (*MR, error) {
-	br := bytes.NewReader(data)
-	dec := gob.NewDecoder(br)
-	var snap mrSnapshot
-	if err := dec.Decode(&snap); err != nil {
-		return nil, fmt.Errorf("match: decoding matcher: %w", err)
-	}
-	var numClusters int
-	if err := dec.Decode(&numClusters); err != nil {
-		return nil, err
-	}
-	if numClusters < 0 {
-		return nil, fmt.Errorf("match: matcher declares %d clusters", numClusters)
-	}
-	mr := &MR{
-		name:      snap.Name,
-		cfg:       snap.Cfg.restore(snap.Name),
-		unitDoc:   snap.UnitDoc,
-		before:    snap.Before,
-		after:     snap.After,
-		centroids: snap.Centroids,
-		stats:     snap.Stats,
-	}
-	mr.docSegs = make([][]docSeg, len(snap.DocSegs))
-	for d, segs := range snap.DocSegs {
-		for _, s := range segs {
-			mr.docSegs[d] = append(mr.docSegs[d], docSeg{cluster: s.Cluster, unit: s.Unit, terms: s.Terms})
-		}
-	}
-	mr.clusters = make([]*index.Index, numClusters)
-	for c := range mr.clusters {
-		var raw []byte
-		if err := dec.Decode(&raw); err != nil {
-			return nil, fmt.Errorf("match: decoding cluster %d: %w", c, err)
-		}
-		mr.clusters[c] = index.New()
-		if err := mr.clusters[c].Load(raw); err != nil {
-			return nil, fmt.Errorf("match: decoding cluster %d: %w", c, err)
-		}
-	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("match: %d trailing bytes after matcher stream", br.Len())
-	}
-	if err := validateMR(mr); err != nil {
-		return nil, fmt.Errorf("match: invalid matcher snapshot: %w", err)
-	}
-	return mr, nil
-}
-
-// validateMR cross-checks the legacy-decoded tables the same way the
-// compact decoder does inline: every cluster/unit/doc reference in
-// range, ownership tables sized to their indices and agreeing with the
-// per-document segment lists. (The per-index posting invariants are
-// already enforced by index.Load.)
-func validateMR(mr *MR) error {
-	nClusters := len(mr.clusters)
-	nDocs := len(mr.docSegs)
-	if len(mr.unitDoc) != nClusters {
-		return fmt.Errorf("ownership table covers %d clusters, matcher has %d", len(mr.unitDoc), nClusters)
-	}
-	if len(mr.before) != nDocs || len(mr.after) != nDocs {
-		return fmt.Errorf("segment-count tables cover %d/%d documents, matcher has %d", len(mr.before), len(mr.after), nDocs)
-	}
-	for c, owners := range mr.unitDoc {
-		if len(owners) != mr.clusters[c].NumUnits() {
-			return fmt.Errorf("cluster %d ownership table has %d units, index has %d", c, len(owners), mr.clusters[c].NumUnits())
-		}
-		for u, d := range owners {
-			if d < 0 || d >= nDocs {
-				return fmt.Errorf("cluster %d unit %d owned by doc %d out of range [0, %d)", c, u, d, nDocs)
-			}
-		}
-	}
-	for d, segs := range mr.docSegs {
-		if mr.after[d] != len(segs) {
-			return fmt.Errorf("doc %d declares %d refined segments but carries %d", d, mr.after[d], len(segs))
-		}
-		for i, s := range segs {
-			if s.cluster < 0 || s.cluster >= nClusters {
-				return fmt.Errorf("doc %d segment %d cluster %d out of range [0, %d)", d, i, s.cluster, nClusters)
-			}
-			if s.unit < 0 || s.unit >= mr.clusters[s.cluster].NumUnits() {
-				return fmt.Errorf("doc %d segment %d unit %d out of range for cluster %d", d, i, s.unit, s.cluster)
-			}
-			if owner := mr.unitDoc[s.cluster][s.unit]; owner != d {
-				return fmt.Errorf("doc %d segment %d claims cluster %d unit %d, ownership table says doc %d",
-					d, i, s.cluster, s.unit, owner)
-			}
-		}
-	}
-	return nil
 }
 
 // strategyFor reconstructs the segmentation strategy a persisted matcher
@@ -309,14 +122,3 @@ func strategyFor(name string, contentVectors bool) segment.Strategy {
 // be called before the matcher is shared across goroutines: the strategy
 // field is read without locking by PrepareAdd.
 func (mr *MR) SetStrategy(st segment.Strategy) { mr.cfg.Strategy = st }
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}

@@ -2,6 +2,8 @@ package match
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -22,7 +24,7 @@ func TestMRPersistRoundTrip(t *testing.T) {
 		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
 
-	loaded, err := ReadMR(&buf)
+	loaded, err := ReadMR(buf.Bytes())
 	if err != nil {
 		t.Fatalf("ReadMR: %v", err)
 	}
@@ -75,7 +77,7 @@ func TestLoadedMRSupportsAdd(t *testing.T) {
 	if _, err := mr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadMR(&buf)
+	loaded, err := ReadMR(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestReadMRReconstructsStrategy(t *testing.T) {
 			if _, err := mr.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := ReadMR(&buf)
+			loaded, err := ReadMR(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,10 +131,28 @@ func TestReadMRReconstructsStrategy(t *testing.T) {
 }
 
 func TestReadMRGarbage(t *testing.T) {
-	if _, err := ReadMR(strings.NewReader("not a gob stream")); err == nil {
+	// Anything that is not an RFCM container — a file an earlier build
+	// wrote in another encoding included — is named as such.
+	if _, err := ReadMR([]byte("not a matcher file")); err == nil {
 		t.Fatal("garbage input should fail")
+	} else if !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("error %q does not name the magic", err)
 	}
-	if _, err := ReadMR(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadMR(nil); err == nil {
 		t.Fatal("empty input should fail")
+	}
+}
+
+// TestWriteToFailingWriter: a failed write reports the error and leaves
+// the matcher usable.
+func TestWriteToFailingWriter(t *testing.T) {
+	mr := smallMatcher(t)
+	r, w := io.Pipe()
+	r.Close()
+	if _, err := mr.WriteTo(w); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("WriteTo into a closed pipe: %v", err)
+	}
+	if _, err := mr.WriteTo(&bytes.Buffer{}); err != nil {
+		t.Fatalf("WriteTo after a failed write: %v", err)
 	}
 }

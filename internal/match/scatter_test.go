@@ -170,7 +170,7 @@ func TestAttachGlobalStatsAfterReload(t *testing.T) {
 		if _, err := sh.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo shard %d: %v", s, err)
 		}
-		ld, err := ReadMR(&buf)
+		ld, err := ReadMR(buf.Bytes())
 		if err != nil {
 			t.Fatalf("ReadMR shard %d: %v", s, err)
 		}

@@ -104,13 +104,6 @@ type File struct {
 	sections map[string][]byte
 }
 
-// Sniff reports whether data begins with the 4-byte magic — the cheap
-// dispatch test loaders use to tell a compact file from a legacy gob
-// stream before committing to either decode path.
-func Sniff(data []byte, magic string) bool {
-	return len(data) >= 4 && string(data[:4]) == magic
-}
-
 // Decode validates a complete section file held in memory and returns
 // its payload slices (aliasing data). maxVersion is the newest version
 // the caller understands; newer files are rejected rather than

@@ -178,19 +178,6 @@ func TestDecodeNegativePaths(t *testing.T) {
 	}
 }
 
-func TestSniff(t *testing.T) {
-	data := encodeValid(t)
-	if !Sniff(data, "TEST") {
-		t.Error("Sniff rejected its own magic")
-	}
-	if Sniff(data, "ELSE") {
-		t.Error("Sniff accepted a different magic")
-	}
-	if Sniff([]byte("TE"), "TEST") {
-		t.Error("Sniff accepted a short prefix")
-	}
-}
-
 func TestVarintHelpers(t *testing.T) {
 	b := AppendUvarint(nil, 0)
 	b = AppendUvarint(b, 127)

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -14,12 +13,9 @@ import (
 // Persistence for a shard group is a directory, not a single stream: a
 // small JSON manifest naming the topology (shard count, routing seed,
 // document and cluster counts) plus one shard file per shard, each in
-// the match.MR codec — the compact section layout for new writes, with
-// legacy gob shard files still loading through ReadMR's magic sniffing —
-// so a shard file is readable by the plain ReadMR and inspectable with
-// the same tooling as an unsharded snapshot. The manifest records which
-// codec the directory was written with (informational; each file
-// self-describes via its magic). The manifest is what makes the directory reconstructible:
+// the match.MR codec, so a shard file is readable by the plain ReadMR
+// and inspectable with the same tooling as an unsharded snapshot's
+// matcher. The manifest is what makes the directory reconstructible:
 // routing is a pure function of (seed, id), so the loader rebuilds the
 // whole global↔local id directory by replaying the route over
 // 0..Docs-1, then cross-checks every shard's document count against
@@ -48,11 +44,6 @@ type Manifest struct {
 	RouteSeed uint64 `json:"route_seed"`
 	Docs      int    `json:"docs"`
 	Clusters  int    `json:"clusters"`
-	// Codec names the shard-file layout the directory was written with:
-	// "compact" for the section format, absent/empty in directories
-	// written before the field existed (legacy gob). Informational —
-	// the loader trusts each file's own magic, not this field.
-	Codec string `json:"codec,omitempty"`
 }
 
 // WriteDir persists the group into dir (created if needed): the
@@ -72,7 +63,6 @@ func (g *Group) WriteDir(dir string) error {
 		RouteSeed: g.Seed(),
 		Docs:      g.NumDocs(),
 		Clusters:  g.NumClusters(),
-		Codec:     "compact",
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -94,17 +84,12 @@ func writeShardFile(path string, sh *match.MR) error {
 	if err != nil {
 		return fmt.Errorf("shard: creating %s: %w", filepath.Base(path), err)
 	}
-	w := bufio.NewWriter(f)
-	if _, err := sh.WriteTo(w); err != nil {
-		f.Close()
-		return fmt.Errorf("shard: writing %s: %w", filepath.Base(path), err)
+	_, err = sh.WriteTo(f) // one Write of the whole file; nothing to buffer
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
+	if err != nil {
 		return fmt.Errorf("shard: writing %s: %w", filepath.Base(path), err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("shard: closing %s: %w", filepath.Base(path), err)
 	}
 	return nil
 }
@@ -178,12 +163,11 @@ func ReadManifest(dir string) (Manifest, error) {
 // against the manifest's.
 func readShardFile(dir string, s, clusters, declared int) (*match.MR, error) {
 	name := ShardFileName(s)
-	f, err := os.Open(filepath.Join(dir, name))
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		return nil, fmt.Errorf("shard: opening %s (manifest declares %d shards): %w", name, declared, err)
 	}
-	sh, err := match.ReadMR(bufio.NewReader(f))
-	f.Close()
+	sh, err := match.ReadMR(data)
 	if err != nil {
 		return nil, fmt.Errorf("shard: reading %s: %w", name, err)
 	}

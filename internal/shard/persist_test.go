@@ -235,69 +235,43 @@ func TestWriteDirErrors(t *testing.T) {
 	if err := g.WriteDir(filepath.Join(blocker, "sub")); err == nil {
 		t.Error("WriteDir into a file path should fail")
 	}
-}
-
-// writeLegacyDir writes the group the way pre-compact builds did: the
-// same manifest minus the codec field, with every shard file in the
-// legacy gob layout. It is the migration-era directory shape the loader
-// must keep accepting via per-file magic sniffing.
-func writeLegacyDir(t *testing.T, g *Group, dir string) {
-	t.Helper()
-	if err := g.WriteDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	editManifest(t, dir, func(m map[string]any) { delete(m, "codec") })
-	for s, sh := range g.shards {
-		f, err := os.Create(filepath.Join(dir, ShardFileName(s)))
-		if err != nil {
+	// The directory is there, but a file of it cannot be written: a
+	// directory sits where the file would go. (Permission bits would not
+	// stop a test run as root.)
+	for _, name := range []string{ManifestName, ShardFileName(1)} {
+		dir := t.TempDir()
+		if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sh.WriteGobTo(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
+		if err := g.WriteDir(dir); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("WriteDir over an unwritable %s: error %v does not name it", name, err)
 		}
 	}
 }
 
-// TestShardDirLegacyCompactEquivalence is the old-vs-new acceptance
-// gate at the shard level: for shard counts 1, 2, and 4, a legacy-gob
-// directory and a compact directory of the same group load into groups
-// that return bit-identical scores and rankings — to each other and to
-// the unsharded matcher the group was split from.
+// TestShardDirLegacyCompactEquivalence is the acceptance gate at the
+// shard level: for shard counts 1, 2, and 4, a written directory loads
+// into a group that returns bit-identical scores and rankings to the
+// unsharded matcher the group was split from — and so does the same
+// directory under the manifest earlier builds wrote, which carried an
+// informational "codec" field this build neither writes nor reads.
 func TestShardDirLegacyCompactEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			mr, g := buildGroup(t, 120, shards)
-			compactDir, legacyDir := t.TempDir(), t.TempDir()
-			if err := g.WriteDir(compactDir); err != nil {
+			dir := t.TempDir()
+			if err := g.WriteDir(dir); err != nil {
 				t.Fatal(err)
 			}
-			writeLegacyDir(t, g, legacyDir)
-
-			// The compact directory self-describes its codec; the legacy one
-			// has no codec field at all.
-			raw, err := os.ReadFile(filepath.Join(compactDir, ManifestName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(string(raw), `"codec": "compact"`) {
-				t.Errorf("compact manifest does not record its codec:\n%s", raw)
-			}
-
-			fromCompact, err := ReadDir(compactDir)
-			if err != nil {
-				t.Fatalf("compact dir: %v", err)
-			}
-			fromLegacy, err := ReadDir(legacyDir)
-			if err != nil {
-				t.Fatalf("legacy dir: %v", err)
-			}
-			for d := 0; d < mr.NumDocs(); d++ {
-				want := mr.Match(d, 5)
-				sameResults(t, fmt.Sprintf("compact doc=%d", d), want, fromCompact.Match(d, 5))
-				sameResults(t, fmt.Sprintf("legacy doc=%d", d), want, fromLegacy.Match(d, 5))
+			for _, manifest := range []string{"current", "with codec field"} {
+				loaded, err := ReadDir(dir)
+				if err != nil {
+					t.Fatalf("%s manifest: %v", manifest, err)
+				}
+				for d := 0; d < mr.NumDocs(); d++ {
+					sameResults(t, fmt.Sprintf("%s manifest doc=%d", manifest, d), mr.Match(d, 5), loaded.Match(d, 5))
+				}
+				editManifest(t, dir, func(m map[string]any) { m["codec"] = "compact" })
 			}
 		})
 	}

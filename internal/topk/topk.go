@@ -1,10 +1,12 @@
-// Package topk provides the top-k selection helper shared by the index
-// and matching layers. Both layers keep a running best-k over a stream of
-// scored candidates (Algorithm 1's per-cluster lists, Algorithm 2's final
-// ranking, the FullText and LDA baselines); this package holds the single
-// min-heap implementation with the tie-breaking rule that keeps rankings
-// deterministic — higher score first, lower id on equal scores — so
-// results never depend on map iteration order.
+// Package topk provides the top-k selection helper shared by the
+// matching and shard layers: match keeps a running best-k over scored
+// documents (Algorithm 2's final ranking, the FullText and LDA
+// baselines) and shard.Directory.Merge over the per-shard Algorithm 1
+// lists it merges. (The index scan keeps its own pooled heap in the
+// same order; see index/accum.go.) This package holds the min-heap with
+// the tie-breaking rule that keeps rankings deterministic — higher
+// score first, lower id on equal scores — so results never depend on
+// map iteration order.
 package topk
 
 // Item is one scored candidate: an opaque integer id (a unit id inside an
@@ -57,24 +59,6 @@ func (c *Collector) Offer(id int, score float64) {
 		c.h.down(0)
 	}
 }
-
-// Len reports how many items the collector currently retains.
-func (c *Collector) Len() int { return len(c.h) }
-
-// Threshold returns the k-th best score seen so far — the heap root —
-// and whether the collector is full. Until k items have been offered
-// there is no meaningful cutoff and ok is false. The max-score scan
-// uses this as its pruning threshold θ: once full, no candidate scoring
-// below the root can enter the top-k.
-func (c *Collector) Threshold() (score float64, ok bool) {
-	if c.k <= 0 || len(c.h) < c.k {
-		return 0, false
-	}
-	return c.h[0].Score, true
-}
-
-// Reset empties the collector for reuse, keeping its capacity.
-func (c *Collector) Reset() { c.h = c.h[:0] }
 
 // Results drains the collector and returns the retained items best first
 // (descending score, ascending id on ties). The Collector is empty

@@ -186,57 +186,6 @@ func TestZeroK(t *testing.T) {
 	}
 }
 
-func TestThreshold(t *testing.T) {
-	c := New(2)
-	if _, ok := c.Threshold(); ok {
-		t.Error("empty collector reported a threshold")
-	}
-	c.Offer(1, 0.9)
-	if _, ok := c.Threshold(); ok {
-		t.Error("under-full collector reported a threshold")
-	}
-	c.Offer(2, 0.4)
-	if th, ok := c.Threshold(); !ok || th != 0.4 {
-		t.Errorf("Threshold() = %g, %v; want 0.4, true", th, ok)
-	}
-	// A better candidate evicts the root and raises the threshold; a
-	// worse one leaves it untouched.
-	c.Offer(3, 0.7)
-	if th, _ := c.Threshold(); th != 0.7 {
-		t.Errorf("after eviction Threshold() = %g, want 0.7", th)
-	}
-	c.Offer(4, 0.1)
-	if th, _ := c.Threshold(); th != 0.7 {
-		t.Errorf("after rejected offer Threshold() = %g, want 0.7", th)
-	}
-	if _, ok := New(0).Threshold(); ok {
-		t.Error("k=0 collector reported a threshold")
-	}
-}
-
-func TestResetAndLen(t *testing.T) {
-	c := New(3)
-	c.Offer(1, 1)
-	c.Offer(2, 2)
-	if c.Len() != 2 {
-		t.Errorf("Len() = %d, want 2", c.Len())
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Errorf("after Reset Len() = %d, want 0", c.Len())
-	}
-	if _, ok := c.Threshold(); ok {
-		t.Error("reset collector reported a threshold")
-	}
-	c.Offer(3, 5)
-	c.Offer(4, 4)
-	c.Offer(5, 6)
-	want := []Item{{ID: 5, Score: 6}, {ID: 3, Score: 5}, {ID: 4, Score: 4}}
-	if got := c.Results(); !reflect.DeepEqual(got, want) {
-		t.Errorf("after Reset Results() = %v, want %v", got, want)
-	}
-}
-
 func TestReuseAfterResults(t *testing.T) {
 	c := New(2)
 	c.Offer(1, 1)

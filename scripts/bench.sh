@@ -6,17 +6,13 @@
 #   scripts/bench.sh                 # full run, writes BENCH_PR10.json
 #   scripts/bench.sh -smoke          # 1-iteration smoke (CI: bench code must compile and run)
 #   BENCH_OUT=perf.json scripts/bench.sh
-#   PERSIST_SIZES=1000 scripts/bench.sh   # shrink the persistence leg
 #   QUERY_SIZES=1000 scripts/bench.sh     # shrink the query-pruning leg
 #   FLEET_DOCS=0 scripts/bench.sh         # skip the fleet-overhead leg
 #   LOADGEN_DOCS=0 scripts/bench.sh       # skip the open-loop loadgen leg
 #
 # The JSON output maps benchmark name -> {ns_per_op, bytes_per_op, allocs_per_op}
 # plus a "meta" block (go version, GOMAXPROCS, benchtime, count) and a
-# "persistence" block from cmd/persistbench: file size, load wall-time,
-# and post-load heap for the legacy gob vs compact snapshot layouts at
-# each corpus size (set PERSIST_SIZES=0 to skip the leg), and a "query"
-# block from cmd/querybench: exhaustive vs max-score-pruned ns/op and
+# "query" block from cmd/querybench: exhaustive vs max-score-pruned ns/op and
 # postings scanned per query at each corpus size (QUERY_SIZES=0 skips) —
 # the full run includes the 1M-unit size, so the snapshot tracks pruning
 # at serving scale. The full run enforces -require-speedup: the pruned
@@ -48,7 +44,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${BENCH_OUT:-BENCH_PR10.json}"
-PERSIST_SIZES="${PERSIST_SIZES:-1000,10000,100000}"
 QUERY_SIZES="${QUERY_SIZES:-1000,10000,100000,1000000}"
 QUERY_RUNS="${QUERY_RUNS:-64}"
 FLEET_DOCS="${FLEET_DOCS:-10000}"
@@ -67,14 +62,13 @@ GOMP="${GOMAXPROCS:-$(nproc)}"
 
 if [[ "${1:-}" == "-smoke" ]]; then
     # CI smoke: one iteration of the acceptance benchmarks plus a 1k-doc
-    # persistbench pass (gob vs compact must both write, load, validate)
-    # and a 1k-doc querybench pass (pruned vs exhaustive must both run;
-    # the speedup gate only applies at full scale, so it is not set here).
+    # querybench pass (pruned vs exhaustive must both run; the speedup
+    # gate only applies at full scale, so it is not set here). Snapshot
+    # write and load are measured by `go run ./bench` (core.snapshot_*).
     go test -run '^$' -bench 'BenchmarkFig11bClustering|BenchmarkFig11cRetrievalIntentObserved|BenchmarkPipelineBuild1k' -benchtime 1x .
     # The index-layer benchmarks a scan change is judged by (the 100k-unit
     # pruned-vs-exhaustive leg included) must keep compiling and running.
     go test -run '^$' -bench 'QueryReadOnly|QueryPrunedVsExhaustive' -benchtime 1x ./internal/index
-    go run ./cmd/persistbench -sizes 1000 -runs 2
     go run ./cmd/querybench -sizes 1000 -runs 16 -fleet-docs 300 -out /dev/null
     # Loadgen smoke: a 2-second open-loop run against a tiny live server
     # gates the full run's loadgen leg (loadgen must boot, find the
@@ -152,30 +146,12 @@ END {
     printf "  }\n}\n" > out
 }' "$RAW"
 
-# Persistence leg: gob-vs-compact file size, load time, and post-load
-# heap across corpus sizes, merged into the same snapshot.
-if [[ "$PERSIST_SIZES" != 0 ]]; then
-    PB="$(mktemp)"
-    trap 'rm -f "$RAW" "$PB"' EXIT
-    echo "running: go run ./cmd/persistbench -sizes $PERSIST_SIZES" >&2
-    go run ./cmd/persistbench -sizes "$PERSIST_SIZES" -out "$PB"
-    python3 - "$OUT" "$PB" <<'EOF'
-import json, sys
-out_path, pb_path = sys.argv[1], sys.argv[2]
-snap = json.load(open(out_path))
-snap["persistence"] = json.load(open(pb_path))["persistence"]
-with open(out_path, "w") as f:
-    json.dump(snap, f, indent=2)
-    f.write("\n")
-EOF
-fi
-
 # Query-pruning leg: exhaustive vs max-score ns/op and postings scanned
 # across corpus sizes, merged into the snapshot. -require-speedup makes
 # this the acceptance gate: a pruning regression fails the whole run.
 if [[ "$QUERY_SIZES" != 0 ]]; then
     QB="$(mktemp)"
-    trap 'rm -f "$RAW" "${PB:-}" "$QB"' EXIT
+    trap 'rm -f "$RAW" "$QB"' EXIT
     echo "running: go run ./cmd/querybench -sizes $QUERY_SIZES -runs $QUERY_RUNS -fleet-docs $FLEET_DOCS -fleet-shards $FLEET_SHARDS -require-speedup" >&2
     go run ./cmd/querybench -sizes "$QUERY_SIZES" -runs "$QUERY_RUNS" \
         -fleet-docs "$FLEET_DOCS" -fleet-shards "$FLEET_SHARDS" -require-speedup -out "$QB"
@@ -201,7 +177,7 @@ fi
 if [[ "$LOADGEN_DOCS" != 0 ]]; then
     LG="$(mktemp -d)"
     LG_PIDS=()
-    trap 'kill "${LG_PIDS[@]}" 2>/dev/null || true; rm -f "$RAW" "${PB:-}" "${QB:-}"; rm -rf "${LG:-}"' EXIT
+    trap 'kill "${LG_PIDS[@]}" 2>/dev/null || true; rm -f "$RAW" "${QB:-}"; rm -rf "${LG:-}"' EXIT
     echo "building serve + loadgen for the open-loop leg" >&2
     go build -o "$LG/serve" ./cmd/serve
     go build -o "$LG/loadgen" ./cmd/loadgen

@@ -26,7 +26,8 @@ declare -a TARGETS=(
     "./internal/secfile FuzzDecode"
     "./internal/secfile FuzzParseStringTable"
     "./internal/index FuzzIndexLoad"
-    "./internal/index FuzzGobSnapshot"
+    "./internal/index FuzzValidateSnapshot"
+    "./internal/core FuzzReadPipeline"
 )
 
 for entry in "${TARGETS[@]}"; do

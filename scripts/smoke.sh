@@ -271,53 +271,48 @@ rm -rf "$SHED_DIR"
 kill "$SERVER_PID" 2>/dev/null && wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 
-# Persistence leg: build once offline, save the pipeline in BOTH on-disk
-# layouts (compact section format and legacy gob), then serve each file
-# with -load. Every /related body must match the build-from-scratch
-# references byte for byte — the migration guarantee that a pre-compact
-# snapshot and its compact replacement are indistinguishable to clients.
-echo "== persistence (save compact + legacy gob, serve both with -load)" >&2
+# Persistence leg: build once offline, save the pipeline, then serve
+# the file with -load. Every /related body must match the
+# build-from-scratch references byte for byte.
+echo "== persistence (save a snapshot, serve it with -load)" >&2
 WORK="$(dirname "$BIN")"
 go build -o "$WORK/gencorpus" ./cmd/gencorpus
 go build -o "$WORK/intentmatch" ./cmd/intentmatch
 "$WORK/gencorpus" -domain tech -n 200 -seed 42 >"$WORK/corpus.jsonl"
-"$WORK/intentmatch" -corpus "$WORK/corpus.jsonl" -seed 42 -save "$WORK/snap_compact.idx" >/dev/null
-"$WORK/intentmatch" -corpus "$WORK/corpus.jsonl" -seed 42 -save "$WORK/snap_gob.idx" -save-format gob >/dev/null
+"$WORK/intentmatch" -corpus "$WORK/corpus.jsonl" -seed 42 -save "$WORK/snap.idx" >/dev/null
 
-for layout in compact gob; do
-    "$BIN" -addr "127.0.0.1:$PORT" -load "$WORK/snap_$layout.idx" -trace-slow 0 2>"$LOG" &
-    SERVER_PID=$!
-    for i in $(seq 1 50); do
-        if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
-        if ! kill -0 "$SERVER_PID" 2>/dev/null; then
-            echo "server died loading $layout snapshot:" >&2; cat "$LOG" >&2; exit 1
-        fi
-        sleep 0.3
-    done
-    curl -sf "$BASE/healthz" >/dev/null || { echo "server never became healthy on $layout snapshot" >&2; cat "$LOG" >&2; exit 1; }
-    for doc in 3 17 57; do
-        check "POST /related ($layout snapshot) doc $doc" 200 -X POST "$BASE/related" -d "{\"doc_id\": $doc, \"k\": 5}"
-        if cmp -s /tmp/smoke_body "$REF_DIR/related_$doc.json"; then
-            echo "ok   $layout-loaded /related doc $doc matches built server byte-for-byte" >&2
-        else
-            echo "FAIL $layout-loaded /related doc $doc diverges from built server:" >&2
-            diff <(head -c 400 "$REF_DIR/related_$doc.json") <(head -c 400 /tmp/smoke_body) >&2 || true
-            fail=1
-        fi
-    done
-    check "POST /related explain ($layout snapshot)" 200 -X POST "$BASE/related" -d '{"doc_id": 3, "k": 5, "explain": true}'
-    if cmp -s /tmp/smoke_body "$REF_DIR/explain_3.json"; then
-        echo "ok   $layout-loaded explain matches built server byte-for-byte" >&2
+"$BIN" -addr "127.0.0.1:$PORT" -load "$WORK/snap.idx" -trace-slow 0 2>"$LOG" &
+SERVER_PID=$!
+for i in $(seq 1 50); do
+    if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
+    if ! kill -0 "$SERVER_PID" 2>/dev/null; then
+        echo "server died loading the snapshot:" >&2; cat "$LOG" >&2; exit 1
+    fi
+    sleep 0.3
+done
+curl -sf "$BASE/healthz" >/dev/null || { echo "server never became healthy on the snapshot" >&2; cat "$LOG" >&2; exit 1; }
+for doc in 3 17 57; do
+    check "POST /related (loaded snapshot) doc $doc" 200 -X POST "$BASE/related" -d "{\"doc_id\": $doc, \"k\": 5}"
+    if cmp -s /tmp/smoke_body "$REF_DIR/related_$doc.json"; then
+        echo "ok   snapshot-loaded /related doc $doc matches built server byte-for-byte" >&2
     else
-        echo "FAIL $layout-loaded explain diverges from built server" >&2
+        echo "FAIL snapshot-loaded /related doc $doc diverges from built server:" >&2
+        diff <(head -c 400 "$REF_DIR/related_$doc.json") <(head -c 400 /tmp/smoke_body) >&2 || true
         fail=1
     fi
-    kill "$SERVER_PID" 2>/dev/null && wait "$SERVER_PID" 2>/dev/null || true
-    SERVER_PID=""
 done
+check "POST /related explain (loaded snapshot)" 200 -X POST "$BASE/related" -d '{"doc_id": 3, "k": 5, "explain": true}'
+if cmp -s /tmp/smoke_body "$REF_DIR/explain_3.json"; then
+    echo "ok   snapshot-loaded explain matches built server byte-for-byte" >&2
+else
+    echo "FAIL snapshot-loaded explain diverges from built server" >&2
+    fail=1
+fi
+kill "$SERVER_PID" 2>/dev/null && wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
 
 # A corrupted snapshot must refuse to serve, with a descriptive error.
-head -c 1000 "$WORK/snap_compact.idx" >"$WORK/snap_truncated.idx"
+head -c 1000 "$WORK/snap.idx" >"$WORK/snap_truncated.idx"
 if "$BIN" -addr "127.0.0.1:$PORT" -load "$WORK/snap_truncated.idx" 2>"$LOG"; then
     echo "FAIL serve accepted a truncated snapshot" >&2
     fail=1
@@ -325,6 +320,19 @@ elif grep -q "truncated" "$LOG"; then
     echo "ok   truncated snapshot rejected with a descriptive error" >&2
 else
     echo "FAIL truncated snapshot error is not descriptive:" >&2; tail -2 "$LOG" >&2
+    fail=1
+fi
+
+# So must a file that is not a snapshot at all — which, since the gob
+# encodings were retired, is what a file written by an older build is.
+head -c 4096 /dev/urandom >"$WORK/snap_garbage.idx"
+if "$BIN" -addr "127.0.0.1:$PORT" -load "$WORK/snap_garbage.idx" 2>"$LOG"; then
+    echo "FAIL serve accepted a file of garbage as a snapshot" >&2
+    fail=1
+elif grep -q "bad magic" "$LOG"; then
+    echo "ok   non-snapshot file rejected by its magic" >&2
+else
+    echo "FAIL non-snapshot file error does not name the magic:" >&2; tail -2 "$LOG" >&2
     fail=1
 fi
 
