@@ -60,8 +60,8 @@ var (
 // prunes on; below it the exhaustive scan is used — on small lists the
 // bookkeeping (threshold heap, update-mode probes, exact rescore) costs
 // more than the walk it saves. The value is the measured crossover:
-// BenchmarkQueryPrunedVsExhaustive (querybench's Zipf corpus, k = 10,
-// gate forced both ways, one CPU), exhaustive vs pruned per query:
+// BenchmarkQueryPrunedVsExhaustive (benchCorpus's Zipf vocabulary,
+// k = 10, gate forced both ways, one CPU), exhaustive vs pruned per query:
 //
 //	 units   exhaustive    pruned   exhaustive/pruned
 //	  1000      32 µs       56 µs        0.57×
@@ -70,12 +70,14 @@ var (
 //	 16000     414 µs      369 µs        1.12×
 //	100000    2.89 ms     2.09 ms        1.38×
 //
-// and cmd/querybench at a million units 40.6 ms vs 24.4 ms (1.66×). With
-// the map accumulators this package had before, the same sweep crossed
-// over near 24 000 units (0.89× at 8000, 0.93× at 16 000, 1.01× at
-// 24 000), so 8192 was engaging the pruned scan where it lost; with the
-// dense accumulator it is the first power of two past the crossover.
-// Results are bit-identical either way. It is read at query time without
+// and the same corpus at a million units 40.6 ms vs 24.4 ms (1.66×).
+// TestPruningHalvesPostingsAt100k pins what the 100 000 row rests on:
+// at least 2× fewer postings touched (2.5× measured). With the map
+// accumulators this package had before, the same sweep crossed over
+// near 24 000 units (0.89× at 8000, 0.93× at 16 000, 1.01× at 24 000),
+// so 8192 was engaging the pruned scan where it lost; with the dense
+// accumulator it is the first power of two past the crossover. Results
+// are bit-identical either way. It is read at query time without
 // synchronization: set it at startup (or in tests before spawning
 // queriers), not while serving.
 var PruneMinUnits = 8192

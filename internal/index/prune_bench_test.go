@@ -46,13 +46,13 @@ func BenchmarkQueryReadOnly(b *testing.B) {
 }
 
 // BenchmarkQueryPrunedVsExhaustive compares the max-score pruned scan
-// against the exhaustive reference at growing corpus sizes (the
-// cmd/querybench corpus, in-package). Pruned and exhaustive return
-// bit-identical results (TestPrunedMatchesExhaustiveProperty); this
-// pair shows what the pruning buys. The pruned legs lower the size gate
-// so they prune at every size — this is the sweep PruneMinUnits is set
-// from. The 100 000-unit leg (the size CI's querybench gate runs at) is
-// skipped under -short.
+// against the exhaustive reference at growing corpus sizes. Pruned and
+// exhaustive return bit-identical results
+// (TestPrunedMatchesExhaustiveProperty); this pair shows what the
+// pruning buys. The pruned legs lower the size gate so they prune at
+// every size — this is the sweep PruneMinUnits is set from. The
+// 100 000-unit leg (the size TestPruningHalvesPostingsAt100k counts
+// postings at) is skipped under -short.
 func BenchmarkQueryPrunedVsExhaustive(b *testing.B) {
 	sizes := []int{1000, 4000, 8000, 16000, 100000}
 	if testing.Short() {

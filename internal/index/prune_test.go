@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // withPruneGate lowers the pruning size gate so small test corpora take
@@ -91,6 +93,43 @@ func TestPrunedMatchesExhaustiveInterleaved(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("after %d adds: pruned %v != exhaustive %v", i+1, got, want)
 		}
+	}
+}
+
+// TestPruningHalvesPostingsAt100k is the other half of the pruning
+// contract — that it pays — stated without a clock: on the 100 000-unit
+// Zipf corpus of BenchmarkQueryPrunedVsExhaustive, queries 0–31 at
+// k = 10 must touch at least 2× fewer postings through the default
+// (pruned) scan than with the size gate raised past the corpus, and
+// return the same results. The counts are deterministic, so a bound
+// ordering or early termination that stops cutting shows up as a ratio,
+// where wall-clock time on the same code has read 1.3× to 1.8×.
+func TestPruningHalvesPostingsAt100k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 100 000-unit index")
+	}
+	obs.Enable() // index.scan.postings only counts while obs is on
+	t.Cleanup(obs.Disable)
+	const units, runs, topK = 100000, 32, 10
+	ix, queries := benchCorpus(units, 2000, 42)
+	leg := func(minUnits int) (results [][]Result, postingsPerQuery int64) {
+		withPruneGate(t, minUnits)
+		before := ctrScanPostings.Value()
+		for _, q := range queries[:runs] {
+			results = append(results, ix.Query(q, topK, nil))
+		}
+		return results, (ctrScanPostings.Value() - before) / runs
+	}
+	gate := PruneMinUnits
+	want, exhaustive := leg(units + 1)
+	got, pruned := leg(gate)
+	t.Logf("postings per query at %d units: exhaustive %d, pruned %d", units, exhaustive, pruned)
+	if exhaustive < 2*pruned {
+		t.Errorf("pruned scan touches %d postings per query, exhaustive %d: need >= 2x fewer (last known values 76792 and 195559, 2.55x) — the bound ordering or early termination has regressed",
+			pruned, exhaustive)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("pruned and exhaustive legs returned different results")
 	}
 }
 

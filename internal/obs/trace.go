@@ -20,7 +20,7 @@ import (
 // GET /debug/traces snapshots.
 //
 // Cost model: the untraced path is a nil-pointer check per hook — no
-// clock read, no allocation (BenchmarkFig11cRetrievalIntent* gates
+// clock read, no allocation (core's TestRelatedAllocations gates
 // this). A traced request pays one Trace allocation plus one mutex'd
 // append per event; events are rare (tens per request) and traced
 // requests are rare (sampled or slow), so the tax never lands on the
