@@ -113,7 +113,7 @@ func ReadPipeline(r io.Reader) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	mr, err := match.ReadMR(mtch)
+	mr, err := match.ReadMR(mtch, nil)
 	if err != nil {
 		return nil, err
 	}

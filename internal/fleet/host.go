@@ -206,7 +206,7 @@ func (h *Host) HandleHome(req *HomeRequest) (*HomeResponse, error) {
 	}
 	h.ctrHome[req.Shard].Inc()
 	return &HomeResponse{
-		Probes: toWireProbes(probes),
+		Probes: toWireProbes(mr.Dict(), probes),
 		Lists:  toWireLists(lists),
 		N:      n,
 		Epoch:  h.epoch,
@@ -238,7 +238,7 @@ func (h *Host) HandleProbe(req *ProbeRequest) (*ProbeResponse, error) {
 	if len(req.Floors) != 0 && len(req.Floors) != len(req.Probes) {
 		return nil, badRequest("floors length %d does not match %d probes", len(req.Floors), len(req.Probes))
 	}
-	probes := toClusterQueries(req.Probes)
+	probes := toClusterQueries(mr.Dict(), req.Probes)
 	t := h.openTrace(req.Trace, req.TraceID, "probe", req.Shard)
 	st := h.spanProbe[req.Shard].Start()
 	lists := mr.QueryClusterLists(probes, req.Depth, -1, req.Floors, t)
@@ -265,7 +265,7 @@ func (h *Host) HandleExplain(req *ExplainRequest) (*ExplainResponse, error) {
 	t := h.openTrace(req.Trace, req.TraceID, "explain", req.Shard)
 	out := make([][]match.TermContribution, len(req.Items))
 	for i, it := range req.Items {
-		out[i] = mr.ExplainDocCluster(it.LocalDoc, it.Cluster, probeTF(it.Terms, it.QF), it.Norm)
+		out[i] = mr.ExplainDocCluster(it.LocalDoc, match.ClusterQuery{Cluster: it.Cluster, Terms: wireTerms(mr.Dict(), it.Terms), QF: it.QF}, it.Norm)
 	}
 	if t != nil {
 		t.Event("host.explained", obs.N("items", int64(len(req.Items))))

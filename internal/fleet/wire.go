@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"strconv"
 
+	"repro/internal/index"
 	"repro/internal/match"
 	"repro/internal/obs"
 )
@@ -25,14 +26,15 @@ const WireVersion = 2
 // equivalent to the in-process scatter-gather (the property the
 // equivalence matrix pins).
 //
-// A probe omits the reference segment's TF map deliberately: the map is
-// exactly zip(Terms, QF) (index.TermFrequencies output keyed by the
-// sorted term list), so shipping it would double the payload to say the
-// same thing. Receivers that need the map — the explain path —
-// reconstruct it with probeTF.
+// This file is also the string boundary. Inside a process a probe names
+// terms by ids of the matcher's dictionary; processes do not share one,
+// so on the wire a term is its string, and each side converts against
+// the dictionary of the shard it serves (toWireProbes, wireTerms). A
+// term the receiver has never seen becomes -1, an id no posting list
+// carries — it still holds its place in the Eq 9 summation order.
 
 // WireProbe is one Algorithm 1 probe in transit: match.ClusterQuery
-// minus the redundant TF map.
+// with its terms spelled out.
 type WireProbe struct {
 	Cluster   int       `json:"cluster"`
 	Terms     []string  `json:"terms"`
@@ -178,37 +180,39 @@ func SnapshotEpoch(name string, totalShards int, seed uint64, clusters int) uint
 	return h.Sum64()
 }
 
-// toWireProbes strips the redundant TF maps from resolved probes.
-func toWireProbes(probes []match.ClusterQuery) []WireProbe {
+// toWireProbes spells resolved probes' terms out of their dictionary.
+func toWireProbes(dict *index.Dict, probes []match.ClusterQuery) []WireProbe {
+	names := dict.Terms()
 	out := make([]WireProbe, len(probes))
 	for i, p := range probes {
+		terms := make([]string, len(p.Terms))
+		for j, t := range p.Terms {
+			terms[j] = names[t]
+		}
 		out[i] = WireProbe{
-			Cluster: p.Cluster, Terms: p.Terms, QF: p.QF,
+			Cluster: p.Cluster, Terms: terms, QF: p.QF,
 			IDF: p.IDF, AvgUnique: p.AvgUnique,
 		}
 	}
 	return out
 }
 
-// probeTF reconstructs the reference segment's term-frequency map from
-// the aligned (Terms, QF) columns — the inverse of the TF omission in
-// WireProbe.
-func probeTF(terms []string, qf []float64) map[string]float64 {
-	tf := make(map[string]float64, len(terms))
+// wireTerms looks a wire term list up in the receiving dictionary.
+func wireTerms(dict *index.Dict, terms []string) []int32 {
+	ids := make([]int32, len(terms))
 	for i, t := range terms {
-		tf[t] = qf[i]
+		ids[i] = dict.Lookup(t)
 	}
-	return tf
+	return ids
 }
 
-// toClusterQueries rebuilds full match probes (TF included) for the
-// matcher-side scan and explain surfaces.
-func toClusterQueries(probes []WireProbe) []match.ClusterQuery {
+// toClusterQueries rebuilds match probes for the matcher-side scan.
+func toClusterQueries(dict *index.Dict, probes []WireProbe) []match.ClusterQuery {
 	out := make([]match.ClusterQuery, len(probes))
 	for i, p := range probes {
 		out[i] = match.ClusterQuery{
-			Cluster: p.Cluster, TF: probeTF(p.Terms, p.QF),
-			Terms: p.Terms, QF: p.QF, IDF: p.IDF, AvgUnique: p.AvgUnique,
+			Cluster: p.Cluster, Terms: wireTerms(dict, p.Terms),
+			QF: p.QF, IDF: p.IDF, AvgUnique: p.AvgUnique,
 		}
 	}
 	return out

@@ -9,7 +9,7 @@ import (
 
 // accumulator is the pooled per-probe state of Algorithm 1: a dense
 // score array indexed by unit id — unit ids are dense in
-// [0, len(ix.units)), so a probe's partial scores need no hashing — and
+// [0, len(ix.denoms)), so a probe's partial scores need no hashing — and
 // the scratch slices one probe fills and drains. Two invariants make
 // one pool safe for every index in the process, whatever its size:
 //
@@ -18,7 +18,7 @@ import (
 //     has zeroed every cell the probe wrote (a probe that panics never
 //     returns its accumulator), and growth allocates fresh zeroed arrays.
 //   - Sized under the lock. acquire is called with the probed index's
-//     read lock held and sizes cells to len(ix.units); units only grow
+//     read lock held and sizes cells to len(ix.denoms); units only grow
 //     under the write lock, so every posting the probe can see indexes
 //     inside the array.
 //
@@ -35,7 +35,8 @@ type accumulator struct {
 
 	// Per-probe scratch, meaningless between probes; riding here keeps the
 	// steady-state probe down to one allocation, its result slice.
-	terms  []string   // query's sorted terms and, aligned with them,
+	names  []string   // Query's terms, sorted, and aligned with them
+	terms  []int32    // their dictionary ids,
 	qf     []float64  // their query frequencies
 	idfs   []float64  // and pIDFs
 	active []scanTerm // the probe's non-empty, non-zero-pIDF lists
@@ -78,7 +79,7 @@ func acquire(units int) *accumulator {
 // scratch's references into index memory so a pooled object never pins
 // a posting array an Add has since replaced.
 func (acc *accumulator) release() {
-	clear(acc.terms)
+	clear(acc.names)
 	clear(acc.active)
 	scorePool.Put(acc)
 }
@@ -91,11 +92,15 @@ func (acc *accumulator) release() {
 // together with rt, which then tracks the n-th best partial over
 // non-excluded units. theta is the running threshold; the raised value
 // is returned. The fast path past the add is one compare per posting: a
-// partial at or below the heap root cannot change the threshold.
-func (acc *accumulator) accumulate(units []unitStats, posts []Posting, a, b, avgUnique float64, rt *runningTopK, exclude func(unit int) bool, theta float64) float64 {
+// partial at or below the heap root cannot change the threshold. The
+// numerator is taken first: its math.Log fallback is a call, and with
+// nothing else of the posting live across it the loop keeps its registers.
+func (acc *accumulator) accumulate(denoms []float64, uniques []int32, posts []Posting, a, b, avgUnique float64, rt *runningTopK, exclude func(unit int) bool, theta float64) float64 {
 	cells, touched := acc.cells, acc.touched
-	for _, p := range posts {
-		s := cells[p.Unit] + a*weight(units[p.Unit], p.LogTF, avgUnique)*b
+	for i := range posts {
+		lt := logTF(posts[i].TF)
+		p := posts[i]
+		s := cells[p.Unit] + a*weight(denoms[p.Unit], uniques[p.Unit], lt, avgUnique)*b
 		cells[p.Unit] = s
 		touched[p.Unit>>6] |= 1 << (uint32(p.Unit) & 63)
 		if rt == nil || (len(rt.h) == rt.k && s <= rt.h[0].score) {

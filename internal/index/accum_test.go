@@ -11,9 +11,11 @@ import (
 
 // naiveQuery is the independent Eq 7–9 oracle: a fresh map per call, the
 // formulas written out from the raw postings and unit statistics in
-// ascending term order, and a full sort for the ranking. It shares no
-// code with the scan paths — no pooled accumulator, no bounds, no
-// top-n heap — so agreeing with it bit-for-bit is evidence about them,
+// ascending term order — strings sorted here, ids looked up one by one,
+// the Eq 7 numerator taken with math.Log, not from the table — and a
+// full sort for the ranking. It shares no code with the scan paths — no
+// pooled accumulator, no bounds, no top-n heap, no term resolution —
+// so agreeing with it bit-for-bit is evidence about them,
 // which agreeing with QueryExhaustive (same accumulator, same pool) is
 // not. Unattached indices only.
 func naiveQuery(ix *Index, queryTF map[string]float64, topN int, exclude func(unit int) bool) []Result {
@@ -24,11 +26,14 @@ func naiveQuery(ix *Index, queryTF map[string]float64, topN int, exclude func(un
 		terms = append(terms, t)
 	}
 	sort.Strings(terms)
-	n := len(ix.units)
+	n := len(ix.denoms)
 	avgUnique := float64(ix.totalUnique) / float64(n)
 	scores := make(map[int]float64)
 	for _, t := range terms {
-		posts := ix.postings[t]
+		var posts []Posting
+		if s, ok := ix.slot[ix.dict.Lookup(t)]; ok {
+			posts = ix.lists[s]
+		}
 		df := len(posts)
 		if df == 0 {
 			continue
@@ -38,12 +43,11 @@ func naiveQuery(ix *Index, queryTF map[string]float64, topN int, exclude func(un
 			continue
 		}
 		for _, p := range posts {
-			u := ix.units[p.Unit]
 			norm := 1.0
-			if ratio := float64(u.unique) / avgUnique; ratio > 1 {
+			if ratio := float64(ix.uniques[p.Unit]) / avgUnique; ratio > 1 {
 				norm = ratio
 			}
-			scores[int(p.Unit)] += queryTF[t] * (p.LogTF / (u.denom * norm)) * pIDF
+			scores[int(p.Unit)] += queryTF[t] * ((math.Log(float64(p.TF)) + 1) / (ix.denoms[p.Unit] * norm)) * pIDF
 		}
 	}
 	out := []Result{}

@@ -1,9 +1,10 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
-	"sort"
 
 	"repro/internal/secfile"
 )
@@ -22,19 +23,21 @@ import (
 //	        the gap to the previous unit and must be ≥ 1, so unit ids
 //	        are strictly ascending by construction — the invariant the
 //	        binary-search Weight path depends on. TF must be ≥ 1 (the
-//	        LogTF numerator, recomputed on load, is log(TF)+1 and would
-//	        be -Inf at TF = 0).
+//	        Eq 7 numerator log(TF)+1 would be -Inf at TF = 0).
 //	"unit"  per-unit statistics as fixed-width columns: uvarint unit
 //	        count, a float64 column of Eq 7 weight denominators, a
 //	        uint32 column of unique-term counts.
 //	"stat"  collection statistics: uvarint totalUnique (the NU-average
 //	        numerator; cross-checked against the unit column on load).
 //
-// Everything derivable is recomputed on load (LogTF) or cross-checked
-// against the postings (unique counts, denominators, totalUnique), so a
+// The index in memory is these same columns (columns.go) with the term
+// strings swapped for ids of the shared Dict. Persistence lets an index
+// be saved after the paper's offline phase (Sec 7 "Indexing") and served
+// without re-processing the collection; in such a build-rarely,
+// serve-forever deployment the load is the only line of defense, so
+// everything derivable is cross-checked against the postings and a
 // snapshot that decodes but violates a query-path invariant is rejected
-// by validateSnapshot with a descriptive error instead of panicking or
-// misranking at query time.
+// with a descriptive error instead of panicking or misranking later.
 
 const (
 	// CompactIndexMagic identifies a compact index file (or embedded
@@ -45,22 +48,65 @@ const (
 	compactIndexVersion = 1
 )
 
-// appendCompact encodes snap into the compact layout and returns the
-// file bytes. The encoding is deterministic — terms are emitted in
-// sorted order — so write → read → re-write is byte-identical (the
-// round-trip property test pins this).
-func appendCompact(snap snapshot) ([]byte, error) {
-	terms := make([]string, 0, len(snap.Postings))
-	for t := range snap.Postings {
-		terms = append(terms, t)
+// WriteTo serializes the index in the compact section layout. It
+// implements io.WriterTo. The encoding happens under the read lock:
+// lists grow in place, so a concurrent Add must wait for it.
+func (ix *Index) WriteTo(w io.Writer) (int64, error) {
+	ix.mu.RLock()
+	data, err := ix.appendCompactLocked()
+	ix.mu.RUnlock()
+	if err != nil {
+		return 0, err
 	}
-	sort.Strings(terms)
+	n, err := w.Write(data)
+	return int64(n), err
+}
 
-	termSec := secfile.AppendStringTable(nil, terms)
+// Load replaces the index contents with a snapshot written by WriteTo,
+// held in memory (read or mapped): it decodes, validates every
+// query-path invariant, and only then interns the snapshot's terms and
+// swaps the decoded state in under the write lock. Bytes after a valid
+// snapshot are an error: a concatenation or double write fails at load
+// instead of silently serving a prefix.
+func (ix *Index) Load(data []byte) error {
+	c, names, err := decodeCompact(data)
+	if err != nil {
+		return err
+	}
+	if err := c.validate(names); err != nil {
+		return fmt.Errorf("index: invalid snapshot: %w", err)
+	}
+	c.terms = ix.dict.AppendIDs(make([]int32, 0, len(names)), names)
+	ix.install(c)
+	return nil
+}
+
+// appendCompactLocked encodes the index as it stands, terms ascending
+// whatever order they arrived in, so write → read → re-write is
+// byte-identical. Callers hold at least the read lock.
+func (ix *Index) appendCompactLocked() ([]byte, error) {
+	terms := ix.dict.Terms()
+	ids := make([]int32, 0, len(ix.slot))
+	for t := range ix.slot {
+		ids = append(ids, t)
+	}
+	SortByTerm(terms, ids)
+	names, lists := make([]string, len(ids)), make([][]Posting, len(ids))
+	for i, t := range ids {
+		names[i], lists[i] = terms[t], ix.lists[ix.slot[t]]
+	}
+	return appendCompact(names, lists, &columns{denoms: ix.denoms, uniques: ix.uniques, totalUnique: ix.totalUnique})
+}
+
+// appendCompact encodes posting lists — lists[i] is the list of
+// names[i], names ascending — and the unit columns of c into the
+// compact layout and returns the file bytes.
+func appendCompact(names []string, lists [][]Posting, c *columns) ([]byte, error) {
+	termSec := secfile.AppendStringTable(nil, names)
 
 	var postSec []byte
-	for _, t := range terms {
-		posts := snap.Postings[t]
+	for i, posts := range lists {
+		t := names[i]
 		postSec = secfile.AppendUvarint(postSec, uint64(len(posts)))
 		prev := int32(-1)
 		for _, p := range posts {
@@ -82,13 +128,13 @@ func appendCompact(snap snapshot) ([]byte, error) {
 		}
 	}
 
-	if len(snap.Denoms) != len(snap.Uniques) {
-		return nil, fmt.Errorf("index: %d denominators but %d unique counts", len(snap.Denoms), len(snap.Uniques))
+	if len(c.denoms) != len(c.uniques) {
+		return nil, fmt.Errorf("index: %d denominators but %d unique counts", len(c.denoms), len(c.uniques))
 	}
-	unitSec := secfile.AppendUvarint(nil, uint64(len(snap.Denoms)))
-	unitSec = secfile.AppendFloat64s(unitSec, snap.Denoms)
-	uniq := make([]uint32, len(snap.Uniques))
-	for i, u := range snap.Uniques {
+	unitSec := secfile.AppendUvarint(nil, uint64(len(c.denoms)))
+	unitSec = secfile.AppendFloat64s(unitSec, c.denoms)
+	uniq := make([]uint32, len(c.uniques))
+	for i, u := range c.uniques {
 		if u < 0 {
 			return nil, fmt.Errorf("index: unit %d has negative unique-term count %d", i, u)
 		}
@@ -96,148 +142,148 @@ func appendCompact(snap snapshot) ([]byte, error) {
 	}
 	unitSec = secfile.AppendUint32s(unitSec, uniq)
 
-	statSec := secfile.AppendUvarint(nil, uint64(snap.TotalUnique))
+	statSec := secfile.AppendUvarint(nil, uint64(c.totalUnique))
 
-	var buf appendBuffer
-	if _, err := secfile.Encode(&buf, CompactIndexMagic, compactIndexVersion, []secfile.Section{
+	var buf bytes.Buffer
+	_, err := secfile.Encode(&buf, CompactIndexMagic, compactIndexVersion, []secfile.Section{
 		{Tag: "term", Data: termSec},
 		{Tag: "post", Data: postSec},
 		{Tag: "unit", Data: unitSec},
 		{Tag: "stat", Data: statSec},
-	}); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
+	})
+	return buf.Bytes(), err
 }
 
-// decodeCompact parses a compact index file into snapshot form. It
-// reconstructs the postings map and unit columns; invariant validation
-// (ascending units in range, TF ≥ 1, consistent per-unit statistics) is
-// validateSnapshot's, which the caller runs next.
-func decodeCompact(data []byte) (snapshot, error) {
-	var snap snapshot
+// decodeCompact parses a compact index file into columns, with the
+// terms still as the file's strings (names[i] is list i's; Load interns
+// them once the snapshot has validated, which is the caller's next
+// step: validate).
+func decodeCompact(data []byte) (c columns, names []string, err error) {
 	f, err := secfile.Decode(data, CompactIndexMagic, compactIndexVersion)
 	if err != nil {
-		return snap, err
+		return c, nil, err
 	}
 
 	termSec, err := f.Section("term")
 	if err != nil {
-		return snap, err
+		return c, nil, err
 	}
-	terms, rest, err := secfile.ParseStringTable(termSec)
+	names, rest, err := secfile.ParseStringTable(termSec)
 	if err != nil {
-		return snap, fmt.Errorf("index: term dictionary: %w", err)
+		return c, nil, fmt.Errorf("index: term dictionary: %w", err)
 	}
 	if len(rest) != 0 {
-		return snap, fmt.Errorf("index: %d trailing bytes in term dictionary", len(rest))
+		return c, nil, fmt.Errorf("index: %d trailing bytes in term dictionary", len(rest))
 	}
 
 	unitSec, err := f.Section("unit")
 	if err != nil {
-		return snap, err
+		return c, nil, err
 	}
 	n64, unitSec, err := secfile.Uvarint(unitSec)
 	if err != nil {
-		return snap, fmt.Errorf("index: unit count: %w", err)
+		return c, nil, fmt.Errorf("index: unit count: %w", err)
 	}
 	if n64 > uint64(math.MaxInt32) {
-		return snap, fmt.Errorf("index: unit count %d exceeds int32 ids", n64)
+		return c, nil, fmt.Errorf("index: unit count %d exceeds int32 ids", n64)
 	}
 	nUnits := int(n64)
 	if uint64(len(unitSec)) != uint64(nUnits)*12 {
-		return snap, fmt.Errorf("index: unit columns for %d units need %d bytes, have %d", nUnits, nUnits*12, len(unitSec))
+		return c, nil, fmt.Errorf("index: unit columns for %d units need %d bytes, have %d", nUnits, nUnits*12, len(unitSec))
 	}
-	snap.Denoms, err = secfile.Float64Col(unitSec[:nUnits*8], nUnits)
+	c.denoms, err = secfile.Float64Col(unitSec[:nUnits*8], nUnits)
 	if err != nil {
-		return snap, fmt.Errorf("index: denominator column: %w", err)
+		return c, nil, fmt.Errorf("index: denominator column: %w", err)
 	}
 	uniq, err := secfile.Uint32Col(unitSec[nUnits*8:], nUnits)
 	if err != nil {
-		return snap, fmt.Errorf("index: unique-count column: %w", err)
+		return c, nil, fmt.Errorf("index: unique-count column: %w", err)
 	}
-	snap.Uniques = make([]int32, nUnits)
+	c.uniques = make([]int32, nUnits)
 	for i, u := range uniq {
 		if u > uint32(math.MaxInt32) {
-			return snap, fmt.Errorf("index: unit %d unique-term count %d overflows int32", i, u)
+			return c, nil, fmt.Errorf("index: unit %d unique-term count %d overflows int32", i, u)
 		}
-		snap.Uniques[i] = int32(u)
+		c.uniques[i] = int32(u)
 	}
 
 	postSec, err := f.Section("post")
 	if err != nil {
-		return snap, err
+		return c, nil, err
 	}
-	snap.Postings = make(map[string][]Posting, len(terms))
-	for ti, t := range terms {
+	// Every varint ends in one byte below 0x80 and a well-formed section
+	// holds one per list plus two per posting, so this sizes the posting
+	// array exactly; on anything else it is only a bounded first guess.
+	varints := 0
+	for _, b := range postSec {
+		if b < 0x80 {
+			varints++
+		}
+	}
+	c.posts = make([]Posting, 0, max(0, varints-len(names))/2)
+	c.ends = make([]int32, len(names))
+	for ti, t := range names {
 		df64, rest, err := secfile.Uvarint(postSec)
 		if err != nil {
-			return snap, fmt.Errorf("index: term %q postings: %w", t, err)
+			return c, nil, fmt.Errorf("index: term %q postings: %w", t, err)
 		}
 		postSec = rest
 		if df64 > uint64(nUnits) {
-			return snap, fmt.Errorf("index: term %q declares %d postings over %d units", t, df64, nUnits)
+			return c, nil, fmt.Errorf("index: term %q declares %d postings over %d units", t, df64, nUnits)
 		}
-		if ti > 0 && t <= terms[ti-1] {
-			return snap, fmt.Errorf("index: term dictionary not sorted at %q", t)
+		if ti > 0 && t <= names[ti-1] {
+			return c, nil, fmt.Errorf("index: term dictionary not sorted at %q", t)
 		}
-		posts := make([]Posting, int(df64))
 		prev := int64(-1)
-		for i := range posts {
+		for i := 0; i < int(df64); i++ {
 			delta, rest, err := secfile.Uvarint(postSec)
 			if err != nil {
-				return snap, fmt.Errorf("index: term %q posting %d delta: %w", t, i, err)
+				return c, nil, fmt.Errorf("index: term %q posting %d delta: %w", t, i, err)
 			}
 			tf, rest2, err := secfile.Uvarint(rest)
 			if err != nil {
-				return snap, fmt.Errorf("index: term %q posting %d TF: %w", t, i, err)
+				return c, nil, fmt.Errorf("index: term %q posting %d TF: %w", t, i, err)
 			}
 			postSec = rest2
 			if i > 0 && delta == 0 {
-				return snap, fmt.Errorf("index: term %q postings not strictly ascending (zero delta at %d)", t, i)
+				return c, nil, fmt.Errorf("index: term %q postings not strictly ascending (zero delta at %d)", t, i)
 			}
 			unit := prev + int64(delta)
 			if i == 0 {
 				unit = int64(delta) // the first delta is the absolute id
 			}
 			if unit >= int64(nUnits) {
-				return snap, fmt.Errorf("index: term %q posting unit %d out of range [0, %d)", t, unit, nUnits)
+				return c, nil, fmt.Errorf("index: term %q posting unit %d out of range [0, %d)", t, unit, nUnits)
 			}
 			if tf < 1 || tf > uint64(math.MaxInt32) {
-				return snap, fmt.Errorf("index: term %q unit %d has TF %d (must be in [1, 2^31))", t, unit, tf)
+				return c, nil, fmt.Errorf("index: term %q unit %d has TF %d (must be in [1, 2^31))", t, unit, tf)
 			}
-			posts[i] = Posting{Unit: int32(unit), TF: int32(tf)}
+			c.posts = append(c.posts, Posting{Unit: int32(unit), TF: int32(tf)})
 			prev = unit
 		}
-		snap.Postings[t] = posts
+		if len(c.posts) > math.MaxInt32 {
+			return c, nil, fmt.Errorf("index: more than 2^31 postings")
+		}
+		c.ends[ti] = int32(len(c.posts))
 	}
 	if len(postSec) != 0 {
-		return snap, fmt.Errorf("index: %d trailing bytes in posting section", len(postSec))
+		return c, nil, fmt.Errorf("index: %d trailing bytes in posting section", len(postSec))
 	}
 
 	statSec, err := f.Section("stat")
 	if err != nil {
-		return snap, err
+		return c, nil, err
 	}
 	tot, statSec, err := secfile.Uvarint(statSec)
 	if err != nil {
-		return snap, fmt.Errorf("index: totalUnique: %w", err)
+		return c, nil, fmt.Errorf("index: totalUnique: %w", err)
 	}
 	if len(statSec) != 0 {
-		return snap, fmt.Errorf("index: %d trailing bytes in stat section", len(statSec))
+		return c, nil, fmt.Errorf("index: %d trailing bytes in stat section", len(statSec))
 	}
 	if tot > uint64(math.MaxInt64) {
-		return snap, fmt.Errorf("index: totalUnique %d overflows int64", tot)
+		return c, nil, fmt.Errorf("index: totalUnique %d overflows int64", tot)
 	}
-	snap.TotalUnique = int64(tot)
-	return snap, nil
-}
-
-// appendBuffer is a minimal io.Writer over an append-grown slice
-// (bytes.Buffer would copy on Bytes()-stability grounds we don't need).
-type appendBuffer struct{ b []byte }
-
-func (a *appendBuffer) Write(p []byte) (int, error) {
-	a.b = append(a.b, p...)
-	return len(p), nil
+	c.totalUnique = int64(tot)
+	return c, names, nil
 }

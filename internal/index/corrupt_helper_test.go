@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/secfile"
@@ -29,11 +30,11 @@ func rebuildSections(t *testing.T, valid []byte, edit func(secs []secfile.Sectio
 		}
 		secs = append(secs, secfile.Section{Tag: tag, Data: data})
 	}
-	var buf appendBuffer
+	var buf bytes.Buffer
 	if _, err := secfile.Encode(&buf, CompactIndexMagic, compactIndexVersion, edit(secs)); err != nil {
 		t.Fatal(err)
 	}
-	return buf.b
+	return buf.Bytes()
 }
 
 func replaceSection(t *testing.T, valid []byte, tag string, payload []byte) []byte {

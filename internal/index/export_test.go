@@ -6,5 +6,58 @@ package index
 // pruned-vs-exhaustive equivalence tests and benchmarks; serving paths
 // should use Query.
 func (ix *Index) QueryExhaustive(queryTF map[string]float64, topN int, exclude func(unit int) bool) []Result {
-	return ix.query(queryTF, topN, exclude, nil, false)
+	return ix.query(queryTF, topN, exclude, false)
+}
+
+// Weight computes the Eq 7/8 weight of a term within a unit, 0 if the
+// term does not occur in it.
+func (ix *Index) Weight(term string, unit int) float64 {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if ix.rlockStats() {
+		defer ix.global.mu.RUnlock()
+	}
+	posts := ix.listLocked(ix.dict.Lookup(term))
+	if i := findPosting(posts, int32(unit)); i >= 0 {
+		return ix.weightLocked(posts[i], ix.avgUniqueLocked())
+	}
+	return 0
+}
+
+// IDF computes a term's Eq 9 pIDF under the current statistics.
+func (ix *Index) IDF(term string) float64 {
+	idfs, _ := ix.FrozenScoring([]int32{ix.dict.Lookup(term)}, nil)
+	return idfs[0]
+}
+
+// DocFreq returns the pooled document frequency of term.
+func (gs *GlobalStats) DocFreq(term string) int {
+	gs.mu.RLock()
+	defer gs.mu.RUnlock()
+	if gs.dict == nil {
+		return 0
+	}
+	return gs.dfLocked(gs.dict.Lookup(term))
+}
+
+// Units returns the pooled unit count (Eq 9's N across all attached
+// indices).
+func (gs *GlobalStats) Units() int {
+	gs.mu.RLock()
+	defer gs.mu.RUnlock()
+	return gs.units
+}
+
+// TotalUnique returns the pooled sum of unique-term counts.
+func (gs *GlobalStats) TotalUnique() int64 {
+	gs.mu.RLock()
+	defer gs.mu.RUnlock()
+	return gs.totalUnique
+}
+
+// Stats returns the attached pool, or nil for a standalone index.
+func (ix *Index) Stats() *GlobalStats {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.global
 }

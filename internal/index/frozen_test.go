@@ -9,16 +9,17 @@ import (
 // frozenArgs resolves a query TF map into the pre-sorted, pre-aligned
 // argument set QueryFrozen expects, via FrozenScoring — the caller-side
 // half the matching layer performs in QuerySegs.
-func frozenArgs(ix *Index, queryTF map[string]float64) (terms []string, qf, idfs []float64, avg float64) {
+func frozenArgs(ix *Index, queryTF map[string]float64) (terms []int32, qf, idfs []float64, avg float64) {
+	var names []string
 	for t := range queryTF {
-		terms = append(terms, t)
+		names = append(names, t)
 	}
-	sort.Strings(terms)
-	qf = make([]float64, len(terms))
-	for i, t := range terms {
-		qf[i] = queryTF[t]
+	sort.Strings(names)
+	for _, t := range names {
+		terms = append(terms, ix.dict.Lookup(t))
+		qf = append(qf, queryTF[t])
 	}
-	idfs, avg = ix.FrozenScoring(terms)
+	idfs, avg = ix.FrozenScoring(terms, nil)
 	return terms, qf, idfs, avg
 }
 
@@ -30,7 +31,11 @@ func TestFrozenScoringMatchesIDF(t *testing.T) {
 		[]string{"disk", "array", "cache"},
 	)
 	terms := []string{"array", "cache", "disk", "hotel", "missing", "pool", "raid"}
-	idfs, avg := ix.FrozenScoring(terms)
+	ids := make([]int32, len(terms))
+	for i, term := range terms {
+		ids[i] = ix.dict.Lookup(term)
+	}
+	idfs, avg := ix.FrozenScoring(ids, nil)
 	if len(idfs) != len(terms) {
 		t.Fatalf("got %d idfs for %d terms", len(idfs), len(terms))
 	}
@@ -48,7 +53,8 @@ func TestFrozenScoringMatchesIDF(t *testing.T) {
 	}
 }
 
-// TestQueryFrozenMatchesQueryTraced pins the contract QueryFrozen is
+// TestQueryFrozenMatchesQueryTraced (named from when Query had a traced
+// twin; QueryFrozen takes the trace now) pins the contract QueryFrozen is
 // named for: with factors frozen from the same index state, the scan
 // returns bit-identical scores in the identical order as the standard
 // query path, at every depth and with the exclude predicate applied.
@@ -66,14 +72,14 @@ func TestQueryFrozenMatchesQueryTraced(t *testing.T) {
 	queryTF := TermFrequencies([]string{"raid", "raid", "disk", "cache", "missing"})
 	terms, qf, idfs, avg := frozenArgs(ix, queryTF)
 	for _, topN := range []int{1, 3, 8, 100} {
-		want := ix.QueryTraced(queryTF, topN, nil, nil)
+		want := ix.Query(queryTF, topN, nil)
 		got := ix.QueryFrozen(terms, qf, idfs, avg, topN, 0, nil, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("topN=%d: frozen %v != standard %v", topN, got, want)
 		}
 	}
 	excl := func(u int) bool { return u%2 == 0 }
-	want := ix.QueryTraced(queryTF, 10, excl, nil)
+	want := ix.Query(queryTF, 10, excl)
 	got := ix.QueryFrozen(terms, qf, idfs, avg, 10, 0, excl, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("excluded: frozen %v != standard %v", got, want)
@@ -98,7 +104,8 @@ func TestQueryFrozenPooledPartitions(t *testing.T) {
 		units = append(units, []string{vocab[i%len(vocab)], vocab[(i*5+2)%len(vocab)], vocab[(i*7+4)%len(vocab)]})
 	}
 	whole := buildIndex(units...)
-	a, b := New(), New()
+	dict := NewDict() // one pool, one dictionary
+	a, b := NewIn(dict), NewIn(dict)
 	gs := NewGlobalStats()
 	globalOf := map[*Index][]int{}
 	for g, u := range units {
@@ -113,7 +120,7 @@ func TestQueryFrozenPooledPartitions(t *testing.T) {
 	b.AttachStats(gs)
 
 	queryTF := TermFrequencies([]string{"raid", "disk", "pool"})
-	wantRes := whole.QueryTraced(queryTF, len(units), nil, nil)
+	wantRes := whole.Query(queryTF, len(units), nil)
 	wantScore := make(map[int]float64, len(wantRes))
 	for _, r := range wantRes {
 		wantScore[r.Unit] = r.Score
@@ -124,8 +131,8 @@ func TestQueryFrozenPooledPartitions(t *testing.T) {
 		terms, qf, idfs, avg := frozenArgs(part, queryTF)
 		// Frozen factors are pool-global: identical to the unsharded
 		// index's, bit-for-bit.
-		for i, term := range terms {
-			if idfs[i] != whole.IDF(term) {
+		for i, id := range terms {
+			if term := dict.Terms()[id]; idfs[i] != whole.IDF(term) {
 				t.Errorf("pooled pIDF(%s) = %g, unsharded %g", term, idfs[i], whole.IDF(term))
 			}
 		}

@@ -52,21 +52,22 @@ func FuzzIndexLoad(f *testing.F) {
 	})
 }
 
-// FuzzValidateSnapshot fuzzes validateSnapshot's decision surface
-// directly: arbitrary posting and statistics values, including ones no
-// compact file can spell (a negative unit id), must be rejected unless
-// every invariant actually holds.
+// FuzzValidateSnapshot fuzzes validate's decision surface directly, on
+// a one-list, one-unit column set: arbitrary posting and statistics
+// values, including ones no compact file can spell (a negative unit
+// id), must be rejected unless every invariant actually holds.
 func FuzzValidateSnapshot(f *testing.F) {
 	f.Add("raid", int32(0), int32(2), 1.6931471805599454, int32(1), int64(1))
 	f.Add("x", int32(-5), int32(0), 0.0, int32(3), int64(9))
 	f.Fuzz(func(t *testing.T, term string, unit, tf int32, denom float64, unique int32, total int64) {
-		snap := snapshot{
-			Postings:    map[string][]Posting{term: {{Unit: unit, TF: tf}}},
-			Denoms:      []float64{denom},
-			Uniques:     []int32{unique},
-			TotalUnique: total,
+		snap := columns{
+			ends:        []int32{1},
+			posts:       []Posting{{Unit: unit, TF: tf}},
+			denoms:      []float64{denom},
+			uniques:     []int32{unique},
+			totalUnique: total,
 		}
-		if validateSnapshot(&snap) != nil {
+		if snap.validate([]string{term}) != nil {
 			return
 		}
 		// Accepted: the invariants must actually hold — including the

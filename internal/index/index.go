@@ -8,23 +8,27 @@
 // document-id index; see Fig 6); the whole-collection FullText baseline is
 // the same structure with documents as units.
 //
+// Layout: memory looks like the snapshot (compact.go, columns.go). Terms
+// are ids of a shared Dict (dict.go); an index numbers the terms that
+// occur in it and keeps one posting list and one score bound per number,
+// in slices. Strings are read only where a sum must be ordered
+// (ascending term, see Dict) or a caller speaks them: Add, Query and
+// Explain are adapters over the id-keyed core (AddCounted, QueryFrozen,
+// ExplainTerms).
+//
 // Locking model: a single RWMutex guards all index state. Add (and
-// Load) take the write lock; Query and every read accessor take the
-// read lock for their full duration, so any number of queries proceed
+// Load) take the write lock; Query, WriteTo and every read accessor take
+// the read lock for their full duration, so any number of queries proceed
 // concurrently and additions serialize against them. Derived statistics
-// (average unique-term count, document frequencies, per-posting log-TF
-// numerators) are maintained incrementally at insertion time, so the query
-// hot path recomputes nothing that insertion already knows.
+// (average unique-term count, document frequencies, score bounds) are
+// maintained at insertion time, so the query hot path recomputes nothing
+// that insertion already knows.
 //
 // Scoring state: unit ids are dense, so a probe accumulates Eq 9 into a
-// dense array indexed by unit id, not a hash map. The array, the bitset
-// of cells the probe wrote and every scratch slice of the scan belong to
-// a pooled accumulator (accum.go) that is taken and sized under the read
-// lock, drained in O(units touched) and returned clean; one pool serves
-// every index in the process. Both entry points — Query and
-// QueryFrozen — resolve their factors and run the one scan in prune.go
-// over the one accumulate loop, as does the tests' exhaustive reference
-// (export_test.go), which is that scan with pruning off.
+// pooled dense array (accum.go), not a hash map. Both entry points —
+// Query and QueryFrozen — resolve their factors and run the one scan in
+// prune.go over the one accumulate loop, as does the tests' exhaustive
+// reference (export_test.go), which is that scan with pruning off.
 package index
 
 import (
@@ -53,37 +57,54 @@ var (
 )
 
 // Posting records one term occurrence list entry: the unit that contains
-// the term, the term's frequency in it, and the precomputed Eq 7 weight
-// numerator log(TF)+1 (stored at insertion so queries multiply instead of
-// calling math.Log per posting). Posting lists are ordered by ascending
-// unit id — Add assigns dense increasing ids — which Weight exploits for
-// binary search.
+// the term and the term's frequency in it — what the snapshot stores.
+// Posting lists ascend in unit id (Add assigns dense increasing ids),
+// which the scans exploit for binary search.
 type Posting struct {
-	Unit  int32
-	TF    int32
-	LogTF float64
+	Unit int32
+	TF   int32
 }
 
-// unitStats caches the per-unit quantities of Eq 7/8: the weight
-// denominator Σ(log f(t')+1) over the unit's distinct terms, and the count
-// of unique terms feeding the NU normalization.
-type unitStats struct {
-	denom  float64
-	unique int32
+// logTFs holds the Eq 7 weight numerator log(TF)+1 for every small TF:
+// the very expression logTF falls back to, evaluated once per count
+// instead of once per posting, hence the same float64.
+var logTFs = func() (t [256]float64) {
+	for tf := range t {
+		t[tf] = math.Log(float64(tf)) + 1
+	}
+	return t
+}()
+
+func logTF(tf int32) float64 {
+	if uint32(tf) < uint32(len(logTFs)) {
+		return logTFs[tf]
+	}
+	return math.Log(float64(tf)) + 1
 }
 
 // Index is an inverted full-text index over integer-identified units.
 type Index struct {
-	mu          sync.RWMutex
-	postings    map[string][]Posting
-	units       []unitStats
-	totalUnique int64 // sum of unique-term counts, for the NU average
+	mu   sync.RWMutex
+	dict *Dict
 
-	// bounds holds one score upper bound per posting list (term), the
-	// foundation of the max-score pruned scan (see prune.go). Maintained
-	// incrementally by Add under the write lock and rebuilt wholesale on
-	// snapshot load; read under the read lock.
-	bounds map[string]listBound
+	// The terms that occur in the index are numbered — in the snapshot's
+	// (ascending term) order by Load and Build, in arrival order by Add —
+	// and lists and bounds are columns over that numbering; slot finds a
+	// dictionary id's number. A loaded or built index carves its lists
+	// out of one array with clipped capacities, so Add copies a list out
+	// only when it grows.
+	slot  map[int32]int32
+	lists [][]Posting
+	// bounds holds one score upper bound per posting list, the
+	// foundation of the max-score pruned scan (see prune.go).
+	bounds []listBound
+
+	// Per unit, the quantities of Eq 7/8: the weight denominator
+	// Σ(log f(t')+1) over the unit's distinct terms, and the count of
+	// unique terms feeding the NU normalization.
+	denoms      []float64
+	uniques     []int32
+	totalUnique int64 // sum of unique-term counts, for the NU average
 
 	// global, when non-nil, is the shared collection-statistics pool the
 	// scoring reads Eq 9's N and n and the NU average from instead of the
@@ -93,31 +114,31 @@ type Index struct {
 	global *GlobalStats
 }
 
-// New returns an empty index.
-func New() *Index {
-	return &Index{
-		postings: make(map[string][]Posting),
-		bounds:   make(map[string]listBound),
-	}
-}
+// New returns an empty index over a dictionary of its own.
+func New() *Index { return NewIn(NewDict()) }
+
+// NewIn returns an empty index whose terms are ids of dict.
+func NewIn(dict *Dict) *Index { return &Index{dict: dict, slot: make(map[int32]int32)} }
 
 // Add indexes a unit's terms and returns the unit id the index assigned
 // (dense, starting at 0). Term order is irrelevant; duplicates are counted
-// as term frequency. The Eq 7 weight denominator is summed in sorted term
-// order — float summation is not associative, so accumulating in map
-// iteration order would make two builds of the same collection differ at
-// the ULP level and break score-identical rebuilds. Add is safe for
-// concurrent use with itself and with queries.
+// as term frequency. Add is safe for concurrent use with itself, with
+// queries and with WriteTo.
 func (ix *Index) Add(terms []string) int {
-	tf := make(map[string]int, len(terms))
-	for _, t := range terms {
-		tf[t]++
+	ids := ix.dict.AppendIDs(nil, terms)
+	return ix.AddCounted(CountTerms(ix.dict.Terms(), ids, nil))
+}
+
+// AddCounted is Add over a unit already counted (CountTerms), which a
+// caller can do before it takes locks of its own. The Eq 7 weight
+// denominator is summed in ascending term order — float summation is
+// not associative, so any other order would make two builds of the same
+// collection differ at the ULP level and break score-identical rebuilds.
+func (ix *Index) AddCounted(unique, tf []int32) int {
+	var denom float64
+	for _, f := range tf {
+		denom += logTF(f)
 	}
-	unique := make([]string, 0, len(tf))
-	for t := range tf {
-		unique = append(unique, t)
-	}
-	sort.Strings(unique)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	g := ix.global
@@ -125,52 +146,58 @@ func (ix *Index) Add(terms []string) int {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 	}
-	id := int32(len(ix.units))
-	var denom float64
-	logTFs := make([]float64, len(unique))
+	id := int32(len(ix.denoms))
 	for i, t := range unique {
-		logTF := math.Log(float64(tf[t])) + 1
-		logTFs[i] = logTF
-		ix.postings[t] = append(ix.postings[t], Posting{Unit: id, TF: int32(tf[t]), LogTF: logTF})
-		denom += logTF
+		s, ok := ix.slot[t]
+		if !ok {
+			s = int32(len(ix.lists))
+			ix.slot[t] = s
+			ix.lists = append(ix.lists, nil)
+			ix.bounds = append(ix.bounds, listBound{})
+		}
+		ix.lists[s] = append(ix.lists[s], Posting{Unit: id, TF: tf[i]})
+		ix.bounds[s] = ix.bounds[s].add(logTF(tf[i]), denom, int32(len(unique)))
 		if g != nil {
-			g.df[t]++
+			g.addLocked(t, 1)
 		}
 	}
-	// Second pass: fold the new unit into each touched list's score upper
-	// bound. The Eq 7 denominator is only known once every unique term has
-	// been summed, so this cannot ride along the first pass.
-	for i, t := range unique {
-		ix.bounds[t] = ix.bounds[t].add(logTFs[i], denom, int32(len(tf)))
-	}
-	ix.units = append(ix.units, unitStats{denom: denom, unique: int32(len(tf))})
-	ix.totalUnique += int64(len(tf))
+	ix.denoms, ix.uniques = append(ix.denoms, denom), append(ix.uniques, int32(len(unique)))
+	ix.totalUnique += int64(len(unique))
 	if g != nil {
 		g.units++
-		g.totalUnique += int64(len(tf))
+		g.totalUnique += int64(len(unique))
 	}
 	return int(id)
+}
+
+// listLocked returns the posting list of a dictionary id, nil when the
+// term does not occur here (or is the unknown id -1).
+func (ix *Index) listLocked(term int32) []Posting {
+	if s, ok := ix.slot[term]; ok {
+		return ix.lists[s]
+	}
+	return nil
 }
 
 // NumUnits returns the number of indexed units (|I| in Eq 9).
 func (ix *Index) NumUnits() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.units)
+	return len(ix.denoms)
 }
 
 // NumTerms returns the vocabulary size.
 func (ix *Index) NumTerms() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.postings)
+	return len(ix.lists)
 }
 
 // DocFreq returns the number of units containing the term (|Iᵗ| in Eq 9).
 func (ix *Index) DocFreq(term string) int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.postings[term])
+	return len(ix.listLocked(ix.dict.Lookup(term)))
 }
 
 // avgUniqueLocked returns the mean unique-term count per unit — pooled
@@ -186,10 +213,10 @@ func (ix *Index) avgUniqueLocked() float64 {
 		}
 		return float64(ix.global.totalUnique) / float64(ix.global.units)
 	}
-	if len(ix.units) == 0 {
+	if len(ix.denoms) == 0 {
 		return 0
 	}
-	return float64(ix.totalUnique) / float64(len(ix.units))
+	return float64(ix.totalUnique) / float64(len(ix.denoms))
 }
 
 // nu computes the length-normalization factor of Eq 7/8: units with more
@@ -205,62 +232,25 @@ func nu(unique int32, avgUnique float64) float64 {
 	return 1
 }
 
-// Weight computes the Eq 7/8 weight of a term within a unit. It returns 0
-// if the term does not occur in the unit. The posting list is ordered by
-// unit id, so the lookup is a binary search rather than the former O(df)
-// scan.
-func (ix *Index) Weight(term string, unit int) float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.rlockStats() {
-		defer ix.global.mu.RUnlock()
-	}
-	posts := ix.postings[term]
-	i := sort.Search(len(posts), func(i int) bool { return int(posts[i].Unit) >= unit })
-	if i < len(posts) && int(posts[i].Unit) == unit {
-		return ix.weightLocked(posts[i], ix.avgUniqueLocked())
-	}
-	return 0
-}
-
 func (ix *Index) weightLocked(p Posting, avgUnique float64) float64 {
-	return weight(ix.units[p.Unit], p.LogTF, avgUnique)
+	return weight(ix.denoms[p.Unit], ix.uniques[p.Unit], logTF(p.TF), avgUnique)
 }
 
-// weight is the Eq 7/8 weight of a posting with numerator logTF in unit u.
-func weight(u unitStats, logTF, avgUnique float64) float64 {
-	if u.denom == 0 {
+// weight is the Eq 7/8 weight of a posting with numerator logTF in a unit
+// with the given denominator and unique-term count.
+func weight(denom float64, unique int32, logTF, avgUnique float64) float64 {
+	if denom == 0 {
 		return 0
 	}
-	return logTF / (u.denom * nu(u.unique, avgUnique))
+	return logTF / (denom * nu(unique, avgUnique))
 }
 
-// IDF computes the smoothed probabilistic inverse document frequency of
-// Eq 9, log((N−n+0.5)/(n+0.5)), floored at zero so terms occurring in most
-// units contribute nothing rather than negative evidence.
-func (ix *Index) IDF(term string) float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.rlockStats() {
-		defer ix.global.mu.RUnlock()
-	}
-	return ix.idfLocked(term, ix.dfLocked(term, ix.postings[term]))
-}
-
-// idfLocked returns the pIDF for a term with the given (effective)
-// document frequency, computed directly — one subtraction, one
-// division, one math.Log. An earlier revision memoized the value in a
-// sync.Map keyed by term and validated by (n, df); under a mixed
-// serve/add load every add moves n, so the cache allocated a fresh
-// entry per term per probe without ever hitting, and on the read-only
-// path the two sync.Map operations cost as much as the log they saved
-// (BenchmarkQueryReadOnly pins the direct computation at parity).
-// Callers must hold at least the read lock, plus the pool read lock
-// when attached.
-func (ix *Index) idfLocked(term string, df int) float64 {
-	return idf(ix.nLocked(), df)
-}
-
+// idf is Eq 9's smoothed probabilistic inverse document frequency for a
+// collection of n units and a term in df of them, log((n−df+0.5)/
+// (df+0.5)), floored at zero so terms occurring in most units contribute
+// nothing rather than negative evidence. It is computed per probe: a memo
+// validated by (n, df) never hit under a mixed load, where every add
+// moves n, and cost as much as the log it saved on a read-only one.
 func idf(n, df int) float64 {
 	if df == 0 {
 		return 0
@@ -286,24 +276,16 @@ type Result struct {
 // prune.go); the results are bit-identical to the exhaustive scan's
 // in every case.
 func (ix *Index) Query(queryTF map[string]float64, topN int, exclude func(unit int) bool) []Result {
-	return ix.QueryTraced(queryTF, topN, exclude, nil)
+	return ix.query(queryTF, topN, exclude, true)
 }
 
-// QueryTraced is Query with request-scoped tracing: when tr is non-nil
-// it records one "index.query" event carrying the scan's candidate-set
-// width, result count, and whether the pooled accumulator served the
-// probe without allocating (pool hit). A nil tr costs one pointer check.
-func (ix *Index) QueryTraced(queryTF map[string]float64, topN int, exclude func(unit int) bool, tr *obs.Trace) []Result {
-	return ix.query(queryTF, topN, exclude, tr, true)
-}
-
-// query resolves the collection-level factors of the query's terms —
+// query resolves the query's terms and their collection-level factors —
 // the frozen-scoring shape, taken under the same lock hold as the scan —
 // and runs the shared scan, pruned when allowed and worth it.
-func (ix *Index) query(queryTF map[string]float64, topN int, exclude func(unit int) bool, tr *obs.Trace, mayPrune bool) []Result {
+func (ix *Index) query(queryTF map[string]float64, topN int, exclude func(unit int) bool, mayPrune bool) []Result {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if topN <= 0 || len(ix.units) == 0 {
+	if topN <= 0 || len(ix.denoms) == 0 {
 		return nil
 	}
 	// When attached to a collection pool, hold its read lock for the whole
@@ -312,23 +294,37 @@ func (ix *Index) query(queryTF map[string]float64, topN int, exclude func(unit i
 	if ix.rlockStats() {
 		defer ix.global.mu.RUnlock()
 	}
-	acc := acquire(len(ix.units))
-	// Ascending term order is the Eq 9 accumulation order. Float summation
-	// is not associative, so map-order iteration would make scores vary at
-	// the ULP level across runs and break tie determinism.
-	terms := acc.terms[:0]
-	for term := range queryTF {
-		terms = append(terms, term)
+	acc := acquire(len(ix.denoms))
+	acc.names, acc.terms, acc.qf = ix.resolve(queryTF, acc.names[:0], acc.terms[:0], acc.qf[:0])
+	acc.idfs = ix.idfsLocked(acc.terms, acc.idfs[:0])
+	return ix.scanLocked(acc, acc.terms, acc.qf, acc.idfs, ix.avgUniqueLocked(), topN, 0, exclude, nil, mayPrune && ix.shouldPruneLocked(topN))
+}
+
+// resolve turns a string-keyed query into the id form the core takes:
+// its terms in ascending order — the Eq 9 accumulation order; map order
+// would make scores vary at the ULP level across runs — as dictionary
+// ids (-1 for a term the dictionary has never seen) with aligned query
+// frequencies. names is sorting scratch.
+func (ix *Index) resolve(queryTF map[string]float64, names []string, terms []int32, qf []float64) ([]string, []int32, []float64) {
+	for t := range queryTF {
+		names = append(names, t)
 	}
-	sort.Strings(terms)
-	qf, idfs := acc.qf[:0], acc.idfs[:0]
+	sort.Strings(names)
+	for _, t := range names {
+		terms = append(terms, ix.dict.Lookup(t))
+		qf = append(qf, queryTF[t])
+	}
+	return names, terms, qf
+}
+
+// idfsLocked appends each term's pIDF under the current collection
+// statistics. Callers hold the read lock, plus the pool's when attached.
+func (ix *Index) idfsLocked(terms []int32, idfs []float64) []float64 {
 	n := ix.nLocked()
 	for _, t := range terms {
-		qf = append(qf, queryTF[t])
-		idfs = append(idfs, idf(n, ix.dfLocked(t, ix.postings[t])))
+		idfs = append(idfs, idf(n, ix.dfLocked(t)))
 	}
-	acc.terms, acc.qf, acc.idfs = terms, qf, idfs
-	return ix.scanLocked(acc, terms, qf, idfs, ix.avgUniqueLocked(), topN, 0, exclude, tr, mayPrune && ix.shouldPruneLocked(topN))
+	return idfs
 }
 
 // TermScore is one term's share of a unit's query score: the Eq 9
@@ -349,37 +345,32 @@ type TermScore struct {
 // reconciliation tests rely on this). Terms contributing zero (absent
 // from the unit, or with zero pIDF) are omitted.
 func (ix *Index) Explain(queryTF map[string]float64, unit int) []TermScore {
+	_, terms, qf := ix.resolve(queryTF, nil, nil, nil)
+	return ix.ExplainTerms(terms, qf, unit)
+}
+
+// ExplainTerms is Explain over dictionary ids in ascending term order
+// with aligned query frequencies, as a probe carries them.
+func (ix *Index) ExplainTerms(terms []int32, qf []float64, unit int) []TermScore {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if unit < 0 || unit >= len(ix.units) {
+	if unit < 0 || unit >= len(ix.denoms) {
 		return nil
 	}
 	if ix.rlockStats() {
 		defer ix.global.mu.RUnlock()
 	}
-	avgUnique := ix.avgUniqueLocked()
-	terms := make([]string, 0, len(queryTF))
-	for term := range queryTF {
-		terms = append(terms, term)
-	}
-	sort.Strings(terms)
+	avgUnique, n, names := ix.avgUniqueLocked(), ix.nLocked(), ix.dict.Terms()
 	var out []TermScore
-	for _, term := range terms {
-		posts := ix.postings[term]
-		if len(posts) == 0 {
+	for i, t := range terms {
+		posts := ix.listLocked(t)
+		pi := findPosting(posts, int32(unit))
+		tIDF := idf(n, ix.dfLocked(t))
+		if pi < 0 || tIDF == 0 {
 			continue
 		}
-		tIDF := ix.idfLocked(term, ix.dfLocked(term, posts))
-		if tIDF == 0 {
-			continue
-		}
-		i := sort.Search(len(posts), func(i int) bool { return int(posts[i].Unit) >= unit })
-		if i >= len(posts) || int(posts[i].Unit) != unit {
-			continue
-		}
-		qf := queryTF[term]
-		w := ix.weightLocked(posts[i], avgUnique)
-		out = append(out, TermScore{Term: term, QueryTF: qf, Weight: w, IDF: tIDF, Product: qf * w * tIDF})
+		w := ix.weightLocked(posts[pi], avgUnique)
+		out = append(out, TermScore{Term: names[t], QueryTF: qf[i], Weight: w, IDF: tIDF, Product: qf[i] * w * tIDF})
 	}
 	return out
 }

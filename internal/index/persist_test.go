@@ -12,25 +12,41 @@ import (
 	"repro/internal/secfile"
 )
 
+// fixtureNames are the fixture's terms, in the ascending order the
+// column form lists them in.
+var fixtureNames = []string{"hotel", "pool", "raid"}
+
 // fixtureSnapshot is the consistent base every corrupt snapshot starts
 // from: three units, three terms, statistics that validate.
-func fixtureSnapshot() snapshot {
+func fixtureSnapshot() columns {
 	logTF := func(tf int32) float64 { return math.Log(float64(tf)) + 1 }
-	return snapshot{
-		Postings: map[string][]Posting{
-			"raid":  {{Unit: 0, TF: 2}, {Unit: 2, TF: 1}},
-			"hotel": {{Unit: 1, TF: 1}},
-			"pool":  {{Unit: 1, TF: 2}},
+	return columns{
+		ends: []int32{1, 2, 4},
+		posts: []Posting{
+			{Unit: 1, TF: 1},                   // hotel
+			{Unit: 1, TF: 2},                   // pool
+			{Unit: 0, TF: 2}, {Unit: 2, TF: 1}, // raid
 		},
-		Denoms:      []float64{logTF(2), logTF(1) + logTF(2), logTF(1)},
-		Uniques:     []int32{1, 2, 1},
-		TotalUnique: 4,
+		denoms:      []float64{logTF(2), logTF(1) + logTF(2), logTF(1)},
+		uniques:     []int32{1, 2, 1},
+		totalUnique: 4,
 	}
+}
+
+// fixtureCompact is the fixture's valid compact file.
+func fixtureCompact(t *testing.T) []byte {
+	t.Helper()
+	c := fixtureSnapshot()
+	valid, err := appendCompact(fixtureNames, c.carve(), &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return valid
 }
 
 // TestValidateSnapshotRejects mutates the valid base snapshot one
 // invariant at a time and requires validateSnapshot to name the break:
-// these would otherwise load silently and panic (ix.units[p.Unit]) or
+// these would otherwise load silently and panic (ix.denoms[p.Unit]) or
 // misrank (binary-search Weight, LogTF = -Inf) at query time. Several —
 // a negative unit, an empty list, ragged columns — no compact file can
 // spell, so they are reachable only here; TestCompactNegativePaths
@@ -38,75 +54,75 @@ func fixtureSnapshot() snapshot {
 func TestValidateSnapshotRejects(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		mutate  func(s *snapshot)
+		mutate  func(s *columns)
 		wantSub string
 	}{
 		{
 			name:    "unit_out_of_range",
-			mutate:  func(s *snapshot) { s.Postings["raid"][1].Unit = 99 },
+			mutate:  func(s *columns) { s.posts[3].Unit = 99 },
 			wantSub: "posting unit 99 out of range [0, 3)",
 		},
 		{
 			name:    "unit_negative",
-			mutate:  func(s *snapshot) { s.Postings["hotel"][0].Unit = -1 },
+			mutate:  func(s *columns) { s.posts[0].Unit = -1 },
 			wantSub: "out of range",
 		},
 		{
 			name: "units_not_ascending",
-			mutate: func(s *snapshot) {
-				s.Postings["raid"] = []Posting{{Unit: 2, TF: 1}, {Unit: 0, TF: 2}}
+			mutate: func(s *columns) {
+				s.posts[2], s.posts[3] = Posting{Unit: 2, TF: 1}, Posting{Unit: 0, TF: 2}
 			},
 			wantSub: "not strictly ascending",
 		},
 		{
 			name: "unit_duplicated",
-			mutate: func(s *snapshot) {
-				s.Postings["raid"] = []Posting{{Unit: 2, TF: 2}, {Unit: 2, TF: 1}}
+			mutate: func(s *columns) {
+				s.posts[2], s.posts[3] = Posting{Unit: 2, TF: 2}, Posting{Unit: 2, TF: 1}
 			},
 			wantSub: "not strictly ascending",
 		},
 		{
 			name:    "zero_tf",
-			mutate:  func(s *snapshot) { s.Postings["hotel"][0].TF = 0 },
+			mutate:  func(s *columns) { s.posts[0].TF = 0 },
 			wantSub: "term frequency 0 (must be >= 1)",
 		},
 		{
 			name:    "empty_posting_list",
-			mutate:  func(s *snapshot) { s.Postings["ghost"] = nil },
+			mutate:  func(s *columns) { s.ends = append(s.ends, 4) }, // a fourth list, "zzz", of nothing
 			wantSub: "empty posting list",
 		},
 		{
 			name:    "unique_count_mismatch",
-			mutate:  func(s *snapshot) { s.Uniques[1] = 7 },
+			mutate:  func(s *columns) { s.uniques[1] = 7 },
 			wantSub: "declares 7 unique terms",
 		},
 		{
 			name:    "denominator_mismatch",
-			mutate:  func(s *snapshot) { s.Denoms[0] = 42 },
+			mutate:  func(s *columns) { s.denoms[0] = 42 },
 			wantSub: "weight denominator 42 inconsistent",
 		},
 		{
 			// NaN fails every ordered comparison; the tolerance check is
 			// written so that it is rejected, not waved through.
 			name:    "denominator_nan",
-			mutate:  func(s *snapshot) { s.Denoms[2] = math.NaN() },
+			mutate:  func(s *columns) { s.denoms[2] = math.NaN() },
 			wantSub: "weight denominator NaN inconsistent",
 		},
 		{
 			name:    "total_unique_mismatch",
-			mutate:  func(s *snapshot) { s.TotalUnique = 99 },
+			mutate:  func(s *columns) { s.totalUnique = 99 },
 			wantSub: "totalUnique 99 inconsistent",
 		},
 		{
 			name:    "column_length_mismatch",
-			mutate:  func(s *snapshot) { s.Uniques = s.Uniques[:2] },
+			mutate:  func(s *columns) { s.uniques = s.uniques[:2] },
 			wantSub: "3 weight denominators but 2 unique-term counts",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap := fixtureSnapshot()
 			tc.mutate(&snap)
-			err := validateSnapshot(&snap)
+			err := snap.validate(append(fixtureNames[:3:3], "zzz"))
 			if err == nil {
 				t.Fatal("invariant-breaking snapshot validated")
 			}
@@ -159,11 +175,7 @@ func TestCompactRoundTripByteIdentical(t *testing.T) {
 // corruption path for defects appendCompact itself refuses to write.
 func corruptCompact(t *testing.T, tag string, payload []byte) []byte {
 	t.Helper()
-	valid, err := appendCompact(fixtureSnapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return replaceSection(t, valid, tag, payload)
+	return replaceSection(t, fixtureCompact(t), tag, payload)
 }
 
 func TestCompactNegativePaths(t *testing.T) {
@@ -178,13 +190,13 @@ func TestCompactNegativePaths(t *testing.T) {
 	}
 	// unitSec spells the fixture's "unit" section with its columns
 	// edited: well-formed bytes whose statistics lie about the postings.
-	unitSec := func(edit func(s *snapshot)) []byte {
+	unitSec := func(edit func(s *columns)) []byte {
 		s := fixtureSnapshot()
 		edit(&s)
-		b := appendUvarint(nil, uint64(len(s.Denoms)))
-		b = secfile.AppendFloat64s(b, s.Denoms)
-		uniq := make([]uint32, len(s.Uniques))
-		for i, u := range s.Uniques {
+		b := appendUvarint(nil, uint64(len(s.denoms)))
+		b = secfile.AppendFloat64s(b, s.denoms)
+		uniq := make([]uint32, len(s.uniques))
+		for i, u := range s.uniques {
 			uniq[i] = uint32(u)
 		}
 		return secfile.AppendUint32s(b, uniq)
@@ -263,11 +275,7 @@ func TestCompactNegativePaths(t *testing.T) {
 		{
 			name: "missing section",
 			data: func(t *testing.T) []byte {
-				valid, err := appendCompact(fixtureSnapshot())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return dropSection(t, valid, "stat")
+				return dropSection(t, fixtureCompact(t), "stat")
 			},
 			wantSub: `missing section "stat"`,
 		},
@@ -283,24 +291,21 @@ func TestCompactNegativePaths(t *testing.T) {
 		{
 			name: "unique count lies about the postings",
 			data: func(t *testing.T) []byte {
-				return corruptCompact(t, "unit", unitSec(func(s *snapshot) { s.Uniques[1] = 7 }))
+				return corruptCompact(t, "unit", unitSec(func(s *columns) { s.uniques[1] = 7 }))
 			},
 			wantSub: "declares 7 unique terms",
 		},
 		{
 			name: "denominator lies about the postings",
 			data: func(t *testing.T) []byte {
-				return corruptCompact(t, "unit", unitSec(func(s *snapshot) { s.Denoms[0] = 42 }))
+				return corruptCompact(t, "unit", unitSec(func(s *columns) { s.denoms[0] = 42 }))
 			},
 			wantSub: "weight denominator 42 inconsistent",
 		},
 		{
 			name: "payload bit flip",
 			data: func(t *testing.T) []byte {
-				valid, err := appendCompact(fixtureSnapshot())
-				if err != nil {
-					t.Fatal(err)
-				}
+				valid := fixtureCompact(t)
 				valid[len(valid)-1] ^= 0x80
 				return valid
 			},
@@ -309,21 +314,14 @@ func TestCompactNegativePaths(t *testing.T) {
 		{
 			name: "compact trailing garbage",
 			data: func(t *testing.T) []byte {
-				valid, err := appendCompact(fixtureSnapshot())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return append(valid, 0xEE, 0xEE)
+				return append(fixtureCompact(t), 0xEE, 0xEE)
 			},
 			wantSub: "trailing bytes",
 		},
 		{
 			name: "compact truncated",
 			data: func(t *testing.T) []byte {
-				valid, err := appendCompact(fixtureSnapshot())
-				if err != nil {
-					t.Fatal(err)
-				}
+				valid := fixtureCompact(t)
 				return valid[:len(valid)-5]
 			},
 			wantSub: "truncated",
@@ -373,7 +371,7 @@ func TestWriteToErrors(t *testing.T) {
 	if _, err := ix.WriteTo(w); !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("WriteTo into a closed pipe: %v", err)
 	}
-	ix.postings["raid"][0].TF = 0
+	ix.lists[ix.slot[ix.dict.Lookup("raid")]][0].TF = 0
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err == nil || !strings.Contains(err.Error(), "TF 0") || buf.Len() != 0 {
 		t.Fatalf("WriteTo of a zero-TF posting: %d bytes, %v", buf.Len(), err)

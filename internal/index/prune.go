@@ -72,14 +72,10 @@ var (
 //
 // and the same corpus at a million units 40.6 ms vs 24.4 ms (1.66×).
 // TestPruningHalvesPostingsAt100k pins what the 100 000 row rests on:
-// at least 2× fewer postings touched (2.5× measured). With the map
-// accumulators this package had before, the same sweep crossed over
-// near 24 000 units (0.89× at 8000, 0.93× at 16 000, 1.01× at 24 000),
-// so 8192 was engaging the pruned scan where it lost; with the dense
-// accumulator it is the first power of two past the crossover. Results
-// are bit-identical either way. It is read at query time without
-// synchronization: set it at startup (or in tests before spawning
-// queriers), not while serving.
+// at least 2× fewer postings touched (2.5× measured); 8192 is the first
+// power of two past the crossover. Results are bit-identical either
+// way. It is read at query time without synchronization: set it at
+// startup (or in tests before spawning queriers), not while serving.
 var PruneMinUnits = 8192
 
 // pruneMinFanout gates pruning on topN ≪ collection: a scan asked for a
@@ -108,19 +104,18 @@ const boundSlack = 1 + 1e-9
 // halves because the NU length normalization of Eq 7/8 depends on the
 // query-time collection average:
 //
-//	weight(p) = LogTF / (denom · nu),  nu = max(1, unique/avgUnique)
-//	          = min(LogTF/denom, avgUnique · LogTF/(denom·unique))
+//	weight(p) = logTF / (denom · nu),  nu = max(1, unique/avgUnique)
+//	          = min(logTF/denom, avgUnique · logTF/(denom·unique))
 //
 // b0 caps the first form (nu = 1), b1 the second's avgUnique-free
 // factor; bound() combines them with the average the query resolved.
 // Both are maxima of per-posting quantities, so they are maintained
 // incrementally by Add in O(unique terms) and rebuilt on load in one
-// pass over the postings — and the rebuild reproduces the incremental
-// values exactly, because every operand (LogTF, denom, unique) is
-// persisted or recomputed bit-identically.
+// pass over the postings (install) — exactly, because every operand
+// (TF, denom, unique) is persisted.
 type listBound struct {
-	b0 float64 // max over postings of LogTF/denom
-	b1 float64 // max over postings of LogTF/(denom·unique)
+	b0 float64 // max over postings of logTF/denom
+	b1 float64 // max over postings of logTF/(denom·unique)
 }
 
 // add folds one new posting (logTF, in a unit with the given Eq 7
@@ -152,46 +147,26 @@ func (lb listBound) bound(avgUnique float64) float64 {
 	return b * boundSlack
 }
 
-// rebuildBoundsLocked recomputes every posting list's bound from
-// scratch — the snapshot-load half of bound maintenance. Callers hold
-// the write lock (or own the index exclusively).
-func (ix *Index) rebuildBoundsLocked() {
-	ix.bounds = make(map[string]listBound, len(ix.postings))
-	for t, posts := range ix.postings {
-		var lb listBound
-		for _, p := range posts {
-			u := ix.units[p.Unit]
-			lb = lb.add(p.LogTF, u.denom, u.unique)
-		}
-		ix.bounds[t] = lb
-	}
-}
-
 // shouldPruneLocked reports whether the pruned scan is worth engaging
 // for a top-n request on this collection. Callers hold the read lock.
 func (ix *Index) shouldPruneLocked(topN int) bool {
-	return len(ix.units) >= PruneMinUnits && len(ix.units) >= pruneMinFanout*topN
+	return len(ix.denoms) >= PruneMinUnits && len(ix.denoms) >= pruneMinFanout*topN
 }
 
 // UpperBoundSum returns Σ_t f_q(t)·bound(t)·pIDF(t) over the probe's
 // terms — an upper bound on the score any single unit can reach, and
 // the key the matching layer orders Algorithm 1's list probes by
 // (descending) so high-impact lists are scanned first. Terms arrive
-// sorted with aligned query frequencies and pIDFs, exactly as
-// QueryFrozen takes them.
-func (ix *Index) UpperBoundSum(terms []string, qf, idfs []float64, avgUnique float64) float64 {
+// in ascending term order with aligned query frequencies and pIDFs,
+// exactly as QueryFrozen takes them.
+func (ix *Index) UpperBoundSum(terms []int32, qf, idfs []float64, avgUnique float64) float64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	var sum float64
 	for i, t := range terms {
-		if idfs[i] == 0 {
-			continue
+		if s, ok := ix.slot[t]; ok && idfs[i] != 0 {
+			sum += qf[i] * ix.bounds[s].bound(avgUnique) * idfs[i]
 		}
-		lb, ok := ix.bounds[t]
-		if !ok {
-			continue
-		}
-		sum += qf[i] * lb.bound(avgUnique) * idfs[i]
 	}
 	return sum
 }
@@ -311,9 +286,10 @@ type scanTerm struct {
 }
 
 // scanLocked is the one scan behind Query and QueryFrozen (and the
-// tests' exhaustive reference). Terms arrive in ascending order with
-// aligned query frequencies and pIDFs, resolved by the caller under the same lock
-// hold or frozen from the collection pool. With prune unset it is the
+// tests' exhaustive reference). Terms arrive as dictionary ids in
+// ascending term order with aligned query frequencies and pIDFs,
+// resolved by the caller under the same lock hold or frozen from the
+// collection pool. With prune unset it is the
 // exhaustive Eq 9 scan: every list is accumulated in term order and the
 // accumulator drained into the top-n. With prune set it is the
 // max-score scan described above; floor is then an externally proven
@@ -324,21 +300,19 @@ type scanTerm struct {
 // only shard-local state (postings, units, bounds) and the resolved
 // factors are read, so the scatter path's lock discipline carries over
 // unchanged.
-func (ix *Index) scanLocked(acc *accumulator, terms []string, qf, idfs []float64, avgUnique float64, topN int, floor float64, exclude func(unit int) bool, tr *obs.Trace, prune bool) []Result {
+func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64, avgUnique float64, topN int, floor float64, exclude func(unit int) bool, tr *obs.Trace, prune bool) []Result {
 	active := acc.active[:0]
 	var totalPostings int64
 	for i, t := range terms {
-		if idfs[i] == 0 {
+		s, ok := ix.slot[t]
+		if !ok || idfs[i] == 0 {
 			continue
 		}
-		posts := ix.postings[t]
-		if len(posts) == 0 {
-			continue
-		}
+		posts := ix.lists[s]
 		totalPostings += int64(len(posts))
 		at := scanTerm{idx: i, qf: qf[i], idf: idfs[i], posts: posts}
 		if prune {
-			at.ub = qf[i] * ix.bounds[t].bound(avgUnique) * idfs[i]
+			at.ub = qf[i] * ix.bounds[s].bound(avgUnique) * idfs[i]
 		}
 		active = append(active, at)
 	}
@@ -346,10 +320,10 @@ func (ix *Index) scanLocked(acc *accumulator, terms []string, qf, idfs []float64
 
 	if !prune {
 		for _, at := range active {
-			acc.accumulate(ix.units, at.posts, at.qf, at.idf, avgUnique, nil, nil, 0)
+			acc.accumulate(ix.denoms, ix.uniques, at.posts, at.qf, at.idf, avgUnique, nil, nil, 0)
 		}
 		ctrScanPostings.Add(totalPostings)
-		candidates := acc.drain(len(ix.units), 0, 0, exclude)
+		candidates := acc.drain(len(ix.denoms), 0, 0, exclude)
 		res := acc.finish(candidates, topN, tr)
 		acc.release()
 		return res
@@ -392,7 +366,7 @@ func (ix *Index) scanLocked(acc *accumulator, terms []string, qf, idfs []float64
 			break
 		}
 		scanned += int64(len(at.posts))
-		theta = acc.accumulate(ix.units, at.posts, at.qf*at.idf, 1, avgUnique, rt, exclude, theta)
+		theta = acc.accumulate(ix.denoms, ix.uniques, at.posts, at.qf*at.idf, 1, avgUnique, rt, exclude, theta)
 	}
 
 	// Phase A2, update mode (Turtle & Flood): past the cutoff no unseen
@@ -409,7 +383,7 @@ func (ix *Index) scanLocked(acc *accumulator, terms []string, qf, idfs []float64
 	// drain hands the accumulated units over in ascending unit order —
 	// the order the posting lists are stored in — so the update-mode
 	// merges walk both sides monotonically.
-	candidates := acc.drain(len(ix.units), theta, rem[stop], exclude)
+	candidates := acc.drain(len(ix.denoms), theta, rem[stop], exclude)
 	alive, aliveScore := acc.alive, acc.ascore
 	var probed int64 // update-mode contributions actually computed
 	for j := stop; j < len(active); j++ {

@@ -148,11 +148,11 @@ func TestBoundDominatesWeights(t *testing.T) {
 	defer ix.mu.RUnlock()
 	avg := ix.avgUniqueLocked()
 	checked := 0
-	for term, posts := range ix.postings {
-		b := ix.bounds[term].bound(avg)
-		for _, p := range posts {
+	for id, s := range ix.slot {
+		b := ix.bounds[s].bound(avg)
+		for _, p := range ix.lists[s] {
 			if w := ix.weightLocked(p, avg); w > b {
-				t.Fatalf("term %q unit %d: weight %g exceeds bound %g", term, p.Unit, w, b)
+				t.Fatalf("term %q unit %d: weight %g exceeds bound %g", ix.dict.Terms()[id], p.Unit, w, b)
 			}
 			checked++
 		}
@@ -184,8 +184,11 @@ func TestBoundsRoundTrip(t *testing.T) {
 	if len(loaded.bounds) != len(ix.bounds) {
 		t.Fatalf("%d rebuilt bounds, %d incremental", len(loaded.bounds), len(ix.bounds))
 	}
-	for term, want := range ix.bounds {
-		if got := loaded.bounds[term]; got != want {
+	// The two indices number their lists differently (arrival order vs
+	// the file's) and intern into different dictionaries: go by term.
+	for id, s := range ix.slot {
+		term, want := ix.dict.Terms()[id], ix.bounds[s]
+		if got := loaded.bounds[loaded.slot[loaded.dict.Lookup(term)]]; got != want {
 			t.Errorf("term %q rebuilt bound %+v != incremental %+v", term, got, want)
 		}
 	}

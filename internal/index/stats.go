@@ -9,50 +9,44 @@ import "sync"
 // collection-level quantities: the unit count |I| (Eq 9's N), the
 // per-term document frequency |Iᵗ| (Eq 9's n), and the average
 // unique-term count feeding the NU length normalization (Eq 7/8). An
-// index attached to a pool reads those three quantities from the pool
-// instead of its local state, so every shard scores exactly as the
-// single unsharded index would — bit-identical floats, because the pool
-// aggregates are the same integers the unsharded index derives locally.
+// attached index reads those from the pool instead of its local state,
+// so every shard scores exactly as the single unsharded index would —
+// the pool aggregates are the integers that index derives locally.
 //
 // Locking: the pool has its own RWMutex. The lock order is always
 // Index.mu before GlobalStats.mu — Add takes both write locks in that
 // order, and every read path acquires the pool's read lock after the
 // index's. Shards therefore update and read the pool concurrently
 // without deadlock, and a query observes a consistent (units,
-// totalUnique, df) triple for its whole scan.
+// totalUnique, df) triple for its whole scan. df is a column over
+// dictionary ids, so the indices of one pool must share one Dict.
 type GlobalStats struct {
 	mu          sync.RWMutex
+	dict        *Dict
 	units       int
 	totalUnique int64
-	df          map[string]int
+	df          []int32
 }
 
 // NewGlobalStats returns an empty pool.
-func NewGlobalStats() *GlobalStats {
-	return &GlobalStats{df: make(map[string]int)}
+func NewGlobalStats() *GlobalStats { return &GlobalStats{} }
+
+// addLocked moves a term's pooled document frequency by n, growing the
+// column to the dictionary as it stands. Callers hold the write lock.
+func (gs *GlobalStats) addLocked(term int32, n int) {
+	if int(term) >= len(gs.df) {
+		gs.df = append(gs.df, make([]int32, len(gs.dict.Terms())-len(gs.df))...)
+	}
+	gs.df[term] += int32(n)
 }
 
-// Units returns the pooled unit count (Eq 9's N across all attached
-// indices).
-func (gs *GlobalStats) Units() int {
-	gs.mu.RLock()
-	defer gs.mu.RUnlock()
-	return gs.units
-}
-
-// TotalUnique returns the pooled sum of unique-term counts.
-func (gs *GlobalStats) TotalUnique() int64 {
-	gs.mu.RLock()
-	defer gs.mu.RUnlock()
-	return gs.totalUnique
-}
-
-// DocFreq returns the pooled document frequency of term (Eq 9's n
+// dfLocked returns the pooled document frequency of a term (Eq 9's n
 // across all attached indices).
-func (gs *GlobalStats) DocFreq(term string) int {
-	gs.mu.RLock()
-	defer gs.mu.RUnlock()
-	return gs.df[term]
+func (gs *GlobalStats) dfLocked(term int32) int {
+	if uint(term) < uint(len(gs.df)) {
+		return int(gs.df[term])
+	}
+	return 0
 }
 
 // AttachStats folds the index's current contents into the pool and
@@ -60,25 +54,24 @@ func (gs *GlobalStats) DocFreq(term string) int {
 // come from it. Attach each member index exactly once — attaching twice
 // would double-count its contribution. AttachStats must complete before
 // the index is used concurrently; afterwards Add keeps the pool in sync
-// under the documented Index.mu → GlobalStats.mu lock order.
+// under the documented Index.mu → GlobalStats.mu lock order. Pooling
+// indices of different dictionaries is a bug and panics.
 func (ix *Index) AttachStats(gs *GlobalStats) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	gs.units += len(ix.units)
+	if gs.dict == nil {
+		gs.dict = ix.dict
+	} else if gs.dict != ix.dict {
+		panic("index: AttachStats: the pool counts terms of another dictionary")
+	}
+	gs.units += len(ix.denoms)
 	gs.totalUnique += ix.totalUnique
-	for t, posts := range ix.postings {
-		gs.df[t] += len(posts)
+	for t, s := range ix.slot {
+		gs.addLocked(t, len(ix.lists[s]))
 	}
 	ix.global = gs
-}
-
-// Stats returns the attached pool, or nil for a standalone index.
-func (ix *Index) Stats() *GlobalStats {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.global
 }
 
 // rlockStats acquires the pool read lock when the index is attached to
@@ -99,14 +92,13 @@ func (ix *Index) nLocked() int {
 	if ix.global != nil {
 		return ix.global.units
 	}
-	return len(ix.units)
+	return len(ix.denoms)
 }
 
-// dfLocked returns the effective document frequency of a term whose
-// local posting list is posts.
-func (ix *Index) dfLocked(term string, posts []Posting) int {
+// dfLocked returns the effective document frequency of a term.
+func (ix *Index) dfLocked(term int32) int {
 	if ix.global != nil {
-		return ix.global.df[term]
+		return ix.global.dfLocked(term)
 	}
-	return len(posts)
+	return len(ix.listLocked(term))
 }

@@ -37,10 +37,10 @@ func statsCorpus(n int, seed int64) [][]string {
 // order the sharding layer guarantees) and returns the partitions, the
 // pool, and the global→(partition, local) mapping.
 func buildPartitioned(units [][]string, nParts int) ([]*Index, *GlobalStats, [][2]int) {
-	gs := NewGlobalStats()
+	gs, dict := NewGlobalStats(), NewDict()
 	parts := make([]*Index, nParts)
 	for p := range parts {
-		parts[p] = New()
+		parts[p] = NewIn(dict)
 		parts[p].AttachStats(gs)
 	}
 	loc := make([][2]int, len(units))
@@ -132,8 +132,8 @@ func TestPartitionedScoringBitIdentical(t *testing.T) {
 // TestGlobalStatsAccessors pins the pool's aggregate view and the
 // Stats() attachment accessor.
 func TestGlobalStatsAccessors(t *testing.T) {
-	gs := NewGlobalStats()
-	a, b := New(), New()
+	gs, dict := NewGlobalStats(), NewDict()
+	a, b := NewIn(dict), NewIn(dict)
 	a.Add([]string{"x", "y", "x"})
 	if a.Stats() != nil {
 		t.Fatal("unattached index reports a pool")

@@ -1,10 +1,11 @@
 package match
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/secfile"
@@ -13,17 +14,19 @@ import (
 // Compact on-disk codec for a built MR matcher: a secfile container —
 // magic "RFCM", version 1 — holding everything the online phase needs.
 // The per-document segment terms, which dominate the matcher's bytes
-// (they are kept verbatim for query-time TF computation), are interned
-// against a matcher-level dictionary and referenced by varint id, and
-// each cluster index is embedded as its own complete compact index file
-// (magic "RFCI") with its own checksummed sections. Sections:
+// (they are kept in token order for query-time TF computation), are
+// interned against a matcher-level dictionary and referenced by varint
+// id, and each cluster index is embedded as its own complete compact
+// index file (magic "RFCI") with its own checksummed sections. The
+// matcher in memory is the same tables: one index.Dict over "dict" and
+// every cluster's terms, "dseg" as the flat columns of segTable.
+// Sections:
 //
 //	"meta"  JSON header: matcher name, serializable config fields, and
 //	        build statistics. JSON keeps the one low-volume section
-//	        debuggable with standard tooling; the strategy itself is
-//	        configuration and is reconstructed on load (strategyFor).
-//	"dict"  interned term dictionary over every docSeg term, sorted
-//	        ascending (secfile string table).
+//	        debuggable with standard tooling.
+//	"dict"  interned term dictionary over every segment's terms,
+//	        sorted ascending (secfile string table).
 //	"dseg"  per-document segments: uvarint doc count, then per document
 //	        uvarint segment count and per segment uvarint cluster id,
 //	        unit id, term count, and term ids into "dict".
@@ -36,9 +39,9 @@ import (
 //	"cidx"  cluster indices: uvarint count, then per cluster a uvarint
 //	        length prefix and the embedded compact index bytes.
 //
-// ReadMR cross-checks the sections against each other (and
-// against the decoded cluster indices) before anything is installed:
-// every cluster/unit/term/doc reference must land in range and the
+// ReadMR cross-checks the sections against each other (and against the
+// decoded cluster indices) before anything is installed: every
+// cluster/unit/term/doc reference must land in range and the
 // unit-ownership tables must agree with the per-document segment lists,
 // so an invariant-breaking snapshot fails at load with a descriptive
 // error instead of panicking mid-query.
@@ -51,11 +54,12 @@ const (
 	compactMRVersion = 1
 )
 
-// compactMeta is the JSON "meta" section.
+// compactMeta is the JSON "meta" section. Config carries MRConfig's
+// serializable fields; ReadMR puts back the two it leaves out.
 type compactMeta struct {
-	Name   string           `json:"name"`
-	Config mrConfigSnapshot `json:"config"`
-	Stats  BuildStats       `json:"stats"`
+	Name   string     `json:"name"`
+	Config MRConfig   `json:"config"`
+	Stats  BuildStats `json:"stats"`
 }
 
 // appendCompactMR encodes the matcher's serializable state. Callers
@@ -63,44 +67,43 @@ type compactMeta struct {
 // dictionary, in-order walks), so write → read → re-write round-trips
 // byte-identically.
 func appendCompactMR(mr *MR) ([]byte, error) {
-	meta, err := json.Marshal(compactMeta{
-		Name:   mr.name,
-		Config: mr.cfg.snapshot(),
-		Stats:  mr.stats,
-	})
+	meta, err := json.Marshal(compactMeta{Name: mr.name, Config: mr.cfg, Stats: mr.stats})
 	if err != nil {
 		return nil, fmt.Errorf("match: encoding meta: %w", err)
 	}
 
-	// Intern every docSeg term. The dictionary is sorted so the id
-	// assignment is a pure function of the term set.
-	idOf := make(map[string]uint64)
-	for _, segs := range mr.docSegs {
-		for _, s := range segs {
-			for _, t := range s.terms {
-				idOf[t] = 0
-			}
+	// The file's dictionary is the terms the segments use, ascending: a
+	// pure function of the term set, not of the order the matcher's own
+	// dictionary met them in or of what else (another shard's terms) it holds.
+	st := &mr.segs
+	names := mr.dict.Terms()
+	fileID := make([]uint64, len(names))
+	for _, t := range st.terms {
+		fileID[t] = 1
+	}
+	var used []int32
+	for id, mark := range fileID {
+		if mark != 0 {
+			used = append(used, int32(id))
 		}
 	}
-	dict := make([]string, 0, len(idOf))
-	for t := range idOf {
-		dict = append(dict, t)
-	}
-	sort.Strings(dict)
-	for i, t := range dict {
-		idOf[t] = uint64(i)
+	index.SortByTerm(names, used)
+	dict := make([]string, len(used))
+	for i, id := range used {
+		dict[i], fileID[id] = names[id], uint64(i)
 	}
 	dictSec := secfile.AppendStringTable(nil, dict)
 
-	dseg := secfile.AppendUvarint(nil, uint64(len(mr.docSegs)))
-	for _, segs := range mr.docSegs {
-		dseg = secfile.AppendUvarint(dseg, uint64(len(segs)))
-		for _, s := range segs {
-			dseg = secfile.AppendUvarint(dseg, uint64(s.cluster))
-			dseg = secfile.AppendUvarint(dseg, uint64(s.unit))
-			dseg = secfile.AppendUvarint(dseg, uint64(len(s.terms)))
-			for _, t := range s.terms {
-				dseg = secfile.AppendUvarint(dseg, idOf[t])
+	dseg := secfile.AppendUvarint(nil, uint64(st.numDocs()))
+	for d := 0; d < st.numDocs(); d++ {
+		lo, hi := st.doc(d)
+		dseg = secfile.AppendUvarint(dseg, uint64(hi-lo))
+		for r := lo; r < hi; r++ {
+			dseg = secfile.AppendUvarint(dseg, uint64(st.cluster[r]))
+			dseg = secfile.AppendUvarint(dseg, uint64(st.unit[r]))
+			dseg = secfile.AppendUvarint(dseg, uint64(len(st.tokens(r))))
+			for _, t := range st.tokens(r) {
+				dseg = secfile.AppendUvarint(dseg, fileID[t])
 			}
 		}
 	}
@@ -117,8 +120,9 @@ func appendCompactMR(mr *MR) ([]byte, error) {
 	for _, v := range mr.before {
 		sgct = secfile.AppendUvarint(sgct, uint64(v))
 	}
-	for _, v := range mr.after {
-		sgct = secfile.AppendUvarint(sgct, uint64(v))
+	for d := range mr.before {
+		lo, hi := st.doc(d)
+		sgct = secfile.AppendUvarint(sgct, uint64(hi-lo))
 	}
 
 	dim := 0
@@ -136,16 +140,16 @@ func appendCompactMR(mr *MR) ([]byte, error) {
 
 	cidx := secfile.AppendUvarint(nil, uint64(len(mr.clusters)))
 	for c, ix := range mr.clusters {
-		var buf appendBuffer
+		var buf bytes.Buffer
 		if _, err := ix.WriteTo(&buf); err != nil {
 			return nil, fmt.Errorf("match: encoding cluster %d index: %w", c, err)
 		}
-		cidx = secfile.AppendUvarint(cidx, uint64(len(buf.b)))
-		cidx = append(cidx, buf.b...)
+		cidx = secfile.AppendUvarint(cidx, uint64(buf.Len()))
+		cidx = append(cidx, buf.Bytes()...)
 	}
 
-	var out appendBuffer
-	if _, err := secfile.Encode(&out, CompactMRMagic, compactMRVersion, []secfile.Section{
+	var out bytes.Buffer
+	_, err = secfile.Encode(&out, CompactMRMagic, compactMRVersion, []secfile.Section{
 		{Tag: "meta", Data: meta},
 		{Tag: "dict", Data: dictSec},
 		{Tag: "dseg", Data: dseg},
@@ -153,24 +157,25 @@ func appendCompactMR(mr *MR) ([]byte, error) {
 		{Tag: "sgct", Data: sgct},
 		{Tag: "cent", Data: cent},
 		{Tag: "cidx", Data: cidx},
-	}); err != nil {
-		return nil, err
-	}
-	return out.b, nil
+	})
+	return out.Bytes(), err
 }
 
 // ReadMR parses and cross-validates a compact matcher file held in
 // memory (read, mapped, or embedded in a pipeline snapshot), as written
-// by WriteTo. Bytes after a valid matcher are an error. Nothing of the
-// result aliases data.
-func ReadMR(data []byte) (*MR, error) {
+// by WriteTo. Its terms are interned into dict — the shards of a group
+// share one — or a fresh one when dict is nil. Bytes after a valid
+// matcher are an error. Nothing of the result aliases data.
+func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
+	if dict == nil {
+		dict = index.NewDict()
+	}
 	f, err := secfile.Decode(data, CompactMRMagic, compactMRVersion)
 	if err != nil {
 		return nil, err
 	}
-	sec := func(tag string) ([]byte, error) { return f.Section(tag) }
 
-	metaSec, err := sec("meta")
+	metaSec, err := f.Section("meta")
 	if err != nil {
 		return nil, err
 	}
@@ -179,21 +184,22 @@ func ReadMR(data []byte) (*MR, error) {
 		return nil, fmt.Errorf("match: decoding meta: %w", err)
 	}
 
-	dictSec, err := sec("dict")
+	dictSec, err := f.Section("dict")
 	if err != nil {
 		return nil, err
 	}
-	dict, rest, err := secfile.ParseStringTable(dictSec)
+	names, rest, err := secfile.ParseStringTable(dictSec)
 	if err != nil {
 		return nil, fmt.Errorf("match: term dictionary: %w", err)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("match: %d trailing bytes in term dictionary", len(rest))
 	}
+	termID := dict.AppendIDs(make([]int32, 0, len(names)), names) // file id → dictionary id
 
 	// Cluster indices first: the docSeg/unitDoc validation below needs
 	// the per-cluster unit counts.
-	cidxSec, err := sec("cidx")
+	cidxSec, err := f.Section("cidx")
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +221,7 @@ func ReadMR(data []byte) (*MR, error) {
 		if blobLen > uint64(len(cidxSec)) {
 			return nil, fmt.Errorf("match: cluster %d index truncated: needs %d bytes, have %d", c, blobLen, len(cidxSec))
 		}
-		clusters[c] = index.New()
+		clusters[c] = index.NewIn(dict)
 		if err := clusters[c].Load(cidxSec[:blobLen]); err != nil {
 			return nil, fmt.Errorf("match: decoding cluster %d: %w", c, err)
 		}
@@ -225,7 +231,7 @@ func ReadMR(data []byte) (*MR, error) {
 		return nil, fmt.Errorf("match: %d trailing bytes in cluster index section", len(cidxSec))
 	}
 
-	dsegSec, err := sec("dseg")
+	dsegSec, err := f.Section("dseg")
 	if err != nil {
 		return nil, err
 	}
@@ -237,8 +243,9 @@ func ReadMR(data []byte) (*MR, error) {
 		return nil, fmt.Errorf("match: %d documents declared in %d bytes", nDocs64, len(dsegSec))
 	}
 	nDocs := int(nDocs64)
-	docSegs := make([][]docSeg, nDocs)
-	for d := range docSegs {
+	// One token per remaining byte at most; cut to size after the read.
+	st := segTable{docEnd: make([]int32, 0, nDocs), terms: make([]int32, 0, len(dsegSec))}
+	for d := 0; d < nDocs; d++ {
 		nSegs, rest, err := secfile.Uvarint(dsegSec)
 		if err != nil {
 			return nil, fmt.Errorf("match: doc %d segment count: %w", d, err)
@@ -247,8 +254,7 @@ func ReadMR(data []byte) (*MR, error) {
 		if nSegs > uint64(nClusters) {
 			return nil, fmt.Errorf("match: doc %d declares %d refined segments over %d clusters", d, nSegs, nClusters)
 		}
-		segs := make([]docSeg, int(nSegs))
-		for i := range segs {
+		for i := 0; i < int(nSegs); i++ {
 			c, r1, err := secfile.Uvarint(dsegSec)
 			if err != nil {
 				return nil, fmt.Errorf("match: doc %d segment %d cluster: %w", d, i, err)
@@ -272,27 +278,28 @@ func ReadMR(data []byte) (*MR, error) {
 			if nt > uint64(len(dsegSec)) { // each term id is ≥ 1 byte
 				return nil, fmt.Errorf("match: doc %d segment %d declares %d terms in %d bytes", d, i, nt, len(dsegSec))
 			}
-			terms := make([]string, int(nt))
-			for ti := range terms {
+			for ti := 0; ti < int(nt); ti++ {
 				id, rest, err := secfile.Uvarint(dsegSec)
 				if err != nil {
 					return nil, fmt.Errorf("match: doc %d segment %d term %d: %w", d, i, ti, err)
 				}
 				dsegSec = rest
-				if id >= uint64(len(dict)) {
-					return nil, fmt.Errorf("match: doc %d segment %d term id %d out of dictionary range [0, %d)", d, i, id, len(dict))
+				if id >= uint64(len(termID)) {
+					return nil, fmt.Errorf("match: doc %d segment %d term id %d out of dictionary range [0, %d)", d, i, id, len(termID))
 				}
-				terms[ti] = dict[id]
+				st.terms = append(st.terms, termID[id])
 			}
-			segs[i] = docSeg{cluster: int(c), unit: int(u), terms: terms}
+			st.appendSeg(int(c), int(u), nil)
 		}
-		docSegs[d] = segs
+		st.endDoc()
 	}
 	if len(dsegSec) != 0 {
 		return nil, fmt.Errorf("match: %d trailing bytes in segment section", len(dsegSec))
 	}
+	st.cluster, st.unit = slices.Clone(st.cluster), slices.Clone(st.unit)
+	st.termEnd, st.terms = slices.Clone(st.termEnd), slices.Clone(st.terms)
 
-	udocSec, err := sec("udoc")
+	udocSec, err := f.Section("udoc")
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +310,7 @@ func ReadMR(data []byte) (*MR, error) {
 	if nc != uint64(nClusters) {
 		return nil, fmt.Errorf("match: ownership table covers %d clusters, index section has %d", nc, nClusters)
 	}
-	unitDoc := make([][]int, nClusters)
+	unitDoc := make([][]int32, nClusters)
 	for c := range unitDoc {
 		n, rest, err := secfile.Uvarint(udocSec)
 		if err != nil {
@@ -313,7 +320,7 @@ func ReadMR(data []byte) (*MR, error) {
 		if n != uint64(clusters[c].NumUnits()) {
 			return nil, fmt.Errorf("match: cluster %d ownership table has %d units, index has %d", c, n, clusters[c].NumUnits())
 		}
-		owners := make([]int, int(n))
+		owners := make([]int32, int(n))
 		for u := range owners {
 			d, rest, err := secfile.Uvarint(udocSec)
 			if err != nil {
@@ -323,7 +330,7 @@ func ReadMR(data []byte) (*MR, error) {
 			if d >= uint64(nDocs) {
 				return nil, fmt.Errorf("match: cluster %d unit %d owned by doc %d out of range [0, %d)", c, u, d, nDocs)
 			}
-			owners[u] = int(d)
+			owners[u] = int32(d)
 		}
 		unitDoc[c] = owners
 	}
@@ -334,16 +341,17 @@ func ReadMR(data []byte) (*MR, error) {
 	// Ownership must agree with the per-document segment lists — Match
 	// resolves unitDoc[seg.cluster][result.Unit] on every query, and a
 	// mismatch here means wrong neighbors, not a crash.
-	for d, segs := range docSegs {
-		for i, s := range segs {
-			if unitDoc[s.cluster][s.unit] != d {
+	for d := 0; d < nDocs; d++ {
+		lo, hi := st.doc(d)
+		for r := lo; r < hi; r++ {
+			if c, u := st.cluster[r], st.unit[r]; int(unitDoc[c][u]) != d {
 				return nil, fmt.Errorf("match: doc %d segment %d claims cluster %d unit %d, ownership table says doc %d",
-					d, i, s.cluster, s.unit, unitDoc[s.cluster][s.unit])
+					d, r-lo, c, u, unitDoc[c][u])
 			}
 		}
 	}
 
-	sgctSec, err := sec("sgct")
+	sgctSec, err := f.Section("sgct")
 	if err != nil {
 		return nil, err
 	}
@@ -354,9 +362,9 @@ func ReadMR(data []byte) (*MR, error) {
 	if ns != uint64(nDocs) {
 		return nil, fmt.Errorf("match: segment-count table covers %d documents, segment section has %d", ns, nDocs)
 	}
-	before := make([]int, nDocs)
-	after := make([]int, nDocs)
-	for _, col := range [][]int{before, after} {
+	before := make([]int32, nDocs)
+	after := make([]int32, nDocs)
+	for _, col := range [][]int32{before, after} {
 		for i := range col {
 			v, rest, err := secfile.Uvarint(sgctSec)
 			if err != nil {
@@ -366,19 +374,19 @@ func ReadMR(data []byte) (*MR, error) {
 			if v > uint64(math.MaxInt32) {
 				return nil, fmt.Errorf("match: segment count %d out of range", v)
 			}
-			col[i] = int(v)
+			col[i] = int32(v)
 		}
 	}
 	if len(sgctSec) != 0 {
 		return nil, fmt.Errorf("match: %d trailing bytes in segment-count section", len(sgctSec))
 	}
 	for d := range after {
-		if after[d] != len(docSegs[d]) {
-			return nil, fmt.Errorf("match: doc %d declares %d refined segments but carries %d", d, after[d], len(docSegs[d]))
+		if lo, hi := st.doc(d); int(after[d]) != hi-lo {
+			return nil, fmt.Errorf("match: doc %d declares %d refined segments but carries %d", d, after[d], hi-lo)
 		}
 	}
 
-	centSec, err := sec("cent")
+	centSec, err := f.Section("cent")
 	if err != nil {
 		return nil, err
 	}
@@ -405,24 +413,17 @@ func ReadMR(data []byte) (*MR, error) {
 		centroids[i] = row
 	}
 
+	meta.Config.Strategy = strategyFor(meta.Name, meta.Config.ContentVectors)
 	mr := &MR{
 		name:      meta.Name,
-		cfg:       meta.Config.restore(meta.Name),
+		cfg:       meta.Config.withDefaults(),
+		dict:      dict,
 		clusters:  clusters,
 		unitDoc:   unitDoc,
-		docSegs:   docSegs,
+		segs:      st,
 		before:    before,
-		after:     after,
 		centroids: centroids,
 		stats:     meta.Stats,
 	}
 	return mr, nil
-}
-
-// appendBuffer is a minimal io.Writer over an append-grown slice.
-type appendBuffer struct{ b []byte }
-
-func (a *appendBuffer) Write(p []byte) (int, error) {
-	a.b = append(a.b, p...)
-	return len(p), nil
 }

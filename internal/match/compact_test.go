@@ -37,7 +37,7 @@ func TestMRCompactByteIdentical(t *testing.T) {
 	if again := writeMR(t, mr); !bytes.Equal(first, again) {
 		t.Fatal("two writes of the same matcher differ")
 	}
-	loaded, err := ReadMR(first)
+	loaded, err := ReadMR(first, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestMRCompactByteIdentical(t *testing.T) {
 // the same standard.)
 func TestMRLegacyCompactEquivalent(t *testing.T) {
 	mr := smallMatcher(t)
-	loaded, err := ReadMR(writeMR(t, mr))
+	loaded, err := ReadMR(writeMR(t, mr), nil)
 	if err != nil {
 		t.Fatalf("compact load: %v", err)
 	}
@@ -64,13 +64,23 @@ func TestMRLegacyCompactEquivalent(t *testing.T) {
 	if !reflect.DeepEqual(mr.unitDoc, loaded.unitDoc) {
 		t.Error("unit ownership differs after the round trip")
 	}
-	if !reflect.DeepEqual(mr.before, loaded.before) || !reflect.DeepEqual(mr.after, loaded.after) {
+	if !reflect.DeepEqual(mr.before, loaded.before) {
 		t.Error("segment accounting differs after the round trip")
 	}
 	if !reflect.DeepEqual(mr.centroids, loaded.centroids) {
 		t.Error("centroids differ after the round trip")
 	}
-	if !reflect.DeepEqual(mr.docSegs, loaded.docSegs) {
+	// smallMatcher's dictionary met the terms in corpus order, the
+	// loaded one in the file's: the id columns differ, the terms must not.
+	spell := func(m *MR) []string {
+		out := make([]string, len(m.segs.terms))
+		for i, id := range m.segs.terms {
+			out[i] = m.dict.Terms()[id]
+		}
+		return out
+	}
+	mr.segs.terms, loaded.segs.terms = nil, nil
+	if !reflect.DeepEqual(mr.segs, loaded.segs) || !reflect.DeepEqual(spell(mr), spell(loaded)) {
 		t.Error("per-document segments differ after the round trip")
 	}
 	if mr.stats != loaded.stats {
@@ -99,15 +109,16 @@ func TestMRLegacyCompactEquivalent(t *testing.T) {
 // the persistence layer's contract that a snapshot which would misrank
 // or panic at query time never installs.
 func TestReadMRRejectsInvariantBreaks(t *testing.T) {
-	// pickSeg finds a document that actually has segments to corrupt.
-	pickSeg := func(mr *MR) (int, docSeg) {
-		for d, segs := range mr.docSegs {
-			if len(segs) > 0 {
-				return d, segs[0]
+	// pickSeg finds a document that actually has segments to corrupt and
+	// returns it with its first row.
+	pickSeg := func(mr *MR) (doc, row int) {
+		for d := 0; d < mr.segs.numDocs(); d++ {
+			if lo, hi := mr.segs.doc(d); hi > lo {
+				return d, lo
 			}
 		}
 		t.Fatal("matcher has no segments")
-		return 0, docSeg{}
+		return 0, 0
 	}
 	cases := []struct {
 		name    string
@@ -115,25 +126,17 @@ func TestReadMRRejectsInvariantBreaks(t *testing.T) {
 		wantSub string
 	}{
 		{
-			name: "after count disagrees with segments",
-			mutate: func(mr *MR) {
-				d, _ := pickSeg(mr)
-				mr.after[d]++
-			},
-			wantSub: "refined segments but carries",
-		},
-		{
 			name: "ownership table disagrees with segments",
 			mutate: func(mr *MR) {
-				d, s := pickSeg(mr)
-				mr.unitDoc[s.cluster][s.unit] = (d + 1) % len(mr.docSegs)
+				d, r := pickSeg(mr)
+				mr.unitDoc[mr.segs.cluster[r]][mr.segs.unit[r]] = int32((d + 1) % mr.segs.numDocs())
 			},
 			wantSub: "ownership table says",
 		},
 		{
 			name: "ownership table wrong cluster count",
 			mutate: func(mr *MR) {
-				mr.unitDoc = append(mr.unitDoc, []int{})
+				mr.unitDoc = append(mr.unitDoc, []int32{})
 			},
 			wantSub: "ownership table covers",
 		},
@@ -147,15 +150,15 @@ func TestReadMRRejectsInvariantBreaks(t *testing.T) {
 		{
 			name: "segment cluster out of range",
 			mutate: func(mr *MR) {
-				d, _ := pickSeg(mr)
-				mr.docSegs[d][0].cluster = len(mr.clusters)
+				_, r := pickSeg(mr)
+				mr.segs.cluster[r] = int32(len(mr.clusters))
 			},
 			wantSub: "out of range",
 		},
 		{
 			name: "owner document out of range",
 			mutate: func(mr *MR) {
-				mr.unitDoc[0][0] = len(mr.docSegs)
+				mr.unitDoc[0][0] = int32(mr.segs.numDocs())
 			},
 			wantSub: "owned by doc",
 		},
@@ -164,7 +167,7 @@ func TestReadMRRejectsInvariantBreaks(t *testing.T) {
 		t.Run(tc.name+"/compact", func(t *testing.T) {
 			mr := smallMatcher(t)
 			tc.mutate(mr)
-			if _, err := ReadMR(writeMR(t, mr)); err == nil {
+			if _, err := ReadMR(writeMR(t, mr), nil); err == nil {
 				t.Fatal("invariant-breaking snapshot loaded without error")
 			} else if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
@@ -190,11 +193,11 @@ func rebuildMRSections(t *testing.T, valid []byte, edit func(secs []secfile.Sect
 		}
 		secs = append(secs, secfile.Section{Tag: tag, Data: data})
 	}
-	var buf appendBuffer
+	var buf bytes.Buffer
 	if _, err := secfile.Encode(&buf, CompactMRMagic, compactMRVersion, edit(secs)); err != nil {
 		t.Fatal(err)
 	}
-	return buf.b
+	return buf.Bytes()
 }
 
 func TestReadMRCompactNegativePaths(t *testing.T) {
@@ -265,6 +268,24 @@ func TestReadMRCompactNegativePaths(t *testing.T) {
 			wantSub: `missing section "sgct"`,
 		},
 		{
+			// The after column is written from the segment table, so only a
+			// hand-edited section can disagree with it: the last byte of
+			// "sgct" is the last document's count.
+			name: "after count disagrees with segments",
+			data: func(t *testing.T) []byte {
+				return rebuildMRSections(t, valid, func(secs []secfile.Section) []secfile.Section {
+					for i := range secs {
+						if secs[i].Tag == "sgct" {
+							secs[i].Data = append([]byte(nil), secs[i].Data...)
+							secs[i].Data[len(secs[i].Data)-1]++
+						}
+					}
+					return secs
+				})
+			},
+			wantSub: "refined segments but carries",
+		},
+		{
 			name:    "dictionary trailing bytes",
 			data:    replace(valid, "dict", append(secfile.AppendStringTable(nil, []string{"x"}), 0x01)),
 			wantSub: "trailing bytes in term dictionary",
@@ -300,7 +321,7 @@ func TestReadMRCompactNegativePaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadMR(tc.data(t)); err == nil {
+			if _, err := ReadMR(tc.data(t), nil); err == nil {
 				t.Fatal("corrupt matcher file loaded without error")
 			} else if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
@@ -316,14 +337,14 @@ func TestReadMRTrailingGarbageBothLayouts(t *testing.T) {
 	valid := writeMR(t, smallMatcher(t))
 	t.Run("compact/trailing", func(t *testing.T) {
 		data := append(append([]byte(nil), valid...), "a second matcher, say"...)
-		if _, err := ReadMR(data); err == nil {
+		if _, err := ReadMR(data, nil); err == nil {
 			t.Fatal("trailing bytes accepted")
 		} else if !strings.Contains(err.Error(), "trailing bytes") {
 			t.Fatalf("error %q does not mention trailing bytes", err)
 		}
 	})
 	t.Run("compact/truncated", func(t *testing.T) {
-		if _, err := ReadMR(valid[:len(valid)*2/3]); err == nil {
+		if _, err := ReadMR(valid[:len(valid)*2/3], nil); err == nil {
 			t.Fatal("truncated stream accepted")
 		}
 	})

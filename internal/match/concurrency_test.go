@@ -184,7 +184,7 @@ func TestConcurrentWriteToDuringAdds(t *testing.T) {
 		if _, err := mr.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo during adds: %v", err)
 		}
-		loaded, err := ReadMR(buf.Bytes())
+		loaded, err := ReadMR(buf.Bytes(), nil)
 		if err != nil {
 			t.Fatalf("ReadMR of mid-add snapshot: %v", err)
 		}

@@ -11,11 +11,10 @@ import (
 // contribution per intention cluster (the Algorithm 2 summand), and
 // inside each cluster one product per query term (f_q(t) · w(t,unit) ·
 // pIDF(t), the Eq 9 factors). The decomposition replays the exact
-// query path — same per-cluster lists, same top-n cutoff, same
-// threshold/normalization trim, same summation order — so the
-// contributions reconcile with the served score to float64 rounding
-// (the tests assert 1e-9), and a "why did post X rank above post Y"
-// question has a ground-truth answer.
+// query path — same lists, same top-n cutoff, same trim, same summation
+// order — so the contributions reconcile with the served score to
+// float64 rounding (the tests assert 1e-9), and a "why did post X rank
+// above post Y" question has a ground-truth answer.
 
 // TermContribution is one query term's share of a cluster contribution.
 // Contribution = QueryTF · Weight · IDF, divided by the list
@@ -72,22 +71,22 @@ func (mr *MR) MatchExplained(docID, k int, tr *obs.Trace) ([]Result, []Explanati
 // explainLocked decomposes each result of one query over the trimmed
 // per-segment lists (and their Algorithm 2 divisors) its score was
 // summed from. Callers hold at least the read lock.
-func (mr *MR) explainLocked(out []Result, segs []docSeg, trimmed [][]index.Result, norms []float64) []Explanation {
+func (mr *MR) explainLocked(out []Result, probes []ClusterQuery, trimmed [][]index.Result, norms []float64) []Explanation {
 	exps := make([]Explanation, len(out))
 	for ri, r := range out {
 		exp := Explanation{DocID: r.DocID, Score: r.Score}
-		for i, seg := range segs {
-			owners := mr.unitDoc[seg.cluster]
+		for i, q := range probes {
+			owners := mr.unitDoc[q.Cluster]
 			for _, lr := range trimmed[i] {
-				if owners[lr.Unit] != r.DocID {
+				if int(owners[lr.Unit]) != r.DocID {
 					continue
 				}
 				// The refined index holds at most one unit per (doc,
 				// cluster), so this is the cluster's whole contribution.
 				exp.Clusters = append(exp.Clusters, ClusterContribution{
-					Cluster: seg.cluster,
+					Cluster: q.Cluster,
 					Score:   lr.Score / norms[i],
-					Terms:   mr.termBreakdown(index.TermFrequencies(seg.terms), seg.cluster, lr.Unit, norms[i]),
+					Terms:   mr.termBreakdown(q, lr.Unit, norms[i]),
 				})
 				break
 			}
@@ -97,11 +96,14 @@ func (mr *MR) explainLocked(out []Result, segs []docSeg, trimmed [][]index.Resul
 	return exps
 }
 
-// termBreakdown decomposes one (query TF, result unit) list score into
+// termBreakdown decomposes one (probe, result unit) list score into
 // per-term Eq 9 products via the cluster index, applying the list
 // normalization divisor to each product.
-func (mr *MR) termBreakdown(queryTF map[string]float64, cluster, unit int, norm float64) []TermContribution {
-	terms := mr.clusters[cluster].Explain(queryTF, unit)
+func (mr *MR) termBreakdown(q ClusterQuery, unit int, norm float64) []TermContribution {
+	return termContributions(mr.clusters[q.Cluster].ExplainTerms(q.Terms, q.QF, unit), norm)
+}
+
+func termContributions(terms []index.TermScore, norm float64) []TermContribution {
 	out := make([]TermContribution, len(terms))
 	for i, ts := range terms {
 		out[i] = TermContribution{
@@ -116,22 +118,22 @@ func (mr *MR) termBreakdown(queryTF map[string]float64, cluster, unit int, norm 
 }
 
 // ExplainDocCluster decomposes the Algorithm 2 contribution one
-// (shard-local) result document receives from one intention cluster,
-// given the reference segment's term frequencies and the list
-// normalization divisor — the per-shard half of the shard group's
-// explain mode. It returns nil when the document has no refined segment
-// in the cluster. The factors come from the same pool-attached index
+// (shard-local) result document receives from one probe (its cluster,
+// terms and term frequencies; the frozen factors are not read), given
+// the list normalization divisor — the per-shard half of the shard
+// group's explain mode — or returns nil when the document has no refined
+// segment in the cluster. The factors come from the pool-attached index
 // state the scores came from, so the products reconcile exactly as the
 // unsharded MatchExplained's do.
-func (mr *MR) ExplainDocCluster(localDoc, clusterID int, queryTF map[string]float64, norm float64) []TermContribution {
+func (mr *MR) ExplainDocCluster(localDoc int, q ClusterQuery, norm float64) []TermContribution {
 	mr.mu.RLock()
 	defer mr.mu.RUnlock()
-	if localDoc < 0 || localDoc >= len(mr.docSegs) {
+	if localDoc < 0 || localDoc >= mr.segs.numDocs() {
 		return nil
 	}
-	for _, s := range mr.docSegs[localDoc] {
-		if s.cluster == clusterID {
-			return mr.termBreakdown(queryTF, clusterID, s.unit, norm)
+	for r, hi := mr.segs.doc(localDoc); r < hi; r++ {
+		if int(mr.segs.cluster[r]) == q.Cluster {
+			return mr.termBreakdown(q, int(mr.segs.unit[r]), norm)
 		}
 	}
 	return nil
@@ -151,14 +153,9 @@ func (ft *FullText) MatchExplained(docID, k int, _ *obs.Trace) ([]Result, []Expl
 	exps := make([]Explanation, len(res))
 	for i, r := range res {
 		out[i] = Result{DocID: r.Unit, Score: r.Score}
-		terms := ft.ix.Explain(q, r.Unit)
-		tcs := make([]TermContribution, len(terms))
-		for j, ts := range terms {
-			tcs[j] = TermContribution{Term: ts.Term, QueryTF: ts.QueryTF, Weight: ts.Weight, IDF: ts.IDF, Contribution: ts.Product}
-		}
 		exps[i] = Explanation{
 			DocID: r.Unit, Score: r.Score,
-			Clusters: []ClusterContribution{{Cluster: 0, Score: r.Score, Terms: tcs}},
+			Clusters: []ClusterContribution{{Cluster: 0, Score: r.Score, Terms: termContributions(ft.ix.Explain(q, r.Unit), 1)}},
 		}
 	}
 	return out, exps

@@ -2,8 +2,10 @@ package match
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/cm"
+	"repro/internal/index"
 	"repro/internal/segment"
 )
 
@@ -16,34 +18,39 @@ import (
 // millions of segments).
 //
 // Concurrency: ingestion is split into PrepareAdd — segmentation,
-// vectorization, and centroid assignment, which run without any lock —
-// and PendingAdd.Commit, which takes MR's write lock only for the cheap
-// appends. Add (= PrepareAdd + Commit) is therefore safe to call from any
-// number of goroutines, interleaved freely with Match and the accessors;
-// concurrent queries block only for the microseconds a commit holds the
-// write lock, not for the document processing.
+// vectorization, centroid assignment and term interning, which take no
+// matcher lock — and PendingAdd.Commit, which takes MR's write lock only
+// for the cheap appends. Add (= PrepareAdd + Commit) is therefore safe
+// to call from any number of goroutines, interleaved freely with Match
+// and the accessors; queries block only for the microseconds a commit
+// holds the write lock, not for the document processing.
 
 // PendingAdd is a document that has been segmented, vectorized, and
 // assigned to intention clusters but not yet committed into the matcher.
 // The split lets a serving layer do the expensive preparation outside any
-// lock (and outside any larger critical section of its own) and make the
-// matcher mutation itself near-instant.
+// lock and make the matcher mutation itself near-instant.
 type PendingAdd struct {
 	mr        *MR
 	numRanges int
-	merged    map[int][]string // cluster → merged segment terms (refinement rule)
+	merged    map[int]pendingSeg // cluster → merged segment (refinement rule)
 	// commit, when set, is what Commit runs instead of committing into
 	// mr; see CommitVia.
 	commit func(*PendingAdd) int
 }
 
+// pendingSeg is one refined segment of a prepared document: its tokens
+// for the segment table and, counted, for the index — nothing is left to
+// sort under the write lock.
+type pendingSeg struct{ tokens, terms, tf []int32 }
+
 // PrepareAdd segments a new document, assigns each segment to the nearest
-// existing intention centroid, and applies the refinement rule, without
-// touching the matcher's serving state. It reads only immutable matcher
-// state (the configured strategy and the frozen centroids), so any number
-// of PrepareAdd calls may run concurrently with each other and with
-// queries. Call Commit on the result to assign a document id and index
-// the refined segments.
+// existing intention centroid, applies the refinement rule and interns
+// the terms — the one place a served document's strings meet the
+// dictionary — without touching the matcher's serving state. It reads
+// only immutable matcher state (strategy, centroids) and the
+// self-locking dictionary, so any number of PrepareAdd calls may run
+// concurrently with each other and with queries. Call Commit on the
+// result to assign a document id and index the refined segments.
 func (mr *MR) PrepareAdd(d *segment.Doc) *PendingAdd {
 	tm := spanAddPrepare.Start()
 	defer tm.Stop()
@@ -52,7 +59,7 @@ func (mr *MR) PrepareAdd(d *segment.Doc) *PendingAdd {
 
 	// Assign each segment to its nearest centroid and merge per cluster
 	// (the refinement rule: at most one segment per document per cluster).
-	merged := make(map[int][]string)
+	merged := make(map[int]pendingSeg)
 	for _, r := range ranges {
 		var vec []float64
 		switch {
@@ -67,7 +74,12 @@ func (mr *MR) PrepareAdd(d *segment.Doc) *PendingAdd {
 		if c < 0 {
 			continue
 		}
-		merged[c] = append(merged[c], d.Terms(r[0], r[1])...)
+		merged[c] = pendingSeg{tokens: mr.dict.AppendIDs(merged[c].tokens, d.Terms(r[0], r[1]))}
+	}
+	names := mr.dict.Terms()
+	for c, seg := range merged {
+		seg.terms, seg.tf = index.CountTerms(names, slices.Clone(seg.tokens), nil)
+		merged[c] = seg
 	}
 	return &PendingAdd{mr: mr, numRanges: len(ranges), merged: merged}
 }
@@ -87,10 +99,9 @@ func (pa *PendingAdd) Commit() int {
 }
 
 // CommitVia makes Commit run fn instead of committing into the
-// preparing matcher, and returns pa. The sharded serving layer uses it
-// so a document prepared by a group commits the way a document prepared
-// by a single matcher does — one Commit call — while fn picks the
-// owning shard, calls CommitTo on it, and returns the global id.
+// preparing matcher, and returns pa: a document prepared by a shard
+// group commits by one Commit call, as a single matcher's does, while fn
+// picks the owning shard, calls CommitTo on it, and returns the global id.
 func (pa *PendingAdd) CommitVia(fn func(*PendingAdd) int) *PendingAdd {
 	pa.commit = fn
 	return pa
@@ -98,35 +109,35 @@ func (pa *PendingAdd) CommitVia(fn func(*PendingAdd) int) *PendingAdd {
 
 // CommitTo commits the prepared document into mr, which may be a
 // different matcher than the one that prepared it — the sharded serving
-// layer prepares against one shard (preparation reads only the
-// configured strategy and the frozen centroids, which every shard of a
-// group shares) and commits into the shard that owns the new document's
-// id. The returned id is local to the receiving matcher. CommitTo must
-// be called at most once per PendingAdd.
+// layer prepares against one shard (preparation reads only the strategy,
+// the centroids and the dictionary, which the shards of a group share)
+// and commits into the shard that owns the new document's id. The
+// returned id is local to the receiving matcher. CommitTo must be called
+// at most once per PendingAdd.
 func (pa *PendingAdd) CommitTo(mr *MR) int {
+	if pa.mr.dict != mr.dict {
+		panic("match: CommitTo: the document was prepared against another dictionary")
+	}
 	// The commit span measures write-lock hold time — the stall a commit
 	// imposes on concurrent queries — so Start sits before the Lock.
 	tm := spanAddCommit.Start()
 	defer tm.Stop()
 	mr.mu.Lock()
 	defer mr.mu.Unlock()
-	docID := len(mr.docSegs)
-	mr.before = append(mr.before, pa.numRanges)
+	docID := mr.segs.numDocs()
+	mr.before = append(mr.before, int32(pa.numRanges))
 	mr.stats.NumSegments += pa.numRanges
 
-	mr.docSegs = append(mr.docSegs, nil)
-	after := 0
 	for c := 0; c < len(mr.clusters); c++ {
-		terms, ok := pa.merged[c]
+		seg, ok := pa.merged[c]
 		if !ok {
 			continue
 		}
-		unit := mr.clusters[c].Add(terms)
-		mr.unitDoc[c] = append(mr.unitDoc[c], docID)
-		mr.docSegs[docID] = append(mr.docSegs[docID], docSeg{cluster: c, unit: unit, terms: terms})
-		after++
+		unit := mr.clusters[c].AddCounted(seg.terms, seg.tf)
+		mr.unitDoc[c] = append(mr.unitDoc[c], int32(docID))
+		mr.segs.appendSeg(c, unit, seg.tokens)
 	}
-	mr.after = append(mr.after, after)
+	mr.segs.endDoc()
 	// Bump under the write lock so the new generation is never visible
 	// before the mutation it announces.
 	mr.gen.Add(1)
@@ -167,35 +178,10 @@ func nearestCentroid(centroids [][]float64, vec []float64) int {
 	return best
 }
 
-// DriftStats measures how far the current segment population has drifted
-// from the frozen centroids: the mean distance of a deterministic sample
-// of each cluster's units... since original vectors are not retained, the
-// proxy is cluster-size imbalance: the ratio between the largest and
-// smallest non-empty intention cluster. A ratio far above the value at
-// build time suggests a re-build (Sec 9.2: re-running clustering on the
-// whole updated collection is cheap).
-func (mr *MR) DriftStats() (minSize, maxSize int) {
-	mr.mu.RLock()
-	defer mr.mu.RUnlock()
-	for _, ix := range mr.clusters {
-		n := ix.NumUnits()
-		if n == 0 {
-			continue
-		}
-		if minSize == 0 || n < minSize {
-			minSize = n
-		}
-		if n > maxSize {
-			maxSize = n
-		}
-	}
-	return minSize, maxSize
-}
-
 // NumDocs returns the number of documents currently in the matcher,
 // including incrementally added ones.
 func (mr *MR) NumDocs() int {
 	mr.mu.RLock()
 	defer mr.mu.RUnlock()
-	return len(mr.docSegs)
+	return mr.segs.numDocs()
 }

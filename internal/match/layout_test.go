@@ -1,0 +1,90 @@
+package match
+
+import (
+	"bytes"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/forum"
+	"repro/internal/segment"
+)
+
+// arrivalOrderPosts are added to a loaded matcher, whose dictionary is
+// in term order, and bring terms that sort before ("aaaq…"), between
+// ("mmmq…") and after ("zzzq…") its vocabulary — so ids stop agreeing
+// with term order, which Eq 7 and Eq 9 are summed in.
+var arrivalOrderPosts = []string{
+	"My zzzqa raid array fails after a reboot. Does anyone know how to fix the mmmqa controller? I tried the aaaqa firmware and the aaaqa tool twice.",
+	"The aaaqb driver crashes my laptop. I tried mmmqb and zzzqb and zzzqb again. How can I fix the mmmqa error?",
+	"I have a zzzqa printer with an aaaqa cable. The mmmqb setup hangs. Can someone tell me what the zzzqc log means? The zzzqc log grows and grows.",
+	"Does the mmmqc update break the raid array? My aaaqc disk shows zzzqa errors. I tried to reinstall mmmqc and aaaqc, aaaqc did nothing.",
+}
+
+// TestArrivalOrderTrap pins the layout's one trap at the matcher: after
+// adds whose terms arrive out of term order, every score and every
+// explanation must equal, bit for bit, those of a matcher rebuilt from
+// scratch over the same documents (read back from the snapshot, so its
+// dictionary is sorted and its indices come from Load's constructor) and
+// of the matcher that met the whole corpus in reading order; a 4-shard
+// split sharing the out-of-order dictionary must rank identically; and
+// all of them must write the same bytes.
+func TestArrivalOrderTrap(t *testing.T) {
+	// The Programming vocabulary runs from "access" to "written"; the
+	// others start at a digit, which no token sorts before.
+	tc := buildCorpus(t, forum.Programming, 80, 23)
+	built := NewMR("IntentIntent-MR", tc.docs, MRConfig{Seed: 7})
+	loaded, err := ReadMR(writeMR(t, built), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vocab := loaded.dict.Terms()
+	if !sort.StringsAreSorted(vocab) {
+		t.Fatal("a freshly loaded dictionary should be in term order")
+	}
+	for _, text := range arrivalOrderPosts {
+		if a, b := built.Add(segment.NewDoc(text)), loaded.Add(segment.NewDoc(text)); a != b {
+			t.Fatalf("add assigned ids %d and %d", a, b)
+		}
+	}
+	var before, between, after bool
+	for _, term := range loaded.dict.Terms()[len(vocab):] {
+		before = before || term < vocab[0]
+		between = between || (term > vocab[0] && term < vocab[len(vocab)-1])
+		after = after || term > vocab[len(vocab)-1]
+	}
+	if !before || !between || !after {
+		t.Fatalf("new terms %q: need one before, one between and one after the loaded vocabulary", loaded.dict.Terms()[len(vocab):])
+	}
+
+	file := writeMR(t, loaded)
+	rebuilt, err := ReadMR(file, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, writeMR(t, rebuilt)) {
+		t.Error("write → load → write is not byte-identical")
+	}
+	if !bytes.Equal(file, writeMR(t, built)) {
+		t.Error("the file depends on the order the dictionary met the terms in")
+	}
+
+	shards, globalIDs, owner, local := splitForTest(t, loaded, 4)
+	compared := 0
+	for d := 0; d < loaded.NumDocs(); d++ {
+		res, exps := loaded.MatchExplained(d, 5, nil)
+		for name, other := range map[string]*MR{"rebuilt from the snapshot": rebuilt, "built in reading order": built} {
+			r, e := other.MatchExplained(d, 5, nil)
+			if !reflect.DeepEqual(res, r) || !reflect.DeepEqual(exps, e) {
+				t.Fatalf("doc %d: served %v %v, %s %v %v", d, res, exps, name, r, e)
+			}
+		}
+		if got := scatterMatch(loaded.Config(), shards, globalIDs, owner, local, d, 5); len(got)+len(res) > 0 && !reflect.DeepEqual(got, res) {
+			t.Fatalf("doc %d: 4-shard scatter %v, unsharded %v", d, got, res)
+		}
+		compared += len(res)
+	}
+	if compared == 0 {
+		t.Fatal("no result compared")
+	}
+}

@@ -135,15 +135,9 @@ func toResults(items []topk.Item) []Result {
 // 2's final selection, exported for the sharded scatter-gather merge so
 // both paths share one tie-break rule.
 func TopKScores(scores map[int]float64, k, excludeDoc int) []Result {
-	return topK(scores, k, excludeDoc)
-}
-
-// topK selects the k highest-scoring entries of a doc → score map, best
-// first, excluding docID.
-func topK(scores map[int]float64, k, docID int) []Result {
 	c := topk.New(k)
 	for d, s := range scores {
-		if d == docID || s <= 0 {
+		if d == excludeDoc || s <= 0 {
 			continue
 		}
 		c.Offer(d, s)

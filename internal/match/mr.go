@@ -48,8 +48,9 @@ var (
 //	SentIntent-MR:   Strategy = segment.Sentences{}, CM vectors + DBSCAN
 //	Content-MR:      Strategy = segment.TextTiling{}, ContentVectors + k-means
 type MRConfig struct {
-	// Strategy selects segment borders. segment.Greedy{} when nil.
-	Strategy segment.Strategy
+	// Strategy selects segment borders. segment.Greedy{} when nil. A
+	// snapshot does not carry it; ReadMR reconstructs it (strategyFor).
+	Strategy segment.Strategy `json:"-"`
 	// ContentVectors switches the segment representation from the 28-dim CM
 	// weight vectors (Eq 5/6) to hashed TF/IDF term vectors, and the grouper
 	// from DBSCAN to k-means — the Content-MR configuration.
@@ -95,7 +96,7 @@ type MRConfig struct {
 	// Seed drives k-means initialization.
 	Seed int64
 	// Workers bounds build parallelism. NumCPU when 0.
-	Workers int
+	Workers int `json:"-"`
 }
 
 // Grouping selects how CM segment vectors are grouped into intention
@@ -196,34 +197,69 @@ type BuildStats struct {
 	// refined counts only when KeepNoise is set). NoiseReassigned is how
 	// many of those the KeepNoise=false path folded into their nearest
 	// centroid afterwards; NoiseCount−NoiseReassigned segments remain
-	// outside every intention cluster. Earlier versions reported only the
-	// pre-reassignment count, which overstated surviving noise whenever
-	// KeepNoise was false.
+	// outside every intention cluster.
 	NoiseCount      int
 	NoiseReassigned int
 }
 
-// docSeg is one refined segment of a document: its intention cluster, its
-// unit id inside that cluster's index, and its terms (kept for query-time
-// TF computation).
-type docSeg struct {
-	cluster int
-	unit    int
-	terms   []string
+// segTable holds every document's refined segments in flat columns, the
+// shape of the snapshot's "dseg" section: document d's segments are the
+// rows docEnd[d-1]..docEnd[d], ascending in cluster, and row r's tokens
+// — dictionary ids in token order, for query-time TF and a byte-for-byte
+// re-encoding — are terms[termEnd[r-1]:termEnd[r]].
+type segTable struct {
+	docEnd  []int32
+	cluster []int32 // per row: intention cluster
+	unit    []int32 // per row: unit id inside that cluster's index
+	termEnd []int32
+	terms   []int32
 }
+
+func (st *segTable) numDocs() int { return len(st.docEnd) }
+
+// doc returns the row range of document d's segments.
+func (st *segTable) doc(d int) (lo, hi int) {
+	if d > 0 {
+		lo = int(st.docEnd[d-1])
+	}
+	return lo, int(st.docEnd[d])
+}
+
+// termLo returns where row r's tokens start (or, past the last row, end).
+func (st *segTable) termLo(r int) int32 {
+	if r == 0 {
+		return 0
+	}
+	return st.termEnd[r-1]
+}
+
+// tokens returns row r's tokens, aliasing the table.
+func (st *segTable) tokens(r int) []int32 { return st.terms[st.termLo(r):st.termEnd[r]] }
+
+// appendSeg adds a row to the document being appended; endDoc closes it.
+func (st *segTable) appendSeg(cluster, unit int, terms []int32) {
+	st.cluster = append(st.cluster, int32(cluster))
+	st.unit = append(st.unit, int32(unit))
+	st.terms = append(st.terms, terms...)
+	st.termEnd = append(st.termEnd, int32(len(st.terms)))
+}
+
+func (st *segTable) endDoc() { st.docEnd = append(st.docEnd, int32(len(st.cluster))) }
 
 // MR is a built multi-ranking matcher.
 //
-// Locking model: mu guards the mutable serving state — docSegs, unitDoc,
-// before/after, and stats, which incremental Add appends to. Match,
+// Locking model: mu guards the mutable serving state — segs, unitDoc,
+// before, and stats, which incremental Add appends to. Match,
 // WriteTo, and every accessor hold the read lock for their full duration;
 // Add commits its mutations under the write lock (the expensive
 // segmentation and vectorization happen before the lock is taken, see
 // PrepareAdd). The per-cluster indices carry their own RWMutex; the lock
 // order is always MR.mu before Index.mu, never the reverse. name, cfg,
-// clusters (the slice itself), and centroids are immutable once the
-// matcher is built or loaded — SetStrategy is the one exception and must
-// be called before concurrent use begins.
+// dict (the pointer: the dictionary, shared by every cluster index and
+// every shard of a group, locks itself), clusters (the slice itself),
+// and centroids are immutable once the matcher is built or loaded —
+// SetStrategy is the one exception and must be called before concurrent
+// use begins.
 type MR struct {
 	name string
 	cfg  MRConfig
@@ -237,11 +273,11 @@ type MR struct {
 	gen atomic.Uint64
 
 	mu        sync.RWMutex
+	dict      *index.Dict
 	clusters  []*index.Index
-	unitDoc   [][]int // unitDoc[c][u] = document owning unit u of cluster c
-	docSegs   [][]docSeg
-	before    []int // per-doc segment count before grouping (Table 3)
-	after     []int // per-doc segment count after refinement (Table 3)
+	unitDoc   [][]int32 // unitDoc[c][u] = document owning unit u of cluster c
+	segs      segTable  // its rows per document are Table 3's count after refinement
+	before    []int32   // per-doc segment count before grouping (Table 3)
 	centroids [][]float64
 	stats     BuildStats
 }
@@ -255,10 +291,10 @@ type rawSeg struct {
 
 // segRef keys one non-noise segment for the sort-based refinement
 // grouping: its intention cluster, owning document, and index into the
-// flat segment list. Sorting refs by (cluster, doc, seg) makes every
-// refined (doc, cluster) group a contiguous run, every cluster a
-// contiguous run of groups in ascending-doc order (the unit-id order the
-// previous document-walk produced), and the whole grouping
+// flat segment list. Sorting refs by (doc, cluster, seg) makes every
+// refined (doc, cluster) group a contiguous run, in the segment table's
+// row order — which visits each cluster's groups in ascending-doc
+// order, the order of its unit ids — and the whole grouping
 // allocation-lean: no per-segment map values growing through repeated
 // term copies.
 type segRef struct {
@@ -287,10 +323,10 @@ func NewMR(name string, docs []*segment.Doc, cfg MRConfig) *MR {
 	// Phase 2: vectors + clustering + refinement.
 	start := time.Now()
 	var segs []rawSeg
-	mr.before = make([]int, len(docs))
+	mr.before = make([]int32, len(docs))
 	for i, s := range segmentations {
 		ranges := s.Segments()
-		mr.before[i] = len(ranges)
+		mr.before[i] = int32(len(ranges))
 		for _, r := range ranges {
 			segs = append(segs, rawSeg{doc: i, lo: r[0], hi: r[1]})
 		}
@@ -362,90 +398,65 @@ func NewMR(name string, docs []*segment.Doc, cfg MRConfig) *MR {
 	}
 	sort.Slice(refs, func(a, b int) bool {
 		ra, rb := refs[a], refs[b]
-		if ra.cluster != rb.cluster {
-			return ra.cluster < rb.cluster
-		}
 		if ra.doc != rb.doc {
 			return ra.doc < rb.doc
+		}
+		if ra.cluster != rb.cluster {
+			return ra.cluster < rb.cluster
 		}
 		return ra.seg < rb.seg
 	})
 	// One group per refined (doc, cluster) pair: refs[lo:hi].
 	type group struct{ cluster, doc, lo, hi int }
 	var groups []group
+	tokens := 0
 	for i := 0; i < len(refs); {
-		j := i + 1
-		for j < len(refs) && refs[j].cluster == refs[i].cluster && refs[j].doc == refs[i].doc {
-			j++
+		j := i
+		for ; j < len(refs) && refs[j].cluster == refs[i].cluster && refs[j].doc == refs[i].doc; j++ {
+			tokens += docs[refs[j].doc].TermCount(segs[refs[j].seg].lo, segs[refs[j].seg].hi)
 		}
 		groups = append(groups, group{cluster: refs[i].cluster, doc: refs[i].doc, lo: i, hi: j})
 		i = j
 	}
-	// Contiguous group range [lo, hi) of each cluster.
-	clusterGroups := make([][2]int, k)
-	for gi := 0; gi < len(groups); {
-		gj := gi + 1
-		for gj < len(groups) && groups[gj].cluster == groups[gi].cluster {
-			gj++
-		}
-		clusterGroups[groups[gi].cluster] = [2]int{gi, gj}
-		gi = gj
-	}
 	mr.stats.Refinement = phase.Stop()
 	mr.stats.Grouping = time.Since(start)
 
-	// Phase 3: per-cluster indexing. Index construction is independent
-	// across clusters, so clusters fan out; within one cluster, groups run
-	// in ascending-doc order, reproducing the unit ids the former serial
-	// document walk assigned.
+	// Phase 3: the segment table — one row per group, in group order,
+	// interned as it goes, so dictionary ids do not depend on scheduling —
+	// then per-cluster indexing, which fans out over clusters.
 	phase = spanBuildIndex.StartAlways()
-	mr.clusters = make([]*index.Index, k)
-	mr.unitDoc = make([][]int, k)
-	groupUnit := make([]int, len(groups))
-	groupTerms := make([][]string, len(groups))
-	par.Do(k, cfg.Workers, func(c int) {
-		ix := index.New()
-		lo, hi := clusterGroups[c][0], clusterGroups[c][1]
-		owners := make([]int, 0, hi-lo)
-		for gi := lo; gi < hi; gi++ {
-			g := groups[gi]
-			terms := mergedTerms(docs, segs, refs[g.lo:g.hi])
-			groupTerms[gi] = terms
-			groupUnit[gi] = ix.Add(terms)
-			owners = append(owners, g.doc)
+	mr.dict = index.NewDict()
+	mr.unitDoc = make([][]int32, k)
+	st := &mr.segs
+	st.cluster, st.unit = make([]int32, 0, len(groups)), make([]int32, 0, len(groups))
+	st.termEnd, st.terms = make([]int32, 0, len(groups)), make([]int32, 0, tokens)
+	for _, g := range groups {
+		for st.numDocs() < g.doc {
+			st.endDoc()
 		}
-		mr.clusters[c] = ix
-		mr.unitDoc[c] = owners
-	})
-	mr.docSegs = make([][]docSeg, len(docs))
-	mr.after = make([]int, len(docs))
-	for gi, g := range groups { // cluster-major: per-doc segs stay cluster-ascending
-		mr.docSegs[g.doc] = append(mr.docSegs[g.doc], docSeg{cluster: g.cluster, unit: groupUnit[gi], terms: groupTerms[gi]})
-		mr.after[g.doc]++
+		for _, r := range refs[g.lo:g.hi] { // the refined segment: its members' terms in segment order
+			st.terms = mr.dict.AppendIDs(st.terms, docs[r.doc].Terms(segs[r.seg].lo, segs[r.seg].hi))
+		}
+		st.appendSeg(g.cluster, len(mr.unitDoc[g.cluster]), nil)
+		mr.unitDoc[g.cluster] = append(mr.unitDoc[g.cluster], int32(g.doc))
 	}
+	for st.numDocs() < len(docs) {
+		st.endDoc()
+	}
+	mr.indexSegs(k)
 	mr.stats.Indexing = phase.Stop()
 	return mr
 }
 
-// mergedTerms materializes the refined segment of one (doc, cluster)
-// group — the concatenated terms of its member segments in segment order —
-// in a single exact-capacity allocation.
-func mergedTerms(docs []*segment.Doc, segs []rawSeg, group []segRef) []string {
-	if len(group) == 1 {
-		s := segs[group[0].seg]
-		return docs[s.doc].Terms(s.lo, s.hi)
+// indexSegs builds the k cluster indices from the segment table: a
+// cluster's units are its rows, in row order.
+func (mr *MR) indexSegs(k int) {
+	units := make([][][]int32, k)
+	for r, c := range mr.segs.cluster {
+		units[c] = append(units[c], mr.segs.tokens(r))
 	}
-	total := 0
-	for _, r := range group {
-		s := segs[r.seg]
-		total += docs[s.doc].TermCount(s.lo, s.hi)
-	}
-	out := make([]string, 0, total)
-	for _, r := range group {
-		s := segs[r.seg]
-		out = docs[s.doc].AppendTerms(out, s.lo, s.hi)
-	}
-	return out
+	mr.clusters = make([]*index.Index, k)
+	par.Do(k, mr.cfg.Workers, func(c int) { mr.clusters[c] = index.Build(mr.dict, units[c]) })
 }
 
 // Name implements Matcher.
@@ -453,22 +464,18 @@ func (mr *MR) Name() string { return mr.name }
 
 // Match implements Matcher: Algorithm 1 per intention cluster the reference
 // document appears in (top-n with n = NFactor·k), then Algorithm 2's score
-// summation and global top-k. The per-intention-cluster queries run in
-// parallel over a Workers-bounded pool; the read lock held for Match's
-// full duration keeps the unit → document ownership tables consistent
-// with the cluster indices while a concurrent Add waits.
+// summation and global top-k. The per-cluster queries run in parallel over
+// a Workers-bounded pool; the read lock held throughout keeps the unit →
+// document tables consistent with the indices while a concurrent Add waits.
 func (mr *MR) Match(docID, k int) []Result {
 	return mr.MatchTraced(docID, k, nil)
 }
 
 // MatchTraced is Match with request-scoped tracing: a non-nil tr
-// records the per-stage progression of this one query — one
-// "match.list" event per intention-cluster list (cluster id, list
-// width, plus the "index.query" event the index itself records with
-// candidate width and pool-hit detail), then the Algorithm 2 merge
-// width and the final result count. A nil tr is the steady-state path
-// and costs a pointer check per hook (the Fig 11c benchmarks gate it
-// at 0 extra allocations).
+// records one "match.list" event per intention-cluster list (beside
+// the "index.query" event the index itself records), then the
+// Algorithm 2 merge width and the final result count. A nil tr is the
+// steady-state path and costs a pointer check per hook.
 func (mr *MR) MatchTraced(docID, k int, tr *obs.Trace) []Result {
 	out, _ := mr.match(docID, k, tr, false)
 	return out
@@ -480,8 +487,7 @@ func (mr *MR) MatchTraced(docID, k int, tr *obs.Trace) []Result {
 // lists the scores were summed from. The read lock is held across both
 // halves, so an explanation reconciles bit-for-bit with its scores even
 // with concurrent Adds in flight. The trimmed lists and divisors are
-// retained only for explain, which keeps the plain path at its
-// benchmark-gated allocation count.
+// retained only for explain: the plain path's allocations are gated.
 func (mr *MR) match(docID, k int, tr *obs.Trace, explain bool) ([]Result, []Explanation) {
 	if k <= 0 {
 		return nil, nil
@@ -489,35 +495,35 @@ func (mr *MR) match(docID, k int, tr *obs.Trace, explain bool) ([]Result, []Expl
 	tm := spanQuery.Start()
 	mr.mu.RLock()
 	defer mr.mu.RUnlock()
-	if docID < 0 || docID >= len(mr.docSegs) {
+	if docID < 0 || docID >= mr.segs.numDocs() {
 		return nil, nil
 	}
-	segs, lists, _ := mr.queryListsLocked(docID, k, tr)
+	probes, lists, _ := mr.queryListsLocked(docID, k, tr)
 	var norms []float64
 	if explain {
-		norms = make([]float64, len(segs))
+		norms = make([]float64, len(probes))
 	}
 	// Algorithm 2: sum the per-intention list scores per owning document.
 	scores := make(map[int]float64)
-	for i, seg := range segs {
+	for i, q := range probes {
 		res, norm := mr.trimList(lists[i])
 		if explain {
 			lists[i], norms[i] = res, norm
 		}
-		owners := mr.unitDoc[seg.cluster]
+		owners := mr.unitDoc[q.Cluster]
 		for _, r := range res {
-			scores[owners[r.Unit]] += r.Score / norm
+			scores[int(owners[r.Unit])] += r.Score / norm
 		}
 	}
-	histQueryLists.Observe(int64(len(segs)))
+	histQueryLists.Observe(int64(len(probes)))
 	histQueryCandidates.Observe(int64(len(scores)))
 	// Guarded rather than relying on the nil-receiver no-op: the variadic
 	// attr slice would otherwise be built (and heap-allocated) on the
 	// untraced path too.
 	if tr != nil {
-		tr.Event("match.merge", obs.N("lists", int64(len(segs))), obs.N("candidates", int64(len(scores))))
+		tr.Event("match.merge", obs.N("lists", int64(len(probes))), obs.N("candidates", int64(len(scores))))
 	}
-	out := topK(scores, k, docID)
+	out := TopKScores(scores, k, docID)
 	if tr != nil {
 		tr.Event("match.topk", obs.N("results", int64(len(out))))
 	}
@@ -525,90 +531,68 @@ func (mr *MR) match(docID, k int, tr *obs.Trace, explain bool) ([]Result, []Expl
 	if !explain {
 		return out, nil
 	}
-	return out, mr.explainLocked(out, segs, lists, norms)
+	return out, mr.explainLocked(out, probes, lists, norms)
 }
 
 // queryListsLocked runs Algorithm 1: one top-n index query per
-// intention cluster the reference document appears in, fanned out over
-// the worker pool. Callers must hold at least the read lock. The
-// returned lists are untrimmed (trimList applies the threshold cut and
-// normalization); n is the per-list depth used.
-// The results are deliberately unnamed: the par.Do closure reads segs,
-// lists, and n, and named results (assigned at every return) would be
-// captured by reference, costing one heap cell each per query on the
-// benchmark-gated hot path. Plain locals are captured by value.
-func (mr *MR) queryListsLocked(docID, k int, tr *obs.Trace) ([]docSeg, [][]index.Result, int) {
+// intention cluster the reference document appears in — its frozen
+// probes (probesLocked) — fanned out over the worker pool. Callers must
+// hold at least the read lock. The returned lists are untrimmed
+// (trimList applies the threshold cut and normalization); n is the
+// per-list depth used. The results are deliberately unnamed, and every
+// local the par.Do closure reads is assigned once: anything else is
+// captured by reference, a heap cell each on the allocation-gated path.
+func (mr *MR) queryListsLocked(docID, k int, tr *obs.Trace) ([]ClusterQuery, [][]index.Result, int) {
 	n := mr.cfg.ListDepth(k)
-	segs := mr.docSegs[docID]
-	// Algorithm 1: each intention list is an independent index query, so
-	// they fan out. Each list lands in its own slot and the merge walks
-	// them in segment order — float summation is not associative, so
-	// merge order must not depend on goroutine scheduling.
-	lists := make([][]index.Result, len(segs))
-	if mr.prunableLocked() {
-		// Pruned collections: resolve the frozen probes up front, estimate
-		// each list's score upper bound (Σ_t f_q·bound·pIDF), and start the
-		// highest-bound probes first. Cross-list thresholds cannot be shared
-		// (Algorithm 2 sums *across* lists, so a low-bound list's entries
-		// still matter), so the ordering is pure longest-work-first
-		// scheduling: the expensive, high-impact scans are in flight before
-		// the cheap ones, shrinking the parallel makespan. Slots are fixed
-		// by segment position, so results are identical for any order.
-		probes := mr.probesLocked(segs)
-		type ordered struct {
-			pos int
-			ub  float64
+	row, _ := mr.segs.doc(docID)
+	probes := mr.probesLocked(docID)
+	// Each intention list is an independent index query, so they fan
+	// out. Each lands in its own slot and the merge walks them in segment
+	// order — float summation is not associative, so merge order must not
+	// depend on goroutine scheduling.
+	lists := make([][]index.Result, len(probes))
+	order := mr.scanOrderLocked(probes)
+	par.Do(len(probes), mr.cfg.Workers, func(i int) {
+		if order != nil {
+			i = order[i]
 		}
-		order := make([]ordered, len(segs))
-		for i, q := range probes {
-			order[i] = ordered{pos: i, ub: mr.clusters[q.Cluster].UpperBoundSum(q.Terms, q.QF, q.IDF, q.AvgUnique)}
-		}
-		sort.Slice(order, func(a, b int) bool {
-			if order[a].ub != order[b].ub {
-				return order[a].ub > order[b].ub
-			}
-			return order[a].pos < order[b].pos
-		})
-		par.Do(len(segs), mr.cfg.Workers, func(j int) {
-			i := order[j].pos
-			seg := segs[i]
-			q := probes[i]
-			own := seg.unit
-			lists[i] = mr.clusters[seg.cluster].QueryFrozen(
-				q.Terms, q.QF, q.IDF, q.AvgUnique, n, 0, func(u int) bool { return u == own }, tr)
-			if tr != nil {
-				tr.Event("match.list",
-					obs.N("cluster", int64(seg.cluster)),
-					obs.N("width", int64(len(lists[i]))))
-			}
-		})
-		return segs, lists, n
-	}
-	par.Do(len(segs), mr.cfg.Workers, func(i int) {
-		seg := segs[i]
-		own := seg.unit
-		lists[i] = mr.clusters[seg.cluster].QueryTraced(
-			index.TermFrequencies(seg.terms), n, func(u int) bool { return u == own }, tr)
+		q := probes[i]
+		own := int(mr.segs.unit[row+i])
+		lists[i] = mr.clusters[q.Cluster].QueryFrozen(
+			q.Terms, q.QF, q.IDF, q.AvgUnique, n, 0, func(u int) bool { return u == own }, tr)
 		if tr != nil {
 			tr.Event("match.list",
-				obs.N("cluster", int64(seg.cluster)),
+				obs.N("cluster", int64(q.Cluster)),
 				obs.N("width", int64(len(lists[i]))))
 		}
 	})
-	return segs, lists, n
+	return probes, lists, n
 }
 
-// prunableLocked reports whether any intention cluster is large enough
-// for the index layer's max-score gate to engage — the signal that the
-// frozen, bound-ordered probe path is worth its probe-resolution
-// overhead. Callers must hold at least the read lock.
-func (mr *MR) prunableLocked() bool {
+// scanOrderLocked returns the order to start a document's probes in, or
+// nil for segment order when no intention cluster is large enough for
+// the index layer's max-score gate to engage. On a pruned collection
+// the list with the highest score upper bound (Σ_t f_q·bound·pIDF) goes
+// first. Cross-list thresholds cannot be shared (Algorithm 2 sums
+// *across* lists, so a low-bound list's entries still matter), so this
+// is pure longest-work-first scheduling, shrinking the parallel
+// makespan; result slots are fixed by segment position, so results are
+// identical for any order. Callers must hold at least the read lock.
+func (mr *MR) scanOrderLocked(probes []ClusterQuery) []int {
+	prunable := false
 	for _, ix := range mr.clusters {
-		if ix.NumUnits() >= index.PruneMinUnits {
-			return true
-		}
+		prunable = prunable || ix.NumUnits() >= index.PruneMinUnits
 	}
-	return false
+	if !prunable {
+		return nil
+	}
+	order, ubs := make([]int, len(probes)), make([]float64, len(probes))
+	for i, q := range probes {
+		order[i] = i
+		ubs[i] = mr.clusters[q.Cluster].UpperBoundSum(q.Terms, q.QF, q.IDF, q.AvgUnique)
+	}
+	sort.SliceStable(order, func(a, b int) bool { return ubs[order[a]] > ubs[order[b]] })
+	return order
 }
 
 // trimList applies the Algorithm 2 list post-processing Match and
@@ -660,28 +644,18 @@ func (mr *MR) Centroids() [][]float64 { return mr.centroids }
 
 // SegmentCounts returns each document's segment count before grouping and
 // after the refinement step (the two halves of Table 3). The returned
-// slices are fresh copies taken under the read lock: documents added
-// after the call do not appear in them, callers may retain or mutate
-// them freely, and a concurrent Add can never write into their backing
-// arrays (the live mr.before/mr.after grow in place under the write
-// lock, so handing those out would alias writer-owned memory).
+// slices are fresh, taken under the read lock: documents added after
+// the call do not appear in them and callers may retain or mutate them
+// freely.
 func (mr *MR) SegmentCounts() (before, after []int) {
 	mr.mu.RLock()
 	defer mr.mu.RUnlock()
-	before = append([]int(nil), mr.before...)
-	after = append([]int(nil), mr.after...)
-	return before, after
-}
-
-// ClusterSizes returns the number of (refined) segments per cluster.
-func (mr *MR) ClusterSizes() []int {
-	mr.mu.RLock()
-	defer mr.mu.RUnlock()
-	out := make([]int, len(mr.clusters))
-	for c, ix := range mr.clusters {
-		out[c] = ix.NumUnits()
+	before, after = make([]int, len(mr.before)), make([]int, len(mr.before))
+	for d := range before {
+		lo, hi := mr.segs.doc(d)
+		before[d], after[d] = int(mr.before[d]), hi-lo
 	}
-	return out
+	return before, after
 }
 
 // hashedTermVectorDim is the dimensionality of the feature-hashed TF

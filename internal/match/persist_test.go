@@ -24,7 +24,7 @@ func TestMRPersistRoundTrip(t *testing.T) {
 		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
 
-	loaded, err := ReadMR(buf.Bytes())
+	loaded, err := ReadMR(buf.Bytes(), nil)
 	if err != nil {
 		t.Fatalf("ReadMR: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestLoadedMRSupportsAdd(t *testing.T) {
 	if _, err := mr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadMR(buf.Bytes())
+	loaded, err := ReadMR(buf.Bytes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestReadMRReconstructsStrategy(t *testing.T) {
 			if _, err := mr.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := ReadMR(buf.Bytes())
+			loaded, err := ReadMR(buf.Bytes(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,12 +133,12 @@ func TestReadMRReconstructsStrategy(t *testing.T) {
 func TestReadMRGarbage(t *testing.T) {
 	// Anything that is not an RFCM container — a file an earlier build
 	// wrote in another encoding included — is named as such.
-	if _, err := ReadMR([]byte("not a matcher file")); err == nil {
+	if _, err := ReadMR([]byte("not a matcher file"), nil); err == nil {
 		t.Fatal("garbage input should fail")
 	} else if !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("error %q does not name the magic", err)
 	}
-	if _, err := ReadMR(nil); err == nil {
+	if _, err := ReadMR(nil, nil); err == nil {
 		t.Fatal("empty input should fail")
 	}
 }

@@ -1,8 +1,6 @@
 package match
 
 import (
-	"sort"
-
 	"repro/internal/index"
 	"repro/internal/obs"
 )
@@ -14,26 +12,28 @@ import (
 // (QueryClusterLists), and merging the per-shard lists globally before
 // applying Algorithm 2. The probes carry term frequencies rather than
 // unit ids because only the owning shard holds the reference document;
-// every other shard scores the same TF map against its own partition of
-// the cluster indices.
+// every other shard scores the same terms against its own partition.
 
 // ClusterQuery is one Algorithm 1 probe: the intention cluster to
-// query, the reference segment's term-frequency map (f_sq of Eq 9), and
-// the frozen scoring context — the sorted term list with aligned query
-// frequencies and pIDFs, plus the cluster's NU average — resolved once
-// on the reference document's home shard (see index.FrozenScoring). The
-// collection-level factors are pool-global, so every shard scans with
-// the same values; freezing them per probe keeps the scatter legs
-// mutually consistent under concurrent adds and saves each leg the
-// sort, the pIDF lookups, and the pool lock.
+// query, the reference segment's distinct terms — ids of the matcher's
+// dictionary, which the shards of a group share — with their
+// frequencies (f_sq of Eq 9), and the frozen scoring context — aligned
+// pIDFs plus the cluster's NU average — resolved once on the reference
+// document's home shard (see index.FrozenScoring). The collection-level
+// factors are pool-global, so every shard scans with the same values;
+// freezing them per probe keeps the scatter legs mutually consistent
+// under concurrent adds and saves each leg the resolution.
 type ClusterQuery struct {
 	Cluster   int
-	TF        map[string]float64
-	Terms     []string  // sorted; the Eq 9 summation order
+	Terms     []int32   // ascending term (not id) order: the Eq 9 summation order
 	QF        []float64 // aligned with Terms: f_sq(t)
 	IDF       []float64 // aligned with Terms: pIDF(t), 0 for unknown terms
 	AvgUnique float64   // the cluster's NU average
 }
+
+// Dict returns the dictionary the matcher's term ids — a probe's Terms —
+// belong to: the string boundary for whoever ships probes elsewhere.
+func (mr *MR) Dict() *index.Dict { return mr.dict }
 
 // QuerySegs returns the Algorithm 1 probes for a document of this
 // matcher: one ClusterQuery per intention cluster the document has a
@@ -44,33 +44,36 @@ type ClusterQuery struct {
 func (mr *MR) QuerySegs(docID int) []ClusterQuery {
 	mr.mu.RLock()
 	defer mr.mu.RUnlock()
-	if docID < 0 || docID >= len(mr.docSegs) {
+	if docID < 0 || docID >= mr.segs.numDocs() {
 		return nil
 	}
-	return mr.probesLocked(mr.docSegs[docID])
+	return mr.probesLocked(docID)
 }
 
 // probesLocked resolves the frozen Algorithm 1 probes for a document's
-// refined segments — the shared core of QuerySegs and the ordered probe
-// scheduling in queryListsLocked. Callers hold at least the read lock.
-func (mr *MR) probesLocked(segs []docSeg) []ClusterQuery {
-	out := make([]ClusterQuery, len(segs))
-	for i, s := range segs {
-		tf := index.TermFrequencies(s.terms)
-		terms := make([]string, 0, len(tf))
-		for t := range tf {
-			terms = append(terms, t)
+// refined segments — the shared core of QuerySegs and Match. The probes'
+// columns are cut from four arrays sized by the document's token count:
+// four allocations however many segments. Callers hold the read lock.
+func (mr *MR) probesLocked(docID int) []ClusterQuery {
+	lo, hi := mr.segs.doc(docID)
+	out := make([]ClusterQuery, hi-lo)
+	// The document's tokens, copied to be sorted and compacted in place.
+	ids := append([]int32(nil), mr.segs.terms[mr.segs.termLo(lo):mr.segs.termLo(hi)]...)
+	tf := make([]int32, 0, len(ids))
+	floats := make([]float64, 2*len(ids))
+	names := mr.dict.Terms()
+	for i := range out {
+		c, size := int(mr.segs.cluster[lo+i]), len(mr.segs.tokens(lo+i))
+		terms, counts := index.CountTerms(names, ids[:size], tf)
+		ids = ids[size:]
+		n := len(terms)
+		qf := floats[:n:n]
+		for j, c := range counts {
+			qf[j] = float64(c)
 		}
-		sort.Strings(terms)
-		qf := make([]float64, len(terms))
-		for j, t := range terms {
-			qf[j] = tf[t]
-		}
-		idfs, avg := mr.clusters[s.cluster].FrozenScoring(terms)
-		out[i] = ClusterQuery{
-			Cluster: s.cluster, TF: tf,
-			Terms: terms, QF: qf, IDF: idfs, AvgUnique: avg,
-		}
+		idfs, avg := mr.clusters[c].FrozenScoring(terms, floats[n:n:2*n])
+		floats = floats[2*n:]
+		out[i] = ClusterQuery{Cluster: c, Terms: terms, QF: qf, IDF: idfs, AvgUnique: avg}
 	}
 	return out
 }
@@ -88,19 +91,15 @@ func (mr *MR) probesLocked(segs []docSeg) []ClusterQuery {
 // range yield nil lists.
 //
 // Probes run sequentially under one read-lock acquisition: the shard
-// group already fans out across shards, so per-probe parallelism here
-// would only multiply goroutines, and the single lock hold gives the
-// probes one consistent view of this shard (matching the snapshot
-// semantics Match has on the unsharded path).
+// group already fans out across shards, and the single lock hold gives
+// the probes one consistent view of this shard, as Match has.
 //
-// floors, when non-nil, carries one per-probe score floor (aligned with
-// probes): a proven lower bound on the globally merged list's n-th best
-// score for that probe's cluster, which the pruned scan may discard
-// candidates against (see index.QueryFrozen). The coordinator seeds it
-// from the reference document's home-shard lists; a nil floors (or a 0
-// entry) scans unfloored. Floors only ever remove entries the global
-// merge would cut anyway, so the merged lists — and the final ranking —
-// are unchanged.
+// floors, when non-nil, carries one score floor per probe: a proven
+// lower bound on the globally merged list's n-th best score, which the
+// pruned scan may discard candidates against (see index.QueryFrozen); a
+// nil floors (or a 0 entry) scans unfloored. Floors only ever remove
+// entries the global merge would cut anyway, so the merged lists — and
+// the final ranking — are unchanged.
 func (mr *MR) QueryClusterLists(probes []ClusterQuery, n, excludeDoc int, floors []float64, tr *obs.Trace) [][]Result {
 	mr.mu.RLock()
 	defer mr.mu.RUnlock()
@@ -114,7 +113,7 @@ func (mr *MR) QueryClusterLists(probes []ClusterQuery, n, excludeDoc int, floors
 		if excludeDoc >= 0 {
 			// The refined index holds at most one unit per (doc, cluster),
 			// so excluding by owner is exactly the unsharded own-unit skip.
-			exclude = func(u int) bool { return owners[u] == excludeDoc }
+			exclude = func(u int) bool { return int(owners[u]) == excludeDoc }
 		}
 		var floor float64
 		if i < len(floors) {
@@ -123,7 +122,7 @@ func (mr *MR) QueryClusterLists(probes []ClusterQuery, n, excludeDoc int, floors
 		res := mr.clusters[q.Cluster].QueryFrozen(q.Terms, q.QF, q.IDF, q.AvgUnique, n, floor, exclude, tr)
 		out := make([]Result, len(res))
 		for j, r := range res {
-			out[j] = Result{DocID: owners[r.Unit], Score: r.Score}
+			out[j] = Result{DocID: int(owners[r.Unit]), Score: r.Score}
 		}
 		lists[i] = out
 	}

@@ -165,12 +165,13 @@ func TestAttachGlobalStatsAfterReload(t *testing.T) {
 		pools[i] = index.NewGlobalStats()
 	}
 	loaded := make([]*MR, len(shards))
+	dict := index.NewDict() // pooled shards count terms by ids of one dictionary
 	for s, sh := range shards {
 		var buf bytes.Buffer
 		if _, err := sh.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo shard %d: %v", s, err)
 		}
-		ld, err := ReadMR(buf.Bytes())
+		ld, err := ReadMR(buf.Bytes(), dict)
 		if err != nil {
 			t.Fatalf("ReadMR shard %d: %v", s, err)
 		}
@@ -259,7 +260,7 @@ func TestExplainDocClusterReconciles(t *testing.T) {
 		}
 		for _, it := range col.Results() {
 			s, l := owner[it.ID], local[it.ID]
-			tcs := shards[s].ExplainDocCluster(l, p.Cluster, p.TF, 1)
+			tcs := shards[s].ExplainDocCluster(l, p, 1)
 			if len(tcs) == 0 {
 				t.Errorf("doc %d cluster %d: empty breakdown for score %g", it.ID, p.Cluster, it.Score)
 				continue
@@ -278,10 +279,10 @@ func TestExplainDocClusterReconciles(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no (doc, cluster) contributions checked")
 	}
-	if got := shards[0].ExplainDocCluster(-1, 0, nil, 1); got != nil {
+	if got := shards[0].ExplainDocCluster(-1, ClusterQuery{}, 1); got != nil {
 		t.Error("negative doc id should explain to nil")
 	}
-	if got := shards[home].ExplainDocCluster(lq, mr.NumClusters(), probes[0].TF, 1); got != nil {
+	if got := shards[home].ExplainDocCluster(lq, ClusterQuery{Cluster: mr.NumClusters()}, 1); got != nil {
 		t.Error("cluster without a refined segment should explain to nil")
 	}
 }

@@ -12,19 +12,18 @@ import (
 // to the shared collection-statistics pools stats (one pool per
 // intention cluster, len(stats) == NumClusters). Because every shard
 // scores against the pooled Eq 9 N and n and the pooled NU average, and
-// because re-adding a segment's terms recomputes the same sorted-order
-// Eq 7 denominator the original build did, a shard's scores are
-// bit-identical to the unsharded matcher's for the same (query, result)
-// pair — the equivalence the sharded serving layer is built on.
+// because indexing a segment's terms again recomputes the same
+// term-ordered Eq 7 denominator the original build did, a shard's scores
+// are bit-identical to the unsharded matcher's for the same (query,
+// result) pair — the equivalence the sharded serving layer is built on.
 //
 // Documents are walked in ascending global id order, so shard-local
 // document ids (and therefore per-cluster unit ids) ascend with global
 // ids; the caller reconstructs the global↔local mapping by replaying
 // route over 0..NumDocs-1. Clustering is not re-run: shards share the
-// source's frozen centroids, configuration, and term slices, and each
-// carries a copy of the source's BuildStats. The source matcher is only
-// read (under its read lock) and remains fully usable; it shares no
-// index state with the shards.
+// source's frozen centroids, configuration and term dictionary, and each
+// carries a copy of its BuildStats. The source is only read and remains
+// usable; it shares no index state with the shards.
 func (mr *MR) Split(n int, route func(doc int) int, stats []*index.GlobalStats) ([]*MR, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("match: cannot split into %d shards", n)
@@ -37,39 +36,36 @@ func (mr *MR) Split(n int, route func(doc int) int, stats []*index.GlobalStats) 
 	}
 	shards := make([]*MR, n)
 	for s := range shards {
-		sh := &MR{
+		shards[s] = &MR{
 			name:      mr.name,
 			cfg:       mr.cfg,
-			clusters:  make([]*index.Index, k),
-			unitDoc:   make([][]int, k),
+			dict:      mr.dict,
+			unitDoc:   make([][]int32, k),
 			centroids: mr.centroids,
 			stats:     mr.stats,
 		}
-		for c := range sh.clusters {
-			sh.clusters[c] = index.New()
-			sh.clusters[c].AttachStats(stats[c])
-		}
-		shards[s] = sh
 	}
-	for d, segs := range mr.docSegs {
+	for d := 0; d < mr.segs.numDocs(); d++ {
 		s := route(d)
 		if s < 0 || s >= n {
 			return nil, fmt.Errorf("match: route(%d) = %d out of [0, %d)", d, s, n)
 		}
 		sh := shards[s]
-		local := len(sh.docSegs)
-		sh.docSegs = append(sh.docSegs, nil)
-		for _, seg := range segs {
-			// Re-adding the identical term slice reproduces the original
-			// unit's LogTF postings and Eq 7 denominator exactly (Add sums
-			// in sorted term order), and folds the unit into the cluster's
-			// stats pool.
-			unit := sh.clusters[seg.cluster].Add(seg.terms)
-			sh.unitDoc[seg.cluster] = append(sh.unitDoc[seg.cluster], local)
-			sh.docSegs[local] = append(sh.docSegs[local], docSeg{cluster: seg.cluster, unit: unit, terms: seg.terms})
+		for r, hi := mr.segs.doc(d); r < hi; r++ {
+			c := mr.segs.cluster[r]
+			sh.segs.appendSeg(int(c), len(sh.unitDoc[c]), mr.segs.tokens(r))
+			sh.unitDoc[c] = append(sh.unitDoc[c], int32(sh.segs.numDocs()))
 		}
+		sh.segs.endDoc()
 		sh.before = append(sh.before, mr.before[d])
-		sh.after = append(sh.after, mr.after[d])
+	}
+	for _, sh := range shards {
+		// The same token lists through the same constructor reproduce the
+		// original units' postings and Eq 7 denominators exactly.
+		sh.indexSegs(k)
+		for c, ix := range sh.clusters {
+			ix.AttachStats(stats[c])
+		}
 	}
 	return shards, nil
 }

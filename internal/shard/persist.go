@@ -105,9 +105,10 @@ func ReadDir(dir string) (*Group, error) {
 		return nil, err
 	}
 
+	dict := index.NewDict() // one for the group, as a group split in memory has
 	shards := make([]*match.MR, m.Shards)
 	for s := range shards {
-		sh, err := readShardFile(dir, s, m.Clusters, m.Shards)
+		sh, err := readShardFile(dir, s, dict, m.Clusters, m.Shards)
 		if err != nil {
 			return nil, err
 		}
@@ -159,15 +160,15 @@ func ReadManifest(dir string) (Manifest, error) {
 	return m, nil
 }
 
-// readShardFile loads one shard file, cross-checking its cluster count
-// against the manifest's.
-func readShardFile(dir string, s, clusters, declared int) (*match.MR, error) {
+// readShardFile loads one shard file into the group's dictionary,
+// cross-checking its cluster count against the manifest's.
+func readShardFile(dir string, s int, dict *index.Dict, clusters, declared int) (*match.MR, error) {
 	name := ShardFileName(s)
 	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		return nil, fmt.Errorf("shard: opening %s (manifest declares %d shards): %w", name, declared, err)
 	}
-	sh, err := match.ReadMR(data)
+	sh, err := match.ReadMR(data, dict)
 	if err != nil {
 		return nil, fmt.Errorf("shard: reading %s: %w", name, err)
 	}
@@ -211,9 +212,10 @@ func ReadDirShards(dir string, own []int) (map[int]*match.MR, Manifest, error) {
 	replay.Grow(m.Docs)
 	predicted := replay.ShardDocs()
 
+	dict := index.NewDict()
 	out := make(map[int]*match.MR, len(want))
 	for s := 0; s < m.Shards; s++ {
-		sh, err := readShardFile(dir, s, m.Clusters, m.Shards)
+		sh, err := readShardFile(dir, s, dict, m.Clusters, m.Shards)
 		if err != nil {
 			return nil, m, err
 		}

@@ -110,9 +110,9 @@ func routeDoc(seed uint64, doc, n int) int {
 
 // NewGroup partitions a built matcher into n shards routed by seed.
 // The source matcher is read, not consumed; it shares immutable state
-// (centroids, term slices, configuration) with the shards but no index
-// or serving state, so callers typically drop it to avoid holding two
-// copies of the postings.
+// (centroids, configuration) and its term dictionary with the shards but
+// no index or serving state, so callers typically drop it to avoid
+// holding two copies of the postings.
 func NewGroup(mr *match.MR, n int, seed uint64) (*Group, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: group needs at least 1 shard, got %d", n)
@@ -357,7 +357,7 @@ func (g *Group) match(docID, k int, tr *obs.Trace, explain bool) ([]match.Result
 				exp.Clusters = append(exp.Clusters, match.ClusterContribution{
 					Cluster: ml.Cluster,
 					Score:   it.Score / ml.Norm,
-					Terms:   g.shards[s].ExplainDocCluster(l, ml.Cluster, probes[i].TF, ml.Norm),
+					Terms:   g.shards[s].ExplainDocCluster(l, probes[i], ml.Norm),
 				})
 				break
 			}
