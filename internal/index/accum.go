@@ -86,21 +86,19 @@ func (acc *accumulator) release() {
 
 // accumulate is the Eq 9 inner loop, the only one: it adds a·w(t,unit)·b
 // to the cell of every unit in one posting list and marks the cell
-// touched. The exhaustive scan passes (f_q, pIDF) and so adds the exact
+// touched, with w = logTF / norm[unit] — one table read and one divide
+// by the probe's divisor column (Index.normsLocked), nothing to branch
+// on. The exhaustive scan passes (f_q, pIDF) and so adds the exact
 // product f_q·w·pIDF; the max-score scan passes (f_q·pIDF, 1) — its
 // partials are threshold material, and multiplying by one is exact —
 // together with rt, which then tracks the n-th best partial over
 // non-excluded units. theta is the running threshold; the raised value
 // is returned. The fast path past the add is one compare per posting: a
-// partial at or below the heap root cannot change the threshold. The
-// numerator is taken first: its math.Log fallback is a call, and with
-// nothing else of the posting live across it the loop keeps its registers.
-func (acc *accumulator) accumulate(denoms []float64, uniques []int32, posts []Posting, a, b, avgUnique float64, rt *runningTopK, exclude func(unit int) bool, theta float64) float64 {
+// partial at or below the heap root cannot change the threshold.
+func (acc *accumulator) accumulate(norm []float64, posts []Posting, a, b float64, rt *runningTopK, exclude func(unit int) bool, theta float64) float64 {
 	cells, touched := acc.cells, acc.touched
-	for i := range posts {
-		lt := logTF(posts[i].TF)
-		p := posts[i]
-		s := cells[p.Unit] + a*weight(denoms[p.Unit], uniques[p.Unit], lt, avgUnique)*b
+	for _, p := range posts {
+		s := cells[p.Unit] + a*(logTF(p.TF)/norm[p.Unit])*b
 		cells[p.Unit] = s
 		touched[p.Unit>>6] |= 1 << (uint32(p.Unit) & 63)
 		if rt == nil || (len(rt.h) == rt.k && s <= rt.h[0].score) {
@@ -116,11 +114,40 @@ func (acc *accumulator) accumulate(denoms []float64, uniques []int32, posts []Po
 	return theta
 }
 
-// drain empties the accumulator into alive/ascore — every touched unit
-// in ascending order, minus the excluded ones and, when a threshold is
-// known (theta > 0), minus those whose score plus slack cannot reach it
-// — zeroing each cell and touched word on the way, and returns how many
-// units had been touched. units is the probed index's unit count.
+// drainTop empties the accumulator of a scan that kept no threshold
+// straight into the top-n heap: every touched unit in ascending order,
+// each cell and touched word zeroed on the way, positive scores of
+// non-excluded units offered behind one compare with the heap root. A
+// score equal to the root's still goes to offerResult, whose order
+// (worse) breaks the tie by unit. It returns how many units had been
+// touched; units is the probed index's unit count.
+func (acc *accumulator) drainTop(units, topN int, exclude func(unit int) bool) (touchedUnits int) {
+	cells, top := acc.cells, acc.top[:0]
+	for w, word := range acc.touched[:(units+63)>>6] {
+		if word == 0 {
+			continue
+		}
+		acc.touched[w] = 0
+		touchedUnits += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			u := w<<6 | bits.TrailingZeros64(word)
+			s := cells[u]
+			cells[u] = 0
+			if s <= 0 || (len(top) == topN && s < top[0].Score) || (exclude != nil && exclude(u)) {
+				continue
+			}
+			top = offerResult(top, topN, Result{Unit: u, Score: s})
+		}
+	}
+	acc.top = top
+	return touchedUnits
+}
+
+// drain empties the accumulator of a max-score scan into alive/ascore —
+// every touched unit in ascending order, minus the excluded ones and,
+// when a threshold is known (theta > 0), minus those whose score plus
+// slack cannot reach it — zeroing each cell and touched word on the
+// way, and returns how many units had been touched.
 func (acc *accumulator) drain(units int, theta, slack float64, exclude func(unit int) bool) (touchedUnits int) {
 	cells := acc.cells
 	alive, ascore := acc.alive[:0], acc.ascore[:0]
@@ -149,25 +176,20 @@ func (acc *accumulator) drain(units int, theta, slack float64, exclude func(unit
 	return touchedUnits
 }
 
-// finish is the shared tail of every scan: select the top-n of the
-// positive-score survivors in alive/ascore under the deterministic
-// order (score descending, unit ascending), record the scan histograms
-// and the optional trace event, and materialize the result list.
-// candidates is the number of units the probe accumulated a score for.
-func (acc *accumulator) finish(candidates, topN int, tr *obs.Trace) []Result {
-	top := acc.top[:0]
-	for i, u := range acc.alive {
-		if s := acc.ascore[i]; s > 0 {
-			top = offerResult(top, topN, Result{Unit: int(u), Score: s})
-		}
-	}
+// finish is the shared tail of every scan: order the top-n selected in
+// top — by drainTop, or by the max-score scan from its survivors — under
+// the deterministic order (score descending, unit ascending), record
+// the scan histograms and the optional trace event, and materialize the
+// result list. candidates is the number of units the probe accumulated
+// a score for.
+func (acc *accumulator) finish(candidates int, tr *obs.Trace) []Result {
+	top := acc.top
 	// Heapsort in place: the root is the worst retained result, so moving
 	// it behind the shrinking heap leaves the slice best first.
 	for n := len(top) - 1; n > 0; n-- {
 		top[0], top[n] = top[n], top[0]
 		siftDown(top[:n], 0)
 	}
-	acc.top = top
 	histQueryCandidates.Observe(int64(candidates))
 	histQueryResults.Observe(int64(len(top)))
 	if tr != nil {

@@ -14,42 +14,61 @@ import (
 // ascending term order — strings sorted here, ids looked up one by one,
 // the Eq 7 numerator taken with math.Log, not from the table — and a
 // full sort for the ranking. It shares no code with the scan paths — no
-// pooled accumulator, no bounds, no top-n heap, no term resolution —
-// so agreeing with it bit-for-bit is evidence about them,
-// which agreeing with QueryExhaustive (same accumulator, same pool) is
-// not. Unattached indices only.
+// pooled accumulator, no divisor column, no bounds, no top-n heap, no
+// term resolution — so agreeing with it bit-for-bit is evidence about
+// them, which agreeing with QueryExhaustive (same accumulator, same
+// pool) is not. Unattached, quiescent indices only.
 func naiveQuery(ix *Index, queryTF map[string]float64, topN int, exclude func(unit int) bool) []Result {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	terms := make([]string, 0, len(queryTF))
+	names := make([]string, 0, len(queryTF))
 	for t := range queryTF {
-		terms = append(terms, t)
+		names = append(names, t)
 	}
-	sort.Strings(terms)
+	sort.Strings(names)
+	ix.mu.RLock()
 	n := len(ix.denoms)
 	avgUnique := float64(ix.totalUnique) / float64(n)
+	var terms []int32
+	var qf, idfs []float64
+	for _, t := range names {
+		id, pIDF := ix.dict.Lookup(t), 0.0
+		if s, ok := ix.slot[id]; ok {
+			df := len(ix.lists[s])
+			pIDF = math.Log((float64(n-df) + 0.5) / (float64(df) + 0.5))
+		}
+		terms, qf, idfs = append(terms, id), append(qf, queryTF[t]), append(idfs, pIDF)
+	}
+	ix.mu.RUnlock()
+	return naiveRank(naiveScores(ix, terms, qf, idfs, avgUnique), topN, exclude)
+}
+
+// naiveScores is the oracle's Eq 9 sum for every unit under the supplied
+// pIDFs (terms with none, or a non-positive one, contribute nothing) and
+// NU average, in the supplied term order. Unit statistics never change
+// once added, so a score computed from a grown index is the score any
+// earlier scan of that unit under the same factors had to return.
+func naiveScores(ix *Index, terms []int32, qf, idfs []float64, avgUnique float64) map[int]float64 {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	scores := make(map[int]float64)
-	for _, t := range terms {
-		var posts []Posting
-		if s, ok := ix.slot[ix.dict.Lookup(t)]; ok {
-			posts = ix.lists[s]
-		}
-		df := len(posts)
-		if df == 0 {
+	for i, t := range terms {
+		s, ok := ix.slot[t]
+		if !ok || idfs[i] <= 0 {
 			continue
 		}
-		pIDF := math.Log((float64(n-df) + 0.5) / (float64(df) + 0.5))
-		if pIDF <= 0 {
-			continue
-		}
-		for _, p := range posts {
+		for _, p := range ix.lists[s] {
 			norm := 1.0
 			if ratio := float64(ix.uniques[p.Unit]) / avgUnique; ratio > 1 {
 				norm = ratio
 			}
-			scores[int(p.Unit)] += queryTF[t] * ((math.Log(float64(p.TF)) + 1) / (ix.denoms[p.Unit] * norm)) * pIDF
+			scores[int(p.Unit)] += qf[i] * ((math.Log(float64(p.TF)) + 1) / (ix.denoms[p.Unit] * norm)) * idfs[i]
 		}
 	}
+	return scores
+}
+
+// naiveRank is the oracle's ranking: the positive, non-excluded scores
+// fully sorted (score descending, unit ascending) and cut at topN.
+func naiveRank(scores map[int]float64, topN int, exclude func(unit int) bool) []Result {
 	out := []Result{}
 	for unit, s := range scores {
 		if s > 0 && (exclude == nil || !exclude(unit)) {
@@ -161,8 +180,11 @@ func TestScansMatchNaiveOracle(t *testing.T) {
 // goroutine — so sync.Pool hands each probe the accumulator the last one
 // returned — drives indices of very different sizes through every scan
 // while Adds grow them past the capacity (units + 25 %) of whatever
-// accumulator last served them. A stale cell shows as a wrong score or
-// a dirty pool; an accumulator shorter than the index it scans panics.
+// accumulator last served them. The gate is flipped at random, so the
+// pool is inspected after the unpruned scan's fused drain (drainTop) and
+// after the pruned scan's drain alike. A stale cell shows as a wrong
+// score or a dirty pool; an accumulator shorter than the index it scans
+// panics.
 func TestPoolSharedAcrossGrowingIndices(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	docs := randomCorpus(rng, 4000, 150)
@@ -235,8 +257,12 @@ func TestConcurrentScansShareThePool(t *testing.T) {
 }
 
 // TestScanAllocations gates the steady-state probe at one allocation —
-// its result slice — on both scans. (Before the dense accumulator the
-// exhaustive Query allocated 4 times and the pruned QueryFrozen 13.)
+// its result slice — on both scans: the divisor column is cached.
+// (Before the dense accumulator the exhaustive Query allocated 4 times
+// and the pruned QueryFrozen 13.) A probe that finds the column stale —
+// the first after an add that moved the average or the unit count, or a
+// frozen probe carrying another average — allocates two more, the column
+// and its header, and that is all it costs.
 func TestScanAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops objects at random under the race detector")
@@ -250,6 +276,13 @@ func TestScanAllocations(t *testing.T) {
 	withPruneGate(t, 1<<30)
 	if got := testing.AllocsPerRun(200, func() { ix.Query(queryTF, 10, nil) }); got > 1 {
 		t.Errorf("exhaustive Query: %v allocs per run, want at most 1", got)
+	}
+	stale := avg
+	if got := testing.AllocsPerRun(200, func() {
+		stale *= 1.001
+		ix.QueryFrozen(terms, qf, idfs, stale, 10, 0, nil, nil)
+	}); got != 3 {
+		t.Errorf("QueryFrozen finding the column stale: %v allocs per run, want 3 (result, column, header)", got)
 	}
 	withPruneGate(t, 1)
 	if got := testing.AllocsPerRun(200, func() { ix.QueryFrozen(terms, qf, idfs, avg, 10, 0, nil, nil) }); got > 1 {

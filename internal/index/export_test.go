@@ -9,6 +9,20 @@ func (ix *Index) QueryExhaustive(queryTF map[string]float64, topN int, exclude f
 	return ix.query(queryTF, topN, exclude, false)
 }
 
+// weight is the Eq 7/8 weight of a posting with numerator logTF in a unit
+// with the given denominator and unique-term count: the definition the
+// scans' divisor column (normsLocked) is held to, bit for bit.
+func weight(denom float64, unique int32, logTF, avgUnique float64) float64 {
+	if denom == 0 {
+		return 0
+	}
+	return logTF / (denom * nu(unique, avgUnique))
+}
+
+func (ix *Index) weightLocked(p Posting, avgUnique float64) float64 {
+	return weight(ix.denoms[p.Unit], ix.uniques[p.Unit], logTF(p.TF), avgUnique)
+}
+
 // Weight computes the Eq 7/8 weight of a term within a unit, 0 if the
 // term does not occur in it.
 func (ix *Index) Weight(term string, unit int) float64 {

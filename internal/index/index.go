@@ -35,6 +35,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -105,6 +106,9 @@ type Index struct {
 	denoms      []float64
 	uniques     []int32
 	totalUnique int64 // sum of unique-term counts, for the NU average
+	// norms caches the per-unit divisor of Eq 7/8 under the NU average
+	// the last probe scanned with (see normsLocked); not persisted.
+	norms atomic.Pointer[unitNorms]
 
 	// global, when non-nil, is the shared collection-statistics pool the
 	// scoring reads Eq 9's N and n and the NU average from instead of the
@@ -226,23 +230,43 @@ func nu(unique int32, avgUnique float64) float64 {
 	if avgUnique <= 0 {
 		return 1
 	}
-	if ratio := float64(unique) / avgUnique; ratio > 1 {
-		return ratio
-	}
-	return 1
+	return max(float64(unique)/avgUnique, 1)
 }
 
-func (ix *Index) weightLocked(p Posting, avgUnique float64) float64 {
-	return weight(ix.denoms[p.Unit], ix.uniques[p.Unit], logTF(p.TF), avgUnique)
+// unitNorms is the Eq 7/8 divisor of every unit under one NU average:
+// norm[u] = denom[u] · nu(unique[u], avg), the very product the weight
+// logTF / (denom · nu) divides by, so logTF / norm[u] is the same
+// float64 (the test files keep weight, the definition, to hold it to).
+// A unit without terms gets +Inf, the divisor of weight's +0; no
+// posting names such a unit. The value is immutable once published.
+type unitNorms struct {
+	avg  float64
+	norm []float64
 }
 
-// weight is the Eq 7/8 weight of a posting with numerator logTF in a unit
-// with the given denominator and unique-term count.
-func weight(denom float64, unique int32, logTF, avgUnique float64) float64 {
-	if denom == 0 {
-		return 0
+// normsLocked returns the divisor column for avgUnique — the local,
+// pooled or frozen average the probe resolved. The cached column is
+// valid iff it was built for that average and covers every unit; a
+// probe that finds it stale builds one under the read lock it already
+// holds (8 bytes a unit, one pass) and publishes it. Callers use the
+// slice returned and never re-read the pointer, so concurrent frozen
+// probes carrying different averages, and concurrent duplicate builds,
+// only cost the rebuild. Add leaves the column alone: it would pay for
+// the rebuild under the write lock, and an add that moves the average
+// fails the check by itself.
+func (ix *Index) normsLocked(avgUnique float64) []float64 {
+	if c := ix.norms.Load(); c != nil && c.avg == avgUnique && len(c.norm) == len(ix.denoms) {
+		return c.norm
 	}
-	return logTF / (denom * nu(unique, avgUnique))
+	norm := make([]float64, len(ix.denoms))
+	for u, d := range ix.denoms {
+		norm[u] = d * nu(ix.uniques[u], avgUnique)
+		if d == 0 {
+			norm[u] = math.Inf(1)
+		}
+	}
+	ix.norms.Store(&unitNorms{avg: avgUnique, norm: norm})
+	return norm
 }
 
 // idf is Eq 9's smoothed probabilistic inverse document frequency for a
@@ -360,7 +384,7 @@ func (ix *Index) ExplainTerms(terms []int32, qf []float64, unit int) []TermScore
 	if ix.rlockStats() {
 		defer ix.global.mu.RUnlock()
 	}
-	avgUnique, n, names := ix.avgUniqueLocked(), ix.nLocked(), ix.dict.Terms()
+	norm, n, names := ix.normsLocked(ix.avgUniqueLocked()), ix.nLocked(), ix.dict.Terms()
 	var out []TermScore
 	for i, t := range terms {
 		posts := ix.listLocked(t)
@@ -369,7 +393,7 @@ func (ix *Index) ExplainTerms(terms []int32, qf []float64, unit int) []TermScore
 		if pi < 0 || tIDF == 0 {
 			continue
 		}
-		w := ix.weightLocked(posts[pi], avgUnique)
+		w := logTF(posts[pi].TF) / norm[unit]
 		out = append(out, TermScore{Term: names[t], QueryTF: qf[i], Weight: w, IDF: tIDF, Product: qf[i] * w * tIDF})
 	}
 	return out

@@ -57,26 +57,34 @@ var (
 )
 
 // PruneMinUnits is the smallest collection (unit count) the query path
-// prunes on; below it the exhaustive scan is used — on small lists the
-// bookkeeping (threshold heap, update-mode probes, exact rescore) costs
-// more than the walk it saves. The value is the measured crossover:
-// BenchmarkQueryPrunedVsExhaustive (benchCorpus's Zipf vocabulary,
-// k = 10, gate forced both ways, one CPU), exhaustive vs pruned per query:
+// prunes on; below it the exhaustive scan is used. The value is a
+// measurement: BenchmarkQueryPrunedVsExhaustive (benchCorpus's Zipf
+// vocabulary, k = 10, gate forced both ways, one CPU, parent and change
+// binaries alternated, medians of three), µs per query before and after
+// the accumulate kernel became one divide by a per-unit column (PR 23):
 //
-//	 units   exhaustive    pruned   exhaustive/pruned
-//	  1000      32 µs       56 µs        0.57×
-//	  4000     126 µs      139 µs        0.90×
-//	  8000     244 µs      191 µs        1.2×  (1.03–1.28× over five runs)
-//	 16000     414 µs      369 µs        1.12×
-//	100000    2.89 ms     2.09 ms        1.38×
+//	  units   parent: exhaustive  pruned   change: exhaustive  pruned   exhaustive/pruned
+//	   8000              243        218                  65       146        0.45×
+//	  32000              964        766                 230       467        0.49×
+//	 100000            2 958      2 106                 813     1 343        0.61×
+//	 400000           13 370      7 886               4 076     5 427        0.75×
+//	1000000           29 856     18 097              10 089    12 859        0.78×
 //
-// and the same corpus at a million units 40.6 ms vs 24.4 ms (1.66×).
-// TestPruningHalvesPostingsAt100k pins what the 100 000 row rests on:
-// at least 2× fewer postings touched (2.5× measured); 8192 is the first
-// power of two past the crossover. Results are bit-identical either
-// way. It is read at query time without synchronization: set it at
-// startup (or in tests before spawning queriers), not while serving.
-var PruneMinUnits = 8192
+// At the parent the crossover sat just under 8 000 units and the gate
+// was 8192. With a posting at ≈ 3 ns the exhaustive scan got 3–4× faster
+// and the pruned one 1.4–1.6× — its candidate handling (drain, update-
+// mode merges and probes, the θ heap) is untouched by the kernel — so
+// pruning no longer pays anywhere in the table. The ratio is closing
+// (0.45× → 0.78×) but there is no crossover by a million units, and the
+// scan is not measured above a million units: the gate is set past
+// that, and the pruned scan runs only where a test or benchmark lowers
+// it. TestPruningHalvesPostingsAt100k still pins what pruning saves in
+// postings (2.5× at 100 000 units); ROADMAP's θ item decides whether its
+// candidate handling is made to pay again or the scan is deleted.
+// Results are bit-identical either way. It is read at query time
+// without synchronization: set it at startup (or in tests before
+// spawning queriers), not while serving.
+var PruneMinUnits = 1 << 21
 
 // pruneMinFanout gates pruning on topN ≪ collection: a scan asked for a
 // quarter of the collection cannot skip much, so it runs exhaustively.
@@ -301,6 +309,7 @@ type scanTerm struct {
 // factors are read, so the scatter path's lock discipline carries over
 // unchanged.
 func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64, avgUnique float64, topN int, floor float64, exclude func(unit int) bool, tr *obs.Trace, prune bool) []Result {
+	norm := ix.normsLocked(avgUnique)
 	active := acc.active[:0]
 	var totalPostings int64
 	for i, t := range terms {
@@ -320,11 +329,10 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 
 	if !prune {
 		for _, at := range active {
-			acc.accumulate(ix.denoms, ix.uniques, at.posts, at.qf, at.idf, avgUnique, nil, nil, 0)
+			acc.accumulate(norm, at.posts, at.qf, at.idf, nil, nil, 0)
 		}
 		ctrScanPostings.Add(totalPostings)
-		candidates := acc.drain(len(ix.denoms), 0, 0, exclude)
-		res := acc.finish(candidates, topN, tr)
+		res := acc.finish(acc.drainTop(len(ix.denoms), topN, exclude), tr)
 		acc.release()
 		return res
 	}
@@ -366,7 +374,7 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 			break
 		}
 		scanned += int64(len(at.posts))
-		theta = acc.accumulate(ix.denoms, ix.uniques, at.posts, at.qf*at.idf, 1, avgUnique, rt, exclude, theta)
+		theta = acc.accumulate(norm, at.posts, at.qf*at.idf, 1, rt, exclude, theta)
 	}
 
 	// Phase A2, update mode (Turtle & Flood): past the cutoff no unseen
@@ -415,7 +423,7 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 					break
 				}
 				if at.posts[pi].Unit == u {
-					s := aliveScore[i] + c*ix.weightLocked(at.posts[pi], avgUnique)
+					s := aliveScore[i] + c*(logTF(at.posts[pi].TF)/norm[u])
 					aliveScore[i] = s
 					probed++
 					if t := rt.offer(u, s); t > theta {
@@ -429,7 +437,7 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 				if pi < 0 {
 					continue
 				}
-				s := aliveScore[i] + c*ix.weightLocked(at.posts[pi], avgUnique)
+				s := aliveScore[i] + c*(logTF(at.posts[pi].TF)/norm[u])
 				aliveScore[i] = s
 				probed++
 				if t := rt.offer(u, s); t > theta {
@@ -450,7 +458,7 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 		alive[keep] = u
 		keep++
 	}
-	alive, aliveScore = alive[:keep], aliveScore[:keep]
+	alive = alive[:keep]
 
 	listsSkipped := int64(len(active) - stop)
 	postingsSkipped := -probed
@@ -460,9 +468,10 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 
 	// Phase B: exact rescore of the survivors, in ascending term order —
 	// the exhaustive scan's summation sequence — with each weight fetched
-	// by binary search.
+	// by binary search — and offered to the top-n heap finish orders.
 	slices.SortFunc(active, func(a, b scanTerm) int { return cmp.Compare(a.idx, b.idx) })
-	for i, u := range alive {
+	top := acc.top[:0]
+	for _, u := range alive {
 		var s float64
 		for _, at := range active {
 			pi := findPosting(at.posts, u)
@@ -470,18 +479,20 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 				continue
 			}
 			scanned++
-			s += at.qf * ix.weightLocked(at.posts[pi], avgUnique) * at.idf
+			s += at.qf * (logTF(at.posts[pi].TF) / norm[u]) * at.idf
 		}
-		aliveScore[i] = s
+		if s > 0 {
+			top = offerResult(top, topN, Result{Unit: int(u), Score: s})
+		}
 	}
-	acc.alive, acc.ascore = alive, aliveScore
+	acc.top = top
 
 	ctrScanPostings.Add(scanned + probed)
 	ctrPruneLists.Add(listsSkipped)
 	ctrPrunePostings.Add(postingsSkipped)
 	histPruneThreshold.Observe(int64(theta * 1e6))
 	histPruneSurvivors.Observe(int64(len(alive)))
-	res := acc.finish(candidates, topN, tr)
+	res := acc.finish(candidates, tr)
 	if tr != nil {
 		tr.Event("index.prune",
 			obs.N("lists_skipped", listsSkipped),

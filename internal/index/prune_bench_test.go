@@ -13,20 +13,33 @@ import (
 func benchCorpus(units, vocab int, seed int64) (*Index, []map[string]float64) {
 	rng := rand.New(rand.NewSource(seed))
 	zipf := rand.NewZipf(rng, 1.2, 1.0, uint64(vocab-1))
+	names := make([]string, vocab)
+	for v := range names {
+		names[v] = fmt.Sprintf("t%05d", v)
+	}
 	ix := New()
-	docs := make([][]string, units)
+	// Units are kept as term numbers, 4 bytes a token: the query units
+	// are drawn only after the last one is generated, and the million-unit
+	// leg would hold 40 M string headers otherwise.
+	toks, ends := []int32(nil), []int32{0} // unit u is toks[ends[u]:ends[u+1]]
+	var terms []string
 	for u := 0; u < units; u++ {
-		n := 20 + rng.Intn(40)
-		terms := make([]string, n)
-		for i := range terms {
-			terms[i] = fmt.Sprintf("t%05d", zipf.Uint64())
+		terms = terms[:0]
+		for n := 20 + rng.Intn(40); n > 0; n-- {
+			v := int32(zipf.Uint64())
+			toks, terms = append(toks, v), append(terms, names[v])
 		}
-		docs[u] = terms
+		ends = append(ends, int32(len(toks)))
 		ix.Add(terms)
 	}
 	queries := make([]map[string]float64, 64)
 	for i := range queries {
-		queries[i] = TermFrequencies(docs[rng.Intn(units)])
+		u := rng.Intn(units)
+		terms = terms[:0]
+		for _, v := range toks[ends[u]:ends[u+1]] {
+			terms = append(terms, names[v])
+		}
+		queries[i] = TermFrequencies(terms)
 	}
 	return ix, queries
 }
@@ -50,11 +63,12 @@ func BenchmarkQueryReadOnly(b *testing.B) {
 // exhaustive return bit-identical results
 // (TestPrunedMatchesExhaustiveProperty); this pair shows what the
 // pruning buys. The pruned legs lower the size gate so they prune at
-// every size — this is the sweep PruneMinUnits is set from. The
-// 100 000-unit leg (the size TestPruningHalvesPostingsAt100k counts
-// postings at) is skipped under -short.
+// every size — this is the sweep PruneMinUnits is set from. The legs
+// from 100 000 units (the size TestPruningHalvesPostingsAt100k counts
+// postings at) to a million — about 1 GB resident while it builds — are
+// skipped under -short.
 func BenchmarkQueryPrunedVsExhaustive(b *testing.B) {
-	sizes := []int{1000, 4000, 8000, 16000, 100000}
+	sizes := []int{1000, 4000, 8000, 32000, 100000, 400000, 1000000}
 	if testing.Short() {
 		sizes = sizes[:4]
 	}

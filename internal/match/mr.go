@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -570,26 +571,28 @@ func (mr *MR) queryListsLocked(docID, k int, tr *obs.Trace) ([]ClusterQuery, [][
 }
 
 // scanOrderLocked returns the order to start a document's probes in, or
-// nil for segment order when no intention cluster is large enough for
-// the index layer's max-score gate to engage. On a pruned collection
-// the list with the highest score upper bound (Σ_t f_q·bound·pIDF) goes
-// first. Cross-list thresholds cannot be shared (Algorithm 2 sums
-// *across* lists, so a low-bound list's entries still matter), so this
-// is pure longest-work-first scheduling, shrinking the parallel
-// makespan; result slots are fixed by segment position, so results are
-// identical for any order. Callers must hold at least the read lock.
+// nil for segment order: when there is one probe, or when none of the
+// probed clusters is large enough for the index layer's max-score gate
+// to engage — the usual case, decided from the probed clusters alone and
+// without allocating. Otherwise the pruning probe with the highest score
+// upper bound (Σ_t f_q·bound·pIDF) goes first and the exhaustive ones,
+// which have no use for a bound, last in segment order. Cross-list
+// thresholds cannot be shared (Algorithm 2 sums *across* lists, so a
+// low-bound list's entries still matter), so this is pure
+// longest-work-first scheduling, shrinking the parallel makespan; result
+// slots are fixed by segment position, so results are identical for any
+// order. Callers must hold at least the read lock.
 func (mr *MR) scanOrderLocked(probes []ClusterQuery) []int {
-	prunable := false
-	for _, ix := range mr.clusters {
-		prunable = prunable || ix.NumUnits() >= index.PruneMinUnits
-	}
-	if !prunable {
+	prunes := func(q ClusterQuery) bool { return mr.clusters[q.Cluster].NumUnits() >= index.PruneMinUnits }
+	if len(probes) < 2 || !slices.ContainsFunc(probes, prunes) {
 		return nil
 	}
 	order, ubs := make([]int, len(probes)), make([]float64, len(probes))
 	for i, q := range probes {
 		order[i] = i
-		ubs[i] = mr.clusters[q.Cluster].UpperBoundSum(q.Terms, q.QF, q.IDF, q.AvgUnique)
+		if prunes(q) {
+			ubs[i] = mr.clusters[q.Cluster].UpperBoundSum(q.Terms, q.QF, q.IDF, q.AvgUnique)
+		}
 	}
 	sort.SliceStable(order, func(a, b int) bool { return ubs[order[a]] > ubs[order[b]] })
 	return order

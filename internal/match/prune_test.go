@@ -2,6 +2,7 @@ package match
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/forum"
@@ -90,5 +91,69 @@ func TestMatchExplainedPrunedReconciles(t *testing.T) {
 				t.Errorf("doc %d result %d: cluster contributions sum %g, served score %g", d, i, sum, res[i].Score)
 			}
 		}
+	}
+}
+
+// TestScanOrderDecidedFromProbedClusters pins when Algorithm 1's probes
+// are reordered: never for a single probe or when none of the probed
+// clusters reaches the pruning gate (the default — and then without
+// allocating); otherwise the pruning probes first, by descending bound,
+// and the exhaustive ones after them in segment order.
+func TestScanOrderDecidedFromProbedClusters(t *testing.T) {
+	tc := buildCorpus(t, forum.TechSupport, 200, 9)
+	mr := NewMR("MR", tc.docs, MRConfig{Seed: 7})
+	mr.mu.RLock()
+	defer mr.mu.RUnlock()
+	checked := false
+	for d := 0; d < mr.NumDocs(); d++ {
+		probes := mr.probesLocked(d)
+		if got := mr.scanOrderLocked(probes); got != nil {
+			t.Fatalf("doc %d, default gate: order %v, want nil", d, got)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { mr.scanOrderLocked(probes) }); allocs != 0 {
+			t.Fatalf("doc %d, default gate: %v allocations", d, allocs)
+		}
+		largest, size := -1, 0
+		for i, q := range probes {
+			if n := mr.clusters[q.Cluster].NumUnits(); n > size {
+				largest, size = i, n
+			} else if n == size {
+				largest = -1 // no single largest cluster to tell apart
+			}
+		}
+		withGate := func(min int) []int {
+			old := index.PruneMinUnits
+			index.PruneMinUnits = min
+			defer func() { index.PruneMinUnits = old }()
+			return mr.scanOrderLocked(probes)
+		}
+		all := withGate(1)
+		if len(probes) < 2 {
+			if all != nil {
+				t.Fatalf("doc %d, one probe: order %v, want nil", d, all)
+			}
+			continue
+		}
+		if len(all) != len(probes) {
+			t.Fatalf("doc %d, every cluster pruning: order %v over %d probes", d, all, len(probes))
+		}
+		if largest < 0 {
+			continue
+		}
+		// Only the largest probed cluster prunes: its probe leads, the rest
+		// keep segment order.
+		want := []int{largest}
+		for i := range probes {
+			if i != largest {
+				want = append(want, i)
+			}
+		}
+		if got := withGate(size); !reflect.DeepEqual(got, want) {
+			t.Fatalf("doc %d, gate %d: order %v, want %v", d, size, got, want)
+		}
+		checked = true
+	}
+	if !checked {
+		t.Fatal("no document probes clusters of different sizes")
 	}
 }
