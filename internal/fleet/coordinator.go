@@ -1013,9 +1013,9 @@ func (c *Coordinator) gather(ctx context.Context, docID, k int, tr *obs.Trace) (
 	c.noteLegOK(home)
 	sc.nProbes = len(resp.Probes)
 
-	// Phase 2: siblings, all at the home-reported depth, pruning under
-	// the home floors (each floor is a proven lower bound on the merged
-	// list's n-th score — see shard.Group.gather).
+	// Phase 2: siblings, all at the home-reported depth, each scanning
+	// under thetas seeded with the home floors (each floor is a proven
+	// lower bound on the merged list's n-th score — see index.Theta).
 	n := resp.N
 	floors := make([]float64, len(resp.Probes))
 	for i, l := range resp.Lists {

@@ -316,19 +316,21 @@ func refPartial(t testing.TB, f *testFleet, docID, k int, missing map[int]bool) 
 	cfg := f.mr.Config()
 	n := cfg.ListDepth(k)
 	homeLists := hmr.QueryClusterLists(probes, n, local, nil, nil)
-	floors := make([]float64, len(probes))
-	for i, l := range homeLists {
-		if n > 0 && len(l) >= n {
-			floors[i] = l[n-1].Score
-		}
-	}
 	lists := make(map[int][][]match.Result)
 	lists[home] = homeLists
 	for s := 0; s < nShards; s++ {
 		if s == home || missing[s] {
 			continue
 		}
-		lists[s] = f.g.ShardMR(s).QueryClusterLists(probes, n, -1, floors, nil)
+		// A sibling host scans under thetas of its own, seeded — as
+		// HandleProbe seeds them — with the home list's n-th score.
+		thetas := make([]index.Theta, len(probes))
+		for i, l := range homeLists {
+			if n > 0 && len(l) >= n {
+				thetas[i].Raise(l[n-1].Score)
+			}
+		}
+		lists[s] = f.g.ShardMR(s).QueryClusterLists(probes, n, -1, thetas, nil)
 	}
 	scores := make(map[int]float64)
 	for i := range probes {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/index"
 	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -226,7 +227,11 @@ func totalWidth(lists [][]match.Result) int64 {
 }
 
 // HandleProbe answers a sibling scan: frozen probes against this
-// shard's partition, optionally pruning below the home-seeded floors.
+// shard's partition, each under an index.Theta seeded from the request's
+// floor for it. Floors is empty or one entry per probe; an entry that is
+// zero or negative is "no bound", and a positive one must be a proven
+// lower bound on the merged list's n-th score (the coordinator sends the
+// home list's), because the scan drops what scores strictly below it.
 func (h *Host) HandleProbe(req *ProbeRequest) (*ProbeResponse, error) {
 	mr, ok := h.shards[req.Shard]
 	if !ok {
@@ -241,7 +246,11 @@ func (h *Host) HandleProbe(req *ProbeRequest) (*ProbeResponse, error) {
 	probes := toClusterQueries(mr.Dict(), req.Probes)
 	t := h.openTrace(req.Trace, req.TraceID, "probe", req.Shard)
 	st := h.spanProbe[req.Shard].Start()
-	lists := mr.QueryClusterLists(probes, req.Depth, -1, req.Floors, t)
+	thetas := make([]index.Theta, len(req.Floors))
+	for i, f := range req.Floors {
+		thetas[i].Raise(f) // from 0: a no-op unless f > 0
+	}
+	lists := mr.QueryClusterLists(probes, req.Depth, -1, thetas, t)
 	st.Stop()
 	if t != nil {
 		t.Event("host.lists", obs.N("probes", int64(len(probes))), obs.N("depth", int64(req.Depth)), obs.N("candidates", totalWidth(lists)))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -329,6 +330,52 @@ func TestHostRequestValidation(t *testing.T) {
 	}
 	if !h.Owns(0) || h.Owns(1) {
 		t.Fatal("host 0 must own exactly shard 0")
+	}
+}
+
+// TestHostProbeFloors pins what a host makes of ProbeRequest.Floors at
+// the default pruning gate, where the exhaustive drain reads them: a zero
+// or negative entry bounds nothing, and a positive one returns exactly
+// the entries scoring at or above it (an entry at the floor is tie-break
+// material for the coordinator's merge).
+func TestHostProbeFloors(t *testing.T) {
+	docs := genDocs(t, forum.TechSupport, 60, 42)
+	f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 2, 42, 0)
+	h := f.hosts[0]
+	home, err := h.HandleHome(&HomeRequest{Shard: 0, LocalDoc: 0, K: 5})
+	if err != nil || len(home.Probes) == 0 {
+		t.Fatalf("home leg: %d probes, err %v", len(home.Probes), err)
+	}
+	probe := func(floors []float64) [][]WireResult {
+		t.Helper()
+		resp, err := h.HandleProbe(&ProbeRequest{Shard: 0, Probes: home.Probes, Depth: home.N, Floors: floors})
+		if err != nil {
+			t.Fatalf("probe with floors %v: %v", floors, err)
+		}
+		return resp.Lists
+	}
+	full := probe(nil)
+	none, mid := make([]float64, len(full)), make([]float64, len(full))
+	want := make([][]WireResult, len(full))
+	for i, l := range full {
+		if len(l) < 3 {
+			t.Fatalf("probe %d: list of %d, too short to cut", i, len(l))
+		}
+		none[i] = float64(-(i % 2)) // 0 and -1 alike
+		mid[i] = l[len(l)/2].Score
+		want[i] = l
+		for j, r := range l {
+			if r.Score < mid[i] {
+				want[i] = l[:j]
+				break
+			}
+		}
+	}
+	if got := probe(none); !reflect.DeepEqual(got, full) {
+		t.Errorf("zero and negative floors: %v, want the unbounded %v", got, full)
+	}
+	if got := probe(mid); !reflect.DeepEqual(got, want) {
+		t.Errorf("mid-list floors %v: %v, want %v", mid, got, want)
 	}
 }
 

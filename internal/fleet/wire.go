@@ -85,8 +85,9 @@ type HomeResponse struct {
 }
 
 // ProbeRequest asks a sibling shard to scan the frozen probes against
-// its partition at the given depth, optionally pruning below the
-// per-probe floors seeded from the home leg.
+// its partition at the given depth, discarding what scores strictly
+// below the per-probe floors seeded from the home leg (Host.HandleProbe
+// says what a host accepts there).
 type ProbeRequest struct {
 	Shard   int         `json:"shard"`
 	Probes  []WireProbe `json:"probes"`

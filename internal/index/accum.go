@@ -117,26 +117,40 @@ func (acc *accumulator) accumulate(norm []float64, posts []Posting, a, b float64
 // drainTop empties the accumulator of a scan that kept no threshold
 // straight into the top-n heap: every touched unit in ascending order,
 // each cell and touched word zeroed on the way, positive scores of
-// non-excluded units offered behind one compare with the heap root. A
-// score equal to the root's still goes to offerResult, whose order
-// (worse) breaks the tie by unit. It returns how many units had been
-// touched; units is the probed index's unit count.
-func (acc *accumulator) drainTop(units, topN int, exclude func(unit int) bool) (touchedUnits int) {
+// non-excluded units offered behind one compare with bar — the higher of
+// the probe's shared theta (nil on the unsharded path) and the heap's
+// root once it holds topN units. A score equal to bar still goes on: to
+// offerResult, whose order (worse) breaks the tie by unit, and to the
+// merge. theta is re-read once per non-empty touched word, never per
+// unit, and raised whenever the full heap's root passes it — only
+// non-excluded units enter the heap, as Theta requires. It returns how
+// many units had been touched; units is the probed index's unit count.
+func (acc *accumulator) drainTop(units, topN int, theta *Theta, exclude func(unit int) bool) (touchedUnits int) {
 	cells, top := acc.cells, acc.top[:0]
+	var bar float64
 	for w, word := range acc.touched[:(units+63)>>6] {
 		if word == 0 {
 			continue
 		}
 		acc.touched[w] = 0
 		touchedUnits += bits.OnesCount64(word)
+		if theta != nil {
+			bar = max(bar, theta.Load())
+		}
 		for ; word != 0; word &= word - 1 {
 			u := w<<6 | bits.TrailingZeros64(word)
 			s := cells[u]
 			cells[u] = 0
-			if s <= 0 || (len(top) == topN && s < top[0].Score) || (exclude != nil && exclude(u)) {
+			if s <= 0 || s < bar || (exclude != nil && exclude(u)) {
 				continue
 			}
 			top = offerResult(top, topN, Result{Unit: u, Score: s})
+			if len(top) == topN && top[0].Score > bar {
+				bar = top[0].Score
+				if theta != nil {
+					theta.Raise(bar)
+				}
+			}
 		}
 	}
 	acc.top = top

@@ -87,8 +87,15 @@ func naiveRank(scores map[int]float64, topN int, exclude func(unit int) bool) []
 	return out
 }
 
+// thetaAt returns a Theta already at s — a bound some other leg proved.
+func thetaAt(s float64) *Theta {
+	th := new(Theta)
+	th.Raise(s)
+	return th
+}
+
 // checkAgainstOracle runs one query through every scan entry point —
-// Query, QueryExhaustive, QueryFrozen with and without a floor — and
+// Query, QueryExhaustive, QueryFrozen with and without a Theta — and
 // holds each to the oracle bit-for-bit. Whether they take the pruned or
 // the exhaustive scan is the caller's PruneMinUnits.
 func checkAgainstOracle(t *testing.T, ix *Index, queryTF map[string]float64, topN int, exclude func(unit int) bool) {
@@ -101,36 +108,38 @@ func checkAgainstOracle(t *testing.T, ix *Index, queryTF map[string]float64, top
 		t.Fatalf("QueryExhaustive topN=%d: %v, oracle %v", topN, got, want)
 	}
 	terms, qf, idfs, avg := frozenArgs(ix, queryTF)
-	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, 0, exclude, nil); !reflect.DeepEqual(got, want) {
+	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, nil, exclude, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("QueryFrozen topN=%d: %v, oracle %v", topN, got, want)
 	}
 	if len(want) == 0 {
 		return
 	}
-	// A floor proven by the list itself (its n-th score) loses nothing; a
-	// floor in the middle of the list must keep, in order, at least every
-	// entry that reaches it, and may only return entries of the list.
-	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, want[len(want)-1].Score, exclude, nil); !reflect.DeepEqual(got, want) {
-		t.Fatalf("QueryFrozen floor=n-th: %v, oracle %v", got, want)
+	// A bound proven by the list itself (its n-th score) loses nothing; a
+	// bound in the middle of the list must keep, in order, at least every
+	// entry that reaches it, and may only return entries of the list (the
+	// max-score scan may return some below it; TestThetaLive holds the
+	// exhaustive drain to exactly the entries at or above).
+	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, thetaAt(want[len(want)-1].Score), exclude, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("QueryFrozen theta=n-th: %v, oracle %v", got, want)
 	}
 	floor := want[len(want)/2].Score
-	got := ix.QueryFrozen(terms, qf, idfs, avg, topN, floor, exclude, nil)
+	got := ix.QueryFrozen(terms, qf, idfs, avg, topN, thetaAt(floor), exclude, nil)
 	pos := 0
 	for _, r := range got {
 		for pos < len(want) && want[pos] != r {
 			if want[pos].Score >= floor {
-				t.Fatalf("QueryFrozen floor=%g lost %v: %v, oracle %v", floor, want[pos], got, want)
+				t.Fatalf("QueryFrozen theta=%g lost %v: %v, oracle %v", floor, want[pos], got, want)
 			}
 			pos++
 		}
 		if pos == len(want) {
-			t.Fatalf("QueryFrozen floor=%g returned %v, not in oracle order %v", floor, r, want)
+			t.Fatalf("QueryFrozen theta=%g returned %v, not in oracle order %v", floor, r, want)
 		}
 		pos++
 	}
 	for ; pos < len(want); pos++ {
 		if want[pos].Score >= floor {
-			t.Fatalf("QueryFrozen floor=%g lost %v: %v, oracle %v", floor, want[pos], got, want)
+			t.Fatalf("QueryFrozen theta=%g lost %v: %v, oracle %v", floor, want[pos], got, want)
 		}
 	}
 }
@@ -181,8 +190,10 @@ func TestScansMatchNaiveOracle(t *testing.T) {
 // returned — drives indices of very different sizes through every scan
 // while Adds grow them past the capacity (units + 25 %) of whatever
 // accumulator last served them. The gate is flipped at random, so the
-// pool is inspected after the unpruned scan's fused drain (drainTop) and
-// after the pruned scan's drain alike. A stale cell shows as a wrong
+// pool is inspected after the unpruned scan's fused drain (drainTop) —
+// checkAgainstOracle's mid-list Theta makes it reject units unoffered,
+// whose cells must be zeroed all the same — and after the pruned scan's
+// drain alike. A stale cell shows as a wrong
 // score or a dirty pool; an accumulator shorter than the index it scans
 // panics.
 func TestPoolSharedAcrossGrowingIndices(t *testing.T) {
@@ -280,12 +291,16 @@ func TestScanAllocations(t *testing.T) {
 	stale := avg
 	if got := testing.AllocsPerRun(200, func() {
 		stale *= 1.001
-		ix.QueryFrozen(terms, qf, idfs, stale, 10, 0, nil, nil)
+		ix.QueryFrozen(terms, qf, idfs, stale, 10, nil, nil, nil)
 	}); got != 3 {
 		t.Errorf("QueryFrozen finding the column stale: %v allocs per run, want 3 (result, column, header)", got)
 	}
+	var theta Theta // shared by the runs, as by a probe's legs
+	if got := testing.AllocsPerRun(200, func() { ix.QueryFrozen(terms, qf, idfs, avg, 10, &theta, nil, nil) }); got > 1 || theta.Load() == 0 {
+		t.Errorf("exhaustive QueryFrozen under a Theta (now %g): %v allocs per run, want at most 1", theta.Load(), got)
+	}
 	withPruneGate(t, 1)
-	if got := testing.AllocsPerRun(200, func() { ix.QueryFrozen(terms, qf, idfs, avg, 10, 0, nil, nil) }); got > 1 {
+	if got := testing.AllocsPerRun(200, func() { ix.QueryFrozen(terms, qf, idfs, avg, 10, nil, nil, nil) }); got > 1 {
 		t.Errorf("pruned QueryFrozen: %v allocs per run, want at most 1", got)
 	}
 }

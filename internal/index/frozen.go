@@ -1,6 +1,11 @@
 package index
 
-import "repro/internal/obs"
+import (
+	"math"
+	"sync/atomic"
+
+	"repro/internal/obs"
+)
 
 // Frozen-factor scanning: the scatter half of the sharded serving
 // layer. A scatter query scores the same probe against N partitions of
@@ -38,17 +43,40 @@ func (ix *Index) FrozenScoring(terms []int32, dst []float64) (idfs []float64, av
 // width, result count, and whether the pooled accumulator served the
 // probe without allocating.
 //
-// floor is an externally proven lower bound on the merged n-th best
-// score, or 0 when none is known. The sharded coordinator seeds it from
-// the reference document's home shard (whose leg runs first): the
-// global n-th best list score is at least any one shard's local n-th
-// best, so sibling legs may discard units that cannot reach it and
-// still return exactly the entries that survive the Algorithm 1 merge.
-func (ix *Index) QueryFrozen(terms []int32, qf, idfs []float64, avgUnique float64, topN int, floor float64, exclude func(unit int) bool, tr *obs.Trace) []Result {
+// theta, when non-nil, is shared by every scatter leg of one probe: the
+// scan discards what scores strictly below it and raises it to its own
+// n-th best (see Theta). A nil theta is the unsharded scan.
+func (ix *Index) QueryFrozen(terms []int32, qf, idfs []float64, avgUnique float64, topN int, theta *Theta, exclude func(unit int) bool, tr *obs.Trace) []Result {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if topN <= 0 || len(ix.denoms) == 0 {
 		return nil
 	}
-	return ix.scanLocked(acquire(len(ix.denoms)), terms, qf, idfs, avgUnique, topN, floor, exclude, tr, ix.shouldPruneLocked(topN))
+	return ix.scanLocked(acquire(len(ix.denoms)), terms, qf, idfs, avgUnique, topN, theta, exclude, tr, ix.shouldPruneLocked(topN))
+}
+
+// Theta is one probe's proven lower bound on the n-th best score of its
+// merged list — the top-n over every partition's non-excluded units —
+// shared by the scatter legs that answer the probe, in whatever order or
+// overlap they run; the zero value is "none known". A leg raises it to its
+// own n-th best over non-excluded units once it holds n of them: the
+// merge is a top-n over a superset of those, so its n-th best is no
+// lower. The bound only rises, and a unit scoring strictly below it would
+// be cut by the merge whoever returned it, so a leg may drop it unseen; a
+// unit scoring exactly the bound can still win its place on the id
+// tie-break and must be returned. The merged list is therefore the same,
+// bit for bit, under every interleaving of the legs.
+type Theta struct{ bits atomic.Uint64 }
+
+// Load returns the current bound, 0 when none is known.
+func (t *Theta) Load() float64 { return math.Float64frombits(t.bits.Load()) }
+
+// Raise lifts the bound to s unless it is already there or above.
+func (t *Theta) Raise(s float64) {
+	for {
+		old := t.bits.Load()
+		if math.Float64frombits(old) >= s || t.bits.CompareAndSwap(old, math.Float64bits(s)) {
+			return
+		}
+	}
 }

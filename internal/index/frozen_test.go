@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -73,21 +74,21 @@ func TestQueryFrozenMatchesQueryTraced(t *testing.T) {
 	terms, qf, idfs, avg := frozenArgs(ix, queryTF)
 	for _, topN := range []int{1, 3, 8, 100} {
 		want := ix.Query(queryTF, topN, nil)
-		got := ix.QueryFrozen(terms, qf, idfs, avg, topN, 0, nil, nil)
+		got := ix.QueryFrozen(terms, qf, idfs, avg, topN, nil, nil, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("topN=%d: frozen %v != standard %v", topN, got, want)
 		}
 	}
 	excl := func(u int) bool { return u%2 == 0 }
 	want := ix.Query(queryTF, 10, excl)
-	got := ix.QueryFrozen(terms, qf, idfs, avg, 10, 0, excl, nil)
+	got := ix.QueryFrozen(terms, qf, idfs, avg, 10, nil, excl, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("excluded: frozen %v != standard %v", got, want)
 	}
-	if got := ix.QueryFrozen(terms, qf, idfs, avg, 0, 0, nil, nil); got != nil {
+	if got := ix.QueryFrozen(terms, qf, idfs, avg, 0, nil, nil, nil); got != nil {
 		t.Errorf("topN=0 should return nil, got %v", got)
 	}
-	if got := New().QueryFrozen(terms, qf, idfs, avg, 5, 0, nil, nil); got != nil {
+	if got := New().QueryFrozen(terms, qf, idfs, avg, 5, nil, nil, nil); got != nil {
 		t.Errorf("empty index should return nil, got %v", got)
 	}
 }
@@ -136,7 +137,7 @@ func TestQueryFrozenPooledPartitions(t *testing.T) {
 				t.Errorf("pooled pIDF(%s) = %g, unsharded %g", term, idfs[i], whole.IDF(term))
 			}
 		}
-		for _, r := range part.QueryFrozen(terms, qf, idfs, avg, len(units), 0, nil, nil) {
+		for _, r := range part.QueryFrozen(terms, qf, idfs, avg, len(units), nil, nil, nil) {
 			g := globalOf[part][r.Unit]
 			want, ok := wantScore[g]
 			if !ok {
@@ -151,5 +152,71 @@ func TestQueryFrozenPooledPartitions(t *testing.T) {
 	}
 	if covered != len(wantRes) {
 		t.Errorf("partitions covered %d units, unsharded returned %d", covered, len(wantRes))
+	}
+}
+
+// TestThetaLive holds the exhaustive drain — the scan every request takes
+// at the default PruneMinUnits — to what a shared Theta promises. Under a
+// Theta another leg already raised to the oracle's m-th score it returns
+// exactly the oracle's entries at or above it, in order, and proves
+// nothing new (it never holds n units). From no bound it returns the full
+// list and raises the Theta to its n-th score, but only when it holds n
+// non-excluded units: an excluded unit is not in the merged list, so its
+// score bounds nothing.
+func TestThetaLive(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	docs := randomCorpus(rng, 600, 90)
+	ix := buildIndex(docs...)
+	if ix.shouldPruneLocked(1) {
+		t.Fatalf("%d units prune at the default gate %d", len(docs), PruneMinUnits)
+	}
+	queryTF := TermFrequencies(docs[11])
+	terms, qf, idfs, avg := frozenArgs(ix, queryTF)
+	const topN = 10
+	all := naiveQuery(ix, queryTF, len(docs), nil)
+	if len(all) < 3*topN {
+		t.Fatalf("need %d scored units, got %d", 3*topN, len(all))
+	}
+	top3 := func(u int) bool { return u == all[0].Unit || u == all[1].Unit || u == all[2].Unit }
+	for _, exclude := range []func(int) bool{nil, top3} {
+		oracle := naiveQuery(ix, queryTF, topN, exclude)
+		for _, m := range []int{1, topN / 2, topN - 1} {
+			theta := thetaAt(oracle[m-1].Score)
+			want := oracle
+			for i, r := range oracle {
+				if r.Score < theta.Load() {
+					want = oracle[:i]
+					break
+				}
+			}
+			if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, theta, exclude, nil); !reflect.DeepEqual(got, want) {
+				t.Errorf("theta at the %d-th score: %v, want %v", m, got, want)
+			}
+			if theta.Load() != oracle[m-1].Score {
+				t.Errorf("theta at the %d-th score moved from %g to %g", m, oracle[m-1].Score, theta.Load())
+			}
+		}
+		var theta Theta
+		if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, &theta, exclude, nil); !reflect.DeepEqual(got, oracle) {
+			t.Errorf("theta from 0: %v, oracle %v", got, oracle)
+		}
+		if theta.Load() != oracle[topN-1].Score {
+			t.Errorf("theta from 0 raised to %g, want the n-th score %g", theta.Load(), oracle[topN-1].Score)
+		}
+	}
+
+	// n − 1 units left after exclusion: whatever the excluded ones score,
+	// the leg has no n-th best to offer.
+	keep := make(map[int]bool)
+	for _, r := range all[topN : 2*topN-1] {
+		keep[r.Unit] = true
+	}
+	short := func(u int) bool { return !keep[u] }
+	var theta Theta
+	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, &theta, short, nil); !reflect.DeepEqual(got, all[topN:2*topN-1]) {
+		t.Errorf("short list: %v, want %v", got, all[topN:2*topN-1])
+	}
+	if theta.Load() != 0 {
+		t.Errorf("a list of %d under depth %d raised theta to %g", topN-1, topN, theta.Load())
 	}
 }

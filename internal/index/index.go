@@ -321,7 +321,7 @@ func (ix *Index) query(queryTF map[string]float64, topN int, exclude func(unit i
 	acc := acquire(len(ix.denoms))
 	acc.names, acc.terms, acc.qf = ix.resolve(queryTF, acc.names[:0], acc.terms[:0], acc.qf[:0])
 	acc.idfs = ix.idfsLocked(acc.terms, acc.idfs[:0])
-	return ix.scanLocked(acc, acc.terms, acc.qf, acc.idfs, ix.avgUniqueLocked(), topN, 0, exclude, nil, mayPrune && ix.shouldPruneLocked(topN))
+	return ix.scanLocked(acc, acc.terms, acc.qf, acc.idfs, ix.avgUniqueLocked(), topN, nil, exclude, nil, mayPrune && ix.shouldPruneLocked(topN))
 }
 
 // resolve turns a string-keyed query into the id form the core takes:

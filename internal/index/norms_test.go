@@ -148,7 +148,7 @@ func TestFrozenAveragesRaceAdd(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < len(late)/len(averages); i++ {
 				before := ix.NumUnits()
-				res := ix.QueryFrozen(terms, qf, idfs, averages[g], topN, 0, nil, nil)
+				res := ix.QueryFrozen(terms, qf, idfs, averages[g], topN, nil, nil, nil)
 				scans[g] = append(scans[g], scan{res, before, ix.NumUnits()})
 				tick <- struct{}{}
 			}
@@ -176,7 +176,7 @@ func TestFrozenAveragesRaceAdd(t *testing.T) {
 	// Quiescent again: the same two averages, now against the full oracle.
 	for _, a := range averages {
 		want := naiveRank(naiveScores(ix, terms, qf, idfs, a), topN, nil)
-		if got := ix.QueryFrozen(terms, qf, idfs, a, topN, 0, nil, nil); !reflect.DeepEqual(got, want) {
+		if got := ix.QueryFrozen(terms, qf, idfs, a, topN, nil, nil, nil); !reflect.DeepEqual(got, want) {
 			t.Errorf("average %g after the adds: %v, oracle %v", a, got, want)
 		}
 	}

@@ -297,18 +297,17 @@ type scanTerm struct {
 // tests' exhaustive reference). Terms arrive as dictionary ids in
 // ascending term order with aligned query frequencies and pIDFs,
 // resolved by the caller under the same lock hold or frozen from the
-// collection pool. With prune unset it is the
-// exhaustive Eq 9 scan: every list is accumulated in term order and the
-// accumulator drained into the top-n. With prune set it is the
-// max-score scan described above; floor is then an externally proven
-// lower bound on the n-th best score — 0 when none is known, the home
-// shard's n-th list score on a sharded scatter leg — and seeds the
-// threshold before any partial accumulates. Callers hold the read lock
-// and pass an accumulator acquired under it, which scanLocked releases;
-// only shard-local state (postings, units, bounds) and the resolved
-// factors are read, so the scatter path's lock discipline carries over
-// unchanged.
-func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64, avgUnique float64, topN int, floor float64, exclude func(unit int) bool, tr *obs.Trace, prune bool) []Result {
+// collection pool. With prune unset it is the exhaustive Eq 9 scan:
+// every list is accumulated in term order and the accumulator drained
+// into the top-n. With prune set it is the max-score scan described
+// above. shared, nil on the unsharded path, is the probe's Theta: the
+// exhaustive drain rejects against it as it goes, the max-score scan
+// seeds its threshold from it before any partial accumulates, and both
+// raise it to their n-th exact score. Callers hold the read lock and
+// pass an accumulator acquired under it, which scanLocked releases; only
+// shard-local state (postings, units, bounds) and the resolved factors
+// are read, so the scatter path's lock discipline carries over unchanged.
+func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64, avgUnique float64, topN int, shared *Theta, exclude func(unit int) bool, tr *obs.Trace, prune bool) []Result {
 	norm := ix.normsLocked(avgUnique)
 	active := acc.active[:0]
 	var totalPostings int64
@@ -332,7 +331,7 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 			acc.accumulate(norm, at.posts, at.qf, at.idf, nil, nil, 0)
 		}
 		ctrScanPostings.Add(totalPostings)
-		res := acc.finish(acc.drainTop(len(ix.denoms), topN, exclude), tr)
+		res := acc.finish(acc.drainTop(len(ix.denoms), topN, shared, exclude), tr)
 		acc.release()
 		return res
 	}
@@ -360,7 +359,10 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 	// is a lower bound on that unit's final score (all contributions are
 	// positive), so θ never exceeds the final n-th best score: the
 	// cutoffs it drives are conservative.
-	theta := floor
+	var theta float64
+	if shared != nil {
+		theta = shared.Load()
+	}
 	var scanned int64
 	rt := &acc.rt
 	rt.reset(topN)
@@ -486,6 +488,9 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 		}
 	}
 	acc.top = top
+	if shared != nil && len(top) == topN {
+		shared.Raise(top[0].Score) // survivors are non-excluded: see Theta
+	}
 
 	ctrScanPostings.Add(scanned + probed)
 	ctrPruneLists.Add(listsSkipped)

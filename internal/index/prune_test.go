@@ -194,10 +194,11 @@ func TestBoundsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQueryFrozenFloor pins floor semantics: a floor equal to the true
-// n-th best score must not lose any of the top n (candidates at the
-// floor survive — they are merge-relevant tie-break material), while a
-// floor above the best score empties the list. Both shapes run with the
+// TestQueryFrozenFloor pins what a preset Theta means to the max-score
+// scan: a bound equal to the true n-th best score must not lose any of
+// the top n (candidates at the bound survive — they are merge-relevant
+// tie-break material), while a bound above the best score promises
+// nothing but exact scores in rank order. Both shapes run with the
 // pruned path engaged.
 func TestQueryFrozenFloor(t *testing.T) {
 	withPruneGate(t, 1)
@@ -214,16 +215,21 @@ func TestQueryFrozenFloor(t *testing.T) {
 	if len(want) < topN {
 		t.Fatalf("need at least %d results, got %d", topN, len(want))
 	}
-	got := ix.QueryFrozen(terms, qf, idfs, avg, topN, want[topN-1].Score, nil, nil)
+	got := ix.QueryFrozen(terms, qf, idfs, avg, topN, thetaAt(want[topN-1].Score), nil, nil)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("floor at n-th score: %v != unfloored %v", got, want)
+		t.Errorf("theta at n-th score: %v != unbounded %v", got, want)
 	}
-	// A floor above every score promises nothing about what is returned —
+	// From no bound, the scan proves one: its n-th exact score.
+	var proved Theta
+	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, &proved, nil, nil); !reflect.DeepEqual(got, want) || proved.Load() != want[topN-1].Score {
+		t.Errorf("theta from 0: raised to %g, want %g; %v != unbounded %v", proved.Load(), want[topN-1].Score, got, want)
+	}
+	// A bound above every score promises nothing about what is returned —
 	// only that whatever is must carry exact scores in rank order, i.e.
 	// appear in the exhaustive list at matching positions relative to
-	// each other. (The scan may legally return entries below the floor;
+	// each other. (The scan may legally return entries below the bound;
 	// the merge cuts them.)
-	high := ix.QueryFrozen(terms, qf, idfs, avg, topN, want[0].Score*2, nil, nil)
+	high := ix.QueryFrozen(terms, qf, idfs, avg, topN, thetaAt(want[0].Score*2), nil, nil)
 	full := ix.QueryExhaustive(queryTF, len(docs), nil)
 	pos := 0
 	for _, r := range high {
@@ -231,7 +237,7 @@ func TestQueryFrozenFloor(t *testing.T) {
 			pos++
 		}
 		if pos == len(full) {
-			t.Errorf("floored result %v is not an order-preserving subset of the exhaustive ranking", high)
+			t.Errorf("bounded result %v is not an order-preserving subset of the exhaustive ranking", high)
 			break
 		}
 		pos++

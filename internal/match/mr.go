@@ -499,13 +499,13 @@ func (mr *MR) match(docID, k int, tr *obs.Trace, explain bool) ([]Result, []Expl
 	if docID < 0 || docID >= mr.segs.numDocs() {
 		return nil, nil
 	}
-	probes, lists, _ := mr.queryListsLocked(docID, k, tr)
+	probes, lists, n := mr.queryListsLocked(docID, k, tr)
 	var norms []float64
 	if explain {
 		norms = make([]float64, len(probes))
 	}
 	// Algorithm 2: sum the per-intention list scores per owning document.
-	scores := make(map[int]float64)
+	scores := make(map[int]float64, n*len(probes))
 	for i, q := range probes {
 		res, norm := mr.trimList(lists[i])
 		if explain {
@@ -560,7 +560,7 @@ func (mr *MR) queryListsLocked(docID, k int, tr *obs.Trace) ([]ClusterQuery, [][
 		q := probes[i]
 		own := int(mr.segs.unit[row+i])
 		lists[i] = mr.clusters[q.Cluster].QueryFrozen(
-			q.Terms, q.QF, q.IDF, q.AvgUnique, n, 0, func(u int) bool { return u == own }, tr)
+			q.Terms, q.QF, q.IDF, q.AvgUnique, n, nil, func(u int) bool { return u == own }, tr)
 		if tr != nil {
 			tr.Event("match.list",
 				obs.N("cluster", int64(q.Cluster)),

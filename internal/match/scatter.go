@@ -94,13 +94,13 @@ func (mr *MR) probesLocked(docID int) []ClusterQuery {
 // group already fans out across shards, and the single lock hold gives
 // the probes one consistent view of this shard, as Match has.
 //
-// floors, when non-nil, carries one score floor per probe: a proven
-// lower bound on the globally merged list's n-th best score, which the
-// pruned scan may discard candidates against (see index.QueryFrozen); a
-// nil floors (or a 0 entry) scans unfloored. Floors only ever remove
-// entries the global merge would cut anyway, so the merged lists — and
-// the final ranking — are unchanged.
-func (mr *MR) QueryClusterLists(probes []ClusterQuery, n, excludeDoc int, floors []float64, tr *obs.Trace) [][]Result {
+// thetas, when non-nil, carries one index.Theta per probe, shared by
+// every shard's call for the same probes: each scan discards what cannot
+// reach the globally merged list's top n and raises the bound for the
+// others. A nil thetas scans unbounded. A Theta only ever removes entries
+// the global merge would cut anyway, so the merged lists — and the final
+// ranking — are unchanged.
+func (mr *MR) QueryClusterLists(probes []ClusterQuery, n, excludeDoc int, thetas []index.Theta, tr *obs.Trace) [][]Result {
 	mr.mu.RLock()
 	defer mr.mu.RUnlock()
 	lists := make([][]Result, len(probes))
@@ -115,11 +115,11 @@ func (mr *MR) QueryClusterLists(probes []ClusterQuery, n, excludeDoc int, floors
 			// so excluding by owner is exactly the unsharded own-unit skip.
 			exclude = func(u int) bool { return int(owners[u]) == excludeDoc }
 		}
-		var floor float64
-		if i < len(floors) {
-			floor = floors[i]
+		var theta *index.Theta
+		if i < len(thetas) {
+			theta = &thetas[i]
 		}
-		res := mr.clusters[q.Cluster].QueryFrozen(q.Terms, q.QF, q.IDF, q.AvgUnique, n, floor, exclude, tr)
+		res := mr.clusters[q.Cluster].QueryFrozen(q.Terms, q.QF, q.IDF, q.AvgUnique, n, theta, exclude, tr)
 		out := make([]Result, len(res))
 		for j, r := range res {
 			out[j] = Result{DocID: int(owners[r.Unit]), Score: r.Score}

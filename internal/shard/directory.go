@@ -106,7 +106,7 @@ type MergedList struct {
 // local id committed on its shard but not yet registered here is
 // skipped.
 func (d *Directory) Merge(cfg match.MRConfig, clusters []int, n int, perShard [][][]match.Result, tr *obs.Trace) ([]MergedList, map[int]float64) {
-	scores := make(map[int]float64)
+	scores := make(map[int]float64, n*len(clusters))
 	lists := make([]MergedList, len(clusters))
 	d.mu.RLock()
 	for i, cluster := range clusters {

@@ -11,9 +11,9 @@ import (
 
 // TestShardPrunedEquivalence re-proves the package's equivalence
 // guarantee with the max-score scan forced on: at every shard count the
-// scatter legs prune — the home leg unfloored, the siblings against the
-// floor the coordinator seeds from the home lists — and the merged
-// ranking must still be bit-identical to the unsharded matcher, which
+// scatter legs prune — each seeding its threshold from the probe's
+// shared index.Theta and raising it with its n-th exact score — and the
+// merged ranking must still be bit-identical to the unsharded matcher, which
 // itself is bit-identical to exhaustive scoring (proven in
 // internal/index and internal/match). Concurrent-add interleavings are
 // covered by TestGroupConcurrentAddQuery, which also runs pruned once
@@ -37,7 +37,7 @@ func TestShardPrunedEquivalence(t *testing.T) {
 					mr.Match(d, k), g.Match(d, k))
 			}
 		}
-		// Adds shift the statistics pool and every list bound; the floors
+		// Adds shift the statistics pool and every list bound; the thetas
 		// must stay conservative against the moved collection too.
 		for _, doc := range extra {
 			mr.Add(doc)

@@ -253,42 +253,28 @@ func (g *Group) gather(docID, k int, tr *obs.Trace) (probes []match.ClusterQuery
 
 	// Scatter: every shard answers every probe at the full unsharded
 	// depth n (invariant 2 of the package comment needs the union of
-	// per-shard top-n lists to cover the global top-n). The home shard's
-	// leg runs first and seeds a per-probe score floor for the siblings:
-	// when the home list is full at depth n, its n-th score is a lower
-	// bound on the globally merged list's n-th score (the merge is a
-	// top-n over a superset of the home candidates), so sibling legs may
-	// let the max-score scan discard candidates below it — those entries
-	// would be cut from the merged list regardless. Probes carry factors
-	// frozen on the home shard, so the floor stays comparable to sibling
-	// scores even while concurrent adds move the statistics pool.
+	// per-shard top-n lists to cover the global top-n), all legs at once
+	// under one shared index.Theta per probe. A leg's n-th best score over
+	// non-excluded units is a lower bound on the merged list's n-th score
+	// (the merge is a top-n over a superset of the leg's candidates), so
+	// every leg raises the Theta to it and discards what scores strictly
+	// below the Theta it reads — entries the merge would cut whichever leg
+	// returned them, so the merged lists are the same bit for bit in every
+	// order and overlap of the legs. Probes carry factors frozen on the
+	// home shard, so one leg's bound stays comparable to another's scores
+	// even while concurrent adds move the statistics pool.
 	perShard := make([][][]match.Result, g.n)
-	var homeFloors []float64
-	runLeg := func(s int) {
+	thetas := make([]index.Theta, len(probes))
+	par.Do(g.n, g.cfg.Workers, func(s int) {
 		st := g.spanQuery[s].Start()
-		excl, floors := -1, homeFloors
+		excl := -1
 		if s == home {
-			excl, floors = localQ, nil
+			excl = localQ
 		}
-		perShard[s] = g.shards[s].QueryClusterLists(probes, n, excl, floors, tr)
+		perShard[s] = g.shards[s].QueryClusterLists(probes, n, excl, thetas, tr)
 		st.Stop()
 		g.ctrQueries[s].Inc()
-	}
-	runLeg(home)
-	homeFloors = make([]float64, len(probes))
-	for i, l := range perShard[home] {
-		if len(l) >= n {
-			homeFloors[i] = l[n-1].Score
-		}
-	}
-	if g.n > 1 {
-		par.Do(g.n-1, g.cfg.Workers, func(j int) {
-			if j >= home {
-				j++
-			}
-			runLeg(j)
-		})
-	}
+	})
 	for s := range perShard {
 		w := 0
 		for _, l := range perShard[s] {

@@ -272,12 +272,17 @@ func TestGroupEdgeCases(t *testing.T) {
 }
 
 // TestGroupConcurrentAddQuery hammers one Group with concurrent queries
-// and adds; run under -race it checks the directory/commit locking, and
-// its assertions check that every add is immediately visible and that
-// queries never return the query document or an unsorted list.
+// and adds; run under -race it checks the directory/commit locking and
+// the legs' shared thetas, and its assertions check that every add is
+// immediately visible and that queries never return the query document
+// or an unsorted list. Half the queriers run their legs one after another
+// (handScatter), so the adders' commits land between the legs of a
+// scatter as well as beside it; afterwards addsBetweenLegs places adds
+// there one by one and compares exactly.
 func TestGroupConcurrentAddQuery(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 120, 42)
-	extra := genDocs(t, forum.TechSupport, 200, 42)[120:]
+	extra := genDocs(t, forum.TechSupport, 224, 42)[120:]
+	extra, between := extra[:80], extra[80:]
 	mr := match.NewMR("MR", docs, match.MRConfig{Seed: 7})
 	g, err := NewGroup(mr, 4, 42)
 	if err != nil {
@@ -291,7 +296,12 @@ func TestGroupConcurrentAddQuery(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				d := (w*37 + i) % 120
-				res := g.Match(d, 5)
+				var res []match.Result
+				if w%2 == 0 {
+					res = g.Match(d, 5)
+				} else {
+					res, _, _ = newHandScatter(g, d, 5).run([]int{i % 4, (i + 1) % 4, (i + 2) % 4, (i + 3) % 4})
+				}
 				for j, r := range res {
 					if r.DocID == d {
 						errs <- fmt.Sprintf("query %d returned itself", d)
@@ -333,5 +343,8 @@ func TestGroupConcurrentAddQuery(t *testing.T) {
 	}
 	if sum != g.NumDocs() {
 		t.Errorf("ShardDocs sums to %d, NumDocs %d", sum, g.NumDocs())
+	}
+	for d := 3; len(between) >= g.NumShards(); d += 31 {
+		between = addsBetweenLegs(t, g, d, 5, between)
 	}
 }
