@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 
@@ -22,13 +23,18 @@ import (
 //     under the write lock, so every posting the probe can see indexes
 //     inside the array.
 //
-// Cost follows what the probe touched: accumulate marks each written
-// cell in the touched bitset, drain visits only the set bits (reading
-// one word per 64 units of the probed index to find them) and comes out
-// in ascending unit order. Nothing walks the array itself. Memory is one
-// accumulator per in-flight probe — 8 bytes per unit of the largest
-// index it served, plus scratch proportional to that probe's
-// candidates — and the pool, not the index, owns it.
+// Cost follows what the probe touched. A sparse probe's kernels mark
+// each written cell in the touched bitset, and its drain visits only the
+// set bits (reading one word per 64 units of the probed index to find
+// them). A dense probe — one that accumulates at least as many postings
+// as the index has units (denseProbe) — marks nothing but its TF > 1
+// postings, and its drain walks the cells of the probed index's units,
+// 64 a block: the part of the array the probe can have written, never
+// the tail a larger index left. Both come out in ascending unit order
+// and leave cells and bitset zero. Memory is one accumulator per
+// in-flight probe — 8 bytes per unit of the largest index it served,
+// plus scratch proportional to that probe's candidates — and the pool,
+// not the index, owns it.
 type accumulator struct {
 	cells   []float64 // cells[u]: unit u's partial score in the running probe
 	touched []uint64  // bit u set ⇔ cells[u] was written by the running probe
@@ -84,37 +90,102 @@ func (acc *accumulator) release() {
 	scorePool.Put(acc)
 }
 
-// accumulate is the Eq 9 inner loop, the only one: it adds a·w(t,unit)·b
-// to the cell of every unit in one posting list and marks the cell
-// touched, with w = logTF / norm[unit] — one table read and one divide
-// by the probe's divisor column (Index.normsLocked), nothing to branch
-// on. The exhaustive scan passes (f_q, pIDF) and so adds the exact
-// product f_q·w·pIDF; the max-score scan passes (f_q·pIDF, 1) — its
-// partials are threshold material, and multiplying by one is exact —
-// together with rt, which then tracks the n-th best partial over
-// non-excluded units. theta is the running threshold; the raised value
-// is returned. The fast path past the add is one compare per posting: a
-// partial at or below the heap root cannot change the threshold.
-func (acc *accumulator) accumulate(norm []float64, posts []Posting, a, b float64, rt *runningTopK, exclude func(unit int) bool, theta float64) float64 {
+// The Eq 9 inner loops. Each adds a·w(t,unit)·b to the cell of every unit
+// in one run of a posting list (see list), and none branches on what a
+// posting holds: addOnes and accumulateOnes walk the ones run, where
+// w = inv[unit] is a per-unit constant and a posting costs two multiplies
+// and an add; accumulate walks the TF > 1 remainder with
+// w = logTF / norm[unit], one table read and one divide by the probe's
+// divisor column (Index.normsLocked). The exhaustive scan passes
+// (f_q, pIDF) and so adds the exact product f_q·w·pIDF; the max-score
+// scan passes (f_q·pIDF, 1) — its partials are threshold material, and
+// multiplying by one is exact.
+
+// addOnes is the kernel of a dense probe (see denseProbe): it marks
+// nothing, because drainDense walks every cell of the index anyway. It
+// is kept out of line: inlined into its caller's loop over the lists, the
+// compiler keeps this loop's counter on the stack and every posting pays
+// a store-to-load round trip (EXPERIMENTS.md, PR 25: 183 → 160 µs a
+// request).
+//
+//go:noinline
+func (acc *accumulator) addOnes(inv []float64, ones []int32, a, b float64) {
+	cells := acc.cells
+	for _, u := range ones {
+		cells[u] += a * inv[u] * b
+	}
+}
+
+// accumulateOnes is addOnes for a probe drained by the touched bitset —
+// a sparse exhaustive one (rt nil), or the max-score scan, which passes
+// rt and has it track the n-th best partial over non-excluded units as
+// accumulate does.
+func (acc *accumulator) accumulateOnes(inv []float64, ones []int32, a, b float64, rt *runningTopK, exclude func(unit int) bool, theta float64) float64 {
 	cells, touched := acc.cells, acc.touched
-	for _, p := range posts {
+	for _, u := range ones {
+		s := cells[u] + a*inv[u]*b
+		cells[u] = s
+		touched[u>>6] |= 1 << (uint32(u) & 63)
+		if rt == nil || (len(rt.h) == rt.k && s <= rt.h[0].score) {
+			continue
+		}
+		theta = rt.admit(u, s, exclude, theta)
+	}
+	return theta
+}
+
+// accumulate adds a list's TF > 1 remainder and marks every cell it
+// writes, dense probe or not: the remainder is a few postings in a
+// hundred, and drainDense clears the words they set. theta is the
+// running threshold; the raised value is returned. The fast path past
+// the add is one compare per posting: a partial at or below the heap
+// root cannot change the threshold.
+func (acc *accumulator) accumulate(norm []float64, more []Posting, a, b float64, rt *runningTopK, exclude func(unit int) bool, theta float64) float64 {
+	cells, touched := acc.cells, acc.touched
+	for _, p := range more {
 		s := cells[p.Unit] + a*(logTF(p.TF)/norm[p.Unit])*b
 		cells[p.Unit] = s
 		touched[p.Unit>>6] |= 1 << (uint32(p.Unit) & 63)
 		if rt == nil || (len(rt.h) == rt.k && s <= rt.h[0].score) {
 			continue
 		}
-		if exclude != nil && exclude(int(p.Unit)) {
-			continue // excluded units must not inflate the threshold
-		}
-		if t := rt.offer(p.Unit, s); t > theta {
-			theta = t
-		}
+		theta = rt.admit(p.Unit, s, exclude, theta)
 	}
 	return theta
 }
 
-// drainTop empties the accumulator of a scan that kept no threshold
+// exhaust is the exhaustive Eq 9 scan: every list in acc.active is
+// accumulated in term order and the accumulator drained into the top-n,
+// by the cells or by the bitset as denseProbe decides from the postings
+// the lists hold and the index's unit count. It returns how many units
+// were scored and how many cells and bitset words the drain read.
+func (acc *accumulator) exhaust(cols *unitNorms, units int, postings int64, topN int, shared *Theta, exclude func(unit int) bool) (candidates, visited int) {
+	if denseProbe(postings, units) {
+		for _, at := range acc.active {
+			acc.addOnes(cols.inv, at.ones, at.qf, at.idf)
+			acc.accumulate(cols.norm, at.more, at.qf, at.idf, nil, nil, 0)
+		}
+		return acc.drainDense(units, topN, shared, exclude)
+	}
+	for _, at := range acc.active {
+		acc.accumulateOnes(cols.inv, at.ones, at.qf, at.idf, nil, nil, 0)
+		acc.accumulate(cols.norm, at.more, at.qf, at.idf, nil, nil, 0)
+	}
+	return acc.drainTop(units, topN, shared, exclude)
+}
+
+// denseProbe reports whether an exhaustive probe about to accumulate
+// postings postings into an index of units units skips the touched
+// bitset: once it writes as many times as the index has cells, marking
+// each write and finding the marks again costs more than reading every
+// cell once (EXPERIMENTS.md, PR 25, has the sweep: the two cross between
+// half a posting a unit and one). A sparser probe — rare terms only, or a
+// large index — marks and drains by the bitset, so a probe's cost follows
+// what it touched either way: drainDense never reads more cells than the
+// probe accumulated postings. The choice reads nothing but the probe.
+func denseProbe(postings int64, units int) bool { return postings >= int64(units) }
+
+// drainTop empties the accumulator of a sparse exhaustive probe
 // straight into the top-n heap: every touched unit in ascending order,
 // each cell and touched word zeroed on the way, positive scores of
 // non-excluded units offered behind one compare with bar — the higher of
@@ -124,11 +195,13 @@ func (acc *accumulator) accumulate(norm []float64, posts []Posting, a, b float64
 // merge. theta is re-read once per non-empty touched word, never per
 // unit, and raised whenever the full heap's root passes it — only
 // non-excluded units enter the heap, as Theta requires. It returns how
-// many units had been touched; units is the probed index's unit count.
-func (acc *accumulator) drainTop(units, topN int, theta *Theta, exclude func(unit int) bool) (touchedUnits int) {
+// many units had been touched and how many words and cells it read;
+// units is the probed index's unit count.
+func (acc *accumulator) drainTop(units, topN int, theta *Theta, exclude func(unit int) bool) (touchedUnits, visited int) {
 	cells, top := acc.cells, acc.top[:0]
 	var bar float64
-	for w, word := range acc.touched[:(units+63)>>6] {
+	words := acc.touched[:(units+63)>>6]
+	for w, word := range words {
 		if word == 0 {
 			continue
 		}
@@ -144,24 +217,74 @@ func (acc *accumulator) drainTop(units, topN int, theta *Theta, exclude func(uni
 			if s <= 0 || s < bar || (exclude != nil && exclude(u)) {
 				continue
 			}
-			top = offerResult(top, topN, Result{Unit: u, Score: s})
-			if len(top) == topN && top[0].Score > bar {
-				bar = top[0].Score
-				if theta != nil {
-					theta.Raise(bar)
-				}
-			}
+			top, bar = offerTop(top, topN, u, s, bar, theta)
 		}
 	}
 	acc.top = top
-	return touchedUnits
+	return touchedUnits, len(words) + touchedUnits
+}
+
+// drainDense is drainTop for a dense probe: it walks the cells itself,
+// 64 a block, and reads no mark — a cell is scored iff it is not zero
+// (every contribution is positive). bar starts at the smallest positive
+// float64 instead of zero, so the one compare s < bar turns away
+// unscored cells and scores below the bound alike, and once the heap is
+// full it is taken almost always (a test for s <= 0 of its own would
+// mispredict on every other cell); theta is re-read once a block. A
+// block is a fixed 64 cells — acquire sizes cells in whole blocks — so
+// the last one may run past units into cells nothing has written, which
+// read as unscored. The touched words the TF > 1 postings set are
+// cleared with the cells. visited is units: the whole of the index,
+// which denseProbe holds to the number of postings accumulated.
+func (acc *accumulator) drainDense(units, topN int, theta *Theta, exclude func(unit int) bool) (touchedUnits, visited int) {
+	top := acc.top[:0]
+	bar := math.SmallestNonzeroFloat64
+	for base := 0; base < units; base += 64 {
+		block := (*[64]float64)(acc.cells[base:])
+		if theta != nil {
+			bar = max(bar, theta.Load())
+		}
+		for i, s := range block {
+			touchedUnits += scored(s)
+			if s < bar || (exclude != nil && exclude(base+i)) {
+				continue
+			}
+			top, bar = offerTop(top, topN, base+i, s, bar, theta)
+		}
+		clear(block[:])
+		acc.touched[base>>6] = 0
+	}
+	acc.top = top
+	return touchedUnits, units
+}
+
+// scored is 1 for a cell a probe has added to and 0 for a clean one,
+// without a branch: a positive float64's bits are a positive int64, and
+// the sign of its negation is the count.
+func scored(cell float64) int {
+	return int(uint64(-int64(math.Float64bits(cell))) >> 63)
+}
+
+// offerTop offers a unit the drain let through to the top-n heap and
+// lifts bar, and with it the probe's shared theta, to the root of the
+// heap once it is full.
+func offerTop(top []Result, topN, u int, s, bar float64, theta *Theta) ([]Result, float64) {
+	top = offerResult(top, topN, Result{Unit: u, Score: s})
+	if len(top) == topN && top[0].Score > bar {
+		bar = top[0].Score
+		if theta != nil {
+			theta.Raise(bar)
+		}
+	}
+	return top, bar
 }
 
 // drain empties the accumulator of a max-score scan into alive/ascore —
 // every touched unit in ascending order, minus the excluded ones and,
 // when a threshold is known (theta > 0), minus those whose score plus
 // slack cannot reach it — zeroing each cell and touched word on the
-// way, and returns how many units had been touched.
+// way, and returns how many units had been touched. The max-score scan
+// marks every write, so this is the bitset walk whatever the probe.
 func (acc *accumulator) drain(units int, theta, slack float64, exclude func(unit int) bool) (touchedUnits int) {
 	cells := acc.cells
 	alive, ascore := acc.alive[:0], acc.ascore[:0]

@@ -32,13 +32,27 @@ func naiveQuery(ix *Index, queryTF map[string]float64, topN int, exclude func(un
 	for _, t := range names {
 		id, pIDF := ix.dict.Lookup(t), 0.0
 		if s, ok := ix.slot[id]; ok {
-			df := len(ix.lists[s])
+			df := len(postingsAt(ix, s))
 			pIDF = math.Log((float64(n-df) + 0.5) / (float64(df) + 0.5))
 		}
 		terms, qf, idfs = append(terms, id), append(qf, queryTF[t]), append(idfs, pIDF)
 	}
 	ix.mu.RUnlock()
 	return naiveRank(naiveScores(ix, terms, qf, idfs, avgUnique), topN, exclude)
+}
+
+// postingsAt is the oracle's reading of list number s: whatever the
+// index's two runs hold, gathered and sorted by unit — it trusts neither
+// run's order nor which run a posting was filed under
+// (TestSplitRunsAreTheSameIndex holds the runs themselves to a model).
+// Callers hold the read lock.
+func postingsAt(ix *Index, s int32) []Posting {
+	posts := append([]Posting(nil), ix.more[s]...)
+	for _, u := range ix.ones[s] {
+		posts = append(posts, Posting{Unit: u, TF: 1})
+	}
+	sort.Slice(posts, func(a, b int) bool { return posts[a].Unit < posts[b].Unit })
+	return posts
 }
 
 // naiveScores is the oracle's Eq 9 sum for every unit under the supplied
@@ -55,7 +69,7 @@ func naiveScores(ix *Index, terms []int32, qf, idfs []float64, avgUnique float64
 		if !ok || idfs[i] <= 0 {
 			continue
 		}
-		for _, p := range ix.lists[s] {
+		for _, p := range postingsAt(ix, s) {
 			norm := 1.0
 			if ratio := float64(ix.uniques[p.Unit]) / avgUnique; ratio > 1 {
 				norm = ratio
@@ -164,6 +178,8 @@ func checkPoolClean(t *testing.T) {
 }
 
 func TestScansMatchNaiveOracle(t *testing.T) {
+	// Unpruned probes by the drain they take: dense, bitset.
+	drains := map[bool]int{}
 	for _, gate := range []int{1, 1 << 30} { // every scan pruned, then none
 		withPruneGate(t, gate)
 		rng := rand.New(rand.NewSource(29))
@@ -179,9 +195,15 @@ func TestScansMatchNaiveOracle(t *testing.T) {
 				if topN < 1 {
 					continue
 				}
-				checkAgainstOracle(t, ix, TermFrequencies(docs[rng.Intn(units)]), topN, exclude)
+				queryTF := TermFrequencies(docs[rng.Intn(units)])
+				checkAgainstOracle(t, ix, queryTF, topN, exclude)
+				_, visited, _ := probeCost(ix, queryTF, topN, exclude)
+				drains[visited == units]++
 			}
 		}
+	}
+	if drains[true] < 20 || drains[false] < 20 {
+		t.Fatalf("%d dense and %d bitset drains: the corpora were meant to exercise both", drains[true], drains[false])
 	}
 }
 
@@ -190,12 +212,12 @@ func TestScansMatchNaiveOracle(t *testing.T) {
 // returned — drives indices of very different sizes through every scan
 // while Adds grow them past the capacity (units + 25 %) of whatever
 // accumulator last served them. The gate is flipped at random, so the
-// pool is inspected after the unpruned scan's fused drain (drainTop) —
-// checkAgainstOracle's mid-list Theta makes it reject units unoffered,
-// whose cells must be zeroed all the same — and after the pruned scan's
-// drain alike. A stale cell shows as a wrong
-// score or a dirty pool; an accumulator shorter than the index it scans
-// panics.
+// pool is inspected after the unpruned scan's fused drains (drainTop for
+// a sparse probe, drainDense for a dense one; TestDensePoolHygiene aims
+// at the latter) — checkAgainstOracle's mid-list Theta makes them reject
+// units unoffered, whose cells must be zeroed all the same — and after
+// the pruned scan's drain alike. A stale cell shows as a wrong score or
+// a dirty pool; an accumulator shorter than the index it scans panics.
 func TestPoolSharedAcrossGrowingIndices(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	docs := randomCorpus(rng, 4000, 150)
@@ -272,8 +294,8 @@ func TestConcurrentScansShareThePool(t *testing.T) {
 // (Before the dense accumulator the exhaustive Query allocated 4 times
 // and the pruned QueryFrozen 13.) A probe that finds the column stale —
 // the first after an add that moved the average or the unit count, or a
-// frozen probe carrying another average — allocates two more, the column
-// and its header, and that is all it costs.
+// frozen probe carrying another average — allocates two more, the two
+// columns in one array and their header, and that is all it costs.
 func TestScanAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops objects at random under the race detector")
@@ -293,7 +315,7 @@ func TestScanAllocations(t *testing.T) {
 		stale *= 1.001
 		ix.QueryFrozen(terms, qf, idfs, stale, 10, nil, nil, nil)
 	}); got != 3 {
-		t.Errorf("QueryFrozen finding the column stale: %v allocs per run, want 3 (result, column, header)", got)
+		t.Errorf("QueryFrozen finding the column stale: %v allocs per run, want 3 (result, columns, header)", got)
 	}
 	var theta Theta // shared by the runs, as by a probe's legs
 	if got := testing.AllocsPerRun(200, func() { ix.QueryFrozen(terms, qf, idfs, avg, 10, &theta, nil, nil) }); got > 1 || theta.Load() == 0 {

@@ -8,8 +8,8 @@ import (
 
 // columns is the one posting layout: what the compact file spells
 // (compact.go), what the offline build produces (Build) and what an
-// index serves from (install). List i belongs to the term terms[i] and
-// is posts[ends[i-1]:ends[i]], ascending in unit id; lists come in
+// index is installed from (install). List i belongs to the term terms[i]
+// and is posts[ends[i-1]:ends[i]], ascending in unit id; lists come in
 // ascending term order, the order Eq 7's denominator is summed in.
 type columns struct {
 	terms       []int32 // dictionary id per list
@@ -18,18 +18,6 @@ type columns struct {
 	denoms      []float64 // per unit: Eq 7 weight denominator
 	uniques     []int32   // per unit: unique-term count
 	totalUnique int64
-}
-
-// carve cuts posts into its lists, each with its capacity clipped so
-// that appending to one copies it out instead of overwriting the next.
-func (c *columns) carve() [][]Posting {
-	lists := make([][]Posting, len(c.ends))
-	lo := int32(0)
-	for i, hi := range c.ends {
-		lists[i] = c.posts[lo:hi:hi]
-		lo = hi
-	}
-	return lists
 }
 
 // tally recomputes the unit columns of nUnits units from the postings,
@@ -100,21 +88,45 @@ func Build(dict *Dict, units [][]int32) *Index {
 }
 
 // install replaces the index contents with c — the constructor behind
-// Load and Build. Score bounds are folded up by the expressions AddCounted
-// maintains them with, over operands that are all in the columns, so a
-// loaded index carries the writer's bounds bit for bit.
+// Load and Build. Each list is split into its two runs (see list) in the
+// pass that carves it: the TF = 1 units into one array for the index,
+// the rest into another, every run with its capacity clipped so that
+// appending to one copies it out instead of overwriting the next. Score
+// bounds are folded up by the expressions AddCounted maintains them
+// with, over operands that are all in the columns, so a loaded index
+// carries the writer's bounds bit for bit.
 func (ix *Index) install(c columns) {
-	lists := c.carve()
-	slot := make(map[int32]int32, len(lists))
-	bounds := make([]listBound, len(lists))
-	for s, posts := range lists {
-		slot[c.terms[s]] = int32(s)
-		for _, p := range posts {
-			bounds[s] = bounds[s].add(logTF(p.TF), c.denoms[p.Unit], c.uniques[p.Unit])
+	nMore := 0
+	for _, p := range c.posts {
+		if p.TF != 1 {
+			nMore++
 		}
 	}
+	units, rest := make([]int32, 0, len(c.posts)-nMore), make([]Posting, 0, nMore)
+	slot := make(map[int32]int32, len(c.ends))
+	ones := make([][]int32, len(c.ends))
+	more := make(map[int32][]Posting)
+	bounds := make([]listBound, len(c.ends))
+	lo := int32(0)
+	for s, hi := range c.ends {
+		slot[c.terms[s]] = int32(s)
+		u0, r0 := len(units), len(rest)
+		for _, p := range c.posts[lo:hi] {
+			bounds[s] = bounds[s].add(logTF(p.TF), c.denoms[p.Unit], c.uniques[p.Unit])
+			if p.TF == 1 {
+				units = append(units, p.Unit)
+			} else {
+				rest = append(rest, p)
+			}
+		}
+		ones[s] = units[u0:len(units):len(units)]
+		if len(rest) > r0 {
+			more[int32(s)] = rest[r0:len(rest):len(rest)]
+		}
+		lo = hi
+	}
 	ix.mu.Lock()
-	ix.slot, ix.lists, ix.bounds = slot, lists, bounds
+	ix.slot, ix.ones, ix.more, ix.bounds = slot, ones, more, bounds
 	ix.denoms, ix.uniques, ix.totalUnique = c.denoms, c.uniques, c.totalUnique
 	ix.mu.Unlock()
 }

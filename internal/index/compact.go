@@ -91,25 +91,32 @@ func (ix *Index) appendCompactLocked() ([]byte, error) {
 		ids = append(ids, t)
 	}
 	SortByTerm(terms, ids)
-	names, lists := make([]string, len(ids)), make([][]Posting, len(ids))
+	names, lists := make([]string, len(ids)), make([]list, len(ids))
 	for i, t := range ids {
-		names[i], lists[i] = terms[t], ix.lists[ix.slot[t]]
+		names[i], lists[i] = terms[t], ix.listAt(ix.slot[t])
 	}
 	return appendCompact(names, lists, &columns{denoms: ix.denoms, uniques: ix.uniques, totalUnique: ix.totalUnique})
 }
 
 // appendCompact encodes posting lists — lists[i] is the list of
-// names[i], names ascending — and the unit columns of c into the
-// compact layout and returns the file bytes.
-func appendCompact(names []string, lists [][]Posting, c *columns) ([]byte, error) {
+// names[i], names ascending, its two runs merged by unit into the one
+// list the file knows — and the unit columns of c into the compact
+// layout and returns the file bytes.
+func appendCompact(names []string, lists []list, c *columns) ([]byte, error) {
 	termSec := secfile.AppendStringTable(nil, names)
 
 	var postSec []byte
-	for i, posts := range lists {
+	for i, l := range lists {
 		t := names[i]
-		postSec = secfile.AppendUvarint(postSec, uint64(len(posts)))
+		postSec = secfile.AppendUvarint(postSec, uint64(l.len()))
 		prev := int32(-1)
-		for _, p := range posts {
+		for ones, more := l.ones, l.more; len(ones) > 0 || len(more) > 0; {
+			var p Posting
+			if len(more) == 0 || (len(ones) > 0 && ones[0] < more[0].Unit) {
+				p, ones = Posting{Unit: ones[0], TF: 1}, ones[1:]
+			} else {
+				p, more = more[0], more[1:]
+			}
 			if p.Unit <= prev {
 				return nil, fmt.Errorf("index: term %q postings not strictly ascending (unit %d after %d)", t, p.Unit, prev)
 			}

@@ -31,9 +31,8 @@ func (ix *Index) Weight(term string, unit int) float64 {
 	if ix.rlockStats() {
 		defer ix.global.mu.RUnlock()
 	}
-	posts := ix.listLocked(ix.dict.Lookup(term))
-	if i := findPosting(posts, int32(unit)); i >= 0 {
-		return ix.weightLocked(posts[i], ix.avgUniqueLocked())
+	if tf, ok := ix.listLocked(ix.dict.Lookup(term)).find(int32(unit)); ok {
+		return ix.weightLocked(Posting{Unit: int32(unit), TF: tf}, ix.avgUniqueLocked())
 	}
 	return 0
 }

@@ -10,7 +10,8 @@
 //
 // Layout: memory looks like the snapshot (compact.go, columns.go). Terms
 // are ids of a shared Dict (dict.go); an index numbers the terms that
-// occur in it and keeps one posting list and one score bound per number,
+// occur in it and keeps one posting list — split into its TF = 1 unit
+// ids and a TF > 1 remainder, see list — and one score bound per number,
 // in slices. Strings are read only where a sum must be ordered
 // (ascending term, see Dict) or a caller speaks them: Add, Query and
 // Explain are adapters over the id-keyed core (AddCounted, QueryFrozen,
@@ -27,12 +28,15 @@
 // Scoring state: unit ids are dense, so a probe accumulates Eq 9 into a
 // pooled dense array (accum.go), not a hash map. Both entry points —
 // Query and QueryFrozen — resolve their factors and run the one scan in
-// prune.go over the one accumulate loop, as does the tests' exhaustive
-// reference (export_test.go), which is that scan with pruning off.
+// prune.go over accum.go's kernels — one per run of a posting list (see
+// list) — as does the tests' exhaustive reference (export_test.go),
+// which is that scan with pruning off.
 package index
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -66,6 +70,33 @@ type Posting struct {
 	TF   int32
 }
 
+// list is one term's postings as an index holds them: two runs, each
+// ascending in unit id and sharing no unit. ones names the units where
+// the term occurs once — most postings of short intention segments, and
+// for those the Eq 7/8 weight is a per-unit constant (unitNorms.inv) —
+// and more is the TF > 1 remainder. The file knows one list; the runs
+// are split when it is installed (install) and merged when it is
+// written (appendCompact).
+type list struct {
+	ones []int32
+	more []Posting
+}
+
+// len is the term's document frequency here.
+func (l list) len() int { return len(l.ones) + len(l.more) }
+
+// find returns the term's frequency in unit u, if it occurs there.
+func (l list) find(u int32) (tf int32, ok bool) {
+	if _, ok := slices.BinarySearch(l.ones, u); ok {
+		return 1, true
+	}
+	i, ok := slices.BinarySearchFunc(l.more, u, func(p Posting, u int32) int { return cmp.Compare(p.Unit, u) })
+	if ok {
+		tf = l.more[i].TF
+	}
+	return tf, ok
+}
+
 // logTFs holds the Eq 7 weight numerator log(TF)+1 for every small TF:
 // the very expression logTF falls back to, evaluated once per count
 // instead of once per posting, hence the same float64.
@@ -91,11 +122,15 @@ type Index struct {
 	// The terms that occur in the index are numbered — in the snapshot's
 	// (ascending term) order by Load and Build, in arrival order by Add —
 	// and lists and bounds are columns over that numbering; slot finds a
-	// dictionary id's number. A loaded or built index carves its lists
-	// out of one array with clipped capacities, so Add copies a list out
-	// only when it grows.
-	slot  map[int32]int32
-	lists [][]Posting
+	// dictionary id's number. A list is two runs (see list): ones is a
+	// column, more holds a remainder only for the few lists that have
+	// one — a second slice header on every list would cost more than the
+	// remainders themselves. A loaded or built index carves each from one
+	// array with clipped capacities, so Add copies a run out only when it
+	// grows.
+	slot map[int32]int32
+	ones [][]int32
+	more map[int32][]Posting
 	// bounds holds one score upper bound per posting list, the
 	// foundation of the max-score pruned scan (see prune.go).
 	bounds []listBound
@@ -122,7 +157,9 @@ type Index struct {
 func New() *Index { return NewIn(NewDict()) }
 
 // NewIn returns an empty index whose terms are ids of dict.
-func NewIn(dict *Dict) *Index { return &Index{dict: dict, slot: make(map[int32]int32)} }
+func NewIn(dict *Dict) *Index {
+	return &Index{dict: dict, slot: make(map[int32]int32), more: make(map[int32][]Posting)}
+}
 
 // Add indexes a unit's terms and returns the unit id the index assigned
 // (dense, starting at 0). Term order is irrelevant; duplicates are counted
@@ -154,12 +191,16 @@ func (ix *Index) AddCounted(unique, tf []int32) int {
 	for i, t := range unique {
 		s, ok := ix.slot[t]
 		if !ok {
-			s = int32(len(ix.lists))
+			s = int32(len(ix.ones))
 			ix.slot[t] = s
-			ix.lists = append(ix.lists, nil)
+			ix.ones = append(ix.ones, nil)
 			ix.bounds = append(ix.bounds, listBound{})
 		}
-		ix.lists[s] = append(ix.lists[s], Posting{Unit: id, TF: tf[i]})
+		if tf[i] == 1 {
+			ix.ones[s] = append(ix.ones[s], id)
+		} else {
+			ix.more[s] = append(ix.more[s], Posting{Unit: id, TF: tf[i]})
+		}
 		ix.bounds[s] = ix.bounds[s].add(logTF(tf[i]), denom, int32(len(unique)))
 		if g != nil {
 			g.addLocked(t, 1)
@@ -174,13 +215,16 @@ func (ix *Index) AddCounted(unique, tf []int32) int {
 	return int(id)
 }
 
-// listLocked returns the posting list of a dictionary id, nil when the
-// term does not occur here (or is the unknown id -1).
-func (ix *Index) listLocked(term int32) []Posting {
+// listAt returns list number s. Callers hold at least the read lock.
+func (ix *Index) listAt(s int32) list { return list{ones: ix.ones[s], more: ix.more[s]} }
+
+// listLocked returns the posting list of a dictionary id, empty when
+// the term does not occur here (or is the unknown id -1).
+func (ix *Index) listLocked(term int32) list {
 	if s, ok := ix.slot[term]; ok {
-		return ix.lists[s]
+		return ix.listAt(s)
 	}
-	return nil
+	return list{}
 }
 
 // NumUnits returns the number of indexed units (|I| in Eq 9).
@@ -194,14 +238,14 @@ func (ix *Index) NumUnits() int {
 func (ix *Index) NumTerms() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.lists)
+	return len(ix.ones)
 }
 
 // DocFreq returns the number of units containing the term (|Iᵗ| in Eq 9).
 func (ix *Index) DocFreq(term string) int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.listLocked(ix.dict.Lookup(term)))
+	return ix.listLocked(ix.dict.Lookup(term)).len()
 }
 
 // avgUniqueLocked returns the mean unique-term count per unit — pooled
@@ -233,40 +277,47 @@ func nu(unique int32, avgUnique float64) float64 {
 	return max(float64(unique)/avgUnique, 1)
 }
 
-// unitNorms is the Eq 7/8 divisor of every unit under one NU average:
-// norm[u] = denom[u] · nu(unique[u], avg), the very product the weight
-// logTF / (denom · nu) divides by, so logTF / norm[u] is the same
-// float64 (the test files keep weight, the definition, to hold it to).
-// A unit without terms gets +Inf, the divisor of weight's +0; no
-// posting names such a unit. The value is immutable once published.
+// unitNorms is the Eq 7/8 divisor of every unit under one NU average,
+// and its reciprocal: norm[u] = denom[u] · nu(unique[u], avg), the very
+// product the weight logTF / (denom · nu) divides by, so logTF / norm[u]
+// is the same float64 (the test files keep weight, the definition, to
+// hold it to); inv[u] = logTF(1) / norm[u] is that quotient for the
+// postings of a list's ones run, taken once a unit instead of once a
+// posting — logTF(1) is exactly 1, and the division is the one the
+// kernel would do. A unit without terms gets +Inf and +0, the divisor
+// and the value of weight's +0; no posting names such a unit. The value
+// is immutable once published.
 type unitNorms struct {
-	avg  float64
-	norm []float64
+	avg       float64
+	norm, inv []float64
 }
 
-// normsLocked returns the divisor column for avgUnique — the local,
-// pooled or frozen average the probe resolved. The cached column is
-// valid iff it was built for that average and covers every unit; a
-// probe that finds it stale builds one under the read lock it already
-// holds (8 bytes a unit, one pass) and publishes it. Callers use the
-// slice returned and never re-read the pointer, so concurrent frozen
+// normsLocked returns the columns for avgUnique — the local, pooled or
+// frozen average the probe resolved. The cached pair is valid iff it
+// was built for that average and covers every unit; a probe that finds
+// it stale builds one under the read lock it already holds (16 bytes a
+// unit in one allocation, one pass) and publishes it. Callers use the
+// value returned and never re-read the pointer, so concurrent frozen
 // probes carrying different averages, and concurrent duplicate builds,
-// only cost the rebuild. Add leaves the column alone: it would pay for
+// only cost the rebuild. Add leaves the columns alone: it would pay for
 // the rebuild under the write lock, and an add that moves the average
 // fails the check by itself.
-func (ix *Index) normsLocked(avgUnique float64) []float64 {
-	if c := ix.norms.Load(); c != nil && c.avg == avgUnique && len(c.norm) == len(ix.denoms) {
-		return c.norm
+func (ix *Index) normsLocked(avgUnique float64) *unitNorms {
+	units := len(ix.denoms)
+	if c := ix.norms.Load(); c != nil && c.avg == avgUnique && len(c.norm) == units {
+		return c
 	}
-	norm := make([]float64, len(ix.denoms))
+	both := make([]float64, 2*units)
+	c := &unitNorms{avg: avgUnique, norm: both[:units:units], inv: both[units:]}
 	for u, d := range ix.denoms {
-		norm[u] = d * nu(ix.uniques[u], avgUnique)
+		n := d * nu(ix.uniques[u], avgUnique)
 		if d == 0 {
-			norm[u] = math.Inf(1)
+			n = math.Inf(1)
 		}
+		c.norm[u], c.inv[u] = n, logTFs[1]/n
 	}
-	ix.norms.Store(&unitNorms{avg: avgUnique, norm: norm})
-	return norm
+	ix.norms.Store(c)
+	return c
 }
 
 // idf is Eq 9's smoothed probabilistic inverse document frequency for a
@@ -384,16 +435,15 @@ func (ix *Index) ExplainTerms(terms []int32, qf []float64, unit int) []TermScore
 	if ix.rlockStats() {
 		defer ix.global.mu.RUnlock()
 	}
-	norm, n, names := ix.normsLocked(ix.avgUniqueLocked()), ix.nLocked(), ix.dict.Terms()
+	norm, n, names := ix.normsLocked(ix.avgUniqueLocked()).norm, ix.nLocked(), ix.dict.Terms()
 	var out []TermScore
 	for i, t := range terms {
-		posts := ix.listLocked(t)
-		pi := findPosting(posts, int32(unit))
+		tf, ok := ix.listLocked(t).find(int32(unit))
 		tIDF := idf(n, ix.dfLocked(t))
-		if pi < 0 || tIDF == 0 {
+		if !ok || tIDF == 0 {
 			continue
 		}
-		w := logTF(posts[pi].TF) / norm[unit]
+		w := logTF(tf) / norm[unit]
 		out = append(out, TermScore{Term: names[t], QueryTF: qf[i], Weight: w, IDF: tIDF, Product: qf[i] * w * tIDF})
 	}
 	return out

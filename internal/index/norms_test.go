@@ -9,20 +9,22 @@ import (
 	"testing"
 )
 
-// checkNormsMatchWeight holds the divisor column built for avg to the
+// checkNormsMatchWeight holds the columns built for avg to the
 // definition: for every posting, logTF / norm[unit] is the float64
-// weight returns — and for a unit without terms, which no posting
-// names, the quotient is weight's +0.
+// weight returns, and for every unit — whether or not a TF = 1 posting
+// names it — inv[unit] is weight with logTF(1); for a unit without
+// terms, which no posting names, both are weight's +0.
 func checkNormsMatchWeight(t *testing.T, ix *Index, avg float64) {
 	t.Helper()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	norm := ix.normsLocked(avg)
-	if len(norm) != len(ix.denoms) {
-		t.Fatalf("avg %g: column covers %d units of %d", avg, len(norm), len(ix.denoms))
+	cols := ix.normsLocked(avg)
+	norm, inv := cols.norm, cols.inv
+	if len(norm) != len(ix.denoms) || len(inv) != len(ix.denoms) {
+		t.Fatalf("avg %g: columns cover %d and %d units of %d", avg, len(norm), len(inv), len(ix.denoms))
 	}
-	for _, posts := range ix.lists {
-		for _, p := range posts {
+	for s := range ix.ones {
+		for _, p := range postingsAt(ix, int32(s)) {
 			got, want := logTF(p.TF)/norm[p.Unit], ix.weightLocked(p, avg)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("avg %g unit %d tf %d: logTF/norm = %x, weight = %x", avg, p.Unit, p.TF, math.Float64bits(got), math.Float64bits(want))
@@ -30,20 +32,21 @@ func checkNormsMatchWeight(t *testing.T, ix *Index, avg float64) {
 		}
 	}
 	for u, d := range ix.denoms {
-		if d != 0 {
-			continue
+		want := weight(d, ix.uniques[u], logTF(1), avg)
+		if got := inv[u]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("avg %g unit %d: inv = %x, weight at TF 1 = %x", avg, u, math.Float64bits(got), math.Float64bits(want))
 		}
-		got, want := logTF(1)/norm[u], weight(d, ix.uniques[u], logTF(1), avg)
-		if math.Float64bits(got) != math.Float64bits(want) {
+		if got := logTF(1) / norm[u]; d == 0 && math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("avg %g empty unit %d: logTF/norm = %x, weight = %x", avg, u, math.Float64bits(got), math.Float64bits(want))
 		}
 	}
 }
 
-// TestNormColumnMatchesWeight is the column's property test: over random
+// TestNormColumnMatchesWeight is the columns' property test: over random
 // Add and WriteTo→Load sequences, under averages below, at and above
 // every unit's unique-term count — zero and the live average among them
-// — the kernel's quotient is the Eq 7/8 weight bit for bit.
+// — the TF > 1 kernel's quotient and the ones kernel's inv entry are the
+// Eq 7/8 weight bit for bit.
 func TestNormColumnMatchesWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 8; trial++ {
@@ -87,7 +90,7 @@ func TestNormColumnValidity(t *testing.T) {
 	column := func(avg float64) []float64 {
 		ix.mu.RLock()
 		defer ix.mu.RUnlock()
-		return ix.normsLocked(avg)
+		return ix.normsLocked(avg).norm
 	}
 	first := column(2)
 	if again := column(2); &again[0] != &first[0] {
@@ -109,10 +112,11 @@ func TestNormColumnValidity(t *testing.T) {
 	}
 }
 
-// TestFrozenAveragesRaceAdd is the column's -race leg: two goroutines
+// TestFrozenAveragesRaceAdd is the columns' -race leg: two goroutines
 // scan one index through QueryFrozen under different frozen averages —
-// each finds the other's column and replaces it — while a third Adds, so
-// the unit count moves under both. Every list is then held to the oracle
+// each finds the other's pair of columns and replaces it; the corpus
+// repeats terms within a unit, so both kernels run and both norm and inv
+// are read — while a third Adds, so the unit count moves under both. Every list is then held to the oracle
 // (naiveScores) under the average it was asked with: exact scores in rank order, and
 // no unit that was certainly visible (added before the scan began)
 // outranking the list's tail without being in it.

@@ -37,7 +37,13 @@ func fixtureSnapshot() columns {
 func fixtureCompact(t *testing.T) []byte {
 	t.Helper()
 	c := fixtureSnapshot()
-	valid, err := appendCompact(fixtureNames, c.carve(), &c)
+	// Every posting filed under the remainder run: the encoder merges
+	// whatever the runs hold.
+	lists, lo := make([]list, len(c.ends)), int32(0)
+	for i, hi := range c.ends {
+		lists[i], lo = list{more: c.posts[lo:hi]}, hi
+	}
+	valid, err := appendCompact(fixtureNames, lists, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +377,7 @@ func TestWriteToErrors(t *testing.T) {
 	if _, err := ix.WriteTo(w); !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("WriteTo into a closed pipe: %v", err)
 	}
-	ix.lists[ix.slot[ix.dict.Lookup("raid")]][0].TF = 0
+	ix.more[ix.slot[ix.dict.Lookup("raid")]][0].TF = 0
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err == nil || !strings.Contains(err.Error(), "TF 0") || buf.Len() != 0 {
 		t.Fatalf("WriteTo of a zero-TF posting: %d bytes, %v", buf.Len(), err)

@@ -61,28 +61,32 @@ var (
 // measurement: BenchmarkQueryPrunedVsExhaustive (benchCorpus's Zipf
 // vocabulary, k = 10, gate forced both ways, one CPU, parent and change
 // binaries alternated, medians of three), µs per query before and after
-// the accumulate kernel became one divide by a per-unit column (PR 23):
+// posting lists were split into a TF = 1 run and a remainder and the
+// exhaustive drain learnt to walk the cells (PR 25):
 //
 //	  units   parent: exhaustive  pruned   change: exhaustive  pruned   exhaustive/pruned
-//	   8000              243        218                  65       146        0.45×
-//	  32000              964        766                 230       467        0.49×
-//	 100000            2 958      2 106                 813     1 343        0.61×
-//	 400000           13 370      7 886               4 076     5 427        0.75×
-//	1000000           29 856     18 097              10 089    12 859        0.78×
+//	   8000               50        125                  32       149        0.21×
+//	  32000              195        391                 110       463        0.24×
+//	 100000              665      1 121                 452     1 266        0.36×
+//	 400000            3 358      4 595               3 381     5 454        0.62×
+//	1000000            8 285     10 807               8 275    12 123        0.68×
 //
-// At the parent the crossover sat just under 8 000 units and the gate
-// was 8192. With a posting at ≈ 3 ns the exhaustive scan got 3–4× faster
-// and the pruned one 1.4–1.6× — its candidate handling (drain, update-
-// mode merges and probes, the θ heap) is untouched by the kernel — so
-// pruning no longer pays anywhere in the table. The ratio is closing
-// (0.45× → 0.78×) but there is no crossover by a million units, and the
-// scan is not measured above a million units: the gate is set past
-// that, and the pruned scan runs only where a test or benchmark lowers
-// it. TestPruningHalvesPostingsAt100k still pins what pruning saves in
-// postings (2.5× at 100 000 units); ROADMAP's θ item decides whether its
-// candidate handling is made to pay again or the scan is deleted.
-// Results are bit-identical either way. It is read at query time
-// without synchronization: set it at startup (or in tests before
+// The crossover sat just under 8 000 units until PR 23 made the Eq 7/8
+// weight one divide by a per-unit column; since then the exhaustive scan
+// wins at every size measured. PR 25 made it a third to two fifths
+// faster up to 100 000 units, where the score array and the columns
+// still fit the caches, and left it where it was beyond (a posting there
+// is two cache misses whichever kernel runs); the pruned scan, which
+// walks both runs through one find and one tracker tail and is kept
+// correct rather than tuned, got 12–19 % slower. The ratio still closes
+// with size (0.21× → 0.68×) but there is no crossover by a million
+// units, and the scan is not measured above a million units: the gate is
+// set past that, and the pruned scan runs only where a test or benchmark
+// lowers it. TestPruningHalvesPostingsAt100k still pins what pruning
+// saves in postings (2.5× at 100 000 units); ROADMAP's θ item decides
+// whether its candidate handling is made to pay again or the scan is
+// deleted. Results are bit-identical either way. It is read at query
+// time without synchronization: set it at startup (or in tests before
 // spawning queriers), not while serving.
 var PruneMinUnits = 1 << 21
 
@@ -234,6 +238,17 @@ func (r *runningTopK) offer(unit int32, s float64) float64 {
 	return 0
 }
 
+// admit is the kernels' slow path: it offers a partial their one
+// compare let through — unless the unit is excluded, which must not
+// inflate the threshold — and returns the higher of theta and the
+// tracker's.
+func (r *runningTopK) admit(unit int32, s float64, exclude func(unit int) bool, theta float64) float64 {
+	if exclude != nil && exclude(int(unit)) {
+		return theta
+	}
+	return max(theta, r.offer(unit, s))
+}
+
 func (r *runningTopK) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -264,33 +279,37 @@ func (r *runningTopK) down(i int) {
 	}
 }
 
-// findPosting returns the position of unit u in the unit-sorted posting
-// list, or -1. A hand-rolled binary search: the probe phases call this
-// in tight loops where sort.Search's closure indirection is measurable.
-func findPosting(posts []Posting, u int32) int {
-	lo, hi := 0, len(posts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if posts[mid].Unit < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(posts) && posts[lo].Unit == u {
-		return lo
-	}
-	return -1
-}
-
 // scanTerm is one query term of a scan that has a posting list and a
 // non-zero pIDF.
 type scanTerm struct {
-	idx   int     // position in ascending term order (the summation order)
-	ub    float64 // slacked contribution upper bound f_q·bound·pIDF (max-score scan only)
-	qf    float64
-	idf   float64
-	posts []Posting
+	idx int     // position in ascending term order (the summation order)
+	ub  float64 // slacked contribution upper bound f_q·bound·pIDF (max-score scan only)
+	qf  float64
+	idf float64
+	list
+}
+
+// activeLocked collects into acc.active the probe's terms that have a
+// posting list here and a non-zero pIDF, in the order given — ascending
+// term order, the summation order — with their contribution bounds when
+// the scan will prune, and returns how many postings the lists hold.
+// Callers hold the read lock.
+func (ix *Index) activeLocked(acc *accumulator, terms []int32, qf, idfs []float64, avgUnique float64, prune bool) (totalPostings int64) {
+	active := acc.active[:0]
+	for i, t := range terms {
+		s, ok := ix.slot[t]
+		if !ok || idfs[i] == 0 {
+			continue
+		}
+		at := scanTerm{idx: i, qf: qf[i], idf: idfs[i], list: ix.listAt(s)}
+		totalPostings += int64(at.len())
+		if prune {
+			at.ub = qf[i] * ix.bounds[s].bound(avgUnique) * idfs[i]
+		}
+		active = append(active, at)
+	}
+	acc.active = active
+	return totalPostings
 }
 
 // scanLocked is the one scan behind Query and QueryFrozen (and the
@@ -308,33 +327,16 @@ type scanTerm struct {
 // shard-local state (postings, units, bounds) and the resolved factors
 // are read, so the scatter path's lock discipline carries over unchanged.
 func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64, avgUnique float64, topN int, shared *Theta, exclude func(unit int) bool, tr *obs.Trace, prune bool) []Result {
-	norm := ix.normsLocked(avgUnique)
-	active := acc.active[:0]
-	var totalPostings int64
-	for i, t := range terms {
-		s, ok := ix.slot[t]
-		if !ok || idfs[i] == 0 {
-			continue
-		}
-		posts := ix.lists[s]
-		totalPostings += int64(len(posts))
-		at := scanTerm{idx: i, qf: qf[i], idf: idfs[i], posts: posts}
-		if prune {
-			at.ub = qf[i] * ix.bounds[s].bound(avgUnique) * idfs[i]
-		}
-		active = append(active, at)
-	}
-	acc.active = active
-
+	cols := ix.normsLocked(avgUnique)
+	totalPostings := ix.activeLocked(acc, terms, qf, idfs, avgUnique, prune)
 	if !prune {
-		for _, at := range active {
-			acc.accumulate(norm, at.posts, at.qf, at.idf, nil, nil, 0)
-		}
+		candidates, _ := acc.exhaust(cols, len(ix.denoms), totalPostings, topN, shared, exclude)
 		ctrScanPostings.Add(totalPostings)
-		res := acc.finish(acc.drainTop(len(ix.denoms), topN, shared, exclude), tr)
+		res := acc.finish(candidates, tr)
 		acc.release()
 		return res
 	}
+	norm, inv, active := cols.norm, cols.inv, acc.active
 
 	// Descending upper bound; ascending term position on ties, so the
 	// processing order is deterministic.
@@ -375,8 +377,9 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 			stop = j
 			break
 		}
-		scanned += int64(len(at.posts))
-		theta = acc.accumulate(norm, at.posts, at.qf*at.idf, 1, rt, exclude, theta)
+		scanned += int64(at.len())
+		theta = acc.accumulateOnes(inv, at.ones, at.qf*at.idf, 1, rt, exclude, theta)
+		theta = acc.accumulate(norm, at.more, at.qf*at.idf, 1, rt, exclude, theta)
 	}
 
 	// Phase A2, update mode (Turtle & Flood): past the cutoff no unseen
@@ -413,38 +416,35 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 			break
 		}
 		c := at.qf * at.idf
-		if len(at.posts) < 4*keep {
-			// Dense list relative to the alive set: one linear merge beats
-			// per-unit binary searches.
-			pi := 0
-			for i, u := range alive {
-				for pi < len(at.posts) && at.posts[pi].Unit < u {
-					pi++
+		// Dense list relative to the alive set: one linear merge over both
+		// runs beats per-unit binary searches.
+		merge := at.len() < 4*keep
+		ones, more := at.ones, at.more
+		for i, u := range alive {
+			var tf int32
+			if merge {
+				for len(ones) > 0 && ones[0] < u {
+					ones = ones[1:]
 				}
-				if pi == len(at.posts) {
-					break
+				for len(more) > 0 && more[0].Unit < u {
+					more = more[1:]
 				}
-				if at.posts[pi].Unit == u {
-					s := aliveScore[i] + c*(logTF(at.posts[pi].TF)/norm[u])
-					aliveScore[i] = s
-					probed++
-					if t := rt.offer(u, s); t > theta {
-						theta = t
-					}
+				if len(ones) > 0 && ones[0] == u {
+					tf = 1
+				} else if len(more) > 0 && more[0].Unit == u {
+					tf = more[0].TF
 				}
+			} else {
+				tf, _ = at.find(u)
 			}
-		} else {
-			for i, u := range alive {
-				pi := findPosting(at.posts, u)
-				if pi < 0 {
-					continue
-				}
-				s := aliveScore[i] + c*(logTF(at.posts[pi].TF)/norm[u])
-				aliveScore[i] = s
-				probed++
-				if t := rt.offer(u, s); t > theta {
-					theta = t
-				}
+			if tf == 0 { // absent: a posting's TF is at least 1
+				continue
+			}
+			s := aliveScore[i] + c*(logTF(tf)/norm[u])
+			aliveScore[i] = s
+			probed++
+			if t := rt.offer(u, s); t > theta {
+				theta = t
 			}
 		}
 	}
@@ -465,7 +465,7 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 	listsSkipped := int64(len(active) - stop)
 	postingsSkipped := -probed
 	for _, at := range active[stop:] {
-		postingsSkipped += int64(len(at.posts))
+		postingsSkipped += int64(at.len())
 	}
 
 	// Phase B: exact rescore of the survivors, in ascending term order —
@@ -476,12 +476,12 @@ func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64,
 	for _, u := range alive {
 		var s float64
 		for _, at := range active {
-			pi := findPosting(at.posts, u)
-			if pi < 0 {
+			tf, ok := at.find(u)
+			if !ok {
 				continue
 			}
 			scanned++
-			s += at.qf * (logTF(at.posts[pi].TF) / norm[u]) * at.idf
+			s += at.qf * (logTF(tf) / norm[u]) * at.idf
 		}
 		if s > 0 {
 			top = offerResult(top, topN, Result{Unit: int(u), Score: s})

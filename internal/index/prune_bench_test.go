@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -51,6 +52,39 @@ func benchCorpus(units, vocab int, seed int64) (*Index, []map[string]float64) {
 // cache spent even when it hit.
 func BenchmarkQueryReadOnly(b *testing.B) {
 	ix, queries := benchCorpus(5000, 2000, 42)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.Query(queries[i%len(queries)], 10, nil)
+	}
+}
+
+// BenchmarkQuerySparseProbe measures the probe the dense drain must not
+// tax: the three rarest terms of each query unit against the 32 000-unit
+// corpus — a few hundred postings into 32 000 cells, so the probe marks
+// what it writes and drains by the bitset (denseProbe;
+// TestDrainCostFollowsTheProbe pins the cells read, this shows the time,
+// which must stay in the microseconds where walking the cells would
+// cost tens of them).
+func BenchmarkQuerySparseProbe(b *testing.B) {
+	ix, queries := benchCorpus(32000, 2000, 42)
+	for i, q := range queries {
+		names := make([]string, 0, len(q))
+		for t := range q {
+			names = append(names, t)
+		}
+		sort.Slice(names, func(a, b int) bool {
+			if da, db := ix.DocFreq(names[a]), ix.DocFreq(names[b]); da != db {
+				return da < db
+			}
+			return names[a] < names[b]
+		})
+		rare := make(map[string]float64, 3)
+		for _, t := range names[:min(3, len(names))] {
+			rare[t] = q[t]
+		}
+		queries[i] = rare
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -150,7 +150,7 @@ func TestBoundDominatesWeights(t *testing.T) {
 	checked := 0
 	for id, s := range ix.slot {
 		b := ix.bounds[s].bound(avg)
-		for _, p := range ix.lists[s] {
+		for _, p := range postingsAt(ix, s) {
 			if w := ix.weightLocked(p, avg); w > b {
 				t.Fatalf("term %q unit %d: weight %g exceeds bound %g", ix.dict.Terms()[id], p.Unit, w, b)
 			}

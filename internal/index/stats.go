@@ -69,7 +69,7 @@ func (ix *Index) AttachStats(gs *GlobalStats) {
 	gs.units += len(ix.denoms)
 	gs.totalUnique += ix.totalUnique
 	for t, s := range ix.slot {
-		gs.addLocked(t, len(ix.lists[s]))
+		gs.addLocked(t, ix.listAt(s).len())
 	}
 	ix.global = gs
 }
@@ -100,5 +100,5 @@ func (ix *Index) dfLocked(term int32) int {
 	if ix.global != nil {
 		return ix.global.dfLocked(term)
 	}
-	return len(ix.listLocked(term))
+	return ix.listLocked(term).len()
 }
