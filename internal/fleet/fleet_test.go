@@ -21,10 +21,9 @@ import (
 // The tests in this file pin the networked fleet's headline contract:
 // with every shard answering, a Coordinator over any Transport returns
 // byte-for-byte the same ranking as the in-process shard.Group and the
-// single unsharded matcher — at every shard count, with the max-score
-// pruning forced both on and off, over the golden corpus. The
-// fault-injection scenarios (what happens when shards do NOT answer)
-// live in faultinject_test.go.
+// single unsharded matcher — at every shard count, over the golden
+// corpus. The fault-injection scenarios (what happens when shards do NOT
+// answer) live in faultinject_test.go.
 
 func genDocs(t testing.TB, domain forum.Domain, n int, seed int64) []*segment.Doc {
 	t.Helper()
@@ -140,58 +139,39 @@ func sameResults(t *testing.T, ctx string, want, got []match.Result) {
 	}
 }
 
-// forcePruning pins index.PruneMinUnits for the test (global knob, so
-// these tests must not run in parallel).
-func forcePruning(t *testing.T, minUnits int) {
-	t.Helper()
-	old := index.PruneMinUnits
-	index.PruneMinUnits = minUnits
-	t.Cleanup(func() { index.PruneMinUnits = old })
-}
-
 // TestFleetEquivalenceMatrix is satellite (2): networked fleet over a
 // fault-free transport vs in-process shard.Group vs single index,
-// byte-for-byte, at shard counts {1, 2, 4}, with max-score pruning
-// forced on and off.
+// byte-for-byte, at shard counts {1, 2, 4}, over the index's one scan —
+// the exhaustive one, which names the subtest level.
 func TestFleetEquivalenceMatrix(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 200, 42)
-	pruneModes := []struct {
-		name     string
-		minUnits int
-	}{
-		{"pruned", 1},
-		{"exhaustive", 1 << 30},
-	}
-	for _, pm := range pruneModes {
-		t.Run(pm.name, func(t *testing.T) {
-			forcePruning(t, pm.minUnits)
-			for _, ns := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("shards%d", ns), func(t *testing.T) {
-					f := buildBackend(t, docs, match.MRConfig{Seed: 7}, ns, 42, 0)
-					c := f.coordinator(t, f.topo(0), vopts(f.lt, NewVirtualClock(time.Unix(0, 0))))
-					for doc := 0; doc < len(docs); doc++ {
-						for _, k := range []int{1, 5, 12} {
-							single := f.mr.Match(doc, k)
-							group := f.g.Match(doc, k)
-							res, err := c.Query(context.Background(), doc, k, false)
-							if err != nil {
-								t.Fatalf("doc %d k %d: fleet error: %v", doc, k, err)
-							}
-							if res.Partial || len(res.Missing) != 0 {
-								t.Fatalf("doc %d k %d: healthy fleet reported partial=%v missing=%v", doc, k, res.Partial, res.Missing)
-							}
-							ctx := fmt.Sprintf("doc %d k %d", doc, k)
-							sameResults(t, ctx+" group-vs-single", single, group)
-							sameResults(t, ctx+" fleet-vs-single", single, res.Results)
-							if sb, fb := mustJSON(t, single), mustJSON(t, res.Results); !bytes.Equal(sb, fb) {
-								t.Fatalf("%s: JSON diverges:\nsingle: %s\nfleet:  %s", ctx, sb, fb)
-							}
+	t.Run("exhaustive", func(t *testing.T) {
+		for _, ns := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("shards%d", ns), func(t *testing.T) {
+				f := buildBackend(t, docs, match.MRConfig{Seed: 7}, ns, 42, 0)
+				c := f.coordinator(t, f.topo(0), vopts(f.lt, NewVirtualClock(time.Unix(0, 0))))
+				for doc := 0; doc < len(docs); doc++ {
+					for _, k := range []int{1, 5, 12} {
+						single := f.mr.Match(doc, k)
+						group := f.g.Match(doc, k)
+						res, err := c.Query(context.Background(), doc, k, false)
+						if err != nil {
+							t.Fatalf("doc %d k %d: fleet error: %v", doc, k, err)
+						}
+						if res.Partial || len(res.Missing) != 0 {
+							t.Fatalf("doc %d k %d: healthy fleet reported partial=%v missing=%v", doc, k, res.Partial, res.Missing)
+						}
+						ctx := fmt.Sprintf("doc %d k %d", doc, k)
+						sameResults(t, ctx+" group-vs-single", single, group)
+						sameResults(t, ctx+" fleet-vs-single", single, res.Results)
+						if sb, fb := mustJSON(t, single), mustJSON(t, res.Results); !bytes.Equal(sb, fb) {
+							t.Fatalf("%s: JSON diverges:\nsingle: %s\nfleet:  %s", ctx, sb, fb)
 						}
 					}
-				})
-			}
-		})
-	}
+				}
+			})
+		}
+	})
 }
 
 // TestFleetExplainEquivalence pins the networked explain path to the

@@ -333,11 +333,11 @@ func TestHostRequestValidation(t *testing.T) {
 	}
 }
 
-// TestHostProbeFloors pins what a host makes of ProbeRequest.Floors at
-// the default pruning gate, where the exhaustive drain reads them: a zero
-// or negative entry bounds nothing, and a positive one returns exactly
-// the entries scoring at or above it (an entry at the floor is tie-break
-// material for the coordinator's merge).
+// TestHostProbeFloors pins what a host makes of ProbeRequest.Floors,
+// which the index's drain reads as the probe's theta: a zero or negative
+// entry bounds nothing, and a positive one returns exactly the entries
+// scoring at or above it (an entry at the floor is tie-break material
+// for the coordinator's merge).
 func TestHostProbeFloors(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 60, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 2, 42, 0)

@@ -15,7 +15,7 @@ import (
 // one pool safe for every index in the process, whatever its size:
 //
 //   - Clean between probes. cells and touched are all zero whenever the
-//     accumulator sits in the pool: release is only reached after drain
+//     accumulator sits in the pool: release is only reached after a drain
 //     has zeroed every cell the probe wrote (a probe that panics never
 //     returns its accumulator), and growth allocates fresh zeroed arrays.
 //   - Sized under the lock. acquire is called with the probed index's
@@ -33,8 +33,8 @@ import (
 // the tail a larger index left. Both come out in ascending unit order
 // and leave cells and bitset zero. Memory is one accumulator per
 // in-flight probe — 8 bytes per unit of the largest index it served,
-// plus scratch proportional to that probe's candidates — and the pool,
-// not the index, owns it.
+// plus scratch proportional to that probe's terms and depth — and the
+// pool, not the index, owns it.
 type accumulator struct {
 	cells   []float64 // cells[u]: unit u's partial score in the running probe
 	touched []uint64  // bit u set ⇔ cells[u] was written by the running probe
@@ -46,11 +46,7 @@ type accumulator struct {
 	qf     []float64  // their query frequencies
 	idfs   []float64  // and pIDFs
 	active []scanTerm // the probe's non-empty, non-zero-pIDF lists
-	rem    []float64  // max-score suffix sums of active's bounds
-	rt     runningTopK
-	alive  []int32   // drained candidates, ascending unit order
-	ascore []float64 // scores parallel to alive
-	top    []Result  // final top-n selection heap
+	top    []Result   // final top-n selection heap
 
 	hit bool // the running probe allocated no cell storage (trace pool_hit)
 }
@@ -90,16 +86,13 @@ func (acc *accumulator) release() {
 	scorePool.Put(acc)
 }
 
-// The Eq 9 inner loops. Each adds a·w(t,unit)·b to the cell of every unit
-// in one run of a posting list (see list), and none branches on what a
-// posting holds: addOnes and accumulateOnes walk the ones run, where
-// w = inv[unit] is a per-unit constant and a posting costs two multiplies
-// and an add; accumulate walks the TF > 1 remainder with
-// w = logTF / norm[unit], one table read and one divide by the probe's
-// divisor column (Index.normsLocked). The exhaustive scan passes
-// (f_q, pIDF) and so adds the exact product f_q·w·pIDF; the max-score
-// scan passes (f_q·pIDF, 1) — its partials are threshold material, and
-// multiplying by one is exact.
+// The Eq 9 inner loops. Each adds f_q·w(t,unit)·pIDF, in that order, to
+// the cell of every unit in one run of a posting list (see list), and
+// none branches on what a posting holds: addOnes and accumulateOnes walk
+// the ones run, where w = inv[unit] is a per-unit constant and a posting
+// costs two multiplies and an add; accumulate walks the TF > 1 remainder
+// with w = logTF / norm[unit], one table read and one divide by the
+// probe's divisor column (Index.normsLocked).
 
 // addOnes is the kernel of a dense probe (see denseProbe): it marks
 // nothing, because drainDense walks every cell of the index anyway. It
@@ -109,52 +102,86 @@ func (acc *accumulator) release() {
 // request).
 //
 //go:noinline
-func (acc *accumulator) addOnes(inv []float64, ones []int32, a, b float64) {
+func (acc *accumulator) addOnes(inv []float64, ones []int32, qf, idf float64) {
 	cells := acc.cells
 	for _, u := range ones {
-		cells[u] += a * inv[u] * b
+		cells[u] += qf * inv[u] * idf
 	}
 }
 
-// accumulateOnes is addOnes for a probe drained by the touched bitset —
-// a sparse exhaustive one (rt nil), or the max-score scan, which passes
-// rt and has it track the n-th best partial over non-excluded units as
-// accumulate does.
-func (acc *accumulator) accumulateOnes(inv []float64, ones []int32, a, b float64, rt *runningTopK, exclude func(unit int) bool, theta float64) float64 {
+// accumulateOnes is addOnes for a sparse probe, one drained by the
+// touched bitset: it marks every cell it writes. Out of line for
+// addOnes' reason (EXPERIMENTS.md, PR 26: 96 → 85 µs a probe of 25 000
+// postings into 32 000 units).
+//
+//go:noinline
+func (acc *accumulator) accumulateOnes(inv []float64, ones []int32, qf, idf float64) {
 	cells, touched := acc.cells, acc.touched
 	for _, u := range ones {
-		s := cells[u] + a*inv[u]*b
-		cells[u] = s
+		cells[u] += qf * inv[u] * idf
 		touched[u>>6] |= 1 << (uint32(u) & 63)
-		if rt == nil || (len(rt.h) == rt.k && s <= rt.h[0].score) {
-			continue
-		}
-		theta = rt.admit(u, s, exclude, theta)
 	}
-	return theta
 }
 
 // accumulate adds a list's TF > 1 remainder and marks every cell it
 // writes, dense probe or not: the remainder is a few postings in a
-// hundred, and drainDense clears the words they set. theta is the
-// running threshold; the raised value is returned. The fast path past
-// the add is one compare per posting: a partial at or below the heap
-// root cannot change the threshold.
-func (acc *accumulator) accumulate(norm []float64, more []Posting, a, b float64, rt *runningTopK, exclude func(unit int) bool, theta float64) float64 {
+// hundred, and drainDense clears the words they set.
+func (acc *accumulator) accumulate(norm []float64, more []Posting, qf, idf float64) {
 	cells, touched := acc.cells, acc.touched
 	for _, p := range more {
-		s := cells[p.Unit] + a*(logTF(p.TF)/norm[p.Unit])*b
-		cells[p.Unit] = s
+		cells[p.Unit] += qf * (logTF(p.TF) / norm[p.Unit]) * idf
 		touched[p.Unit>>6] |= 1 << (uint32(p.Unit) & 63)
-		if rt == nil || (len(rt.h) == rt.k && s <= rt.h[0].score) {
-			continue
-		}
-		theta = rt.admit(p.Unit, s, exclude, theta)
 	}
-	return theta
 }
 
-// exhaust is the exhaustive Eq 9 scan: every list in acc.active is
+// scanTerm is one query term of a scan that has a posting list and a
+// non-zero pIDF.
+type scanTerm struct {
+	qf  float64
+	idf float64
+	list
+}
+
+// activeLocked collects into acc.active the probe's terms that have a
+// posting list here and a non-zero pIDF, in the order given — ascending
+// term order, the summation order — and returns how many postings the
+// lists hold. Callers hold the read lock.
+func (ix *Index) activeLocked(acc *accumulator, terms []int32, qf, idfs []float64) (totalPostings int64) {
+	active := acc.active[:0]
+	for i, t := range terms {
+		s, ok := ix.slot[t]
+		if !ok || idfs[i] == 0 {
+			continue
+		}
+		at := scanTerm{qf: qf[i], idf: idfs[i], list: ix.listAt(s)}
+		totalPostings += int64(at.len())
+		active = append(active, at)
+	}
+	acc.active = active
+	return totalPostings
+}
+
+// scanLocked is the one scan behind Query and QueryFrozen: the
+// exhaustive Eq 9 scan. Terms arrive as dictionary ids in ascending term
+// order with aligned query frequencies and pIDFs, resolved by the caller
+// under the same lock hold or frozen from the collection pool. shared,
+// nil on the unsharded path, is the probe's Theta: the drain rejects
+// against it as it goes and raises it to its n-th exact score. Callers
+// hold the read lock and pass an accumulator acquired under it, which
+// scanLocked releases; only shard-local state (postings, units) and the
+// resolved factors are read, so the scatter path's lock discipline
+// carries over unchanged.
+func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64, avgUnique float64, topN int, shared *Theta, exclude func(unit int) bool, tr *obs.Trace) []Result {
+	cols := ix.normsLocked(avgUnique)
+	totalPostings := ix.activeLocked(acc, terms, qf, idfs)
+	candidates, _ := acc.exhaust(cols, len(ix.denoms), totalPostings, topN, shared, exclude)
+	ctrScanPostings.Add(totalPostings)
+	res := acc.finish(candidates, tr)
+	acc.release()
+	return res
+}
+
+// exhaust is the scan's accumulate and drain: every list in acc.active is
 // accumulated in term order and the accumulator drained into the top-n,
 // by the cells or by the bitset as denseProbe decides from the postings
 // the lists hold and the index's unit count. It returns how many units
@@ -163,13 +190,13 @@ func (acc *accumulator) exhaust(cols *unitNorms, units int, postings int64, topN
 	if denseProbe(postings, units) {
 		for _, at := range acc.active {
 			acc.addOnes(cols.inv, at.ones, at.qf, at.idf)
-			acc.accumulate(cols.norm, at.more, at.qf, at.idf, nil, nil, 0)
+			acc.accumulate(cols.norm, at.more, at.qf, at.idf)
 		}
 		return acc.drainDense(units, topN, shared, exclude)
 	}
 	for _, at := range acc.active {
-		acc.accumulateOnes(cols.inv, at.ones, at.qf, at.idf, nil, nil, 0)
-		acc.accumulate(cols.norm, at.more, at.qf, at.idf, nil, nil, 0)
+		acc.accumulateOnes(cols.inv, at.ones, at.qf, at.idf)
+		acc.accumulate(cols.norm, at.more, at.qf, at.idf)
 	}
 	return acc.drainTop(units, topN, shared, exclude)
 }
@@ -279,46 +306,11 @@ func offerTop(top []Result, topN, u int, s, bar float64, theta *Theta) ([]Result
 	return top, bar
 }
 
-// drain empties the accumulator of a max-score scan into alive/ascore —
-// every touched unit in ascending order, minus the excluded ones and,
-// when a threshold is known (theta > 0), minus those whose score plus
-// slack cannot reach it — zeroing each cell and touched word on the
-// way, and returns how many units had been touched. The max-score scan
-// marks every write, so this is the bitset walk whatever the probe.
-func (acc *accumulator) drain(units int, theta, slack float64, exclude func(unit int) bool) (touchedUnits int) {
-	cells := acc.cells
-	alive, ascore := acc.alive[:0], acc.ascore[:0]
-	guard := theta * pruneGuard
-	for w, word := range acc.touched[:(units+63)>>6] {
-		if word == 0 {
-			continue
-		}
-		acc.touched[w] = 0
-		touchedUnits += bits.OnesCount64(word)
-		for ; word != 0; word &= word - 1 {
-			u := int32(w<<6 | bits.TrailingZeros64(word))
-			s := cells[u]
-			cells[u] = 0
-			if theta > 0 && s+slack < guard {
-				continue
-			}
-			if exclude != nil && exclude(int(u)) {
-				continue
-			}
-			alive = append(alive, u)
-			ascore = append(ascore, s)
-		}
-	}
-	acc.alive, acc.ascore = alive, ascore
-	return touchedUnits
-}
-
-// finish is the shared tail of every scan: order the top-n selected in
-// top — by drainTop, or by the max-score scan from its survivors — under
-// the deterministic order (score descending, unit ascending), record
-// the scan histograms and the optional trace event, and materialize the
-// result list. candidates is the number of units the probe accumulated
-// a score for.
+// finish is the tail of the scan: order the top-n a drain selected in
+// top under the deterministic order (score descending, unit ascending),
+// record the scan histograms and the optional trace event, and
+// materialize the result list. candidates is the number of units the
+// probe accumulated a score for.
 func (acc *accumulator) finish(candidates int, tr *obs.Trace) []Result {
 	top := acc.top
 	// Heapsort in place: the root is the worst retained result, so moving

@@ -13,11 +13,10 @@ import (
 // formulas written out from the raw postings and unit statistics in
 // ascending term order — strings sorted here, ids looked up one by one,
 // the Eq 7 numerator taken with math.Log, not from the table — and a
-// full sort for the ranking. It shares no code with the scan paths — no
-// pooled accumulator, no divisor column, no bounds, no top-n heap, no
-// term resolution — so agreeing with it bit-for-bit is evidence about
-// them, which agreeing with QueryExhaustive (same accumulator, same
-// pool) is not. Unattached, quiescent indices only.
+// full sort for the ranking. It shares no code with the scan — no
+// pooled accumulator, no divisor column, no top-n heap, no term
+// resolution — so agreeing with it bit-for-bit is evidence about it.
+// Unattached, quiescent indices only.
 func naiveQuery(ix *Index, queryTF map[string]float64, topN int, exclude func(unit int) bool) []Result {
 	names := make([]string, 0, len(queryTF))
 	for t := range queryTF {
@@ -108,18 +107,25 @@ func thetaAt(s float64) *Theta {
 	return th
 }
 
+// reaching is the head of a ranked list that scores at or above theta:
+// what a scan under that Theta must return of it.
+func reaching(ranked []Result, theta float64) []Result {
+	for i, r := range ranked {
+		if r.Score < theta {
+			return ranked[:i]
+		}
+	}
+	return ranked
+}
+
 // checkAgainstOracle runs one query through every scan entry point —
-// Query, QueryExhaustive, QueryFrozen with and without a Theta — and
-// holds each to the oracle bit-for-bit. Whether they take the pruned or
-// the exhaustive scan is the caller's PruneMinUnits.
+// Query, QueryFrozen with and without a Theta — and holds each to the
+// oracle bit-for-bit.
 func checkAgainstOracle(t *testing.T, ix *Index, queryTF map[string]float64, topN int, exclude func(unit int) bool) {
 	t.Helper()
 	want := naiveQuery(ix, queryTF, topN, exclude)
 	if got := ix.Query(queryTF, topN, exclude); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Query topN=%d: %v, oracle %v", topN, got, want)
-	}
-	if got := ix.QueryExhaustive(queryTF, topN, exclude); !reflect.DeepEqual(got, want) {
-		t.Fatalf("QueryExhaustive topN=%d: %v, oracle %v", topN, got, want)
 	}
 	terms, qf, idfs, avg := frozenArgs(ix, queryTF)
 	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, nil, exclude, nil); !reflect.DeepEqual(got, want) {
@@ -129,32 +135,14 @@ func checkAgainstOracle(t *testing.T, ix *Index, queryTF map[string]float64, top
 		return
 	}
 	// A bound proven by the list itself (its n-th score) loses nothing; a
-	// bound in the middle of the list must keep, in order, at least every
-	// entry that reaches it, and may only return entries of the list (the
-	// max-score scan may return some below it; TestThetaLive holds the
-	// exhaustive drain to exactly the entries at or above).
+	// bound in the middle of the list keeps exactly the entries that reach
+	// it, in order.
 	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, thetaAt(want[len(want)-1].Score), exclude, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("QueryFrozen theta=n-th: %v, oracle %v", got, want)
 	}
 	floor := want[len(want)/2].Score
-	got := ix.QueryFrozen(terms, qf, idfs, avg, topN, thetaAt(floor), exclude, nil)
-	pos := 0
-	for _, r := range got {
-		for pos < len(want) && want[pos] != r {
-			if want[pos].Score >= floor {
-				t.Fatalf("QueryFrozen theta=%g lost %v: %v, oracle %v", floor, want[pos], got, want)
-			}
-			pos++
-		}
-		if pos == len(want) {
-			t.Fatalf("QueryFrozen theta=%g returned %v, not in oracle order %v", floor, r, want)
-		}
-		pos++
-	}
-	for ; pos < len(want); pos++ {
-		if want[pos].Score >= floor {
-			t.Fatalf("QueryFrozen theta=%g lost %v: %v, oracle %v", floor, want[pos], got, want)
-		}
+	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, thetaAt(floor), exclude, nil); !reflect.DeepEqual(got, reaching(want, floor)) {
+		t.Fatalf("QueryFrozen theta=%g: %v, oracle %v", floor, got, reaching(want, floor))
 	}
 }
 
@@ -178,28 +166,22 @@ func checkPoolClean(t *testing.T) {
 }
 
 func TestScansMatchNaiveOracle(t *testing.T) {
-	// Unpruned probes by the drain they take: dense, bitset.
+	// Probes by the drain they take: dense, bitset.
 	drains := map[bool]int{}
-	for _, gate := range []int{1, 1 << 30} { // every scan pruned, then none
-		withPruneGate(t, gate)
-		rng := rand.New(rand.NewSource(29))
-		for trial := 0; trial < 20; trial++ {
-			units := 20 + rng.Intn(500)
-			docs := randomCorpus(rng, units, 40+rng.Intn(200))
-			ix := buildIndex(docs...)
-			var exclude func(int) bool
-			if trial%3 == 1 {
-				exclude = func(u int) bool { return u%3 == 0 }
-			}
-			for _, topN := range []int{1, 3, 10, units / pruneMinFanout, units} {
-				if topN < 1 {
-					continue
-				}
-				queryTF := TermFrequencies(docs[rng.Intn(units)])
-				checkAgainstOracle(t, ix, queryTF, topN, exclude)
-				_, visited, _ := probeCost(ix, queryTF, topN, exclude)
-				drains[visited == units]++
-			}
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 20; trial++ {
+		units := 20 + rng.Intn(500)
+		docs := randomCorpus(rng, units, 40+rng.Intn(200))
+		ix := buildIndex(docs...)
+		var exclude func(int) bool
+		if trial%3 == 1 {
+			exclude = func(u int) bool { return u%3 == 0 }
+		}
+		for _, topN := range []int{1, 3, 10, units / 4, units} {
+			queryTF := TermFrequencies(docs[rng.Intn(units)])
+			checkAgainstOracle(t, ix, queryTF, topN, exclude)
+			_, visited, _ := probeCost(ix, queryTF, topN, exclude)
+			drains[visited == units]++
 		}
 	}
 	if drains[true] < 20 || drains[false] < 20 {
@@ -209,15 +191,14 @@ func TestScansMatchNaiveOracle(t *testing.T) {
 
 // TestPoolSharedAcrossGrowingIndices is the pool-hygiene property: one
 // goroutine — so sync.Pool hands each probe the accumulator the last one
-// returned — drives indices of very different sizes through every scan
+// returned — drives indices of very different sizes through the scan
 // while Adds grow them past the capacity (units + 25 %) of whatever
-// accumulator last served them. The gate is flipped at random, so the
-// pool is inspected after the unpruned scan's fused drains (drainTop for
-// a sparse probe, drainDense for a dense one; TestDensePoolHygiene aims
-// at the latter) — checkAgainstOracle's mid-list Theta makes them reject
-// units unoffered, whose cells must be zeroed all the same — and after
-// the pruned scan's drain alike. A stale cell shows as a wrong score or
-// a dirty pool; an accumulator shorter than the index it scans panics.
+// accumulator last served them. The pool is inspected after both drains
+// (drainTop for a sparse probe, drainDense for a dense one;
+// TestDensePoolHygiene aims at the latter) — checkAgainstOracle's
+// mid-list Theta makes them reject units unoffered, whose cells must be
+// zeroed all the same. A stale cell shows as a wrong score or a dirty
+// pool; an accumulator shorter than the index it scans panics.
 func TestPoolSharedAcrossGrowingIndices(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	docs := randomCorpus(rng, 4000, 150)
@@ -228,9 +209,7 @@ func TestPoolSharedAcrossGrowingIndices(t *testing.T) {
 		return d
 	}
 	indices := []*Index{buildIndex(take(30)...), buildIndex(take(900)...), buildIndex(take(200)...)}
-	withPruneGate(t, PruneMinUnits) // restores the gate the steps below flip
 	for step := 0; step < 150; step++ {
-		PruneMinUnits = []int{1, 1 << 30}[rng.Intn(2)]
 		ix := indices[rng.Intn(len(indices))]
 		if n := ix.NumUnits(); rng.Intn(4) == 0 && next+n/2+1 <= len(docs) {
 			for _, d := range take(n/2 + 1) { // past the quarter of headroom
@@ -253,7 +232,6 @@ func TestPoolSharedAcrossGrowingIndices(t *testing.T) {
 // (rank order, positive scores, ids inside the index); once the adder is
 // done every index is checked against the oracle and the pool is clean.
 func TestConcurrentScansShareThePool(t *testing.T) {
-	withPruneGate(t, 64)
 	rng := rand.New(rand.NewSource(37))
 	docs := randomCorpus(rng, 1500, 120)
 	indices := []*Index{buildIndex(docs[:40]...), buildIndex(docs[40:840]...), buildIndex(docs[840:900]...)}
@@ -290,9 +268,8 @@ func TestConcurrentScansShareThePool(t *testing.T) {
 }
 
 // TestScanAllocations gates the steady-state probe at one allocation —
-// its result slice — on both scans: the divisor column is cached.
-// (Before the dense accumulator the exhaustive Query allocated 4 times
-// and the pruned QueryFrozen 13.) A probe that finds the column stale —
+// its result slice: the divisor column is cached. A probe that finds the
+// column stale —
 // the first after an add that moved the average or the unit count, or a
 // frozen probe carrying another average — allocates two more, the two
 // columns in one array and their header, and that is all it costs.
@@ -306,9 +283,8 @@ func TestScanAllocations(t *testing.T) {
 	queryTF := TermFrequencies(docs[3])
 	terms, qf, idfs, avg := frozenArgs(ix, queryTF)
 
-	withPruneGate(t, 1<<30)
 	if got := testing.AllocsPerRun(200, func() { ix.Query(queryTF, 10, nil) }); got > 1 {
-		t.Errorf("exhaustive Query: %v allocs per run, want at most 1", got)
+		t.Errorf("Query: %v allocs per run, want at most 1", got)
 	}
 	stale := avg
 	if got := testing.AllocsPerRun(200, func() {
@@ -319,10 +295,6 @@ func TestScanAllocations(t *testing.T) {
 	}
 	var theta Theta // shared by the runs, as by a probe's legs
 	if got := testing.AllocsPerRun(200, func() { ix.QueryFrozen(terms, qf, idfs, avg, 10, &theta, nil, nil) }); got > 1 || theta.Load() == 0 {
-		t.Errorf("exhaustive QueryFrozen under a Theta (now %g): %v allocs per run, want at most 1", theta.Load(), got)
-	}
-	withPruneGate(t, 1)
-	if got := testing.AllocsPerRun(200, func() { ix.QueryFrozen(terms, qf, idfs, avg, 10, nil, nil, nil) }); got > 1 {
-		t.Errorf("pruned QueryFrozen: %v allocs per run, want at most 1", got)
+		t.Errorf("QueryFrozen under a Theta (now %g): %v allocs per run, want at most 1", theta.Load(), got)
 	}
 }

@@ -9,8 +9,7 @@ import (
 
 // benchCorpus builds a synthetic index with a Zipf-ish term distribution:
 // a few very common terms (long posting lists, low pIDF) and a long tail
-// of rare ones — the shape that makes max-score pruning pay, and the
-// shape real forum segments have.
+// of rare ones — the shape real forum segments have.
 func benchCorpus(units, vocab int, seed int64) (*Index, []map[string]float64) {
 	rng := rand.New(rand.NewSource(seed))
 	zipf := rand.NewZipf(rng, 1.2, 1.0, uint64(vocab-1))
@@ -89,39 +88,5 @@ func BenchmarkQuerySparseProbe(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Query(queries[i%len(queries)], 10, nil)
-	}
-}
-
-// BenchmarkQueryPrunedVsExhaustive compares the max-score pruned scan
-// against the exhaustive reference at growing corpus sizes. Pruned and
-// exhaustive return bit-identical results
-// (TestPrunedMatchesExhaustiveProperty); this pair shows what the
-// pruning buys. The pruned legs lower the size gate so they prune at
-// every size — this is the sweep PruneMinUnits is set from. The legs
-// from 100 000 units (the size TestPruningHalvesPostingsAt100k counts
-// postings at) to a million — about 1 GB resident while it builds — are
-// skipped under -short.
-func BenchmarkQueryPrunedVsExhaustive(b *testing.B) {
-	sizes := []int{1000, 4000, 8000, 32000, 100000, 400000, 1000000}
-	if testing.Short() {
-		sizes = sizes[:4]
-	}
-	for _, units := range sizes {
-		ix, queries := benchCorpus(units, 2000, 42)
-		b.Run(fmt.Sprintf("exhaustive-%d", units), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ix.QueryExhaustive(queries[i%len(queries)], 10, nil)
-			}
-		})
-		b.Run(fmt.Sprintf("pruned-%d", units), func(b *testing.B) {
-			old := PruneMinUnits
-			PruneMinUnits = 1
-			defer func() { PruneMinUnits = old }()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ix.Query(queries[i%len(queries)], 10, nil)
-			}
-		})
 	}
 }

@@ -91,10 +91,7 @@ func Build(dict *Dict, units [][]int32) *Index {
 // Load and Build. Each list is split into its two runs (see list) in the
 // pass that carves it: the TF = 1 units into one array for the index,
 // the rest into another, every run with its capacity clipped so that
-// appending to one copies it out instead of overwriting the next. Score
-// bounds are folded up by the expressions AddCounted maintains them
-// with, over operands that are all in the columns, so a loaded index
-// carries the writer's bounds bit for bit.
+// appending to one copies it out instead of overwriting the next.
 func (ix *Index) install(c columns) {
 	nMore := 0
 	for _, p := range c.posts {
@@ -106,13 +103,11 @@ func (ix *Index) install(c columns) {
 	slot := make(map[int32]int32, len(c.ends))
 	ones := make([][]int32, len(c.ends))
 	more := make(map[int32][]Posting)
-	bounds := make([]listBound, len(c.ends))
 	lo := int32(0)
 	for s, hi := range c.ends {
 		slot[c.terms[s]] = int32(s)
 		u0, r0 := len(units), len(rest)
 		for _, p := range c.posts[lo:hi] {
-			bounds[s] = bounds[s].add(logTF(p.TF), c.denoms[p.Unit], c.uniques[p.Unit])
 			if p.TF == 1 {
 				units = append(units, p.Unit)
 			} else {
@@ -126,7 +121,7 @@ func (ix *Index) install(c columns) {
 		lo = hi
 	}
 	ix.mu.Lock()
-	ix.slot, ix.ones, ix.more, ix.bounds = slot, ones, more, bounds
+	ix.slot, ix.ones, ix.more = slot, ones, more
 	ix.denoms, ix.uniques, ix.totalUnique = c.denoms, c.uniques, c.totalUnique
 	ix.mu.Unlock()
 }

@@ -52,7 +52,7 @@ func (ix *Index) QueryFrozen(terms []int32, qf, idfs []float64, avgUnique float6
 	if topN <= 0 || len(ix.denoms) == 0 {
 		return nil
 	}
-	return ix.scanLocked(acquire(len(ix.denoms)), terms, qf, idfs, avgUnique, topN, theta, exclude, tr, ix.shouldPruneLocked(topN))
+	return ix.scanLocked(acquire(len(ix.denoms)), terms, qf, idfs, avgUnique, topN, theta, exclude, tr)
 }
 
 // Theta is one probe's proven lower bound on the n-th best score of its

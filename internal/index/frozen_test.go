@@ -155,21 +155,18 @@ func TestQueryFrozenPooledPartitions(t *testing.T) {
 	}
 }
 
-// TestThetaLive holds the exhaustive drain — the scan every request takes
-// at the default PruneMinUnits — to what a shared Theta promises. Under a
-// Theta another leg already raised to the oracle's m-th score it returns
-// exactly the oracle's entries at or above it, in order, and proves
-// nothing new (it never holds n units). From no bound it returns the full
-// list and raises the Theta to its n-th score, but only when it holds n
-// non-excluded units: an excluded unit is not in the merged list, so its
-// score bounds nothing.
+// TestThetaLive holds the drain to what a shared Theta promises. Under a
+// Theta another leg already raised — to the oracle's m-th score, or past
+// every score — it returns exactly the oracle's entries at or above it,
+// in order, proves nothing new (it never holds n units) and leaves the
+// pool clean. From no bound it returns the full list and raises the
+// Theta to its n-th score, but only when it holds n non-excluded units:
+// an excluded unit is not in the merged list, so its score bounds
+// nothing.
 func TestThetaLive(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	docs := randomCorpus(rng, 600, 90)
 	ix := buildIndex(docs...)
-	if ix.shouldPruneLocked(1) {
-		t.Fatalf("%d units prune at the default gate %d", len(docs), PruneMinUnits)
-	}
 	queryTF := TermFrequencies(docs[11])
 	terms, qf, idfs, avg := frozenArgs(ix, queryTF)
 	const topN = 10
@@ -180,21 +177,15 @@ func TestThetaLive(t *testing.T) {
 	top3 := func(u int) bool { return u == all[0].Unit || u == all[1].Unit || u == all[2].Unit }
 	for _, exclude := range []func(int) bool{nil, top3} {
 		oracle := naiveQuery(ix, queryTF, topN, exclude)
-		for _, m := range []int{1, topN / 2, topN - 1} {
-			theta := thetaAt(oracle[m-1].Score)
-			want := oracle
-			for i, r := range oracle {
-				if r.Score < theta.Load() {
-					want = oracle[:i]
-					break
-				}
-			}
+		for _, at := range []float64{oracle[0].Score, oracle[topN/2-1].Score, oracle[topN-2].Score, 2 * oracle[0].Score} {
+			theta, want := thetaAt(at), reaching(oracle, at)
 			if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, theta, exclude, nil); !reflect.DeepEqual(got, want) {
-				t.Errorf("theta at the %d-th score: %v, want %v", m, got, want)
+				t.Errorf("theta at %g: %v, want %v", at, got, want)
 			}
-			if theta.Load() != oracle[m-1].Score {
-				t.Errorf("theta at the %d-th score moved from %g to %g", m, oracle[m-1].Score, theta.Load())
+			if theta.Load() != at {
+				t.Errorf("theta moved from %g to %g", at, theta.Load())
 			}
+			checkPoolClean(t)
 		}
 		var theta Theta
 		if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, &theta, exclude, nil); !reflect.DeepEqual(got, oracle) {

@@ -11,26 +11,24 @@
 // Layout: memory looks like the snapshot (compact.go, columns.go). Terms
 // are ids of a shared Dict (dict.go); an index numbers the terms that
 // occur in it and keeps one posting list — split into its TF = 1 unit
-// ids and a TF > 1 remainder, see list — and one score bound per number,
-// in slices. Strings are read only where a sum must be ordered
-// (ascending term, see Dict) or a caller speaks them: Add, Query and
-// Explain are adapters over the id-keyed core (AddCounted, QueryFrozen,
-// ExplainTerms).
+// ids and a TF > 1 remainder, see list — per number, in slices. Strings
+// are read only where a sum must be ordered (ascending term, see Dict)
+// or a caller speaks them: Add, Query and Explain are adapters over the
+// id-keyed core (AddCounted, QueryFrozen, ExplainTerms).
 //
 // Locking model: a single RWMutex guards all index state. Add (and
 // Load) take the write lock; Query, WriteTo and every read accessor take
 // the read lock for their full duration, so any number of queries proceed
 // concurrently and additions serialize against them. Derived statistics
-// (average unique-term count, document frequencies, score bounds) are
-// maintained at insertion time, so the query hot path recomputes nothing
-// that insertion already knows.
+// (average unique-term count, document frequencies) are maintained at
+// insertion time, so the query hot path recomputes nothing that
+// insertion already knows.
 //
 // Scoring state: unit ids are dense, so a probe accumulates Eq 9 into a
 // pooled dense array (accum.go), not a hash map. Both entry points —
-// Query and QueryFrozen — resolve their factors and run the one scan in
-// prune.go over accum.go's kernels — one per run of a posting list (see
-// list) — as does the tests' exhaustive reference (export_test.go),
-// which is that scan with pruning off.
+// Query and QueryFrozen — resolve their factors and run the one scan
+// (scanLocked) over accum.go's kernels, one per run of a posting list
+// (see list).
 package index
 
 import (
@@ -49,10 +47,9 @@ import (
 // query accumulates a score for, how many survive the top-n heap); the
 // scorepool counters expose the accumulator pool: get counts probes, new
 // the probes that had to allocate cell storage (hits = get − new).
-// index.scan.postings counts postings actually touched by a scan
-// (full-list walks plus the pruned path's per-survivor binary probes) —
-// the denominator for the pruning counters in prune.go. All recording
-// is gated on the obs enabled flag and free otherwise.
+// index.scan.postings counts the postings a scan walks: every posting of
+// every query term with a non-zero pIDF. All recording is gated on the
+// obs enabled flag and free otherwise.
 var (
 	histQueryCandidates = obs.NewCountHistogram("index.query.candidates")
 	histQueryResults    = obs.NewCountHistogram("index.query.results")
@@ -64,7 +61,7 @@ var (
 // Posting records one term occurrence list entry: the unit that contains
 // the term and the term's frequency in it — what the snapshot stores.
 // Posting lists ascend in unit id (Add assigns dense increasing ids),
-// which the scans exploit for binary search.
+// which find exploits for binary search.
 type Posting struct {
 	Unit int32
 	TF   int32
@@ -121,8 +118,8 @@ type Index struct {
 
 	// The terms that occur in the index are numbered — in the snapshot's
 	// (ascending term) order by Load and Build, in arrival order by Add —
-	// and lists and bounds are columns over that numbering; slot finds a
-	// dictionary id's number. A list is two runs (see list): ones is a
+	// and lists are columns over that numbering; slot finds a dictionary
+	// id's number. A list is two runs (see list): ones is a
 	// column, more holds a remainder only for the few lists that have
 	// one — a second slice header on every list would cost more than the
 	// remainders themselves. A loaded or built index carves each from one
@@ -131,9 +128,6 @@ type Index struct {
 	slot map[int32]int32
 	ones [][]int32
 	more map[int32][]Posting
-	// bounds holds one score upper bound per posting list, the
-	// foundation of the max-score pruned scan (see prune.go).
-	bounds []listBound
 
 	// Per unit, the quantities of Eq 7/8: the weight denominator
 	// Σ(log f(t')+1) over the unit's distinct terms, and the count of
@@ -194,14 +188,12 @@ func (ix *Index) AddCounted(unique, tf []int32) int {
 			s = int32(len(ix.ones))
 			ix.slot[t] = s
 			ix.ones = append(ix.ones, nil)
-			ix.bounds = append(ix.bounds, listBound{})
 		}
 		if tf[i] == 1 {
 			ix.ones[s] = append(ix.ones[s], id)
 		} else {
 			ix.more[s] = append(ix.more[s], Posting{Unit: id, TF: tf[i]})
 		}
-		ix.bounds[s] = ix.bounds[s].add(logTF(tf[i]), denom, int32(len(unique)))
 		if g != nil {
 			g.addLocked(t, 1)
 		}
@@ -346,18 +338,11 @@ type Result struct {
 // Query scores every unit containing at least one query term with Eq 9 —
 // Σ_t f_q(t)·w(t,unit)·pIDF(t) — and returns the topN results in
 // descending score order. The exclude predicate (may be nil) drops units
-// from the result, e.g. the query document's own segment. On large
-// collections the scan prunes with per-list score upper bounds (see
-// prune.go); the results are bit-identical to the exhaustive scan's
-// in every case.
+// from the result, e.g. the query document's own segment. It resolves
+// the query's terms and their collection-level factors — the
+// frozen-scoring shape, taken under the same lock hold as the scan — and
+// runs the shared scan.
 func (ix *Index) Query(queryTF map[string]float64, topN int, exclude func(unit int) bool) []Result {
-	return ix.query(queryTF, topN, exclude, true)
-}
-
-// query resolves the query's terms and their collection-level factors —
-// the frozen-scoring shape, taken under the same lock hold as the scan —
-// and runs the shared scan, pruned when allowed and worth it.
-func (ix *Index) query(queryTF map[string]float64, topN int, exclude func(unit int) bool, mayPrune bool) []Result {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if topN <= 0 || len(ix.denoms) == 0 {
@@ -372,7 +357,7 @@ func (ix *Index) query(queryTF map[string]float64, topN int, exclude func(unit i
 	acc := acquire(len(ix.denoms))
 	acc.names, acc.terms, acc.qf = ix.resolve(queryTF, acc.names[:0], acc.terms[:0], acc.qf[:0])
 	acc.idfs = ix.idfsLocked(acc.terms, acc.idfs[:0])
-	return ix.scanLocked(acc, acc.terms, acc.qf, acc.idfs, ix.avgUniqueLocked(), topN, nil, exclude, nil, mayPrune && ix.shouldPruneLocked(topN))
+	return ix.scanLocked(acc, acc.terms, acc.qf, acc.idfs, ix.avgUniqueLocked(), topN, nil, exclude, nil)
 }
 
 // resolve turns a string-keyed query into the id form the core takes:

@@ -2,7 +2,9 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -15,6 +17,25 @@ func buildIndex(units ...[]string) *Index {
 		ix.Add(u)
 	}
 	return ix
+}
+
+// randomCorpus builds units with a skewed vocabulary: a handful of
+// frequent terms (long posting lists, low pIDF) plus a rare tail, so
+// probes range from a few postings to more than the index has units and
+// both drains run.
+func randomCorpus(rng *rand.Rand, units, vocab int) [][]string {
+	docs := make([][]string, units)
+	for u := range docs {
+		n := 3 + rng.Intn(12)
+		terms := make([]string, n)
+		for i := range terms {
+			// Quadratic skew: low ids are far more likely.
+			v := rng.Intn(vocab) * rng.Intn(vocab) / vocab
+			terms[i] = fmt.Sprintf("w%03d", v)
+		}
+		docs[u] = terms
+	}
+	return docs
 }
 
 func TestAddAssignsDenseIDs(t *testing.T) {

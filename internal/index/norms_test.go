@@ -187,7 +187,7 @@ func TestFrozenAveragesRaceAdd(t *testing.T) {
 	checkPoolClean(t)
 }
 
-// TestTopNTiesAtTheCut pins the unpruned scan's selection where the
+// TestTopNTiesAtTheCut pins the scan's selection where the
 // fused drain could get it wrong: equal scores across the n-th place.
 // The drain's reject is strict (a score equal to the heap root's goes on
 // to offerResult), so among equals the ascending unit wins — with a
@@ -222,15 +222,12 @@ func TestTopNTiesAtTheCut(t *testing.T) {
 		{"tied units excluded", 3, func(u int) bool { return u == 0 || u == 2 }, []int{6, 1, 3}},
 		{"best excluded", 2, func(u int) bool { return u == 6 }, []int{0, 1}},
 	} {
-		for _, gate := range []int{1 << 30, 1} { // the fused drain, then the pruned scan
-			withPruneGate(t, gate)
-			got := ix.Query(q, tc.topN, tc.exclude)
-			if !reflect.DeepEqual(units(got), tc.want) {
-				t.Errorf("%s, gate %d: units %v, want %v", tc.name, gate, units(got), tc.want)
-			}
-			if want := naiveQuery(ix, q, tc.topN, tc.exclude); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, gate %d: %v, oracle %v", tc.name, gate, got, want)
-			}
+		got := ix.Query(q, tc.topN, tc.exclude)
+		if !reflect.DeepEqual(units(got), tc.want) {
+			t.Errorf("%s: units %v, want %v", tc.name, units(got), tc.want)
+		}
+		if want := naiveQuery(ix, q, tc.topN, tc.exclude); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %v, oracle %v", tc.name, got, want)
 		}
 	}
 	if res := ix.Query(q, 7, nil); res[1].Score != res[6].Score || res[0].Score <= res[1].Score {

@@ -27,8 +27,8 @@ func checkRuns(t *testing.T, ix *Index, docs [][]string) {
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if len(ix.slot) != len(model) || len(ix.ones) != len(model) || len(ix.bounds) != len(model) {
-		t.Fatalf("%d slots, %d ones runs, %d bounds for %d terms", len(ix.slot), len(ix.ones), len(ix.bounds), len(model))
+	if len(ix.slot) != len(model) || len(ix.ones) != len(model) {
+		t.Fatalf("%d slots, %d ones runs for %d terms", len(ix.slot), len(ix.ones), len(model))
 	}
 	for s, more := range ix.more {
 		if s < 0 || int(s) >= len(ix.ones) || len(more) == 0 {
@@ -111,12 +111,9 @@ func TestSplitRunsAreTheSameIndex(t *testing.T) {
 			}
 			checkRuns(t, ix, docs)
 		}
-		for _, gate := range []int{1, 1 << 30} {
-			withPruneGate(t, gate)
-			for q := 0; q < len(docs); q += 1 + len(docs)/6 {
-				q := q
-				checkAgainstOracle(t, ix, TermFrequencies(docs[q]), 7, func(u int) bool { return u == q })
-			}
+		for q := 0; q < len(docs); q += 1 + len(docs)/6 {
+			q := q
+			checkAgainstOracle(t, ix, TermFrequencies(docs[q]), 7, func(u int) bool { return u == q })
 		}
 		first := writeIndex(t, ix)
 		loaded := New()
@@ -150,7 +147,7 @@ func buildFrom(dict *Dict, docs [][]string) *Index {
 	return Build(dict, units)
 }
 
-// probeCost runs one exhaustive probe the way scanLocked does —
+// probeCost runs one probe the way scanLocked does —
 // activeLocked, then exhaust — and returns what exhaust reports beside
 // the postings the probe's lists hold.
 func probeCost(ix *Index, queryTF map[string]float64, topN int, exclude func(int) bool) (candidates, visited int, postings int64) {
@@ -158,7 +155,7 @@ func probeCost(ix *Index, queryTF map[string]float64, topN int, exclude func(int
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	acc := acquire(len(ix.denoms))
-	postings = ix.activeLocked(acc, terms, qf, idfs, avg, false)
+	postings = ix.activeLocked(acc, terms, qf, idfs)
 	candidates, visited = acc.exhaust(ix.normsLocked(avg), len(ix.denoms), postings, topN, nil, exclude)
 	acc.release()
 	return candidates, visited, postings

@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -552,11 +551,7 @@ func (mr *MR) queryListsLocked(docID, k int, tr *obs.Trace) ([]ClusterQuery, [][
 	// order — float summation is not associative, so merge order must not
 	// depend on goroutine scheduling.
 	lists := make([][]index.Result, len(probes))
-	order := mr.scanOrderLocked(probes)
 	par.Do(len(probes), mr.cfg.Workers, func(i int) {
-		if order != nil {
-			i = order[i]
-		}
 		q := probes[i]
 		own := int(mr.segs.unit[row+i])
 		lists[i] = mr.clusters[q.Cluster].QueryFrozen(
@@ -568,34 +563,6 @@ func (mr *MR) queryListsLocked(docID, k int, tr *obs.Trace) ([]ClusterQuery, [][
 		}
 	})
 	return probes, lists, n
-}
-
-// scanOrderLocked returns the order to start a document's probes in, or
-// nil for segment order: when there is one probe, or when none of the
-// probed clusters is large enough for the index layer's max-score gate
-// to engage — the usual case, decided from the probed clusters alone and
-// without allocating. Otherwise the pruning probe with the highest score
-// upper bound (Σ_t f_q·bound·pIDF) goes first and the exhaustive ones,
-// which have no use for a bound, last in segment order. Cross-list
-// thresholds cannot be shared (Algorithm 2 sums *across* lists, so a
-// low-bound list's entries still matter), so this is pure
-// longest-work-first scheduling, shrinking the parallel makespan; result
-// slots are fixed by segment position, so results are identical for any
-// order. Callers must hold at least the read lock.
-func (mr *MR) scanOrderLocked(probes []ClusterQuery) []int {
-	prunes := func(q ClusterQuery) bool { return mr.clusters[q.Cluster].NumUnits() >= index.PruneMinUnits }
-	if len(probes) < 2 || !slices.ContainsFunc(probes, prunes) {
-		return nil
-	}
-	order, ubs := make([]int, len(probes)), make([]float64, len(probes))
-	for i, q := range probes {
-		order[i] = i
-		if prunes(q) {
-			ubs[i] = mr.clusters[q.Cluster].UpperBoundSum(q.Terms, q.QF, q.IDF, q.AvgUnique)
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool { return ubs[order[a]] > ubs[order[b]] })
-	return order
 }
 
 // trimList applies the Algorithm 2 list post-processing Match and
