@@ -191,11 +191,7 @@ const publicEndpoints = "POST /related, POST /add, GET /stats, GET /metrics, GET
 // with a 10s grace period. Shared by all three roles so a fleet process
 // shuts down exactly like the single binary.
 func runServer(addr string, handler http.Handler, logger *slog.Logger, endpoints string) {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := newHTTPServer(addr, handler)
 	go func() {
 		logger.Info("serving", "addr", addr, "endpoints", endpoints)
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -212,6 +208,25 @@ func runServer(addr string, handler http.Handler, logger *slog.Logger, endpoints
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		logger.Error("shutdown", "err", err)
+	}
+}
+
+// newHTTPServer is the listener every role serves on, with every phase
+// of a connection bounded: a client that trickles its headers or stalls
+// mid-body is cut by the read timeouts (the handler's body read fails,
+// it answers the typed 400, and the request counts under http.errors),
+// an idle keep-alive connection is closed, and a response may take as
+// long as a /debug/pprof/profile window — net/http/pprof itself refuses
+// a ?seconds= at or beyond WriteTimeout, so the default 30 s and
+// anything under two minutes still profile.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
 	}
 }
 

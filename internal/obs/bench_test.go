@@ -89,3 +89,24 @@ func BenchmarkSnapshot(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSpeculativeTrace is what every request pays for tracing
+// under cmd/serve's defaults (-trace-rate 1 -trace-slow 100ms): a trace
+// started speculatively, events recorded into it (one on a cache hit,
+// sixteen on a computed /related), and Finish dropping it because the
+// request was neither sampled nor slow. trace.go's cost model quotes it.
+func BenchmarkSpeculativeTrace(b *testing.B) {
+	for _, events := range []int{1, 16} {
+		b.Run(map[int]string{1: "hit", 16: "miss"}[events], func(b *testing.B) {
+			tracer := NewTracer(TracerConfig{PerSecond: 1, SlowQuery: 100 * time.Millisecond})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr := tracer.Start(time.Now())
+				for e := 0; e < events; e++ {
+					tr.Event("stage")
+				}
+				tracer.Finish(tr)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -21,10 +22,18 @@ import (
 //
 // Cost model: the untraced path is a nil-pointer check per hook — no
 // clock read, no allocation (core's TestRelatedAllocations gates
-// this). A traced request pays one Trace allocation plus one mutex'd
-// append per event; events are rare (tens per request) and traced
-// requests are rare (sampled or slow), so the tax never lands on the
-// steady-state hot path.
+// this). The traced path is NOT rare: with slow capture armed, which is
+// cmd/serve's default (-trace-slow 100ms), every request carries a
+// speculative trace that Finish drops unless the request was sampled or
+// slow, so what a trace costs is paid per request. Measured by
+// BenchmarkSpeculativeTrace (one CPU, a clock read ≈ 25–45 ns here): a
+// cache hit's trace (one event) cost 310 ns and 2 allocations, a
+// computed /related's (sixteen events) 1.8 µs and 6, before PR 27;
+// 180 ns and 1.05 µs, no allocation, since — Start takes the caller's
+// clock read instead of two of its own, and a dropped trace goes back
+// to the tracer's pool with its event slice, so only the published
+// ones (a sample a second, and the slow) are ever allocated. What is
+// left is the clock read and the lock of each Event.
 
 // Attr is one key/value annotation of a trace event. Values are kept as
 // int64 or string (the two things the pipeline records: counts,
@@ -60,8 +69,7 @@ type TraceEvent struct {
 type Trace struct {
 	id      uint64
 	start   time.Time
-	wall    time.Time // wall-clock start, for display only
-	sampled bool      // chosen by the rate sampler → always published
+	sampled bool // chosen by the rate sampler → always published
 
 	mu       sync.Mutex
 	events   []TraceEvent
@@ -106,8 +114,7 @@ func (t *Trace) Events() []TraceEvent {
 // remote-requested trace when it has no local tracer to publish into;
 // the caller reads the events back with Events.
 func NewTrace() *Trace {
-	now := time.Now()
-	return &Trace{start: now, wall: now, sampled: true}
+	return &Trace{start: time.Now(), sampled: true}
 }
 
 // TraceRecord is the published, immutable form of a finished trace —
@@ -154,6 +161,9 @@ type Tracer struct {
 	// store — no lock on either the publish or the snapshot side.
 	ring     []atomic.Pointer[Trace]
 	ringNext atomic.Uint64
+
+	// pool recycles the traces Finish did not publish.
+	pool sync.Pool
 }
 
 // NewTracer builds a tracer with the given policy.
@@ -164,15 +174,16 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	return &Tracer{cfg: cfg, ring: make([]atomic.Pointer[Trace], cfg.RingSize)}
 }
 
-// Start returns a new Trace for a request the policy wants to observe,
-// or nil when the request should run untraced. A trace is started when
-// the rate sampler has budget this second, or — speculatively — when
-// slow-query capture is armed (the trace is then only published if the
-// request turns out slow; see Finish).
-func (tr *Tracer) Start() *Trace {
+// Start returns a Trace for a request that began at now (the caller's
+// one clock read, and the sampler's second) if the policy wants to
+// observe it, or nil when it should run untraced. A trace is started
+// when the rate sampler has budget this second, or — speculatively —
+// when slow-query capture is armed (the trace is then only published if
+// the request turns out slow; see Finish).
+func (tr *Tracer) Start(now time.Time) *Trace {
 	sampled := false
 	if tr.cfg.PerSecond > 0 {
-		sec := time.Now().Unix()
+		sec := now.Unix()
 		if tr.winSec.Load() != sec {
 			tr.winSec.Store(sec)
 			tr.winCount.Store(0)
@@ -182,8 +193,16 @@ func (tr *Tracer) Start() *Trace {
 	if !sampled && tr.cfg.SlowQuery < 0 {
 		return nil
 	}
-	now := time.Now()
-	return &Trace{id: tr.nextID.Add(1), start: now, wall: now, sampled: sampled}
+	// A recycled trace is reset without its lock, on purpose: nothing may
+	// still hold a trace Finish dropped, and plain writes are what lets
+	// the race detector catch a writer that does
+	// (serve.TestRecycledTracesStress runs every engine this way).
+	t, _ := tr.pool.Get().(*Trace)
+	if t == nil { // sized once: a cache hit records two events, a computed /related under twenty
+		t = &Trace{events: make([]TraceEvent, 0, 24)}
+	}
+	t.id, t.start, t.sampled, t.duration = tr.nextID.Add(1), now, sampled, 0
+	return t
 }
 
 // StartForced returns a new Trace unconditionally, bypassing the rate
@@ -191,27 +210,36 @@ func (tr *Tracer) Start() *Trace {
 // flag already set by an upstream process (the coordinator's scatter
 // marks its shard RPCs). Forced traces are always published by Finish.
 func (tr *Tracer) StartForced() *Trace {
-	now := time.Now()
-	return &Trace{id: tr.nextID.Add(1), start: now, wall: now, sampled: true}
+	return &Trace{id: tr.nextID.Add(1), start: time.Now(), sampled: true}
 }
 
 // Finish completes a trace and publishes it into the ring if the policy
 // keeps it: rate-sampled traces always, speculative traces only when
-// the request's duration reached the slow-query threshold. It returns
-// the request duration (0 for a nil trace — untraced requests time
-// themselves). Finish must be called at most once per trace.
-func (tr *Tracer) Finish(t *Trace) time.Duration {
+// the request's duration reached the slow-query threshold. A published
+// trace ends with the closing events, stamped with the duration and
+// given copies of their attributes — a request summary that costs
+// nothing when the trace is dropped. A dropped trace is recycled: the
+// caller must not touch t again. Returns the request duration (0 for a
+// nil trace); call it at most once per trace.
+func (tr *Tracer) Finish(t *Trace, closing ...TraceEvent) time.Duration {
 	if t == nil {
 		return 0
 	}
 	d := time.Since(t.start)
-	t.mu.Lock()
-	t.duration = d
-	t.mu.Unlock()
 	if t.sampled || (tr.cfg.SlowQuery >= 0 && d >= tr.cfg.SlowQuery) {
+		t.mu.Lock()
+		for _, ev := range closing {
+			t.events = append(t.events, TraceEvent{Name: ev.Name, At: d, Attrs: slices.Clone(ev.Attrs)})
+		}
+		t.duration = d
+		t.mu.Unlock()
 		slot := (tr.ringNext.Add(1) - 1) % uint64(len(tr.ring))
 		tr.ring[slot].Store(t)
+		return d
 	}
+	clear(t.events) // drop the attribute slices
+	t.events = t.events[:0]
+	tr.pool.Put(t)
 	return d
 }
 
@@ -233,7 +261,7 @@ func (tr *Tracer) Snapshot() []TraceRecord {
 		t.mu.Lock()
 		rec := TraceRecord{
 			ID:         t.ID(),
-			Start:      t.wall,
+			Start:      t.start,
 			DurationNS: int64(t.duration),
 			Sampled:    t.sampled,
 			Events:     append([]TraceEvent(nil), t.events...),

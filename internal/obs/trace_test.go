@@ -23,7 +23,7 @@ func TestNilTraceIsNoOp(t *testing.T) {
 
 func TestTraceContextRoundTrip(t *testing.T) {
 	tracer := NewTracer(TracerConfig{SlowQuery: 0})
-	tr := tracer.Start()
+	tr := tracer.Start(time.Now())
 	if tr == nil {
 		t.Fatal("SlowQuery=0 must start a trace for every request")
 	}
@@ -40,7 +40,7 @@ func TestSlowCaptureThresholdZeroIsDeterministic(t *testing.T) {
 	tracer := NewTracer(TracerConfig{SlowQuery: 0, RingSize: 8})
 	const reqs = 5
 	for i := 0; i < reqs; i++ {
-		tr := tracer.Start()
+		tr := tracer.Start(time.Now())
 		tr.Event("stage", N("i", int64(i)))
 		if d := tracer.Finish(tr); d < 0 {
 			t.Fatalf("negative duration %v", d)
@@ -69,7 +69,7 @@ func TestSlowCaptureThresholdZeroIsDeterministic(t *testing.T) {
 func TestSlowCaptureDisabledAndThreshold(t *testing.T) {
 	// Negative threshold, no sampling budget: no request is traced.
 	tracer := NewTracer(TracerConfig{SlowQuery: -1})
-	if tr := tracer.Start(); tr != nil {
+	if tr := tracer.Start(time.Now()); tr != nil {
 		t.Fatal("tracing disabled but Start returned a trace")
 	}
 	if d := tracer.Finish(nil); d != 0 {
@@ -79,7 +79,7 @@ func TestSlowCaptureDisabledAndThreshold(t *testing.T) {
 	// A high threshold starts speculative traces but publishes none of
 	// the fast ones.
 	tracer = NewTracer(TracerConfig{SlowQuery: time.Hour})
-	tr := tracer.Start()
+	tr := tracer.Start(time.Now())
 	if tr == nil {
 		t.Fatal("armed slow capture must start a speculative trace")
 	}
@@ -96,7 +96,7 @@ func TestRateSamplingBudget(t *testing.T) {
 	tracer := NewTracer(TracerConfig{PerSecond: 3, SlowQuery: -1})
 	granted := 0
 	for i := 0; i < 50; i++ {
-		if tr := tracer.Start(); tr != nil {
+		if tr := tracer.Start(time.Now()); tr != nil {
 			granted++
 			tracer.Finish(tr)
 		}
@@ -114,7 +114,7 @@ func TestRateSamplingBudget(t *testing.T) {
 func TestRingBounded(t *testing.T) {
 	tracer := NewTracer(TracerConfig{SlowQuery: 0, RingSize: 4})
 	for i := 0; i < 20; i++ {
-		tr := tracer.Start()
+		tr := tracer.Start(time.Now())
 		tr.Event("e", N("i", int64(i)))
 		tracer.Finish(tr)
 	}
@@ -134,7 +134,7 @@ func TestEventsMonotoneUnderConcurrency(t *testing.T) {
 	// the stored event sequence must be monotone in At because the
 	// timestamp is taken under the trace lock.
 	tracer := NewTracer(TracerConfig{SlowQuery: 0})
-	tr := tracer.Start()
+	tr := tracer.Start(time.Now())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -177,7 +177,7 @@ func TestSnapshotConcurrentWithPublish(t *testing.T) {
 					return
 				default:
 				}
-				tr := tracer.Start()
+				tr := tracer.Start(time.Now())
 				tr.Event("a", N("x", 1))
 				tr.Event("b")
 				tracer.Finish(tr)
@@ -196,4 +196,34 @@ func TestSnapshotConcurrentWithPublish(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+func TestFinishClosingEventOnlyWhenPublished(t *testing.T) {
+	// Published: the closing event is the trace's last, stamped with the
+	// duration, and owns its attributes.
+	tracer := NewTracer(TracerConfig{SlowQuery: 0})
+	tr := tracer.Start(time.Now())
+	tr.Event("work")
+	attrs := []Attr{N("decode", 7)}
+	d := tracer.Finish(tr, TraceEvent{Name: "summary", Attrs: attrs})
+	attrs[0].Int = 99 // the caller's scratch is reused
+	rec := tracer.Snapshot()[0]
+	if last := rec.Events[len(rec.Events)-1]; len(rec.Events) != 2 || last.Name != "summary" || last.At != d || last.Attrs[0].Int != 7 || rec.DurationNS != int64(d) {
+		t.Fatalf("published trace %+v after a %v request", rec, d)
+	}
+
+	// Dropped: nothing is kept, and the next request starts clean
+	// whether or not it was handed the same Trace.
+	tracer = NewTracer(TracerConfig{SlowQuery: time.Hour})
+	for i := 0; i < 3; i++ {
+		tr := tracer.Start(time.Now())
+		if got := tr.Events(); len(got) != 0 {
+			t.Fatalf("request %d starts with events %+v", i, got)
+		}
+		tr.Event("work", N("i", int64(i)))
+		tracer.Finish(tr, TraceEvent{Name: "summary"})
+	}
+	if recs := tracer.Snapshot(); len(recs) != 0 {
+		t.Fatalf("fast requests published %d traces", len(recs))
+	}
 }

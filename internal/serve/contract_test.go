@@ -119,6 +119,7 @@ func TestServerContract(t *testing.T) {
 	oversized := fmt.Sprintf(`{"text": %q}`, strings.Repeat("x", maxBodyBytes+1024))
 
 	// Read-only table: every engine, both servers, same answer.
+	var plainBody []byte // the "plain" row's 200, for the rows that must equal it
 	table := []struct {
 		name, method, path, body string
 		status                   int
@@ -141,6 +142,7 @@ func TestServerContract(t *testing.T) {
 			if bytes.Contains(body, []byte(`"explain"`)) || bytes.Contains(body, []byte("partial_results")) {
 				t.Fatalf("plain healthy response leaked optional fields: %s", body)
 			}
+			plainBody = body
 		}},
 		{name: "explained", method: "POST", path: "/related", body: `{"doc_id": 3, "k": 5, "explain": true}`, status: 200, check: func(t *testing.T, body []byte) {
 			var rr RelatedResponse
@@ -159,7 +161,21 @@ func TestServerContract(t *testing.T) {
 				t.Fatalf("default k = %d (err %v), want 5", rr.K, err)
 			}
 		}},
+		// What the hand parser must not change: key order and whitespace are
+		// free, and — json.Decoder's behaviour, pinned rather than endorsed —
+		// nothing past the first value's closing brace is looked at.
+		{name: "reordered", method: "POST", path: "/related", body: "\t{\"k\" : 5 ,\r\n \"doc_id\":3}", status: 200, check: func(t *testing.T, body []byte) {
+			if !bytes.Equal(body, plainBody) {
+				t.Fatalf("reordered keys answered\n%s\nwant the plain body\n%s", body, plainBody)
+			}
+		}},
+		{name: "trailing bytes", method: "POST", path: "/related", body: `{"doc_id": 3, "k": 5} } not JSON`, status: 200, check: func(t *testing.T, body []byte) {
+			if !bytes.Equal(body, plainBody) {
+				t.Fatalf("trailing bytes answered\n%s\nwant the plain body\n%s", body, plainBody)
+			}
+		}},
 		{name: "bad JSON", method: "POST", path: "/related", body: `{"doc_id": `, status: 400, kind: "bad_request"},
+		{name: "float k", method: "POST", path: "/related", body: `{"doc_id": 3, "k": 5.0}`, status: 400, kind: "bad_request"},
 		{name: "unknown field", method: "POST", path: "/related", body: `{"doc": 3}`, status: 400, kind: "bad_request"},
 		{name: "k too large", method: "POST", path: "/related", body: `{"doc_id": 0, "k": 101}`, status: 400, kind: "bad_request"},
 		{name: "k negative", method: "POST", path: "/related", body: `{"doc_id": 0, "k": -2}`, status: 400, kind: "bad_request"},
@@ -294,8 +310,9 @@ func TestServerContract(t *testing.T) {
 			if ls.Cache == nil || ls.Singleflight == nil || ls.Admission == nil {
 				t.Fatalf("%s: hygiene blocks missing from /stats: %s", e.name, on)
 			}
-			// Two replayed queries and the hit taken during the shed; one shed.
-			if ls.Cache.Capacity != 64 || ls.Cache.Hits != 3 || ls.Cache.HitRate <= 0 || ls.Admission.MaxInflight != 1 || ls.Admission.Shed != 1 {
+			// The table's two respellings of "plain", two replayed queries and
+			// the hit taken during the shed; one shed.
+			if ls.Cache.Capacity != 64 || ls.Cache.Hits != 5 || ls.Cache.HitRate <= 0 || ls.Admission.MaxInflight != 1 || ls.Admission.Shed != 1 {
 				t.Fatalf("%s: cache %+v admission %+v", e.name, ls.Cache, ls.Admission)
 			}
 			if e.writable == (ls.CacheEpoch != 0) {

@@ -46,10 +46,16 @@ func (s *Server) layerStats() cache.LayerStats {
 }
 
 // answer produces the encoded entry for a validated /related request.
-// key carries the engine epoch read at request start.
-func (s *Server) answer(ctx context.Context, key cache.Key, tr *obs.Trace) (cache.Entry, error) {
+// key carries the engine epoch read at request start. The engine's
+// context — the request's, carrying its trace — is built past the
+// cache, so a hit creates none.
+func (s *Server) answer(ctx context.Context, key cache.Key, sc *statusWriter) (cache.Entry, error) {
+	tr := sc.tr
 	if s.cache != nil {
-		if e, ok := s.cache.Get(key); ok {
+		e, ok := s.cache.Get(key)
+		sc.mark(stageCache)
+		if ok {
+			sc.hit = true
 			if tr != nil {
 				tr.Event("cache.hit", obs.N("epoch", int64(key.Epoch)))
 			}
@@ -59,29 +65,40 @@ func (s *Server) answer(ctx context.Context, key cache.Key, tr *obs.Trace) (cach
 			tr.Event("cache.miss", obs.N("epoch", int64(key.Epoch)))
 		}
 	}
+	if tr != nil {
+		ctx = obs.WithTrace(ctx, tr)
+	}
 	if s.flight == nil {
 		// The work belongs to exactly one request and stays cancelable,
 		// which is also what lets a queued admission wait unwind when its
 		// client gives up.
-		return s.compute(ctx, key)
+		return s.compute(ctx, key, sc)
 	}
 	// The leader's work is shared by followers whose own requests are
 	// still live, so the compute detaches from the leader's cancellation
 	// (values — the trace — are preserved); one impatient client must not
 	// poison the herd.
 	cctx := context.WithoutCancel(ctx)
-	e, err, leader := s.flight.Do(ctx, key, func() (cache.Entry, error) { return s.compute(cctx, key) })
-	if !leader && tr != nil && err == nil {
+	e, err, leader := s.flight.Do(ctx, key, func() (cache.Entry, error) { return s.compute(cctx, key, sc) })
+	if leader {
+		sc.mark(stageCache) // the Put, and the flight's bookkeeping
+		return e, err
+	}
+	sc.mark(stageSingleflight)
+	if tr != nil && err == nil {
 		tr.Event("singleflight.follower")
 	}
 	return e, err
 }
 
 // compute takes an admission slot, asks the engine, and serializes the
-// response once into the exact bytes writeJSON would produce.
-func (s *Server) compute(ctx context.Context, key cache.Key) (cache.Entry, error) {
+// response once into the exact bytes writeJSON would produce. It runs
+// on the goroutine of the request sc belongs to.
+func (s *Server) compute(ctx context.Context, key cache.Key, sc *statusWriter) (cache.Entry, error) {
 	if s.admit != nil {
-		if err := s.admit.Acquire(ctx); err != nil {
+		err := s.admit.Acquire(ctx)
+		sc.mark(stageAdmission)
+		if err != nil {
 			return cache.Entry{}, err
 		}
 		defer s.admit.Release()
@@ -90,10 +107,12 @@ func (s *Server) compute(ctx context.Context, key cache.Key) (cache.Entry, error
 		s.testHookCompute()
 	}
 	ans, err := s.eng.Query(ctx, key.Doc, key.K, key.Explain)
+	sc.mark(stageEngine)
 	if err != nil {
 		return cache.Entry{}, err
 	}
-	body, err := encodeBody(relatedResponse(key, ans))
+	body, err := encodeRelated(key, ans)
+	sc.mark(stageEncode)
 	if err != nil {
 		return cache.Entry{}, err
 	}

@@ -1,10 +1,11 @@
 package serve
 
 import (
-	"context"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -81,11 +82,47 @@ func handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// statusWriter remembers the response status for the access log.
+// Stages names the steps of a /related or /add request, in order: the
+// one vocabulary for where a request's time went. The stage clock below,
+// the Server-Timing header of every such response but a cache hit's
+// (the header costs a microsecond end to end, 4 % of a hit:
+// EXPERIMENTS.md, PR 27) and the closing serve.stages event of its trace
+// are generated from it. bench/ reads the same request from outside:
+// serve.related_us / serve.add_us span every stage, core.related_us /
+// core.add_us the engine stage, serve.self_us the rest.
+var Stages = [...]string{"decode", "cache", "singleflight", "admission", "engine", "encode", "write"}
+
+const (
+	stageDecode = iota
+	stageCache
+	stageSingleflight
+	stageAdmission
+	stageEngine
+	stageEncode
+	stageWrite
+)
+
+// statusWriter is the one per-request object: the ResponseWriter the
+// handler writes through (it remembers the response status for the
+// access log), the handler's reqInfo, the request's trace and the stage
+// clock. observe recycles them through writerPool, so nothing may keep
+// one past the handler's return.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	info   reqInfo
+
+	tr     *obs.Trace
+	timed  bool // a /related or /add: stage clock, Server-Timing, trace
+	hit    bool // answered from the result cache: no Server-Timing
+	start  time.Time
+	last   time.Duration              // offset of the latest mark
+	stages [len(Stages)]time.Duration // time booked to each stage
+	attrs  [len(Stages)]obs.Attr      // the serve.stages payload
+	buf    []byte                     // scratch: the request body, then the header value
 }
+
+var writerPool = sync.Pool{New: func() any { return &statusWriter{buf: make([]byte, 0, 512)} }}
 
 func (w *statusWriter) WriteHeader(code int) {
 	if w.status == 0 {
@@ -101,9 +138,54 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// mark books the time since the previous mark to stage. Nil-safe, and a
+// no-op on the untimed endpoints.
+func (w *statusWriter) mark(stage int) {
+	if w == nil || !w.timed {
+		return
+	}
+	now := time.Since(w.start)
+	w.stages[stage] += now - w.last
+	w.last = now
+}
+
+// serverTiming renders the stages booked so far as a Server-Timing
+// value, "decode;dur=0.004, engine;dur=0.212" in milliseconds. A reply
+// before the first mark is a refusal, and decode's.
+func (w *statusWriter) serverTiming() string {
+	if w.last == 0 {
+		w.mark(stageDecode)
+	}
+	b := w.buf[:0]
+	for i, d := range w.stages {
+		if d <= 0 {
+			continue
+		}
+		if len(b) > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(append(b, Stages[i]...), ";dur="...)
+		b = strconv.AppendFloat(b, d.Seconds()*1e3, 'f', 3, 64)
+	}
+	w.buf = b
+	return string(b)
+}
+
+// stageEvent is the trace's closing event: nanoseconds by stage, in the
+// writer's own array — the tracer copies it if it keeps the trace.
+func (w *statusWriter) stageEvent() obs.TraceEvent {
+	attrs := w.attrs[:0]
+	for i, d := range w.stages {
+		if d > 0 {
+			attrs = append(attrs, obs.N(Stages[i], int64(d)))
+		}
+	}
+	return obs.TraceEvent{Name: "serve.stages", Attrs: attrs}
+}
+
 // reqInfo carries per-request facts from a handler back to the access
 // log: which document was asked about, with what k, and how many
-// results came back. Handlers fill it through the request context; the
+// results came back. Handlers fill it through their statusWriter; the
 // set flags distinguish "not applicable to this endpoint" from real
 // values (a 404 for a negative doc_id still logs the id asked for).
 type reqInfo struct {
@@ -111,53 +193,49 @@ type reqInfo struct {
 	hasDoc, hasK, hasResults bool
 }
 
-type reqInfoKey struct{}
-
-// infoFrom returns the middleware-installed reqInfo, or nil for a
-// handler invoked outside observe (direct tests).
-func infoFrom(ctx context.Context) *reqInfo {
-	ri, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
-	return ri
-}
-
 // observe wraps a handler with the request-scoped observability: a
-// Trace from the server's tracer (for traced endpoints) carried via the
-// context into the pipeline, the endpoint's SLO bookkeeping (latency
-// span, 5xx counter, objective-breach counter), and one structured
-// access-log record on the way out. The SLO instruments are resolved
-// here, at wrap time, so the request path stays allocation-free.
+// pooled statusWriter, a Trace from the server's tracer (for traced
+// endpoints; the handler hands it to the engine), the endpoint's SLO
+// bookkeeping (latency span, 5xx counter, objective-breach counter), and
+// one structured access-log record on the way out. The SLO instruments
+// and the log handler are resolved here, at wrap time; the record goes
+// to the handler directly, which skips the source-line lookup
+// (runtime.Callers) of Logger.LogAttrs.
 func (o *observer) observe(endpoint string, traced bool, h http.HandlerFunc) http.HandlerFunc {
 	slo := sloFor(endpoint, o.slo)
+	var logTo slog.Handler
+	if o.log != nil { // the endpoint attribute, first in every record, is rendered once
+		logTo = o.log.Handler().WithAttrs([]slog.Attr{slog.String("endpoint", endpoint)})
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		info := &reqInfo{}
-		ctx := context.WithValue(r.Context(), reqInfoKey{}, info)
-		var tr *obs.Trace
+		sw := writerPool.Get().(*statusWriter)
+		sw.ResponseWriter, sw.timed, sw.start = w, traced, time.Now()
+		info := &sw.info
+		var traceID string
 		if traced {
-			if tr = o.tracer.Start(); tr != nil {
-				ctx = obs.WithTrace(ctx, tr)
+			if sw.tr = o.tracer.Start(sw.start); sw.tr != nil && logTo != nil {
+				traceID = sw.tr.ID() // now: Finish may recycle the trace
 			}
 		}
-		start := time.Now()
-		h(sw, r.WithContext(ctx))
-		dur := time.Since(start)
-		if tr != nil {
-			dur = o.tracer.Finish(tr)
+		h(sw, r)
+		dur := o.tracer.Finish(sw.tr, sw.stageEvent())
+		if sw.tr != nil {
 			ctrTracesStarted.Inc()
+		} else {
+			dur = time.Since(sw.start)
 		}
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
 		slo.record(sw.status, dur)
-		if o.log != nil {
+		if logTo != nil && logTo.Enabled(r.Context(), slog.LevelInfo) {
 			attrs := make([]slog.Attr, 0, 8)
 			attrs = append(attrs,
-				slog.String("endpoint", endpoint),
 				slog.Int("status", sw.status),
 				slog.Int64("latency_ns", int64(dur)),
 			)
-			if id := tr.ID(); id != "" {
-				attrs = append(attrs, slog.String("trace_id", id))
+			if traceID != "" {
+				attrs = append(attrs, slog.String("trace_id", traceID))
 			}
 			if info.hasDoc {
 				attrs = append(attrs, slog.Int("doc_id", info.docID))
@@ -168,7 +246,11 @@ func (o *observer) observe(endpoint string, traced bool, h http.HandlerFunc) htt
 			if info.hasResults {
 				attrs = append(attrs, slog.Int("results", info.results))
 			}
-			o.log.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
+			rec := slog.NewRecord(sw.start.Add(dur), slog.LevelInfo, "request", 0)
+			rec.AddAttrs(attrs...)
+			_ = logTo.Handle(r.Context(), rec) // as Logger does: a failed log write is not the request's
 		}
+		*sw = statusWriter{buf: sw.buf[:0]}
+		writerPool.Put(sw)
 	}
 }

@@ -272,8 +272,10 @@ type (
 // hygiene.go) and write the encoded entry.
 func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 	ctrRelatedRequests.Inc()
-	var req RelatedRequest
-	if !decodeJSON(w, r, &req) {
+	sc := w.(*statusWriter) // every handler of this package runs under observe
+	info := &sc.info
+	req, ok := decodeRelated(sc, r)
+	if !ok {
 		return
 	}
 	if req.K == 0 {
@@ -283,20 +285,17 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 		writeError(w, reject(http.StatusBadRequest, "bad_request", "k must be in [1,100]"))
 		return
 	}
-	info := infoFrom(r.Context())
-	if info != nil {
-		info.docID, info.hasDoc = req.DocID, true
-		info.k, info.hasK = req.K, true
-	}
+	info.docID, info.hasDoc = req.DocID, true
+	info.k, info.hasK = req.K, true
 	if req.Explain {
 		ctrExplainRequests.Inc()
 	}
-	tr := obs.TraceFrom(r.Context())
+	sc.mark(stageDecode)
 	key := cache.Key{Doc: req.DocID, K: req.K, Explain: req.Explain, Epoch: s.eng.Epoch()}
-	e, err := s.answer(r.Context(), key, tr)
+	e, err := s.answer(r.Context(), key, sc)
 	if err != nil {
-		if tr != nil && errors.Is(err, cache.ErrOverloaded) {
-			tr.Event("admit.shed")
+		if sc.tr != nil && errors.Is(err, cache.ErrOverloaded) {
+			sc.tr.Event("admit.shed")
 		}
 		writeError(w, err)
 		return
@@ -304,9 +303,7 @@ func (s *Server) handleRelated(w http.ResponseWriter, r *http.Request) {
 	if e.Partial {
 		ctrPartial.Inc()
 	}
-	if info != nil {
-		info.results, info.hasResults = e.Results, true
-	}
+	info.results, info.hasResults = e.Results, true
 	writeRawJSON(w, e.Status, e.Body)
 }
 
@@ -355,6 +352,7 @@ func explainClusters(exp match.Explanation) []ClusterExplain {
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	ctrAddRequests.Inc()
+	sc := w.(*statusWriter)
 	var req AddRequest
 	if !decodeJSON(w, r, &req) {
 		return
@@ -363,15 +361,21 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		writeError(w, reject(http.StatusBadRequest, "bad_request", "text must be non-empty"))
 		return
 	}
-	id, err := s.eng.AddContext(r.Context(), req.Text)
+	sc.mark(stageDecode)
+	ctx := r.Context()
+	if sc.tr != nil {
+		ctx = obs.WithTrace(ctx, sc.tr)
+	}
+	id, err := s.eng.AddContext(ctx, req.Text)
+	sc.mark(stageEngine)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if info := infoFrom(r.Context()); info != nil {
-		info.docID, info.hasDoc = id, true
-	}
-	writeJSON(w, http.StatusOK, AddResponse{DocID: id})
+	sc.info.docID, sc.info.hasDoc = id, true
+	body := appendAdd(make([]byte, 0, 32), id)
+	sc.mark(stageEncode)
+	writeRawJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -423,11 +427,23 @@ func encodeBody(v any) ([]byte, error) {
 	return append(b, '\n'), err
 }
 
-// writeRawJSON writes a pre-encoded JSON body.
+// jsonContentType is every JSON response's Content-Type value, shared:
+// the server copies the header map when the status is written.
+var jsonContentType = []string{"application/json"}
+
+// writeRawJSON writes a pre-encoded JSON body — on a /related or /add
+// that was not a cache hit, under a Server-Timing header of the stages
+// so far — and books what it took to the write stage.
 func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	sc, _ := w.(*statusWriter)
+	if sc != nil && sc.timed && !sc.hit {
+		h["Server-Timing"] = []string{sc.serverTiming()}
+	}
 	w.WriteHeader(status)
 	_, _ = w.Write(body) // client went away; nothing useful to do
+	sc.mark(stageWrite)
 }
 
 // ErrorBody is the typed error envelope's payload.

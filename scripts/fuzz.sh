@@ -28,6 +28,8 @@ declare -a TARGETS=(
     "./internal/index FuzzIndexLoad"
     "./internal/index FuzzValidateSnapshot"
     "./internal/core FuzzReadPipeline"
+    "./internal/serve FuzzDecodeRelated"
+    "./internal/serve FuzzAddBody"
 )
 
 for entry in "${TARGETS[@]}"; do
