@@ -243,7 +243,10 @@ func (h *Host) HandleProbe(req *ProbeRequest) (*ProbeResponse, error) {
 	if len(req.Floors) != 0 && len(req.Floors) != len(req.Probes) {
 		return nil, badRequest("floors length %d does not match %d probes", len(req.Floors), len(req.Probes))
 	}
-	probes := toClusterQueries(mr.Dict(), req.Probes)
+	probes, err := toClusterQueries(mr.Dict(), req.Probes)
+	if err != nil {
+		return nil, err
+	}
 	t := h.openTrace(req.Trace, req.TraceID, "probe", req.Shard)
 	st := h.spanProbe[req.Shard].Start()
 	thetas := make([]index.Theta, len(req.Floors))
@@ -254,6 +257,10 @@ func (h *Host) HandleProbe(req *ProbeRequest) (*ProbeResponse, error) {
 	st.Stop()
 	if t != nil {
 		t.Event("host.lists", obs.N("probes", int64(len(probes))), obs.N("depth", int64(req.Depth)), obs.N("candidates", totalWidth(lists)))
+	}
+	if !finiteScores(lists) {
+		h.closeTrace(t)
+		return nil, badRequest("probe factors overflow a score")
 	}
 	h.ctrProbe[req.Shard].Inc()
 	return &ProbeResponse{
@@ -271,10 +278,18 @@ func (h *Host) HandleExplain(req *ExplainRequest) (*ExplainResponse, error) {
 	if !ok {
 		return nil, errNotOwned(req.Shard)
 	}
+	qs := make([]match.ClusterQuery, len(req.Items))
+	for i, it := range req.Items {
+		q, err := toExplainQuery(mr.Dict(), i, it)
+		if err != nil {
+			return nil, err
+		}
+		qs[i] = q
+	}
 	t := h.openTrace(req.Trace, req.TraceID, "explain", req.Shard)
 	out := make([][]match.TermContribution, len(req.Items))
 	for i, it := range req.Items {
-		out[i] = mr.ExplainDocCluster(it.LocalDoc, match.ClusterQuery{Cluster: it.Cluster, Terms: wireTerms(mr.Dict(), it.Terms), QF: it.QF}, it.Norm)
+		out[i] = mr.ExplainDocCluster(it.LocalDoc, qs[i], it.Norm)
 	}
 	if t != nil {
 		t.Event("host.explained", obs.N("items", int64(len(req.Items))))

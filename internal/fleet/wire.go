@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"hash/fnv"
+	"math"
 	"strconv"
 
 	"repro/internal/index"
@@ -207,17 +208,54 @@ func wireTerms(dict *index.Dict, terms []string) []int32 {
 	return ids
 }
 
-// toClusterQueries rebuilds match probes for the matcher-side scan.
-func toClusterQueries(dict *index.Dict, probes []WireProbe) []match.ClusterQuery {
+// toClusterQueries rebuilds match probes for the matcher-side scan. It is
+// where a host checks the factors it is about to scan by: QF and IDF hold
+// one entry per term, and they and AvgUnique are finite and non-negative.
+// Anything else is a bad request — unchecked, a short column indexes past
+// its end inside the scan.
+func toClusterQueries(dict *index.Dict, probes []WireProbe) ([]match.ClusterQuery, error) {
 	out := make([]match.ClusterQuery, len(probes))
 	for i, p := range probes {
+		if err := checkColumns("probe", i, len(p.Terms), p.QF, p.IDF); err != nil {
+			return nil, err
+		}
+		if !finiteNonNegative(p.AvgUnique) {
+			return nil, badRequest("probe %d: avg_unique %v is not finite and non-negative", i, p.AvgUnique)
+		}
 		out[i] = match.ClusterQuery{
 			Cluster: p.Cluster, Terms: wireTerms(dict, p.Terms),
 			QF: p.QF, IDF: p.IDF, AvgUnique: p.AvgUnique,
 		}
 	}
-	return out
+	return out, nil
 }
+
+// toExplainQuery rebuilds an explain item's probe, under the checks
+// toClusterQueries makes of its terms and QF.
+func toExplainQuery(dict *index.Dict, i int, it ExplainItem) (match.ClusterQuery, error) {
+	if err := checkColumns("explain item", i, len(it.Terms), it.QF); err != nil {
+		return match.ClusterQuery{}, err
+	}
+	return match.ClusterQuery{Cluster: it.Cluster, Terms: wireTerms(dict, it.Terms), QF: it.QF}, nil
+}
+
+// checkColumns requires each column to hold one finite, non-negative value
+// per term.
+func checkColumns(what string, i, terms int, cols ...[]float64) error {
+	for _, col := range cols {
+		if len(col) != terms {
+			return badRequest("%s %d: %d factors for %d terms", what, i, len(col), terms)
+		}
+		for _, v := range col {
+			if !finiteNonNegative(v) {
+				return badRequest("%s %d: factor %v is not finite and non-negative", what, i, v)
+			}
+		}
+	}
+	return nil
+}
+
+func finiteNonNegative(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // fromWireLists converts one leg's wire lists back to matcher form for
 // the shared merge (shard-local ids ride in DocID, as the in-process
@@ -245,4 +283,17 @@ func toWireLists(lists [][]match.Result) [][]WireResult {
 		out[i] = w
 	}
 	return out
+}
+
+// finiteScores reports whether every score can cross the wire: JSON has no
+// Inf or NaN, and finite factors can still overflow a sum.
+func finiteScores(lists [][]match.Result) bool {
+	for _, l := range lists {
+		for _, r := range l {
+			if !(math.Abs(r.Score) <= math.MaxFloat64) {
+				return false
+			}
+		}
+	}
+	return true
 }

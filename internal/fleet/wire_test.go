@@ -1,0 +1,148 @@
+package fleet
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
+	"net/http"
+	"testing"
+
+	"repro/internal/forum"
+	"repro/internal/match"
+)
+
+// wireHost is a two-shard backend's host of shard 0 and the probes of a
+// real home leg on it: what a sibling probe and an explain item carry.
+func wireHost(t testing.TB) (*Host, []WireProbe) {
+	t.Helper()
+	docs := genDocs(t, forum.TechSupport, 40, 42)
+	f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 2, 42, 0)
+	h := f.hosts[0]
+	home, err := h.HandleHome(&HomeRequest{Shard: 0, LocalDoc: 0, K: 5})
+	if err != nil {
+		t.Fatalf("home leg: %v", err)
+	}
+	for _, p := range home.Probes {
+		if len(p.Terms) < 2 {
+			t.Fatalf("home probe of %d terms: too short to truncate", len(p.Terms))
+		}
+	}
+	return h, home.Probes
+}
+
+// clone deep-copies probes so a case can damage its own.
+func clone(probes []WireProbe) []WireProbe {
+	out := make([]WireProbe, len(probes))
+	for i, p := range probes {
+		p.Terms = append([]string(nil), p.Terms...)
+		p.QF = append([]float64(nil), p.QF...)
+		p.IDF = append([]float64(nil), p.IDF...)
+		out[i] = p
+	}
+	return out
+}
+
+func wantBadRequest(t *testing.T, what string, err error) {
+	t.Helper()
+	var rpc *RPCError
+	if !errors.As(err, &rpc) || rpc.Status != http.StatusBadRequest || rpc.Kind != "bad_request" {
+		t.Fatalf("%s: want a 400 bad_request, got %v", what, err)
+	}
+}
+
+// TestHostRejectsMalformedProbes: a probe or explain item whose factor
+// columns do not align with its terms, or hold a value that is not finite
+// and non-negative, or add up past the largest float, is a typed 400 —
+// never a panic in the scan (a truncated column used to index past its
+// end) and never a reply JSON cannot encode.
+func TestHostRejectsMalformedProbes(t *testing.T) {
+	h, probes := wireHost(t)
+	if _, err := h.HandleProbe(&ProbeRequest{Shard: 0, Probes: probes, Depth: 10}); err != nil {
+		t.Fatalf("the undamaged probes: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(p *WireProbe)
+	}{
+		{"qf-and-idf-truncated", func(p *WireProbe) { p.QF, p.IDF = p.QF[:1], p.IDF[:1] }},
+		{"qf-truncated", func(p *WireProbe) { p.QF = p.QF[:1] }},
+		{"idf-truncated", func(p *WireProbe) { p.IDF = p.IDF[:1] }},
+		{"qf-too-long", func(p *WireProbe) { p.QF = append(p.QF, 1) }},
+		{"qf-negative", func(p *WireProbe) { p.QF[1] = -1 }},
+		{"qf-nan", func(p *WireProbe) { p.QF[0] = math.NaN() }},
+		{"idf-inf", func(p *WireProbe) { p.IDF[1] = math.Inf(1) }},
+		{"avg-unique-negative", func(p *WireProbe) { p.AvgUnique = -2 }},
+		{"avg-unique-nan", func(p *WireProbe) { p.AvgUnique = math.NaN() }},
+		{"score-overflow", func(p *WireProbe) {
+			for i := range p.QF {
+				p.QF[i], p.IDF[i] = math.MaxFloat64, math.MaxFloat64
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := clone(probes)
+			tc.damage(&bad[len(bad)-1])
+			_, err := h.HandleProbe(&ProbeRequest{Shard: 0, Probes: bad, Depth: 10})
+			wantBadRequest(t, "probe", err)
+		})
+	}
+	p := probes[0]
+	item := ExplainItem{Cluster: p.Cluster, Terms: p.Terms, QF: p.QF, Norm: 1}
+	if _, err := h.HandleExplain(&ExplainRequest{Shard: 0, Items: []ExplainItem{item}}); err != nil {
+		t.Fatalf("the undamaged explain item: %v", err)
+	}
+	for name, qf := range map[string][]float64{"truncated": p.QF[:1], "negative": append([]float64{-1}, p.QF[1:]...)} {
+		bad := item
+		bad.QF = qf
+		_, err := h.HandleExplain(&ExplainRequest{Shard: 0, Items: []ExplainItem{item, bad}})
+		wantBadRequest(t, "explain item qf "+name, err)
+	}
+}
+
+// FuzzProbeRequest: arbitrary bytes decoded as the shard server decodes a
+// /internal/probe body, then handled. The answer is a 400 — from the
+// decoder or a typed bad_request — or a 200 whose body encodes, with one
+// list a probe; never a panic. The shard is pinned to the host's own
+// (routing is not the payload: a foreign shard is a 421 before anything is
+// read).
+func FuzzProbeRequest(f *testing.F) {
+	h, probes := wireHost(f)
+	for _, req := range []ProbeRequest{
+		{Probes: probes, Depth: 10},
+		{Probes: probes[:1], Depth: 3, Floors: []float64{0.5}, Trace: true, TraceID: "t"},
+		{Probes: clone(probes)[:1], Depth: 1},
+		{},
+	} {
+		b, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	truncated := clone(probes)
+	truncated[0].QF, truncated[0].IDF = truncated[0].QF[:1], truncated[0].IDF[:1]
+	b, _ := json.Marshal(ProbeRequest{Probes: truncated, Depth: 10})
+	f.Add(b)
+	f.Add([]byte(`{"probes": [{"cluster": 0, "terms": ["a", "b"], "qf": [1e308, 1e308], "idf": [1e308, 1e308]}], "depth": 5}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var req ProbeRequest
+		if dec.Decode(&req) != nil {
+			return // 400 invalid JSON
+		}
+		req.Shard = 0
+		resp, err := h.HandleProbe(&req)
+		if err != nil {
+			wantBadRequest(t, "probe", err)
+			return
+		}
+		if len(resp.Lists) != len(req.Probes) {
+			t.Fatalf("%d lists for %d probes", len(resp.Lists), len(req.Probes))
+		}
+		if _, err := json.Marshal(resp); err != nil {
+			t.Fatalf("a 200 body that does not encode: %v", err)
+		}
+	})
+}

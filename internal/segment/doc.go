@@ -80,9 +80,9 @@ func NewDocFromSentences(text string, sents []textproc.Sentence) *Doc {
 	return d
 }
 
-// termID returns the Doc-wide integer id of a term known to the Doc: terms
-// are numbered in order of first appearance.
-func (d *Doc) termID(t string) int {
+// ids returns the Doc-wide integer ids of the Doc's terms: terms are
+// numbered in order of first appearance.
+func (d *Doc) ids() map[string]int {
 	d.termIDsOnce.Do(func() {
 		d.termIDs = make(map[string]int)
 		for _, ts := range d.terms {
@@ -93,7 +93,7 @@ func (d *Doc) termID(t string) int {
 			}
 		}
 	})
-	return d.termIDs[t]
+	return d.termIDs
 }
 
 // Len returns the number of sentence units.

@@ -3,8 +3,6 @@ package segment
 import (
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -119,8 +117,8 @@ func checkDoc(t *testing.T, raw string) {
 		t.Fatalf("NewDoc(%q).terms = %q, want %q", raw, d.terms, want.terms)
 	}
 	for term, id := range want.termIDs {
-		if got := d.termID(term); got != id {
-			t.Fatalf("NewDoc(%q).termID(%q) = %d, want %d", raw, term, got, id)
+		if got := d.ids()[term]; got != id {
+			t.Fatalf("NewDoc(%q).ids()[%q] = %d, want %d", raw, term, got, id)
 		}
 	}
 	if len(d.termIDs) != len(want.termIDs) {
@@ -151,24 +149,12 @@ func TestNewDocMatchesStagewiseComposition(t *testing.T) {
 	} {
 		checkDoc(t, raw)
 	}
-	files, err := filepath.Glob("../textproc/testdata/fuzz/*/*")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no fuzz corpora: %v", err)
+	corpus := fuzzCorpusTexts(t, "../textproc/testdata/fuzz/*/*")
+	if len(corpus) == 0 {
+		t.Fatal("no fuzz corpora")
 	}
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(string(data), "\n")[1:] {
-			if arg, ok := strings.CutPrefix(line, "string("); ok {
-				raw, err := strconv.Unquote(strings.TrimSuffix(arg, ")"))
-				if err != nil {
-					t.Fatalf("%s: %v", f, err)
-				}
-				checkDoc(t, raw)
-			}
-		}
+	for _, raw := range corpus {
+		checkDoc(t, raw)
 	}
 }
 

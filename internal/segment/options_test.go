@@ -43,24 +43,6 @@ func TestOptionDefaults(t *testing.T) {
 	if (TextTiling{}).c() != 0.5 || (TextTiling{C: 2}).c() != 2 {
 		t.Error("TextTiling.C default wrong")
 	}
-	if windowOrDefault(0) != 1 || windowOrDefault(-1) != 0 || windowOrDefault(3) != 3 {
-		t.Error("windowOrDefault wrong")
-	}
-}
-
-func TestClampWindow(t *testing.T) {
-	// Unlimited window leaves bounds unchanged.
-	if lo, hi := clampWindow(0, 5, 10, 0); lo != 0 || hi != 10 {
-		t.Errorf("uncapped clamp = [%d,%d)", lo, hi)
-	}
-	// Window 2 restricts both sides.
-	if lo, hi := clampWindow(0, 5, 10, 2); lo != 3 || hi != 7 {
-		t.Errorf("capped clamp = [%d,%d), want [3,7)", lo, hi)
-	}
-	// Segment bounds tighter than the window win.
-	if lo, hi := clampWindow(4, 5, 6, 3); lo != 4 || hi != 6 {
-		t.Errorf("segment-bounded clamp = [%d,%d)", lo, hi)
-	}
 }
 
 func TestDocTerms(t *testing.T) {
@@ -89,18 +71,18 @@ func TestDocTerms(t *testing.T) {
 }
 
 func TestCosineSimEdgeCases(t *testing.T) {
-	a := map[int]float64{0: 1, 1: 2}
+	a := []float64{1, 2, 0, 0, 0, 0, 0, 0}
 	if got := cosineSim(a, a); got < 0.999 || got > 1.001 {
 		t.Errorf("self similarity = %v", got)
 	}
-	empty := map[int]float64{}
+	empty := make([]float64, len(a))
 	if got := cosineSim(empty, empty); got != 1 {
 		t.Errorf("two empty vectors similarity = %v, want 1", got)
 	}
 	if got := cosineSim(a, empty); got != 0 {
 		t.Errorf("empty vs non-empty similarity = %v, want 0", got)
 	}
-	orth := map[int]float64{7: 3}
+	orth := []float64{7: 3}
 	if got := cosineSim(a, orth); got != 0 {
 		t.Errorf("orthogonal similarity = %v, want 0", got)
 	}

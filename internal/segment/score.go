@@ -108,25 +108,22 @@ func (f Distance) Name() string {
 }
 
 // vector returns the representation of units [lo,hi) under this function:
-// a TF vector keyed by Doc-wide term ids when OnTerms, the CM count vector
-// otherwise.
-func (f Distance) vector(d *Doc, lo, hi int) map[int]float64 {
-	v := make(map[int]float64)
+// a TF vector indexed by Doc-wide term ids when OnTerms, the CM count
+// vector otherwise. Vectors are dense, so every sum over one runs in index
+// order and a score is the same on every call (Tile scores a border once).
+func (f Distance) vector(d *Doc, lo, hi int) []float64 {
 	if f.OnTerms {
+		ids := d.ids()
+		v := make([]float64, len(ids))
 		for i := lo; i < hi; i++ {
 			for _, t := range d.terms[i] {
-				v[d.termID(t)]++
+				v[ids[t]]++
 			}
 		}
 		return v
 	}
 	ann := d.Range(lo, hi)
-	for i, c := range ann.Counts {
-		if c != 0 {
-			v[i] = c
-		}
-	}
-	return v
+	return ann.Counts[:]
 }
 
 // BorderScore implements ScoreFunc: the normalized distance between the two
@@ -151,10 +148,11 @@ func (f Distance) SegCoherence(d *Doc, lo, hi int) float64 {
 	return 1 - sum/float64(hi-lo-1)
 }
 
-// vectorDistance computes the selected distance between sparse vectors,
-// normalized into [0,1]: cosine dissimilarity directly; Euclidean and
-// Manhattan on L2-/L1-normalized vectors, divided by their maxima (√2, 2).
-func vectorDistance(kind distanceKind, a, b map[int]float64) float64 {
+// vectorDistance computes the selected distance between two vectors of
+// one length, normalized into [0,1]: cosine dissimilarity directly;
+// Euclidean and Manhattan on L2-/L1-normalized vectors, divided by their
+// maxima (√2, 2).
+func vectorDistance(kind distanceKind, a, b []float64) float64 {
 	switch kind {
 	case cosineDist:
 		return 1 - cosineSim(a, b)
@@ -171,11 +169,6 @@ func vectorDistance(kind distanceKind, a, b map[int]float64) float64 {
 			diff := va/na - b[k]/nb
 			sum += diff * diff
 		}
-		for k, vb := range b {
-			if _, ok := a[k]; !ok {
-				sum += (vb / nb) * (vb / nb)
-			}
-		}
 		return math.Sqrt(sum) / math.Sqrt2
 	default: // manhattanDist
 		na, nb := l1norm(a), l1norm(b)
@@ -189,16 +182,11 @@ func vectorDistance(kind distanceKind, a, b map[int]float64) float64 {
 		for k, va := range a {
 			sum += math.Abs(va/na - b[k]/nb)
 		}
-		for k, vb := range b {
-			if _, ok := a[k]; !ok {
-				sum += vb / nb
-			}
-		}
 		return sum / 2
 	}
 }
 
-func cosineSim(a, b map[int]float64) float64 {
+func cosineSim(a, b []float64) float64 {
 	na, nb := l2norm(a), l2norm(b)
 	if na == 0 || nb == 0 {
 		if na == nb {
@@ -213,7 +201,7 @@ func cosineSim(a, b map[int]float64) float64 {
 	return dot / (na * nb)
 }
 
-func l2norm(v map[int]float64) float64 {
+func l2norm(v []float64) float64 {
 	var sum float64
 	for _, x := range v {
 		sum += x * x
@@ -221,7 +209,7 @@ func l2norm(v map[int]float64) float64 {
 	return math.Sqrt(sum)
 }
 
-func l1norm(v map[int]float64) float64 {
+func l1norm(v []float64) float64 {
 	var sum float64
 	for _, x := range v {
 		sum += math.Abs(x)

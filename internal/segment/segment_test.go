@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/forum"
 )
 
 // docA is the motivating post of Fig. 1: context (present, first person),
@@ -227,15 +229,9 @@ func TestDistanceNames(t *testing.T) {
 
 func TestVectorDistanceProperties(t *testing.T) {
 	f := func(av, bv [6]uint8) bool {
-		a := map[int]float64{}
-		b := map[int]float64{}
-		for i := 0; i < 6; i++ {
-			if av[i]%7 > 0 {
-				a[i] = float64(av[i] % 7)
-			}
-			if bv[i]%7 > 0 {
-				b[i] = float64(bv[i] % 7)
-			}
+		a, b := make([]float64, 6), make([]float64, 6)
+		for i := range a {
+			a[i], b[i] = float64(av[i]%7), float64(bv[i]%7)
 		}
 		for _, kind := range []distanceKind{cosineDist, euclideanDist, manhattanDist} {
 			d := vectorDistance(kind, a, b)
@@ -300,11 +296,42 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
+// BenchmarkGreedySegment is Greedy's per-post cost on the benchmark's kind
+// of post (bench's segment.greedy_us): what core.Build pays once per post
+// and /add pays on the request path, after NewDoc.
 func BenchmarkGreedySegment(b *testing.B) {
-	d := NewDoc(threeIntentions)
+	docs := greedyDocs(512)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Greedy{}.Segment(d)
+		sinkSeg = Greedy{}.Segment(docs[i%len(docs)])
+	}
+}
+
+var sinkSeg Segmentation
+
+func greedyDocs(n int) []*Doc {
+	docs := make([]*Doc, n)
+	for i, text := range tailPosts(forum.TechSupport, n) {
+		docs[i] = NewDoc(text)
+	}
+	return docs
+}
+
+// TestGreedyAllocations pins what voting Greedy allocates a post: 3 — the
+// score/depth columns, the vote tallies and the border list, nothing a
+// border or a communication mean (the quadratic loop it replaced took 15
+// on these posts). The bound is the measured count + 2.
+func TestGreedyAllocations(t *testing.T) {
+	docs := greedyDocs(256)
+	i := 0
+	perPost := testing.AllocsPerRun(len(docs), func() {
+		sinkSeg = Greedy{}.Segment(docs[i%len(docs)])
+		i++
+	})
+	t.Logf("Greedy allocates %.1f times a post", perPost)
+	if perPost > 5 {
+		t.Errorf("Greedy allocates %.1f times a post, want at most 5", perPost)
 	}
 }
 

@@ -15,6 +15,13 @@ import (
 // the TextTiling cutoff), until all surviving borders clear it. It is the
 // mechanism Hearst's thematic segmentation uses, here driven by
 // communication-means scores.
+//
+// A border is scored on the sentence units either side of it: the paper
+// observes that comparing coherence across segments of very different
+// lengths misleads border selection, and a one-sentence context keeps
+// scores comparable as segments grow. A border's score therefore does not
+// depend on which other borders survive, so each is scored once and only
+// the threshold moves between rounds.
 type Tile struct {
 	// Score evaluates borders; Shannon{} when nil.
 	Score ScoreFunc
@@ -22,12 +29,6 @@ type Tile struct {
 	// calibrated on the synthetic corpora so Tile lands slightly above the
 	// human border count, as in Fig 8(a).
 	C float64
-	// Window caps how many sentence units on each side of a border take
-	// part in its score. The paper observes that comparing coherence
-	// across segments of very different lengths misleads border selection;
-	// a local window keeps scores comparable as segments grow. 1 when 0;
-	// negative disables capping.
-	Window int
 }
 
 // Name implements Strategy.
@@ -54,25 +55,29 @@ func (t Tile) Segment(d *Doc) Segmentation {
 		return Segmentation{N: n}
 	}
 	sf := t.score()
-	w := windowOrDefault(t.Window)
 	borders := allBorders(n)
+	scores := make([]float64, len(borders))
+	for i, b := range borders {
+		scores[i] = sf.BorderScore(d, b-1, b, b+1)
+	}
 	for {
-		scores := scoreBorders(d, sf, borders, n, w)
 		mean, std := meanStd(scores)
 		threshold := mean - t.c()*std
-		var kept []int
-		for i, b := range borders {
-			if scores[i] >= threshold {
-				kept = append(kept, b)
+		kept := 0
+		for i, s := range scores {
+			if s >= threshold {
+				borders[kept], scores[kept] = borders[i], s
+				kept++
 			}
 		}
-		if len(kept) == len(borders) || len(kept) == 0 {
-			borders = kept
-			break
+		if kept == 0 {
+			return Segmentation{N: n}
 		}
-		borders = kept
+		if kept == len(borders) {
+			return Segmentation{Borders: borders, N: n}
+		}
+		borders, scores = borders[:kept], scores[:kept]
 	}
-	return Segmentation{Borders: borders, N: n}
 }
 
 // StepbyStep visits borders left to right; a border is deleted when the
@@ -121,6 +126,12 @@ func (s StepbyStep) Segment(d *Doc) Segmentation {
 // depth and zero variance; a purely distribution-relative threshold would
 // then keep them all. A border must therefore also exhibit at least
 // MinDepth of Eq 3 depth to survive.
+//
+// As in Tile, a border is scored on the sentence units either side of it,
+// so its (score, depth) is the same whichever borders are gone, and the
+// acceptance threshold is frozen over the initial scores: the greedy loop
+// ends with exactly the borders that pass. Each border is scored once, the
+// five voting passes share its three annotations, and a pass is a filter.
 type Greedy struct {
 	// Plain disables per-CM voting and uses the combined Shannon score.
 	Plain bool
@@ -136,8 +147,6 @@ type Greedy struct {
 	// for it to be removed (voting mode only). 4 when 0 — a border
 	// survives if at least two communication means defend it.
 	Quorum int
-	// Window caps the per-side scoring context, as in Tile. 1 when 0.
-	Window int
 }
 
 // Name implements Strategy.
@@ -167,130 +176,94 @@ func (g Greedy) minDepth() float64 {
 	return g.MinDepth
 }
 
+// threshold is the acceptance threshold mean + C·stddev, frozen over one
+// pass's scores in border order.
+func (g Greedy) threshold(scores []float64) float64 {
+	mean, std := meanStd(scores)
+	return mean + g.c()*std
+}
+
 // Segment implements Strategy.
 func (g Greedy) Segment(d *Doc) Segmentation {
 	n := d.Len()
 	if n <= 1 {
 		return Segmentation{N: n}
 	}
-	w := windowOrDefault(g.Window)
+	nb, minDepth := n-1, g.minDepth()
 	if g.Plain {
-		borders := g.run(d, n, w, func(lo, b, hi int) (float64, float64) {
-			return shannonScoreDepth(d, lo, b, hi)
-		})
+		cols := make([]float64, 2*nb)
+		scores, depths := cols[:nb], cols[nb:]
+		for i := range scores {
+			scores[i], depths[i] = shannonScoreDepth(d, i, i+1, i+2)
+		}
+		threshold := g.threshold(scores)
+		borders := make([]int, 0, nb)
+		for i, s := range scores {
+			if s >= threshold && depths[i] >= minDepth {
+				borders = append(borders, i+1)
+			}
+		}
 		return Segmentation{Borders: borders, N: n}
 	}
-	// Voting: one greedy run per communication mean. A mean with no local
-	// depth signal at a border (its distribution simply does not change
-	// there) abstains rather than voting for removal — otherwise a border
-	// carried by a single strong mean (e.g. a pure tense shift) would
-	// always be outvoted by the indifferent means. Among the means that do
-	// see a shift, the border is kept when the defenders are not
-	// outnumbered; a border no mean defends is removed (and additionally a
-	// border marked by Quorum means is removed regardless).
-	minDepth := g.minDepth()
-	defends := make(map[int]int)
-	marks := make(map[int]int)
-	for m := cm.Mean(0); m < cm.NumMeans; m++ {
-		mean := m
-		kept := g.run(d, n, w, func(lo, b, hi int) (float64, float64) {
-			return meanScoreDepth(d, mean, lo, b, hi)
-		})
-		keptSet := make(map[int]bool, len(kept))
-		for _, b := range kept {
-			keptSet[b] = true
+	// Voting: one pass per communication mean over the same three
+	// annotations a border. A mean with no local depth signal at a border
+	// (its distribution simply does not change there) abstains rather than
+	// voting for removal — otherwise a border carried by a single strong
+	// mean (e.g. a pure tense shift) would always be outvoted by the
+	// indifferent means. Among the means that do see a shift, the border is
+	// kept when the defenders are not outnumbered; a border no mean defends
+	// is removed (and additionally a border marked by Quorum means is
+	// removed regardless).
+	cols := make([]float64, 2*int(cm.NumMeans)*nb) // per mean: nb scores, then nb depths
+	var left, right, merged cm.Annotation
+	for i := 0; i < nb; i++ {
+		d.rangeInto(&left, i, i+1)
+		d.rangeInto(&right, i+1, i+2)
+		left.AddInto(&right, &merged)
+		for m := cm.Mean(0); m < cm.NumMeans; m++ {
+			cl := cm.ShannonCoherenceOfMean(&left, m)
+			cr := cm.ShannonCoherenceOfMean(&right, m)
+			depth := cm.Depth(cl, cr, cm.ShannonCoherenceOfMean(&merged, m))
+			col := cols[2*int(m)*nb:]
+			col[i], col[nb+i] = cm.BorderScore(cl, cr, depth), depth
 		}
-		for b := 1; b < n; b++ {
-			// Signal test on the finest-resolution window around b.
-			lo, hi := clampWindow(0, b, n, w)
-			_, depth := meanScoreDepth(d, mean, lo, b, hi)
-			if depth < minDepth {
-				continue // abstain: this mean sees no shift at b
-			}
-			if keptSet[b] {
-				defends[b]++
-			} else {
-				marks[b]++
+	}
+	tally := make([]int, 2*nb)
+	defends, marks := tally[:nb], tally[nb:]
+	for m := 0; m < int(cm.NumMeans); m++ {
+		scores, depths := cols[2*m*nb:(2*m+1)*nb], cols[(2*m+1)*nb:(2*m+2)*nb]
+		threshold := g.threshold(scores)
+		for i, s := range scores {
+			switch {
+			case depths[i] < minDepth:
+				// abstain: this mean sees no shift at the border
+			case s >= threshold:
+				defends[i]++
+			default:
+				marks[i]++
 			}
 		}
 	}
 	quorum := g.quorum()
-	var borders []int
-	for b := 1; b < n; b++ {
-		if defends[b] == 0 {
-			continue
+	var borders []int // nil when none survives
+	for i, def := range defends {
+		if def > 0 && marks[i] < quorum && marks[i] <= def {
+			if borders == nil {
+				borders = make([]int, 0, nb)
+			}
+			borders = append(borders, i+1)
 		}
-		if marks[b] >= quorum || marks[b] > defends[b] {
-			continue
-		}
-		borders = append(borders, b)
 	}
 	return Segmentation{Borders: borders, N: n}
 }
 
-// run performs greedy border elimination under a (score, depth) function
-// and returns the surviving borders. The acceptance threshold is frozen
-// from the initial (finest-segmentation) score distribution — a moving
-// threshold would chase its own mean and delete every border.
-func (g Greedy) run(d *Doc, n, w int, score func(lo, b, hi int) (float64, float64)) []int {
-	borders := allBorders(n)
-	initial := make([]float64, len(borders))
-	for i, b := range borders {
-		lo, hi := neighborhood(borders, i, n)
-		lo, hi = clampWindow(lo, b, hi, w)
-		initial[i], _ = score(lo, b, hi)
-	}
-	mean, std := meanStd(initial)
-	threshold := mean + g.c()*std
-	minDepth := g.minDepth()
-	for len(borders) > 0 {
-		// Re-score each border in the context of the current segmentation.
-		worst := -1
-		var worstScore float64
-		for i, b := range borders {
-			lo, hi := neighborhood(borders, i, n)
-			lo, hi = clampWindow(lo, b, hi, w)
-			s, depth := score(lo, b, hi)
-			if s >= threshold && depth >= minDepth {
-				continue
-			}
-			// Rank removal candidates primarily by depth so homogeneous
-			// borders (depth 0) fall first even when their Eq 4 score ties.
-			rank := s + depth
-			if worst < 0 || rank < worstScore {
-				worst, worstScore = i, rank
-			}
-		}
-		if worst < 0 {
-			break
-		}
-		borders = append(borders[:worst], borders[worst+1:]...)
-	}
-	return borders
-}
-
 // shannonScoreDepth computes the Eq 4 border score together with the Eq 3
-// depth under Shannon diversity. It goes through the copy-free annotation
-// path — the border-elimination loops call it O(n²) times per document.
+// depth under Shannon diversity, through the copy-free annotation path.
 func shannonScoreDepth(d *Doc, lo, b, hi int) (score, depth float64) {
 	var left, right cm.Annotation
 	d.rangeInto(&left, lo, b)
 	d.rangeInto(&right, b, hi)
 	return cm.ShannonScoreBorder(&left, &right)
-}
-
-// meanScoreDepth computes the Eq 4 score and Eq 3 depth restricted to a
-// single communication mean, as used by Greedy's voting passes.
-func meanScoreDepth(d *Doc, m cm.Mean, lo, b, hi int) (score, depth float64) {
-	var left, right, merged cm.Annotation
-	d.rangeInto(&left, lo, b)
-	d.rangeInto(&right, b, hi)
-	left.AddInto(&right, &merged)
-	cl := cm.ShannonCoherenceOfMean(&left, m)
-	cr := cm.ShannonCoherenceOfMean(&right, m)
-	cd := cm.ShannonCoherenceOfMean(&merged, m)
-	depth = cm.Depth(cl, cr, cd)
-	return cm.BorderScore(cl, cr, depth), depth
 }
 
 // TopDown recursively splits the document at the best-scoring internal
@@ -353,58 +326,6 @@ func allBorders(n int) []int {
 		out = append(out, b)
 	}
 	return out
-}
-
-// neighborhood returns the segment boundaries around border i in the
-// current border list: the previous border (or document start) and the next
-// border (or document end).
-func neighborhood(borders []int, i, n int) (lo, hi int) {
-	lo, hi = 0, n
-	if i > 0 {
-		lo = borders[i-1]
-	}
-	if i+1 < len(borders) {
-		hi = borders[i+1]
-	}
-	return lo, hi
-}
-
-// scoreBorders scores every border of the list in its current segmentation
-// context, with per-side windows capped at w units (w == 0: uncapped).
-func scoreBorders(d *Doc, sf ScoreFunc, borders []int, n, w int) []float64 {
-	scores := make([]float64, len(borders))
-	for i, b := range borders {
-		lo, hi := neighborhood(borders, i, n)
-		lo, hi = clampWindow(lo, b, hi, w)
-		scores[i] = sf.BorderScore(d, lo, b, hi)
-	}
-	return scores
-}
-
-// windowOrDefault resolves the Window option: 0 means the default of 1,
-// negative disables capping.
-func windowOrDefault(w int) int {
-	if w == 0 {
-		return 1
-	}
-	if w < 0 {
-		return 0
-	}
-	return w
-}
-
-// clampWindow restricts the scoring context of border b within segment
-// bounds [lo, hi) to at most w units per side (w == 0: unrestricted).
-func clampWindow(lo, b, hi, w int) (int, int) {
-	if w > 0 {
-		if b-w > lo {
-			lo = b - w
-		}
-		if b+w < hi {
-			hi = b + w
-		}
-	}
-	return lo, hi
 }
 
 // meanStd returns the mean and population standard deviation of xs.

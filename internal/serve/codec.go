@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/cache"
 	"repro/internal/match"
@@ -78,6 +79,71 @@ func parseRelated(b []byte, req *RelatedRequest) bool {
 			return true
 		}
 	}
+}
+
+// addReadMax bounds how much of an /add body decodeAdd reads into the
+// statusWriter's buffer, which it grows and keeps for the writer's next
+// request; a forum post is a few kilobytes.
+const addReadMax = 64 << 10
+
+// decodeAdd is decodeRelated for /add: the body, read to its end or to
+// addReadMax, is taken by hand when it starts with the plain shape
+// {"text": "..."} — a string without an escape or a control byte, in valid
+// UTF-8, so the bytes are the text — and handed to decodeJSON over the same
+// bytes otherwise (FuzzAddBody).
+func decodeAdd(sc *statusWriter, r *http.Request) (text string, ok bool) {
+	b := sc.buf[:0]
+	for len(b) < addReadMax {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			break // an error is decodeJSON's to meet again
+		}
+	}
+	sc.buf = b[:0]
+	if text, ok := parseAdd(b); ok {
+		return text, true
+	}
+	var slow AddRequest
+	r.Body = io.NopCloser(io.MultiReader(bytes.NewReader(b), r.Body))
+	ok = decodeJSON(sc, r, &slow)
+	return slow.Text, ok
+}
+
+// parseAdd returns the text of b if b starts with one object of the plain
+// shape, and reports whether it did.
+func parseAdd(b []byte) (string, bool) {
+	i := skipSpace(b, 0)
+	if i == len(b) || b[i] != '{' {
+		return "", false
+	}
+	if i = skipSpace(b, i+1); !bytes.HasPrefix(b[i:], []byte(`"text"`)) {
+		return "", false
+	}
+	if i = skipSpace(b, i+6); i == len(b) || b[i] != ':' {
+		return "", false
+	}
+	if i = skipSpace(b, i+1); i == len(b) || b[i] != '"' {
+		return "", false
+	}
+	text := b[i+1:]
+	end := bytes.IndexByte(text, '"')
+	if end < 0 {
+		return "", false
+	}
+	text = text[:end]
+	for _, c := range text {
+		if c < 0x20 || c == '\\' {
+			return "", false
+		}
+	}
+	if i = skipSpace(b, i+end+2); i == len(b) || b[i] != '}' || !utf8.Valid(text) {
+		return "", false
+	}
+	return string(text), true
 }
 
 // parseInt reads -?(0|[1-9][0-9]{0,8}) at b[i:] and returns the value

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/forum"
 	"repro/internal/match"
 )
 
@@ -117,14 +119,96 @@ func FuzzDecodeRelated(f *testing.F) {
 	})
 }
 
-// FuzzAddBody: whatever the body, /add answers 200, 400 or 413 and
-// never panics.
+// addBodies are /add request bodies on both sides of the line parseAdd
+// draws, as relatedBodies are for parseRelated.
+var addBodies = []string{
+	`{"text": "my laptop will not boot"}`, `{"text":"x"}`, " \t{ \"text\" :\r\n\"x y\" }\n", `{"text": "  "}`, `{"text": ""}`,
+	`{"text": "x"} {`, `{"text": "x"}}`, `{"text": "x"} trailing`, `{"text": "x"`, `{"text": "x",}`, `{"text": "x", "text": "y"}`,
+	`{"text": 3}`, `{"text": null}`, `{"txt": "x"}`, `{"TEXT": "x"}`, `{"Text": "x"}`, `{"text": "x", "k": 1}`, `{}`, `{`, ``, `null`, `[]`,
+	`{"text": "caf\u00e9 \"q\" back\\slash"}`, `{"text": "<p>caf\u00e9 &amp; \ud83d\ude00</p>"}`, `{"text": "a\nb"}`,
+	"{\"text\": \"\xff\xfe\"}", "{\"text\": \"tab\there\"}", "{\"text\": \"nul\x00\"}", "{\"text\": \"naïve café 日本\"}",
+	"{\"text\": \"\xed\xa0\x80 surrogate\"}", "\xef\xbb\xbf{\"text\": \"bom\"}", `{"te\u0078t": "x"}`, `{"text" "x"}`, `{"text": x}`,
+}
+
+type addOutcome struct {
+	ok     bool
+	text   string
+	status int
+	body   string
+}
+
+// decodeAddWith runs one of the two /add decoders over body, read in
+// chunks of at most chunk bytes, under a statusWriter as observe would set up.
+func decodeAddWith(fast bool, body []byte, chunk int) addOutcome {
+	rec := httptest.NewRecorder()
+	sc := &statusWriter{ResponseWriter: rec, buf: make([]byte, 0, 512)}
+	r := httptest.NewRequest(http.MethodPost, "/add", chunked{bytes.NewReader(body), chunk})
+	var out addOutcome
+	if fast {
+		out.text, out.ok = decodeAdd(sc, r)
+	} else {
+		var req AddRequest
+		out.ok = decodeJSON(sc, r, &req)
+		out.text = req.Text
+	}
+	if !out.ok {
+		out.text = "" // the handler never looks
+	}
+	out.status, out.body = rec.Code, rec.Body.String()
+	return out
+}
+
+func checkAddAgrees(t *testing.T, body []byte, chunk int) {
+	t.Helper()
+	if got, want := decodeAddWith(true, body, chunk), decodeAddWith(false, body, chunk); got != want {
+		t.Fatalf("body %q in reads of %d:\ndecodeAdd  %+v\ndecodeJSON %+v", body, chunk, got, want)
+	}
+}
+
+// TestDecodeAddMatchesDecodeJSON holds the /add hand parser with its
+// fallback to the reflection decoder, as TestDecodeRelatedMatchesDecodeJSON
+// does the /related one — and the plain shape must be what the benchmark's
+// and the contract's add bodies are, or the parser would never be taken:
+// 400 posts of each domain, encoded as encoding/json encodes them, carry no
+// escape.
+func TestDecodeAddMatchesDecodeJSON(t *testing.T) {
+	for _, b := range addBodies {
+		for _, chunk := range []int{1 << 20, 1, 7} {
+			checkAddAgrees(t, []byte(b), chunk)
+		}
+	}
+	long := strings.Repeat("word ", addReadMax/4)
+	huge := strings.Repeat(" ", maxBodyBytes+10)
+	for _, b := range []string{
+		`{"text": "` + long + `"}`, `{"text": "x"}` + long, `{"text": "x"}` + huge, huge + `{"text": "x"}`, `{"text": "` + huge + `"}`,
+	} {
+		checkAddAgrees(t, []byte(b), 1<<20)
+	}
+	for d := forum.TechSupport; d <= forum.Health; d++ {
+		for _, p := range forum.Generate(forum.Config{Domain: d, NumPosts: 400, Seed: 42}) {
+			body, err := json.Marshal(AddRequest{Text: p.Text})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if text, ok := parseAdd(body); !ok || text != p.Text {
+				t.Fatalf("parseAdd left a %s post to the fallback: %s", d, body)
+			}
+			checkAddAgrees(t, body, 1<<20)
+		}
+	}
+}
+
+// FuzzAddBody: for arbitrary bytes in arbitrary read sizes, the hand
+// parser + fallback and decodeJSON agree on accept/reject, the text, the
+// status and the error body; and through the handler, /add answers 200,
+// 400 or 413 and never panics.
 func FuzzAddBody(f *testing.F) {
-	for _, b := range []string{`{"text": "my laptop will not boot"}`, `{"text": "  "}`, `{"text": 3}`, `{"txt": "x"}`, `{"text": "<p>caf\u00e9 &amp; \ud83d\ude00</p>"}`, `{"text": "x"} {`, `{`, ``, "{\"text\": \"\xff\xfe\"}"} {
-		f.Add([]byte(b))
+	for i, b := range addBodies {
+		f.Add([]byte(b), uint16(i*37))
 	}
 	h := New(&stubEngine{}, Config{SlowQuery: -1}).Handler()
-	f.Fuzz(func(t *testing.T, body []byte) {
+	f.Fuzz(func(t *testing.T, body []byte, chunk uint16) {
+		checkAddAgrees(t, body, int(chunk)+1)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/add", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {

@@ -140,9 +140,9 @@ func TestHandlerAllocations(t *testing.T) {
 		cacheEntries     int
 		max              float64
 	}{
-		{"hit", "/related", `{"doc_id": 3, "k": 10}`, 4096, 5},                         // 18 before PR 27
-		{"miss", "/related", `{"doc_id": 3, "k": 10}`, 0, 7},                           // 20
-		{"add", "/add", `{"text": "my laptop will not boot after the update"}`, 0, 15}, // 18
+		{"hit", "/related", `{"doc_id": 3, "k": 10}`, 4096, 5},                        // 18 before the pooled request scope
+		{"miss", "/related", `{"doc_id": 3, "k": 10}`, 0, 7},                          // 20
+		{"add", "/add", `{"text": "my laptop will not boot after the update"}`, 0, 7}, // 18, then 13 while it decoded by reflection
 	} {
 		c := newHandlerCall(New(eng, benchConfig(tc.cacheEntries)).Handler(), tc.path, tc.body)
 		if status := c.do(); status != http.StatusOK {

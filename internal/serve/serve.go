@@ -353,11 +353,11 @@ func explainClusters(exp match.Explanation) []ClusterExplain {
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	ctrAddRequests.Inc()
 	sc := w.(*statusWriter)
-	var req AddRequest
-	if !decodeJSON(w, r, &req) {
+	text, ok := decodeAdd(sc, r)
+	if !ok {
 		return
 	}
-	if strings.TrimSpace(req.Text) == "" {
+	if strings.TrimSpace(text) == "" {
 		writeError(w, reject(http.StatusBadRequest, "bad_request", "text must be non-empty"))
 		return
 	}
@@ -366,7 +366,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	if sc.tr != nil {
 		ctx = obs.WithTrace(ctx, sc.tr)
 	}
-	id, err := s.eng.AddContext(ctx, req.Text)
+	id, err := s.eng.AddContext(ctx, text)
 	sc.mark(stageEngine)
 	if err != nil {
 		writeError(w, err)

@@ -23,6 +23,7 @@ declare -a TARGETS=(
     "./internal/textproc FuzzDecodeEntity"
     "./internal/textproc FuzzStem"
     "./internal/pos FuzzTagWords"
+    "./internal/segment FuzzStrategies"
     "./internal/secfile FuzzDecode"
     "./internal/secfile FuzzParseStringTable"
     "./internal/index FuzzIndexLoad"
@@ -30,6 +31,7 @@ declare -a TARGETS=(
     "./internal/core FuzzReadPipeline"
     "./internal/serve FuzzDecodeRelated"
     "./internal/serve FuzzAddBody"
+    "./internal/fleet FuzzProbeRequest"
 )
 
 for entry in "${TARGETS[@]}"; do
