@@ -81,7 +81,7 @@ func main() {
 	fleetFile := flag.String("fleet", "", "coordinator role: fleet topology JSON file (fleet.Topology layout)")
 	fleetTimeout := flag.Duration("fleet-timeout", 2*time.Second, "coordinator: whole-query budget")
 	fleetAttempt := flag.Duration("fleet-attempt-timeout", 500*time.Millisecond, "coordinator: per-attempt deadline")
-	fleetRetries := flag.Int("fleet-retries", 2, "coordinator: per-leg retries beyond the first attempt (-1 disables)")
+	fleetRetries := flag.Int("fleet-retries", 2, "coordinator: retries a failing leg gets beyond its first attempt and its one hedge attempt (0 = none)")
 	fleetBackoff := flag.Duration("fleet-backoff", 25*time.Millisecond, "coordinator: base retry backoff (doubles per attempt)")
 	fleetHedge := flag.Duration("fleet-hedge-after", 100*time.Millisecond, "coordinator: hedge-to-replica delay until latency history accrues")
 	fleetBootstrap := flag.Duration("fleet-bootstrap", 15*time.Second, "coordinator: how long to keep retrying the topology bootstrap while shard servers come up")
@@ -128,7 +128,7 @@ func main() {
 			Transport:      fleet.NewHTTPTransport(),
 			Timeout:        *fleetTimeout,
 			AttemptTimeout: *fleetAttempt,
-			Retries:        *fleetRetries,
+			Retries:        legRetries(*fleetRetries),
 			Backoff:        *fleetBackoff,
 			HedgeAfter:     *fleetHedge,
 		}, *fleetBootstrap, logger)
@@ -186,6 +186,15 @@ func main() {
 // publicEndpoints is what serve.New answers, over a pipeline and over a
 // coordinator alike.
 const publicEndpoints = "POST /related, POST /add, GET /stats, GET /metrics, GET /healthz, GET /debug/traces, GET /debug/pprof/"
+
+// legRetries turns -fleet-retries, a count, into fleet.Options.Retries,
+// where 0 selects the default and a negative value none.
+func legRetries(n int) int {
+	if n <= 0 {
+		return -1
+	}
+	return n
+}
 
 // runServer serves handler on addr until SIGINT/SIGTERM, then drains
 // with a 10s grace period. Shared by all three roles so a fleet process

@@ -2,16 +2,22 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
+	"repro/internal/match"
 	"repro/internal/obs"
+	"repro/internal/segment"
 	"repro/internal/serve"
+	"repro/internal/shard"
 )
 
 // TestStalledBodyIsCut: a client that sends its headers and part of its
@@ -73,5 +79,65 @@ func TestStalledBodyIsCut(t *testing.T) {
 	// Cut means closed: the next read finds the end of the stream.
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Fatal("the connection is still open after the cut")
+	}
+}
+
+// failingProbes fails every sibling probe to one shard, transiently, and
+// counts the attempts.
+type failingProbes struct {
+	fleet.Transport
+	shard    int
+	attempts atomic.Int32
+}
+
+func (f *failingProbes) Probe(ctx context.Context, ep string, req *fleet.ProbeRequest, deliver func(*fleet.ProbeResponse, error)) {
+	if req.Shard != f.shard {
+		f.Transport.Probe(ctx, ep, req, deliver)
+		return
+	}
+	f.attempts.Add(1)
+	deliver(nil, &fleet.RPCError{Status: http.StatusServiceUnavailable, Kind: "down", Msg: "shard down"})
+}
+
+// TestFleetRetriesIsACount: -fleet-retries is the number of retries a
+// failing leg gets, 0 included — each one more asked for is one more
+// attempt, and 0 is not the coordinator's "0 selects the default 2". (At
+// 0 a failing leg is still tried twice: the coordinator lets a retry
+// take the attempt it budgets for a hedge.)
+func TestFleetRetriesIsACount(t *testing.T) {
+	texts, err := loadCorpus("", "tech", 40, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := make([]*segment.Doc, len(texts))
+	for i, text := range texts {
+		docs[i] = segment.NewDoc(text)
+	}
+	g, err := shard.NewGroup(match.NewMR("IntentIntent-MR", docs, match.MRConfig{Seed: 42}), 2, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt := fleet.NewLocalTransport()
+	var topo fleet.Topology
+	for s, h := range fleet.HostsForGroup(g) {
+		lt.AddHost(fmt.Sprint(s), h)
+		topo.Endpoints = append(topo.Endpoints, fleet.ShardEndpoints{Shard: s, Primary: fmt.Sprint(s)})
+	}
+	attempts := func(flag int) int32 {
+		tr := &failingProbes{Transport: lt, shard: 1 - g.Route(0)}
+		c, err := fleet.New(context.Background(), topo, fleet.Options{Transport: tr, Retries: legRetries(flag), Backoff: time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans, err := c.Query(context.Background(), 0, 5, false); err != nil || !ans.Partial {
+			t.Fatalf("-fleet-retries %d: %v, partial %t", flag, err, ans.Partial)
+		}
+		return tr.attempts.Load()
+	}
+	none := attempts(0)
+	for flag := 1; flag <= 3; flag++ {
+		if got := attempts(flag); got != none+int32(flag) {
+			t.Errorf("-fleet-retries %d: %d attempts at a failing leg, -fleet-retries 0 makes %d", flag, got, none)
+		}
 	}
 }

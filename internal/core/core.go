@@ -90,9 +90,10 @@ func (m Method) String() string {
 type Config struct {
 	// Method selects the matcher; IntentIntentMR by default.
 	Method Method
-	// Stem applies Porter stemming to index terms. Enabled by default via
-	// DisableStem being false… set DisableStem to index raw tokens the way
-	// the paper's MySQL baseline does.
+	// DisableStem makes the whole-post methods (FullText, LDA) index raw
+	// content words, the way the paper's MySQL baseline does, instead of
+	// Porter-stemmed terms. The segment-based methods always index the
+	// stemmed terms of their segments.
 	DisableStem bool
 	// MR carries the multi-ranking knobs for the segment-based methods;
 	// zero values follow the paper (see match.MRConfig).

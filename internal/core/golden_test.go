@@ -25,26 +25,22 @@ const (
 
 // goldenRender builds a pipeline over the fixed gencorpus-style corpus
 // and renders the top-k Related results for the fixed query set, scores
-// at full float64 round-trip precision. shards 0 builds unsharded;
-// every shard count must render the identical bytes (the scatter-gather
-// equivalence guarantee, end to end through the public API).
-func goldenRender(t *testing.T, workers, shards int) string {
+// at full float64 round-trip precision.
+func goldenRender(t *testing.T, workers int) string {
 	t.Helper()
 	posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: goldenPosts, Seed: goldenSeed})
 	texts := make([]string, len(posts))
 	for i, p := range posts {
 		texts[i] = p.Text
 	}
-	p, err := Build(texts, Config{Seed: goldenSeed, Workers: workers, Shards: shards})
+	p, err := Build(texts, Config{Seed: goldenSeed, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return renderRelated(p)
 }
 
-// renderRelated renders the fixed golden query set against an
-// already-built (or loaded) pipeline — shared between the build-path
-// golden test and the persistence round-trip golden test.
+// renderRelated renders the fixed golden query set against a pipeline.
 func renderRelated(p *Pipeline) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Related top-%d, %s corpus n=%d seed=%d, method %s\n",
@@ -74,20 +70,10 @@ func TestRelatedGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full 200-post builds")
 	}
-	serial := goldenRender(t, 1, 0)
-	parallel := goldenRender(t, 8, 0)
+	serial := goldenRender(t, 1)
+	parallel := goldenRender(t, 8)
 	if serial != parallel {
 		t.Fatalf("build is not worker-count deterministic:\nworkers=1:\n%s\nworkers=8:\n%s", serial, parallel)
-	}
-	// Shard-count invariance: the same golden bytes must come out of the
-	// sharded serving topology at every shard count — not merely the same
-	// rankings, the same full-precision scores.
-	for _, shards := range []int{2, 4} {
-		sharded := goldenRender(t, 8, shards)
-		if sharded != serial {
-			t.Fatalf("sharded serving at %d shards drifted from unsharded output:\n--- unsharded\n%s\n--- %d shards\n%s",
-				shards, serial, shards, sharded)
-		}
 	}
 
 	path := filepath.Join("testdata", "golden_related.txt")

@@ -2,12 +2,10 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -103,65 +101,6 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		if got := snapshotContentSHA(t, q); got != afterAddsSHA {
 			t.Errorf("%s pipeline after the adds hashes to %s, pinned %s", name, got, afterAddsSHA)
 		}
-	}
-}
-
-// TestLateAddsAcrossTopologies serves the golden corpus plus the late
-// posts unsharded and from four shards — one dictionary with ids in
-// arrival order behind all of them — and from both of their snapshots,
-// whose dictionaries are sorted again: every ranking, score and
-// explanation must agree bit for bit.
-func TestLateAddsAcrossTopologies(t *testing.T) {
-	texts, _ := corpusTexts(t, forum.TechSupport, goldenPosts, goldenSeed)
-	build := func(shards int) *Pipeline {
-		p, err := Build(texts, Config{Seed: goldenSeed, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			if _, err := p.Add(latePost(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return p
-	}
-	plain, sharded := build(0), build(4)
-	var snap bytes.Buffer
-	if _, err := plain.WriteTo(&snap); err != nil {
-		t.Fatal(err)
-	}
-	plainLoaded, err := ReadPipeline(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := sharded.WriteShardDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	shardedLoaded, err := ReadShardDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	others := map[string]*Pipeline{"4 shards": sharded, "unsharded, reloaded": plainLoaded, "4 shards, reloaded": shardedLoaded}
-	compared := 0
-	for d := 0; d < goldenPosts+5; d++ {
-		want, err := plain.Query(context.Background(), d, goldenK, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, p := range others {
-			got, err := p.Query(context.Background(), d, goldenK, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("doc %d, %s: %+v\nunsharded: %+v", d, name, got, want)
-			}
-		}
-		compared += len(want.Results)
-	}
-	if compared == 0 {
-		t.Fatal("no result compared")
 	}
 }
 

@@ -39,18 +39,6 @@ func TestPipelinePersistRoundTrip(t *testing.T) {
 	if loaded.NumClusters() != p.NumClusters() {
 		t.Error("cluster count differs")
 	}
-	for q := 0; q < 20; q++ {
-		a := p.Related(q, 5)
-		b := loaded.Related(q, 5)
-		if len(a) != len(b) {
-			t.Fatalf("query %d: %d vs %d results", q, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].DocID != b[i].DocID {
-				t.Fatalf("query %d rank %d: doc %d vs %d", q, i, a[i].DocID, b[i].DocID)
-			}
-		}
-	}
 	// A loaded pipeline keeps no prepared documents.
 	if loaded.Doc(0) != nil {
 		t.Error("loaded pipeline should not retain documents")

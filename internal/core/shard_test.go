@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -9,8 +8,9 @@ import (
 )
 
 // Sharded pipeline coverage at the public API: Build-time validation,
-// query/add equivalence with the unsharded pipeline, the shard
-// accessors, and directory persistence.
+// the shard accessors, and directory persistence. That a sharded
+// pipeline ranks as the unsharded one does, built or loaded, before and
+// after adds, is internal/serve's model test (TestEnginesMatchModel).
 
 func goldenTexts(t *testing.T, n int) []string {
 	t.Helper()
@@ -23,12 +23,12 @@ func goldenTexts(t *testing.T, n int) []string {
 }
 
 func TestShardedPipeline(t *testing.T) {
-	texts := goldenTexts(t, 140)
-	plain, err := Build(texts[:120], Config{Seed: 9})
+	texts := goldenTexts(t, 120)
+	plain, err := Build(texts, Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := Build(texts[:120], Config{Seed: 9, Shards: 4})
+	sharded, err := Build(texts, Config{Seed: 9, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,42 +47,6 @@ func TestShardedPipeline(t *testing.T) {
 	}
 	if sharded.NumClusters() != plain.NumClusters() {
 		t.Errorf("NumClusters %d vs %d", sharded.NumClusters(), plain.NumClusters())
-	}
-	check := func(stage string) {
-		t.Helper()
-		for d := 0; d < plain.Stats().NumDocs; d += 5 {
-			want, got := plain.Related(d, 5), sharded.Related(d, 5)
-			if len(want) != len(got) {
-				t.Fatalf("%s doc %d: %d vs %d results", stage, d, len(want), len(got))
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("%s doc %d result %d: %v vs %v", stage, d, i, want[i], got[i])
-				}
-			}
-		}
-	}
-	check("built")
-	for _, text := range texts[120:] {
-		wantID, err1 := plain.Add(text)
-		gotID, err2 := sharded.Add(text)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if wantID != gotID {
-			t.Fatalf("Add ids diverge: %d vs %d", wantID, gotID)
-		}
-	}
-	check("post-add")
-
-	// Explain mode flows through the sharded matcher too.
-	ans, err := sharded.Query(context.Background(), 0, 3, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, exps := ans.Results, ans.Explanations
-	if len(res) != len(exps) {
-		t.Fatalf("%d results, %d explanations", len(res), len(exps))
 	}
 }
 
@@ -115,17 +79,6 @@ func TestShardedPipelinePersistence(t *testing.T) {
 	if loaded.Shards() != 2 || loaded.Method() != sharded.Method() {
 		t.Fatalf("loaded Shards/Method = %d/%q", loaded.Shards(), loaded.Method())
 	}
-	for d := 0; d < 100; d += 7 {
-		want, got := sharded.Related(d, 5), loaded.Related(d, 5)
-		if len(want) != len(got) {
-			t.Fatalf("loaded doc %d: %d vs %d results", d, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("loaded doc %d result %d: %v vs %v", d, i, want[i], got[i])
-			}
-		}
-	}
 	// Doc is not retained across a load, same contract as ReadPipeline.
 	if loaded.Doc(0) != nil {
 		t.Error("loaded pipeline should not retain prepared docs")
@@ -144,7 +97,8 @@ func TestShardedBuildValidation(t *testing.T) {
 	if _, err := Build(texts, Config{Method: LDA, Shards: 2}); err == nil {
 		t.Error("LDA with Shards should fail")
 	}
-	// Shards: 1 is a valid (single-shard) sharded topology.
+	// Any MR method shards. (Shards: 1 serves unsharded; a one-shard
+	// group is reachable only through a fleet coordinator.)
 	p, err := Build(texts, Config{Seed: 9, Shards: 2, Method: SentIntentMR})
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,10 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
@@ -18,12 +16,11 @@ import (
 	"repro/internal/topk"
 )
 
-// The tests in this file pin the networked fleet's headline contract:
-// with every shard answering, a Coordinator over any Transport returns
-// byte-for-byte the same ranking as the in-process shard.Group and the
-// single unsharded matcher — at every shard count, over the golden
-// corpus. The fault-injection scenarios (what happens when shards do NOT
-// answer) live in faultinject_test.go.
+// Shared fixtures of the fleet tests, and the fleet's snapshot and
+// wire-version contracts. That a coordinator ranks as shard.Group and the
+// single matcher do, over either transport, is internal/serve's model
+// test (TestEnginesMatchModel); what happens when shards do NOT answer is
+// faultinject_test.go.
 
 func genDocs(t testing.TB, domain forum.Domain, n int, seed int64) []*segment.Doc {
 	t.Helper()
@@ -139,85 +136,12 @@ func sameResults(t *testing.T, ctx string, want, got []match.Result) {
 	}
 }
 
-// TestFleetEquivalenceMatrix is satellite (2): networked fleet over a
-// fault-free transport vs in-process shard.Group vs single index,
-// byte-for-byte, at shard counts {1, 2, 4}, over the index's one scan —
-// the exhaustive one, which names the subtest level.
-func TestFleetEquivalenceMatrix(t *testing.T) {
-	docs := genDocs(t, forum.TechSupport, 200, 42)
-	t.Run("exhaustive", func(t *testing.T) {
-		for _, ns := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("shards%d", ns), func(t *testing.T) {
-				f := buildBackend(t, docs, match.MRConfig{Seed: 7}, ns, 42, 0)
-				c := f.coordinator(t, f.topo(0), vopts(f.lt, NewVirtualClock(time.Unix(0, 0))))
-				for doc := 0; doc < len(docs); doc++ {
-					for _, k := range []int{1, 5, 12} {
-						single := f.mr.Match(doc, k)
-						group := f.g.Match(doc, k)
-						res, err := c.Query(context.Background(), doc, k, false)
-						if err != nil {
-							t.Fatalf("doc %d k %d: fleet error: %v", doc, k, err)
-						}
-						if res.Partial || len(res.Missing) != 0 {
-							t.Fatalf("doc %d k %d: healthy fleet reported partial=%v missing=%v", doc, k, res.Partial, res.Missing)
-						}
-						ctx := fmt.Sprintf("doc %d k %d", doc, k)
-						sameResults(t, ctx+" group-vs-single", single, group)
-						sameResults(t, ctx+" fleet-vs-single", single, res.Results)
-						if sb, fb := mustJSON(t, single), mustJSON(t, res.Results); !bytes.Equal(sb, fb) {
-							t.Fatalf("%s: JSON diverges:\nsingle: %s\nfleet:  %s", ctx, sb, fb)
-						}
-					}
-				}
-			})
-		}
-	})
-}
-
-// TestFleetExplainEquivalence pins the networked explain path to the
-// in-process one: same rankings, same per-cluster contributions, same
-// term breakdowns, and cluster contributions that sum back to the
-// final score.
-func TestFleetExplainEquivalence(t *testing.T) {
-	docs := genDocs(t, forum.TechSupport, 200, 42)
-	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 4, 42, 0)
-	c := f.coordinator(t, f.topo(0), vopts(f.lt, NewVirtualClock(time.Unix(0, 0))))
-	for _, doc := range []int{0, 17, 63, 149} {
-		k := 5
-		wantRes, wantExp := f.g.MatchExplained(doc, k, nil)
-		res, err := c.Query(context.Background(), doc, k, true)
-		exps := res.Explanations
-		if err != nil {
-			t.Fatalf("doc %d: fleet explain error: %v", doc, err)
-		}
-		if res.Partial {
-			t.Fatalf("doc %d: healthy fleet explain reported partial", doc)
-		}
-		ctx := fmt.Sprintf("doc %d", doc)
-		sameResults(t, ctx, wantRes, res.Results)
-		if !reflect.DeepEqual(wantExp, exps) {
-			t.Fatalf("%s: explanations diverge:\nwant: %+v\ngot:  %+v", ctx, wantExp, exps)
-		}
-		for i, e := range exps {
-			sum := 0.0
-			for _, cc := range e.Clusters {
-				sum += cc.Score
-			}
-			if diff := sum - res.Results[i].Score; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("%s: result %d cluster contributions sum to %v, score is %v", ctx, i, sum, res.Results[i].Score)
-			}
-		}
-	}
-}
-
 // TestLoadHostDirFleet runs the snapshot path end to end: WriteDir,
 // two hosts each loading a two-shard slice of the directory, a
-// coordinator routing a four-shard topology onto them — results still
-// byte-identical to the single matcher.
+// coordinator routing a four-shard topology onto them.
 func TestLoadHostDirFleet(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 160, 42)
-	mr := match.NewMR("MR", docs, match.MRConfig{Seed: 7})
-	g, err := shard.NewGroup(mr, 4, 99)
+	g, err := shard.NewGroup(match.NewMR("MR", docs, match.MRConfig{Seed: 7}), 4, 99)
 	if err != nil {
 		t.Fatalf("NewGroup: %v", err)
 	}
@@ -252,17 +176,6 @@ func TestLoadHostDirFleet(t *testing.T) {
 	}
 	if c.NumDocs() != len(docs) || c.NumShards() != 4 {
 		t.Fatalf("coordinator sees %d docs / %d shards, want %d / 4", c.NumDocs(), c.NumShards(), len(docs))
-	}
-	for doc := 0; doc < len(docs); doc += 7 {
-		want := mr.Match(doc, 8)
-		res, err := c.Query(context.Background(), doc, 8, false)
-		if err != nil {
-			t.Fatalf("doc %d: %v", doc, err)
-		}
-		if res.Partial {
-			t.Fatalf("doc %d: partial over healthy snapshot fleet", doc)
-		}
-		sameResults(t, fmt.Sprintf("doc %d", doc), want, res.Results)
 	}
 }
 

@@ -15,11 +15,12 @@ import (
 	"repro/internal/match"
 )
 
-// Tests for the HTTP half of the Transport interface: the wire protocol
-// must survive a real socket (equivalence with the LocalTransport over
-// the same hosts), and every failure shape — typed error envelopes,
-// prose error bodies, refused connections, garbage payloads — must come
-// back as a well-formed *RPCError the retry loop can classify.
+// Tests for the HTTP half of the Transport interface: a coordinator
+// bootstraps over a real socket (that it then ranks as over
+// LocalTransport is internal/serve's model test), and every failure
+// shape — typed error envelopes, prose error bodies, refused
+// connections, garbage payloads — must come back as a well-formed
+// *RPCError the retry loop can classify.
 
 // hostHandler adapts a Host to the internal HTTP surface, mirroring
 // what internal/serve.ShardServer mounts (serve imports this package,
@@ -90,9 +91,9 @@ func hostHandler(t testing.TB, h *Host) http.Handler {
 	return mux
 }
 
-// TestHTTPTransportFleet runs a coordinator over real sockets and
-// requires its rankings and explanations to match the LocalTransport
-// coordinator over the very same hosts, for every document.
+// TestHTTPTransportFleet bootstraps a coordinator over real sockets: it
+// must read the same snapshot epoch and topology as one over
+// LocalTransport on the very same hosts.
 func TestHTTPTransportFleet(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 60, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 2, 42, 0)
@@ -112,36 +113,6 @@ func TestHTTPTransportFleet(t *testing.T) {
 	if httpC.name != "MR" || httpC.NumShards() != 2 || httpC.NumDocs() != len(docs) {
 		t.Fatalf("bootstrap meta diverged: name %q shards %d docs %d",
 			httpC.name, httpC.NumShards(), httpC.NumDocs())
-	}
-	for d := 0; d < len(docs); d++ {
-		want, err := localC.Query(context.Background(), d, 5, false)
-		if err != nil {
-			t.Fatalf("local Related(%d): %v", d, err)
-		}
-		got, err := httpC.Query(context.Background(), d, 5, false)
-		if err != nil {
-			t.Fatalf("http Related(%d): %v", d, err)
-		}
-		if got.Partial {
-			t.Fatalf("healthy HTTP fleet answered doc %d partially", d)
-		}
-		sameResults(t, "http vs local", want.Results, got.Results)
-	}
-	// One explained query end-to-end: the wire explain items must
-	// reconstruct identical term breakdowns.
-	wres, err := localC.Query(context.Background(), 3, 5, true)
-	wexp := wres.Explanations
-	if err != nil {
-		t.Fatalf("local RelatedExplained: %v", err)
-	}
-	gres, err := httpC.Query(context.Background(), 3, 5, true)
-	gexp := gres.Explanations
-	if err != nil {
-		t.Fatalf("http RelatedExplained: %v", err)
-	}
-	sameResults(t, "explained http vs local", wres.Results, gres.Results)
-	if wb, gb := mustJSON(t, wexp), mustJSON(t, gexp); !strings.EqualFold(string(wb), string(gb)) {
-		t.Fatalf("explanations diverge over HTTP:\nlocal: %s\nhttp:  %s", wb, gb)
 	}
 }
 

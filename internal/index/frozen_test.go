@@ -93,68 +93,6 @@ func TestQueryFrozenMatchesQueryTraced(t *testing.T) {
 	}
 }
 
-// TestQueryFrozenPooledPartitions scores two pool-attached partitions
-// of one collection against the whole: every partition scan must
-// reproduce the unsharded score of each unit bit-for-bit, and the two
-// partitions together must cover exactly the unsharded result set —
-// the index-layer core of the sharding equivalence guarantee.
-func TestQueryFrozenPooledPartitions(t *testing.T) {
-	vocab := []string{"raid", "disk", "array", "cache", "hotel", "pool"}
-	var units [][]string
-	for i := 0; i < 24; i++ {
-		units = append(units, []string{vocab[i%len(vocab)], vocab[(i*5+2)%len(vocab)], vocab[(i*7+4)%len(vocab)]})
-	}
-	whole := buildIndex(units...)
-	dict := NewDict() // one pool, one dictionary
-	a, b := NewIn(dict), NewIn(dict)
-	gs := NewGlobalStats()
-	globalOf := map[*Index][]int{}
-	for g, u := range units {
-		ix := a
-		if g%2 == 1 {
-			ix = b
-		}
-		ix.Add(u)
-		globalOf[ix] = append(globalOf[ix], g)
-	}
-	a.AttachStats(gs)
-	b.AttachStats(gs)
-
-	queryTF := TermFrequencies([]string{"raid", "disk", "pool"})
-	wantRes := whole.Query(queryTF, len(units), nil)
-	wantScore := make(map[int]float64, len(wantRes))
-	for _, r := range wantRes {
-		wantScore[r.Unit] = r.Score
-	}
-
-	covered := 0
-	for _, part := range []*Index{a, b} {
-		terms, qf, idfs, avg := frozenArgs(part, queryTF)
-		// Frozen factors are pool-global: identical to the unsharded
-		// index's, bit-for-bit.
-		for i, id := range terms {
-			if term := dict.Terms()[id]; idfs[i] != whole.IDF(term) {
-				t.Errorf("pooled pIDF(%s) = %g, unsharded %g", term, idfs[i], whole.IDF(term))
-			}
-		}
-		for _, r := range part.QueryFrozen(terms, qf, idfs, avg, len(units), nil, nil, nil) {
-			g := globalOf[part][r.Unit]
-			want, ok := wantScore[g]
-			if !ok {
-				t.Errorf("partition scored unit %d; the unsharded query did not", g)
-				continue
-			}
-			if r.Score != want {
-				t.Errorf("unit %d: partition score %g, unsharded %g", g, r.Score, want)
-			}
-			covered++
-		}
-	}
-	if covered != len(wantRes) {
-		t.Errorf("partitions covered %d units, unsharded returned %d", covered, len(wantRes))
-	}
-}
-
 // TestThetaLive holds the drain to what a shared Theta promises. Under a
 // Theta another leg already raised — to the oracle's m-th score, or past
 // every score — it returns exactly the oracle's entries at or above it,

@@ -2,7 +2,6 @@ package match
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -43,63 +42,6 @@ func TestMRCompactByteIdentical(t *testing.T) {
 	}
 	if second := writeMR(t, loaded); !bytes.Equal(first, second) {
 		t.Fatalf("re-written matcher differs (%d vs %d bytes)", len(first), len(second))
-	}
-}
-
-// TestMRLegacyCompactEquivalent requires a matcher loaded from its
-// compact file to be the matcher that wrote it, state for state: equal
-// tables, and every cluster index canonicalizing to identical compact
-// bytes. Score equality then follows structurally rather than sampled
-// query by query. (The name is from when a legacy layout was held to
-// the same standard.)
-func TestMRLegacyCompactEquivalent(t *testing.T) {
-	mr := smallMatcher(t)
-	loaded, err := ReadMR(writeMR(t, mr), nil)
-	if err != nil {
-		t.Fatalf("compact load: %v", err)
-	}
-	if mr.name != loaded.name || mr.cfg != loaded.cfg {
-		t.Error("name/config differ after the round trip")
-	}
-	if !reflect.DeepEqual(mr.unitDoc, loaded.unitDoc) {
-		t.Error("unit ownership differs after the round trip")
-	}
-	if !reflect.DeepEqual(mr.before, loaded.before) {
-		t.Error("segment accounting differs after the round trip")
-	}
-	if !reflect.DeepEqual(mr.centroids, loaded.centroids) {
-		t.Error("centroids differ after the round trip")
-	}
-	// smallMatcher's dictionary met the terms in corpus order, the
-	// loaded one in the file's: the id columns differ, the terms must not.
-	spell := func(m *MR) []string {
-		out := make([]string, len(m.segs.terms))
-		for i, id := range m.segs.terms {
-			out[i] = m.dict.Terms()[id]
-		}
-		return out
-	}
-	mr.segs.terms, loaded.segs.terms = nil, nil
-	if !reflect.DeepEqual(mr.segs, loaded.segs) || !reflect.DeepEqual(spell(mr), spell(loaded)) {
-		t.Error("per-document segments differ after the round trip")
-	}
-	if mr.stats != loaded.stats {
-		t.Error("build stats differ after the round trip")
-	}
-	if len(mr.clusters) != len(loaded.clusters) {
-		t.Fatalf("cluster count %d vs %d", len(mr.clusters), len(loaded.clusters))
-	}
-	for c := range mr.clusters {
-		var a, b bytes.Buffer
-		if _, err := mr.clusters[c].WriteTo(&a); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := loaded.clusters[c].WriteTo(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("cluster %d canonical bytes differ after the round trip", c)
-		}
 	}
 }
 

@@ -2,125 +2,31 @@ package match
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/forum"
 	"repro/internal/index"
-	"repro/internal/topk"
 )
 
-// splitForTest partitions a built matcher into n shards with a simple
-// modulo route and fresh statistics pools, and replays the route to
-// build the global↔local id directory the scatter-gather merge needs —
-// the same reconstruction the shard group performs.
-func splitForTest(t *testing.T, mr *MR, n int) (shards []*MR, globalIDs [][]int, owner, local []int) {
+// splitInTwo partitions a built matcher into two shards, even and odd
+// document ids, attached to fresh statistics pools: document d is shard
+// d%2's local document d/2.
+func splitInTwo(t *testing.T, mr *MR) []*MR {
 	t.Helper()
-	stats := make([]*index.GlobalStats, mr.NumClusters())
-	for i := range stats {
-		stats[i] = index.NewGlobalStats()
-	}
-	route := func(d int) int { return d % n }
-	shards, err := mr.Split(n, route, stats)
+	shards, err := mr.Split(2, func(d int) int { return d % 2 }, newPools(mr.NumClusters()))
 	if err != nil {
 		t.Fatalf("Split: %v", err)
 	}
-	globalIDs = make([][]int, n)
-	owner = make([]int, mr.NumDocs())
-	local = make([]int, mr.NumDocs())
-	for d := 0; d < mr.NumDocs(); d++ {
-		s := route(d)
-		owner[d] = s
-		local[d] = len(globalIDs[s])
-		globalIDs[s] = append(globalIDs[s], d)
-	}
-	return shards, globalIDs, owner, local
+	return shards
 }
 
-// scatterMatch reconstructs the shard group's scatter-gather query out
-// of this package's primitives: probes from the owning shard
-// (QuerySegs), per-shard lists at the full unsharded depth
-// (QueryClusterLists), a global top-n merge per cluster under the
-// deterministic tie-break, the shared trim, and Algorithm 2's summation
-// in ascending cluster order.
-func scatterMatch(cfg MRConfig, shards []*MR, globalIDs [][]int, owner, local []int, docID, k int) []Result {
-	home, lq := owner[docID], local[docID]
-	probes := shards[home].QuerySegs(lq)
-	n := cfg.ListDepth(k)
-	perShard := make([][][]Result, len(shards))
-	for s, sh := range shards {
-		excl := -1
-		if s == home {
-			excl = lq
-		}
-		perShard[s] = sh.QueryClusterLists(probes, n, excl, nil, nil)
+func newPools(n int) []*index.GlobalStats {
+	pools := make([]*index.GlobalStats, n)
+	for i := range pools {
+		pools[i] = index.NewGlobalStats()
 	}
-	scores := make(map[int]float64)
-	for i := range probes {
-		col := topk.New(n)
-		for s := range shards {
-			for _, r := range perShard[s][i] {
-				col.Offer(globalIDs[s][r.DocID], r.Score)
-			}
-		}
-		items := col.Results()
-		if len(items) == 0 {
-			continue
-		}
-		cut, norm := cfg.TrimParams(items[0].Score)
-		for _, it := range items {
-			if it.Score < cut {
-				break
-			}
-			scores[it.ID] += it.Score / norm
-		}
-	}
-	return TopKScores(scores, k, docID)
-}
-
-// TestScatterGatherMatchesMatch is the in-package half of the sharding
-// equivalence proof: the scatter-gather reconstruction must return
-// bit-identical scores and the identical ranking to the unsharded
-// Match, for every query document and depth probed.
-func TestScatterGatherMatchesMatch(t *testing.T) {
-	tc := buildCorpus(t, forum.TechSupport, 100, 7)
-	mr := NewMR("MR", tc.docs, MRConfig{Seed: 42})
-	shards, globalIDs, owner, local := splitForTest(t, mr, 3)
-	cfg := mr.Config()
-	for _, q := range []int{0, 7, 33, 66, 99} {
-		for _, k := range []int{1, 5, 10} {
-			want := mr.Match(q, k)
-			got := scatterMatch(cfg, shards, globalIDs, owner, local, q, k)
-			if len(got) == 0 && len(want) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("doc %d k=%d: scatter %v != unsharded %v", q, k, got, want)
-			}
-		}
-	}
-}
-
-// TestScatterGatherMatchesMatchTrimmed repeats the equivalence check
-// under threshold selection plus list normalization — the configuration
-// where TrimParams does real work, so the merged-then-trimmed list must
-// cut and divide exactly as the unsharded trimList does.
-func TestScatterGatherMatchesMatchTrimmed(t *testing.T) {
-	tc := buildCorpus(t, forum.TechSupport, 80, 11)
-	mr := NewMR("MR", tc.docs, MRConfig{Seed: 42, ScoreThreshold: 0.3, NormalizeLists: true})
-	shards, globalIDs, owner, local := splitForTest(t, mr, 2)
-	cfg := mr.Config()
-	for _, q := range []int{1, 20, 55, 79} {
-		want := mr.Match(q, 5)
-		got := scatterMatch(cfg, shards, globalIDs, owner, local, q, 5)
-		if len(got) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("doc %d: scatter %v != unsharded %v", q, got, want)
-		}
-	}
+	return pools
 }
 
 func TestSplitErrors(t *testing.T) {
@@ -129,24 +35,13 @@ func TestSplitErrors(t *testing.T) {
 	if _, err := mr.Split(0, func(int) int { return 0 }, nil); err == nil {
 		t.Error("Split(0) should fail")
 	}
-	wrong := make([]*index.GlobalStats, mr.NumClusters()+1)
-	for i := range wrong {
-		wrong[i] = index.NewGlobalStats()
-	}
-	if _, err := mr.Split(2, func(int) int { return 0 }, wrong); err == nil {
+	if _, err := mr.Split(2, func(int) int { return 0 }, newPools(mr.NumClusters()+1)); err == nil {
 		t.Error("Split with a mismatched pool count should fail")
 	}
-	stats := make([]*index.GlobalStats, mr.NumClusters())
-	for i := range stats {
-		stats[i] = index.NewGlobalStats()
-	}
-	if _, err := mr.Split(2, func(int) int { return 2 }, stats); err == nil {
+	if _, err := mr.Split(2, func(int) int { return 2 }, newPools(mr.NumClusters())); err == nil {
 		t.Error("out-of-range route should fail")
 	}
-	for i := range stats {
-		stats[i] = index.NewGlobalStats()
-	}
-	if _, err := mr.Split(2, func(int) int { return -1 }, stats); err == nil {
+	if _, err := mr.Split(2, func(int) int { return -1 }, newPools(mr.NumClusters())); err == nil {
 		t.Error("negative route should fail")
 	}
 }
@@ -154,16 +49,13 @@ func TestSplitErrors(t *testing.T) {
 // TestAttachGlobalStatsAfterReload exercises the post-load pool
 // reconstruction: shards persisted with the plain MR codec carry only
 // local state, so reattaching every reloaded shard to fresh pools must
-// restore collection-global scoring — proven by re-running the
-// equivalence check through the reloaded shards.
+// restore the collection-global statistics — the pIDFs and NU averages
+// every probe freezes are the split matcher's again.
 func TestAttachGlobalStatsAfterReload(t *testing.T) {
 	tc := buildCorpus(t, forum.TechSupport, 60, 5)
 	mr := NewMR("MR", tc.docs, MRConfig{Seed: 42})
-	shards, globalIDs, owner, local := splitForTest(t, mr, 2)
-	pools := make([]*index.GlobalStats, mr.NumClusters())
-	for i := range pools {
-		pools[i] = index.NewGlobalStats()
-	}
+	shards := splitInTwo(t, mr)
+	pools := newPools(mr.NumClusters())
 	loaded := make([]*MR, len(shards))
 	dict := index.NewDict() // pooled shards count terms by ids of one dictionary
 	for s, sh := range shards {
@@ -180,15 +72,16 @@ func TestAttachGlobalStatsAfterReload(t *testing.T) {
 		}
 		loaded[s] = ld
 	}
-	cfg := mr.Config()
 	for _, q := range []int{2, 31, 59} {
-		want := mr.Match(q, 5)
-		got := scatterMatch(cfg, loaded, globalIDs, owner, local, q, 5)
-		if len(got) == 0 && len(want) == 0 {
-			continue
+		want, got := shards[q%2].QuerySegs(q/2), loaded[q%2].QuerySegs(q/2)
+		if len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("doc %d: %d probes reloaded, %d split", q, len(got), len(want))
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("doc %d: reloaded scatter %v != unsharded %v", q, got, want)
+		for i := range want {
+			if got[i].AvgUnique != want[i].AvgUnique || !reflect.DeepEqual(got[i].IDF, want[i].IDF) {
+				t.Errorf("doc %d cluster %d: reloaded factors %v/%v, split %v/%v",
+					q, want[i].Cluster, got[i].AvgUnique, got[i].IDF, want[i].AvgUnique, want[i].IDF)
+			}
 		}
 	}
 	if err := loaded[0].AttachGlobalStats(pools[:len(pools)-1]); err == nil {
@@ -230,50 +123,34 @@ func TestQueryClusterListsBadCluster(t *testing.T) {
 }
 
 // TestExplainDocClusterReconciles checks that the per-shard explain
-// half sums back to the served list score bit-for-bit: the term
+// half sums back to the shard's list score bit-for-bit: the term
 // products come from the same pool-attached state in the same sorted
 // summation order.
 func TestExplainDocClusterReconciles(t *testing.T) {
 	tc := buildCorpus(t, forum.TechSupport, 60, 13)
 	mr := NewMR("MR", tc.docs, MRConfig{Seed: 42})
-	shards, globalIDs, owner, local := splitForTest(t, mr, 2)
-	cfg := mr.Config()
-	q := 4
-	home, lq := owner[q], local[q]
-	probes := shards[home].QuerySegs(lq)
-	n := cfg.ListDepth(5)
-	perShard := make([][][]Result, len(shards))
+	shards := splitInTwo(t, mr)
+	const q = 4
+	probes := shards[q%2].QuerySegs(q / 2)
+	checked := 0
 	for s, sh := range shards {
 		excl := -1
-		if s == home {
-			excl = lq
+		if s == q%2 {
+			excl = q / 2
 		}
-		perShard[s] = sh.QueryClusterLists(probes, n, excl, nil, nil)
-	}
-	checked := 0
-	for i, p := range probes {
-		col := topk.New(n)
-		for s := range shards {
-			for _, r := range perShard[s][i] {
-				col.Offer(globalIDs[s][r.DocID], r.Score)
+		for i, list := range sh.QueryClusterLists(probes, mr.Config().ListDepth(5), excl, nil, nil) {
+			for _, r := range list {
+				tcs := sh.ExplainDocCluster(r.DocID, probes[i], 1)
+				var sum float64
+				for _, c := range tcs {
+					sum += c.Contribution
+				}
+				if len(tcs) == 0 || sum != r.Score {
+					t.Errorf("shard %d doc %d cluster %d: %d terms sum to %g, served %g",
+						s, r.DocID, probes[i].Cluster, len(tcs), sum, r.Score)
+				}
+				checked++
 			}
-		}
-		for _, it := range col.Results() {
-			s, l := owner[it.ID], local[it.ID]
-			tcs := shards[s].ExplainDocCluster(l, p, 1)
-			if len(tcs) == 0 {
-				t.Errorf("doc %d cluster %d: empty breakdown for score %g", it.ID, p.Cluster, it.Score)
-				continue
-			}
-			var sum float64
-			for _, c := range tcs {
-				sum += c.Contribution
-			}
-			if sum != it.Score {
-				t.Errorf("doc %d cluster %d: breakdown sums to %g, served %g (Δ %g)",
-					it.ID, p.Cluster, sum, it.Score, math.Abs(sum-it.Score))
-			}
-			checked++
 		}
 	}
 	if checked == 0 {
@@ -282,7 +159,7 @@ func TestExplainDocClusterReconciles(t *testing.T) {
 	if got := shards[0].ExplainDocCluster(-1, ClusterQuery{}, 1); got != nil {
 		t.Error("negative doc id should explain to nil")
 	}
-	if got := shards[home].ExplainDocCluster(lq, ClusterQuery{Cluster: mr.NumClusters()}, 1); got != nil {
+	if got := shards[q%2].ExplainDocCluster(q/2, ClusterQuery{Cluster: mr.NumClusters()}, 1); got != nil {
 		t.Error("cluster without a refined segment should explain to nil")
 	}
 }

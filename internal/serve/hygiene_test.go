@@ -3,10 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -17,21 +15,20 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fleet"
 	"repro/internal/forum"
 	"repro/internal/obs"
 )
 
-// Tests of the serving-hygiene layer: the epoch-keyed result cache, the
-// singleflight group, and bounded admission, driven through the real
-// HTTP handlers. The core property is the oracle equivalence — a cached
-// server must answer byte-for-byte what a cache-disabled twin answers
-// under any interleaving of queries and mutations — plus the shed and
-// collapse behaviors that only show up under concurrency.
+// Tests of the serving-hygiene layer: the shed and collapse behaviours
+// of the singleflight group and bounded admission, which only show up
+// under concurrency, driven through the real HTTP handlers. That a
+// cached server answers byte for byte what the model says under any
+// interleaving of queries, adds, loads and shard failures is the model
+// test (TestEnginesMatchModel).
 
 // freshHygienePipeline builds a private pipeline for tests that mutate
-// their collection (the shared testPipeline is byte-compared against
-// the fleet fixture elsewhere, so it must never be added to).
+// their collection (the shared testPipeline serves many tests, so it
+// must never be added to).
 func freshHygienePipeline(t *testing.T, numPosts, shards int) *core.Pipeline {
 	t.Helper()
 	posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: numPosts, Seed: 42})
@@ -71,82 +68,6 @@ func rawPost(url, body string) (int, []byte, error) {
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	return resp.StatusCode, b, err
-}
-
-// TestCacheOracleEquivalence is the invalidation oracle: a cached
-// server and a cache-disabled twin over identical private pipelines,
-// driven through a seeded random interleaving of /related (docs biased
-// toward a hot set so repeats actually hit, k and explain varied) and
-// /add (the same text committed to both). Every response must match
-// the oracle byte-for-byte — which can only hold if every add
-// invalidates every cached entry — at one shard and at four.
-func TestCacheOracleEquivalence(t *testing.T) {
-	adds := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: 30, Seed: 777})
-	for _, shards := range []int{0, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			obs.Enable()
-			t.Cleanup(obs.Disable)
-			const numPosts = 120
-			cached := New(freshHygienePipeline(t, numPosts, shards), Config{CacheEntries: 256})
-			oracle := New(freshHygienePipeline(t, numPosts, shards), Config{})
-			cachedTS := httptest.NewServer(cached.Handler())
-			t.Cleanup(cachedTS.Close)
-			oracleTS := httptest.NewServer(oracle.Handler())
-			t.Cleanup(oracleTS.Close)
-
-			rng := rand.New(rand.NewSource(7))
-			numDocs, addIdx := numPosts, 0
-			for op := 0; op < 80; op++ {
-				if addIdx < len(adds) && rng.Float64() < 0.3 {
-					b, err := json.Marshal(AddRequest{Text: adds[addIdx].Text})
-					if err != nil {
-						t.Fatal(err)
-					}
-					addIdx++
-					cResp, cBody := postJSON(t, cachedTS.URL+"/add", string(b))
-					oResp, oBody := postJSON(t, oracleTS.URL+"/add", string(b))
-					if cResp.StatusCode != oResp.StatusCode || !bytes.Equal(cBody, oBody) {
-						t.Fatalf("op %d add: cached %d %s vs oracle %d %s", op, cResp.StatusCode, cBody, oResp.StatusCode, oBody)
-					}
-					numDocs++
-					continue
-				}
-				doc := rng.Intn(16) // hot set: repeats within an epoch hit the cache
-				if rng.Float64() < 0.5 {
-					doc = rng.Intn(numDocs)
-				}
-				k := 1 + rng.Intn(8)
-				body := fmt.Sprintf(`{"doc_id": %d, "k": %d, "explain": %t}`, doc, k, rng.Float64() < 0.25)
-				// Issue every query twice back-to-back: the repeat is served
-				// from the cache (same epoch) and must still match the
-				// oracle, which recomputes both times.
-				for rep := 0; rep < 2; rep++ {
-					cResp, cBody := postJSON(t, cachedTS.URL+"/related", body)
-					oResp, oBody := postJSON(t, oracleTS.URL+"/related", body)
-					if cResp.StatusCode != oResp.StatusCode {
-						t.Fatalf("op %d rep %d %s: status cached=%d oracle=%d", op, rep, body, cResp.StatusCode, oResp.StatusCode)
-					}
-					if !bytes.Equal(cBody, oBody) {
-						t.Fatalf("op %d rep %d %s: bodies diverge:\ncached: %s\noracle: %s", op, rep, body, cBody, oBody)
-					}
-				}
-			}
-
-			// The run must have exercised the machinery it claims to test:
-			// hits (so equivalence covered cached answers, not just misses)
-			// and epoch invalidations (so adds actually flushed the cache).
-			st := cached.cache.Stats()
-			if st.Hits == 0 {
-				t.Errorf("oracle run produced no cache hits: %+v", st)
-			}
-			if st.Invalidations == 0 {
-				t.Errorf("oracle run produced no epoch invalidations: %+v", st)
-			}
-			if got := cached.eng.Epoch(); got != oracle.eng.Epoch() {
-				t.Errorf("epochs diverged: cached %d, oracle %d", got, oracle.eng.Epoch())
-			}
-		})
-	}
 }
 
 // TestSingleflightCollapseServe holds a leader in flight with the
@@ -357,115 +278,5 @@ func TestAdmissionShedServe(t *testing.T) {
 			t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TestFleetCachedEquivalenceAndDegradation runs a cached server over a
-// coordinator against an uncached twin over the same LocalTransport fleet: healthy
-// answers must match byte-for-byte (including explain) with repeats
-// served from the cache; killing a shard must advance the fleet cache
-// epoch on the first observed failure, making previously cached
-// complete answers unreachable — and the partial answers that follow
-// must never enter the cache.
-func TestFleetCachedEquivalenceAndDegradation(t *testing.T) {
-	obs.Enable()
-	t.Cleanup(obs.Disable)
-	f := fleetBackend()
-
-	lt := fleet.NewLocalTransport()
-	topo := fleet.Topology{}
-	eps := make([]string, f.g.NumShards())
-	for s := 0; s < f.g.NumShards(); s++ {
-		eps[s] = fmt.Sprintf("hyg-s%d", s)
-		lt.AddHost(eps[s], f.hosts[s])
-		topo.Endpoints = append(topo.Endpoints, fleet.ShardEndpoints{Shard: s, Primary: eps[s]})
-	}
-	newCoord := func() *fleet.Coordinator {
-		c, err := fleet.New(context.Background(), topo, fleet.Options{Transport: lt})
-		if err != nil {
-			t.Fatalf("fleet.New: %v", err)
-		}
-		return c
-	}
-	cached := New(newCoord(), Config{CacheEntries: 128})
-	plain := New(newCoord(), Config{})
-	cachedTS := httptest.NewServer(cached.Handler())
-	t.Cleanup(cachedTS.Close)
-	plainTS := httptest.NewServer(plain.Handler())
-	t.Cleanup(plainTS.Close)
-
-	const warmDoc = 9
-	warmBody := fmt.Sprintf(`{"doc_id": %d, "k": 5}`, warmDoc)
-	queries := []string{
-		warmBody,
-		fmt.Sprintf(`{"doc_id": %d, "k": 10, "explain": true}`, warmDoc),
-		`{"doc_id": 0, "k": 5}`,
-		`{"doc_id": 77, "k": 3, "explain": true}`,
-	}
-	// Two passes: the first fills the cache, the second is served from
-	// it — and both must equal the uncached twin byte-for-byte.
-	for pass := 0; pass < 2; pass++ {
-		for _, q := range queries {
-			cResp, cBody := postJSON(t, cachedTS.URL+"/related", q)
-			pResp, pBody := postJSON(t, plainTS.URL+"/related", q)
-			if cResp.StatusCode != http.StatusOK || pResp.StatusCode != http.StatusOK {
-				t.Fatalf("pass %d %s: status cached=%d plain=%d", pass, q, cResp.StatusCode, pResp.StatusCode)
-			}
-			if !bytes.Equal(cBody, pBody) {
-				t.Fatalf("pass %d %s: bodies diverge:\ncached: %s\nplain:  %s", pass, q, cBody, pBody)
-			}
-		}
-	}
-	if st := cached.cache.Stats(); st.Hits < int64(len(queries)) {
-		t.Fatalf("second pass not served from cache: %+v", st)
-	}
-	epoch0 := cached.eng.Epoch()
-
-	// Kill a shard that is not the warm doc's home (the home leg must
-	// stay resolvable for the query to degrade rather than fail).
-	victim := (f.g.Route(warmDoc) + 1) % f.g.NumShards()
-	lt.RemoveHost(eps[victim])
-
-	// A query shape never cached observes the failure: it answers
-	// partial, bumps the fleet cache epoch via the degraded-health
-	// transition, and must not be stored.
-	hits0 := cached.cache.Stats().Hits
-	degradedBody := fmt.Sprintf(`{"doc_id": %d, "k": 9}`, warmDoc)
-	resp, body := postJSON(t, cachedTS.URL+"/related", degradedBody)
-	var rr RelatedResponse
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatalf("decode degraded response: %v in %s", err, body)
-	}
-	if resp.StatusCode != http.StatusOK || !rr.PartialResults {
-		t.Fatalf("degraded query: status %d partial=%t body %s", resp.StatusCode, rr.PartialResults, body)
-	}
-	if got := cached.eng.Epoch(); got <= epoch0 {
-		t.Fatalf("cache epoch did not advance on degradation: %d → %d", epoch0, got)
-	}
-	// Repeating it must recompute (a partial was never cached) and
-	// still answer partial.
-	resp, body = postJSON(t, cachedTS.URL+"/related", degradedBody)
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !rr.PartialResults {
-		t.Fatalf("repeated degraded query: status %d partial=%t", resp.StatusCode, rr.PartialResults)
-	}
-	if got := cached.cache.Stats().Hits; got != hits0 {
-		t.Fatalf("a partial answer was served from cache: hits %d → %d", hits0, got)
-	}
-
-	// The originally warmed query now carries a new epoch in its key:
-	// the old complete entry is unreachable, and the fresh answer is an
-	// honest partial.
-	resp, body = postJSON(t, cachedTS.URL+"/related", warmBody)
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !rr.PartialResults {
-		t.Fatalf("post-degradation warm query served stale complete answer: status %d partial=%t body %s", resp.StatusCode, rr.PartialResults, body)
-	}
-	if got := cached.cache.Stats().Hits; got != hits0 {
-		t.Fatalf("stale complete entry was hit after epoch advance: hits %d → %d", hits0, got)
 	}
 }

@@ -20,43 +20,56 @@ import (
 )
 
 // TestServeStress is the serve-layer half of the PR 1 concurrency
-// guarantee, proved over HTTP: concurrent POST /related and POST /add
-// against the handler while scrapers hammer GET /metrics and
-// GET /stats. Run under -race (CI does). The scrapers assert the obs
-// contract — counters monotone across scrapes, histogram snapshots
-// never torn (count == Σ bucket counts, quantiles monotone and within
-// the bucket range) — while the write path grows the collection.
+// guarantee, proved over HTTP on the unsharded pipeline and on a 4-shard
+// group: concurrent POST /related and POST /add against the handler
+// while scrapers hammer GET /metrics, GET /stats and GET /debug/traces.
+// Run under -race (CI does). The scrapers assert the obs contract —
+// counters monotone across scrapes, histogram snapshots never torn
+// (count == Σ bucket counts, quantiles monotone and within the bucket
+// range), traces never torn — while the write path grows the collection,
+// and every add is immediately retrievable. On the sharded row, beside
+// them: the per-shard counters are monotone and reconcile with the
+// totals, /stats reports a consistent shard topology while adds land,
+// and captured /related traces carry the scatter-gather events.
 func TestServeStress(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-
-	posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: 220, Seed: 11})
+	posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: 200, Seed: 11})
 	texts := make([]string, len(posts))
 	for i, p := range posts {
 		texts[i] = p.Text
 	}
-	const base = 160
-	p, err := core.Build(texts[:base], core.Config{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
+	const base = 150
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			p, err := core.Build(texts[:base], core.Config{Seed: 11, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stressServe(t, p, shards, texts[base:])
+		})
 	}
-	extra := texts[base:]
+}
 
+// stressServe runs the load of TestServeStress against p, built over
+// base posts, adding from extra.
+func stressServe(t *testing.T, p *core.Pipeline, shards int, extra []string) {
+	base := p.Stats().NumDocs
 	// SlowQuery 0 → every /related and /add request is captured into the
-	// trace ring, the densest configuration for the trace scraper below.
+	// trace ring, the densest configuration for the trace scrapers below.
 	ts := httptest.NewServer(New(p, Config{SlowQuery: 0}).Handler())
 	defer ts.Close()
 	client := ts.Client()
 
 	const (
-		queryWorkers  = 6
+		queryWorkers  = 4
 		addWorkers    = 2
 		scrapeWorkers = 2
 		traceWorkers  = 2
-		queriesEach   = 120
-		addsEach      = 25
-		scrapesEach   = 60
-		traceScrapes  = 60
+		queriesEach   = 50
+		addsEach      = 14
+		scrapesEach   = 25
+		traceScrapes  = 25
 	)
 	var (
 		wg       sync.WaitGroup
@@ -66,9 +79,27 @@ func TestServeStress(t *testing.T) {
 		failures.Add(1)
 		t.Errorf(format, args...)
 	}
-
-	post := func(path, body string) (*http.Response, error) {
-		return client.Post(ts.URL+path, "application/json", strings.NewReader(body))
+	// call sends one request (a POST when body is not empty) and decodes
+	// the answer into v.
+	call := func(path, body string, v any) (int, error) {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if body != "" {
+			req, err = http.NewRequest(http.MethodPost, ts.URL+path, strings.NewReader(body))
+		}
+		if err != nil {
+			return 0, err
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(v)
+	}
+	related := func(doc int) (RelatedResponse, int, error) {
+		var rr RelatedResponse
+		status, err := call("/related", fmt.Sprintf(`{"doc_id": %d, "k": 5}`, doc), &rr)
+		return rr, status, err
 	}
 
 	// Query workers: every response must be well-formed regardless of
@@ -79,21 +110,18 @@ func TestServeStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < queriesEach; i++ {
 				doc := (w*queriesEach + i*7) % base
-				resp, err := post("/related", fmt.Sprintf(`{"doc_id": %d, "k": 5}`, doc))
-				if err != nil {
-					fail("related: %v", err)
+				rr, status, err := related(doc)
+				if err != nil || status != http.StatusOK {
+					fail("related: status %d err %v", status, err)
 					return
 				}
-				var rr RelatedResponse
-				err = json.NewDecoder(resp.Body).Decode(&rr)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != http.StatusOK {
-					fail("related: status %d err %v", resp.StatusCode, err)
-					return
-				}
-				for _, r := range rr.Results {
+				for j, r := range rr.Results {
 					if r.DocID == doc || r.Score < 0 || math.IsNaN(r.Score) {
 						fail("related: bad result %+v for doc %d", r, doc)
+						return
+					}
+					if j > 0 && rr.Results[j-1].Score < r.Score {
+						fail("related: unsorted results for doc %d", doc)
 						return
 					}
 				}
@@ -101,25 +129,20 @@ func TestServeStress(t *testing.T) {
 		}(w)
 	}
 
-	// Add workers: ids must come back unique and dense-ish (every add
-	// succeeds, ids strictly above the base collection).
+	// Add workers: ids come back unique and above the base collection,
+	// and every added post is immediately queryable — on the sharded row
+	// the directory registered it and its owning shard serves it to the
+	// very next scatter.
 	var seenIDs sync.Map
 	for w := 0; w < addWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < addsEach; i++ {
-				text := extra[(w*addsEach+i)%len(extra)]
-				resp, err := post("/add", fmt.Sprintf(`{"text": %q}`, text))
-				if err != nil {
-					fail("add: %v", err)
-					return
-				}
 				var ar AddResponse
-				err = json.NewDecoder(resp.Body).Decode(&ar)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != http.StatusOK {
-					fail("add: status %d err %v", resp.StatusCode, err)
+				status, err := call("/add", fmt.Sprintf(`{"text": %q}`, extra[(w*addsEach+i)%len(extra)]), &ar)
+				if err != nil || status != http.StatusOK {
+					fail("add: status %d err %v", status, err)
 					return
 				}
 				if ar.DocID < base {
@@ -130,12 +153,19 @@ func TestServeStress(t *testing.T) {
 					fail("add: duplicate id %d", ar.DocID)
 					return
 				}
+				if rr, status, err := related(ar.DocID); err != nil || status != http.StatusOK || len(rr.Results) == 0 {
+					fail("post-add related for %d: status %d err %v, %d results", ar.DocID, status, err, len(rr.Results))
+					return
+				}
 			}
 		}(w)
 	}
 
 	// Metrics scrapers: the observability contract under concurrency.
 	monotone := []string{"http.related.requests", "http.add.requests", "http.metrics.requests", "index.scorepool.get"}
+	for s := 0; s < shards; s++ {
+		monotone = append(monotone, fmt.Sprintf("shard.%02d.queries", s), fmt.Sprintf("shard.%02d.adds", s))
+	}
 	for w := 0; w < scrapeWorkers; w++ {
 		wg.Add(1)
 		go func() {
@@ -143,16 +173,9 @@ func TestServeStress(t *testing.T) {
 			last := map[string]int64{}
 			var lastQueryCount int64
 			for i := 0; i < scrapesEach; i++ {
-				resp, err := client.Get(ts.URL + "/metrics")
-				if err != nil {
-					fail("metrics: %v", err)
-					return
-				}
 				var snap obs.Snapshot
-				err = json.NewDecoder(resp.Body).Decode(&snap)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != http.StatusOK {
-					fail("metrics: status %d err %v", resp.StatusCode, err)
+				if status, err := call("/metrics", "", &snap); err != nil || status != http.StatusOK {
+					fail("metrics: status %d err %v", status, err)
 					return
 				}
 				for _, name := range monotone {
@@ -193,22 +216,19 @@ func TestServeStress(t *testing.T) {
 				} else {
 					lastQueryCount = q
 				}
-				// Interleave a /stats read: granularity and doc counts must
-				// stay internally consistent while adds land.
+				// Interleave a /stats read: doc counts, and on the sharded row
+				// the shard topology, must stay consistent while adds land.
 				var st StatsResponse
-				sresp, err := client.Get(ts.URL + "/stats")
-				if err != nil {
-					fail("stats: %v", err)
-					return
-				}
-				err = json.NewDecoder(sresp.Body).Decode(&st)
-				sresp.Body.Close()
-				if err != nil {
+				if _, err := call("/stats", "", &st); err != nil {
 					fail("stats: %v", err)
 					return
 				}
 				if st.NumDocs < base {
 					fail("stats: NumDocs %d below base %d", st.NumDocs, base)
+				}
+				if st.Shards != shards || len(st.ShardDocs) != shards {
+					fail("stats: %d shards with %d counts, want %d", st.Shards, len(st.ShardDocs), shards)
+					return
 				}
 			}
 		}()
@@ -226,16 +246,9 @@ func TestServeStress(t *testing.T) {
 			defer wg.Done()
 			seen := map[string]string{} // trace id → canonical JSON
 			for i := 0; i < traceScrapes; i++ {
-				resp, err := client.Get(ts.URL + "/debug/traces")
-				if err != nil {
-					fail("traces: %v", err)
-					return
-				}
 				var tres TracesResponse
-				err = json.NewDecoder(resp.Body).Decode(&tres)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != http.StatusOK {
-					fail("traces: status %d err %v", resp.StatusCode, err)
+				if status, err := call("/debug/traces", "", &tres); err != nil || status != http.StatusOK {
+					fail("traces: status %d err %v", status, err)
 					return
 				}
 				ids := map[string]bool{}
@@ -297,10 +310,48 @@ func TestServeStress(t *testing.T) {
 	if got := snap.Counters["http.traces.started"]; got < wantQueries+wantAdds {
 		t.Errorf("http.traces.started = %d, want ≥ %d", got, wantQueries+wantAdds)
 	}
-	var st core.Stats = p.Stats()
-	if st.NumDocs != base+int(wantAdds) {
+	if st := p.Stats(); st.NumDocs != base+int(wantAdds) {
 		t.Errorf("final NumDocs = %d, want %d", st.NumDocs, base+int(wantAdds))
 	}
+	if shards == 0 {
+		return
+	}
+	// Each of the shards answers every scatter, so per-shard query counts
+	// are each ≥ the /related request count, and the shard add counters
+	// sum to the adds.
+	var addSum int64
+	for s := 0; s < shards; s++ {
+		if q := snap.Counters[fmt.Sprintf("shard.%02d.queries", s)]; q < wantQueries {
+			t.Errorf("shard %d answered %d scatter legs, want ≥ %d", s, q, wantQueries)
+		}
+		addSum += snap.Counters[fmt.Sprintf("shard.%02d.adds", s)]
+	}
+	if addSum < wantAdds {
+		t.Errorf("per-shard add counters sum to %d, want ≥ %d", addSum, wantAdds)
+	}
+	if got := snap.Spans["shard.related"].Count; got < wantQueries {
+		t.Errorf("shard.related span count = %d, want ≥ %d", got, wantQueries)
+	}
+	sum := 0
+	for _, c := range p.ShardDocs() {
+		sum += c
+	}
+	if sum != base+int(wantAdds) {
+		t.Errorf("ShardDocs sums to %d, want %d", sum, base+int(wantAdds))
+	}
+	// The captured /related traces carry the scatter-gather events.
+	var tres TracesResponse
+	if _, err := call("/debug/traces", "", &tres); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range tres.Traces {
+		for _, ev := range rec.Events {
+			if ev.Name == "shard.merge" || ev.Name == "shard.list" {
+				return
+			}
+		}
+	}
+	t.Error("no captured trace carries shard.list/shard.merge events")
 }
 
 // TestRecycledTracesStress is the evidence obs.Tracer's trace pool asks

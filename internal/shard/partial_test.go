@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,8 +10,9 @@ import (
 // ReadDirShards is the fleet loader: a shard server owning a subset of
 // partitions must still score collection-globally, because every
 // non-owned shard file is streamed through the shared statistics pools
-// before being dropped. These tests pin that contract and the loader's
-// error surface.
+// before being dropped. That it does is internal/serve's model test
+// (its coordinator rows serve hosts that load half the shards each);
+// these tests pin what it loads and the loader's error surface.
 
 func TestReadDirShardsPartialLoad(t *testing.T) {
 	_, g := buildGroup(t, 120, 4)
@@ -40,13 +40,6 @@ func TestReadDirShardsPartialLoad(t *testing.T) {
 		if sh.NumDocs() != g.ShardMR(s).NumDocs() {
 			t.Fatalf("shard %d holds %d docs, group's partition holds %d",
 				s, sh.NumDocs(), g.ShardMR(s).NumDocs())
-		}
-		// Collection-global scoring: with the non-owned shards streamed
-		// through the pools, a partial load must rank its partition
-		// exactly like the live group's matcher for the same partition.
-		for local := 0; local < sh.NumDocs(); local++ {
-			sameResults(t, fmt.Sprintf("shard %d local %d", s, local),
-				g.ShardMR(s).Match(local, 5), sh.Match(local, 5))
 		}
 	}
 

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 
@@ -11,12 +10,9 @@ import (
 	"repro/internal/segment"
 )
 
-// The tests in this file are the proof obligation of the package
-// comment: for every document of a corpus, at every shard count, a
-// Group returns bit-identical scores and identical rankings to the
-// single unsharded matcher it was split from — across configuration
-// variants (threshold selection, list normalization, deeper lists) and
-// across incremental adds applied to both sides.
+// Group's own contracts: routing, accessors, edge cases and concurrent
+// adds. That a group ranks as the unsharded matcher does, at every shard
+// count and knob, is internal/serve's model test (TestEnginesMatchModel).
 
 func genDocs(t testing.TB, domain forum.Domain, n int, seed int64) []*segment.Doc {
 	t.Helper()
@@ -40,116 +36,6 @@ func sameResults(t *testing.T, ctx string, want, got []match.Result) {
 		if want[i].DocID != got[i].DocID || want[i].Score != got[i].Score {
 			t.Fatalf("%s: result %d diverges: unsharded %d/%v sharded %d/%v",
 				ctx, i, want[i].DocID, want[i].Score, got[i].DocID, got[i].Score)
-		}
-	}
-}
-
-func TestShardEquivalence(t *testing.T) {
-	shardCounts := []int{1, 2, 4, 8}
-	configs := []struct {
-		name string
-		cfg  match.MRConfig
-	}{
-		{"default", match.MRConfig{Seed: 7}},
-		{"threshold", match.MRConfig{Seed: 7, ScoreThreshold: 0.3}},
-		{"normalized", match.MRConfig{Seed: 7, NormalizeLists: true}},
-		{"nfactor3", match.MRConfig{Seed: 7, NFactor: 3}},
-	}
-	corpora := []struct {
-		domain forum.Domain
-		n      int
-		seed   int64
-	}{
-		{forum.TechSupport, 200, 42},
-		{forum.Travel, 160, 1234},
-	}
-	for _, co := range corpora {
-		docs := genDocs(t, co.domain, co.n, co.seed)
-		extra := genDocs(t, co.domain, co.n+24, co.seed)[co.n:]
-		for _, cv := range configs {
-			// The Travel corpus exercises a single config — the variants
-			// probe the query path, not the corpus generator.
-			if co.seed != 42 && cv.name != "default" {
-				continue
-			}
-			t.Run(fmt.Sprintf("%s-seed%d-%s", co.domain, co.seed, cv.name), func(t *testing.T) {
-				mr := match.NewMR("MR", docs, cv.cfg)
-				for _, ns := range shardCounts {
-					g, err := NewGroup(mr, ns, uint64(co.seed))
-					if err != nil {
-						t.Fatalf("NewGroup(%d): %v", ns, err)
-					}
-					for d := 0; d < mr.NumDocs(); d++ {
-						for _, k := range []int{1, 5} {
-							sameResults(t, fmt.Sprintf("shards=%d doc=%d k=%d", ns, d, k),
-								mr.Match(d, k), g.Match(d, k))
-						}
-					}
-					// Identical adds on both sides must keep the equivalence:
-					// routing sends each new document to one shard, but its
-					// statistics reach every shard through the shared pools.
-					for _, doc := range extra {
-						wantID := mr.Add(doc)
-						if gotID := g.Add(doc); gotID != wantID {
-							t.Fatalf("shards=%d: add assigned id %d, unsharded %d", ns, gotID, wantID)
-						}
-					}
-					for d := 0; d < mr.NumDocs(); d += 7 {
-						sameResults(t, fmt.Sprintf("post-add shards=%d doc=%d", ns, d),
-							mr.Match(d, 5), g.Match(d, 5))
-					}
-					// Rebuild the unsharded reference without the adds for the
-					// next shard count (each iteration re-adds extra).
-					mr = match.NewMR("MR", docs, cv.cfg)
-				}
-			})
-		}
-	}
-}
-
-func TestShardExplainEquivalence(t *testing.T) {
-	docs := genDocs(t, forum.TechSupport, 150, 42)
-	mr := match.NewMR("MR", docs, match.MRConfig{Seed: 7})
-	g, err := NewGroup(mr, 4, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []int{0, 17, 63, 149} {
-		wantRes, wantExp := mr.MatchExplained(d, 5, nil)
-		gotRes, gotExp := g.MatchExplained(d, 5, nil)
-		sameResults(t, fmt.Sprintf("explain doc=%d", d), wantRes, gotRes)
-		if len(wantExp) != len(gotExp) {
-			t.Fatalf("doc %d: %d vs %d explanations", d, len(wantExp), len(gotExp))
-		}
-		for i := range wantExp {
-			we, ge := wantExp[i], gotExp[i]
-			if we.DocID != ge.DocID || we.Score != ge.Score {
-				t.Fatalf("doc %d result %d: explanation header diverges: %+v vs %+v", d, i, we, ge)
-			}
-			if len(we.Clusters) != len(ge.Clusters) {
-				t.Fatalf("doc %d result %d: %d vs %d cluster contributions", d, i, len(we.Clusters), len(ge.Clusters))
-			}
-			sum := 0.0
-			for j := range we.Clusters {
-				wc, gc := we.Clusters[j], ge.Clusters[j]
-				if wc.Cluster != gc.Cluster || wc.Score != gc.Score {
-					t.Fatalf("doc %d result %d cluster %d: %v/%v vs %v/%v",
-						d, i, j, wc.Cluster, wc.Score, gc.Cluster, gc.Score)
-				}
-				if len(wc.Terms) != len(gc.Terms) {
-					t.Fatalf("doc %d result %d cluster %d: %d vs %d terms", d, i, j, len(wc.Terms), len(gc.Terms))
-				}
-				for ti := range wc.Terms {
-					if wc.Terms[ti] != gc.Terms[ti] {
-						t.Fatalf("doc %d result %d cluster %d term %d: %+v vs %+v",
-							d, i, j, ti, wc.Terms[ti], gc.Terms[ti])
-					}
-				}
-				sum += gc.Score
-			}
-			if math.Abs(sum-ge.Score) > 1e-9 {
-				t.Fatalf("doc %d result %d: cluster contributions sum to %v, score %v", d, i, sum, ge.Score)
-			}
 		}
 	}
 }
