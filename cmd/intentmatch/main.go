@@ -1,7 +1,9 @@
 // Command intentmatch builds the intention-based retrieval pipeline over a
 // JSON-lines corpus (as produced by gencorpus, or any file with one
 // {"id":..,"text":..} object per line) and prints the top-k related posts
-// for one or more reference posts.
+// for one or more reference posts. -method intent (the default) builds
+// the paper's method through internal/core, the only one that can be
+// saved; the comparison methods build through internal/baseline.
 //
 // Usage:
 //
@@ -25,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/lda"
 	"repro/internal/match"
@@ -34,6 +37,25 @@ import (
 type record struct {
 	ID   int    `json:"id"`
 	Text string `json:"text"`
+}
+
+// baselines are the comparison methods -method names besides intent.
+var baselines = map[string]baseline.Method{
+	"fulltext": baseline.FullText, "lda": baseline.LDA, "content": baseline.ContentMR, "sent": baseline.SentIntentMR,
+}
+
+// explainFunc is an explained query, the form explainQueries prints.
+type explainFunc func(docID, k int) ([]match.Result, []match.Explanation)
+
+// explainPipeline adapts a pipeline's explained Query to explainFunc.
+func explainPipeline(p *core.Pipeline) explainFunc {
+	return func(docID, k int) ([]match.Result, []match.Explanation) {
+		ans, err := p.Query(context.Background(), docID, k, true)
+		if err != nil {
+			fatal(err)
+		}
+		return ans.Results, ans.Explanations
+	}
 }
 
 func main() {
@@ -53,6 +75,15 @@ func main() {
 	if *load != "" {
 		servePipeline(*load, *query, *k, *explain)
 		return
+	}
+	bm, isBaseline := baselines[*method]
+	switch {
+	case !isBaseline && *method != "intent":
+		fatal(fmt.Errorf("unknown method %q", *method))
+	case isBaseline && (*save != "" || *saveShards > 0):
+		fatal(fmt.Errorf("-save and -save-shards persist -method intent only, not %q", *method))
+	case *explain && *method == "lda":
+		fatal(fmt.Errorf("-explain does not apply to -method lda: its similarity is not an Eq 7–9 sum"))
 	}
 
 	var in io.Reader = os.Stdin
@@ -86,24 +117,12 @@ func main() {
 		fatal(fmt.Errorf("empty corpus"))
 	}
 
-	cfg := core.Config{Seed: *seed, Shards: *saveShards}
-	switch *method {
-	case "intent":
-		cfg.Method = core.IntentIntentMR
-	case "fulltext":
-		cfg.Method = core.FullText
-	case "lda":
-		cfg.Method = core.LDA
-		cfg.LDA = lda.Config{K: 8, Iterations: 60}
-	case "content":
-		cfg.Method = core.ContentMR
-	case "sent":
-		cfg.Method = core.SentIntentMR
-	default:
-		fatal(fmt.Errorf("unknown method %q", *method))
+	if isBaseline {
+		runBaseline(bm, texts, *seed, *query, *k, *explain)
+		return
 	}
 
-	p, err := core.Build(texts, cfg)
+	p, err := core.Build(texts, core.Config{Seed: *seed, Shards: *saveShards})
 	if err != nil {
 		fatal(err)
 	}
@@ -135,20 +154,41 @@ func main() {
 	}
 
 	if *explain {
-		explainQueries(p, *query, *k, texts)
+		explainQueries(explainPipeline(p), st.NumDocs, *query, *k, texts)
 		return
 	}
-	answerQueries(p, *query, *k, texts)
+	answerQueries(p.Related, st.NumDocs, *query, *k, texts)
+}
+
+// runBaseline builds a comparison method over the corpus and answers the
+// queries with it, as main does with the pipeline.
+func runBaseline(m baseline.Method, texts []string, seed int64, query string, k int, explain bool) {
+	built, err := m.Build(baseline.Prepare(texts, 0), baseline.Config{LDA: lda.Config{K: 8, Iterations: 60}, Seed: seed})
+	if err != nil {
+		fatal(err)
+	}
+	var st match.BuildStats // zero for the whole-post methods
+	if mr, ok := built.(*match.MR); ok {
+		st = mr.Stats()
+	}
+	fmt.Printf("built %s over %d posts (%d segments, %d clusters)\n", built.Name(), len(texts), st.NumSegments, st.NumClusters)
+	if explain { // main refused the one method that cannot explain
+		explainQueries(func(docID, k int) ([]match.Result, []match.Explanation) {
+			return built.(match.Explainer).MatchExplained(docID, k, nil)
+		}, len(texts), query, k, texts)
+		return
+	}
+	answerQueries(built.Match, len(texts), query, k, texts)
 }
 
 // answerQueries serves the comma-separated reference ids concurrently —
 // the pipeline's online phase is safe for parallel queries — and prints
 // the result lists in input order. texts may be nil (loaded pipelines
 // keep segment terms, not post texts); then only ids and scores print.
-func answerQueries(p *core.Pipeline, query string, k int, texts []string) {
-	ids := parseQueryIDs(query, p.Stats().NumDocs)
-	results := make([][]core.Result, len(ids))
-	par.Do(len(ids), 0, func(i int) { results[i] = p.Related(ids[i], k) })
+func answerQueries(related func(docID, k int) []match.Result, numDocs int, query string, k int, texts []string) {
+	ids := parseQueryIDs(query, numDocs)
+	results := make([][]match.Result, len(ids))
+	par.Do(len(ids), 0, func(i int) { results[i] = related(ids[i], k) })
 	for i, q := range ids {
 		if texts != nil {
 			fmt.Printf("\nquery %d: %s\n", q, truncate(texts[q], 90))
@@ -170,20 +210,16 @@ func answerQueries(p *core.Pipeline, query string, k int, texts []string) {
 // every cluster, the largest term-level tf·weight·idf products. The
 // cluster contributions sum to the served score (the -explain
 // acceptance property the serve layer also exposes).
-func explainQueries(p *core.Pipeline, query string, k int, texts []string) {
+func explainQueries(explained explainFunc, numDocs int, query string, k int, texts []string) {
 	const topTerms = 8
-	ids := parseQueryIDs(query, p.Stats().NumDocs)
+	ids := parseQueryIDs(query, numDocs)
 	for _, q := range ids {
 		if texts != nil {
 			fmt.Printf("\nquery %d: %s\n", q, truncate(texts[q], 90))
 		} else {
 			fmt.Printf("query %d:\n", q)
 		}
-		ans, err := p.Query(context.Background(), q, k, true)
-		if err != nil {
-			fatal(err)
-		}
-		results, exps := ans.Results, ans.Explanations
+		results, exps := explained(q, k)
 		for rank, r := range results {
 			if texts != nil {
 				fmt.Printf("  %d. post %-5d score %.4f  %s\n", rank+1, r.DocID, r.Score, truncate(texts[r.DocID], 70))
@@ -244,10 +280,10 @@ func servePipeline(path, query string, k int, explain bool) {
 	st := p.Stats()
 	fmt.Printf("loaded %s: %d posts, %d clusters\n", p.Method(), st.NumDocs, st.NumClusters)
 	if explain {
-		explainQueries(p, query, k, nil)
+		explainQueries(explainPipeline(p), st.NumDocs, query, k, nil)
 		return
 	}
-	answerQueries(p, query, k, nil)
+	answerQueries(p.Related, st.NumDocs, query, k, nil)
 }
 
 func truncate(s string, n int) string {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/forum"
@@ -26,24 +27,21 @@ func main() {
 	}
 	fmt.Printf("generated %d tech-support posts over %d topics\n\n", posts, forum.NumTopics(forum.TechSupport))
 
-	methods := []core.Method{core.FullText, core.LDA, core.ContentMR, core.SentIntentMR, core.IntentIntentMR}
+	docs := baseline.Prepare(texts, 0)
+	methods := []baseline.Method{baseline.FullText, baseline.LDA, baseline.ContentMR, baseline.SentIntentMR, baseline.IntentIntentMR}
 	for _, m := range methods {
-		cfg := core.Config{Method: m, Seed: 11}
-		if m == core.LDA {
-			cfg.LDA = lda.Config{K: 8, Iterations: 50}
-		}
-		pipeline, err := core.Build(texts, cfg)
+		matcher, err := m.Build(docs, baseline.Config{LDA: lda.Config{K: 8, Iterations: 50}, Seed: 11})
 		if err != nil {
 			log.Fatal(err)
 		}
 		var perQuery []float64
 		for q := 0; q < queries; q++ {
 			relevant := forum.RelevantSet(generated, generated[q])
-			ids := core.TopIDs(pipeline.Related(q, 5))
+			ids := core.TopIDs(matcher.Match(q, 5))
 			perQuery = append(perQuery, eval.Precision(ids, relevant))
 		}
 		fmt.Printf("%-16s mean precision %.3f  (zero-result queries: %.0f%%)\n",
-			pipeline.Method(), eval.MeanPrecision(perQuery), eval.ZeroFraction(perQuery)*100)
+			matcher.Name(), eval.MeanPrecision(perQuery), eval.ZeroFraction(perQuery)*100)
 	}
 
 	// Peek inside the intention pipeline: what do its clusters look like?

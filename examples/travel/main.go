@@ -10,6 +10,7 @@ import (
 	"log"
 	"strings"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/forum"
 )
@@ -25,20 +26,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	full, err := core.Build(texts, core.Config{Method: core.FullText, Seed: 23})
-	if err != nil {
-		log.Fatal(err)
-	}
+	full := baseline.NewFullText(baseline.Terms(baseline.Prepare(texts, 0)))
 
 	// Pick a query and compare what the two methods retrieve.
 	const q = 3
 	relevant := forum.RelevantSet(posts, posts[q])
 	fmt.Printf("query review (topic %d, request variant %d):\n  %s\n\n",
 		posts[q].Topic, posts[q].Variant, wrap(posts[q].Text, 76))
-	for _, p := range []*core.Pipeline{full, intent} {
-		fmt.Printf("%s top-5:\n", p.Method())
+	for _, m := range []struct {
+		name    string
+		related func(docID, k int) []core.Result
+	}{{full.Name(), full.Match}, {intent.Method(), intent.Related}} {
+		fmt.Printf("%s top-5:\n", m.name)
 		hits := 0
-		for rank, r := range p.Related(q, 5) {
+		for rank, r := range m.related(q, 5) {
 			tag := "different need"
 			if relevant[r.DocID] {
 				tag = "RELATED"

@@ -1,0 +1,203 @@
+// Package baseline builds the comparison methods of the paper's Sec 9.2
+// over prepared documents: FullText (whole-post ranking with the
+// MySQL-style Eq 7 weighting), LDA (topic-distribution similarity),
+// Content-MR (TextTiling segments, TF clusters) and SentIntent-MR
+// (sentence units, CM clusters). They are the comparison columns of
+// Table 4 and Figs 10–11, beside the paper's own IntentIntent-MR.
+//
+// No server selects a baseline: internal/core builds the paper's method
+// only. Only internal/experiments, cmd/intentmatch and the examples
+// import this package, which keeps it and the internal/lda sampler off
+// cmd/serve's dependency graph (CI checks it).
+package baseline
+
+import (
+	"fmt"
+
+	"repro/internal/index"
+	"repro/internal/lda"
+	"repro/internal/match"
+	"repro/internal/obs"
+	"repro/internal/par"
+	"repro/internal/segment"
+	"repro/internal/topk"
+)
+
+// Config is what every constructor reads. The segment-based methods
+// build with the paper's multi-ranking knobs, seeded by Seed and fanned
+// out over Workers goroutines, as core.Build does; LDA.Seed falls back
+// to Seed when 0.
+type Config struct {
+	// LDA carries the topic-model hyperparameters of the LDA method.
+	LDA     lda.Config
+	Seed    int64
+	Workers int
+}
+
+// Method is one comparison column: its Table 4 label and its
+// constructor over prepared documents.
+type Method struct {
+	Name  string
+	Build func(docs []*segment.Doc, cfg Config) (match.Matcher, error)
+}
+
+// The columns of Table 4. IntentIntentMR is the paper's method as a bare
+// matcher — what core.Build builds, without the pipeline around it — so
+// that a table can build every column the same way.
+var (
+	FullText = Method{"FullText", func(docs []*segment.Doc, _ Config) (match.Matcher, error) {
+		return NewFullText(Terms(docs)), nil
+	}}
+	LDA = Method{"LDA", func(docs []*segment.Doc, cfg Config) (match.Matcher, error) {
+		ldaCfg := cfg.LDA
+		if ldaCfg.Seed == 0 {
+			ldaCfg.Seed = cfg.Seed
+		}
+		return NewLDA(Terms(docs), ldaCfg)
+	}}
+	ContentMR = Method{"Content-MR", func(docs []*segment.Doc, cfg Config) (match.Matcher, error) {
+		mrCfg := cfg.mr()
+		mrCfg.Strategy, mrCfg.ContentVectors = segment.TextTiling{}, true
+		return match.NewMR("Content-MR", docs, mrCfg), nil
+	}}
+	SentIntentMR = Method{"SentIntent-MR", func(docs []*segment.Doc, cfg Config) (match.Matcher, error) {
+		mrCfg := cfg.mr()
+		mrCfg.Strategy = segment.Sentences{}
+		return match.NewMR("SentIntent-MR", docs, mrCfg), nil
+	}}
+	IntentIntentMR = Method{"IntentIntent-MR", func(docs []*segment.Doc, cfg Config) (match.Matcher, error) {
+		return match.NewMR("IntentIntent-MR", docs, cfg.mr()), nil
+	}}
+)
+
+// mr returns the paper's multi-ranking configuration under the caller's
+// Seed and Workers.
+func (cfg Config) mr() match.MRConfig { return match.MRConfig{Seed: cfg.Seed, Workers: cfg.Workers} }
+
+// Prepare runs the text front end (HTML cleaning, sentence split, CM
+// annotation) over every post on workers goroutines, as core.Build does
+// before it segments.
+func Prepare(texts []string, workers int) []*segment.Doc {
+	docs := make([]*segment.Doc, len(texts))
+	par.Do(len(texts), workers, func(i int) { docs[i] = segment.NewDoc(texts[i]) })
+	return docs
+}
+
+// Terms returns every document's whole-post index terms: the stemmed
+// content terms of all its sentences.
+func Terms(docs []*segment.Doc) [][]string {
+	terms := make([][]string, len(docs))
+	for i, d := range docs {
+		terms[i] = d.Terms(0, d.Len())
+	}
+	return terms
+}
+
+// FullTextMatcher is the whole-post baseline: one inverted index over
+// entire posts with the Eq 7 weighting — the paper's MySQL 5.5.3
+// full-text configuration.
+type FullTextMatcher struct {
+	ix    *index.Index
+	terms [][]string
+}
+
+// NewFullText indexes the collection; docs[i] holds the content terms of
+// document i.
+func NewFullText(docs [][]string) *FullTextMatcher {
+	ft := &FullTextMatcher{ix: index.New(), terms: docs}
+	for _, terms := range docs {
+		ft.ix.Add(terms)
+	}
+	return ft
+}
+
+// Name implements match.Matcher.
+func (ft *FullTextMatcher) Name() string { return "FullText" }
+
+// Match implements match.Matcher. Unit ids coincide with document ids.
+func (ft *FullTextMatcher) Match(docID, k int) []match.Result {
+	out, _ := ft.match(docID, k, false)
+	return out
+}
+
+// MatchExplained implements match.Explainer: the score decomposes over a
+// single pseudo-cluster 0 (the one whole-collection index), with the
+// full Eq 7–9 term breakdown. The whole-post query has no stages to
+// record, so the trace is unused.
+func (ft *FullTextMatcher) MatchExplained(docID, k int, _ *obs.Trace) ([]match.Result, []match.Explanation) {
+	return ft.match(docID, k, true)
+}
+
+func (ft *FullTextMatcher) match(docID, k int, explain bool) ([]match.Result, []match.Explanation) {
+	if docID < 0 || docID >= len(ft.terms) {
+		return nil, nil
+	}
+	q := index.TermFrequencies(ft.terms[docID])
+	res := ft.ix.Query(q, k, func(u int) bool { return u == docID })
+	out := make([]match.Result, len(res))
+	var exps []match.Explanation
+	if explain {
+		exps = make([]match.Explanation, len(res))
+	}
+	for i, r := range res {
+		out[i] = match.Result{DocID: r.Unit, Score: r.Score}
+		if explain {
+			exps[i] = match.Explanation{DocID: r.Unit, Score: r.Score, Clusters: []match.ClusterContribution{
+				{Cluster: 0, Score: r.Score, Terms: termContributions(ft.ix.Explain(q, r.Unit))},
+			}}
+		}
+	}
+	return out, exps
+}
+
+func termContributions(terms []index.TermScore) []match.TermContribution {
+	out := make([]match.TermContribution, len(terms))
+	for i, ts := range terms {
+		out[i] = match.TermContribution{
+			Term: ts.Term, QueryTF: ts.QueryTF, Weight: ts.Weight, IDF: ts.IDF, Contribution: ts.Product,
+		}
+	}
+	return out
+}
+
+// LDAMatcher ranks posts by the similarity of their LDA topic
+// distributions. Like the paper's LDA baseline it has no index: every
+// query scans the collection, which is what makes it the slowest method
+// in Fig 11(c). Its similarity is not an Eq 7–9 sum, so it does not
+// explain.
+type LDAMatcher struct {
+	model *lda.Model
+}
+
+// NewLDA trains a topic model over the collection's term lists.
+func NewLDA(docs [][]string, cfg lda.Config) (*LDAMatcher, error) {
+	m, err := lda.Train(docs, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("baseline: training LDA: %w", err)
+	}
+	return &LDAMatcher{model: m}, nil
+}
+
+// Name implements match.Matcher.
+func (lm *LDAMatcher) Name() string { return "LDA" }
+
+// Match implements match.Matcher.
+func (lm *LDAMatcher) Match(docID, k int) []match.Result {
+	n := lm.model.NumDocs()
+	if docID < 0 || docID >= n || k <= 0 {
+		return nil
+	}
+	q := lm.model.DocTopics(docID)
+	c := topk.New(k)
+	for d := 0; d < n; d++ {
+		if d != docID {
+			c.Offer(d, lda.Similarity(q, lm.model.DocTopics(d)))
+		}
+	}
+	items := c.Results()
+	out := make([]match.Result, len(items))
+	for i, it := range items {
+		out[i] = match.Result{DocID: it.ID, Score: it.Score}
+	}
+	return out
+}

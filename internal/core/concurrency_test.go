@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/forum"
 	"repro/internal/match"
+	"repro/internal/segment"
 )
 
 // Run these under -race: they exercise the documented serving contract —
@@ -15,15 +16,22 @@ import (
 
 func TestPipelineConcurrentAddAndRelated(t *testing.T) {
 	const basePosts, extraPosts, readers = 60, 16, 4
-	for _, method := range []Method{IntentIntentMR, ContentMR, SentIntentMR} {
-		method := method
-		t.Run(method.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mr   match.MRConfig
+	}{
+		{"IntentIntent-MR", match.MRConfig{}},
+		{"Content-MR", match.MRConfig{Strategy: segment.TextTiling{}, ContentVectors: true}},
+		{"SentIntent-MR", match.MRConfig{Strategy: segment.Sentences{}}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: basePosts + extraPosts, Seed: 81})
 			texts := make([]string, len(posts))
 			for i, p := range posts {
 				texts[i] = p.Text
 			}
-			p, err := Build(texts[:basePosts], Config{Method: method, Seed: 81})
+			p, err := Build(texts[:basePosts], Config{MR: tc.mr, Seed: 81})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,37 +138,6 @@ func TestPipelineStatsConsistentAfterConcurrentAdds(t *testing.T) {
 			t.Errorf("Doc(%d) holds the wrong document for add #%d", id, i)
 		}
 	}
-}
-
-func TestPipelineAddUnsupportedMethodsConcurrentSafe(t *testing.T) {
-	// Whole-post methods refuse Add; the refusal itself must be
-	// race-free against Related.
-	posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: 40, Seed: 83})
-	texts := make([]string, len(posts))
-	for i, p := range posts {
-		texts[i] = p.Text
-	}
-	p, err := Build(texts, Config{Method: FullText})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			if g%2 == 0 {
-				if _, err := p.Add("new post"); err == nil {
-					t.Error("FullText Add succeeded, want error")
-				}
-				return
-			}
-			for q := 0; q < len(texts); q++ {
-				p.Related(q, 3)
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // TestSegmentCountsSnapshotIsolation is the regression test for the

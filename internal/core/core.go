@@ -2,9 +2,8 @@
 // pipeline that ingests raw forum posts, runs the paper's offline phases
 // (intention-based segmentation, segment grouping, refinement, per-cluster
 // indexing — Sec 4), and serves online top-k related-post queries
-// (Sec 7). It also constructs the comparison matchers of Sec 9.2 behind a
-// single switchboard, which is what the experiment harness and the example
-// programs build on.
+// (Sec 7). It builds the paper's method, IntentIntent-MR, only; the
+// comparison methods of Sec 9.2 are built in internal/baseline.
 //
 // Typical use:
 //
@@ -29,13 +28,11 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/lda"
 	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/segment"
 	"repro/internal/shard"
-	"repro/internal/textproc"
 )
 
 // Observability instruments for the pipeline's outer surface.
@@ -52,62 +49,32 @@ var (
 	gaugeDocs           = obs.NewGauge("core.docs")
 )
 
-// Method selects a matching method from Sec 9.2 of the paper.
-type Method int
+// Method names a matching method by its Table 4 row label.
+type Method string
 
-const (
-	// IntentIntentMR is the paper's complete method: intention-based
-	// segmentation (Greedy border selection), CM-vector clustering, and
-	// multi-ranking matching (Algorithms 1 and 2).
-	IntentIntentMR Method = iota
-	// FullText matches whole posts with the MySQL-style weighting (Eq 7).
-	FullText
-	// LDA matches posts by topic-distribution similarity.
-	LDA
-	// ContentMR segments by topic shift (TextTiling) and clusters TF
-	// vectors with k-means — segment-based but content-driven.
-	ContentMR
-	// SentIntentMR uses sentences as segments (no border selection) with
-	// CM-vector clustering.
-	SentIntentMR
-)
-
-var methodNames = [...]string{
-	IntentIntentMR: "IntentIntent-MR", FullText: "FullText", LDA: "LDA",
-	ContentMR: "Content-MR", SentIntentMR: "SentIntent-MR",
-}
+// IntentIntentMR is the paper's complete method, and the one method core
+// builds: intention-based segmentation (Greedy border selection),
+// CM-vector clustering, and multi-ranking matching (Algorithms 1 and 2).
+const IntentIntentMR Method = "IntentIntent-MR"
 
 // String returns the method's Table 4 row label.
-func (m Method) String() string {
-	if int(m) < len(methodNames) {
-		return methodNames[m]
-	}
-	return "?"
-}
+func (m Method) String() string { return string(m) }
 
 // Config controls pipeline construction. The zero value is the paper's
 // configuration: Greedy border selection, DBSCAN grouping, n = 2k.
 type Config struct {
-	// Method selects the matcher; IntentIntentMR by default.
-	Method Method
-	// DisableStem makes the whole-post methods (FullText, LDA) index raw
-	// content words, the way the paper's MySQL baseline does, instead of
-	// Porter-stemmed terms. The segment-based methods always index the
-	// stemmed terms of their segments.
-	DisableStem bool
-	// MR carries the multi-ranking knobs for the segment-based methods;
-	// zero values follow the paper (see match.MRConfig).
+	// MR carries the multi-ranking knobs; zero values follow the paper
+	// (see match.MRConfig). A non-default Strategy still builds under the
+	// name IntentIntent-MR.
 	MR match.MRConfig
-	// LDA carries topic-model hyperparameters for the LDA method.
-	LDA lda.Config
 	// Seed drives every randomized component.
 	Seed int64
 	// Shards partitions the built collection across this many independent
 	// shard matchers served by scatter-gather (see internal/shard): Add
 	// routes to one shard, Related fans out to all and merges. Rankings
 	// and scores are identical to the unsharded pipeline — sharding is a
-	// serving topology, not an approximation. 0 or 1 serves unsharded;
-	// values above 1 require an MR method. The routing seed is Seed.
+	// serving topology, not an approximation. 0 or 1 serves unsharded.
+	// The routing seed is Seed.
 	Shards int
 	// Workers bounds offline build parallelism — document preprocessing,
 	// segmentation, vectorization, the clustering internals, and
@@ -131,14 +98,14 @@ type Stats struct {
 	Grouping      time.Duration // vectorization + clustering + refinement
 	Indexing      time.Duration
 	NumDocs       int
-	NumSegments   int
+	NumSegments   int // before refinement, added posts included
 	NumClusters   int
 }
 
-// segMatcher is the surface a segment-based matcher serves the
-// pipeline through. *match.MR (one index) and *shard.Group (the same
-// collection partitioned) both satisfy it, so sharding is a choice Build
-// makes once, not a branch in every method.
+// segMatcher is the surface the matcher serves the pipeline through.
+// *match.MR (one index) and *shard.Group (the same collection
+// partitioned) both satisfy it, so sharding is a choice Build makes
+// once, not a branch in every method.
 type segMatcher interface {
 	match.Explainer
 	MatchTraced(docID, k int, tr *obs.Trace) []match.Result
@@ -152,14 +119,12 @@ type segMatcher interface {
 
 // Pipeline is a built related-post retrieval system over one collection.
 //
-// mu guards docs and stats, the pipeline's only mutable state; matcher,
-// seg, and cfg are frozen at Build time. Holding mu across the matcher
-// commit in Add keeps document ids aligned with the docs slice, so Doc
-// and Related agree on ids at all times.
+// mu guards docs and stats, the pipeline's only mutable state; matcher
+// is frozen at Build time. Holding mu across the matcher commit in Add
+// keeps document ids aligned with the docs slice, so Doc and Related
+// agree on ids at all times.
 type Pipeline struct {
-	cfg     Config
-	matcher match.Matcher
-	seg     segMatcher // matcher again, for the MR methods; nil for FullText and LDA
+	matcher segMatcher
 
 	// epochBase offsets Epoch: 0 for a fresh Build, 1 for a pipeline
 	// restored from a snapshot, so loading a snapshot is itself an epoch
@@ -179,106 +144,47 @@ type Result = match.Result
 // HTML. The index positions of texts become the document ids used by
 // Related.
 func Build(texts []string, cfg Config) (*Pipeline, error) {
-	p := &Pipeline{cfg: cfg}
+	p := &Pipeline{}
 	tm := spanBuildPreprocess.StartAlways()
 	p.docs = make([]*segment.Doc, len(texts))
-	// Only the whole-post methods index whole-post terms; the segment
-	// matchers read each segment's terms off the Doc.
-	var terms [][]string
-	if cfg.Method == FullText || cfg.Method == LDA {
-		terms = make([][]string, len(texts))
-	}
-	par.Do(len(texts), cfg.Workers, func(i int) {
-		p.docs[i] = segment.NewDoc(texts[i])
-		if terms != nil {
-			terms[i] = p.docTerms(p.docs[i])
-		}
-	})
+	par.Do(len(texts), cfg.Workers, func(i int) { p.docs[i] = segment.NewDoc(texts[i]) })
 	p.stats.Preprocess = tm.Stop()
 	p.stats.NumDocs = len(texts)
 	gaugeDocs.Set(int64(len(texts)))
 
-	switch cfg.Method {
-	case FullText:
-		if cfg.Shards > 1 {
-			return nil, fmt.Errorf("core: %s does not support sharded serving", cfg.Method)
-		}
-		p.matcher = match.NewFullText(terms)
-	case LDA:
-		if cfg.Shards > 1 {
-			return nil, fmt.Errorf("core: %s does not support sharded serving", cfg.Method)
-		}
-		ldaCfg := cfg.LDA
-		if ldaCfg.Seed == 0 {
-			ldaCfg.Seed = cfg.Seed
-		}
-		m, err := match.NewLDA(terms, ldaCfg)
+	mrCfg := cfg.MR
+	if mrCfg.Seed == 0 {
+		mrCfg.Seed = cfg.Seed
+	}
+	if mrCfg.Workers == 0 {
+		mrCfg.Workers = cfg.Workers
+	}
+	mr := match.NewMR(IntentIntentMR.String(), p.docs, mrCfg)
+	bs := mr.Stats()
+	p.stats.Segmentation = bs.Segmentation
+	p.stats.Vectorization = bs.Vectorization
+	p.stats.Clustering = bs.Clustering
+	p.stats.Refinement = bs.Refinement
+	p.stats.Grouping = bs.Grouping
+	p.stats.Indexing = bs.Indexing
+	p.stats.NumSegments = bs.NumSegments
+	p.stats.NumClusters = bs.NumClusters
+	p.matcher = mr
+	if cfg.Shards > 1 {
+		g, err := shard.NewGroup(mr, cfg.Shards, uint64(mrCfg.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		p.matcher = m
-	case IntentIntentMR, ContentMR, SentIntentMR:
-		mrCfg := cfg.MR
-		if mrCfg.Seed == 0 {
-			mrCfg.Seed = cfg.Seed
-		}
-		if mrCfg.Workers == 0 {
-			mrCfg.Workers = cfg.Workers
-		}
-		switch cfg.Method {
-		case ContentMR:
-			if mrCfg.Strategy == nil {
-				mrCfg.Strategy = segment.TextTiling{}
-			}
-			mrCfg.ContentVectors = true
-		case SentIntentMR:
-			mrCfg.Strategy = segment.Sentences{}
-		}
-		mr := match.NewMR(cfg.Method.String(), p.docs, mrCfg)
-		p.seg = mr
-		bs := mr.Stats()
-		p.stats.Segmentation = bs.Segmentation
-		p.stats.Vectorization = bs.Vectorization
-		p.stats.Clustering = bs.Clustering
-		p.stats.Refinement = bs.Refinement
-		p.stats.Grouping = bs.Grouping
-		p.stats.Indexing = bs.Indexing
-		p.stats.NumSegments = bs.NumSegments
-		p.stats.NumClusters = bs.NumClusters
-		if cfg.Shards > 1 {
-			g, err := shard.NewGroup(mr, cfg.Shards, uint64(mrCfg.Seed))
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			// The group re-indexed everything; drop the unsharded matcher
-			// rather than hold two copies of the postings.
-			p.seg = g
-		}
-		p.matcher = p.seg
-	default:
-		return nil, fmt.Errorf("core: unknown method %d", int(cfg.Method))
+		// The group re-indexed everything; drop the unsharded matcher
+		// rather than hold two copies of the postings.
+		p.matcher = g
 	}
 	return p, nil
 }
 
-// docTerms extracts a document's whole-post index terms. segment.Doc keeps
-// stemmed terms; with DisableStem the raw content words are re-derived the
-// way the paper's MySQL baseline indexes them.
-func (p *Pipeline) docTerms(d *segment.Doc) []string {
-	if p.cfg.DisableStem {
-		return textproc.ContentWords(d.Text)
-	}
-	return d.Terms(0, d.Len())
-}
-
 // ErrUnknownDoc reports a query for a document id outside the
-// collection; ErrUnsupported reports an operation this pipeline's
-// method cannot perform (explain on LDA, Add on the whole-post
-// methods). The serving layer maps them to 404 and 422.
-var (
-	ErrUnknownDoc  = errors.New("core: unknown doc_id")
-	ErrUnsupported = errors.New("core: unsupported by this method")
-)
+// collection. The serving layer maps it to 404.
+var ErrUnknownDoc = errors.New("core: unknown doc_id")
 
 // Related returns the top-k posts related to document docID (Sec 7's
 // online matching). Results never include docID and arrive best first.
@@ -294,17 +200,8 @@ func (p *Pipeline) Related(docID, k int) []Result {
 // lookup and nil checks to the hot path (benchmark-gated at 0 extra
 // allocations).
 func (p *Pipeline) RelatedContext(ctx context.Context, docID, k int) []Result {
-	tr := obs.TraceFrom(ctx)
 	tm := spanRelated.Start()
-	var out []Result
-	if p.seg != nil {
-		out = p.seg.MatchTraced(docID, k, tr)
-	} else {
-		out = p.matcher.Match(docID, k)
-		if tr != nil {
-			tr.Event("match", obs.N("results", int64(len(out))))
-		}
-	}
+	out := p.matcher.MatchTraced(docID, k, obs.TraceFrom(ctx))
 	tm.Stop()
 	return out
 }
@@ -316,7 +213,6 @@ func (p *Pipeline) RelatedContext(ctx context.Context, docID, k int) []Result {
 // score decomposition: each result arrives with its per-intention-
 // cluster contributions and the term-level products behind them (see
 // match.Explanation), under the same trace events as the plain query.
-// Explain is ErrUnsupported for LDA, whose scores are not such a sum.
 func (p *Pipeline) Query(ctx context.Context, docID, k int, explain bool) (match.Answer, error) {
 	// HasDoc, not Doc: pipelines restored from a snapshot do not retain
 	// the prepared documents, but every id below the count is queryable.
@@ -326,12 +222,8 @@ func (p *Pipeline) Query(ctx context.Context, docID, k int, explain bool) (match
 	if !explain {
 		return match.Answer{Results: p.RelatedContext(ctx, docID, k)}, nil
 	}
-	ex, ok := p.matcher.(match.Explainer)
-	if !ok {
-		return match.Answer{}, fmt.Errorf("%w: %s does not support explain", ErrUnsupported, p.matcher.Name())
-	}
 	tm := spanRelated.Start()
-	out, exps := ex.MatchExplained(docID, k, obs.TraceFrom(ctx))
+	out, exps := p.matcher.MatchExplained(docID, k, obs.TraceFrom(ctx))
 	tm.Stop()
 	return match.Answer{Results: out, Explanations: exps}, nil
 }
@@ -348,14 +240,8 @@ func (p *Pipeline) Stats() Stats {
 	return p.stats
 }
 
-// NumClusters returns the intention-cluster count (0 for whole-post
-// methods).
-func (p *Pipeline) NumClusters() int {
-	if p.seg == nil {
-		return 0
-	}
-	return p.seg.NumClusters()
-}
+// NumClusters returns the intention-cluster count.
+func (p *Pipeline) NumClusters() int { return p.matcher.NumClusters() }
 
 // Shards returns the serving shard count: 0 for an unsharded pipeline,
 // Config.Shards otherwise.
@@ -363,41 +249,22 @@ func (p *Pipeline) Shards() int { return len(p.ShardDocs()) }
 
 // ShardDocs returns the per-shard document counts, or nil for an
 // unsharded pipeline.
-func (p *Pipeline) ShardDocs() []int {
-	if p.seg == nil {
-		return nil
-	}
-	return p.seg.ShardDocs()
-}
+func (p *Pipeline) ShardDocs() []int { return p.matcher.ShardDocs() }
 
-// Centroids returns the intention-cluster centroids (Fig 3), or nil for
-// whole-post methods.
-func (p *Pipeline) Centroids() [][]float64 {
-	if p.seg == nil {
-		return nil
-	}
-	return p.seg.Centroids()
-}
+// Centroids returns the intention-cluster centroids (Fig 3).
+func (p *Pipeline) Centroids() [][]float64 { return p.matcher.Centroids() }
 
 // SegmentCounts returns each document's segment count before grouping and
-// after refinement (Table 3), or nils for whole-post methods. The
-// returned slices are snapshots copied under the matcher's read lock
+// after refinement (Table 3). The returned slices are snapshots copied under the matcher's read lock
 // (see match.MR.SegmentCounts): safe to retain and mutate while
 // concurrent Adds grow the live counts.
-func (p *Pipeline) SegmentCounts() (before, after []int) {
-	if p.seg == nil { // p.seg is frozen at Build time — no lock needed
-		return nil, nil
-	}
-	return p.seg.SegmentCounts()
-}
+func (p *Pipeline) SegmentCounts() (before, after []int) { return p.matcher.SegmentCounts() }
 
-// Add ingests one new post into an already-built intention pipeline
-// without re-clustering: the post is segmented, its segments join the
+// Add ingests one new post into an already-built pipeline without re-clustering: the post is segmented, its segments join the
 // nearest existing intention clusters, and the per-cluster indices are
 // updated (Sec 9.2: intentions drift slowly, so nearest-centroid
 // assignment suffices between periodic rebuilds). It returns the new
-// post's document id, or ErrUnsupported for whole-post methods, which
-// do not support incremental addition.
+// post's document id.
 //
 // Add is safe to call concurrently with itself and with Related: the
 // expensive preparation (HTML cleaning, CM annotation, segmentation,
@@ -412,13 +279,10 @@ func (p *Pipeline) Add(text string) (int, error) {
 // (segment count after preparation, assigned id after commit), the
 // per-request view of the match.add.prepare/match.add.commit spans.
 func (p *Pipeline) AddContext(ctx context.Context, text string) (int, error) {
-	if p.seg == nil {
-		return 0, fmt.Errorf("%w: %s does not support incremental addition", ErrUnsupported, p.matcher.Name())
-	}
 	tr := obs.TraceFrom(ctx)
 	tm := spanAdd.Start()
 	d := segment.NewDoc(text)
-	pending := p.seg.PrepareAdd(d)
+	pending := p.matcher.PrepareAdd(d)
 	if tr != nil {
 		tr.Event("add.prepared", obs.N("segments", int64(pending.NumSegments())))
 	}
@@ -426,6 +290,7 @@ func (p *Pipeline) AddContext(ctx context.Context, text string) (int, error) {
 	id := pending.Commit()
 	p.docs = append(p.docs, d)
 	p.stats.NumDocs++
+	p.stats.NumSegments += pending.NumSegments()
 	gaugeDocs.Set(int64(p.stats.NumDocs))
 	p.mu.Unlock()
 	if tr != nil {
@@ -456,14 +321,7 @@ func (p *Pipeline) Doc(docID int) *segment.Doc {
 // every document's scores — so a cached Related result is valid exactly
 // as long as the epoch it was computed under is still current. Serving
 // layers key their result caches by this value; see internal/cache.
-// Whole-post methods (FullText, LDA) reject Add, so their epoch is
-// constantly epochBase.
-func (p *Pipeline) Epoch() uint64 {
-	if p.seg == nil {
-		return p.epochBase
-	}
-	return p.epochBase + p.seg.Generation()
-}
+func (p *Pipeline) Epoch() uint64 { return p.epochBase + p.matcher.Generation() }
 
 // HasDoc reports whether docID names a document of the collection. It
 // is the id-validation predicate for serving: unlike Doc it does not

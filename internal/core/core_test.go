@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/forum"
-	"repro/internal/lda"
 )
 
 func corpusTexts(t testing.TB, d forum.Domain, n int, seed int64) ([]string, []forum.Post) {
@@ -15,32 +14,6 @@ func corpusTexts(t testing.TB, d forum.Domain, n int, seed int64) ([]string, []f
 		texts[i] = p.Text
 	}
 	return texts, posts
-}
-
-func TestBuildAllMethods(t *testing.T) {
-	texts, _ := corpusTexts(t, forum.TechSupport, 80, 1)
-	for _, m := range []Method{IntentIntentMR, FullText, LDA, ContentMR, SentIntentMR} {
-		cfg := Config{Method: m, Seed: 2}
-		if m == LDA {
-			cfg.LDA = lda.Config{K: 4, Iterations: 20}
-		}
-		p, err := Build(texts, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if p.Method() != m.String() {
-			t.Errorf("Method() = %q, want %q", p.Method(), m.String())
-		}
-		res := p.Related(0, 5)
-		if len(res) > 5 {
-			t.Errorf("%v returned %d results", m, len(res))
-		}
-		for _, r := range res {
-			if r.DocID == 0 {
-				t.Errorf("%v returned the query post", m)
-			}
-		}
-	}
 }
 
 func TestBuildStatsPopulated(t *testing.T) {
@@ -70,21 +43,6 @@ func TestBuildStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestFullTextPipelineHasNoClusters(t *testing.T) {
-	texts, _ := corpusTexts(t, forum.TechSupport, 30, 4)
-	p, err := Build(texts, Config{Method: FullText})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumClusters() != 0 || p.Centroids() != nil {
-		t.Error("FullText should expose no clusters")
-	}
-	b, a := p.SegmentCounts()
-	if b != nil || a != nil {
-		t.Error("FullText should expose no segment counts")
-	}
-}
-
 func TestSegmentCountsRefinement(t *testing.T) {
 	texts, _ := corpusTexts(t, forum.TechSupport, 80, 5)
 	p, err := Build(texts, Config{})
@@ -99,30 +57,6 @@ func TestSegmentCountsRefinement(t *testing.T) {
 		if after[i] > before[i] {
 			t.Errorf("doc %d gained segments in refinement", i)
 		}
-	}
-}
-
-func TestIntentIntentBeatsFullTextEndToEnd(t *testing.T) {
-	// The Table 4 headline via the public API.
-	texts, posts := corpusTexts(t, forum.Travel, 250, 6)
-	intent, err := Build(texts, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Build(texts, Config{Method: FullText})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pi, pf float64
-	const queries = 50
-	for q := 0; q < queries; q++ {
-		rel := forum.RelevantSet(posts, posts[q])
-		pi += precisionOf(intent.Related(q, 5), rel)
-		pf += precisionOf(full.Related(q, 5), rel)
-	}
-	t.Logf("IntentIntent=%.3f FullText=%.3f", pi/queries, pf/queries)
-	if pi <= pf {
-		t.Errorf("IntentIntent-MR %.3f should beat FullText %.3f", pi/queries, pf/queries)
 	}
 }
 
@@ -189,14 +123,8 @@ func TestBuildHTMLInput(t *testing.T) {
 	}
 }
 
-func TestBuildUnknownMethod(t *testing.T) {
-	if _, err := Build([]string{"x."}, Config{Method: Method(99)}); err == nil {
-		t.Fatal("unknown method should error")
-	}
-}
-
 func TestMethodString(t *testing.T) {
-	if IntentIntentMR.String() != "IntentIntent-MR" || Method(99).String() != "?" {
+	if IntentIntentMR.String() != "IntentIntent-MR" {
 		t.Error("Method.String mismatch")
 	}
 }
@@ -209,18 +137,12 @@ func TestHealthDomainOutOfSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Build(texts, Config{Method: FullText, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pi, pf float64
+	var pi float64
 	const queries = 40
 	for q := 0; q < queries; q++ {
-		rel := forum.RelevantSet(posts, posts[q])
-		pi += precisionOf(intent.Related(q, 5), rel)
-		pf += precisionOf(full.Related(q, 5), rel)
+		pi += precisionOf(intent.Related(q, 5), forum.RelevantSet(posts, posts[q]))
 	}
-	t.Logf("Health: IntentIntent=%.3f FullText=%.3f", pi/queries, pf/queries)
+	t.Logf("Health: IntentIntent=%.3f", pi/queries)
 	if pi/queries < 0.2 {
 		t.Errorf("IntentIntent collapsed on out-of-sample domain: %.3f", pi/queries)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 
@@ -69,35 +68,4 @@ func TestExplainReconcilesOnGoldenCorpus(t *testing.T) {
 		t.Fatal("no results were explained")
 	}
 	t.Logf("reconciled %d explained results across %d queries", explained, goldenPosts)
-}
-
-// TestExplainUnsupportedMethod pins the error contract for matchers
-// whose scores are not an Eq 7–9 sum.
-func TestExplainUnsupportedMethod(t *testing.T) {
-	posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: 30, Seed: 5})
-	texts := make([]string, len(posts))
-	for i, p := range posts {
-		texts[i] = p.Text
-	}
-	p, err := Build(texts, Config{Method: LDA, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Query(context.Background(), 0, 5, true); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("LDA explain: %v, want ErrUnsupported", err)
-	}
-
-	// FullText, by contrast, explains over its single whole-post index.
-	ft, err := Build(texts, Config{Method: FullText, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := ft.Query(context.Background(), 0, 5, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, exps := ans.Results, ans.Explanations
-	if len(res) == 0 || len(exps) != len(res) {
-		t.Fatalf("FullText explain: %d results, %d explanations", len(res), len(exps))
-	}
 }

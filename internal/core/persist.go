@@ -13,15 +13,13 @@ import (
 
 // Pipeline persistence: the offline build (segmentation, grouping,
 // indexing) is written once and reloaded by serving processes, mirroring
-// the paper's offline/online split. Only the intention (MR) methods are
-// persistable — FullText rebuilds in milliseconds and LDA's model is
-// cheaper to retrain than to version.
+// the paper's offline/online split.
 //
 // An unsharded pipeline is one secfile container — magic "RFCP",
 // version 1 — of two checksummed sections:
 //
-//	"head"  JSON header: the method by its Table 4 name and the full
-//	        Stats (durations in nanoseconds).
+//	"head"  JSON header: the matcher's name (its Table 4 label) and the
+//	        full Stats (durations in nanoseconds).
 //	"mtch"  the matcher's own compact file (magic "RFCM", see
 //	        match/compact.go), embedded verbatim the way that file
 //	        embeds its cluster indices.
@@ -40,28 +38,13 @@ type pipelineHead struct {
 	Stats  Stats  `json:"stats"`
 }
 
-// mrMethod resolves a Table 4 name to the persistable method carrying it.
-func mrMethod(name string) (Method, bool) {
-	for _, m := range []Method{IntentIntentMR, ContentMR, SentIntentMR} {
-		if m.String() == name {
-			return m, true
-		}
-	}
-	return 0, false
-}
-
-// WriteTo serializes a built MR pipeline as one RFCP container. It
+// WriteTo serializes a built pipeline as one RFCP container. It
 // implements io.WriterTo. Sharded pipelines persist as a directory
 // instead — see WriteShardDir.
 func (p *Pipeline) WriteTo(w io.Writer) (int64, error) {
-	var mr *match.MR
-	switch m := p.matcher.(type) {
-	case *match.MR:
-		mr = m
-	case *shard.Group:
+	mr, ok := p.matcher.(*match.MR)
+	if !ok {
 		return 0, fmt.Errorf("core: sharded pipelines persist as a shard directory; use WriteShardDir")
-	default:
-		return 0, fmt.Errorf("core: %s pipelines are not persistable", p.matcher.Name())
 	}
 	// Add commits to the matcher and counts the document under the write
 	// lock, so under the read lock the header and the matcher describe
@@ -74,7 +57,7 @@ func (p *Pipeline) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	head, err := json.Marshal(pipelineHead{Method: p.cfg.Method.String(), Stats: stats})
+	head, err := json.Marshal(pipelineHead{Method: mr.Name(), Stats: stats})
 	if err != nil {
 		return 0, fmt.Errorf("core: encoding pipeline header: %w", err)
 	}
@@ -86,8 +69,8 @@ func (p *Pipeline) WriteTo(w io.Writer) (int64, error) {
 
 // ReadPipeline deserializes a pipeline written with WriteTo. The source
 // is consumed to EOF. Beyond what the container and the matcher decoder
-// check, the header must describe the matcher beside it: a persistable
-// method, the matcher's name, the matcher's document count.
+// check, the header must describe the matcher beside it: the matcher's
+// name, the matcher's document count.
 func ReadPipeline(r io.Reader) (*Pipeline, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -105,10 +88,6 @@ func ReadPipeline(r io.Reader) (*Pipeline, error) {
 	if err := json.Unmarshal(headSec, &head); err != nil {
 		return nil, fmt.Errorf("core: decoding pipeline header: %w", err)
 	}
-	method, ok := mrMethod(head.Method)
-	if !ok {
-		return nil, fmt.Errorf("core: pipeline header names method %q, which is not persistable", head.Method)
-	}
 	mtch, err := f.Section("mtch")
 	if err != nil {
 		return nil, err
@@ -123,19 +102,17 @@ func ReadPipeline(r io.Reader) (*Pipeline, error) {
 	if head.Stats.NumDocs != mr.NumDocs() {
 		return nil, fmt.Errorf("core: pipeline header counts %d documents, matcher holds %d", head.Stats.NumDocs, mr.NumDocs())
 	}
-	return loaded(Config{Method: method}, mr, head.Stats), nil
+	return loaded(mr, head.Stats), nil
 }
 
 // loaded assembles a pipeline restored from a snapshot, the counterpart
 // of Build's tail: it publishes the collection size on the core.docs
 // gauge exactly as Build does, so a restored server's /metrics does not
 // report an empty collection until its first Add.
-func loaded(cfg Config, m segMatcher, stats Stats) *Pipeline {
+func loaded(m segMatcher, stats Stats) *Pipeline {
 	gaugeDocs.Set(int64(stats.NumDocs))
 	return &Pipeline{
-		cfg:       cfg,
 		matcher:   m,
-		seg:       m,
 		epochBase: 1, // loading is an epoch advance; see Pipeline.Epoch
 		stats:     stats,
 	}
@@ -156,18 +133,18 @@ func (p *Pipeline) WriteShardDir(dir string) error {
 // ReadShardDir loads a sharded pipeline from a directory written by
 // WriteShardDir. Like ReadPipeline, the loaded pipeline serves Related
 // and accepts Add but does not retain the prepared documents, so Doc
-// returns nil for pre-load ids. The method is recovered from the
-// persisted matcher name.
+// returns nil for pre-load ids. The method is the persisted matcher
+// name. Each shard's own statistics count only the adds it took, so the
+// segment count is summed from the per-document counts.
 func ReadShardDir(dir string) (*Pipeline, error) {
 	g, err := shard.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	method, _ := mrMethod(g.Name()) // a custom matcher name loads as IntentIntentMR
-	bs := g.Stats()
-	return loaded(Config{Method: method, Shards: g.NumShards()}, g, Stats{
-		NumDocs:     g.NumDocs(),
-		NumSegments: bs.NumSegments,
-		NumClusters: bs.NumClusters,
-	}), nil
+	before, _ := g.SegmentCounts()
+	segs := 0
+	for _, c := range before {
+		segs += c
+	}
+	return loaded(g, Stats{NumDocs: g.NumDocs(), NumSegments: segs, NumClusters: g.Stats().NumClusters}), nil
 }

@@ -53,18 +53,6 @@ func TestPipelinePersistRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPipelinePersistRejectsWholePostMethods(t *testing.T) {
-	texts, _ := corpusTexts(t, forum.TechSupport, 20, 62)
-	p, err := Build(texts, Config{Method: FullText})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err == nil {
-		t.Fatal("FullText pipeline should not be persistable")
-	}
-}
-
 // smallSnapshot builds a small pipeline and returns it with its
 // snapshot bytes.
 func smallSnapshot(t testing.TB) (*Pipeline, []byte) {
@@ -145,7 +133,6 @@ func TestReadPipelineGarbage(t *testing.T) {
 		{"matcher section damaged", encodeSections(t,
 			secfile.Section{Tag: "head", Data: head}, secfile.Section{Tag: "mtch", Data: mtch[:len(mtch)-9]}),
 			"truncated"},
-		{"method not persistable", withHead(t, valid, func(h *pipelineHead) { h.Method = "FullText" }), "not persistable"},
 		{"method is not the matcher's", withHead(t, valid, func(h *pipelineHead) { h.Method = "Content-MR" }),
 			`matcher is "IntentIntent-MR"`},
 		{"document count is not the matcher's", withHead(t, valid, func(h *pipelineHead) { h.Stats.NumDocs-- }),

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/forum"
+	"repro/internal/match"
+	"repro/internal/segment"
 )
 
 // Sharded pipeline coverage at the public API: Build-time validation,
@@ -91,19 +94,63 @@ func TestShardedPipelinePersistence(t *testing.T) {
 
 func TestShardedBuildValidation(t *testing.T) {
 	texts := goldenTexts(t, 30)
-	if _, err := Build(texts, Config{Method: FullText, Shards: 2}); err == nil {
-		t.Error("FullText with Shards should fail")
-	}
-	if _, err := Build(texts, Config{Method: LDA, Shards: 2}); err == nil {
-		t.Error("LDA with Shards should fail")
-	}
-	// Any MR method shards. (Shards: 1 serves unsharded; a one-shard
+	// Any border strategy shards. (Shards: 1 serves unsharded; a one-shard
 	// group is reachable only through a fleet coordinator.)
-	p, err := Build(texts, Config{Seed: 9, Shards: 2, Method: SentIntentMR})
+	p, err := Build(texts, Config{Seed: 9, Shards: 2, MR: match.MRConfig{Strategy: segment.Sentences{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Shards() != 2 {
 		t.Errorf("Shards() = %d", p.Shards())
+	}
+}
+
+// TestNumSegmentsAfterAdds: the segment count describes the collection,
+// adds included, whatever the topology. Unsharded and 4-shard pipelines,
+// and each reloaded from its snapshot, report the sum of the
+// per-document counts before refinement — one number for all four.
+func TestNumSegmentsAfterAdds(t *testing.T) {
+	texts := goldenTexts(t, 100)
+	var pipelines []*Pipeline
+	for _, shards := range []int{0, 4} {
+		p, err := Build(texts[:80], Config{Seed: 7, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, text := range texts[80:] {
+			if _, err := p.Add(text); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var reloaded *Pipeline
+		if dir := t.TempDir(); shards > 0 {
+			if err = p.WriteShardDir(dir); err == nil {
+				reloaded, err = ReadShardDir(dir)
+			}
+		} else {
+			var buf bytes.Buffer
+			if _, err = p.WriteTo(&buf); err == nil {
+				reloaded, err = ReadPipeline(&buf)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipelines = append(pipelines, p, reloaded)
+	}
+	want := -1
+	for i, p := range pipelines {
+		before, _ := p.SegmentCounts()
+		sum := 0
+		for _, c := range before {
+			sum += c
+		}
+		if want < 0 {
+			want = sum
+		}
+		if got := p.Stats().NumSegments; got != sum || sum != want {
+			name := []string{"unsharded", "unsharded reloaded", "4-shard", "4-shard reloaded"}[i]
+			t.Errorf("%s: Stats().NumSegments = %d, its counts sum to %d, the unsharded pipeline's to %d", name, got, sum, want)
+		}
 	}
 }

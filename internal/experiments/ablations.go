@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/forum"
@@ -48,10 +49,7 @@ func Ablations(opt Options) (string, []AblationRow) {
 	}
 	for _, d := range allDomains {
 		ds := newDataset(d, opt.Scale, opt.Seed)
-		var docs []*segment.Doc
-		for _, t := range ds.texts {
-			docs = append(docs, segment.NewDoc(t))
-		}
+		docs := baseline.Prepare(ds.texts, opt.Workers)
 		for i, c := range configs {
 			mrCfg := c.mr
 			mrCfg.Seed = opt.Seed

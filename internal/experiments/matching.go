@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/baseline"
 	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -12,7 +13,7 @@ import (
 	"repro/internal/lda"
 )
 
-// dataset bundles a generated domain corpus with its built pipelines.
+// dataset bundles a generated domain corpus with its post texts.
 type dataset struct {
 	domain forum.Domain
 	posts  []forum.Post
@@ -28,12 +29,9 @@ func newDataset(d forum.Domain, n int, seed int64) dataset {
 	return ds
 }
 
-func (ds dataset) build(m core.Method, seed int64, workers int) (*core.Pipeline, error) {
-	cfg := core.Config{Method: m, Seed: seed, Workers: workers}
-	if m == core.LDA {
-		cfg.LDA = lda.Config{K: 8, Iterations: 60, Seed: seed}
-	}
-	return core.Build(ds.texts, cfg)
+// columnConfig is what Table 4 and Fig 10 build their columns with.
+func columnConfig(seed int64, workers int) baseline.Config {
+	return baseline.Config{LDA: lda.Config{K: 8, Iterations: 60}, Seed: seed, Workers: workers}
 }
 
 // Table3 reproduces the segment-granularity table: percentage of posts
@@ -50,7 +48,7 @@ func Table3(opt Options) (string, map[forum.Domain][2]map[string]float64) {
 	dists := map[forum.Domain][2]map[string]float64{}
 	for _, d := range allDomains {
 		ds := newDataset(d, opt.Scale, opt.Seed)
-		p, err := ds.build(core.IntentIntentMR, opt.Seed, opt.Workers)
+		p, err := core.Build(ds.texts, core.Config{Seed: opt.Seed, Workers: opt.Workers})
 		if err != nil {
 			return err.Error(), nil
 		}
@@ -78,7 +76,7 @@ func Table3(opt Options) (string, map[forum.Domain][2]map[string]float64) {
 func Fig3(opt Options) string {
 	opt = opt.withDefaults()
 	ds := newDataset(forum.TechSupport, opt.Scale, opt.Seed)
-	p, err := ds.build(core.IntentIntentMR, opt.Seed, opt.Workers)
+	p, err := core.Build(ds.texts, core.Config{Seed: opt.Seed, Workers: opt.Workers})
 	if err != nil {
 		return err.Error()
 	}
@@ -115,8 +113,8 @@ type Table4Result struct {
 }
 
 // table4Methods are the Table 4 columns in paper order.
-var table4Methods = []core.Method{
-	core.LDA, core.FullText, core.ContentMR, core.SentIntentMR, core.IntentIntentMR,
+var table4Methods = []baseline.Method{
+	baseline.LDA, baseline.FullText, baseline.ContentMR, baseline.SentIntentMR, baseline.IntentIntentMR,
 }
 
 // Table4 reproduces the headline effectiveness comparison: mean precision
@@ -133,33 +131,34 @@ func Table4(opt Options) (string, []Table4Result) {
 		for rep := 0; rep < opt.Repeats; rep++ {
 			seed := opt.Seed + int64(rep)*101
 			ds := newDataset(d, opt.Scale, seed)
+			docs := baseline.Prepare(ds.texts, opt.Workers)
 			for _, m := range table4Methods {
-				p, err := ds.build(m, seed, opt.Workers)
+				mt, err := m.Build(docs, columnConfig(seed, opt.Workers))
 				if err != nil {
 					return err.Error(), nil
 				}
 				var perQuery []float64
 				for q := 0; q < opt.Queries && q < len(ds.posts); q++ {
 					rel := forum.RelevantSet(ds.posts, ds.posts[q])
-					ids := core.TopIDs(p.Related(q, 5))
+					ids := core.TopIDs(mt.Match(q, 5))
 					perQuery = append(perQuery, eval.Precision(ids, rel))
 				}
-				res.Precision[m.String()] += eval.MeanPrecision(perQuery) / float64(opt.Repeats)
-				res.ZeroFrac[m.String()] += eval.ZeroFraction(perQuery) / float64(opt.Repeats)
+				res.Precision[m.Name] += eval.MeanPrecision(perQuery) / float64(opt.Repeats)
+				res.ZeroFrac[m.Name] += eval.ZeroFraction(perQuery) / float64(opt.Repeats)
 			}
 		}
-		res.Gain = res.Precision[core.IntentIntentMR.String()] - res.Precision[core.FullText.String()]
+		res.Gain = res.Precision[baseline.IntentIntentMR.Name] - res.Precision[baseline.FullText.Name]
 		results = append(results, res)
 		row := []string{d.String()}
 		for _, m := range table4Methods {
-			row = append(row, f3(res.Precision[m.String()]))
+			row = append(row, f3(res.Precision[m.Name]))
 		}
 		row = append(row, fmt.Sprintf("%+.1f%%", res.Gain*100))
 		rows = append(rows, row)
 	}
 	header := []string{"Dataset"}
 	for _, m := range table4Methods {
-		header = append(header, m.String())
+		header = append(header, m.Name)
 	}
 	header = append(header, "Gain")
 	out := "Table 4: comparison of methods — mean precision (top-5, generator relevance)\n" +
@@ -176,9 +175,10 @@ func Fig10(opt Options) string {
 	b.WriteString("Fig 10: distribution of queries by #relevant in top-5\n")
 	for _, d := range allDomains {
 		ds := newDataset(d, opt.Scale, opt.Seed)
+		docs := baseline.Prepare(ds.texts, opt.Workers)
 		var rows [][]string
-		for _, m := range []core.Method{core.FullText, core.IntentIntentMR} {
-			p, err := ds.build(m, opt.Seed, opt.Workers)
+		for _, m := range []baseline.Method{baseline.FullText, baseline.IntentIntentMR} {
+			mt, err := m.Build(docs, columnConfig(opt.Seed, opt.Workers))
 			if err != nil {
 				return err.Error()
 			}
@@ -186,14 +186,14 @@ func Fig10(opt Options) string {
 			for q := 0; q < opt.Queries && q < len(ds.posts); q++ {
 				rel := forum.RelevantSet(ds.posts, ds.posts[q])
 				hits := 0
-				for _, id := range core.TopIDs(p.Related(q, 5)) {
+				for _, id := range core.TopIDs(mt.Match(q, 5)) {
 					if rel[id] {
 						hits++
 					}
 				}
 				hist[hits]++
 			}
-			row := []string{m.String()}
+			row := []string{m.Name}
 			for _, h := range hist {
 				row = append(row, fmt.Sprintf("%d", h))
 			}

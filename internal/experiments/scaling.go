@@ -5,9 +5,11 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/forum"
 	"repro/internal/lda"
+	"repro/internal/match"
 )
 
 // Fig11Result holds one collection size's timings.
@@ -19,8 +21,8 @@ type Fig11Result struct {
 }
 
 // fig11Methods are the methods timed in Fig 11 (the paper's five).
-var fig11Methods = []core.Method{
-	core.IntentIntentMR, core.SentIntentMR, core.ContentMR, core.FullText, core.LDA,
+var fig11Methods = []baseline.Method{
+	baseline.IntentIntentMR, baseline.SentIntentMR, baseline.ContentMR, baseline.FullText, baseline.LDA,
 }
 
 // Fig11 reproduces the execution-time comparison on the tech-support
@@ -38,6 +40,10 @@ func Fig11(opt Options) (string, []Fig11Result) {
 	const retrievalQueries = 50
 	for _, size := range opt.Sizes {
 		ds := newDataset(forum.TechSupport, size, opt.Seed)
+		docs := baseline.Prepare(ds.texts, opt.Workers)
+		// Fig 11(c) times retrieval, not model training; keep the LDA fit
+		// short so large sizes stay tractable.
+		cfg := baseline.Config{LDA: lda.Config{K: 8, Iterations: scaledLDAIters(size)}, Seed: opt.Seed, Workers: opt.Workers}
 		res := Fig11Result{
 			Size:         size,
 			Segmentation: map[string]time.Duration{},
@@ -45,58 +51,55 @@ func Fig11(opt Options) (string, []Fig11Result) {
 			Retrieval:    map[string]time.Duration{},
 		}
 		for _, m := range fig11Methods {
-			cfg := core.Config{Method: m, Seed: opt.Seed, Workers: opt.Workers}
-			if m == core.LDA {
-				// Fig 11(c) times retrieval, not model training; keep the
-				// fit short so large sizes stay tractable.
-				cfg.LDA = lda.Config{K: 8, Iterations: scaledLDAIters(size)}
-			}
-			p, err := core.Build(ds.texts, cfg)
+			mt, err := m.Build(docs, cfg)
 			if err != nil {
 				return err.Error(), nil
 			}
-			st := p.Stats()
-			res.Segmentation[m.String()] = st.Segmentation
-			res.Grouping[m.String()] = st.Grouping
+			var st match.BuildStats // zero for the whole-post methods
+			if mr, ok := mt.(*match.MR); ok {
+				st = mr.Stats()
+			}
+			res.Segmentation[m.Name] = st.Segmentation
+			res.Grouping[m.Name] = st.Grouping
 			start := time.Now()
 			n := retrievalQueries
 			if n > size {
 				n = size
 			}
 			for q := 0; q < n; q++ {
-				p.Related(q, 5)
+				mt.Match(q, 5)
 			}
-			res.Retrieval[m.String()] = time.Since(start) / time.Duration(n)
+			res.Retrieval[m.Name] = time.Since(start) / time.Duration(n)
 		}
 		results = append(results, res)
 	}
 
-	segMethods := []core.Method{core.IntentIntentMR, core.SentIntentMR, core.ContentMR}
+	segMethods := fig11Methods[:3] // the segment-based three of (a) and (b)
 	var segRows, grpRows, retRows [][]string
 	for _, r := range results {
 		segRow := []string{fmt.Sprintf("%d", r.Size)}
 		grpRow := []string{fmt.Sprintf("%d", r.Size)}
 		for _, m := range segMethods {
-			segRow = append(segRow, r.Segmentation[m.String()].Round(time.Millisecond).String())
-			grpRow = append(grpRow, r.Grouping[m.String()].Round(time.Millisecond).String())
+			segRow = append(segRow, r.Segmentation[m.Name].Round(time.Millisecond).String())
+			grpRow = append(grpRow, r.Grouping[m.Name].Round(time.Millisecond).String())
 		}
 		segRows = append(segRows, segRow)
 		grpRows = append(grpRows, grpRow)
 		retRow := []string{fmt.Sprintf("%d", r.Size)}
 		for _, m := range fig11Methods {
-			retRow = append(retRow, r.Retrieval[m.String()].Round(time.Microsecond).String())
+			retRow = append(retRow, r.Retrieval[m.Name].Round(time.Microsecond).String())
 		}
 		retRows = append(retRows, retRow)
 	}
 	segHeader := []string{"Posts"}
 	grpHeader := []string{"Posts"}
 	for _, m := range segMethods {
-		segHeader = append(segHeader, m.String())
-		grpHeader = append(grpHeader, m.String())
+		segHeader = append(segHeader, m.Name)
+		grpHeader = append(grpHeader, m.Name)
 	}
 	retHeader := []string{"Posts"}
 	for _, m := range fig11Methods {
-		retHeader = append(retHeader, m.String())
+		retHeader = append(retHeader, m.Name)
 	}
 	b.WriteString("(a) total segmentation time\n" + table(segHeader, segRows))
 	b.WriteString("(b) segment grouping time\n" + table(grpHeader, grpRows))

@@ -1,12 +1,12 @@
 // Package index implements the full-text indexing layer of Sec 7: an
-// inverted index over text units (whole posts for the FullText baseline,
-// intention-cluster segments for the paper's method) with the MySQL-5.5.3
-// style term weighting of Eq 7/8 — log-scaled term frequency, a
-// unique-term-count length normalization NU, and the smoothed probabilistic
-// inverse document frequency of Eq 9. One Index instance backs one
-// intention cluster (the paper builds |C| full-text indices plus one
-// document-id index; see Fig 6); the whole-collection FullText baseline is
-// the same structure with documents as units.
+// inverted index over text units (intention-cluster segments for the
+// paper's method, whole posts for internal/baseline's FullText) with the
+// MySQL-5.5.3 style term weighting of Eq 7/8 — log-scaled term frequency,
+// a unique-term-count length normalization NU, and the smoothed
+// probabilistic inverse document frequency of Eq 9. One Index instance
+// backs one intention cluster (the paper builds |C| full-text indices plus
+// one document-id index; see Fig 6); internal/baseline's whole-collection
+// FullText is the same structure with documents as units.
 //
 // Layout: memory looks like the snapshot (compact.go, columns.go). Terms
 // are ids of a shared Dict (dict.go); an index numbers the terms that

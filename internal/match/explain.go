@@ -49,10 +49,9 @@ type Explanation struct {
 	Clusters []ClusterContribution `json:"clusters"`
 }
 
-// Explainer is implemented by matchers that can decompose their scores.
-// MR (per-intention-cluster contributions) and FullText (a single
-// whole-post pseudo-cluster) implement it; LDA does not — its
-// similarity is not an Eq 7–9 sum.
+// Explainer is implemented by matchers that can decompose their scores:
+// MR, into per-intention-cluster contributions (internal/baseline's
+// whole-post matcher implements it over a single pseudo-cluster).
 type Explainer interface {
 	Matcher
 	// MatchExplained returns exactly what Match(docID, k) returns, plus
@@ -137,26 +136,4 @@ func (mr *MR) ExplainDocCluster(localDoc int, q ClusterQuery, norm float64) []Te
 		}
 	}
 	return nil
-}
-
-// MatchExplained implements Explainer for the whole-post baseline: the
-// score decomposes over a single pseudo-cluster 0 (the one
-// whole-collection index), with the full Eq 7–9 term breakdown. The
-// trace is unused: the whole-post query has no stages to record.
-func (ft *FullText) MatchExplained(docID, k int, _ *obs.Trace) ([]Result, []Explanation) {
-	if docID < 0 || docID >= len(ft.terms) {
-		return nil, nil
-	}
-	q := index.TermFrequencies(ft.terms[docID])
-	res := ft.ix.Query(q, k, func(u int) bool { return u == docID })
-	out := make([]Result, len(res))
-	exps := make([]Explanation, len(res))
-	for i, r := range res {
-		out[i] = Result{DocID: r.Unit, Score: r.Score}
-		exps[i] = Explanation{
-			DocID: r.Unit, Score: r.Score,
-			Clusters: []ClusterContribution{{Cluster: 0, Score: r.Score, Terms: termContributions(ft.ix.Explain(q, r.Unit), 1)}},
-		}
-	}
-	return out, exps
 }

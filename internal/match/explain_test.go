@@ -9,16 +9,14 @@ import (
 )
 
 // explainDocs prepares a small corpus for the explain tests.
-func explainDocs(t *testing.T, n int) ([]*segment.Doc, [][]string) {
+func explainDocs(t *testing.T, n int) []*segment.Doc {
 	t.Helper()
 	posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: n, Seed: 99})
 	docs := make([]*segment.Doc, len(posts))
-	terms := make([][]string, len(posts))
 	for i, p := range posts {
 		docs[i] = segment.NewDoc(p.Text)
-		terms[i] = docs[i].Terms(0, docs[i].Len())
 	}
-	return docs, terms
+	return docs
 }
 
 // checkExplanations asserts the full reconciliation contract for one
@@ -71,7 +69,7 @@ func checkExplanations(t *testing.T, want []Result, got []Result, exps []Explana
 }
 
 func TestMRMatchExplainedReconciles(t *testing.T) {
-	docs, _ := explainDocs(t, 120)
+	docs := explainDocs(t, 120)
 	for name, cfg := range map[string]MRConfig{
 		"default":   {Seed: 7},
 		"dbscan":    {Grouper: GroupDBSCAN, Seed: 7},
@@ -90,7 +88,7 @@ func TestMRMatchExplainedReconciles(t *testing.T) {
 }
 
 func TestMRMatchExplainedEdgeCases(t *testing.T) {
-	docs, _ := explainDocs(t, 40)
+	docs := explainDocs(t, 40)
 	mr := NewMR("explain-edge", docs, MRConfig{Seed: 7})
 	if res, exps := mr.MatchExplained(0, 0, nil); res != nil || exps != nil {
 		t.Fatal("k=0 must return nils")
@@ -107,7 +105,7 @@ func TestMRMatchExplainedAfterAdd(t *testing.T) {
 	// Explanations must reconcile for (and against) incrementally added
 	// documents too — their segments join existing clusters via
 	// nearest-centroid assignment.
-	docs, _ := explainDocs(t, 80)
+	docs := explainDocs(t, 80)
 	mr := NewMR("explain-add", docs[:70], MRConfig{Seed: 7})
 	var addedID int
 	for _, d := range docs[70:] {
@@ -120,27 +118,6 @@ func TestMRMatchExplainedAfterAdd(t *testing.T) {
 	}
 }
 
-func TestFullTextMatchExplainedReconciles(t *testing.T) {
-	_, terms := explainDocs(t, 80)
-	ft := NewFullText(terms)
-	for doc := 0; doc < 20; doc++ {
-		want := ft.Match(doc, 5)
-		got, exps := ft.MatchExplained(doc, 5, nil)
-		checkExplanations(t, want, got, exps, 1e-9)
-		for _, exp := range exps {
-			if len(exp.Clusters) != 1 || exp.Clusters[0].Cluster != 0 {
-				t.Fatalf("FullText explanation must use the single pseudo-cluster 0: %+v", exp.Clusters)
-			}
-		}
-	}
-}
-
 func TestExplainerInterface(t *testing.T) {
-	docs, terms := explainDocs(t, 30)
-	var _ Explainer = NewMR("iface", docs, MRConfig{Seed: 7})
-	var _ Explainer = NewFullText(terms)
-	// LDA deliberately does not implement Explainer.
-	if _, ok := any(&LDAMatcher{}).(Explainer); ok {
-		t.Fatal("LDAMatcher must not satisfy Explainer")
-	}
+	var _ Explainer = NewMR("iface", explainDocs(t, 30), MRConfig{Seed: 7})
 }

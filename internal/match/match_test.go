@@ -4,15 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/forum"
-	"repro/internal/lda"
 	"repro/internal/segment"
-	"repro/internal/textproc"
 )
 
 // testCorpus bundles a generated corpus with its prepared forms.
 type testCorpus struct {
 	posts []forum.Post
-	terms [][]string
 	docs  []*segment.Doc
 }
 
@@ -21,7 +18,6 @@ func buildCorpus(t testing.TB, domain forum.Domain, n int, seed int64) *testCorp
 	posts := forum.Generate(forum.Config{Domain: domain, NumPosts: n, Seed: seed})
 	tc := &testCorpus{posts: posts}
 	for _, p := range posts {
-		tc.terms = append(tc.terms, textproc.StemAll(textproc.ContentWords(p.Text)))
 		tc.docs = append(tc.docs, segment.NewDoc(p.Text))
 	}
 	return tc
@@ -39,63 +35,6 @@ func checkResults(t *testing.T, name string, res []Result, docID, k int) {
 		if i > 0 && r.Score > res[i-1].Score {
 			t.Errorf("%s results not sorted", name)
 		}
-	}
-}
-
-func TestFullTextMatch(t *testing.T) {
-	tc := buildCorpus(t, forum.TechSupport, 120, 1)
-	ft := NewFullText(tc.terms)
-	for _, q := range []int{0, 5, 50} {
-		res := ft.Match(q, 5)
-		if len(res) == 0 {
-			t.Fatalf("FullText found nothing for doc %d", q)
-		}
-		checkResults(t, "FullText", res, q, 5)
-	}
-	if got := ft.Match(-1, 5); got != nil {
-		t.Error("out-of-range doc should return nil")
-	}
-	if ft.Name() != "FullText" {
-		t.Error("name mismatch")
-	}
-}
-
-func TestFullTextPrefersSameTopic(t *testing.T) {
-	tc := buildCorpus(t, forum.TechSupport, 200, 2)
-	ft := NewFullText(tc.terms)
-	hits, total := 0, 0
-	for q := 0; q < 30; q++ {
-		for _, r := range ft.Match(q, 5) {
-			total++
-			if tc.posts[r.DocID].Topic == tc.posts[q].Topic {
-				hits++
-			}
-		}
-	}
-	if total == 0 {
-		t.Fatal("no results at all")
-	}
-	if frac := float64(hits) / float64(total); frac < 0.7 {
-		t.Errorf("FullText same-topic fraction %.2f < 0.7 — shared vocabulary should dominate", frac)
-	}
-}
-
-func TestLDAMatcher(t *testing.T) {
-	tc := buildCorpus(t, forum.Travel, 100, 3)
-	lm, err := NewLDA(tc.terms, lda.Config{K: 6, Iterations: 60, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := lm.Match(0, 5)
-	if len(res) != 5 {
-		t.Fatalf("LDA returned %d results", len(res))
-	}
-	checkResults(t, "LDA", res, 0, 5)
-	if lm.Match(-1, 5) != nil || lm.Match(0, 0) != nil {
-		t.Error("degenerate queries should return nil")
-	}
-	if _, err := NewLDA(nil, lda.Config{}); err == nil {
-		t.Error("NewLDA(nil) should fail")
 	}
 }
 
@@ -185,29 +124,6 @@ func TestMRVariants(t *testing.T) {
 	}
 }
 
-func TestMRBeatsFullTextOnConfusableCorpus(t *testing.T) {
-	// The headline claim (Table 4): on same-category posts where vocabulary
-	// is shared but needs differ, intention-based matching finds more truly
-	// related posts than whole-post matching.
-	tc := buildCorpus(t, forum.TechSupport, 300, 8)
-	ft := NewFullText(tc.terms)
-	mr := NewMR("IntentIntent-MR", tc.docs, MRConfig{})
-
-	var ftPrec, mrPrec float64
-	queries := 40
-	for q := 0; q < queries; q++ {
-		rel := forum.RelevantSet(tc.posts, tc.posts[q])
-		ftPrec += precision(ft.Match(q, 5), rel)
-		mrPrec += precision(mr.Match(q, 5), rel)
-	}
-	ftPrec /= float64(queries)
-	mrPrec /= float64(queries)
-	t.Logf("mean precision: FullText=%.3f IntentIntent-MR=%.3f", ftPrec, mrPrec)
-	if mrPrec <= ftPrec {
-		t.Errorf("IntentIntent-MR precision %.3f should beat FullText %.3f", mrPrec, ftPrec)
-	}
-}
-
 func precision(res []Result, rel map[int]bool) float64 {
 	if len(res) == 0 {
 		return 0
@@ -289,13 +205,6 @@ func BenchmarkMRMatch(b *testing.B) {
 
 func TestMatcherNames(t *testing.T) {
 	tc := buildCorpus(t, forum.TechSupport, 30, 71)
-	lm, err := NewLDA(tc.terms, lda.Config{K: 3, Iterations: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lm.Name() != "LDA" {
-		t.Errorf("LDA name = %q", lm.Name())
-	}
 	mr := NewMR("Custom-MR", tc.docs, MRConfig{})
 	if mr.Name() != "Custom-MR" {
 		t.Errorf("MR name = %q", mr.Name())

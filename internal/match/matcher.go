@@ -1,20 +1,13 @@
 // Package match implements the document-matching layer of Sec 7: the
 // intention-based multi-ranking method of Algorithms 1 and 2
-// (IntentIntent-MR) and the comparison methods of Sec 9.2 — FullText
-// (whole-post MySQL-style ranking), LDA (topic-distribution similarity),
-// Content-MR (topical segmentation + TF/IDF clusters), and SentIntent-MR
-// (sentence units + CM clusters). All expose the same Matcher interface:
-// given a reference post in the collection, return the top-k most related
-// posts.
+// (IntentIntent-MR), and the Matcher interface every method answers
+// through: given a reference post in the collection, return the top-k
+// most related posts. MRConfig's Strategy and ContentVectors also give
+// the segment-based comparison methods of Sec 9.2; those, and the
+// whole-post ones, are built in internal/baseline.
 package match
 
-import (
-	"fmt"
-
-	"repro/internal/index"
-	"repro/internal/lda"
-	"repro/internal/topk"
-)
+import "repro/internal/topk"
 
 // Result is one related document with its matching score.
 type Result struct {
@@ -46,78 +39,6 @@ type Matcher interface {
 	// Match returns up to k related documents for the collection document
 	// docID, best first, never including docID itself.
 	Match(docID, k int) []Result
-}
-
-// FullText is the whole-post baseline: one inverted index over entire
-// posts with the Eq 7 weighting — the paper's MySQL 5.5.3 full-text
-// configuration.
-type FullText struct {
-	ix    *index.Index
-	terms [][]string
-}
-
-// NewFullText indexes the collection; docs[i] holds the content terms of
-// document i.
-func NewFullText(docs [][]string) *FullText {
-	ft := &FullText{ix: index.New(), terms: docs}
-	for _, terms := range docs {
-		ft.ix.Add(terms)
-	}
-	return ft
-}
-
-// Name implements Matcher.
-func (ft *FullText) Name() string { return "FullText" }
-
-// Match implements Matcher. Unit ids coincide with document ids here.
-func (ft *FullText) Match(docID, k int) []Result {
-	if docID < 0 || docID >= len(ft.terms) {
-		return nil
-	}
-	q := index.TermFrequencies(ft.terms[docID])
-	res := ft.ix.Query(q, k, func(u int) bool { return u == docID })
-	out := make([]Result, len(res))
-	for i, r := range res {
-		out[i] = Result{DocID: r.Unit, Score: r.Score}
-	}
-	return out
-}
-
-// LDAMatcher ranks posts by the similarity of their LDA topic
-// distributions. Like the paper's LDA baseline it has no index: every
-// query scans the collection, which is what makes it the slowest method in
-// Fig 11(c).
-type LDAMatcher struct {
-	model *lda.Model
-}
-
-// NewLDA trains a topic model over the collection's term lists.
-func NewLDA(docs [][]string, cfg lda.Config) (*LDAMatcher, error) {
-	m, err := lda.Train(docs, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("match: training LDA: %w", err)
-	}
-	return &LDAMatcher{model: m}, nil
-}
-
-// Name implements Matcher.
-func (lm *LDAMatcher) Name() string { return "LDA" }
-
-// Match implements Matcher.
-func (lm *LDAMatcher) Match(docID, k int) []Result {
-	n := lm.model.NumDocs()
-	if docID < 0 || docID >= n || k <= 0 {
-		return nil
-	}
-	q := lm.model.DocTopics(docID)
-	c := topk.New(k)
-	for d := 0; d < n; d++ {
-		if d == docID {
-			continue
-		}
-		c.Offer(d, lda.Similarity(q, lm.model.DocTopics(d)))
-	}
-	return toResults(c.Results())
 }
 
 // toResults converts the shared top-k helper's items into match results.

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/forum"
 	"repro/internal/match"
@@ -364,38 +363,4 @@ func TestServerContract(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestUnsupportedIsTyped covers the one refusal the three MR engines
-// cannot produce: whole-post methods answer /add (FullText, LDA) and
-// explain (LDA) with the typed 422 — and keep serving what they can.
-func TestUnsupportedIsTyped(t *testing.T) {
-	obs.Enable()
-	t.Cleanup(obs.Disable)
-	posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: 40, Seed: 42})
-	texts := make([]string, len(posts))
-	for i, p := range posts {
-		texts[i] = p.Text
-	}
-	for _, m := range []core.Method{core.FullText, core.LDA} {
-		p, err := core.Build(texts, core.Config{Method: m, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := newServerFor(t, p, Config{})
-		resp, body := postJSON(t, ts.URL+"/add", `{"text": "hello world"}`)
-		if resp.StatusCode != http.StatusUnprocessableEntity || typedError(t, body).Kind != "unsupported" {
-			t.Fatalf("%s /add: %d %s, want the typed 422", m, resp.StatusCode, body)
-		}
-		resp, body = postJSON(t, ts.URL+"/related", `{"doc_id": 0, "explain": true}`)
-		if m == core.LDA && (resp.StatusCode != http.StatusUnprocessableEntity || typedError(t, body).Kind != "unsupported") {
-			t.Fatalf("LDA explain: %d %s, want the typed 422", resp.StatusCode, body)
-		}
-		if m == core.FullText && resp.StatusCode != http.StatusOK {
-			t.Fatalf("FullText explain: %d %s", resp.StatusCode, body)
-		}
-		if resp, _ = postJSON(t, ts.URL+"/related", `{"doc_id": 0}`); resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s plain query status = %d", m, resp.StatusCode)
-		}
-	}
 }

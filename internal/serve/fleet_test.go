@@ -227,7 +227,6 @@ func TestWriteErrorMapping(t *testing.T) {
 		{fmt.Errorf("wrapped: %w", &fleet.RPCError{Status: http.StatusServiceUnavailable, Kind: "fleet_unavailable", Msg: "x"}), http.StatusServiceUnavailable, "fleet_unavailable"},
 		{&fleet.RPCError{Status: 0, Kind: "", Msg: "x"}, http.StatusBadGateway, "internal"},
 		{core.ErrUnknownDoc, http.StatusNotFound, "unknown_doc"},
-		{fmt.Errorf("%w: LDA", core.ErrUnsupported), http.StatusUnprocessableEntity, "unsupported"},
 		{cache.ErrOverloaded, http.StatusServiceUnavailable, "overloaded"},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline"},
 		{context.Canceled, 499, "canceled"},

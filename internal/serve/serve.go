@@ -461,7 +461,7 @@ func reject(status int, kind, msg string) error {
 // writeError is the one function that writes an error body: the typed
 // envelope under err's status and stable kind. A *fleet.RPCError — a
 // refusal built by reject, a shard host's failure, the coordinator's
-// fleet_unavailable — carries its own; the pipeline's sentinel errors,
+// fleet_unavailable — carries its own; the pipeline's unknown id,
 // admission sheds (with the Retry-After clients back off on: sheds are
 // immediate, so the hint is the smallest the header's integer form
 // allows), and a context ending mid-request are mapped here.
@@ -480,8 +480,6 @@ func writeError(w http.ResponseWriter, err error) {
 		}
 	case errors.Is(err, core.ErrUnknownDoc):
 		status, kind = http.StatusNotFound, "unknown_doc"
-	case errors.Is(err, core.ErrUnsupported):
-		status, kind = http.StatusUnprocessableEntity, "unsupported"
 	case errors.Is(err, cache.ErrOverloaded):
 		status, kind = http.StatusServiceUnavailable, "overloaded"
 		w.Header().Set("Retry-After", "1")

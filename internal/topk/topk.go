@@ -1,8 +1,8 @@
 // Package topk provides the top-k selection helper shared by the
 // matching and shard layers: match keeps a running best-k over scored
-// documents (Algorithm 2's final ranking, the FullText and LDA
-// baselines) and shard.Directory.Merge over the per-shard Algorithm 1
-// lists it merges. (The index scan keeps its own pooled heap in the
+// documents (Algorithm 2's final ranking; internal/baseline's LDA scan
+// does the same) and shard.Directory.Merge over the per-shard
+// Algorithm 1 lists it merges. (The index scan keeps its own pooled heap in the
 // same order; see index/accum.go.) This package holds the min-heap with
 // the tie-breaking rule that keeps rankings deterministic — higher
 // score first, lower id on equal scores — so results never depend on
