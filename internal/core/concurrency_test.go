@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/forum"
 	"repro/internal/match"
-	"repro/internal/segment"
 )
 
 // Run these under -race: they exercise the documented serving contract —
@@ -16,75 +15,65 @@ import (
 
 func TestPipelineConcurrentAddAndRelated(t *testing.T) {
 	const basePosts, extraPosts, readers = 60, 16, 4
-	for _, tc := range []struct {
-		name string
-		mr   match.MRConfig
-	}{
-		{"IntentIntent-MR", match.MRConfig{}},
-		{"Content-MR", match.MRConfig{Strategy: segment.TextTiling{}, ContentVectors: true}},
-		{"SentIntent-MR", match.MRConfig{Strategy: segment.Sentences{}}},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: basePosts + extraPosts, Seed: 81})
-			texts := make([]string, len(posts))
-			for i, p := range posts {
-				texts[i] = p.Text
-			}
-			p, err := Build(texts[:basePosts], Config{MR: tc.mr, Seed: 81})
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run(IntentIntentMR.String(), func(t *testing.T) {
+		posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: basePosts + extraPosts, Seed: 81})
+		texts := make([]string, len(posts))
+		for i, p := range posts {
+			texts[i] = p.Text
+		}
+		p, err := Build(texts[:basePosts], Config{Seed: 81})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			stop := make(chan struct{})
-			var rg sync.WaitGroup
-			for r := 0; r < readers; r++ {
-				rg.Add(1)
-				go func(r int) {
-					defer rg.Done()
-					for q := r; ; q = (q + 7) % basePosts {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						p.Related(q, 5)
-						p.Stats()
-						p.Doc(q)
+		stop := make(chan struct{})
+		var rg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			rg.Add(1)
+			go func(r int) {
+				defer rg.Done()
+				for q := r; ; q = (q + 7) % basePosts {
+					select {
+					case <-stop:
+						return
+					default:
 					}
-				}(r)
-			}
-			var ag sync.WaitGroup
-			for w := 0; w < 2; w++ {
-				ag.Add(1)
-				go func(w int) {
-					defer ag.Done()
-					for i := w; i < extraPosts; i += 2 {
-						if _, err := p.Add(texts[basePosts+i]); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			ag.Wait()
-			close(stop)
-			rg.Wait()
-
-			if got := p.Stats().NumDocs; got != basePosts+extraPosts {
-				t.Fatalf("Stats().NumDocs = %d, want %d", got, basePosts+extraPosts)
-			}
-			// Doc and the matcher agree on every id, including added ones.
-			for id := 0; id < basePosts+extraPosts; id++ {
-				if p.Doc(id) == nil {
-					t.Fatalf("Doc(%d) = nil after concurrent adds", id)
+					p.Related(q, 5)
+					p.Stats()
+					p.Doc(q)
 				}
+			}(r)
+		}
+		var ag sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			ag.Add(1)
+			go func(w int) {
+				defer ag.Done()
+				for i := w; i < extraPosts; i += 2 {
+					if _, err := p.Add(texts[basePosts+i]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		ag.Wait()
+		close(stop)
+		rg.Wait()
+
+		if got := p.Stats().NumDocs; got != basePosts+extraPosts {
+			t.Fatalf("Stats().NumDocs = %d, want %d", got, basePosts+extraPosts)
+		}
+		// Doc and the matcher agree on every id, including added ones.
+		for id := 0; id < basePosts+extraPosts; id++ {
+			if p.Doc(id) == nil {
+				t.Fatalf("Doc(%d) = nil after concurrent adds", id)
 			}
-			if p.Doc(basePosts+extraPosts) != nil {
-				t.Fatal("Doc past the end is non-nil")
-			}
-		})
-	}
+		}
+		if p.Doc(basePosts+extraPosts) != nil {
+			t.Fatal("Doc past the end is non-nil")
+		}
+	})
 }
 
 func TestPipelineStatsConsistentAfterConcurrentAdds(t *testing.T) {

@@ -60,13 +60,11 @@ const IntentIntentMR Method = "IntentIntent-MR"
 // String returns the method's Table 4 row label.
 func (m Method) String() string { return string(m) }
 
-// Config controls pipeline construction. The zero value is the paper's
-// configuration: Greedy border selection, DBSCAN grouping, n = 2k.
+// Config controls pipeline construction. Every configuration builds the
+// method match.MRConfig's zero value describes: Greedy border selection,
+// k-means grouping (k = 6) of the Eq 5 CM vectors — DESIGN.md's stated
+// substitution for the paper's DBSCAN — and Algorithm 2 over n = 2k lists.
 type Config struct {
-	// MR carries the multi-ranking knobs; zero values follow the paper
-	// (see match.MRConfig). A non-default Strategy still builds under the
-	// name IntentIntent-MR.
-	MR match.MRConfig
 	// Seed drives every randomized component.
 	Seed int64
 	// Shards partitions the built collection across this many independent
@@ -80,9 +78,8 @@ type Config struct {
 	// segmentation, vectorization, the clustering internals, and
 	// per-cluster index construction all fan out over this many
 	// goroutines. 0 sizes the pool from the machine (GOMAXPROCS); results
-	// are identical for any worker count. It also seeds MR.Workers when
-	// that is unset, so the online per-query fan-out follows the same
-	// knob.
+	// are identical for any worker count. The online per-query fan-out
+	// follows the same knob.
 	Workers int
 }
 
@@ -152,14 +149,7 @@ func Build(texts []string, cfg Config) (*Pipeline, error) {
 	p.stats.NumDocs = len(texts)
 	gaugeDocs.Set(int64(len(texts)))
 
-	mrCfg := cfg.MR
-	if mrCfg.Seed == 0 {
-		mrCfg.Seed = cfg.Seed
-	}
-	if mrCfg.Workers == 0 {
-		mrCfg.Workers = cfg.Workers
-	}
-	mr := match.NewMR(IntentIntentMR.String(), p.docs, mrCfg)
+	mr := match.NewMR(IntentIntentMR.String(), p.docs, match.MRConfig{Seed: cfg.Seed, Workers: cfg.Workers})
 	bs := mr.Stats()
 	p.stats.Segmentation = bs.Segmentation
 	p.stats.Vectorization = bs.Vectorization
@@ -171,7 +161,7 @@ func Build(texts []string, cfg Config) (*Pipeline, error) {
 	p.stats.NumClusters = bs.NumClusters
 	p.matcher = mr
 	if cfg.Shards > 1 {
-		g, err := shard.NewGroup(mr, cfg.Shards, uint64(mrCfg.Seed))
+		g, err := shard.NewGroup(mr, cfg.Shards, uint64(cfg.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/forum"
-	"repro/internal/match"
-	"repro/internal/segment"
 )
 
 // Sharded pipeline coverage at the public API: Build-time validation,
@@ -94,9 +92,9 @@ func TestShardedPipelinePersistence(t *testing.T) {
 
 func TestShardedBuildValidation(t *testing.T) {
 	texts := goldenTexts(t, 30)
-	// Any border strategy shards. (Shards: 1 serves unsharded; a one-shard
-	// group is reachable only through a fleet coordinator.)
-	p, err := Build(texts, Config{Seed: 9, Shards: 2, MR: match.MRConfig{Strategy: segment.Sentences{}}})
+	// Shards: 1 serves unsharded; a one-shard group is reachable only
+	// through a fleet coordinator.
+	p, err := Build(texts, Config{Seed: 9, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -18,30 +19,61 @@ type AblationRow struct {
 	Precision map[forum.Domain]float64
 }
 
+// alg2Variant is an Algorithm 2 ablation: per-intention lists of
+// factor·k (2k when 0), cut at threshold times each list's best score
+// and optionally divided by that best before the sum. The zero value is
+// the served shape, n = 2k with raw sums.
+type alg2Variant struct {
+	factor    int
+	threshold float64
+	normalize bool
+}
+
+// match replays MR.Match under v: the document's probes, their lists,
+// then per list in probe order the cut, the divisor and the sums.
+func (v alg2Variant) match(mr *match.MR, q, k int) []match.Result {
+	scores := map[int]float64{}
+	for _, list := range mr.QueryClusterLists(mr.QuerySegs(q), cmp.Or(v.factor, 2)*k, q, nil, nil) {
+		norm := 1.0
+		if v.normalize && len(list) > 0 && list[0].Score > 0 {
+			norm = list[0].Score
+		}
+		for _, r := range list {
+			if v.threshold > 0 && r.Score < v.threshold*list[0].Score {
+				break
+			}
+			scores[r.DocID] += r.Score / norm
+		}
+	}
+	return match.TopKScores(scores, k, q)
+}
+
 // Ablations sweeps the design choices DESIGN.md calls out beyond the
 // paper's own comparisons: grouping algorithm (k-means vs DBSCAN), vector
-// representation (Eq 5 half vs full Eq 5+6), the n = NFactor·k heuristic,
-// per-list score normalization, and the border-selection strategy feeding
-// the pipeline.
+// representation (Eq 5 half vs full Eq 5+6), the border-selection
+// strategy feeding the pipeline, and the Algorithm 2 shapes the served
+// path does not take (alg2Variant): n = 1k / 4k, per-list score
+// normalization and threshold selection.
 func Ablations(opt Options) (string, []AblationRow) {
 	opt = opt.withDefaults()
 	configs := []struct {
 		name string
 		mr   match.MRConfig
+		alg2 alg2Variant
 	}{
-		{"default (kmeans-6, Eq5, n=2k)", match.MRConfig{}},
-		{"DBSCAN grouping (paper)", match.MRConfig{Grouper: match.GroupDBSCAN}},
-		{"full Eq5+6 vectors", match.MRConfig{FullVectors: true}},
-		{"kmeans k=4", match.MRConfig{KMeansK: 4}},
-		{"kmeans k=10", match.MRConfig{KMeansK: 10}},
-		{"n = 1k", match.MRConfig{NFactor: 1}},
-		{"n = 4k", match.MRConfig{NFactor: 4}},
-		{"normalized lists", match.MRConfig{NormalizeLists: true}},
-		{"Tile borders", match.MRConfig{Strategy: segment.Tile{}}},
-		{"TopDown borders", match.MRConfig{Strategy: segment.TopDown{}}},
-		{"plain Greedy (no CM voting)", match.MRConfig{Strategy: segment.Greedy{Plain: true}}},
-		{"F-stat border score (Tile)", match.MRConfig{Strategy: segment.Tile{Score: segment.FStat{}}}},
-		{"threshold selection (0.5)", match.MRConfig{ScoreThreshold: 0.5}},
+		{name: "default (kmeans-6, Eq5, n=2k)"},
+		{name: "DBSCAN grouping (paper)", mr: match.MRConfig{Grouper: match.GroupDBSCAN}},
+		{name: "full Eq5+6 vectors", mr: match.MRConfig{FullVectors: true}},
+		{name: "kmeans k=4", mr: match.MRConfig{KMeansK: 4}},
+		{name: "kmeans k=10", mr: match.MRConfig{KMeansK: 10}},
+		{name: "n = 1k", alg2: alg2Variant{factor: 1}},
+		{name: "n = 4k", alg2: alg2Variant{factor: 4}},
+		{name: "normalized lists", alg2: alg2Variant{normalize: true}},
+		{name: "Tile borders", mr: match.MRConfig{Strategy: segment.Tile{}}},
+		{name: "TopDown borders", mr: match.MRConfig{Strategy: segment.TopDown{}}},
+		{name: "plain Greedy (no CM voting)", mr: match.MRConfig{Strategy: segment.Greedy{Plain: true}}},
+		{name: "F-stat border score (Tile)", mr: match.MRConfig{Strategy: segment.Tile{Score: segment.FStat{}}}},
+		{name: "threshold selection (0.5)", alg2: alg2Variant{factor: 10, threshold: 0.5}},
 	}
 	rows := make([]AblationRow, len(configs))
 	for i, c := range configs {
@@ -57,8 +89,13 @@ func Ablations(opt Options) (string, []AblationRow) {
 			var perQuery []float64
 			for q := 0; q < opt.Queries && q < len(ds.posts); q++ {
 				rel := forum.RelevantSet(ds.posts, ds.posts[q])
-				ids := core.TopIDs(mr.Match(q, 5))
-				perQuery = append(perQuery, eval.Precision(ids, rel))
+				var res []match.Result
+				if c.alg2 == (alg2Variant{}) {
+					res = mr.Match(q, 5)
+				} else {
+					res = c.alg2.match(mr, q, 5)
+				}
+				perQuery = append(perQuery, eval.Precision(core.TopIDs(res), rel))
 			}
 			rows[i].Precision[d] = eval.MeanPrecision(perQuery)
 		}

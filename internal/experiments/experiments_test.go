@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/forum"
+	"repro/internal/match"
 )
 
 // quickOpt keeps experiment tests fast while still exercising every code
@@ -236,6 +239,21 @@ func TestAblationsRenders(t *testing.T) {
 		for _, d := range []forum.Domain{forum.TechSupport, forum.Travel, forum.Programming} {
 			if p := r.Precision[d]; p < 0 || p > 1 {
 				t.Errorf("%s on %v: precision %.3f out of range", r.Name, d, p)
+			}
+		}
+	}
+}
+
+// TestAlg2ReplayMatchesServed pins the ablation replay to the served
+// path: at its zero value (n = 2k, raw sums) it answers every query as
+// MR.Match does, bit for bit, so its other rows differ only by the knob.
+func TestAlg2ReplayMatchesServed(t *testing.T) {
+	for _, d := range allDomains {
+		ds := newDataset(d, quickOpt.Scale, quickOpt.Seed)
+		mr := match.NewMR("replay", baseline.Prepare(ds.texts, 0), match.MRConfig{Seed: quickOpt.Seed})
+		for q := range ds.texts {
+			if got, want := (alg2Variant{}).match(mr, q, 5), mr.Match(q, 5); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v doc %d: replay %v, MR.Match %v", d, q, got, want)
 			}
 		}
 	}

@@ -24,8 +24,9 @@ import (
 // Transport, and merges the replies with exactly the in-process
 // scatter-gather's equivalence mechanisms — shared collection-global
 // statistics (frozen into the probes by the home shard), full-depth
-// per-cluster cuts merged before trimming, and order-preserving id
-// assignment so the (score desc, id asc) tie-break survives the merge.
+// per-cluster cuts merged before Algorithm 2 sums them, and
+// order-preserving id assignment so the (score desc, id asc) tie-break
+// survives the merge.
 // With every shard answering, its results are bit-identical to
 // shard.Group and to the single index.
 //
@@ -152,7 +153,6 @@ type Coordinator struct {
 	name  string
 	total int
 	epoch uint64
-	mcfg  match.MRConfig // ScoreThreshold/NormalizeLists for TrimParams
 
 	eps map[int][]string // shard → primary, replicas...
 
@@ -247,11 +247,6 @@ func New(ctx context.Context, topo Topology, opts Options) (*Coordinator, error)
 	c.name = first.Name
 	c.total = first.TotalShards
 	c.epoch = first.Epoch
-	c.mcfg = match.MRConfig{
-		NFactor:        first.Params.NFactor,
-		ScoreThreshold: first.Params.ScoreThreshold,
-		NormalizeLists: first.Params.NormalizeLists,
-	}
 	c.dir = shard.NewDirectory(first.Seed, c.total)
 	c.lat = make([][]time.Duration, c.total)
 	c.latPos = make([]int, c.total)
@@ -1080,7 +1075,7 @@ func (c *Coordinator) gather(ctx context.Context, docID, k int, tr *obs.Trace) (
 	}
 
 	// Merge: shard.Group's own — one top-n heap per probe over every
-	// answering shard's list, trim, Algorithm 2 sums. A missing shard
+	// answering shard's list, then Algorithm 2 sums. A missing shard
 	// stays nil in perShard and the merge is exact over the rest.
 	c.growDir(sc.maxDocs)
 	perShard := make([][][]match.Result, c.total)
@@ -1094,7 +1089,7 @@ func (c *Coordinator) gather(ctx context.Context, docID, k int, tr *obs.Trace) (
 	for i, p := range resp.Probes {
 		clusters[i] = p.Cluster
 	}
-	out.lists, out.scores = c.dir.Merge(c.mcfg, clusters, n, perShard, tr)
+	out.lists, out.scores = c.dir.Merge(clusters, n, perShard, tr)
 	return out, nil
 }
 
@@ -1132,7 +1127,7 @@ func (c *Coordinator) Query(ctx context.Context, docID, k int, explain bool) (ma
 func (c *Coordinator) explain(ctx context.Context, g *gatherOut, results []match.Result, tr *obs.Trace) ([]match.Explanation, error) {
 	// Plan the explain batches: for each result, every merged list it
 	// appears in contributes one (doc, cluster) item on its owning
-	// shard, carrying the probe's term context and the list's divisor.
+	// shard, carrying the probe's term context.
 	type ref struct{ ri, ci int } // result index, cluster slot
 	exps := make([]match.Explanation, len(results))
 	reqs := make(map[int]*ExplainRequest)
@@ -1145,7 +1140,7 @@ func (c *Coordinator) explain(ctx context.Context, g *gatherOut, results []match
 			var score float64
 			for _, it := range ml.Items {
 				if it.ID == r.DocID {
-					found, score = true, it.Score/ml.Norm
+					found, score = true, it.Score
 					break
 				}
 			}
@@ -1163,7 +1158,7 @@ func (c *Coordinator) explain(ctx context.Context, g *gatherOut, results []match
 			}
 			req.Items = append(req.Items, ExplainItem{
 				LocalDoc: l, Cluster: ml.Cluster,
-				Terms: g.probes[i].Terms, QF: g.probes[i].QF, Norm: ml.Norm,
+				Terms: g.probes[i].Terms, QF: g.probes[i].QF,
 			})
 			refs[s] = append(refs[s], ref{ri: ri, ci: len(exps[ri].Clusters) - 1})
 		}

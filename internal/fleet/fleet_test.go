@@ -206,8 +206,7 @@ func refPartial(t testing.TB, f *testFleet, docID, k int, missing map[int]bool) 
 	if probes == nil {
 		t.Fatalf("refPartial: doc %d has no segments", docID)
 	}
-	cfg := f.mr.Config()
-	n := cfg.ListDepth(k)
+	n := f.mr.Config().ListDepth(k)
 	homeLists := hmr.QueryClusterLists(probes, n, local, nil, nil)
 	lists := make(map[int][][]match.Result)
 	lists[home] = homeLists
@@ -237,16 +236,8 @@ func refPartial(t testing.TB, f *testFleet, docID, k int, missing map[int]bool) 
 				col.Offer(glb[s][r.DocID], r.Score)
 			}
 		}
-		items := col.Results()
-		if len(items) == 0 {
-			continue
-		}
-		cut, norm := cfg.TrimParams(items[0].Score)
-		for _, it := range items {
-			if it.Score < cut {
-				break
-			}
-			scores[it.ID] += it.Score / norm
+		for _, it := range col.Results() {
+			scores[it.ID] += it.Score
 		}
 	}
 	return match.TopKScores(scores, k, docID)

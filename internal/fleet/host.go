@@ -22,7 +22,6 @@ type Host struct {
 	seed     uint64
 	clusters int
 	epoch    uint64
-	cfg      match.MRConfig
 	shards   map[int]*match.MR
 	docs     func() int
 
@@ -79,18 +78,12 @@ func (h *Host) closeTrace(t *obs.Trace) []obs.TraceEvent {
 // matcher must already be attached to pools covering the whole
 // collection; that is what makes its scores collection-global.
 func NewHost(name string, totalShards int, seed uint64, clusters int, shards map[int]*match.MR, docs func() int) *Host {
-	var cfg match.MRConfig
-	for _, mr := range shards {
-		cfg = mr.Config()
-		break
-	}
 	h := &Host{
 		name:     name,
 		total:    totalShards,
 		seed:     seed,
 		clusters: clusters,
 		epoch:    SnapshotEpoch(name, totalShards, seed, clusters),
-		cfg:      cfg,
 		shards:   shards,
 		docs:     docs,
 
@@ -156,12 +149,7 @@ func (h *Host) Meta() *Meta {
 		Docs:        h.docs(),
 		Clusters:    h.clusters,
 		Epoch:       h.epoch,
-		Params: MetaParams{
-			NFactor:        h.cfg.NFactor,
-			ScoreThreshold: h.cfg.ScoreThreshold,
-			NormalizeLists: h.cfg.NormalizeLists,
-		},
-		Wire: WireVersion,
+		Wire:        WireVersion,
 	}
 }
 
@@ -197,7 +185,7 @@ func (h *Host) HandleHome(req *HomeRequest) (*HomeResponse, error) {
 	if probes == nil {
 		return nil, ErrUnknownDoc
 	}
-	n := h.cfg.ListDepth(req.K)
+	n := mr.Config().ListDepth(req.K)
 	t := h.openTrace(req.Trace, req.TraceID, "home", req.Shard)
 	st := h.spanProbe[req.Shard].Start()
 	lists := mr.QueryClusterLists(probes, n, req.LocalDoc, nil, t)
@@ -289,7 +277,7 @@ func (h *Host) HandleExplain(req *ExplainRequest) (*ExplainResponse, error) {
 	t := h.openTrace(req.Trace, req.TraceID, "explain", req.Shard)
 	out := make([][]match.TermContribution, len(req.Items))
 	for i, it := range req.Items {
-		out[i] = mr.ExplainDocCluster(it.LocalDoc, qs[i], it.Norm)
+		out[i] = mr.ExplainDocCluster(it.LocalDoc, qs[i])
 	}
 	if t != nil {
 		t.Event("host.explained", obs.N("items", int64(len(req.Items))))

@@ -18,7 +18,9 @@ import (
 // Version 2 carries trace propagation: requests may carry a trace id +
 // sampling flag, replies may carry the shard-side event list; all trace
 // fields are omitempty, so an untraced request does not pay for them.
-const WireVersion = 2
+// Version 3 drops the Algorithm 2 knobs from Meta and the list divisor
+// from ExplainItem: every fleet sums raw n = 2k lists.
+const WireVersion = 3
 
 // Wire types for the shard fleet's internal RPC surface. Everything
 // crossing the network is plain JSON: Go's encoder emits the shortest
@@ -66,7 +68,7 @@ type HomeRequest struct {
 }
 
 // HomeResponse carries the home leg's outcome. N is the full unsharded
-// list depth the server scanned at (cfg.ListDepth(k)); the coordinator
+// list depth the server scanned at (MRConfig.ListDepth(k)); the coordinator
 // probes every sibling at the same depth and merges with a top-N heap,
 // which is what keeps the networked ranking exactly equivalent to the
 // single index. Docs is the answering server's current document count
@@ -107,14 +109,12 @@ type ProbeResponse struct {
 }
 
 // ExplainItem names one (result document, intention cluster) pair to
-// decompose: the probe's term context and the Algorithm 2 divisor the
-// coordinator's merge applied.
+// decompose, with the probe's term context.
 type ExplainItem struct {
 	LocalDoc int       `json:"local_doc"`
 	Cluster  int       `json:"cluster"`
 	Terms    []string  `json:"terms"`
 	QF       []float64 `json:"qf"`
-	Norm     float64   `json:"norm"`
 }
 
 // ExplainRequest asks the shard owning a set of result documents for
@@ -134,15 +134,6 @@ type ExplainResponse struct {
 	Trace []obs.TraceEvent           `json:"trace,omitempty"`
 }
 
-// MetaParams is the slice of match.MRConfig the coordinator needs to
-// reproduce the merge: TrimParams (threshold cut + normalization) and,
-// informationally, the list-depth factor.
-type MetaParams struct {
-	NFactor        int     `json:"n_factor"`
-	ScoreThreshold float64 `json:"score_threshold"`
-	NormalizeLists bool    `json:"normalize_lists"`
-}
-
 // Meta is a shard server's self-description, served on /internal/meta.
 // The coordinator bootstraps its topology view from any one server and
 // cross-checks the rest: Seed + TotalShards reconstruct the routing
@@ -150,14 +141,13 @@ type MetaParams struct {
 // identifies the snapshot lineage, Shards lists which partitions this
 // server holds.
 type Meta struct {
-	Name        string     `json:"name"`
-	Shards      []int      `json:"shards"`
-	TotalShards int        `json:"total_shards"`
-	Seed        uint64     `json:"seed"`
-	Docs        int        `json:"docs"`
-	Clusters    int        `json:"clusters"`
-	Epoch       uint64     `json:"epoch"`
-	Params      MetaParams `json:"params"`
+	Name        string `json:"name"`
+	Shards      []int  `json:"shards"`
+	TotalShards int    `json:"total_shards"`
+	Seed        uint64 `json:"seed"`
+	Docs        int    `json:"docs"`
+	Clusters    int    `json:"clusters"`
+	Epoch       uint64 `json:"epoch"`
 	// Wire is the server's RPC protocol version; the coordinator
 	// bootstraps only against WireVersion.
 	Wire int `json:"wire,omitempty"`

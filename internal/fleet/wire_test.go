@@ -88,7 +88,7 @@ func TestHostRejectsMalformedProbes(t *testing.T) {
 		})
 	}
 	p := probes[0]
-	item := ExplainItem{Cluster: p.Cluster, Terms: p.Terms, QF: p.QF, Norm: 1}
+	item := ExplainItem{Cluster: p.Cluster, Terms: p.Terms, QF: p.QF}
 	if _, err := h.HandleExplain(&ExplainRequest{Shard: 0, Items: []ExplainItem{item}}); err != nil {
 		t.Fatalf("the undamaged explain item: %v", err)
 	}
@@ -100,49 +100,71 @@ func TestHostRejectsMalformedProbes(t *testing.T) {
 	}
 }
 
-// FuzzProbeRequest: arbitrary bytes decoded as the shard server decodes a
-// /internal/probe body, then handled. The answer is a 400 — from the
-// decoder or a typed bad_request — or a 200 whose body encodes, with one
-// list a probe; never a panic. The shard is pinned to the host's own
-// (routing is not the payload: a foreign shard is a 421 before anything is
-// read).
-func FuzzProbeRequest(f *testing.F) {
-	h, probes := wireHost(f)
-	for _, req := range []ProbeRequest{
-		{Probes: probes, Depth: 10},
-		{Probes: probes[:1], Depth: 3, Floors: []float64{0.5}, Trace: true, TraceID: "t"},
-		{Probes: clone(probes)[:1], Depth: 1},
-		{},
-	} {
+// fuzzHostRPC fuzzes one shard-server RPC: the seeds, marshalled, and
+// raw start the corpus; each input is decoded as the shard server decodes
+// the RPC's body and handled with the shard pinned to the host's own
+// (routing is not the payload: a foreign shard is a 421 before anything
+// is read). The answer must be a 400 — from the decoder or a typed
+// bad_request — or a 200 whose body encodes with as many lists as the
+// request asked for (lists counts both); never a panic.
+func fuzzHostRPC[Req, Resp any](f *testing.F, seeds []Req, raw string, handle func(*Req) (*Resp, error), lists func(*Req, *Resp) (got, want int)) {
+	for _, req := range seeds {
 		b, err := json.Marshal(req)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
 	}
-	truncated := clone(probes)
-	truncated[0].QF, truncated[0].IDF = truncated[0].QF[:1], truncated[0].IDF[:1]
-	b, _ := json.Marshal(ProbeRequest{Probes: truncated, Depth: 10})
-	f.Add(b)
-	f.Add([]byte(`{"probes": [{"cluster": 0, "terms": ["a", "b"], "qf": [1e308, 1e308], "idf": [1e308, 1e308]}], "depth": 5}`))
+	f.Add([]byte(raw))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
-		var req ProbeRequest
+		var req Req
 		if dec.Decode(&req) != nil {
 			return // 400 invalid JSON
 		}
-		req.Shard = 0
-		resp, err := h.HandleProbe(&req)
+		resp, err := handle(&req)
 		if err != nil {
-			wantBadRequest(t, "probe", err)
+			wantBadRequest(t, "request", err)
 			return
 		}
-		if len(resp.Lists) != len(req.Probes) {
-			t.Fatalf("%d lists for %d probes", len(resp.Lists), len(req.Probes))
+		if got, want := lists(&req, resp); got != want {
+			t.Fatalf("%d lists for %d asked", got, want)
 		}
 		if _, err := json.Marshal(resp); err != nil {
 			t.Fatalf("a 200 body that does not encode: %v", err)
 		}
 	})
+}
+
+// FuzzProbeRequest fuzzes /internal/probe: one list a probe.
+func FuzzProbeRequest(f *testing.F) {
+	h, probes := wireHost(f)
+	truncated := clone(probes)
+	truncated[0].QF, truncated[0].IDF = truncated[0].QF[:1], truncated[0].IDF[:1]
+	fuzzHostRPC(f, []ProbeRequest{
+		{Probes: probes, Depth: 10},
+		{Probes: probes[:1], Depth: 3, Floors: []float64{0.5}, Trace: true, TraceID: "t"},
+		{Probes: clone(probes)[:1], Depth: 1},
+		{},
+		{Probes: truncated, Depth: 10},
+	}, `{"probes": [{"cluster": 0, "terms": ["a", "b"], "qf": [1e308, 1e308], "idf": [1e308, 1e308]}], "depth": 5}`,
+		func(r *ProbeRequest) (*ProbeResponse, error) { r.Shard = 0; return h.HandleProbe(r) },
+		func(r *ProbeRequest, p *ProbeResponse) (int, int) { return len(p.Lists), len(r.Probes) })
+}
+
+// FuzzExplainRequest fuzzes /internal/explain: one contribution list an
+// item. The first seed is an item without a list divisor, which a wire-2
+// host divided by zero, and the raw one an old coordinator's item with
+// one, which the decoder now refuses.
+func FuzzExplainRequest(f *testing.F) {
+	h, probes := wireHost(f)
+	p := probes[0]
+	fuzzHostRPC(f, []ExplainRequest{
+		{Items: []ExplainItem{{Cluster: p.Cluster, Terms: p.Terms, QF: p.QF}}},
+		{Items: []ExplainItem{{LocalDoc: 3, Cluster: p.Cluster, Terms: p.Terms[:1], QF: p.QF[:1]}}, Trace: true, TraceID: "t"},
+		{},
+	}, `{"items": [{"local_doc": 0, "cluster": 0, "terms": ["a"], "qf": [1], "norm": 0}]}`,
+		func(r *ExplainRequest) (*ExplainResponse, error) { r.Shard = 0; return h.HandleExplain(r) },
+		func(r *ExplainRequest, e *ExplainResponse) (int, int) { return len(e.Items), len(r.Items) })
 }

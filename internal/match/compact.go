@@ -62,6 +62,28 @@ type compactMeta struct {
 	Stats  BuildStats `json:"stats"`
 }
 
+// checkLegacyAlg2 refuses a meta written while Algorithm 2 had knobs —
+// a list-depth factor, a score threshold, per-list normalization — set
+// to anything but the one shape this build serves (n = 2k, raw sums):
+// loading it would silently answer differently from the build.
+func checkLegacyAlg2(metaSec []byte) error {
+	var legacy struct {
+		Config struct {
+			NFactor        int
+			ScoreThreshold float64
+			NormalizeLists bool
+		} `json:"config"`
+	}
+	if err := json.Unmarshal(metaSec, &legacy); err != nil {
+		return fmt.Errorf("match: decoding meta: %w", err)
+	}
+	if c := legacy.Config; (c.NFactor != 0 && c.NFactor != 2) || c.ScoreThreshold != 0 || c.NormalizeLists {
+		return fmt.Errorf("match: snapshot was built with Algorithm 2 knobs this build no longer serves "+
+			"(NFactor %d, ScoreThreshold %v, NormalizeLists %t); rebuild it", c.NFactor, c.ScoreThreshold, c.NormalizeLists)
+	}
+	return nil
+}
+
 // appendCompactMR encodes the matcher's serializable state. Callers
 // must hold at least mr.mu.RLock. Deterministic by construction (sorted
 // dictionary, in-order walks), so write → read → re-write round-trips
@@ -182,6 +204,9 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 	var meta compactMeta
 	if err := json.Unmarshal(metaSec, &meta); err != nil {
 		return nil, fmt.Errorf("match: decoding meta: %w", err)
+	}
+	if err := checkLegacyAlg2(metaSec); err != nil {
+		return nil, err
 	}
 
 	dictSec, err := f.Section("dict")

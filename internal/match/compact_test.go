@@ -2,6 +2,7 @@ package match
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -269,6 +270,32 @@ func TestReadMRCompactNegativePaths(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestReadMRLegacyAlg2Knobs: a meta written while Algorithm 2 had knobs
+// (NFactor, ScoreThreshold, NormalizeLists in its config) loads when they
+// hold their defaults, answering as the matcher that wrote it; any other
+// value is refused rather than served as n = 2k raw sums.
+func TestReadMRLegacyAlg2Knobs(t *testing.T) {
+	mr := smallMatcher(t)
+	valid := writeMR(t, mr)
+	for knobs, ok := range map[string]bool{
+		`"NFactor":2,"ScoreThreshold":0,"NormalizeLists":false`: true,
+		`"NFactor":0`:           true,
+		`"NFactor":3`:           false,
+		`"ScoreThreshold":0.5`:  false,
+		`"NormalizeLists":true`: false,
+	} {
+		loaded, err := ReadMR(rebuildMRSections(t, valid, func(secs []secfile.Section) []secfile.Section {
+			secs[0].Data = bytes.Replace(secs[0].Data, []byte(`"config":{`), []byte(`"config":{`+knobs+`,`), 1)
+			return secs
+		}), nil)
+		if ok && (err != nil || !reflect.DeepEqual(loaded.Match(3, 5), mr.Match(3, 5))) {
+			t.Errorf("%s: ReadMR = %v, or the loaded matcher answers otherwise than its writer", knobs, err)
+		} else if !ok && (err == nil || !strings.Contains(err.Error(), "Algorithm 2 knobs")) {
+			t.Errorf("%s: ReadMR = %v, want a refusal naming the Algorithm 2 knobs", knobs, err)
+		}
 	}
 }
 

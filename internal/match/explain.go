@@ -11,14 +11,13 @@ import (
 // contribution per intention cluster (the Algorithm 2 summand), and
 // inside each cluster one product per query term (f_q(t) · w(t,unit) ·
 // pIDF(t), the Eq 9 factors). The decomposition replays the exact
-// query path — same lists, same top-n cutoff, same trim, same summation
-// order — so the contributions reconcile with the served score to
-// float64 rounding (the tests assert 1e-9), and a "why did post X rank
-// above post Y" question has a ground-truth answer.
+// query path — same lists, same top-n cutoff, same summation order — so
+// the contributions reconcile with the served score to float64 rounding
+// (the tests assert 1e-9), and a "why did post X rank above post Y"
+// question has a ground-truth answer.
 
-// TermContribution is one query term's share of a cluster contribution.
-// Contribution = QueryTF · Weight · IDF, divided by the list
-// normalization when MRConfig.NormalizeLists is set.
+// TermContribution is one query term's share of a cluster contribution:
+// Contribution = QueryTF · Weight · IDF.
 type TermContribution struct {
 	Term         string  `json:"term"`
 	QueryTF      float64 `json:"query_tf"`
@@ -31,9 +30,7 @@ type TermContribution struct {
 // score: the Algorithm 2 summand contributed by the reference
 // document's segment in this cluster, with its term-level breakdown.
 // Score equals the sum a concurrent-free Match would have added for
-// this (result, cluster) pair; the Terms products sum back to Score
-// (exactly when no list normalization is configured, to float64
-// rounding otherwise).
+// this (result, cluster) pair; the Terms products sum back to Score.
 type ClusterContribution struct {
 	Cluster int                `json:"cluster"`
 	Score   float64            `json:"score"`
@@ -67,16 +64,16 @@ func (mr *MR) MatchExplained(docID, k int, tr *obs.Trace) ([]Result, []Explanati
 	return mr.match(docID, k, tr, true)
 }
 
-// explainLocked decomposes each result of one query over the trimmed
-// per-segment lists (and their Algorithm 2 divisors) its score was
-// summed from. Callers hold at least the read lock.
-func (mr *MR) explainLocked(out []Result, probes []ClusterQuery, trimmed [][]index.Result, norms []float64) []Explanation {
+// explainLocked decomposes each result of one query over the
+// per-segment lists its score was summed from. Callers hold at least
+// the read lock.
+func (mr *MR) explainLocked(out []Result, probes []ClusterQuery, lists [][]index.Result) []Explanation {
 	exps := make([]Explanation, len(out))
 	for ri, r := range out {
 		exp := Explanation{DocID: r.DocID, Score: r.Score}
 		for i, q := range probes {
 			owners := mr.unitDoc[q.Cluster]
-			for _, lr := range trimmed[i] {
+			for _, lr := range lists[i] {
 				if int(owners[lr.Unit]) != r.DocID {
 					continue
 				}
@@ -84,8 +81,8 @@ func (mr *MR) explainLocked(out []Result, probes []ClusterQuery, trimmed [][]ind
 				// cluster), so this is the cluster's whole contribution.
 				exp.Clusters = append(exp.Clusters, ClusterContribution{
 					Cluster: q.Cluster,
-					Score:   lr.Score / norms[i],
-					Terms:   mr.termBreakdown(q, lr.Unit, norms[i]),
+					Score:   lr.Score,
+					Terms:   mr.termBreakdown(q, lr.Unit),
 				})
 				break
 			}
@@ -96,13 +93,12 @@ func (mr *MR) explainLocked(out []Result, probes []ClusterQuery, trimmed [][]ind
 }
 
 // termBreakdown decomposes one (probe, result unit) list score into
-// per-term Eq 9 products via the cluster index, applying the list
-// normalization divisor to each product.
-func (mr *MR) termBreakdown(q ClusterQuery, unit int, norm float64) []TermContribution {
-	return termContributions(mr.clusters[q.Cluster].ExplainTerms(q.Terms, q.QF, unit), norm)
+// per-term Eq 9 products via the cluster index.
+func (mr *MR) termBreakdown(q ClusterQuery, unit int) []TermContribution {
+	return termContributions(mr.clusters[q.Cluster].ExplainTerms(q.Terms, q.QF, unit))
 }
 
-func termContributions(terms []index.TermScore, norm float64) []TermContribution {
+func termContributions(terms []index.TermScore) []TermContribution {
 	out := make([]TermContribution, len(terms))
 	for i, ts := range terms {
 		out[i] = TermContribution{
@@ -110,7 +106,7 @@ func termContributions(terms []index.TermScore, norm float64) []TermContribution
 			QueryTF:      ts.QueryTF,
 			Weight:       ts.Weight,
 			IDF:          ts.IDF,
-			Contribution: ts.Product / norm,
+			Contribution: ts.Product,
 		}
 	}
 	return out
@@ -118,13 +114,12 @@ func termContributions(terms []index.TermScore, norm float64) []TermContribution
 
 // ExplainDocCluster decomposes the Algorithm 2 contribution one
 // (shard-local) result document receives from one probe (its cluster,
-// terms and term frequencies; the frozen factors are not read), given
-// the list normalization divisor — the per-shard half of the shard
-// group's explain mode — or returns nil when the document has no refined
-// segment in the cluster. The factors come from the pool-attached index
-// state the scores came from, so the products reconcile exactly as the
-// unsharded MatchExplained's do.
-func (mr *MR) ExplainDocCluster(localDoc int, q ClusterQuery, norm float64) []TermContribution {
+// terms and term frequencies; the frozen factors are not read) — the
+// per-shard half of the shard group's explain mode — or returns nil
+// when the document has no refined segment in the cluster. The factors
+// come from the pool-attached index state the scores came from, so the
+// products reconcile exactly as the unsharded MatchExplained's do.
+func (mr *MR) ExplainDocCluster(localDoc int, q ClusterQuery) []TermContribution {
 	mr.mu.RLock()
 	defer mr.mu.RUnlock()
 	if localDoc < 0 || localDoc >= mr.segs.numDocs() {
@@ -132,7 +127,7 @@ func (mr *MR) ExplainDocCluster(localDoc int, q ClusterQuery, norm float64) []Te
 	}
 	for r, hi := mr.segs.doc(localDoc); r < hi; r++ {
 		if int(mr.segs.cluster[r]) == q.Cluster {
-			return mr.termBreakdown(q, int(mr.segs.unit[r]), norm)
+			return mr.termBreakdown(q, int(mr.segs.unit[r]))
 		}
 	}
 	return nil

@@ -71,10 +71,8 @@ func checkExplanations(t *testing.T, want []Result, got []Result, exps []Explana
 func TestMRMatchExplainedReconciles(t *testing.T) {
 	docs := explainDocs(t, 120)
 	for name, cfg := range map[string]MRConfig{
-		"default":   {Seed: 7},
-		"dbscan":    {Grouper: GroupDBSCAN, Seed: 7},
-		"threshold": {ScoreThreshold: 0.3, Seed: 7},
-		"normalize": {NormalizeLists: true, Seed: 7},
+		"default": {Seed: 7},
+		"dbscan":  {Grouper: GroupDBSCAN, Seed: 7},
 	} {
 		t.Run(name, func(t *testing.T) {
 			mr := NewMR("explain-test", docs, cfg)

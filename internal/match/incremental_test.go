@@ -106,23 +106,3 @@ func TestDriftStats(t *testing.T) {
 		t.Errorf("DriftStats = %d, %d", minS, maxS)
 	}
 }
-
-func TestScoreThresholdSelection(t *testing.T) {
-	tc := buildCorpus(t, forum.TechSupport, 150, 37)
-	mr := NewMR("thresh", tc.docs, MRConfig{ScoreThreshold: 0.5})
-	res := mr.Match(0, 5)
-	checkResults(t, "threshold", res, 0, 5)
-	if len(res) == 0 {
-		t.Fatal("threshold selection returned nothing")
-	}
-}
-
-func TestNormalizeListsOption(t *testing.T) {
-	tc := buildCorpus(t, forum.TechSupport, 100, 38)
-	raw := NewMR("raw", tc.docs, MRConfig{})
-	norm := NewMR("norm", tc.docs, MRConfig{NormalizeLists: true})
-	// Both must work; results may differ.
-	if len(raw.Match(1, 5)) == 0 || len(norm.Match(1, 5)) == 0 {
-		t.Fatal("one configuration returned nothing")
-	}
-}

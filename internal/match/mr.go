@@ -42,18 +42,23 @@ var (
 
 // MRConfig configures a multi-ranking matcher (the "MR" of the method
 // names in Table 4). The three MR methods of the paper differ only in
-// Strategy and vector space:
+// Strategy and vector space (Grouper picks the CM-vector grouping,
+// k-means with k = 6 over the Eq 5 half by default; see GroupKMeans):
 //
-//	IntentIntent-MR: Strategy = segment.Greedy{},   CM vectors + DBSCAN
-//	SentIntent-MR:   Strategy = segment.Sentences{}, CM vectors + DBSCAN
+//	IntentIntent-MR: Strategy = segment.Greedy{},     CM vectors
+//	SentIntent-MR:   Strategy = segment.Sentences{},  CM vectors
 //	Content-MR:      Strategy = segment.TextTiling{}, ContentVectors + k-means
+//
+// Algorithm 2 has one shape: per-intention top-n lists with n = 2k (Sec
+// 7), their raw scores summed per document.
 type MRConfig struct {
 	// Strategy selects segment borders. segment.Greedy{} when nil. A
 	// snapshot does not carry it; ReadMR reconstructs it (strategyFor).
 	Strategy segment.Strategy `json:"-"`
 	// ContentVectors switches the segment representation from the 28-dim CM
-	// weight vectors (Eq 5/6) to hashed TF/IDF term vectors, and the grouper
-	// from DBSCAN to k-means — the Content-MR configuration.
+	// weight vectors (Eq 5/6) to hashed TF/IDF term vectors, grouped by
+	// k-means at ContentK whatever Grouper says — the Content-MR
+	// configuration.
 	ContentVectors bool
 	// ContentK is the k-means cluster count for ContentVectors. 8 when 0.
 	ContentK int
@@ -78,21 +83,6 @@ type MRConfig struct {
 	// adds within-intention variance, so the default clusters Eq 5 only;
 	// set FullVectors for the paper's exact representation.
 	FullVectors bool
-	// NFactor sets the per-intention list length n = NFactor·k of
-	// Algorithm 2; the paper found n = 2k best. 2 when 0.
-	NFactor int
-	// ScoreThreshold switches Algorithm 2 from fixed-length top-n lists to
-	// threshold selection (the Fagin-style alternative the paper mentions
-	// in Sec 7): each intention list keeps every result scoring at least
-	// ScoreThreshold times the list's best score. 0 keeps the paper's
-	// top-n selection.
-	ScoreThreshold float64
-	// NormalizeLists divides each per-intention list's scores by the
-	// list's top score before Algorithm 2's summation. The paper sums raw
-	// scores, which is the default here too — the ablation benchmarks show
-	// normalization consistently loses (informative-intention lists gain
-	// as much weight as the decisive request list).
-	NormalizeLists bool
 	// Seed drives k-means initialization.
 	Seed int64
 	// Workers bounds build parallelism. NumCPU when 0.
@@ -118,38 +108,12 @@ const (
 )
 
 // ListDepth returns Algorithm 1's per-intention list length for a top-k
-// request: n = NFactor·k, or 10·k under threshold selection (which
-// needs deeper lists to cut from). It is exported so the sharding layer
-// probes every shard at exactly the depth the unsharded query path
-// uses — the global top-n of each intention list is then a subset of
-// the union of the per-shard top-n lists, which is what makes the
-// scatter-gather merge ranking-equivalent. The receiver must be a
-// defaults-applied config (MR.Config returns one).
-func (c MRConfig) ListDepth(k int) int {
-	if c.ScoreThreshold > 0 {
-		return 10 * k
-	}
-	return c.NFactor * k
-}
-
-// TrimParams returns the Algorithm 2 list post-processing parameters
-// for an intention list whose best (first) score is best: cut is the
-// minimum score kept (negative infinity when no threshold is
-// configured), and norm the divisor applied to every kept score (1
-// unless NormalizeLists). Match and the sharded merge path share this
-// so a threshold/normalization configuration trims the globally merged
-// list exactly as the unsharded path trims its local one.
-func (c MRConfig) TrimParams(best float64) (cut, norm float64) {
-	cut = math.Inf(-1)
-	if c.ScoreThreshold > 0 {
-		cut = c.ScoreThreshold * best
-	}
-	norm = 1
-	if c.NormalizeLists && best > 0 {
-		norm = best
-	}
-	return cut, norm
-}
+// request: n = 2k, the paper's choice. It is exported so the sharding
+// layer probes every shard at exactly the depth the unsharded query
+// path uses — the global top-n of each intention list is then a subset
+// of the union of the per-shard top-n lists, which is what makes the
+// scatter-gather merge ranking-equivalent.
+func (MRConfig) ListDepth(k int) int { return 2 * k }
 
 func (c MRConfig) withDefaults() MRConfig {
 	if c.Strategy == nil {
@@ -166,9 +130,6 @@ func (c MRConfig) withDefaults() MRConfig {
 	}
 	if c.SampleSize <= 0 {
 		c.SampleSize = 2000
-	}
-	if c.NFactor <= 0 {
-		c.NFactor = 2
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
@@ -463,7 +424,7 @@ func (mr *MR) indexSegs(k int) {
 func (mr *MR) Name() string { return mr.name }
 
 // Match implements Matcher: Algorithm 1 per intention cluster the reference
-// document appears in (top-n with n = NFactor·k), then Algorithm 2's score
+// document appears in (top-n with n = 2k), then Algorithm 2's score
 // summation and global top-k. The per-cluster queries run in parallel over
 // a Workers-bounded pool; the read lock held throughout keeps the unit →
 // document tables consistent with the indices while a concurrent Add waits.
@@ -482,12 +443,11 @@ func (mr *MR) MatchTraced(docID, k int, tr *obs.Trace) []Result {
 }
 
 // match is the one query path behind MatchTraced and MatchExplained:
-// Algorithm 1's lists, the trim, Algorithm 2's sums, the top-k — and,
-// when explain is set, the decomposition of every result over the very
-// lists the scores were summed from. The read lock is held across both
-// halves, so an explanation reconciles bit-for-bit with its scores even
-// with concurrent Adds in flight. The trimmed lists and divisors are
-// retained only for explain: the plain path's allocations are gated.
+// Algorithm 1's lists, Algorithm 2's sums, the top-k — and, when explain
+// is set, the decomposition of every result over the very lists the
+// scores were summed from. The read lock is held across both halves, so
+// an explanation reconciles bit-for-bit with its scores even with
+// concurrent Adds in flight.
 func (mr *MR) match(docID, k int, tr *obs.Trace, explain bool) ([]Result, []Explanation) {
 	if k <= 0 {
 		return nil, nil
@@ -499,20 +459,12 @@ func (mr *MR) match(docID, k int, tr *obs.Trace, explain bool) ([]Result, []Expl
 		return nil, nil
 	}
 	probes, lists, n := mr.queryListsLocked(docID, k, tr)
-	var norms []float64
-	if explain {
-		norms = make([]float64, len(probes))
-	}
 	// Algorithm 2: sum the per-intention list scores per owning document.
 	scores := make(map[int]float64, n*len(probes))
 	for i, q := range probes {
-		res, norm := mr.trimList(lists[i])
-		if explain {
-			lists[i], norms[i] = res, norm
-		}
 		owners := mr.unitDoc[q.Cluster]
-		for _, r := range res {
-			scores[int(owners[r.Unit])] += r.Score / norm
+		for _, r := range lists[i] {
+			scores[int(owners[r.Unit])] += r.Score
 		}
 	}
 	histQueryLists.Observe(int64(len(probes)))
@@ -531,15 +483,14 @@ func (mr *MR) match(docID, k int, tr *obs.Trace, explain bool) ([]Result, []Expl
 	if !explain {
 		return out, nil
 	}
-	return out, mr.explainLocked(out, probes, lists, norms)
+	return out, mr.explainLocked(out, probes, lists)
 }
 
 // queryListsLocked runs Algorithm 1: one top-n index query per
 // intention cluster the reference document appears in — its frozen
 // probes (probesLocked) — fanned out over the worker pool. Callers must
-// hold at least the read lock. The returned lists are untrimmed
-// (trimList applies the threshold cut and normalization); n is the
-// per-list depth used. The results are deliberately unnamed, and every
+// hold at least the read lock; n is the per-list depth used. The
+// results are deliberately unnamed, and every
 // local the par.Do closure reads is assigned once: anything else is
 // captured by reference, a heap cell each on the allocation-gated path.
 func (mr *MR) queryListsLocked(docID, k int, tr *obs.Trace) ([]ClusterQuery, [][]index.Result, int) {
@@ -565,30 +516,9 @@ func (mr *MR) queryListsLocked(docID, k int, tr *obs.Trace) ([]ClusterQuery, [][
 	return probes, lists, n
 }
 
-// trimList applies the Algorithm 2 list post-processing Match and
-// MatchExplained must agree on: the optional threshold cut (keep
-// results within ScoreThreshold of the list's best) and the optional
-// per-list normalization divisor.
-func (mr *MR) trimList(res []index.Result) ([]index.Result, float64) {
-	if len(res) == 0 {
-		return res, 1
-	}
-	cut, norm := mr.cfg.TrimParams(res[0].Score)
-	if !math.IsInf(cut, -1) {
-		keep := res[:0]
-		for _, r := range res {
-			if r.Score >= cut {
-				keep = append(keep, r)
-			}
-		}
-		res = keep
-	}
-	return res, norm
-}
-
 // Config returns the matcher's effective configuration (defaults
-// applied) — what the sharding layer copies so every shard queries,
-// trims, and ingests exactly as the source matcher does.
+// applied) — what the sharding layer copies so every shard queries and
+// ingests exactly as the source matcher does.
 func (mr *MR) Config() MRConfig { return mr.cfg }
 
 // Stats returns the build-phase timing and size statistics.

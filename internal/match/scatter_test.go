@@ -140,7 +140,7 @@ func TestExplainDocClusterReconciles(t *testing.T) {
 		}
 		for i, list := range sh.QueryClusterLists(probes, mr.Config().ListDepth(5), excl, nil, nil) {
 			for _, r := range list {
-				tcs := sh.ExplainDocCluster(r.DocID, probes[i], 1)
+				tcs := sh.ExplainDocCluster(r.DocID, probes[i])
 				var sum float64
 				for _, c := range tcs {
 					sum += c.Contribution
@@ -156,10 +156,10 @@ func TestExplainDocClusterReconciles(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no (doc, cluster) contributions checked")
 	}
-	if got := shards[0].ExplainDocCluster(-1, ClusterQuery{}, 1); got != nil {
+	if got := shards[0].ExplainDocCluster(-1, ClusterQuery{}); got != nil {
 		t.Error("negative doc id should explain to nil")
 	}
-	if got := shards[q%2].ExplainDocCluster(q/2, ClusterQuery{Cluster: mr.NumClusters()}, 1); got != nil {
+	if got := shards[q%2].ExplainDocCluster(q/2, ClusterQuery{Cluster: mr.NumClusters()}); got != nil {
 		t.Error("cluster without a refined segment should explain to nil")
 	}
 }
@@ -179,16 +179,8 @@ func TestTopKScoresSelection(t *testing.T) {
 func TestConfigAndPendingAccessors(t *testing.T) {
 	tc := buildCorpus(t, forum.TechSupport, 20, 9)
 	mr := NewMR("MR", tc.docs, MRConfig{Seed: 42})
-	cfg := mr.Config()
-	if cfg.NFactor != 2 {
-		t.Errorf("Config should return the defaults-applied config, NFactor = %d", cfg.NFactor)
-	}
-	if got := cfg.ListDepth(5); got != 10 {
-		t.Errorf("ListDepth(5) = %d, want 10", got)
-	}
-	thr := MRConfig{ScoreThreshold: 0.5}
-	if got := thr.ListDepth(5); got != 50 {
-		t.Errorf("thresholded ListDepth(5) = %d, want 50", got)
+	if cfg := mr.Config(); cfg.KMeansK != 6 || cfg.ListDepth(5) != 10 {
+		t.Errorf("Config should return the defaults-applied config: KMeansK %d, ListDepth(5) %d, want 6 and 10", cfg.KMeansK, cfg.ListDepth(5))
 	}
 	pa := mr.PrepareAdd(tc.docs[0])
 	if pa.NumSegments() <= 0 {

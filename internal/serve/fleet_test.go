@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -188,8 +189,12 @@ func TestFleetServeCancellationReleasesGoroutines(t *testing.T) {
 
 // TestShardServeAuxSurfaces covers the operational endpoints of the
 // shard binary — /metrics in both formats, /healthz — plus the typed
-// error path the happy-path equivalence tests never touch. (The public
-// server's are in the contract table.)
+// error path the happy-path equivalence tests never touch, and an explain
+// item as it stands since wire version 3: a (document, cluster) pair and
+// its probe's terms, answered with the shard's own ExplainDocCluster.
+// (When items carried a list divisor, one that left it out divided by
+// zero: +Inf, which JSON cannot encode, so a 500 with an empty body. The
+// public server's surfaces are in the contract table.)
 func TestShardServeAuxSurfaces(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
@@ -212,6 +217,21 @@ func TestShardServeAuxSurfaces(t *testing.T) {
 	resp, body = postJSON(t, shardTS.URL+"/internal/explain", `{"shard": 3, "items": []}`)
 	if resp.StatusCode != http.StatusMisdirectedRequest || typedError(t, body).Kind != "not_owned" {
 		t.Fatalf("misdirected explain: status %d body %s", resp.StatusCode, body)
+	}
+	home, err := fleetBackend().hosts[1].HandleHome(&fleet.HomeRequest{Shard: 1, LocalDoc: 0, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := home.Probes[0]
+	req, _ := json.Marshal(fleet.ExplainRequest{Shard: 1, Items: []fleet.ExplainItem{{Cluster: p.Cluster, Terms: p.Terms, QF: p.QF}}})
+	resp, body = postJSON(t, shardTS.URL+"/internal/explain", string(req))
+	var er fleet.ExplainResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &er) != nil || len(er.Items) != 1 {
+		t.Fatalf("explain item: status %d body %s", resp.StatusCode, body)
+	}
+	mr := fleetBackend().g.ShardMR(1)
+	if want := mr.ExplainDocCluster(0, mr.QuerySegs(0)[0]); len(want) == 0 || !reflect.DeepEqual(er.Items[0], want) {
+		t.Fatalf("explain item answered %v, ExplainDocCluster says %v", er.Items[0], want)
 	}
 }
 

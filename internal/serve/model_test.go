@@ -38,7 +38,7 @@ import (
 // segments, read off a reference matcher fed the same adds — and the
 // routing, for partial answers; denominators, NU, df, pIDF, the lists,
 // cuts and sums it counts itself. Its answer is a function of the
-// collection prefix p, the dead shards and the MRConfig.
+// collection prefix p and the dead shards.
 //
 // A failing sequence is shrunk on the row it failed on and printed as a
 // Go literal: add it to modelRegressions to keep it.
@@ -55,12 +55,12 @@ var modelRegressions = []struct {
 	row string
 	ops []modelOp
 }{
-	{"shards=4/nfactor3", []modelOp{{opExplain, 1, 1}}},                                   // θ compare made strict
-	{"unsharded/default", []modelOp{{opRelated, 2, 0}, {opAdd, 0, 0}, {opRelated, 2, 0}}}, // no epoch bump on commit
-	{"shards=4/default", []modelOp{{opRelated, 2, 7}}},                                    // a shard's df out of the pool
-	{"unsharded/default", []modelOp{{opRelated, 2, 7}}},                                   // sums in term-id order
-	{"local/shards=1", []modelOp{{opRelated, 5, 5}, {opKill, 0, 0}, {opRelated, 5, 5}}},   // no epoch move on degradation
-	{"local/shards=2", []modelOp{{opKill, 0, 0}, {opRelated, 2, 0}, {opRelated, 2, 0}}},   // partial answers cached
+	{"local/shards=2", []modelOp{{opRelated, 8, 5}}},                                    // θ compare made strict
+	{"unsharded", []modelOp{{opRelated, 2, 0}, {opAdd, 0, 0}, {opRelated, 2, 0}}},       // no epoch bump on commit
+	{"shards=4", []modelOp{{opRelated, 2, 7}}},                                          // a shard's df out of the pool
+	{"unsharded", []modelOp{{opRelated, 2, 7}}},                                         // sums in term-id order
+	{"local/shards=1", []modelOp{{opRelated, 5, 5}, {opKill, 0, 0}, {opRelated, 5, 5}}}, // no epoch move on degradation
+	{"local/shards=2", []modelOp{{opKill, 0, 0}, {opRelated, 2, 0}, {opRelated, 2, 0}}}, // partial answers cached
 }
 
 // opKind is a transition of the state machine.
@@ -168,12 +168,11 @@ func (c *modelCluster) pIDF(t string) float64 {
 }
 
 // modelQuery is what an answer of the model depends on: the collection
-// prefix, a coordinator's shard count and dead shards (a bit each), the
-// query knobs and the request.
+// prefix, a coordinator's shard count and dead shards (a bit each), and
+// the request.
 type modelQuery struct {
 	p, shards int
 	dead      uint8
-	cfg       match.MRConfig
 	key       cache.Key
 }
 
@@ -272,9 +271,8 @@ func byScore(es []modelEntry) {
 
 // body is the encoded 200 of the model's answer to q: per segment of the
 // query document (Algorithm 1), every live unit of its cluster scored
-// with Eq 9, sorted in full, cut at n = NFactor·k (10·k under a
-// threshold), cut at the threshold and normalized; the per-document sums
-// in segment order (Algorithm 2); the top k; with explain, every summand
+// with Eq 9, sorted in full, cut at n = 2k; the per-document sums in
+// segment order (Algorithm 2); the top k; with explain, every summand
 // down to its term products.
 func (f *modelFixture) body(q modelQuery) []byte {
 	f.mu.Lock()
@@ -284,18 +282,10 @@ func (f *modelFixture) body(q modelQuery) []byte {
 	}
 	route := shard.NewDirectory(modelSeed, max(q.shards, 1)).Route
 	dead := func(doc int) bool { return q.dead&(1<<route(doc)) != 0 }
-	cs, cfg, k := f.clusters(q.p), q.cfg, q.key.K
-	depth := 2 * k
-	if cfg.NFactor > 0 {
-		depth = cfg.NFactor * k
-	}
-	if cfg.ScoreThreshold > 0 {
-		depth = 10 * k
-	}
+	cs, k := f.clusters(q.p), q.key.K
 	type list struct {
-		seg  *modelSeg
-		es   []modelEntry
-		norm float64
+		seg *modelSeg
+		es  []modelEntry
 	}
 	var lists []list
 	sums := map[int]float64{}
@@ -317,24 +307,11 @@ func (f *modelFixture) body(q modelQuery) []byte {
 			}
 		}
 		byScore(es)
-		es = es[:min(len(es), depth)]
-		norm := 1.0
-		if len(es) > 0 {
-			best := es[0].score
-			for i := range es {
-				if es[i].score < cfg.ScoreThreshold*best {
-					es = es[:i]
-					break
-				}
-			}
-			if cfg.NormalizeLists {
-				norm = best
-			}
-		}
+		es = es[:min(len(es), 2*k)]
 		for _, e := range es {
-			sums[e.doc] += e.score / norm
+			sums[e.doc] += e.score
 		}
-		lists = append(lists, list{qs, es, norm})
+		lists = append(lists, list{qs, es})
 	}
 	var top []modelEntry
 	for d, s := range sums {
@@ -352,11 +329,11 @@ func (f *modelFixture) body(q modelQuery) []byte {
 					continue
 				}
 				c := cs[l.seg.cluster]
-				cc := match.ClusterContribution{Cluster: l.seg.cluster, Score: le.score / l.norm}
+				cc := match.ClusterContribution{Cluster: l.seg.cluster, Score: le.score}
 				for _, t := range l.seg.terms {
 					if _, ok := c.seg[e.doc].tf[t]; ok && c.pIDF(t) > 0 {
 						w, idf := c.weight(e.doc, t), c.pIDF(t)
-						cc.Terms = append(cc.Terms, match.TermContribution{Term: t, QueryTF: l.seg.tf[t], Weight: w, IDF: idf, Contribution: l.seg.tf[t] * w * idf / l.norm})
+						cc.Terms = append(cc.Terms, match.TermContribution{Term: t, QueryTF: l.seg.tf[t], Weight: w, IDF: idf, Contribution: l.seg.tf[t] * w * idf})
 					}
 				}
 				exp.Clusters = append(exp.Clusters, cc)
@@ -384,26 +361,12 @@ type modelRow struct {
 	name   string
 	fleet  string
 	shards int
-	cfg    match.MRConfig
 }
 
-func modelRows() []modelRow {
-	var rows []modelRow
-	for _, c := range []struct {
-		name string
-		cfg  match.MRConfig
-	}{
-		{"default", match.MRConfig{}},
-		{"threshold", match.MRConfig{ScoreThreshold: 0.3}},
-		{"normalized", match.MRConfig{NormalizeLists: true}},
-		{"nfactor3", match.MRConfig{NFactor: 3}},
-	} {
-		rows = append(rows, modelRow{"unsharded/" + c.name, "", 0, c.cfg},
-			modelRow{"shards=4/" + c.name, "", 4, c.cfg}, modelRow{"local/shards=4/" + c.name, "local", 4, c.cfg})
-	}
-	return append(rows, modelRow{"shards=2", "", 2, match.MRConfig{}}, modelRow{"shards=8", "", 8, match.MRConfig{}},
-		modelRow{"local/shards=1", "local", 1, match.MRConfig{}}, modelRow{"local/shards=2", "local", 2, match.MRConfig{}},
-		modelRow{"http/shards=4", "http", 4, match.MRConfig{}})
+var modelRows = []modelRow{
+	{"unsharded", "", 0}, {"shards=2", "", 2}, {"shards=4", "", 4}, {"shards=8", "", 8},
+	{"local/shards=1", "local", 1}, {"local/shards=2", "local", 2}, {"local/shards=4", "local", 4},
+	{"http/shards=4", "http", 4},
 }
 
 // errShardKilled is what a killed shard answers: a transient failure,
@@ -493,16 +456,14 @@ func openRow(t *testing.T, f *modelFixture, row modelRow) *liveRow {
 	t.Helper()
 	lr := &liveRow{modelRow: row, p: modelBase, dir: t.TempDir()}
 	if row.fleet == "" {
-		p, err := core.Build(f.baseTexts, core.Config{Seed: modelSeed, Shards: row.shards, MR: row.cfg})
+		p, err := core.Build(f.baseTexts, core.Config{Seed: modelSeed, Shards: row.shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		lr.setEngine(p)
 		return lr
 	}
-	cfg := row.cfg
-	cfg.Seed = modelSeed
-	g, err := shard.NewGroup(match.NewMR("IntentIntent-MR", f.baseDocs, cfg), row.shards, modelSeed)
+	g, err := shard.NewGroup(match.NewMR("IntentIntent-MR", f.baseDocs, match.MRConfig{Seed: modelSeed}), row.shards, modelSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +574,7 @@ func (lr *liveRow) want(f *modelFixture, key cache.Key, hit bool) (int, []byte) 
 	case key.Doc < 0 || key.Doc >= lr.p:
 		return http.StatusNotFound, errorBody("unknown_doc", core.ErrUnknownDoc.Error())
 	}
-	q := modelQuery{p: lr.p, cfg: lr.cfg, key: key}
+	q := modelQuery{p: lr.p, key: key}
 	if lr.kill != nil && !hit {
 		q.shards = lr.shards
 		for s := range lr.shards {
@@ -759,7 +720,7 @@ func shrinkModel(t *testing.T, f *modelFixture, fail *modelFailure, ops []modelO
 }
 
 func TestEnginesMatchModel(t *testing.T) {
-	f, rows := theModel(), modelRows()
+	f, rows := theModel(), modelRows
 	for _, rc := range modelRegressions {
 		for _, row := range rows {
 			if row.name != rc.row {

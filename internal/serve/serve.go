@@ -218,8 +218,7 @@ type RelatedRequest struct {
 // score. Score is the full contribution; Terms holds the largest term
 // products (at most maxExplainTerms, by |contribution|; each is
 // Contribution = QueryTF · Weight · IDF, Eq 9's summand over Eq 7/8's
-// weight, scaled by the list's normalizer when NormalizeLists is
-// configured), and OmittedTerms counts elided ones — so
+// weight), and OmittedTerms counts elided ones — so
 // Σ Terms[i].Contribution equals Score only when OmittedTerms is 0.
 type ClusterExplain struct {
 	Cluster      int                      `json:"cluster"`

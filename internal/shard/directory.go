@@ -84,14 +84,12 @@ func (d *Directory) Lookup(doc int) (shard, local int, ok bool) {
 	return int(d.owner[doc]), int(d.local[doc]), true
 }
 
-// MergedList is one intention cluster's globally merged, trimmed
-// candidate list: Items carry global document ids in descending
-// (score, ascending id) order, cut to the global top-n and the
-// configured score threshold; Norm is the Algorithm 2 divisor.
+// MergedList is one intention cluster's globally merged candidate list:
+// Items carry global document ids in descending (score, ascending id)
+// order, cut to the global top-n.
 type MergedList struct {
 	Cluster int
 	Items   []topk.Item
-	Norm    float64
 }
 
 // Merge is the gather half of a scatter-gather query, for Group and the
@@ -100,12 +98,11 @@ type MergedList struct {
 // cluster); a nil perShard[s] is a shard that did not answer, and the
 // result is then the exact merge over the rest. Per probe, the lists go
 // through one top-n heap in ascending shard order under the
-// deterministic tie-break, the merged list takes cfg's trim, and
-// Algorithm 2 sums it into the score map — probes in ascending order,
-// exactly as the unsharded walk, so the float sums are bit-identical. A
-// local id committed on its shard but not yet registered here is
-// skipped.
-func (d *Directory) Merge(cfg match.MRConfig, clusters []int, n int, perShard [][][]match.Result, tr *obs.Trace) ([]MergedList, map[int]float64) {
+// deterministic tie-break, and Algorithm 2 sums the merged list into the
+// score map — probes in ascending order, exactly as the unsharded walk,
+// so the float sums are bit-identical. A local id committed on its
+// shard but not yet registered here is skipped.
+func (d *Directory) Merge(clusters []int, n int, perShard [][][]match.Result, tr *obs.Trace) ([]MergedList, map[int]float64) {
 	scores := make(map[int]float64, n*len(clusters))
 	lists := make([]MergedList, len(clusters))
 	d.mu.RLock()
@@ -126,19 +123,10 @@ func (d *Directory) Merge(cfg match.MRConfig, clusters []int, n int, perShard []
 			}
 		}
 		items := col.Results()
-		norm := 1.0
-		if len(items) > 0 {
-			cut, nrm := cfg.TrimParams(items[0].Score)
-			norm = nrm
-			for j, it := range items {
-				if it.Score < cut {
-					items = items[:j]
-					break
-				}
-				scores[it.ID] += it.Score / norm
-			}
+		for _, it := range items {
+			scores[it.ID] += it.Score
 		}
-		lists[i] = MergedList{Cluster: cluster, Items: items, Norm: norm}
+		lists[i] = MergedList{Cluster: cluster, Items: items}
 		if tr != nil {
 			tr.Event("shard.merge",
 				obs.N("cluster", int64(cluster)),

@@ -23,8 +23,7 @@
 //     each intention list globally: the merge collects every shard's
 //     top-n candidates per cluster into one topk heap of depth n
 //     (the global top-n is a subset of the union of per-shard top-n
-//     lists, because restriction preserves a total order), applies
-//     the threshold/normalization trim to the merged list, and only
+//     lists, because restriction preserves a total order), and only
 //     then runs Algorithm 2's summation — in the same ascending
 //     cluster order and the same descending (score, ascending id)
 //     within-list order as the unsharded path, so the float sums are
@@ -55,7 +54,7 @@ import (
 
 // Group-level observability. shard.related times the whole
 // scatter-gather query; shard.merge.candidates sizes the Algorithm 2
-// merge input (the union of trimmed per-cluster lists). Per-shard
+// merge input (the union of the merged per-cluster lists). Per-shard
 // instruments (shard.NN.query spans, shard.NN.queries/adds counters,
 // shard.NN.width histograms) are created per Group via the GetOrNew
 // registrars, since several groups may live in one process.
@@ -290,7 +289,7 @@ func (g *Group) gather(docID, k int, tr *obs.Trace) (probes []match.ClusterQuery
 	for i, q := range probes {
 		clusters[i] = q.Cluster
 	}
-	lists, scores = g.dir.Merge(g.cfg, clusters, n, perShard, tr)
+	lists, scores = g.dir.Merge(clusters, n, perShard, tr)
 	return probes, lists, scores, true
 }
 
@@ -342,8 +341,8 @@ func (g *Group) match(docID, k int, tr *obs.Trace, explain bool) ([]match.Result
 				}
 				exp.Clusters = append(exp.Clusters, match.ClusterContribution{
 					Cluster: ml.Cluster,
-					Score:   it.Score / ml.Norm,
-					Terms:   g.shards[s].ExplainDocCluster(l, probes[i], ml.Norm),
+					Score:   it.Score,
+					Terms:   g.shards[s].ExplainDocCluster(l, probes[i]),
 				})
 				break
 			}

@@ -72,7 +72,7 @@ func (h *handScatter) merge(perShard [][][]match.Result) ([]MergedList, map[int]
 	for i, q := range h.probes {
 		clusters[i] = q.Cluster
 	}
-	return h.g.dir.Merge(h.g.cfg, clusters, h.n, perShard, nil)
+	return h.g.dir.Merge(clusters, h.n, perShard, nil)
 }
 
 // checkThetas asserts the invariant every gather must leave behind: a

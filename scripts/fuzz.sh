@@ -32,6 +32,7 @@ declare -a TARGETS=(
     "./internal/serve FuzzDecodeRelated"
     "./internal/serve FuzzAddBody"
     "./internal/fleet FuzzProbeRequest"
+    "./internal/fleet FuzzExplainRequest"
 )
 
 for entry in "${TARGETS[@]}"; do
