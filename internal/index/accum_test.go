@@ -268,11 +268,12 @@ func TestConcurrentScansShareThePool(t *testing.T) {
 }
 
 // TestScanAllocations gates the steady-state probe at one allocation —
-// its result slice: the divisor column is cached. A probe that finds the
-// column stale —
-// the first after an add that moved the average or the unit count, or a
-// frozen probe carrying another average — allocates two more, the two
-// columns in one array and their header, and that is all it costs.
+// its result slice: the divisor column is cached. A frozen probe carrying
+// another average finds the column stale with no write lock between, so
+// nothing was retired for it to reuse: it allocates two more, the two
+// columns in one array and their header, and that is all it costs. The
+// first probe after an add rebuilds into the pair the add retired and
+// allocates nothing more.
 func TestScanAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops objects at random under the race detector")
@@ -296,5 +297,12 @@ func TestScanAllocations(t *testing.T) {
 	var theta Theta // shared by the runs, as by a probe's legs
 	if got := testing.AllocsPerRun(200, func() { ix.QueryFrozen(terms, qf, idfs, avg, 10, &theta, nil, nil) }); got > 1 || theta.Load() == 0 {
 		t.Errorf("QueryFrozen under a Theta (now %g): %v allocs per run, want at most 1", theta.Load(), got)
+	}
+	unique, tf := CountTerms(ix.dict.Terms(), ix.dict.AppendIDs(nil, docs[5]), nil)
+	if got := testing.AllocsPerRun(200, func() {
+		ix.AddCounted(unique, tf)
+		ix.Query(queryTF, 10, nil)
+	}); got > 1 {
+		t.Errorf("Query after an Add: %v allocs per run, want at most 1 (result; the rebuild reuses the retired columns)", got)
 	}
 }

@@ -58,6 +58,35 @@ func BenchmarkQueryReadOnly(b *testing.B) {
 	}
 }
 
+// BenchmarkNormsRebuild measures one rebuild of the Eq 7/8 divisor
+// columns (normsLocked) over 9 000 units, the size of the benchmark
+// corpus's largest cluster index: fresh with nothing to reuse, as a probe
+// under a frozen average of its own builds; afterAdd into the pair a
+// write lock retired, as the first probe after an add builds.
+func BenchmarkNormsRebuild(b *testing.B) {
+	ix, _ := benchCorpus(9000, 2000, 42)
+	avg := liveAvg(ix)
+	for _, leg := range []struct {
+		name  string
+		stale func()
+	}{
+		{"fresh", func() { ix.norms.Store(nil); ix.spare.Store(nil) }},
+		{"afterAdd", ix.retireNormsLocked},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ix.mu.Lock()
+				leg.stale()
+				ix.mu.Unlock()
+				ix.mu.RLock()
+				ix.normsLocked(avg)
+				ix.mu.RUnlock()
+			}
+		})
+	}
+}
+
 // BenchmarkQuerySparseProbe measures the probe the dense drain must not
 // tax: the three rarest terms of each query unit against the 32 000-unit
 // corpus — a few hundred postings into 32 000 cells, so the probe marks

@@ -121,6 +121,7 @@ func (ix *Index) install(c columns) {
 		lo = hi
 	}
 	ix.mu.Lock()
+	ix.retireNormsLocked()
 	ix.slot, ix.ones, ix.more = slot, ones, more
 	ix.denoms, ix.uniques, ix.totalUnique = c.denoms, c.uniques, c.totalUnique
 	ix.mu.Unlock()

@@ -48,13 +48,16 @@ import (
 // scorepool counters expose the accumulator pool: get counts probes, new
 // the probes that had to allocate cell storage (hits = get − new).
 // index.scan.postings counts the postings a scan walks: every posting of
-// every query term with a non-zero pIDF. All recording is gated on the
-// obs enabled flag and free otherwise.
+// every query term with a non-zero pIDF; index.norms.build the divisor
+// column rebuilds (normsLocked), and new those that could not reuse a
+// retired pair. All recording is gated on the obs enabled flag.
 var (
 	histQueryCandidates = obs.NewCountHistogram("index.query.candidates")
 	histQueryResults    = obs.NewCountHistogram("index.query.results")
 	ctrScorePoolGet     = obs.NewCounter("index.scorepool.get")
 	ctrScorePoolNew     = obs.NewCounter("index.scorepool.new")
+	ctrNormsBuild       = obs.NewCounter("index.norms.build")
+	ctrNormsNew         = obs.NewCounter("index.norms.new")
 	ctrScanPostings     = obs.NewCounter("index.scan.postings")
 )
 
@@ -136,8 +139,10 @@ type Index struct {
 	uniques     []int32
 	totalUnique int64 // sum of unique-term counts, for the NU average
 	// norms caches the per-unit divisor of Eq 7/8 under the NU average
-	// the last probe scanned with (see normsLocked); not persisted.
-	norms atomic.Pointer[unitNorms]
+	// the last probe scanned with (see normsLocked); not persisted. spare
+	// is the pair the last write lock retired, whose storage the next
+	// rebuild reuses.
+	norms, spare atomic.Pointer[unitNorms]
 
 	// global, when non-nil, is the shared collection-statistics pool the
 	// scoring reads Eq 9's N and n and the NU average from instead of the
@@ -181,6 +186,7 @@ func (ix *Index) AddCounted(unique, tf []int32) int {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 	}
+	ix.retireNormsLocked()
 	id := int32(len(ix.denoms))
 	for i, t := range unique {
 		s, ok := ix.slot[t]
@@ -278,38 +284,70 @@ func nu(unique int32, avgUnique float64) float64 {
 // posting — logTF(1) is exactly 1, and the division is the one the
 // kernel would do. A unit without terms gets +Inf and +0, the divisor
 // and the value of weight's +0; no posting names such a unit. The value
-// is immutable once published.
+// is immutable until the next write lock retires it (retireNormsLocked):
+// callers must not keep it past their read lock.
 type unitNorms struct {
 	avg       float64
 	norm, inv []float64
 }
 
+// nuTable bounds the per-count NU table a rebuild fills; longer units call nu.
+const nuTable = 128
+
 // normsLocked returns the columns for avgUnique — the local, pooled or
 // frozen average the probe resolved. The cached pair is valid iff it
 // was built for that average and covers every unit; a probe that finds
-// it stale builds one under the read lock it already holds (16 bytes a
-// unit in one allocation, one pass) and publishes it. Callers use the
-// value returned and never re-read the pointer, so concurrent frozen
-// probes carrying different averages, and concurrent duplicate builds,
-// only cost the rebuild. Add leaves the columns alone: it would pay for
-// the rebuild under the write lock, and an add that moves the average
-// fails the check by itself.
+// it stale builds one under the read lock it already holds (one pass, a
+// multiply and a divide a unit) into the spare pair if that covers the
+// units, else into 16 bytes a unit plus a quarter of headroom, so that
+// an index growing an add at a time keeps reusing one array, and
+// publishes it. Callers use the value returned and never re-read the
+// pointer, so concurrent frozen probes carrying different averages, and
+// concurrent duplicate builds, only cost the rebuild; a pair they
+// replace goes to the collector, since another probe may be scanning it.
 func (ix *Index) normsLocked(avgUnique float64) *unitNorms {
 	units := len(ix.denoms)
 	if c := ix.norms.Load(); c != nil && c.avg == avgUnique && len(c.norm) == units {
 		return c
 	}
-	both := make([]float64, 2*units)
-	c := &unitNorms{avg: avgUnique, norm: both[:units:units], inv: both[units:]}
+	ctrNormsBuild.Inc()
+	c := ix.spare.Swap(nil)
+	if c == nil || cap(c.norm) < units {
+		size := units + units/4
+		both := make([]float64, 2*size)
+		c = &unitNorms{norm: both[:0:size], inv: both[size:size]}
+		ctrNormsNew.Inc()
+	}
+	norm, inv, uniques := c.norm[:units], c.inv[:units], ix.uniques[:units]
+	c.avg, c.norm, c.inv = avgUnique, norm, inv
+	var nus [nuTable]float64
+	for k := range nus {
+		nus[k] = nu(int32(k), avgUnique)
+	}
 	for u, d := range ix.denoms {
-		n := d * nu(ix.uniques[u], avgUnique)
+		var n float64
+		if k := uniques[u]; uint32(k) < nuTable {
+			n = d * nus[k]
+		} else {
+			n = d * nu(k, avgUnique)
+		}
 		if d == 0 {
 			n = math.Inf(1)
 		}
-		c.norm[u], c.inv[u] = n, logTFs[1]/n
+		norm[u], inv[u] = n, logTFs[1]/n
 	}
 	ix.norms.Store(c)
 	return c
+}
+
+// retireNormsLocked moves the published columns to spare for the next
+// rebuild to overwrite; under the write lock no probe holds them. Every
+// write calls it: a Load of as many units under the same average would
+// pass the cache check with the old units' divisors.
+func (ix *Index) retireNormsLocked() {
+	if c := ix.norms.Swap(nil); c != nil {
+		ix.spare.Store(c)
+	}
 }
 
 // idf is Eq 9's smoothed probabilistic inverse document frequency for a

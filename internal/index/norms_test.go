@@ -2,11 +2,14 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // checkNormsMatchWeight holds the columns built for avg to the
@@ -42,35 +45,65 @@ func checkNormsMatchWeight(t *testing.T, ix *Index, avg float64) {
 	}
 }
 
+// liveAvg is the NU average a probe of ix resolves now.
+func liveAvg(ix *Index) float64 {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.avgUniqueLocked()
+}
+
 // TestNormColumnMatchesWeight is the columns' property test: over random
 // Add and WriteTo→Load sequences, under averages below, at and above
-// every unit's unique-term count — zero and the live average among them
-// — the TF > 1 kernel's quotient and the ones kernel's inv entry are the
-// Eq 7/8 weight bit for bit.
+// every unit's unique-term count — the live average first, and zero —
+// the TF > 1 kernel's quotient and the ones kernel's inv entry are the
+// Eq 7/8 weight bit for bit. Every step adds a unit at or above the NU
+// table's bound (nu's fallback) and ends with Add → probe, a rebuild into
+// the retired pair. In half the trials a reload goes into the index
+// itself, probed at the live average, and brings as many units under that
+// average with every term frequency doubled: a snapshot the cached pair's
+// key cannot tell from the units it was built for.
 func TestNormColumnMatchesWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 8; trial++ {
 		ix := New()
+		var units [][]string // what ix holds, unit by unit
+		add := func(d []string) {
+			ix.Add(d)
+			units = append(units, d)
+		}
 		for step, steps := 0, 3+rng.Intn(4); step < steps; step++ {
 			for _, d := range randomCorpus(rng, 1+rng.Intn(60), 20+rng.Intn(80)) {
 				if rng.Intn(4) == 0 {
 					d = append(d, d...) // term frequencies above one
 				}
-				ix.Add(d)
+				add(d)
 			}
-			ix.Add(nil) // a unit without terms: denominator 0
+			add(nil) // a unit without terms: denominator 0
+			var long []string
+			for k := 0; k < nuTable+rng.Intn(8); k++ {
+				long = append(long, fmt.Sprintf("long%03d", k))
+			}
+			add(long)
 			if rng.Intn(2) == 0 {
+				from, into := ix, New()
+				if trial%2 == 1 {
+					checkNormsMatchWeight(t, ix, liveAvg(ix))
+					for i, d := range units {
+						units[i] = append(d, d...)
+					}
+					from, into = buildIndex(units...), ix
+				}
 				var buf bytes.Buffer
-				if _, err := ix.WriteTo(&buf); err != nil {
+				if _, err := from.WriteTo(&buf); err != nil {
 					t.Fatalf("encoding: %v", err)
 				}
-				ix = New()
-				if err := ix.Load(buf.Bytes()); err != nil {
+				if err := into.Load(buf.Bytes()); err != nil {
 					t.Fatalf("loading: %v", err)
 				}
+				ix = into
 			}
 			ix.mu.RLock()
-			avgs := []float64{0, ix.avgUniqueLocked()}
+			avgs := []float64{ix.avgUniqueLocked(), 0}
 			for _, c := range ix.uniques {
 				avgs = append(avgs, float64(c)-0.5, float64(c), float64(c)+0.5)
 			}
@@ -78,15 +111,23 @@ func TestNormColumnMatchesWeight(t *testing.T) {
 			for _, avg := range avgs {
 				checkNormsMatchWeight(t, ix, avg)
 			}
+			add(randomCorpus(rng, 1, 50)[0])
+			checkNormsMatchWeight(t, ix, liveAvg(ix))
 		}
 	}
 }
 
-// TestNormColumnValidity pins the cache rule: the column is reused while
-// the average and the unit count stand, and rebuilt — never patched —
-// when either moves.
+// TestNormColumnValidity pins the cache rule and the recycling: the
+// column is reused while the average and the unit count stand, and
+// rebuilt when either moves — after an add into the storage the add
+// retired, and without one into storage of its own, since a probe under
+// the same read lock may still be scanning the pair it replaces.
 func TestNormColumnValidity(t *testing.T) {
-	ix := buildIndex([]string{"a", "b"}, []string{"a", "c", "d"}, []string{"b"})
+	var docs [][]string
+	for u := 0; u < 8; u++ {
+		docs = append(docs, []string{"a", "b"}, []string{"a", "c", "d"})
+	}
+	ix := buildIndex(docs...)
 	column := func(avg float64) []float64 {
 		ix.mu.RLock()
 		defer ix.mu.RUnlock()
@@ -97,18 +138,43 @@ func TestNormColumnValidity(t *testing.T) {
 		t.Error("same average, same units: the column was rebuilt")
 	}
 	if other := column(1.5); &other[0] == &first[0] {
-		t.Error("another average was served the cached column")
+		t.Error("another average shares the cached column's storage")
 	}
 	back := column(2)
 	if !reflect.DeepEqual(back, first) {
 		t.Errorf("rebuilt column %v differs from the first %v", back, first)
 	}
 	ix.Add([]string{"a", "e"})
-	if grown := column(2); len(grown) != 4 {
-		t.Errorf("after an add the column covers %d units, want 4", len(grown))
+	grown := column(2)
+	if len(grown) != len(docs)+1 {
+		t.Errorf("after an add the column covers %d units, want %d", len(grown), len(docs)+1)
 	}
-	if len(back) != 3 {
-		t.Errorf("a published column changed length: %d", len(back))
+	if &grown[0] != &back[0] {
+		t.Error("the rebuild after an add did not reuse the retired column")
+	}
+}
+
+// TestNormsRebuildCounters runs 200 Add-then-probe cycles on one index:
+// every probe rebuilds (index.norms.build), and only the first build and
+// one growth past the headroom allocate (index.norms.new).
+func TestNormsRebuildCounters(t *testing.T) {
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+	rng := rand.New(rand.NewSource(71))
+	docs := randomCorpus(rng, 800, 120)
+	ix := buildIndex(docs[:600]...)
+	q := TermFrequencies(docs[0])
+	build, fresh := ctrNormsBuild.Value(), ctrNormsNew.Value()
+	ix.Query(q, 10, nil)
+	for _, d := range docs[600:] {
+		ix.Add(d)
+		ix.Query(q, 10, nil)
+	}
+	if got := ctrNormsBuild.Value() - build; got != 201 {
+		t.Errorf("index.norms.build moved by %d over 201 stale probes", got)
+	}
+	if got := ctrNormsNew.Value() - fresh; got > 2 {
+		t.Errorf("index.norms.new moved by %d, want at most 2: the first build and one growth", got)
 	}
 }
 
