@@ -81,7 +81,7 @@ func main() {
 	fleetFile := flag.String("fleet", "", "coordinator role: fleet topology JSON file (fleet.Topology layout)")
 	fleetTimeout := flag.Duration("fleet-timeout", 2*time.Second, "coordinator: whole-query budget")
 	fleetAttempt := flag.Duration("fleet-attempt-timeout", 500*time.Millisecond, "coordinator: per-attempt deadline")
-	fleetRetries := flag.Int("fleet-retries", 2, "coordinator: retries a failing leg gets beyond its first attempt and its one hedge attempt (0 = none)")
+	fleetRetries := flag.Int("fleet-retries", 2, "coordinator: retries a failing leg gets beyond its first attempt, and beyond its one hedge attempt when the shard has a replica (0 = none)")
 	fleetBackoff := flag.Duration("fleet-backoff", 25*time.Millisecond, "coordinator: base retry backoff (doubles per attempt)")
 	fleetHedge := flag.Duration("fleet-hedge-after", 100*time.Millisecond, "coordinator: hedge-to-replica delay until latency history accrues")
 	fleetBootstrap := flag.Duration("fleet-bootstrap", 15*time.Second, "coordinator: how long to keep retrying the topology bootstrap while shard servers come up")

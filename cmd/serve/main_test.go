@@ -101,9 +101,9 @@ func (f *failingProbes) Probe(ctx context.Context, ep string, req *fleet.ProbeRe
 
 // TestFleetRetriesIsACount: -fleet-retries is the number of retries a
 // failing leg gets, 0 included — each one more asked for is one more
-// attempt, and 0 is not the coordinator's "0 selects the default 2". (At
-// 0 a failing leg is still tried twice: the coordinator lets a retry
-// take the attempt it budgets for a hedge.)
+// attempt, and 0 is not the coordinator's "0 selects the default 2". A
+// shard without a replica has no hedge attempt for a retry to take, so
+// at 0 its failing leg is tried once.
 func TestFleetRetriesIsACount(t *testing.T) {
 	texts, err := loadCorpus("", "tech", 40, 42)
 	if err != nil {
@@ -135,6 +135,9 @@ func TestFleetRetriesIsACount(t *testing.T) {
 		return tr.attempts.Load()
 	}
 	none := attempts(0)
+	if none != 1 {
+		t.Errorf("-fleet-retries 0: %d attempts at a failing leg without a replica, want 1", none)
+	}
 	for flag := 1; flag <= 3; flag++ {
 		if got := attempts(flag); got != none+int32(flag) {
 			t.Errorf("-fleet-retries %d: %d attempts at a failing leg, -fleet-retries 0 makes %d", flag, got, none)

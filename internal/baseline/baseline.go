@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/segment"
-	"repro/internal/topk"
 )
 
 // Config is what every constructor reads. The segment-based methods
@@ -188,16 +187,11 @@ func (lm *LDAMatcher) Match(docID, k int) []match.Result {
 		return nil
 	}
 	q := lm.model.DocTopics(docID)
-	c := topk.New(k)
+	top := make([]match.Result, 0, min(k, n-1))
 	for d := 0; d < n; d++ {
 		if d != docID {
-			c.Offer(d, lda.Similarity(q, lm.model.DocTopics(d)))
+			top = match.InsertTop(top, k, match.Result{DocID: d, Score: lda.Similarity(q, lm.model.DocTopics(d))})
 		}
 	}
-	items := c.Results()
-	out := make([]match.Result, len(items))
-	for i, it := range items {
-		out[i] = match.Result{DocID: it.ID, Score: it.Score}
-	}
-	return out
+	return top
 }

@@ -99,14 +99,10 @@ type Options struct {
 	// the wait already happened.) Default 25ms.
 	Backoff time.Duration
 	// HedgeAfter is the hedge delay used until a shard has latency
-	// history: when a leg's first attempt outlives it and the shard has
-	// replicas, a second attempt goes to the next endpoint. Default
-	// 100ms.
+	// history (after that, hedgeQuantile of it): when a leg's first
+	// attempt outlives it and the shard has replicas, a second attempt
+	// goes to the next endpoint. Default 100ms.
 	HedgeAfter time.Duration
-	// HedgeQuantile replaces HedgeAfter once a shard has enough
-	// completed legs: hedge when the attempt outlives this quantile of
-	// the shard's recent latencies. Default 0.9.
-	HedgeQuantile float64
 }
 
 func (o Options) withDefaults() Options {
@@ -130,18 +126,16 @@ func (o Options) withDefaults() Options {
 	if o.HedgeAfter <= 0 {
 		o.HedgeAfter = 100 * time.Millisecond
 	}
-	if o.HedgeQuantile <= 0 || o.HedgeQuantile >= 1 {
-		o.HedgeQuantile = 0.9
-	}
 	return o
 }
 
 // latRingSize bounds the per-shard latency history feeding the
 // adaptive hedge delay; latMinSamples gates the switch from the fixed
-// HedgeAfter floor to the observed quantile.
+// HedgeAfter floor to the observed hedgeQuantile of it.
 const (
 	latRingSize   = 64
 	latMinSamples = 8
+	hedgeQuantile = 0.9
 )
 
 // Coordinator scatters Related queries across a shard fleet.
@@ -472,7 +466,7 @@ func (c *Coordinator) hedgeDelay(s int) time.Duration {
 		return c.opts.HedgeAfter
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return samples[int(c.opts.HedgeQuantile*float64(len(samples)-1))]
+	return samples[int(hedgeQuantile*float64(len(samples)-1))]
 }
 
 // recordLatency feeds a completed leg's latency into the shard's ring.
@@ -538,7 +532,7 @@ type ShardHealth struct {
 	// LastErrorKind names the most recent failure (empty: never failed).
 	LastErrorKind string `json:"last_error_kind,omitempty"`
 	// HedgeDelayNS is the current hedge trigger for this shard: the
-	// observed latency-ring quantile (HedgeQuantile, default p90) once
+	// observed latency-ring p90 (hedgeQuantile) once
 	// the ring has latMinSamples, the fixed HedgeAfter floor before.
 	HedgeDelayNS int64 `json:"hedge_delay_ns"`
 	// LatencySamples is how many completed-leg latencies back the
@@ -604,9 +598,14 @@ type leg struct {
 	explain *ExplainResponse
 }
 
-// maxAttempts is a leg's total attempt budget: first + retries + one
-// hedge slot.
-func (l *leg) maxAttempts(retries int) int { return retries + 2 }
+// maxAttempts is a leg's total attempt budget: first + retries, and one
+// hedge slot when the shard has a replica to hedge to.
+func (l *leg) maxAttempts(retries int) int {
+	if len(l.eps) > 1 {
+		return retries + 2
+	}
+	return retries + 1
+}
 
 func (l *leg) cancelAll() {
 	for _, cancel := range l.cancels {
@@ -647,7 +646,6 @@ type scatter struct {
 	aseq    int64
 
 	legs    map[int]*leg
-	nProbes int // expected list count on probe replies
 	maxDocs int
 }
 
@@ -810,25 +808,29 @@ func (sc *scatter) handleDelivery(d delivery) {
 	}
 	var epoch uint64
 	var docs int
+	var bad error
 	switch {
 	case d.home != nil:
 		epoch, docs = d.home.Epoch, d.home.Docs
+		if want := (match.MRConfig{}).ListDepth(l.homeReq.K); d.home.N != want {
+			bad = fmt.Errorf("depth %d for k = %d, want %d", d.home.N, l.homeReq.K, want)
+		} else {
+			bad = checkLists(d.home.Lists, len(d.home.Probes), want)
+		}
 	case d.probe != nil:
 		epoch, docs = d.probe.Epoch, d.probe.Docs
-		if len(d.probe.Lists) != sc.nProbes {
-			sc.onError(l, &RPCError{Status: http.StatusBadGateway, Kind: "malformed",
-				Msg: fmt.Sprintf("shard %d returned %d lists for %d probes", d.shard, len(d.probe.Lists), sc.nProbes)})
-			return
-		}
+		bad = checkLists(d.probe.Lists, len(l.probeReq.Probes), l.probeReq.Depth)
 	case d.explain != nil:
 		epoch = d.explain.Epoch
 		if len(d.explain.Items) != len(l.explainReq.Items) {
-			sc.onError(l, &RPCError{Status: http.StatusBadGateway, Kind: "malformed",
-				Msg: fmt.Sprintf("shard %d returned %d explain items for %d", d.shard, len(d.explain.Items), len(l.explainReq.Items))})
-			return
+			bad = fmt.Errorf("%d explain items for %d", len(d.explain.Items), len(l.explainReq.Items))
 		}
 	default:
-		sc.onError(l, &RPCError{Status: http.StatusBadGateway, Kind: "malformed", Msg: "empty delivery"})
+		bad = errors.New("empty delivery")
+	}
+	if bad != nil {
+		sc.onError(l, &RPCError{Status: http.StatusBadGateway, Kind: "malformed",
+			Msg: fmt.Sprintf("shard %d: %v", d.shard, bad)})
 		return
 	}
 	if epoch != sc.c.epoch {
@@ -860,6 +862,33 @@ func (sc *scatter) handleDelivery(d delivery) {
 			obs.N("rtt_ns", int64(now.Sub(d.sentAt))))
 		sc.stitchRemote(l.shard, d)
 	}
+}
+
+// checkLists checks a reply's lists for Directory.Merge, which takes
+// them on trust: want lists of at most depth entries, each strictly best
+// first under match.Result.Before, no id negative (it indexes the
+// directory out of range) or repeated (it is summed twice).
+func checkLists(lists [][]match.Result, want, depth int) error {
+	if len(lists) != want {
+		return fmt.Errorf("%d lists for %d probes", len(lists), want)
+	}
+	seen := make(map[int]bool)
+	for i, l := range lists {
+		if len(l) > depth {
+			return fmt.Errorf("list %d holds %d entries, past depth %d", i, len(l), depth)
+		}
+		clear(seen)
+		for j, r := range l {
+			switch {
+			case r.DocID < 0 || seen[r.DocID]:
+				return fmt.Errorf("list %d: entry %d has id %d, negative or repeated", i, j, r.DocID)
+			case j > 0 && !l[j-1].Before(r):
+				return fmt.Errorf("list %d: entry %d is out of order", i, j)
+			}
+			seen[r.DocID] = true
+		}
+	}
+	return nil
 }
 
 // stitchRemote splices a reply's shard-side child-trace events into the
@@ -1000,13 +1029,8 @@ func (c *Coordinator) gather(ctx context.Context, docID, k int, tr *obs.Trace) (
 			Msg: fmt.Sprintf("home shard %d unavailable: %v", home, ferr)}
 	}
 	resp := hl.home
-	if len(resp.Probes) > 0 && len(resp.Lists) != len(resp.Probes) {
-		return nil, &RPCError{Status: http.StatusBadGateway, Kind: "malformed",
-			Msg: fmt.Sprintf("home shard %d returned %d lists for %d probes", home, len(resp.Lists), len(resp.Probes))}
-	}
 	c.ctrLegOK[home].Inc()
 	c.noteLegOK(home)
-	sc.nProbes = len(resp.Probes)
 
 	// Phase 2: siblings, all at the home-reported depth, each scanning
 	// under thetas seeded with the home floors (each floor is a proven
@@ -1074,15 +1098,14 @@ func (c *Coordinator) gather(ctx context.Context, docID, k int, tr *obs.Trace) (
 		}
 	}
 
-	// Merge: shard.Group's own — one top-n heap per probe over every
-	// answering shard's list, then Algorithm 2 sums. A missing shard
+	// Merge: shard.Group's own, then Algorithm 2 sums. A missing shard
 	// stays nil in perShard and the merge is exact over the rest.
 	c.growDir(sc.maxDocs)
 	perShard := make([][][]match.Result, c.total)
-	perShard[home] = fromWireLists(resp.Lists)
+	perShard[home] = resp.Lists
 	for s, l := range sc.legs {
 		if s != home && l.done {
-			perShard[s] = fromWireLists(l.probe.Lists)
+			perShard[s] = l.probe.Lists
 		}
 	}
 	clusters := make([]int, len(resp.Probes))
@@ -1125,43 +1148,22 @@ func (c *Coordinator) Query(ctx context.Context, docID, k int, explain bool) (ma
 // machinery as the query's; a shard that cannot answer leaves its
 // documents' Clusters without terms and joins g.missing.
 func (c *Coordinator) explain(ctx context.Context, g *gatherOut, results []match.Result, tr *obs.Trace) ([]match.Explanation, error) {
-	// Plan the explain batches: for each result, every merged list it
-	// appears in contributes one (doc, cluster) item on its owning
-	// shard, carrying the probe's term context.
-	type ref struct{ ri, ci int } // result index, cluster slot
-	exps := make([]match.Explanation, len(results))
+	// Plan the explain batches: every summand of a result is one (doc,
+	// cluster) item on the result's owning shard, carrying the probe's
+	// term context.
+	exps, summands := shard.Explain(g.lists, results)
 	reqs := make(map[int]*ExplainRequest)
-	refs := make(map[int][]ref)
-	for ri, r := range results {
-		exps[ri] = match.Explanation{DocID: r.DocID, Score: r.Score}
-		s, l, _ := c.dir.Lookup(r.DocID)
-		for i, ml := range g.lists {
-			found := false
-			var score float64
-			for _, it := range ml.Items {
-				if it.ID == r.DocID {
-					found, score = true, it.Score
-					break
-				}
-			}
-			if !found {
-				continue
-			}
-			exps[ri].Clusters = append(exps[ri].Clusters, match.ClusterContribution{
-				Cluster: ml.Cluster,
-				Score:   score,
-			})
-			req := reqs[s]
-			if req == nil {
-				req = &ExplainRequest{Shard: s}
-				reqs[s] = req
-			}
-			req.Items = append(req.Items, ExplainItem{
-				LocalDoc: l, Cluster: ml.Cluster,
-				Terms: g.probes[i].Terms, QF: g.probes[i].QF,
-			})
-			refs[s] = append(refs[s], ref{ri: ri, ci: len(exps[ri].Clusters) - 1})
+	refs := make(map[int][]shard.Summand)
+	for _, sm := range summands {
+		s, l, _ := c.dir.Lookup(results[sm.Result].DocID)
+		req := reqs[s]
+		if req == nil {
+			req = &ExplainRequest{Shard: s}
+			reqs[s] = req
 		}
+		p := g.probes[sm.Probe]
+		req.Items = append(req.Items, ExplainItem{LocalDoc: l, Cluster: p.Cluster, Terms: p.Terms, QF: p.QF})
+		refs[s] = append(refs[s], sm)
 	}
 	if len(reqs) == 0 {
 		return exps, nil
@@ -1189,8 +1191,8 @@ func (c *Coordinator) explain(ctx context.Context, g *gatherOut, results []match
 	sc.cancelAllLegs()
 	for s, l := range sc.legs {
 		if l.done {
-			for j, rf := range refs[s] {
-				exps[rf.ri].Clusters[rf.ci].Terms = l.explain.Items[j]
+			for j, sm := range refs[s] {
+				exps[sm.Result].Clusters[sm.Slot].Terms = l.explain.Items[j]
 			}
 			continue
 		}

@@ -104,7 +104,7 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o.Timeout != 2*time.Second || o.AttemptTimeout != 500*time.Millisecond ||
 		o.Retries != 2 || o.Backoff != 25*time.Millisecond ||
-		o.HedgeAfter != 100*time.Millisecond || o.HedgeQuantile != 0.9 {
+		o.HedgeAfter != 100*time.Millisecond {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
 	if noRetry := (Options{Retries: -1}).withDefaults(); noRetry.Retries != 0 {
@@ -213,7 +213,9 @@ func TestBackoffSchedule(t *testing.T) {
 	clock := NewVirtualClock(time.Unix(0, 0))
 	ch := NewChaos(f.lt, clock)
 	rec := &launchRecorder{inner: ch, clock: clock, times: make(map[string][]time.Duration)}
-	c, err := New(context.Background(), f.topo(0), vopts(rec, clock))
+	opts := vopts(rec, clock)
+	opts.Retries = 3 // no replica, so no hedge slot: four attempts
+	c, err := New(context.Background(), f.topo(0), opts)
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
@@ -237,6 +239,36 @@ func TestBackoffSchedule(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("launch offsets %v, want %v", got, want)
+		}
+	}
+}
+
+// TestRetryBudgetWithoutReplica pins a leg's attempt budget when its
+// shard has no replica: the first attempt and Retries more, with no
+// hedge slot, since there is nothing to hedge to. A sibling whose probes
+// always fail is then reported missing.
+func TestRetryBudgetWithoutReplica(t *testing.T) {
+	docs := genDocs(t, forum.TechSupport, 80, 42)
+	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 2, 42, 0)
+	const doc = 0
+	sib := 1 - f.g.Route(doc)
+	for _, retries := range []int{1, 2} {
+		clock := NewVirtualClock(time.Unix(0, 0))
+		ch := NewChaos(f.lt, clock)
+		ch.Script(epName(sib, 0), "probe", repeat(ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "down"}}, 8)...)
+		rec := &launchRecorder{inner: ch, clock: clock, times: make(map[string][]time.Duration)}
+		opts := vopts(rec, clock)
+		opts.Retries = retries
+		c, err := New(context.Background(), f.topo(0), opts)
+		if err != nil {
+			t.Fatalf("fleet.New: %v", err)
+		}
+		res, err := c.Query(context.Background(), doc, 5, false)
+		if err != nil || !res.Partial || len(res.Missing) != 1 || res.Missing[0] != sib {
+			t.Fatalf("Retries %d: answer partial=%v missing=%v err=%v, want shard %d missing", retries, res.Partial, res.Missing, err, sib)
+		}
+		if got := len(rec.times[epName(sib, 0)+"/probe"]); got != retries+1 {
+			t.Errorf("Retries %d: the failing sibling got %d attempts, want %d", retries, got, retries+1)
 		}
 	}
 }

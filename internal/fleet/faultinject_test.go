@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/forum"
 	"repro/internal/match"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // The fault-injection harness: every scenario runs a real Coordinator
@@ -398,4 +400,168 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same schedule, different executions:\nrun A:\n%srun B:\n%s", a, b)
 	}
+}
+
+// forger rewrites a live fleet's home and probe replies — the lying shard
+// a network can put in front of the coordinator, which the scripted Chaos
+// cannot express. A nil rewrite passes replies through.
+type forger struct {
+	Transport
+	home  func(*HomeResponse) *HomeResponse
+	probe func(*ProbeResponse) *ProbeResponse
+}
+
+func (f *forger) Home(ctx context.Context, ep string, req *HomeRequest, deliver func(*HomeResponse, error)) {
+	f.Transport.Home(ctx, ep, req, func(r *HomeResponse, err error) {
+		if r != nil && f.home != nil {
+			r = f.home(r)
+		}
+		deliver(r, err)
+	})
+}
+
+func (f *forger) Probe(ctx context.Context, ep string, req *ProbeRequest, deliver func(*ProbeResponse, error)) {
+	f.Transport.Probe(ctx, ep, req, func(r *ProbeResponse, err error) {
+		if r != nil && f.probe != nil {
+			r = f.probe(r)
+		}
+		deliver(r, err)
+	})
+}
+
+// TestCoordinatorRejectsForgedLists: a reply list the merge cannot take
+// on trust — a negative id (which indexed the directory out of range), a
+// repeated id (summed twice into an answer marked complete), entries out
+// of (score desc, id asc) order, or more entries than the depth — makes
+// the reply malformed. It is retried, then the leg fails: a sibling goes
+// missing and the answer is the home-only merge; the home shard is the
+// typed 503, as is a home reply whose depth is not ListDepth(k).
+func TestCoordinatorRejectsForgedLists(t *testing.T) {
+	docs := genDocs(t, forum.TechSupport, 200, 42)
+	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 2, 42, 0)
+	const doc, k = 3, 5
+	home := f.g.Route(doc)
+	sib := 1 - home
+	homeOnly := refPartial(t, f, doc, k, map[int]bool{sib: true})
+	depth := f.mr.Config().ListDepth(k)
+	past := make([]match.Result, depth+1)
+	for j := range past {
+		past[j] = match.Result{DocID: j, Score: float64(len(past) - j)}
+	}
+	forgeries := []struct {
+		name string
+		list []match.Result
+	}{
+		{"negative-id", []match.Result{{DocID: -1, Score: 1}}},
+		{"repeated-id", []match.Result{{DocID: 0, Score: 2}, {DocID: 0, Score: 1}}},
+		{"score-out-of-order", []match.Result{{DocID: 0, Score: 1}, {DocID: 1, Score: 2}}},
+		{"tie-out-of-id-order", []match.Result{{DocID: 1, Score: 1}, {DocID: 0, Score: 1}}},
+		{"past-depth", past},
+	}
+	// query asks through fg, and requires the forged leg to have used its
+	// whole budget: the first attempt and vopts' two retries.
+	query := func(t *testing.T, fg *forger, leg string) (match.Answer, error) {
+		t.Helper()
+		clock := NewVirtualClock(time.Unix(0, 0))
+		rec := &launchRecorder{inner: fg, clock: clock, times: make(map[string][]time.Duration)}
+		res, err := f.coordinator(t, f.topo(0), vopts(rec, clock)).Query(context.Background(), doc, k, false)
+		if got := len(rec.times[leg]); got != 3 {
+			t.Errorf("%s: %d attempts, want 3", leg, got)
+		}
+		return res, err
+	}
+	want503 := func(t *testing.T, err error) {
+		t.Helper()
+		var rpc *RPCError
+		if !errors.As(err, &rpc) || rpc.Status != http.StatusServiceUnavailable || rpc.Kind != "fleet_unavailable" {
+			t.Fatalf("want typed 503 fleet_unavailable, got %v", err)
+		}
+	}
+	for _, fc := range forgeries {
+		t.Run("sibling-"+fc.name, func(t *testing.T) {
+			res, err := query(t, &forger{Transport: f.lt, probe: func(r *ProbeResponse) *ProbeResponse {
+				r.Lists[0] = fc.list
+				return r
+			}}, epName(sib, 0)+"/probe")
+			if err != nil || !res.Partial || len(res.Missing) != 1 || res.Missing[0] != sib {
+				t.Fatalf("want shard %d missing, got partial=%v missing=%v err=%v", sib, res.Partial, res.Missing, err)
+			}
+			sameResults(t, "home-only", homeOnly, res.Results)
+		})
+		t.Run("home-"+fc.name, func(t *testing.T) {
+			_, err := query(t, &forger{Transport: f.lt, home: func(r *HomeResponse) *HomeResponse {
+				r.Lists[0] = fc.list
+				return r
+			}}, epName(home, 0)+"/home")
+			want503(t, err)
+		})
+	}
+	t.Run("home-wrong-depth", func(t *testing.T) {
+		_, err := query(t, &forger{Transport: f.lt, home: func(r *HomeResponse) *HomeResponse {
+			r.N++
+			return r
+		}}, epName(home, 0)+"/home")
+		want503(t, err)
+	})
+}
+
+// FuzzProbeReply sends fuzzed bytes through the coordinator as a
+// sibling's probe reply, the epoch and document count kept genuine so
+// the lists reach the checks. No reply may panic the merge, and the
+// answer must be well formed: complete, or partial with that sibling
+// missing; at most k results, best first, each a known document other
+// than the query's with a positive score, explained one to one.
+func FuzzProbeReply(f *testing.F) {
+	docs := genDocs(f, forum.TechSupport, 60, 42)
+	fl := buildBackend(f, docs, match.MRConfig{Seed: 7}, 2, 42, 0)
+	const doc, k = 3, 5
+	home := fl.g.Route(doc)
+	sib := 1 - home
+	dir := shard.NewDirectory(fl.g.Seed(), 2)
+	dir.Grow(len(docs))
+	_, local, _ := dir.Lookup(doc)
+	hr, err := fl.hosts[home].HandleHome(&HomeRequest{Shard: home, LocalDoc: local, K: k})
+	if err != nil {
+		f.Fatal(err)
+	}
+	pr, err := fl.hosts[sib].HandleProbe(&ProbeRequest{Shard: sib, Probes: hr.Probes, Depth: hr.N})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mustJSON(f, pr))
+	pr.Lists[0] = append([]match.Result{{DocID: -1, Score: 9}}, pr.Lists[0]...)
+	f.Add(mustJSON(f, pr))
+	pr.Lists[0][0].DocID = pr.Lists[0][len(pr.Lists[0])-1].DocID
+	f.Add(mustJSON(f, pr))
+	f.Add([]byte(`{"lists": [[{"d": 1, "s": 1e308}, {"d": 1e9, "s": 0.5}]]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var forged ProbeResponse
+		if json.Unmarshal(body, &forged) != nil {
+			return
+		}
+		fg := &forger{Transport: fl.lt, probe: func(r *ProbeResponse) *ProbeResponse {
+			forged.Epoch, forged.Docs = r.Epoch, r.Docs
+			return &forged
+		}}
+		opts := vopts(fg, NewVirtualClock(time.Unix(0, 0)))
+		opts.Retries = -1
+		res, err := fl.coordinator(t, fl.topo(0), opts).Query(context.Background(), doc, k, true)
+		if err != nil {
+			t.Fatalf("a sibling's reply failed the query: %v", err)
+		}
+		if res.Partial && (len(res.Missing) != 1 || res.Missing[0] != sib) {
+			t.Fatalf("partial with missing %v, want [%d]", res.Missing, sib)
+		}
+		if len(res.Results) > k || len(res.Explanations) != len(res.Results) {
+			t.Fatalf("%d results, %d explanations for k = %d", len(res.Results), len(res.Explanations), k)
+		}
+		for i, r := range res.Results {
+			if r.DocID == doc || r.DocID < 0 || r.DocID >= len(docs) || !(r.Score > 0) {
+				t.Fatalf("result %d: %+v", i, r)
+			}
+			if i > 0 && !res.Results[i-1].Before(r) {
+				t.Fatalf("results out of order at %d: %v", i, res.Results)
+			}
+		}
+	})
 }

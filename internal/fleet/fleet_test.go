@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -13,7 +14,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/segment"
 	"repro/internal/shard"
-	"repro/internal/topk"
 )
 
 // Shared fixtures of the fleet tests, and the fleet's snapshot and
@@ -226,18 +226,19 @@ func refPartial(t testing.TB, f *testFleet, docID, k int, missing map[int]bool) 
 	}
 	scores := make(map[int]float64)
 	for i := range probes {
-		col := topk.New(n)
+		var merged []match.Result
 		for s := 0; s < nShards; s++ {
 			sl, ok := lists[s]
 			if !ok {
 				continue
 			}
 			for _, r := range sl[i] {
-				col.Offer(glb[s][r.DocID], r.Score)
+				merged = append(merged, match.Result{DocID: glb[s][r.DocID], Score: r.Score})
 			}
 		}
-		for _, it := range col.Results() {
-			scores[it.ID] += it.Score
+		sort.Slice(merged, func(a, b int) bool { return merged[a].Before(merged[b]) })
+		for _, r := range merged[:min(n, len(merged))] {
+			scores[r.DocID] += r.Score
 		}
 	}
 	return match.TopKScores(scores, k, docID)

@@ -196,7 +196,7 @@ func (h *Host) HandleHome(req *HomeRequest) (*HomeResponse, error) {
 	h.ctrHome[req.Shard].Inc()
 	return &HomeResponse{
 		Probes: toWireProbes(mr.Dict(), probes),
-		Lists:  toWireLists(lists),
+		Lists:  lists,
 		N:      n,
 		Epoch:  h.epoch,
 		Docs:   h.docs(),
@@ -252,7 +252,7 @@ func (h *Host) HandleProbe(req *ProbeRequest) (*ProbeResponse, error) {
 	}
 	h.ctrProbe[req.Shard].Inc()
 	return &ProbeResponse{
-		Lists: toWireLists(lists),
+		Lists: lists,
 		Epoch: h.epoch,
 		Docs:  h.docs(),
 		Trace: h.closeTrace(t),

@@ -317,7 +317,7 @@ func TestHostProbeFloors(t *testing.T) {
 	if err != nil || len(home.Probes) == 0 {
 		t.Fatalf("home leg: %d probes, err %v", len(home.Probes), err)
 	}
-	probe := func(floors []float64) [][]WireResult {
+	probe := func(floors []float64) [][]match.Result {
 		t.Helper()
 		resp, err := h.HandleProbe(&ProbeRequest{Shard: 0, Probes: home.Probes, Depth: home.N, Floors: floors})
 		if err != nil {
@@ -327,7 +327,7 @@ func TestHostProbeFloors(t *testing.T) {
 	}
 	full := probe(nil)
 	none, mid := make([]float64, len(full)), make([]float64, len(full))
-	want := make([][]WireResult, len(full))
+	want := make([][]match.Result, len(full))
 	for i, l := range full {
 		if len(l) < 3 {
 			t.Fatalf("probe %d: list of %d, too short to cut", i, len(l))
@@ -394,22 +394,6 @@ func TestChaosExplainMetaFaults(t *testing.T) {
 	}
 }
 
-// tamperTransport wraps a LocalTransport, rewriting probe replies —
-// the lying-shard fault the scripted Chaos cannot express.
-type tamperTransport struct {
-	*LocalTransport
-	tamper func(*ProbeResponse) *ProbeResponse
-}
-
-func (t *tamperTransport) Probe(ctx context.Context, endpoint string, req *ProbeRequest, deliver func(*ProbeResponse, error)) {
-	t.LocalTransport.Probe(ctx, endpoint, req, func(resp *ProbeResponse, err error) {
-		if resp != nil {
-			resp = t.tamper(resp)
-		}
-		deliver(resp, err)
-	})
-}
-
 // TestCoordinatorRejectsMalformedReplies: a shard that answers with the
 // wrong list count, a foreign snapshot epoch, or an empty delivery must
 // be treated as failed — degrading the query to a well-formed partial,
@@ -433,9 +417,8 @@ func TestCoordinatorRejectsMalformedReplies(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 2, 42, 0)
-			tt := &tamperTransport{LocalTransport: f.lt, tamper: tc.tamper}
 			c := f.coordinator(t, f.topo(0), Options{
-				Transport:      tt,
+				Transport:      &forger{Transport: f.lt, probe: tc.tamper},
 				Timeout:        2 * time.Second,
 				AttemptTimeout: 200 * time.Millisecond,
 				Retries:        -1,

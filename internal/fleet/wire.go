@@ -46,13 +46,6 @@ type WireProbe struct {
 	AvgUnique float64   `json:"avg_unique"`
 }
 
-// WireResult is one scored candidate in a per-cluster list, carrying
-// the answering shard's local document id.
-type WireResult struct {
-	Doc   int     `json:"d"`
-	Score float64 `json:"s"`
-}
-
 // HomeRequest asks a document's owning shard to run the query's home
 // leg: resolve the Algorithm 1 probes (frozen factors included) and
 // scan its own partition with the reference document excluded.
@@ -67,19 +60,21 @@ type HomeRequest struct {
 	Trace   bool   `json:"trace,omitempty"`
 }
 
-// HomeResponse carries the home leg's outcome. N is the full unsharded
-// list depth the server scanned at (MRConfig.ListDepth(k)); the coordinator
-// probes every sibling at the same depth and merges with a top-N heap,
-// which is what keeps the networked ranking exactly equivalent to the
-// single index. Docs is the answering server's current document count
-// for this shard's partition-owner view — the coordinator grows its
-// routing directory up to it before mapping local ids.
+// HomeResponse carries the home leg's outcome. Lists holds one list a
+// probe, best first, in the answering shard's local document ids. N is
+// the full unsharded list depth the server scanned at
+// (MRConfig.ListDepth(k)); the coordinator probes every sibling at the
+// same depth and merges the lists' first N, which is what keeps the
+// networked ranking exactly equivalent to the single index. Docs is the
+// answering server's current document count for this shard's
+// partition-owner view — the coordinator grows its routing directory up
+// to it before mapping local ids.
 type HomeResponse struct {
-	Probes []WireProbe    `json:"probes"`
-	Lists  [][]WireResult `json:"lists"`
-	N      int            `json:"n"`
-	Epoch  uint64         `json:"epoch"`
-	Docs   int            `json:"docs"`
+	Probes []WireProbe      `json:"probes"`
+	Lists  [][]match.Result `json:"lists"`
+	N      int              `json:"n"`
+	Epoch  uint64           `json:"epoch"`
+	Docs   int              `json:"docs"`
 	// Trace is the shard-side child trace's event list when the request
 	// asked for one. Event offsets are relative to the server's request
 	// receipt — never wall-clock — so the coordinator can stitch them
@@ -100,9 +95,10 @@ type ProbeRequest struct {
 	Trace   bool        `json:"trace,omitempty"`
 }
 
-// ProbeResponse is a sibling leg's per-probe candidate lists.
+// ProbeResponse is a sibling leg's per-probe candidate lists, as
+// HomeResponse.Lists.
 type ProbeResponse struct {
-	Lists [][]WireResult   `json:"lists"`
+	Lists [][]match.Result `json:"lists"`
 	Epoch uint64           `json:"epoch"`
 	Docs  int              `json:"docs"`
 	Trace []obs.TraceEvent `json:"trace,omitempty"`
@@ -246,34 +242,6 @@ func checkColumns(what string, i, terms int, cols ...[]float64) error {
 }
 
 func finiteNonNegative(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
-
-// fromWireLists converts one leg's wire lists back to matcher form for
-// the shared merge (shard-local ids ride in DocID, as the in-process
-// scatter's do).
-func fromWireLists(lists [][]WireResult) [][]match.Result {
-	out := make([][]match.Result, len(lists))
-	for i, l := range lists {
-		m := make([]match.Result, len(l))
-		for j, r := range l {
-			m[j] = match.Result{DocID: r.Doc, Score: r.Score}
-		}
-		out[i] = m
-	}
-	return out
-}
-
-// toWireLists converts matcher result lists to wire form.
-func toWireLists(lists [][]match.Result) [][]WireResult {
-	out := make([][]WireResult, len(lists))
-	for i, l := range lists {
-		w := make([]WireResult, len(l))
-		for j, r := range l {
-			w[j] = WireResult{Doc: r.DocID, Score: r.Score}
-		}
-		out[i] = w
-	}
-	return out
-}
 
 // finiteScores reports whether every score can cross the wire: JSON has no
 // Inf or NaN, and finite factors can still overflow a sum.

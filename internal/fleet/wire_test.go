@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"repro/internal/forum"
@@ -167,4 +168,29 @@ func FuzzExplainRequest(f *testing.F) {
 	}, `{"items": [{"local_doc": 0, "cluster": 0, "terms": ["a"], "qf": [1], "norm": 0}]}`,
 		func(r *ExplainRequest) (*ExplainResponse, error) { r.Shard = 0; return h.HandleExplain(r) },
 		func(r *ExplainRequest, e *ExplainResponse) (int, int) { return len(e.Items), len(r.Items) })
+}
+
+// TestWireListsGolden pins the bytes of a reply's candidate lists: a
+// match.Result crosses the wire as {"d": id, "s": score}, the form wire
+// version 3 has always had, and decodes back to itself.
+func TestWireListsGolden(t *testing.T) {
+	lists := [][]match.Result{{{DocID: 3, Score: 0.5}, {DocID: 1, Score: 0.25}}, {}}
+	for _, tc := range []struct {
+		reply any
+		want  string
+	}{
+		{&HomeResponse{Lists: lists, N: 4, Epoch: 9, Docs: 10},
+			`{"probes":null,"lists":[[{"d":3,"s":0.5},{"d":1,"s":0.25}],[]],"n":4,"epoch":9,"docs":10}`},
+		{&ProbeResponse{Lists: lists, Epoch: 9, Docs: 10},
+			`{"lists":[[{"d":3,"s":0.5},{"d":1,"s":0.25}],[]],"epoch":9,"docs":10}`},
+	} {
+		b, err := json.Marshal(tc.reply)
+		if err != nil || string(b) != tc.want {
+			t.Fatalf("%T encodes as %s (err %v), want %s", tc.reply, b, err, tc.want)
+		}
+	}
+	var back ProbeResponse
+	if err := json.Unmarshal([]byte(`{"lists":[[{"d":3,"s":0.5},{"d":1,"s":0.25}],[]]}`), &back); err != nil || !reflect.DeepEqual(back.Lists, lists) {
+		t.Fatalf("decoded %v (err %v), want %v", back.Lists, err, lists)
+	}
 }

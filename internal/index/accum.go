@@ -337,7 +337,7 @@ func (acc *accumulator) finish(candidates int, tr *obs.Trace) []Result {
 }
 
 // worse reports whether a ranks below b: lower score, higher unit id on
-// equal scores — the ordering internal/topk uses, so rankings never
+// equal scores — the reverse of match.Result.Before, so rankings never
 // depend on the order candidates arrive in.
 func worse(a, b Result) bool {
 	if a.Score != b.Score {
@@ -347,9 +347,7 @@ func worse(a, b Result) bool {
 }
 
 // offerResult keeps the k best results seen in h, a min-heap with the
-// worst retained result at the root. It is topk.Collector over pooled
-// storage: the collector allocates its heap and its drained list on
-// every probe.
+// worst retained result at the root, in storage pooled across probes.
 func offerResult(h []Result, k int, r Result) []Result {
 	if len(h) < k {
 		h = append(h, r)

@@ -7,12 +7,22 @@
 // whole-post ones, are built in internal/baseline.
 package match
 
-import "repro/internal/topk"
-
-// Result is one related document with its matching score.
+// Result is one related document with its matching score, and the entry
+// of every scored list above the index: a shard's (local ids), a merged
+// one (global ids) and the fleet's on the wire (the short JSON tags).
 type Result struct {
-	DocID int
-	Score float64
+	DocID int     `json:"d"`
+	Score float64 `json:"s"`
+}
+
+// Before reports whether r ranks ahead of o: higher score first, lower
+// document id on equal scores. Every ranking of the system is ordered by
+// it, so none depends on the order candidates arrive in.
+func (r Result) Before(o Result) bool {
+	if r.Score != o.Score {
+		return r.Score > o.Score
+	}
+	return r.DocID < o.DocID
 }
 
 // Answer is one answered Related query in the form every serving engine
@@ -41,27 +51,39 @@ type Matcher interface {
 	Match(docID, k int) []Result
 }
 
-// toResults converts the shared top-k helper's items into match results.
-func toResults(items []topk.Item) []Result {
-	out := make([]Result, len(items))
-	for i, it := range items {
-		out[i] = Result{DocID: it.ID, Score: it.Score}
+// InsertTop offers r to top, at most k results best first under Before,
+// and returns the list: r takes its place by binary search, behind any
+// exact tie, and once top holds k the last falls off. k <= 0 keeps none.
+func InsertTop(top []Result, k int, r Result) []Result {
+	if k <= 0 || len(top) == k && !r.Before(top[k-1]) {
+		return top
 	}
-	return out
+	lo, hi := 0, len(top)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); r.Before(top[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if len(top) < k {
+		top = append(top, Result{})
+	}
+	copy(top[lo+1:], top[lo:])
+	top[lo] = r
+	return top
 }
 
 // TopKScores selects the k highest-scoring entries of a doc → score map
-// under the deterministic (score descending, id ascending) ordering,
-// best first, excluding excludeDoc and non-positive scores — Algorithm
-// 2's final selection, exported for the sharded scatter-gather merge so
-// both paths share one tie-break rule.
+// best first under Before, excluding excludeDoc and non-positive scores —
+// Algorithm 2's final selection, shared by every engine so all rank by
+// one rule.
 func TopKScores(scores map[int]float64, k, excludeDoc int) []Result {
-	c := topk.New(k)
+	top := make([]Result, 0, max(0, min(k, len(scores))))
 	for d, s := range scores {
-		if d == excludeDoc || s <= 0 {
-			continue
+		if d != excludeDoc && s > 0 {
+			top = InsertTop(top, k, Result{DocID: d, Score: s})
 		}
-		c.Offer(d, s)
 	}
-	return toResults(c.Results())
+	return top
 }

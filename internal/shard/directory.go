@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/match"
 	"repro/internal/obs"
-	"repro/internal/topk"
 )
 
 // Directory is the global↔local document-id directory of one sharded
@@ -85,56 +84,90 @@ func (d *Directory) Lookup(doc int) (shard, local int, ok bool) {
 }
 
 // MergedList is one intention cluster's globally merged candidate list:
-// Items carry global document ids in descending (score, ascending id)
-// order, cut to the global top-n.
+// Items carry global document ids best first under match.Result.Before,
+// cut to the global top-n.
 type MergedList struct {
 	Cluster int
-	Items   []topk.Item
+	Items   []match.Result
 }
 
 // Merge is the gather half of a scatter-gather query, for Group and the
 // fleet coordinator alike. perShard[s][i] is shard s's top-n answer to
 // probe i (shard-local ids; clusters[i] names the probe's intention
 // cluster); a nil perShard[s] is a shard that did not answer, and the
-// result is then the exact merge over the rest. Per probe, the lists go
-// through one top-n heap in ascending shard order under the
-// deterministic tie-break, and Algorithm 2 sums the merged list into the
-// score map — probes in ascending order, exactly as the unsharded walk,
-// so the float sums are bit-identical. A local id committed on its
-// shard but not yet registered here is skipped.
+// result is then the exact merge over the rest. Every list arrives best
+// first, and local ids ascend with global ids, so it stays best first in
+// global ids: per probe the merge takes the best head n times, and
+// Algorithm 2 sums each entry as it is taken — probes in ascending
+// order, as the unsharded walk, so the float sums are bit-identical. A
+// local id committed on its shard but not yet registered here is
+// skipped. The fleet coordinator checks the lists it merges first.
 func (d *Directory) Merge(clusters []int, n int, perShard [][][]match.Result, tr *obs.Trace) ([]MergedList, map[int]float64) {
 	scores := make(map[int]float64, n*len(clusters))
 	lists := make([]MergedList, len(clusters))
+	items := make([]match.Result, 0, n*len(clusters)) // one array; each list is a window
+	heads := make([]int, len(perShard))
 	d.mu.RLock()
 	for i, cluster := range clusters {
-		col := topk.New(n)
-		cand := 0
-		for s, answered := range perShard {
-			if answered == nil {
-				continue
-			}
-			glb := d.global[s]
-			for _, r := range answered[i] {
-				if r.DocID >= len(glb) {
+		clear(heads)
+		start := len(items)
+		for len(items)-start < n {
+			best, from := match.Result{}, -1
+			for s, answered := range perShard {
+				if answered == nil {
 					continue
 				}
-				col.Offer(int(glb[r.DocID]), r.Score)
-				cand++
+				l, glb := answered[i], d.global[s]
+				for heads[s] < len(l) && l[heads[s]].DocID >= len(glb) {
+					heads[s]++ // not registered yet
+				}
+				if heads[s] == len(l) {
+					continue
+				}
+				head := match.Result{DocID: int(glb[l[heads[s]].DocID]), Score: l[heads[s]].Score}
+				if from < 0 || head.Before(best) {
+					best, from = head, s
+				}
 			}
+			if from < 0 {
+				break
+			}
+			heads[from]++
+			items = append(items, best)
+			scores[best.DocID] += best.Score
 		}
-		items := col.Results()
-		for _, it := range items {
-			scores[it.ID] += it.Score
-		}
-		lists[i] = MergedList{Cluster: cluster, Items: items}
-		if tr != nil {
-			tr.Event("shard.merge",
-				obs.N("cluster", int64(cluster)),
-				obs.N("candidates", int64(cand)),
-				obs.N("kept", int64(len(items))))
+		lists[i] = MergedList{Cluster: cluster, Items: items[start:len(items):len(items)]}
+		if tr != nil { // each leg traces its own list widths
+			tr.Event("shard.merge", obs.N("cluster", int64(cluster)), obs.N("kept", int64(len(lists[i].Items))))
 		}
 	}
 	d.mu.RUnlock()
 	histMerge.Observe(int64(len(scores)))
 	return lists, scores
+}
+
+// Summand places one Algorithm 2 summand of an explained result:
+// Explanation[Result].Clusters[Slot] was summed from merged list Probe.
+type Summand struct{ Result, Slot, Probe int }
+
+// Explain decomposes each result's score over the merged lists it was
+// summed from, one ClusterContribution a list in probe order, for Group
+// and the coordinator alike; they fetch the term breakdowns the
+// summands name from the result's owning shard.
+func Explain(lists []MergedList, results []match.Result) ([]match.Explanation, []Summand) {
+	exps := make([]match.Explanation, len(results))
+	var summands []Summand
+	for ri, r := range results {
+		exps[ri] = match.Explanation{DocID: r.DocID, Score: r.Score}
+		for i, ml := range lists {
+			for _, it := range ml.Items {
+				if it.DocID == r.DocID {
+					summands = append(summands, Summand{Result: ri, Slot: len(exps[ri].Clusters), Probe: i})
+					exps[ri].Clusters = append(exps[ri].Clusters, match.ClusterContribution{Cluster: ml.Cluster, Score: it.Score})
+					break
+				}
+			}
+		}
+	}
+	return exps, summands
 }

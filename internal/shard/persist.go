@@ -104,36 +104,12 @@ func ReadDir(dir string) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	dict := index.NewDict() // one for the group, as a group split in memory has
-	shards := make([]*match.MR, m.Shards)
-	for s := range shards {
-		sh, err := readShardFile(dir, s, dict, m.Clusters, m.Shards)
-		if err != nil {
-			return nil, err
-		}
-		shards[s] = sh
+	shards, stats, err := readShards(dir, m, nil)
+	if err != nil {
+		return nil, err
 	}
-
-	stats := make([]*index.GlobalStats, m.Clusters)
-	for c := range stats {
-		stats[c] = index.NewGlobalStats()
-	}
-	for s, sh := range shards {
-		if err := sh.AttachGlobalStats(stats); err != nil {
-			return nil, fmt.Errorf("shard: attaching %s: %w", ShardFileName(s), err)
-		}
-	}
-
 	g := newGroup(shards, stats, m.RouteSeed)
 	g.dir.Grow(m.Docs)
-	predicted := g.dir.ShardDocs()
-	for s, sh := range shards {
-		if want, got := predicted[s], sh.NumDocs(); want != got {
-			return nil, fmt.Errorf("shard: %s holds %d documents but routing %d over seed %d assigns it %d (wrong seed, or shard files from a different build?)",
-				ShardFileName(s), got, m.Docs, m.RouteSeed, want)
-		}
-	}
 	return g, nil
 }
 
@@ -200,37 +176,62 @@ func ReadDirShards(dir string, own []int) (map[int]*match.MR, Manifest, error) {
 		}
 		want[s] = true
 	}
+	shards, _, err := readShards(dir, m, want)
+	if err != nil {
+		return nil, m, err
+	}
+	out := make(map[int]*match.MR, len(want))
+	for s := range want {
+		out[s] = shards[s]
+	}
+	return out, m, nil
+}
 
+// readShards loads every shard file of m into one dictionary and one set
+// of pools, and checks the files against the routing replay. It returns
+// the shards in keep (nil: all); the others are attached as they are
+// read and dropped. The kept ones attach last, so each pool's df column
+// grows to the whole dictionary at once, without append slack.
+func readShards(dir string, m Manifest, keep map[int]bool) ([]*match.MR, []*index.GlobalStats, error) {
 	stats := make([]*index.GlobalStats, m.Clusters)
 	for c := range stats {
 		stats[c] = index.NewGlobalStats()
 	}
-
-	// Routing replay: per-shard document counts predicted by the seed,
-	// used to validate every file we read (owned or streamed).
-	replay := NewDirectory(m.RouteSeed, m.Shards)
-	replay.Grow(m.Docs)
-	predicted := replay.ShardDocs()
-
-	dict := index.NewDict()
-	out := make(map[int]*match.MR, len(want))
-	for s := 0; s < m.Shards; s++ {
+	attach := func(s int, sh *match.MR) error {
+		if err := sh.AttachGlobalStats(stats); err != nil {
+			return fmt.Errorf("shard: attaching %s: %w", ShardFileName(s), err)
+		}
+		return nil
+	}
+	dict := index.NewDict() // one for the group, as a group split in memory has
+	shards := make([]*match.MR, m.Shards)
+	docs := make([]int, m.Shards)
+	for s := range shards {
 		sh, err := readShardFile(dir, s, dict, m.Clusters, m.Shards)
 		if err != nil {
-			return nil, m, err
+			return nil, nil, err
 		}
-		if got := sh.NumDocs(); got != predicted[s] {
-			return nil, m, fmt.Errorf("shard: %s holds %d documents but routing %d over seed %d assigns it %d (wrong seed, or shard files from a different build?)",
-				ShardFileName(s), got, m.Docs, m.RouteSeed, predicted[s])
+		docs[s] = sh.NumDocs()
+		if keep == nil || keep[s] {
+			shards[s] = sh
+		} else if err := attach(s, sh); err != nil {
+			return nil, nil, err
 		}
-		if err := sh.AttachGlobalStats(stats); err != nil {
-			return nil, m, fmt.Errorf("shard: attaching %s: %w", ShardFileName(s), err)
-		}
-		if want[s] {
-			out[s] = sh
-		}
-		// Not owned: the matcher is garbage once its statistics are in the
-		// pools. Dropping it here keeps peak memory at owned + 1 shards.
 	}
-	return out, m, nil
+	for s, sh := range shards {
+		if sh != nil {
+			if err := attach(s, sh); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	replay := NewDirectory(m.RouteSeed, m.Shards)
+	replay.Grow(m.Docs)
+	for s, want := range replay.ShardDocs() {
+		if docs[s] != want {
+			return nil, nil, fmt.Errorf("shard: %s holds %d documents but routing %d over seed %d assigns it %d (wrong seed, or shard files from a different build?)",
+				ShardFileName(s), docs[s], m.Docs, m.RouteSeed, want)
+		}
+	}
+	return shards, stats, nil
 }

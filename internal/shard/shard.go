@@ -3,7 +3,7 @@
 // matchers by deterministic document-id routing, answers Related
 // queries by scattering Algorithm 1's per-intention-cluster probes to
 // every shard in parallel and merging the per-shard candidate lists
-// with a single heap pass, and routes each Add to exactly one shard —
+// that arrive sorted, and routes each Add to exactly one shard —
 // so writers contend on 1/N of the corpus and readers of the other
 // shards never block on a commit.
 //
@@ -20,10 +20,10 @@
 //     index.GlobalStats pool, so shards score against the whole
 //     collection's statistics, not their partition's.
 //  2. Global list cuts. Algorithm 1's top-n cut must be applied to
-//     each intention list globally: the merge collects every shard's
-//     top-n candidates per cluster into one topk heap of depth n
-//     (the global top-n is a subset of the union of per-shard top-n
-//     lists, because restriction preserves a total order), and only
+//     each intention list globally: the merge takes the first n of
+//     the per-shard top-n lists of each cluster merged in order (the
+//     global top-n is a subset of the union of per-shard top-n lists,
+//     because restriction preserves a total order), and only
 //     then runs Algorithm 2's summation — in the same ascending
 //     cluster order and the same descending (score, ascending id)
 //     within-list order as the unsharded path, so the float sums are
@@ -33,8 +33,9 @@
 //     with global ids: Split walks documents in ascending global
 //     order, and Add serializes commit+registration so same-shard
 //     commit order equals global-id order. Mapping a shard's
-//     (score, local id) list to global ids is therefore monotone, and
-//     the merged heap reproduces the unsharded ordering exactly.
+//     (score, local id) list to global ids is therefore monotone: the
+//     lists stay sorted, and their merge reproduces the unsharded
+//     ordering exactly.
 //
 // Routing is a pure integer function of (seed, doc id) — a
 // splitmix64-style mix — so it is platform-stable and reconstructible
@@ -330,24 +331,10 @@ func (g *Group) match(docID, k int, tr *obs.Trace, explain bool) ([]match.Result
 	if !explain {
 		return out, nil
 	}
-	exps := make([]match.Explanation, len(out))
-	for ri, r := range out {
-		exp := match.Explanation{DocID: r.DocID, Score: r.Score}
-		s, l, _ := g.dir.Lookup(r.DocID)
-		for i, ml := range lists {
-			for _, it := range ml.Items {
-				if it.ID != r.DocID {
-					continue
-				}
-				exp.Clusters = append(exp.Clusters, match.ClusterContribution{
-					Cluster: ml.Cluster,
-					Score:   it.Score,
-					Terms:   g.shards[s].ExplainDocCluster(l, probes[i]),
-				})
-				break
-			}
-		}
-		exps[ri] = exp
+	exps, summands := Explain(lists, out)
+	for _, sm := range summands {
+		s, l, _ := g.dir.Lookup(out[sm.Result].DocID)
+		exps[sm.Result].Clusters[sm.Slot].Terms = g.shards[s].ExplainDocCluster(l, probes[sm.Probe])
 	}
 	return out, exps
 }

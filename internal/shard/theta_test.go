@@ -196,8 +196,8 @@ func TestThetaTieAcrossShards(t *testing.T) {
 						continue
 					}
 					in, out := ml.Items[h.n-1], ml.Items[h.n]
-					last := g.Route(in.ID)
-					if last == g.Route(out.ID) {
+					last := g.Route(in.DocID)
+					if last == g.Route(out.DocID) {
 						continue
 					}
 					straddles++
@@ -208,7 +208,7 @@ func TestThetaTieAcrossShards(t *testing.T) {
 						}
 					}
 					order = append(order, last)
-					ctx := fmt.Sprintf("shards=%d doc=%d k=%d probe=%d tie %d|%d at %g", ns, d, k, i, in.ID, out.ID, in.Score)
+					ctx := fmt.Sprintf("shards=%d doc=%d k=%d probe=%d tie %d|%d at %g", ns, d, k, i, in.DocID, out.DocID, in.Score)
 					got, merged, thetas := h.run(order)
 					sameResults(t, ctx, mr.Match(d, k), got)
 					if kept := merged[i].Items[h.n-1]; kept != in {

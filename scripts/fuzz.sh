@@ -33,6 +33,7 @@ declare -a TARGETS=(
     "./internal/serve FuzzAddBody"
     "./internal/fleet FuzzProbeRequest"
     "./internal/fleet FuzzExplainRequest"
+    "./internal/fleet FuzzProbeReply"
 )
 
 for entry in "${TARGETS[@]}"; do
