@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cm"
 	"repro/internal/segment"
+	"repro/internal/variant"
 )
 
 func main() {
@@ -48,8 +49,8 @@ func main() {
 
 	fmt.Println("\nSegmentations (borders are sentence indices):")
 	strategies := []segment.Strategy{
-		segment.Greedy{}, segment.Tile{}, segment.StepbyStep{},
-		segment.TopDown{}, segment.TextTiling{},
+		segment.Greedy{}, variant.Tile{}, variant.StepbyStep{},
+		variant.TopDown{}, variant.TextTiling{},
 	}
 	for _, st := range strategies {
 		seg := st.Segment(d)

@@ -1,9 +1,11 @@
 // Package baseline builds the comparison methods of the paper's Sec 9.2
 // over prepared documents: FullText (whole-post ranking with the
 // MySQL-style Eq 7 weighting), LDA (topic-distribution similarity),
-// Content-MR (TextTiling segments, TF clusters) and SentIntent-MR
-// (sentence units, CM clusters). They are the comparison columns of
-// Table 4 and Figs 10–11, beside the paper's own IntentIntent-MR.
+// Content-MR (TextTiling segments, hashed TF vectors, k-means at 8) and
+// SentIntent-MR (sentence units, CM clusters), the last two as
+// match.MRConfig stages from internal/variant. They are the comparison
+// columns of Table 4 and Figs 10–11, beside the paper's own
+// IntentIntent-MR.
 //
 // No server selects a baseline: internal/core builds the paper's method
 // only. Only internal/experiments, cmd/intentmatch and the examples
@@ -13,6 +15,8 @@ package baseline
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
 
 	"repro/internal/index"
 	"repro/internal/lda"
@@ -20,6 +24,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/segment"
+	"repro/internal/variant"
 )
 
 // Config is what every constructor reads. The segment-based methods
@@ -56,12 +61,12 @@ var (
 	}}
 	ContentMR = Method{"Content-MR", func(docs []*segment.Doc, cfg Config) (match.Matcher, error) {
 		mrCfg := cfg.mr()
-		mrCfg.Strategy, mrCfg.ContentVectors = segment.TextTiling{}, true
+		mrCfg.Strategy, mrCfg.Vectorize, mrCfg.Group = variant.TextTiling{}, contentVector, match.GroupKMeans(8)
 		return match.NewMR("Content-MR", docs, mrCfg), nil
 	}}
 	SentIntentMR = Method{"SentIntent-MR", func(docs []*segment.Doc, cfg Config) (match.Matcher, error) {
 		mrCfg := cfg.mr()
-		mrCfg.Strategy = segment.Sentences{}
+		mrCfg.Strategy = variant.Sentences{}
 		return match.NewMR("SentIntent-MR", docs, mrCfg), nil
 	}}
 	IntentIntentMR = Method{"IntentIntent-MR", func(docs []*segment.Doc, cfg Config) (match.Matcher, error) {
@@ -72,6 +77,37 @@ var (
 // mr returns the paper's multi-ranking configuration under the caller's
 // Seed and Workers.
 func (cfg Config) mr() match.MRConfig { return match.MRConfig{Seed: cfg.Seed, Workers: cfg.Workers} }
+
+// hashedTermVectorDim is the dimensionality of the feature-hashed TF
+// vectors Content-MR clusters (k-means needs dense fixed-width points; 64
+// dimensions keep collisions rare at forum-segment vocabulary sizes).
+const hashedTermVectorDim = 64
+
+// contentVector is Content-MR's Vectorize stage: the hashed TF vector of
+// the segment's terms.
+func contentVector(d *segment.Doc, lo, hi int) []float64 { return hashedTermVector(d.Terms(lo, hi)) }
+
+// hashedTermVector folds a segment's terms into a dense L2-normalized TF
+// vector by feature hashing.
+func hashedTermVector(terms []string) []float64 {
+	v := make([]float64, hashedTermVectorDim)
+	for _, t := range terms {
+		h := fnv.New32a()
+		h.Write([]byte(t))
+		v[h.Sum32()%hashedTermVectorDim]++
+	}
+	var norm float64
+	for _, x := range v {
+		norm += x * x
+	}
+	if norm > 0 {
+		norm = math.Sqrt(norm)
+		for i := range v {
+			v[i] /= norm
+		}
+	}
+	return v
+}
 
 // Prepare runs the text front end (HTML cleaning, sentence split, CM
 // annotation) over every post on workers goroutines, as core.Build does

@@ -8,6 +8,7 @@ import (
 	"repro/internal/lda"
 	"repro/internal/match"
 	"repro/internal/segment"
+	"repro/internal/variant"
 )
 
 // testCorpus bundles a generated corpus with its prepared forms.
@@ -191,9 +192,9 @@ func TestMethodsFollowTheRecipes(t *testing.T) {
 	cfg := Config{LDA: lda.Config{K: 3, Iterations: 10}, Seed: 9, Workers: 2}
 	recipes := map[string]match.Matcher{
 		"FullText": NewFullText(tc.terms),
-		"Content-MR": match.NewMR("Content-MR", tc.docs,
-			match.MRConfig{Strategy: segment.TextTiling{}, ContentVectors: true, Seed: 9, Workers: 2}),
-		"SentIntent-MR":   match.NewMR("SentIntent-MR", tc.docs, match.MRConfig{Strategy: segment.Sentences{}, Seed: 9, Workers: 2}),
+		"Content-MR": match.NewMR("Content-MR", tc.docs, match.MRConfig{Strategy: variant.TextTiling{},
+			Vectorize: contentVector, Group: match.GroupKMeans(8), Seed: 9, Workers: 2}),
+		"SentIntent-MR":   match.NewMR("SentIntent-MR", tc.docs, match.MRConfig{Strategy: variant.Sentences{}, Seed: 9, Workers: 2}),
 		"IntentIntent-MR": match.NewMR("IntentIntent-MR", tc.docs, match.MRConfig{Seed: 9, Workers: 2}),
 	}
 	lm, err := NewLDA(tc.terms, lda.Config{K: 3, Iterations: 10, Seed: 9})
@@ -223,5 +224,32 @@ func TestMethodsFollowTheRecipes(t *testing.T) {
 	}
 	if _, err := LDA.Build(nil, cfg); err == nil {
 		t.Error("LDA over no documents should fail")
+	}
+}
+
+func TestHashedTermVector(t *testing.T) {
+	v := hashedTermVector([]string{"raid", "disk", "raid"})
+	var norm float64
+	for _, x := range v {
+		norm += x * x
+	}
+	if norm < 0.99 || norm > 1.01 {
+		t.Errorf("vector not L2-normalized: %v", norm)
+	}
+	if len(v) != hashedTermVectorDim {
+		t.Errorf("wrong dimension %d", len(v))
+	}
+	empty := hashedTermVector(nil)
+	for _, x := range empty {
+		if x != 0 {
+			t.Error("empty terms should give zero vector")
+		}
+	}
+	// Determinism.
+	w := hashedTermVector([]string{"raid", "disk", "raid"})
+	for i := range v {
+		if v[i] != w[i] {
+			t.Fatal("hashing not deterministic")
+		}
 	}
 }

@@ -3,13 +3,18 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/match"
+	"repro/internal/secfile"
 )
 
 // FuzzReadPipeline drives arbitrary bytes through the snapshot loader,
 // the trust boundary of `serve -load`: container, header, embedded
 // matcher, embedded cluster indices. Whatever the input, the loader
 // returns an error or a pipeline that serves — Related answers without
-// panicking for every id the header admits.
+// panicking for every id the header admits, and a post can be added and
+// answered for. A matcher whose centroids had 15 dimensions once loaded
+// and panicked on its first Add; it is a seed.
 func FuzzReadPipeline(f *testing.F) {
 	_, valid := smallSnapshot(f)
 	f.Add(valid)
@@ -17,6 +22,8 @@ func FuzzReadPipeline(f *testing.F) {
 	f.Add(withHead(f, valid, func(h *pipelineHead) { h.Stats.NumDocs++ }))
 	f.Add([]byte(pipelineMagic))
 	f.Add([]byte{})
+	f.Add(withMatcherSection(f, valid, "cent", secfile.AppendFloat64s(
+		secfile.AppendUvarint(secfile.AppendUvarint(nil, 6), 15), make([]float64, 6*15))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadPipeline(bytes.NewReader(data))
@@ -34,5 +41,42 @@ func FuzzReadPipeline(f *testing.F) {
 				}
 			}
 		}
+		id, err := p.Add("My raid array fails after the update. Does anyone know how to fix it? I tried rebooting twice.")
+		if err != nil || id != n {
+			t.Fatalf("Add = %d, %v; want id %d", id, err, n)
+		}
+		for _, r := range p.Related(id, 3) {
+			if r.DocID < 0 || r.DocID >= n || r.DocID == id {
+				t.Fatalf("Related(%d) of the added post returned doc %d of %d", id, r.DocID, n+1)
+			}
+		}
 	})
+}
+
+// withMatcherSection re-encodes a valid snapshot with one section of its
+// matcher replaced, every checksum intact, so only the matcher decoder's
+// own checks can object.
+func withMatcherSection(t testing.TB, valid []byte, tag string, data []byte) []byte {
+	t.Helper()
+	head, mtch := snapshotSections(t, valid)
+	mf, err := secfile.Decode(mtch, match.CompactMRMagic, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var secs []secfile.Section
+	for _, name := range []string{"meta", "dict", "dseg", "udoc", "sgct", "cent", "cidx"} {
+		sec, err := mf.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == tag {
+			sec = data
+		}
+		secs = append(secs, secfile.Section{Tag: name, Data: sec})
+	}
+	var buf bytes.Buffer
+	if _, err := secfile.Encode(&buf, match.CompactMRMagic, 1, secs); err != nil {
+		t.Fatal(err)
+	}
+	return encodeSections(t, secfile.Section{Tag: "head", Data: head}, secfile.Section{Tag: "mtch", Data: buf.Bytes()})
 }

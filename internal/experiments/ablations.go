@@ -11,6 +11,7 @@ import (
 	"repro/internal/forum"
 	"repro/internal/match"
 	"repro/internal/segment"
+	"repro/internal/variant"
 )
 
 // AblationRow is one configuration's mean precision on one dataset.
@@ -62,17 +63,17 @@ func Ablations(opt Options) (string, []AblationRow) {
 		alg2 alg2Variant
 	}{
 		{name: "default (kmeans-6, Eq5, n=2k)"},
-		{name: "DBSCAN grouping (paper)", mr: match.MRConfig{Grouper: match.GroupDBSCAN}},
-		{name: "full Eq5+6 vectors", mr: match.MRConfig{FullVectors: true}},
-		{name: "kmeans k=4", mr: match.MRConfig{KMeansK: 4}},
-		{name: "kmeans k=10", mr: match.MRConfig{KMeansK: 10}},
+		{name: "DBSCAN grouping (paper)", mr: match.MRConfig{Group: variant.GroupDBSCAN}},
+		{name: "full Eq5+6 vectors", mr: match.MRConfig{Vectorize: variant.FullVectors}},
+		{name: "kmeans k=4", mr: match.MRConfig{Group: match.GroupKMeans(4)}},
+		{name: "kmeans k=10", mr: match.MRConfig{Group: match.GroupKMeans(10)}},
 		{name: "n = 1k", alg2: alg2Variant{factor: 1}},
 		{name: "n = 4k", alg2: alg2Variant{factor: 4}},
 		{name: "normalized lists", alg2: alg2Variant{normalize: true}},
-		{name: "Tile borders", mr: match.MRConfig{Strategy: segment.Tile{}}},
-		{name: "TopDown borders", mr: match.MRConfig{Strategy: segment.TopDown{}}},
+		{name: "Tile borders", mr: match.MRConfig{Strategy: variant.Tile{}}},
+		{name: "TopDown borders", mr: match.MRConfig{Strategy: variant.TopDown{}}},
 		{name: "plain Greedy (no CM voting)", mr: match.MRConfig{Strategy: segment.Greedy{Plain: true}}},
-		{name: "F-stat border score (Tile)", mr: match.MRConfig{Strategy: segment.Tile{Score: segment.FStat{}}}},
+		{name: "F-stat border score (Tile)", mr: match.MRConfig{Strategy: variant.Tile{Score: variant.FStat{}}}},
 		{name: "threshold selection (0.5)", alg2: alg2Variant{factor: 10, threshold: 0.5}},
 	}
 	rows := make([]AblationRow, len(configs))

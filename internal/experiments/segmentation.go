@@ -7,6 +7,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/forum"
 	"repro/internal/segment"
+	"repro/internal/variant"
 )
 
 // studySample bundles one domain's segmentation-study data: generated
@@ -113,8 +114,8 @@ func CMvsTerm(opt Options) (string, []CMvsTermResult) {
 	var rows [][]string
 	for _, d := range segmentationDomains {
 		s := newStudySample(d, opt.SegmentationPosts, opt.Annotators, opt.Seed)
-		term := meanError(s, segment.TextTiling{})
-		cmErr := meanError(s, segment.Tile{})
+		term := meanError(s, variant.TextTiling{})
+		cmErr := meanError(s, variant.Tile{})
 		red := 0.0
 		if term > 0 {
 			red = (term - cmErr) / term
@@ -151,7 +152,7 @@ type Fig8Row struct {
 // and the simulated human annotators.
 func Fig8(opt Options) (string, map[forum.Domain][]Fig8Row) {
 	opt = opt.withDefaults()
-	strategies := []segment.Strategy{segment.Tile{}, segment.Greedy{}, segment.StepbyStep{}}
+	strategies := []segment.Strategy{variant.Tile{}, segment.Greedy{}, variant.StepbyStep{}}
 	results := make(map[forum.Domain][]Fig8Row)
 	var b strings.Builder
 	b.WriteString("Fig 8: border selection mechanisms\n")
@@ -203,7 +204,7 @@ func meanSegCoherence(d *segment.Doc, s segment.Segmentation) float64 {
 	if len(segs) == 0 {
 		return 0
 	}
-	sf := segment.Shannon{}
+	sf := variant.Shannon{}
 	var sum float64
 	for _, r := range segs {
 		sum += sf.SegCoherence(d, r[0], r[1])
@@ -226,9 +227,9 @@ type Fig9Row struct {
 // finds Shannon's diversity the strongest (−0.24 average).
 func Fig9(opt Options) (string, []Fig9Row) {
 	opt = opt.withDefaults()
-	funcs := []segment.ScoreFunc{
-		segment.Cosine, segment.Euclidean, segment.Manhattan,
-		segment.Richness{}, segment.Shannon{},
+	funcs := []variant.ScoreFunc{
+		variant.Cosine, variant.Euclidean, variant.Manhattan,
+		variant.Richness{}, variant.Shannon{},
 	}
 	// Pool both study datasets, like the paper's combined table.
 	var samples []studySample
@@ -238,7 +239,7 @@ func Fig9(opt Options) (string, []Fig9Row) {
 	baseline := map[*segment.Doc]float64{}
 	for _, s := range samples {
 		for i := range s.posts {
-			hyp := (segment.TextTiling{}).Segment(s.docs[i]).Borders
+			hyp := (variant.TextTiling{}).Segment(s.docs[i]).Borders
 			baseline[s.docs[i]] = eval.MultWinDiff(s.anns[i].SentenceBorders, hyp, s.docs[i].Len())
 		}
 	}
@@ -248,7 +249,7 @@ func Fig9(opt Options) (string, []Fig9Row) {
 		row := Fig9Row{Name: f.Name()}
 		var n float64
 		for _, s := range samples {
-			st := segment.Tile{Score: f}
+			st := variant.Tile{Score: f}
 			for i := range s.posts {
 				hyp := st.Segment(s.docs[i]).Borders
 				err := eval.MultWinDiff(s.anns[i].SentenceBorders, hyp, s.docs[i].Len())

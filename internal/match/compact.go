@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/cm"
 	"repro/internal/index"
 	"repro/internal/secfile"
 )
@@ -22,9 +23,8 @@ import (
 // every cluster's terms, "dseg" as the flat columns of segTable.
 // Sections:
 //
-//	"meta"  JSON header: matcher name, serializable config fields, and
-//	        build statistics. JSON keeps the one low-volume section
-//	        debuggable with standard tooling.
+//	"meta"  JSON header: matcher name and build statistics. JSON keeps
+//	        the one low-volume section debuggable with standard tooling.
 //	"dict"  interned term dictionary over every segment's terms,
 //	        sorted ascending (secfile string table).
 //	"dseg"  per-document segments: uvarint doc count, then per document
@@ -34,8 +34,9 @@ import (
 //	        per cluster uvarint unit count and uvarint doc ids.
 //	"sgct"  Table 3 segment accounting: uvarint doc count, then the
 //	        before column and the after column as uvarints.
-//	"cent"  intention centroids: uvarint count, uvarint dimension, then
-//	        a fixed-width float64 column, row-major.
+//	"cent"  intention centroids, one per cluster in the Eq 5 space:
+//	        uvarint count, uvarint dimension, then a fixed-width float64
+//	        column, row-major.
 //	"cidx"  cluster indices: uvarint count, then per cluster a uvarint
 //	        length prefix and the embedded compact index bytes.
 //
@@ -54,34 +55,45 @@ const (
 	compactMRVersion = 1
 )
 
-// compactMeta is the JSON "meta" section. Config carries MRConfig's
-// serializable fields; ReadMR puts back the two it leaves out.
+// compactMeta is the JSON "meta" section. Config is only ever read:
+// older builds wrote their MRConfig there, and checkLegacy refuses the
+// ones this build would serve differently.
 type compactMeta struct {
-	Name   string     `json:"name"`
-	Config MRConfig   `json:"config"`
-	Stats  BuildStats `json:"stats"`
+	Name   string `json:"name"`
+	Config *struct {
+		NFactor                                     int
+		ScoreThreshold                              float64
+		NormalizeLists, ContentVectors, FullVectors bool
+	} `json:"config,omitempty"`
+	Stats BuildStats `json:"stats"`
 }
 
-// checkLegacyAlg2 refuses a meta written while Algorithm 2 had knobs —
-// a list-depth factor, a score threshold, per-list normalization — set
-// to anything but the one shape this build serves (n = 2k, raw sums):
-// loading it would silently answer differently from the build.
-func checkLegacyAlg2(metaSec []byte) error {
-	var legacy struct {
-		Config struct {
-			NFactor        int
-			ScoreThreshold float64
-			NormalizeLists bool
-		} `json:"config"`
+// checkLegacy refuses a meta an older build wrote for a matcher this one
+// would serve differently: Algorithm 2 knobs off its one shape (n = 2k,
+// raw sums), or stages other than the paper's — Content-MR's term
+// vectors, the full Eq 5+6 vectors, SentIntent-MR's sentence units. A
+// loaded matcher answers by n = 2k and adds posts by Greedy borders and
+// Eq 5 vectors, so loading any of them would silently answer or add
+// otherwise than its build did.
+func (m compactMeta) checkLegacy() error {
+	c := m.Config
+	var why string
+	switch {
+	case c == nil:
+	case (c.NFactor != 0 && c.NFactor != 2) || c.ScoreThreshold != 0 || c.NormalizeLists:
+		why = fmt.Sprintf("with Algorithm 2 knobs this build no longer serves (NFactor %d, ScoreThreshold %v, NormalizeLists %t)",
+			c.NFactor, c.ScoreThreshold, c.NormalizeLists)
+	case c.ContentVectors:
+		why = "over term vectors (ContentVectors), which this build does not add posts by"
+	case c.FullVectors:
+		why = "over the full Eq 5+6 vectors (FullVectors), which this build does not add posts by"
+	case m.Name == "SentIntent-MR":
+		why = "as SentIntent-MR, whose sentence segmentation this build does not add posts by"
 	}
-	if err := json.Unmarshal(metaSec, &legacy); err != nil {
-		return fmt.Errorf("match: decoding meta: %w", err)
+	if why == "" {
+		return nil
 	}
-	if c := legacy.Config; (c.NFactor != 0 && c.NFactor != 2) || c.ScoreThreshold != 0 || c.NormalizeLists {
-		return fmt.Errorf("match: snapshot was built with Algorithm 2 knobs this build no longer serves "+
-			"(NFactor %d, ScoreThreshold %v, NormalizeLists %t); rebuild it", c.NFactor, c.ScoreThreshold, c.NormalizeLists)
-	}
-	return nil
+	return fmt.Errorf("match: snapshot was built %s; rebuild it", why)
 }
 
 // appendCompactMR encodes the matcher's serializable state. Callers
@@ -89,7 +101,7 @@ func checkLegacyAlg2(metaSec []byte) error {
 // dictionary, in-order walks), so write → read → re-write round-trips
 // byte-identically.
 func appendCompactMR(mr *MR) ([]byte, error) {
-	meta, err := json.Marshal(compactMeta{Name: mr.name, Config: mr.cfg, Stats: mr.stats})
+	meta, err := json.Marshal(compactMeta{Name: mr.name, Stats: mr.stats})
 	if err != nil {
 		return nil, fmt.Errorf("match: encoding meta: %w", err)
 	}
@@ -205,7 +217,7 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 	if err := json.Unmarshal(metaSec, &meta); err != nil {
 		return nil, fmt.Errorf("match: decoding meta: %w", err)
 	}
-	if err := checkLegacyAlg2(metaSec); err != nil {
+	if err := meta.checkLegacy(); err != nil {
 		return nil, err
 	}
 
@@ -429,6 +441,20 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 	if uint64(len(centSec)) != k*dim*8 {
 		return nil, fmt.Errorf("match: centroid column of %d×%d needs %d bytes, have %d", k, dim, k*dim*8, len(centSec))
 	}
+	// Add assigns a new post's segments to the nearest centroid by its Eq 5
+	// vector, so there is one centroid per cluster, in that space. A build
+	// over no segments has clusters, all empty, and no centroids.
+	units := 0
+	for _, ix := range clusters {
+		units += ix.NumUnits()
+	}
+	switch {
+	case k == 0 && units == 0:
+	case k != uint64(nClusters):
+		return nil, fmt.Errorf("match: %d centroids for %d clusters", k, nClusters)
+	case dim != uint64(cm.NumFeatures):
+		return nil, fmt.Errorf("match: %d-dim centroids, Eq 5 vectors have %d", dim, cm.NumFeatures)
+	}
 	centroids := make([][]float64, int(k))
 	for i := range centroids {
 		row, err := secfile.Float64Col(centSec[uint64(i)*dim*8:(uint64(i)+1)*dim*8], int(dim))
@@ -438,10 +464,9 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 		centroids[i] = row
 	}
 
-	meta.Config.Strategy = strategyFor(meta.Name, meta.Config.ContentVectors)
 	mr := &MR{
 		name:      meta.Name,
-		cfg:       meta.Config.withDefaults(),
+		cfg:       MRConfig{}.withDefaults(),
 		dict:      dict,
 		clusters:  clusters,
 		unitDoc:   unitDoc,

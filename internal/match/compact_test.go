@@ -273,29 +273,84 @@ func TestReadMRCompactNegativePaths(t *testing.T) {
 	}
 }
 
-// TestReadMRLegacyAlg2Knobs: a meta written while Algorithm 2 had knobs
-// (NFactor, ScoreThreshold, NormalizeLists in its config) loads when they
-// hold their defaults, answering as the matcher that wrote it; any other
-// value is refused rather than served as n = 2k raw sums.
+// parentMeta is the "meta" section an older build wrote for smallMatcher:
+// its whole MRConfig, defaults applied, and the two noise counters
+// BuildStats had.
+const parentMeta = `{"name":"IntentIntent-MR","config":{"ContentVectors":false,"ContentK":8,"Eps":0,` +
+	`"MinPts":4,"SampleSize":2000,"KeepNoise":false,"Grouper":0,"KMeansK":6,"FullVectors":false,"Seed":7},` +
+	`"stats":{"Segmentation":1,"Vectorization":1,"Clustering":1,"Refinement":1,"Grouping":1,"Indexing":1,` +
+	`"NumSegments":1,"NumClusters":6,"NoiseCount":0,"NoiseReassigned":0}}`
+
+// TestReadMRLegacyAlg2Knobs: a meta an older build wrote — its MRConfig
+// beside the name — loads when its knobs hold what this build serves,
+// answering as the matcher that wrote it; Algorithm 2 knobs off n = 2k
+// raw sums, and stages this build does not add posts by, are refused by
+// name rather than served.
 func TestReadMRLegacyAlg2Knobs(t *testing.T) {
 	mr := smallMatcher(t)
 	valid := writeMR(t, mr)
-	for knobs, ok := range map[string]bool{
-		`"NFactor":2,"ScoreThreshold":0,"NormalizeLists":false`: true,
-		`"NFactor":0`:           true,
-		`"NFactor":3`:           false,
-		`"ScoreThreshold":0.5`:  false,
-		`"NormalizeLists":true`: false,
+	for _, tc := range []struct{ old, new, refusal string }{
+		{"", "", ""},
+		{`"config":{`, `"config":{"NFactor":2,"ScoreThreshold":0,"NormalizeLists":false,`, ""},
+		{`"config":{`, `"config":{"NFactor":3,`, "Algorithm 2 knobs"},
+		{`"config":{`, `"config":{"ScoreThreshold":0.5,`, "Algorithm 2 knobs"},
+		{`"config":{`, `"config":{"NormalizeLists":true,`, "Algorithm 2 knobs"},
+		{`"ContentVectors":false`, `"ContentVectors":true`, "ContentVectors"},
+		{`"FullVectors":false`, `"FullVectors":true`, "FullVectors"},
+		{`"IntentIntent-MR"`, `"SentIntent-MR"`, "SentIntent-MR"},
 	} {
+		meta := strings.Replace(parentMeta, tc.old, tc.new, 1)
 		loaded, err := ReadMR(rebuildMRSections(t, valid, func(secs []secfile.Section) []secfile.Section {
-			secs[0].Data = bytes.Replace(secs[0].Data, []byte(`"config":{`), []byte(`"config":{`+knobs+`,`), 1)
+			secs[0].Data = []byte(meta)
 			return secs
 		}), nil)
-		if ok && (err != nil || !reflect.DeepEqual(loaded.Match(3, 5), mr.Match(3, 5))) {
-			t.Errorf("%s: ReadMR = %v, or the loaded matcher answers otherwise than its writer", knobs, err)
-		} else if !ok && (err == nil || !strings.Contains(err.Error(), "Algorithm 2 knobs")) {
-			t.Errorf("%s: ReadMR = %v, want a refusal naming the Algorithm 2 knobs", knobs, err)
+		if tc.refusal == "" && (err != nil || !reflect.DeepEqual(loaded.Match(3, 5), mr.Match(3, 5))) {
+			t.Errorf("%s: ReadMR = %v, or the loaded matcher answers otherwise than its writer", tc.new, err)
+		} else if tc.refusal != "" && (err == nil || !strings.Contains(err.Error(), tc.refusal)) {
+			t.Errorf("%s: ReadMR = %v, want a refusal naming %s", tc.new, err, tc.refusal)
 		}
+	}
+}
+
+// TestReadMRRefusesCentroidShape: Add assigns segments by the centroids,
+// so a snapshot must carry one per cluster, each with Eq 5's dimension —
+// once a 15-dim column loaded and the first Add panicked, and a surplus
+// centroid drew segments into a cluster that does not exist. A build over
+// no segments (clusters, no centroids) still loads and adds.
+func TestReadMRRefusesCentroidShape(t *testing.T) {
+	mr := smallMatcher(t)
+	valid := writeMR(t, mr)
+	dim, k := len(mr.centroids[0]), len(mr.centroids)
+	cent := func(k, dim int) []byte {
+		b := secfile.AppendUvarint(secfile.AppendUvarint(nil, uint64(k)), uint64(dim))
+		return secfile.AppendFloat64s(b, make([]float64, k*dim))
+	}
+	for name, tc := range map[string]struct {
+		data    []byte
+		wantSub string
+	}{
+		"15-dim":                {cent(k, 15), "15-dim centroids"},
+		"28-dim":                {cent(k, 28), "28-dim centroids"},
+		"13-dim":                {cent(k, 13), "13-dim centroids"},
+		"one centroid too many": {cent(k+1, dim), "centroids for"},
+		"one centroid short":    {cent(k-1, dim), "centroids for"},
+		"none over units":       {cent(0, 0), "0 centroids for"},
+	} {
+		data := rebuildMRSections(t, valid, func(secs []secfile.Section) []secfile.Section {
+			secs[5].Data = tc.data
+			return secs
+		})
+		if _, err := ReadMR(data, nil); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("%s: ReadMR = %v, want an error mentioning %q", name, err, tc.wantSub)
+		}
+	}
+	empty, err := ReadMR(writeMR(t, NewMR("empty", nil, MRConfig{})), nil)
+	if err != nil {
+		t.Fatalf("a build over no segments does not load: %v", err)
+	}
+	extra := buildCorpus(t, forum.TechSupport, 1, 62)
+	if id := empty.Add(extra.docs[0]); id != 0 {
+		t.Errorf("Add on the loaded empty matcher returned %d", id)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/forum"
 	"repro/internal/segment"
+	"repro/internal/variant"
 )
 
 // These tests exist to run under -race: they interleave Add with Match
@@ -18,9 +19,20 @@ import (
 func mrConcurrencyConfigs() map[string]MRConfig {
 	return map[string]MRConfig{
 		"IntentIntent-MR": {},
-		"SentIntent-MR":   {Strategy: segment.Sentences{}},
-		"Content-MR":      {Strategy: segment.TextTiling{}, ContentVectors: true},
+		"SentIntent-MR":   {Strategy: variant.Sentences{}},
+		"Content-MR":      {Strategy: variant.TextTiling{}, Vectorize: termBuckets, Group: GroupKMeans(8)},
 	}
+}
+
+// termBuckets stands in for Content-MR's hashed TF vectors (built in
+// internal/baseline): a segment's terms counted into 16 buckets by their
+// first byte.
+func termBuckets(d *segment.Doc, lo, hi int) []float64 {
+	v := make([]float64, 16)
+	for _, t := range d.Terms(lo, hi) {
+		v[t[0]%16]++
+	}
+	return v
 }
 
 func TestConcurrentAddAndMatch(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/forum"
 	"repro/internal/segment"
+	"repro/internal/variant"
 )
 
 // explainDocs prepares a small corpus for the explain tests.
@@ -72,7 +73,7 @@ func TestMRMatchExplainedReconciles(t *testing.T) {
 	docs := explainDocs(t, 120)
 	for name, cfg := range map[string]MRConfig{
 		"default": {Seed: 7},
-		"dbscan":  {Grouper: GroupDBSCAN, Seed: 7},
+		"dbscan":  {Group: variant.GroupDBSCAN, Seed: 7},
 	} {
 		t.Run(name, func(t *testing.T) {
 			mr := NewMR("explain-test", docs, cfg)

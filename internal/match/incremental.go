@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/cm"
 	"repro/internal/index"
 	"repro/internal/segment"
 )
@@ -47,30 +46,21 @@ type pendingSeg struct{ tokens, terms, tf []int32 }
 // existing intention centroid, applies the refinement rule and interns
 // the terms — the one place a served document's strings meet the
 // dictionary — without touching the matcher's serving state. It reads
-// only immutable matcher state (strategy, centroids) and the
+// only immutable matcher state (stages, centroids) and the
 // self-locking dictionary, so any number of PrepareAdd calls may run
 // concurrently with each other and with queries. Call Commit on the
 // result to assign a document id and index the refined segments.
 func (mr *MR) PrepareAdd(d *segment.Doc) *PendingAdd {
 	tm := spanAddPrepare.Start()
 	defer tm.Stop()
-	seg := mr.cfg.Strategy.Segment(d)
-	ranges := seg.Segments()
+	strategy, vectorize, _ := mr.cfg.stages()
+	ranges := strategy.Segment(d).Segments()
 
 	// Assign each segment to its nearest centroid and merge per cluster
 	// (the refinement rule: at most one segment per document per cluster).
 	merged := make(map[int]pendingSeg)
 	for _, r := range ranges {
-		var vec []float64
-		switch {
-		case mr.cfg.ContentVectors:
-			vec = hashedTermVector(d.Terms(r[0], r[1]))
-		case mr.cfg.FullVectors:
-			vec = cm.WeightVector(d.Range(r[0], r[1]), d.Range(0, d.Len()))
-		default:
-			vec = cm.WithinSegmentWeights(d.Range(r[0], r[1]))
-		}
-		c := nearestCentroid(mr.centroids, vec)
+		c := nearestCentroid(mr.centroids, vectorize(d, r[0], r[1]))
 		if c < 0 {
 			continue
 		}
@@ -109,7 +99,7 @@ func (pa *PendingAdd) CommitVia(fn func(*PendingAdd) int) *PendingAdd {
 
 // CommitTo commits the prepared document into mr, which may be a
 // different matcher than the one that prepared it — the sharded serving
-// layer prepares against one shard (preparation reads only the strategy,
+// layer prepares against one shard (preparation reads only the stages,
 // the centroids and the dictionary, which the shards of a group share)
 // and commits into the shard that owns the new document's id. The
 // returned id is local to the receiving matcher. CommitTo must be called

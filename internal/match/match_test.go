@@ -1,10 +1,12 @@
 package match
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/forum"
 	"repro/internal/segment"
+	"repro/internal/variant"
 )
 
 // testCorpus bundles a generated corpus with its prepared forms.
@@ -106,8 +108,8 @@ func TestMRVariants(t *testing.T) {
 	tc := buildCorpus(t, forum.Travel, 100, 7)
 	variants := []*MR{
 		NewMR("IntentIntent-MR", tc.docs, MRConfig{Strategy: segment.Greedy{}}),
-		NewMR("SentIntent-MR", tc.docs, MRConfig{Strategy: segment.Sentences{}}),
-		NewMR("Content-MR", tc.docs, MRConfig{Strategy: segment.TextTiling{}, ContentVectors: true}),
+		NewMR("SentIntent-MR", tc.docs, MRConfig{Strategy: variant.Sentences{}}),
+		NewMR("Content-MR", tc.docs, MRConfig{Strategy: variant.TextTiling{}, Vectorize: termBuckets, Group: GroupKMeans(8)}),
 	}
 	for _, mr := range variants {
 		res := mr.Match(3, 5)
@@ -137,15 +139,6 @@ func precision(res []Result, rel map[int]bool) float64 {
 	return float64(hits) / float64(len(res))
 }
 
-func TestMRKeepNoise(t *testing.T) {
-	tc := buildCorpus(t, forum.TechSupport, 80, 9)
-	mr := NewMR("IntentIntent-MR", tc.docs, MRConfig{KeepNoise: true})
-	// With noise kept out, some documents may have fewer refined segments,
-	// but the matcher must still work.
-	res := mr.Match(0, 5)
-	checkResults(t, "KeepNoise", res, 0, 5)
-}
-
 func TestMREmptyAndTinyCorpus(t *testing.T) {
 	mr := NewMR("empty", nil, MRConfig{})
 	if mr.Match(0, 5) != nil {
@@ -155,33 +148,6 @@ func TestMREmptyAndTinyCorpus(t *testing.T) {
 	mr = NewMR("tiny", tiny.docs, MRConfig{})
 	res := mr.Match(0, 5)
 	checkResults(t, "tiny", res, 0, 5)
-}
-
-func TestHashedTermVector(t *testing.T) {
-	v := hashedTermVector([]string{"raid", "disk", "raid"})
-	var norm float64
-	for _, x := range v {
-		norm += x * x
-	}
-	if norm < 0.99 || norm > 1.01 {
-		t.Errorf("vector not L2-normalized: %v", norm)
-	}
-	if len(v) != hashedTermVectorDim {
-		t.Errorf("wrong dimension %d", len(v))
-	}
-	empty := hashedTermVector(nil)
-	for _, x := range empty {
-		if x != 0 {
-			t.Error("empty terms should give zero vector")
-		}
-	}
-	// Determinism.
-	w := hashedTermVector([]string{"raid", "disk", "raid"})
-	for i := range v {
-		if v[i] != w[i] {
-			t.Fatal("hashing not deterministic")
-		}
-	}
 }
 
 func BenchmarkMRBuild(b *testing.B) {
@@ -212,48 +178,19 @@ func TestMatcherNames(t *testing.T) {
 }
 
 func TestBuildParallelMatchesSerial(t *testing.T) {
-	// The build fan-out must not change the result: a DBSCAN-grouped MR
-	// built with 1 worker and with many workers must agree on clusters,
-	// unit ownership, and match results (the -race run of this test also
+	// The build fan-out must not change the result: an MR built with 1
+	// worker and with many workers must agree on clusters, unit
+	// ownership, and match results (the -race run of this test also
 	// covers the parallel clustering and parallel Phase-3 indexing paths).
 	tc := buildCorpus(t, forum.TechSupport, 60, 17)
-	for _, grouper := range []Grouping{GroupDBSCAN, GroupKMeans} {
-		serial := NewMR("serial", tc.docs, MRConfig{Grouper: grouper, Seed: 42, Workers: 1})
-		parallel := NewMR("parallel", tc.docs, MRConfig{Grouper: grouper, Seed: 42, Workers: 8})
-		if s, p := serial.NumClusters(), parallel.NumClusters(); s != p {
-			t.Fatalf("grouper %d: cluster count %d (serial) != %d (parallel)", grouper, s, p)
-		}
-		ss, ps := serial.ClusterSizes(), parallel.ClusterSizes()
-		for c := range ss {
-			if ss[c] != ps[c] {
-				t.Fatalf("grouper %d: cluster %d size %d (serial) != %d (parallel)", grouper, c, ss[c], ps[c])
-			}
-		}
-		for q := 0; q < 10; q++ {
-			sr, pr := serial.Match(q, 5), parallel.Match(q, 5)
-			if len(sr) != len(pr) {
-				t.Fatalf("grouper %d query %d: %d results (serial) != %d (parallel)", grouper, q, len(sr), len(pr))
-			}
-			for i := range sr {
-				if sr[i].DocID != pr[i].DocID || sr[i].Score != pr[i].Score {
-					t.Fatalf("grouper %d query %d rank %d: serial %+v != parallel %+v", grouper, q, i, sr[i], pr[i])
-				}
-			}
-		}
+	serial := NewMR("serial", tc.docs, MRConfig{Seed: 42, Workers: 1})
+	parallel := NewMR("parallel", tc.docs, MRConfig{Seed: 42, Workers: 8})
+	if s, p := serial.ClusterSizes(), parallel.ClusterSizes(); !reflect.DeepEqual(s, p) {
+		t.Fatalf("cluster sizes %v (serial) != %v (parallel)", s, p)
 	}
-}
-
-func TestNoiseCountsReported(t *testing.T) {
-	// With KeepNoise=false every counted noise point must be reassigned
-	// (post-assignment remaining = 0); with KeepNoise=true none may be.
-	tc := buildCorpus(t, forum.TechSupport, 80, 23)
-	folded := NewMR("folded", tc.docs, MRConfig{Grouper: GroupDBSCAN, Seed: 42})
-	st := folded.Stats()
-	if st.NumClusters > 0 && st.NoiseReassigned != st.NoiseCount {
-		t.Errorf("KeepNoise=false: reassigned %d of %d noise points, want all", st.NoiseReassigned, st.NoiseCount)
-	}
-	kept := NewMR("kept", tc.docs, MRConfig{Grouper: GroupDBSCAN, Seed: 42, KeepNoise: true})
-	if st := kept.Stats(); st.NoiseReassigned != 0 {
-		t.Errorf("KeepNoise=true: NoiseReassigned = %d, want 0", st.NoiseReassigned)
+	for q := 0; q < 10; q++ {
+		if sr, pr := serial.Match(q, 5), parallel.Match(q, 5); !reflect.DeepEqual(sr, pr) {
+			t.Fatalf("query %d: serial %+v != parallel %+v", q, sr, pr)
+		}
 	}
 }

@@ -2,9 +2,9 @@
 // intention-based multi-ranking method of Algorithms 1 and 2
 // (IntentIntent-MR), and the Matcher interface every method answers
 // through: given a reference post in the collection, return the top-k
-// most related posts. MRConfig's Strategy and ContentVectors also give
-// the segment-based comparison methods of Sec 9.2; those, and the
-// whole-post ones, are built in internal/baseline.
+// most related posts. MRConfig's three stages (borders, vectors,
+// grouping) also give the segment-based comparison methods of Sec 9.2;
+// those, and the whole-post ones, are built in internal/baseline.
 package match
 
 // Result is one related document with its matching score, and the entry

@@ -1,8 +1,6 @@
 package match
 
 import (
-	"hash/fnv"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -41,70 +39,61 @@ var (
 )
 
 // MRConfig configures a multi-ranking matcher (the "MR" of the method
-// names in Table 4). The three MR methods of the paper differ only in
-// Strategy and vector space (Grouper picks the CM-vector grouping,
-// k-means with k = 6 over the Eq 5 half by default; see GroupKMeans):
+// names in Table 4). Its zero value is the paper's method,
+// IntentIntent-MR: Greedy borders with CM voting (Sec 5.3), Eq 5 segment
+// vectors, and k-means at k = 6 for the intention grouping (Sec 6;
+// DESIGN.md, Substitutions, says why k-means and not DBSCAN). The three
+// stages are what the comparison methods of Sec 9.2 and the ablations
+// replace; internal/baseline and internal/experiments set them, from
+// internal/variant where the stage is not the paper's:
 //
-//	IntentIntent-MR: Strategy = segment.Greedy{},     CM vectors
-//	SentIntent-MR:   Strategy = segment.Sentences{},  CM vectors
-//	Content-MR:      Strategy = segment.TextTiling{}, ContentVectors + k-means
+//	SentIntent-MR: Strategy = variant.Sentences{}
+//	Content-MR:    Strategy = variant.TextTiling{}, Vectorize = hashed TF vectors, Group = GroupKMeans(8)
 //
+// A matcher built with any stage set cannot be written (WriteTo), so a
+// snapshot always loads as the paper's method and adds posts as it does.
 // Algorithm 2 has one shape: per-intention top-n lists with n = 2k (Sec
 // 7), their raw scores summed per document.
 type MRConfig struct {
-	// Strategy selects segment borders. segment.Greedy{} when nil. A
-	// snapshot does not carry it; ReadMR reconstructs it (strategyFor).
-	Strategy segment.Strategy `json:"-"`
-	// ContentVectors switches the segment representation from the 28-dim CM
-	// weight vectors (Eq 5/6) to hashed TF/IDF term vectors, grouped by
-	// k-means at ContentK whatever Grouper says — the Content-MR
-	// configuration.
-	ContentVectors bool
-	// ContentK is the k-means cluster count for ContentVectors. 8 when 0.
-	ContentK int
-	// Eps is DBSCAN's radius; estimated from the data when 0.
-	Eps float64
-	// MinPts is DBSCAN's density threshold. 4 when 0.
-	MinPts int
-	// SampleSize bounds the exact-DBSCAN core (cluster.Sampled). 2000 when 0.
-	SampleSize int
-	// KeepNoise leaves DBSCAN noise segments outside all intention
-	// clusters instead of assigning them to the nearest centroid.
-	KeepNoise bool
-	// Grouper selects the segment-grouping algorithm for CM vectors.
-	Grouper Grouping
-	// KMeansK is the cluster count for GroupKMeans on CM vectors; it
-	// should approximate the expected number of intention categories.
-	// 6 when 0.
-	KMeansK int
-	// FullVectors clusters the concatenated Eq 5+6 vectors (the paper's 28
-	// elements) instead of the Eq 5 within-segment half alone. The Eq 6
-	// half encodes document structure, which on template-generated corpora
-	// adds within-intention variance, so the default clusters Eq 5 only;
-	// set FullVectors for the paper's exact representation.
-	FullVectors bool
-	// Seed drives k-means initialization.
+	// Strategy selects segment borders. segment.Greedy{} when nil.
+	Strategy segment.Strategy
+	// Vectorize maps a segment to the vector it is grouped by, and by
+	// which Add assigns a new post's segments to their nearest centroid.
+	// Eq 5's within-segment CM weights when nil.
+	Vectorize Vectorizer
+	// Group labels the segment vectors with intention clusters.
+	// GroupKMeans(6) when nil.
+	Group Grouper
+	// Seed drives the grouping's random choices (k-means initialization).
 	Seed int64
 	// Workers bounds build parallelism. NumCPU when 0.
-	Workers int `json:"-"`
+	Workers int
 }
 
-// Grouping selects how CM segment vectors are grouped into intention
-// clusters.
-type Grouping int
+// Vectorizer maps the segment of sentence units [lo, hi) of d to a
+// dense vector; every vector it returns has one length.
+type Vectorizer func(d *segment.Doc, lo, hi int) []float64
 
-const (
-	// GroupKMeans clusters with k-means (KMeansK clusters). It is the
-	// pipeline default: the synthetic corpora's template grammar quantizes
-	// CM vectors into many small dense islands, which fragments
-	// density-based clustering into 15-20 micro-clusters and splits
-	// same-intention segments apart; k-means at the expected intention
-	// count recovers the paper's 3-6 coherent clusters (see DESIGN.md,
-	// Substitutions).
-	GroupKMeans Grouping = iota
-	// GroupDBSCAN clusters with DBSCAN — the paper's configuration,
-	// kept for the ablation benchmarks.
-	GroupDBSCAN
+// Grouper labels every vector with a cluster in [0, k) and returns the
+// labels and k. The output must be the same for any worker count.
+type Grouper func(vectors [][]float64, seed int64, workers int) (labels []int, k int)
+
+// GroupKMeans returns the Grouper that clusters with k-means at k
+// clusters, k clamped to the point count.
+func GroupKMeans(k int) Grouper {
+	return func(vectors [][]float64, seed int64, workers int) ([]int, int) {
+		k := k
+		if k > len(vectors) && len(vectors) > 0 {
+			k = len(vectors)
+		}
+		return cluster.KMeans(vectors, k, seed, 0, workers), k
+	}
+}
+
+// The paper's stages, run wherever an MRConfig leaves one nil.
+var (
+	eq5Vectors = func(d *segment.Doc, lo, hi int) []float64 { return cm.WithinSegmentWeights(d.Range(lo, hi)) }
+	kmeans6    = GroupKMeans(6)
 )
 
 // ListDepth returns Algorithm 1's per-intention list length for a top-k
@@ -116,25 +105,26 @@ const (
 func (MRConfig) ListDepth(k int) int { return 2 * k }
 
 func (c MRConfig) withDefaults() MRConfig {
-	if c.Strategy == nil {
-		c.Strategy = segment.Greedy{}
-	}
-	if c.KMeansK <= 0 {
-		c.KMeansK = 6
-	}
-	if c.ContentK <= 0 {
-		c.ContentK = 8
-	}
-	if c.MinPts <= 0 {
-		c.MinPts = 4
-	}
-	if c.SampleSize <= 0 {
-		c.SampleSize = 2000
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
 	}
 	return c
+}
+
+// stages returns the configuration's three stages, the paper's in place
+// of any left nil.
+func (c MRConfig) stages() (segment.Strategy, Vectorizer, Grouper) {
+	st, vec, grp := c.Strategy, c.Vectorize, c.Group
+	if st == nil {
+		st = segment.Greedy{}
+	}
+	if vec == nil {
+		vec = eq5Vectors
+	}
+	if grp == nil {
+		grp = kmeans6
+	}
+	return st, vec, grp
 }
 
 // BuildStats reports where offline preprocessing time went — the
@@ -146,21 +136,12 @@ func (c MRConfig) withDefaults() MRConfig {
 type BuildStats struct {
 	Segmentation  time.Duration // total, all documents — Fig 11(a)
 	Vectorization time.Duration // segment weight vectors (Eq 5/6)
-	Clustering    time.Duration // eps estimation + DBSCAN/k-means + centroids
+	Clustering    time.Duration // the Group stage + centroids
 	Refinement    time.Duration // sort-based (doc, cluster) grouping
 	Grouping      time.Duration // vectorization + clustering + refinement — Fig 11(b)
 	Indexing      time.Duration // per-cluster index construction
 	NumSegments   int           // before refinement
 	NumClusters   int
-	// NoiseCount is the number of DBSCAN noise labels as clustered, before
-	// any reassignment — the outlier count of the grouping step (it feeds
-	// the Table 3 granularity shift: noise segments drop out of the
-	// refined counts only when KeepNoise is set). NoiseReassigned is how
-	// many of those the KeepNoise=false path folded into their nearest
-	// centroid afterwards; NoiseCount−NoiseReassigned segments remain
-	// outside every intention cluster.
-	NoiseCount      int
-	NoiseReassigned int
 }
 
 // segTable holds every document's refined segments in flat columns, the
@@ -218,9 +199,7 @@ func (st *segTable) endDoc() { st.docEnd = append(st.docEnd, int32(len(st.cluste
 // order is always MR.mu before Index.mu, never the reverse. name, cfg,
 // dict (the pointer: the dictionary, shared by every cluster index and
 // every shard of a group, locks itself), clusters (the slice itself),
-// and centroids are immutable once the matcher is built or loaded —
-// SetStrategy is the one exception and must be called before concurrent
-// use begins.
+// and centroids are immutable once the matcher is built or loaded.
 type MR struct {
 	name string
 	cfg  MRConfig
@@ -250,7 +229,7 @@ type rawSeg struct {
 	lo, hi int
 }
 
-// segRef keys one non-noise segment for the sort-based refinement
+// segRef keys one segment for the sort-based refinement
 // grouping: its intention cluster, owning document, and index into the
 // flat segment list. Sorting refs by (doc, cluster, seg) makes every
 // refined (doc, cluster) group a contiguous run, in the segment table's
@@ -270,6 +249,7 @@ type segRef struct {
 func NewMR(name string, docs []*segment.Doc, cfg MRConfig) *MR {
 	cfg = cfg.withDefaults()
 	mr := &MR{name: name, cfg: cfg}
+	strategy, vectorize, grouper := cfg.stages()
 
 	// Phase 1: segmentation (parallel; per-document work is independent).
 	// Each phase is timed by its obs span; the span measurement is also
@@ -277,7 +257,7 @@ func NewMR(name string, docs []*segment.Doc, cfg MRConfig) *MR {
 	phase := spanBuildSegment.StartAlways()
 	segmentations := make([]segment.Segmentation, len(docs))
 	par.Do(len(docs), cfg.Workers, func(i int) {
-		segmentations[i] = cfg.Strategy.Segment(docs[i])
+		segmentations[i] = strategy.Segment(docs[i])
 	})
 	mr.stats.Segmentation = phase.Stop()
 
@@ -297,53 +277,12 @@ func NewMR(name string, docs []*segment.Doc, cfg MRConfig) *MR {
 	phase = spanBuildVectorize.StartAlways()
 	vectors := make([][]float64, len(segs))
 	par.Do(len(segs), cfg.Workers, func(i int) {
-		d := docs[segs[i].doc]
-		switch {
-		case cfg.ContentVectors:
-			vectors[i] = hashedTermVector(d.Terms(segs[i].lo, segs[i].hi))
-		case cfg.FullVectors:
-			vectors[i] = cm.WeightVector(d.Range(segs[i].lo, segs[i].hi), d.Range(0, d.Len()))
-		default:
-			vectors[i] = cm.WithinSegmentWeights(d.Range(segs[i].lo, segs[i].hi))
-		}
+		vectors[i] = vectorize(docs[segs[i].doc], segs[i].lo, segs[i].hi)
 	})
 	mr.stats.Vectorization = phase.Stop()
 
 	phase = spanBuildCluster.StartAlways()
-	var labels []int
-	var k int
-	switch {
-	case cfg.ContentVectors:
-		k = cfg.ContentK
-		labels = cluster.KMeans(vectors, k, cfg.Seed, 0, cfg.Workers)
-	case cfg.Grouper == GroupKMeans:
-		k = cfg.KMeansK
-		if k > len(vectors) && len(vectors) > 0 {
-			k = len(vectors)
-		}
-		labels = cluster.KMeans(vectors, k, cfg.Seed, 0, cfg.Workers)
-	default:
-		eps := cfg.Eps
-		if eps == 0 {
-			eps = cluster.EstimateEpsSampled(vectors, cfg.MinPts-1, 500, cfg.Workers)
-		}
-		labels, k = cluster.Sampled(vectors, eps, cfg.MinPts, cfg.SampleSize, cfg.Workers)
-		for _, l := range labels {
-			if l == cluster.Noise {
-				mr.stats.NoiseCount++
-			}
-		}
-		if k == 0 {
-			// Degenerate data: one catch-all intention cluster.
-			k = 1
-			for i := range labels {
-				labels[i] = 0
-			}
-		} else if !cfg.KeepNoise {
-			cents := cluster.Centroids(vectors, labels, k, cfg.Workers)
-			mr.stats.NoiseReassigned = cluster.AssignNoise(vectors, labels, cents, cfg.Workers)
-		}
-	}
+	labels, k := grouper(vectors, cfg.Seed, cfg.Workers)
 	mr.centroids = cluster.Centroids(vectors, labels, k, cfg.Workers)
 	mr.stats.NumClusters = k
 	mr.stats.Clustering = phase.Stop()
@@ -351,11 +290,9 @@ func NewMR(name string, docs []*segment.Doc, cfg MRConfig) *MR {
 	// Refinement (Sec 6): at most one segment per document per cluster,
 	// derived by sorting a flat slice instead of growing map values.
 	phase = spanBuildRefine.StartAlways()
-	refs := make([]segRef, 0, len(segs))
+	refs := make([]segRef, len(segs))
 	for i, s := range segs {
-		if labels[i] != cluster.Noise {
-			refs = append(refs, segRef{cluster: labels[i], doc: s.doc, seg: i})
-		}
+		refs[i] = segRef{cluster: labels[i], doc: s.doc, seg: i}
 	}
 	sort.Slice(refs, func(a, b int) bool {
 		ra, rb := refs[a], refs[b]
@@ -516,9 +453,9 @@ func (mr *MR) queryListsLocked(docID, k int, tr *obs.Trace) ([]ClusterQuery, [][
 	return probes, lists, n
 }
 
-// Config returns the matcher's effective configuration (defaults
-// applied) — what the sharding layer copies so every shard queries and
-// ingests exactly as the source matcher does.
+// Config returns the matcher's configuration, its worker count resolved:
+// what the sharding layer copies so every shard queries and ingests
+// exactly as the source matcher does. Stages left nil are the paper's.
 func (mr *MR) Config() MRConfig { return mr.cfg }
 
 // Stats returns the build-phase timing and size statistics.
@@ -556,31 +493,4 @@ func (mr *MR) SegmentCounts() (before, after []int) {
 		before[d], after[d] = int(mr.before[d]), hi-lo
 	}
 	return before, after
-}
-
-// hashedTermVectorDim is the dimensionality of the feature-hashed TF
-// vectors Content-MR clusters (k-means needs dense fixed-width points; 64
-// dimensions keep collisions rare at forum-segment vocabulary sizes).
-const hashedTermVectorDim = 64
-
-// hashedTermVector folds a segment's terms into a dense L2-normalized TF
-// vector by feature hashing.
-func hashedTermVector(terms []string) []float64 {
-	v := make([]float64, hashedTermVectorDim)
-	for _, t := range terms {
-		h := fnv.New32a()
-		h.Write([]byte(t))
-		v[h.Sum32()%hashedTermVectorDim]++
-	}
-	var norm float64
-	for _, x := range v {
-		norm += x * x
-	}
-	if norm > 0 {
-		norm = math.Sqrt(norm)
-		for i := range v {
-			v[i] /= norm
-		}
-	}
-	return v
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/forum"
 	"repro/internal/segment"
+	"repro/internal/variant"
 )
 
 func TestMRPersistRoundTrip(t *testing.T) {
@@ -58,9 +59,6 @@ func TestLoadedMRSupportsAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The strategy is configuration; a loaded matcher gets the default and
-	// can be overridden.
-	loaded.SetStrategy(segment.Greedy{})
 	extra := forum.GeneratePost(forum.Travel, 80, 52)
 	id := loaded.Add(segment.NewDoc(extra.Text))
 	if id != 80 {
@@ -71,39 +69,22 @@ func TestLoadedMRSupportsAdd(t *testing.T) {
 	}
 }
 
-func TestReadMRReconstructsStrategy(t *testing.T) {
-	// A loaded matcher must segment incrementally added posts with the
-	// strategy its build used, not silently fall back to Greedy.
-	cases := []struct {
-		name string
-		cfg  MRConfig
-		want segment.Strategy
-	}{
-		{"IntentIntent-MR", MRConfig{}, segment.Greedy{}},
-		{"SentIntent-MR", MRConfig{Strategy: segment.Sentences{}}, segment.Sentences{}},
-		{"Content-MR", MRConfig{Strategy: segment.TextTiling{}, ContentVectors: true}, segment.TextTiling{}},
-	}
+// TestWriteToRefusesStages: a snapshot always loads as the paper's method,
+// so a matcher built with any stage of its own is not written.
+func TestWriteToRefusesStages(t *testing.T) {
 	tc := buildCorpus(t, forum.TechSupport, 40, 53)
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			mr := NewMR(c.name, tc.docs, c.cfg)
-			var buf bytes.Buffer
-			if _, err := mr.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := ReadMR(buf.Bytes(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := loaded.cfg.Strategy; got != c.want {
-				t.Errorf("loaded strategy = %T, want %T", got, c.want)
-			}
-			// SetStrategy still overrides.
-			loaded.SetStrategy(segment.Greedy{})
-			if got := loaded.cfg.Strategy; got != (segment.Greedy{}) {
-				t.Errorf("SetStrategy override ignored, strategy = %T", got)
-			}
-		})
+	for name, cfg := range map[string]MRConfig{
+		"strategy":  {Strategy: variant.Sentences{}},
+		"vectorize": {Vectorize: variant.FullVectors},
+		"group":     {Group: GroupKMeans(6)},
+	} {
+		var buf bytes.Buffer
+		if _, err := NewMR(name, tc.docs, cfg).WriteTo(&buf); err == nil || !strings.Contains(err.Error(), "own stages") {
+			t.Errorf("%s: WriteTo = %v, want a refusal naming the stages", name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: a refused write wrote %d bytes", name, buf.Len())
+		}
 	}
 }
 

@@ -1,17 +1,17 @@
 // Package segment implements the intention-based post segmentation of
-// Sec 5 of the paper. A document is a sequence of sentence text units; a
-// segmentation is a set of borders between them. The package provides the
-// three bottom-up border-selection strategies of Sec 5.3 (Tile, StepbyStep,
-// Greedy), a top-down splitter, the trivial per-sentence segmentation, and
-// Hearst's term-based TextTiling as the topical baseline, all behind a
-// common Strategy interface with pluggable border scoring functions
-// (Shannon diversity, richness, and the cosine/Euclidean/Manhattan distance
-// variants compared in Fig 9).
+// Sec 5 of the paper as the pipeline ships it. A document (Doc) is a
+// sequence of sentence text units with their communication-means
+// annotations; a segmentation is a set of borders between them; a
+// Strategy selects the borders. Greedy, with one pass per communication
+// mean and a vote (Sec 5.3), is the strategy every build and every added
+// post runs. The mechanisms the paper compares it with — Tile, StepbyStep,
+// a top-down splitter, the per-sentence segmentation, Hearst's TextTiling
+// and the Fig 9 score functions — are in internal/variant, beside the
+// experiments that select them.
 package segment
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/cm"
 	"repro/internal/pos"
@@ -28,11 +28,6 @@ type Doc struct {
 	Anns   []cm.Annotation
 	prefix []cm.Annotation // prefix[i] = sum of Anns[0:i]
 	terms  [][]string      // stemmed content terms per sentence
-
-	// termIDs interns the terms Doc-wide for the TF vectors of the
-	// term-based distance, the only reader; built on first use.
-	termIDsOnce sync.Once
-	termIDs     map[string]int
 }
 
 // NewDoc prepares raw post text for segmentation: HTML is stripped, the
@@ -78,22 +73,6 @@ func NewDocFromSentences(text string, sents []textproc.Sentence) *Doc {
 		d.terms[i] = terms[first:len(terms):len(terms)]
 	}
 	return d
-}
-
-// ids returns the Doc-wide integer ids of the Doc's terms: terms are
-// numbered in order of first appearance.
-func (d *Doc) ids() map[string]int {
-	d.termIDsOnce.Do(func() {
-		d.termIDs = make(map[string]int)
-		for _, ts := range d.terms {
-			for _, t := range ts {
-				if _, ok := d.termIDs[t]; !ok {
-					d.termIDs[t] = len(d.termIDs)
-				}
-			}
-		}
-	})
-	return d.termIDs
 }
 
 // Len returns the number of sentence units.
@@ -203,22 +182,4 @@ type Strategy interface {
 	Name() string
 	// Segment divides the document.
 	Segment(d *Doc) Segmentation
-}
-
-// Sentences is the trivial strategy that makes every sentence its own
-// segment. It is the segmentation used by the SentIntent-MR baseline
-// (Sec 9.2), which skips border selection entirely.
-type Sentences struct{}
-
-// Name implements Strategy.
-func (Sentences) Name() string { return "Sentences" }
-
-// Segment implements Strategy.
-func (Sentences) Segment(d *Doc) Segmentation {
-	n := d.Len()
-	borders := make([]int, 0, max(0, n-1))
-	for b := 1; b < n; b++ {
-		borders = append(borders, b)
-	}
-	return Segmentation{Borders: borders, N: n}
 }

@@ -1,12 +1,10 @@
 package segment
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/cm"
@@ -69,16 +67,15 @@ var sinkDoc *Doc
 // held to its straight-line reference in its own package: textproc and
 // pos, oracle_test.go.)
 type refDoc struct {
-	text    string
-	sents   []textproc.Sentence
-	anns    []cm.Annotation
-	prefix  []cm.Annotation
-	terms   [][]string
-	termIDs map[string]int
+	text   string
+	sents  []textproc.Sentence
+	anns   []cm.Annotation
+	prefix []cm.Annotation
+	terms  [][]string
 }
 
 func newRefDoc(raw string) refDoc {
-	r := refDoc{text: textproc.StripHTML(raw), termIDs: map[string]int{}}
+	r := refDoc{text: textproc.StripHTML(raw)}
 	r.sents = textproc.SplitSentences(r.text)
 	r.anns = make([]cm.Annotation, len(r.sents))
 	r.prefix = make([]cm.Annotation, len(r.sents)+1)
@@ -92,11 +89,7 @@ func newRefDoc(raw string) refDoc {
 				r.terms[i] = append(r.terms[i], w)
 			}
 		}
-		for _, t := range textproc.StemAll(r.terms[i]) {
-			if _, ok := r.termIDs[t]; !ok {
-				r.termIDs[t] = len(r.termIDs)
-			}
-		}
+		r.terms[i] = textproc.StemAll(r.terms[i])
 	}
 	return r
 }
@@ -116,19 +109,11 @@ func checkDoc(t *testing.T, raw string) {
 	case !reflect.DeepEqual(d.terms, want.terms):
 		t.Fatalf("NewDoc(%q).terms = %q, want %q", raw, d.terms, want.terms)
 	}
-	for term, id := range want.termIDs {
-		if got := d.ids()[term]; got != id {
-			t.Fatalf("NewDoc(%q).ids()[%q] = %d, want %d", raw, term, got, id)
-		}
-	}
-	if len(d.termIDs) != len(want.termIDs) {
-		t.Fatalf("NewDoc(%q) interned %d terms, want %d", raw, len(d.termIDs), len(want.termIDs))
-	}
 }
 
 // TestNewDocMatchesStagewiseComposition: every field of the Doc — text,
 // sentences with their offsets and tokens, annotations, prefix sums,
-// stemmed terms, term ids — over posts of all four domains as the
+// stemmed terms — over posts of all four domains as the
 // benchmark draws them, marked-up and odd-byte fixtures, and the text
 // layer's checked-in fuzz corpora.
 func TestNewDocMatchesStagewiseComposition(t *testing.T) {
@@ -176,23 +161,4 @@ func TestNewDocAllocations(t *testing.T) {
 	if perPost > 60 {
 		t.Errorf("NewDoc allocates %.0f times per post, want at most 60", perPost)
 	}
-}
-
-// TestTermIDsConcurrentFirstUse: the term ids are built by whichever
-// reader needs them first, and a Doc is shared between readers.
-func TestTermIDsConcurrentFirstUse(t *testing.T) {
-	d := NewDoc(threeIntentions)
-	dist := Distance{Kind: cosineDist, OnTerms: true}
-	want := dist.BorderScore(NewDoc(threeIntentions), 0, 3, d.Len())
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := dist.BorderScore(d, 0, 3, d.Len()); math.Abs(got-want) > 1e-12 {
-				t.Errorf("BorderScore = %v, want %v", got, want)
-			}
-		}()
-	}
-	wg.Wait()
 }

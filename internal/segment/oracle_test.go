@@ -12,12 +12,12 @@ import (
 	"repro/internal/forum"
 )
 
-// The references below are Greedy and Tile as they were while a Window
-// option bounded the scoring context: every border is re-scored in the
-// context of the current segmentation after each removal, clamped to one
-// sentence unit per side (the Window default, and the only value ever
-// used). The shipped strategies score each border once; these hold them to
-// the same borders.
+// The reference below is Greedy as it was while a Window option bounded
+// the scoring context: every border is re-scored in the context of the
+// current segmentation after each removal, clamped to one sentence unit
+// per side (the Window default, and the only value ever used). The
+// shipped Greedy scores each border once; this holds it to the same
+// borders. (internal/variant holds Tile to its reference the same way.)
 
 // refGreedy is the quadratic Greedy: one greedy elimination per
 // communication mean (or one on the combined score when Plain), then the
@@ -28,17 +28,16 @@ func refGreedy(g Greedy, d *Doc) Segmentation {
 		return Segmentation{N: n}
 	}
 	if g.Plain {
-		borders := refRun(g, d, n, func(lo, b, hi int) (float64, float64) {
+		borders := refRun(d, n, func(lo, b, hi int) (float64, float64) {
 			return shannonScoreDepth(d, lo, b, hi)
 		})
 		return Segmentation{Borders: borders, N: n}
 	}
-	minDepth := g.minDepth()
 	defends := make(map[int]int)
 	marks := make(map[int]int)
 	for m := cm.Mean(0); m < cm.NumMeans; m++ {
 		mean := m
-		kept := refRun(g, d, n, func(lo, b, hi int) (float64, float64) {
+		kept := refRun(d, n, func(lo, b, hi int) (float64, float64) {
 			return refMeanScoreDepth(d, mean, lo, b, hi)
 		})
 		keptSet := make(map[int]bool, len(kept))
@@ -48,7 +47,7 @@ func refGreedy(g Greedy, d *Doc) Segmentation {
 		for b := 1; b < n; b++ {
 			lo, hi := refClamp(0, b, n)
 			_, depth := refMeanScoreDepth(d, mean, lo, b, hi)
-			if depth < minDepth {
+			if depth < greedyMinDepth {
 				continue
 			}
 			if keptSet[b] {
@@ -58,13 +57,12 @@ func refGreedy(g Greedy, d *Doc) Segmentation {
 			}
 		}
 	}
-	quorum := g.quorum()
 	var borders []int
 	for b := 1; b < n; b++ {
 		if defends[b] == 0 {
 			continue
 		}
-		if marks[b] >= quorum || marks[b] > defends[b] {
+		if marks[b] >= greedyQuorum || marks[b] > defends[b] {
 			continue
 		}
 		borders = append(borders, b)
@@ -75,17 +73,19 @@ func refGreedy(g Greedy, d *Doc) Segmentation {
 // refRun removes the lowest-ranked failing border, re-scores the rest in
 // their new context, and repeats until every border passes the threshold
 // frozen over the initial scores.
-func refRun(g Greedy, d *Doc, n int, score func(lo, b, hi int) (float64, float64)) []int {
-	borders := allBorders(n)
+func refRun(d *Doc, n int, score func(lo, b, hi int) (float64, float64)) []int {
+	borders := make([]int, 0, n-1)
+	for b := 1; b < n; b++ {
+		borders = append(borders, b)
+	}
 	initial := make([]float64, len(borders))
 	for i, b := range borders {
 		lo, hi := refNeighborhood(borders, i, n)
 		lo, hi = refClamp(lo, b, hi)
 		initial[i], _ = score(lo, b, hi)
 	}
-	mean, std := meanStd(initial)
-	threshold := mean + g.c()*std
-	minDepth := g.minDepth()
+	mean, std := MeanStd(initial)
+	threshold := mean + greedyC*std
 	for len(borders) > 0 {
 		worst := -1
 		var worstScore float64
@@ -93,7 +93,7 @@ func refRun(g Greedy, d *Doc, n int, score func(lo, b, hi int) (float64, float64
 			lo, hi := refNeighborhood(borders, i, n)
 			lo, hi = refClamp(lo, b, hi)
 			s, depth := score(lo, b, hi)
-			if s >= threshold && depth >= minDepth {
+			if s >= threshold && depth >= greedyMinDepth {
 				continue
 			}
 			rank := s + depth
@@ -107,37 +107,6 @@ func refRun(g Greedy, d *Doc, n int, score func(lo, b, hi int) (float64, float64
 		borders = append(borders[:worst], borders[worst+1:]...)
 	}
 	return borders
-}
-
-// refTile re-scores the surviving borders in their current context every
-// round.
-func refTile(t Tile, d *Doc) Segmentation {
-	n := d.Len()
-	if n <= 1 {
-		return Segmentation{N: n}
-	}
-	sf := t.score()
-	borders := allBorders(n)
-	for {
-		scores := make([]float64, len(borders))
-		for i, b := range borders {
-			lo, hi := refNeighborhood(borders, i, n)
-			lo, hi = refClamp(lo, b, hi)
-			scores[i] = sf.BorderScore(d, lo, b, hi)
-		}
-		mean, std := meanStd(scores)
-		threshold := mean - t.c()*std
-		var kept []int
-		for i, b := range borders {
-			if scores[i] >= threshold {
-				kept = append(kept, b)
-			}
-		}
-		if len(kept) == len(borders) || len(kept) == 0 {
-			return Segmentation{Borders: kept, N: n}
-		}
-		borders = kept
-	}
 }
 
 // refMeanScoreDepth is the Eq 4 score and Eq 3 depth of one communication
@@ -173,34 +142,17 @@ func refClamp(lo, b, hi int) (int, int) {
 	return max(lo, b-1), min(hi, b+1)
 }
 
-// oracleGreedy and oracleTile are the option sets the property test and
-// FuzzStrategies run: the defaults, the plain pass, a threshold and a
-// depth/quorum setting of Greedy; every score function and a second C of
-// Tile.
-var (
-	oracleGreedy = []Greedy{{}, {Plain: true}, {C: 0.3}, {MinDepth: 0.1, Quorum: 2}}
-	oracleTile   = []Tile{
-		{}, {C: 0.3}, {Score: Richness{}}, {Score: Cosine}, {Score: Euclidean}, {Score: Manhattan},
-		{Score: Distance{Kind: cosineDist, OnTerms: true}}, {Score: FStat{}},
-	}
-)
-
-// checkOracle segments d under every option set with the shipped strategy
-// and its reference, fails on the first difference (nil and empty border
-// lists are told apart), and returns how many pairs it compared.
+// checkOracle segments d plainly and with voting, by Greedy and by its
+// reference, and fails on the first difference (nil and empty border
+// lists are told apart).
 func checkOracle(t testing.TB, d *Doc) int {
 	t.Helper()
-	for _, g := range oracleGreedy {
+	for _, g := range []Greedy{{}, {Plain: true}} {
 		if got, want := g.Segment(d), refGreedy(g, d); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v on %q:\nGreedy    %#v\nreference %#v", g, d.Text, got, want)
 		}
 	}
-	for _, tl := range oracleTile {
-		if got, want := tl.Segment(d), refTile(tl, d); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Tile %+v on %q:\nTile      %#v\nreference %#v", tl, d.Text, got, want)
-		}
-	}
-	return len(oracleGreedy) + len(oracleTile)
+	return 2
 }
 
 // fuzzCorpusTexts returns every string argument of the checked-in fuzz
@@ -232,10 +184,10 @@ func fuzzCorpusTexts(t testing.TB, globs ...string) []string {
 	return out
 }
 
-// TestStrategiesMatchReference holds Greedy and Tile to the quadratic
-// references: the fixtures, 1 500 posts of each of the four domains as the
-// benchmark draws them, each also wrapped in markup, and the text layer's
-// and this package's fuzz corpora, under every option set.
+// TestStrategiesMatchReference holds Greedy to the quadratic reference:
+// the fixtures, 1 500 posts of each of the four domains as the benchmark
+// draws them, each also wrapped in markup, and the text layer's and this
+// package's fuzz corpora, plain and voting.
 func TestStrategiesMatchReference(t *testing.T) {
 	const posts = 1500
 	pairs := 0
@@ -259,8 +211,8 @@ func TestStrategiesMatchReference(t *testing.T) {
 	t.Logf("%d strategy/reference pairs agree", pairs)
 }
 
-// FuzzStrategies: for arbitrary text, Greedy and Tile under every option
-// set give the references' borders.
+// FuzzStrategies: for arbitrary text, Greedy plain and voting gives the
+// reference's borders.
 func FuzzStrategies(f *testing.F) {
 	for _, s := range []string{"", docA, threeIntentions, "Do you? I did. It will. Was it not? No.", "a. b? c! d.\n\ne"} {
 		f.Add(s)

@@ -3,7 +3,6 @@ package segment
 import (
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/forum"
 )
@@ -75,14 +74,6 @@ func TestSegmentationEmpty(t *testing.T) {
 	}
 }
 
-func TestSentencesStrategy(t *testing.T) {
-	d := NewDoc(docA)
-	s := Sentences{}.Segment(d)
-	if s.NumSegments() != d.Len() {
-		t.Fatalf("Sentences strategy: %d segments, want %d", s.NumSegments(), d.Len())
-	}
-}
-
 func TestStrategiesProduceValidSegmentations(t *testing.T) {
 	docs := []*Doc{
 		NewDoc(docA),
@@ -90,10 +81,7 @@ func TestStrategiesProduceValidSegmentations(t *testing.T) {
 		NewDoc("Single sentence only."),
 		NewDoc(""),
 	}
-	strategies := []Strategy{
-		Tile{}, StepbyStep{}, Greedy{}, Greedy{Plain: true},
-		TopDown{}, Sentences{}, TextTiling{},
-	}
+	strategies := []Strategy{Greedy{}, Greedy{Plain: true}}
 	for _, d := range docs {
 		for _, st := range strategies {
 			seg := st.Segment(d)
@@ -144,34 +132,6 @@ func TestGreedyMergesHomogeneousText(t *testing.T) {
 	}
 }
 
-func TestMergingStrategiesBelowSentences(t *testing.T) {
-	// Tile and Greedy merge; they must never exceed the finest
-	// segmentation, and on multi-intention text they should merge at least
-	// something.
-	docs := []*Doc{NewDoc(docA), NewDoc(threeIntentions)}
-	for _, d := range docs {
-		maxB := d.Len() - 1
-		tile := len(Tile{}.Segment(d).Borders)
-		greedy := len(Greedy{}.Segment(d).Borders)
-		if tile > maxB || greedy > maxB {
-			t.Fatalf("strategy produced more borders than sentence gaps")
-		}
-		if tile == maxB && greedy == maxB {
-			t.Errorf("neither Tile nor Greedy merged anything on %d-sentence doc", d.Len())
-		}
-	}
-}
-
-func TestStepbyStepOverSegments(t *testing.T) {
-	// Fig 8(a): StepbyStep returns way more borders than the others.
-	d := NewDoc(threeIntentions)
-	sbs := len(StepbyStep{}.Segment(d).Borders)
-	greedy := len(Greedy{}.Segment(d).Borders)
-	if sbs < greedy {
-		t.Errorf("StepbyStep %d borders < Greedy %d borders", sbs, greedy)
-	}
-}
-
 func TestCharBorders(t *testing.T) {
 	d := NewDoc(docA)
 	seg := NewSegmentation([]int{2, 4}, d.Len())
@@ -186,113 +146,14 @@ func TestCharBorders(t *testing.T) {
 	}
 }
 
-func TestScoreFuncsWellBehaved(t *testing.T) {
-	d := NewDoc(threeIntentions)
-	n := d.Len()
-	funcs := []ScoreFunc{
-		Shannon{}, Richness{}, Cosine, Euclidean, Manhattan,
-		Distance{Kind: cosineDist, OnTerms: true},
-	}
-	for _, f := range funcs {
-		for b := 1; b < n; b++ {
-			s := f.BorderScore(d, 0, b, n)
-			if s < 0 || s > 2 {
-				t.Errorf("%s: BorderScore(0,%d,%d) = %v out of range", f.Name(), b, n, s)
-			}
-		}
-		coh := f.SegCoherence(d, 0, n)
-		if coh < -1e-9 || coh > 1+1e-9 {
-			t.Errorf("%s: SegCoherence = %v out of [0,1]", f.Name(), coh)
-		}
-		switch f.(type) {
-		case Shannon, Richness:
-			// Diversity-based coherence of a single unit may be below 1.
-		default:
-			if got := f.SegCoherence(d, 2, 3); got != 1 {
-				t.Errorf("%s: single-unit coherence = %v, want 1", f.Name(), got)
-			}
-		}
-	}
-}
-
-func TestDistanceNames(t *testing.T) {
-	if Cosine.Name() != "Cos.Sim." || Euclidean.Name() != "Eucl.Dist." || Manhattan.Name() != "Manh.Dist." {
-		t.Error("distance names mismatch with Fig 9 labels")
-	}
-	if (Distance{Kind: cosineDist, OnTerms: true}).Name() != "Cos.Sim.(terms)" {
-		t.Error("terms variant name mismatch")
-	}
-	if (Shannon{}).Name() != "Shan.Div." || (Richness{}).Name() != "Richness" {
-		t.Error("diversity names mismatch")
-	}
-}
-
-func TestVectorDistanceProperties(t *testing.T) {
-	f := func(av, bv [6]uint8) bool {
-		a, b := make([]float64, 6), make([]float64, 6)
-		for i := range a {
-			a[i], b[i] = float64(av[i]%7), float64(bv[i]%7)
-		}
-		for _, kind := range []distanceKind{cosineDist, euclideanDist, manhattanDist} {
-			d := vectorDistance(kind, a, b)
-			if d < -1e-9 || d > 1+1e-9 {
-				return false
-			}
-			// Symmetry.
-			if dd := vectorDistance(kind, b, a); dd-d > 1e-9 || d-dd > 1e-9 {
-				return false
-			}
-			// Identity: distance to itself is 0.
-			if self := vectorDistance(kind, a, a); self > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTextTilingSegmentsTopicShift(t *testing.T) {
-	// Two topically distinct halves with cohesive vocabulary inside each.
-	text := "The printer jams on every printed page. The printer toner leaks on the paper. " +
-		"The paper tray of the printer sticks. The printer queue fills with paper errors. " +
-		"The hotel room faced the hotel pool. The hotel breakfast had fresh fruit. " +
-		"The pool of the hotel stayed warm. The hotel staff cleaned the room and pool."
-	d := NewDoc(text)
-	seg := TextTiling{}.Segment(d)
-	found := false
-	for _, b := range seg.Borders {
-		if b == 4 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("TextTiling missed the topic shift at sentence 4: borders %v", seg.Borders)
-	}
-}
-
-func TestTopDownOnIntentionShift(t *testing.T) {
-	d := NewDoc(threeIntentions)
-	seg := TopDown{}.Segment(d)
-	if seg.N != d.Len() {
-		t.Fatalf("TopDown N mismatch")
-	}
-	// Should produce a plausible number of segments (not all-singletons).
-	if seg.NumSegments() > 6 {
-		t.Errorf("TopDown over-segmented: %d segments", seg.NumSegments())
-	}
-}
-
 func TestMeanStd(t *testing.T) {
-	mean, std := meanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	mean, std := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if mean != 5 || std != 2 {
 		t.Errorf("meanStd = %v, %v, want 5, 2", mean, std)
 	}
-	mean, std = meanStd(nil)
+	mean, std = MeanStd(nil)
 	if mean != 0 || std != 0 {
-		t.Error("meanStd(nil) should be 0,0")
+		t.Error("MeanStd(nil) should be 0,0")
 	}
 }
 
@@ -332,48 +193,5 @@ func TestGreedyAllocations(t *testing.T) {
 	t.Logf("Greedy allocates %.1f times a post", perPost)
 	if perPost > 5 {
 		t.Errorf("Greedy allocates %.1f times a post, want at most 5", perPost)
-	}
-}
-
-func TestFStatScoreFunc(t *testing.T) {
-	d := NewDoc(threeIntentions)
-	f := FStat{}
-	if f.Name() != "F-stat" {
-		t.Error("name mismatch")
-	}
-	// Border between narrative and questions (position 3) should outscore a
-	// border inside the narrative (position 1).
-	inside := f.BorderScore(d, 0, 1, 3)
-	shift := f.BorderScore(d, 0, 3, 6)
-	if shift <= inside {
-		t.Errorf("F-stat at intention shift %.3f should exceed within-intention %.3f", shift, inside)
-	}
-	for b := 1; b < d.Len(); b++ {
-		s := f.BorderScore(d, 0, b, d.Len())
-		if s < 0 || s >= 1 {
-			t.Errorf("F-stat score %v out of [0,1)", s)
-		}
-	}
-	if got := f.SegCoherence(d, 2, 3); got != 1 {
-		t.Errorf("single-unit coherence = %v, want 1", got)
-	}
-	coh := f.SegCoherence(d, 0, d.Len())
-	if coh <= 0 || coh > 1 {
-		t.Errorf("segment coherence %v out of (0,1]", coh)
-	}
-	// Degenerate groups.
-	if got := f.BorderScore(d, 0, 1, 2); got != 0 {
-		t.Errorf("two-unit F-stat should be 0 (insufficient df), got %v", got)
-	}
-}
-
-func TestTileWithFStat(t *testing.T) {
-	d := NewDoc(threeIntentions)
-	seg := Tile{Score: FStat{}}.Segment(d)
-	if seg.N != d.Len() {
-		t.Fatal("bad segmentation")
-	}
-	if seg.NumSegments() < 2 {
-		t.Error("F-stat Tile found no borders in three-intention text")
 	}
 }

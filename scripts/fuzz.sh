@@ -24,6 +24,7 @@ declare -a TARGETS=(
     "./internal/textproc FuzzStem"
     "./internal/pos FuzzTagWords"
     "./internal/segment FuzzStrategies"
+    "./internal/variant FuzzTile"
     "./internal/secfile FuzzDecode"
     "./internal/secfile FuzzParseStringTable"
     "./internal/index FuzzIndexLoad"
