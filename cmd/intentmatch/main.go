@@ -11,6 +11,7 @@
 //	intentmatch -corpus corpus.jsonl -query 0,7,42 -k 5 -method fulltext
 //	intentmatch -corpus corpus.jsonl -query 0 -explain      # Eq 7–9 breakdown
 //	intentmatch -corpus corpus.jsonl -save built.idx        # offline build
+//	intentmatch -corpus corpus.jsonl -save built.idx -save-shards 4   # the same, partitioned
 //	intentmatch -load built.idx -query 0,7 -k 5             # online serving
 package main
 
@@ -66,7 +67,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	save := flag.String("save", "", "write the built pipeline to this file and exit")
 	saveShards := flag.Int("save-shards", 0,
-		"with -save: partition the build into this many shards and write a shard directory (servable whole with `serve -load`, or piecewise with `serve -shard-role shard -own N`)")
+		"with -save: partition the build into this many shards; the snapshot is still one file (servable whole with `serve -load`, or piecewise with `serve -shard-role shard -own N`)")
 	load := flag.String("load", "", "load a previously saved pipeline instead of building")
 	explain := flag.Bool("explain", false,
 		"print each result's Eq 7–9 score decomposition (per-cluster contributions and top terms)")
@@ -130,26 +131,11 @@ func main() {
 	fmt.Printf("built %s over %d posts (%d segments, %d clusters)\n",
 		p.Method(), st.NumDocs, st.NumSegments, st.NumClusters)
 
-	if *save != "" && *saveShards > 0 {
-		if err := p.WriteShardDir(*save); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("saved %d-shard directory to %s\n", *saveShards, *save)
-		return
-	}
 	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
+		if err := p.Save(*save); err != nil {
 			fatal(err)
 		}
-		n, err := p.WriteTo(f)
-		if err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("saved pipeline to %s (%d bytes)\n", *save, n)
+		fmt.Printf("saved pipeline to %s\n", *save)
 		return
 	}
 
@@ -268,12 +254,7 @@ func parseQueryIDs(query string, numDocs int) []int {
 // pipelines keep segment terms, not post texts, so results list ids and
 // scores only.
 func servePipeline(path, query string, k int, explain bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	p, err := core.ReadPipeline(f) // reads the whole file at once
+	p, err := core.Load(path)
 	if err != nil {
 		fatal(err)
 	}

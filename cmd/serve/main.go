@@ -9,8 +9,8 @@
 // reference and a metrics glossary.
 //
 // The same binary also runs as one process of a networked shard fleet
-// (-shard-role): "shard" serves one or more partitions of a shard
-// directory over the internal probe endpoints, "coordinator" serves the
+// (-shard-role): "shard" serves one or more partitions of a snapshot file
+// over the internal probe endpoints, "coordinator" serves the
 // same public surface as the single process by scattering over a fleet
 // topology file. See the "Networked shard fleet" section of README.md.
 //
@@ -18,11 +18,10 @@
 //
 //	serve -addr :8080 -domain tech -n 1000 -seed 42
 //	serve -corpus corpus.jsonl                 # cmd/gencorpus output
-//	serve -load built.idx                      # cmd/intentmatch -save output
-//	serve -load sharddir/                      # core.WriteShardDir output
+//	serve -load built.idx                      # cmd/intentmatch -save output, any shard count
 //	serve -trace-slow 50ms -trace-rate 5       # capture policy
 //	serve -cache-entries 4096 -max-inflight 64 -max-queued 128   # heavy-traffic hygiene
-//	serve -shard-role shard -load sharddir/ -own 0 -addr :9000
+//	serve -shard-role shard -load built.idx -own 0 -addr :9000
 //	serve -shard-role coordinator -fleet topology.json -addr :8080
 //	curl -s localhost:8080/related -d '{"doc_id": 3, "k": 5, "explain": true}'
 //	curl -s localhost:8080/metrics?format=prometheus
@@ -39,6 +38,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -49,14 +49,13 @@ import (
 	"repro/internal/forum"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/shard"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	corpus := flag.String("corpus", "", "JSONL corpus file (cmd/gencorpus output); empty generates synthetically")
 	load := flag.String("load", "",
-		"serve a persisted pipeline instead of building: a snapshot file or a shard directory")
+		"serve a persisted pipeline instead of building: a snapshot file (cmd/intentmatch -save output, of any shard count); the build flags -corpus, -domain, -n, -seed, -workers and -shards are refused beside it")
 	domain := flag.String("domain", "tech", "synthetic domain: tech, travel, prog, or health")
 	n := flag.Int("n", 1000, "synthetic corpus size")
 	seed := flag.Int64("seed", 42, "random seed")
@@ -76,8 +75,8 @@ func main() {
 	maxQueued := flag.Int("max-queued", 0,
 		"admission wait-queue depth on top of -max-inflight (0 = shed as soon as the in-flight limit is hit)")
 	shardRole := flag.String("shard-role", "",
-		"fleet process role: empty (single-process pipeline), shard (serve partitions of a -load shard directory on the internal probe endpoints), or coordinator (scatter-gather over a -fleet topology)")
-	own := flag.String("own", "", "shard role: comma-separated shard ids this process serves (default all shards in the directory)")
+		"fleet process role: empty (single-process pipeline), shard (serve partitions of a -load snapshot on the internal probe endpoints), or coordinator (scatter-gather over a -fleet topology)")
+	own := flag.String("own", "", "shard role: comma-separated shard ids this process serves (default all shards in the snapshot)")
 	fleetFile := flag.String("fleet", "", "coordinator role: fleet topology JSON file (fleet.Topology layout)")
 	fleetTimeout := flag.Duration("fleet-timeout", 2*time.Second, "coordinator: whole-query budget")
 	fleetAttempt := flag.Duration("fleet-attempt-timeout", 500*time.Millisecond, "coordinator: per-attempt deadline")
@@ -91,6 +90,9 @@ func main() {
 	fatal := func(msg string, err error) {
 		logger.Error(msg, "err", err)
 		os.Exit(1)
+	}
+	if err := buildFlagsBesideLoad(flag.CommandLine); err != nil {
+		fatal("flags", err)
 	}
 
 	// Enable metrics before the build so the build.* spans of this
@@ -150,7 +152,7 @@ func main() {
 		// speed — the figure the compact layout exists to shrink.
 		start := time.Now()
 		var err error
-		p, err = loadPipeline(*load)
+		p, err = core.Load(*load)
 		if err != nil {
 			fatal("load", err)
 		}
@@ -239,24 +241,32 @@ func newHTTPServer(addr string, handler http.Handler) *http.Server {
 	}
 }
 
+// buildFlags are the flags only a build reads.
+var buildFlags = []string{"corpus", "domain", "n", "seed", "workers", "shards"}
+
+// buildFlagsBesideLoad refuses a build flag set beside -load: a loaded
+// snapshot is served as it was built, so the flag would be ignored.
+func buildFlagsBesideLoad(fs *flag.FlagSet) (err error) {
+	if fs.Lookup("load").Value.String() != "" {
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(buildFlags, f.Name) {
+				err = fmt.Errorf("-%s is a build flag; -load serves the snapshot as it was built", f.Name)
+			}
+		})
+	}
+	return err
+}
+
 // loadShardHost builds the shard-role backend: the shards named in own
-// (all of them when empty) from a shard directory, with the statistics
+// (all of them when empty) from a snapshot file, with the statistics
 // pools accumulated over the whole collection so scores stay
 // collection-global.
-func loadShardHost(dir, own string) (*fleet.Host, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("-shard-role shard needs -load pointing at a shard directory")
-	}
-	m, err := shard.ReadManifest(dir)
-	if err != nil {
-		return nil, err
+func loadShardHost(path, own string) (*fleet.Host, error) {
+	if path == "" {
+		return nil, fmt.Errorf("-shard-role shard needs -load pointing at a snapshot file")
 	}
 	var ids []int
-	if own == "" {
-		for s := 0; s < m.Shards; s++ {
-			ids = append(ids, s)
-		}
-	} else {
+	if own != "" {
 		for _, part := range strings.Split(own, ",") {
 			s, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
@@ -265,7 +275,7 @@ func loadShardHost(dir, own string) (*fleet.Host, error) {
 			ids = append(ids, s)
 		}
 	}
-	return fleet.LoadHostDir(dir, ids)
+	return fleet.LoadHost(path, ids)
 }
 
 // bootstrapCoordinator reads the topology file and bootstraps against
@@ -296,24 +306,6 @@ func bootstrapCoordinator(path string, opts fleet.Options, patience time.Duratio
 		logger.Info("bootstrap retry", "err", err.Error())
 		time.Sleep(300 * time.Millisecond)
 	}
-}
-
-// loadPipeline restores a persisted pipeline: a shard directory (from
-// core.WriteShardDir) or a single snapshot file (from Pipeline.WriteTo).
-func loadPipeline(path string) (*core.Pipeline, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if info.IsDir() {
-		return core.ReadShardDir(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.ReadPipeline(f) // reads the whole file at once
 }
 
 // loadCorpus reads post texts from a cmd/gencorpus JSONL file, or

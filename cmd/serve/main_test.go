@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -142,5 +143,35 @@ func TestFleetRetriesIsACount(t *testing.T) {
 		if got := attempts(flag); got != none+int32(flag) {
 			t.Errorf("-fleet-retries %d: %d attempts at a failing leg, -fleet-retries 0 makes %d", flag, got, none)
 		}
+	}
+}
+
+// TestBuildFlagsBesideLoad: a build flag set beside -load is refused
+// with an error naming it — the snapshot is served as it was built, so
+// the flag would change nothing — while the serving flags and a build
+// without -load pass.
+func TestBuildFlagsBesideLoad(t *testing.T) {
+	parse := func(args ...string) error {
+		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+		fs.String("load", "", "")
+		fs.String("addr", "", "")
+		for _, name := range buildFlags {
+			fs.String(name, "", "")
+		}
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return buildFlagsBesideLoad(fs)
+	}
+	for _, name := range buildFlags {
+		if err := parse("-load", "built.idx", "-"+name, "7"); err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+			t.Errorf("-load with -%s: error %v does not name the flag", name, err)
+		}
+		if err := parse("-"+name, "7"); err != nil {
+			t.Errorf("-%s without -load: %v", name, err)
+		}
+	}
+	if err := parse("-load", "built.idx", "-addr", ":9000"); err != nil {
+		t.Errorf("-load with -addr: %v", err)
 	}
 }

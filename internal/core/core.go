@@ -316,8 +316,8 @@ func (p *Pipeline) Epoch() uint64 { return p.epochBase + p.matcher.Generation() 
 // HasDoc reports whether docID names a document of the collection. It
 // is the id-validation predicate for serving: unlike Doc it does not
 // depend on the retained prepared documents, which pipelines restored
-// by ReadPipeline/ReadShardDir do not carry (snapshots persist segment
-// terms, not post texts).
+// from a snapshot do not carry (snapshots persist segment terms, not
+// post texts).
 func (p *Pipeline) HasDoc(docID int) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

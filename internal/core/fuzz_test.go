@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/match"
@@ -10,13 +12,16 @@ import (
 
 // FuzzReadPipeline drives arbitrary bytes through the snapshot loader,
 // the trust boundary of `serve -load`: container, header, embedded
-// matcher, embedded cluster indices. Whatever the input, the loader
+// matchers, embedded cluster indices. Whatever the input, the loader
 // returns an error or a pipeline that serves — Related answers without
 // panicking for every id the header admits, and a post can be added and
-// answered for. A matcher whose centroids had 15 dimensions once loaded
-// and panicked on its first Add; it is a seed.
+// answered for. A sharded input that loads also loads through the fleet
+// host's decoder (ReadPart) owning shard 0. A matcher whose centroids
+// had 15 dimensions once loaded and panicked on its first Add; it is a
+// seed.
 func FuzzReadPipeline(f *testing.F) {
 	_, valid := smallSnapshot(f)
+	_, sharded := smallShardedSnapshot(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)*2/3])
 	f.Add(withHead(f, valid, func(h *pipelineHead) { h.Stats.NumDocs++ }))
@@ -24,11 +29,22 @@ func FuzzReadPipeline(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(withMatcherSection(f, valid, "cent", secfile.AppendFloat64s(
 		secfile.AppendUvarint(secfile.AppendUvarint(nil, 6), 15), make([]float64, 6*15))))
+	f.Add(sharded)
+	f.Add(sharded[:len(sharded)*2/3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadPipeline(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if p.Shards() > 0 {
+			path := filepath.Join(t.TempDir(), "snap")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadPart(path, []int{0}); err != nil {
+				t.Fatalf("loads whole but not as shard 0: %v", err)
+			}
 		}
 		n := p.Stats().NumDocs
 		if n > 0 && !p.HasDoc(n-1) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/forum"
@@ -51,42 +50,47 @@ func TestShardedPipeline(t *testing.T) {
 	}
 }
 
+// TestShardedPipelinePersistence: a sharded pipeline saves as one
+// snapshot, through WriteTo and through WriteShardDir alike, and loads
+// back with its shard count, method and build statistics — the phase
+// timings included.
 func TestShardedPipelinePersistence(t *testing.T) {
 	texts := goldenTexts(t, 100)
 	sharded, err := Build(texts, Config{Seed: 9, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sharded.WriteTo(&strings.Builder{}); err == nil ||
-		!strings.Contains(err.Error(), "WriteShardDir") {
-		t.Errorf("sharded WriteTo error = %v, want pointer to WriteShardDir", err)
-	}
-	plain, err := Build(texts, Config{Seed: 9})
-	if err != nil {
+	var buf bytes.Buffer
+	if _, err := sharded.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := plain.WriteShardDir(t.TempDir()); err == nil {
-		t.Error("unsharded WriteShardDir should fail")
-	}
-
 	dir := t.TempDir()
 	if err := sharded.WriteShardDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadShardDir(dir)
+	fromDir, err := ReadShardDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Shards() != 2 || loaded.Method() != sharded.Method() {
-		t.Fatalf("loaded Shards/Method = %d/%q", loaded.Shards(), loaded.Method())
-	}
-	// Doc is not retained across a load, same contract as ReadPipeline.
-	if loaded.Doc(0) != nil {
-		t.Error("loaded pipeline should not retain prepared docs")
-	}
-	// Loaded pipelines keep accepting adds.
-	if _, err := loaded.Add(texts[0]); err != nil {
+	fromStream, err := ReadPipeline(&buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for name, loaded := range map[string]*Pipeline{"WriteTo": fromStream, "WriteShardDir": fromDir} {
+		if loaded.Shards() != 2 || loaded.Method() != sharded.Method() {
+			t.Fatalf("%s: loaded Shards/Method = %d/%q", name, loaded.Shards(), loaded.Method())
+		}
+		if loaded.Stats() != sharded.Stats() {
+			t.Errorf("%s: loaded stats %+v, built %+v", name, loaded.Stats(), sharded.Stats())
+		}
+		// Doc is not retained across a load, same contract as unsharded.
+		if loaded.Doc(0) != nil {
+			t.Errorf("%s: loaded pipeline should not retain prepared docs", name)
+		}
+		// Loaded pipelines keep accepting adds.
+		if _, err := loaded.Add(texts[0]); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

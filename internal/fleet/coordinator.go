@@ -182,7 +182,7 @@ type Coordinator struct {
 // /internal/meta from each shard's endpoints (first to answer wins),
 // verifies that every server agrees on the snapshot epoch and that the
 // topology covers every shard, and replays the routing directory from
-// the manifest-reported document count.
+// the document count the servers report.
 func New(ctx context.Context, topo Topology, opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	if opts.Transport == nil {

@@ -147,7 +147,7 @@ func TestBootstrapValidation(t *testing.T) {
 	}}), "bootstrapping shard 1")
 
 	// Mixed snapshot lineages across the fleet must be refused outright.
-	imposter := NewHost("other-build", 2, f.g.Seed(), f.g.NumClusters(),
+	imposter := newHost("other-build", 2, f.g.Seed(), f.g.NumClusters(),
 		map[int]*match.MR{1: f.g.ShardMR(1)}, f.g.NumDocs)
 	f.lt.AddHost("imposter", imposter)
 	wantErr("mixed-epochs", try(Topology{Endpoints: []ShardEndpoints{

@@ -245,7 +245,7 @@ func TestFaultInjection(t *testing.T) {
 		// After bootstrap, sibs[0]'s endpoint is redeployed with a host
 		// from a different snapshot lineage (different name → different
 		// epoch). Its replies must never be merged.
-		imposter := NewHost("other-build", f.g.NumShards(), f.g.Seed(), f.g.NumClusters(),
+		imposter := newHost("other-build", f.g.NumShards(), f.g.Seed(), f.g.NumClusters(),
 			map[int]*match.MR{sibs[0]: f.g.ShardMR(sibs[0])}, f.g.NumDocs)
 		f.lt.AddHost(epName(sibs[0], 0), imposter)
 		t.Cleanup(func() { f.lt.AddHost(epName(sibs[0], 0), f.hosts[sibs[0]]) })

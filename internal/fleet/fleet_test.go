@@ -5,10 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/forum"
 	"repro/internal/index"
 	"repro/internal/match"
@@ -136,32 +140,48 @@ func sameResults(t *testing.T, ctx string, want, got []match.Result) {
 	}
 }
 
-// TestLoadHostDirFleet runs the snapshot path end to end: WriteDir,
-// two hosts each loading a two-shard slice of the directory, a
-// coordinator routing a four-shard topology onto them.
-func TestLoadHostDirFleet(t *testing.T) {
-	docs := genDocs(t, forum.TechSupport, 160, 42)
-	g, err := shard.NewGroup(match.NewMR("MR", docs, match.MRConfig{Seed: 7}), 4, 99)
+// saveSnapshot builds a pipeline over n generated posts of domain,
+// split into shards routed by seed, and saves it; it returns the path.
+func saveSnapshot(t *testing.T, domain forum.Domain, n int, seed int64, shards int) string {
+	t.Helper()
+	posts := forum.Generate(forum.Config{Domain: domain, NumPosts: n, Seed: seed})
+	texts := make([]string, len(posts))
+	for i, p := range posts {
+		texts[i] = p.Text
+	}
+	p, err := core.Build(texts, core.Config{Seed: seed, Shards: shards})
 	if err != nil {
-		t.Fatalf("NewGroup: %v", err)
+		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := g.WriteDir(dir); err != nil {
-		t.Fatalf("WriteDir: %v", err)
+	path := filepath.Join(t.TempDir(), "snap")
+	if err := p.Save(path); err != nil {
+		t.Fatal(err)
 	}
-	hostA, err := LoadHostDir(dir, []int{0, 1})
+	return path
+}
+
+// TestLoadHostFleet runs the snapshot path end to end: one saved
+// four-shard snapshot, two hosts each loading a two-shard slice of it, a
+// coordinator routing the four-shard topology onto them.
+func TestLoadHostFleet(t *testing.T) {
+	path := saveSnapshot(t, forum.TechSupport, 160, 99, 4)
+	hostA, err := LoadHost(path, []int{0, 1})
 	if err != nil {
-		t.Fatalf("LoadHostDir A: %v", err)
+		t.Fatalf("LoadHost A: %v", err)
 	}
-	hostB, err := LoadHostDir(dir, []int{2, 3})
+	hostB, err := LoadHost(path, []int{2, 3})
 	if err != nil {
-		t.Fatalf("LoadHostDir B: %v", err)
+		t.Fatalf("LoadHost B: %v", err)
 	}
-	if hostA.Epoch() != hostB.Epoch() {
-		t.Fatalf("hosts from one directory disagree on epoch: %d vs %d", hostA.Epoch(), hostB.Epoch())
+	a, b := hostA.Meta(), hostB.Meta()
+	if a.Epoch != b.Epoch {
+		t.Fatalf("hosts from one snapshot disagree on epoch: %d vs %d", a.Epoch, b.Epoch)
 	}
-	if !hostA.Owns(0) || !hostA.Owns(1) || hostA.Owns(2) {
-		t.Fatalf("host A owns wrong shards: %v", hostA.Meta().Shards)
+	if !slices.Equal(a.Shards, []int{0, 1}) {
+		t.Fatalf("host A owns wrong shards: %v", a.Shards)
+	}
+	if _, err := LoadHost(filepath.Join(t.TempDir(), "missing"), nil); err == nil {
+		t.Fatal("LoadHost of a missing file succeeded")
 	}
 	lt := NewLocalTransport()
 	lt.AddHost("a", hostA)
@@ -174,8 +194,36 @@ func TestLoadHostDirFleet(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
-	if c.NumDocs() != len(docs) || c.NumShards() != 4 {
-		t.Fatalf("coordinator sees %d docs / %d shards, want %d / 4", c.NumDocs(), c.NumShards(), len(docs))
+	if c.NumDocs() != 160 || c.NumShards() != 4 {
+		t.Fatalf("coordinator sees %d docs / %d shards, want 160 / 4", c.NumDocs(), c.NumShards())
+	}
+}
+
+// TestLoadHostMixedSnapshots: two hosts loaded from snapshots of two
+// builds — different corpora under one name, shard count, seed and
+// cluster count — do not share an epoch, so the coordinator refuses
+// the fleet at bootstrap instead of merging unrelated collections.
+func TestLoadHostMixedSnapshots(t *testing.T) {
+	tech := saveSnapshot(t, forum.TechSupport, 120, 42, 2)
+	travel := saveSnapshot(t, forum.Travel, 150, 42, 2)
+	host0, err := LoadHost(tech, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host1, err := LoadHost(travel, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0, m1 := host0.Meta(), host1.Meta()
+	if m0.Name != m1.Name || m0.TotalShards != m1.TotalShards || m0.Seed != m1.Seed || m0.Clusters != m1.Clusters {
+		t.Fatalf("the two builds differ in topology (%+v, %+v); the case needs them alike", m0, m1)
+	}
+	lt := NewLocalTransport()
+	lt.AddHost("tech", host0)
+	lt.AddHost("travel", host1)
+	topo := Topology{Endpoints: []ShardEndpoints{{Shard: 0, Primary: "tech"}, {Shard: 1, Primary: "travel"}}}
+	if _, err := New(context.Background(), topo, vopts(lt, NewVirtualClock(time.Unix(0, 0)))); err == nil || !strings.Contains(err.Error(), "mixed snapshots") {
+		t.Fatalf("fleet over two builds: bootstrap error %v, want mixed snapshots", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/match"
 	"repro/internal/obs"
@@ -72,18 +73,18 @@ func (h *Host) closeTrace(t *obs.Trace) []obs.TraceEvent {
 	return events
 }
 
-// NewHost assembles a host over already-loaded shard matchers. docs
-// reports the collection's global document count — static for snapshot
-// fleets, live for an in-process backend that keeps adding. Every
-// matcher must already be attached to pools covering the whole
-// collection; that is what makes its scores collection-global.
-func NewHost(name string, totalShards int, seed uint64, clusters int, shards map[int]*match.MR, docs func() int) *Host {
+// newHost assembles a host over already-loaded shard matchers, under
+// snapshotEpoch. docs reports the collection's global document count —
+// static for snapshot fleets, live for an in-process backend that keeps
+// adding. Every matcher must already be attached to pools covering the
+// whole collection; that is what makes its scores collection-global.
+func newHost(name string, totalShards int, seed uint64, clusters int, shards map[int]*match.MR, docs func() int) *Host {
 	h := &Host{
 		name:     name,
 		total:    totalShards,
 		seed:     seed,
 		clusters: clusters,
-		epoch:    SnapshotEpoch(name, totalShards, seed, clusters),
+		epoch:    snapshotEpoch(name, totalShards, seed, clusters),
 		shards:   shards,
 		docs:     docs,
 
@@ -102,20 +103,18 @@ func NewHost(name string, totalShards int, seed uint64, clusters int, shards map
 	return h
 }
 
-// LoadHostDir loads a host from a shard directory (shard.WriteDir
-// layout) serving only the shards in own. Every shard file is streamed
-// through the shared statistics pools — Eq 7–9 scores depend on
-// collection-global unit counts, document frequencies, and unique-term
-// averages, so even a host owning one partition must accumulate all of
-// them — but only the owned matchers are kept, so steady-state memory
-// is proportional to the owned partitions, not the fleet.
-func LoadHostDir(dir string, own []int) (*Host, error) {
-	shards, m, err := shard.ReadDirShards(dir, own)
+// LoadHost loads a host from the pipeline snapshot at path (core.Save's
+// output, of any shard count) serving the shards in own, or every shard
+// when own is empty; see core.ReadPart. Its epoch is a hash of the file,
+// so hosts share one exactly when they loaded the same snapshot.
+func LoadHost(path string, own []int) (*Host, error) {
+	part, err := core.ReadPart(path, own)
 	if err != nil {
 		return nil, err
 	}
-	docs := m.Docs
-	return NewHost(m.Name, m.Shards, m.RouteSeed, m.Clusters, shards, func() int { return docs }), nil
+	h := newHost(part.Method, part.Shards, part.RouteSeed, part.Clusters, part.Owned, func() int { return part.Docs })
+	h.epoch = part.Digest
+	return h, nil
 }
 
 // HostsForGroup wraps a live shard.Group as one Host per shard, all
@@ -124,7 +123,7 @@ func LoadHostDir(dir string, own []int) (*Host, error) {
 func HostsForGroup(g *shard.Group) map[int]*Host {
 	out := make(map[int]*Host, g.NumShards())
 	for s := 0; s < g.NumShards(); s++ {
-		out[s] = NewHost(g.Name(), g.NumShards(), g.Seed(), g.NumClusters(),
+		out[s] = newHost(g.Name(), g.NumShards(), g.Seed(), g.NumClusters(),
 			map[int]*match.MR{s: g.ShardMR(s)}, g.NumDocs)
 	}
 	return out
@@ -152,12 +151,6 @@ func (h *Host) Meta() *Meta {
 		Wire:        WireVersion,
 	}
 }
-
-// Epoch returns the host's snapshot epoch.
-func (h *Host) Epoch() uint64 { return h.epoch }
-
-// Owns reports whether this host serves shard s.
-func (h *Host) Owns(s int) bool { _, ok := h.shards[s]; return ok }
 
 // badRequest builds the typed 400 for malformed internal requests.
 func badRequest(format string, args ...any) *RPCError {

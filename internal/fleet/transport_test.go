@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -299,8 +300,8 @@ func TestHostRequestValidation(t *testing.T) {
 	} else {
 		wantKind(err, http.StatusMisdirectedRequest, "not_owned")
 	}
-	if !h.Owns(0) || h.Owns(1) {
-		t.Fatal("host 0 must own exactly shard 0")
+	if own := h.Meta().Shards; !slices.Equal(own, []int{0}) {
+		t.Fatalf("host 0 owns %v, want exactly shard 0", own)
 	}
 }
 

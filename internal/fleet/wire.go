@@ -149,14 +149,11 @@ type Meta struct {
 	Wire int `json:"wire,omitempty"`
 }
 
-// SnapshotEpoch derives the fleet epoch from the topology identity:
-// collection name, shard count, routing seed, cluster count. Every
-// server loaded from the same shard directory computes the same value;
-// a server from a different build, seed, or topology computes a
-// different one, and the coordinator rejects its replies instead of
-// merging incomparable lists. Document count is deliberately excluded —
-// the live in-process backend grows under Add without changing lineage.
-func SnapshotEpoch(name string, totalShards int, seed uint64, clusters int) uint64 {
+// snapshotEpoch is a live group's fleet epoch: a hash of collection
+// name, shard count, routing seed and cluster count, but not of the
+// document count, which grows under Add. A host loaded from a snapshot
+// takes a hash of the file instead (LoadHost).
+func snapshotEpoch(name string, totalShards int, seed uint64, clusters int) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	h.Write([]byte{0})

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -412,7 +413,7 @@ type liveRow struct {
 	srv    [2]*Server // Config{} and Config{CacheEntries: 64}
 	p      int        // the collection prefix the engine serves
 	dir    string     // where Save+Load writes
-	writer *shard.Group
+	writer *core.Pipeline
 	kill   *killSwitch
 	closes []func()
 
@@ -463,11 +464,13 @@ func openRow(t *testing.T, f *modelFixture, row modelRow) *liveRow {
 		lr.setEngine(p)
 		return lr
 	}
-	g, err := shard.NewGroup(match.NewMR("IntentIntent-MR", f.baseDocs, match.MRConfig{Seed: modelSeed}), row.shards, modelSeed)
+	// One shard is an unsharded build: its snapshot loads as the one
+	// shard of a one-shard collection.
+	w, err := core.Build(f.baseTexts, core.Config{Seed: modelSeed, Shards: row.shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr.writer, lr.kill = g, &killSwitch{}
+	lr.writer, lr.kill = w, &killSwitch{}
 	lr.saveLoad(t)
 	return lr
 }
@@ -480,8 +483,9 @@ func (lr *liveRow) close() {
 }
 
 // saveLoad persists the engine and serves what loads back: a snapshot
-// file, a shard directory, or — for a coordinator — the writer's shard
-// directory split over two hosts, which brings it up to every add.
+// streamed or saved in a directory, or — for a coordinator — the
+// writer's snapshot split over two hosts, which brings it up to every
+// add.
 func (lr *liveRow) saveLoad(t *testing.T) {
 	t.Helper()
 	var p *core.Pipeline
@@ -506,13 +510,14 @@ func (lr *liveRow) saveLoad(t *testing.T) {
 	lr.setEngine(p)
 }
 
-// serveFleet writes the writer's shard directory and puts a new
-// coordinator over two hosts loaded from it, owning the lower and the
-// upper half of the shards.
+// serveFleet saves the writer's snapshot and puts a new coordinator over
+// two hosts loaded from it, owning the lower and the upper half of the
+// shards.
 func (lr *liveRow) serveFleet(t *testing.T) {
 	t.Helper()
 	lr.close()
-	if err := lr.writer.WriteDir(lr.dir); err != nil {
+	path := filepath.Join(lr.dir, "snap")
+	if err := lr.writer.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	var topo fleet.Topology
@@ -527,7 +532,7 @@ func (lr *liveRow) serveFleet(t *testing.T) {
 		if len(own) == 0 {
 			continue
 		}
-		h, err := fleet.LoadHostDir(lr.dir, own)
+		h, err := fleet.LoadHost(path, own)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -557,7 +562,7 @@ func (lr *liveRow) serveFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	lr.setEngine(c)
-	lr.p = lr.writer.NumDocs()
+	lr.p = lr.writer.Stats().NumDocs
 }
 
 func errorBody(kind, msg string) []byte {
@@ -634,7 +639,7 @@ func runModel(t *testing.T, f *modelFixture, rows []modelRow, ops []modelOp, tal
 				wantStatus, want := http.StatusNotImplemented, errorBody("read_only",
 					"the networked fleet serves read-only snapshots; ingest through the offline build and redeploy the shard directory")
 				if lr.writer != nil {
-					lr.writer.Add(segment.NewDoc(text))
+					lr.writer.Add(text)
 				} else {
 					wantStatus = http.StatusOK
 					want, _ = encodeBody(AddResponse{DocID: lr.p})

@@ -39,7 +39,7 @@
 //
 // Routing is a pure integer function of (seed, doc id) — a
 // splitmix64-style mix — so it is platform-stable and reconstructible
-// from the persisted manifest (see persist.go).
+// from the seed and document count a snapshot records (see persist.go).
 package shard
 
 import (
@@ -81,7 +81,6 @@ type Group struct {
 	cfg       match.MRConfig
 	n         int
 	shards    []*match.MR
-	stats     []*index.GlobalStats
 	centroids [][]float64
 	dir       *Directory
 
@@ -96,8 +95,8 @@ type Group struct {
 // routeDoc maps a global document id to its shard: a splitmix64-style
 // finalizer over (seed + id), reduced modulo n. Pure integer math, so
 // the same (seed, id, n) routes identically on every platform and
-// process — the property the persisted manifest relies on to
-// reconstruct the directory.
+// process — the property a loaded snapshot relies on to reconstruct the
+// directory.
 func routeDoc(seed uint64, doc, n int) int {
 	x := seed + uint64(doc)*0x9E3779B97F4A7C15
 	x ^= x >> 30
@@ -117,29 +116,33 @@ func NewGroup(mr *match.MR, n int, seed uint64) (*Group, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: group needs at least 1 shard, got %d", n)
 	}
-	k := mr.NumClusters()
-	stats := make([]*index.GlobalStats, k)
-	for c := range stats {
-		stats[c] = index.NewGlobalStats()
-	}
+	stats := newPools(mr.NumClusters())
 	shards, err := mr.Split(n, func(d int) int { return routeDoc(seed, d, n) }, stats)
 	if err != nil {
 		return nil, err
 	}
-	g := newGroup(shards, stats, seed)
+	g := newGroup(shards, seed)
 	g.dir.Grow(mr.NumDocs())
 	return g, nil
 }
 
+// newPools returns one empty statistics pool per intention cluster.
+func newPools(clusters int) []*index.GlobalStats {
+	stats := make([]*index.GlobalStats, clusters)
+	for c := range stats {
+		stats[c] = index.NewGlobalStats()
+	}
+	return stats
+}
+
 // newGroup assembles a Group around existing shards (fresh from Split
 // or loaded from disk) and resolves its per-shard instruments.
-func newGroup(shards []*match.MR, stats []*index.GlobalStats, seed uint64) *Group {
+func newGroup(shards []*match.MR, seed uint64) *Group {
 	n := len(shards)
 	g := &Group{
 		cfg:       shards[0].Config(),
 		n:         n,
 		shards:    shards,
-		stats:     stats,
 		centroids: shards[0].Centroids(),
 		dir:       NewDirectory(seed, n),
 
@@ -165,7 +168,7 @@ func (g *Group) Name() string { return g.shards[0].Name() }
 // NumShards returns the shard count.
 func (g *Group) NumShards() int { return g.n }
 
-// Seed returns the routing seed (persisted in the manifest).
+// Seed returns the routing seed (persisted in a snapshot's head).
 func (g *Group) Seed() uint64 { return g.dir.seed }
 
 // Route returns the shard that owns (or will own) global document id
@@ -191,10 +194,6 @@ func (g *Group) NumClusters() int { return g.shards[0].NumClusters() }
 // Centroids returns the frozen intention-cluster centroids (shared by
 // all shards).
 func (g *Group) Centroids() [][]float64 { return g.centroids }
-
-// Stats returns the offline build statistics (each shard carries a
-// copy of the source build's; they are identical).
-func (g *Group) Stats() match.BuildStats { return g.shards[0].Stats() }
 
 // Generation returns the group-wide mutation count: the sum of every
 // shard's matcher generation. CommitAdd commits into exactly one shard

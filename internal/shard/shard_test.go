@@ -103,9 +103,6 @@ func TestGroupAccessors(t *testing.T) {
 	if len(g.Centroids()) != mr.NumClusters() {
 		t.Errorf("Centroids() has %d rows", len(g.Centroids()))
 	}
-	if g.Stats().NumSegments != mr.Stats().NumSegments {
-		t.Errorf("Stats().NumSegments = %d, want %d", g.Stats().NumSegments, mr.Stats().NumSegments)
-	}
 	sum := 0
 	for s, c := range g.ShardDocs() {
 		if want := g.ShardMR(s).NumDocs(); c != want {

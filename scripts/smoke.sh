@@ -336,8 +336,19 @@ else
     fail=1
 fi
 
-# Networked fleet leg: the same corpus split into a 4-shard directory
-# and served as SIX processes — four shard servers, one replica of
+# A build flag beside -load would be ignored, so it is refused by name.
+if "$BIN" -addr "127.0.0.1:$PORT" -load "$WORK/snap.idx" -n 50 2>"$LOG"; then
+    echo "FAIL serve accepted -n beside -load" >&2
+    fail=1
+elif grep -q -- '-n is a build flag' "$LOG"; then
+    echo "ok   build flag beside -load refused by name" >&2
+else
+    echo "FAIL -n beside -load refused without naming the flag:" >&2; tail -2 "$LOG" >&2
+    fail=1
+fi
+
+# Networked fleet leg: the same corpus saved as one 4-shard snapshot
+# file and served as SIX processes — four shard servers, one replica of
 # shard 0, and a coordinator. A healthy fleet must answer /related
 # byte-for-byte identically to the single-process server; killing one
 # shard server must degrade to well-formed partials (partial_results +
@@ -345,14 +356,14 @@ fi
 # homed on the dead shard — never a hang, never a silently wrong
 # complete answer.
 echo "== fleet (4 shard servers + 1 replica + coordinator, separate processes)" >&2
-"$WORK/intentmatch" -corpus "$WORK/corpus.jsonl" -seed 42 -save-shards 4 -save "$WORK/sharddir" >/dev/null
+"$WORK/intentmatch" -corpus "$WORK/corpus.jsonl" -seed 42 -save-shards 4 -save "$WORK/shards.idx" >/dev/null
 FLEET_PIDS=()
 SHARD_PORT0=$((PORT+10))
 for s in 0 1 2 3; do
-    "$BIN" -addr "127.0.0.1:$((SHARD_PORT0+s))" -shard-role shard -load "$WORK/sharddir" -own "$s" 2>"$WORK/shard$s.log" &
+    "$BIN" -addr "127.0.0.1:$((SHARD_PORT0+s))" -shard-role shard -load "$WORK/shards.idx" -own "$s" 2>"$WORK/shard$s.log" &
     FLEET_PIDS+=($!)
 done
-"$BIN" -addr "127.0.0.1:$((SHARD_PORT0+4))" -shard-role shard -load "$WORK/sharddir" -own 0 2>"$WORK/replica0.log" &
+"$BIN" -addr "127.0.0.1:$((SHARD_PORT0+4))" -shard-role shard -load "$WORK/shards.idx" -own 0 2>"$WORK/replica0.log" &
 FLEET_PIDS+=($!)
 cat >"$WORK/topology.json" <<EOF
 {"endpoints":[
