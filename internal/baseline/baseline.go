@@ -98,7 +98,7 @@ func hashedTermVector(terms []string) []float64 {
 	}
 	var norm float64
 	for _, x := range v {
-		norm += x * x
+		norm += float64(x * x)
 	}
 	if norm > 0 {
 		norm = math.Sqrt(norm)

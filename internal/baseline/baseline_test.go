@@ -231,7 +231,7 @@ func TestHashedTermVector(t *testing.T) {
 	v := hashedTermVector([]string{"raid", "disk", "raid"})
 	var norm float64
 	for _, x := range v {
-		norm += x * x
+		norm += float64(x * x)
 	}
 	if norm < 0.99 || norm > 1.01 {
 		t.Errorf("vector not L2-normalized: %v", norm)

@@ -13,10 +13,10 @@ func twoBlobs(nPer int, seed int64) (points [][]float64, wantLabelOf func(i int)
 	rng := rand.New(rand.NewSource(seed))
 	var pts [][]float64
 	for i := 0; i < nPer; i++ {
-		pts = append(pts, []float64{0.1 + rng.Float64()*0.05, 0.1 + rng.Float64()*0.05})
+		pts = append(pts, []float64{0.1 + float64(rng.Float64()*0.05), 0.1 + float64(rng.Float64()*0.05)})
 	}
 	for i := 0; i < nPer; i++ {
-		pts = append(pts, []float64{0.9 + rng.Float64()*0.05, 0.9 + rng.Float64()*0.05})
+		pts = append(pts, []float64{0.9 + float64(rng.Float64()*0.05), 0.9 + float64(rng.Float64()*0.05)})
 	}
 	return pts, func(i int) int {
 		if i < nPer {

@@ -235,7 +235,7 @@ func SqDist(a, b []float64) float64 {
 	var sum float64
 	for i := range a {
 		d := a[i] - b[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum
 }

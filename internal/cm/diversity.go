@@ -53,7 +53,7 @@ func ShannonIndex(table []float64) float64 {
 			continue
 		}
 		p := c / all
-		div -= p * math.Log10(p)
+		div -= float64(p * math.Log10(p))
 	}
 	return div
 }

@@ -21,12 +21,12 @@ func TestShannonIndexBasics(t *testing.T) {
 		t.Errorf("ShannonIndex(concentrated) = %v, want 0", got)
 	}
 	// Uniform over 3: maximal diversity log10(3).
-	want := math.Log10(3)
+	want := float64(math.Log10(3))
 	if got := ShannonIndex([]float64{2, 2, 2}); math.Abs(got-want) > 1e-12 {
 		t.Errorf("ShannonIndex(uniform3) = %v, want %v", got, want)
 	}
 	// Paper example: [2,3,0] → −(2/5)log(2/5) − (3/5)log(3/5).
-	wantEx := -(0.4*math.Log10(0.4) + 0.6*math.Log10(0.6))
+	wantEx := -(float64(0.4*math.Log10(0.4)) + float64(0.6*math.Log10(0.6)))
 	if got := ShannonIndex([]float64{2, 3, 0}); math.Abs(got-wantEx) > 1e-12 {
 		t.Errorf("ShannonIndex([2,3,0]) = %v, want %v", got, wantEx)
 	}
@@ -44,7 +44,7 @@ func TestShannonIndexProperties(t *testing.T) {
 			table[i] = float64(v % 50)
 		}
 		div := ShannonIndex(table)
-		if div < 0 || div > math.Log10(float64(len(table)))+1e-12 {
+		if div < 0 || div > float64(math.Log10(float64(len(table))))+1e-12 {
 			return false
 		}
 		// Scale invariance.
@@ -150,7 +150,7 @@ func TestCoherenceOfMean(t *testing.T) {
 	}
 	a.Counts[TensePast] = 4
 	got := CoherenceOfMean(a, Tense, ShannonIndex)
-	want := 1 - math.Log10(2)
+	want := 1 - float64(math.Log10(2))
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("two-tense coherence = %v, want %v", got, want)
 	}
@@ -172,7 +172,7 @@ func shannonIndexDirect(table []float64) float64 {
 			continue
 		}
 		p := c / all
-		div -= p * math.Log10(p)
+		div -= float64(p * math.Log10(p))
 	}
 	return div
 }

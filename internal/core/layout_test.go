@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/forum"
@@ -109,10 +110,12 @@ func TestSnapshotBytesPinned(t *testing.T) {
 // back, and the live heap the read leaves behind (after two collections,
 // as the benchmark's heap_mb takes it) may not exceed a fixed multiple
 // of the snapshot's bytes. The multiples are the values measured with
-// posting lists split into a run of TF = 1 unit ids and a TF > 1
-// remainder and nothing else kept per list (2.28× and 2.52×; 2.94× and
-// 3.17× with 8-byte postings in one run, 7.66× and 7.98× before term ids
-// and flat columns) plus a tenth. The Eq 7/8 columns a first probe
+// the segment table's tokens kept as uvarint dictionary ids, about 1.8
+// bytes a token, and posting lists split into a run of TF = 1 unit ids
+// and a TF > 1 remainder and nothing else kept per list (1.85× and
+// 2.12×; 2.28× and 2.52× with an int32 a token, 2.94× and 3.17× with
+// 8-byte postings in one run too, 7.66× and 7.98× before term ids and
+// flat columns) plus a tenth. The Eq 7/8 columns a first probe
 // builds (16 bytes a unit, see index.unitNorms) are not in the reading:
 // nothing has probed. What four shards pay on top: a list header and a
 // slot for every (shard, cluster, term), and a pooled document-frequency
@@ -125,7 +128,7 @@ func TestLoadedHeapBudget(t *testing.T) {
 	for _, tc := range []struct {
 		shards   int
 		multiple float64
-	}{{0, 2.38}, {4, 2.62}} {
+	}{{0, 1.95}, {4, 2.22}} {
 		t.Run(fmt.Sprintf("shards-%d", tc.shards), func(t *testing.T) {
 			built, err := Build(texts, Config{Seed: 42, Shards: tc.shards})
 			if err != nil {
@@ -185,4 +188,115 @@ func liveHeap() int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
+}
+
+// tailTexts is n TechSupport posts with a long tail of the benchmark's
+// kind: before each sentence's final punctuation, per "zq<id>x" tokens,
+// every one a fresh id but each fourth, which repeats one of the first
+// hundred — so the dictionary grows by about 3/4·per terms a sentence.
+func tailTexts(n, per int) []string {
+	posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: n, Seed: 42})
+	texts := make([]string, n)
+	next := 0
+	for i, p := range posts {
+		var b strings.Builder
+		for j := 0; j < len(p.Text); j++ {
+			c := p.Text[j]
+			if (c == '.' || c == '?' || c == '!') && (j+1 == len(p.Text) || p.Text[j+1] == ' ') {
+				for k := 0; k < per; k++ {
+					id := next
+					if k%4 == 3 {
+						id = (next * 7) % 100
+					} else {
+						next++
+					}
+					fmt.Fprintf(&b, " zq%dx", id)
+				}
+			}
+			b.WriteByte(c)
+		}
+		texts[i] = b.String()
+	}
+	return texts
+}
+
+// snapshotTerms counts the distinct terms of a snapshot's matcher
+// dictionaries.
+func snapshotTerms(t *testing.T, snap []byte) int {
+	t.Helper()
+	_, files, err := decodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := map[string]bool{}
+	for _, file := range files {
+		f, err := secfile.Decode(file, match.CompactMRMagic, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec, err := f.Section("dict")
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, _, err := secfile.ParseStringTable(sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			terms[name] = true
+		}
+	}
+	return len(terms)
+}
+
+// TestWideDictionaryRoundTrip holds the segment table's uvarint ids to
+// the file past two-byte widths: a collection whose dictionary passes
+// 2¹⁴ terms, so ids of one, two and three bytes sit side by side, takes
+// adds (new terms, ids in arrival order), is written, read back and
+// written again byte-identically; then the built and the loaded
+// pipeline take the same further adds and still write the same bytes.
+func TestWideDictionaryRoundTrip(t *testing.T) {
+	texts := tailTexts(320, 24)
+	base, adds := texts[:300], texts[300:]
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			p, err := Build(base, Config{Seed: 42, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			write := func(p *Pipeline) []byte {
+				var buf bytes.Buffer
+				if _, err := p.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			for _, text := range adds[:10] {
+				if _, err := p.Add(text); err != nil {
+					t.Fatal(err)
+				}
+			}
+			first := write(p)
+			if n := snapshotTerms(t, first); n <= 1<<14 {
+				t.Fatalf("dictionary holds %d terms, want more than %d", n, 1<<14)
+			}
+			loaded, err := ReadPipeline(bytes.NewReader(first))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if second := write(loaded); !bytes.Equal(first, second) {
+				t.Fatal("write → load → write is not byte-identical")
+			}
+			for _, text := range adds[10:] {
+				for _, q := range []*Pipeline{p, loaded} {
+					if _, err := q.Add(text); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if !bytes.Equal(write(p), write(loaded)) {
+				t.Fatal("built and loaded pipelines write different bytes after the same adds")
+			}
+		})
+	}
 }

@@ -39,7 +39,7 @@ func FleissKappa(counts [][]int) (kappa, observed float64) {
 	var pe float64
 	for _, t := range catTotals {
 		p := t / total
-		pe += p * p
+		pe += float64(p * p)
 	}
 	if pe >= 1 {
 		if pBar >= 1 {

@@ -105,7 +105,7 @@ func (acc *accumulator) release() {
 func (acc *accumulator) addOnes(inv []float64, ones []int32, qf, idf float64) {
 	cells := acc.cells
 	for _, u := range ones {
-		cells[u] += qf * inv[u] * idf
+		cells[u] += float64(qf * inv[u] * idf)
 	}
 }
 
@@ -118,7 +118,7 @@ func (acc *accumulator) addOnes(inv []float64, ones []int32, qf, idf float64) {
 func (acc *accumulator) accumulateOnes(inv []float64, ones []int32, qf, idf float64) {
 	cells, touched := acc.cells, acc.touched
 	for _, u := range ones {
-		cells[u] += qf * inv[u] * idf
+		cells[u] += float64(qf * inv[u] * idf)
 		touched[u>>6] |= 1 << (uint32(u) & 63)
 	}
 }
@@ -129,7 +129,7 @@ func (acc *accumulator) accumulateOnes(inv []float64, ones []int32, qf, idf floa
 func (acc *accumulator) accumulate(norm []float64, more []Posting, qf, idf float64) {
 	cells, touched := acc.cells, acc.touched
 	for _, p := range more {
-		cells[p.Unit] += qf * (logTF(p.TF) / norm[p.Unit]) * idf
+		cells[p.Unit] += float64(qf * (logTF(p.TF) / norm[p.Unit]) * idf)
 		touched[p.Unit>>6] |= 1 << (uint32(p.Unit) & 63)
 	}
 }

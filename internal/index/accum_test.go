@@ -73,7 +73,7 @@ func naiveScores(ix *Index, terms []int32, qf, idfs []float64, avgUnique float64
 			if ratio := float64(ix.uniques[p.Unit]) / avgUnique; ratio > 1 {
 				norm = ratio
 			}
-			scores[int(p.Unit)] += qf[i] * ((math.Log(float64(p.TF)) + 1) / (ix.denoms[p.Unit] * norm)) * idfs[i]
+			scores[int(p.Unit)] += float64(qf[i] * ((math.Log(float64(p.TF)) + 1) / (ix.denoms[p.Unit] * norm)) * idfs[i])
 		}
 	}
 	return scores

@@ -120,7 +120,7 @@ func Train(docs [][]string, cfg Config) (*Model, error) {
 				for tt := 0; tt < k; tt++ {
 					p := (float64(nDK[d][tt]) + cfg.Alpha) *
 						(float64(m.nKW[tt][w]) + cfg.Beta) /
-						(float64(m.nK[tt]) + vBeta)
+						(float64(m.nK[tt]) + float64(vBeta))
 					probs[tt] = p
 					total += p
 				}
@@ -151,7 +151,7 @@ func Train(docs [][]string, cfg Config) (*Model, error) {
 // distribution converts topic counts into a smoothed probability vector.
 func distribution(counts []int, alpha float64, n, k int) []float64 {
 	out := make([]float64, k)
-	denom := float64(n) + alpha*float64(k)
+	denom := float64(n) + float64(alpha*float64(k))
 	for t, c := range counts {
 		out[t] = (float64(c) + alpha) / denom
 	}
@@ -206,7 +206,7 @@ func (m *Model) Infer(doc []string, iterations int, seed int64) []float64 {
 			for tt := 0; tt < k; tt++ {
 				p := (float64(nDK[tt]) + m.Alpha) *
 					(float64(m.nKW[tt][w]) + m.Beta) /
-					(float64(m.nK[tt]) + vBeta)
+					(float64(m.nK[tt]) + float64(vBeta))
 				probs[tt] = p
 				total += p
 			}
@@ -278,10 +278,10 @@ func JSDivergence(p, q []float64) float64 {
 	for i := range p {
 		m := (p[i] + q[i]) / 2
 		if p[i] > 0 && m > 0 {
-			js += 0.5 * p[i] * math.Log2(p[i]/m)
+			js += float64(0.5 * p[i] * math.Log2(p[i]/m))
 		}
 		if q[i] > 0 && m > 0 {
-			js += 0.5 * q[i] * math.Log2(q[i]/m)
+			js += float64(0.5 * q[i] * math.Log2(q[i]/m))
 		}
 	}
 	if js < 0 {

@@ -20,7 +20,8 @@ import (
 // id, and each cluster index is embedded as its own complete compact
 // index file (magic "RFCI") with its own checksummed sections. The
 // matcher in memory is the same tables: one index.Dict over "dict" and
-// every cluster's terms, "dseg" as the flat columns of segTable.
+// every cluster's terms, "dseg" as the flat columns of segTable, whose
+// term ids stay uvarints — of the dictionary, not of the file.
 // Sections:
 //
 //	"meta"  JSON header: matcher name and build statistics. JSON keeps
@@ -112,8 +113,12 @@ func appendCompactMR(mr *MR) ([]byte, error) {
 	st := &mr.segs
 	names := mr.dict.Terms()
 	fileID := make([]uint64, len(names))
-	for _, t := range st.terms {
-		fileID[t] = 1
+	var row []int32
+	for r := range st.cluster {
+		row = st.appendTokens(row[:0], r)
+		for _, t := range row {
+			fileID[t] = 1
+		}
 	}
 	var used []int32
 	for id, mark := range fileID {
@@ -135,8 +140,9 @@ func appendCompactMR(mr *MR) ([]byte, error) {
 		for r := lo; r < hi; r++ {
 			dseg = secfile.AppendUvarint(dseg, uint64(st.cluster[r]))
 			dseg = secfile.AppendUvarint(dseg, uint64(st.unit[r]))
-			dseg = secfile.AppendUvarint(dseg, uint64(len(st.tokens(r))))
-			for _, t := range st.tokens(r) {
+			row = st.appendTokens(row[:0], r)
+			dseg = secfile.AppendUvarint(dseg, uint64(len(row)))
+			for _, t := range row {
 				dseg = secfile.AppendUvarint(dseg, fileID[t])
 			}
 		}
@@ -280,8 +286,10 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 		return nil, fmt.Errorf("match: %d documents declared in %d bytes", nDocs64, len(dsegSec))
 	}
 	nDocs := int(nDocs64)
-	// One token per remaining byte at most; cut to size after the read.
-	st := segTable{docEnd: make([]int32, 0, nDocs), terms: make([]int32, 0, len(dsegSec))}
+	// Room for the ids re-encoded as they are in the file, which is what
+	// a fresh dictionary's ids are; cut to size after the read.
+	st := segTable{docEnd: make([]int32, 0, nDocs), ids: make([]byte, 0, len(dsegSec))}
+	var row []int32
 	for d := 0; d < nDocs; d++ {
 		nSegs, rest, err := secfile.Uvarint(dsegSec)
 		if err != nil {
@@ -315,6 +323,7 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 			if nt > uint64(len(dsegSec)) { // each term id is ≥ 1 byte
 				return nil, fmt.Errorf("match: doc %d segment %d declares %d terms in %d bytes", d, i, nt, len(dsegSec))
 			}
+			row = row[:0]
 			for ti := 0; ti < int(nt); ti++ {
 				id, rest, err := secfile.Uvarint(dsegSec)
 				if err != nil {
@@ -324,9 +333,9 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 				if id >= uint64(len(termID)) {
 					return nil, fmt.Errorf("match: doc %d segment %d term id %d out of dictionary range [0, %d)", d, i, id, len(termID))
 				}
-				st.terms = append(st.terms, termID[id])
+				row = append(row, termID[id])
 			}
-			st.appendSeg(int(c), int(u), nil)
+			st.appendSeg(int(c), int(u), row)
 		}
 		st.endDoc()
 	}
@@ -334,7 +343,7 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 		return nil, fmt.Errorf("match: %d trailing bytes in segment section", len(dsegSec))
 	}
 	st.cluster, st.unit = slices.Clone(st.cluster), slices.Clone(st.unit)
-	st.termEnd, st.terms = slices.Clone(st.termEnd), slices.Clone(st.terms)
+	st.termEnd, st.ids = slices.Clone(st.termEnd), slices.Clone(st.ids)
 
 	udocSec, err := f.Section("udoc")
 	if err != nil {

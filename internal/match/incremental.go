@@ -159,7 +159,7 @@ func nearestCentroid(centroids [][]float64, vec []float64) int {
 		var d float64
 		for i := range cent {
 			diff := cent[i] - vec[i]
-			d += diff * diff
+			d += float64(diff * diff)
 		}
 		if d < bestD {
 			best, bestD = c, d

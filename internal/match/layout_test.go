@@ -2,7 +2,9 @@ package match
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -83,5 +85,46 @@ func TestArrivalOrderTrap(t *testing.T) {
 	}
 	if compared == 0 {
 		t.Fatal("no result compared")
+	}
+}
+
+// TestSegTableVarintWidths round-trips ids of every uvarint width, one
+// to five bytes, through rows of the segment table: appendSeg encodes,
+// appendTokens decodes after whatever dst holds, and numTokens counts.
+func TestSegTableVarintWidths(t *testing.T) {
+	ids := []int32{0, 127, 128, 16383, 16384, 1 << 21, math.MaxInt32}
+	widths := []int{1, 1, 2, 2, 3, 4, 5}
+	for i, id := range ids {
+		var st segTable
+		st.appendSeg(0, 0, []int32{id})
+		st.endDoc()
+		if len(st.ids) != widths[i] {
+			t.Errorf("id %d takes %d bytes, want %d", id, len(st.ids), widths[i])
+		}
+		if got := st.appendTokens([]int32{-1}, 0); !slices.Equal(got, []int32{-1, id}) {
+			t.Errorf("id %d decodes to %v", id, got[1:])
+		}
+	}
+	var st segTable
+	rows := [][]int32{ids, nil, {math.MaxInt32, 0, 16384, 16384, 127}}
+	for r, row := range rows {
+		st.appendSeg(r, 0, row)
+	}
+	st.endDoc()
+	if got, want := st.numTokens(0, len(rows)), len(ids)+5; got != want {
+		t.Errorf("numTokens = %d, want %d", got, want)
+	}
+	var all []int32
+	for r, row := range rows {
+		if got := st.appendTokens(nil, r); !slices.Equal(got, row) {
+			t.Errorf("row %d decodes to %v, want %v", r, got, row)
+		}
+		if got := st.numTokens(r, r+1); got != len(row) {
+			t.Errorf("row %d: numTokens = %d, want %d", r, got, len(row))
+		}
+		all = st.appendTokens(all, r)
+	}
+	if want := slices.Concat(rows...); !slices.Equal(all, want) {
+		t.Errorf("rows appended in turn decode to %v, want %v", all, want)
 	}
 }

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sort"
 	"sync"
@@ -148,13 +149,15 @@ type BuildStats struct {
 // shape of the snapshot's "dseg" section: document d's segments are the
 // rows docEnd[d-1]..docEnd[d], ascending in cluster, and row r's tokens
 // — dictionary ids in token order, for query-time TF and a byte-for-byte
-// re-encoding — are terms[termEnd[r-1]:termEnd[r]].
+// re-encoding — are the uvarints in ids[termEnd[r-1]:termEnd[r]]. Most
+// ids fit in one or two bytes, so the column holds a token in under two
+// bytes where an int32 took four; readers decode a row with appendTokens.
 type segTable struct {
 	docEnd  []int32
 	cluster []int32 // per row: intention cluster
 	unit    []int32 // per row: unit id inside that cluster's index
-	termEnd []int32
-	terms   []int32
+	termEnd []int32 // per row: the byte offset in ids where its tokens end
+	ids     []byte
 }
 
 func (st *segTable) numDocs() int { return len(st.docEnd) }
@@ -167,7 +170,8 @@ func (st *segTable) doc(d int) (lo, hi int) {
 	return lo, int(st.docEnd[d])
 }
 
-// termLo returns where row r's tokens start (or, past the last row, end).
+// termLo returns where row r's tokens start in ids (or, past the last
+// row, end).
 func (st *segTable) termLo(r int) int32 {
 	if r == 0 {
 		return 0
@@ -175,15 +179,38 @@ func (st *segTable) termLo(r int) int32 {
 	return st.termEnd[r-1]
 }
 
-// tokens returns row r's tokens, aliasing the table.
-func (st *segTable) tokens(r int) []int32 { return st.terms[st.termLo(r):st.termEnd[r]] }
+// numTokens counts the tokens of rows lo..hi-1: each uvarint has
+// exactly one byte below 0x80, its last.
+func (st *segTable) numTokens(lo, hi int) int {
+	n := 0
+	for _, b := range st.ids[st.termLo(lo):st.termLo(hi)] {
+		if b < 0x80 {
+			n++
+		}
+	}
+	return n
+}
 
-// appendSeg adds a row to the document being appended; endDoc closes it.
-func (st *segTable) appendSeg(cluster, unit int, terms []int32) {
+// appendTokens appends row r's tokens to dst and returns the extended
+// slice. appendSeg wrote the bytes, so every uvarint in them is whole.
+func (st *segTable) appendTokens(dst []int32, r int) []int32 {
+	for b := st.ids[st.termLo(r):st.termEnd[r]]; len(b) > 0; {
+		v, n := binary.Uvarint(b)
+		dst = append(dst, int32(v))
+		b = b[n:]
+	}
+	return dst
+}
+
+// appendSeg adds a row to the document being appended; endDoc closes
+// the document.
+func (st *segTable) appendSeg(cluster, unit int, tokens []int32) {
 	st.cluster = append(st.cluster, int32(cluster))
 	st.unit = append(st.unit, int32(unit))
-	st.terms = append(st.terms, terms...)
-	st.termEnd = append(st.termEnd, int32(len(st.terms)))
+	for _, t := range tokens {
+		st.ids = binary.AppendUvarint(st.ids, uint64(t))
+	}
+	st.termEnd = append(st.termEnd, int32(len(st.ids)))
 }
 
 func (st *segTable) endDoc() { st.docEnd = append(st.docEnd, int32(len(st.cluster))) }
@@ -327,15 +354,17 @@ func NewMR(name string, docs []*segment.Doc, cfg MRConfig) *MR {
 	mr.unitDoc = make([][]int32, k)
 	st := &mr.segs
 	st.cluster, st.unit = make([]int32, 0, len(groups)), make([]int32, 0, len(groups))
-	st.termEnd, st.terms = make([]int32, 0, len(groups)), make([]int32, 0, tokens)
+	st.termEnd, st.ids = make([]int32, 0, len(groups)), make([]byte, 0, tokens) // ≥ 1 byte a token
+	var row []int32
 	for _, g := range groups {
 		for st.numDocs() < g.doc {
 			st.endDoc()
 		}
+		row = row[:0]
 		for _, r := range refs[g.lo:g.hi] { // the refined segment: its members' terms in segment order
-			st.terms = mr.dict.AppendIDs(st.terms, docs[r.doc].Terms(segs[r.seg].lo, segs[r.seg].hi))
+			row = mr.dict.AppendIDs(row, docs[r.doc].Terms(segs[r.seg].lo, segs[r.seg].hi))
 		}
-		st.appendSeg(g.cluster, len(mr.unitDoc[g.cluster]), nil)
+		st.appendSeg(g.cluster, len(mr.unitDoc[g.cluster]), row)
 		mr.unitDoc[g.cluster] = append(mr.unitDoc[g.cluster], int32(g.doc))
 	}
 	for st.numDocs() < len(docs) {
@@ -347,11 +376,15 @@ func NewMR(name string, docs []*segment.Doc, cfg MRConfig) *MR {
 }
 
 // indexSegs builds the k cluster indices from the segment table: a
-// cluster's units are its rows, in row order.
+// cluster's units are its rows, in row order, decoded into one buffer
+// that the indices do not keep.
 func (mr *MR) indexSegs(k int) {
 	units := make([][][]int32, k)
+	buf := make([]int32, 0, mr.segs.numTokens(0, len(mr.segs.cluster)))
 	for r, c := range mr.segs.cluster {
-		units[c] = append(units[c], mr.segs.tokens(r))
+		lo := len(buf)
+		buf = mr.segs.appendTokens(buf, r)
+		units[c] = append(units[c], buf[lo:])
 	}
 	mr.clusters = make([]*index.Index, k)
 	par.Do(k, mr.cfg.Workers, func(c int) { mr.clusters[c] = index.Build(mr.dict, units[c]) })

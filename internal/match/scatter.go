@@ -57,15 +57,16 @@ func (mr *MR) QuerySegs(docID int) []ClusterQuery {
 func (mr *MR) probesLocked(docID int) []ClusterQuery {
 	lo, hi := mr.segs.doc(docID)
 	out := make([]ClusterQuery, hi-lo)
-	// The document's tokens, copied to be sorted and compacted in place.
-	ids := append([]int32(nil), mr.segs.terms[mr.segs.termLo(lo):mr.segs.termLo(hi)]...)
-	tf := make([]int32, 0, len(ids))
-	floats := make([]float64, 2*len(ids))
+	// The document's tokens, decoded row by row to be sorted and
+	// compacted in place.
+	ids := make([]int32, 0, mr.segs.numTokens(lo, hi))
+	tf := make([]int32, 0, cap(ids))
+	floats := make([]float64, 2*cap(ids))
 	names := mr.dict.Terms()
 	for i := range out {
-		c, size := int(mr.segs.cluster[lo+i]), len(mr.segs.tokens(lo+i))
-		terms, counts := index.CountTerms(names, ids[:size], tf)
-		ids = ids[size:]
+		c, row := int(mr.segs.cluster[lo+i]), len(ids)
+		ids = mr.segs.appendTokens(ids, lo+i)
+		terms, counts := index.CountTerms(names, ids[row:], tf)
 		n := len(terms)
 		qf := floats[:n:n]
 		for j, c := range counts {

@@ -45,6 +45,7 @@ func (mr *MR) Split(n int, route func(doc int) int, stats []*index.GlobalStats) 
 			stats:     mr.stats,
 		}
 	}
+	var row []int32
 	for d := 0; d < mr.segs.numDocs(); d++ {
 		s := route(d)
 		if s < 0 || s >= n {
@@ -53,7 +54,8 @@ func (mr *MR) Split(n int, route func(doc int) int, stats []*index.GlobalStats) 
 		sh := shards[s]
 		for r, hi := mr.segs.doc(d); r < hi; r++ {
 			c := mr.segs.cluster[r]
-			sh.segs.appendSeg(int(c), len(sh.unitDoc[c]), mr.segs.tokens(r))
+			row = mr.segs.appendTokens(row[:0], r)
+			sh.segs.appendSeg(int(c), len(sh.unitDoc[c]), row)
 			sh.unitDoc[c] = append(sh.unitDoc[c], int32(sh.segs.numDocs()))
 		}
 		sh.segs.endDoc()

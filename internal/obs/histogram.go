@@ -202,7 +202,7 @@ func (h *Histogram) lower(i int) int64 {
 // quantiles are always within the recorded range and monotone in q for
 // a fixed counts slice.
 func (h *Histogram) quantile(counts []int64, total int64, q float64) float64 {
-	rank := q * float64(total)
+	rank := float64(q * float64(total))
 	var cum int64
 	for i, c := range counts {
 		if c == 0 {
@@ -223,7 +223,7 @@ func (h *Histogram) quantile(counts []int64, total int64, q float64) float64 {
 			} else if frac > 1 {
 				frac = 1
 			}
-			return float64(lo) + frac*float64(hi-lo)
+			return float64(lo) + float64(frac*float64(hi-lo))
 		}
 	}
 	return float64(h.upper(len(counts) - 1))

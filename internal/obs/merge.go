@@ -62,7 +62,7 @@ func MergeHistogramSnapshots(snaps ...HistogramSnapshot) HistogramSnapshot {
 // never contain empty buckets, so the skip branch of the original is
 // structurally absent rather than skipped.
 func quantileFromBuckets(buckets []BucketCount, total int64, q float64) float64 {
-	rank := q * float64(total)
+	rank := float64(q * float64(total))
 	var cum int64
 	for _, b := range buckets {
 		prev := cum
@@ -77,7 +77,7 @@ func quantileFromBuckets(buckets []BucketCount, total int64, q float64) float64 
 			} else if frac > 1 {
 				frac = 1
 			}
-			return float64(b.GT) + frac*float64(b.LE-b.GT)
+			return float64(b.GT) + float64(frac*float64(b.LE-b.GT))
 		}
 	}
 	return float64(math.MaxInt64)

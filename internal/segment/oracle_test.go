@@ -85,7 +85,7 @@ func refRun(d *Doc, n int, score func(lo, b, hi int) (float64, float64)) []int {
 		initial[i], _ = score(lo, b, hi)
 	}
 	mean, std := MeanStd(initial)
-	threshold := mean + greedyC*std
+	threshold := mean + float64(greedyC*std)
 	for len(borders) > 0 {
 		worst := -1
 		var worstScore float64

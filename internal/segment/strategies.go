@@ -52,7 +52,7 @@ func (g Greedy) Name() string { return "Greedy" }
 // frozen over one pass's scores in border order.
 func greedyThreshold(scores []float64) float64 {
 	mean, std := MeanStd(scores)
-	return mean + greedyC*std
+	return mean + float64(greedyC*std)
 }
 
 // Segment implements Strategy.
@@ -145,9 +145,9 @@ func MeanStd(xs []float64) (mean, std float64) {
 	for _, x := range xs {
 		mean += x
 	}
-	mean /= float64(len(xs))
+	mean = float64(mean / float64(len(xs))) // inlined over a constant length, a product the next loop could fuse
 	for _, x := range xs {
-		std += (x - mean) * (x - mean)
+		std += float64((x - mean) * (x - mean))
 	}
 	return mean, math.Sqrt(std / float64(len(xs)))
 }

@@ -296,7 +296,7 @@ func (f *modelFixture) body(q modelQuery) []byte {
 			if idf := c.pIDF(t); idf > 0 {
 				for _, d := range c.postings[t] {
 					if d != q.key.Doc && !dead(d) {
-						scores[d] += qs.tf[t] * c.weight(d, t) * idf
+						scores[d] += float64(qs.tf[t] * c.weight(d, t) * idf)
 					}
 				}
 			}

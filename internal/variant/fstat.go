@@ -38,7 +38,7 @@ func (FStat) SegCoherence(d *segment.Doc, lo, hi int) float64 {
 		u := unitVector(d, i)
 		for f := range u {
 			diff := u[f] - mean[f]
-			within += diff * diff
+			within += float64(diff * diff)
 		}
 	}
 	within /= float64(hi - lo)
@@ -56,11 +56,11 @@ func fRatio(d *segment.Doc, lo, b, hi int) float64 {
 	m2 := unitMeans(d, b, hi)
 	grand := make([]float64, len(m1))
 	for f := range grand {
-		grand[f] = (m1[f]*float64(n1) + m2[f]*float64(n2)) / float64(n1+n2)
+		grand[f] = (float64(m1[f]*float64(n1)) + float64(m2[f]*float64(n2))) / float64(n1+n2)
 	}
 	var between, within float64
 	for f := range grand {
-		between += float64(n1)*sq(m1[f]-grand[f]) + float64(n2)*sq(m2[f]-grand[f])
+		between += float64(float64(n1)*sq(m1[f]-grand[f])) + float64(float64(n2)*sq(m2[f]-grand[f]))
 	}
 	for i := lo; i < hi; i++ {
 		u := unitVector(d, i)
@@ -104,4 +104,4 @@ func unitMeans(d *segment.Doc, lo, hi int) []float64 {
 	return out
 }
 
-func sq(x float64) float64 { return x * x }
+func sq(x float64) float64 { return float64(x * x) }

@@ -143,7 +143,7 @@ func topVarianceDims(points [][]float64, ndims int) [maxGridDims]int {
 	for _, p := range points {
 		for d, v := range p {
 			dv := v - mean[d]
-			variance[d] += dv * dv
+			variance[d] += float64(dv * dv)
 		}
 	}
 	order := make([]int, dim)

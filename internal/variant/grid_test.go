@@ -25,7 +25,7 @@ func randPoints(n, dim int, rng *rand.Rand) [][]float64 {
 		if rng.Float64() < 0.8 {
 			c := centers[rng.Intn(len(centers))]
 			for d := range p {
-				p[d] = c[d] + (rng.Float64()-0.5)*0.08
+				p[d] = c[d] + float64((float64(rng.Float64())-0.5)*0.08)
 			}
 		} else {
 			for d := range p {

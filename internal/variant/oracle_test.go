@@ -38,7 +38,7 @@ func refTile(t Tile, d *segment.Doc) segment.Segmentation {
 			scores[i] = sf.BorderScore(d, max(lo, b-1), b, min(hi, b+1))
 		}
 		mean, std := segment.MeanStd(scores)
-		threshold := mean - t.c()*std
+		threshold := mean - float64(t.c()*std)
 		var kept []int
 		for i, b := range borders {
 			if scores[i] >= threshold {

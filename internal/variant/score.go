@@ -144,7 +144,7 @@ func vectorDistance(kind distanceKind, a, b []float64) float64 {
 		var sum float64
 		for k, va := range a {
 			diff := va/na - b[k]/nb
-			sum += diff * diff
+			sum += float64(diff * diff)
 		}
 		return math.Sqrt(sum) / math.Sqrt2
 	default: // manhattanDist
@@ -173,7 +173,7 @@ func cosineSim(a, b []float64) float64 {
 	}
 	var dot float64
 	for k, va := range a {
-		dot += va * b[k]
+		dot += float64(va * b[k])
 	}
 	return dot / (na * nb)
 }
@@ -181,7 +181,7 @@ func cosineSim(a, b []float64) float64 {
 func l2norm(v []float64) float64 {
 	var sum float64
 	for _, x := range v {
-		sum += x * x
+		sum += float64(x * x)
 	}
 	return math.Sqrt(sum)
 }

@@ -63,7 +63,7 @@ func (t Tile) Segment(d *segment.Doc) segment.Segmentation {
 	}
 	for {
 		mean, std := segment.MeanStd(scores)
-		threshold := mean - t.c()*std
+		threshold := mean - float64(t.c()*std)
 		kept := 0
 		for i, s := range scores {
 			if s >= threshold {

@@ -69,7 +69,7 @@ func (t TextTiling) Segment(d *segment.Doc) segment.Segmentation {
 	}
 
 	mean, std := segment.MeanStd(depths)
-	cutoff := mean - t.c()*std
+	cutoff := mean - float64(t.c()*std)
 	var borders []int
 	for i, depth := range depths {
 		if depth > cutoff && depth > 0 {
