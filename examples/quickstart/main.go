@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/segment"
 )
 
 func main() {
@@ -66,7 +67,8 @@ func main() {
 		fmt.Printf("  %d. post %d (score %.3f): %.70s...\n", rank+1, r.DocID, r.Score, posts[r.DocID])
 	}
 
-	// Show how Doc A was segmented.
-	doc := pipeline.Doc(0)
+	// The pipeline keeps no prepared posts; prepare Doc A again to look
+	// at its sentence units.
+	doc := segment.NewDoc(posts[0])
 	fmt.Printf("\nDoc A has %d sentence units.\n", doc.Len())
 }

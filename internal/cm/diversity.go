@@ -1,6 +1,10 @@
 package cm
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/portlog"
+)
 
 // This file implements the statistics of Sec 5.2: Shannon's diversity index
 // per communication mean (Eq 1), richness, segment coherence (Eq 2), border
@@ -13,7 +17,7 @@ import "math"
 
 // shannonTabMax bounds the precomputed p·log10(p) lookup below. CM counts
 // are small integers (feature observations per span), so almost every
-// ShannonIndex call during segmentation hits the table instead of math.Log10.
+// ShannonIndex call during segmentation hits the table instead of Log10.
 const shannonTabMax = 96
 
 // shannonTab[all][c] = (c/all)·log10(c/all), precomputed with exactly the
@@ -24,7 +28,7 @@ var shannonTab = func() [][]float64 {
 		row := make([]float64, all+1)
 		for c := 1; c <= all; c++ {
 			p := float64(c) / float64(all)
-			row[c] = p * math.Log10(p)
+			row[c] = p * portlog.Log10(p)
 		}
 		tab[all] = row
 	}
@@ -53,7 +57,7 @@ func ShannonIndex(table []float64) float64 {
 			continue
 		}
 		p := c / all
-		div -= float64(p * math.Log10(p))
+		div -= float64(p * portlog.Log10(p))
 	}
 	return div
 }

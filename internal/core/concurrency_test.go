@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // Run these under -race: they exercise the documented serving contract —
-// Related, Add, Stats, and Doc interleaving freely on one Pipeline.
+// Related, Add, Stats, and HasDoc interleaving freely on one Pipeline.
 
 func TestPipelineConcurrentAddAndRelated(t *testing.T) {
 	const basePosts, extraPosts, readers = 60, 16, 4
@@ -40,7 +41,7 @@ func TestPipelineConcurrentAddAndRelated(t *testing.T) {
 					}
 					p.Related(q, 5)
 					p.Stats()
-					p.Doc(q)
+					p.HasDoc(q)
 				}
 			}(r)
 		}
@@ -64,14 +65,14 @@ func TestPipelineConcurrentAddAndRelated(t *testing.T) {
 		if got := p.Stats().NumDocs; got != basePosts+extraPosts {
 			t.Fatalf("Stats().NumDocs = %d, want %d", got, basePosts+extraPosts)
 		}
-		// Doc and the matcher agree on every id, including added ones.
+		// HasDoc and the matcher agree on every id, including added ones.
 		for id := 0; id < basePosts+extraPosts; id++ {
-			if p.Doc(id) == nil {
-				t.Fatalf("Doc(%d) = nil after concurrent adds", id)
+			if !p.HasDoc(id) {
+				t.Fatalf("HasDoc(%d) = false after concurrent adds", id)
 			}
 		}
-		if p.Doc(basePosts+extraPosts) != nil {
-			t.Fatal("Doc past the end is non-nil")
+		if p.HasDoc(basePosts + extraPosts) {
+			t.Fatal("HasDoc past the end is true")
 		}
 	})
 }
@@ -111,20 +112,28 @@ func TestPipelineStatsConsistentAfterConcurrentAdds(t *testing.T) {
 	if st.NumSegments < segsBefore {
 		t.Errorf("NumSegments shrank: %d -> %d", segsBefore, st.NumSegments)
 	}
-	// Ids are dense and unique, and each one resolves to a document whose
-	// text matches what was added under that id.
-	seen := map[int]bool{}
+	// Ids are dense and unique, and each one is the post added under it:
+	// a second pipeline that adds the same texts one by one in assigned-id
+	// order answers every Related exactly as the concurrent one does.
+	byID := make([]string, 20)
 	for i, id := range ids {
-		if id < 30 || id >= 50 || seen[id] {
+		if id < 30 || id >= 50 || byID[id-30] != "" {
 			t.Fatalf("bad/duplicate id %d (all: %v)", id, ids)
 		}
-		seen[id] = true
-		d := p.Doc(id)
-		if d == nil {
-			t.Fatalf("Doc(%d) = nil", id)
+		byID[id-30] = texts[30+i]
+	}
+	replay, err := Build(texts[:30], Config{Seed: 82})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, text := range byID {
+		if id, err := replay.Add(text); err != nil || id != 30+i {
+			t.Fatalf("replay Add #%d = %d, %v", i, id, err)
 		}
-		if d.Text != texts[30+i] {
-			t.Errorf("Doc(%d) holds the wrong document for add #%d", id, i)
+	}
+	for q := 0; q < 50; q++ {
+		if got, want := p.Related(q, 5), replay.Related(q, 5); !reflect.DeepEqual(got, want) {
+			t.Errorf("Related(%d) = %v, the id-order replay answers %v", q, got, want)
 		}
 	}
 }
@@ -196,9 +205,9 @@ func TestSegmentCountsSnapshotIsolation(t *testing.T) {
 						return
 					}
 				}
-				// Doc must resolve every id the snapshot covers.
-				if p.Doc(len(b)-1) == nil {
-					t.Errorf("Doc(%d) nil while snapshot has %d entries", len(b)-1, len(b))
+				// HasDoc must admit every id the snapshot covers.
+				if !p.HasDoc(len(b) - 1) {
+					t.Errorf("HasDoc(%d) false while snapshot has %d entries", len(b)-1, len(b))
 					return
 				}
 			}

@@ -14,7 +14,7 @@
 // Related is the online phase (sub-millisecond per query at 100k posts).
 //
 // A built Pipeline is safe for concurrent use: any number of goroutines
-// may interleave Related, Add, Stats, and Doc. Related never blocks on
+// may interleave Related, Add, Stats, and HasDoc. Related never blocks on
 // the pipeline's own state; Add prepares the new document lock-free and
 // holds the write lock only for the final bookkeeping.
 package core
@@ -116,10 +116,11 @@ type segMatcher interface {
 
 // Pipeline is a built related-post retrieval system over one collection.
 //
-// mu guards docs and stats, the pipeline's only mutable state; matcher
-// is frozen at Build time. Holding mu across the matcher commit in Add
-// keeps document ids aligned with the docs slice, so Doc and Related
-// agree on ids at all times.
+// mu guards stats, the pipeline's only mutable state; matcher is frozen
+// at Build time. Holding mu across the matcher commit in Add keeps the
+// document count aligned with the matcher's ids, so HasDoc and Related
+// agree on ids at all times. The prepared posts are not kept: the
+// matcher holds what serving reads of them.
 type Pipeline struct {
 	matcher segMatcher
 
@@ -130,7 +131,6 @@ type Pipeline struct {
 	epochBase uint64
 
 	mu    sync.RWMutex
-	docs  []*segment.Doc
 	stats Stats
 }
 
@@ -143,13 +143,13 @@ type Result = match.Result
 func Build(texts []string, cfg Config) (*Pipeline, error) {
 	p := &Pipeline{}
 	tm := spanBuildPreprocess.StartAlways()
-	p.docs = make([]*segment.Doc, len(texts))
-	par.Do(len(texts), cfg.Workers, func(i int) { p.docs[i] = segment.NewDoc(texts[i]) })
+	docs := make([]*segment.Doc, len(texts))
+	par.Do(len(texts), cfg.Workers, func(i int) { docs[i] = segment.NewDoc(texts[i]) })
 	p.stats.Preprocess = tm.Stop()
 	p.stats.NumDocs = len(texts)
 	gaugeDocs.Set(int64(len(texts)))
 
-	mr := match.NewMR(IntentIntentMR.String(), p.docs, match.MRConfig{Seed: cfg.Seed, Workers: cfg.Workers})
+	mr := match.NewMR(IntentIntentMR.String(), docs, match.MRConfig{Seed: cfg.Seed, Workers: cfg.Workers})
 	bs := mr.Stats()
 	p.stats.Segmentation = bs.Segmentation
 	p.stats.Vectorization = bs.Vectorization
@@ -204,8 +204,6 @@ func (p *Pipeline) RelatedContext(ctx context.Context, docID, k int) []Result {
 // cluster contributions and the term-level products behind them (see
 // match.Explanation), under the same trace events as the plain query.
 func (p *Pipeline) Query(ctx context.Context, docID, k int, explain bool) (match.Answer, error) {
-	// HasDoc, not Doc: pipelines restored from a snapshot do not retain
-	// the prepared documents, but every id below the count is queryable.
 	if !p.HasDoc(docID) {
 		return match.Answer{}, ErrUnknownDoc
 	}
@@ -271,14 +269,12 @@ func (p *Pipeline) Add(text string) (int, error) {
 func (p *Pipeline) AddContext(ctx context.Context, text string) (int, error) {
 	tr := obs.TraceFrom(ctx)
 	tm := spanAdd.Start()
-	d := segment.NewDoc(text)
-	pending := p.matcher.PrepareAdd(d)
+	pending := p.matcher.PrepareAdd(segment.NewDoc(text))
 	if tr != nil {
 		tr.Event("add.prepared", obs.N("segments", int64(pending.NumSegments())))
 	}
 	p.mu.Lock()
 	id := pending.Commit()
-	p.docs = append(p.docs, d)
 	p.stats.NumDocs++
 	p.stats.NumSegments += pending.NumSegments()
 	gaugeDocs.Set(int64(p.stats.NumDocs))
@@ -290,21 +286,6 @@ func (p *Pipeline) AddContext(ctx context.Context, text string) (int, error) {
 	return id, nil
 }
 
-// Doc exposes the prepared form of a document (sentences, annotations) for
-// inspection tools like cmd/segmentview and the serve layer's id
-// validation. The docs slice is read under the pipeline lock (Add
-// appends under the write lock); the returned *segment.Doc itself is
-// immutable after construction, so it is safe to use after the lock is
-// released.
-func (p *Pipeline) Doc(docID int) *segment.Doc {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if docID < 0 || docID >= len(p.docs) {
-		return nil
-	}
-	return p.docs[docID]
-}
-
 // Epoch returns the collection epoch: a counter that advances on every
 // committed mutation (and on snapshot load, via epochBase). Because Eq
 // 9's scoring statistics are collection-global, any mutation changes
@@ -313,11 +294,8 @@ func (p *Pipeline) Doc(docID int) *segment.Doc {
 // layers key their result caches by this value; see internal/cache.
 func (p *Pipeline) Epoch() uint64 { return p.epochBase + p.matcher.Generation() }
 
-// HasDoc reports whether docID names a document of the collection. It
-// is the id-validation predicate for serving: unlike Doc it does not
-// depend on the retained prepared documents, which pipelines restored
-// from a snapshot do not carry (snapshots persist segment terms, not
-// post texts).
+// HasDoc reports whether docID names a document of the collection, the
+// id-validation predicate for serving.
 func (p *Pipeline) HasDoc(docID int) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

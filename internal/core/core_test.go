@@ -115,11 +115,12 @@ func TestBuildHTMLInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Doc(0) == nil || p.Doc(0).Len() < 2 {
-		t.Error("HTML post not split into sentences")
+	// A segment holds at least one sentence.
+	if before, _ := p.SegmentCounts(); before[0] < 2 {
+		t.Errorf("HTML post cut into %d segments, want its sentences apart", before[0])
 	}
-	if p.Doc(-1) != nil || p.Doc(99) != nil {
-		t.Error("out-of-range Doc should be nil")
+	if !p.HasDoc(2) || p.HasDoc(-1) || p.HasDoc(3) {
+		t.Error("HasDoc admits other ids than 0..2")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // answered for. A sharded input that loads also loads through the fleet
 // host's decoder (ReadPart) owning shard 0. A matcher whose centroids
 // had 15 dimensions once loaded and panicked on its first Add; it is a
-// seed.
+// seed, and so is a matcher whose units are out of document order.
 func FuzzReadPipeline(f *testing.F) {
 	_, valid := smallSnapshot(f)
 	_, sharded := smallShardedSnapshot(f)
@@ -27,10 +27,11 @@ func FuzzReadPipeline(f *testing.F) {
 	f.Add(withHead(f, valid, func(h *pipelineHead) { h.Stats.NumDocs++ }))
 	f.Add([]byte(pipelineMagic))
 	f.Add([]byte{})
-	f.Add(withMatcherSection(f, valid, "cent", secfile.AppendFloat64s(
-		secfile.AppendUvarint(secfile.AppendUvarint(nil, 6), 15), make([]float64, 6*15))))
+	f.Add(withMatcherSections(f, valid, map[string][]byte{"cent": secfile.AppendFloat64s(
+		secfile.AppendUvarint(secfile.AppendUvarint(nil, 6), 15), make([]float64, 6*15))}))
 	f.Add(sharded)
 	f.Add(sharded[:len(sharded)*2/3])
+	f.Add(unitsOutOfOrder(f, valid))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadPipeline(bytes.NewReader(data))
@@ -69,10 +70,10 @@ func FuzzReadPipeline(f *testing.F) {
 	})
 }
 
-// withMatcherSection re-encodes a valid snapshot with one section of its
+// withMatcherSections re-encodes a valid snapshot with sections of its
 // matcher replaced, every checksum intact, so only the matcher decoder's
 // own checks can object.
-func withMatcherSection(t testing.TB, valid []byte, tag string, data []byte) []byte {
+func withMatcherSections(t testing.TB, valid []byte, edits map[string][]byte) []byte {
 	t.Helper()
 	head, mtch := snapshotSections(t, valid)
 	mf, err := secfile.Decode(mtch, match.CompactMRMagic, 1)
@@ -85,7 +86,7 @@ func withMatcherSection(t testing.TB, valid []byte, tag string, data []byte) []b
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name == tag {
+		if data, ok := edits[name]; ok {
 			sec = data
 		}
 		secs = append(secs, secfile.Section{Tag: name, Data: sec})
@@ -95,4 +96,72 @@ func withMatcherSection(t testing.TB, valid []byte, tag string, data []byte) []b
 		t.Fatal(err)
 	}
 	return encodeSections(t, secfile.Section{Tag: "head", Data: head}, secfile.Section{Tag: "mtch", Data: buf.Bytes()})
+}
+
+// unitsOutOfOrder crafts, from a valid unsharded snapshot, one whose
+// units are out of document order and that is otherwise consistent:
+// the first cluster to hold two documents' rows has their unit ids
+// swapped in "dseg" and their owners swapped in "udoc".
+func unitsOutOfOrder(t testing.TB, valid []byte) []byte {
+	t.Helper()
+	_, mtch := snapshotSections(t, valid)
+	mf, err := secfile.Decode(mtch, match.CompactMRMagic, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both sections are uvarints and nothing else.
+	values := func(tag string) []uint64 {
+		b, err := mf.Section(tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []uint64
+		for len(b) > 0 {
+			v, rest, err := secfile.Uvarint(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, b = append(out, v), rest
+		}
+		return out
+	}
+	encode := func(vs []uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = secfile.AppendUvarint(b, v)
+		}
+		return b
+	}
+	// dseg: the document count, then per document its row count and per
+	// row its cluster, unit, token count and tokens.
+	seg := values("dseg")
+	firstUnit := map[uint64]int{} // cluster → where its first row's unit is
+	cluster, at := uint64(0), []int(nil)
+	for d, i := 0, 1; d < int(seg[0]) && at == nil; d++ {
+		rows := int(seg[i])
+		i++
+		for range rows {
+			c, unit := seg[i], i+1
+			i += 3 + int(seg[i+2])
+			if j, ok := firstUnit[c]; ok && at == nil {
+				cluster, at = c, []int{j, unit}
+			} else if !ok {
+				firstUnit[c] = unit
+			}
+		}
+	}
+	if at == nil {
+		t.Fatal("no cluster holds two documents")
+	}
+	u0, u1 := seg[at[0]], seg[at[1]]
+	seg[at[0]], seg[at[1]] = u1, u0
+	// udoc: the cluster count, then per cluster its unit count and owners.
+	own := values("udoc")
+	j := 1
+	for range cluster {
+		j += 1 + int(own[j])
+	}
+	owners := own[j+1:]
+	owners[u0], owners[u1] = owners[u1], owners[u0]
+	return withMatcherSections(t, valid, map[string][]byte{"dseg": encode(seg), "udoc": encode(own)})
 }

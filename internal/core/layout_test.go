@@ -110,12 +110,14 @@ func TestSnapshotBytesPinned(t *testing.T) {
 // back, and the live heap the read leaves behind (after two collections,
 // as the benchmark's heap_mb takes it) may not exceed a fixed multiple
 // of the snapshot's bytes. The multiples are the values measured with
-// the segment table's tokens kept as uvarint dictionary ids, about 1.8
-// bytes a token, and posting lists split into a run of TF = 1 unit ids
-// and a TF > 1 remainder and nothing else kept per list (1.85× and
-// 2.12×; 2.28× and 2.52× with an int32 a token, 2.94× and 3.17× with
-// 8-byte postings in one run too, 7.66× and 7.98× before term ids and
-// flat columns) plus a tenth. The Eq 7/8 columns a first probe
+// the segment table as one byte stream — per document a row count, per
+// row a cluster, a token count and the tokens as uvarint dictionary ids,
+// no unit — and posting lists split into a run of TF = 1 unit ids and a
+// TF > 1 remainder and nothing else kept per list (1.67× and 1.99×;
+// 1.85× and 2.12× with the cluster, unit and row-end columns as int32s,
+// 2.28× and 2.52× with an int32 a token too, 2.94× and 3.17× with 8-byte
+// postings in one run, 7.66× and 7.98× before term ids and flat
+// columns) plus a tenth. The Eq 7/8 columns a first probe
 // builds (16 bytes a unit, see index.unitNorms) are not in the reading:
 // nothing has probed. What four shards pay on top: a list header and a
 // slot for every (shard, cluster, term), and a pooled document-frequency
@@ -128,7 +130,7 @@ func TestLoadedHeapBudget(t *testing.T) {
 	for _, tc := range []struct {
 		shards   int
 		multiple float64
-	}{{0, 1.95}, {4, 2.22}} {
+	}{{0, 1.77}, {4, 2.09}} {
 		t.Run(fmt.Sprintf("shards-%d", tc.shards), func(t *testing.T) {
 			built, err := Build(texts, Config{Seed: 42, Shards: tc.shards})
 			if err != nil {
@@ -176,6 +178,64 @@ func TestLoadedHeapBudget(t *testing.T) {
 			t.Logf("snapshot %d bytes, restored pipeline holds %d: %.2f×", size, held, ratio)
 			if ratio > tc.multiple {
 				t.Errorf("restored pipeline holds %.2f× its snapshot's bytes, budget %.2f×", ratio, tc.multiple)
+			}
+		})
+	}
+}
+
+// TestBuiltHeapBudget holds a built pipeline to what its snapshot
+// restores: Build prepares every post (sentences, annotations, terms)
+// to segment and index it, and serving reads none of that afterwards,
+// so a built pipeline may hold at most a tenth more live heap than the
+// same pipeline read back from its snapshot (about 22× when Build kept
+// the prepared posts). And /add keeps only the rows and postings of the
+// post it adds: 700 adds into a restored 2 000-post pipeline may retain
+// at most 2 KB each (about 11.5 KB when the prepared post was kept).
+func TestBuiltHeapBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is on the heap")
+	}
+	const base, adds, perAdd = 2000, 700, 2048
+	texts, _ := corpusTexts(t, forum.TechSupport, base+adds, 42)
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			before := liveHeap()
+			built, err := Build(texts[:base], Config{Seed: 42, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			heldBuilt := liveHeap() - before
+			var snap bytes.Buffer
+			if _, err := built.WriteTo(&snap); err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(built)
+			built = nil
+			before = liveHeap()
+			loaded, err := ReadPipeline(bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			heldLoaded := liveHeap() - before
+			ratio := float64(heldBuilt) / float64(heldLoaded)
+			t.Logf("built pipeline holds %d bytes, restored %d: %.3f×", heldBuilt, heldLoaded, ratio)
+			if ratio > 1.1 {
+				t.Errorf("built pipeline holds %.3f× its restored heap, budget 1.1×", ratio)
+			}
+
+			before = liveHeap()
+			for _, text := range texts[base:] {
+				if _, err := loaded.Add(text); err != nil {
+					t.Fatal(err)
+				}
+			}
+			each := float64(liveHeap()-before) / adds
+			runtime.KeepAlive(loaded)
+			runtime.KeepAlive(&snap)
+			runtime.KeepAlive(texts) // or the built posts' texts go and the adds read low
+			t.Logf("%d adds retain %.0f bytes each", adds, each)
+			if each > perAdd {
+				t.Errorf("an add retains %.0f bytes, budget %d", each, perAdd)
 			}
 		})
 	}
@@ -254,7 +314,8 @@ func snapshotTerms(t *testing.T, snap []byte) int {
 // 2¹⁴ terms, so ids of one, two and three bytes sit side by side, takes
 // adds (new terms, ids in arrival order), is written, read back and
 // written again byte-identically; then the built and the loaded
-// pipeline take the same further adds and still write the same bytes.
+// pipeline take the same further adds and still write the same bytes,
+// which read back and write again byte-identically.
 func TestWideDictionaryRoundTrip(t *testing.T) {
 	texts := tailTexts(320, 24)
 	base, adds := texts[:300], texts[300:]
@@ -294,8 +355,16 @@ func TestWideDictionaryRoundTrip(t *testing.T) {
 					}
 				}
 			}
-			if !bytes.Equal(write(p), write(loaded)) {
+			last := write(loaded)
+			if !bytes.Equal(write(p), last) {
 				t.Fatal("built and loaded pipelines write different bytes after the same adds")
+			}
+			reloaded, err := ReadPipeline(bytes.NewReader(last))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(write(reloaded), last) {
+				t.Fatal("adds into a loaded pipeline: write → load → write is not byte-identical")
 			}
 		})
 	}

@@ -28,8 +28,8 @@ import (
 //	        embedded verbatim as that file embeds its cluster indices —
 //	        or one per shard, "s000", "s001", … (see internal/shard).
 //
-// A loaded pipeline serves Related queries and accepts Add; it does not
-// retain the prepared documents, so Doc returns nil for pre-load ids.
+// A loaded pipeline serves Related queries and accepts Add, as a built
+// one does.
 
 const (
 	pipelineMagic   = "RFCP"

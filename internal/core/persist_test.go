@@ -43,11 +43,7 @@ func TestPipelinePersistRoundTrip(t *testing.T) {
 	if loaded.NumClusters() != p.NumClusters() {
 		t.Error("cluster count differs")
 	}
-	// A loaded pipeline keeps no prepared documents.
-	if loaded.Doc(0) != nil {
-		t.Error("loaded pipeline should not retain documents")
-	}
-	// But it accepts new posts.
+	// It accepts new posts.
 	id, err := loaded.Add("My printer stopped printing. I replaced the toner. What should I check?")
 	if err != nil {
 		t.Fatalf("Add on loaded pipeline: %v", err)
@@ -182,6 +178,17 @@ func (f *failAfter) Write(p []byte) (int, error) {
 
 // TestWriteToFailingWriter fails the write in the container header, in
 // the head section and in the matcher section: the error comes back
+// TestReadPipelineRefusesUnitsOutOfOrder: a matcher keeps no unit ids —
+// a document's unit in a cluster is its position among the cluster's
+// documents — so a snapshot whose units are not in document order is
+// refused by name, even when its ownership table agrees with its rows.
+func TestReadPipelineRefusesUnitsOutOfOrder(t *testing.T) {
+	_, valid := smallSnapshot(t)
+	if _, err := ReadPipeline(bytes.NewReader(unitsOutOfOrder(t, valid))); err == nil || !strings.Contains(err.Error(), "document order") {
+		t.Fatalf("ReadPipeline = %v, want a refusal naming document order", err)
+	}
+}
+
 // with the count of bytes that did go out.
 func TestWriteToFailingWriter(t *testing.T) {
 	p, valid := smallSnapshot(t)

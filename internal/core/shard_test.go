@@ -83,10 +83,6 @@ func TestShardedPipelinePersistence(t *testing.T) {
 		if loaded.Stats() != sharded.Stats() {
 			t.Errorf("%s: loaded stats %+v, built %+v", name, loaded.Stats(), sharded.Stats())
 		}
-		// Doc is not retained across a load, same contract as unsharded.
-		if loaded.Doc(0) != nil {
-			t.Errorf("%s: loaded pipeline should not retain prepared docs", name)
-		}
 		// Loaded pipelines keep accepting adds.
 		if _, err := loaded.Add(texts[0]); err != nil {
 			t.Fatal(err)

@@ -162,21 +162,22 @@ func (ix *Index) activeLocked(acc *accumulator, terms []int32, qf, idfs []float6
 }
 
 // scanLocked is the one scan behind Query and QueryFrozen: the
-// exhaustive Eq 9 scan. Terms arrive as dictionary ids in ascending term
-// order with aligned query frequencies and pIDFs, resolved by the caller
-// under the same lock hold or frozen from the collection pool. shared,
+// exhaustive Eq 9 scan, its results appended to dst (see finish). Terms
+// arrive as dictionary ids in ascending term order with aligned query
+// frequencies and pIDFs, resolved by the caller under the same lock
+// hold or frozen from the collection pool. shared,
 // nil on the unsharded path, is the probe's Theta: the drain rejects
 // against it as it goes and raises it to its n-th exact score. Callers
 // hold the read lock and pass an accumulator acquired under it, which
 // scanLocked releases; only shard-local state (postings, units) and the
 // resolved factors are read, so the scatter path's lock discipline
 // carries over unchanged.
-func (ix *Index) scanLocked(acc *accumulator, terms []int32, qf, idfs []float64, avgUnique float64, topN int, shared *Theta, exclude func(unit int) bool, tr *obs.Trace) []Result {
+func (ix *Index) scanLocked(dst []Result, acc *accumulator, terms []int32, qf, idfs []float64, avgUnique float64, topN int, shared *Theta, exclude func(unit int) bool, tr *obs.Trace) []Result {
 	cols := ix.normsLocked(avgUnique)
 	totalPostings := ix.activeLocked(acc, terms, qf, idfs)
 	candidates, _ := acc.exhaust(cols, len(ix.denoms), totalPostings, topN, shared, exclude)
 	ctrScanPostings.Add(totalPostings)
-	res := acc.finish(candidates, tr)
+	res := acc.finish(dst, candidates, tr)
 	acc.release()
 	return res
 }
@@ -308,10 +309,10 @@ func offerTop(top []Result, topN, u int, s, bar float64, theta *Theta) ([]Result
 
 // finish is the tail of the scan: order the top-n a drain selected in
 // top under the deterministic order (score descending, unit ascending),
-// record the scan histograms and the optional trace event, and
-// materialize the result list. candidates is the number of units the
-// probe accumulated a score for.
-func (acc *accumulator) finish(candidates int, tr *obs.Trace) []Result {
+// record the scan histograms and the optional trace event, and append
+// the result list to dst, a new one when dst is nil. candidates is the
+// number of units the probe accumulated a score for.
+func (acc *accumulator) finish(dst []Result, candidates int, tr *obs.Trace) []Result {
 	top := acc.top
 	// Heapsort in place: the root is the worst retained result, so moving
 	// it behind the shrinking heap leaves the slice best first.
@@ -331,9 +332,10 @@ func (acc *accumulator) finish(candidates int, tr *obs.Trace) []Result {
 			obs.N("results", int64(len(top))),
 			obs.N("pool_hit", hit))
 	}
-	out := make([]Result, len(top))
-	copy(out, top)
-	return out
+	if dst == nil {
+		dst = make([]Result, 0, len(top))
+	}
+	return append(dst, top...)
 }
 
 // worse reports whether a ranks below b: lower score, higher unit id on

@@ -128,7 +128,7 @@ func checkAgainstOracle(t *testing.T, ix *Index, queryTF map[string]float64, top
 		t.Fatalf("Query topN=%d: %v, oracle %v", topN, got, want)
 	}
 	terms, qf, idfs, avg := frozenArgs(ix, queryTF)
-	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, nil, exclude, nil); !reflect.DeepEqual(got, want) {
+	if got := ix.QueryFrozen(nil, terms, qf, idfs, avg, topN, nil, exclude, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("QueryFrozen topN=%d: %v, oracle %v", topN, got, want)
 	}
 	if len(want) == 0 {
@@ -137,11 +137,11 @@ func checkAgainstOracle(t *testing.T, ix *Index, queryTF map[string]float64, top
 	// A bound proven by the list itself (its n-th score) loses nothing; a
 	// bound in the middle of the list keeps exactly the entries that reach
 	// it, in order.
-	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, thetaAt(want[len(want)-1].Score), exclude, nil); !reflect.DeepEqual(got, want) {
+	if got := ix.QueryFrozen(nil, terms, qf, idfs, avg, topN, thetaAt(want[len(want)-1].Score), exclude, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("QueryFrozen theta=n-th: %v, oracle %v", got, want)
 	}
 	floor := want[len(want)/2].Score
-	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, thetaAt(floor), exclude, nil); !reflect.DeepEqual(got, reaching(want, floor)) {
+	if got := ix.QueryFrozen(nil, terms, qf, idfs, avg, topN, thetaAt(floor), exclude, nil); !reflect.DeepEqual(got, reaching(want, floor)) {
 		t.Fatalf("QueryFrozen theta=%g: %v, oracle %v", floor, got, reaching(want, floor))
 	}
 }
@@ -268,7 +268,8 @@ func TestConcurrentScansShareThePool(t *testing.T) {
 }
 
 // TestScanAllocations gates the steady-state probe at one allocation —
-// its result slice: the divisor column is cached. A frozen probe carrying
+// its result slice, none when the caller passes one to append to: the
+// divisor column is cached. A frozen probe carrying
 // another average finds the column stale with no write lock between, so
 // nothing was retired for it to reuse: it allocates two more, the two
 // columns in one array and their header, and that is all it costs. The
@@ -290,13 +291,17 @@ func TestScanAllocations(t *testing.T) {
 	stale := avg
 	if got := testing.AllocsPerRun(200, func() {
 		stale *= 1.001
-		ix.QueryFrozen(terms, qf, idfs, stale, 10, nil, nil, nil)
+		ix.QueryFrozen(nil, terms, qf, idfs, stale, 10, nil, nil, nil)
 	}); got != 3 {
 		t.Errorf("QueryFrozen finding the column stale: %v allocs per run, want 3 (result, columns, header)", got)
 	}
 	var theta Theta // shared by the runs, as by a probe's legs
-	if got := testing.AllocsPerRun(200, func() { ix.QueryFrozen(terms, qf, idfs, avg, 10, &theta, nil, nil) }); got > 1 || theta.Load() == 0 {
+	if got := testing.AllocsPerRun(200, func() { ix.QueryFrozen(nil, terms, qf, idfs, avg, 10, &theta, nil, nil) }); got > 1 || theta.Load() == 0 {
 		t.Errorf("QueryFrozen under a Theta (now %g): %v allocs per run, want at most 1", theta.Load(), got)
+	}
+	dst := make([]Result, 0, 10)
+	if got := testing.AllocsPerRun(200, func() { dst = ix.QueryFrozen(dst[:0], terms, qf, idfs, avg, 10, nil, nil, nil) }); got != 0 || len(dst) != 10 {
+		t.Errorf("QueryFrozen into a reused dst: %v allocs per run and %d results, want none and 10", got, len(dst))
 	}
 	unique, tf := CountTerms(ix.dict.Terms(), ix.dict.AppendIDs(nil, docs[5]), nil)
 	if got := testing.AllocsPerRun(200, func() {

@@ -37,7 +37,9 @@ func (ix *Index) FrozenScoring(terms []int32, dst []float64) (idfs []float64, av
 // QueryFrozen is Query with the collection-level factors supplied by
 // the caller (see FrozenScoring): terms arrive as dictionary ids in
 // ascending term order with aligned query frequencies qf and pIDFs
-// idfs. Accumulation follows the supplied term order, so with factors
+// idfs. The results are appended to dst, and a nil dst gets a list of
+// its own, so a caller that reuses its buffer scans without allocating.
+// Accumulation follows the supplied term order, so with factors
 // frozen from the same collection state the scores are bit-identical to
 // Query's. A non-nil tr records one "index.query" event: candidate-set
 // width, result count, and whether the pooled accumulator served the
@@ -46,13 +48,13 @@ func (ix *Index) FrozenScoring(terms []int32, dst []float64) (idfs []float64, av
 // theta, when non-nil, is shared by every scatter leg of one probe: the
 // scan discards what scores strictly below it and raises it to its own
 // n-th best (see Theta). A nil theta is the unsharded scan.
-func (ix *Index) QueryFrozen(terms []int32, qf, idfs []float64, avgUnique float64, topN int, theta *Theta, exclude func(unit int) bool, tr *obs.Trace) []Result {
+func (ix *Index) QueryFrozen(dst []Result, terms []int32, qf, idfs []float64, avgUnique float64, topN int, theta *Theta, exclude func(unit int) bool, tr *obs.Trace) []Result {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if topN <= 0 || len(ix.denoms) == 0 {
-		return nil
+		return dst
 	}
-	return ix.scanLocked(acquire(len(ix.denoms)), terms, qf, idfs, avgUnique, topN, theta, exclude, tr)
+	return ix.scanLocked(dst, acquire(len(ix.denoms)), terms, qf, idfs, avgUnique, topN, theta, exclude, tr)
 }
 
 // Theta is one probe's proven lower bound on the n-th best score of its

@@ -74,21 +74,21 @@ func TestQueryFrozenMatchesQueryTraced(t *testing.T) {
 	terms, qf, idfs, avg := frozenArgs(ix, queryTF)
 	for _, topN := range []int{1, 3, 8, 100} {
 		want := ix.Query(queryTF, topN, nil)
-		got := ix.QueryFrozen(terms, qf, idfs, avg, topN, nil, nil, nil)
+		got := ix.QueryFrozen(nil, terms, qf, idfs, avg, topN, nil, nil, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("topN=%d: frozen %v != standard %v", topN, got, want)
 		}
 	}
 	excl := func(u int) bool { return u%2 == 0 }
 	want := ix.Query(queryTF, 10, excl)
-	got := ix.QueryFrozen(terms, qf, idfs, avg, 10, nil, excl, nil)
+	got := ix.QueryFrozen(nil, terms, qf, idfs, avg, 10, nil, excl, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("excluded: frozen %v != standard %v", got, want)
 	}
-	if got := ix.QueryFrozen(terms, qf, idfs, avg, 0, nil, nil, nil); got != nil {
+	if got := ix.QueryFrozen(nil, terms, qf, idfs, avg, 0, nil, nil, nil); got != nil {
 		t.Errorf("topN=0 should return nil, got %v", got)
 	}
-	if got := New().QueryFrozen(terms, qf, idfs, avg, 5, nil, nil, nil); got != nil {
+	if got := New().QueryFrozen(nil, terms, qf, idfs, avg, 5, nil, nil, nil); got != nil {
 		t.Errorf("empty index should return nil, got %v", got)
 	}
 }
@@ -117,7 +117,7 @@ func TestThetaLive(t *testing.T) {
 		oracle := naiveQuery(ix, queryTF, topN, exclude)
 		for _, at := range []float64{oracle[0].Score, oracle[topN/2-1].Score, oracle[topN-2].Score, 2 * oracle[0].Score} {
 			theta, want := thetaAt(at), reaching(oracle, at)
-			if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, theta, exclude, nil); !reflect.DeepEqual(got, want) {
+			if got := ix.QueryFrozen(nil, terms, qf, idfs, avg, topN, theta, exclude, nil); !reflect.DeepEqual(got, want) {
 				t.Errorf("theta at %g: %v, want %v", at, got, want)
 			}
 			if theta.Load() != at {
@@ -126,7 +126,7 @@ func TestThetaLive(t *testing.T) {
 			checkPoolClean(t)
 		}
 		var theta Theta
-		if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, &theta, exclude, nil); !reflect.DeepEqual(got, oracle) {
+		if got := ix.QueryFrozen(nil, terms, qf, idfs, avg, topN, &theta, exclude, nil); !reflect.DeepEqual(got, oracle) {
 			t.Errorf("theta from 0: %v, oracle %v", got, oracle)
 		}
 		if theta.Load() != oracle[topN-1].Score {
@@ -142,7 +142,7 @@ func TestThetaLive(t *testing.T) {
 	}
 	short := func(u int) bool { return !keep[u] }
 	var theta Theta
-	if got := ix.QueryFrozen(terms, qf, idfs, avg, topN, &theta, short, nil); !reflect.DeepEqual(got, all[topN:2*topN-1]) {
+	if got := ix.QueryFrozen(nil, terms, qf, idfs, avg, topN, &theta, short, nil); !reflect.DeepEqual(got, all[topN:2*topN-1]) {
 		t.Errorf("short list: %v, want %v", got, all[topN:2*topN-1])
 	}
 	if theta.Load() != 0 {

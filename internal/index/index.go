@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/portlog"
 )
 
 // Observability instruments for the per-cluster query internals. The
@@ -102,7 +103,7 @@ func (l list) find(u int32) (tf int32, ok bool) {
 // instead of once per posting, hence the same float64.
 var logTFs = func() (t [256]float64) {
 	for tf := range t {
-		t[tf] = math.Log(float64(tf)) + 1
+		t[tf] = portlog.Log(float64(tf)) + 1
 	}
 	return t
 }()
@@ -111,7 +112,7 @@ func logTF(tf int32) float64 {
 	if uint32(tf) < uint32(len(logTFs)) {
 		return logTFs[tf]
 	}
-	return math.Log(float64(tf)) + 1
+	return portlog.Log(float64(tf)) + 1
 }
 
 // Index is an inverted full-text index over integer-identified units.
@@ -360,7 +361,7 @@ func idf(n, df int) float64 {
 	if df == 0 {
 		return 0
 	}
-	v := math.Log((float64(n-df) + 0.5) / (float64(df) + 0.5))
+	v := portlog.Log((float64(n-df) + 0.5) / (float64(df) + 0.5))
 	if v < 0 {
 		return 0
 	}
@@ -395,7 +396,7 @@ func (ix *Index) Query(queryTF map[string]float64, topN int, exclude func(unit i
 	acc := acquire(len(ix.denoms))
 	acc.names, acc.terms, acc.qf = ix.resolve(queryTF, acc.names[:0], acc.terms[:0], acc.qf[:0])
 	acc.idfs = ix.idfsLocked(acc.terms, acc.idfs[:0])
-	return ix.scanLocked(acc, acc.terms, acc.qf, acc.idfs, ix.avgUniqueLocked(), topN, nil, exclude, nil)
+	return ix.scanLocked(nil, acc, acc.terms, acc.qf, acc.idfs, ix.avgUniqueLocked(), topN, nil, exclude, nil)
 }
 
 // resolve turns a string-keyed query into the id form the core takes:

@@ -218,7 +218,7 @@ func TestFrozenAveragesRaceAdd(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < len(late)/len(averages); i++ {
 				before := ix.NumUnits()
-				res := ix.QueryFrozen(terms, qf, idfs, averages[g], topN, nil, nil, nil)
+				res := ix.QueryFrozen(nil, terms, qf, idfs, averages[g], topN, nil, nil, nil)
 				scans[g] = append(scans[g], scan{res, before, ix.NumUnits()})
 				tick <- struct{}{}
 			}
@@ -246,7 +246,7 @@ func TestFrozenAveragesRaceAdd(t *testing.T) {
 	// Quiescent again: the same two averages, now against the full oracle.
 	for _, a := range averages {
 		want := naiveRank(naiveScores(ix, terms, qf, idfs, a), topN, nil)
-		if got := ix.QueryFrozen(terms, qf, idfs, a, topN, nil, nil, nil); !reflect.DeepEqual(got, want) {
+		if got := ix.QueryFrozen(nil, terms, qf, idfs, a, topN, nil, nil, nil); !reflect.DeepEqual(got, want) {
 			t.Errorf("average %g after the adds: %v, oracle %v", a, got, want)
 		}
 	}

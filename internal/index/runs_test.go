@@ -274,7 +274,7 @@ func TestDensePoolHygiene(t *testing.T) {
 		checkAgainstOracle(t, smallIx, sq, 1+rng.Intn(12), func(u int) bool { return u%4 == 0 })
 		checkPoolClean(t)
 		terms, qf, idfs, avg := frozenArgs(smallIx, sq)
-		if got := smallIx.QueryFrozen(terms, qf, idfs, avg, 5, thetaAt(1e9), nil, nil); len(got) != 0 {
+		if got := smallIx.QueryFrozen(nil, terms, qf, idfs, avg, 5, thetaAt(1e9), nil, nil); len(got) != 0 {
 			t.Fatalf("a Theta above every score let %v through", got)
 		}
 		checkPoolClean(t)
@@ -307,7 +307,7 @@ func TestCandidatesCountScoredUnits(t *testing.T) {
 
 		before := histQueryCandidates.Snapshot()
 		tr := obs.NewTrace()
-		ix.QueryFrozen(terms, qf, idfs, avg, 10, nil, func(u int) bool { return u%7 == 0 }, tr)
+		ix.QueryFrozen(nil, terms, qf, idfs, avg, 10, nil, func(u int) bool { return u%7 == 0 }, tr)
 		after := histQueryCandidates.Snapshot()
 		if after.Count != before.Count+1 || after.Sum-before.Sum != want {
 			t.Fatalf("query %v: histogram took %d observations summing %d, oracle scores %d units", q, after.Count-before.Count, after.Sum-before.Sum, want)

@@ -8,8 +8,9 @@ package lda
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+
+	"repro/internal/portlog"
 )
 
 // Model is a trained LDA topic model.
@@ -278,10 +279,10 @@ func JSDivergence(p, q []float64) float64 {
 	for i := range p {
 		m := (p[i] + q[i]) / 2
 		if p[i] > 0 && m > 0 {
-			js += float64(0.5 * p[i] * math.Log2(p[i]/m))
+			js += float64(0.5 * p[i] * portlog.Log2(p[i]/m))
 		}
 		if q[i] > 0 && m > 0 {
-			js += float64(0.5 * q[i] * math.Log2(q[i]/m))
+			js += float64(0.5 * q[i] * portlog.Log2(q[i]/m))
 		}
 	}
 	if js < 0 {

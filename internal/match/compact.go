@@ -20,17 +20,20 @@ import (
 // id, and each cluster index is embedded as its own complete compact
 // index file (magic "RFCI") with its own checksummed sections. The
 // matcher in memory is the same tables: one index.Dict over "dict" and
-// every cluster's terms, "dseg" as the flat columns of segTable, whose
-// term ids stay uvarints — of the dictionary, not of the file.
-// Sections:
+// every cluster's terms, and "dseg" as segTable's one byte stream —
+// its rows without their unit ids, which are the count of earlier rows
+// in the cluster (units are assigned in document order, and ReadMR
+// refuses a file whose are not), its term ids uvarints of the
+// dictionary, not of the file. Sections:
 //
 //	"meta"  JSON header: matcher name and build statistics. JSON keeps
 //	        the one low-volume section debuggable with standard tooling.
 //	"dict"  interned term dictionary over every segment's terms,
 //	        sorted ascending (secfile string table).
 //	"dseg"  per-document segments: uvarint doc count, then per document
-//	        uvarint segment count and per segment uvarint cluster id,
-//	        unit id, term count, and term ids into "dict".
+//	        uvarint segment count and per segment, ascending in cluster,
+//	        uvarint cluster id, unit id (in document order), term count,
+//	        and term ids into "dict".
 //	"udoc"  unit → owning document tables: uvarint cluster count, then
 //	        per cluster uvarint unit count and uvarint doc ids.
 //	"sgct"  Table 3 segment accounting: uvarint doc count, then the
@@ -114,10 +117,12 @@ func appendCompactMR(mr *MR) ([]byte, error) {
 	names := mr.dict.Terms()
 	fileID := make([]uint64, len(names))
 	var row []int32
-	for r := range st.cluster {
-		row = st.appendTokens(row[:0], r)
-		for _, t := range row {
-			fileID[t] = 1
+	for d := range st.numDocs() {
+		for rows := st.rows(d); rows.n > 0; {
+			_, row = rows.next(row[:0])
+			for _, t := range row {
+				fileID[t] = 1
+			}
 		}
 	}
 	var used []int32
@@ -133,14 +138,19 @@ func appendCompactMR(mr *MR) ([]byte, error) {
 	}
 	dictSec := secfile.AppendStringTable(nil, dict)
 
+	// A row's unit is the count of earlier rows in its cluster: units
+	// are assigned in document order.
 	dseg := secfile.AppendUvarint(nil, uint64(st.numDocs()))
-	for d := 0; d < st.numDocs(); d++ {
-		lo, hi := st.doc(d)
-		dseg = secfile.AppendUvarint(dseg, uint64(hi-lo))
-		for r := lo; r < hi; r++ {
-			dseg = secfile.AppendUvarint(dseg, uint64(st.cluster[r]))
-			dseg = secfile.AppendUvarint(dseg, uint64(st.unit[r]))
-			row = st.appendTokens(row[:0], r)
+	units := make([]int, len(mr.clusters))
+	for d := range st.numDocs() {
+		rows := st.rows(d)
+		dseg = secfile.AppendUvarint(dseg, uint64(rows.n))
+		for rows.n > 0 {
+			var c int
+			c, row = rows.next(row[:0])
+			dseg = secfile.AppendUvarint(dseg, uint64(c))
+			dseg = secfile.AppendUvarint(dseg, uint64(units[c]))
+			units[c]++
 			dseg = secfile.AppendUvarint(dseg, uint64(len(row)))
 			for _, t := range row {
 				dseg = secfile.AppendUvarint(dseg, fileID[t])
@@ -161,8 +171,7 @@ func appendCompactMR(mr *MR) ([]byte, error) {
 		sgct = secfile.AppendUvarint(sgct, uint64(v))
 	}
 	for d := range mr.before {
-		lo, hi := st.doc(d)
-		sgct = secfile.AppendUvarint(sgct, uint64(hi-lo))
+		sgct = secfile.AppendUvarint(sgct, uint64(st.rows(d).n))
 	}
 
 	dim := 0
@@ -287,8 +296,14 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 	}
 	nDocs := int(nDocs64)
 	// Room for the ids re-encoded as they are in the file, which is what
-	// a fresh dictionary's ids are; cut to size after the read.
-	st := segTable{docEnd: make([]int32, 0, nDocs), ids: make([]byte, 0, len(dsegSec))}
+	// a fresh dictionary's ids are; cut to size after the read. unitDoc
+	// is what the rows say each cluster's units are: the documents with
+	// a row in it, ascending, since units are assigned in document order.
+	st := segTable{docEnd: make([]int32, 0, nDocs), data: make([]byte, 0, len(dsegSec))}
+	unitDoc := make([][]int32, nClusters)
+	for c, ix := range clusters {
+		unitDoc[c] = make([]int32, 0, ix.NumUnits())
+	}
 	var row []int32
 	for d := 0; d < nDocs; d++ {
 		nSegs, rest, err := secfile.Uvarint(dsegSec)
@@ -299,6 +314,8 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 		if nSegs > uint64(nClusters) {
 			return nil, fmt.Errorf("match: doc %d declares %d refined segments over %d clusters", d, nSegs, nClusters)
 		}
+		st.startDoc(int(nSegs))
+		prev := -1
 		for i := 0; i < int(nSegs); i++ {
 			c, r1, err := secfile.Uvarint(dsegSec)
 			if err != nil {
@@ -316,10 +333,20 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 			if c >= uint64(nClusters) {
 				return nil, fmt.Errorf("match: doc %d segment %d cluster %d out of range [0, %d)", d, i, c, nClusters)
 			}
+			if int(c) <= prev {
+				return nil, fmt.Errorf("match: doc %d segment %d in cluster %d follows one in cluster %d: a document's segments ascend in cluster",
+					d, i, c, prev)
+			}
+			prev = int(c)
 			if u >= uint64(clusters[c].NumUnits()) {
 				return nil, fmt.Errorf("match: doc %d segment %d unit %d out of range for cluster %d (%d units)",
 					d, i, u, c, clusters[c].NumUnits())
 			}
+			if want := len(unitDoc[c]); u != uint64(want) {
+				return nil, fmt.Errorf("match: doc %d segment %d claims cluster %d unit %d, but units are in document order: its unit is %d",
+					d, i, c, u, want)
+			}
+			unitDoc[c] = append(unitDoc[c], int32(d))
 			if nt > uint64(len(dsegSec)) { // each term id is ≥ 1 byte
 				return nil, fmt.Errorf("match: doc %d segment %d declares %d terms in %d bytes", d, i, nt, len(dsegSec))
 			}
@@ -335,16 +362,17 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 				}
 				row = append(row, termID[id])
 			}
-			st.appendSeg(int(c), int(u), row)
+			st.appendSeg(int(c), row)
 		}
-		st.endDoc()
 	}
 	if len(dsegSec) != 0 {
 		return nil, fmt.Errorf("match: %d trailing bytes in segment section", len(dsegSec))
 	}
-	st.cluster, st.unit = slices.Clone(st.cluster), slices.Clone(st.unit)
-	st.termEnd, st.ids = slices.Clone(st.termEnd), slices.Clone(st.ids)
+	st.data = slices.Clone(st.data)
 
+	// The ownership table must be the one the rows imply — Match resolves
+	// unitDoc[cluster][result.Unit] on every query, and a mismatch here
+	// means wrong neighbors, not a crash.
 	udocSec, err := f.Section("udoc")
 	if err != nil {
 		return nil, err
@@ -356,8 +384,7 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 	if nc != uint64(nClusters) {
 		return nil, fmt.Errorf("match: ownership table covers %d clusters, index section has %d", nc, nClusters)
 	}
-	unitDoc := make([][]int32, nClusters)
-	for c := range unitDoc {
+	for c, owners := range unitDoc {
 		n, rest, err := secfile.Uvarint(udocSec)
 		if err != nil {
 			return nil, fmt.Errorf("match: cluster %d ownership count: %w", c, err)
@@ -366,8 +393,7 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 		if n != uint64(clusters[c].NumUnits()) {
 			return nil, fmt.Errorf("match: cluster %d ownership table has %d units, index has %d", c, n, clusters[c].NumUnits())
 		}
-		owners := make([]int32, int(n))
-		for u := range owners {
+		for u := 0; u < int(n); u++ {
 			d, rest, err := secfile.Uvarint(udocSec)
 			if err != nil {
 				return nil, fmt.Errorf("match: cluster %d unit %d owner: %w", c, u, err)
@@ -376,25 +402,16 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 			if d >= uint64(nDocs) {
 				return nil, fmt.Errorf("match: cluster %d unit %d owned by doc %d out of range [0, %d)", c, u, d, nDocs)
 			}
-			owners[u] = int32(d)
+			if u >= len(owners) {
+				return nil, fmt.Errorf("match: cluster %d unit %d has no segment, ownership table says doc %d", c, u, d)
+			}
+			if d != uint64(owners[u]) {
+				return nil, fmt.Errorf("match: doc %d claims cluster %d unit %d, ownership table says doc %d", owners[u], c, u, d)
+			}
 		}
-		unitDoc[c] = owners
 	}
 	if len(udocSec) != 0 {
 		return nil, fmt.Errorf("match: %d trailing bytes in ownership section", len(udocSec))
-	}
-
-	// Ownership must agree with the per-document segment lists — Match
-	// resolves unitDoc[seg.cluster][result.Unit] on every query, and a
-	// mismatch here means wrong neighbors, not a crash.
-	for d := 0; d < nDocs; d++ {
-		lo, hi := st.doc(d)
-		for r := lo; r < hi; r++ {
-			if c, u := st.cluster[r], st.unit[r]; int(unitDoc[c][u]) != d {
-				return nil, fmt.Errorf("match: doc %d segment %d claims cluster %d unit %d, ownership table says doc %d",
-					d, r-lo, c, u, unitDoc[c][u])
-			}
-		}
 	}
 
 	sgctSec, err := f.Section("sgct")
@@ -427,8 +444,8 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 		return nil, fmt.Errorf("match: %d trailing bytes in segment-count section", len(sgctSec))
 	}
 	for d := range after {
-		if lo, hi := st.doc(d); int(after[d]) != hi-lo {
-			return nil, fmt.Errorf("match: doc %d declares %d refined segments but carries %d", d, after[d], hi-lo)
+		if n := st.rows(d).n; int(after[d]) != n {
+			return nil, fmt.Errorf("match: doc %d declares %d refined segments but carries %d", d, after[d], n)
 		}
 	}
 

@@ -53,26 +53,31 @@ func TestMRCompactByteIdentical(t *testing.T) {
 // or panic at query time never installs.
 func TestReadMRRejectsInvariantBreaks(t *testing.T) {
 	// pickSeg finds a document that actually has segments to corrupt and
-	// returns it with its first row.
-	pickSeg := func(mr *MR) (doc, row int) {
+	// returns it with the cluster of its first row.
+	pickSeg := func(mr *MR) (doc, cluster int) {
 		for d := 0; d < mr.segs.numDocs(); d++ {
-			if lo, hi := mr.segs.doc(d); hi > lo {
-				return d, lo
+			if rows := mr.segs.rows(d); rows.n > 0 {
+				c, _ := rows.next(nil)
+				return d, c
 			}
 		}
 		t.Fatal("matcher has no segments")
 		return 0, 0
 	}
 	cases := []struct {
-		name    string
-		mutate  func(mr *MR)
+		name   string
+		mutate func(mr *MR)
+		// edit, when set, corrupts the written file instead: for defects
+		// the encoder cannot be talked into writing.
+		edit    func(t *testing.T, mr *MR, file []byte) []byte
 		wantSub string
 	}{
 		{
 			name: "ownership table disagrees with segments",
 			mutate: func(mr *MR) {
-				d, r := pickSeg(mr)
-				mr.unitDoc[mr.segs.cluster[r]][mr.segs.unit[r]] = int32((d + 1) % mr.segs.numDocs())
+				d, c := pickSeg(mr)
+				u, _ := mr.unitOf(c, d)
+				mr.unitDoc[c][u] = int32((d + 1) % mr.segs.numDocs())
 			},
 			wantSub: "ownership table says",
 		},
@@ -91,10 +96,20 @@ func TestReadMRRejectsInvariantBreaks(t *testing.T) {
 			wantSub: "ownership table has",
 		},
 		{
+			// "dseg" opens with the document count and document 0's row
+			// count, one byte each here; the next byte is its first row's
+			// cluster.
 			name: "segment cluster out of range",
-			mutate: func(mr *MR) {
-				_, r := pickSeg(mr)
-				mr.segs.cluster[r] = int32(len(mr.clusters))
+			edit: func(t *testing.T, mr *MR, file []byte) []byte {
+				return rebuildMRSections(t, file, func(secs []secfile.Section) []secfile.Section {
+					dseg := append([]byte(nil), secs[2].Data...)
+					if dseg[0] != byte(mr.segs.numDocs()) || dseg[1] == 0 {
+						t.Fatalf("dseg opens % x: want %d documents and rows in the first", dseg[:2], mr.segs.numDocs())
+					}
+					dseg[2] = byte(len(mr.clusters))
+					secs[2].Data = dseg
+					return secs
+				})
 			},
 			wantSub: "out of range",
 		},
@@ -109,8 +124,14 @@ func TestReadMRRejectsInvariantBreaks(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name+"/compact", func(t *testing.T) {
 			mr := smallMatcher(t)
-			tc.mutate(mr)
-			if _, err := ReadMR(writeMR(t, mr), nil); err == nil {
+			var file []byte
+			if tc.edit != nil {
+				file = tc.edit(t, mr, writeMR(t, mr))
+			} else {
+				tc.mutate(mr)
+				file = writeMR(t, mr)
+			}
+			if _, err := ReadMR(file, nil); err == nil {
 				t.Fatal("invariant-breaking snapshot loaded without error")
 			} else if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
@@ -143,6 +164,62 @@ func rebuildMRSections(t *testing.T, valid []byte, edit func(secs []secfile.Sect
 	return buf.Bytes()
 }
 
+// fileRow is one "dseg" row as the file holds it.
+type fileRow struct {
+	cluster, unit uint64
+	ids           []uint64
+}
+
+// dsegRows parses a valid file's "dseg" section into its documents'
+// rows, and encodeDseg writes them back.
+func dsegRows(t *testing.T, valid []byte) [][]fileRow {
+	t.Helper()
+	f, err := secfile.Decode(valid, CompactMRMagic, compactMRVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := f.Section("dseg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func() uint64 {
+		v, rest, err := secfile.Uvarint(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = rest
+		return v
+	}
+	docs := make([][]fileRow, next())
+	for d := range docs {
+		docs[d] = make([]fileRow, next())
+		for i := range docs[d] {
+			r := fileRow{cluster: next(), unit: next()}
+			r.ids = make([]uint64, next())
+			for j := range r.ids {
+				r.ids[j] = next()
+			}
+			docs[d][i] = r
+		}
+	}
+	return docs
+}
+
+func encodeDseg(docs [][]fileRow) []byte {
+	b := secfile.AppendUvarint(nil, uint64(len(docs)))
+	for _, rows := range docs {
+		b = secfile.AppendUvarint(b, uint64(len(rows)))
+		for _, r := range rows {
+			b = secfile.AppendUvarint(secfile.AppendUvarint(b, r.cluster), r.unit)
+			b = secfile.AppendUvarint(b, uint64(len(r.ids)))
+			for _, id := range r.ids {
+				b = secfile.AppendUvarint(b, id)
+			}
+		}
+	}
+	return b
+}
+
 func TestReadMRCompactNegativePaths(t *testing.T) {
 	replace := func(valid []byte, tag string, payload []byte) func(*testing.T) []byte {
 		return func(t *testing.T) []byte {
@@ -157,11 +234,49 @@ func TestReadMRCompactNegativePaths(t *testing.T) {
 		}
 	}
 	valid := writeMR(t, smallMatcher(t))
+	// editDseg rewrites the file's rows through edit.
+	editDseg := func(edit func(docs [][]fileRow) [][]fileRow) func(*testing.T) []byte {
+		return func(t *testing.T) []byte {
+			return replace(valid, "dseg", encodeDseg(edit(dsegRows(t, valid))))(t)
+		}
+	}
 	cases := []struct {
 		name    string
 		data    func(t *testing.T) []byte
 		wantSub string
 	}{
+		{
+			name: "segments out of cluster order",
+			data: editDseg(func(docs [][]fileRow) [][]fileRow {
+				for _, rows := range docs {
+					if len(rows) >= 2 {
+						rows[0].cluster, rows[1].cluster = rows[1].cluster, rows[0].cluster
+						break
+					}
+				}
+				return docs
+			}),
+			wantSub: "ascend in cluster",
+		},
+		{
+			// Units are assigned in document order, so the last row of a
+			// cluster holds its last unit: without it, that unit has no
+			// segment.
+			name: "unit without a segment",
+			data: editDseg(func(docs [][]fileRow) [][]fileRow {
+				c := docs[0][0].cluster
+				for d := len(docs) - 1; d >= 0; d-- {
+					for i, r := range docs[d] {
+						if r.cluster == c {
+							docs[d] = append(docs[d][:i], docs[d][i+1:]...)
+							return docs
+						}
+					}
+				}
+				return docs
+			}),
+			wantSub: "has no segment",
+		},
 		{
 			name:    "truncated container",
 			data:    func(t *testing.T) []byte { return valid[:len(valid)-30] },

@@ -122,13 +122,11 @@ func termContributions(terms []index.TermScore) []TermContribution {
 func (mr *MR) ExplainDocCluster(localDoc int, q ClusterQuery) []TermContribution {
 	mr.mu.RLock()
 	defer mr.mu.RUnlock()
-	if localDoc < 0 || localDoc >= mr.segs.numDocs() {
+	if q.Cluster < 0 || q.Cluster >= len(mr.unitDoc) {
 		return nil
 	}
-	for r, hi := mr.segs.doc(localDoc); r < hi; r++ {
-		if int(mr.segs.cluster[r]) == q.Cluster {
-			return mr.termBreakdown(q, int(mr.segs.unit[r]))
-		}
+	if u, ok := mr.unitOf(q.Cluster, localDoc); ok {
+		return mr.termBreakdown(q, u)
 	}
 	return nil
 }

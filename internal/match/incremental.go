@@ -118,16 +118,18 @@ func (pa *PendingAdd) CommitTo(mr *MR) int {
 	mr.before = append(mr.before, int32(pa.numRanges))
 	mr.stats.NumSegments += pa.numRanges
 
+	// merged holds nearest-centroid clusters, and there is a centroid
+	// for each cluster and none else.
+	mr.segs.startDoc(len(pa.merged))
 	for c := 0; c < len(mr.clusters); c++ {
 		seg, ok := pa.merged[c]
 		if !ok {
 			continue
 		}
-		unit := mr.clusters[c].AddCounted(seg.terms, seg.tf)
+		mr.clusters[c].AddCounted(seg.terms, seg.tf)
 		mr.unitDoc[c] = append(mr.unitDoc[c], int32(docID))
-		mr.segs.appendSeg(c, unit, seg.tokens)
+		mr.segs.appendSeg(c, seg.tokens)
 	}
-	mr.segs.endDoc()
 	// Bump under the write lock so the new generation is never visible
 	// before the mutation it announces.
 	mr.gen.Add(1)

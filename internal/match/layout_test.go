@@ -90,41 +90,79 @@ func TestArrivalOrderTrap(t *testing.T) {
 
 // TestSegTableVarintWidths round-trips ids of every uvarint width, one
 // to five bytes, through rows of the segment table: appendSeg encodes,
-// appendTokens decodes after whatever dst holds, and numTokens counts.
+// next decodes after whatever dst holds, and numTokens counts.
 func TestSegTableVarintWidths(t *testing.T) {
 	ids := []int32{0, 127, 128, 16383, 16384, 1 << 21, math.MaxInt32}
 	widths := []int{1, 1, 2, 2, 3, 4, 5}
 	for i, id := range ids {
 		var st segTable
-		st.appendSeg(0, 0, []int32{id})
-		st.endDoc()
-		if len(st.ids) != widths[i] {
-			t.Errorf("id %d takes %d bytes, want %d", id, len(st.ids), widths[i])
+		st.startDoc(1)
+		st.appendSeg(0, []int32{id})
+		if got := len(st.data) - 3; got != widths[i] { // row count, cluster, token count
+			t.Errorf("id %d takes %d bytes, want %d", id, got, widths[i])
 		}
-		if got := st.appendTokens([]int32{-1}, 0); !slices.Equal(got, []int32{-1, id}) {
-			t.Errorf("id %d decodes to %v", id, got[1:])
+		rows := st.rows(0)
+		if c, got := rows.next([]int32{-1}); c != 0 || !slices.Equal(got, []int32{-1, id}) {
+			t.Errorf("id %d decodes to cluster %d, %v", id, c, got[1:])
 		}
+	}
+}
+
+// TestSegTableStream round-trips documents through the one byte stream:
+// rows of 0, 127, 128 and 300 tokens (a one- and a two-byte count),
+// cluster ids 127 and 128, and documents with no rows between, at the
+// start and at the end. Each document decodes to its rows, ascending in
+// cluster, and numTokens counts its tokens.
+func TestSegTableStream(t *testing.T) {
+	type row struct {
+		cluster int
+		tokens  []int32
+	}
+	run := func(n int, first int32) []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = first + int32(i)*97
+		}
+		return out
+	}
+	docs := [][]row{
+		nil,
+		{{0, nil}, {1, run(127, 0)}, {127, run(128, 100)}, {128, run(300, 16000)}},
+		nil,
+		nil,
+		{{128, nil}},
+		{{3, run(1, math.MaxInt32)}, {127, nil}},
+		nil,
 	}
 	var st segTable
-	rows := [][]int32{ids, nil, {math.MaxInt32, 0, 16384, 16384, 127}}
-	for r, row := range rows {
-		st.appendSeg(r, 0, row)
-	}
-	st.endDoc()
-	if got, want := st.numTokens(0, len(rows)), len(ids)+5; got != want {
-		t.Errorf("numTokens = %d, want %d", got, want)
-	}
-	var all []int32
-	for r, row := range rows {
-		if got := st.appendTokens(nil, r); !slices.Equal(got, row) {
-			t.Errorf("row %d decodes to %v, want %v", r, got, row)
+	for _, rows := range docs {
+		st.startDoc(len(rows))
+		for _, r := range rows {
+			st.appendSeg(r.cluster, r.tokens)
 		}
-		if got := st.numTokens(r, r+1); got != len(row) {
-			t.Errorf("row %d: numTokens = %d, want %d", r, got, len(row))
-		}
-		all = st.appendTokens(all, r)
 	}
-	if want := slices.Concat(rows...); !slices.Equal(all, want) {
-		t.Errorf("rows appended in turn decode to %v, want %v", all, want)
+	if st.numDocs() != len(docs) {
+		t.Fatalf("numDocs = %d, want %d", st.numDocs(), len(docs))
+	}
+	for d, want := range docs {
+		rows := st.rows(d)
+		if rows.n != len(want) {
+			t.Errorf("doc %d: %d rows, want %d", d, rows.n, len(want))
+			continue
+		}
+		tokens := 0
+		for i, w := range want {
+			c, got := rows.next([]int32{-1})
+			if c != w.cluster || !slices.Equal(got[1:], w.tokens) {
+				t.Errorf("doc %d row %d: cluster %d, %d tokens; want cluster %d, %d tokens", d, i, c, len(got)-1, w.cluster, len(w.tokens))
+			}
+			tokens += len(w.tokens)
+		}
+		if rows.n != 0 || len(rows.b) != 0 {
+			t.Errorf("doc %d: %d rows and %d bytes left after its rows", d, rows.n, len(rows.b))
+		}
+		if got := st.numTokens(d); got != tokens {
+			t.Errorf("doc %d: numTokens = %d, want %d", d, got, tokens)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package match
 import (
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -145,75 +146,92 @@ type BuildStats struct {
 	NumClusters   int
 }
 
-// segTable holds every document's refined segments in flat columns, the
-// shape of the snapshot's "dseg" section: document d's segments are the
-// rows docEnd[d-1]..docEnd[d], ascending in cluster, and row r's tokens
-// — dictionary ids in token order, for query-time TF and a byte-for-byte
-// re-encoding — are the uvarints in ids[termEnd[r-1]:termEnd[r]]. Most
-// ids fit in one or two bytes, so the column holds a token in under two
-// bytes where an int32 took four; readers decode a row with appendTokens.
+// segTable holds every document's refined segments in one byte stream,
+// the snapshot's "dseg" rows without their unit ids: document d is
+// data[docEnd[d-1]:docEnd[d]], a uvarint row count and then, per row
+// and ascending in cluster, a uvarint cluster, a uvarint token count
+// and the tokens — dictionary ids in token order, for query-time TF and
+// a byte-for-byte re-encoding — as uvarints. Clusters, counts and most
+// ids fit in one or two bytes. A row's unit in its cluster's index is
+// not kept: units are assigned in document order, so it is the
+// document's position in unitDoc[cluster] (unitOf). Readers walk a
+// document's rows with segRows.
 type segTable struct {
-	docEnd  []int32
-	cluster []int32 // per row: intention cluster
-	unit    []int32 // per row: unit id inside that cluster's index
-	termEnd []int32 // per row: the byte offset in ids where its tokens end
-	ids     []byte
+	docEnd []int32 // per document: the byte offset in data where it ends
+	data   []byte
 }
 
 func (st *segTable) numDocs() int { return len(st.docEnd) }
 
-// doc returns the row range of document d's segments.
-func (st *segTable) doc(d int) (lo, hi int) {
+// docBytes returns document d's bytes: its row count, then its rows.
+func (st *segTable) docBytes(d int) []byte {
+	lo := int32(0)
 	if d > 0 {
-		lo = int(st.docEnd[d-1])
+		lo = st.docEnd[d-1]
 	}
-	return lo, int(st.docEnd[d])
+	return st.data[lo:st.docEnd[d]]
 }
 
-// termLo returns where row r's tokens start in ids (or, past the last
-// row, end).
-func (st *segTable) termLo(r int) int32 {
-	if r == 0 {
-		return 0
-	}
-	return st.termEnd[r-1]
+// rows returns a cursor over document d's rows.
+func (st *segTable) rows(d int) segRows {
+	b := st.docBytes(d)
+	n, k := binary.Uvarint(b)
+	return segRows{b: b[k:], n: int(n)}
 }
 
-// numTokens counts the tokens of rows lo..hi-1: each uvarint has
-// exactly one byte below 0x80, its last.
-func (st *segTable) numTokens(lo, hi int) int {
-	n := 0
-	for _, b := range st.ids[st.termLo(lo):st.termLo(hi)] {
-		if b < 0x80 {
-			n++
+// numTokens counts document d's tokens: each uvarint has exactly one
+// byte below 0x80, its last, and besides the tokens the document holds
+// its row count and two uvarints a row.
+func (st *segTable) numTokens(d int) int {
+	b := st.docBytes(d)
+	n, _ := binary.Uvarint(b)
+	ends := 0
+	for _, c := range b {
+		if c < 0x80 {
+			ends++
 		}
 	}
-	return n
+	return ends - 1 - 2*int(n)
 }
 
-// appendTokens appends row r's tokens to dst and returns the extended
-// slice. appendSeg wrote the bytes, so every uvarint in them is whole.
-func (st *segTable) appendTokens(dst []int32, r int) []int32 {
-	for b := st.ids[st.termLo(r):st.termEnd[r]]; len(b) > 0; {
+// segRows walks the rows of one document; n is the number left.
+type segRows struct {
+	b []byte
+	n int
+}
+
+// next decodes the next row: it returns the row's cluster and dst with
+// the row's tokens appended. appendSeg wrote the bytes, so every uvarint
+// in them is whole.
+func (it *segRows) next(dst []int32) (cluster int, tokens []int32) {
+	c, k := binary.Uvarint(it.b)
+	nt, k2 := binary.Uvarint(it.b[k:])
+	b := it.b[k+k2:]
+	for range nt {
 		v, n := binary.Uvarint(b)
 		dst = append(dst, int32(v))
 		b = b[n:]
 	}
-	return dst
+	it.b, it.n = b, it.n-1
+	return int(c), dst
 }
 
-// appendSeg adds a row to the document being appended; endDoc closes
-// the document.
-func (st *segTable) appendSeg(cluster, unit int, tokens []int32) {
-	st.cluster = append(st.cluster, int32(cluster))
-	st.unit = append(st.unit, int32(unit))
+// startDoc opens the next document with its row count; appendSeg then
+// adds its rows, ascending in cluster.
+func (st *segTable) startDoc(rows int) {
+	st.data = binary.AppendUvarint(st.data, uint64(rows))
+	st.docEnd = append(st.docEnd, int32(len(st.data)))
+}
+
+// appendSeg adds a row to the document startDoc opened last.
+func (st *segTable) appendSeg(cluster int, tokens []int32) {
+	st.data = binary.AppendUvarint(st.data, uint64(cluster))
+	st.data = binary.AppendUvarint(st.data, uint64(len(tokens)))
 	for _, t := range tokens {
-		st.ids = binary.AppendUvarint(st.ids, uint64(t))
+		st.data = binary.AppendUvarint(st.data, uint64(t))
 	}
-	st.termEnd = append(st.termEnd, int32(len(st.ids)))
+	st.docEnd[len(st.docEnd)-1] = int32(len(st.data))
 }
-
-func (st *segTable) endDoc() { st.docEnd = append(st.docEnd, int32(len(st.cluster))) }
 
 // MR is a built multi-ranking matcher.
 //
@@ -353,22 +371,24 @@ func NewMR(name string, docs []*segment.Doc, cfg MRConfig) *MR {
 	mr.dict = index.NewDict()
 	mr.unitDoc = make([][]int32, k)
 	st := &mr.segs
-	st.cluster, st.unit = make([]int32, 0, len(groups)), make([]int32, 0, len(groups))
-	st.termEnd, st.ids = make([]int32, 0, len(groups)), make([]byte, 0, tokens) // ≥ 1 byte a token
+	st.docEnd = make([]int32, 0, len(docs))
+	st.data = make([]byte, 0, len(docs)+2*len(groups)+tokens) // ≥ 1 byte a uvarint
 	var row []int32
-	for _, g := range groups {
-		for st.numDocs() < g.doc {
-			st.endDoc()
+	for d, doc := range docs {
+		n := 0
+		for n < len(groups) && groups[n].doc == d {
+			n++
 		}
-		row = row[:0]
-		for _, r := range refs[g.lo:g.hi] { // the refined segment: its members' terms in segment order
-			row = mr.dict.AppendIDs(row, docs[r.doc].Terms(segs[r.seg].lo, segs[r.seg].hi))
+		st.startDoc(n)
+		for _, gr := range groups[:n] {
+			row = row[:0]
+			for _, r := range refs[gr.lo:gr.hi] { // the refined segment: its members' terms in segment order
+				row = mr.dict.AppendIDs(row, doc.Terms(segs[r.seg].lo, segs[r.seg].hi))
+			}
+			st.appendSeg(gr.cluster, row)
+			mr.unitDoc[gr.cluster] = append(mr.unitDoc[gr.cluster], int32(d))
 		}
-		st.appendSeg(g.cluster, len(mr.unitDoc[g.cluster]), row)
-		mr.unitDoc[g.cluster] = append(mr.unitDoc[g.cluster], int32(g.doc))
-	}
-	for st.numDocs() < len(docs) {
-		st.endDoc()
+		groups = groups[n:]
 	}
 	mr.indexSegs(k)
 	mr.stats.Indexing = phase.Stop()
@@ -376,18 +396,31 @@ func NewMR(name string, docs []*segment.Doc, cfg MRConfig) *MR {
 }
 
 // indexSegs builds the k cluster indices from the segment table: a
-// cluster's units are its rows, in row order, decoded into one buffer
-// that the indices do not keep.
+// cluster's units are its rows, in document order, decoded into one
+// buffer that the indices do not keep.
 func (mr *MR) indexSegs(k int) {
 	units := make([][][]int32, k)
-	buf := make([]int32, 0, mr.segs.numTokens(0, len(mr.segs.cluster)))
-	for r, c := range mr.segs.cluster {
-		lo := len(buf)
-		buf = mr.segs.appendTokens(buf, r)
-		units[c] = append(units[c], buf[lo:])
+	n := 0
+	for d := range mr.segs.numDocs() {
+		n += mr.segs.numTokens(d)
+	}
+	buf := make([]int32, 0, n)
+	for d := range mr.segs.numDocs() {
+		for rows := mr.segs.rows(d); rows.n > 0; {
+			lo := len(buf)
+			var c int
+			c, buf = rows.next(buf)
+			units[c] = append(units[c], buf[lo:])
+		}
 	}
 	mr.clusters = make([]*index.Index, k)
 	par.Do(k, mr.cfg.Workers, func(c int) { mr.clusters[c] = index.Build(mr.dict, units[c]) })
+}
+
+// unitOf returns document d's unit in cluster c, and whether it has
+// one: units are assigned in document order, so unitDoc[c] ascends.
+func (mr *MR) unitOf(c, d int) (int, bool) {
+	return slices.BinarySearch(mr.unitDoc[c], int32(d))
 }
 
 // Name implements Matcher.
@@ -465,7 +498,6 @@ func (mr *MR) match(docID, k int, tr *obs.Trace, explain bool) ([]Result, []Expl
 // captured by reference, a heap cell each on the allocation-gated path.
 func (mr *MR) queryListsLocked(docID, k int, tr *obs.Trace) ([]ClusterQuery, [][]index.Result, int) {
 	n := mr.cfg.ListDepth(k)
-	row, _ := mr.segs.doc(docID)
 	probes := mr.probesLocked(docID)
 	// Each intention list is an independent index query, so they fan
 	// out. Each lands in its own slot and the merge walks them in segment
@@ -474,8 +506,8 @@ func (mr *MR) queryListsLocked(docID, k int, tr *obs.Trace) ([]ClusterQuery, [][
 	lists := make([][]index.Result, len(probes))
 	par.Do(len(probes), mr.cfg.Workers, func(i int) {
 		q := probes[i]
-		own := int(mr.segs.unit[row+i])
-		lists[i] = mr.clusters[q.Cluster].QueryFrozen(
+		own, _ := mr.unitOf(q.Cluster, docID)
+		lists[i] = mr.clusters[q.Cluster].QueryFrozen(nil,
 			q.Terms, q.QF, q.IDF, q.AvgUnique, n, nil, func(u int) bool { return u == own }, tr)
 		if tr != nil {
 			tr.Event("match.list",
@@ -522,8 +554,7 @@ func (mr *MR) SegmentCounts() (before, after []int) {
 	defer mr.mu.RUnlock()
 	before, after = make([]int, len(mr.before)), make([]int, len(mr.before))
 	for d := range before {
-		lo, hi := mr.segs.doc(d)
-		before[d], after[d] = int(mr.before[d]), hi-lo
+		before[d], after[d] = int(mr.before[d]), mr.segs.rows(d).n
 	}
 	return before, after
 }

@@ -1,6 +1,8 @@
 package match
 
 import (
+	"sync"
+
 	"repro/internal/index"
 	"repro/internal/obs"
 )
@@ -55,17 +57,18 @@ func (mr *MR) QuerySegs(docID int) []ClusterQuery {
 // columns are cut from four arrays sized by the document's token count:
 // four allocations however many segments. Callers hold the read lock.
 func (mr *MR) probesLocked(docID int) []ClusterQuery {
-	lo, hi := mr.segs.doc(docID)
-	out := make([]ClusterQuery, hi-lo)
+	rows := mr.segs.rows(docID)
+	out := make([]ClusterQuery, rows.n)
 	// The document's tokens, decoded row by row to be sorted and
 	// compacted in place.
-	ids := make([]int32, 0, mr.segs.numTokens(lo, hi))
+	ids := make([]int32, 0, mr.segs.numTokens(docID))
 	tf := make([]int32, 0, cap(ids))
 	floats := make([]float64, 2*cap(ids))
 	names := mr.dict.Terms()
 	for i := range out {
-		c, row := int(mr.segs.cluster[lo+i]), len(ids)
-		ids = mr.segs.appendTokens(ids, lo+i)
+		row := len(ids)
+		var c int
+		c, ids = rows.next(ids)
 		terms, counts := index.CountTerms(names, ids[row:], tf)
 		n := len(terms)
 		qf := floats[:n:n]
@@ -89,7 +92,8 @@ func (mr *MR) probesLocked(docID int) []ClusterQuery {
 // id coincide. excludeDoc, when non-negative, is dropped from every
 // list — the scatter layer passes the reference document's local id on
 // its owning shard and -1 elsewhere. Probes whose cluster id is out of
-// range yield nil lists.
+// range yield nil lists. The lists are windows of one array, each
+// capped at its own end.
 //
 // Probes run sequentially under one read-lock acquisition: the shard
 // group already fans out across shards, and the single lock hold gives
@@ -105,6 +109,16 @@ func (mr *MR) QueryClusterLists(probes []ClusterQuery, n, excludeDoc int, thetas
 	mr.mu.RLock()
 	defer mr.mu.RUnlock()
 	lists := make([][]Result, len(probes))
+	// A list holds at most n units and at most its cluster's, which
+	// cannot grow under the read lock: the array is never outgrown.
+	size := 0
+	for _, q := range probes {
+		if q.Cluster >= 0 && q.Cluster < len(mr.clusters) && n > 0 {
+			size += min(n, len(mr.unitDoc[q.Cluster]))
+		}
+	}
+	flat := make([]Result, 0, size)
+	scratch := unitLists.Get().(*[]index.Result)
 	for i, q := range probes {
 		if q.Cluster < 0 || q.Cluster >= len(mr.clusters) {
 			continue
@@ -120,12 +134,18 @@ func (mr *MR) QueryClusterLists(probes []ClusterQuery, n, excludeDoc int, thetas
 		if i < len(thetas) {
 			theta = &thetas[i]
 		}
-		res := mr.clusters[q.Cluster].QueryFrozen(q.Terms, q.QF, q.IDF, q.AvgUnique, n, theta, exclude, tr)
-		out := make([]Result, len(res))
-		for j, r := range res {
-			out[j] = Result{DocID: int(owners[r.Unit]), Score: r.Score}
+		units := mr.clusters[q.Cluster].QueryFrozen((*scratch)[:0], q.Terms, q.QF, q.IDF, q.AvgUnique, n, theta, exclude, tr)
+		start := len(flat)
+		for _, r := range units {
+			flat = append(flat, Result{DocID: int(owners[r.Unit]), Score: r.Score})
 		}
-		lists[i] = out
+		lists[i] = flat[start:len(flat):len(flat)]
+		*scratch = units
 	}
+	unitLists.Put(scratch)
 	return lists
 }
+
+// unitLists pools the buffer QueryClusterLists scans a probe's units
+// into before mapping them to their documents.
+var unitLists = sync.Pool{New: func() any { return new([]index.Result) }}

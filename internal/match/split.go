@@ -52,13 +52,15 @@ func (mr *MR) Split(n int, route func(doc int) int, stats []*index.GlobalStats) 
 			return nil, fmt.Errorf("match: route(%d) = %d out of [0, %d)", d, s, n)
 		}
 		sh := shards[s]
-		for r, hi := mr.segs.doc(d); r < hi; r++ {
-			c := mr.segs.cluster[r]
-			row = mr.segs.appendTokens(row[:0], r)
-			sh.segs.appendSeg(int(c), len(sh.unitDoc[c]), row)
-			sh.unitDoc[c] = append(sh.unitDoc[c], int32(sh.segs.numDocs()))
+		rows := mr.segs.rows(d)
+		sh.segs.startDoc(rows.n)
+		local := int32(sh.segs.numDocs() - 1)
+		for rows.n > 0 {
+			var c int
+			c, row = rows.next(row[:0])
+			sh.segs.appendSeg(c, row)
+			sh.unitDoc[c] = append(sh.unitDoc[c], local)
 		}
-		sh.segs.endDoc()
 		sh.before = append(sh.before, mr.before[d])
 	}
 	for _, sh := range shards {
