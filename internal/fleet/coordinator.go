@@ -419,7 +419,7 @@ func (c *Coordinator) growDir(docs int) {
 func (c *Coordinator) AddContext(context.Context, string) (int, error) {
 	return 0, &RPCError{
 		Status: http.StatusNotImplemented, Kind: "read_only",
-		Msg: "the networked fleet serves read-only snapshots; ingest through the offline build and redeploy the shard directory",
+		Msg: "the networked fleet serves read-only snapshots; ingest through the offline build, save a new snapshot and restart the shard servers on it",
 	}
 }
 

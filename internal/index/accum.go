@@ -18,10 +18,10 @@ import (
 //     accumulator sits in the pool: release is only reached after a drain
 //     has zeroed every cell the probe wrote (a probe that panics never
 //     returns its accumulator), and growth allocates fresh zeroed arrays.
-//   - Sized under the lock. acquire is called with the probed index's
-//     read lock held and sizes cells to len(ix.denoms); units only grow
-//     under the write lock, so every posting the probe can see indexes
-//     inside the array.
+//   - Sized under the owner's lock. acquire is called with the probed
+//     index's owner holding its read lock and sizes cells to
+//     len(ix.denoms); units only grow under the owner's write lock, so
+//     every posting the probe can see indexes inside the array.
 //
 // Cost follows what the probe touched. A sparse probe's kernels mark
 // each written cell in the touched bitset, and its drain visits only the
@@ -58,8 +58,8 @@ var scorePool = sync.Pool{
 	New: func() interface{} { return new(accumulator) },
 }
 
-// acquire takes an accumulator able to hold units cells. Callers hold
-// the read lock of the index whose unit count they pass.
+// acquire takes an accumulator able to hold units cells, under the
+// owner's read lock of the index whose unit count they pass.
 // index.scorepool.new counts the probes that had to allocate cell
 // storage — a fresh pool object or one grown for a larger index.
 func acquire(units int) *accumulator {
@@ -92,7 +92,7 @@ func (acc *accumulator) release() {
 // the ones run, where w = inv[unit] is a per-unit constant and a posting
 // costs two multiplies and an add; accumulate walks the TF > 1 remainder
 // with w = logTF / norm[unit], one table read and one divide by the
-// probe's divisor column (Index.normsLocked).
+// probe's divisor column (Index.normsFor).
 
 // addOnes is the kernel of a dense probe (see denseProbe): it marks
 // nothing, because drainDense walks every cell of the index anyway. It
@@ -142,11 +142,11 @@ type scanTerm struct {
 	list
 }
 
-// activeLocked collects into acc.active the probe's terms that have a
-// posting list here and a non-zero pIDF, in the order given — ascending
-// term order, the summation order — and returns how many postings the
-// lists hold. Callers hold the read lock.
-func (ix *Index) activeLocked(acc *accumulator, terms []int32, qf, idfs []float64) (totalPostings int64) {
+// active collects into acc.active the probe's terms that have a posting
+// list here and a non-zero pIDF, in the order given — ascending term
+// order, the summation order — and returns how many postings the lists
+// hold.
+func (ix *Index) active(acc *accumulator, terms []int32, qf, idfs []float64) (totalPostings int64) {
 	active := acc.active[:0]
 	for i, t := range terms {
 		s, ok := ix.slot[t]
@@ -161,20 +161,19 @@ func (ix *Index) activeLocked(acc *accumulator, terms []int32, qf, idfs []float6
 	return totalPostings
 }
 
-// scanLocked is the one scan behind Query and QueryFrozen: the
-// exhaustive Eq 9 scan, its results appended to dst (see finish). Terms
-// arrive as dictionary ids in ascending term order with aligned query
-// frequencies and pIDFs, resolved by the caller under the same lock
-// hold or frozen from the collection pool. shared,
-// nil on the unsharded path, is the probe's Theta: the drain rejects
-// against it as it goes and raises it to its n-th exact score. Callers
-// hold the read lock and pass an accumulator acquired under it, which
-// scanLocked releases; only shard-local state (postings, units) and the
-// resolved factors are read, so the scatter path's lock discipline
-// carries over unchanged.
-func (ix *Index) scanLocked(dst []Result, acc *accumulator, terms []int32, qf, idfs []float64, avgUnique float64, topN int, shared *Theta, exclude func(unit int) bool, tr *obs.Trace) []Result {
-	cols := ix.normsLocked(avgUnique)
-	totalPostings := ix.activeLocked(acc, terms, qf, idfs)
+// scan is the one scan behind Query and QueryFrozen: the exhaustive
+// Eq 9 scan, its results appended to dst (see finish). Terms arrive as
+// dictionary ids in ascending term order with aligned query frequencies
+// and pIDFs, resolved by the caller under the same pool lock hold or
+// frozen from the collection pool. shared, nil on the unsharded path, is
+// the probe's Theta: the drain rejects against it as it goes and raises
+// it to its n-th exact score. Callers pass an accumulator acquired under
+// the same owner's read lock, which scan releases; only shard-local
+// state (postings, units) and the resolved factors are read, so a
+// scatter leg needs no lock but its own shard's.
+func (ix *Index) scan(dst []Result, acc *accumulator, terms []int32, qf, idfs []float64, avgUnique float64, topN int, shared *Theta, exclude func(unit int) bool, tr *obs.Trace) []Result {
+	cols := ix.normsFor(avgUnique)
+	totalPostings := ix.active(acc, terms, qf, idfs)
 	candidates, _ := acc.exhaust(cols, len(ix.denoms), totalPostings, topN, shared, exclude)
 	ctrScanPostings.Add(totalPostings)
 	res := acc.finish(dst, candidates, tr)

@@ -23,7 +23,6 @@ func naiveQuery(ix *Index, queryTF map[string]float64, topN int, exclude func(un
 		names = append(names, t)
 	}
 	sort.Strings(names)
-	ix.mu.RLock()
 	n := len(ix.denoms)
 	avgUnique := float64(ix.totalUnique) / float64(n)
 	var terms []int32
@@ -36,7 +35,6 @@ func naiveQuery(ix *Index, queryTF map[string]float64, topN int, exclude func(un
 		}
 		terms, qf, idfs = append(terms, id), append(qf, queryTF[t]), append(idfs, pIDF)
 	}
-	ix.mu.RUnlock()
 	return naiveRank(naiveScores(ix, terms, qf, idfs, avgUnique), topN, exclude)
 }
 
@@ -44,7 +42,6 @@ func naiveQuery(ix *Index, queryTF map[string]float64, topN int, exclude func(un
 // index's two runs hold, gathered and sorted by unit — it trusts neither
 // run's order nor which run a posting was filed under
 // (TestSplitRunsAreTheSameIndex holds the runs themselves to a model).
-// Callers hold the read lock.
 func postingsAt(ix *Index, s int32) []Posting {
 	posts := append([]Posting(nil), ix.more[s]...)
 	for _, u := range ix.ones[s] {
@@ -60,8 +57,6 @@ func postingsAt(ix *Index, s int32) []Posting {
 // once added, so a score computed from a grown index is the score any
 // earlier scan of that unit under the same factors had to return.
 func naiveScores(ix *Index, terms []int32, qf, idfs []float64, avgUnique float64) map[int]float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	scores := make(map[int]float64)
 	for i, t := range terms {
 		s, ok := ix.slot[t]
@@ -227,30 +222,39 @@ func TestPoolSharedAcrossGrowingIndices(t *testing.T) {
 
 // TestConcurrentScansShareThePool is the -race leg: queriers on a small,
 // a large and a growing index draw from the one pool while an adder
-// grows the third. Concurrent results cannot be compared to a fixed
-// oracle, so they are held to what must hold whatever the interleaving
-// (rank order, positive scores, ids inside the index); once the adder is
-// done every index is checked against the oracle and the pool is clean.
+// grows the third. Each index has an owner lock of its own, as a
+// matcher's cluster index has: the adder takes it to write and the
+// queriers to read, so queriers of different indices scan at once and
+// those of the third interleave with the adds. Concurrent results cannot
+// be compared to a fixed oracle, so they are held to what must hold
+// whatever the interleaving (rank order, positive scores, ids inside the
+// index); once the adder is done every index is checked against the
+// oracle and the pool is clean.
 func TestConcurrentScansShareThePool(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	docs := randomCorpus(rng, 1500, 120)
 	indices := []*Index{buildIndex(docs[:40]...), buildIndex(docs[40:840]...), buildIndex(docs[840:900]...)}
+	owners := make([]sync.RWMutex, len(indices))
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for _, d := range docs[900:] {
+			owners[2].Lock()
 			indices[2].Add(d)
+			owners[2].Unlock()
 		}
 	}()
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ix := indices[g%len(indices)]
+			ix, owner := indices[g%len(indices)], &owners[g%len(indices)]
 			for i := 0; i < 150; i++ {
+				owner.RLock()
 				res := ix.Query(TermFrequencies(docs[(g*150+i)%len(docs)]), 8, nil)
 				units := ix.NumUnits()
+				owner.RUnlock()
 				for j, r := range res {
 					if r.Score <= 0 || r.Unit < 0 || r.Unit >= units || (j > 0 && worse(res[j-1], r)) {
 						t.Errorf("goroutine %d query %d: bad result list %v", g, i, res)

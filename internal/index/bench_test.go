@@ -59,10 +59,10 @@ func BenchmarkQueryReadOnly(b *testing.B) {
 }
 
 // BenchmarkNormsRebuild measures one rebuild of the Eq 7/8 divisor
-// columns (normsLocked) over 9 000 units, the size of the benchmark
+// columns (normsFor) over 9 000 units, the size of the benchmark
 // corpus's largest cluster index: fresh with nothing to reuse, as a probe
 // under a frozen average of its own builds; afterAdd into the pair a
-// write lock retired, as the first probe after an add builds.
+// write retired, as the first probe after an add builds.
 func BenchmarkNormsRebuild(b *testing.B) {
 	ix, _ := benchCorpus(9000, 2000, 42)
 	avg := liveAvg(ix)
@@ -71,17 +71,13 @@ func BenchmarkNormsRebuild(b *testing.B) {
 		stale func()
 	}{
 		{"fresh", func() { ix.norms.Store(nil); ix.spare.Store(nil) }},
-		{"afterAdd", ix.retireNormsLocked},
+		{"afterAdd", ix.retireNorms},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ix.mu.Lock()
 				leg.stale()
-				ix.mu.Unlock()
-				ix.mu.RLock()
-				ix.normsLocked(avg)
-				ix.mu.RUnlock()
+				ix.normsFor(avg)
 			}
 		})
 	}

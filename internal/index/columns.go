@@ -120,11 +120,9 @@ func (ix *Index) install(c columns) {
 		}
 		lo = hi
 	}
-	ix.mu.Lock()
-	ix.retireNormsLocked()
+	ix.retireNorms()
 	ix.slot, ix.ones, ix.more = slot, ones, more
 	ix.denoms, ix.uniques, ix.totalUnique = c.denoms, c.uniques, c.totalUnique
-	ix.mu.Unlock()
 }
 
 // validate checks every invariant the query path depends on; names[i]

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 )
 
@@ -152,41 +151,5 @@ func TestArrivalOrderTrap(t *testing.T) {
 	}
 	if !bytes.Equal(first, writeIndex(t, again)) {
 		t.Fatal("write → load → write is not byte-identical")
-	}
-}
-
-// TestWriteToRacesAdd is the -race regression for persistence on a
-// standalone index: WriteTo used to encode from the live posting map
-// after dropping the read lock, racing Add. Every snapshot taken
-// mid-stream must also be a loadable prefix of the unit sequence.
-func TestWriteToRacesAdd(t *testing.T) {
-	ix := New()
-	const units = 400
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for u := 0; u < units; u++ {
-			ix.Add([]string{"shared", fmt.Sprintf("t%d", u%37), fmt.Sprintf("rare%d", u)})
-		}
-	}()
-	for i := 0; i < 40; i++ {
-		var buf bytes.Buffer
-		if _, err := ix.WriteTo(&buf); err != nil {
-			t.Error(err)
-			break
-		}
-		snap := New()
-		if err := snap.Load(buf.Bytes()); err != nil {
-			t.Errorf("snapshot %d taken during adds does not load: %v", i, err)
-			break
-		}
-		if n := snap.NumUnits(); n > 0 && snap.DocFreq("shared") != n {
-			t.Errorf("snapshot %d: %d units but %d postings of the term every unit has", i, n, snap.DocFreq("shared"))
-		}
-	}
-	wg.Wait()
-	if ix.NumUnits() != units {
-		t.Fatalf("%d units after the adds, want %d", ix.NumUnits(), units)
 	}
 }

@@ -48,13 +48,22 @@ const (
 	compactIndexVersion = 1
 )
 
-// WriteTo serializes the index in the compact section layout. It
-// implements io.WriterTo. The encoding happens under the read lock:
-// lists grow in place, so a concurrent Add must wait for it.
+// WriteTo serializes the index in the compact section layout, terms
+// ascending whatever order they arrived in, so write → read → re-write
+// is byte-identical. It implements io.WriterTo. The owner holds at least
+// its read lock: lists grow in place, so a concurrent Add must wait.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	ix.mu.RLock()
-	data, err := ix.appendCompactLocked()
-	ix.mu.RUnlock()
+	terms := ix.dict.Terms()
+	ids := make([]int32, 0, len(ix.slot))
+	for t := range ix.slot {
+		ids = append(ids, t)
+	}
+	SortByTerm(terms, ids)
+	names, lists := make([]string, len(ids)), make([]list, len(ids))
+	for i, t := range ids {
+		names[i], lists[i] = terms[t], ix.listAt(ix.slot[t])
+	}
+	data, err := appendCompact(names, lists, &columns{denoms: ix.denoms, uniques: ix.uniques, totalUnique: ix.totalUnique})
 	if err != nil {
 		return 0, err
 	}
@@ -65,9 +74,9 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 // Load replaces the index contents with a snapshot written by WriteTo,
 // held in memory (read or mapped): it decodes, validates every
 // query-path invariant, and only then interns the snapshot's terms and
-// swaps the decoded state in under the write lock. Bytes after a valid
-// snapshot are an error: a concatenation or double write fails at load
-// instead of silently serving a prefix.
+// swaps the decoded state in. The owner holds its write lock around it.
+// Bytes after a valid snapshot are an error: a concatenation or double
+// write fails at load instead of silently serving a prefix.
 func (ix *Index) Load(data []byte) error {
 	c, names, err := decodeCompact(data)
 	if err != nil {
@@ -79,23 +88,6 @@ func (ix *Index) Load(data []byte) error {
 	c.terms = ix.dict.AppendIDs(make([]int32, 0, len(names)), names)
 	ix.install(c)
 	return nil
-}
-
-// appendCompactLocked encodes the index as it stands, terms ascending
-// whatever order they arrived in, so write → read → re-write is
-// byte-identical. Callers hold at least the read lock.
-func (ix *Index) appendCompactLocked() ([]byte, error) {
-	terms := ix.dict.Terms()
-	ids := make([]int32, 0, len(ix.slot))
-	for t := range ix.slot {
-		ids = append(ids, t)
-	}
-	SortByTerm(terms, ids)
-	names, lists := make([]string, len(ids)), make([]list, len(ids))
-	for i, t := range ids {
-		names[i], lists[i] = terms[t], ix.listAt(ix.slot[t])
-	}
-	return appendCompact(names, lists, &columns{denoms: ix.denoms, uniques: ix.uniques, totalUnique: ix.totalUnique})
 }
 
 // appendCompact encodes posting lists — lists[i] is the list of

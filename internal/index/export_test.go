@@ -2,7 +2,7 @@ package index
 
 // weight is the Eq 7/8 weight of a posting with numerator logTF in a unit
 // with the given denominator and unique-term count: the definition the
-// scans' divisor column (normsLocked) is held to, bit for bit.
+// scans' divisor column (normsFor) is held to, bit for bit.
 func weight(denom float64, unique int32, logTF, avgUnique float64) float64 {
 	if denom == 0 {
 		return 0
@@ -10,20 +10,18 @@ func weight(denom float64, unique int32, logTF, avgUnique float64) float64 {
 	return logTF / (denom * nu(unique, avgUnique))
 }
 
-func (ix *Index) weightLocked(p Posting, avgUnique float64) float64 {
+func (ix *Index) postingWeight(p Posting, avgUnique float64) float64 {
 	return weight(ix.denoms[p.Unit], ix.uniques[p.Unit], logTF(p.TF), avgUnique)
 }
 
 // Weight computes the Eq 7/8 weight of a term within a unit, 0 if the
 // term does not occur in it.
 func (ix *Index) Weight(term string, unit int) float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if ix.rlockStats() {
 		defer ix.global.mu.RUnlock()
 	}
-	if tf, ok := ix.listLocked(ix.dict.Lookup(term)).find(int32(unit)); ok {
-		return ix.weightLocked(Posting{Unit: int32(unit), TF: tf}, ix.avgUniqueLocked())
+	if tf, ok := ix.list(ix.dict.Lookup(term)).find(int32(unit)); ok {
+		return ix.postingWeight(Posting{Unit: int32(unit), TF: tf}, ix.avgUnique())
 	}
 	return 0
 }
@@ -61,7 +59,5 @@ func (gs *GlobalStats) TotalUnique() int64 {
 
 // Stats returns the attached pool, or nil for a standalone index.
 func (ix *Index) Stats() *GlobalStats {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	return ix.global
 }

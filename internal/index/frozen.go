@@ -14,24 +14,22 @@ import (
 // (they come from the shared statistics pool, not the partition).
 // FrozenScoring resolves those factors once, on the reference
 // document's home shard; QueryFrozen then scans a partition using only
-// shard-local state (postings, unit norms) under the partition's own
-// read lock, never touching the pool. Besides saving N − 1 resolutions
-// per probe, this pins all N scatter legs to one view of the statistics
-// even while concurrent adds move the pool — so the merged scores are
-// mutually comparable, and bit-identical to the unsharded scan on a
-// quiescent collection.
+// shard-local state (postings, unit norms) under its owner's read lock,
+// never touching the pool. Besides saving N − 1 resolutions per probe,
+// this pins all N scatter legs to one view of the statistics even while
+// concurrent adds move the pool — so the merged scores are mutually
+// comparable, and bit-identical to the unsharded scan on a quiescent
+// collection.
 
 // FrozenScoring resolves the collection-level Eq 9 factors for a
 // term list under one consistent view of the index and its statistics
 // pool: idfs[i], appended to dst, is terms[i]'s smoothed pIDF (0 for
 // unknown terms) and avgUnique is the cluster's NU average.
 func (ix *Index) FrozenScoring(terms []int32, dst []float64) (idfs []float64, avgUnique float64) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if ix.rlockStats() {
 		defer ix.global.mu.RUnlock()
 	}
-	return ix.idfsLocked(terms, dst), ix.avgUniqueLocked()
+	return ix.idfs(terms, dst), ix.avgUnique()
 }
 
 // QueryFrozen is Query with the collection-level factors supplied by
@@ -49,12 +47,10 @@ func (ix *Index) FrozenScoring(terms []int32, dst []float64) (idfs []float64, av
 // scan discards what scores strictly below it and raises it to its own
 // n-th best (see Theta). A nil theta is the unsharded scan.
 func (ix *Index) QueryFrozen(dst []Result, terms []int32, qf, idfs []float64, avgUnique float64, topN int, theta *Theta, exclude func(unit int) bool, tr *obs.Trace) []Result {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if topN <= 0 || len(ix.denoms) == 0 {
 		return dst
 	}
-	return ix.scanLocked(dst, acquire(len(ix.denoms)), terms, qf, idfs, avgUnique, topN, theta, exclude, tr)
+	return ix.scan(dst, acquire(len(ix.denoms)), terms, qf, idfs, avgUnique, topN, theta, exclude, tr)
 }
 
 // Theta is one probe's proven lower bound on the n-th best score of its

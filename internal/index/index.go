@@ -16,10 +16,14 @@
 // or a caller speaks them: Add, Query and Explain are adapters over the
 // id-keyed core (AddCounted, QueryFrozen, ExplainTerms).
 //
-// Locking model: a single RWMutex guards all index state. Add (and
-// Load) take the write lock; Query, WriteTo and every read accessor take
-// the read lock for their full duration, so any number of queries proceed
-// concurrently and additions serialize against them. Derived statistics
+// Locking model: an Index does no locking of its own. Its owner holds a
+// write lock around Add, AddCounted, Load and AttachStats, and at least
+// a read lock around everything else; an index nothing writes after it
+// is built needs neither. Below the owner's lock, a GlobalStats and the
+// Dict keep locks of their own (shards write one pool under different
+// owners' locks; terms are interned outside every lock), and the
+// divisor-column pair is atomic (readers of two averages replace each
+// other's pair under a shared lock; see normsFor). Derived statistics
 // (average unique-term count, document frequencies) are maintained at
 // insertion time, so the query hot path recomputes nothing that
 // insertion already knows.
@@ -27,7 +31,7 @@
 // Scoring state: unit ids are dense, so a probe accumulates Eq 9 into a
 // pooled dense array (accum.go), not a hash map. Both entry points —
 // Query and QueryFrozen — resolve their factors and run the one scan
-// (scanLocked) over accum.go's kernels, one per run of a posting list
+// (scan) over accum.go's kernels, one per run of a posting list
 // (see list).
 package index
 
@@ -36,7 +40,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -50,7 +53,7 @@ import (
 // the probes that had to allocate cell storage (hits = get − new).
 // index.scan.postings counts the postings a scan walks: every posting of
 // every query term with a non-zero pIDF; index.norms.build the divisor
-// column rebuilds (normsLocked), and new those that could not reuse a
+// column rebuilds (normsFor), and new those that could not reuse a
 // retired pair. All recording is gated on the obs enabled flag.
 var (
 	histQueryCandidates = obs.NewCountHistogram("index.query.candidates")
@@ -117,7 +120,6 @@ func logTF(tf int32) float64 {
 
 // Index is an inverted full-text index over integer-identified units.
 type Index struct {
-	mu   sync.RWMutex
 	dict *Dict
 
 	// The terms that occur in the index are numbered — in the snapshot's
@@ -140,16 +142,16 @@ type Index struct {
 	uniques     []int32
 	totalUnique int64 // sum of unique-term counts, for the NU average
 	// norms caches the per-unit divisor of Eq 7/8 under the NU average
-	// the last probe scanned with (see normsLocked); not persisted. spare
-	// is the pair the last write lock retired, whose storage the next
-	// rebuild reuses.
+	// the last probe scanned with (see normsFor); not persisted. spare is
+	// the pair the last write retired, whose storage the next rebuild
+	// reuses.
 	norms, spare atomic.Pointer[unitNorms]
 
 	// global, when non-nil, is the shared collection-statistics pool the
 	// scoring reads Eq 9's N and n and the NU average from instead of the
 	// local state — the mechanism that makes a sharded partition of one
 	// collection score bit-identically to the whole (see GlobalStats).
-	// Written only by AttachStats under mu; read under mu.
+	// Written only by AttachStats.
 	global *GlobalStats
 }
 
@@ -163,15 +165,14 @@ func NewIn(dict *Dict) *Index {
 
 // Add indexes a unit's terms and returns the unit id the index assigned
 // (dense, starting at 0). Term order is irrelevant; duplicates are counted
-// as term frequency. Add is safe for concurrent use with itself, with
-// queries and with WriteTo.
+// as term frequency. The owner holds its write lock around Add.
 func (ix *Index) Add(terms []string) int {
 	ids := ix.dict.AppendIDs(nil, terms)
 	return ix.AddCounted(CountTerms(ix.dict.Terms(), ids, nil))
 }
 
 // AddCounted is Add over a unit already counted (CountTerms), which a
-// caller can do before it takes locks of its own. The Eq 7 weight
+// caller can do before it takes its write lock. The Eq 7 weight
 // denominator is summed in ascending term order — float summation is
 // not associative, so any other order would make two builds of the same
 // collection differ at the ULP level and break score-identical rebuilds.
@@ -180,14 +181,12 @@ func (ix *Index) AddCounted(unique, tf []int32) int {
 	for _, f := range tf {
 		denom += logTF(f)
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	g := ix.global
 	if g != nil {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 	}
-	ix.retireNormsLocked()
+	ix.retireNorms()
 	id := int32(len(ix.denoms))
 	for i, t := range unique {
 		s, ok := ix.slot[t]
@@ -214,12 +213,12 @@ func (ix *Index) AddCounted(unique, tf []int32) int {
 	return int(id)
 }
 
-// listAt returns list number s. Callers hold at least the read lock.
+// listAt returns list number s.
 func (ix *Index) listAt(s int32) list { return list{ones: ix.ones[s], more: ix.more[s]} }
 
-// listLocked returns the posting list of a dictionary id, empty when
-// the term does not occur here (or is the unknown id -1).
-func (ix *Index) listLocked(term int32) list {
+// list returns the posting list of a dictionary id, empty when the term
+// does not occur here (or is the unknown id -1).
+func (ix *Index) list(term int32) list {
 	if s, ok := ix.slot[term]; ok {
 		return ix.listAt(s)
 	}
@@ -228,32 +227,25 @@ func (ix *Index) listLocked(term int32) list {
 
 // NumUnits returns the number of indexed units (|I| in Eq 9).
 func (ix *Index) NumUnits() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	return len(ix.denoms)
 }
 
 // NumTerms returns the vocabulary size.
 func (ix *Index) NumTerms() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	return len(ix.ones)
 }
 
 // DocFreq returns the number of units containing the term (|Iᵗ| in Eq 9).
 func (ix *Index) DocFreq(term string) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.listLocked(ix.dict.Lookup(term)).len()
+	return ix.list(ix.dict.Lookup(term)).len()
 }
 
-// avgUniqueLocked returns the mean unique-term count per unit — pooled
+// avgUnique returns the mean unique-term count per unit — pooled
 // across the collection when attached to a GlobalStats, local otherwise.
 // The pooled division uses the same two integers an unsharded index
 // would derive locally, so the float64 quotient is bit-identical.
-// Callers must hold at least the read lock (and the pool's, when
-// attached — see rlockStats).
-func (ix *Index) avgUniqueLocked() float64 {
+// Callers hold the pool's read lock when attached (see rlockStats).
+func (ix *Index) avgUnique() float64 {
 	if ix.global != nil {
 		if ix.global.units == 0 {
 			return 0
@@ -285,8 +277,8 @@ func nu(unique int32, avgUnique float64) float64 {
 // posting — logTF(1) is exactly 1, and the division is the one the
 // kernel would do. A unit without terms gets +Inf and +0, the divisor
 // and the value of weight's +0; no posting names such a unit. The value
-// is immutable until the next write lock retires it (retireNormsLocked):
-// callers must not keep it past their read lock.
+// is immutable until the next write retires it (retireNorms): callers
+// must not keep it past the owner's read lock.
 type unitNorms struct {
 	avg       float64
 	norm, inv []float64
@@ -295,10 +287,10 @@ type unitNorms struct {
 // nuTable bounds the per-count NU table a rebuild fills; longer units call nu.
 const nuTable = 128
 
-// normsLocked returns the columns for avgUnique — the local, pooled or
+// normsFor returns the columns for avgUnique — the local, pooled or
 // frozen average the probe resolved. The cached pair is valid iff it
 // was built for that average and covers every unit; a probe that finds
-// it stale builds one under the read lock it already holds (one pass, a
+// it stale builds one under the owner's read lock (one pass, a
 // multiply and a divide a unit) into the spare pair if that covers the
 // units, else into 16 bytes a unit plus a quarter of headroom, so that
 // an index growing an add at a time keeps reusing one array, and
@@ -306,7 +298,7 @@ const nuTable = 128
 // pointer, so concurrent frozen probes carrying different averages, and
 // concurrent duplicate builds, only cost the rebuild; a pair they
 // replace goes to the collector, since another probe may be scanning it.
-func (ix *Index) normsLocked(avgUnique float64) *unitNorms {
+func (ix *Index) normsFor(avgUnique float64) *unitNorms {
 	units := len(ix.denoms)
 	if c := ix.norms.Load(); c != nil && c.avg == avgUnique && len(c.norm) == units {
 		return c
@@ -341,11 +333,11 @@ func (ix *Index) normsLocked(avgUnique float64) *unitNorms {
 	return c
 }
 
-// retireNormsLocked moves the published columns to spare for the next
-// rebuild to overwrite; under the write lock no probe holds them. Every
-// write calls it: a Load of as many units under the same average would
-// pass the cache check with the old units' divisors.
-func (ix *Index) retireNormsLocked() {
+// retireNorms moves the published columns to spare for the next
+// rebuild to overwrite; under the owner's write lock no probe holds
+// them. Every write calls it: a Load of as many units under the same
+// average would pass the cache check with the old units' divisors.
+func (ix *Index) retireNorms() {
 	if c := ix.norms.Swap(nil); c != nil {
 		ix.spare.Store(c)
 	}
@@ -379,24 +371,21 @@ type Result struct {
 // descending score order. The exclude predicate (may be nil) drops units
 // from the result, e.g. the query document's own segment. It resolves
 // the query's terms and their collection-level factors — the
-// frozen-scoring shape, taken under the same lock hold as the scan — and
-// runs the shared scan.
+// frozen-scoring shape, taken under the same pool lock hold as the scan
+// — and runs the shared scan.
 func (ix *Index) Query(queryTF map[string]float64, topN int, exclude func(unit int) bool) []Result {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if topN <= 0 || len(ix.denoms) == 0 {
 		return nil
 	}
 	// When attached to a collection pool, hold its read lock for the whole
-	// scan so n, df, and the NU average stay mutually consistent (lock
-	// order: Index.mu then GlobalStats.mu, matching Add).
+	// scan so n, df, and the NU average stay mutually consistent.
 	if ix.rlockStats() {
 		defer ix.global.mu.RUnlock()
 	}
 	acc := acquire(len(ix.denoms))
 	acc.names, acc.terms, acc.qf = ix.resolve(queryTF, acc.names[:0], acc.terms[:0], acc.qf[:0])
-	acc.idfs = ix.idfsLocked(acc.terms, acc.idfs[:0])
-	return ix.scanLocked(nil, acc, acc.terms, acc.qf, acc.idfs, ix.avgUniqueLocked(), topN, nil, exclude, nil)
+	acc.idfs = ix.idfs(acc.terms, acc.idfs[:0])
+	return ix.scan(nil, acc, acc.terms, acc.qf, acc.idfs, ix.avgUnique(), topN, nil, exclude, nil)
 }
 
 // resolve turns a string-keyed query into the id form the core takes:
@@ -416,12 +405,12 @@ func (ix *Index) resolve(queryTF map[string]float64, names []string, terms []int
 	return names, terms, qf
 }
 
-// idfsLocked appends each term's pIDF under the current collection
-// statistics. Callers hold the read lock, plus the pool's when attached.
-func (ix *Index) idfsLocked(terms []int32, idfs []float64) []float64 {
-	n := ix.nLocked()
+// idfs appends each term's pIDF under the current collection
+// statistics. Callers hold the pool's read lock when attached.
+func (ix *Index) idfs(terms []int32, idfs []float64) []float64 {
+	n := ix.n()
 	for _, t := range terms {
-		idfs = append(idfs, idf(n, ix.dfLocked(t)))
+		idfs = append(idfs, idf(n, ix.df(t)))
 	}
 	return idfs
 }
@@ -451,19 +440,17 @@ func (ix *Index) Explain(queryTF map[string]float64, unit int) []TermScore {
 // ExplainTerms is Explain over dictionary ids in ascending term order
 // with aligned query frequencies, as a probe carries them.
 func (ix *Index) ExplainTerms(terms []int32, qf []float64, unit int) []TermScore {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if unit < 0 || unit >= len(ix.denoms) {
 		return nil
 	}
 	if ix.rlockStats() {
 		defer ix.global.mu.RUnlock()
 	}
-	norm, n, names := ix.normsLocked(ix.avgUniqueLocked()).norm, ix.nLocked(), ix.dict.Terms()
+	norm, n, names := ix.normsFor(ix.avgUnique()).norm, ix.n(), ix.dict.Terms()
 	var out []TermScore
 	for i, t := range terms {
-		tf, ok := ix.listLocked(t).find(int32(unit))
-		tIDF := idf(n, ix.dfLocked(t))
+		tf, ok := ix.list(t).find(int32(unit))
+		tIDF := idf(n, ix.df(t))
 		if !ok || tIDF == 0 {
 			continue
 		}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -262,31 +261,6 @@ func TestQueryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestConcurrentAddQuery(t *testing.T) {
-	ix := New()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				ix.Add([]string{"raid", "disk", "performance"})
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			q := TermFrequencies([]string{"raid"})
-			for i := 0; i < 200; i++ {
-				ix.Query(q, 5, nil)
-			}
-		}()
-	}
-	wg.Wait()
-	if ix.NumUnits() != 800 {
-		t.Fatalf("NumUnits = %d, want 800", ix.NumUnits())
 	}
 }
 

@@ -19,16 +19,14 @@ import (
 // terms, which no posting names, both are weight's +0.
 func checkNormsMatchWeight(t *testing.T, ix *Index, avg float64) {
 	t.Helper()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	cols := ix.normsLocked(avg)
+	cols := ix.normsFor(avg)
 	norm, inv := cols.norm, cols.inv
 	if len(norm) != len(ix.denoms) || len(inv) != len(ix.denoms) {
 		t.Fatalf("avg %g: columns cover %d and %d units of %d", avg, len(norm), len(inv), len(ix.denoms))
 	}
 	for s := range ix.ones {
 		for _, p := range postingsAt(ix, int32(s)) {
-			got, want := logTF(p.TF)/norm[p.Unit], ix.weightLocked(p, avg)
+			got, want := logTF(p.TF)/norm[p.Unit], ix.postingWeight(p, avg)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("avg %g unit %d tf %d: logTF/norm = %x, weight = %x", avg, p.Unit, p.TF, math.Float64bits(got), math.Float64bits(want))
 			}
@@ -46,11 +44,7 @@ func checkNormsMatchWeight(t *testing.T, ix *Index, avg float64) {
 }
 
 // liveAvg is the NU average a probe of ix resolves now.
-func liveAvg(ix *Index) float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.avgUniqueLocked()
-}
+func liveAvg(ix *Index) float64 { return ix.avgUnique() }
 
 // TestNormColumnMatchesWeight is the columns' property test: over random
 // Add and WriteTo→Load sequences, under averages below, at and above
@@ -102,12 +96,10 @@ func TestNormColumnMatchesWeight(t *testing.T) {
 				}
 				ix = into
 			}
-			ix.mu.RLock()
-			avgs := []float64{ix.avgUniqueLocked(), 0}
+			avgs := []float64{ix.avgUnique(), 0}
 			for _, c := range ix.uniques {
 				avgs = append(avgs, float64(c)-0.5, float64(c), float64(c)+0.5)
 			}
-			ix.mu.RUnlock()
 			for _, avg := range avgs {
 				checkNormsMatchWeight(t, ix, avg)
 			}
@@ -128,11 +120,7 @@ func TestNormColumnValidity(t *testing.T) {
 		docs = append(docs, []string{"a", "b"}, []string{"a", "c", "d"})
 	}
 	ix := buildIndex(docs...)
-	column := func(avg float64) []float64 {
-		ix.mu.RLock()
-		defer ix.mu.RUnlock()
-		return ix.normsLocked(avg).norm
-	}
+	column := func(avg float64) []float64 { return ix.normsFor(avg).norm }
 	first := column(2)
 	if again := column(2); &again[0] != &first[0] {
 		t.Error("same average, same units: the column was rebuilt")
@@ -179,22 +167,25 @@ func TestNormsRebuildCounters(t *testing.T) {
 }
 
 // TestFrozenAveragesRaceAdd is the columns' -race leg: two goroutines
-// scan one index through QueryFrozen under different frozen averages —
-// each finds the other's pair of columns and replaces it; the corpus
-// repeats terms within a unit, so both kernels run and both norm and inv
-// are read — while a third Adds, so the unit count moves under both. Every list is then held to the oracle
-// (naiveScores) under the average it was asked with: exact scores in rank order, and
-// no unit that was certainly visible (added before the scan began)
-// outranking the list's tail without being in it.
+// scan one index through QueryFrozen under different frozen averages,
+// sharing its owner's read lock — each finds the other's pair of columns
+// and replaces it; the corpus repeats terms within a unit, so both
+// kernels run and both norm and inv are read — while a third Adds under
+// the owner's write lock, so the unit count moves between scans and
+// every add retires the pair. Every list is then held to the oracle
+// (naiveScores) under the average it was asked with: exact scores in
+// rank order, and no unit visible to the scan outranking the list's tail
+// without being in it.
 func TestFrozenAveragesRaceAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	docs := randomCorpus(rng, 700, 60)
 	ix := buildIndex(docs[:300]...)
+	var owner sync.RWMutex
 	const topN = 8
 	terms, qf, idfs, avg := frozenArgs(ix, TermFrequencies(docs[5]))
 	type scan struct {
-		res           []Result
-		before, after int
+		res   []Result
+		units int
 	}
 	averages := []float64{avg, avg * 0.6}
 	scans := make([][]scan, len(averages))
@@ -209,7 +200,9 @@ func TestFrozenAveragesRaceAdd(t *testing.T) {
 		defer wg.Done()
 		for _, d := range late {
 			<-tick
+			owner.Lock()
 			ix.Add(d)
+			owner.Unlock()
 		}
 	}()
 	for g := range averages {
@@ -217,9 +210,10 @@ func TestFrozenAveragesRaceAdd(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < len(late)/len(averages); i++ {
-				before := ix.NumUnits()
+				owner.RLock()
 				res := ix.QueryFrozen(nil, terms, qf, idfs, averages[g], topN, nil, nil, nil)
-				scans[g] = append(scans[g], scan{res, before, ix.NumUnits()})
+				scans[g] = append(scans[g], scan{res, ix.NumUnits()})
+				owner.RUnlock()
 				tick <- struct{}{}
 			}
 		}(g)
@@ -231,11 +225,11 @@ func TestFrozenAveragesRaceAdd(t *testing.T) {
 			in := make(map[int]bool, len(sc.res))
 			for j, r := range sc.res {
 				in[r.Unit] = true
-				if r.Unit >= sc.after || math.Float64bits(r.Score) != math.Float64bits(want[r.Unit]) || (j > 0 && worse(sc.res[j-1], r)) {
-					t.Fatalf("average %g scan %d: result %d of %v: oracle score %g, %d units visible", a, i, j, sc.res, want[r.Unit], sc.after)
+				if r.Unit >= sc.units || math.Float64bits(r.Score) != math.Float64bits(want[r.Unit]) || (j > 0 && worse(sc.res[j-1], r)) {
+					t.Fatalf("average %g scan %d: result %d of %v: oracle score %g, %d units visible", a, i, j, sc.res, want[r.Unit], sc.units)
 				}
 			}
-			for u := 0; u < sc.before; u++ {
+			for u := 0; u < sc.units; u++ {
 				r := Result{Unit: u, Score: want[u]}
 				if r.Score > 0 && !in[u] && (len(sc.res) < topN || worse(sc.res[len(sc.res)-1], r)) {
 					t.Fatalf("average %g scan %d: %v missed from %v", a, i, r, sc.res)

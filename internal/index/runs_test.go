@@ -25,8 +25,6 @@ func checkRuns(t *testing.T, ix *Index, docs [][]string) {
 			model[term] = append(model[term], Posting{Unit: int32(u), TF: int32(tf)})
 		}
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if len(ix.slot) != len(model) || len(ix.ones) != len(model) {
 		t.Fatalf("%d slots, %d ones runs for %d terms", len(ix.slot), len(ix.ones), len(model))
 	}
@@ -147,16 +145,14 @@ func buildFrom(dict *Dict, docs [][]string) *Index {
 	return Build(dict, units)
 }
 
-// probeCost runs one probe the way scanLocked does —
-// activeLocked, then exhaust — and returns what exhaust reports beside
+// probeCost runs one probe the way scan does — active, then exhaust —
+// and returns what exhaust reports beside
 // the postings the probe's lists hold.
 func probeCost(ix *Index, queryTF map[string]float64, topN int, exclude func(int) bool) (candidates, visited int, postings int64) {
 	terms, qf, idfs, avg := frozenArgs(ix, queryTF)
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	acc := acquire(len(ix.denoms))
-	postings = ix.activeLocked(acc, terms, qf, idfs)
-	candidates, visited = acc.exhaust(ix.normsLocked(avg), len(ix.denoms), postings, topN, nil, exclude)
+	postings = ix.active(acc, terms, qf, idfs)
+	candidates, visited = acc.exhaust(ix.normsFor(avg), len(ix.denoms), postings, topN, nil, exclude)
 	acc.release()
 	return candidates, visited, postings
 }

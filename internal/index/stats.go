@@ -13,13 +13,14 @@ import "sync"
 // so every shard scores exactly as the single unsharded index would —
 // the pool aggregates are the integers that index derives locally.
 //
-// Locking: the pool has its own RWMutex. The lock order is always
-// Index.mu before GlobalStats.mu — Add takes both write locks in that
-// order, and every read path acquires the pool's read lock after the
-// index's. Shards therefore update and read the pool concurrently
-// without deadlock, and a query observes a consistent (units,
-// totalUnique, df) triple for its whole scan. df is a column over
-// dictionary ids, so the indices of one pool must share one Dict.
+// Locking: the pool has its own RWMutex, because shards write it under
+// different owners' locks. It is taken inside the owner's (match.MR.mu
+// → GlobalStats.mu): Add takes its write lock under the owner's write
+// lock, and every read path its read lock under the owner's read lock.
+// Shards therefore update and read the pool concurrently without
+// deadlock, and a query observes a consistent (units, totalUnique, df)
+// triple for its whole scan. df is a column over dictionary ids, so the
+// indices of one pool must share one Dict.
 type GlobalStats struct {
 	mu          sync.RWMutex
 	dict        *Dict
@@ -32,7 +33,8 @@ type GlobalStats struct {
 func NewGlobalStats() *GlobalStats { return &GlobalStats{} }
 
 // addLocked moves a term's pooled document frequency by n, growing the
-// column to the dictionary as it stands. Callers hold the write lock.
+// column to the dictionary as it stands. Callers hold the pool's write
+// lock.
 func (gs *GlobalStats) addLocked(term int32, n int) {
 	if int(term) >= len(gs.df) {
 		gs.df = append(gs.df, make([]int32, len(gs.dict.Terms())-len(gs.df))...)
@@ -52,13 +54,10 @@ func (gs *GlobalStats) dfLocked(term int32) int {
 // AttachStats folds the index's current contents into the pool and
 // makes every subsequent scoring read (Eq 9's N and n, the NU average)
 // come from it. Attach each member index exactly once — attaching twice
-// would double-count its contribution. AttachStats must complete before
-// the index is used concurrently; afterwards Add keeps the pool in sync
-// under the documented Index.mu → GlobalStats.mu lock order. Pooling
+// would double-count its contribution. The owner holds its write lock
+// around AttachStats; afterwards Add keeps the pool in sync. Pooling
 // indices of different dictionaries is a bug and panics.
 func (ix *Index) AttachStats(gs *GlobalStats) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
 	if gs.dict == nil {
@@ -75,9 +74,9 @@ func (ix *Index) AttachStats(gs *GlobalStats) {
 }
 
 // rlockStats acquires the pool read lock when the index is attached to
-// one and reports whether it did. Callers must already hold ix.mu (read
-// or write) and must call gs.mu.RUnlock iff it returns true. The
-// n/avgUnique/df effective accessors below assume this lock is held.
+// one and reports whether it did. Callers must call gs.mu.RUnlock iff it
+// returns true. The n/avgUnique/df effective accessors assume this lock
+// is held.
 func (ix *Index) rlockStats() bool {
 	if ix.global == nil {
 		return false
@@ -86,19 +85,19 @@ func (ix *Index) rlockStats() bool {
 	return true
 }
 
-// nLocked returns the effective collection size for Eq 9: the pooled
-// unit count when attached, the local count otherwise.
-func (ix *Index) nLocked() int {
+// n returns the effective collection size for Eq 9: the pooled unit
+// count when attached, the local count otherwise.
+func (ix *Index) n() int {
 	if ix.global != nil {
 		return ix.global.units
 	}
 	return len(ix.denoms)
 }
 
-// dfLocked returns the effective document frequency of a term.
-func (ix *Index) dfLocked(term int32) int {
+// df returns the effective document frequency of a term.
+func (ix *Index) df(term int32) int {
 	if ix.global != nil {
 		return ix.global.dfLocked(term)
 	}
-	return ix.listLocked(term).len()
+	return ix.list(term).len()
 }

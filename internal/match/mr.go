@@ -236,12 +236,15 @@ func (st *segTable) appendSeg(cluster int, tokens []int32) {
 // MR is a built multi-ranking matcher.
 //
 // Locking model: mu guards the mutable serving state — segs, unitDoc,
-// before, and stats, which incremental Add appends to. Match,
-// WriteTo, and every accessor hold the read lock for their full duration;
-// Add commits its mutations under the write lock (the expensive
-// segmentation and vectorization happen before the lock is taken, see
-// PrepareAdd). The per-cluster indices carry their own RWMutex; the lock
-// order is always MR.mu before Index.mu, never the reverse. name, cfg,
+// before, stats, and the per-cluster indices, which incremental Add
+// appends to. An index.Index does no locking of its own: mu is the only
+// lock a cluster index runs under. Match, WriteTo, and every accessor
+// hold the read lock for their full duration; Add commits its mutations
+// and AttachGlobalStats attaches the pools under the write lock (the
+// expensive segmentation and vectorization happen before the lock is
+// taken, see PrepareAdd). Below mu a statistics pool (index.GlobalStats,
+// shared by every shard of a group) takes its own lock; the order is
+// always MR.mu before GlobalStats.mu, never the reverse. name, cfg,
 // dict (the pointer: the dictionary, shared by every cluster index and
 // every shard of a group, locks itself), clusters (the slice itself),
 // and centroids are immutable once the matcher is built or loaded.

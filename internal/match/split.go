@@ -79,11 +79,11 @@ func (mr *MR) Split(n int, route func(doc int) int, stats []*index.GlobalStats) 
 // index.AttachStats). It is the post-load counterpart of Split's
 // attachment: shard files persisted with the plain MR codec carry only
 // local state, so the loader recreates the pools by attaching every
-// shard of a group in turn. Attach a matcher at most once, before
-// concurrent use.
+// shard of a group in turn. Attach a matcher at most once. It writes
+// the cluster indices, so it takes the write lock.
 func (mr *MR) AttachGlobalStats(stats []*index.GlobalStats) error {
-	mr.mu.RLock()
-	defer mr.mu.RUnlock()
+	mr.mu.Lock()
+	defer mr.mu.Unlock()
 	if len(stats) != len(mr.clusters) {
 		return fmt.Errorf("match: %d stats pools for %d clusters", len(stats), len(mr.clusters))
 	}

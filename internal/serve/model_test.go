@@ -637,7 +637,7 @@ func runModel(t *testing.T, f *modelFixture, rows []modelRow, ops []modelOp, tal
 			for _, lr := range live {
 				status, got := serveOnce(lr.srv[i%2], "/add", string(body))
 				wantStatus, want := http.StatusNotImplemented, errorBody("read_only",
-					"the networked fleet serves read-only snapshots; ingest through the offline build and redeploy the shard directory")
+					"the networked fleet serves read-only snapshots; ingest through the offline build, save a new snapshot and restart the shard servers on it")
 				if lr.writer != nil {
 					lr.writer.Add(text)
 				} else {

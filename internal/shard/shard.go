@@ -67,16 +67,17 @@ var (
 // Group serves one logical collection partitioned across n shard
 // matchers.
 //
-// Locking model: the shards carry their own RWMutexes (match.MR), the
-// statistics pools their own (index.GlobalStats), and the id Directory
-// its own; the Group adds one. addMu serializes the whole
-// commit+register step of Add — it is what keeps same-shard local ids
-// ascending in global-id order (invariant 3 of the package comment);
-// queries never touch it, so Related is blocked only by the owning
-// shard's own commit, never by writes to other shards. A document is
-// guaranteed visible to queries once Add returns; in the microseconds
-// between a shard commit and directory registration, the merge simply
-// skips the not-yet-registered local id.
+// Locking model: each shard carries one RWMutex (match.MR's, the only
+// lock its cluster indices run under), the statistics pools their own
+// (index.GlobalStats, always taken inside a shard's: MR.mu →
+// GlobalStats.mu), and the id Directory its own; the Group adds one.
+// addMu serializes the whole commit+register step of Add — it is what
+// keeps same-shard local ids ascending in global-id order (invariant 3
+// of the package comment); queries never touch it, so Related is
+// blocked only by the owning shard's own commit, never by writes to
+// other shards. A document is guaranteed visible to queries once Add
+// returns; in the microseconds between a shard commit and directory
+// registration, the merge simply skips the not-yet-registered local id.
 type Group struct {
 	cfg       match.MRConfig
 	n         int

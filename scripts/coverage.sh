@@ -8,17 +8,22 @@
 #
 # The gate measures the library surface (./internal/...) — cmd/ and
 # examples/ are thin mains around it and would only dilute the number.
-# The floor is set just under the value at the time the gate was
-# introduced (95.1%), so a PR that lands meaningfully under-tested code
-# fails CI.
+# Coverage is counted where the code lives: -coverpkg credits a
+# statement to its own package whichever package's tests ran it, so
+# code exercised only through its callers (the index through the
+# matcher, the matcher through the shard group and the server) counts.
+# The total read 95.9% when the gate switched to -coverpkg (94.5% with
+# each package credited only by its own tests); the floor sits just
+# under it, so a change that lands meaningfully under-tested code fails
+# CI.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MIN="${COVER_MIN:-94.0}"
+MIN="${COVER_MIN:-95.5}"
 OUT="${COVER_OUT:-coverage.out}"
 
-go test -count=1 -coverprofile="$OUT" ./internal/...
+go test -count=1 -coverpkg=./internal/... -coverprofile="$OUT" ./internal/...
 
 total="$(go tool cover -func="$OUT" | awk '/^total:/ {sub(/%/, "", $3); print $3}')"
 echo "total coverage: ${total}% (floor ${MIN}%)" >&2
