@@ -110,18 +110,20 @@ func TestSnapshotBytesPinned(t *testing.T) {
 // back, and the live heap the read leaves behind (after two collections,
 // as the benchmark's heap_mb takes it) may not exceed a fixed multiple
 // of the snapshot's bytes. The multiples are the values measured with
-// the segment table as one byte stream — per document a row count, per
-// row a cluster, a token count and the tokens as uvarint dictionary ids,
-// no unit — and posting lists split into a run of TF = 1 unit ids and a
-// TF > 1 remainder and nothing else kept per list (1.67× and 1.99×;
-// 1.85× and 2.12× with the cluster, unit and row-end columns as int32s,
-// 2.28× and 2.52× with an int32 a token too, 2.94× and 3.17× with 8-byte
-// postings in one run, 7.66× and 7.98× before term ids and flat
-// columns) plus a tenth. The Eq 7/8 columns a first probe
-// builds (16 bytes a unit, see index.unitNorms) are not in the reading:
-// nothing has probed. What four shards pay on top: a list header and a
-// slot for every (shard, cluster, term), and a pooled document-frequency
-// column per cluster.
+// the term dictionary as the snapshot's string table (the term bytes, a
+// uint32 end column and a probe column), the segment table as one byte
+// stream (per document a row count, per row a cluster, a token count and
+// the tokens as uvarint dictionary ids, no unit) and posting lists split
+// into a run of TF = 1 unit ids and a TF > 1 remainder and nothing else
+// kept per list (1.63× and 1.94×; 1.66× and 1.97× with the dictionary a
+// map beside a []string, 1.85× and 2.12× with the cluster, unit and
+// row-end columns as int32s, 2.28× and 2.52× with an int32 a token too,
+// 2.94× and 3.17× with 8-byte postings in one run, 7.66× and 7.98×
+// before term ids and flat columns) plus a tenth. The Eq 7/8 columns a
+// first probe builds (16 bytes a unit, see index.unitNorms) are not in
+// the reading: nothing has probed. What four shards pay on top: a list
+// header and a slot for every (shard, cluster, term), and a pooled
+// document-frequency column per cluster.
 func TestLoadedHeapBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is on the heap")
@@ -130,7 +132,7 @@ func TestLoadedHeapBudget(t *testing.T) {
 	for _, tc := range []struct {
 		shards   int
 		multiple float64
-	}{{0, 1.77}, {4, 2.09}} {
+	}{{0, 1.73}, {4, 2.04}} {
 		t.Run(fmt.Sprintf("shards-%d", tc.shards), func(t *testing.T) {
 			built, err := Build(texts, Config{Seed: 42, Shards: tc.shards})
 			if err != nil {

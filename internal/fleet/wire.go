@@ -172,7 +172,7 @@ func toWireProbes(dict *index.Dict, probes []match.ClusterQuery) []WireProbe {
 	for i, p := range probes {
 		terms := make([]string, len(p.Terms))
 		for j, t := range p.Terms {
-			terms[j] = names[t]
+			terms[j] = names.Term(t)
 		}
 		out[i] = WireProbe{
 			Cluster: p.Cluster, Terms: terms, QF: p.QF,

@@ -46,7 +46,7 @@ func Build(dict *Dict, units [][]int32) *Index {
 	}
 	runs := make([]Posting, 0, tokens) // Unit holds the term id until the scatter below
 	runEnds := make([]int32, len(units))
-	df := make([]int32, len(names))
+	df := make([]int32, names.Len())
 	var vocab, scratch []int32
 	for u, unit := range units {
 		scratch = append(scratch[:0], unit...)

@@ -75,7 +75,7 @@ func TestArrivalOrderTrap(t *testing.T) {
 	if err := loaded.Load(writeIndex(t, base)); err != nil {
 		t.Fatal(err)
 	}
-	if !sort.StringsAreSorted(loaded.dict.Terms()) {
+	if !sort.StringsAreSorted(loaded.dict.Terms().strings()) {
 		t.Fatal("a freshly loaded dictionary should be in term order")
 	}
 	late := docs[150:]
@@ -97,7 +97,7 @@ func TestArrivalOrderTrap(t *testing.T) {
 		loaded.Add(d)
 		scratch.Add(d)
 	}
-	if sort.StringsAreSorted(loaded.dict.Terms()) {
+	if sort.StringsAreSorted(loaded.dict.Terms().strings()) {
 		t.Fatal("the added terms were meant to arrive out of term order")
 	}
 	// Eq 7's denominators against sums taken here, strings sorted here.

@@ -59,9 +59,9 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		ids = append(ids, t)
 	}
 	SortByTerm(terms, ids)
-	names, lists := make([]string, len(ids)), make([]list, len(ids))
+	names, lists := make([][]byte, len(ids)), make([]list, len(ids))
 	for i, t := range ids {
-		names[i], lists[i] = terms[t], ix.listAt(ix.slot[t])
+		names[i], lists[i] = terms.Bytes(t), ix.listAt(ix.slot[t])
 	}
 	data, err := appendCompact(names, lists, &columns{denoms: ix.denoms, uniques: ix.uniques, totalUnique: ix.totalUnique})
 	if err != nil {
@@ -94,7 +94,7 @@ func (ix *Index) Load(data []byte) error {
 // names[i], names ascending, its two runs merged by unit into the one
 // list the file knows — and the unit columns of c into the compact
 // layout and returns the file bytes.
-func appendCompact(names []string, lists []list, c *columns) ([]byte, error) {
+func appendCompact[S ~string | ~[]byte](names []S, lists []list, c *columns) ([]byte, error) {
 	termSec := secfile.AppendStringTable(nil, names)
 
 	var postSec []byte

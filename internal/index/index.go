@@ -9,12 +9,15 @@
 // FullText is the same structure with documents as units.
 //
 // Layout: memory looks like the snapshot (compact.go, columns.go). Terms
-// are ids of a shared Dict (dict.go); an index numbers the terms that
-// occur in it and keeps one posting list — split into its TF = 1 unit
-// ids and a TF > 1 remainder, see list — per number, in slices. Strings
-// are read only where a sum must be ordered (ascending term, see Dict)
-// or a caller speaks them: Add, Query and Explain are adapters over the
-// id-keyed core (AddCounted, QueryFrozen, ExplainTerms).
+// are ids of a shared Dict (dict.go), which is the snapshot's string
+// table — the term bytes in one slice, a uint32 column of their end
+// offsets — and a probe column that finds a term's id. An index numbers
+// the terms that occur in it and keeps one posting list — split into
+// its TF = 1 unit ids and a TF > 1 remainder, see list — per number, in
+// slices. Term bytes are read only where a sum must be ordered
+// (ascending term, see Dict) or a caller speaks strings: Add, Query and
+// Explain are adapters over the id-keyed core (AddCounted, QueryFrozen,
+// ExplainTerms).
 //
 // Locking model: an Index does no locking of its own. Its owner holds a
 // write lock around Add, AddCounted, Load and AttachStats, and at least
@@ -455,7 +458,7 @@ func (ix *Index) ExplainTerms(terms []int32, qf []float64, unit int) []TermScore
 			continue
 		}
 		w := logTF(tf) / norm[unit]
-		out = append(out, TermScore{Term: names[t], QueryTF: qf[i], Weight: w, IDF: tIDF, Product: qf[i] * w * tIDF})
+		out = append(out, TermScore{Term: names.Term(t), QueryTF: qf[i], Weight: w, IDF: tIDF, Product: qf[i] * w * tIDF})
 	}
 	return out
 }

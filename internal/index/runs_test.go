@@ -125,7 +125,7 @@ func TestSplitRunsAreTheSameIndex(t *testing.T) {
 		// Another order: a dictionary primed with the vocabulary descending.
 		vocab := make([]string, 0, len(ix.slot))
 		for id := range ix.slot {
-			vocab = append(vocab, ix.dict.Terms()[id])
+			vocab = append(vocab, ix.dict.Terms().Term(id))
 		}
 		sort.Sort(sort.Reverse(sort.StringSlice(vocab)))
 		reversed := NewDict()

@@ -37,7 +37,7 @@ func NewGlobalStats() *GlobalStats { return &GlobalStats{} }
 // lock.
 func (gs *GlobalStats) addLocked(term int32, n int) {
 	if int(term) >= len(gs.df) {
-		gs.df = append(gs.df, make([]int32, len(gs.dict.Terms())-len(gs.df))...)
+		gs.df = append(gs.df, make([]int32, gs.dict.Terms().Len()-len(gs.df))...)
 	}
 	gs.df[term] += int32(n)
 }

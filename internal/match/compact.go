@@ -29,7 +29,7 @@ import (
 //	"meta"  JSON header: matcher name and build statistics. JSON keeps
 //	        the one low-volume section debuggable with standard tooling.
 //	"dict"  interned term dictionary over every segment's terms,
-//	        sorted ascending (secfile string table).
+//	        strictly ascending (secfile string table).
 //	"dseg"  per-document segments: uvarint doc count, then per document
 //	        uvarint segment count and per segment, ascending in cluster,
 //	        uvarint cluster id, unit id (in document order), term count,
@@ -115,7 +115,7 @@ func appendCompactMR(mr *MR) ([]byte, error) {
 	// dictionary met them in or of what else (another shard's terms) it holds.
 	st := &mr.segs
 	names := mr.dict.Terms()
-	fileID := make([]uint64, len(names))
+	fileID := make([]uint64, names.Len())
 	var row []int32
 	for d := range st.numDocs() {
 		for rows := st.rows(d); rows.n > 0; {
@@ -132,9 +132,9 @@ func appendCompactMR(mr *MR) ([]byte, error) {
 		}
 	}
 	index.SortByTerm(names, used)
-	dict := make([]string, len(used))
+	dict := make([][]byte, len(used))
 	for i, id := range used {
-		dict[i], fileID[id] = names[id], uint64(i)
+		dict[i], fileID[id] = names.Bytes(id), uint64(i)
 	}
 	dictSec := secfile.AppendStringTable(nil, dict)
 
@@ -246,6 +246,13 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("match: %d trailing bytes in term dictionary", len(rest))
+	}
+	// Two file ids of one term would intern to one dictionary id, and
+	// the rows would name a term the cluster indices do not.
+	for i := 1; i < len(names); i++ {
+		if names[i] <= names[i-1] {
+			return nil, fmt.Errorf("match: term dictionary not strictly ascending at entry %d (%q after %q)", i, names[i], names[i-1])
+		}
 	}
 	termID := dict.AppendIDs(make([]int32, 0, len(names)), names) // file id → dictionary id
 

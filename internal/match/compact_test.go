@@ -114,6 +114,18 @@ func TestReadMRRejectsInvariantBreaks(t *testing.T) {
 			wantSub: "out of range",
 		},
 		{
+			// Two file ids would intern to one dictionary id: rows would
+			// name a term the cluster indices do not.
+			name:    "dictionary entry repeated",
+			edit:    editDict(func(names []string) { names[1] = names[0] }),
+			wantSub: "not strictly ascending",
+		},
+		{
+			name:    "dictionary entries swapped",
+			edit:    editDict(func(names []string) { names[0], names[1] = names[1], names[0] }),
+			wantSub: "not strictly ascending",
+		},
+		{
 			name: "owner document out of range",
 			mutate: func(mr *MR) {
 				mr.unitDoc[0][0] = int32(mr.segs.numDocs())
@@ -136,6 +148,22 @@ func TestReadMRRejectsInvariantBreaks(t *testing.T) {
 			} else if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
+		})
+	}
+}
+
+// editDict returns an edit that rewrites the file's "dict" section
+// with f applied to its terms.
+func editDict(f func(names []string)) func(t *testing.T, mr *MR, file []byte) []byte {
+	return func(t *testing.T, _ *MR, file []byte) []byte {
+		return rebuildMRSections(t, file, func(secs []secfile.Section) []secfile.Section {
+			names, _, err := secfile.ParseStringTable(secs[1].Data)
+			if err != nil || len(names) < 2 {
+				t.Fatalf("dict section: %d terms, %v", len(names), err)
+			}
+			f(names)
+			secs[1].Data = secfile.AppendStringTable(nil, names)
+			return secs
 		})
 	}
 }

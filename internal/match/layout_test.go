@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/forum"
+	"repro/internal/index"
 	"repro/internal/segment"
 )
 
@@ -21,6 +22,15 @@ var arrivalOrderPosts = []string{
 	"The aaaqb driver crashes my laptop. I tried mmmqb and zzzqb and zzzqb again. How can I fix the mmmqa error?",
 	"I have a zzzqa printer with an aaaqa cable. The mmmqb setup hangs. Can someone tell me what the zzzqc log means? The zzzqc log grows and grows.",
 	"Does the mmmqc update break the raid array? My aaaqc disk shows zzzqa errors. I tried to reinstall mmmqc and aaaqc, aaaqc did nothing.",
+}
+
+// termStrings returns a dictionary view's terms, id by id.
+func termStrings(v index.TermView) []string {
+	out := make([]string, v.Len())
+	for id := range out {
+		out[id] = v.Term(int32(id))
+	}
+	return out
 }
 
 // TestArrivalOrderTrap pins the layout's one trap at the matcher: after
@@ -41,7 +51,7 @@ func TestArrivalOrderTrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vocab := loaded.dict.Terms()
+	vocab := termStrings(loaded.dict.Terms())
 	if !sort.StringsAreSorted(vocab) {
 		t.Fatal("a freshly loaded dictionary should be in term order")
 	}
@@ -51,13 +61,14 @@ func TestArrivalOrderTrap(t *testing.T) {
 		}
 	}
 	var before, between, after bool
-	for _, term := range loaded.dict.Terms()[len(vocab):] {
+	added := termStrings(loaded.dict.Terms())[len(vocab):]
+	for _, term := range added {
 		before = before || term < vocab[0]
 		between = between || (term > vocab[0] && term < vocab[len(vocab)-1])
 		after = after || term > vocab[len(vocab)-1]
 	}
 	if !before || !between || !after {
-		t.Fatalf("new terms %q: need one before, one between and one after the loaded vocabulary", loaded.dict.Terms()[len(vocab):])
+		t.Fatalf("new terms %q: need one before, one between and one after the loaded vocabulary", added)
 	}
 
 	file := writeMR(t, loaded)

@@ -57,7 +57,7 @@ func FuzzDecode(f *testing.F) {
 // term sections of both compact codecs rely on.
 func FuzzParseStringTable(f *testing.F) {
 	f.Add(AppendStringTable(nil, []string{"alpha", "beta", "gamma"}))
-	f.Add(AppendStringTable(nil, nil))
+	f.Add(AppendStringTable[string](nil, nil))
 	f.Add([]byte{0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		strs, rest, err := ParseStringTable(data)

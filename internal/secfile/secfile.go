@@ -240,8 +240,8 @@ func Uint32Col(b []byte, n int) ([]uint32, error) {
 // AppendStringTable appends an interned string dictionary: uvarint
 // count, a fixed-width uint32 column of cumulative end offsets (so entry
 // i is blob[end[i-1]:end[i]], binary-searchable in place), then the
-// concatenated string bytes.
-func AppendStringTable(b []byte, strs []string) []byte {
+// concatenated string bytes. The entries may be strings or byte slices.
+func AppendStringTable[S ~string | ~[]byte](b []byte, strs []S) []byte {
 	b = AppendUvarint(b, uint64(len(strs)))
 	var end uint32
 	for _, s := range strs {

@@ -230,8 +230,8 @@ func (f *modelFixture) clusters(p int) []*modelCluster {
 		for _, q := range f.ref.QuerySegs(d) {
 			s := &modelSeg{cluster: q.Cluster, tf: map[string]float64{}}
 			for i, id := range q.Terms {
-				s.terms = append(s.terms, names[id])
-				s.tf[names[id]] = q.QF[i]
+				s.terms = append(s.terms, names.Term(id))
+				s.tf[names.Term(id)] = q.QF[i]
 			}
 			sort.Strings(s.terms)
 			segs = append(segs, s)

@@ -29,6 +29,7 @@ declare -a TARGETS=(
     "./internal/secfile FuzzParseStringTable"
     "./internal/index FuzzIndexLoad"
     "./internal/index FuzzValidateSnapshot"
+    "./internal/index FuzzDict"
     "./internal/core FuzzReadPipeline"
     "./internal/serve FuzzDecodeRelated"
     "./internal/serve FuzzAddBody"
