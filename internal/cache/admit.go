@@ -63,9 +63,6 @@ func NewAdmission(maxInflight, maxQueued int) *Admission {
 	return &Admission{maxInflight: maxInflight, maxQueued: maxQueued, now: time.Now}
 }
 
-// SetClock replaces the wait-time clock; tests only.
-func (a *Admission) SetClock(now func() time.Time) { a.now = now }
-
 // Acquire blocks until a computation slot is free, the queue rejects
 // the request (ErrOverloaded), or ctx is canceled (ctx.Err()). A nil
 // return means the caller holds a slot and must Release it.

@@ -361,7 +361,7 @@ func TestAdmissionFIFO(t *testing.T) {
 func TestAdmissionCancelLeavesQueue(t *testing.T) {
 	vc := &virtualNow{t: time.Unix(0, 0)}
 	a := NewAdmission(1, 2)
-	a.SetClock(vc.now)
+	a.now = vc.now
 	if err := a.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestAdmissionWaitHistogramVirtualClock(t *testing.T) {
 
 	vc := &virtualNow{t: time.Unix(1000, 0)}
 	a := NewAdmission(1, 1)
-	a.SetClock(vc.now)
+	a.now = vc.now
 	if err := a.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -1,142 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/forum"
-	"repro/internal/match"
 )
-
-// Run these under -race: they exercise the documented serving contract —
-// Related, Add, Stats, and HasDoc interleaving freely on one Pipeline.
-
-func TestPipelineConcurrentAddAndRelated(t *testing.T) {
-	const basePosts, extraPosts, readers = 60, 16, 4
-	t.Run(IntentIntentMR.String(), func(t *testing.T) {
-		posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: basePosts + extraPosts, Seed: 81})
-		texts := make([]string, len(posts))
-		for i, p := range posts {
-			texts[i] = p.Text
-		}
-		p, err := Build(texts[:basePosts], Config{Seed: 81})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		stop := make(chan struct{})
-		var rg sync.WaitGroup
-		for r := 0; r < readers; r++ {
-			rg.Add(1)
-			go func(r int) {
-				defer rg.Done()
-				for q := r; ; q = (q + 7) % basePosts {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					p.Related(q, 5)
-					p.Stats()
-					p.HasDoc(q)
-				}
-			}(r)
-		}
-		var ag sync.WaitGroup
-		for w := 0; w < 2; w++ {
-			ag.Add(1)
-			go func(w int) {
-				defer ag.Done()
-				for i := w; i < extraPosts; i += 2 {
-					if _, err := p.Add(texts[basePosts+i]); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}(w)
-		}
-		ag.Wait()
-		close(stop)
-		rg.Wait()
-
-		if got := p.Stats().NumDocs; got != basePosts+extraPosts {
-			t.Fatalf("Stats().NumDocs = %d, want %d", got, basePosts+extraPosts)
-		}
-		// HasDoc and the matcher agree on every id, including added ones.
-		for id := 0; id < basePosts+extraPosts; id++ {
-			if !p.HasDoc(id) {
-				t.Fatalf("HasDoc(%d) = false after concurrent adds", id)
-			}
-		}
-		if p.HasDoc(basePosts + extraPosts) {
-			t.Fatal("HasDoc past the end is true")
-		}
-	})
-}
-
-func TestPipelineStatsConsistentAfterConcurrentAdds(t *testing.T) {
-	posts := forum.Generate(forum.Config{Domain: forum.Travel, NumPosts: 50, Seed: 82})
-	texts := make([]string, len(posts))
-	for i, p := range posts {
-		texts[i] = p.Text
-	}
-	p, err := Build(texts[:30], Config{Seed: 82})
-	if err != nil {
-		t.Fatal(err)
-	}
-	segsBefore := p.Stats().NumSegments
-
-	var wg sync.WaitGroup
-	ids := make([]int, 20)
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			id, err := p.Add(texts[30+i])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ids[i] = id
-		}(i)
-	}
-	wg.Wait()
-
-	st := p.Stats()
-	if st.NumDocs != 50 {
-		t.Errorf("NumDocs = %d, want 50", st.NumDocs)
-	}
-	if st.NumSegments < segsBefore {
-		t.Errorf("NumSegments shrank: %d -> %d", segsBefore, st.NumSegments)
-	}
-	// Ids are dense and unique, and each one is the post added under it:
-	// a second pipeline that adds the same texts one by one in assigned-id
-	// order answers every Related exactly as the concurrent one does.
-	byID := make([]string, 20)
-	for i, id := range ids {
-		if id < 30 || id >= 50 || byID[id-30] != "" {
-			t.Fatalf("bad/duplicate id %d (all: %v)", id, ids)
-		}
-		byID[id-30] = texts[30+i]
-	}
-	replay, err := Build(texts[:30], Config{Seed: 82})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, text := range byID {
-		if id, err := replay.Add(text); err != nil || id != 30+i {
-			t.Fatalf("replay Add #%d = %d, %v", i, id, err)
-		}
-	}
-	for q := 0; q < 50; q++ {
-		if got, want := p.Related(q, 5), replay.Related(q, 5); !reflect.DeepEqual(got, want) {
-			t.Errorf("Related(%d) = %v, the id-order replay answers %v", q, got, want)
-		}
-	}
-}
 
 // TestSegmentCountsSnapshotIsolation is the regression test for the
 // shared-slice audit: SegmentCounts used to hand out aliases of the
@@ -250,55 +120,4 @@ func ExamplePipeline_concurrent() {
 	wg.Wait()
 	fmt.Println(p.Stats().NumDocs)
 	// Output: 40
-}
-
-// TestWriteToDuringAdd saves the pipeline while posts are being added.
-// Every snapshot must reload and describe one collection: the header's
-// document count is the matcher's, so the last id the header admits is
-// one the restored server answers for. (A header read outside the lock
-// the adds commit under runs a document behind the matcher written
-// after it — and is a data race, which -race reports here.)
-func TestWriteToDuringAdd(t *testing.T) {
-	const basePosts, extraPosts = 100, 40
-	texts, _ := corpusTexts(t, forum.TechSupport, basePosts+extraPosts, 83)
-	p, err := Build(texts[:basePosts], Config{Seed: 83})
-	if err != nil {
-		t.Fatal(err)
-	}
-	added := make(chan struct{})
-	go func() {
-		defer close(added)
-		for _, text := range texts[basePosts:] {
-			if _, err := p.Add(text); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	var snaps []*bytes.Buffer
-	for done := false; !done; {
-		select {
-		case <-added:
-			done = true // one more save, of the final collection
-		default:
-		}
-		buf := new(bytes.Buffer)
-		if _, err := p.WriteTo(buf); err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, buf)
-	}
-	for i, buf := range snaps {
-		loaded, err := ReadPipeline(buf)
-		if err != nil {
-			t.Fatalf("snapshot %d of %d does not reload: %v", i, len(snaps), err)
-		}
-		n := loaded.Stats().NumDocs
-		if held := loaded.matcher.(*match.MR).NumDocs(); n != held {
-			t.Fatalf("snapshot %d: header says %d docs, matcher holds %d", i, n, held)
-		}
-		if n < basePosts || !loaded.HasDoc(n-1) {
-			t.Fatalf("snapshot %d: %d docs, HasDoc(%d) = %v", i, n, n-1, loaded.HasDoc(n-1))
-		}
-	}
 }

@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -395,9 +394,4 @@ func TopIDs(results []Result) []int {
 		out[i] = r.DocID
 	}
 	return out
-}
-
-// SortByID orders a result list by document id (for deterministic display).
-func SortByID(results []Result) {
-	sort.Slice(results, func(i, j int) bool { return results[i].DocID < results[j].DocID })
 }

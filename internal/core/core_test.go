@@ -99,10 +99,6 @@ func TestHelpers(t *testing.T) {
 	if ids[0] != 9 || ids[1] != 2 {
 		t.Errorf("TopIDs = %v", ids)
 	}
-	SortByID(res)
-	if res[0].DocID != 2 {
-		t.Error("SortByID failed")
-	}
 }
 
 func TestBuildHTMLInput(t *testing.T) {

@@ -1,7 +1,6 @@
 package match
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -11,16 +10,16 @@ import (
 )
 
 // These tests exist to run under -race: they interleave Add with Match
-// and every read accessor on all three MR configurations, which is
-// exactly the serving pattern the online phase promises to support. They
-// also assert the post-conditions that make the interleaving observable
-// as correct, not merely race-free.
+// and every read accessor on the two MR configurations the served
+// pipeline never builds, and assert the post-conditions that make the
+// interleaving observable as correct, not merely race-free. The served
+// configuration, IntentIntent-MR, is checked through the server, every
+// answer against the model: serve.TestHistoriesMatchModel.
 
 func mrConcurrencyConfigs() map[string]MRConfig {
 	return map[string]MRConfig{
-		"IntentIntent-MR": {},
-		"SentIntent-MR":   {Strategy: variant.Sentences{}},
-		"Content-MR":      {Strategy: variant.TextTiling{}, Vectorize: termBuckets, Group: GroupKMeans(8)},
+		"SentIntent-MR": {Strategy: variant.Sentences{}},
+		"Content-MR":    {Strategy: variant.TextTiling{}, Vectorize: termBuckets, Group: GroupKMeans(8)},
 	}
 }
 
@@ -116,95 +115,4 @@ func TestConcurrentAddAndMatch(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestConcurrentAddAssignsSequentialIDs(t *testing.T) {
-	// Commit order defines document ids: after N concurrent Adds the ids
-	// must be exactly base..base+N-1 with consistent per-doc accounting.
-	tc := buildCorpus(t, forum.Travel, 60, 72)
-	mr := NewMR("IntentIntent-MR", tc.docs[:40], MRConfig{})
-
-	extra := tc.docs[40:]
-	got := make([]int, len(extra))
-	var wg sync.WaitGroup
-	for i := range extra {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = mr.Add(extra[i])
-		}(i)
-	}
-	wg.Wait()
-	seen := make([]bool, len(extra))
-	for _, id := range got {
-		idx := id - 40
-		if idx < 0 || idx >= len(extra) || seen[idx] {
-			t.Fatalf("id %d out of range or duplicated (got %v)", id, got)
-		}
-		seen[idx] = true
-	}
-	if n := mr.Stats().NumSegments; n <= 0 {
-		t.Fatalf("NumSegments = %d after adds", n)
-	}
-}
-
-func TestConcurrentMatchIsDeterministic(t *testing.T) {
-	// Parallel per-intention queries must not change results: the same
-	// query from many goroutines returns identical rankings and scores.
-	tc := buildCorpus(t, forum.TechSupport, 100, 73)
-	mr := NewMR("IntentIntent-MR", tc.docs, MRConfig{Workers: 4})
-	want := mr.Match(7, 5)
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				got := mr.Match(7, 5)
-				if len(got) != len(want) {
-					t.Errorf("concurrent Match returned %d results, want %d", len(got), len(want))
-					return
-				}
-				for j := range got {
-					if got[j] != want[j] {
-						t.Errorf("result %d = %+v, want %+v", j, got[j], want[j])
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestConcurrentWriteToDuringAdds(t *testing.T) {
-	// Persistence may run while adds are in flight; each snapshot must be
-	// internally consistent (decodable, with matching doc accounting).
-	tc := buildCorpus(t, forum.TechSupport, 70, 74)
-	mr := NewMR("IntentIntent-MR", tc.docs[:50], MRConfig{})
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, d := range tc.docs[50:] {
-			mr.Add(d)
-		}
-	}()
-	for i := 0; i < 10; i++ {
-		var buf bytes.Buffer
-		if _, err := mr.WriteTo(&buf); err != nil {
-			t.Fatalf("WriteTo during adds: %v", err)
-		}
-		loaded, err := ReadMR(buf.Bytes(), nil)
-		if err != nil {
-			t.Fatalf("ReadMR of mid-add snapshot: %v", err)
-		}
-		b, a := loaded.SegmentCounts()
-		if loaded.NumDocs() < 50 || len(b) != loaded.NumDocs() || len(a) != loaded.NumDocs() {
-			t.Fatalf("inconsistent snapshot: %d docs, %d/%d segment counts",
-				loaded.NumDocs(), len(b), len(a))
-		}
-	}
-	<-done
 }

@@ -118,8 +118,8 @@ func (h *Histogram) Name() string { return h.name }
 // HistogramSnapshot is a consistent point-in-time view of a histogram.
 // Count is derived from Buckets (never tracked separately), so
 // Count == Σ Buckets[i].Count holds for every snapshot even while
-// writers are recording — the property the serve-layer stress test
-// asserts ("no torn snapshots"). Sum is read after the buckets; a value
+// writers are recording — the property the serve history test asserts
+// ("no torn snapshots"). Sum is read after the buckets; a value
 // recorded between the two reads can make Mean drift by at most one
 // observation, but never break the count/bucket identity.
 type HistogramSnapshot struct {

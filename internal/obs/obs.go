@@ -87,7 +87,7 @@ func GetOrNewCounter(name string) *Counter {
 
 // Add increments the counter by n. It is a no-op while recording is
 // disabled. Negative n is ignored: counters are monotone by contract
-// (the /metrics stress test asserts it).
+// (the serve history test asserts it across /metrics scrapes).
 func (c *Counter) Add(n int64) {
 	if !enabled.Load() || n < 0 {
 		return

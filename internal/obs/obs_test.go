@@ -296,7 +296,7 @@ func TestSnapshotJSONShape(t *testing.T) {
 // TestConcurrentSnapshotConsistency hammers one histogram from many
 // goroutines while snapshotting, asserting every snapshot satisfies the
 // count == Σ buckets identity and monotone counts — the "no torn
-// snapshot" property the serve stress test rechecks over HTTP.
+// snapshot" property the serve history test rechecks over HTTP.
 func TestConcurrentSnapshotConsistency(t *testing.T) {
 	withEnabled(t)
 	h := NewHistogram("test.hist.torn", DurationBounds())

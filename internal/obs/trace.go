@@ -135,8 +135,8 @@ type TracerConfig struct {
 	PerSecond int
 	// SlowQuery is the always-capture threshold: every request whose
 	// duration reaches it is published, even outside the sampling budget.
-	// 0 captures every request (deterministic capture — the stress test's
-	// configuration); negative disables slow capture.
+	// 0 captures every request (deterministic capture — the serve
+	// history test's configuration); negative disables slow capture.
 	SlowQuery time.Duration
 	// RingSize bounds the retained finished traces. 256 when 0.
 	RingSize int

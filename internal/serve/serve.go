@@ -4,8 +4,8 @@
 // same collection scattered over shard servers) — exposed as JSON
 // endpoints, with the obs registry scrapeable at runtime and
 // net/http/pprof wired in. cmd/serve is the thin binary around it; the
-// handler is separated here so the -race stress test can drive it
-// through httptest.
+// handler is separated here so tests drive it through httptest and
+// Handler().ServeHTTP.
 //
 // Endpoints:
 //
@@ -61,7 +61,7 @@ import (
 // HTTP-surface metrics. The core.related/core.add spans time the
 // engine operations themselves; these counters track the protocol
 // layer around them (request counts by endpoint, error responses), the
-// monotone quantities the stress test asserts across /metrics scrapes.
+// monotone quantities the history test asserts across /metrics scrapes.
 var (
 	ctrRelatedRequests = obs.NewCounter("http.related.requests")
 	ctrExplainRequests = obs.NewCounter("http.related.explained")
