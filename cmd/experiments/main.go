@@ -9,7 +9,9 @@
 //	experiments -exp table6 -table6 200000  # StackOverflow-scale run
 //
 // Experiment ids: table2 fig7 cmvsterm fig8 fig9 table3 fig3 table4 fig10
-// table5 fig11 table6 ablations all.
+// table5 fig11 table6 ablations health all. A collection size below 1
+// exits 2 with the error. The paper's claims are checked against these
+// runs by internal/experiments' TestLedger (EXPERIMENTS.json).
 package main
 
 import (

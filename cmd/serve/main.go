@@ -91,7 +91,7 @@ func main() {
 		logger.Error(msg, "err", err)
 		os.Exit(1)
 	}
-	if err := buildFlagsBesideLoad(flag.CommandLine); err != nil {
+	if err := checkFlags(flag.CommandLine); err != nil {
 		fatal("flags", err)
 	}
 
@@ -244,9 +244,13 @@ func newHTTPServer(addr string, handler http.Handler) *http.Server {
 // buildFlags are the flags only a build reads.
 var buildFlags = []string{"corpus", "domain", "n", "seed", "workers", "shards"}
 
-// buildFlagsBesideLoad refuses a build flag set beside -load: a loaded
-// snapshot is served as it was built, so the flag would be ignored.
-func buildFlagsBesideLoad(fs *flag.FlagSet) (err error) {
+// checkFlags refuses a build flag set beside -load (a loaded snapshot is
+// served as it was built, so the flag would be ignored) and a negative
+// -n; -n 0 serves an empty collection.
+func checkFlags(fs *flag.FlagSet) (err error) {
+	if n, _ := strconv.Atoi(fs.Lookup("n").Value.String()); n < 0 {
+		return fmt.Errorf("-n %d: a corpus size cannot be negative", n)
+	}
 	if fs.Lookup("load").Value.String() != "" {
 		fs.Visit(func(f *flag.Flag) {
 			if slices.Contains(buildFlags, f.Name) {

@@ -149,7 +149,7 @@ func TestFleetRetriesIsACount(t *testing.T) {
 // TestBuildFlagsBesideLoad: a build flag set beside -load is refused
 // with an error naming it — the snapshot is served as it was built, so
 // the flag would change nothing — while the serving flags and a build
-// without -load pass.
+// without -load pass; so is a negative -n.
 func TestBuildFlagsBesideLoad(t *testing.T) {
 	parse := func(args ...string) error {
 		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
@@ -161,7 +161,7 @@ func TestBuildFlagsBesideLoad(t *testing.T) {
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		return buildFlagsBesideLoad(fs)
+		return checkFlags(fs)
 	}
 	for _, name := range buildFlags {
 		if err := parse("-load", "built.idx", "-"+name, "7"); err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
@@ -173,5 +173,13 @@ func TestBuildFlagsBesideLoad(t *testing.T) {
 	}
 	if err := parse("-load", "built.idx", "-addr", ":9000"); err != nil {
 		t.Errorf("-load with -addr: %v", err)
+	}
+	// A negative -n is refused by name where it used to panic in the
+	// corpus generator; -n 0 builds an empty collection.
+	if err := parse("-n", "-1"); err == nil || !strings.Contains(err.Error(), "-n -1") {
+		t.Errorf("-n -1: error %v, want it refused by name", err)
+	}
+	if err := parse("-n", "0"); err != nil {
+		t.Errorf("-n 0: %v", err)
 	}
 }

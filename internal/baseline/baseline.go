@@ -57,7 +57,7 @@ var (
 		if ldaCfg.Seed == 0 {
 			ldaCfg.Seed = cfg.Seed
 		}
-		return NewLDA(Terms(docs), ldaCfg)
+		return newLDA(Terms(docs), ldaCfg)
 	}}
 	ContentMR = Method{"Content-MR", func(docs []*segment.Doc, cfg Config) (match.Matcher, error) {
 		mrCfg := cfg.mr()
@@ -204,8 +204,8 @@ type LDAMatcher struct {
 	model *lda.Model
 }
 
-// NewLDA trains a topic model over the collection's term lists.
-func NewLDA(docs [][]string, cfg lda.Config) (*LDAMatcher, error) {
+// newLDA trains a topic model over the collection's term lists.
+func newLDA(docs [][]string, cfg lda.Config) (*LDAMatcher, error) {
 	m, err := lda.Train(docs, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: training LDA: %w", err)

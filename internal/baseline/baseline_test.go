@@ -98,7 +98,7 @@ func TestFullTextPrefersSameTopic(t *testing.T) {
 
 func TestLDAMatcher(t *testing.T) {
 	tc := buildCorpus(t, forum.Travel, 100, 3)
-	lm, err := NewLDA(tc.terms, lda.Config{K: 6, Iterations: 60, Seed: 4})
+	lm, err := newLDA(tc.terms, lda.Config{K: 6, Iterations: 60, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestLDAMatcher(t *testing.T) {
 	if lm.Name() != "LDA" {
 		t.Errorf("LDA name = %q", lm.Name())
 	}
-	if _, err := NewLDA(nil, lda.Config{}); err == nil {
-		t.Error("NewLDA(nil) should fail")
+	if _, err := newLDA(nil, lda.Config{}); err == nil {
+		t.Error("newLDA(nil) should fail")
 	}
 }
 
@@ -197,7 +197,7 @@ func TestMethodsFollowTheRecipes(t *testing.T) {
 		"SentIntent-MR":   match.NewMR("SentIntent-MR", tc.docs, match.MRConfig{Strategy: variant.Sentences{}, Seed: 9, Workers: 2}),
 		"IntentIntent-MR": match.NewMR("IntentIntent-MR", tc.docs, match.MRConfig{Seed: 9, Workers: 2}),
 	}
-	lm, err := NewLDA(tc.terms, lda.Config{K: 3, Iterations: 10, Seed: 9})
+	lm, err := newLDA(tc.terms, lda.Config{K: 3, Iterations: 10, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,8 +115,8 @@ func New(capacity int) *ResultCache {
 	return c
 }
 
-// Capacity returns the total entry budget.
-func (c *ResultCache) Capacity() int { return c.stripes[0].cap * numStripes }
+// capacity returns the total entry budget.
+func (c *ResultCache) capacity() int { return c.stripes[0].cap * numStripes }
 
 // stripeFor picks a stripe by document id. Document ids are dense and
 // Zipf-ranked by the workload, so a multiplicative hash spreads the
@@ -220,7 +220,7 @@ func (c *ResultCache) Stats() Stats {
 		rate = float64(h) / float64(h+m)
 	}
 	return Stats{
-		Capacity:      c.Capacity(),
+		Capacity:      c.capacity(),
 		Size:          c.Len(),
 		Hits:          h,
 		Misses:        m,

@@ -60,8 +60,8 @@ func TestCacheUpdateInPlace(t *testing.T) {
 
 func TestCacheEvictsLRUWithinStripe(t *testing.T) {
 	c := New(0) // clamps to 1 entry per stripe
-	if c.Capacity() != numStripes {
-		t.Fatalf("capacity %d, want %d", c.Capacity(), numStripes)
+	if c.capacity() != numStripes {
+		t.Fatalf("capacity %d, want %d", c.capacity(), numStripes)
 	}
 	// Two keys that land in the same stripe necessarily evict each
 	// other at cap 1. Find a same-stripe pair by scanning.

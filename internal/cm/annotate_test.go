@@ -10,7 +10,7 @@ import (
 func AnnotateAll(sents []textproc.Sentence) []Annotation {
 	out := make([]Annotation, len(sents))
 	for i, s := range sents {
-		out[i] = Annotate(s)
+		out[i] = annotate(s)
 	}
 	return out
 }
@@ -21,7 +21,7 @@ func annotateText(t *testing.T, text string) Annotation {
 	if len(sents) != 1 {
 		t.Fatalf("expected one sentence, got %d: %q", len(sents), text)
 	}
-	return Annotate(sents[0])
+	return annotate(sents[0])
 }
 
 func TestAnnotatePresentFirstPerson(t *testing.T) {
@@ -148,7 +148,7 @@ func TestMergeAndAdd(t *testing.T) {
 	if len(anns) != 3 {
 		t.Fatalf("got %d annotations, want 3", len(anns))
 	}
-	merged := Merge(anns, 0, 3)
+	merged := merge(anns, 0, 3)
 	var styleTotal float64
 	for f := StyleInterrogative; f <= StyleAffirmative; f++ {
 		styleTotal += merged.Counts[f]
@@ -160,7 +160,7 @@ func TestMergeAndAdd(t *testing.T) {
 		t.Error("merged word count mismatch")
 	}
 	// Merge of a subrange.
-	m2 := Merge(anns, 1, 2)
+	m2 := merge(anns, 1, 2)
 	if m2 != anns[1] {
 		t.Error("Merge of single element should equal that element")
 	}
@@ -170,7 +170,7 @@ func TestAnnotationTableAndTotal(t *testing.T) {
 	var a Annotation
 	a.Counts[TensePresent] = 2
 	a.Counts[TensePast] = 3
-	tab := a.Table(Tense)
+	tab := a.table(Tense)
 	if len(tab) != 3 || tab[0] != 2 || tab[1] != 3 || tab[2] != 0 {
 		t.Errorf("Table(Tense) = %v", tab)
 	}
@@ -216,4 +216,34 @@ func TestStringNames(t *testing.T) {
 	if TenseFuture.String() != "Future" || SubjectSecond.String() != "You" {
 		t.Error("Feature.String mismatch")
 	}
+}
+
+// annotate computes the communication-means annotation of one sentence.
+// Tense, Subject and PartOfSpeech are counted per token (each verb group
+// contributes to exactly one tense; each personal pronoun to one person;
+// each verb/noun/adjective/adverb token to one POS bucket). Style and
+// Status are sentence-level categorical observations: the sentence
+// contributes one count to interrogative/negative/affirmative and, if it
+// contains a verb, one count to passive or active.
+func annotate(sent textproc.Sentence) Annotation {
+	return AnnotateTagged(sent, TagSentence(nil, sent))
+}
+
+// merge combines the annotations of a half-open sentence range [lo, hi)
+// into the annotation of the segment they form.
+func merge(anns []Annotation, lo, hi int) Annotation {
+	var a Annotation
+	for i := lo; i < hi; i++ {
+		a = a.Add(anns[i])
+	}
+	return a
+}
+
+// table returns the distribution table (DSb) of mean m: a copy of the count
+// vector over the mean's categorical values.
+func (a Annotation) table(m Mean) []float64 {
+	lo, hi := FeaturesOf(m)
+	out := make([]float64, hi-lo)
+	copy(out, a.Counts[lo:hi])
+	return out
 }

@@ -17,7 +17,7 @@ import (
 
 // shannonTabMax bounds the precomputed p·log10(p) lookup below. CM counts
 // are small integers (feature observations per span), so almost every
-// ShannonIndex call during segmentation hits the table instead of Log10.
+// shannonIndex call during segmentation hits the table instead of Log10.
 const shannonTabMax = 96
 
 // shannonTab[all][c] = (c/all)·log10(c/all), precomputed with exactly the
@@ -35,12 +35,12 @@ var shannonTab = func() [][]float64 {
 	return tab
 }()
 
-// ShannonIndex computes Shannon's diversity index (Eq 1) of a distribution
+// shannonIndex computes Shannon's diversity index (Eq 1) of a distribution
 // table: −Σ p_j·log10(p_j) over the non-zero cells. An empty table has
 // diversity 0 (a vacuously even, minimal-richness distribution). Tables of
 // small integer counts — the segmentation hot path — resolve through a
 // precomputed lookup with results bit-identical to the direct computation.
-func ShannonIndex(table []float64) float64 {
+func shannonIndex(table []float64) float64 {
 	var all float64
 	for _, c := range table {
 		all += c
@@ -62,7 +62,7 @@ func ShannonIndex(table []float64) float64 {
 	return div
 }
 
-// shannonSmallInt resolves ShannonIndex through the precomputed table when
+// shannonSmallInt resolves shannonIndex through the precomputed table when
 // every count is a small non-negative integer. The second return is false
 // when any cell falls outside the table's domain (caller falls back to the
 // direct computation).
@@ -103,23 +103,16 @@ func RichnessIndex(table []float64) float64 {
 }
 
 // DiversityFunc maps a distribution table to a diversity value in [0, 1).
-// ShannonIndex and RichnessIndex are the two instances studied in Fig 9.
+// shannonIndex and RichnessIndex are the two instances studied in Fig 9.
 // The table an implementation receives is a read-only view into the caller's
 // annotation, valid only for the duration of the call — implementations must
 // not modify or retain it.
 type DiversityFunc func(table []float64) float64
 
-// Diversity computes the diversity of mean m within the annotated span
-// using Shannon's index.
-func Diversity(a Annotation, m Mean) float64 {
-	lo, hi := FeaturesOf(m)
-	return ShannonIndex(a.Counts[lo:hi])
-}
-
-// Coherence computes the segment coherence of Eq 2 with Shannon diversity:
+// coherence computes the segment coherence of Eq 2 with Shannon diversity:
 // the mean over all communication means of 1 − div_CM(s).
-func Coherence(a Annotation) float64 {
-	return CoherenceWith(a, ShannonIndex)
+func coherence(a Annotation) float64 {
+	return CoherenceWith(a, shannonIndex)
 }
 
 // CoherenceWith computes Eq 2 with an arbitrary diversity function.
@@ -132,15 +125,15 @@ func CoherenceWith(a Annotation, div DiversityFunc) float64 {
 	return sum / float64(NumMeans)
 }
 
-// CoherenceOfMean computes the single-mean coherence 1 − div_CM(s), used by
+// coherenceOfMean computes the single-mean coherence 1 − div_CM(s), used by
 // the Greedy border-selection strategy that votes one communication mean at
 // a time.
-func CoherenceOfMean(a Annotation, m Mean, div DiversityFunc) float64 {
+func coherenceOfMean(a Annotation, m Mean, div DiversityFunc) float64 {
 	lo, hi := FeaturesOf(m)
 	return 1.0 - div(a.Counts[lo:hi])
 }
 
-// ShannonCoherence is the direct form of CoherenceWith(a, ShannonIndex) for
+// ShannonCoherence is the direct form of CoherenceWith(a, shannonIndex) for
 // the segmentation hot loop: the pointer argument and concrete diversity
 // call keep the ~240-byte Annotation out of both the copy path and the heap
 // (an indirect DiversityFunc forces the receiver to escape). Results are
@@ -149,16 +142,16 @@ func ShannonCoherence(a *Annotation) float64 {
 	var sum float64
 	for m := Mean(0); m < NumMeans; m++ {
 		lo, hi := FeaturesOf(m)
-		sum += 1.0 - ShannonIndex(a.Counts[lo:hi])
+		sum += 1.0 - shannonIndex(a.Counts[lo:hi])
 	}
 	return sum / float64(NumMeans)
 }
 
 // ShannonCoherenceOfMean is the direct form of
-// CoherenceOfMean(a, m, ShannonIndex); see ShannonCoherence.
+// coherenceOfMean(a, m, shannonIndex); see ShannonCoherence.
 func ShannonCoherenceOfMean(a *Annotation, m Mean) float64 {
 	lo, hi := FeaturesOf(m)
-	return 1.0 - ShannonIndex(a.Counts[lo:hi])
+	return 1.0 - shannonIndex(a.Counts[lo:hi])
 }
 
 // Depth computes the border depth of Eq 3 from the coherences of the left
@@ -191,7 +184,7 @@ func ScoreBorder(left, right Annotation, div DiversityFunc) (score, depth float6
 }
 
 // ShannonScoreBorder is the direct form of
-// ScoreBorder(left, right, ShannonIndex); see ShannonCoherence. The merged
+// ScoreBorder(left, right, shannonIndex); see ShannonCoherence. The merged
 // annotation stays on the caller's stack.
 func ShannonScoreBorder(left, right *Annotation) (score, depth float64) {
 	var merged Annotation

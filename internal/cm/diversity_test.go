@@ -10,25 +10,25 @@ import (
 )
 
 func TestShannonIndexBasics(t *testing.T) {
-	if got := ShannonIndex(nil); got != 0 {
-		t.Errorf("ShannonIndex(nil) = %v, want 0", got)
+	if got := shannonIndex(nil); got != 0 {
+		t.Errorf("shannonIndex(nil) = %v, want 0", got)
 	}
-	if got := ShannonIndex([]float64{0, 0, 0}); got != 0 {
-		t.Errorf("ShannonIndex(zeros) = %v, want 0", got)
+	if got := shannonIndex([]float64{0, 0, 0}); got != 0 {
+		t.Errorf("shannonIndex(zeros) = %v, want 0", got)
 	}
 	// Single non-zero value: perfectly concentrated → 0 diversity.
-	if got := ShannonIndex([]float64{5, 0, 0}); got != 0 {
-		t.Errorf("ShannonIndex(concentrated) = %v, want 0", got)
+	if got := shannonIndex([]float64{5, 0, 0}); got != 0 {
+		t.Errorf("shannonIndex(concentrated) = %v, want 0", got)
 	}
 	// Uniform over 3: maximal diversity log10(3).
 	want := float64(math.Log10(3))
-	if got := ShannonIndex([]float64{2, 2, 2}); math.Abs(got-want) > 1e-12 {
-		t.Errorf("ShannonIndex(uniform3) = %v, want %v", got, want)
+	if got := shannonIndex([]float64{2, 2, 2}); math.Abs(got-want) > 1e-12 {
+		t.Errorf("shannonIndex(uniform3) = %v, want %v", got, want)
 	}
 	// Paper example: [2,3,0] → −(2/5)log(2/5) − (3/5)log(3/5).
 	wantEx := -(float64(0.4*math.Log10(0.4)) + float64(0.6*math.Log10(0.6)))
-	if got := ShannonIndex([]float64{2, 3, 0}); math.Abs(got-wantEx) > 1e-12 {
-		t.Errorf("ShannonIndex([2,3,0]) = %v, want %v", got, wantEx)
+	if got := shannonIndex([]float64{2, 3, 0}); math.Abs(got-wantEx) > 1e-12 {
+		t.Errorf("shannonIndex([2,3,0]) = %v, want %v", got, wantEx)
 	}
 }
 
@@ -43,7 +43,7 @@ func TestShannonIndexProperties(t *testing.T) {
 		for i, v := range raw {
 			table[i] = float64(v % 50)
 		}
-		div := ShannonIndex(table)
+		div := shannonIndex(table)
 		if div < 0 || div > float64(math.Log10(float64(len(table))))+1e-12 {
 			return false
 		}
@@ -52,7 +52,7 @@ func TestShannonIndexProperties(t *testing.T) {
 		for i := range table {
 			scaled[i] = table[i] * 7
 		}
-		return math.Abs(ShannonIndex(scaled)-div) < 1e-9
+		return math.Abs(shannonIndex(scaled)-div) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -74,15 +74,15 @@ func TestRichnessIndex(t *testing.T) {
 func TestCoherenceBounds(t *testing.T) {
 	// A one-sentence segment is maximally coherent per mean with one value.
 	sents := textproc.SplitSentences("I installed the driver.")
-	a := Annotate(sents[0])
-	coh := Coherence(a)
+	a := annotate(sents[0])
+	coh := coherence(a)
 	if coh <= 0 || coh > 1 {
 		t.Errorf("Coherence = %v, want in (0,1]", coh)
 	}
 	// An empty annotation has coherence exactly 1 (all diversities 0).
 	var empty Annotation
-	if got := Coherence(empty); got != 1 {
-		t.Errorf("Coherence(empty) = %v, want 1", got)
+	if got := coherence(empty); got != 1 {
+		t.Errorf("coherence(empty) = %v, want 1", got)
 	}
 }
 
@@ -91,8 +91,8 @@ func TestCoherenceDropsWithMixedIntentions(t *testing.T) {
 	// segment mixing tense, person and style.
 	homog := textproc.SplitSentences("I installed the driver. I rebooted the machine. I checked the logs.")
 	mixed := textproc.SplitSentences("I installed the driver. Will it degrade performance? The system was repaired.")
-	cohH := Coherence(Merge(AnnotateAll(homog), 0, len(homog)))
-	cohM := Coherence(Merge(AnnotateAll(mixed), 0, len(mixed)))
+	cohH := coherence(merge(AnnotateAll(homog), 0, len(homog)))
+	cohM := coherence(merge(AnnotateAll(mixed), 0, len(mixed)))
 	if cohH <= cohM {
 		t.Errorf("homogeneous coherence %v should exceed mixed coherence %v", cohH, cohM)
 	}
@@ -123,16 +123,16 @@ func TestBorderScore(t *testing.T) {
 
 func TestScoreBorderDeepVsShallow(t *testing.T) {
 	// Deep border: first-person past narrative vs interrogative request.
-	left := Merge(AnnotateAll(textproc.SplitSentences(
+	left := merge(AnnotateAll(textproc.SplitSentences(
 		"I installed the update. I rebooted twice. I checked every cable.")), 0, 3)
-	right := Merge(AnnotateAll(textproc.SplitSentences(
+	right := merge(AnnotateAll(textproc.SplitSentences(
 		"Do you know a fix? Can you suggest a driver? Should I reformat the disk?")), 0, 3)
-	deepScore, deepDepth := ScoreBorder(left, right, ShannonIndex)
+	deepScore, deepDepth := ScoreBorder(left, right, shannonIndex)
 
 	// Shallow border: two halves of the same narrative.
-	rightSame := Merge(AnnotateAll(textproc.SplitSentences(
+	rightSame := merge(AnnotateAll(textproc.SplitSentences(
 		"I replaced the cable. I reinstalled the driver. I tested the printer.")), 0, 3)
-	_, shallowDepth := ScoreBorder(left, rightSame, ShannonIndex)
+	_, shallowDepth := ScoreBorder(left, rightSame, shannonIndex)
 
 	if deepDepth <= shallowDepth {
 		t.Errorf("deep border depth %v should exceed shallow depth %v", deepDepth, shallowDepth)
@@ -145,18 +145,18 @@ func TestScoreBorderDeepVsShallow(t *testing.T) {
 func TestCoherenceOfMean(t *testing.T) {
 	var a Annotation
 	a.Counts[TensePresent] = 4
-	if got := CoherenceOfMean(a, Tense, ShannonIndex); got != 1 {
+	if got := coherenceOfMean(a, Tense, shannonIndex); got != 1 {
 		t.Errorf("single-tense coherence = %v, want 1", got)
 	}
 	a.Counts[TensePast] = 4
-	got := CoherenceOfMean(a, Tense, ShannonIndex)
+	got := coherenceOfMean(a, Tense, shannonIndex)
 	want := 1 - float64(math.Log10(2))
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("two-tense coherence = %v, want %v", got, want)
 	}
 }
 
-// shannonIndexDirect is the pre-lookup-table ShannonIndex: the reference
+// shannonIndexDirect is the pre-lookup-table shannonIndex: the reference
 // the table fast path must match bit for bit.
 func shannonIndexDirect(table []float64) float64 {
 	var all float64
@@ -196,10 +196,10 @@ func TestShannonIndexTableBitIdentical(t *testing.T) {
 				table[i] = math.Floor(rng.Float64()*40) / 4
 			}
 		}
-		got := ShannonIndex(table)
+		got := shannonIndex(table)
 		want := shannonIndexDirect(table)
 		if got != want {
-			t.Fatalf("trial %d table %v: ShannonIndex = %v, direct = %v", trial, table, got, want)
+			t.Fatalf("trial %d table %v: shannonIndex = %v, direct = %v", trial, table, got, want)
 		}
 	}
 }
@@ -215,16 +215,16 @@ func TestShannonFastPathsMatchGeneric(t *testing.T) {
 			b.Counts[i] = float64(rng.Intn(10))
 		}
 		a.Words, b.Words = rng.Intn(40), rng.Intn(40)
-		if got, want := ShannonCoherence(&a), CoherenceWith(a, ShannonIndex); got != want {
+		if got, want := ShannonCoherence(&a), CoherenceWith(a, shannonIndex); got != want {
 			t.Fatalf("ShannonCoherence = %v, generic = %v", got, want)
 		}
 		for m := Mean(0); m < NumMeans; m++ {
-			if got, want := ShannonCoherenceOfMean(&a, m), CoherenceOfMean(a, m, ShannonIndex); got != want {
+			if got, want := ShannonCoherenceOfMean(&a, m), coherenceOfMean(a, m, shannonIndex); got != want {
 				t.Fatalf("mean %d: ShannonCoherenceOfMean = %v, generic = %v", m, got, want)
 			}
 		}
 		gs, gd := ShannonScoreBorder(&a, &b)
-		ws, wd := ScoreBorder(a, b, ShannonIndex)
+		ws, wd := ScoreBorder(a, b, shannonIndex)
 		if gs != ws || gd != wd {
 			t.Fatalf("ShannonScoreBorder = (%v, %v), generic = (%v, %v)", gs, gd, ws, wd)
 		}

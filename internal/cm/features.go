@@ -162,15 +162,6 @@ func (a Annotation) Sub(b Annotation) Annotation {
 	return out
 }
 
-// Table returns the distribution table (DSb) of mean m: a copy of the count
-// vector over the mean's categorical values.
-func (a Annotation) Table(m Mean) []float64 {
-	lo, hi := FeaturesOf(m)
-	out := make([]float64, hi-lo)
-	copy(out, a.Counts[lo:hi])
-	return out
-}
-
 // Total returns the sum of all observations of mean m in the span (the
 // "All" normalizer of Eq 1).
 func (a Annotation) Total(m Mean) float64 {

@@ -38,11 +38,11 @@ func WithinSegmentWeights(seg Annotation) []float64 {
 	return out
 }
 
-// WithinDocumentWeights computes the Eq 6 weight vector of a segment: for
+// withinDocumentWeights computes the Eq 6 weight vector of a segment: for
 // every feature, its count in the segment divided by its count in the whole
 // document (the DSb* table). Features absent from the document yield zero
 // weights.
-func WithinDocumentWeights(seg, doc Annotation) []float64 {
+func withinDocumentWeights(seg, doc Annotation) []float64 {
 	out := make([]float64, NumFeatures)
 	for f := 0; f < int(NumFeatures); f++ {
 		if doc.Counts[f] > 0 {
@@ -57,7 +57,7 @@ func WithinDocumentWeights(seg, doc Annotation) []float64 {
 func WeightVector(seg, doc Annotation) []float64 {
 	out := make([]float64, 0, VectorLen)
 	out = append(out, WithinSegmentWeights(seg)...)
-	out = append(out, WithinDocumentWeights(seg, doc)...)
+	out = append(out, withinDocumentWeights(seg, doc)...)
 	return out
 }
 

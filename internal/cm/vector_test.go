@@ -11,7 +11,7 @@ import (
 
 func TestWithinSegmentWeightsSumToOnePerMean(t *testing.T) {
 	sents := textproc.SplitSentences("I installed Linux. It didn't boot. Will it ever work?")
-	seg := Merge(AnnotateAll(sents), 0, len(sents))
+	seg := merge(AnnotateAll(sents), 0, len(sents))
 	w := WithinSegmentWeights(seg)
 	for m := Mean(0); m < NumMeans; m++ {
 		lo, hi := FeaturesOf(m)
@@ -34,7 +34,7 @@ func TestWithinDocumentWeightsPaperExample(t *testing.T) {
 	var doc, seg Annotation
 	doc.Counts[TensePast] = 5
 	seg.Counts[TensePast] = 4
-	w := WithinDocumentWeights(seg, doc)
+	w := withinDocumentWeights(seg, doc)
 	if w[TensePast] != 0.8 {
 		t.Errorf("within-document weight = %v, want 0.8", w[TensePast])
 	}
@@ -43,16 +43,16 @@ func TestWithinDocumentWeightsPaperExample(t *testing.T) {
 func TestWithinDocumentWeightsBounds(t *testing.T) {
 	sents := textproc.SplitSentences("I installed Linux. It failed. Do you know why? The vendor was called.")
 	anns := AnnotateAll(sents)
-	doc := Merge(anns, 0, len(anns))
-	seg := Merge(anns, 0, 2)
-	w := WithinDocumentWeights(seg, doc)
+	doc := merge(anns, 0, len(anns))
+	seg := merge(anns, 0, 2)
+	w := withinDocumentWeights(seg, doc)
 	for i, v := range w {
 		if v < 0 || v > 1+1e-12 {
 			t.Errorf("weight[%d] = %v, out of [0,1]", i, v)
 		}
 	}
 	// Whole document as one segment → all present features weigh 1.
-	wAll := WithinDocumentWeights(doc, doc)
+	wAll := withinDocumentWeights(doc, doc)
 	for i, v := range wAll {
 		if doc.Counts[i] > 0 && math.Abs(v-1) > 1e-12 {
 			t.Errorf("whole-doc weight[%d] = %v, want 1", i, v)
@@ -63,13 +63,13 @@ func TestWithinDocumentWeightsBounds(t *testing.T) {
 func TestWeightVectorLayout(t *testing.T) {
 	sents := textproc.SplitSentences("I installed Linux. It failed.")
 	anns := AnnotateAll(sents)
-	doc := Merge(anns, 0, len(anns))
+	doc := merge(anns, 0, len(anns))
 	vec := WeightVector(anns[0], doc)
 	if len(vec) != VectorLen {
 		t.Fatalf("len(WeightVector) = %d, want %d", len(vec), VectorLen)
 	}
 	w1 := WithinSegmentWeights(anns[0])
-	w2 := WithinDocumentWeights(anns[0], doc)
+	w2 := withinDocumentWeights(anns[0], doc)
 	for i := 0; i < int(NumFeatures); i++ {
 		if vec[i] != w1[i] {
 			t.Fatalf("vec[%d] != within-segment weight", i)

@@ -75,9 +75,9 @@ func TestSegmentCountsSnapshotIsolation(t *testing.T) {
 						return
 					}
 				}
-				// HasDoc must admit every id the snapshot covers.
-				if !p.HasDoc(len(b) - 1) {
-					t.Errorf("HasDoc(%d) false while snapshot has %d entries", len(b)-1, len(b))
+				// hasDoc must admit every id the snapshot covers.
+				if !p.hasDoc(len(b) - 1) {
+					t.Errorf("hasDoc(%d) false while snapshot has %d entries", len(b)-1, len(b))
 					return
 				}
 			}

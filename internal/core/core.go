@@ -14,7 +14,7 @@
 // Related is the online phase (sub-millisecond per query at 100k posts).
 //
 // A built Pipeline is safe for concurrent use: any number of goroutines
-// may interleave Related, Add, Stats, and HasDoc. Related never blocks on
+// may interleave Related, Query, Add and Stats. Related never blocks on
 // the pipeline's own state; Add prepares the new document lock-free and
 // holds the write lock only for the final bookkeeping.
 package core
@@ -117,7 +117,7 @@ type segMatcher interface {
 //
 // mu guards stats, the pipeline's only mutable state; matcher is frozen
 // at Build time. Holding mu across the matcher commit in Add keeps the
-// document count aligned with the matcher's ids, so HasDoc and Related
+// document count aligned with the matcher's ids, so hasDoc and Related
 // agree on ids at all times. The prepared posts are not kept: the
 // matcher holds what serving reads of them.
 type Pipeline struct {
@@ -203,7 +203,7 @@ func (p *Pipeline) RelatedContext(ctx context.Context, docID, k int) []Result {
 // cluster contributions and the term-level products behind them (see
 // match.Explanation), under the same trace events as the plain query.
 func (p *Pipeline) Query(ctx context.Context, docID, k int, explain bool) (match.Answer, error) {
-	if !p.HasDoc(docID) {
+	if !p.hasDoc(docID) {
 		return match.Answer{}, ErrUnknownDoc
 	}
 	if !explain {
@@ -293,9 +293,9 @@ func (p *Pipeline) AddContext(ctx context.Context, text string) (int, error) {
 // layers key their result caches by this value; see internal/cache.
 func (p *Pipeline) Epoch() uint64 { return p.epochBase + p.matcher.Generation() }
 
-// HasDoc reports whether docID names a document of the collection, the
+// hasDoc reports whether docID names a document of the collection, the
 // id-validation predicate for serving.
-func (p *Pipeline) HasDoc(docID int) bool {
+func (p *Pipeline) hasDoc(docID int) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return docID >= 0 && docID < p.stats.NumDocs

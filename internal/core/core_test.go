@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/forum"
 )
 
@@ -60,19 +61,6 @@ func TestSegmentCountsRefinement(t *testing.T) {
 	}
 }
 
-func precisionOf(res []Result, rel map[int]bool) float64 {
-	if len(res) == 0 {
-		return 0
-	}
-	hits := 0
-	for _, r := range res {
-		if rel[r.DocID] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(res))
-}
-
 func TestGranularityDistribution(t *testing.T) {
 	dist := GranularityDistribution([]int{1, 1, 2, 3, 4, 5, 8})
 	var sum float64
@@ -115,8 +103,8 @@ func TestBuildHTMLInput(t *testing.T) {
 	if before, _ := p.SegmentCounts(); before[0] < 2 {
 		t.Errorf("HTML post cut into %d segments, want its sentences apart", before[0])
 	}
-	if !p.HasDoc(2) || p.HasDoc(-1) || p.HasDoc(3) {
-		t.Error("HasDoc admits other ids than 0..2")
+	if !p.hasDoc(2) || p.hasDoc(-1) || p.hasDoc(3) {
+		t.Error("hasDoc admits other ids than 0..2")
 	}
 }
 
@@ -137,7 +125,7 @@ func TestHealthDomainOutOfSample(t *testing.T) {
 	var pi float64
 	const queries = 40
 	for q := 0; q < queries; q++ {
-		pi += precisionOf(intent.Related(q, 5), forum.RelevantSet(posts, posts[q]))
+		pi += eval.Precision(TopIDs(intent.Related(q, 5)), forum.RelevantSet(posts, posts[q]))
 	}
 	t.Logf("Health: IntentIntent=%.3f", pi/queries)
 	if pi/queries < 0.2 {

@@ -48,8 +48,8 @@ func FuzzReadPipeline(f *testing.F) {
 			}
 		}
 		n := p.Stats().NumDocs
-		if n > 0 && !p.HasDoc(n-1) {
-			t.Fatalf("loaded %d documents but HasDoc(%d) is false", n, n-1)
+		if n > 0 && !p.hasDoc(n-1) {
+			t.Fatalf("loaded %d documents but hasDoc(%d) is false", n, n-1)
 		}
 		for id := 0; id < n; id++ {
 			for _, r := range p.Related(id, 3) {

@@ -50,7 +50,7 @@ func FleissKappa(counts [][]int) (kappa, observed float64) {
 	return (pBar - pe) / (1 - pe), pBar
 }
 
-// BorderAgreement evaluates how well multiple annotators agree on where
+// borderAgreement evaluates how well multiple annotators agree on where
 // segment borders lie in one document. candidates are the char offsets of
 // the document's possible border positions (in this system: sentence
 // boundaries); annotations are each annotator's chosen border offsets. A
@@ -60,7 +60,7 @@ func FleissKappa(counts [][]int) (kappa, observed float64) {
 // marking two adjacent candidates at loose tolerances. The items of the
 // agreement matrix are the candidates, with the two categories
 // border / no-border.
-func BorderAgreement(candidates []int, annotations [][]int, offset int) (kappa, observed float64) {
+func borderAgreement(candidates []int, annotations [][]int, offset int) (kappa, observed float64) {
 	if len(candidates) == 0 || len(annotations) < 2 {
 		return 0, 0
 	}

@@ -8,8 +8,8 @@ import (
 
 func TestWindowDiffPerfect(t *testing.T) {
 	ref := []int{3, 6}
-	if got := WindowDiff(ref, ref, 9, 2); got != 0 {
-		t.Errorf("WindowDiff(identical) = %v, want 0", got)
+	if got := windowDiff(ref, ref, 9, 2); got != 0 {
+		t.Errorf("windowDiff(identical) = %v, want 0", got)
 	}
 }
 
@@ -17,51 +17,51 @@ func TestWindowDiffTotalMiss(t *testing.T) {
 	// Reference has borders everywhere, hypothesis nowhere: nearly every
 	// window disagrees.
 	ref := []int{1, 2, 3, 4, 5, 6, 7}
-	got := WindowDiff(ref, nil, 8, 2)
+	got := windowDiff(ref, nil, 8, 2)
 	if got < 0.9 {
-		t.Errorf("WindowDiff(all vs none) = %v, want near 1", got)
+		t.Errorf("windowDiff(all vs none) = %v, want near 1", got)
 	}
 }
 
 func TestWindowDiffNearMiss(t *testing.T) {
 	// An off-by-one border is better than a missing border.
 	ref := []int{5}
-	near := WindowDiff(ref, []int{6}, 10, 3)
-	missing := WindowDiff(ref, nil, 10, 3)
+	near := windowDiff(ref, []int{6}, 10, 3)
+	missing := windowDiff(ref, nil, 10, 3)
 	if near >= missing {
 		t.Errorf("near miss %v should score below total miss %v", near, missing)
 	}
 }
 
 func TestWindowDiffEdgeCases(t *testing.T) {
-	if got := WindowDiff(nil, nil, 0, 2); got != 0 {
+	if got := windowDiff(nil, nil, 0, 2); got != 0 {
 		t.Error("empty doc should be 0")
 	}
-	if got := WindowDiff(nil, nil, 1, 2); got != 0 {
+	if got := windowDiff(nil, nil, 1, 2); got != 0 {
 		t.Error("single-unit doc should be 0")
 	}
 	// Out-of-range borders are ignored.
-	if got := WindowDiff([]int{0, 99, -3}, nil, 5, 2); got != 0 {
+	if got := windowDiff([]int{0, 99, -3}, nil, 5, 2); got != 0 {
 		t.Errorf("out-of-range borders should be dropped, got %v", got)
 	}
 	// Oversized window clamps.
-	if got := WindowDiff([]int{2}, []int{2}, 4, 100); got != 0 {
+	if got := windowDiff([]int{2}, []int{2}, 4, 100); got != 0 {
 		t.Errorf("clamped window on identical segmentations = %v", got)
 	}
 }
 
-// Property: WindowDiff is within [0,1] and zero for identical inputs.
+// Property: windowDiff is within [0,1] and zero for identical inputs.
 func TestWindowDiffProperty(t *testing.T) {
 	f := func(refRaw, hypRaw []uint8, n8, k8 uint8) bool {
 		n := 2 + int(n8%30)
 		k := 1 + int(k8%10)
 		ref := toBorders(refRaw, n)
 		hyp := toBorders(hypRaw, n)
-		d := WindowDiff(ref, hyp, n, k)
+		d := windowDiff(ref, hyp, n, k)
 		if d < 0 || d > 1 {
 			return false
 		}
-		if WindowDiff(ref, ref, n, k) != 0 {
+		if windowDiff(ref, ref, n, k) != 0 {
 			return false
 		}
 		return true
@@ -81,12 +81,12 @@ func toBorders(raw []uint8, n int) []int {
 
 func TestPk(t *testing.T) {
 	ref := []int{5}
-	if got := Pk(ref, ref, 10, 3); got != 0 {
-		t.Errorf("Pk(identical) = %v", got)
+	if got := pk(ref, ref, 10, 3); got != 0 {
+		t.Errorf("pk(identical) = %v", got)
 	}
-	worse := Pk(ref, nil, 10, 3)
+	worse := pk(ref, nil, 10, 3)
 	if worse <= 0 {
-		t.Errorf("Pk(missing border) = %v, want > 0", worse)
+		t.Errorf("pk(missing border) = %v, want > 0", worse)
 	}
 }
 
@@ -178,7 +178,7 @@ func TestBorderAgreement(t *testing.T) {
 		{105, 295},
 		{101, 300},
 	}
-	kappa, obs := BorderAgreement(candidates, annotations, 10)
+	kappa, obs := borderAgreement(candidates, annotations, 10)
 	if obs != 1 {
 		t.Errorf("observed = %v, want 1 (perfect within tolerance)", obs)
 	}
@@ -186,14 +186,14 @@ func TestBorderAgreement(t *testing.T) {
 		t.Errorf("kappa = %v, want 1", kappa)
 	}
 	// Tighter tolerance breaks agreement on the jittered borders.
-	_, obsTight := BorderAgreement(candidates, annotations, 2)
+	_, obsTight := borderAgreement(candidates, annotations, 2)
 	if obsTight >= 1 {
 		t.Errorf("tight-tolerance observed = %v, want < 1", obsTight)
 	}
-	if k, o := BorderAgreement(nil, annotations, 10); k != 0 || o != 0 {
+	if k, o := borderAgreement(nil, annotations, 10); k != 0 || o != 0 {
 		t.Error("no candidates should give 0,0")
 	}
-	if k, o := BorderAgreement(candidates, annotations[:1], 10); k != 0 || o != 0 {
+	if k, o := borderAgreement(candidates, annotations[:1], 10); k != 0 || o != 0 {
 		t.Error("single annotator should give 0,0")
 	}
 }
@@ -209,7 +209,7 @@ func TestAgreementToleranceMonotone(t *testing.T) {
 	}
 	prev := -1.0
 	for _, off := range []int{10, 25, 40} {
-		_, obs := BorderAgreement(candidates, annotations, off)
+		_, obs := borderAgreement(candidates, annotations, off)
 		if obs < prev {
 			t.Errorf("observed agreement decreased at offset %d: %v < %v", off, obs, prev)
 		}
@@ -238,11 +238,11 @@ func TestPrecision(t *testing.T) {
 	if got := Precision(nil, rel); got != 0 {
 		t.Errorf("Precision(empty) = %v, want 0", got)
 	}
-	if got := PrecisionAtK([]int{1, 3, 5, 2, 4}, rel, 3); got != 1 {
-		t.Errorf("PrecisionAtK = %v, want 1", got)
+	if got := precisionAtK([]int{1, 3, 5, 2, 4}, rel, 3); got != 1 {
+		t.Errorf("precisionAtK = %v, want 1", got)
 	}
-	if got := PrecisionAtK([]int{1}, rel, 5); got != 1 {
-		t.Errorf("PrecisionAtK with short list = %v, want 1", got)
+	if got := precisionAtK([]int{1}, rel, 5); got != 1 {
+		t.Errorf("precisionAtK with short list = %v, want 1", got)
 	}
 }
 
@@ -260,7 +260,7 @@ func TestMeanPrecisionAndZeroFraction(t *testing.T) {
 }
 
 func TestPool(t *testing.T) {
-	got := Pool([]int{1, 2, 3}, []int{3, 4}, []int{1, 5})
+	got := pool([]int{1, 2, 3}, []int{3, 4}, []int{1, 5})
 	want := []int{1, 2, 3, 4, 5}
 	if len(got) != len(want) {
 		t.Fatalf("Pool = %v, want %v", got, want)
@@ -273,7 +273,7 @@ func TestPool(t *testing.T) {
 }
 
 func TestBoundaryPRFPerfect(t *testing.T) {
-	p, r, f := BoundaryPRF([]int{3, 6}, []int{3, 6}, 10, 0)
+	p, r, f := boundaryPRF([]int{3, 6}, []int{3, 6}, 10, 0)
 	if p != 1 || r != 1 || f != 1 {
 		t.Errorf("perfect match: %v %v %v", p, r, f)
 	}
@@ -281,11 +281,11 @@ func TestBoundaryPRFPerfect(t *testing.T) {
 
 func TestBoundaryPRFTolerance(t *testing.T) {
 	// Off-by-one borders match at tolerance 1 but not 0.
-	p0, _, _ := BoundaryPRF([]int{3, 6}, []int{4, 7}, 10, 0)
+	p0, _, _ := boundaryPRF([]int{3, 6}, []int{4, 7}, 10, 0)
 	if p0 != 0 {
 		t.Errorf("tolerance 0 precision = %v, want 0", p0)
 	}
-	p1, r1, f1 := BoundaryPRF([]int{3, 6}, []int{4, 7}, 10, 1)
+	p1, r1, f1 := boundaryPRF([]int{3, 6}, []int{4, 7}, 10, 1)
 	if p1 != 1 || r1 != 1 || f1 != 1 {
 		t.Errorf("tolerance 1: %v %v %v, want perfect", p1, r1, f1)
 	}
@@ -293,7 +293,7 @@ func TestBoundaryPRFTolerance(t *testing.T) {
 
 func TestBoundaryPRFSpuriousAndMissing(t *testing.T) {
 	// Hypothesis has one true border and one spurious; misses one.
-	p, r, f := BoundaryPRF([]int{3, 6}, []int{3, 8}, 10, 0)
+	p, r, f := boundaryPRF([]int{3, 6}, []int{3, 8}, 10, 0)
 	if p != 0.5 || r != 0.5 {
 		t.Errorf("P=%v R=%v, want 0.5 each", p, r)
 	}
@@ -301,7 +301,7 @@ func TestBoundaryPRFSpuriousAndMissing(t *testing.T) {
 		t.Errorf("F1 = %v, want 0.5", f)
 	}
 	// Over-segmentation: precision drops, recall stays.
-	p, r, _ = BoundaryPRF([]int{5}, []int{2, 5, 8}, 10, 0)
+	p, r, _ = boundaryPRF([]int{5}, []int{2, 5, 8}, 10, 0)
 	if r != 1 {
 		t.Errorf("recall = %v, want 1", r)
 	}
@@ -311,24 +311,122 @@ func TestBoundaryPRFSpuriousAndMissing(t *testing.T) {
 }
 
 func TestBoundaryPRFEmptyCases(t *testing.T) {
-	if p, r, f := BoundaryPRF(nil, nil, 5, 1); p != 1 || r != 1 || f != 1 {
+	if p, r, f := boundaryPRF(nil, nil, 5, 1); p != 1 || r != 1 || f != 1 {
 		t.Error("both empty should be perfect")
 	}
-	if p, r, f := BoundaryPRF([]int{2}, nil, 5, 1); p != 0 || r != 0 || f != 0 {
+	if p, r, f := boundaryPRF([]int{2}, nil, 5, 1); p != 0 || r != 0 || f != 0 {
 		t.Error("empty hypothesis vs non-empty reference should be 0")
 	}
-	if p, _, _ := BoundaryPRF(nil, []int{2}, 5, 1); p != 0 {
+	if p, _, _ := boundaryPRF(nil, []int{2}, 5, 1); p != 0 {
 		t.Error("spurious-only hypothesis should have precision 0")
 	}
 }
 
 func TestBoundaryPRFGreedyMatchingIsOneToOne(t *testing.T) {
 	// Two hypothesis borders near one reference: only one may match.
-	p, r, _ := BoundaryPRF([]int{5}, []int{4, 6}, 10, 2)
+	p, r, _ := boundaryPRF([]int{5}, []int{4, 6}, 10, 2)
 	if r != 1 {
 		t.Errorf("recall = %v, want 1", r)
 	}
 	if p != 0.5 {
 		t.Errorf("precision = %v, want 0.5 (one-to-one matching)", p)
 	}
+}
+
+// boundaryPRF computes precision, recall and F1 of hypothesis borders
+// against reference borders over a document of n units. A hypothesis
+// border matches an unmatched reference border within ±tolerance units
+// (greedy nearest-first matching; each border matches at most once).
+func boundaryPRF(ref, hyp []int, n, tolerance int) (precision, recall, f1 float64) {
+	refB := borderList(ref, n)
+	hypB := borderList(hyp, n)
+	if len(hypB) == 0 && len(refB) == 0 {
+		return 1, 1, 1
+	}
+	if len(hypB) == 0 || len(refB) == 0 {
+		return 0, 0, 0
+	}
+	matchedRef := make([]bool, len(refB))
+	matches := 0
+	for _, h := range hypB {
+		best, bestD := -1, tolerance+1
+		for i, r := range refB {
+			if matchedRef[i] {
+				continue
+			}
+			d := h - r
+			if d < 0 {
+				d = -d
+			}
+			if d < bestD {
+				best, bestD = i, d
+			}
+		}
+		if best >= 0 {
+			matchedRef[best] = true
+			matches++
+		}
+	}
+	precision = float64(matches) / float64(len(hypB))
+	recall = float64(matches) / float64(len(refB))
+	if precision+recall == 0 {
+		return precision, recall, 0
+	}
+	f1 = 2 * precision * recall / (precision + recall)
+	return precision, recall, f1
+}
+
+// precisionAtK truncates the retrieval to its first k elements before
+// computing precision; the paper's users evaluated top-5 lists.
+func precisionAtK(retrieved []int, relevant map[int]bool, k int) float64 {
+	if k < len(retrieved) {
+		retrieved = retrieved[:k]
+	}
+	return Precision(retrieved, relevant)
+}
+
+// pool merges several systems' retrievals for one query into a single
+// deduplicated judging pool, preserving first-seen order (Sec 9.2.1 uses
+// pooling for the TripAdvisor judgments).
+func pool(lists ...[]int) []int {
+	seen := make(map[int]bool)
+	var out []int
+	for _, list := range lists {
+		for _, id := range list {
+			if !seen[id] {
+				seen[id] = true
+				out = append(out, id)
+			}
+		}
+	}
+	return out
+}
+
+// pk computes Beeferman's pk metric: the probability that two units k apart
+// are incorrectly classified as being in the same or different segments.
+func pk(ref, hyp []int, n, k int) float64 {
+	if n <= 1 {
+		return 0
+	}
+	if k < 1 {
+		k = 1
+	}
+	if k >= n {
+		k = n - 1
+	}
+	refSeg := segmentIDs(ref, n)
+	hypSeg := segmentIDs(hyp, n)
+	errors, windows := 0, 0
+	for i := 0; i+k < n; i++ {
+		sameRef := refSeg[i] == refSeg[i+k]
+		sameHyp := hypSeg[i] == hypSeg[i+k]
+		if sameRef != sameHyp {
+			errors++
+		}
+		windows++
+	}
+	if windows == 0 {
+		return 0
+	}
+	return float64(errors) / float64(windows)
 }

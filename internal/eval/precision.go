@@ -20,15 +20,6 @@ func Precision(retrieved []int, relevant map[int]bool) float64 {
 	return float64(hits) / float64(len(retrieved))
 }
 
-// PrecisionAtK truncates the retrieval to its first k elements before
-// computing precision; the paper's users evaluated top-5 lists.
-func PrecisionAtK(retrieved []int, relevant map[int]bool, k int) float64 {
-	if k < len(retrieved) {
-		retrieved = retrieved[:k]
-	}
-	return Precision(retrieved, relevant)
-}
-
 // MeanPrecision averages per-query precision values ("the mean of the
 // precision values considering each information need separately").
 func MeanPrecision(perQuery []float64) float64 {
@@ -55,21 +46,4 @@ func ZeroFraction(perQuery []float64) float64 {
 		}
 	}
 	return float64(zeros) / float64(len(perQuery))
-}
-
-// Pool merges several systems' retrievals for one query into a single
-// deduplicated judging pool, preserving first-seen order (Sec 9.2.1 uses
-// pooling for the TripAdvisor judgments).
-func Pool(lists ...[]int) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, list := range lists {
-		for _, id := range list {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	return out
 }

@@ -1,18 +1,18 @@
-// Package eval implements the evaluation metrics of Sec 9: WindowDiff and
+// Package eval implements the evaluation metrics of Sec 9: windowDiff and
 // its multi-annotator variant multWinDiff for segmentation quality
 // (Sec 9.1.2), Pk, Fleiss' kappa and observed agreement with character
 // offset tolerance for the human study (Table 2), and mean precision for
 // the retrieval evaluation (Table 4).
 package eval
 
-// WindowDiff computes Pevzner & Hearst's WindowDiff error between a
+// windowDiff computes Pevzner & Hearst's windowDiff error between a
 // reference and a hypothesis segmentation of a document with n text units.
 // Borders are unit positions in (0, n). A window of size k slides over the
 // sequence; a window is an error when the two segmentations disagree on the
 // number of borders inside it. The result is in [0, 1]; 0 is a perfect
 // match. k must be ≥ 1; the customary choice is half the average reference
 // segment length.
-func WindowDiff(ref, hyp []int, n, k int) float64 {
+func windowDiff(ref, hyp []int, n, k int) float64 {
 	if n <= 1 {
 		return 0
 	}
@@ -49,37 +49,8 @@ func WindowDiff(ref, hyp []int, n, k int) float64 {
 	return float64(errors) / float64(windows)
 }
 
-// Pk computes Beeferman's Pk metric: the probability that two units k apart
-// are incorrectly classified as being in the same or different segments.
-func Pk(ref, hyp []int, n, k int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k >= n {
-		k = n - 1
-	}
-	refSeg := segmentIDs(ref, n)
-	hypSeg := segmentIDs(hyp, n)
-	errors, windows := 0, 0
-	for i := 0; i+k < n; i++ {
-		sameRef := refSeg[i] == refSeg[i+k]
-		sameHyp := hypSeg[i] == hypSeg[i+k]
-		if sameRef != sameHyp {
-			errors++
-		}
-		windows++
-	}
-	if windows == 0 {
-		return 0
-	}
-	return float64(errors) / float64(windows)
-}
-
-// MultWinDiff computes the multi-annotator WindowDiff of Kazantseva &
-// Szpakowicz (2012): the mean WindowDiff of the hypothesis against each
+// MultWinDiff computes the multi-annotator windowDiff of Kazantseva &
+// Szpakowicz (2012): the mean windowDiff of the hypothesis against each
 // reference annotation, with the window size set to half the average
 // segment length across all references. It is the error reported throughout
 // Sec 9.1.2.
@@ -100,7 +71,7 @@ func MultWinDiff(refs [][]int, hyp []int, n int) float64 {
 	}
 	var sum float64
 	for _, ref := range refs {
-		sum += WindowDiff(ref, hyp, n, k)
+		sum += windowDiff(ref, hyp, n, k)
 	}
 	return sum / float64(len(refs))
 }

@@ -6,19 +6,10 @@ import (
 	"strings"
 
 	"repro/internal/baseline"
-	"repro/internal/core"
-	"repro/internal/eval"
-	"repro/internal/forum"
 	"repro/internal/match"
 	"repro/internal/segment"
 	"repro/internal/variant"
 )
-
-// AblationRow is one configuration's mean precision on one dataset.
-type AblationRow struct {
-	Name      string
-	Precision map[forum.Domain]float64
-}
 
 // alg2Variant is an Algorithm 2 ablation: per-intention lists of
 // factor·k (2k when 0), cut at threshold times each list's best score
@@ -49,14 +40,13 @@ func (v alg2Variant) match(mr *match.MR, q, k int) []match.Result {
 	return match.TopKScores(scores, k, q)
 }
 
-// Ablations sweeps the design choices DESIGN.md calls out beyond the
+// ablations sweeps the design choices DESIGN.md calls out beyond the
 // paper's own comparisons: grouping algorithm (k-means vs DBSCAN), vector
 // representation (Eq 5 half vs full Eq 5+6), the border-selection
 // strategy feeding the pipeline, and the Algorithm 2 shapes the served
 // path does not take (alg2Variant): n = 1k / 4k, per-list score
 // normalization and threshold selection.
-func Ablations(opt Options) (string, []AblationRow) {
-	opt = opt.withDefaults()
+func ablations(opt Options) (table, error) {
 	configs := []struct {
 		name string
 		mr   match.MRConfig
@@ -76,120 +66,75 @@ func Ablations(opt Options) (string, []AblationRow) {
 		{name: "F-stat border score (Tile)", mr: match.MRConfig{Strategy: variant.Tile{Score: variant.FStat{}}}},
 		{name: "threshold selection (0.5)", alg2: alg2Variant{factor: 10, threshold: 0.5}},
 	}
-	rows := make([]AblationRow, len(configs))
+	t := table{Title: "Ablations: mean precision under design variations", Columns: []string{"Configuration"}}
+	t.Rows = make([]row, len(configs))
 	for i, c := range configs {
-		rows[i] = AblationRow{Name: c.name, Precision: map[forum.Domain]float64{}}
+		t.Rows[i].Label = c.name
 	}
 	for _, d := range allDomains {
+		t.Columns = append(t.Columns, d.String())
 		ds := newDataset(d, opt.Scale, opt.Seed)
 		docs := baseline.Prepare(ds.texts, opt.Workers)
 		for i, c := range configs {
 			mrCfg := c.mr
 			mrCfg.Seed = opt.Seed
 			mr := match.NewMR(c.name, docs, mrCfg)
-			var perQuery []float64
-			for q := 0; q < opt.Queries && q < len(ds.posts); q++ {
-				rel := forum.RelevantSet(ds.posts, ds.posts[q])
-				var res []match.Result
-				if c.alg2 == (alg2Variant{}) {
-					res = mr.Match(q, 5)
-				} else {
-					res = c.alg2.match(mr, q, 5)
-				}
-				perQuery = append(perQuery, eval.Precision(core.TopIDs(res), rel))
+			matchFn := mr.Match
+			if c.alg2 != (alg2Variant{}) {
+				matchFn = func(q, k int) []match.Result { return c.alg2.match(mr, q, k) }
 			}
-			rows[i].Precision[d] = eval.MeanPrecision(perQuery)
+			t.Rows[i].Cells = append(t.Rows[i].Cells, cell{meanPrecision(matchFn, ds, opt), "%.3f"})
 		}
 	}
-	var tblRows [][]string
-	for _, r := range rows {
-		row := []string{r.Name}
-		for _, d := range allDomains {
-			row = append(row, f3(r.Precision[d]))
-		}
-		tblRows = append(tblRows, row)
-	}
-	header := []string{"Configuration"}
-	for _, d := range allDomains {
-		header = append(header, d.String())
-	}
-	out := "Ablations: mean precision under design variations\n" + table(header, tblRows)
-	return out, rows
+	return t, nil
 }
 
-// All runs every experiment and concatenates the reports in paper order.
-func All(opt Options) string {
-	var b strings.Builder
-	sections := []func() string{
-		func() string { s, _ := Table2(opt); return s },
-		func() string { return Fig7(opt) },
-		func() string { s, _ := CMvsTerm(opt); return s },
-		func() string { s, _ := Fig8(opt); return s },
-		func() string { s, _ := Fig9(opt); return s },
-		func() string { s, _ := Table3(opt); return s },
-		func() string { return Fig3(opt) },
-		func() string { s, _ := Table4(opt); return s },
-		func() string { return Fig10(opt) },
-		func() string { return Table5(opt) },
-		func() string { s, _ := Fig11(opt); return s },
-		func() string { s, _ := Table6(opt); return s },
-		func() string { s, _ := Ablations(opt); return s },
-	}
-	for i, run := range sections {
-		if i > 0 {
-			b.WriteString("\n")
-		}
-		b.WriteString(run())
-	}
-	return b.String()
+// experiment is one runnable id and the runner that makes its table.
+type experiment struct {
+	id  string
+	run func(Options) (table, error)
+}
+
+// experimentList is every experiment in paper order; "all" runs them in
+// this order.
+var experimentList = []experiment{
+	{"table2", table2}, {"fig7", fig7}, {"cmvsterm", cmVsTerm}, {"fig8", fig8},
+	{"fig9", fig9}, {"table3", table3}, {"fig3", fig3}, {"table4", table4},
+	{"fig10", fig10}, {"table5", table5}, {"fig11", fig11}, {"table6", table6},
+	{"ablations", ablations}, {"health", health},
 }
 
 // Names lists the runnable experiment ids for cmd/experiments.
 func Names() []string {
-	return []string{"table2", "fig7", "cmvsterm", "fig8", "fig9", "table3",
-		"fig3", "table4", "fig10", "table5", "fig11", "table6", "ablations", "all"}
+	var names []string
+	for _, e := range experimentList {
+		names = append(names, e.id)
+	}
+	return append(names, "all")
 }
 
-// Run executes one experiment by id and returns its report.
+// Run executes one experiment by id, or every one for "all", and
+// returns the rendered report.
 func Run(name string, opt Options) (string, error) {
-	switch name {
-	case "table2":
-		s, _ := Table2(opt)
-		return s, nil
-	case "fig7":
-		return Fig7(opt), nil
-	case "cmvsterm":
-		s, _ := CMvsTerm(opt)
-		return s, nil
-	case "fig8":
-		s, _ := Fig8(opt)
-		return s, nil
-	case "fig9":
-		s, _ := Fig9(opt)
-		return s, nil
-	case "table3":
-		s, _ := Table3(opt)
-		return s, nil
-	case "fig3":
-		return Fig3(opt), nil
-	case "table4":
-		s, _ := Table4(opt)
-		return s, nil
-	case "fig10":
-		return Fig10(opt), nil
-	case "table5":
-		return Table5(opt), nil
-	case "fig11":
-		s, _ := Fig11(opt)
-		return s, nil
-	case "table6":
-		s, _ := Table6(opt)
-		return s, nil
-	case "ablations":
-		s, _ := Ablations(opt)
-		return s, nil
-	case "all":
-		return All(opt), nil
+	opt = opt.withDefaults()
+	for _, n := range opt.Sizes {
+		if n < 1 {
+			return "", fmt.Errorf("experiments: collection size %d is below 1", n)
+		}
 	}
-	return "", fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
+	var out []string
+	for _, e := range experimentList {
+		if name != e.id && name != "all" {
+			continue
+		}
+		t, err := e.run(opt)
+		if err != nil {
+			return "", fmt.Errorf("experiments: %s: %w", e.id, err)
+		}
+		out = append(out, t.render())
+	}
+	if len(out) == 0 {
+		return "", fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
+	}
+	return strings.Join(out, "\n"), nil
 }

@@ -4,9 +4,10 @@
 // segmentation), Fig 8 (border mechanisms), Fig 9 (coherence/depth
 // functions), Table 3 (segment granularity), Fig 3 (intention centroids),
 // Table 4 / Fig 10 (mean precision), Table 5 (test corpus), Fig 11 and
-// Table 6 (scaling), plus ablations of the design choices. Each runner
-// prints rows shaped like the paper's and returns structured results the
-// tests and benchmarks assert on.
+// Table 6 (scaling), the Health out-of-sample row, plus ablations of the
+// design choices. Each runner returns one table; render prints it the
+// way the paper lays it out, and the ledger test (EXPERIMENTS.json)
+// checks the paper's claims against its cells.
 package experiments
 
 import (
@@ -38,9 +39,6 @@ type Options struct {
 	// Table6Posts is the StackOverflow-scale collection size (paper:
 	// 1.5M). 20000 when 0.
 	Table6Posts int
-	// Repeats is how many independently seeded corpora Table 4 averages
-	// over (retrieval effectiveness is the noisiest experiment). 2 when 0.
-	Repeats int
 	// Seed drives all generation and randomized algorithms.
 	Seed int64
 	// Workers bounds the offline-build parallelism of every pipeline the
@@ -68,9 +66,6 @@ func (o Options) withDefaults() Options {
 	if o.Table6Posts <= 0 {
 		o.Table6Posts = 20000
 	}
-	if o.Repeats <= 0 {
-		o.Repeats = 2
-	}
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
@@ -83,43 +78,71 @@ var segmentationDomains = []forum.Domain{forum.TechSupport, forum.Travel}
 // allDomains are the three evaluation datasets of Table 4.
 var allDomains = []forum.Domain{forum.TechSupport, forum.Travel, forum.Programming}
 
-// table renders rows as a fixed-width text table.
-func table(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
+// table is one experiment's result: a title, the column names
+// (Columns[0] heads the row labels) and labelled rows of numbers.
+type table struct {
+	Title   string
+	Columns []string
+	Rows    []row
+}
+
+// row is one labelled row; Cells[i] sits under Columns[i+1]. A row may
+// stop short of the last columns.
+type row struct {
+	Label string
+	Cells []cell
+}
+
+// cell is one number and the fmt verb that prints it.
+type cell struct {
+	V      float64
+	Format string
+}
+
+// cells pairs every value with one format.
+func cells(format string, vs ...float64) []cell {
+	out := make([]cell, len(vs))
+	for i, v := range vs {
+		out[i] = cell{v, format}
 	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+	return out
+}
+
+// render prints t as its title over a fixed-width text table.
+func (t table) render() string {
+	lines := [][]string{t.Columns}
+	widths := make([]int, len(t.Columns))
+	for _, r := range t.Rows {
+		line := []string{r.Label}
+		for _, c := range r.Cells {
+			line = append(line, fmt.Sprintf(c.Format, c.V))
+		}
+		lines = append(lines, line)
+	}
+	for _, line := range lines {
+		for i, s := range line {
+			widths[i] = max(widths[i], len(s))
 		}
 	}
 	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
+	b.WriteString(t.Title + "\n")
+	for n, line := range lines {
+		for i, s := range line {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			fmt.Fprintf(&b, "%-*s", widths[i], s)
 		}
 		b.WriteByte('\n')
-	}
-	writeRow(header)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
+		if n == 0 {
+			for i, w := range widths {
+				if i > 0 {
+					b.WriteString("  ")
+				}
+				b.WriteString(strings.Repeat("-", w))
+			}
+			b.WriteByte('\n')
 		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range rows {
-		writeRow(row)
 	}
 	return b.String()
 }
-
-func f3(x float64) string  { return fmt.Sprintf("%.3f", x) }
-func f2(x float64) string  { return fmt.Sprintf("%.2f", x) }
-func pct(x float64) string { return fmt.Sprintf("%.1f%%", x) }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/eval"
 	"repro/internal/forum"
@@ -30,29 +29,22 @@ func newStudySample(d forum.Domain, n, annotators int, seed int64) studySample {
 	return s
 }
 
-// Table2Result holds one dataset's agreement numbers at each offset.
-type Table2Result struct {
-	Domain   forum.Domain
-	Offsets  []int
-	Kappa    []float64
-	Observed []float64
-}
-
-// Table2 reproduces the segmentation user-agreement study: Fleiss' kappa
+// table2 reproduces the segmentation user-agreement study: Fleiss' kappa
 // and observed agreement percentage at ±10/25/40 character offsets for the
 // tech-support and travel datasets.
-func Table2(opt Options) (string, []Table2Result) {
-	opt = opt.withDefaults()
+func table2(opt Options) (table, error) {
 	offsets := []int{10, 25, 40}
-	var results []Table2Result
-	var rows [][]string
+	t := table{Title: "Table 2: user agreement on the segmentation task", Columns: []string{"Offset"}}
+	rows := make([]row, len(offsets))
+	for i, off := range offsets {
+		rows[i].Label = fmt.Sprintf("±%d chars", off)
+	}
 	for _, d := range segmentationDomains {
 		n := opt.SegmentationPosts
 		if d == forum.Travel {
 			n = max(20, opt.SegmentationPosts/5) // the paper sampled 500 HP vs 100 Trip posts
 		}
 		s := newStudySample(d, n, opt.Annotators, opt.Seed)
-		res := Table2Result{Domain: d, Offsets: offsets}
 		var agDocs []eval.AgreementDoc
 		for i := range s.posts {
 			agDocs = append(agDocs, eval.AgreementDoc{
@@ -60,58 +52,36 @@ func Table2(opt Options) (string, []Table2Result) {
 				Annotations: s.anns[i].CharBorders,
 			})
 		}
-		for _, off := range offsets {
+		t.Columns = append(t.Columns, d.String()+" kappa", d.String()+" agreement")
+		for i, off := range offsets {
 			kappa, obs := eval.MultiDocBorderAgreement(agDocs, off)
-			res.Kappa = append(res.Kappa, kappa)
-			res.Observed = append(res.Observed, obs)
+			rows[i].Cells = append(rows[i].Cells, cell{kappa, "%.2f"}, cell{obs * 100, "%.0f%%"})
 		}
-		results = append(results, res)
 	}
-	for i, off := range offsets {
-		row := []string{fmt.Sprintf("±%d chars", off)}
-		for _, r := range results {
-			row = append(row, fmt.Sprintf("%.2f / %.0f%%", r.Kappa[i], r.Observed[i]*100))
-		}
-		rows = append(rows, row)
-	}
-	header := []string{"Offset"}
-	for _, r := range results {
-		header = append(header, r.Domain.String()+" (kappa/agreement)")
-	}
-	out := "Table 2: user agreement on the segmentation task\n" + table(header, rows)
-	return out, results
+	t.Rows = rows
+	return t, nil
 }
 
-// Fig7 lists the intention categories each domain's posts are generated
+// fig7 lists the intention categories each domain's posts are generated
 // from — the ground-truth counterpart of the annotators' label clusters.
-func Fig7(opt Options) string {
-	var b strings.Builder
-	b.WriteString("Fig 7: intention categories per domain\n")
+// Its rows are labels only.
+func fig7(Options) (table, error) {
+	t := table{Title: "Fig 7: intention categories per domain", Columns: []string{"Domain: intention"}}
 	for _, d := range allDomains {
-		fmt.Fprintf(&b, "%s:\n", d)
 		for _, label := range forum.Intentions(d) {
-			fmt.Fprintf(&b, "  - %s\n", label)
+			t.Rows = append(t.Rows, row{Label: d.String() + ": " + label})
 		}
 	}
-	return b.String()
+	return t, nil
 }
 
-// CMvsTermResult holds the Sec 9.1.2.A comparison for one dataset.
-type CMvsTermResult struct {
-	Domain    forum.Domain
-	TermError float64 // Hearst TextTiling on term vectors
-	CMError   float64 // Tile on CM features
-	Reduction float64 // fractional error reduction
-}
-
-// CMvsTerm reproduces Sec 9.1.2.A: Hearst's term-based TextTiling vs the
+// cmVsTerm reproduces Sec 9.1.2.A: Hearst's term-based TextTiling vs the
 // Tile mechanism on CM features, scored by multWinDiff against the
 // simulated annotations. The paper reports 18% (HP) and 26% (TripAdvisor)
 // error reduction from the CM representation.
-func CMvsTerm(opt Options) (string, []CMvsTermResult) {
-	opt = opt.withDefaults()
-	var results []CMvsTermResult
-	var rows [][]string
+func cmVsTerm(opt Options) (table, error) {
+	t := table{Title: "Sec 9.1.2.A: intention representation — CM vs term features (multWinDiff)",
+		Columns: []string{"Dataset", "Hearst (terms)", "Tile (CM)", "error reduction"}}
 	for _, d := range segmentationDomains {
 		s := newStudySample(d, opt.SegmentationPosts, opt.Annotators, opt.Seed)
 		term := meanError(s, variant.TextTiling{})
@@ -120,12 +90,9 @@ func CMvsTerm(opt Options) (string, []CMvsTermResult) {
 		if term > 0 {
 			red = (term - cmErr) / term
 		}
-		results = append(results, CMvsTermResult{Domain: d, TermError: term, CMError: cmErr, Reduction: red})
-		rows = append(rows, []string{d.String(), f3(term), f3(cmErr), pct(red * 100)})
+		t.Rows = append(t.Rows, row{d.String(), append(cells("%.3f", term, cmErr), cell{red * 100, "%.1f%%"})})
 	}
-	out := "Sec 9.1.2.A: intention representation — CM vs term features (multWinDiff)\n" +
-		table([]string{"Dataset", "Hearst (terms)", "Tile (CM)", "error reduction"}, rows)
-	return out, results
+	return t, nil
 }
 
 // meanError computes the mean multWinDiff of a strategy against the
@@ -139,62 +106,45 @@ func meanError(s studySample, st segment.Strategy) float64 {
 	return sum / float64(len(s.posts))
 }
 
-// Fig8Row is one border-selection mechanism's summary.
-type Fig8Row struct {
-	Name      string
-	AvgBorder float64
-	Coherence float64
-	Error     float64
-}
-
-// Fig8 reproduces the border-selection comparison: average border count,
+// fig8 reproduces the border-selection comparison: average border count,
 // average segment coherence, and multWinDiff for Tile, Greedy, StepbyStep,
 // and the simulated human annotators.
-func Fig8(opt Options) (string, map[forum.Domain][]Fig8Row) {
-	opt = opt.withDefaults()
+func fig8(opt Options) (table, error) {
 	strategies := []segment.Strategy{variant.Tile{}, segment.Greedy{}, variant.StepbyStep{}}
-	results := make(map[forum.Domain][]Fig8Row)
-	var b strings.Builder
-	b.WriteString("Fig 8: border selection mechanisms\n")
+	t := table{Title: "Fig 8: border selection mechanisms",
+		Columns: []string{"Mechanism", "avg borders", "avg coherence", "multWinDiff"}}
+	add := func(d forum.Domain, name string, borders, coherence, err float64) {
+		t.Rows = append(t.Rows, row{d.String() + " " + name,
+			[]cell{{borders, "%.2f"}, {coherence, "%.3f"}, {err, "%.3f"}}})
+	}
 	for _, d := range segmentationDomains {
 		s := newStudySample(d, opt.SegmentationPosts, opt.Annotators, opt.Seed)
-		var rows [][]string
+		n := float64(len(s.posts))
 		for _, st := range strategies {
-			row := Fig8Row{Name: st.Name()}
+			var borders, coherence float64
 			for i := range s.posts {
 				seg := st.Segment(s.docs[i])
-				row.AvgBorder += float64(len(seg.Borders))
-				row.Coherence += meanSegCoherence(s.docs[i], seg)
+				borders += float64(len(seg.Borders))
+				coherence += meanSegCoherence(s.docs[i], seg)
 			}
-			row.AvgBorder /= float64(len(s.posts))
-			row.Coherence /= float64(len(s.posts))
-			row.Error = meanError(s, st)
-			results[d] = append(results[d], row)
-			rows = append(rows, []string{row.Name, f2(row.AvgBorder), f3(row.Coherence), f3(row.Error)})
+			add(d, st.Name(), borders/n, coherence/n, meanError(s, st))
 		}
 		// Human row: annotator averages; error is leave-one-out agreement.
-		human := Fig8Row{Name: "Human"}
+		var borders, coherence, humanErr float64
 		for i := range s.posts {
 			ann := s.anns[i]
-			var borders float64
+			var b float64
 			for _, sb := range ann.SentenceBorders {
-				borders += float64(len(sb))
-				human.Coherence += meanSegCoherence(s.docs[i], segment.NewSegmentation(sb, s.docs[i].Len()))
+				b += float64(len(sb))
+				coherence += meanSegCoherence(s.docs[i], segment.NewSegmentation(sb, s.docs[i].Len()))
 			}
-			human.AvgBorder += borders / float64(len(ann.SentenceBorders))
+			borders += b / float64(len(ann.SentenceBorders))
 			// Leave-one-out error of the first annotator against the rest.
-			human.Error += eval.MultWinDiff(ann.SentenceBorders[1:], ann.SentenceBorders[0], s.docs[i].Len())
+			humanErr += eval.MultWinDiff(ann.SentenceBorders[1:], ann.SentenceBorders[0], s.docs[i].Len())
 		}
-		nAnn := float64(opt.Annotators)
-		human.AvgBorder /= float64(len(s.posts))
-		human.Coherence /= float64(len(s.posts)) * nAnn
-		human.Error /= float64(len(s.posts))
-		results[d] = append(results[d], human)
-		rows = append(rows, []string{human.Name, f2(human.AvgBorder), f3(human.Coherence), f3(human.Error)})
-
-		fmt.Fprintf(&b, "%s:\n%s", d, table([]string{"Mechanism", "avg borders", "avg coherence", "multWinDiff"}, rows))
+		add(d, "Human", borders/n, coherence/(n*float64(opt.Annotators)), humanErr/n)
 	}
-	return b.String(), results
+	return t, nil
 }
 
 // meanSegCoherence averages the Shannon coherence of a segmentation's
@@ -212,21 +162,12 @@ func meanSegCoherence(d *segment.Doc, s segment.Segmentation) float64 {
 	return sum / float64(len(segs))
 }
 
-// Fig9Row summarizes one coherence/depth function against the term-based
-// baseline.
-type Fig9Row struct {
-	Name                         string
-	Decrease, NoChange, Increase float64 // fraction of posts
-	AvgErrorChange               float64 // negative = error reduction
-}
-
-// Fig9 reproduces the coherence/depth function comparison: each function
+// fig9 reproduces the coherence/depth function comparison: each function
 // drives the Tile mechanism, and per-post multWinDiff is compared against
 // the Hearst term-based baseline, reporting the share of posts whose error
 // decreased / stayed / increased and the mean error change. The paper
 // finds Shannon's diversity the strongest (−0.24 average).
-func Fig9(opt Options) (string, []Fig9Row) {
-	opt = opt.withDefaults()
+func fig9(opt Options) (table, error) {
 	funcs := []variant.ScoreFunc{
 		variant.Cosine, variant.Euclidean, variant.Manhattan,
 		variant.Richness{}, variant.Shannon{},
@@ -243,39 +184,29 @@ func Fig9(opt Options) (string, []Fig9Row) {
 			baseline[s.docs[i]] = eval.MultWinDiff(s.anns[i].SentenceBorders, hyp, s.docs[i].Len())
 		}
 	}
-	var results []Fig9Row
-	var rows [][]string
+	t := table{Title: "Fig 9: coherence/depth functions vs term-based baseline (multWinDiff)",
+		Columns: []string{"Function", "posts improved", "no change", "posts worse", "avg error change"}}
 	for _, f := range funcs {
-		row := Fig9Row{Name: f.Name()}
-		var n float64
+		var decrease, noChange, increase, change, n float64
 		for _, s := range samples {
 			st := variant.Tile{Score: f}
 			for i := range s.posts {
 				hyp := st.Segment(s.docs[i]).Borders
-				err := eval.MultWinDiff(s.anns[i].SentenceBorders, hyp, s.docs[i].Len())
-				base := baseline[s.docs[i]]
-				diff := err - base
+				diff := eval.MultWinDiff(s.anns[i].SentenceBorders, hyp, s.docs[i].Len()) - baseline[s.docs[i]]
 				switch {
 				case diff < -1e-9:
-					row.Decrease++
+					decrease++
 				case diff > 1e-9:
-					row.Increase++
+					increase++
 				default:
-					row.NoChange++
+					noChange++
 				}
-				row.AvgErrorChange += diff
+				change += diff
 				n++
 			}
 		}
-		row.Decrease /= n
-		row.NoChange /= n
-		row.Increase /= n
-		row.AvgErrorChange /= n
-		results = append(results, row)
-		rows = append(rows, []string{row.Name, pct(row.Decrease * 100), pct(row.NoChange * 100),
-			pct(row.Increase * 100), fmt.Sprintf("%+.3f", row.AvgErrorChange)})
+		t.Rows = append(t.Rows, row{f.Name(),
+			append(cells("%.1f%%", decrease/n*100, noChange/n*100, increase/n*100), cell{change / n, "%+.3f"})})
 	}
-	out := "Fig 9: coherence/depth functions vs term-based baseline (multWinDiff)\n" +
-		table([]string{"Function", "posts improved", "no change", "posts worse", "avg error change"}, rows)
-	return out, results
+	return t, nil
 }

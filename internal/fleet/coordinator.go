@@ -446,7 +446,7 @@ func (c *Coordinator) Describe(hygiene cache.LayerStats) any {
 		NumDocs:     c.NumDocs(),
 		Shards:      c.total,
 		Epoch:       c.epoch,
-		ShardHealth: c.Health(),
+		ShardHealth: c.health(),
 		LayerStats:  hygiene,
 	}
 	if hygiene.Cache != nil {
@@ -540,8 +540,8 @@ type ShardHealth struct {
 	LatencySamples int `json:"latency_samples"`
 }
 
-// Health reports the per-shard health view, ordered by shard id.
-func (c *Coordinator) Health() []ShardHealth {
+// health reports the per-shard health view, ordered by shard id.
+func (c *Coordinator) health() []ShardHealth {
 	out := make([]ShardHealth, c.total)
 	for s := 0; s < c.total; s++ {
 		c.latMu.Lock()

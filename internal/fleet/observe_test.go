@@ -266,7 +266,7 @@ func TestHealthLedgerTracksFailures(t *testing.T) {
 	if _, err := sc.c.Query(context.Background(), doc, k, false); err != nil {
 		t.Fatalf("related: %v", err)
 	}
-	h := sc.c.Health()
+	h := sc.c.health()
 	if len(h) != 4 {
 		t.Fatalf("health entries: %d, want 4", len(h))
 	}
@@ -285,7 +285,7 @@ func TestHealthLedgerTracksFailures(t *testing.T) {
 	if _, err := sc.c.Query(context.Background(), doc, k, false); err != nil {
 		t.Fatalf("recovery related: %v", err)
 	}
-	h = sc.c.Health()
+	h = sc.c.health()
 	if h[sibs[0]].ConsecutiveFailures != 0 {
 		t.Fatalf("streak not reset after recovery: %+v", h[sibs[0]])
 	}

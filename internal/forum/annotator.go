@@ -93,17 +93,3 @@ func Simulate(p Post, cfg AnnotatorConfig) Annotations {
 	}
 	return ann
 }
-
-// MeanSegmentsPerAnnotation returns the average segment count implied by
-// the simulated annotations (the paper reports 4.2 for HP Forum, 5.2 for
-// TripAdvisor).
-func (a Annotations) MeanSegmentsPerAnnotation() float64 {
-	if len(a.SentenceBorders) == 0 {
-		return 0
-	}
-	var total float64
-	for _, borders := range a.SentenceBorders {
-		total += float64(len(borders) + 1)
-	}
-	return total / float64(len(a.SentenceBorders))
-}

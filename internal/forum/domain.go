@@ -73,30 +73,17 @@ type Scenario struct {
 	Variant int
 }
 
-// Scenario returns the post's relevance key.
-func (p Post) Scenario() Scenario {
-	return Scenario{Domain: p.Domain, Topic: p.Topic, Variant: p.Variant}
-}
-
 // Related reports whether two posts are relevant to each other under the
 // generator's ground truth: same topic instance and same core request. Two
 // posts about the same device with different requests (the paper's Doc A vs
 // Doc B) share vocabulary but are NOT related.
 func Related(a, b Post) bool {
-	return a.ID != b.ID && a.Scenario() == b.Scenario()
+	return a.ID != b.ID && a.scenario() == b.scenario()
 }
 
-// GoldBorders returns the char offsets of the post's true segment borders
-// (the start of each segment except the first).
-func (p Post) GoldBorders() []int {
-	if len(p.Segments) <= 1 {
-		return nil
-	}
-	out := make([]int, 0, len(p.Segments)-1)
-	for _, s := range p.Segments[1:] {
-		out = append(out, s.Start)
-	}
-	return out
+// scenario returns the post's relevance key.
+func (p Post) scenario() Scenario {
+	return Scenario{Domain: p.Domain, Topic: p.Topic, Variant: p.Variant}
 }
 
 // GoldSentenceBorders returns the sentence-index borders of the true
@@ -110,15 +97,6 @@ func (p Post) GoldSentenceBorders() []int {
 		out = append(out, s.FirstSent)
 	}
 	return out
-}
-
-// NumSentences returns the total sentence count of the post.
-func (p Post) NumSentences() int {
-	n := 0
-	for _, s := range p.Segments {
-		n += s.NumSents
-	}
-	return n
 }
 
 // intentionSpec describes how one Fig 7 intention category is realized:

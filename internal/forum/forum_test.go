@@ -65,7 +65,7 @@ func TestAllDomainsGenerateValidPosts(t *testing.T) {
 			if p.Topic < 0 || p.Topic >= NumTopics(d) {
 				t.Fatalf("topic out of range")
 			}
-			if p.Variant < 0 || p.Variant >= NumVariants(d, p.Topic) {
+			if p.Variant < 0 || p.Variant >= numVariants(d, p.Topic) {
 				t.Fatalf("variant out of range")
 			}
 		}
@@ -79,9 +79,9 @@ func TestSegmentsMatchSentenceSplitter(t *testing.T) {
 		posts := Generate(Config{Domain: d, NumPosts: 40, Seed: 11})
 		for _, p := range posts {
 			sents := textproc.SplitSentences(p.Text)
-			if len(sents) != p.NumSentences() {
+			if len(sents) != p.numSentences() {
 				t.Fatalf("%v post %d: splitter found %d sentences, gold says %d\ntext: %q",
-					d, p.ID, len(sents), p.NumSentences(), p.Text)
+					d, p.ID, len(sents), p.numSentences(), p.Text)
 			}
 			for _, b := range p.GoldSentenceBorders() {
 				if b <= 0 || b >= len(sents) {
@@ -89,7 +89,7 @@ func TestSegmentsMatchSentenceSplitter(t *testing.T) {
 				}
 			}
 			// Gold char borders must land exactly on sentence starts.
-			for i, cb := range p.GoldBorders() {
+			for i, cb := range p.goldBorders() {
 				sb := p.GoldSentenceBorders()[i]
 				if sents[sb].Start != cb {
 					t.Fatalf("%v post %d: char border %d != sentence %d start %d",
@@ -127,7 +127,7 @@ func TestScenarioDistribution(t *testing.T) {
 	posts := Generate(Config{Domain: Travel, NumPosts: 400, Seed: 6})
 	counts := map[Scenario]int{}
 	for _, p := range posts {
-		counts[p.Scenario()]++
+		counts[p.scenario()]++
 	}
 	// Every scenario should be populated with several posts so top-5
 	// retrieval has relevant documents to find.
@@ -208,7 +208,7 @@ func TestVocabularyOverlapWithinTopic(t *testing.T) {
 
 func overlap(a, b string) float64 {
 	aw := map[string]bool{}
-	for _, w := range textproc.ContentWords(a) {
+	for _, w := range contentWords(a) {
 		aw[w] = true
 	}
 	if len(aw) == 0 {
@@ -216,7 +216,7 @@ func overlap(a, b string) float64 {
 	}
 	shared := 0
 	bw := map[string]bool{}
-	for _, w := range textproc.ContentWords(b) {
+	for _, w := range contentWords(b) {
 		if aw[w] && !bw[w] {
 			shared++
 		}
@@ -241,7 +241,7 @@ func TestSimulateAnnotations(t *testing.T) {
 		if len(ann.CharBorders) != 10 || len(ann.SentenceBorders) != 10 {
 			t.Fatalf("wrong annotator count")
 		}
-		nSents := p.NumSentences()
+		nSents := p.numSentences()
 		for a := range ann.SentenceBorders {
 			prev := 0
 			for _, sb := range ann.SentenceBorders[a] {
@@ -284,7 +284,7 @@ func TestMeanSegmentsPerAnnotation(t *testing.T) {
 	var total float64
 	for _, p := range posts {
 		ann := Simulate(p, AnnotatorConfig{NumAnnotators: 8, Seed: 2})
-		total += ann.MeanSegmentsPerAnnotation()
+		total += ann.meanSegmentsPerAnnotation()
 	}
 	avg := total / float64(len(posts))
 	// The paper's annotators found 4.2 segments per HP post on average; the
@@ -293,7 +293,7 @@ func TestMeanSegmentsPerAnnotation(t *testing.T) {
 		t.Errorf("mean segments per annotation = %.2f, want within [2.5, 6.5]", avg)
 	}
 	var empty Annotations
-	if empty.MeanSegmentsPerAnnotation() != 0 {
+	if empty.meanSegmentsPerAnnotation() != 0 {
 		t.Error("empty annotations should average 0")
 	}
 }
@@ -322,4 +322,56 @@ func BenchmarkGeneratePost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		GeneratePost(TechSupport, i, 1)
 	}
+}
+
+// meanSegmentsPerAnnotation returns the average segment count implied by
+// the simulated annotations (the paper reports 4.2 for HP Forum, 5.2 for
+// TripAdvisor).
+func (a Annotations) meanSegmentsPerAnnotation() float64 {
+	if len(a.SentenceBorders) == 0 {
+		return 0
+	}
+	var total float64
+	for _, borders := range a.SentenceBorders {
+		total += float64(len(borders) + 1)
+	}
+	return total / float64(len(a.SentenceBorders))
+}
+
+// goldBorders returns the char offsets of the post's true segment borders
+// (the start of each segment except the first).
+func (p Post) goldBorders() []int {
+	if len(p.Segments) <= 1 {
+		return nil
+	}
+	out := make([]int, 0, len(p.Segments)-1)
+	for _, s := range p.Segments[1:] {
+		out = append(out, s.Start)
+	}
+	return out
+}
+
+// numSentences returns the total sentence count of the post.
+func (p Post) numSentences() int {
+	n := 0
+	for _, s := range p.Segments {
+		n += s.NumSents
+	}
+	return n
+}
+
+// numVariants returns the number of request variants of a domain topic.
+func numVariants(d Domain, topic int) int { return len(spec(d).topics[topic].variants) }
+
+// contentWords is text's lower-cased words without stopwords.
+func contentWords(text string) []string {
+	var out []string
+	for _, s := range textproc.SplitSentences(text) {
+		for _, tok := range s.Tokens {
+			if w := tok.Lower(); tok.IsWord() && !textproc.IsStopword(w) {
+				out = append(out, w)
+			}
+		}
+	}
+	return out
 }

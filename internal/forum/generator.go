@@ -47,9 +47,6 @@ func Intentions(d Domain) []string {
 // NumTopics returns the number of topics a domain generates from.
 func NumTopics(d Domain) int { return len(spec(d).topics) }
 
-// NumVariants returns the number of request variants of a domain topic.
-func NumVariants(d Domain, topic int) int { return len(spec(d).topics[topic].variants) }
-
 // Generate produces a deterministic synthetic corpus.
 func Generate(cfg Config) []Post {
 	posts := make([]Post, cfg.NumPosts)

@@ -165,113 +165,15 @@ func (m *Model) DocTopics(d int) []float64 { return m.theta[d] }
 // NumDocs returns the number of training documents.
 func (m *Model) NumDocs() int { return len(m.theta) }
 
-// VocabSize returns the vocabulary size.
-func (m *Model) VocabSize() int { return len(m.words) }
-
-// Infer estimates the topic distribution of an unseen document by folding
-// it in with Gibbs sampling against the frozen topic–word counts.
-func (m *Model) Infer(doc []string, iterations int, seed int64) []float64 {
-	if iterations <= 0 {
-		iterations = 30
-	}
-	var ids []int
-	for _, w := range doc {
-		if id, ok := m.vocab[w]; ok {
-			ids = append(ids, id)
-		}
-	}
-	k := m.K
-	if len(ids) == 0 {
-		// Unknown content: uniform distribution.
-		out := make([]float64, k)
-		for t := range out {
-			out[t] = 1 / float64(k)
-		}
-		return out
-	}
-	rng := rand.New(rand.NewSource(seed))
-	nDK := make([]int, k)
-	z := make([]int, len(ids))
-	for i := range ids {
-		t := rng.Intn(k)
-		z[i] = t
-		nDK[t]++
-	}
-	vBeta := float64(len(m.words)) * m.Beta
-	probs := make([]float64, k)
-	for iter := 0; iter < iterations; iter++ {
-		for i, w := range ids {
-			t := z[i]
-			nDK[t]--
-			var total float64
-			for tt := 0; tt < k; tt++ {
-				p := (float64(nDK[tt]) + m.Alpha) *
-					(float64(m.nKW[tt][w]) + m.Beta) /
-					(float64(m.nK[tt]) + float64(vBeta))
-				probs[tt] = p
-				total += p
-			}
-			r := rng.Float64() * total
-			nt := 0
-			for ; nt < k-1; nt++ {
-				r -= probs[nt]
-				if r <= 0 {
-					break
-				}
-			}
-			z[i] = nt
-			nDK[nt]++
-		}
-	}
-	return distribution(nDK, m.Alpha, len(ids), k)
-}
-
-// TopWords returns the n highest-probability words of a topic, most
-// probable first.
-func (m *Model) TopWords(topic, n int) []string {
-	if topic < 0 || topic >= m.K {
-		return nil
-	}
-	type wc struct {
-		id    int
-		count int
-	}
-	best := make([]wc, 0, len(m.words))
-	for id, c := range m.nKW[topic] {
-		if c > 0 {
-			best = append(best, wc{id, c})
-		}
-	}
-	// Partial selection sort: n is small.
-	if n > len(best) {
-		n = len(best)
-	}
-	for i := 0; i < n; i++ {
-		maxJ := i
-		for j := i + 1; j < len(best); j++ {
-			if best[j].count > best[maxJ].count ||
-				(best[j].count == best[maxJ].count && best[j].id < best[maxJ].id) {
-				maxJ = j
-			}
-		}
-		best[i], best[maxJ] = best[maxJ], best[i]
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = m.words[best[i].id]
-	}
-	return out
-}
-
 // Similarity measures how alike two topic distributions are: 1 minus their
 // Jensen–Shannon divergence (normalized to [0,1] with log base 2).
 func Similarity(p, q []float64) float64 {
-	return 1 - JSDivergence(p, q)
+	return 1 - jsDivergence(p, q)
 }
 
-// JSDivergence computes the Jensen–Shannon divergence between two discrete
+// jsDivergence computes the Jensen–Shannon divergence between two discrete
 // distributions, in bits normalized to [0,1].
-func JSDivergence(p, q []float64) float64 {
+func jsDivergence(p, q []float64) float64 {
 	if len(p) != len(q) {
 		return 1
 	}

@@ -2,6 +2,7 @@ package lda
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -99,7 +100,7 @@ func TestInfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	hwTopic := argmax(m.DocTopics(0))
-	theta := m.Infer([]string{"raid", "disk", "driver", "bios", "raid"}, 50, 3)
+	theta := m.infer([]string{"raid", "disk", "driver", "bios", "raid"}, 50, 3)
 	if argmax(theta) != hwTopic {
 		t.Errorf("inferred topic %d for hardware text, want %d (theta=%v)", argmax(theta), hwTopic, theta)
 	}
@@ -111,7 +112,7 @@ func TestInfer(t *testing.T) {
 		t.Errorf("inferred distribution sums to %v", sum)
 	}
 	// Unknown vocabulary → uniform.
-	u := m.Infer([]string{"zzz", "qqq"}, 10, 1)
+	u := m.infer([]string{"zzz", "qqq"}, 10, 1)
 	for _, p := range u {
 		if math.Abs(p-0.5) > 1e-9 {
 			t.Errorf("unknown-word inference not uniform: %v", u)
@@ -126,9 +127,9 @@ func TestTopWords(t *testing.T) {
 		t.Fatal(err)
 	}
 	hwTopic := argmax(m.DocTopics(0))
-	top := m.TopWords(hwTopic, 3)
+	top := m.topWords(hwTopic, 3)
 	if len(top) != 3 {
-		t.Fatalf("TopWords returned %d words", len(top))
+		t.Fatalf("topWords returned %d words", len(top))
 	}
 	hw := map[string]bool{"raid": true, "disk": true, "controller": true,
 		"driver": true, "bios": true, "firmware": true}
@@ -137,7 +138,7 @@ func TestTopWords(t *testing.T) {
 			t.Errorf("top hardware-topic word %q is not hardware vocabulary", w)
 		}
 	}
-	if m.TopWords(-1, 3) != nil || m.TopWords(99, 3) != nil {
+	if m.topWords(-1, 3) != nil || m.topWords(99, 3) != nil {
 		t.Error("out-of-range topic should return nil")
 	}
 }
@@ -145,13 +146,13 @@ func TestTopWords(t *testing.T) {
 func TestJSDivergence(t *testing.T) {
 	p := []float64{1, 0}
 	q := []float64{0, 1}
-	if d := JSDivergence(p, q); math.Abs(d-1) > 1e-9 {
+	if d := jsDivergence(p, q); math.Abs(d-1) > 1e-9 {
 		t.Errorf("JSD of disjoint distributions = %v, want 1", d)
 	}
-	if d := JSDivergence(p, p); d != 0 {
+	if d := jsDivergence(p, p); d != 0 {
 		t.Errorf("JSD(p,p) = %v, want 0", d)
 	}
-	if d := JSDivergence(p, []float64{0.5}); d != 1 {
+	if d := jsDivergence(p, []float64{0.5}); d != 1 {
 		t.Errorf("JSD of mismatched lengths = %v, want 1", d)
 	}
 	if s := Similarity(p, p); s != 1 {
@@ -164,8 +165,8 @@ func TestJSDivergenceProperty(t *testing.T) {
 	f := func(a, b [4]uint8) bool {
 		p := normalize(a)
 		q := normalize(b)
-		d1 := JSDivergence(p, q)
-		d2 := JSDivergence(q, p)
+		d1 := jsDivergence(p, q)
+		d2 := jsDivergence(q, p)
 		return d1 >= 0 && d1 <= 1 && math.Abs(d1-d2) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -204,4 +205,99 @@ func BenchmarkTrain(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// infer estimates the topic distribution of an unseen document by folding
+// it in with Gibbs sampling against the frozen topic–word counts.
+func (m *Model) infer(doc []string, iterations int, seed int64) []float64 {
+	if iterations <= 0 {
+		iterations = 30
+	}
+	var ids []int
+	for _, w := range doc {
+		if id, ok := m.vocab[w]; ok {
+			ids = append(ids, id)
+		}
+	}
+	k := m.K
+	if len(ids) == 0 {
+		// Unknown content: uniform distribution.
+		out := make([]float64, k)
+		for t := range out {
+			out[t] = 1 / float64(k)
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(seed))
+	nDK := make([]int, k)
+	z := make([]int, len(ids))
+	for i := range ids {
+		t := rng.Intn(k)
+		z[i] = t
+		nDK[t]++
+	}
+	vBeta := float64(len(m.words)) * m.Beta
+	probs := make([]float64, k)
+	for iter := 0; iter < iterations; iter++ {
+		for i, w := range ids {
+			t := z[i]
+			nDK[t]--
+			var total float64
+			for tt := 0; tt < k; tt++ {
+				p := (float64(nDK[tt]) + m.Alpha) *
+					(float64(m.nKW[tt][w]) + m.Beta) /
+					(float64(m.nK[tt]) + float64(vBeta))
+				probs[tt] = p
+				total += p
+			}
+			r := rng.Float64() * total
+			nt := 0
+			for ; nt < k-1; nt++ {
+				r -= probs[nt]
+				if r <= 0 {
+					break
+				}
+			}
+			z[i] = nt
+			nDK[nt]++
+		}
+	}
+	return distribution(nDK, m.Alpha, len(ids), k)
+}
+
+// topWords returns the n highest-probability words of a topic, most
+// probable first.
+func (m *Model) topWords(topic, n int) []string {
+	if topic < 0 || topic >= m.K {
+		return nil
+	}
+	type wc struct {
+		id    int
+		count int
+	}
+	best := make([]wc, 0, len(m.words))
+	for id, c := range m.nKW[topic] {
+		if c > 0 {
+			best = append(best, wc{id, c})
+		}
+	}
+	// Partial selection sort: n is small.
+	if n > len(best) {
+		n = len(best)
+	}
+	for i := 0; i < n; i++ {
+		maxJ := i
+		for j := i + 1; j < len(best); j++ {
+			if best[j].count > best[maxJ].count ||
+				(best[j].count == best[maxJ].count && best[j].id < best[maxJ].id) {
+				maxJ = j
+			}
+		}
+		best[i], best[maxJ] = best[maxJ], best[i]
+	}
+	out := make([]string, n)
+	for i := 0; i < n; i++ {
+		out[i] = m.words[best[i].id]
+	}
+	return out
 }

@@ -11,7 +11,7 @@ import (
 
 var (
 	benchCounter = NewCounter("bench.counter")
-	benchHist    = NewDurationHistogram("bench.hist")
+	benchHist    = newDurationHistogram("bench.hist")
 	benchSpan    = NewSpan("bench.span")
 )
 
@@ -109,4 +109,9 @@ func BenchmarkSpeculativeTrace(b *testing.B) {
 			}
 		})
 	}
+}
+
+// newDurationHistogram creates a histogram with DurationBounds.
+func newDurationHistogram(name string) *Histogram {
+	return newHistogram(name, DurationBounds())
 }

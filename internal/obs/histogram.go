@@ -18,10 +18,10 @@ type Histogram struct {
 	sum    atomic.Int64
 }
 
-// NewHistogram creates and registers a histogram with the given
+// newHistogram creates and registers a histogram with the given
 // inclusive upper bounds (which must be sorted ascending). The bounds
 // slice is retained.
-func NewHistogram(name string, bounds []int64) *Histogram {
+func newHistogram(name string, bounds []int64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic("obs: histogram bounds must be sorted ascending: " + name)
@@ -32,7 +32,7 @@ func NewHistogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
-// GetOrNewCountHistogram returns the CountBounds histogram registered
+// GetOrNewCountHistogram returns the countBounds histogram registered
 // under name, creating and registering it if the name is free — the
 // histogram counterpart of GetOrNewCounter for dynamically named
 // (per-shard) instruments. It panics if the name is taken by a
@@ -40,7 +40,7 @@ func NewHistogram(name string, bounds []int64) *Histogram {
 func GetOrNewCountHistogram(name string) *Histogram {
 	got := Default.getOrRegister(name,
 		func() any {
-			bounds := CountBounds()
+			bounds := countBounds()
 			return &Histogram{name: name, bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 		},
 		func(r *Registry, h any) { r.hists = append(r.hists, h.(*Histogram)) })
@@ -65,10 +65,10 @@ func DurationBounds() []int64 {
 	return bounds
 }
 
-// CountBounds are the default size bounds: exponential from 1 to 2^19
+// countBounds are the default size bounds: exponential from 1 to 2^19
 // in powers of two. They suit candidate-set sizes, heap sizes, and
 // per-query list counts.
-func CountBounds() []int64 {
+func countBounds() []int64 {
 	bounds := make([]int64, 20)
 	v := int64(1)
 	for i := range bounds {
@@ -78,14 +78,9 @@ func CountBounds() []int64 {
 	return bounds
 }
 
-// NewDurationHistogram creates a histogram with DurationBounds.
-func NewDurationHistogram(name string) *Histogram {
-	return NewHistogram(name, DurationBounds())
-}
-
-// NewCountHistogram creates a histogram with CountBounds.
+// NewCountHistogram creates a histogram with countBounds.
 func NewCountHistogram(name string) *Histogram {
-	return NewHistogram(name, CountBounds())
+	return newHistogram(name, countBounds())
 }
 
 // Observe records one value. It is a no-op while recording is disabled.

@@ -9,7 +9,7 @@ import (
 // raw registry snapshot (GET /internal/metricsz) and folds them into
 // one fleet-wide view: counters and gauges add, histograms and spans
 // merge bucket-wise. The bucket merge is exact — every obs histogram
-// uses fixed power-of-two bounds (DurationBounds / CountBounds), so two
+// uses fixed power-of-two bounds (DurationBounds / countBounds), so two
 // instances of the same instrument on different shards have identical
 // bucket edges and their per-bucket counts simply sum. Quantiles are
 // then recomputed from the merged buckets with the same interpolation
@@ -19,12 +19,12 @@ import (
 // combined sample stream (the property TestMergeMatchesCombinedStream
 // pins).
 
-// MergeHistogramSnapshots merges bucket-wise and recomputes Count, Sum,
+// mergeHistogramSnapshots merges bucket-wise and recomputes Count, Sum,
 // Mean, quantiles, and Max from the merged buckets. Buckets are keyed
 // by their (GT, LE] interval; snapshots taken from histograms with
 // different bounds simply contribute disjoint buckets (no error — the
 // merge is still a valid histogram, just not one either side recorded).
-func MergeHistogramSnapshots(snaps ...HistogramSnapshot) HistogramSnapshot {
+func mergeHistogramSnapshots(snaps ...HistogramSnapshot) HistogramSnapshot {
 	byLE := make(map[int64]*BucketCount)
 	var out HistogramSnapshot
 	for _, s := range snaps {
@@ -85,7 +85,7 @@ func quantileFromBuckets(buckets []BucketCount, total int64, q float64) float64 
 
 // MergeSnapshots folds whole registry snapshots: counters and gauges
 // sum per name, histograms and spans merge per name via
-// MergeHistogramSnapshots. Names present on only some shards appear
+// mergeHistogramSnapshots. Names present on only some shards appear
 // with the values they have there — a fleet with per-shard instruments
 // (fleet.host.NN.*) yields the union.
 func MergeSnapshots(snaps ...Snapshot) Snapshot {
@@ -112,10 +112,10 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 		}
 	}
 	for name, parts := range histParts {
-		out.Histograms[name] = MergeHistogramSnapshots(parts...)
+		out.Histograms[name] = mergeHistogramSnapshots(parts...)
 	}
 	for name, parts := range spanParts {
-		out.Spans[name] = MergeHistogramSnapshots(parts...)
+		out.Spans[name] = mergeHistogramSnapshots(parts...)
 	}
 	return out
 }

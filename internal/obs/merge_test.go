@@ -18,10 +18,10 @@ func TestMergeMatchesCombinedStream(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*7919 + 1))
 		nShards := 2 + rng.Intn(5)
-		combined := NewHistogram(fmt.Sprintf("test.merge.combined.%d", trial), DurationBounds())
+		combined := newHistogram(fmt.Sprintf("test.merge.combined.%d", trial), DurationBounds())
 		parts := make([]HistogramSnapshot, nShards)
 		for s := 0; s < nShards; s++ {
-			h := NewHistogram(fmt.Sprintf("test.merge.part.%d.%d", trial, s), DurationBounds())
+			h := newHistogram(fmt.Sprintf("test.merge.part.%d.%d", trial, s), DurationBounds())
 			n := rng.Intn(500) // some shards may record nothing
 			for i := 0; i < n; i++ {
 				// Log-uniform samples spanning the bucket range, with
@@ -33,7 +33,7 @@ func TestMergeMatchesCombinedStream(t *testing.T) {
 			}
 			parts[s] = h.Snapshot()
 		}
-		got := MergeHistogramSnapshots(parts...)
+		got := mergeHistogramSnapshots(parts...)
 		want := combined.Snapshot()
 		if got.Count != want.Count || got.Sum != want.Sum {
 			t.Fatalf("trial %d: merged count/sum = %d/%d, want %d/%d",
@@ -63,7 +63,7 @@ func TestMergeMatchesCombinedStream(t *testing.T) {
 }
 
 func TestMergeEmptySnapshots(t *testing.T) {
-	got := MergeHistogramSnapshots(HistogramSnapshot{}, HistogramSnapshot{})
+	got := mergeHistogramSnapshots(HistogramSnapshot{}, HistogramSnapshot{})
 	if got.Count != 0 || got.Sum != 0 || len(got.Buckets) != 0 {
 		t.Fatalf("merge of empties not empty: %+v", got)
 	}
@@ -106,7 +106,7 @@ func TestMergeSnapshotsSumsAndUnions(t *testing.T) {
 // bucket (where P999 reports the largest finite bound).
 func TestP999Monotone(t *testing.T) {
 	withEnabled(t)
-	h := NewHistogram("test.hist.p999", DurationBounds())
+	h := newHistogram("test.hist.p999", DurationBounds())
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 10_000; i++ {
 		v := int64(1000) + rng.Int63n(1_000_000)

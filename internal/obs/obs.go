@@ -50,9 +50,6 @@ func Enable() { enabled.Store(true) }
 // Disable turns off recording. Already-recorded values remain readable.
 func Disable() { enabled.Store(false) }
 
-// Enabled reports whether recording is on.
-func Enabled() bool { return enabled.Load() }
-
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
 	name string

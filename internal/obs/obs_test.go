@@ -14,7 +14,7 @@ import (
 var (
 	testCounter = NewCounter("test.counter")
 	testGauge   = NewGauge("test.gauge")
-	testHist    = NewHistogram("test.hist", []int64{10, 100, 1000})
+	testHist    = newHistogram("test.hist", []int64{10, 100, 1000})
 	testSpan    = NewSpan("test.span")
 )
 
@@ -71,7 +71,7 @@ func TestGauge(t *testing.T) {
 
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	withEnabled(t)
-	h := NewHistogram("test.hist.quant", []int64{10, 100, 1000})
+	h := newHistogram("test.hist.quant", []int64{10, 100, 1000})
 	// 100 observations uniform in (0,10]: all land in the first bucket.
 	for i := 1; i <= 100; i++ {
 		h.Observe(int64(i%10 + 1))
@@ -110,7 +110,7 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 
 func TestHistogramQuantileInterpolation(t *testing.T) {
 	withEnabled(t)
-	h := NewHistogram("test.hist.interp", []int64{100})
+	h := newHistogram("test.hist.interp", []int64{100})
 	for i := 0; i < 100; i++ {
 		h.Observe(50)
 	}
@@ -175,7 +175,7 @@ func TestDuplicateNamePanicsAcrossKinds(t *testing.T) {
 		new  func()
 	}{
 		{"gauge", func() { NewGauge("test.counter") }},
-		{"histogram", func() { NewHistogram("test.counter", []int64{1}) }},
+		{"histogram", func() { newHistogram("test.counter", []int64{1}) }},
 		{"span", func() { NewSpan("test.counter") }},
 		{"counter vs gauge", func() { NewCounter("test.gauge") }},
 	} {
@@ -299,7 +299,7 @@ func TestSnapshotJSONShape(t *testing.T) {
 // snapshot" property the serve history test rechecks over HTTP.
 func TestConcurrentSnapshotConsistency(t *testing.T) {
 	withEnabled(t)
-	h := NewHistogram("test.hist.torn", DurationBounds())
+	h := newHistogram("test.hist.torn", DurationBounds())
 	c := NewCounter("test.counter.torn")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

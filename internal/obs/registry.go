@@ -25,7 +25,7 @@ type Registry struct {
 }
 
 // Default is the process-wide registry every NewCounter/NewGauge/
-// NewHistogram/NewSpan registers into.
+// NewCountHistogram/NewSpan registers into.
 var Default = &Registry{handles: make(map[string]any)}
 
 // register adds a metric under a unique name. It panics on duplicates:

@@ -7,7 +7,7 @@ import (
 
 // TagTokens assigns a part-of-speech tag to every token of one sentence, in
 // place. Tokens are the word/punctuation strings produced by
-// textproc.Tokenize, in order; Text and Lower are the caller's, and Lower must be strings.ToLower(Text): a
+// textproc.SplitSentences, in order; Text and Lower are the caller's, and Lower must be strings.ToLower(Text): a
 // caller that needs the lower-cased words again (to filter stop words, to
 // stem) lower-cases once and shares them through this field. Tagging
 // proceeds in two passes: a lexical pass (the lexicon, then morphology and

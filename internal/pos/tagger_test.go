@@ -22,23 +22,25 @@ func TagWords(tokens []string) []TaggedToken {
 // tagOf tags the sentence and returns the tag of the token at index i.
 func tagOf(t *testing.T, sentence string, i int) Tag {
 	t.Helper()
-	var words []string
-	for _, tok := range textproc.Tokenize(sentence) {
-		words = append(words, tok.Text)
-	}
-	tt := TagWords(words)
+	tt := tagsOf(sentence)
 	if i >= len(tt) {
 		t.Fatalf("sentence %q has only %d tokens", sentence, len(tt))
 	}
 	return tt[i].Tag
 }
 
-func tagsOf(sentence string) []TaggedToken {
+func tagsOf(sentence string) []TaggedToken { return TagWords(tokenTexts(sentence)) }
+
+// tokenTexts is every token of text, punctuation included, as the
+// sentence splitter cuts them.
+func tokenTexts(text string) []string {
 	var words []string
-	for _, tok := range textproc.Tokenize(sentence) {
-		words = append(words, tok.Text)
+	for _, s := range textproc.SplitSentences(text) {
+		for _, tok := range s.Tokens {
+			words = append(words, tok.Text)
+		}
 	}
-	return TagWords(words)
+	return words
 }
 
 func findTag(tt []TaggedToken, word string) Tag {
@@ -187,14 +189,14 @@ func TestWhWords(t *testing.T) {
 }
 
 func TestIrregularLookups(t *testing.T) {
-	if base, ok := IsIrregularPast("went"); !ok || base != "go" {
-		t.Errorf("IsIrregularPast(went) = %q,%v", base, ok)
+	if base, ok := isIrregularPast("went"); !ok || base != "go" {
+		t.Errorf("isIrregularPast(went) = %q,%v", base, ok)
 	}
-	if base, ok := IsIrregularParticiple("written"); !ok || base != "write" {
-		t.Errorf("IsIrregularParticiple(written) = %q,%v", base, ok)
+	if base, ok := isIrregularParticiple("written"); !ok || base != "write" {
+		t.Errorf("isIrregularParticiple(written) = %q,%v", base, ok)
 	}
-	if _, ok := IsIrregularPast("xyzzy"); ok {
-		t.Error("IsIrregularPast(xyzzy) should be false")
+	if _, ok := isIrregularPast("xyzzy"); ok {
+		t.Error("isIrregularPast(xyzzy) should be false")
 	}
 }
 
@@ -276,12 +278,23 @@ func TestPaperDocASignals(t *testing.T) {
 }
 
 func BenchmarkTag(b *testing.B) {
-	var words []string
-	for _, tok := range textproc.Tokenize("Friends have downloaded the Cloudera distribution but it didn't work. It stopped since the web site was suggesting to have 1TB disks.") {
-		words = append(words, tok.Text)
-	}
+	words := tokenTexts("Friends have downloaded the Cloudera distribution but it didn't work. It stopped since the web site was suggesting to have 1TB disks.")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		TagWords(words)
 	}
+}
+
+// isIrregularPast reports whether w (lower-cased) is an irregular
+// simple-past verb form, returning its base form.
+func isIrregularPast(w string) (base string, ok bool) {
+	base, ok = irregularPast[w]
+	return base, ok
+}
+
+// isIrregularParticiple reports whether w (lower-cased) is an irregular past
+// participle, returning its base form.
+func isIrregularParticiple(w string) (base string, ok bool) {
+	base, ok = irregularPart[w]
+	return base, ok
 }

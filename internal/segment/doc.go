@@ -34,16 +34,16 @@ type Doc struct {
 // text is split into sentence units, and every sentence is annotated.
 func NewDoc(text string) *Doc {
 	clean := textproc.StripHTML(text)
-	return NewDocFromSentences(clean, textproc.SplitSentences(clean))
+	return newDocFromSentences(clean, textproc.SplitSentences(clean))
 }
 
-// NewDocFromSentences builds a Doc from pre-split sentences. The text must
+// newDocFromSentences builds a Doc from pre-split sentences. The text must
 // be the string the sentence offsets refer to.
 //
 // Each sentence's tokens are lower-cased and tagged once (cm.TagSentence);
 // the annotation reads the tags and the content terms are the same
 // lower-cased words, stop words dropped, stemmed.
-func NewDocFromSentences(text string, sents []textproc.Sentence) *Doc {
+func newDocFromSentences(text string, sents []textproc.Sentence) *Doc {
 	d := &Doc{
 		Text:   text,
 		Sents:  sents,
@@ -93,11 +93,11 @@ func (d *Doc) rangeInto(out *cm.Annotation, lo, hi int) {
 // Terms returns the stemmed, stopword-filtered content terms of sentence
 // units [lo, hi) in a freshly allocated slice of exact capacity.
 func (d *Doc) Terms(lo, hi int) []string {
-	return d.AppendTerms(make([]string, 0, d.TermCount(lo, hi)), lo, hi)
+	return d.appendTerms(make([]string, 0, d.TermCount(lo, hi)), lo, hi)
 }
 
 // TermCount returns the number of content terms in sentence units
-// [lo, hi) — the capacity Terms/AppendTerms will fill — without
+// [lo, hi) — the capacity Terms/appendTerms will fill — without
 // materializing them.
 func (d *Doc) TermCount(lo, hi int) int {
 	n := 0
@@ -107,11 +107,11 @@ func (d *Doc) TermCount(lo, hi int) int {
 	return n
 }
 
-// AppendTerms appends the content terms of sentence units [lo, hi) to dst
+// appendTerms appends the content terms of sentence units [lo, hi) to dst
 // and returns the extended slice. It lets callers that merge several
 // segments size one buffer up front (see TermCount) instead of growing
 // through repeated copies.
-func (d *Doc) AppendTerms(dst []string, lo, hi int) []string {
+func (d *Doc) appendTerms(dst []string, lo, hi int) []string {
 	for i := lo; i < hi; i++ {
 		dst = append(dst, d.terms[i]...)
 	}

@@ -81,7 +81,7 @@ func newRefDoc(raw string) refDoc {
 	r.prefix = make([]cm.Annotation, len(r.sents)+1)
 	r.terms = make([][]string, len(r.sents))
 	for i, s := range r.sents {
-		r.anns[i] = cm.Annotate(s)
+		r.anns[i] = cm.AnnotateTagged(s, cm.TagSentence(nil, s))
 		r.prefix[i+1] = r.prefix[i].Add(r.anns[i])
 		r.terms[i] = []string{}
 		for _, t := range s.Tokens {
@@ -89,7 +89,7 @@ func newRefDoc(raw string) refDoc {
 				r.terms[i] = append(r.terms[i], w)
 			}
 		}
-		r.terms[i] = textproc.StemAll(r.terms[i])
+		r.terms[i] = stemAll(r.terms[i])
 	}
 	return r
 }
@@ -161,4 +161,12 @@ func TestNewDocAllocations(t *testing.T) {
 	if perPost > 60 {
 		t.Errorf("NewDoc allocates %.0f times per post, want at most 60", perPost)
 	}
+}
+
+// stemAll stems every word of the slice in place and returns it.
+func stemAll(words []string) []string {
+	for i, w := range words {
+		words[i] = textproc.Stem(strings.ToLower(w))
+	}
+	return words
 }

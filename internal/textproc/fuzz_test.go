@@ -50,7 +50,7 @@ func FuzzTokenize(f *testing.F) {
 	f.Add("\x80\xfeinvalid\xc2utf8\xa0")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, text string) {
-		tokens := Tokenize(text)
+		tokens := tokenize(text)
 		sameTokens(t, "Tokenize", tokens, refTokenize(text))
 		prevEnd := 0
 		for i, tok := range tokens {

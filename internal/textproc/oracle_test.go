@@ -506,8 +506,8 @@ func checkAgainstReference(t testing.TB, raw string) {
 		t.Fatalf("StripHTML(%q) = %q, the reference has %q", raw, clean, want)
 	}
 	for _, text := range []string{raw, clean} {
-		tokens := Tokenize(text)
-		sameTokens(t, fmt.Sprintf("Tokenize(%q)", text), tokens, refTokenize(text))
+		tokens := tokenize(text)
+		sameTokens(t, fmt.Sprintf("tokenize(%q)", text), tokens, refTokenize(text))
 		for _, tok := range tokens {
 			if got, want := tok.IsWord(), strings.IndexFunc(tok.Text, isLetterOrDigit) >= 0; got != want {
 				t.Fatalf("Token(%q).IsWord() = %v", tok.Text, got)
@@ -715,7 +715,7 @@ func within(s, outer string) bool {
 func TestStemMemoOwnsItsBytes(t *testing.T) {
 	body := strings.Clone("reinstalling printers relational happy caresses unchanged sky " +
 		strings.Repeat("averyveryverylongtoken", 4) + "ing")
-	for _, tok := range Tokenize(body) {
+	for _, tok := range tokenize(body) {
 		stem := Stem(tok.Text)
 		if len(tok.Text) > memoMaxWord {
 			continue

@@ -301,11 +301,3 @@ func step5b(w []byte) []byte {
 	}
 	return w
 }
-
-// StemAll stems every word of the slice in place and returns it.
-func StemAll(words []string) []string {
-	for i, w := range words {
-		words[i] = Stem(strings.ToLower(w))
-	}
-	return words
-}

@@ -146,6 +146,6 @@ func BenchmarkTokenize(b *testing.B) {
 		"I would like to install Hadoop with a replication 4 HDFS."
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Tokenize(text)
+		tokenize(text)
 	}
 }

@@ -40,16 +40,3 @@ var stopwordSet = func() map[string]bool {
 
 // IsStopword reports whether the lower-cased word w is an English stopword.
 func IsStopword(w string) bool { return stopwordSet[w] }
-
-// ContentWords returns the lower-cased, stopword-filtered word tokens of
-// text. This is the term stream the full-text indices are built on.
-func ContentWords(text string) []string {
-	words := Words(text)
-	out := words[:0]
-	for _, w := range words {
-		if !stopwordSet[w] {
-			out = append(out, w)
-		}
-	}
-	return out
-}

@@ -77,11 +77,11 @@ func classAt(text string, i int) (cls uint8, size int) {
 	return runeClass(r), size
 }
 
-// Tokenize splits text into tokens. Words are maximal runs of letters,
+// tokenize splits text into tokens. Words are maximal runs of letters,
 // digits, and internal apostrophes/hyphens (so "didn't" and "e-mail" are
 // single tokens); every other non-space rune becomes a single-rune
 // punctuation token. Offsets are byte offsets into text.
-func Tokenize(text string) []Token {
+func tokenize(text string) []Token {
 	return appendTokens(make([]Token, 0, tokenEstimate(len(text))), text, 0)
 }
 
@@ -121,16 +121,3 @@ func appendTokens(dst []Token, text string, base int) []Token {
 }
 
 func isJoiner(r string) bool { return r == "'" || r == "-" || r == "’" }
-
-// Words returns only the word tokens of text (punctuation removed),
-// lower-cased. It is the convenience entry point used by the indexing layer.
-func Words(text string) []string {
-	toks := Tokenize(text)
-	out := make([]string, 0, len(toks))
-	for _, t := range toks {
-		if t.IsWord() {
-			out = append(out, t.Lower())
-		}
-	}
-	return out
-}

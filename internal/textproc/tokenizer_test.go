@@ -9,7 +9,7 @@ import (
 )
 
 func TestTokenizeSimple(t *testing.T) {
-	toks := Tokenize("I have an HP system.")
+	toks := tokenize("I have an HP system.")
 	var got []string
 	for _, tok := range toks {
 		got = append(got, tok.Text)
@@ -22,7 +22,7 @@ func TestTokenizeSimple(t *testing.T) {
 
 func TestTokenizeOffsets(t *testing.T) {
 	src := "RAID 0, 320GB drive!"
-	for _, tok := range Tokenize(src) {
+	for _, tok := range tokenize(src) {
 		if src[tok.Start:tok.End] != tok.Text {
 			t.Errorf("offset mismatch: src[%d:%d]=%q, token %q", tok.Start, tok.End, src[tok.Start:tok.End], tok.Text)
 		}
@@ -38,17 +38,17 @@ func TestTokenizeContractions(t *testing.T) {
 	}
 	for in, want := range cases {
 		var got []string
-		for _, tok := range Tokenize(in) {
+		for _, tok := range tokenize(in) {
 			got = append(got, tok.Text)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Tokenize(%q) = %v, want %v", in, got, want)
+			t.Errorf("tokenize(%q) = %v, want %v", in, got, want)
 		}
 	}
 }
 
 func TestTokenizePositions(t *testing.T) {
-	toks := Tokenize("a b c d")
+	toks := tokenize("a b c d")
 	for i, tok := range toks {
 		if tok.Position != i {
 			t.Errorf("token %d has Position %d", i, tok.Position)
@@ -57,7 +57,7 @@ func TestTokenizePositions(t *testing.T) {
 }
 
 func TestTokenizeUnicode(t *testing.T) {
-	toks := Tokenize("café naïve — test")
+	toks := tokenize("café naïve — test")
 	var words []string
 	for _, tok := range toks {
 		if tok.IsWord() {
@@ -71,11 +71,11 @@ func TestTokenizeUnicode(t *testing.T) {
 }
 
 func TestTokenizeEmpty(t *testing.T) {
-	if toks := Tokenize(""); len(toks) != 0 {
-		t.Fatalf("Tokenize(\"\") = %v, want empty", toks)
+	if toks := tokenize(""); len(toks) != 0 {
+		t.Fatalf("tokenize(\"\") = %v, want empty", toks)
 	}
-	if toks := Tokenize("   \n\t "); len(toks) != 0 {
-		t.Fatalf("Tokenize(whitespace) = %v, want empty", toks)
+	if toks := tokenize("   \n\t "); len(toks) != 0 {
+		t.Fatalf("tokenize(whitespace) = %v, want empty", toks)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestTokenizeEmpty(t *testing.T) {
 // order, and no token is empty.
 func TestTokenizeOffsetsProperty(t *testing.T) {
 	f := func(s string) bool {
-		toks := Tokenize(s)
+		toks := tokenize(s)
 		prevEnd := 0
 		for _, tok := range toks {
 			if tok.Text == "" {
@@ -108,7 +108,7 @@ func TestTokenizeOffsetsProperty(t *testing.T) {
 // content of the source.
 func TestTokenizeCoversNonSpace(t *testing.T) {
 	f := func(s string) bool {
-		toks := Tokenize(s)
+		toks := tokenize(s)
 		var b strings.Builder
 		for _, tok := range toks {
 			b.WriteString(tok.Text)
@@ -127,7 +127,7 @@ func TestTokenizeCoversNonSpace(t *testing.T) {
 }
 
 func TestWords(t *testing.T) {
-	got := Words("Do you KNOW whether it would perform OK?")
+	got := wordsOf("Do you KNOW whether it would perform OK?")
 	want := []string{"do", "you", "know", "whether", "it", "would", "perform", "ok"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Words = %v, want %v", got, want)
@@ -135,10 +135,10 @@ func TestWords(t *testing.T) {
 }
 
 func TestContentWordsFiltersStopwords(t *testing.T) {
-	got := ContentWords("I have an HP system with a RAID controller")
+	got := contentWords("I have an HP system with a RAID controller")
 	want := []string{"hp", "system", "raid", "controller"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ContentWords = %v, want %v", got, want)
+		t.Fatalf("contentWords = %v, want %v", got, want)
 	}
 }
 
@@ -153,4 +153,30 @@ func TestIsStopword(t *testing.T) {
 			t.Errorf("IsStopword(%q) = true, want false", w)
 		}
 	}
+}
+
+// contentWords returns the lower-cased, stopword-filtered word tokens of
+// text. This is the term stream the full-text indices are built on.
+func contentWords(text string) []string {
+	words := wordsOf(text)
+	out := words[:0]
+	for _, w := range words {
+		if !stopwordSet[w] {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// wordsOf returns only the word tokens of text (punctuation removed),
+// lower-cased.
+func wordsOf(text string) []string {
+	toks := tokenize(text)
+	out := make([]string, 0, len(toks))
+	for _, t := range toks {
+		if t.IsWord() {
+			out = append(out, t.Lower())
+		}
+	}
+	return out
 }

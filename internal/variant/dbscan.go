@@ -12,7 +12,7 @@ import (
 // Noise is the label DBSCAN assigns to points that belong to no cluster.
 const Noise = -1
 
-// DBSCAN clusters points (dense vectors of equal dimension) with the
+// dbscan clusters points (dense vectors of equal dimension) with the
 // classic density-based algorithm of Ester et al. (1996) under Euclidean
 // distance. It returns one label per point — 0..k-1 for cluster members,
 // Noise for outliers — and the number of clusters k. Region queries run
@@ -21,7 +21,7 @@ const Noise = -1
 // query point; the labeling is identical to the naive quadratic form
 // (the test oracle in export_test.go). Use Sampled for collections
 // where even near-linear passes per point are too slow.
-func DBSCAN(points [][]float64, eps float64, minPts int) (labels []int, k int) {
+func dbscan(points [][]float64, eps float64, minPts int) (labels []int, k int) {
 	n := len(points)
 	labels = make([]int, n)
 	for i := range labels {
@@ -66,14 +66,14 @@ func DBSCAN(points [][]float64, eps float64, minPts int) (labels []int, k int) {
 	return labels, k
 }
 
-// EstimateEps returns a data-driven eps for DBSCAN: twice the 90th
+// estimateEps returns a data-driven eps for DBSCAN: twice the 90th
 // percentile of every point's distance to its k-th nearest neighbor (the
 // "knee" of the sorted k-distance plot, approximated, with headroom so that
 // uniform within-cluster spread does not fragment a cluster into density
 // islands). k is typically minPts−1. The per-point k-distance pass is
 // independent across points and runs over at most `workers` goroutines
 // (GOMAXPROCS when <= 0); the result is identical for any worker count.
-func EstimateEps(points [][]float64, k, workers int) float64 {
+func estimateEps(points [][]float64, k, workers int) float64 {
 	n := len(points)
 	if n == 0 || k <= 0 {
 		return 0
@@ -104,14 +104,14 @@ func EstimateEps(points [][]float64, k, workers int) float64 {
 // quadratic in the sample size).
 func EstimateEpsSampled(points [][]float64, k, maxSample, workers int) float64 {
 	if maxSample <= 0 || len(points) <= maxSample {
-		return EstimateEps(points, k, workers)
+		return estimateEps(points, k, workers)
 	}
 	stride := len(points) / maxSample
 	sample := make([][]float64, 0, maxSample)
 	for i := 0; i < len(points) && len(sample) < maxSample; i += stride {
 		sample = append(sample, points[i])
 	}
-	return EstimateEps(sample, k, workers)
+	return estimateEps(sample, k, workers)
 }
 
 // Sampled runs DBSCAN on a deterministic sample of at most sampleSize
@@ -124,7 +124,7 @@ func EstimateEpsSampled(points [][]float64, k, maxSample, workers int) float64 {
 func Sampled(points [][]float64, eps float64, minPts, sampleSize, workers int) (labels []int, k int) {
 	n := len(points)
 	if n <= sampleSize {
-		return DBSCAN(points, eps, minPts)
+		return dbscan(points, eps, minPts)
 	}
 	// Deterministic systematic sample: every n/sampleSize-th point.
 	stride := n / sampleSize
@@ -132,7 +132,7 @@ func Sampled(points [][]float64, eps float64, minPts, sampleSize, workers int) (
 	for i := 0; i < n && len(sample) < sampleSize; i += stride {
 		sample = append(sample, points[i])
 	}
-	sampleLabels, k := DBSCAN(sample, eps, minPts)
+	sampleLabels, k := dbscan(sample, eps, minPts)
 	cents := cluster.Centroids(sample, sampleLabels, k, workers)
 
 	labels = make([]int, n)

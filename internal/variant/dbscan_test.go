@@ -27,7 +27,7 @@ func twoBlobs(nPer int, seed int64) (points [][]float64, wantLabelOf func(i int)
 
 func TestDBSCANTwoClusters(t *testing.T) {
 	pts, _ := twoBlobs(30, 1)
-	labels, k := DBSCAN(pts, 0.1, 3)
+	labels, k := dbscan(pts, 0.1, 3)
 	if k != 2 {
 		t.Fatalf("DBSCAN found %d clusters, want 2", k)
 	}
@@ -50,7 +50,7 @@ func TestDBSCANTwoClusters(t *testing.T) {
 func TestDBSCANNoise(t *testing.T) {
 	pts, _ := twoBlobs(20, 2)
 	pts = append(pts, []float64{0.5, 0.1}, []float64{0.1, 0.9})
-	labels, k := DBSCAN(pts, 0.08, 4)
+	labels, k := dbscan(pts, 0.08, 4)
 	if k != 2 {
 		t.Fatalf("found %d clusters, want 2", k)
 	}
@@ -61,7 +61,7 @@ func TestDBSCANNoise(t *testing.T) {
 
 func TestDBSCANAllNoise(t *testing.T) {
 	pts := [][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
-	labels, k := DBSCAN(pts, 0.1, 3)
+	labels, k := dbscan(pts, 0.1, 3)
 	if k != 0 {
 		t.Fatalf("k = %d, want 0", k)
 	}
@@ -73,7 +73,7 @@ func TestDBSCANAllNoise(t *testing.T) {
 }
 
 func TestDBSCANEmpty(t *testing.T) {
-	labels, k := DBSCAN(nil, 0.1, 3)
+	labels, k := dbscan(nil, 0.1, 3)
 	if len(labels) != 0 || k != 0 {
 		t.Fatal("empty input should yield empty labels")
 	}
@@ -82,7 +82,7 @@ func TestDBSCANEmpty(t *testing.T) {
 func TestDBSCANMinPtsOne(t *testing.T) {
 	// minPts 1: every point is a core point; singletons become clusters.
 	pts := [][]float64{{0, 0}, {10, 10}}
-	labels, k := DBSCAN(pts, 0.5, 1)
+	labels, k := dbscan(pts, 0.5, 1)
 	if k != 2 || labels[0] == labels[1] {
 		t.Fatalf("minPts=1: labels=%v k=%d", labels, k)
 	}
@@ -98,7 +98,7 @@ func TestDBSCANLabelRangeProperty(t *testing.T) {
 		}
 		eps := 0.01 + float64(eps8)/255
 		minPts := 1 + int(minPts8%5)
-		labels, k := DBSCAN(pts, eps, minPts)
+		labels, k := dbscan(pts, eps, minPts)
 		if len(labels) != len(pts) {
 			return false
 		}
@@ -116,23 +116,23 @@ func TestDBSCANLabelRangeProperty(t *testing.T) {
 
 func TestEstimateEps(t *testing.T) {
 	pts, _ := twoBlobs(25, 3)
-	eps := EstimateEps(pts, 3, 0)
+	eps := estimateEps(pts, 3, 0)
 	if eps <= 0 || eps > 0.2 {
-		t.Fatalf("EstimateEps = %v, want small positive for tight blobs", eps)
+		t.Fatalf("estimateEps = %v, want small positive for tight blobs", eps)
 	}
-	labels, k := DBSCAN(pts, eps, 4)
+	labels, k := dbscan(pts, eps, 4)
 	if k != 2 {
 		t.Fatalf("DBSCAN with estimated eps found %d clusters, want 2 (eps=%v)", k, eps)
 	}
 	_ = labels
-	if EstimateEps(nil, 3, 0) != 0 {
-		t.Error("EstimateEps(nil) != 0")
+	if estimateEps(nil, 3, 0) != 0 {
+		t.Error("estimateEps(nil) != 0")
 	}
 }
 
 func TestSampledMatchesExactOnSmallInput(t *testing.T) {
 	pts, _ := twoBlobs(20, 4)
-	exactLabels, exactK := DBSCAN(pts, 0.1, 3)
+	exactLabels, exactK := dbscan(pts, 0.1, 3)
 	sampLabels, sampK := Sampled(pts, 0.1, 3, 1000, 0)
 	if exactK != sampK {
 		t.Fatalf("Sampled k=%d, exact k=%d", sampK, exactK)
@@ -182,7 +182,7 @@ func BenchmarkDBSCAN1000(b *testing.B) {
 	pts, _ := twoBlobs(500, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		DBSCAN(pts, 0.1, 4)
+		dbscan(pts, 0.1, 4)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestGridRadiusMatchesLinearScan(t *testing.T) {
 }
 
 // TestDBSCANMatchesNaiveProperty is the exactness guard the indexed
-// DBSCAN ships under: across randomized point sets, dimensions, radii,
+// dbscan ships under: across randomized point sets, dimensions, radii,
 // and density thresholds, the grid-indexed DBSCAN must produce the very
 // same labeling as the naive O(n²) oracle — label-identical, which is
 // stronger than label-isomorphic.
@@ -82,7 +82,7 @@ func TestDBSCANMatchesNaiveProperty(t *testing.T) {
 			pts := randPoints(n, dim, rng)
 			for _, eps := range []float64{0.01, 0.05, 0.12, 0.4} {
 				for _, minPts := range []int{1, 2, 4, 7} {
-					gotL, gotK := DBSCAN(pts, eps, minPts)
+					gotL, gotK := dbscan(pts, eps, minPts)
 					wantL, wantK := DBSCANNaive(pts, eps, minPts)
 					if gotK != wantK {
 						t.Fatalf("dim=%d n=%d eps=%v minPts=%d: k=%d, oracle k=%d", dim, n, eps, minPts, gotK, wantK)
@@ -107,7 +107,7 @@ func TestDBSCANMatchesNaiveProperty(t *testing.T) {
 // neighborhoods stress the cell boundary handling).
 func TestDBSCANDuplicatePoints(t *testing.T) {
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}, {5, 5}, {1, 1}}
-	gotL, gotK := DBSCAN(pts, 0.001, 3)
+	gotL, gotK := dbscan(pts, 0.001, 3)
 	wantL, wantK := DBSCANNaive(pts, 0.001, 3)
 	if gotK != wantK {
 		t.Fatalf("k=%d, oracle %d", gotK, wantK)
@@ -127,7 +127,7 @@ func TestParallelInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := randPoints(1500, 5, rng)
 
-	wantEps := EstimateEps(pts, 3, 1)
+	wantEps := estimateEps(pts, 3, 1)
 	wantSampledL, wantSampledK := Sampled(pts, 0.1, 4, 300, 1)
 	km := cluster.KMeans(pts, 4, 42, 0, 1)
 	cents := cluster.Centroids(pts, km, 4, 1)
@@ -139,8 +139,8 @@ func TestParallelInvariance(t *testing.T) {
 	wantMoved := AssignNoise(pts, wantNoise, cents, 1)
 
 	for _, workers := range []int{2, 3, 8} {
-		if got := EstimateEps(pts, 3, workers); got != wantEps {
-			t.Errorf("workers=%d: EstimateEps %v != %v", workers, got, wantEps)
+		if got := estimateEps(pts, 3, workers); got != wantEps {
+			t.Errorf("workers=%d: estimateEps %v != %v", workers, got, wantEps)
 		}
 		gotL, gotK := Sampled(pts, 0.1, 4, 300, workers)
 		if gotK != wantSampledK || !slices.Equal(gotL, wantSampledL) {
@@ -170,7 +170,7 @@ func TestEstimateEpsSampled(t *testing.T) {
 		t.Errorf("exact eps = %v", exact)
 	}
 	// The sampled path must equal the exact estimator over the sample.
-	if got, want := EstimateEpsSampled(vecs, 3, 400, 0), EstimateEps(vecs[:1200:1200], 3, 0); got <= 0 || want <= 0 {
+	if got, want := EstimateEpsSampled(vecs, 3, 400, 0), estimateEps(vecs[:1200:1200], 3, 0); got <= 0 || want <= 0 {
 		t.Errorf("estimators degenerate: sampled %v exact %v", got, want)
 	}
 }
