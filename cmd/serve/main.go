@@ -22,7 +22,7 @@
 //	serve -trace-slow 50ms -trace-rate 5       # capture policy
 //	serve -cache-entries 4096 -max-inflight 64 -max-queued 128   # heavy-traffic hygiene
 //	serve -shard-role shard -load built.idx -own 0 -addr :9000
-//	serve -shard-role coordinator -fleet topology.json -addr :8080
+//	serve -shard-role coordinator -fleet topology.json -fleet-timeout 1s -addr :8080
 //	curl -s localhost:8080/related -d '{"doc_id": 3, "k": 5, "explain": true}'
 //	curl -s localhost:8080/metrics?format=prometheus
 //	curl -s localhost:8080/debug/traces | jq '.traces[0]'
@@ -55,19 +55,16 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	corpus := flag.String("corpus", "", "JSONL corpus file (cmd/gencorpus output); empty generates synthetically")
 	load := flag.String("load", "",
-		"serve a persisted pipeline instead of building: a snapshot file (cmd/intentmatch -save output, of any shard count); the build flags -corpus, -domain, -n, -seed, -workers and -shards are refused beside it")
+		"serve a persisted pipeline instead of building: a snapshot file (cmd/intentmatch -save output, of any shard count); the build flags -corpus, -domain, -n, -seed and -shards are refused beside it")
 	domain := flag.String("domain", "tech", "synthetic domain: tech, travel, prog, or health")
 	n := flag.Int("n", 1000, "synthetic corpus size")
 	seed := flag.Int64("seed", 42, "random seed")
-	workers := flag.Int("workers", 0, "offline-build parallelism (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 0,
 		"serve the collection partitioned across this many shards with scatter-gather queries (0 or 1 = unsharded; rankings are identical either way)")
 	traceSlow := flag.Duration("trace-slow", 100*time.Millisecond,
 		"always capture traces of requests at least this slow (0 captures every request, negative disables)")
 	traceRate := flag.Int("trace-rate", 1, "rate-sample up to this many request traces per second (0 disables)")
 	traceRing := flag.Int("trace-ring", 0, "retained finished traces (0 = default 256)")
-	sloLatency := flag.Duration("slo-latency", 0,
-		"per-request latency objective; slower requests count into slo.<endpoint>.breaches (0 = default 250ms)")
 	cacheEntries := flag.Int("cache-entries", 0,
 		"bound of the /related result cache, in entries; enables the cache and singleflight collapsing, keyed by (doc, k, explain, collection epoch) so any add invalidates (0 = off)")
 	maxInflight := flag.Int("max-inflight", 0,
@@ -78,11 +75,8 @@ func main() {
 		"fleet process role: empty (single-process pipeline), shard (serve partitions of a -load snapshot on the internal probe endpoints), or coordinator (scatter-gather over a -fleet topology)")
 	own := flag.String("own", "", "shard role: comma-separated shard ids this process serves (default all shards in the snapshot)")
 	fleetFile := flag.String("fleet", "", "coordinator role: fleet topology JSON file (fleet.Topology layout)")
-	fleetTimeout := flag.Duration("fleet-timeout", 2*time.Second, "coordinator: whole-query budget")
-	fleetAttempt := flag.Duration("fleet-attempt-timeout", 500*time.Millisecond, "coordinator: per-attempt deadline")
-	fleetRetries := flag.Int("fleet-retries", 2, "coordinator: retries a failing leg gets beyond its first attempt, and beyond its one hedge attempt when the shard has a replica (0 = none)")
-	fleetBackoff := flag.Duration("fleet-backoff", 25*time.Millisecond, "coordinator: base retry backoff (doubles per attempt)")
-	fleetHedge := flag.Duration("fleet-hedge-after", 100*time.Millisecond, "coordinator: hedge-to-replica delay until latency history accrues")
+	fleetTimeout := flag.Duration("fleet-timeout", 2*time.Second,
+		"coordinator: whole-query budget T, explain included; each attempt is cut at T/4, a retry backs off T/80 (doubling, two retries a leg), and a leg hedges to a replica after T/20 until its shard has latency history")
 	fleetBootstrap := flag.Duration("fleet-bootstrap", 15*time.Second, "coordinator: how long to keep retrying the topology bootstrap while shard servers come up")
 	flag.Parse()
 
@@ -106,7 +100,6 @@ func main() {
 		TraceRate:     *traceRate,
 		SlowQuery:     *traceSlow,
 		TraceRingSize: *traceRing,
-		SLOLatency:    *sloLatency,
 		CacheEntries:  *cacheEntries,
 		MaxInflight:   *maxInflight,
 		MaxQueued:     *maxQueued,
@@ -127,12 +120,8 @@ func main() {
 		return
 	case "coordinator":
 		c, err := bootstrapCoordinator(*fleetFile, fleet.Options{
-			Transport:      fleet.NewHTTPTransport(),
-			Timeout:        *fleetTimeout,
-			AttemptTimeout: *fleetAttempt,
-			Retries:        legRetries(*fleetRetries),
-			Backoff:        *fleetBackoff,
-			HedgeAfter:     *fleetHedge,
+			Transport: fleet.NewHTTPTransport(),
+			Timeout:   *fleetTimeout,
 		}, *fleetBootstrap, logger)
 		if err != nil {
 			fatal("coordinator bootstrap", err)
@@ -168,7 +157,7 @@ func main() {
 		}
 		logger.Info("building pipeline", "posts", len(texts))
 		start := time.Now()
-		p, err = core.Build(texts, core.Config{Seed: *seed, Workers: *workers, Shards: *shards})
+		p, err = core.Build(texts, core.Config{Seed: *seed, Shards: *shards})
 		if err != nil {
 			fatal("build", err)
 		}
@@ -188,15 +177,6 @@ func main() {
 // publicEndpoints is what serve.New answers, over a pipeline and over a
 // coordinator alike.
 const publicEndpoints = "POST /related, POST /add, GET /stats, GET /metrics, GET /healthz, GET /debug/traces, GET /debug/pprof/"
-
-// legRetries turns -fleet-retries, a count, into fleet.Options.Retries,
-// where 0 selects the default and a negative value none.
-func legRetries(n int) int {
-	if n <= 0 {
-		return -1
-	}
-	return n
-}
 
 // runServer serves handler on addr until SIGINT/SIGTERM, then drains
 // with a 10s grace period. Shared by all three roles so a fleet process
@@ -242,7 +222,7 @@ func newHTTPServer(addr string, handler http.Handler) *http.Server {
 }
 
 // buildFlags are the flags only a build reads.
-var buildFlags = []string{"corpus", "domain", "n", "seed", "workers", "shards"}
+var buildFlags = []string{"corpus", "domain", "n", "seed", "shards"}
 
 // checkFlags refuses a build flag set beside -load (a loaded snapshot is
 // served as it was built, so the flag would be ignored) and a negative

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/baseline"
@@ -53,12 +54,7 @@ func fig11(opt Options) (table, error) {
 				s.Cells = append(s.Cells, cell{ms(st.Segmentation), "%.1f"})
 				g.Cells = append(g.Cells, cell{ms(st.Grouping), "%.1f"})
 			}
-			n := min(retrievalQueries, size)
-			start := time.Now()
-			for q := 0; q < n; q++ {
-				mt.Match(q, 5)
-			}
-			r.Cells = append(r.Cells, cell{ms(time.Since(start)) * 1000 / float64(n), "%.0f"})
+			r.Cells = append(r.Cells, cell{perQuery(min(retrievalQueries, size), func(q int) { mt.Match(q, 5) }), "%.0f"})
 		}
 		seg, grp, ret = append(seg, s), append(grp, g), append(ret, r)
 	}
@@ -68,6 +64,31 @@ func fig11(opt Options) (table, error) {
 
 // ms is d in milliseconds.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// retrievalPasses is how many timed passes over the same queries a
+// retrieval cell takes the median of.
+const retrievalPasses = 5
+
+// perQuery times queries 0..n-1 through run: one untimed pass, then the
+// median of retrievalPasses timed ones, in µs per query. A single pass
+// right after a build measured the build's leftovers (a cold cache, a
+// pending GC) as much as the method, and reordered methods run to run.
+func perQuery(n int, run func(q int)) float64 {
+	pass := func() time.Duration {
+		start := time.Now()
+		for q := 0; q < n; q++ {
+			run(q)
+		}
+		return time.Since(start)
+	}
+	pass()
+	times := make([]time.Duration, retrievalPasses)
+	for i := range times {
+		times[i] = pass()
+	}
+	slices.Sort(times)
+	return ms(times[retrievalPasses/2]) * 1000 / float64(n)
+}
 
 // scaledLDAIters keeps LDA training affordable as collections grow; the
 // experiment times retrieval, not training.
@@ -93,12 +114,7 @@ func table6(opt Options) (table, error) {
 		return table{}, err
 	}
 	st := p.Stats()
-	n := min(200, opt.Table6Posts)
-	start := time.Now()
-	for q := 0; q < n; q++ {
-		p.Related(q, 5)
-	}
-	retrieval := ms(time.Since(start)) * 1000 / float64(n)
+	retrieval := perQuery(min(200, opt.Table6Posts), func(q int) { p.Related(q, 5) })
 	return table{Title: "Table 6: execution times (Programming corpus)",
 		Columns: []string{"Posts", "Avg segmentation µs", "Total grouping ms", "Avg retrieval µs", "Segments", "Clusters"},
 		Rows: []row{{fmt.Sprint(opt.Table6Posts), []cell{

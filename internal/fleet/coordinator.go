@@ -74,35 +74,22 @@ type Topology struct {
 	Endpoints []ShardEndpoints `json:"endpoints"`
 }
 
-// Options tunes the coordinator's degradation machinery. The zero
-// value gets serving-grade defaults from withDefaults; Transport is
-// the one mandatory field.
+// Options configures a coordinator: a transport, a clock and one
+// budget. Transport is the one mandatory field.
 type Options struct {
 	// Transport reaches the shard servers. Required.
 	Transport Transport
 	// Clock drives every timeout, backoff, and hedge decision.
 	// RealClock{} when nil; tests install a VirtualClock.
 	Clock Clock
-	// Timeout is the whole-query budget: when it expires, unanswered
-	// siblings become Missing and an unanswered home becomes a 503.
-	// Default 2s.
+	// Timeout is the whole-query budget T, explain legs included: when
+	// it expires, unanswered siblings become Missing and an unanswered
+	// home becomes a 503. Default 2s. The rest of a query's schedule
+	// derives from it: each attempt is cut at T/4, a retry after a fast
+	// transient error waits T/80 (doubling per attempt), and a leg
+	// hedges to a replica after T/20 until its shard has latency
+	// history.
 	Timeout time.Duration
-	// AttemptTimeout bounds each individual attempt; an attempt that
-	// exceeds it is canceled and (budget permitting) retried. Default
-	// 500ms.
-	AttemptTimeout time.Duration
-	// Retries is the per-leg retry budget beyond the first attempt.
-	// Default 2.
-	Retries int
-	// Backoff is the base delay before a retry after a fast transient
-	// error, doubling per attempt. (Attempt timeouts retry immediately —
-	// the wait already happened.) Default 25ms.
-	Backoff time.Duration
-	// HedgeAfter is the hedge delay used until a shard has latency
-	// history (after that, hedgeQuantile of it): when a leg's first
-	// attempt outlives it and the shard has replicas, a second attempt
-	// goes to the next endpoint. Default 100ms.
-	HedgeAfter time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -112,31 +99,33 @@ func (o Options) withDefaults() Options {
 	if o.Timeout <= 0 {
 		o.Timeout = 2 * time.Second
 	}
-	if o.AttemptTimeout <= 0 {
-		o.AttemptTimeout = 500 * time.Millisecond
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 25 * time.Millisecond
-	}
-	if o.HedgeAfter <= 0 {
-		o.HedgeAfter = 100 * time.Millisecond
-	}
 	return o
 }
 
-// latRingSize bounds the per-shard latency history feeding the
-// adaptive hedge delay; latMinSamples gates the switch from the fixed
-// HedgeAfter floor to the observed hedgeQuantile of it.
+// legRetries is a leg's retry budget beyond its first attempt (and
+// beyond its one hedge attempt when the shard has a replica). latRingSize
+// bounds the per-shard latency history feeding the adaptive hedge
+// delay; latMinSamples gates the switch from hedgeFloor to the observed
+// hedgeQuantile of it.
 const (
+	legRetries    = 2
 	latRingSize   = 64
 	latMinSamples = 8
 	hedgeQuantile = 0.9
 )
+
+// attempt is the per-attempt deadline, a quarter of the budget: a leg
+// without a replica spends at most three quarters of it on its three
+// attempts.
+func (o Options) attempt() time.Duration { return o.Timeout / 4 }
+
+// backoff is the base delay before a retry after a fast transient
+// error, doubling per attempt. (Attempt timeouts retry at once: the
+// wait already happened.)
+func (o Options) backoff() time.Duration { return o.Timeout / 80 }
+
+// hedgeFloor is the hedge delay until a shard has latency history.
+func (o Options) hedgeFloor() time.Duration { return o.Timeout / 20 }
 
 // Coordinator scatters Related queries across a shard fleet.
 type Coordinator struct {
@@ -297,7 +286,7 @@ func fetchOne[T any](c *Coordinator, ctx context.Context, what string, issue fun
 		default:
 		}
 	})
-	deadline := c.clock.Now().Add(c.opts.AttemptTimeout)
+	deadline := c.clock.Now().Add(c.opts.attempt())
 	for {
 		mu.Lock()
 		d, m, err := done, got, gerr
@@ -315,7 +304,7 @@ func fetchOne[T any](c *Coordinator, ctx context.Context, what string, issue fun
 			if d {
 				return m, err
 			}
-			return nil, &RPCError{Status: 0, Kind: "timeout", Msg: fmt.Sprintf("%s exceeded %v", what, c.opts.AttemptTimeout)}
+			return nil, &RPCError{Status: 0, Kind: "timeout", Msg: fmt.Sprintf("%s exceeded %v", what, c.opts.attempt())}
 		}
 	}
 }
@@ -457,13 +446,13 @@ func (c *Coordinator) Describe(hygiene cache.LayerStats) any {
 
 // hedgeDelay returns how long a shard's leg waits before hedging to a
 // replica: the shard's observed latency quantile once there is enough
-// history, the fixed HedgeAfter floor before that.
+// history, hedgeFloor before that.
 func (c *Coordinator) hedgeDelay(s int) time.Duration {
 	c.latMu.Lock()
 	samples := append([]time.Duration(nil), c.lat[s]...)
 	c.latMu.Unlock()
 	if len(samples) < latMinSamples {
-		return c.opts.HedgeAfter
+		return c.opts.hedgeFloor()
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	return samples[int(hedgeQuantile*float64(len(samples)-1))]
@@ -533,7 +522,7 @@ type ShardHealth struct {
 	LastErrorKind string `json:"last_error_kind,omitempty"`
 	// HedgeDelayNS is the current hedge trigger for this shard: the
 	// observed latency-ring p90 (hedgeQuantile) once
-	// the ring has latMinSamples, the fixed HedgeAfter floor before.
+	// the ring has latMinSamples, the budget's hedgeFloor before.
 	HedgeDelayNS int64 `json:"hedge_delay_ns"`
 	// LatencySamples is how many completed-leg latencies back the
 	// estimate (capped at the ring size).
@@ -598,13 +587,13 @@ type leg struct {
 	explain *ExplainResponse
 }
 
-// maxAttempts is a leg's total attempt budget: first + retries, and one
-// hedge slot when the shard has a replica to hedge to.
-func (l *leg) maxAttempts(retries int) int {
+// maxAttempts is a leg's total attempt budget: first + legRetries, and
+// one hedge slot when the shard has a replica to hedge to.
+func (l *leg) maxAttempts() int {
 	if len(l.eps) > 1 {
-		return retries + 2
+		return legRetries + 2
 	}
-	return retries + 1
+	return legRetries + 1
 }
 
 func (l *leg) cancelAll() {
@@ -649,11 +638,11 @@ type scatter struct {
 	maxDocs int
 }
 
-func (c *Coordinator) newScatter(ctx context.Context, tr *obs.Trace) *scatter {
+func (c *Coordinator) newScatter(ctx context.Context, deadline time.Time, tr *obs.Trace) *scatter {
 	return &scatter{
 		c:        c,
 		ctx:      ctx,
-		deadline: c.clock.Now().Add(c.opts.Timeout),
+		deadline: deadline,
 		tr:       tr,
 		notify:   make(chan struct{}, 1),
 		legs:     make(map[int]*leg),
@@ -716,7 +705,7 @@ func (sc *scatter) launch(l *leg, hedge bool) {
 			sc.push(delivery{shard: shardID, attempt: attempt, hedge: hedge, sentAt: sentAt, explain: r, err: err})
 		})
 	}
-	sc.after(sc.c.opts.AttemptTimeout, func() { sc.onAttemptTimeout(l, attempt, cancel) })
+	sc.after(sc.c.opts.attempt(), func() { sc.onAttemptTimeout(l, attempt, cancel) })
 	if !hedge && attempt == 0 && len(l.eps) > 1 {
 		sc.after(sc.c.hedgeDelay(l.shard), func() { sc.onHedgeTimer(l) })
 	}
@@ -730,7 +719,7 @@ func (sc *scatter) startLeg(l *leg) {
 	sc.launch(l, false)
 }
 
-// onAttemptTimeout fires when an attempt outlives AttemptTimeout
+// onAttemptTimeout fires when an attempt outlives Options.attempt
 // without delivering: cancel it and retry immediately (the backoff
 // already happened — we waited the whole attempt budget), or fail the
 // leg when nothing is left.
@@ -742,7 +731,7 @@ func (sc *scatter) onAttemptTimeout(l *leg, attempt int, cancel context.CancelFu
 	l.inflight--
 	cancel()
 	ctrAttemptTimeouts.Inc()
-	if l.attempts < l.maxAttempts(sc.c.opts.Retries) {
+	if l.attempts < l.maxAttempts() {
 		ctrRetries.Inc()
 		sc.launch(l, false)
 		return
@@ -757,7 +746,7 @@ func (sc *scatter) onAttemptTimeout(l *leg, attempt int, cancel context.CancelFu
 // onHedgeTimer fires when a leg's first attempt has outlived the hedge
 // delay: launch a parallel attempt at the next endpoint (the replica).
 func (sc *scatter) onHedgeTimer(l *leg) {
-	if l.done || l.failed != nil || l.hedged || l.attempts >= l.maxAttempts(sc.c.opts.Retries) {
+	if l.done || l.failed != nil || l.hedged || l.attempts >= l.maxAttempts() {
 		return
 	}
 	l.hedged = true
@@ -774,8 +763,8 @@ func (sc *scatter) onError(l *leg, err error) {
 		l.cancelAll()
 		return
 	}
-	if l.attempts < l.maxAttempts(sc.c.opts.Retries) {
-		backoff := sc.c.opts.Backoff << uint(l.attempts-1)
+	if l.attempts < l.maxAttempts() {
+		backoff := sc.c.opts.backoff() << uint(l.attempts-1)
 		sc.after(backoff, func() {
 			if l.done || l.failed != nil {
 				return
@@ -986,12 +975,12 @@ type gatherOut struct {
 // + home lists + depth), then every sibling in parallel with
 // home-seeded floors, then the global merge. Sibling failures fall
 // into missing; home failures are returned as typed errors.
-func (c *Coordinator) gather(ctx context.Context, docID, k int, tr *obs.Trace) (*gatherOut, error) {
+func (c *Coordinator) gather(ctx context.Context, docID, k int, deadline time.Time, tr *obs.Trace) (*gatherOut, error) {
 	home, local, ok := c.dir.Lookup(docID)
 	if !ok {
 		return nil, ErrUnknownDoc
 	}
-	sc := c.newScatter(ctx, tr)
+	sc := c.newScatter(ctx, deadline, tr)
 	defer sc.cancelAllLegs()
 	traced := tr != nil
 	var traceID string
@@ -1122,6 +1111,7 @@ func (c *Coordinator) gather(ctx context.Context, docID, k int, tr *obs.Trace) (
 // all shards answering, the result is bit-identical to shard.Group and
 // the single index; with siblings missing it is the exact merge over
 // the remaining shards, flagged Partial with the missing shard ids.
+// Gather and explain share one deadline, the budget from now.
 func (c *Coordinator) Query(ctx context.Context, docID, k int, explain bool) (match.Answer, error) {
 	if k <= 0 {
 		return match.Answer{}, nil
@@ -1129,13 +1119,14 @@ func (c *Coordinator) Query(ctx context.Context, docID, k int, explain bool) (ma
 	tr := obs.TraceFrom(ctx)
 	tm := spanFleetRelated.Start()
 	defer tm.Stop()
-	g, err := c.gather(ctx, docID, k, tr)
+	deadline := c.clock.Now().Add(c.opts.Timeout)
+	g, err := c.gather(ctx, docID, k, deadline, tr)
 	if err != nil {
 		return match.Answer{}, err
 	}
 	ans := match.Answer{Results: match.TopKScores(g.scores, k, docID)}
 	if explain {
-		if ans.Explanations, err = c.explain(ctx, g, ans.Results, tr); err != nil {
+		if ans.Explanations, err = c.explain(ctx, g, ans.Results, deadline, tr); err != nil {
 			return match.Answer{}, err
 		}
 	}
@@ -1144,10 +1135,10 @@ func (c *Coordinator) Query(ctx context.Context, docID, k int, explain bool) (ma
 }
 
 // explain fetches the breakdowns of results from each result
-// document's owning shard. Explain legs run under the same budget
-// machinery as the query's; a shard that cannot answer leaves its
-// documents' Clusters without terms and joins g.missing.
-func (c *Coordinator) explain(ctx context.Context, g *gatherOut, results []match.Result, tr *obs.Trace) ([]match.Explanation, error) {
+// document's owning shard. Explain legs run under the query's own
+// deadline; a shard that cannot answer by it leaves its documents'
+// Clusters without terms and joins g.missing.
+func (c *Coordinator) explain(ctx context.Context, g *gatherOut, results []match.Result, deadline time.Time, tr *obs.Trace) ([]match.Explanation, error) {
 	// Plan the explain batches: every summand of a result is one (doc,
 	// cluster) item on the result's owning shard, carrying the probe's
 	// term context.
@@ -1169,7 +1160,7 @@ func (c *Coordinator) explain(ctx context.Context, g *gatherOut, results []match
 		return exps, nil
 	}
 
-	sc := c.newScatter(ctx, tr)
+	sc := c.newScatter(ctx, deadline, tr)
 	defer sc.cancelAllLegs()
 	for s, req := range reqs {
 		if tr != nil {

@@ -97,18 +97,18 @@ func TestRealClockWait(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults pins the schedule the default 2s budget derives:
+// 500ms an attempt, a 25ms backoff doubling per retry, a 100ms hedge
+// floor and two retries a leg.
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if _, ok := o.Clock.(RealClock); !ok {
 		t.Fatalf("default clock %T, want RealClock", o.Clock)
 	}
-	if o.Timeout != 2*time.Second || o.AttemptTimeout != 500*time.Millisecond ||
-		o.Retries != 2 || o.Backoff != 25*time.Millisecond ||
-		o.HedgeAfter != 100*time.Millisecond {
-		t.Fatalf("unexpected defaults: %+v", o)
-	}
-	if noRetry := (Options{Retries: -1}).withDefaults(); noRetry.Retries != 0 {
-		t.Fatalf("Retries -1 should mean zero retries, got %d", noRetry.Retries)
+	if o.Timeout != 2*time.Second || o.attempt() != 500*time.Millisecond ||
+		o.backoff() != 25*time.Millisecond || o.hedgeFloor() != 100*time.Millisecond || legRetries != 2 {
+		t.Fatalf("budget %v derives attempt %v, backoff %v, hedge floor %v, %d retries",
+			o.Timeout, o.attempt(), o.backoff(), o.hedgeFloor(), legRetries)
 	}
 }
 
@@ -204,18 +204,16 @@ func (r *launchRecorder) Metrics(ctx context.Context, ep string, deliver func(*o
 	r.inner.Metrics(ctx, ep, deliver)
 }
 
-// TestBackoffSchedule pins the exact retry timing: transient errors
-// back off 10ms, then 20ms, then 40ms (doubling), so launches land at
-// t = 0, 10, 30, 70ms.
+// TestBackoffSchedule pins the exact retry timing: under vopts' 800ms
+// budget transient errors back off 10ms, then 20ms (doubling), so
+// launches land at t = 0, 10, 30ms.
 func TestBackoffSchedule(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 80, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 2, 42, 0)
 	clock := NewVirtualClock(time.Unix(0, 0))
 	ch := NewChaos(f.lt, clock)
 	rec := &launchRecorder{inner: ch, clock: clock, times: make(map[string][]time.Duration)}
-	opts := vopts(rec, clock)
-	opts.Retries = 3 // no replica, so no hedge slot: four attempts
-	c, err := New(context.Background(), f.topo(0), opts)
+	c, err := New(context.Background(), f.topo(0), vopts(rec, clock))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
@@ -223,16 +221,16 @@ func TestBackoffSchedule(t *testing.T) {
 	home := f.g.Route(doc)
 	sib := 1 - home
 	flap := ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "flap"}}
-	ch.Script(epName(sib, 0), "probe", flap, flap, flap)
+	ch.Script(epName(sib, 0), "probe", flap, flap)
 	res, rerr := c.Query(context.Background(), doc, 5, false)
 	if rerr != nil {
 		t.Fatalf("Related: %v", rerr)
 	}
 	if res.Partial {
-		t.Fatalf("three flaps with budget for four attempts should still complete")
+		t.Fatalf("two flaps with budget for three attempts should still complete")
 	}
 	got := rec.times[epName(sib, 0)+"/probe"]
-	want := []time.Duration{0, 10 * time.Millisecond, 30 * time.Millisecond, 70 * time.Millisecond}
+	want := []time.Duration{0, 10 * time.Millisecond, 30 * time.Millisecond}
 	if len(got) != len(want) {
 		t.Fatalf("launch offsets %v, want %v", got, want)
 	}
@@ -244,7 +242,7 @@ func TestBackoffSchedule(t *testing.T) {
 }
 
 // TestRetryBudgetWithoutReplica pins a leg's attempt budget when its
-// shard has no replica: the first attempt and Retries more, with no
+// shard has no replica: the first attempt and legRetries more, with no
 // hedge slot, since there is nothing to hedge to. A sibling whose probes
 // always fail is then reported missing.
 func TestRetryBudgetWithoutReplica(t *testing.T) {
@@ -252,24 +250,20 @@ func TestRetryBudgetWithoutReplica(t *testing.T) {
 	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 2, 42, 0)
 	const doc = 0
 	sib := 1 - f.g.Route(doc)
-	for _, retries := range []int{1, 2} {
-		clock := NewVirtualClock(time.Unix(0, 0))
-		ch := NewChaos(f.lt, clock)
-		ch.Script(epName(sib, 0), "probe", repeat(ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "down"}}, 8)...)
-		rec := &launchRecorder{inner: ch, clock: clock, times: make(map[string][]time.Duration)}
-		opts := vopts(rec, clock)
-		opts.Retries = retries
-		c, err := New(context.Background(), f.topo(0), opts)
-		if err != nil {
-			t.Fatalf("fleet.New: %v", err)
-		}
-		res, err := c.Query(context.Background(), doc, 5, false)
-		if err != nil || !res.Partial || len(res.Missing) != 1 || res.Missing[0] != sib {
-			t.Fatalf("Retries %d: answer partial=%v missing=%v err=%v, want shard %d missing", retries, res.Partial, res.Missing, err, sib)
-		}
-		if got := len(rec.times[epName(sib, 0)+"/probe"]); got != retries+1 {
-			t.Errorf("Retries %d: the failing sibling got %d attempts, want %d", retries, got, retries+1)
-		}
+	clock := NewVirtualClock(time.Unix(0, 0))
+	ch := NewChaos(f.lt, clock)
+	ch.Script(epName(sib, 0), "probe", repeat(ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "down"}}, 8)...)
+	rec := &launchRecorder{inner: ch, clock: clock, times: make(map[string][]time.Duration)}
+	c, err := New(context.Background(), f.topo(0), vopts(rec, clock))
+	if err != nil {
+		t.Fatalf("fleet.New: %v", err)
+	}
+	res, err := c.Query(context.Background(), doc, 5, false)
+	if err != nil || !res.Partial || len(res.Missing) != 1 || res.Missing[0] != sib {
+		t.Fatalf("answer partial=%v missing=%v err=%v, want shard %d missing", res.Partial, res.Missing, err, sib)
+	}
+	if got := len(rec.times[epName(sib, 0)+"/probe"]); got != legRetries+1 {
+		t.Errorf("the failing sibling got %d attempts, want %d", got, legRetries+1)
 	}
 }
 
@@ -313,11 +307,13 @@ func TestBudgetReleasesAllLegs(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 80, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 4, 42, 0)
 	clock := NewVirtualClock(time.Unix(0, 0))
-	leaker := &probeLeaker{inner: f.lt}
-	c, err := New(context.Background(), f.topo(0), Options{
-		Transport: leaker, Clock: clock,
-		Timeout: 200 * time.Millisecond, AttemptTimeout: 10 * time.Second, Retries: -1,
-	})
+	// The home leg's first attempt is lost and its retry answers at
+	// 350ms, so the siblings' third attempts, launched at 750ms, are
+	// parked when the 800ms budget runs out.
+	ch := NewChaos(f.lt, clock)
+	ch.Script(epName(f.g.Route(0), 0), "home", ChaosAction{Drop: true}, ChaosAction{ReplyDelay: 150 * time.Millisecond})
+	leaker := &probeLeaker{inner: ch}
+	c, err := New(context.Background(), f.topo(0), vopts(leaker, clock))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
@@ -327,6 +323,9 @@ func TestBudgetReleasesAllLegs(t *testing.T) {
 	}
 	if !res.Partial || len(res.Missing) != 3 {
 		t.Fatalf("expected all three siblings missing, got partial=%v missing=%v", res.Partial, res.Missing)
+	}
+	if took := clock.Now().Sub(time.Unix(0, 0)); took != 800*time.Millisecond {
+		t.Fatalf("query ended at %v, want at the 800ms budget", took)
 	}
 	released := make(chan struct{})
 	go func() { leaker.wg.Wait(); close(released) }()

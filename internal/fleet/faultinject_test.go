@@ -24,18 +24,23 @@ import (
 // deterministic and sleeps zero wall-clock time. Each scenario pins one
 // fault class to its contract:
 //
-//   - healthy fleet        → byte-identical to shard.Group (never partial)
-//   - transient error      → retried within budget, full correct answer
+//   - transient error      → retried after the budget's backoff, full
+//     correct answer (a healthy query first takes no virtual time)
 //   - sibling black-holed  → well-formed partial, equal to the oracle
 //     merge over the surviving shards (refPartial)
 //   - slow trickle         → late duplicate deduped, full correct answer
 //   - slow primary         → hedge to replica wins, full correct answer
 //   - hedged but fast      → primary still wins, no spurious hedge win
-//   - home shard dead      → typed 503 fleet_unavailable, never a wrong answer
-//   - every sibling dead   → partial = home-only merge
 //   - epoch mismatch       → replies rejected, shard reported missing
 //   - cancel mid-scatter   → context error, all legs released
-//   - budget exhausted     → partial (siblings) or typed 503 (home)
+//   - budget exhausted     → partial (siblings, at the budget) or typed
+//     503 (home, whose attempts run out first)
+//   - slow gather, silent explain shard → the answer at the budget, that
+//     shard missing: explain shares the query's one deadline
+//
+// The healthy fleet, a dead home shard (typed 503), every sibling dead
+// and unknown documents are sequences of internal/serve's model test,
+// whose coordinator rows byte-compare every answer under Kill and Heal.
 //
 // The invariant across all of them: a response is either complete and
 // bit-identical to the unsharded index, or explicitly partial and
@@ -68,16 +73,15 @@ type scenario struct {
 	c     *Coordinator
 }
 
-func newScenario(t testing.TB, f *testFleet, replicas int, tune func(*Options)) *scenario {
+func newScenario(t testing.TB, f *testFleet, replicas int) *scenario {
 	t.Helper()
 	clock := NewVirtualClock(time.Unix(0, 0))
 	ch := NewChaos(f.lt, clock)
-	opts := vopts(ch, clock)
-	if tune != nil {
-		tune(&opts)
-	}
-	return &scenario{f: f, clock: clock, ch: ch, c: f.coordinator(t, f.topo(replicas), opts)}
+	return &scenario{f: f, clock: clock, ch: ch, c: f.coordinator(t, f.topo(replicas), vopts(ch, clock))}
 }
+
+// elapsed is the virtual time the scenario's queries have taken.
+func (sc *scenario) elapsed() time.Duration { return sc.clock.Now().Sub(time.Unix(0, 0)) }
 
 // sibsOf lists every shard except home, ascending.
 func sibsOf(f *testFleet, home int) []int {
@@ -137,28 +141,42 @@ func TestFaultInjection(t *testing.T) {
 		sameResults(t, "partial-oracle", refPartial(t, f, doc, k, miss), res.Results)
 	}
 
-	t.Run("healthy", func(t *testing.T) {
-		sc := newScenario(t, f, 1, nil)
+	t.Run("transient-error-retried", func(t *testing.T) {
+		sc := newScenario(t, f, 0)
+		// Before the fault: a healthy query and an id far past the
+		// collection both take no virtual time. The id is refused from
+		// the directory's table; resolving it by replaying the routing up
+		// to the id — two billion hashes under the directory's read lock —
+		// is what a request body must never be able to ask for.
 		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertFull(t, res, err)
-		if sc.clock.Now() != time.Unix(0, 0) {
-			t.Fatalf("healthy query consumed virtual time: %v", sc.clock.Now())
+		done := make(chan error, 1)
+		go func() {
+			_, err := sc.c.Query(context.Background(), 2_000_000_000, k, false)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrUnknownDoc) {
+				t.Fatalf("doc two billion: want ErrUnknownDoc, got %v", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("doc two billion: the coordinator is still resolving the id after 2s")
 		}
-	})
-
-	t.Run("transient-error-retried", func(t *testing.T) {
-		sc := newScenario(t, f, 0, nil)
+		if sc.elapsed() != 0 {
+			t.Fatalf("a healthy query consumed virtual time: %v", sc.elapsed())
+		}
 		retries := delta(ctrRetries)
 		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "flap"}})
-		res, err := sc.c.Query(context.Background(), doc, k, false)
+		res, err = sc.c.Query(context.Background(), doc, k, false)
 		assertFull(t, res, err)
-		if retries() < 1 {
-			t.Fatalf("expected at least one retry, got %d", retries())
+		if retries() != 1 || sc.elapsed() != 10*time.Millisecond {
+			t.Fatalf("%d retries over %v, want one after the 10ms backoff", retries(), sc.elapsed())
 		}
 	})
 
 	t.Run("sibling-black-holed-partial", func(t *testing.T) {
-		sc := newScenario(t, f, 1, nil)
+		sc := newScenario(t, f, 1)
 		partials := delta(ctrPartial)
 		timeouts := delta(ctrAttemptTimeouts)
 		// Both endpoints of the shard swallow everything: attempts, the
@@ -173,15 +191,15 @@ func TestFaultInjection(t *testing.T) {
 	})
 
 	t.Run("slow-trickle-late-duplicate", func(t *testing.T) {
-		sc := newScenario(t, f, 0, nil)
+		sc := newScenario(t, f, 0)
 		dups := delta(ctrDupReplies)
-		// sibs[0]'s first reply trickles in at t=150ms — after its attempt
-		// timed out at t=100ms and the retry already answered. sibs[1]
-		// stays pending past t=150ms so the loop is alive to observe the
-		// stale duplicate.
-		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{ReplyDelay: 150 * time.Millisecond})
+		// sibs[0]'s first reply trickles in at t=300ms — after its attempt
+		// timed out at t=200ms and the retry already answered. sibs[1]
+		// stays pending past t=300ms (its retry answers at 350ms) so the
+		// loop is alive to observe the stale duplicate.
+		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{ReplyDelay: 300 * time.Millisecond})
 		sc.ch.Script(epName(sibs[1], 0), "probe",
-			ChaosAction{Drop: true}, ChaosAction{Delay: 120 * time.Millisecond})
+			ChaosAction{Drop: true}, ChaosAction{Delay: 150 * time.Millisecond})
 		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertFull(t, res, err)
 		if dups() < 1 {
@@ -190,9 +208,9 @@ func TestFaultInjection(t *testing.T) {
 	})
 
 	t.Run("hedge-replica-wins", func(t *testing.T) {
-		sc := newScenario(t, f, 1, nil)
+		sc := newScenario(t, f, 1)
 		hedges, wins := delta(ctrHedges), delta(ctrHedgeWins)
-		// Primary is near-dead; the hedge fires at 50ms and the replica
+		// Primary is near-dead; the hedge fires at 40ms and the replica
 		// answers instantly.
 		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{Delay: 10 * time.Second})
 		res, err := sc.c.Query(context.Background(), doc, k, false)
@@ -203,10 +221,10 @@ func TestFaultInjection(t *testing.T) {
 	})
 
 	t.Run("hedge-fired-primary-wins", func(t *testing.T) {
-		sc := newScenario(t, f, 1, nil)
+		sc := newScenario(t, f, 1)
 		hedges, wins := delta(ctrHedges), delta(ctrHedgeWins)
-		// Primary answers at 60ms — after the 50ms hedge fires, before the
-		// replica's 90ms reply. The primary's answer must win and the
+		// Primary answers at 60ms — after the 40ms hedge fires, before the
+		// replica's 80ms reply. The primary's answer must win and the
 		// hedge must not count as a win.
 		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{ReplyDelay: 60 * time.Millisecond})
 		sc.ch.Script(epName(sibs[0], 1), "probe", ChaosAction{ReplyDelay: 40 * time.Millisecond})
@@ -220,27 +238,8 @@ func TestFaultInjection(t *testing.T) {
 		}
 	})
 
-	t.Run("home-shard-dead-typed-503", func(t *testing.T) {
-		sc := newScenario(t, f, 0, nil)
-		sc.ch.Script(epName(home, 0), "", repeat(ChaosAction{Err: &RPCError{Status: 503, Kind: "injected", Msg: "down"}}, 8)...)
-		_, err := sc.c.Query(context.Background(), doc, k, false)
-		var rpc *RPCError
-		if !errors.As(err, &rpc) || rpc.Status != http.StatusServiceUnavailable || rpc.Kind != "fleet_unavailable" {
-			t.Fatalf("want typed 503 fleet_unavailable, got %v", err)
-		}
-	})
-
-	t.Run("all-siblings-down", func(t *testing.T) {
-		sc := newScenario(t, f, 0, nil)
-		for _, s := range sibs {
-			sc.ch.Script(epName(s, 0), "", repeat(ChaosAction{Drop: true}, 8)...)
-		}
-		res, err := sc.c.Query(context.Background(), doc, k, false)
-		assertPartial(t, res, err, sibs...)
-	})
-
 	t.Run("epoch-mismatch-rejected", func(t *testing.T) {
-		sc := newScenario(t, f, 0, nil)
+		sc := newScenario(t, f, 0)
 		mism := delta(ctrEpochMismatch)
 		// After bootstrap, sibs[0]'s endpoint is redeployed with a host
 		// from a different snapshot lineage (different name → different
@@ -257,7 +256,7 @@ func TestFaultInjection(t *testing.T) {
 	})
 
 	t.Run("cancel-mid-scatter", func(t *testing.T) {
-		sc := newScenario(t, f, 0, nil)
+		sc := newScenario(t, f, 0)
 		for _, s := range sibs {
 			sc.ch.Script(epName(s, 0), "probe", repeat(ChaosAction{Delay: time.Hour}, 8)...)
 		}
@@ -270,65 +269,67 @@ func TestFaultInjection(t *testing.T) {
 		}
 	})
 
+	// slowHome loses the home leg's first attempt and answers its retry
+	// 150ms after it was sent: the gather finishes at 350ms of the 800ms
+	// budget.
+	slowHome := func(sc *scenario) {
+		sc.ch.Script(epName(home, 0), "home", ChaosAction{Drop: true}, ChaosAction{ReplyDelay: 150 * time.Millisecond})
+	}
+
 	t.Run("budget-exhausted-siblings-missing", func(t *testing.T) {
-		// Attempt timeout larger than the query budget: nothing recovers a
-		// silent sibling except the whole-query deadline.
-		sc := newScenario(t, f, 0, func(o *Options) {
-			o.Timeout = 200 * time.Millisecond
-			o.AttemptTimeout = 10 * time.Second
-		})
+		// The siblings start at 350ms and are silent: their third
+		// attempts, launched at 750ms, are cut by the whole-query
+		// deadline, not by their own.
+		sc := newScenario(t, f, 0)
+		slowHome(sc)
 		for _, s := range sibs {
-			sc.ch.Script(epName(s, 0), "probe", ChaosAction{Delay: time.Hour})
+			sc.ch.Script(epName(s, 0), "probe", repeat(ChaosAction{Drop: true}, 8)...)
 		}
 		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertPartial(t, res, err, sibs...)
-		if got := sc.clock.Now().Sub(time.Unix(0, 0)); got != 200*time.Millisecond {
-			t.Fatalf("query should end exactly at the 200ms budget, took %v", got)
+		if sc.elapsed() != 800*time.Millisecond {
+			t.Fatalf("query should end exactly at the 800ms budget, took %v", sc.elapsed())
 		}
 	})
 
 	t.Run("budget-exhausted-home-missing", func(t *testing.T) {
-		sc := newScenario(t, f, 0, func(o *Options) {
-			o.Timeout = 200 * time.Millisecond
-			o.AttemptTimeout = 10 * time.Second
-		})
-		sc.ch.Script(epName(home, 0), "home", ChaosAction{Delay: time.Hour})
+		// A silent home spends its three attempts of 200ms each and is a
+		// typed 503 at 600ms, inside the budget.
+		sc := newScenario(t, f, 0)
+		sc.ch.Script(epName(home, 0), "home", repeat(ChaosAction{Drop: true}, 8)...)
 		_, err := sc.c.Query(context.Background(), doc, k, false)
 		var rpc *RPCError
 		if !errors.As(err, &rpc) || rpc.Status != http.StatusServiceUnavailable || rpc.Kind != "fleet_unavailable" {
 			t.Fatalf("want typed 503 fleet_unavailable, got %v", err)
 		}
+		if sc.elapsed() != 600*time.Millisecond {
+			t.Fatalf("the home leg failed at %v, want after three 200ms attempts", sc.elapsed())
+		}
 	})
 
-	t.Run("unknown-doc", func(t *testing.T) {
-		sc := newScenario(t, f, 0, nil)
-		if _, err := sc.c.Query(context.Background(), f.g.NumDocs()+50, k, false); !errors.Is(err, ErrUnknownDoc) {
-			t.Fatalf("beyond-corpus doc: want ErrUnknownDoc, got %v", err)
+	t.Run("explain-within-the-budget", func(t *testing.T) {
+		// Explain legs start when the gather ends, at 350ms; the silent
+		// shard's three attempts would run to 950ms. The query's one
+		// deadline cuts them at 800ms and names the shard missing.
+		sc := newScenario(t, f, 0)
+		slowHome(sc)
+		silent := f.g.Route(full[0].DocID)
+		sc.ch.Script(epName(silent, 0), "explain", repeat(ChaosAction{Drop: true}, 8)...)
+		res, err := sc.c.Query(context.Background(), doc, k, true)
+		if err != nil {
+			t.Fatalf("explain: %v", err)
 		}
-		if _, err := sc.c.Query(context.Background(), -1, k, false); !errors.Is(err, ErrUnknownDoc) {
-			t.Fatalf("negative doc: want ErrUnknownDoc, got %v", err)
+		sameResults(t, "explain-results", full, res.Results)
+		if !res.Partial || len(res.Missing) != 1 || res.Missing[0] != silent {
+			t.Fatalf("partial=%v missing=%v, want shard %d missing", res.Partial, res.Missing, silent)
 		}
-		// An id far past the collection is refused from the directory's
-		// table. Resolving it by replaying the routing up to the id — two
-		// billion hashes under the directory's read lock — is what a
-		// request body must never be able to ask for.
-		done := make(chan error, 1)
-		go func() {
-			_, err := sc.c.Query(context.Background(), 2_000_000_000, k, false)
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if !errors.Is(err, ErrUnknownDoc) {
-				t.Fatalf("doc two billion: want ErrUnknownDoc, got %v", err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("doc two billion: the coordinator is still resolving the id after 2s")
+		if sc.elapsed() != 800*time.Millisecond {
+			t.Fatalf("explained query returned at %v, want at the 800ms budget", sc.elapsed())
 		}
 	})
 
 	t.Run("explain-shard-degrades-to-partial", func(t *testing.T) {
-		sc := newScenario(t, f, 0, nil)
+		sc := newScenario(t, f, 0)
 		// Related legs succeed; the explain batch on sibs[0] is dropped.
 		sc.ch.Script(epName(sibs[0], 0), "explain", repeat(ChaosAction{Drop: true}, 8)...)
 		res, err := sc.c.Query(context.Background(), doc, k, true)
@@ -373,7 +374,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 4, 42, 1)
 
 	run := func() []byte {
-		sc := newScenario(t, f, 1, nil)
+		sc := newScenario(t, f, 1)
 		// A bit of everything: flapping errors, drops, slow replies, a
 		// near-dead primary forcing a hedge.
 		sc.ch.Script("s0", "probe", ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "flap"}})
@@ -459,7 +460,7 @@ func TestCoordinatorRejectsForgedLists(t *testing.T) {
 		{"past-depth", past},
 	}
 	// query asks through fg, and requires the forged leg to have used its
-	// whole budget: the first attempt and vopts' two retries.
+	// whole budget: the first attempt and its two retries.
 	query := func(t *testing.T, fg *forger, leg string) (match.Answer, error) {
 		t.Helper()
 		clock := NewVirtualClock(time.Unix(0, 0))
@@ -543,9 +544,7 @@ func FuzzProbeReply(f *testing.F) {
 			forged.Epoch, forged.Docs = r.Epoch, r.Docs
 			return &forged
 		}}
-		opts := vopts(fg, NewVirtualClock(time.Unix(0, 0)))
-		opts.Retries = -1
-		res, err := fl.coordinator(t, fl.topo(0), opts).Query(context.Background(), doc, k, true)
+		res, err := fl.coordinator(t, fl.topo(0), vopts(fg, NewVirtualClock(time.Unix(0, 0)))).Query(context.Background(), doc, k, true)
 		if err != nil {
 			t.Fatalf("a sibling's reply failed the query: %v", err)
 		}

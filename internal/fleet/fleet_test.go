@@ -88,19 +88,12 @@ func (f *testFleet) topo(replicas int) Topology {
 	return topo
 }
 
-// vopts is the fault-suite Options profile: a virtual clock and round
-// numbers so scripted schedules are easy to reason about. All timing
-// below is virtual — the suite never sleeps.
+// vopts is the fault-suite Options profile: a virtual clock and a
+// budget of 800ms, so the derived schedule is in round numbers — each
+// attempt cut at 200ms, retries backing off 10ms then 20ms, a hedge
+// at 40ms. All timing below is virtual — the suite never sleeps.
 func vopts(tr Transport, clock Clock) Options {
-	return Options{
-		Transport:      tr,
-		Clock:          clock,
-		Timeout:        time.Second,
-		AttemptTimeout: 100 * time.Millisecond,
-		Retries:        2,
-		Backoff:        10 * time.Millisecond,
-		HedgeAfter:     50 * time.Millisecond,
-	}
+	return Options{Transport: tr, Clock: clock, Timeout: 800 * time.Millisecond}
 }
 
 // coordinator bootstraps a Coordinator over the backend or fails the

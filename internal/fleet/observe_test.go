@@ -115,7 +115,7 @@ func TestTracePropagationHealthy(t *testing.T) {
 	const doc, k = 3, 6
 	full := f.g.Match(doc, k)
 
-	sc := newScenario(t, f, 0, nil)
+	sc := newScenario(t, f, 0)
 
 	// Tracing must not perturb the answer: traced and untraced runs both
 	// match the in-process sharded oracle bit for bit.
@@ -161,7 +161,7 @@ func TestStitchedTraceShardDeathMidScatter(t *testing.T) {
 	sibs := sibsOf(f, home)
 	dead := sibs[0]
 
-	sc := newScenario(t, f, 1, nil)
+	sc := newScenario(t, f, 1)
 	// The shard dies mid-scatter: both its endpoints black-hole every
 	// attempt, hedge, and retry. The deterministic VirtualClock replays
 	// the whole degraded timeline — attempt timeouts, retries, budget
@@ -257,7 +257,7 @@ func TestHealthLedgerTracksFailures(t *testing.T) {
 	home := f.g.Route(doc)
 	sibs := sibsOf(f, home)
 
-	sc := newScenario(t, f, 0, nil)
+	sc := newScenario(t, f, 0)
 	// Exactly one query's worth of failures (maxAttempts = retries + 2 =
 	// 4), so the follow-up query finds a healthy shard again.
 	sc.ch.Script(epName(sibs[0], 0), "probe",

@@ -60,15 +60,8 @@ func TestFleetChaosStress(t *testing.T) {
 		}
 		return ChaosAction{}
 	}
-	c, err := New(context.Background(), f.topo(1), Options{
-		Transport:      ch,
-		Clock:          clock,
-		Timeout:        2 * time.Second,
-		AttemptTimeout: 50 * time.Millisecond,
-		Retries:        2,
-		Backoff:        time.Millisecond,
-		HedgeAfter:     5 * time.Millisecond,
-	})
+	// A 200ms budget: attempts cut at 50ms, a hedge after 10ms.
+	c, err := New(context.Background(), f.topo(1), Options{Transport: ch, Clock: clock, Timeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}

@@ -418,12 +418,7 @@ func TestCoordinatorRejectsMalformedReplies(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 2, 42, 0)
-			c := f.coordinator(t, f.topo(0), Options{
-				Transport:      &forger{Transport: f.lt, probe: tc.tamper},
-				Timeout:        2 * time.Second,
-				AttemptTimeout: 200 * time.Millisecond,
-				Retries:        -1,
-			})
+			c := f.coordinator(t, f.topo(0), vopts(&forger{Transport: f.lt, probe: tc.tamper}, NewVirtualClock(time.Unix(0, 0))))
 			res, err := c.Query(context.Background(), 3, 5, false)
 			if err != nil {
 				t.Fatalf("Related under a lying sibling must degrade, not fail: %v", err)

@@ -151,10 +151,8 @@ func TestFleetServeCancellationReleasesGoroutines(t *testing.T) {
 		topo.Endpoints = append(topo.Endpoints, fleet.ShardEndpoints{Shard: s, Primary: shardTS[s].URL})
 	}
 	c, err := fleet.New(context.Background(), topo, fleet.Options{
-		Transport:      fleet.NewHTTPTransport(),
-		Timeout:        10 * time.Second,
-		AttemptTimeout: 10 * time.Second,
-		Retries:        -1,
+		Transport: fleet.NewHTTPTransport(),
+		Timeout:   10 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)

@@ -20,14 +20,9 @@ import (
 type observer struct {
 	log    *slog.Logger
 	tracer *obs.Tracer
-	slo    time.Duration
 }
 
 func newObserver(cfg Config) observer {
-	slo := cfg.SLOLatency
-	if slo == 0 {
-		slo = defaultSLOLatency
-	}
 	return observer{
 		log: cfg.Logger,
 		tracer: obs.NewTracer(obs.TracerConfig{
@@ -35,7 +30,6 @@ func newObserver(cfg Config) observer {
 			SlowQuery: cfg.SlowQuery,
 			RingSize:  cfg.TraceRingSize,
 		}),
-		slo: slo,
 	}
 }
 
@@ -202,7 +196,7 @@ type reqInfo struct {
 // to the handler directly, which skips the source-line lookup
 // (runtime.Callers) of Logger.LogAttrs.
 func (o *observer) observe(endpoint string, traced bool, h http.HandlerFunc) http.HandlerFunc {
-	slo := sloFor(endpoint, o.slo)
+	slo := sloFor(endpoint)
 	var logTo slog.Handler
 	if o.log != nil { // the endpoint attribute, first in every record, is rendered once
 		logTo = o.log.Handler().WithAttrs([]slog.Attr{slog.String("endpoint", endpoint)})

@@ -574,7 +574,16 @@ func (lr *liveRow) serveFleet(t *testing.T) {
 		lr.closes = append(lr.closes, tr.Client.CloseIdleConnections)
 		lr.kill.Transport = tr
 	}
-	c, err := fleet.New(context.Background(), topo, fleet.Options{Transport: lr.kill, Retries: -1, Backoff: time.Microsecond})
+	// A killed shard fails fast and transiently, so each of its legs
+	// waits out its retries' backoffs (T/80, doubling). LocalTransport
+	// answers before the call returns, so the local rows wait on a
+	// virtual clock, for no wall time; the HTTP row's budget keeps its
+	// waits short and still gives each attempt 50ms.
+	opts := fleet.Options{Transport: lr.kill, Timeout: 200 * time.Millisecond}
+	if lr.fleet == "local" {
+		opts.Clock = fleet.NewVirtualClock(time.Unix(0, 0))
+	}
+	c, err := fleet.New(context.Background(), topo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

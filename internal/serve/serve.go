@@ -104,11 +104,6 @@ type Config struct {
 	SlowQuery time.Duration
 	// TraceRingSize bounds the retained traces (256 when 0).
 	TraceRingSize int
-	// SLOLatency is the per-request latency objective: every request
-	// slower than this increments its endpoint's slo.<endpoint>.breaches
-	// counter (alongside the slo.<endpoint>.latency span and .errors
-	// counter the middleware always keeps). 0 → 250ms.
-	SLOLatency time.Duration
 
 	// CacheEntries bounds the Related result cache (and turns on
 	// singleflight collapsing of concurrent identical queries with it).

@@ -8,11 +8,12 @@ import (
 	"repro/internal/obs"
 )
 
-// defaultSLOLatency is the per-request latency objective when
-// Config.SLOLatency is zero. A quarter second is an order of magnitude
-// above the paper-scale query latencies, so breaches flag genuine
-// stalls (lock convoys, degraded shards) rather than noise.
-const defaultSLOLatency = 250 * time.Millisecond
+// sloLatency is the per-request latency objective: every request slower
+// than it counts into its endpoint's slo.<endpoint>.breaches. A quarter
+// second is an order of magnitude above the paper-scale query
+// latencies, so breaches flag genuine stalls (lock convoys, degraded
+// shards) rather than noise.
+const sloLatency = 250 * time.Millisecond
 
 // sloInstruments is one endpoint's SLO family:
 //
@@ -24,22 +25,20 @@ const defaultSLOLatency = 250 * time.Millisecond
 // per-request path is three lock-free records — no map lookups and no
 // allocations, preserving the untraced hot path's zero-alloc contract.
 type sloInstruments struct {
-	objective time.Duration
-	latency   *obs.Span
-	errors    *obs.Counter
-	breaches  *obs.Counter
+	latency  *obs.Span
+	errors   *obs.Counter
+	breaches *obs.Counter
 }
 
 // sloFor resolves the instrument family for an endpoint. GetOrNew
 // constructors make this idempotent across the several servers (shard,
 // coordinator, tests) that share one process registry.
-func sloFor(endpoint string, objective time.Duration) sloInstruments {
+func sloFor(endpoint string) sloInstruments {
 	name := sloName(endpoint)
 	return sloInstruments{
-		objective: objective,
-		latency:   obs.GetOrNewSpan("slo." + name + ".latency"),
-		errors:    obs.GetOrNewCounter("slo." + name + ".errors"),
-		breaches:  obs.GetOrNewCounter("slo." + name + ".breaches"),
+		latency:  obs.GetOrNewSpan("slo." + name + ".latency"),
+		errors:   obs.GetOrNewCounter("slo." + name + ".errors"),
+		breaches: obs.GetOrNewCounter("slo." + name + ".breaches"),
 	}
 }
 
@@ -55,7 +54,7 @@ func (s sloInstruments) record(status int, dur time.Duration) {
 	if status >= http.StatusInternalServerError {
 		s.errors.Inc()
 	}
-	if dur > s.objective {
+	if dur > sloLatency {
 		s.breaches.Inc()
 	}
 }

@@ -38,7 +38,7 @@ func TestRecycledTracesStress(t *testing.T) {
 		lt.AddHost(replica, h)
 		topo.Endpoints = append(topo.Endpoints, fleet.ShardEndpoints{Shard: s, Primary: primary, Replicas: []string{replica}})
 	}
-	coordinator, err := fleet.New(context.Background(), topo, fleet.Options{Transport: lt, HedgeAfter: time.Nanosecond})
+	coordinator, err := fleet.New(context.Background(), topo, fleet.Options{Transport: lt})
 	if err != nil {
 		t.Fatal(err)
 	}

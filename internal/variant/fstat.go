@@ -18,8 +18,14 @@ type FStat struct{}
 // Name implements ScoreFunc.
 func (FStat) Name() string { return "F-stat" }
 
-// BorderScore implements ScoreFunc.
+// BorderScore implements ScoreFunc. The F ratio needs three units; a
+// window of fewer (Tile's one unit a side) is widened to two units a
+// side, clamped to the document. Over one unit a side every border
+// would score 0, and Tile would keep them all.
 func (FStat) BorderScore(d *segment.Doc, lo, b, hi int) float64 {
+	if hi-lo < 3 {
+		lo, hi = max(0, b-2), min(d.Len(), b+2)
+	}
 	f := fRatio(d, lo, b, hi)
 	return f / (1 + f)
 }

@@ -265,12 +265,16 @@ func TestFStatScoreFunc(t *testing.T) {
 	if coh <= 0 || coh > 1 {
 		t.Errorf("segment coherence %v out of (0,1]", coh)
 	}
-	// Degenerate groups.
-	if got := f.BorderScore(d, 0, 1, 2); got != 0 {
+	// Degenerate groups: a two-unit document has no third unit to widen
+	// the window to.
+	if got := f.BorderScore(segment.NewDoc("I rebooted it. Can you help?"), 0, 1, 2); got != 0 {
 		t.Errorf("two-unit F-stat should be 0 (insufficient df), got %v", got)
 	}
 }
 
+// TestTileWithFStat: F-stat Tile finds borders in a three-intention text
+// and keeps fewer than every sentence gap. (Scored over one unit a side,
+// every border read 0 and all were kept.)
 func TestTileWithFStat(t *testing.T) {
 	d := segment.NewDoc(threeIntentions)
 	seg := Tile{Score: FStat{}}.Segment(d)
@@ -279,5 +283,8 @@ func TestTileWithFStat(t *testing.T) {
 	}
 	if seg.NumSegments() < 2 {
 		t.Error("F-stat Tile found no borders in three-intention text")
+	}
+	if len(seg.Borders) >= d.Len()-1 {
+		t.Errorf("F-stat Tile kept %d borders of %d sentence gaps", len(seg.Borders), d.Len()-1)
 	}
 }

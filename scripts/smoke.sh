@@ -347,6 +347,18 @@ else
     fail=1
 fi
 
+# The coordinator's one timing knob is -fleet-timeout; the schedule it
+# derives has no flags of its own, so one of the old ones is refused.
+if "$BIN" -addr "127.0.0.1:$PORT" -shard-role coordinator -fleet-retries 1 2>"$LOG"; then
+    echo "FAIL serve accepted -fleet-retries" >&2
+    fail=1
+elif grep -q -- 'flag provided but not defined: -fleet-retries' "$LOG"; then
+    echo "ok   -fleet-retries refused (the budget derives the retries)" >&2
+else
+    echo "FAIL -fleet-retries refused for another reason:" >&2; tail -2 "$LOG" >&2
+    fail=1
+fi
+
 # Networked fleet leg: the same corpus saved as one 4-shard snapshot
 # file and served as SIX processes — four shard servers, one replica of
 # shard 0, and a coordinator. A healthy fleet must answer /related
@@ -374,7 +386,7 @@ cat >"$WORK/topology.json" <<EOF
 ]}
 EOF
 COORD="http://127.0.0.1:$((SHARD_PORT0+5))"
-"$BIN" -addr "127.0.0.1:$((SHARD_PORT0+5))" -shard-role coordinator -fleet "$WORK/topology.json" -trace-slow 0 2>"$WORK/coord.log" &
+"$BIN" -addr "127.0.0.1:$((SHARD_PORT0+5))" -shard-role coordinator -fleet "$WORK/topology.json" -fleet-timeout 1s -trace-slow 0 2>"$WORK/coord.log" &
 FLEET_PIDS+=($!)
 
 # The coordinator only reports healthy once it has bootstrapped meta
@@ -387,6 +399,11 @@ for i in $(seq 1 100); do
     sleep 0.3
 done
 curl -sf "$COORD/healthz" >/dev/null || { echo "fleet never became healthy" >&2; cat "$WORK/coord.log" >&2; exit 1; }
+
+# Before any leg has latency history, every shard hedges after the
+# floor the 1s budget derives: T/20 = 50ms.
+check "GET /stats (fleet, no history)" 200 "$COORD/stats"
+json  "  hedge floor is T/20" "len(b['shard_health']) == 4 and all(h['latency_samples'] == 0 and h['hedge_delay_ns'] == 50000000 for h in b['shard_health'])"
 
 for doc in 3 17 57; do
     check "POST /related (fleet) doc $doc" 200 -X POST "$COORD/related" -d "{\"doc_id\": $doc, \"k\": 5}"
