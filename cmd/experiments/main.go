@@ -34,7 +34,6 @@ func main() {
 	sizes := flag.String("sizes", "", "comma-separated Fig 11 collection sizes (default 1000,10000,100000)")
 	table6 := flag.Int("table6", 0, "Table 6 collection size (default 20000; paper used 1.5M)")
 	seed := flag.Int64("seed", 0, "random seed (default 42)")
-	workers := flag.Int("workers", 0, "offline-build parallelism (0 = GOMAXPROCS; results identical for any count)")
 	obsReport := flag.Bool("obs", true, "record obs metrics during the run and append the snapshot to the report")
 	flag.Parse()
 	if *obsReport {
@@ -48,7 +47,6 @@ func main() {
 		SegmentationPosts: *segPosts,
 		Table6Posts:       *table6,
 		Seed:              *seed,
-		Workers:           *workers,
 	}
 	if *sizes != "" {
 		for _, part := range strings.Split(*sizes, ",") {

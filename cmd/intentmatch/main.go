@@ -149,7 +149,7 @@ func main() {
 // runBaseline builds a comparison method over the corpus and answers the
 // queries with it, as main does with the pipeline.
 func runBaseline(m baseline.Method, texts []string, seed int64, query string, k int, explain bool) {
-	built, err := m.Build(baseline.Prepare(texts, 0), baseline.Config{LDA: lda.Config{K: 8, Iterations: 60}, Seed: seed})
+	built, err := m.Build(baseline.Prepare(texts), baseline.Config{LDA: lda.Config{K: 8, Iterations: 60}, Seed: seed})
 	if err != nil {
 		fatal(err)
 	}
@@ -174,7 +174,7 @@ func runBaseline(m baseline.Method, texts []string, seed int64, query string, k 
 func answerQueries(related func(docID, k int) []match.Result, numDocs int, query string, k int, texts []string) {
 	ids := parseQueryIDs(query, numDocs)
 	results := make([][]match.Result, len(ids))
-	par.Do(len(ids), 0, func(i int) { results[i] = related(ids[i], k) })
+	par.Do(len(ids), func(i int) { results[i] = related(ids[i], k) })
 	for i, q := range ids {
 		if texts != nil {
 			fmt.Printf("\nquery %d: %s\n", q, truncate(texts[q], 90))

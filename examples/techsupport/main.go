@@ -27,7 +27,7 @@ func main() {
 	}
 	fmt.Printf("generated %d tech-support posts over %d topics\n\n", posts, forum.NumTopics(forum.TechSupport))
 
-	docs := baseline.Prepare(texts, 0)
+	docs := baseline.Prepare(texts)
 	methods := []baseline.Method{baseline.FullText, baseline.LDA, baseline.ContentMR, baseline.SentIntentMR, baseline.IntentIntentMR}
 	for _, m := range methods {
 		matcher, err := m.Build(docs, baseline.Config{LDA: lda.Config{K: 8, Iterations: 50}, Seed: 11})

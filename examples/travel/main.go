@@ -26,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	full := baseline.NewFullText(baseline.Terms(baseline.Prepare(texts, 0)))
+	full := baseline.NewFullText(baseline.Terms(baseline.Prepare(texts)))
 
 	// Pick a query and compare what the two methods retrieve.
 	const q = 3

@@ -28,14 +28,12 @@ import (
 )
 
 // Config is what every constructor reads. The segment-based methods
-// build with the paper's multi-ranking knobs, seeded by Seed and fanned
-// out over Workers goroutines, as core.Build does; LDA.Seed falls back
-// to Seed when 0.
+// build with the paper's multi-ranking knobs, seeded by Seed, as
+// core.Build does; LDA.Seed falls back to Seed when 0.
 type Config struct {
 	// LDA carries the topic-model hyperparameters of the LDA method.
-	LDA     lda.Config
-	Seed    int64
-	Workers int
+	LDA  lda.Config
+	Seed int64
 }
 
 // Method is one comparison column: its Table 4 label and its
@@ -60,23 +58,16 @@ var (
 		return newLDA(Terms(docs), ldaCfg)
 	}}
 	ContentMR = Method{"Content-MR", func(docs []*segment.Doc, cfg Config) (match.Matcher, error) {
-		mrCfg := cfg.mr()
-		mrCfg.Strategy, mrCfg.Vectorize, mrCfg.Group = variant.TextTiling{}, contentVector, match.GroupKMeans(8)
+		mrCfg := match.MRConfig{Strategy: variant.TextTiling{}, Vectorize: contentVector, Group: match.GroupKMeans(8), Seed: cfg.Seed}
 		return match.NewMR("Content-MR", docs, mrCfg), nil
 	}}
 	SentIntentMR = Method{"SentIntent-MR", func(docs []*segment.Doc, cfg Config) (match.Matcher, error) {
-		mrCfg := cfg.mr()
-		mrCfg.Strategy = variant.Sentences{}
-		return match.NewMR("SentIntent-MR", docs, mrCfg), nil
+		return match.NewMR("SentIntent-MR", docs, match.MRConfig{Strategy: variant.Sentences{}, Seed: cfg.Seed}), nil
 	}}
 	IntentIntentMR = Method{"IntentIntent-MR", func(docs []*segment.Doc, cfg Config) (match.Matcher, error) {
-		return match.NewMR("IntentIntent-MR", docs, cfg.mr()), nil
+		return match.NewMR("IntentIntent-MR", docs, match.MRConfig{Seed: cfg.Seed}), nil
 	}}
 )
-
-// mr returns the paper's multi-ranking configuration under the caller's
-// Seed and Workers.
-func (cfg Config) mr() match.MRConfig { return match.MRConfig{Seed: cfg.Seed, Workers: cfg.Workers} }
 
 // hashedTermVectorDim is the dimensionality of the feature-hashed TF
 // vectors Content-MR clusters (k-means needs dense fixed-width points; 64
@@ -110,11 +101,11 @@ func hashedTermVector(terms []string) []float64 {
 }
 
 // Prepare runs the text front end (HTML cleaning, sentence split, CM
-// annotation) over every post on workers goroutines, as core.Build does
-// before it segments.
-func Prepare(texts []string, workers int) []*segment.Doc {
+// annotation) over every post on GOMAXPROCS goroutines, as core.Build
+// does before it segments.
+func Prepare(texts []string) []*segment.Doc {
 	docs := make([]*segment.Doc, len(texts))
-	par.Do(len(texts), workers, func(i int) { docs[i] = segment.NewDoc(texts[i]) })
+	par.Do(len(texts), func(i int) { docs[i] = segment.NewDoc(texts[i]) })
 	return docs
 }
 

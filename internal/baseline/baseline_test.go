@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/forum"
@@ -25,7 +26,7 @@ func buildCorpus(t testing.TB, domain forum.Domain, n int, seed int64) *testCorp
 	for i, p := range tc.posts {
 		texts[i] = p.Text
 	}
-	tc.docs = Prepare(texts, 0)
+	tc.docs = Prepare(texts)
 	tc.terms = Terms(tc.docs)
 	return tc
 }
@@ -185,23 +186,26 @@ func TestMRBeatsFullTextOnConfusableCorpus(t *testing.T) {
 }
 
 // TestMethodsFollowTheRecipes pins each column to its recipe under the
-// caller's Seed and Workers; LDA.Seed falls back to Seed (Fig 11's LDA
-// configuration names no seed of its own).
+// caller's Seed; LDA.Seed falls back to Seed (Fig 11's LDA configuration
+// names no seed of its own). The recipes are built under GOMAXPROCS 1
+// and the columns under 8, so the build pools' size cannot show either.
 func TestMethodsFollowTheRecipes(t *testing.T) {
 	tc := buildCorpus(t, forum.TechSupport, 60, 5)
-	cfg := Config{LDA: lda.Config{K: 3, Iterations: 10}, Seed: 9, Workers: 2}
+	cfg := Config{LDA: lda.Config{K: 3, Iterations: 10}, Seed: 9}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	recipes := map[string]match.Matcher{
 		"FullText": NewFullText(tc.terms),
 		"Content-MR": match.NewMR("Content-MR", tc.docs, match.MRConfig{Strategy: variant.TextTiling{},
-			Vectorize: contentVector, Group: match.GroupKMeans(8), Seed: 9, Workers: 2}),
-		"SentIntent-MR":   match.NewMR("SentIntent-MR", tc.docs, match.MRConfig{Strategy: variant.Sentences{}, Seed: 9, Workers: 2}),
-		"IntentIntent-MR": match.NewMR("IntentIntent-MR", tc.docs, match.MRConfig{Seed: 9, Workers: 2}),
+			Vectorize: contentVector, Group: match.GroupKMeans(8), Seed: 9}),
+		"SentIntent-MR":   match.NewMR("SentIntent-MR", tc.docs, match.MRConfig{Strategy: variant.Sentences{}, Seed: 9}),
+		"IntentIntent-MR": match.NewMR("IntentIntent-MR", tc.docs, match.MRConfig{Seed: 9}),
 	}
 	lm, err := newLDA(tc.terms, lda.Config{K: 3, Iterations: 10, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	recipes["LDA"] = lm
+	runtime.GOMAXPROCS(8)
 	for _, m := range []Method{FullText, LDA, ContentMR, SentIntentMR, IntentIntentMR} {
 		built, err := m.Build(tc.docs, cfg)
 		if err != nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -29,7 +30,7 @@ func twoBlobs(nPer int, seed int64) (points [][]float64, wantLabelOf func(i int)
 func TestCentroids(t *testing.T) {
 	pts := [][]float64{{0, 0}, {2, 2}, {10, 10}, {12, 12}, {100, 100}}
 	labels := []int{0, 0, 1, 1, -1}
-	cents := Centroids(pts, labels, 2, 0)
+	cents := Centroids(pts, labels, 2)
 	if len(cents) != 2 {
 		t.Fatalf("got %d centroids", len(cents))
 	}
@@ -39,7 +40,7 @@ func TestCentroids(t *testing.T) {
 	if cents[1][0] != 11 || cents[1][1] != 11 {
 		t.Errorf("centroid 1 = %v, want [11 11]", cents[1])
 	}
-	if Centroids(nil, nil, 0, 0) != nil {
+	if Centroids(nil, nil, 0) != nil {
 		t.Error("Centroids of nothing should be nil")
 	}
 }
@@ -53,7 +54,7 @@ func TestSizes(t *testing.T) {
 
 func TestKMeansTwoClusters(t *testing.T) {
 	pts, want := twoBlobs(40, 6)
-	labels := KMeans(pts, 2, 42, 0, 0)
+	labels := KMeans(pts, 2, 42, 0)
 	// Same-blob points share a label; blobs differ.
 	for i := 1; i < 40; i++ {
 		if labels[i] != labels[0] {
@@ -68,8 +69,8 @@ func TestKMeansTwoClusters(t *testing.T) {
 
 func TestKMeansDeterministic(t *testing.T) {
 	pts, _ := twoBlobs(30, 7)
-	a := KMeans(pts, 3, 99, 0, 0)
-	b := KMeans(pts, 3, 99, 0, 0)
+	a := KMeans(pts, 3, 99, 0)
+	b := KMeans(pts, 3, 99, 0)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("KMeans with same seed differs across runs")
@@ -78,12 +79,12 @@ func TestKMeansDeterministic(t *testing.T) {
 }
 
 func TestKMeansEdgeCases(t *testing.T) {
-	if got := KMeans(nil, 3, 1, 0, 0); len(got) != 0 {
+	if got := KMeans(nil, 3, 1, 0); len(got) != 0 {
 		t.Error("KMeans(nil) should be empty")
 	}
 	// k > n clamps to n.
 	pts := [][]float64{{0}, {1}}
-	labels := KMeans(pts, 5, 1, 0, 0)
+	labels := KMeans(pts, 5, 1, 0)
 	for _, l := range labels {
 		if l < 0 || l >= 2 {
 			t.Errorf("label %d out of range after clamp", l)
@@ -91,7 +92,7 @@ func TestKMeansEdgeCases(t *testing.T) {
 	}
 	// Identical points: must terminate and label everything.
 	same := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	labels = KMeans(same, 2, 1, 0, 0)
+	labels = KMeans(same, 2, 1, 0)
 	if len(labels) != 4 {
 		t.Error("KMeans on identical points broke")
 	}
@@ -107,24 +108,27 @@ func TestInertia(t *testing.T) {
 }
 
 // TestParallelInvariance locks in the documented guarantee that k-means
-// and the centroid reduction return the same result for any worker count
-// (the -race run of this test also exercises the concurrent paths).
+// and the centroid reduction return the same result for any GOMAXPROCS,
+// the pool size of their parallel passes (the -race run of this test
+// also exercises the concurrent paths).
 func TestParallelInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := make([][]float64, 1500)
 	for i := range pts {
 		pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
 	}
-	wantKM := KMeans(pts, 4, 42, 0, 1)
-	wantCents := Centroids(pts, wantKM, 4, 1)
-	for _, workers := range []int{2, 3, 8} {
-		if got := KMeans(pts, 4, 42, 0, workers); !slices.Equal(got, wantKM) {
-			t.Errorf("workers=%d: KMeans labels differ", workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	wantKM := KMeans(pts, 4, 42, 0)
+	wantCents := Centroids(pts, wantKM, 4)
+	for _, procs := range []int{2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got := KMeans(pts, 4, 42, 0); !slices.Equal(got, wantKM) {
+			t.Errorf("GOMAXPROCS=%d: KMeans labels differ", procs)
 		}
-		cents := Centroids(pts, wantKM, 4, workers)
+		cents := Centroids(pts, wantKM, 4)
 		for c := range wantCents {
 			if !slices.Equal(cents[c], wantCents[c]) {
-				t.Fatalf("workers=%d: centroid %d %v != %v", workers, c, cents[c], wantCents[c])
+				t.Fatalf("GOMAXPROCS=%d: centroid %d %v != %v", procs, c, cents[c], wantCents[c])
 			}
 		}
 	}

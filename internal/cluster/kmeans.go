@@ -22,11 +22,11 @@ import (
 // over hashed TF vectors. The seed makes runs reproducible; maxIter
 // bounds Lloyd iterations (25 covers convergence on segment vectors).
 // The assignment step (every point against every centroid — the dominant
-// cost) and the k-means++ D² pass run over at most `workers` goroutines;
+// cost) and the k-means++ D² pass run over at most GOMAXPROCS goroutines;
 // all random draws stay on the caller's goroutine, so the labeling for a
-// given seed is identical for any worker count. It returns one cluster
+// given seed is identical for any GOMAXPROCS. It returns one cluster
 // label per point, always in 0..k-1.
-func KMeans(points [][]float64, k int, seed int64, maxIter, workers int) []int {
+func KMeans(points [][]float64, k int, seed int64, maxIter int) []int {
 	n := len(points)
 	labels := make([]int, n)
 	if n == 0 || k <= 0 {
@@ -39,11 +39,11 @@ func KMeans(points [][]float64, k int, seed int64, maxIter, workers int) []int {
 		maxIter = 25
 	}
 	rng := rand.New(rand.NewSource(seed))
-	cents := seedPlusPlus(points, k, rng, workers)
+	cents := seedPlusPlus(points, k, rng)
 
 	for iter := 0; iter < maxIter; iter++ {
 		var changed atomic.Bool
-		par.Chunks(n, workers, func(lo, hi int) {
+		par.Chunks(n, func(lo, hi int) {
 			chunkChanged := false
 			for i := lo; i < hi; i++ {
 				best, bestD := 0, math.Inf(1)
@@ -64,7 +64,7 @@ func KMeans(points [][]float64, k int, seed int64, maxIter, workers int) []int {
 		if !changed.Load() && iter > 0 {
 			break
 		}
-		cents = recompute(points, labels, k, rng, workers)
+		cents = recompute(points, labels, k, rng)
 	}
 	return labels
 }
@@ -72,13 +72,13 @@ func KMeans(points [][]float64, k int, seed int64, maxIter, workers int) []int {
 // seedPlusPlus picks k initial centroids with the k-means++ D² weighting.
 // The D² distances are computed in parallel, then summed and sampled in
 // index order on the caller's goroutine, so the seeding is deterministic.
-func seedPlusPlus(points [][]float64, k int, rng *rand.Rand, workers int) [][]float64 {
+func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
 	n := len(points)
 	cents := make([][]float64, 0, k)
 	cents = append(cents, clone(points[rng.Intn(n)]))
 	d2 := make([]float64, n)
 	for len(cents) < k {
-		par.Chunks(n, workers, func(lo, hi int) {
+		par.Chunks(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				best := math.Inf(1)
 				for _, c := range cents {
@@ -114,8 +114,8 @@ func seedPlusPlus(points [][]float64, k int, rng *rand.Rand, workers int) [][]fl
 
 // recompute derives new centroids from the labeling; an emptied cluster is
 // re-seeded with a random point to keep k stable.
-func recompute(points [][]float64, labels []int, k int, rng *rand.Rand, workers int) [][]float64 {
-	cents := Centroids(points, labels, k, workers)
+func recompute(points [][]float64, labels []int, k int, rng *rand.Rand) [][]float64 {
+	cents := Centroids(points, labels, k)
 	sizes := clusterSizes(labels, k)
 	for c := range cents {
 		if sizes[c] == 0 {
@@ -140,10 +140,9 @@ const centroidChunks = 16
 // Centroids computes the mean vector of each cluster. Points with a
 // negative label (DBSCAN's noise) are excluded. Clusters with no members
 // yield zero vectors. Large inputs accumulate per-chunk partial sums over
-// at most `workers` goroutines
-// (small inputs run serially, producing bit-identical results to the
-// original single-pass form).
-func Centroids(points [][]float64, labels []int, k, workers int) [][]float64 {
+// at most GOMAXPROCS goroutines (small inputs run serially, producing
+// bit-identical results to the original single-pass form).
+func Centroids(points [][]float64, labels []int, k int) [][]float64 {
 	if k == 0 || len(points) == 0 {
 		return nil
 	}
@@ -173,7 +172,7 @@ func Centroids(points [][]float64, labels []int, k, workers int) [][]float64 {
 	} else {
 		partials := make([][][]float64, centroidChunks)
 		partialCounts := make([][]int, centroidChunks)
-		par.Do(centroidChunks, workers, func(ci int) {
+		par.Do(centroidChunks, func(ci int) {
 			p := make([][]float64, k)
 			for i := range p {
 				p[i] = make([]float64, dim)

@@ -20,7 +20,7 @@ func TestRelatedAllocations(t *testing.T) {
 	texts, _ := corpusTexts(t, forum.TechSupport, 1000, 42)
 	for _, leg := range []struct {
 		shards, ceiling int
-	}{{0, 18}, {4, 30}} {
+	}{{0, 12}, {4, 25}} {
 		t.Run(fmt.Sprintf("shards=%d", leg.shards), func(t *testing.T) {
 			p, err := Build(texts, Config{Seed: 42, Shards: leg.shards})
 			if err != nil {

@@ -12,6 +12,10 @@
 //
 // Build is the offline phase (the paper runs it as pre-processing);
 // Related is the online phase (sub-millisecond per query at 100k posts).
+// Build fans its phases out over GOMAXPROCS goroutines, with output
+// identical for any GOMAXPROCS; Related runs on its caller's goroutine,
+// Algorithm 1's probes (and, sharded, the legs) one after the other, so
+// a server's concurrency is its requests'.
 //
 // A built Pipeline is safe for concurrent use: any number of goroutines
 // may interleave Related, Query, Add and Stats. Related never blocks on
@@ -68,18 +72,11 @@ type Config struct {
 	Seed int64
 	// Shards partitions the built collection across this many independent
 	// shard matchers served by scatter-gather (see internal/shard): Add
-	// routes to one shard, Related fans out to all and merges. Rankings
+	// routes to one shard, Related asks all in turn and merges. Rankings
 	// and scores are identical to the unsharded pipeline — sharding is a
 	// serving topology, not an approximation. 0 or 1 serves unsharded.
 	// The routing seed is Seed.
 	Shards int
-	// Workers bounds offline build parallelism — document preprocessing,
-	// segmentation, vectorization, the clustering internals, and
-	// per-cluster index construction all fan out over this many
-	// goroutines. 0 sizes the pool from the machine (GOMAXPROCS); results
-	// are identical for any worker count. The online per-query fan-out
-	// follows the same knob.
-	Workers int
 }
 
 // Stats describes where offline build time went (Fig 11 and Table 6).
@@ -143,12 +140,12 @@ func Build(texts []string, cfg Config) (*Pipeline, error) {
 	p := &Pipeline{}
 	tm := spanBuildPreprocess.StartAlways()
 	docs := make([]*segment.Doc, len(texts))
-	par.Do(len(texts), cfg.Workers, func(i int) { docs[i] = segment.NewDoc(texts[i]) })
+	par.Do(len(texts), func(i int) { docs[i] = segment.NewDoc(texts[i]) })
 	p.stats.Preprocess = tm.Stop()
 	p.stats.NumDocs = len(texts)
 	gaugeDocs.Set(int64(len(texts)))
 
-	mr := match.NewMR(IntentIntentMR.String(), docs, match.MRConfig{Seed: cfg.Seed, Workers: cfg.Workers})
+	mr := match.NewMR(IntentIntentMR.String(), docs, match.MRConfig{Seed: cfg.Seed})
 	bs := mr.Stats()
 	p.stats.Segmentation = bs.Segmentation
 	p.stats.Vectorization = bs.Vectorization

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,15 +26,17 @@ const (
 
 // goldenRender builds a pipeline over the fixed gencorpus-style corpus
 // and renders the top-k Related results for the fixed query set, scores
-// at full float64 round-trip precision.
-func goldenRender(t *testing.T, workers int) string {
+// at full float64 round-trip precision, under runtime.GOMAXPROCS(procs) —
+// the size of every build pool.
+func goldenRender(t *testing.T, procs int) string {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: goldenPosts, Seed: goldenSeed})
 	texts := make([]string, len(posts))
 	for i, p := range posts {
 		texts[i] = p.Text
 	}
-	p, err := Build(texts, Config{Seed: goldenSeed, Workers: workers})
+	p, err := Build(texts, Config{Seed: goldenSeed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func ablations(opt Options) (table, error) {
 	for _, d := range allDomains {
 		t.Columns = append(t.Columns, d.String())
 		ds := newDataset(d, opt.Scale, opt.Seed)
-		docs := baseline.Prepare(ds.texts, opt.Workers)
+		docs := baseline.Prepare(ds.texts)
 		for i, c := range configs {
 			mrCfg := c.mr
 			mrCfg.Seed = opt.Seed

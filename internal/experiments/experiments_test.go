@@ -277,7 +277,7 @@ func TestAblationsRenders(t *testing.T) {
 func TestAlg2ReplayMatchesServed(t *testing.T) {
 	for _, d := range allDomains {
 		ds := newDataset(d, quickOpt.Scale, quickOpt.Seed)
-		mr := match.NewMR("replay", baseline.Prepare(ds.texts, 0), match.MRConfig{Seed: quickOpt.Seed})
+		mr := match.NewMR("replay", baseline.Prepare(ds.texts), match.MRConfig{Seed: quickOpt.Seed})
 		for q := range ds.texts {
 			if got, want := (alg2Variant{}).match(mr, q, 5), mr.Match(q, 5); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v doc %d: replay %v, MR.Match %v", d, q, got, want)

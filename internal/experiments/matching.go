@@ -30,8 +30,8 @@ func newDataset(d forum.Domain, n int, seed int64) dataset {
 }
 
 // columnConfig is what Table 4 and Fig 10 build their columns with.
-func columnConfig(seed int64, workers int) baseline.Config {
-	return baseline.Config{LDA: lda.Config{K: 8, Iterations: 60}, Seed: seed, Workers: workers}
+func columnConfig(seed int64) baseline.Config {
+	return baseline.Config{LDA: lda.Config{K: 8, Iterations: 60}, Seed: seed}
 }
 
 // topFive calls f with the top 5 ids that match answers for each of
@@ -59,7 +59,7 @@ func table3(opt Options) (table, error) {
 	t.Rows = make([]row, len(buckets))
 	for _, d := range allDomains {
 		ds := newDataset(d, opt.Scale, opt.Seed)
-		p, err := core.Build(ds.texts, core.Config{Seed: opt.Seed, Workers: opt.Workers})
+		p, err := core.Build(ds.texts, core.Config{Seed: opt.Seed})
 		if err != nil {
 			return table{}, err
 		}
@@ -78,7 +78,7 @@ func table3(opt Options) (table, error) {
 // corpus: one row per segment-vector element, one column per cluster.
 func fig3(opt Options) (table, error) {
 	ds := newDataset(forum.TechSupport, opt.Scale, opt.Seed)
-	p, err := core.Build(ds.texts, core.Config{Seed: opt.Seed, Workers: opt.Workers})
+	p, err := core.Build(ds.texts, core.Config{Seed: opt.Seed})
 	if err != nil {
 		return table{}, err
 	}
@@ -129,11 +129,11 @@ func precisionTable(title string, domains []forum.Domain, methods []baseline.Met
 	t.Columns = append(t.Columns, "Gain")
 	for _, d := range domains {
 		ds := newDataset(d, opt.Scale, opt.Seed)
-		docs := baseline.Prepare(ds.texts, opt.Workers)
+		docs := baseline.Prepare(ds.texts)
 		r := row{Label: d.String()}
 		p := map[string]float64{}
 		for _, m := range methods {
-			mt, err := m.Build(docs, columnConfig(opt.Seed, opt.Workers))
+			mt, err := m.Build(docs, columnConfig(opt.Seed))
 			if err != nil {
 				return table{}, err
 			}
@@ -154,9 +154,9 @@ func fig10(opt Options) (table, error) {
 		Columns: []string{"Method", "0 rel", "1", "2", "3", "4", "5 rel"}}
 	for _, d := range allDomains {
 		ds := newDataset(d, opt.Scale, opt.Seed)
-		docs := baseline.Prepare(ds.texts, opt.Workers)
+		docs := baseline.Prepare(ds.texts)
 		for _, m := range []baseline.Method{baseline.FullText, baseline.IntentIntentMR} {
-			mt, err := m.Build(docs, columnConfig(opt.Seed, opt.Workers))
+			mt, err := m.Build(docs, columnConfig(opt.Seed))
 			if err != nil {
 				return table{}, err
 			}

@@ -41,10 +41,6 @@ type Options struct {
 	Table6Posts int
 	// Seed drives all generation and randomized algorithms.
 	Seed int64
-	// Workers bounds the offline-build parallelism of every pipeline the
-	// experiments construct (core.Config.Workers). 0 uses GOMAXPROCS.
-	// Results are identical for any worker count.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {

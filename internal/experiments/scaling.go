@@ -37,10 +37,10 @@ func fig11(opt Options) (table, error) {
 	const retrievalQueries = 50
 	for _, size := range opt.Sizes {
 		ds := newDataset(forum.TechSupport, size, opt.Seed)
-		docs := baseline.Prepare(ds.texts, opt.Workers)
+		docs := baseline.Prepare(ds.texts)
 		// Fig 11(c) times retrieval, not model training; keep the LDA fit
 		// short so large sizes stay tractable.
-		cfg := baseline.Config{LDA: lda.Config{K: 8, Iterations: scaledLDAIters(size)}, Seed: opt.Seed, Workers: opt.Workers}
+		cfg := baseline.Config{LDA: lda.Config{K: 8, Iterations: scaledLDAIters(size)}, Seed: opt.Seed}
 		s := row{Label: fmt.Sprintf("(a) segmentation, %d", size)}
 		g := row{Label: fmt.Sprintf("(b) grouping, %d", size)}
 		r := row{Label: fmt.Sprintf("(c) retrieval, %d", size)}
@@ -66,28 +66,37 @@ func fig11(opt Options) (table, error) {
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // retrievalPasses is how many timed passes over the same queries a
-// retrieval cell takes the median of.
-const retrievalPasses = 5
+// retrieval cell takes the median of, and minPass how long a pass runs
+// at least: the query set is repeated until it has. A pass of one set
+// of 50 fast queries lasted about 4 ms, short against the machine's
+// drift, and moved a 1k-post cell up to 1.7× between runs.
+const (
+	retrievalPasses = 5
+	minPass         = 50 * time.Millisecond
+)
 
 // perQuery times queries 0..n-1 through run: one untimed pass, then the
 // median of retrievalPasses timed ones, in µs per query. A single pass
 // right after a build measured the build's leftovers (a cold cache, a
 // pending GC) as much as the method, and reordered methods run to run.
 func perQuery(n int, run func(q int)) float64 {
-	pass := func() time.Duration {
-		start := time.Now()
-		for q := 0; q < n; q++ {
-			run(q)
+	pass := func() float64 {
+		start, queries := time.Now(), 0
+		for queries == 0 || time.Since(start) < minPass {
+			for q := 0; q < n; q++ {
+				run(q)
+			}
+			queries += n
 		}
-		return time.Since(start)
+		return ms(time.Since(start)) * 1000 / float64(queries)
 	}
 	pass()
-	times := make([]time.Duration, retrievalPasses)
-	for i := range times {
-		times[i] = pass()
+	perPass := make([]float64, retrievalPasses)
+	for i := range perPass {
+		perPass[i] = pass()
 	}
-	slices.Sort(times)
-	return ms(times[retrievalPasses/2]) * 1000 / float64(n)
+	slices.Sort(perPass)
+	return perPass[retrievalPasses/2]
 }
 
 // scaledLDAIters keeps LDA training affordable as collections grow; the
@@ -109,7 +118,7 @@ func scaledLDAIters(size int) int {
 // 1.5M posts).
 func table6(opt Options) (table, error) {
 	ds := newDataset(forum.Programming, opt.Table6Posts, opt.Seed)
-	p, err := core.Build(ds.texts, core.Config{Seed: opt.Seed, Workers: opt.Workers})
+	p, err := core.Build(ds.texts, core.Config{Seed: opt.Seed})
 	if err != nil {
 		return table{}, err
 	}

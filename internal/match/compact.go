@@ -499,7 +499,6 @@ func ReadMR(data []byte, dict *index.Dict) (*MR, error) {
 
 	mr := &MR{
 		name:      meta.Name,
-		cfg:       MRConfig{}.withDefaults(),
 		dict:      dict,
 		clusters:  clusters,
 		unitDoc:   unitDoc,

@@ -65,24 +65,24 @@ func (mr *MR) MatchExplained(docID, k int, tr *obs.Trace) ([]Result, []Explanati
 }
 
 // explainLocked decomposes each result of one query over the
-// per-segment lists its score was summed from. Callers hold at least
-// the read lock.
-func (mr *MR) explainLocked(out []Result, probes []ClusterQuery, lists [][]index.Result) []Explanation {
+// per-probe lists its score was summed from. Callers hold at least the
+// read lock.
+func (mr *MR) explainLocked(out []Result, probes []ClusterQuery, lists [][]Result) []Explanation {
 	exps := make([]Explanation, len(out))
 	for ri, r := range out {
 		exp := Explanation{DocID: r.DocID, Score: r.Score}
 		for i, q := range probes {
-			owners := mr.unitDoc[q.Cluster]
 			for _, lr := range lists[i] {
-				if int(owners[lr.Unit]) != r.DocID {
+				if lr.DocID != r.DocID {
 					continue
 				}
 				// The refined index holds at most one unit per (doc,
 				// cluster), so this is the cluster's whole contribution.
+				u, _ := mr.unitOf(q.Cluster, r.DocID)
 				exp.Clusters = append(exp.Clusters, ClusterContribution{
 					Cluster: q.Cluster,
 					Score:   lr.Score,
-					Terms:   mr.termBreakdown(q, lr.Unit),
+					Terms:   mr.termBreakdown(q, u),
 				})
 				break
 			}

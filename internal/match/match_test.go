@@ -2,6 +2,7 @@ package match
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/forum"
@@ -178,13 +179,16 @@ func TestMatcherNames(t *testing.T) {
 }
 
 func TestBuildParallelMatchesSerial(t *testing.T) {
-	// The build fan-out must not change the result: an MR built with 1
-	// worker and with many workers must agree on clusters, unit
-	// ownership, and match results (the -race run of this test also
-	// covers the parallel clustering and parallel Phase-3 indexing paths).
+	// The build fan-out must not change the result: an MR built under
+	// GOMAXPROCS 1 and under 8 must agree on clusters, unit ownership,
+	// and match results (the -race run of this test also covers the
+	// parallel clustering and parallel Phase-3 indexing paths).
 	tc := buildCorpus(t, forum.TechSupport, 60, 17)
-	serial := NewMR("serial", tc.docs, MRConfig{Seed: 42, Workers: 1})
-	parallel := NewMR("parallel", tc.docs, MRConfig{Seed: 42, Workers: 8})
+	build := func(procs int) *MR {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return NewMR("MR", tc.docs, MRConfig{Seed: 42})
+	}
+	serial, parallel := build(1), build(8)
 	if s, p := serial.ClusterSizes(), parallel.ClusterSizes(); !reflect.DeepEqual(s, p) {
 		t.Fatalf("cluster sizes %v (serial) != %v (parallel)", s, p)
 	}

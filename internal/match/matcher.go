@@ -5,6 +5,11 @@
 // most related posts. MRConfig's three stages (borders, vectors,
 // grouping) also give the segment-based comparison methods of Sec 9.2;
 // those, and the whole-post ones, are built in internal/baseline.
+//
+// The offline build fans out over GOMAXPROCS goroutines (internal/par),
+// its output the same for any GOMAXPROCS. A query does not fan out: its
+// Algorithm 1 probes run one after the other on the caller's goroutine,
+// through the loop a shard leg runs too (clusterListsLocked).
 package match
 
 // Result is one related document with its matching score, and the entry

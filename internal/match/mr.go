@@ -2,7 +2,6 @@ package match
 
 import (
 	"encoding/binary"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -68,8 +67,6 @@ type MRConfig struct {
 	Group Grouper
 	// Seed drives the grouping's random choices (k-means initialization).
 	Seed int64
-	// Workers bounds build parallelism. NumCPU when 0.
-	Workers int
 }
 
 // Vectorizer maps the segment of sentence units [lo, hi) of d to a
@@ -77,18 +74,18 @@ type MRConfig struct {
 type Vectorizer func(d *segment.Doc, lo, hi int) []float64
 
 // Grouper labels every vector with a cluster in [0, k) and returns the
-// labels and k. The output must be the same for any worker count.
-type Grouper func(vectors [][]float64, seed int64, workers int) (labels []int, k int)
+// labels and k. The output must be the same for any GOMAXPROCS.
+type Grouper func(vectors [][]float64, seed int64) (labels []int, k int)
 
 // GroupKMeans returns the Grouper that clusters with k-means at k
 // clusters, k clamped to the point count.
 func GroupKMeans(k int) Grouper {
-	return func(vectors [][]float64, seed int64, workers int) ([]int, int) {
+	return func(vectors [][]float64, seed int64) ([]int, int) {
 		k := k
 		if k > len(vectors) && len(vectors) > 0 {
 			k = len(vectors)
 		}
-		return cluster.KMeans(vectors, k, seed, 0, workers), k
+		return cluster.KMeans(vectors, k, seed, 0), k
 	}
 }
 
@@ -105,13 +102,6 @@ var (
 // of the union of the per-shard top-n lists, which is what makes the
 // scatter-gather merge ranking-equivalent.
 func (MRConfig) ListDepth(k int) int { return 2 * k }
-
-func (c MRConfig) withDefaults() MRConfig {
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
-	}
-	return c
-}
 
 // stages returns the configuration's three stages, the paper's in place
 // of any left nil.
@@ -293,9 +283,8 @@ type segRef struct {
 // segmentation → segment weight vectors → grouping → refinement →
 // per-cluster indexing. Segmentation, vectorization, the clustering
 // internals, and the per-cluster index construction all fan out over
-// cfg.Workers goroutines; the output is identical for any worker count.
+// GOMAXPROCS goroutines; the output is identical for any GOMAXPROCS.
 func NewMR(name string, docs []*segment.Doc, cfg MRConfig) *MR {
-	cfg = cfg.withDefaults()
 	mr := &MR{name: name, cfg: cfg}
 	strategy, vectorize, grouper := cfg.stages()
 
@@ -304,7 +293,7 @@ func NewMR(name string, docs []*segment.Doc, cfg MRConfig) *MR {
 	// the BuildStats duration, so the two never disagree.
 	phase := spanBuildSegment.StartAlways()
 	segmentations := make([]segment.Segmentation, len(docs))
-	par.Do(len(docs), cfg.Workers, func(i int) {
+	par.Do(len(docs), func(i int) {
 		segmentations[i] = strategy.Segment(docs[i])
 	})
 	mr.stats.Segmentation = phase.Stop()
@@ -324,14 +313,14 @@ func NewMR(name string, docs []*segment.Doc, cfg MRConfig) *MR {
 
 	phase = spanBuildVectorize.StartAlways()
 	vectors := make([][]float64, len(segs))
-	par.Do(len(segs), cfg.Workers, func(i int) {
+	par.Do(len(segs), func(i int) {
 		vectors[i] = vectorize(docs[segs[i].doc], segs[i].lo, segs[i].hi)
 	})
 	mr.stats.Vectorization = phase.Stop()
 
 	phase = spanBuildCluster.StartAlways()
-	labels, k := grouper(vectors, cfg.Seed, cfg.Workers)
-	mr.centroids = cluster.Centroids(vectors, labels, k, cfg.Workers)
+	labels, k := grouper(vectors, cfg.Seed)
+	mr.centroids = cluster.Centroids(vectors, labels, k)
 	mr.stats.NumClusters = k
 	mr.stats.Clustering = phase.Stop()
 
@@ -417,7 +406,7 @@ func (mr *MR) indexSegs(k int) {
 		}
 	}
 	mr.clusters = make([]*index.Index, k)
-	par.Do(k, mr.cfg.Workers, func(c int) { mr.clusters[c] = index.Build(mr.dict, units[c]) })
+	par.Do(k, func(c int) { mr.clusters[c] = index.Build(mr.dict, units[c]) })
 }
 
 // unitOf returns document d's unit in cluster c, and whether it has
@@ -431,9 +420,10 @@ func (mr *MR) Name() string { return mr.name }
 
 // Match implements Matcher: Algorithm 1 per intention cluster the reference
 // document appears in (top-n with n = 2k), then Algorithm 2's score
-// summation and global top-k. The per-cluster queries run in parallel over
-// a Workers-bounded pool; the read lock held throughout keeps the unit →
-// document tables consistent with the indices while a concurrent Add waits.
+// summation and global top-k. The per-cluster queries run one after the
+// other on the caller's goroutine; the read lock held throughout keeps
+// the unit → document tables consistent with the indices while a
+// concurrent Add waits.
 func (mr *MR) Match(docID, k int) []Result {
 	return mr.MatchTraced(docID, k, nil)
 }
@@ -449,10 +439,11 @@ func (mr *MR) MatchTraced(docID, k int, tr *obs.Trace) []Result {
 }
 
 // match is the one query path behind MatchTraced and MatchExplained:
-// Algorithm 1's lists, Algorithm 2's sums, the top-k — and, when explain
-// is set, the decomposition of every result over the very lists the
-// scores were summed from. The read lock is held across both halves, so
-// an explanation reconciles bit-for-bit with its scores even with
+// Algorithm 1's lists (clusterListsLocked, the loop a shard leg runs),
+// Algorithm 2's sums, the top-k — and, when explain is set, the
+// decomposition of every result over the very lists the scores were
+// summed from. The read lock is held across both halves, so an
+// explanation reconciles bit-for-bit with its scores even with
 // concurrent Adds in flight.
 func (mr *MR) match(docID, k int, tr *obs.Trace, explain bool) ([]Result, []Explanation) {
 	if k <= 0 {
@@ -464,13 +455,19 @@ func (mr *MR) match(docID, k int, tr *obs.Trace, explain bool) ([]Result, []Expl
 	if docID < 0 || docID >= mr.segs.numDocs() {
 		return nil, nil
 	}
-	probes, lists, n := mr.queryListsLocked(docID, k, tr)
-	// Algorithm 2: sum the per-intention list scores per owning document.
+	n := mr.cfg.ListDepth(k)
+	probes := mr.probesLocked(docID)
+	lists := mr.clusterListsLocked(probes, n, docID, nil, tr)
+	// Algorithm 2: sum the per-intention list scores per document, in
+	// probe order and list order — float summation is not associative,
+	// and this is the order the shard merge reproduces.
 	scores := make(map[int]float64, n*len(probes))
-	for i, q := range probes {
-		owners := mr.unitDoc[q.Cluster]
-		for _, r := range lists[i] {
-			scores[int(owners[r.Unit])] += r.Score
+	for i, l := range lists {
+		for _, r := range l {
+			scores[r.DocID] += r.Score
+		}
+		if tr != nil {
+			tr.Event("match.list", obs.N("cluster", int64(probes[i].Cluster)), obs.N("width", int64(len(l))))
 		}
 	}
 	histQueryLists.Observe(int64(len(probes)))
@@ -492,38 +489,9 @@ func (mr *MR) match(docID, k int, tr *obs.Trace, explain bool) ([]Result, []Expl
 	return out, mr.explainLocked(out, probes, lists)
 }
 
-// queryListsLocked runs Algorithm 1: one top-n index query per
-// intention cluster the reference document appears in — its frozen
-// probes (probesLocked) — fanned out over the worker pool. Callers must
-// hold at least the read lock; n is the per-list depth used. The
-// results are deliberately unnamed, and every
-// local the par.Do closure reads is assigned once: anything else is
-// captured by reference, a heap cell each on the allocation-gated path.
-func (mr *MR) queryListsLocked(docID, k int, tr *obs.Trace) ([]ClusterQuery, [][]index.Result, int) {
-	n := mr.cfg.ListDepth(k)
-	probes := mr.probesLocked(docID)
-	// Each intention list is an independent index query, so they fan
-	// out. Each lands in its own slot and the merge walks them in segment
-	// order — float summation is not associative, so merge order must not
-	// depend on goroutine scheduling.
-	lists := make([][]index.Result, len(probes))
-	par.Do(len(probes), mr.cfg.Workers, func(i int) {
-		q := probes[i]
-		own, _ := mr.unitOf(q.Cluster, docID)
-		lists[i] = mr.clusters[q.Cluster].QueryFrozen(nil,
-			q.Terms, q.QF, q.IDF, q.AvgUnique, n, nil, func(u int) bool { return u == own }, tr)
-		if tr != nil {
-			tr.Event("match.list",
-				obs.N("cluster", int64(q.Cluster)),
-				obs.N("width", int64(len(lists[i]))))
-		}
-	})
-	return probes, lists, n
-}
-
-// Config returns the matcher's configuration, its worker count resolved:
-// what the sharding layer copies so every shard queries and ingests
-// exactly as the source matcher does. Stages left nil are the paper's.
+// Config returns the matcher's configuration: what the sharding layer
+// copies so every shard queries and ingests exactly as the source
+// matcher does. Stages left nil are the paper's.
 func (mr *MR) Config() MRConfig { return mr.cfg }
 
 // Stats returns the build-phase timing and size statistics.

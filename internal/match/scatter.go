@@ -95,9 +95,9 @@ func (mr *MR) probesLocked(docID int) []ClusterQuery {
 // range yield nil lists. The lists are windows of one array, each
 // capped at its own end.
 //
-// Probes run sequentially under one read-lock acquisition: the shard
-// group already fans out across shards, and the single lock hold gives
-// the probes one consistent view of this shard, as Match has.
+// Probes run one after the other under one read-lock acquisition, the
+// loop Match runs too (clusterListsLocked): the single lock hold gives
+// the probes one consistent view of this shard.
 //
 // thetas, when non-nil, carries one index.Theta per probe, shared by
 // every shard's call for the same probes: each scan discards what cannot
@@ -108,6 +108,12 @@ func (mr *MR) probesLocked(docID int) []ClusterQuery {
 func (mr *MR) QueryClusterLists(probes []ClusterQuery, n, excludeDoc int, thetas []index.Theta, tr *obs.Trace) [][]Result {
 	mr.mu.RLock()
 	defer mr.mu.RUnlock()
+	return mr.clusterListsLocked(probes, n, excludeDoc, thetas, tr)
+}
+
+// clusterListsLocked is QueryClusterLists' body; callers hold at least
+// the read lock.
+func (mr *MR) clusterListsLocked(probes []ClusterQuery, n, excludeDoc int, thetas []index.Theta, tr *obs.Trace) [][]Result {
 	lists := make([][]Result, len(probes))
 	// A list holds at most n units and at most its cluster's, which
 	// cannot grow under the read lock: the array is never outgrown.
@@ -146,6 +152,6 @@ func (mr *MR) QueryClusterLists(probes []ClusterQuery, n, excludeDoc int, thetas
 	return lists
 }
 
-// unitLists pools the buffer QueryClusterLists scans a probe's units
+// unitLists pools the buffer clusterListsLocked scans a probe's units
 // into before mapping them to their documents.
 var unitLists = sync.Pool{New: func() any { return new([]index.Result) }}

@@ -179,8 +179,8 @@ func TestTopKScoresSelection(t *testing.T) {
 func TestConfigAndPendingAccessors(t *testing.T) {
 	tc := buildCorpus(t, forum.TechSupport, 20, 9)
 	mr := NewMR("MR", tc.docs, MRConfig{Seed: 42})
-	if cfg := mr.Config(); cfg.Workers <= 0 || cfg.ListDepth(5) != 10 {
-		t.Errorf("Config should resolve the worker count: Workers %d, ListDepth(5) %d, want > 0 and 10", cfg.Workers, cfg.ListDepth(5))
+	if cfg := mr.Config(); cfg.Seed != 42 || cfg.ListDepth(5) != 10 {
+		t.Errorf("Config: Seed %d, ListDepth(5) %d, want 42 and 10", cfg.Seed, cfg.ListDepth(5))
 	}
 	pa := mr.PrepareAdd(tc.docs[0])
 	if pa.NumSegments() <= 0 {

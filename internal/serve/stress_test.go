@@ -26,7 +26,11 @@ import (
 // every engine to find one in: the unsharded pipeline, the 4-shard
 // group and a coordinator whose every shard has a replica to hedge to,
 // each behind the cache, singleflight and admission, under concurrent
-// /related (plain and explained) and /add.
+// /related (plain and explained) and /add. Every fourth probe to a
+// primary replies 20 ms late, past the coordinator's 10 ms hedge floor
+// (T/20 of a 200 ms budget) and inside its 50 ms attempt, so the
+// coordinator row hedges and the late primary replies arrive after
+// their legs are done.
 func TestRecycledTracesStress(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
@@ -38,10 +42,18 @@ func TestRecycledTracesStress(t *testing.T) {
 		lt.AddHost(replica, h)
 		topo.Endpoints = append(topo.Endpoints, fleet.ShardEndpoints{Shard: s, Primary: primary, Replicas: []string{replica}})
 	}
-	coordinator, err := fleet.New(context.Background(), topo, fleet.Options{Transport: lt})
+	chaos := fleet.NewChaos(lt, fleet.RealClock{})
+	chaos.Fallback = func(endpoint, kind string, call int) fleet.ChaosAction {
+		if kind == "probe" && strings.HasPrefix(endpoint, "recycle-p") && call%4 == 1 {
+			return fleet.ChaosAction{ReplyDelay: 20 * time.Millisecond}
+		}
+		return fleet.ChaosAction{}
+	}
+	coordinator, err := fleet.New(context.Background(), topo, fleet.Options{Transport: chaos, Timeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hedges := obs.GetOrNewCounter("fleet.hedges")
 	const docs = 120
 	adds := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: 40, Seed: 27})
 	for name, eng := range map[string]Engine{
@@ -50,6 +62,7 @@ func TestRecycledTracesStress(t *testing.T) {
 		"coordinator": coordinator,
 	} {
 		srv := New(eng, Config{SlowQuery: time.Hour, CacheEntries: 16, MaxInflight: 3, MaxQueued: 64})
+		hedges0 := hedges.Value()
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -73,6 +86,13 @@ func TestRecycledTracesStress(t *testing.T) {
 		wg.Wait()
 		if kept := len(srv.tracer.Snapshot()); kept != 0 {
 			t.Errorf("%s: %d traces published; every one should have been recycled", name, kept)
+		}
+		if name == "coordinator" {
+			launched := hedges.Value() - hedges0
+			t.Logf("coordinator: %d hedges launched", launched)
+			if launched == 0 {
+				t.Error("coordinator: no hedge launched; the row must hand the race detector a hedged RPC")
+			}
 		}
 	}
 }

@@ -2,10 +2,10 @@
 // splits one built match.MR collection across N independent shard
 // matchers by deterministic document-id routing, answers Related
 // queries by scattering Algorithm 1's per-intention-cluster probes to
-// every shard in parallel and merging the per-shard candidate lists
-// that arrive sorted, and routes each Add to exactly one shard —
-// so writers contend on 1/N of the corpus and readers of the other
-// shards never block on a commit.
+// every shard in turn, on the request's goroutine, and merging the
+// per-shard candidate lists that arrive sorted, and routes each Add to
+// exactly one shard — so writers contend on 1/N of the corpus and
+// readers of the other shards never block on a commit.
 //
 // The load-bearing guarantee is exact equivalence with the unsharded
 // path: for the same collection and the same query, a Group returns
@@ -49,7 +49,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/match"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/segment"
 )
 
@@ -253,8 +252,9 @@ func (g *Group) gather(docID, k int, tr *obs.Trace) (probes []match.ClusterQuery
 
 	// Scatter: every shard answers every probe at the full unsharded
 	// depth n (invariant 2 of the package comment needs the union of
-	// per-shard top-n lists to cover the global top-n), all legs at once
-	// under one shared index.Theta per probe. A leg's n-th best score over
+	// per-shard top-n lists to cover the global top-n), one leg after the
+	// other under one shared index.Theta per probe, which each leg hands
+	// on raised to what it found. A leg's n-th best score over
 	// non-excluded units is a lower bound on the merged list's n-th score
 	// (the merge is a top-n over a superset of the leg's candidates), so
 	// every leg raises the Theta to it and discards what scores strictly
@@ -265,7 +265,7 @@ func (g *Group) gather(docID, k int, tr *obs.Trace) (probes []match.ClusterQuery
 	// even while concurrent adds move the statistics pool.
 	perShard := make([][][]match.Result, g.n)
 	thetas := make([]index.Theta, len(probes))
-	par.Do(g.n, g.cfg.Workers, func(s int) {
+	for s := range perShard {
 		st := g.spanQuery[s].Start()
 		excl := -1
 		if s == home {
@@ -274,8 +274,6 @@ func (g *Group) gather(docID, k int, tr *obs.Trace) (probes []match.ClusterQuery
 		perShard[s] = g.shards[s].QueryClusterLists(probes, n, excl, thetas, tr)
 		st.Stop()
 		g.ctrQueries[s].Inc()
-	})
-	for s := range perShard {
 		w := 0
 		for _, l := range perShard[s] {
 			w += len(l)

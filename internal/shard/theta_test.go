@@ -17,8 +17,9 @@ import (
 // soundness argument (Group.gather): whatever order the legs of one
 // probe run in, and however they overlap, the merged lists and the
 // ranking are the unsharded matcher's bit for bit, and no Theta ever
-// passes the merged list's n-th score. Group.gather hands its legs to
-// par.Do; here the legs are run by hand so the order is the test's.
+// passes the merged list's n-th score. Group.gather walks its legs in
+// shard order and a fleet coordinator's arrive as the network delivers
+// them; here the legs are run by hand so the order is the test's.
 
 // handScatter is one query's scatter with the legs under the test's
 // control: the probes frozen on the home shard, as gather resolves them.

@@ -71,9 +71,9 @@ func dbscan(points [][]float64, eps float64, minPts int) (labels []int, k int) {
 // "knee" of the sorted k-distance plot, approximated, with headroom so that
 // uniform within-cluster spread does not fragment a cluster into density
 // islands). k is typically minPts−1. The per-point k-distance pass is
-// independent across points and runs over at most `workers` goroutines
-// (GOMAXPROCS when <= 0); the result is identical for any worker count.
-func estimateEps(points [][]float64, k, workers int) float64 {
+// independent across points and runs over at most GOMAXPROCS goroutines;
+// the result is identical for any GOMAXPROCS.
+func estimateEps(points [][]float64, k int) float64 {
 	n := len(points)
 	if n == 0 || k <= 0 {
 		return 0
@@ -82,7 +82,7 @@ func estimateEps(points [][]float64, k, workers int) float64 {
 		k = n - 1
 	}
 	kd := make([]float64, n)
-	par.Chunks(n, workers, func(lo, hi int) {
+	par.Chunks(n, func(lo, hi int) {
 		dists := make([]float64, 0, n-1)
 		for i := lo; i < hi; i++ {
 			dists = dists[:0]
@@ -102,16 +102,16 @@ func estimateEps(points [][]float64, k, workers int) float64 {
 // EstimateEpsSampled runs the k-distance eps heuristic on a deterministic
 // systematic sample of at most maxSample points (the exact heuristic is
 // quadratic in the sample size).
-func EstimateEpsSampled(points [][]float64, k, maxSample, workers int) float64 {
+func EstimateEpsSampled(points [][]float64, k, maxSample int) float64 {
 	if maxSample <= 0 || len(points) <= maxSample {
-		return estimateEps(points, k, workers)
+		return estimateEps(points, k)
 	}
 	stride := len(points) / maxSample
 	sample := make([][]float64, 0, maxSample)
 	for i := 0; i < len(points) && len(sample) < maxSample; i += stride {
 		sample = append(sample, points[i])
 	}
-	return estimateEps(sample, k, workers)
+	return estimateEps(sample, k)
 }
 
 // Sampled runs DBSCAN on a deterministic sample of at most sampleSize
@@ -120,8 +120,8 @@ func EstimateEpsSampled(points [][]float64, k, maxSample, workers int) float64 {
 // for linear scaling, which is what makes the Table 6 StackOverflow-scale
 // grouping run in minutes instead of hours. The per-point assignment runs
 // its candidate lookup through the same Grid index DBSCAN queries, in
-// parallel over at most `workers` goroutines.
-func Sampled(points [][]float64, eps float64, minPts, sampleSize, workers int) (labels []int, k int) {
+// parallel over at most GOMAXPROCS goroutines.
+func Sampled(points [][]float64, eps float64, minPts, sampleSize int) (labels []int, k int) {
 	n := len(points)
 	if n <= sampleSize {
 		return dbscan(points, eps, minPts)
@@ -133,7 +133,7 @@ func Sampled(points [][]float64, eps float64, minPts, sampleSize, workers int) (
 		sample = append(sample, points[i])
 	}
 	sampleLabels, k := dbscan(sample, eps, minPts)
-	cents := cluster.Centroids(sample, sampleLabels, k, workers)
+	cents := cluster.Centroids(sample, sampleLabels, k)
 
 	labels = make([]int, n)
 	assignEps := eps * 2 // looser radius for assignment to centroids
@@ -148,7 +148,7 @@ func Sampled(points [][]float64, eps float64, minPts, sampleSize, workers int) (
 	if k >= gridAssignMin {
 		grid = NewGrid(cents, assignEps)
 	}
-	par.Chunks(n, workers, func(lo, hi int) {
+	par.Chunks(n, func(lo, hi int) {
 		var buf []int32
 		for i := lo; i < hi; i++ {
 			best, bestD := Noise, math.Inf(1)
@@ -175,14 +175,14 @@ func Sampled(points [][]float64, eps float64, minPts, sampleSize, workers int) (
 // AssignNoise relabels every Noise point to its nearest cluster centroid,
 // so that all segments can participate in matching. It returns the number
 // of points reassigned. With no centroids nothing changes. Points are
-// independent, so the pass runs over at most `workers` goroutines; labels
-// are identical for any worker count.
-func AssignNoise(points [][]float64, labels []int, centroids [][]float64, workers int) int {
+// independent, so the pass runs over at most GOMAXPROCS goroutines; labels
+// are identical for any GOMAXPROCS.
+func AssignNoise(points [][]float64, labels []int, centroids [][]float64) int {
 	if len(centroids) == 0 {
 		return 0
 	}
 	var moved atomic.Int64
-	par.Chunks(len(labels), workers, func(lo, hi int) {
+	par.Chunks(len(labels), func(lo, hi int) {
 		chunkMoved := 0
 		for i := lo; i < hi; i++ {
 			if labels[i] != Noise {

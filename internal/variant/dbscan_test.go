@@ -116,7 +116,7 @@ func TestDBSCANLabelRangeProperty(t *testing.T) {
 
 func TestEstimateEps(t *testing.T) {
 	pts, _ := twoBlobs(25, 3)
-	eps := estimateEps(pts, 3, 0)
+	eps := estimateEps(pts, 3)
 	if eps <= 0 || eps > 0.2 {
 		t.Fatalf("estimateEps = %v, want small positive for tight blobs", eps)
 	}
@@ -125,7 +125,7 @@ func TestEstimateEps(t *testing.T) {
 		t.Fatalf("DBSCAN with estimated eps found %d clusters, want 2 (eps=%v)", k, eps)
 	}
 	_ = labels
-	if estimateEps(nil, 3, 0) != 0 {
+	if estimateEps(nil, 3) != 0 {
 		t.Error("estimateEps(nil) != 0")
 	}
 }
@@ -133,7 +133,7 @@ func TestEstimateEps(t *testing.T) {
 func TestSampledMatchesExactOnSmallInput(t *testing.T) {
 	pts, _ := twoBlobs(20, 4)
 	exactLabels, exactK := dbscan(pts, 0.1, 3)
-	sampLabels, sampK := Sampled(pts, 0.1, 3, 1000, 0)
+	sampLabels, sampK := Sampled(pts, 0.1, 3, 1000)
 	if exactK != sampK {
 		t.Fatalf("Sampled k=%d, exact k=%d", sampK, exactK)
 	}
@@ -146,7 +146,7 @@ func TestSampledMatchesExactOnSmallInput(t *testing.T) {
 
 func TestSampledLargeInput(t *testing.T) {
 	pts, want := twoBlobs(600, 5)
-	labels, k := Sampled(pts, 0.1, 3, 100, 0)
+	labels, k := Sampled(pts, 0.1, 3, 100)
 	if k != 2 {
 		t.Fatalf("Sampled found %d clusters, want 2", k)
 	}
@@ -166,14 +166,14 @@ func TestAssignNoise(t *testing.T) {
 	pts := [][]float64{{0, 0}, {10, 10}, {1, 1}, {9, 9}}
 	labels := []int{0, 1, Noise, Noise}
 	cents := [][]float64{{0, 0}, {10, 10}}
-	moved := AssignNoise(pts, labels, cents, 0)
+	moved := AssignNoise(pts, labels, cents)
 	if moved != 2 {
 		t.Fatalf("moved = %d, want 2", moved)
 	}
 	if labels[2] != 0 || labels[3] != 1 {
 		t.Errorf("labels after AssignNoise = %v", labels)
 	}
-	if AssignNoise(pts, labels, nil, 0) != 0 {
+	if AssignNoise(pts, labels, nil) != 0 {
 		t.Error("AssignNoise with no centroids should move nothing")
 	}
 }
@@ -190,6 +190,6 @@ func BenchmarkSampled10000(b *testing.B) {
 	pts, _ := twoBlobs(5000, 9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Sampled(pts, 0.1, 4, 500, 0)
+		Sampled(pts, 0.1, 4, 500)
 	}
 }

@@ -2,6 +2,7 @@ package variant
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -121,34 +122,36 @@ func TestDBSCANDuplicatePoints(t *testing.T) {
 
 // TestParallelInvariance locks in the documented guarantee that every
 // parallelized DBSCAN-side primitive returns the same result for any
-// worker count (the -race run of this test also exercises the concurrent
-// paths).
+// GOMAXPROCS, the pool size of its passes (the -race run of this test
+// also exercises the concurrent paths).
 func TestParallelInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := randPoints(1500, 5, rng)
 
-	wantEps := estimateEps(pts, 3, 1)
-	wantSampledL, wantSampledK := Sampled(pts, 0.1, 4, 300, 1)
-	km := cluster.KMeans(pts, 4, 42, 0, 1)
-	cents := cluster.Centroids(pts, km, 4, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	wantEps := estimateEps(pts, 3)
+	wantSampledL, wantSampledK := Sampled(pts, 0.1, 4, 300)
+	km := cluster.KMeans(pts, 4, 42, 0)
+	cents := cluster.Centroids(pts, km, 4)
 	noisy := append([]int(nil), km...)
 	for i := 0; i < len(noisy); i += 7 {
 		noisy[i] = Noise
 	}
 	wantNoise := append([]int(nil), noisy...)
-	wantMoved := AssignNoise(pts, wantNoise, cents, 1)
+	wantMoved := AssignNoise(pts, wantNoise, cents)
 
-	for _, workers := range []int{2, 3, 8} {
-		if got := estimateEps(pts, 3, workers); got != wantEps {
-			t.Errorf("workers=%d: estimateEps %v != %v", workers, got, wantEps)
+	for _, procs := range []int{2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got := estimateEps(pts, 3); got != wantEps {
+			t.Errorf("GOMAXPROCS=%d: estimateEps %v != %v", procs, got, wantEps)
 		}
-		gotL, gotK := Sampled(pts, 0.1, 4, 300, workers)
+		gotL, gotK := Sampled(pts, 0.1, 4, 300)
 		if gotK != wantSampledK || !slices.Equal(gotL, wantSampledL) {
-			t.Errorf("workers=%d: Sampled differs", workers)
+			t.Errorf("GOMAXPROCS=%d: Sampled differs", procs)
 		}
 		relabel := append([]int(nil), noisy...)
-		if moved := AssignNoise(pts, relabel, cents, workers); moved != wantMoved || !slices.Equal(relabel, wantNoise) {
-			t.Errorf("workers=%d: AssignNoise differs (moved %d want %d)", workers, moved, wantMoved)
+		if moved := AssignNoise(pts, relabel, cents); moved != wantMoved || !slices.Equal(relabel, wantNoise) {
+			t.Errorf("GOMAXPROCS=%d: AssignNoise differs (moved %d want %d)", procs, moved, wantMoved)
 		}
 	}
 }
@@ -160,17 +163,17 @@ func TestEstimateEpsSampled(t *testing.T) {
 	for i := 0; i < 1200; i++ {
 		vecs = append(vecs, []float64{float64(i) / 100, float64(i%13) / 10})
 	}
-	eps := EstimateEpsSampled(vecs, 3, 500, 0)
+	eps := EstimateEpsSampled(vecs, 3, 500)
 	if eps <= 0 {
 		t.Errorf("sampled eps = %v, want > 0", eps)
 	}
 	// Small sets use the exact estimator; both paths must agree on scale.
-	exact := EstimateEpsSampled(vecs[:400], 3, 500, 0)
+	exact := EstimateEpsSampled(vecs[:400], 3, 500)
 	if exact <= 0 {
 		t.Errorf("exact eps = %v", exact)
 	}
 	// The sampled path must equal the exact estimator over the sample.
-	if got, want := EstimateEpsSampled(vecs, 3, 400, 0), estimateEps(vecs[:1200:1200], 3, 0); got <= 0 || want <= 0 {
+	if got, want := EstimateEpsSampled(vecs, 3, 400), estimateEps(vecs[:1200:1200], 3); got <= 0 || want <= 0 {
 		t.Errorf("estimators degenerate: sampled %v exact %v", got, want)
 	}
 }

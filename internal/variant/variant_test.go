@@ -2,6 +2,7 @@ package variant
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -27,13 +28,13 @@ func corpusDocs(n int, seed int64) []*segment.Doc {
 func TestGroupDBSCANAssignsNoise(t *testing.T) {
 	pts, _ := twoBlobs(20, 2)
 	pts = append(pts, []float64{0.5, 0.1}, []float64{0.1, 0.9})
-	raw, rawK := Sampled(pts, EstimateEpsSampled(pts, 3, 500, 1), 4, 2000, 1)
-	labels, k := GroupDBSCAN(pts, 0, 1)
+	raw, rawK := Sampled(pts, EstimateEpsSampled(pts, 3, 500), 4, 2000)
+	labels, k := GroupDBSCAN(pts, 0)
 	if k != rawK || k == 0 {
 		t.Fatalf("k = %d, DBSCAN found %d", k, rawK)
 	}
 	noise := 0
-	cents := cluster.Centroids(pts, raw, rawK, 1)
+	cents := cluster.Centroids(pts, raw, rawK)
 	for i, l := range labels {
 		switch {
 		case l < 0 || l >= k:
@@ -53,24 +54,27 @@ func TestGroupDBSCANAssignsNoise(t *testing.T) {
 		t.Error("no noise to assign: the test data lost its outliers")
 	}
 
-	labels, k = GroupDBSCAN([][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}}, 0, 1)
+	labels, k = GroupDBSCAN([][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}}, 0)
 	if k != 1 || !reflect.DeepEqual(labels, []int{0, 0, 0, 0}) {
 		t.Errorf("no cluster found: labels %v, k %d; want one catch-all cluster", labels, k)
 	}
-	if labels, k = GroupDBSCAN(nil, 0, 1); len(labels) != 0 || k != 1 {
+	if labels, k = GroupDBSCAN(nil, 0); len(labels) != 0 || k != 1 {
 		t.Errorf("no vectors: labels %v, k %d", labels, k)
 	}
 }
 
 // TestGroupDBSCANWorkerInvariance: a matcher grouped by the DBSCAN stage
-// is the same built on 1 worker and on 8 (the -race run also covers the
-// parallel eps estimate, sampled assignment and noise reassignment).
+// is the same built under GOMAXPROCS 1 and 8 (the -race run also covers
+// the parallel eps estimate, sampled assignment and noise reassignment).
 func TestGroupDBSCANWorkerInvariance(t *testing.T) {
 	docs := corpusDocs(60, 17)
-	serial := match.NewMR("serial", docs, match.MRConfig{Group: GroupDBSCAN, Seed: 42, Workers: 1})
-	parallel := match.NewMR("parallel", docs, match.MRConfig{Group: GroupDBSCAN, Seed: 42, Workers: 8})
+	build := func(procs int) *match.MR {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return match.NewMR("dbscan", docs, match.MRConfig{Group: GroupDBSCAN, Seed: 42})
+	}
+	serial, parallel := build(1), build(8)
 	if !reflect.DeepEqual(serial.Centroids(), parallel.Centroids()) {
-		t.Fatal("centroids differ between 1 and 8 workers")
+		t.Fatal("centroids differ between GOMAXPROCS 1 and 8")
 	}
 	for q := 0; q < 10; q++ {
 		if sr, pr := serial.Match(q, 5), parallel.Match(q, 5); !reflect.DeepEqual(sr, pr) {
