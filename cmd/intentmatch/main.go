@@ -13,12 +13,18 @@
 //	intentmatch -corpus corpus.jsonl -save built.idx        # offline build
 //	intentmatch -corpus corpus.jsonl -save built.idx -save-shards 4   # the same, partitioned
 //	intentmatch -load built.idx -query 0,7 -k 5             # online serving
+//
+// Every flag is a row of options.table, which also names the modes
+// that read it; a flag set where nothing reads it is refused by name.
+// README.md's cmd/intentmatch flag table ("Command-line tools") is
+// rendered from the rows.
 package main
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,6 +36,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/knob"
 	"repro/internal/lda"
 	"repro/internal/match"
 	"repro/internal/par"
@@ -45,58 +52,154 @@ var baselines = map[string]baseline.Method{
 	"fulltext": baseline.FullText, "lda": baseline.LDA, "content": baseline.ContentMR, "sent": baseline.SentIntentMR,
 }
 
-// explainFunc is an explained query, the form explainQueries prints.
-type explainFunc func(docID, k int) ([]match.Result, []match.Explanation)
+// options are the flags; table declares them.
+type options struct {
+	corpus, query, method, save, load string
+	k, saveShards                     int
+	seed                              int64
+	explain                           bool
+}
 
-// explainPipeline adapts a pipeline's explained Query to explainFunc.
-func explainPipeline(p *core.Pipeline) explainFunc {
-	return func(docID, k int) ([]match.Result, []match.Explanation) {
-		ans, err := p.Query(context.Background(), docID, k, true)
-		if err != nil {
-			fatal(err)
-		}
-		return ans.Results, ans.Explanations
+// The modes, one bit each: -load, then -method and -save choose one.
+const (
+	intentQuery knob.Modes = 1 << iota
+	intentSave
+	baselineBuild
+	loaded
+
+	builds  = intentQuery | intentSave | baselineBuild
+	queries = intentQuery | baselineBuild | loaded
+)
+
+var modeNames = []string{"intent build", "-save", "baseline build (-method ≠ intent)", "-load"}
+
+// table is every flag, each declared once; README's cmd/intentmatch
+// knob table is rendered from it.
+func (o *options) table() *knob.Table {
+	return &knob.Table{Modes: modeNames, Rows: []knob.Row{
+		{Name: "corpus", Value: &o.corpus, Default: "-", Modes: builds,
+			Help: "JSON-lines corpus file (- reads stdin)"},
+		{Name: "query", Value: &o.query, Default: "0", Modes: queries,
+			Help: "comma-separated reference post ids"},
+		{Name: "k", Value: &o.k, Default: 5, Modes: queries, Range: knob.Between(1, 100),
+			Help: "number of related posts to return"},
+		{Name: "method", Value: &o.method, Default: "intent", Modes: builds, Range: knob.OneOf("intent", "fulltext", "lda", "content", "sent"),
+			Help: "matching method: intent is the paper's, the others build an internal/baseline matcher"},
+		{Name: "seed", Value: &o.seed, Default: int64(1), Modes: builds,
+			Help: "random seed"},
+		{Name: "save", Value: &o.save, Default: "", Modes: intentSave,
+			Help: "write the built pipeline to this file and exit"},
+		{Name: "save-shards", Value: &o.saveShards, Default: 0, Modes: intentSave, Range: knob.AtLeast(0),
+			Help: "partition the saved build into this many shards; the snapshot is still one file (servable whole with `serve -load`, or piecewise with `serve -shard-role shard -own N`)"},
+		{Name: "load", Value: &o.load, Default: "", Modes: loaded,
+			Help: "load a previously saved pipeline instead of building"},
+		{Name: "explain", Value: &o.explain, Default: false, Modes: queries,
+			Help: "print each result's Eq 7–9 score decomposition (per-cluster contributions and top terms)"},
+	}}
+}
+
+// mode is the mode the flags choose.
+func (o *options) mode() knob.Modes {
+	switch {
+	case o.load != "":
+		return loaded
+	case o.method != "intent":
+		return baselineBuild
+	case o.save != "":
+		return intentSave
 	}
+	return intentQuery
+}
+
+// parseFlags parses args and refuses, by name, a flag set outside its
+// range or in a mode that does not read it.
+func parseFlags(args []string) (*options, error) {
+	o := new(options)
+	return o, o.table().Parse("intentmatch", args, o.mode)
 }
 
 func main() {
-	corpus := flag.String("corpus", "-", "JSON-lines corpus file (default stdin)")
-	query := flag.String("query", "0", "comma-separated reference post ids")
-	k := flag.Int("k", 5, "number of related posts to return")
-	method := flag.String("method", "intent", "matching method: intent, fulltext, lda, content, sent")
-	seed := flag.Int64("seed", 1, "random seed")
-	save := flag.String("save", "", "write the built pipeline to this file and exit")
-	saveShards := flag.Int("save-shards", 0,
-		"with -save: partition the build into this many shards; the snapshot is still one file (servable whole with `serve -load`, or piecewise with `serve -shard-role shard -own N`)")
-	load := flag.String("load", "", "load a previously saved pipeline instead of building")
-	explain := flag.Bool("explain", false,
-		"print each result's Eq 7–9 score decomposition (per-cluster contributions and top terms)")
-	flag.Parse()
-
-	if *load != "" {
-		servePipeline(*load, *query, *k, *explain)
+	err := run(os.Args[1:], os.Stdin, os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
-	bm, isBaseline := baselines[*method]
-	switch {
-	case !isBaseline && *method != "intent":
-		fatal(fmt.Errorf("unknown method %q", *method))
-	case isBaseline && (*save != "" || *saveShards > 0):
-		fatal(fmt.Errorf("-save and -save-shards persist -method intent only, not %q", *method))
-	case *explain && *method == "lda":
-		fatal(fmt.Errorf("-explain does not apply to -method lda: its similarity is not an Eq 7–9 sum"))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "intentmatch:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command over args, reading a "-" corpus from stdin and
+// printing to stdout.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	o, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
+	if o.explain && o.method == "lda" {
+		return fmt.Errorf("-explain does not apply to -method lda: its similarity is not an Eq 7–9 sum")
+	}
+	if o.mode() == loaded {
+		p, err := core.Load(o.load)
+		if err != nil {
+			return err
+		}
+		st := p.Stats()
+		fmt.Fprintf(stdout, "loaded %s: %d posts, %d clusters\n", p.Method(), st.NumDocs, st.NumClusters)
+		// A saved pipeline keeps segment terms, not post texts, so
+		// results list ids and scores only.
+		return answer(stdout, p.Related, explainPipeline(p), st.NumDocs, o, nil)
+	}
+	texts, err := readCorpus(o.corpus, stdin)
+	if err != nil {
+		return err
+	}
+	if o.mode() == baselineBuild {
+		built, err := baselines[o.method].Build(baseline.Prepare(texts), baseline.Config{LDA: lda.Config{K: 8, Iterations: 60}, Seed: o.seed})
+		if err != nil {
+			return err
+		}
+		var st match.BuildStats // zero for the whole-post methods
+		if mr, ok := built.(*match.MR); ok {
+			st = mr.Stats()
+		}
+		fmt.Fprintf(stdout, "built %s over %d posts (%d segments, %d clusters)\n", built.Name(), len(texts), st.NumSegments, st.NumClusters)
+		explained, _ := built.(match.Explainer) // run refused the one method that cannot explain
+		return answer(stdout, built.Match, func(docID, k int) ([]match.Result, []match.Explanation, error) {
+			res, exps := explained.MatchExplained(docID, k, nil)
+			return res, exps, nil
+		}, len(texts), o, texts)
 	}
 
-	var in io.Reader = os.Stdin
-	if *corpus != "-" {
-		f, err := os.Open(*corpus)
+	p, err := core.Build(texts, core.Config{Seed: o.seed, Shards: o.saveShards})
+	if err != nil {
+		return err
+	}
+	st := p.Stats()
+	fmt.Fprintf(stdout, "built %s over %d posts (%d segments, %d clusters)\n",
+		p.Method(), st.NumDocs, st.NumSegments, st.NumClusters)
+	if o.mode() == intentSave {
+		if err := p.Save(o.save); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "saved pipeline to %s\n", o.save)
+		return nil
+	}
+	return answer(stdout, p.Related, explainPipeline(p), st.NumDocs, o, texts)
+}
+
+// readCorpus reads the post texts of a JSON-lines corpus file, or of
+// stdin when path is "-".
+func readCorpus(path string, stdin io.Reader) ([]string, error) {
+	in := stdin
+	if path != "-" {
+		f, err := os.Open(path)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		defer f.Close()
 		in = f
 	}
-
 	var texts []string
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -107,86 +210,54 @@ func main() {
 		}
 		var rec record
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			fatal(fmt.Errorf("parsing corpus line %d: %w", len(texts)+1, err))
+			return nil, fmt.Errorf("parsing corpus line %d: %w", len(texts)+1, err)
 		}
 		texts = append(texts, rec.Text)
 	}
 	if err := sc.Err(); err != nil {
-		fatal(err)
+		return nil, err
 	}
 	if len(texts) == 0 {
-		fatal(fmt.Errorf("empty corpus"))
+		return nil, fmt.Errorf("empty corpus")
 	}
-
-	if isBaseline {
-		runBaseline(bm, texts, *seed, *query, *k, *explain)
-		return
-	}
-
-	p, err := core.Build(texts, core.Config{Seed: *seed, Shards: *saveShards})
-	if err != nil {
-		fatal(err)
-	}
-	st := p.Stats()
-	fmt.Printf("built %s over %d posts (%d segments, %d clusters)\n",
-		p.Method(), st.NumDocs, st.NumSegments, st.NumClusters)
-
-	if *save != "" {
-		if err := p.Save(*save); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("saved pipeline to %s\n", *save)
-		return
-	}
-
-	if *explain {
-		explainQueries(explainPipeline(p), st.NumDocs, *query, *k, texts)
-		return
-	}
-	answerQueries(p.Related, st.NumDocs, *query, *k, texts)
+	return texts, nil
 }
 
-// runBaseline builds a comparison method over the corpus and answers the
-// queries with it, as main does with the pipeline.
-func runBaseline(m baseline.Method, texts []string, seed int64, query string, k int, explain bool) {
-	built, err := m.Build(baseline.Prepare(texts), baseline.Config{LDA: lda.Config{K: 8, Iterations: 60}, Seed: seed})
-	if err != nil {
-		fatal(err)
+// explainFunc is an explained query, the form explainQueries prints.
+type explainFunc func(docID, k int) ([]match.Result, []match.Explanation, error)
+
+// explainPipeline adapts a pipeline's explained Query to explainFunc.
+func explainPipeline(p *core.Pipeline) explainFunc {
+	return func(docID, k int) ([]match.Result, []match.Explanation, error) {
+		ans, err := p.Query(context.Background(), docID, k, true)
+		return ans.Results, ans.Explanations, err
 	}
-	var st match.BuildStats // zero for the whole-post methods
-	if mr, ok := built.(*match.MR); ok {
-		st = mr.Stats()
-	}
-	fmt.Printf("built %s over %d posts (%d segments, %d clusters)\n", built.Name(), len(texts), st.NumSegments, st.NumClusters)
-	if explain { // main refused the one method that cannot explain
-		explainQueries(func(docID, k int) ([]match.Result, []match.Explanation) {
-			return built.(match.Explainer).MatchExplained(docID, k, nil)
-		}, len(texts), query, k, texts)
-		return
-	}
-	answerQueries(built.Match, len(texts), query, k, texts)
 }
 
-// answerQueries serves the comma-separated reference ids concurrently —
-// the pipeline's online phase is safe for parallel queries — and prints
-// the result lists in input order. texts may be nil (loaded pipelines
-// keep segment terms, not post texts); then only ids and scores print.
-func answerQueries(related func(docID, k int) []match.Result, numDocs int, query string, k int, texts []string) {
-	ids := parseQueryIDs(query, numDocs)
+// answer answers o's queries, explained when o.explain is set.
+func answer(w io.Writer, related func(docID, k int) []match.Result, explained explainFunc, numDocs int, o *options, texts []string) error {
+	ids, err := parseQueryIDs(o.query, numDocs)
+	if err != nil {
+		return err
+	}
+	if o.explain {
+		return explainQueries(w, explained, ids, o.k, texts)
+	}
+	answerQueries(w, related, ids, o.k, texts)
+	return nil
+}
+
+// answerQueries answers the reference ids concurrently — the online
+// phase is safe for parallel queries — and prints the result lists in
+// input order. texts may be nil (loaded pipelines keep segment terms,
+// not post texts); then only ids and scores print.
+func answerQueries(w io.Writer, related func(docID, k int) []match.Result, ids []int, k int, texts []string) {
 	results := make([][]match.Result, len(ids))
 	par.Do(len(ids), func(i int) { results[i] = related(ids[i], k) })
 	for i, q := range ids {
-		if texts != nil {
-			fmt.Printf("\nquery %d: %s\n", q, truncate(texts[q], 90))
-		} else {
-			fmt.Printf("query %d:\n", q)
-		}
+		printQuery(w, q, texts)
 		for rank, r := range results[i] {
-			if texts != nil {
-				fmt.Printf("  %d. post %-5d score %.4f  %s\n", rank+1, r.DocID, r.Score, truncate(texts[r.DocID], 70))
-			} else {
-				fmt.Printf("  %d. post %-5d score %.4f\n", rank+1, r.DocID, r.Score)
-			}
+			printResult(w, rank, r, texts)
 		}
 	}
 }
@@ -196,22 +267,16 @@ func answerQueries(related func(docID, k int) []match.Result, numDocs int, query
 // every cluster, the largest term-level tf·weight·idf products. The
 // cluster contributions sum to the served score (the -explain
 // acceptance property the serve layer also exposes).
-func explainQueries(explained explainFunc, numDocs int, query string, k int, texts []string) {
+func explainQueries(w io.Writer, explained explainFunc, ids []int, k int, texts []string) error {
 	const topTerms = 8
-	ids := parseQueryIDs(query, numDocs)
 	for _, q := range ids {
-		if texts != nil {
-			fmt.Printf("\nquery %d: %s\n", q, truncate(texts[q], 90))
-		} else {
-			fmt.Printf("query %d:\n", q)
+		printQuery(w, q, texts)
+		results, exps, err := explained(q, k)
+		if err != nil {
+			return err
 		}
-		results, exps := explained(q, k)
 		for rank, r := range results {
-			if texts != nil {
-				fmt.Printf("  %d. post %-5d score %.4f  %s\n", rank+1, r.DocID, r.Score, truncate(texts[r.DocID], 70))
-			} else {
-				fmt.Printf("  %d. post %-5d score %.4f\n", rank+1, r.DocID, r.Score)
-			}
+			printResult(w, rank, r, texts)
 			for _, c := range exps[rank].Clusters {
 				terms := append([]match.TermContribution(nil), c.Terms...)
 				sort.Slice(terms, func(a, b int) bool {
@@ -229,42 +294,44 @@ func explainQueries(explained explainFunc, numDocs int, query string, k int, tex
 				if n := len(terms) - len(shown); n > 0 {
 					line += fmt.Sprintf(", … (+%d terms)", n)
 				}
-				fmt.Printf("     cluster %-3d %.4f  [%s]\n", c.Cluster, c.Score, line)
+				fmt.Fprintf(w, "     cluster %-3d %.4f  [%s]\n", c.Cluster, c.Score, line)
 			}
 		}
+	}
+	return nil
+}
+
+// printQuery prints a query's header line.
+func printQuery(w io.Writer, q int, texts []string) {
+	if texts != nil {
+		fmt.Fprintf(w, "\nquery %d: %s\n", q, truncate(texts[q], 90))
+	} else {
+		fmt.Fprintf(w, "query %d:\n", q)
+	}
+}
+
+// printResult prints one ranked result.
+func printResult(w io.Writer, rank int, r match.Result, texts []string) {
+	if texts != nil {
+		fmt.Fprintf(w, "  %d. post %-5d score %.4f  %s\n", rank+1, r.DocID, r.Score, truncate(texts[r.DocID], 70))
+	} else {
+		fmt.Fprintf(w, "  %d. post %-5d score %.4f\n", rank+1, r.DocID, r.Score)
 	}
 }
 
 // parseQueryIDs parses the -query flag's comma-separated reference ids,
 // validating each against the collection size.
-func parseQueryIDs(query string, numDocs int) []int {
+func parseQueryIDs(query string, numDocs int) ([]int, error) {
 	parts := strings.Split(query, ",")
 	ids := make([]int, len(parts))
 	for i, part := range parts {
 		q, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || q < 0 || q >= numDocs {
-			fatal(fmt.Errorf("bad query id %q (corpus has %d posts)", part, numDocs))
+			return nil, fmt.Errorf("bad query id %q (corpus has %d posts)", part, numDocs)
 		}
 		ids[i] = q
 	}
-	return ids
-}
-
-// servePipeline answers queries from a previously saved pipeline. Saved
-// pipelines keep segment terms, not post texts, so results list ids and
-// scores only.
-func servePipeline(path, query string, k int, explain bool) {
-	p, err := core.Load(path)
-	if err != nil {
-		fatal(err)
-	}
-	st := p.Stats()
-	fmt.Printf("loaded %s: %d posts, %d clusters\n", p.Method(), st.NumDocs, st.NumClusters)
-	if explain {
-		explainQueries(explainPipeline(p), st.NumDocs, query, k, nil)
-		return
-	}
-	answerQueries(p.Related, st.NumDocs, query, k, nil)
+	return ids, nil
 }
 
 func truncate(s string, n int) string {
@@ -273,9 +340,4 @@ func truncate(s string, n int) string {
 		return s
 	}
 	return s[:n-3] + "..."
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "intentmatch:", err)
-	os.Exit(1)
 }

@@ -14,6 +14,11 @@
 // same public surface as the single process by scattering over a fleet
 // topology file. See the "Networked shard fleet" section of README.md.
 //
+// Every flag is a row of options.table, which also names the modes
+// that read it; a flag set where nothing reads it is refused by name.
+// README.md's cmd/serve flag table ("Serving over HTTP") is rendered
+// from the rows.
+//
 // Usage:
 //
 //	serve -addr :8080 -domain tech -n 1000 -seed 42
@@ -32,13 +37,13 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -47,45 +52,109 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/forum"
+	"repro/internal/knob"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	corpus := flag.String("corpus", "", "JSONL corpus file (cmd/gencorpus output); empty generates synthetically")
-	load := flag.String("load", "",
-		"serve a persisted pipeline instead of building: a snapshot file (cmd/intentmatch -save output, of any shard count); the build flags -corpus, -domain, -n, -seed and -shards are refused beside it")
-	domain := flag.String("domain", "tech", "synthetic domain: tech, travel, prog, or health")
-	n := flag.Int("n", 1000, "synthetic corpus size")
-	seed := flag.Int64("seed", 42, "random seed")
-	shards := flag.Int("shards", 0,
-		"serve the collection partitioned across this many shards with scatter-gather queries (0 or 1 = unsharded; rankings are identical either way)")
-	traceSlow := flag.Duration("trace-slow", 100*time.Millisecond,
-		"always capture traces of requests at least this slow (0 captures every request, negative disables)")
-	traceRate := flag.Int("trace-rate", 1, "rate-sample up to this many request traces per second (0 disables)")
-	traceRing := flag.Int("trace-ring", 0, "retained finished traces (0 = default 256)")
-	cacheEntries := flag.Int("cache-entries", 0,
-		"bound of the /related result cache, in entries; enables the cache and singleflight collapsing, keyed by (doc, k, explain, collection epoch) so any add invalidates (0 = off)")
-	maxInflight := flag.Int("max-inflight", 0,
-		"bound on concurrently computing /related queries; excess requests queue up to -max-queued, then shed with a typed 503 + Retry-After (0 = off)")
-	maxQueued := flag.Int("max-queued", 0,
-		"admission wait-queue depth on top of -max-inflight (0 = shed as soon as the in-flight limit is hit)")
-	shardRole := flag.String("shard-role", "",
-		"fleet process role: empty (single-process pipeline), shard (serve partitions of a -load snapshot on the internal probe endpoints), or coordinator (scatter-gather over a -fleet topology)")
-	own := flag.String("own", "", "shard role: comma-separated shard ids this process serves (default all shards in the snapshot)")
-	fleetFile := flag.String("fleet", "", "coordinator role: fleet topology JSON file (fleet.Topology layout)")
-	fleetTimeout := flag.Duration("fleet-timeout", 2*time.Second,
-		"coordinator: whole-query budget T, explain included; each attempt is cut at T/4, a retry backs off T/80 (doubling, two retries a leg), and a leg hedges to a replica after T/20 until its shard has latency history")
-	fleetBootstrap := flag.Duration("fleet-bootstrap", 15*time.Second, "coordinator: how long to keep retrying the topology bootstrap while shard servers come up")
-	flag.Parse()
+// options are the flags; table declares them.
+type options struct {
+	addr, corpus, load, domain, shardRole, own, fleet          string
+	n, shards, traceRate, cacheEntries, maxInflight, maxQueued int
+	seed                                                       int64
+	traceSlow, fleetTimeout, fleetBootstrap                    time.Duration
+}
 
+// The modes, one bit each: the flags -shard-role, -load and -corpus
+// choose one, in that order of precedence.
+const (
+	synthetic knob.Modes = 1 << iota
+	corpusBuild
+	loaded
+	shardRole
+	coordinatorRole
+
+	builds = synthetic | corpusBuild
+	public = builds | loaded | coordinatorRole // serve.New's modes
+	every  = public | shardRole
+)
+
+var modeNames = []string{"synthetic build", "-corpus build", "-load", "-shard-role shard", "-shard-role coordinator"}
+
+// table is every flag, each declared once; README's cmd/serve knob
+// table is rendered from it.
+func (o *options) table() *knob.Table {
+	return &knob.Table{Modes: modeNames, Rows: []knob.Row{
+		{Name: "addr", Value: &o.addr, Default: ":8080", Modes: every,
+			Help: "listen address"},
+		{Name: "corpus", Value: &o.corpus, Default: "", Modes: corpusBuild,
+			Help: "build from this JSONL corpus file (cmd/gencorpus output); empty generates one"},
+		{Name: "load", Value: &o.load, Default: "", Modes: loaded | shardRole,
+			Help: "serve a persisted pipeline instead of building: a snapshot file of any shard count (cmd/intentmatch -save output)"},
+		{Name: "domain", Value: &o.domain, Default: "tech", Modes: synthetic, Range: knob.OneOf("tech", "travel", "prog", "programming", "health"),
+			Help: "synthetic corpus domain"},
+		{Name: "n", Value: &o.n, Default: 1000, Modes: synthetic, Range: knob.AtLeast(0),
+			Help: "synthetic corpus size"},
+		{Name: "seed", Value: &o.seed, Default: int64(42), Modes: builds,
+			Help: "random seed of the synthetic corpus and of the build's clustering"},
+		{Name: "shards", Value: &o.shards, Default: 0, Modes: builds, Range: knob.AtLeast(0),
+			Help: "partition the collection across this many shards, queried by scatter-gather (0 or 1 = unsharded; rankings are identical either way)"},
+		{Name: "trace-slow", Value: &o.traceSlow, Default: 100 * time.Millisecond, Modes: every,
+			Help: "always capture traces of requests at least this slow (0 captures every request, negative disables)"},
+		{Name: "trace-rate", Value: &o.traceRate, Default: 1, Modes: every, Range: knob.AtLeast(0),
+			Help: "rate-sample up to this many request traces per second (0 disables)"},
+		{Name: "cache-entries", Value: &o.cacheEntries, Default: 0, Modes: public, Range: knob.AtLeast(0),
+			Help: "bound of the /related result cache, in entries; enables the cache and singleflight collapsing, keyed by (doc, k, explain, collection epoch) so any add invalidates (0 = off)"},
+		{Name: "max-inflight", Value: &o.maxInflight, Default: 0, Modes: public, Range: knob.AtLeast(0),
+			Help: "bound on concurrently computing /related queries; excess requests queue up to -max-queued, then shed with a typed 503 + Retry-After (0 = off)"},
+		{Name: "max-queued", Value: &o.maxQueued, Default: 0, Modes: public, Range: knob.AtLeast(0), Needs: "max-inflight",
+			Help: "admission wait-queue depth on top of -max-inflight (0 = shed as soon as the in-flight limit is hit)"},
+		{Name: "shard-role", Value: &o.shardRole, Default: "", Modes: every, Range: knob.OneOf("", "shard", "coordinator"),
+			Help: "fleet process role: empty for the single process, shard (serve partitions of a -load snapshot on the internal probe endpoints) or coordinator (scatter-gather over a -fleet topology)"},
+		{Name: "own", Value: &o.own, Default: "", Modes: shardRole,
+			Help: "comma-separated shard ids this process serves (empty: every shard in the snapshot)"},
+		{Name: "fleet", Value: &o.fleet, Default: "", Modes: coordinatorRole,
+			Help: "fleet topology JSON file (fleet.Topology layout)"},
+		{Name: "fleet-timeout", Value: &o.fleetTimeout, Default: 2 * time.Second, Modes: coordinatorRole, Range: knob.AtLeast(1),
+			Help: "whole-query budget T, explain included; each attempt is cut at T/4, a retry backs off T/80 (doubling, two retries a leg), and a leg hedges to a replica after T/20 until its shard has 64 legs of latency history"},
+		{Name: "fleet-bootstrap", Value: &o.fleetBootstrap, Default: 15 * time.Second, Modes: coordinatorRole, Range: knob.AtLeast(0),
+			Help: "how long to keep retrying the topology bootstrap while shard servers come up"},
+	}}
+}
+
+// mode is the mode the flags choose.
+func (o *options) mode() knob.Modes {
+	switch {
+	case o.shardRole == "shard":
+		return shardRole
+	case o.shardRole == "coordinator":
+		return coordinatorRole
+	case o.load != "":
+		return loaded
+	case o.corpus != "":
+		return corpusBuild
+	}
+	return synthetic
+}
+
+// parseFlags parses args and refuses, by name, a flag set outside its
+// range, in a mode that does not read it, or without the flag it needs.
+func parseFlags(args []string) (*options, error) {
+	o := new(options)
+	return o, o.table().Parse("serve", args, o.mode)
+}
+
+func main() {
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	fatal := func(msg string, err error) {
 		logger.Error(msg, "err", err)
 		os.Exit(1)
 	}
-	if err := checkFlags(flag.CommandLine); err != nil {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		fatal("flags", err)
 	}
 
@@ -95,71 +164,72 @@ func main() {
 	stopPoller := obs.StartRuntimePoller(10 * time.Second)
 	defer stopPoller()
 
-	scfg := serve.Config{
-		Logger:        logger,
-		TraceRate:     *traceRate,
-		SlowQuery:     *traceSlow,
-		TraceRingSize: *traceRing,
-		CacheEntries:  *cacheEntries,
-		MaxInflight:   *maxInflight,
-		MaxQueued:     *maxQueued,
+	handler, err := o.handler(logger)
+	if err != nil {
+		fatal("startup", err)
 	}
-	switch *shardRole {
-	case "":
-		// Single-process pipeline below.
-	case "shard":
-		h, err := loadShardHost(*load, *own)
+	runServer(newHTTPServer(o.addr, handler), logger)
+}
+
+// handler is what the mode serves: a shard server over the owned
+// partitions of a snapshot, or serve.New over a coordinator, a loaded
+// pipeline or a built one.
+func (o *options) handler(logger *slog.Logger) (http.Handler, error) {
+	cfg := serve.Config{
+		Logger:       logger,
+		TraceRate:    o.traceRate,
+		SlowQuery:    o.traceSlow,
+		CacheEntries: o.cacheEntries,
+		MaxInflight:  o.maxInflight,
+		MaxQueued:    o.maxQueued,
+	}
+	var eng serve.Engine
+	switch o.mode() {
+	case shardRole:
+		h, err := loadShardHost(o.load, o.own)
 		if err != nil {
-			fatal("shard host", err)
+			return nil, fmt.Errorf("shard host: %w", err)
 		}
 		m := h.Meta()
-		logger.Info("shard host ready", "path", *load, "own", m.Shards,
+		logger.Info("shard host ready", "path", o.load, "own", m.Shards,
 			"total_shards", m.TotalShards, "docs", m.Docs, "epoch", m.Epoch)
-		runServer(*addr, serve.NewShardServer(h, scfg).Handler(), logger,
-			"POST /internal/home, POST /internal/probe, POST /internal/explain, GET /internal/meta, GET /internal/metricsz, GET /metrics, GET /healthz, GET /debug/traces")
-		return
-	case "coordinator":
-		c, err := bootstrapCoordinator(*fleetFile, fleet.Options{
+		return serve.NewShardServer(h, cfg).Handler(), nil
+	case coordinatorRole:
+		c, err := bootstrapCoordinator(o.fleet, fleet.Options{
 			Transport: fleet.NewHTTPTransport(),
-			Timeout:   *fleetTimeout,
-		}, *fleetBootstrap, logger)
+			Timeout:   o.fleetTimeout,
+		}, o.fleetBootstrap, logger)
 		if err != nil {
-			fatal("coordinator bootstrap", err)
+			return nil, fmt.Errorf("coordinator bootstrap: %w", err)
 		}
-		logger.Info("coordinator ready", "topology", *fleetFile,
+		logger.Info("coordinator ready", "topology", o.fleet,
 			"shards", c.NumShards(), "docs", c.NumDocs(), "epoch", c.SnapshotEpoch())
-		runServer(*addr, serve.New(c, scfg).Handler(), logger, publicEndpoints)
-		return
-	default:
-		fatal("flags", fmt.Errorf("unknown -shard-role %q (shard, coordinator)", *shardRole))
-	}
-
-	var p *core.Pipeline
-	if *load != "" {
+		eng = c
+	case loaded:
 		// Serving a built snapshot is the offline→online handoff of Sec 7:
 		// the restart path skips the whole build and is bounded by decode
 		// speed — the figure the compact layout exists to shrink.
 		start := time.Now()
-		var err error
-		p, err = core.Load(*load)
+		p, err := core.Load(o.load)
 		if err != nil {
-			fatal("load", err)
+			return nil, fmt.Errorf("load: %w", err)
 		}
 		st := p.Stats()
 		logger.Info("loaded",
-			"path", *load,
+			"path", o.load,
 			"elapsed", time.Since(start).Round(time.Millisecond).String(),
 			"docs", st.NumDocs, "clusters", st.NumClusters, "shards", p.Shards())
-	} else {
-		texts, err := loadCorpus(*corpus, *domain, *n, *seed)
+		eng = p
+	default:
+		texts, err := loadCorpus(o.corpus, o.domain, o.n, o.seed)
 		if err != nil {
-			fatal("corpus", err)
+			return nil, fmt.Errorf("corpus: %w", err)
 		}
 		logger.Info("building pipeline", "posts", len(texts))
 		start := time.Now()
-		p, err = core.Build(texts, core.Config{Seed: *seed, Shards: *shards})
+		p, err := core.Build(texts, core.Config{Seed: o.seed, Shards: o.shards})
 		if err != nil {
-			fatal("build", err)
+			return nil, fmt.Errorf("build: %w", err)
 		}
 		st := p.Stats()
 		logger.Info("built",
@@ -169,22 +239,16 @@ func main() {
 			"segment_ms", st.Segmentation.Milliseconds(),
 			"group_ms", st.Grouping.Milliseconds(),
 			"index_ms", st.Indexing.Milliseconds())
+		eng = p
 	}
-
-	runServer(*addr, serve.New(p, scfg).Handler(), logger, publicEndpoints)
+	return serve.New(eng, cfg).Handler(), nil
 }
 
-// publicEndpoints is what serve.New answers, over a pipeline and over a
-// coordinator alike.
-const publicEndpoints = "POST /related, POST /add, GET /stats, GET /metrics, GET /healthz, GET /debug/traces, GET /debug/pprof/"
-
-// runServer serves handler on addr until SIGINT/SIGTERM, then drains
-// with a 10s grace period. Shared by all three roles so a fleet process
-// shuts down exactly like the single binary.
-func runServer(addr string, handler http.Handler, logger *slog.Logger, endpoints string) {
-	srv := newHTTPServer(addr, handler)
+// runServer serves srv until SIGINT/SIGTERM, then drains with a 10s
+// grace period. Every mode shuts down the same way.
+func runServer(srv *http.Server, logger *slog.Logger) {
 	go func() {
-		logger.Info("serving", "addr", addr, "endpoints", endpoints)
+		logger.Info("serving", "addr", srv.Addr)
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			logger.Error("listen", "err", err)
 			os.Exit(1)
@@ -219,26 +283,6 @@ func newHTTPServer(addr string, handler http.Handler) *http.Server {
 		WriteTimeout:      2 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-}
-
-// buildFlags are the flags only a build reads.
-var buildFlags = []string{"corpus", "domain", "n", "seed", "shards"}
-
-// checkFlags refuses a build flag set beside -load (a loaded snapshot is
-// served as it was built, so the flag would be ignored) and a negative
-// -n; -n 0 serves an empty collection.
-func checkFlags(fs *flag.FlagSet) (err error) {
-	if n, _ := strconv.Atoi(fs.Lookup("n").Value.String()); n < 0 {
-		return fmt.Errorf("-n %d: a corpus size cannot be negative", n)
-	}
-	if fs.Lookup("load").Value.String() != "" {
-		fs.Visit(func(f *flag.Flag) {
-			if slices.Contains(buildFlags, f.Name) {
-				err = fmt.Errorf("-%s is a build flag; -load serves the snapshot as it was built", f.Name)
-			}
-		})
-	}
-	return err
 }
 
 // loadShardHost builds the shard-role backend: the shards named in own
@@ -296,11 +340,7 @@ func bootstrapCoordinator(path string, opts fleet.Options, patience time.Duratio
 // generates a synthetic corpus when path is empty.
 func loadCorpus(path, domain string, n int, seed int64) ([]string, error) {
 	if path == "" {
-		d, err := parseDomain(domain)
-		if err != nil {
-			return nil, err
-		}
-		posts := forum.Generate(forum.Config{Domain: d, NumPosts: n, Seed: seed})
+		posts := forum.Generate(forum.Config{Domain: domains[domain], NumPosts: n, Seed: seed})
 		texts := make([]string, len(posts))
 		for i, p := range posts {
 			texts[i] = p.Text
@@ -333,16 +373,7 @@ func loadCorpus(path, domain string, n int, seed int64) ([]string, error) {
 	return texts, nil
 }
 
-func parseDomain(name string) (forum.Domain, error) {
-	switch name {
-	case "tech":
-		return forum.TechSupport, nil
-	case "travel":
-		return forum.Travel, nil
-	case "prog", "programming":
-		return forum.Programming, nil
-	case "health":
-		return forum.Health, nil
-	}
-	return 0, fmt.Errorf("unknown domain %q (tech, travel, prog, health)", name)
+// domains are the -domain values.
+var domains = map[string]forum.Domain{
+	"tech": forum.TechSupport, "travel": forum.Travel, "prog": forum.Programming, "programming": forum.Programming, "health": forum.Health,
 }

@@ -2,15 +2,26 @@ package main
 
 import (
 	"bufio"
-	"flag"
+	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/forum"
+	"repro/internal/knob"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -77,40 +88,364 @@ func TestStalledBodyIsCut(t *testing.T) {
 	}
 }
 
-// TestBuildFlagsBesideLoad: a build flag set beside -load is refused
-// with an error naming it — the snapshot is served as it was built, so
-// the flag would change nothing — while the serving flags and a build
-// without -load pass; so is a negative -n.
-func TestBuildFlagsBesideLoad(t *testing.T) {
-	parse := func(args ...string) error {
-		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-		fs.String("load", "", "")
-		fs.String("addr", "", "")
-		for _, name := range buildFlags {
-			fs.String(name, "", "")
+// modeArgs are the flags that choose each mode, with placeholder
+// files: parseFlags opens none of them.
+var modeArgs = map[knob.Modes][]string{
+	synthetic:       nil,
+	corpusBuild:     {"-corpus", "c.jsonl"},
+	loaded:          {"-load", "built.idx"},
+	shardRole:       {"-shard-role", "shard", "-load", "built.idx"},
+	coordinatorRole: {"-shard-role", "coordinator", "-fleet", "topology.json"},
+}
+
+// ignoredBefore are the 27 (flag, mode) pairs that serve started up
+// with and then ignored before the knob table; each must stay refused.
+var ignoredBefore = []struct {
+	flag string
+	mode knob.Modes
+}{
+	{"own", synthetic}, {"own", corpusBuild}, {"own", loaded}, {"own", coordinatorRole},
+	{"fleet", synthetic}, {"fleet", corpusBuild}, {"fleet", loaded}, {"fleet", shardRole},
+	{"fleet-timeout", synthetic}, {"fleet-timeout", corpusBuild}, {"fleet-timeout", loaded}, {"fleet-timeout", shardRole},
+	{"fleet-bootstrap", synthetic}, {"fleet-bootstrap", corpusBuild}, {"fleet-bootstrap", loaded}, {"fleet-bootstrap", shardRole},
+	{"cache-entries", shardRole}, {"max-inflight", shardRole}, {"max-queued", shardRole},
+	{"load", coordinatorRole}, {"corpus", coordinatorRole}, {"domain", coordinatorRole},
+	{"n", coordinatorRole}, {"seed", coordinatorRole}, {"shards", coordinatorRole},
+	{"domain", corpusBuild}, {"n", corpusBuild},
+}
+
+// sample is a value of r inside its range and off its default.
+func sample(r knob.Row) string {
+	switch d := r.Default.(type) {
+	case bool:
+		return strconv.FormatBool(!d)
+	case string:
+		if r.Range != nil {
+			return r.Range.OneOf[slices.IndexFunc(r.Range.OneOf, func(v string) bool { return v != d })]
 		}
-		if err := fs.Parse(args); err != nil {
+		return d + "x"
+	case time.Duration:
+		return (d + time.Second).String()
+	case int:
+		return strconv.Itoa(d + 1)
+	}
+	return strconv.FormatInt(r.Default.(int64)+1, 10)
+}
+
+// outside are values of r that its range refuses.
+func outside(r knob.Row) []string {
+	if r.Range == nil {
+		return nil
+	}
+	if r.Range.OneOf != nil {
+		return []string{"bogus"}
+	}
+	format := func(v int64) string {
+		if _, ok := r.Default.(time.Duration); ok {
+			return time.Duration(v).String()
+		}
+		return strconv.FormatInt(v, 10)
+	}
+	vals := []string{format(r.Range.Min - 1)}
+	if r.Range.Max != math.MaxInt64 {
+		vals = append(vals, format(r.Range.Max+1))
+	}
+	return vals
+}
+
+// namesFlag reports whether err is an error that begins with -name.
+func namesFlag(err error, name string) bool {
+	return err != nil && (strings.HasPrefix(err.Error(), "-"+name+" ") || strings.HasPrefix(err.Error(), "-"+name+":"))
+}
+
+// TestFlagRefusals is generated from the rows: every flag set in every
+// mode that does not read it, every value outside a row's range and
+// every flag set without the flag it needs is refused with an error
+// that names it, while each mode's own flags, at their defaults and at
+// another value, pass.
+func TestFlagRefusals(t *testing.T) {
+	rows := new(options).table().Rows
+	refused := map[string]bool{}
+	for m, base := range modeArgs {
+		o, err := parseFlags(base)
+		if err != nil || o.mode() != m {
+			t.Fatalf("%v: mode %b, error %v; want mode %b and no error", base, o.mode(), err, m)
+		}
+		for _, r := range rows {
+			args := append(slices.Clone(base), "-"+r.Name, sample(r))
+			o, err := parseFlags(args)
+			switch {
+			case o.mode() != m: // the flag chooses another mode
+			case r.Modes&m == 0:
+				if !namesFlag(err, r.Name) {
+					t.Errorf("%v: error %v, want -%s refused by name", args, err, r.Name)
+				}
+				refused[fmt.Sprint(r.Name, m)] = true
+			case r.Needs != "":
+				if !namesFlag(err, r.Name) {
+					t.Errorf("%v: error %v, want -%s refused without -%s", args, err, r.Name, r.Needs)
+				}
+				if _, err := parseFlags(append(args, "-"+r.Needs, "1")); err != nil {
+					t.Errorf("%v -%s 1: %v", args, r.Needs, err)
+				}
+			case err != nil:
+				t.Errorf("%v: %v", args, err)
+			}
+			if r.Modes&m == 0 {
+				continue
+			}
+			for _, v := range outside(r) {
+				args := append(slices.Clone(base), "-"+r.Name, v)
+				if _, err := parseFlags(args); !namesFlag(err, r.Name) {
+					t.Errorf("%v: error %v, want -%s %s refused by name", args, err, r.Name, v)
+				}
+			}
+		}
+	}
+	for _, p := range ignoredBefore {
+		if !refused[fmt.Sprint(p.flag, p.mode)] {
+			t.Errorf("-%s is not refused in mode %b", p.flag, p.mode)
+		}
+	}
+}
+
+// TestREADMEKnobTable holds README's cmd/serve knob table to the rows.
+func TestREADMEKnobTable(t *testing.T) {
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const begin, end = "<!-- knobs: cmd/serve -->\n", "<!-- /knobs -->"
+	_, rest, _ := strings.Cut(string(raw), begin)
+	got, _, _ := strings.Cut(rest, end)
+	if want := new(options).table().Markdown(); got != want {
+		t.Errorf("README.md's table between %q and %q is not the rows'; it should read:\n%s", begin, end, want)
+	}
+}
+
+// quiet is a logger that drops everything.
+var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
+
+// start builds what args serve, or fails the test.
+func start(t *testing.T, args ...string) http.Handler {
+	t.Helper()
+	o, err := parseFlags(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := o.handler(quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// call sends one request to h and returns the status and body.
+func call(h http.Handler, method, path, body string) (int, string) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return rec.Code, rec.Body.String()
+}
+
+// field reads one dotted path out of h's JSON reply to GET path.
+func field(t *testing.T, h http.Handler, path, key string) any {
+	t.Helper()
+	code, body := call(h, http.MethodGet, path, "")
+	var v any
+	if err := json.Unmarshal([]byte(body), &v); code != http.StatusOK || err != nil {
+		t.Fatalf("GET %s: %d %v %s", path, code, err, body)
+	}
+	for _, k := range strings.Split(key, ".") {
+		m, _ := v.(map[string]any)
+		v = m[k]
+	}
+	return v
+}
+
+// related is h's /related body for doc 3.
+func related(h http.Handler) string {
+	_, body := call(h, http.MethodPost, "/related", `{"doc_id": 3, "k": 5}`)
+	return body
+}
+
+// traces is how many traces h keeps after five /related requests.
+func traces(t *testing.T, h http.Handler) int {
+	for i := 0; i < 5; i++ {
+		related(h)
+	}
+	return len(field(t, h, "/debug/traces", "traces").([]any))
+}
+
+// TestEveryFlagChangesAnOutcome: a flag stays only if a value other
+// than its default changes what the process does. One case a row,
+// each against the default; a row without a case fails.
+func TestEveryFlagChangesAnOutcome(t *testing.T) {
+	dir := t.TempDir()
+	posts := forum.Generate(forum.Config{Domain: forum.Travel, NumPosts: 30, Seed: 5})
+	corpus := filepath.Join(dir, "c.jsonl")
+	var lines []string
+	texts := make([]string, len(posts))
+	for i, p := range posts {
+		texts[i] = p.Text
+		line, _ := json.Marshal(map[string]string{"text": p.Text})
+		lines = append(lines, string(line))
+	}
+	if err := os.WriteFile(corpus, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, "built.idx")
+	p, err := core.Build(texts, core.Config{Seed: 42, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	// A fleet of the snapshot's two shards, and a topology over it.
+	topology := func(t *testing.T, primary0 string) string {
+		shard1 := httptest.NewServer(start(t, "-shard-role", "shard", "-load", snap, "-own", "1"))
+		t.Cleanup(shard1.Close)
+		path := filepath.Join(t.TempDir(), "topology.json")
+		topo := fmt.Sprintf(`{"endpoints": [{"shard": 0, "primary": %q}, {"shard": 1, "primary": %q}]}`, primary0, shard1.URL)
+		if err := os.WriteFile(path, []byte(topo), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return checkFlags(fs)
+		return path
 	}
-	for _, name := range buildFlags {
-		if err := parse("-load", "built.idx", "-"+name, "7"); err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
-			t.Errorf("-load with -%s: error %v does not name the flag", name, err)
+	fleet := func(t *testing.T) string {
+		shard0 := httptest.NewServer(start(t, "-shard-role", "shard", "-load", snap, "-own", "0"))
+		t.Cleanup(shard0.Close)
+		return topology(t, shard0.URL)
+	}
+	small := start(t, "-n", "40")
+	cases := map[string]func(t *testing.T){
+		"addr": func(t *testing.T) {
+			o, _ := parseFlags(nil)
+			changed, _ := parseFlags([]string{"-addr", "127.0.0.1:0"})
+			if a, b := newHTTPServer(o.addr, nil).Addr, newHTTPServer(changed.addr, nil).Addr; a != ":8080" || b != "127.0.0.1:0" {
+				t.Errorf("listening on %s and %s", a, b)
+			}
+		},
+		"corpus": func(t *testing.T) {
+			if got := field(t, start(t, "-corpus", corpus), "/stats", "num_docs"); got != 30.0 {
+				t.Errorf("-corpus of 30 posts serves %v documents", got)
+			}
+		},
+		"load": func(t *testing.T) {
+			h := start(t, "-load", snap)
+			if docs, shards := field(t, h, "/stats", "num_docs"), field(t, h, "/stats", "shards"); docs != 30.0 || shards != 2.0 {
+				t.Errorf("-load of a 30-post 2-shard snapshot serves %v documents in %v shards", docs, shards)
+			}
+		},
+		"domain": func(t *testing.T) {
+			if related(start(t, "-n", "40", "-domain", "health")) == related(small) {
+				t.Error("-domain health answers as tech does")
+			}
+		},
+		"n": func(t *testing.T) {
+			if got := field(t, small, "/stats", "num_docs"); got != 40.0 {
+				t.Errorf("-n 40 serves %v documents", got)
+			}
+		},
+		"seed": func(t *testing.T) {
+			if related(start(t, "-n", "40", "-seed", "7")) == related(small) {
+				t.Error("-seed 7 answers as -seed 42 does")
+			}
+		},
+		"shards": func(t *testing.T) {
+			if got := field(t, start(t, "-n", "40", "-shards", "3"), "/stats", "shards"); got != 3.0 {
+				t.Errorf("-shards 3 serves %v shards", got)
+			}
+		},
+		"trace-slow": func(t *testing.T) {
+			if a, b := traces(t, small), traces(t, start(t, "-n", "40", "-trace-slow", "0")); a > 2 || b != 5 {
+				t.Errorf("5 requests keep %d traces by default and %d under -trace-slow 0", a, b)
+			}
+		},
+		"trace-rate": func(t *testing.T) {
+			if a, b := traces(t, small), traces(t, start(t, "-n", "40", "-trace-rate", "0")); a == 0 || b != 0 {
+				t.Errorf("5 requests keep %d traces by default and %d under -trace-rate 0", a, b)
+			}
+		},
+		"cache-entries": func(t *testing.T) {
+			if a, b := field(t, small, "/stats", "cache"), field(t, start(t, "-n", "40", "-cache-entries", "64"), "/stats", "cache.capacity"); a != nil || b != 64.0 {
+				t.Errorf("/stats cache block %v by default, capacity %v under -cache-entries 64", a, b)
+			}
+		},
+		"max-inflight": func(t *testing.T) {
+			if a, b := field(t, small, "/stats", "admission"), field(t, start(t, "-n", "40", "-max-inflight", "2"), "/stats", "admission.max_inflight"); a != nil || b != 2.0 {
+				t.Errorf("/stats admission block %v by default, max_inflight %v under -max-inflight 2", a, b)
+			}
+		},
+		"max-queued": func(t *testing.T) {
+			h := start(t, "-n", "40", "-max-inflight", "2", "-max-queued", "3")
+			if got := field(t, h, "/stats", "admission.max_queued"); got != 3.0 {
+				t.Errorf("-max-queued 3 admits a queue of %v", got)
+			}
+		},
+		"shard-role": func(t *testing.T) {
+			shard := start(t, "-shard-role", "shard", "-load", snap)
+			if a, _ := call(small, http.MethodGet, "/internal/meta", ""); a == http.StatusOK {
+				t.Error("the single process answers /internal/meta")
+			}
+			if got := field(t, shard, "/internal/meta", "total_shards"); got != 2.0 {
+				t.Errorf("a shard server's meta has %v total shards", got)
+			}
+		},
+		"own": func(t *testing.T) {
+			all := field(t, start(t, "-shard-role", "shard", "-load", snap), "/internal/meta", "shards")
+			one := field(t, start(t, "-shard-role", "shard", "-load", snap, "-own", "1"), "/internal/meta", "shards")
+			if fmt.Sprint(all, one) != "[0 1] [1]" {
+				t.Errorf("serving shards %v by default and %v under -own 1", all, one)
+			}
+		},
+		"fleet": func(t *testing.T) {
+			o, _ := parseFlags([]string{"-shard-role", "coordinator"})
+			if _, err := o.handler(quiet); err == nil || !strings.Contains(err.Error(), "-fleet") {
+				t.Errorf("a coordinator without -fleet: %v", err)
+			}
+			h := start(t, "-shard-role", "coordinator", "-fleet", fleet(t))
+			if related(h) != related(start(t, "-load", snap)) {
+				t.Error("the coordinator answers otherwise than the snapshot it scatters over")
+			}
+		},
+		"fleet-timeout": func(t *testing.T) {
+			topo := fleet(t)
+			a := field(t, start(t, "-shard-role", "coordinator", "-fleet", topo), "/stats", "shard_health")
+			b := field(t, start(t, "-shard-role", "coordinator", "-fleet", topo, "-fleet-timeout", "1s"), "/stats", "shard_health")
+			delay := func(h any) any { return h.([]any)[0].(map[string]any)["hedge_delay_ns"] }
+			if delay(a) != 1e8 || delay(b) != 5e7 {
+				t.Errorf("hedge delay %v at the default budget, %v at -fleet-timeout 1s; want T/20", delay(a), delay(b))
+			}
+		},
+		"fleet-bootstrap": func(t *testing.T) {
+			// Shard 0 answers 503 until it is ready: the coordinator comes
+			// up only if it keeps retrying.
+			var ready atomic.Bool
+			shard0 := start(t, "-shard-role", "shard", "-load", snap, "-own", "0")
+			late := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if !ready.Load() {
+					http.Error(w, "starting", http.StatusServiceUnavailable)
+					return
+				}
+				shard0.ServeHTTP(w, r)
+			}))
+			t.Cleanup(late.Close)
+			topo := topology(t, late.URL)
+			o, _ := parseFlags([]string{"-shard-role", "coordinator", "-fleet", topo, "-fleet-bootstrap", "0"})
+			if _, err := o.handler(quiet); err == nil {
+				t.Error("-fleet-bootstrap 0 bootstrapped against a shard that is not ready")
+			}
+			time.AfterFunc(200*time.Millisecond, func() { ready.Store(true) })
+			start(t, "-shard-role", "coordinator", "-fleet", topo)
+		},
+	}
+	for _, r := range new(options).table().Rows {
+		if cases[r.Name] == nil {
+			t.Errorf("-%s has no case: a flag stays only with a test that shows it changing an outcome", r.Name)
 		}
-		if err := parse("-"+name, "7"); err != nil {
-			t.Errorf("-%s without -load: %v", name, err)
-		}
 	}
-	if err := parse("-load", "built.idx", "-addr", ":9000"); err != nil {
-		t.Errorf("-load with -addr: %v", err)
-	}
-	// A negative -n is refused by name where it used to panic in the
-	// corpus generator; -n 0 builds an empty collection.
-	if err := parse("-n", "-1"); err == nil || !strings.Contains(err.Error(), "-n -1") {
-		t.Errorf("-n -1: error %v, want it refused by name", err)
-	}
-	if err := parse("-n", "0"); err != nil {
-		t.Errorf("-n 0: %v", err)
+	for name, c := range cases {
+		t.Run(name, c)
 	}
 }

@@ -105,12 +105,11 @@ func (o Options) withDefaults() Options {
 // legRetries is a leg's retry budget beyond its first attempt (and
 // beyond its one hedge attempt when the shard has a replica). latRingSize
 // bounds the per-shard latency history feeding the adaptive hedge
-// delay; latMinSamples gates the switch from hedgeFloor to the observed
-// hedgeQuantile of it.
+// delay, the observed hedgeQuantile of it once the ring is full and
+// hedgeFloor before that.
 const (
 	legRetries    = 2
 	latRingSize   = 64
-	latMinSamples = 8
 	hedgeQuantile = 0.9
 )
 
@@ -445,13 +444,17 @@ func (c *Coordinator) Describe(hygiene cache.LayerStats) any {
 }
 
 // hedgeDelay returns how long a shard's leg waits before hedging to a
-// replica: the shard's observed latency quantile once there is enough
-// history, hedgeFloor before that.
+// replica: the shard's observed latency quantile once its ring is full,
+// hedgeFloor before that. A hedged leg records only how long it waited,
+// a lower bound on the slow primary's latency, so a delay estimated too
+// low can climb back by one replica round trip at a time: the quantile
+// waits for a ring that holds its slow tenth (6 of 64 samples), where a
+// few samples would let one fast start set it.
 func (c *Coordinator) hedgeDelay(s int) time.Duration {
 	c.latMu.Lock()
 	samples := append([]time.Duration(nil), c.lat[s]...)
 	c.latMu.Unlock()
-	if len(samples) < latMinSamples {
+	if len(samples) < latRingSize {
 		return c.opts.hedgeFloor()
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
@@ -833,9 +836,13 @@ func (sc *scatter) handleDelivery(d delivery) {
 	l.done = true
 	l.home, l.probe, l.explain = d.home, d.probe, d.explain
 	l.cancelAll()
+	// The leg's own elapsed time, not the winning attempt's round trip:
+	// when a hedge wins, the slow primary's wait is what the shard's
+	// hedge delay has to learn.
 	now := sc.c.clock.Now()
-	sc.c.recordLatency(l.shard, now.Sub(d.sentAt))
-	sc.c.spanLeg[l.shard].Record(now.Sub(l.started))
+	elapsed := now.Sub(l.started)
+	sc.c.recordLatency(l.shard, elapsed)
+	sc.c.spanLeg[l.shard].Record(elapsed)
 	if d.hedge {
 		ctrHedgeWins.Inc()
 	}

@@ -138,9 +138,10 @@ type TracerConfig struct {
 	// 0 captures every request (deterministic capture — the serve
 	// history test's configuration); negative disables slow capture.
 	SlowQuery time.Duration
-	// RingSize bounds the retained finished traces. 256 when 0.
-	RingSize int
 }
+
+// ringSize bounds a Tracer's retained finished traces.
+const ringSize = 256
 
 // Tracer decides which requests get a Trace and retains the finished
 // ones in a bounded lock-free ring. The zero Tracer is unusable; build
@@ -168,10 +169,7 @@ type Tracer struct {
 
 // NewTracer builds a tracer with the given policy.
 func NewTracer(cfg TracerConfig) *Tracer {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 256
-	}
-	return &Tracer{cfg: cfg, ring: make([]atomic.Pointer[Trace], cfg.RingSize)}
+	return &Tracer{cfg: cfg, ring: make([]atomic.Pointer[Trace], ringSize)}
 }
 
 // Start returns a Trace for a request that began at now (the caller's

@@ -37,7 +37,7 @@ func TestSlowCaptureThresholdZeroIsDeterministic(t *testing.T) {
 	// SlowQuery=0: every request qualifies as slow, so every finished
 	// trace must land in the ring — the acceptance criterion's
 	// deterministic-capture configuration.
-	tracer := NewTracer(TracerConfig{SlowQuery: 0, RingSize: 8})
+	tracer := NewTracer(TracerConfig{SlowQuery: 0})
 	const reqs = 5
 	for i := 0; i < reqs; i++ {
 		tr := tracer.Start(time.Now())
@@ -112,18 +112,19 @@ func TestRateSamplingBudget(t *testing.T) {
 }
 
 func TestRingBounded(t *testing.T) {
-	tracer := NewTracer(TracerConfig{SlowQuery: 0, RingSize: 4})
-	for i := 0; i < 20; i++ {
+	tracer := NewTracer(TracerConfig{SlowQuery: 0})
+	const published = ringSize + 20
+	for i := 0; i < published; i++ {
 		tr := tracer.Start(time.Now())
 		tr.Event("e", N("i", int64(i)))
 		tracer.Finish(tr)
 	}
 	recs := tracer.Snapshot()
-	if len(recs) != 4 {
-		t.Fatalf("ring holds %d records, want 4", len(recs))
+	if len(recs) != ringSize {
+		t.Fatalf("ring holds %d records, want %d", len(recs), ringSize)
 	}
 	for j, r := range recs {
-		if want := int64(19 - j); r.Events[0].Attrs[0].Int != want {
+		if want := int64(published - 1 - j); r.Events[0].Attrs[0].Int != want {
 			t.Fatalf("record %d holds i=%d, want %d (newest first)", j, r.Events[0].Attrs[0].Int, want)
 		}
 	}
@@ -164,7 +165,7 @@ func TestEventsMonotoneUnderConcurrency(t *testing.T) {
 func TestSnapshotConcurrentWithPublish(t *testing.T) {
 	// Scrape the ring while writers publish: every record seen must be
 	// complete (id set, duration non-negative, events monotone).
-	tracer := NewTracer(TracerConfig{SlowQuery: 0, RingSize: 8})
+	tracer := NewTracer(TracerConfig{SlowQuery: 0})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -28,7 +28,6 @@ func newObserver(cfg Config) observer {
 		tracer: obs.NewTracer(obs.TracerConfig{
 			PerSecond: cfg.TraceRate,
 			SlowQuery: cfg.SlowQuery,
-			RingSize:  cfg.TraceRingSize,
 		}),
 	}
 }

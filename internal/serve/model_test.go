@@ -1159,8 +1159,8 @@ func TestHistoriesMatchModel(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
 	servers := [2]Config{
-		{TraceRingSize: 16},
-		{TraceRingSize: 16, CacheEntries: 64, MaxInflight: 2, MaxQueued: histReaders},
+		{},
+		{CacheEntries: 64, MaxInflight: 2, MaxQueued: histReaders},
 	}
 	saves := 0
 	for _, row := range []modelRow{{"unsharded", "", 0}, {"shards=4", "", 4}} {

@@ -213,18 +213,6 @@ func TestTracesDisabled(t *testing.T) {
 	}
 }
 
-func TestTracesRingBounded(t *testing.T) {
-	ts := newTestServerCfg(t, Config{SlowQuery: 0, TraceRingSize: 4})
-	for i := 0; i < 10; i++ {
-		postJSON(t, ts.URL+"/related", fmt.Sprintf(`{"doc_id": %d, "k": 2}`, i))
-	}
-	var tres TracesResponse
-	getJSON(t, ts.URL+"/debug/traces", &tres)
-	if len(tres.Traces) != 4 {
-		t.Fatalf("ring of 4 serves %d traces", len(tres.Traces))
-	}
-}
-
 // --- /metrics content negotiation ---
 
 func TestMetricsPrometheusFormat(t *testing.T) {

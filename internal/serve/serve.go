@@ -102,8 +102,6 @@ type Config struct {
 	// this slow is captured. 0 captures every request; negative disables
 	// slow capture (leaving only rate-sampled traces).
 	SlowQuery time.Duration
-	// TraceRingSize bounds the retained traces (256 when 0).
-	TraceRingSize int
 
 	// CacheEntries bounds the Related result cache (and turns on
 	// singleflight collapsing of concurrent identical queries with it).

@@ -34,25 +34,7 @@ import (
 func TestRecycledTracesStress(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	lt := fleet.NewLocalTransport()
-	var topo fleet.Topology
-	for s, h := range fleetBackend().hosts {
-		primary, replica := fmt.Sprintf("recycle-p%d", s), fmt.Sprintf("recycle-r%d", s)
-		lt.AddHost(primary, h)
-		lt.AddHost(replica, h)
-		topo.Endpoints = append(topo.Endpoints, fleet.ShardEndpoints{Shard: s, Primary: primary, Replicas: []string{replica}})
-	}
-	chaos := fleet.NewChaos(lt, fleet.RealClock{})
-	chaos.Fallback = func(endpoint, kind string, call int) fleet.ChaosAction {
-		if kind == "probe" && strings.HasPrefix(endpoint, "recycle-p") && call%4 == 1 {
-			return fleet.ChaosAction{ReplyDelay: 20 * time.Millisecond}
-		}
-		return fleet.ChaosAction{}
-	}
-	coordinator, err := fleet.New(context.Background(), topo, fleet.Options{Transport: chaos, Timeout: 200 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coordinator := lateReplicaCoordinator(t, "recycle")
 	hedges := obs.GetOrNewCounter("fleet.hedges")
 	const docs = 120
 	adds := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: 40, Seed: 27})
@@ -94,5 +76,83 @@ func TestRecycledTracesStress(t *testing.T) {
 				t.Error("coordinator: no hedge launched; the row must hand the race detector a hedged RPC")
 			}
 		}
+	}
+}
+
+// lateReplicaCoordinator is a coordinator over fleetBackend's shards,
+// each behind a primary and a replica endpoint named by prefix, on a
+// 200 ms budget, whose every fourth probe to a primary replies 20 ms
+// late: past the 10 ms hedge floor (T/20) and inside the 50 ms attempt,
+// so those legs hedge to the replica.
+func lateReplicaCoordinator(t *testing.T, prefix string) *fleet.Coordinator {
+	t.Helper()
+	lt := fleet.NewLocalTransport()
+	var topo fleet.Topology
+	for s, h := range fleetBackend().hosts {
+		primary, replica := fmt.Sprintf("%s-p%d", prefix, s), fmt.Sprintf("%s-r%d", prefix, s)
+		lt.AddHost(primary, h)
+		lt.AddHost(replica, h)
+		topo.Endpoints = append(topo.Endpoints, fleet.ShardEndpoints{Shard: s, Primary: primary, Replicas: []string{replica}})
+	}
+	chaos := fleet.NewChaos(lt, fleet.RealClock{})
+	chaos.Fallback = func(endpoint, kind string, call int) fleet.ChaosAction {
+		if kind == "probe" && strings.HasPrefix(endpoint, prefix+"-p") && call%4 == 1 {
+			return fleet.ChaosAction{ReplyDelay: 20 * time.Millisecond}
+		}
+		return fleet.ChaosAction{}
+	}
+	c, err := fleet.New(context.Background(), topo, fleet.Options{Transport: chaos, Timeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestHedgeDelayLearnsTheSlowPrimary: a shard's hedge delay is the p90
+// of its legs' own elapsed times, so a leg that hedged past a late
+// primary teaches the delay how long the primary kept it waiting. With
+// every fourth primary probe 20 ms late, a quarter of the probe legs
+// wait out the 10 ms hedge floor, and after 200 queries every shard's
+// hedge_delay_ns in /stats is at least that floor. (The queries run one
+// at a time: the hedged legs are then a steady fifth of every shard's
+// samples.) Fed the winning
+// attempt's round trip instead, the ring learns only the hedges' fast
+// replies and the delay falls to microseconds, hedging far more than
+// one leg in ten.
+func TestHedgeDelayLearnsTheSlowPrimary(t *testing.T) {
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+	srv := New(lateReplicaCoordinator(t, "learn"), Config{SlowQuery: -1})
+	const docs, queries = 120, 200
+	for i := 0; i < queries; i++ {
+		rec := httptest.NewRecorder()
+		body := fmt.Sprintf(`{"doc_id": %d, "k": 5}`, i*7%docs)
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/related", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s answered %d %s", body, rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var stats struct {
+		ShardHealth []struct {
+			Shard          int   `json:"shard"`
+			LatencySamples int   `json:"latency_samples"`
+			HedgeDelayNS   int64 `json:"hedge_delay_ns"`
+		} `json:"shard_health"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatalf("/stats: %v: %s", err, rec.Body)
+	}
+	const floor = 10 * time.Millisecond
+	for _, h := range stats.ShardHealth {
+		t.Logf("shard %d: %d samples, hedge delay %v", h.Shard, h.LatencySamples, time.Duration(h.HedgeDelayNS))
+		if time.Duration(h.HedgeDelayNS) < floor {
+			t.Errorf("shard %d: hedge delay %v after %d queries, below the %v floor the late primaries wait out",
+				h.Shard, time.Duration(h.HedgeDelayNS), queries, floor)
+		}
+	}
+	if len(stats.ShardHealth) == 0 {
+		t.Fatalf("/stats has no shard_health: %s", rec.Body)
 	}
 }

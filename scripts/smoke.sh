@@ -336,16 +336,28 @@ else
     fail=1
 fi
 
-# A build flag beside -load would be ignored, so it is refused by name.
-if "$BIN" -addr "127.0.0.1:$PORT" -load "$WORK/snap.idx" -n 50 2>"$LOG"; then
-    echo "FAIL serve accepted -n beside -load" >&2
-    fail=1
-elif grep -q -- '-n is a build flag' "$LOG"; then
-    echo "ok   build flag beside -load refused by name" >&2
-else
-    echo "FAIL -n beside -load refused without naming the flag:" >&2; tail -2 "$LOG" >&2
-    fail=1
-fi
+# A flag is read only in the modes its row names (cmd/serve's and
+# cmd/intentmatch's options.table); set in any other mode it is refused
+# by name before anything is built or served. One refusal per mode;
+# the timeout bounds a process that would serve instead.
+refuse() { # refuse <flag> <command...>
+    local flag="$1"; shift
+    if timeout 60 "$@" >/dev/null 2>"$LOG"; then
+        echo "FAIL accepted $flag: $*" >&2
+        fail=1
+    elif grep -q -- "$flag is not read in" "$LOG"; then
+        echo "ok   $flag refused by name: ${*#"$WORK"/}" >&2
+    else
+        echo "FAIL $flag refused without naming it: $*" >&2; tail -2 "$LOG" >&2
+        fail=1
+    fi
+}
+refuse -own "$BIN" -addr "127.0.0.1:$PORT" -own 0
+refuse -n "$BIN" -addr "127.0.0.1:$PORT" -corpus "$WORK/corpus.jsonl" -n 10
+refuse -n "$BIN" -addr "127.0.0.1:$PORT" -load "$WORK/snap.idx" -n 50
+refuse -cache-entries "$BIN" -addr "127.0.0.1:$PORT" -shard-role shard -load "$WORK/snap.idx" -cache-entries 8
+refuse -load "$BIN" -addr "127.0.0.1:$PORT" -shard-role coordinator -fleet "$WORK/topology.json" -load "$WORK/snap.idx"
+refuse -save "$WORK/intentmatch" -load "$WORK/snap.idx" -save "$WORK/resaved.idx"
 
 # The coordinator's one timing knob is -fleet-timeout; the schedule it
 # derives has no flags of its own, so one of the old ones is refused.
