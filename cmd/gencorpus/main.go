@@ -1,9 +1,17 @@
 // Command gencorpus emits a synthetic forum corpus as JSON lines, one post
 // per line, with its ground truth (segments, intentions, scenario key).
+// It is the one corpus source of cmd/serve and cmd/intentmatch, which
+// read it with core.ReadCorpus.
 //
 // Usage:
 //
 //	gencorpus -domain tech -n 1000 -seed 7 > corpus.jsonl
+//	gencorpus -domain tech -n 1000 -seed 42 | serve -corpus -
+//
+// Its three flags are plain flag package flags, not an internal/knob
+// table as cmd/serve's and cmd/intentmatch's are: it has one mode, so
+// no flag can be set where nothing reads it, and a table would bring a
+// third copy of the refusal tests' helpers.
 package main
 
 import (
@@ -33,7 +41,7 @@ type segmentRecord struct {
 }
 
 func main() {
-	domain := flag.String("domain", "tech", "domain: tech, travel, prog, or health")
+	domain := flag.String("domain", "tech", "domain: tech, travel, prog (or programming), or health")
 	n := flag.Int("n", 100, "number of posts")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
@@ -49,7 +57,7 @@ func main() {
 	case "health":
 		d = forum.Health
 	default:
-		fmt.Fprintf(os.Stderr, "gencorpus: unknown domain %q (tech, travel, prog, health)\n", *domain)
+		fmt.Fprintf(os.Stderr, "gencorpus: unknown domain %q (tech, travel, prog or programming, health)\n", *domain)
 		os.Exit(2)
 	}
 

@@ -21,9 +21,7 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -42,11 +40,6 @@ import (
 	"repro/internal/par"
 )
 
-type record struct {
-	ID   int    `json:"id"`
-	Text string `json:"text"`
-}
-
 // baselines are the comparison methods -method names besides intent.
 var baselines = map[string]baseline.Method{
 	"fulltext": baseline.FullText, "lda": baseline.LDA, "content": baseline.ContentMR, "sent": baseline.SentIntentMR,
@@ -61,17 +54,20 @@ type options struct {
 }
 
 // The modes, one bit each: -load, then -method and -save choose one.
+// FullText builds no clustering, so it reads no seed.
 const (
 	intentQuery knob.Modes = 1 << iota
 	intentSave
-	baselineBuild
+	fulltextBuild
+	seededBuild
 	loaded
 
-	builds  = intentQuery | intentSave | baselineBuild
-	queries = intentQuery | baselineBuild | loaded
+	baselineBuilds = fulltextBuild | seededBuild
+	builds         = intentQuery | intentSave | baselineBuilds
+	queries        = intentQuery | baselineBuilds | loaded
 )
 
-var modeNames = []string{"intent build", "-save", "baseline build (-method ≠ intent)", "-load"}
+var modeNames = []string{"intent build", "-save", "-method fulltext", "-method lda, content or sent", "-load"}
 
 // table is every flag, each declared once; README's cmd/intentmatch
 // knob table is rendered from it.
@@ -85,7 +81,7 @@ func (o *options) table() *knob.Table {
 			Help: "number of related posts to return"},
 		{Name: "method", Value: &o.method, Default: "intent", Modes: builds, Range: knob.OneOf("intent", "fulltext", "lda", "content", "sent"),
 			Help: "matching method: intent is the paper's, the others build an internal/baseline matcher"},
-		{Name: "seed", Value: &o.seed, Default: int64(1), Modes: builds,
+		{Name: "seed", Value: &o.seed, Default: int64(1), Modes: builds &^ fulltextBuild,
 			Help: "random seed"},
 		{Name: "save", Value: &o.save, Default: "", Modes: intentSave,
 			Help: "write the built pipeline to this file and exit"},
@@ -103,8 +99,10 @@ func (o *options) mode() knob.Modes {
 	switch {
 	case o.load != "":
 		return loaded
+	case o.method == "fulltext":
+		return fulltextBuild
 	case o.method != "intent":
-		return baselineBuild
+		return seededBuild
 	case o.save != "":
 		return intentSave
 	}
@@ -154,7 +152,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if o.mode() == baselineBuild {
+	if o.mode()&baselineBuilds != 0 {
 		built, err := baselines[o.method].Build(baseline.Prepare(texts), baseline.Config{LDA: lda.Config{K: 8, Iterations: 60}, Seed: o.seed})
 		if err != nil {
 			return err
@@ -188,39 +186,18 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	return answer(stdout, p.Related, explainPipeline(p), st.NumDocs, o, texts)
 }
 
-// readCorpus reads the post texts of a JSON-lines corpus file, or of
-// stdin when path is "-".
+// readCorpus reads the post texts of the JSON-lines corpus at path, or
+// of stdin when path is "-".
 func readCorpus(path string, stdin io.Reader) ([]string, error) {
-	in := stdin
 	if path != "-" {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		in = f
+		stdin = f
 	}
-	var texts []string
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var rec record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return nil, fmt.Errorf("parsing corpus line %d: %w", len(texts)+1, err)
-		}
-		texts = append(texts, rec.Text)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(texts) == 0 {
-		return nil, fmt.Errorf("empty corpus")
-	}
-	return texts, nil
+	return core.ReadCorpus(stdin)
 }
 
 // explainFunc is an explained query, the form explainQueries prints.

@@ -22,18 +22,21 @@ import (
 var modeArgs = map[knob.Modes][]string{
 	intentQuery:   nil,
 	intentSave:    {"-save", "built.idx"},
-	baselineBuild: {"-method", "fulltext"},
+	fulltextBuild: {"-method", "fulltext"},
+	seededBuild:   {"-method", "lda"},
 	loaded:        {"-load", "built.idx"},
 }
 
-// ignoredBefore are the 9 (flag, mode) pairs that intentmatch ran with
-// and then ignored before the knob table; each must stay refused.
+// ignoredBefore are the (flag, mode) pairs that intentmatch ran with
+// and then ignored: 9 before the knob table, and -seed beside -method
+// fulltext after it; each must stay refused.
 var ignoredBefore = []struct {
 	flag string
 	mode knob.Modes
 }{
 	{"corpus", loaded}, {"method", loaded}, {"seed", loaded}, {"save", loaded}, {"save-shards", loaded},
 	{"save-shards", intentQuery}, {"query", intentSave}, {"k", intentSave}, {"explain", intentSave},
+	{"seed", fulltextBuild},
 }
 
 // sample is a value of r inside its range and off its default.
@@ -136,7 +139,7 @@ func TestREADMEKnobTable(t *testing.T) {
 func corpusFile(t *testing.T, n int, seed int64) (string, []byte) {
 	var b bytes.Buffer
 	for _, p := range forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: n, Seed: seed}) {
-		line, _ := json.Marshal(record{Text: p.Text})
+		line, _ := json.Marshal(map[string]string{"text": p.Text})
 		b.Write(append(line, '\n'))
 	}
 	path := filepath.Join(t.TempDir(), "c.jsonl")

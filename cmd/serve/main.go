@@ -21,8 +21,8 @@
 //
 // Usage:
 //
-//	serve -addr :8080 -domain tech -n 1000 -seed 42
-//	serve -corpus corpus.jsonl                 # cmd/gencorpus output
+//	gencorpus -domain tech -n 1000 | serve -corpus - -addr :8080
+//	serve -corpus corpus.jsonl -seed 42        # cmd/gencorpus output
 //	serve -load built.idx                      # cmd/intentmatch -save output, any shard count
 //	serve -trace-slow 50ms -trace-rate 5       # capture policy
 //	serve -cache-entries 4096 -max-inflight 64 -max-queued 128   # heavy-traffic hygiene
@@ -34,12 +34,12 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -51,7 +51,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/forum"
 	"repro/internal/knob"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -59,27 +58,25 @@ import (
 
 // options are the flags; table declares them.
 type options struct {
-	addr, corpus, load, domain, shardRole, own, fleet          string
-	n, shards, traceRate, cacheEntries, maxInflight, maxQueued int
-	seed                                                       int64
-	traceSlow, fleetTimeout, fleetBootstrap                    time.Duration
+	addr, corpus, load, shardRole, own, fleet               string
+	shards, traceRate, cacheEntries, maxInflight, maxQueued int
+	seed                                                    int64
+	traceSlow, fleetTimeout, fleetBootstrap                 time.Duration
 }
 
 // The modes, one bit each: the flags -shard-role, -load and -corpus
-// choose one, in that order of precedence.
+// choose one, in that order of precedence, and one of them must be set.
 const (
-	synthetic knob.Modes = 1 << iota
-	corpusBuild
+	corpusBuild knob.Modes = 1 << iota
 	loaded
 	shardRole
 	coordinatorRole
 
-	builds = synthetic | corpusBuild
-	public = builds | loaded | coordinatorRole // serve.New's modes
+	public = corpusBuild | loaded | coordinatorRole // serve.New's modes
 	every  = public | shardRole
 )
 
-var modeNames = []string{"synthetic build", "-corpus build", "-load", "-shard-role shard", "-shard-role coordinator"}
+var modeNames = []string{"-corpus build", "-load", "-shard-role shard", "-shard-role coordinator"}
 
 // table is every flag, each declared once; README's cmd/serve knob
 // table is rendered from it.
@@ -88,16 +85,12 @@ func (o *options) table() *knob.Table {
 		{Name: "addr", Value: &o.addr, Default: ":8080", Modes: every,
 			Help: "listen address"},
 		{Name: "corpus", Value: &o.corpus, Default: "", Modes: corpusBuild,
-			Help: "build from this JSONL corpus file (cmd/gencorpus output); empty generates one"},
+			Help: "build from this JSONL corpus file (cmd/gencorpus output; - reads stdin)"},
 		{Name: "load", Value: &o.load, Default: "", Modes: loaded | shardRole,
 			Help: "serve a persisted pipeline instead of building: a snapshot file of any shard count (cmd/intentmatch -save output)"},
-		{Name: "domain", Value: &o.domain, Default: "tech", Modes: synthetic, Range: knob.OneOf("tech", "travel", "prog", "programming", "health"),
-			Help: "synthetic corpus domain"},
-		{Name: "n", Value: &o.n, Default: 1000, Modes: synthetic, Range: knob.AtLeast(0),
-			Help: "synthetic corpus size"},
-		{Name: "seed", Value: &o.seed, Default: int64(42), Modes: builds,
-			Help: "random seed of the synthetic corpus and of the build's clustering"},
-		{Name: "shards", Value: &o.shards, Default: 0, Modes: builds, Range: knob.AtLeast(0),
+		{Name: "seed", Value: &o.seed, Default: int64(42), Modes: corpusBuild,
+			Help: "k-means seed of the build"},
+		{Name: "shards", Value: &o.shards, Default: 0, Modes: corpusBuild, Range: knob.AtLeast(0),
 			Help: "partition the collection across this many shards, queried by scatter-gather (0 or 1 = unsharded; rankings are identical either way)"},
 		{Name: "trace-slow", Value: &o.traceSlow, Default: 100 * time.Millisecond, Modes: every,
 			Help: "always capture traces of requests at least this slow (0 captures every request, negative disables)"},
@@ -131,10 +124,8 @@ func (o *options) mode() knob.Modes {
 		return coordinatorRole
 	case o.load != "":
 		return loaded
-	case o.corpus != "":
-		return corpusBuild
 	}
-	return synthetic
+	return corpusBuild
 }
 
 // parseFlags parses args and refuses, by name, a flag set outside its
@@ -164,7 +155,7 @@ func main() {
 	stopPoller := obs.StartRuntimePoller(10 * time.Second)
 	defer stopPoller()
 
-	handler, err := o.handler(logger)
+	handler, err := o.handler(logger, os.Stdin)
 	if err != nil {
 		fatal("startup", err)
 	}
@@ -173,8 +164,8 @@ func main() {
 
 // handler is what the mode serves: a shard server over the owned
 // partitions of a snapshot, or serve.New over a coordinator, a loaded
-// pipeline or a built one.
-func (o *options) handler(logger *slog.Logger) (http.Handler, error) {
+// pipeline or one built from the corpus, read from stdin when it is "-".
+func (o *options) handler(logger *slog.Logger, stdin io.Reader) (http.Handler, error) {
 	cfg := serve.Config{
 		Logger:       logger,
 		TraceRate:    o.traceRate,
@@ -221,7 +212,7 @@ func (o *options) handler(logger *slog.Logger) (http.Handler, error) {
 			"docs", st.NumDocs, "clusters", st.NumClusters, "shards", p.Shards())
 		eng = p
 	default:
-		texts, err := loadCorpus(o.corpus, o.domain, o.n, o.seed)
+		texts, err := readCorpus(o.corpus, stdin)
 		if err != nil {
 			return nil, fmt.Errorf("corpus: %w", err)
 		}
@@ -336,44 +327,19 @@ func bootstrapCoordinator(path string, opts fleet.Options, patience time.Duratio
 	}
 }
 
-// loadCorpus reads post texts from a cmd/gencorpus JSONL file, or
-// generates a synthetic corpus when path is empty.
-func loadCorpus(path, domain string, n int, seed int64) ([]string, error) {
+// readCorpus reads the post texts of the JSON-lines corpus at path, or
+// of stdin when path is "-".
+func readCorpus(path string, stdin io.Reader) ([]string, error) {
 	if path == "" {
-		posts := forum.Generate(forum.Config{Domain: domains[domain], NumPosts: n, Seed: seed})
-		texts := make([]string, len(posts))
-		for i, p := range posts {
-			texts[i] = p.Text
+		return nil, errors.New("nothing to serve: build with -corpus <file> (- reads stdin), or set -load or -shard-role")
+	}
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
 		}
-		return texts, nil
+		defer f.Close()
+		stdin = f
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var texts []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // generated posts are small; allow 16MB lines anyway
-	for sc.Scan() {
-		var rec struct {
-			Text string `json:"text"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		texts = append(texts, rec.Text)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(texts) == 0 {
-		return nil, fmt.Errorf("%s: empty corpus", path)
-	}
-	return texts, nil
-}
-
-// domains are the -domain values.
-var domains = map[string]forum.Domain{
-	"tech": forum.TechSupport, "travel": forum.Travel, "prog": forum.Programming, "programming": forum.Programming, "health": forum.Health,
+	return core.ReadCorpus(stdin)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -23,7 +24,6 @@ import (
 	"repro/internal/forum"
 	"repro/internal/knob"
 	"repro/internal/obs"
-	"repro/internal/serve"
 )
 
 // TestStalledBodyIsCut: a client that sends its headers and part of its
@@ -35,15 +35,8 @@ import (
 func TestStalledBodyIsCut(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	texts, err := loadCorpus("", "tech", 40, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.Build(texts, core.Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newHTTPServer("127.0.0.1:0", serve.New(p, serve.Config{SlowQuery: -1}).Handler())
+	corpus, _ := corpusFile(t, 40, 42)
+	srv := newHTTPServer("127.0.0.1:0", start(t, "-corpus", corpus))
 	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 || srv.WriteTimeout <= 30*time.Second {
 		t.Fatalf("listener timeouts: header %v, read %v, idle %v, write %v (pprof's default profile window is 30s)",
 			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout, srv.WriteTimeout)
@@ -91,27 +84,25 @@ func TestStalledBodyIsCut(t *testing.T) {
 // modeArgs are the flags that choose each mode, with placeholder
 // files: parseFlags opens none of them.
 var modeArgs = map[knob.Modes][]string{
-	synthetic:       nil,
 	corpusBuild:     {"-corpus", "c.jsonl"},
 	loaded:          {"-load", "built.idx"},
 	shardRole:       {"-shard-role", "shard", "-load", "built.idx"},
 	coordinatorRole: {"-shard-role", "coordinator", "-fleet", "topology.json"},
 }
 
-// ignoredBefore are the 27 (flag, mode) pairs that serve started up
-// with and then ignored before the knob table; each must stay refused.
+// ignoredBefore are the (flag, mode) pairs that serve started up with
+// and then ignored before the knob table, less those whose flag or mode
+// is gone; each must stay refused.
 var ignoredBefore = []struct {
 	flag string
 	mode knob.Modes
 }{
-	{"own", synthetic}, {"own", corpusBuild}, {"own", loaded}, {"own", coordinatorRole},
-	{"fleet", synthetic}, {"fleet", corpusBuild}, {"fleet", loaded}, {"fleet", shardRole},
-	{"fleet-timeout", synthetic}, {"fleet-timeout", corpusBuild}, {"fleet-timeout", loaded}, {"fleet-timeout", shardRole},
-	{"fleet-bootstrap", synthetic}, {"fleet-bootstrap", corpusBuild}, {"fleet-bootstrap", loaded}, {"fleet-bootstrap", shardRole},
+	{"own", corpusBuild}, {"own", loaded}, {"own", coordinatorRole},
+	{"fleet", corpusBuild}, {"fleet", loaded}, {"fleet", shardRole},
+	{"fleet-timeout", corpusBuild}, {"fleet-timeout", loaded}, {"fleet-timeout", shardRole},
+	{"fleet-bootstrap", corpusBuild}, {"fleet-bootstrap", loaded}, {"fleet-bootstrap", shardRole},
 	{"cache-entries", shardRole}, {"max-inflight", shardRole}, {"max-queued", shardRole},
-	{"load", coordinatorRole}, {"corpus", coordinatorRole}, {"domain", coordinatorRole},
-	{"n", coordinatorRole}, {"seed", coordinatorRole}, {"shards", coordinatorRole},
-	{"domain", corpusBuild}, {"n", corpusBuild},
+	{"load", coordinatorRole}, {"corpus", coordinatorRole}, {"seed", coordinatorRole}, {"shards", coordinatorRole},
 }
 
 // sample is a value of r inside its range and off its default.
@@ -226,6 +217,21 @@ func TestREADMEKnobTable(t *testing.T) {
 // quiet is a logger that drops everything.
 var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
 
+// corpusFile writes n generated posts as a JSON-lines corpus and
+// returns its path and its bytes.
+func corpusFile(t *testing.T, n int, seed int64) (string, []byte) {
+	var b bytes.Buffer
+	for _, p := range forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: n, Seed: seed}) {
+		line, _ := json.Marshal(map[string]string{"text": p.Text})
+		b.Write(append(line, '\n'))
+	}
+	path := filepath.Join(t.TempDir(), "c.jsonl")
+	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, b.Bytes()
+}
+
 // start builds what args serve, or fails the test.
 func start(t *testing.T, args ...string) http.Handler {
 	t.Helper()
@@ -233,7 +239,7 @@ func start(t *testing.T, args ...string) http.Handler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := o.handler(quiet)
+	h, err := o.handler(quiet, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,20 +286,12 @@ func traces(t *testing.T, h http.Handler) int {
 // than its default changes what the process does. One case a row,
 // each against the default; a row without a case fails.
 func TestEveryFlagChangesAnOutcome(t *testing.T) {
-	dir := t.TempDir()
-	posts := forum.Generate(forum.Config{Domain: forum.Travel, NumPosts: 30, Seed: 5})
-	corpus := filepath.Join(dir, "c.jsonl")
-	var lines []string
-	texts := make([]string, len(posts))
-	for i, p := range posts {
-		texts[i] = p.Text
-		line, _ := json.Marshal(map[string]string{"text": p.Text})
-		lines = append(lines, string(line))
-	}
-	if err := os.WriteFile(corpus, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+	corpus, raw := corpusFile(t, 30, 5)
+	texts, err := core.ReadCorpus(bytes.NewReader(raw))
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap := filepath.Join(dir, "built.idx")
+	snap := filepath.Join(t.TempDir(), "built.idx")
 	p, err := core.Build(texts, core.Config{Seed: 42, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -317,16 +315,21 @@ func TestEveryFlagChangesAnOutcome(t *testing.T) {
 		t.Cleanup(shard0.Close)
 		return topology(t, shard0.URL)
 	}
-	small := start(t, "-n", "40")
+	corpus40, _ := corpusFile(t, 40, 42)
+	small := start(t, "-corpus", corpus40)
 	cases := map[string]func(t *testing.T){
 		"addr": func(t *testing.T) {
-			o, _ := parseFlags(nil)
-			changed, _ := parseFlags([]string{"-addr", "127.0.0.1:0"})
+			o, _ := parseFlags([]string{"-corpus", corpus})
+			changed, _ := parseFlags([]string{"-corpus", corpus, "-addr", "127.0.0.1:0"})
 			if a, b := newHTTPServer(o.addr, nil).Addr, newHTTPServer(changed.addr, nil).Addr; a != ":8080" || b != "127.0.0.1:0" {
 				t.Errorf("listening on %s and %s", a, b)
 			}
 		},
 		"corpus": func(t *testing.T) {
+			o, _ := parseFlags(nil)
+			if _, err := o.handler(quiet, nil); err == nil || !strings.Contains(err.Error(), "-corpus") || !strings.Contains(err.Error(), "-load") || !strings.Contains(err.Error(), "-shard-role") {
+				t.Errorf("no -corpus, -load or -shard-role: %v", err)
+			}
 			if got := field(t, start(t, "-corpus", corpus), "/stats", "num_docs"); got != 30.0 {
 				t.Errorf("-corpus of 30 posts serves %v documents", got)
 			}
@@ -337,48 +340,38 @@ func TestEveryFlagChangesAnOutcome(t *testing.T) {
 				t.Errorf("-load of a 30-post 2-shard snapshot serves %v documents in %v shards", docs, shards)
 			}
 		},
-		"domain": func(t *testing.T) {
-			if related(start(t, "-n", "40", "-domain", "health")) == related(small) {
-				t.Error("-domain health answers as tech does")
-			}
-		},
-		"n": func(t *testing.T) {
-			if got := field(t, small, "/stats", "num_docs"); got != 40.0 {
-				t.Errorf("-n 40 serves %v documents", got)
-			}
-		},
 		"seed": func(t *testing.T) {
-			if related(start(t, "-n", "40", "-seed", "7")) == related(small) {
+			if related(start(t, "-corpus", corpus40, "-seed", "7")) == related(small) {
 				t.Error("-seed 7 answers as -seed 42 does")
 			}
 		},
 		"shards": func(t *testing.T) {
-			if got := field(t, start(t, "-n", "40", "-shards", "3"), "/stats", "shards"); got != 3.0 {
+			if got := field(t, start(t, "-corpus", corpus40, "-shards", "3"), "/stats", "shards"); got != 3.0 {
 				t.Errorf("-shards 3 serves %v shards", got)
 			}
 		},
 		"trace-slow": func(t *testing.T) {
-			if a, b := traces(t, small), traces(t, start(t, "-n", "40", "-trace-slow", "0")); a > 2 || b != 5 {
+			if a, b := traces(t, small), traces(t, start(t, "-corpus", corpus40, "-trace-slow", "0")); a > 2 || b != 5 {
 				t.Errorf("5 requests keep %d traces by default and %d under -trace-slow 0", a, b)
 			}
 		},
 		"trace-rate": func(t *testing.T) {
-			if a, b := traces(t, small), traces(t, start(t, "-n", "40", "-trace-rate", "0")); a == 0 || b != 0 {
+			if a, b := traces(t, small), traces(t, start(t, "-corpus", corpus40, "-trace-rate", "0")); a == 0 || b != 0 {
 				t.Errorf("5 requests keep %d traces by default and %d under -trace-rate 0", a, b)
 			}
 		},
 		"cache-entries": func(t *testing.T) {
-			if a, b := field(t, small, "/stats", "cache"), field(t, start(t, "-n", "40", "-cache-entries", "64"), "/stats", "cache.capacity"); a != nil || b != 64.0 {
+			if a, b := field(t, small, "/stats", "cache"), field(t, start(t, "-corpus", corpus40, "-cache-entries", "64"), "/stats", "cache.capacity"); a != nil || b != 64.0 {
 				t.Errorf("/stats cache block %v by default, capacity %v under -cache-entries 64", a, b)
 			}
 		},
 		"max-inflight": func(t *testing.T) {
-			if a, b := field(t, small, "/stats", "admission"), field(t, start(t, "-n", "40", "-max-inflight", "2"), "/stats", "admission.max_inflight"); a != nil || b != 2.0 {
+			if a, b := field(t, small, "/stats", "admission"), field(t, start(t, "-corpus", corpus40, "-max-inflight", "2"), "/stats", "admission.max_inflight"); a != nil || b != 2.0 {
 				t.Errorf("/stats admission block %v by default, max_inflight %v under -max-inflight 2", a, b)
 			}
 		},
 		"max-queued": func(t *testing.T) {
-			h := start(t, "-n", "40", "-max-inflight", "2", "-max-queued", "3")
+			h := start(t, "-corpus", corpus40, "-max-inflight", "2", "-max-queued", "3")
 			if got := field(t, h, "/stats", "admission.max_queued"); got != 3.0 {
 				t.Errorf("-max-queued 3 admits a queue of %v", got)
 			}
@@ -401,7 +394,7 @@ func TestEveryFlagChangesAnOutcome(t *testing.T) {
 		},
 		"fleet": func(t *testing.T) {
 			o, _ := parseFlags([]string{"-shard-role", "coordinator"})
-			if _, err := o.handler(quiet); err == nil || !strings.Contains(err.Error(), "-fleet") {
+			if _, err := o.handler(quiet, nil); err == nil || !strings.Contains(err.Error(), "-fleet") {
 				t.Errorf("a coordinator without -fleet: %v", err)
 			}
 			h := start(t, "-shard-role", "coordinator", "-fleet", fleet(t))
@@ -433,7 +426,7 @@ func TestEveryFlagChangesAnOutcome(t *testing.T) {
 			t.Cleanup(late.Close)
 			topo := topology(t, late.URL)
 			o, _ := parseFlags([]string{"-shard-role", "coordinator", "-fleet", topo, "-fleet-bootstrap", "0"})
-			if _, err := o.handler(quiet); err == nil {
+			if _, err := o.handler(quiet, nil); err == nil {
 				t.Error("-fleet-bootstrap 0 bootstrapped against a shard that is not ready")
 			}
 			time.AfterFunc(200*time.Millisecond, func() { ready.Store(true) })
@@ -447,5 +440,27 @@ func TestEveryFlagChangesAnOutcome(t *testing.T) {
 	}
 	for name, c := range cases {
 		t.Run(name, c)
+	}
+}
+
+// TestCorpusInput: a corpus file builds with blank lines in it (the
+// ones an editor leaves at the end among them), and -corpus - reads
+// the corpus from stdin.
+func TestCorpusInput(t *testing.T) {
+	corpus, raw := corpusFile(t, 20, 9)
+	if err := os.WriteFile(corpus, append(raw, "\n  \n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file := start(t, "-corpus", corpus)
+	o, _ := parseFlags([]string{"-corpus", "-"})
+	stdin, err := o.handler(quiet, bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := field(t, stdin, "/stats", "num_docs"); got != 20.0 {
+		t.Errorf("-corpus - of 20 posts serves %v documents", got)
+	}
+	if a, b := related(file), related(stdin); a != b {
+		t.Errorf("the file and stdin answer otherwise:\n%s\n%s", a, b)
 	}
 }

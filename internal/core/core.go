@@ -24,9 +24,13 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -166,6 +170,42 @@ func Build(texts []string, cfg Config) (*Pipeline, error) {
 		p.matcher = g
 	}
 	return p, nil
+}
+
+// maxLineBytes bounds a corpus line: a post is kilobytes, and a
+// megabyte is what serve allows an /add body.
+const maxLineBytes = 1 << 20
+
+// ReadCorpus reads Build's texts from a JSON-lines corpus, one
+// {"text": …} object a line (cmd/gencorpus output; other fields are
+// ignored). Blank and whitespace-only lines are skipped; a line that is
+// not such an object or is longer than maxLineBytes is refused with its
+// line number, and so is a corpus without a post.
+func ReadCorpus(r io.Reader) ([]string, error) {
+	var texts []string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxLineBytes+1) // +1: the line's newline
+	line := 1
+	for ; sc.Scan(); line++ {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
+			continue
+		}
+		var rec struct{ Text string }
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return nil, fmt.Errorf("corpus line %d: %w", line, err)
+		}
+		texts = append(texts, rec.Text)
+	}
+	switch err := sc.Err(); {
+	case errors.Is(err, bufio.ErrTooLong):
+		return nil, fmt.Errorf("corpus line %d: longer than %d bytes", line, maxLineBytes)
+	case err != nil:
+		return nil, fmt.Errorf("reading corpus line %d: %w", line, err)
+	case len(texts) == 0:
+		return nil, errors.New("empty corpus")
+	}
+	return texts, nil
 }
 
 // ErrUnknownDoc reports a query for a document id outside the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/eval"
@@ -130,5 +132,50 @@ func TestHealthDomainOutOfSample(t *testing.T) {
 	t.Logf("Health: IntentIntent=%.3f", pi/queries)
 	if pi/queries < 0.2 {
 		t.Errorf("IntentIntent collapsed on out-of-sample domain: %.3f", pi/queries)
+	}
+}
+
+// TestReadCorpus: blank, whitespace-only and CRLF lines read as the
+// posts around them; a bad line and an over-long one are refused by
+// line number; a corpus without a post is refused.
+func TestReadCorpus(t *testing.T) {
+	line := func(size int) (string, string) { // a record of size bytes, and its text
+		text := strings.Repeat("a", size-len(`{"text": ""}`))
+		return `{"text": "` + text + `"}`, text
+	}
+	atBound, text := line(maxLineBytes)
+	pastBound, _ := line(maxLineBytes + 1)
+	for _, c := range []struct {
+		name, in string
+		want     []string
+		err      string
+	}{
+		{name: "plain", in: "{\"text\": \"a\"}\n{\"id\": 1, \"text\": \"b\"}\n", want: []string{"a", "b"}},
+		{name: "no final newline", in: `{"text": "a"}`, want: []string{"a"}},
+		{name: "blank lines", in: "\n{\"text\": \"a\"}\n\n\n{\"text\": \"b\"}\n\n", want: []string{"a", "b"}},
+		{name: "whitespace-only lines", in: " \t\n{\"text\": \"a\"}\n   \n", want: []string{"a"}},
+		{name: "CRLF", in: "{\"text\": \"a\"}\r\n\r\n{\"text\": \"b\"}\r\n", want: []string{"a", "b"}},
+		{name: "bad JSON", in: "{\"text\": \"a\"}\n\n{\"text\": \n", err: "corpus line 3: "},
+		{name: "not an object", in: "{\"text\": \"a\"}\n[1]\n", err: "corpus line 2: "},
+		{name: "a line at the bound", in: "{\"text\": \"a\"}\n" + atBound + "\n", want: []string{"a", text}},
+		{name: "a line past the bound", in: "{\"text\": \"a\"}\n\n" + pastBound + "\n{\"text\": \"b\"}\n", err: "corpus line 3: longer than 1048576 bytes"},
+		{name: "empty", in: "", err: "empty corpus"},
+		{name: "blank only", in: "\n \n\r\n", err: "empty corpus"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := ReadCorpus(strings.NewReader(c.in))
+			if c.err != "" {
+				if err == nil || !strings.HasPrefix(err.Error(), c.err) {
+					t.Fatalf("error %v, want one that begins %q", err, c.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, c.want) {
+				t.Errorf("read %.40q, want %.40q", got, c.want)
+			}
+		})
 	}
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # smoke.sh — end-to-end smoke test of the serving binary: build
-# cmd/serve, start it on a synthetic corpus, curl every endpoint, and
-# assert status codes and body shapes. CI runs this as its own job; it
+# cmd/serve, start it on a cmd/gencorpus corpus piped to its stdin, curl
+# every endpoint, and assert status codes and body shapes. CI runs this as its own job; it
 # is also the quickest local sanity check after touching the serve
 # layer:
 #
@@ -26,10 +26,17 @@ cleanup() {
 trap cleanup EXIT
 
 echo "== build" >&2
+WORK="$(dirname "$BIN")"
 go build -o "$BIN" ./cmd/serve
+go build -o "$WORK/gencorpus" ./cmd/gencorpus
+go build -o "$WORK/intentmatch" ./cmd/intentmatch
+# One corpus for every leg: the first reads it from a pipe, as README's
+# quickstart does, the others from the file.
+CORPUS="$WORK/corpus.jsonl"
+"$WORK/gencorpus" -domain tech -n 200 -seed 42 >"$CORPUS"
 
-echo "== start (200 synthetic posts, trace everything)" >&2
-"$BIN" -addr "127.0.0.1:$PORT" -domain tech -n 200 -seed 42 -trace-slow 0 2>"$LOG" &
+echo "== start (gencorpus | serve -corpus -, 200 posts, trace everything)" >&2
+"$WORK/gencorpus" -domain tech -n 200 -seed 42 | "$BIN" -addr "127.0.0.1:$PORT" -corpus - -seed 42 -trace-slow 0 2>"$LOG" &
 SERVER_PID=$!
 
 for i in $(seq 1 50); do
@@ -131,7 +138,7 @@ SERVER_PID=""
 # package's equivalence guarantee, probed end to end), report the shard
 # topology in /stats, and accept an /add that lands on one shard.
 echo "== start sharded (-shards 4, same corpus)" >&2
-"$BIN" -addr "127.0.0.1:$PORT" -domain tech -n 200 -seed 42 -shards 4 -trace-slow 0 2>"$LOG" &
+"$BIN" -addr "127.0.0.1:$PORT" -corpus "$CORPUS" -seed 42 -shards 4 -trace-slow 0 2>"$LOG" &
 SERVER_PID=$!
 for i in $(seq 1 50); do
     if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
@@ -182,7 +189,7 @@ SERVER_PID=""
 # hit served straight from the cache) — and /stats must expose the
 # hygiene blocks with a live hit rate.
 echo "== cached serving (-cache-entries 1024 -max-inflight 8 -max-queued 16)" >&2
-"$BIN" -addr "127.0.0.1:$PORT" -domain tech -n 200 -seed 42 \
+"$BIN" -addr "127.0.0.1:$PORT" -corpus "$CORPUS" -seed 42 \
     -cache-entries 1024 -max-inflight 8 -max-queued 16 -trace-slow 0 2>"$LOG" &
 SERVER_PID=$!
 for i in $(seq 1 50); do
@@ -228,7 +235,7 @@ SERVER_PID=""
 # retries a few times because overlap, while near-certain, is up to the
 # scheduler.
 echo "== shed probe (-max-inflight 1 -max-queued 0)" >&2
-"$BIN" -addr "127.0.0.1:$PORT" -domain tech -n 200 -seed 42 -max-inflight 1 2>"$LOG" &
+"$BIN" -addr "127.0.0.1:$PORT" -corpus "$CORPUS" -seed 42 -max-inflight 1 2>"$LOG" &
 SERVER_PID=$!
 for i in $(seq 1 50); do
     if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
@@ -275,11 +282,7 @@ SERVER_PID=""
 # the file with -load. Every /related body must match the
 # build-from-scratch references byte for byte.
 echo "== persistence (save a snapshot, serve it with -load)" >&2
-WORK="$(dirname "$BIN")"
-go build -o "$WORK/gencorpus" ./cmd/gencorpus
-go build -o "$WORK/intentmatch" ./cmd/intentmatch
-"$WORK/gencorpus" -domain tech -n 200 -seed 42 >"$WORK/corpus.jsonl"
-"$WORK/intentmatch" -corpus "$WORK/corpus.jsonl" -seed 42 -save "$WORK/snap.idx" >/dev/null
+"$WORK/intentmatch" -corpus "$CORPUS" -seed 42 -save "$WORK/snap.idx" >/dev/null
 
 "$BIN" -addr "127.0.0.1:$PORT" -load "$WORK/snap.idx" -trace-slow 0 2>"$LOG" &
 SERVER_PID=$!
@@ -352,24 +355,31 @@ refuse() { # refuse <flag> <command...>
         fail=1
     fi
 }
-refuse -own "$BIN" -addr "127.0.0.1:$PORT" -own 0
-refuse -n "$BIN" -addr "127.0.0.1:$PORT" -corpus "$WORK/corpus.jsonl" -n 10
-refuse -n "$BIN" -addr "127.0.0.1:$PORT" -load "$WORK/snap.idx" -n 50
+refuse -own "$BIN" -addr "127.0.0.1:$PORT" -corpus "$CORPUS" -own 0
+refuse -shards "$BIN" -addr "127.0.0.1:$PORT" -load "$WORK/snap.idx" -shards 2
 refuse -cache-entries "$BIN" -addr "127.0.0.1:$PORT" -shard-role shard -load "$WORK/snap.idx" -cache-entries 8
 refuse -load "$BIN" -addr "127.0.0.1:$PORT" -shard-role coordinator -fleet "$WORK/topology.json" -load "$WORK/snap.idx"
 refuse -save "$WORK/intentmatch" -load "$WORK/snap.idx" -save "$WORK/resaved.idx"
+refuse -seed "$WORK/intentmatch" -corpus "$CORPUS" -method fulltext -seed 7
 
-# The coordinator's one timing knob is -fleet-timeout; the schedule it
-# derives has no flags of its own, so one of the old ones is refused.
-if "$BIN" -addr "127.0.0.1:$PORT" -shard-role coordinator -fleet-retries 1 2>"$LOG"; then
-    echo "FAIL serve accepted -fleet-retries" >&2
-    fail=1
-elif grep -q -- 'flag provided but not defined: -fleet-retries' "$LOG"; then
-    echo "ok   -fleet-retries refused (the budget derives the retries)" >&2
-else
-    echo "FAIL -fleet-retries refused for another reason:" >&2; tail -2 "$LOG" >&2
-    fail=1
-fi
+# Flags that are gone are not defined at all: the coordinator's
+# schedule derives from -fleet-timeout, so -fleet-retries has no row,
+# and the server generates no corpus, so -domain and -n have none.
+undefined() { # undefined <flag> <command...>
+    local flag="$1"; shift
+    if timeout 60 "$@" >/dev/null 2>"$LOG"; then
+        echo "FAIL accepted $flag: $*" >&2
+        fail=1
+    elif grep -q -- "flag provided but not defined: $flag" "$LOG"; then
+        echo "ok   $flag is not defined: ${*#"$WORK"/}" >&2
+    else
+        echo "FAIL $flag refused for another reason:" >&2; tail -2 "$LOG" >&2
+        fail=1
+    fi
+}
+undefined -fleet-retries "$BIN" -addr "127.0.0.1:$PORT" -shard-role coordinator -fleet-retries 1
+undefined -domain "$BIN" -addr "127.0.0.1:$PORT" -corpus "$CORPUS" -domain tech
+undefined -n "$BIN" -addr "127.0.0.1:$PORT" -n 200
 
 # Networked fleet leg: the same corpus saved as one 4-shard snapshot
 # file and served as SIX processes — four shard servers, one replica of
@@ -380,7 +390,7 @@ fi
 # homed on the dead shard — never a hang, never a silently wrong
 # complete answer.
 echo "== fleet (4 shard servers + 1 replica + coordinator, separate processes)" >&2
-"$WORK/intentmatch" -corpus "$WORK/corpus.jsonl" -seed 42 -save-shards 4 -save "$WORK/shards.idx" >/dev/null
+"$WORK/intentmatch" -corpus "$CORPUS" -seed 42 -save-shards 4 -save "$WORK/shards.idx" >/dev/null
 FLEET_PIDS=()
 SHARD_PORT0=$((PORT+10))
 for s in 0 1 2 3; do
