@@ -93,7 +93,7 @@ func (o *options) table() *knob.Table {
 		{Name: "shards", Value: &o.shards, Default: 0, Modes: corpusBuild, Range: knob.AtLeast(0),
 			Help: "partition the collection across this many shards, queried by scatter-gather (0 or 1 = unsharded; rankings are identical either way)"},
 		{Name: "trace-slow", Value: &o.traceSlow, Default: 100 * time.Millisecond, Modes: every,
-			Help: "always capture traces of requests at least this slow (0 captures every request, negative disables)"},
+			Help: "always capture traces of requests at least this slow (0 captures every request; a negative duration such as -1ns disables)"},
 		{Name: "trace-rate", Value: &o.traceRate, Default: 1, Modes: every, Range: knob.AtLeast(0),
 			Help: "rate-sample up to this many request traces per second (0 disables)"},
 		{Name: "cache-entries", Value: &o.cacheEntries, Default: 0, Modes: public, Range: knob.AtLeast(0),
@@ -109,7 +109,7 @@ func (o *options) table() *knob.Table {
 		{Name: "fleet", Value: &o.fleet, Default: "", Modes: coordinatorRole,
 			Help: "fleet topology JSON file (fleet.Topology layout)"},
 		{Name: "fleet-timeout", Value: &o.fleetTimeout, Default: 2 * time.Second, Modes: coordinatorRole, Range: knob.AtLeast(1),
-			Help: "whole-query budget T, explain included; each attempt is cut at T/4, a retry backs off T/80 (doubling, two retries a leg), and a leg hedges to a replica after T/20 until its shard has 64 legs of latency history"},
+			Help: "whole-query budget T, explain included; each attempt is cut at T/4, a retry backs off T/80 (doubling, two retries a leg), and a leg whose shard has a replica hedges to it once its first attempt has run T/20"},
 		{Name: "fleet-bootstrap", Value: &o.fleetBootstrap, Default: 15 * time.Second, Modes: coordinatorRole, Range: knob.AtLeast(0),
 			Help: "how long to keep retrying the topology bootstrap while shard servers come up"},
 	}}

@@ -299,22 +299,26 @@ func TestEveryFlagChangesAnOutcome(t *testing.T) {
 	if err := p.Save(snap); err != nil {
 		t.Fatal(err)
 	}
-	// A fleet of the snapshot's two shards, and a topology over it.
-	topology := func(t *testing.T, primary0 string) string {
-		shard1 := httptest.NewServer(start(t, "-shard-role", "shard", "-load", snap, "-own", "1"))
-		t.Cleanup(shard1.Close)
+	// A server of one of the snapshot's two shards, a topology over
+	// two primaries, and a fleet of both.
+	shard := func(t *testing.T, own string, wrap func(http.Handler) http.Handler) string {
+		h := start(t, "-shard-role", "shard", "-load", snap, "-own", own)
+		if wrap != nil {
+			h = wrap(h)
+		}
+		s := httptest.NewServer(h)
+		t.Cleanup(s.Close)
+		return s.URL
+	}
+	topology := func(t *testing.T, primary0, primary1 string) string {
 		path := filepath.Join(t.TempDir(), "topology.json")
-		topo := fmt.Sprintf(`{"endpoints": [{"shard": 0, "primary": %q}, {"shard": 1, "primary": %q}]}`, primary0, shard1.URL)
+		topo := fmt.Sprintf(`{"endpoints": [{"shard": 0, "primary": %q}, {"shard": 1, "primary": %q}]}`, primary0, primary1)
 		if err := os.WriteFile(path, []byte(topo), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
 	}
-	fleet := func(t *testing.T) string {
-		shard0 := httptest.NewServer(start(t, "-shard-role", "shard", "-load", snap, "-own", "0"))
-		t.Cleanup(shard0.Close)
-		return topology(t, shard0.URL)
-	}
+	fleet := func(t *testing.T) string { return topology(t, shard(t, "0", nil), shard(t, "1", nil)) }
 	corpus40, _ := corpusFile(t, 40, 42)
 	small := start(t, "-corpus", corpus40)
 	cases := map[string]func(t *testing.T){
@@ -353,6 +357,9 @@ func TestEveryFlagChangesAnOutcome(t *testing.T) {
 		"trace-slow": func(t *testing.T) {
 			if a, b := traces(t, small), traces(t, start(t, "-corpus", corpus40, "-trace-slow", "0")); a > 2 || b != 5 {
 				t.Errorf("5 requests keep %d traces by default and %d under -trace-slow 0", a, b)
+			}
+			if got := traces(t, start(t, "-corpus", corpus40, "-trace-slow", "-1ns", "-trace-rate", "0")); got != 0 {
+				t.Errorf("5 requests keep %d traces under -trace-slow -1ns -trace-rate 0", got)
 			}
 		},
 		"trace-rate": func(t *testing.T) {
@@ -403,12 +410,30 @@ func TestEveryFlagChangesAnOutcome(t *testing.T) {
 			}
 		},
 		"fleet-timeout": func(t *testing.T) {
-			topo := fleet(t)
-			a := field(t, start(t, "-shard-role", "coordinator", "-fleet", topo), "/stats", "shard_health")
-			b := field(t, start(t, "-shard-role", "coordinator", "-fleet", topo, "-fleet-timeout", "1s"), "/stats", "shard_health")
-			delay := func(h any) any { return h.([]any)[0].(map[string]any)["hedge_delay_ns"] }
-			if delay(a) != 1e8 || delay(b) != 5e7 {
-				t.Errorf("hedge delay %v at the default budget, %v at -fleet-timeout 1s; want T/20", delay(a), delay(b))
+			// Both shards answer probes 150ms late, so doc 3's sibling
+			// does: inside the default budget's 500ms attempts, past the
+			// whole of a 100ms budget.
+			slow := func(h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == "/internal/probe" {
+						time.Sleep(150 * time.Millisecond)
+					}
+					h.ServeHTTP(w, r)
+				})
+			}
+			topo := topology(t, shard(t, "0", slow), shard(t, "1", slow))
+			missing := func(args ...string) string {
+				_, body := call(start(t, append([]string{"-shard-role", "coordinator", "-fleet", topo}, args...)...), http.MethodPost, "/related", `{"doc_id": 3, "k": 5}`)
+				var v struct {
+					Missing []int `json:"shards_missing"`
+				}
+				if err := json.Unmarshal([]byte(body), &v); err != nil {
+					t.Fatalf("/related: %v: %s", err, body)
+				}
+				return fmt.Sprint(v.Missing)
+			}
+			if a, b := missing(), missing("-fleet-timeout", "100ms"); a != "[]" || (b != "[0]" && b != "[1]") {
+				t.Errorf("shards missing %s at the default budget and %s at -fleet-timeout 100ms; want none and the sibling", a, b)
 			}
 		},
 		"fleet-bootstrap": func(t *testing.T) {
@@ -424,7 +449,7 @@ func TestEveryFlagChangesAnOutcome(t *testing.T) {
 				shard0.ServeHTTP(w, r)
 			}))
 			t.Cleanup(late.Close)
-			topo := topology(t, late.URL)
+			topo := topology(t, late.URL, shard(t, "1", nil))
 			o, _ := parseFlags([]string{"-shard-role", "coordinator", "-fleet", topo, "-fleet-bootstrap", "0"})
 			if _, err := o.handler(quiet, nil); err == nil {
 				t.Error("-fleet-bootstrap 0 bootstrapped against a shard that is not ready")

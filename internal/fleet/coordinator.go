@@ -32,8 +32,8 @@ import (
 //
 // Degradation is explicit and typed. Each leg gets per-attempt
 // deadlines with retry-with-backoff on transient errors, hedged
-// requests to replicas once an attempt outlives the shard's observed
-// latency percentile, and deduplication of late duplicate replies by
+// requests to replicas once a first attempt outlives a twentieth of
+// the budget, and deduplication of late duplicate replies by
 // (shard, epoch). A sibling that exhausts its budget is dropped from
 // the merge and named in Missing with Partial=true; a home shard that
 // cannot answer is a typed 503 — without the reference document's
@@ -87,8 +87,7 @@ type Options struct {
 	// home becomes a 503. Default 2s. The rest of a query's schedule
 	// derives from it: each attempt is cut at T/4, a retry after a fast
 	// transient error waits T/80 (doubling per attempt), and a leg
-	// hedges to a replica after T/20 until its shard has latency
-	// history.
+	// whose shard has a replica hedges to it after T/20.
 	Timeout time.Duration
 }
 
@@ -103,15 +102,8 @@ func (o Options) withDefaults() Options {
 }
 
 // legRetries is a leg's retry budget beyond its first attempt (and
-// beyond its one hedge attempt when the shard has a replica). latRingSize
-// bounds the per-shard latency history feeding the adaptive hedge
-// delay, the observed hedgeQuantile of it once the ring is full and
-// hedgeFloor before that.
-const (
-	legRetries    = 2
-	latRingSize   = 64
-	hedgeQuantile = 0.9
-)
+// beyond its one hedge attempt when the shard has a replica).
+const legRetries = 2
 
 // attempt is the per-attempt deadline, a quarter of the budget: a leg
 // without a replica spends at most three quarters of it on its three
@@ -123,8 +115,10 @@ func (o Options) attempt() time.Duration { return o.Timeout / 4 }
 // wait already happened.)
 func (o Options) backoff() time.Duration { return o.Timeout / 80 }
 
-// hedgeFloor is the hedge delay until a shard has latency history.
-func (o Options) hedgeFloor() time.Duration { return o.Timeout / 20 }
+// hedgeAfter is how long a leg's first attempt runs before the leg
+// hedges to a replica, whatever the shard's history: 100 ms at the
+// default budget.
+func (o Options) hedgeAfter() time.Duration { return o.Timeout / 20 }
 
 // Coordinator scatters Related queries across a shard fleet.
 type Coordinator struct {
@@ -142,11 +136,6 @@ type Coordinator struct {
 	// count) exactly like shard.Group's and grown as servers report
 	// larger counts.
 	dir *shard.Directory
-
-	// Per-shard completed-leg latencies for the adaptive hedge delay.
-	latMu  sync.Mutex
-	lat    [][]time.Duration
-	latPos []int
 
 	// Per-shard health view for GET /stats: consecutive leg failures
 	// (reset on any merged leg) and the kind of the last failure.
@@ -230,8 +219,6 @@ func New(ctx context.Context, topo Topology, opts Options) (*Coordinator, error)
 	c.total = first.TotalShards
 	c.epoch = first.Epoch
 	c.dir = shard.NewDirectory(first.Seed, c.total)
-	c.lat = make([][]time.Duration, c.total)
-	c.latPos = make([]int, c.total)
 	c.consecFail = make([]int, c.total)
 	c.lastErrKind = make([]string, c.total)
 	c.ctrLegOK = make([]*obs.Counter, c.total)
@@ -413,9 +400,9 @@ func (c *Coordinator) AddContext(context.Context, string) (int, error) {
 
 // StatsReport is the coordinator's self-description, the GET /stats
 // body of a server over it: the fleet topology view, the live per-shard
-// health ledger (consecutive leg failures, last error kind, current
-// hedge delay), then the serving layer's hygiene blocks. CacheEpoch
-// appears only when a result cache is keyed by it.
+// health ledger (consecutive leg failures, last error kind), then the
+// serving layer's hygiene blocks. CacheEpoch appears only when a result
+// cache is keyed by it.
 type StatsReport struct {
 	Method      string        `json:"method"`
 	NumDocs     int           `json:"num_docs"`
@@ -441,36 +428,6 @@ func (c *Coordinator) Describe(hygiene cache.LayerStats) any {
 		r.CacheEpoch = c.Epoch()
 	}
 	return r
-}
-
-// hedgeDelay returns how long a shard's leg waits before hedging to a
-// replica: the shard's observed latency quantile once its ring is full,
-// hedgeFloor before that. A hedged leg records only how long it waited,
-// a lower bound on the slow primary's latency, so a delay estimated too
-// low can climb back by one replica round trip at a time: the quantile
-// waits for a ring that holds its slow tenth (6 of 64 samples), where a
-// few samples would let one fast start set it.
-func (c *Coordinator) hedgeDelay(s int) time.Duration {
-	c.latMu.Lock()
-	samples := append([]time.Duration(nil), c.lat[s]...)
-	c.latMu.Unlock()
-	if len(samples) < latRingSize {
-		return c.opts.hedgeFloor()
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return samples[int(hedgeQuantile*float64(len(samples)-1))]
-}
-
-// recordLatency feeds a completed leg's latency into the shard's ring.
-func (c *Coordinator) recordLatency(s int, d time.Duration) {
-	c.latMu.Lock()
-	if len(c.lat[s]) < latRingSize {
-		c.lat[s] = append(c.lat[s], d)
-	} else {
-		c.lat[s][c.latPos[s]%latRingSize] = d
-	}
-	c.latPos[s]++
-	c.latMu.Unlock()
 }
 
 // noteLegOK resets a shard's consecutive-failure streak.
@@ -523,22 +480,12 @@ type ShardHealth struct {
 	ConsecutiveFailures int `json:"consecutive_failures"`
 	// LastErrorKind names the most recent failure (empty: never failed).
 	LastErrorKind string `json:"last_error_kind,omitempty"`
-	// HedgeDelayNS is the current hedge trigger for this shard: the
-	// observed latency-ring p90 (hedgeQuantile) once
-	// the ring has latMinSamples, the budget's hedgeFloor before.
-	HedgeDelayNS int64 `json:"hedge_delay_ns"`
-	// LatencySamples is how many completed-leg latencies back the
-	// estimate (capped at the ring size).
-	LatencySamples int `json:"latency_samples"`
 }
 
 // health reports the per-shard health view, ordered by shard id.
 func (c *Coordinator) health() []ShardHealth {
 	out := make([]ShardHealth, c.total)
 	for s := 0; s < c.total; s++ {
-		c.latMu.Lock()
-		samples := len(c.lat[s])
-		c.latMu.Unlock()
 		c.healthMu.Lock()
 		fails, kind := c.consecFail[s], c.lastErrKind[s]
 		c.healthMu.Unlock()
@@ -547,8 +494,6 @@ func (c *Coordinator) health() []ShardHealth {
 			Endpoints:           append([]string(nil), c.eps[s]...),
 			ConsecutiveFailures: fails,
 			LastErrorKind:       kind,
-			HedgeDelayNS:        int64(c.hedgeDelay(s)),
-			LatencySamples:      samples,
 		}
 	}
 	return out
@@ -710,7 +655,7 @@ func (sc *scatter) launch(l *leg, hedge bool) {
 	}
 	sc.after(sc.c.opts.attempt(), func() { sc.onAttemptTimeout(l, attempt, cancel) })
 	if !hedge && attempt == 0 && len(l.eps) > 1 {
-		sc.after(sc.c.hedgeDelay(l.shard), func() { sc.onHedgeTimer(l) })
+		sc.after(sc.c.opts.hedgeAfter(), func() { sc.onHedgeTimer(l) })
 	}
 }
 
@@ -836,13 +781,8 @@ func (sc *scatter) handleDelivery(d delivery) {
 	l.done = true
 	l.home, l.probe, l.explain = d.home, d.probe, d.explain
 	l.cancelAll()
-	// The leg's own elapsed time, not the winning attempt's round trip:
-	// when a hedge wins, the slow primary's wait is what the shard's
-	// hedge delay has to learn.
 	now := sc.c.clock.Now()
-	elapsed := now.Sub(l.started)
-	sc.c.recordLatency(l.shard, elapsed)
-	sc.c.spanLeg[l.shard].Record(elapsed)
+	sc.c.spanLeg[l.shard].Record(now.Sub(l.started))
 	if d.hedge {
 		ctrHedgeWins.Inc()
 	}

@@ -98,17 +98,17 @@ func TestRealClockWait(t *testing.T) {
 }
 
 // TestOptionsDefaults pins the schedule the default 2s budget derives:
-// 500ms an attempt, a 25ms backoff doubling per retry, a 100ms hedge
-// floor and two retries a leg.
+// 500ms an attempt, a 25ms backoff doubling per retry, a hedge after
+// 100ms and two retries a leg.
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if _, ok := o.Clock.(RealClock); !ok {
 		t.Fatalf("default clock %T, want RealClock", o.Clock)
 	}
 	if o.Timeout != 2*time.Second || o.attempt() != 500*time.Millisecond ||
-		o.backoff() != 25*time.Millisecond || o.hedgeFloor() != 100*time.Millisecond || legRetries != 2 {
-		t.Fatalf("budget %v derives attempt %v, backoff %v, hedge floor %v, %d retries",
-			o.Timeout, o.attempt(), o.backoff(), o.hedgeFloor(), legRetries)
+		o.backoff() != 25*time.Millisecond || o.hedgeAfter() != 100*time.Millisecond || legRetries != 2 {
+		t.Fatalf("budget %v derives attempt %v, backoff %v, hedge after %v, %d retries",
+			o.Timeout, o.attempt(), o.backoff(), o.hedgeAfter(), legRetries)
 	}
 }
 

@@ -31,6 +31,8 @@ import (
 //   - slow trickle         → late duplicate deduped, full correct answer
 //   - slow primary         → hedge to replica wins, full correct answer
 //   - hedged but fast      → primary still wins, no spurious hedge win
+//   - fast history         → a leg still hedges only after T/20: a
+//     shard's past replies do not move the hedge
 //   - epoch mismatch       → replies rejected, shard reported missing
 //   - cancel mid-scatter   → context error, all legs released
 //   - budget exhausted     → partial (siblings, at the budget) or typed
@@ -64,8 +66,7 @@ func repeat(a ChaosAction, n int) []ChaosAction {
 }
 
 // scenario wires one scripted run: fresh clock, fresh chaos over the
-// shared backend, fresh coordinator (so latency history and hedge
-// state start clean).
+// shared backend, fresh coordinator (so shard health starts clean).
 type scenario struct {
 	f     *testFleet
 	clock *VirtualClock
@@ -235,6 +236,30 @@ func TestFaultInjection(t *testing.T) {
 		}
 		if wins() != 0 {
 			t.Fatalf("primary won but hedge_wins moved by %d", wins())
+		}
+	})
+
+	t.Run("hedge-ignores-history", func(t *testing.T) {
+		sc := newScenario(t, f, 1)
+		// 64 queries whose primary answers at 5ms, then one at 30ms:
+		// still under the 40ms hedge delay, so no hedge and the answer
+		// at 30ms. A delay learned from the fast history would hedge.
+		const history = 64
+		sc.ch.Script(epName(sibs[0], 0), "probe", repeat(ChaosAction{ReplyDelay: 5 * time.Millisecond}, history)...)
+		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{ReplyDelay: 30 * time.Millisecond})
+		hedges := delta(ctrHedges)
+		for i := 0; i < history; i++ {
+			res, err := sc.c.Query(context.Background(), doc, k, false)
+			assertFull(t, res, err)
+		}
+		if hedges() != 0 || sc.elapsed() != history*5*time.Millisecond {
+			t.Fatalf("history: %d hedges over %v, want none over %v", hedges(), sc.elapsed(), history*5*time.Millisecond)
+		}
+		start := sc.elapsed()
+		res, err := sc.c.Query(context.Background(), doc, k, false)
+		assertFull(t, res, err)
+		if took := sc.elapsed() - start; hedges() != 0 || took != 30*time.Millisecond {
+			t.Fatalf("after a fast history: %d hedges, answered at %v; want none and 30ms", hedges(), took)
 		}
 	})
 

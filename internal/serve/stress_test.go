@@ -27,14 +27,14 @@ import (
 // group and a coordinator whose every shard has a replica to hedge to,
 // each behind the cache, singleflight and admission, under concurrent
 // /related (plain and explained) and /add. Every fourth probe to a
-// primary replies 20 ms late, past the coordinator's 10 ms hedge floor
+// primary replies 20 ms late, past the coordinator's 10 ms hedge delay
 // (T/20 of a 200 ms budget) and inside its 50 ms attempt, so the
 // coordinator row hedges and the late primary replies arrive after
 // their legs are done.
 func TestRecycledTracesStress(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	coordinator := lateReplicaCoordinator(t, "recycle")
+	coordinator := lateReplicaCoordinator(t)
 	hedges := obs.GetOrNewCounter("fleet.hedges")
 	const docs = 120
 	adds := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: 40, Seed: 27})
@@ -80,12 +80,13 @@ func TestRecycledTracesStress(t *testing.T) {
 }
 
 // lateReplicaCoordinator is a coordinator over fleetBackend's shards,
-// each behind a primary and a replica endpoint named by prefix, on a
-// 200 ms budget, whose every fourth probe to a primary replies 20 ms
-// late: past the 10 ms hedge floor (T/20) and inside the 50 ms attempt,
-// so those legs hedge to the replica.
-func lateReplicaCoordinator(t *testing.T, prefix string) *fleet.Coordinator {
+// each behind a primary and a replica endpoint, on a 200 ms budget,
+// whose every fourth probe to a primary replies 20 ms late: past the
+// 10 ms hedge delay (T/20) and inside the 50 ms attempt, so those legs
+// hedge to the replica.
+func lateReplicaCoordinator(t *testing.T) *fleet.Coordinator {
 	t.Helper()
+	const prefix = "late"
 	lt := fleet.NewLocalTransport()
 	var topo fleet.Topology
 	for s, h := range fleetBackend().hosts {
@@ -106,53 +107,4 @@ func lateReplicaCoordinator(t *testing.T, prefix string) *fleet.Coordinator {
 		t.Fatal(err)
 	}
 	return c
-}
-
-// TestHedgeDelayLearnsTheSlowPrimary: a shard's hedge delay is the p90
-// of its legs' own elapsed times, so a leg that hedged past a late
-// primary teaches the delay how long the primary kept it waiting. With
-// every fourth primary probe 20 ms late, a quarter of the probe legs
-// wait out the 10 ms hedge floor, and after 200 queries every shard's
-// hedge_delay_ns in /stats is at least that floor. (The queries run one
-// at a time: the hedged legs are then a steady fifth of every shard's
-// samples.) Fed the winning
-// attempt's round trip instead, the ring learns only the hedges' fast
-// replies and the delay falls to microseconds, hedging far more than
-// one leg in ten.
-func TestHedgeDelayLearnsTheSlowPrimary(t *testing.T) {
-	obs.Enable()
-	t.Cleanup(obs.Disable)
-	srv := New(lateReplicaCoordinator(t, "learn"), Config{SlowQuery: -1})
-	const docs, queries = 120, 200
-	for i := 0; i < queries; i++ {
-		rec := httptest.NewRecorder()
-		body := fmt.Sprintf(`{"doc_id": %d, "k": 5}`, i*7%docs)
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/related", strings.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s answered %d %s", body, rec.Code, rec.Body)
-		}
-	}
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var stats struct {
-		ShardHealth []struct {
-			Shard          int   `json:"shard"`
-			LatencySamples int   `json:"latency_samples"`
-			HedgeDelayNS   int64 `json:"hedge_delay_ns"`
-		} `json:"shard_health"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatalf("/stats: %v: %s", err, rec.Body)
-	}
-	const floor = 10 * time.Millisecond
-	for _, h := range stats.ShardHealth {
-		t.Logf("shard %d: %d samples, hedge delay %v", h.Shard, h.LatencySamples, time.Duration(h.HedgeDelayNS))
-		if time.Duration(h.HedgeDelayNS) < floor {
-			t.Errorf("shard %d: hedge delay %v after %d queries, below the %v floor the late primaries wait out",
-				h.Shard, time.Duration(h.HedgeDelayNS), queries, floor)
-		}
-	}
-	if len(stats.ShardHealth) == 0 {
-		t.Fatalf("/stats has no shard_health: %s", rec.Body)
-	}
 }
