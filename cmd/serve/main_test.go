@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/forum"
 	"repro/internal/knob"
 	"repro/internal/obs"
@@ -318,7 +319,7 @@ func TestEveryFlagChangesAnOutcome(t *testing.T) {
 		}
 		return path
 	}
-	fleet := func(t *testing.T) string { return topology(t, shard(t, "0", nil), shard(t, "1", nil)) }
+	fleetTopo := func(t *testing.T) string { return topology(t, shard(t, "0", nil), shard(t, "1", nil)) }
 	corpus40, _ := corpusFile(t, 40, 42)
 	small := start(t, "-corpus", corpus40)
 	cases := map[string]func(t *testing.T){
@@ -385,16 +386,16 @@ func TestEveryFlagChangesAnOutcome(t *testing.T) {
 		},
 		"shard-role": func(t *testing.T) {
 			shard := start(t, "-shard-role", "shard", "-load", snap)
-			if a, _ := call(small, http.MethodGet, "/internal/meta", ""); a == http.StatusOK {
+			if a, _ := call(small, http.MethodGet, fleet.PathMeta, ""); a == http.StatusOK {
 				t.Error("the single process answers /internal/meta")
 			}
-			if got := field(t, shard, "/internal/meta", "total_shards"); got != 2.0 {
+			if got := field(t, shard, fleet.PathMeta, "total_shards"); got != 2.0 {
 				t.Errorf("a shard server's meta has %v total shards", got)
 			}
 		},
 		"own": func(t *testing.T) {
-			all := field(t, start(t, "-shard-role", "shard", "-load", snap), "/internal/meta", "shards")
-			one := field(t, start(t, "-shard-role", "shard", "-load", snap, "-own", "1"), "/internal/meta", "shards")
+			all := field(t, start(t, "-shard-role", "shard", "-load", snap), fleet.PathMeta, "shards")
+			one := field(t, start(t, "-shard-role", "shard", "-load", snap, "-own", "1"), fleet.PathMeta, "shards")
 			if fmt.Sprint(all, one) != "[0 1] [1]" {
 				t.Errorf("serving shards %v by default and %v under -own 1", all, one)
 			}
@@ -404,7 +405,7 @@ func TestEveryFlagChangesAnOutcome(t *testing.T) {
 			if _, err := o.handler(quiet, nil); err == nil || !strings.Contains(err.Error(), "-fleet") {
 				t.Errorf("a coordinator without -fleet: %v", err)
 			}
-			h := start(t, "-shard-role", "coordinator", "-fleet", fleet(t))
+			h := start(t, "-shard-role", "coordinator", "-fleet", fleetTopo(t))
 			if related(h) != related(start(t, "-load", snap)) {
 				t.Error("the coordinator answers otherwise than the snapshot it scatters over")
 			}
@@ -415,7 +416,7 @@ func TestEveryFlagChangesAnOutcome(t *testing.T) {
 			// whole of a 100ms budget.
 			slow := func(h http.Handler) http.Handler {
 				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					if r.URL.Path == "/internal/probe" {
+					if r.URL.Path == fleet.PathProbe {
 						time.Sleep(150 * time.Millisecond)
 					}
 					h.ServeHTTP(w, r)

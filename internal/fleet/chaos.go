@@ -2,10 +2,9 @@ package fleet
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Chaos wraps a Transport with scripted faults: per-(endpoint, call
@@ -18,8 +17,9 @@ import (
 // order, on the coordinator's goroutine.
 //
 // Script keys: Script(endpoint, kind, ...) scopes a schedule to one
-// call kind ("home", "probe", "explain", "meta"); kind "" matches any
-// call to the endpoint. Exact keys win over wildcard keys. A call with
+// call kind, the last element of the call's path ("home", "probe",
+// "explain", "meta", "metricsz"); kind "" matches any call to the
+// endpoint. Exact keys win over wildcard keys. A call with
 // no scripted action left falls through to Fallback (if set), else
 // passes through untouched.
 
@@ -103,96 +103,25 @@ func (c *Chaos) next(endpoint, kind string) ChaosAction {
 	return ChaosAction{}
 }
 
-// lateDeliver wraps a deliver callback so the reply rides the clock.
-func lateDeliver[T any](clock Clock, d time.Duration, deliver func(T, error)) func(T, error) {
-	if d <= 0 {
-		return deliver
+// Call implements Transport. It consumes the call's action and plays it:
+// drop it, or run it (the scripted error, else the inner call) now or
+// after Delay, its reply postponed by ReplyDelay.
+func (c *Chaos) Call(ctx context.Context, endpoint, path string, req, reply any, deliver func(error)) {
+	act := c.next(endpoint, path[strings.LastIndexByte(path, '/')+1:])
+	if act.Drop {
+		return
 	}
-	return func(v T, err error) {
-		clock.AfterFunc(d, func() { deliver(v, err) })
+	if d := act.ReplyDelay; d > 0 {
+		inner := deliver
+		deliver = func(err error) { c.clock.AfterFunc(d, func() { inner(err) }) }
 	}
-}
-
-// schedule runs step now or after the action's request delay.
-func (c *Chaos) schedule(act ChaosAction, step func()) {
+	step := func() { c.inner.Call(ctx, endpoint, path, req, reply, deliver) }
+	if act.Err != nil {
+		step = func() { deliver(act.Err) }
+	}
 	if act.Delay > 0 {
 		c.clock.AfterFunc(act.Delay, step)
 		return
 	}
 	step()
-}
-
-// Home implements Transport.
-func (c *Chaos) Home(ctx context.Context, endpoint string, req *HomeRequest, deliver func(*HomeResponse, error)) {
-	act := c.next(endpoint, "home")
-	if act.Drop {
-		return
-	}
-	del := lateDeliver(c.clock, act.ReplyDelay, deliver)
-	step := func() { c.inner.Home(ctx, endpoint, req, del) }
-	if act.Err != nil {
-		err := act.Err
-		step = func() { del(nil, err) }
-	}
-	c.schedule(act, step)
-}
-
-// Probe implements Transport.
-func (c *Chaos) Probe(ctx context.Context, endpoint string, req *ProbeRequest, deliver func(*ProbeResponse, error)) {
-	act := c.next(endpoint, "probe")
-	if act.Drop {
-		return
-	}
-	del := lateDeliver(c.clock, act.ReplyDelay, deliver)
-	step := func() { c.inner.Probe(ctx, endpoint, req, del) }
-	if act.Err != nil {
-		err := act.Err
-		step = func() { del(nil, err) }
-	}
-	c.schedule(act, step)
-}
-
-// Explain implements Transport.
-func (c *Chaos) Explain(ctx context.Context, endpoint string, req *ExplainRequest, deliver func(*ExplainResponse, error)) {
-	act := c.next(endpoint, "explain")
-	if act.Drop {
-		return
-	}
-	del := lateDeliver(c.clock, act.ReplyDelay, deliver)
-	step := func() { c.inner.Explain(ctx, endpoint, req, del) }
-	if act.Err != nil {
-		err := act.Err
-		step = func() { del(nil, err) }
-	}
-	c.schedule(act, step)
-}
-
-// Meta implements Transport.
-func (c *Chaos) Meta(ctx context.Context, endpoint string, deliver func(*Meta, error)) {
-	act := c.next(endpoint, "meta")
-	if act.Drop {
-		return
-	}
-	del := lateDeliver(c.clock, act.ReplyDelay, deliver)
-	step := func() { c.inner.Meta(ctx, endpoint, del) }
-	if act.Err != nil {
-		err := act.Err
-		step = func() { del(nil, err) }
-	}
-	c.schedule(act, step)
-}
-
-// Metrics implements Transport.
-func (c *Chaos) Metrics(ctx context.Context, endpoint string, deliver func(*obs.Snapshot, error)) {
-	act := c.next(endpoint, "metrics")
-	if act.Drop {
-		return
-	}
-	del := lateDeliver(c.clock, act.ReplyDelay, deliver)
-	step := func() { c.inner.Metrics(ctx, endpoint, del) }
-	if act.Err != nil {
-		err := act.Err
-		step = func() { del(nil, err) }
-	}
-	c.schedule(act, step)
 }

@@ -239,7 +239,7 @@ func New(ctx context.Context, topo Topology, opts Options) (*Coordinator, error)
 func (c *Coordinator) bootstrapMeta(ctx context.Context, eps []string) (*Meta, error) {
 	var lastErr error
 	for _, ep := range eps {
-		m, err := c.fetchMeta(ctx, ep)
+		m, err := fetchOne[Meta](c, ctx, ep, PathMeta)
 		if err == nil {
 			return m, nil
 		}
@@ -248,23 +248,23 @@ func (c *Coordinator) bootstrapMeta(ctx context.Context, eps []string) (*Meta, e
 	return nil, lastErr
 }
 
-// fetchOne is the synchronous-over-async skeleton for one-shot control
-// RPCs (meta bootstrap, metrics scrape): issue the call, then block in
-// the same Clock.Wait discipline as the query loop (so it works under
+// fetchOne is the synchronous-over-async skeleton for the one-shot GETs
+// (meta bootstrap, metrics scrape): issue the call, then block in the
+// same Clock.Wait discipline as the query loop (so it works under
 // VirtualClock and chaos too) until the delivery or the per-attempt
 // deadline.
-func fetchOne[T any](c *Coordinator, ctx context.Context, what string, issue func(context.Context, func(*T, error))) (*T, error) {
+func fetchOne[T any](c *Coordinator, ctx context.Context, ep, path string) (*T, error) {
 	notify := make(chan struct{}, 1)
 	var mu sync.Mutex
-	var got *T
 	var gerr error
 	done := false
+	reply := new(T)
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	issue(cctx, func(m *T, err error) {
+	c.tr.Call(cctx, ep, path, nil, reply, func(err error) {
 		mu.Lock()
 		if !done {
-			got, gerr, done = m, err, true
+			gerr, done = err, true
 		}
 		mu.Unlock()
 		select {
@@ -273,40 +273,26 @@ func fetchOne[T any](c *Coordinator, ctx context.Context, what string, issue fun
 		}
 	})
 	deadline := c.clock.Now().Add(c.opts.attempt())
+	timedOut := false
 	for {
 		mu.Lock()
-		d, m, err := done, got, gerr
+		d, err := done, gerr
 		mu.Unlock()
-		if d {
-			return m, err
+		switch {
+		case d && err != nil:
+			return nil, err
+		case d:
+			return reply, nil
+		case timedOut:
+			return nil, &RPCError{Status: 0, Kind: "timeout", Msg: fmt.Sprintf("%s from %s exceeded %v", path, ep, c.opts.attempt())}
 		}
 		switch c.clock.Wait(ctx, notify, deadline) {
 		case WaitCanceled:
 			return nil, ctx.Err()
 		case WaitDeadline:
-			mu.Lock()
-			d, m, err = done, got, gerr
-			mu.Unlock()
-			if d {
-				return m, err
-			}
-			return nil, &RPCError{Status: 0, Kind: "timeout", Msg: fmt.Sprintf("%s exceeded %v", what, c.opts.attempt())}
+			timedOut = true
 		}
 	}
-}
-
-// fetchMeta is a synchronous-over-async /internal/meta call.
-func (c *Coordinator) fetchMeta(ctx context.Context, ep string) (*Meta, error) {
-	return fetchOne(c, ctx, "meta from "+ep, func(cctx context.Context, deliver func(*Meta, error)) {
-		c.tr.Meta(cctx, ep, deliver)
-	})
-}
-
-// fetchMetrics is a synchronous-over-async /internal/metricsz scrape.
-func (c *Coordinator) fetchMetrics(ctx context.Context, ep string) (*obs.Snapshot, error) {
-	return fetchOne(c, ctx, "metrics from "+ep, func(cctx context.Context, deliver func(*obs.Snapshot, error)) {
-		c.tr.Metrics(cctx, ep, deliver)
-	})
 }
 
 // ShardScrape is one shard's leg of a federated metrics scrape: the
@@ -334,7 +320,7 @@ func (c *Coordinator) ScrapeFleet(ctx context.Context) ([]ShardScrape, obs.Snaps
 			defer wg.Done()
 			sc := ShardScrape{Shard: s}
 			for _, ep := range c.eps[s] {
-				snap, err := c.fetchMetrics(ctx, ep)
+				snap, err := fetchOne[obs.Snapshot](c, ctx, ep, PathMetrics)
 				if err == nil {
 					sc.Endpoint, sc.Snapshot, sc.Err = ep, snap, ""
 					break
@@ -499,27 +485,15 @@ func (c *Coordinator) health() []ShardHealth {
 	return out
 }
 
-// legKind selects which RPC a leg issues.
-type legKind int
-
-const (
-	kindHome legKind = iota
-	kindProbe
-	kindExplain
-)
-
-// leg is one shard's state machine within a query: endpoints to
-// rotate through, the attempt budget, in-flight accounting, and the
-// winning response.
+// leg is one shard's state machine within a query: the RPC it issues,
+// endpoints to rotate through, the attempt budget, in-flight accounting,
+// and the winning reply.
 type leg struct {
-	kind    legKind
+	path    string
+	req     any
 	shard   int
 	eps     []string
 	started time.Time
-
-	homeReq    *HomeRequest
-	probeReq   *ProbeRequest
-	explainReq *ExplainRequest
 
 	attempts int          // attempts launched
 	inflight int          // attempts neither answered nor timed out
@@ -528,11 +502,9 @@ type leg struct {
 	hedged   bool
 	cancels  []context.CancelFunc
 
-	done    bool
-	failed  error
-	home    *HomeResponse
-	probe   *ProbeResponse
-	explain *ExplainResponse
+	done   bool
+	failed error
+	reply  any // *HomeResponse, *ProbeResponse or *ExplainResponse, once done
 }
 
 // maxAttempts is a leg's total attempt budget: first + legRetries, and
@@ -556,9 +528,7 @@ type delivery struct {
 	attempt int
 	hedge   bool
 	sentAt  time.Time
-	home    *HomeResponse
-	probe   *ProbeResponse
-	explain *ExplainResponse
+	reply   any // the attempt's own reply pointer, filled when err is nil
 	err     error
 }
 
@@ -639,23 +609,26 @@ func (sc *scatter) launch(l *leg, hedge bool) {
 	l.cancels = append(l.cancels, cancel)
 	sentAt := sc.c.clock.Now()
 	shardID := l.shard
-	switch l.kind {
-	case kindHome:
-		sc.c.tr.Home(actx, ep, l.homeReq, func(r *HomeResponse, err error) {
-			sc.push(delivery{shard: shardID, attempt: attempt, hedge: hedge, sentAt: sentAt, home: r, err: err})
-		})
-	case kindProbe:
-		sc.c.tr.Probe(actx, ep, l.probeReq, func(r *ProbeResponse, err error) {
-			sc.push(delivery{shard: shardID, attempt: attempt, hedge: hedge, sentAt: sentAt, probe: r, err: err})
-		})
-	case kindExplain:
-		sc.c.tr.Explain(actx, ep, l.explainReq, func(r *ExplainResponse, err error) {
-			sc.push(delivery{shard: shardID, attempt: attempt, hedge: hedge, sentAt: sentAt, explain: r, err: err})
-		})
-	}
+	reply := newReply(l.path)
+	sc.c.tr.Call(actx, ep, l.path, l.req, reply, func(err error) {
+		sc.push(delivery{shard: shardID, attempt: attempt, hedge: hedge, sentAt: sentAt, reply: reply, err: err})
+	})
 	sc.after(sc.c.opts.attempt(), func() { sc.onAttemptTimeout(l, attempt, cancel) })
 	if !hedge && attempt == 0 && len(l.eps) > 1 {
 		sc.after(sc.c.opts.hedgeAfter(), func() { sc.onHedgeTimer(l) })
+	}
+}
+
+// newReply allocates the reply of one attempt of a query leg, whose
+// path is PathHome, PathProbe or PathExplain.
+func newReply(path string) any {
+	switch path {
+	case PathHome:
+		return new(HomeResponse)
+	case PathProbe:
+		return new(ProbeResponse)
+	default:
+		return new(ExplainResponse)
 	}
 }
 
@@ -745,25 +718,26 @@ func (sc *scatter) handleDelivery(d delivery) {
 	}
 	var epoch uint64
 	var docs int
+	var remote []obs.TraceEvent
 	var bad error
-	switch {
-	case d.home != nil:
-		epoch, docs = d.home.Epoch, d.home.Docs
-		if want := (match.MRConfig{}).ListDepth(l.homeReq.K); d.home.N != want {
-			bad = fmt.Errorf("depth %d for k = %d, want %d", d.home.N, l.homeReq.K, want)
+	switch r := d.reply.(type) {
+	case *HomeResponse:
+		epoch, docs, remote = r.Epoch, r.Docs, r.Trace
+		k := l.req.(*HomeRequest).K
+		if want := (match.MRConfig{}).ListDepth(k); r.N != want {
+			bad = fmt.Errorf("depth %d for k = %d, want %d", r.N, k, want)
 		} else {
-			bad = checkLists(d.home.Lists, len(d.home.Probes), want)
+			bad = checkLists(r.Lists, len(r.Probes), want)
 		}
-	case d.probe != nil:
-		epoch, docs = d.probe.Epoch, d.probe.Docs
-		bad = checkLists(d.probe.Lists, len(l.probeReq.Probes), l.probeReq.Depth)
-	case d.explain != nil:
-		epoch = d.explain.Epoch
-		if len(d.explain.Items) != len(l.explainReq.Items) {
-			bad = fmt.Errorf("%d explain items for %d", len(d.explain.Items), len(l.explainReq.Items))
+	case *ProbeResponse:
+		epoch, docs, remote = r.Epoch, r.Docs, r.Trace
+		req := l.req.(*ProbeRequest)
+		bad = checkLists(r.Lists, len(req.Probes), req.Depth)
+	case *ExplainResponse:
+		epoch, remote = r.Epoch, r.Trace
+		if want := len(l.req.(*ExplainRequest).Items); len(r.Items) != want {
+			bad = fmt.Errorf("%d explain items for %d", len(r.Items), want)
 		}
-	default:
-		bad = errors.New("empty delivery")
 	}
 	if bad != nil {
 		sc.onError(l, &RPCError{Status: http.StatusBadGateway, Kind: "malformed",
@@ -779,7 +753,7 @@ func (sc *scatter) handleDelivery(d delivery) {
 		sc.maxDocs = docs
 	}
 	l.done = true
-	l.home, l.probe, l.explain = d.home, d.probe, d.explain
+	l.reply = d.reply
 	l.cancelAll()
 	now := sc.c.clock.Now()
 	sc.c.spanLeg[l.shard].Record(now.Sub(l.started))
@@ -796,7 +770,7 @@ func (sc *scatter) handleDelivery(d delivery) {
 			obs.N("attempts", int64(l.attempts)),
 			obs.N("hedge_won", hedge),
 			obs.N("rtt_ns", int64(now.Sub(d.sentAt))))
-		sc.stitchRemote(l.shard, d)
+		sc.stitchRemote(l.shard, remote)
 	}
 }
 
@@ -836,16 +810,7 @@ func checkLists(lists [][]match.Result, want, depth int) error {
 // wall clock trusted anywhere. The stitched events' own At values are
 // stamped at stitch time, preserving the trace's per-process
 // monotonicity invariant.
-func (sc *scatter) stitchRemote(shard int, d delivery) {
-	var remote []obs.TraceEvent
-	switch {
-	case d.home != nil:
-		remote = d.home.Trace
-	case d.probe != nil:
-		remote = d.probe.Trace
-	case d.explain != nil:
-		remote = d.explain.Trace
-	}
+func (sc *scatter) stitchRemote(shard int, remote []obs.TraceEvent) {
 	for _, ev := range remote {
 		attrs := make([]obs.Attr, 0, len(ev.Attrs)+2)
 		attrs = append(attrs,
@@ -940,8 +905,8 @@ func (c *Coordinator) gather(ctx context.Context, docID, k int, deadline time.Ti
 
 	// Phase 1: the home leg. Without it there are no probes, no frozen
 	// factors, and no depth — nothing correct to degrade to.
-	hl := &leg{kind: kindHome, shard: home, eps: c.eps[home],
-		homeReq: &HomeRequest{Shard: home, LocalDoc: local, K: k, TraceID: traceID, Trace: traced}}
+	hl := &leg{path: PathHome, shard: home, eps: c.eps[home],
+		req: &HomeRequest{Shard: home, LocalDoc: local, K: k, TraceID: traceID, Trace: traced}}
 	sc.startLeg(hl)
 	err := sc.await(func() bool { return hl.done || hl.failed != nil })
 	if err != nil && err != errBudget {
@@ -964,7 +929,7 @@ func (c *Coordinator) gather(ctx context.Context, docID, k int, deadline time.Ti
 		return nil, &RPCError{Status: http.StatusServiceUnavailable, Kind: "fleet_unavailable",
 			Msg: fmt.Sprintf("home shard %d unavailable: %v", home, ferr)}
 	}
-	resp := hl.home
+	resp := hl.reply.(*HomeResponse)
 	c.ctrLegOK[home].Inc()
 	c.noteLegOK(home)
 
@@ -979,15 +944,12 @@ func (c *Coordinator) gather(ctx context.Context, docID, k int, deadline time.Ti
 		}
 	}
 	if c.total > 1 {
-		probeReq := func(s int) *ProbeRequest {
-			return &ProbeRequest{Shard: s, Probes: resp.Probes, Depth: n, Floors: floors,
-				TraceID: traceID, Trace: traced}
-		}
 		for s := 0; s < c.total; s++ {
 			if s == home {
 				continue
 			}
-			sc.startLeg(&leg{kind: kindProbe, shard: s, eps: c.eps[s], probeReq: probeReq(s)})
+			sc.startLeg(&leg{path: PathProbe, shard: s, eps: c.eps[s],
+				req: &ProbeRequest{Shard: s, Probes: resp.Probes, Depth: n, Floors: floors, TraceID: traceID, Trace: traced}})
 		}
 		err = sc.await(func() bool {
 			for s, l := range sc.legs {
@@ -1041,7 +1003,7 @@ func (c *Coordinator) gather(ctx context.Context, docID, k int, deadline time.Ti
 	perShard[home] = resp.Lists
 	for s, l := range sc.legs {
 		if s != home && l.done {
-			perShard[s] = l.probe.Lists
+			perShard[s] = l.reply.(*ProbeResponse).Lists
 		}
 	}
 	clusters := make([]int, len(resp.Probes))
@@ -1113,7 +1075,7 @@ func (c *Coordinator) explain(ctx context.Context, g *gatherOut, results []match
 		if tr != nil {
 			req.TraceID, req.Trace = tr.ID(), true
 		}
-		sc.startLeg(&leg{kind: kindExplain, shard: s, eps: c.eps[s], explainReq: req})
+		sc.startLeg(&leg{path: PathExplain, shard: s, eps: c.eps[s], req: req})
 	}
 	err := sc.await(func() bool {
 		for _, l := range sc.legs {
@@ -1129,8 +1091,9 @@ func (c *Coordinator) explain(ctx context.Context, g *gatherOut, results []match
 	sc.cancelAllLegs()
 	for s, l := range sc.legs {
 		if l.done {
+			items := l.reply.(*ExplainResponse).Items
 			for j, sm := range refs[s] {
-				exps[sm.Result].Clusters[sm.Slot].Terms = l.explain.Items[j]
+				exps[sm.Result].Clusters[sm.Slot].Terms = items[j]
 			}
 			continue
 		}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/forum"
 	"repro/internal/match"
-	"repro/internal/obs"
 )
 
 // Edge cases of the degradation machinery: clock semantics, bootstrap
@@ -172,36 +171,12 @@ type launchRecorder struct {
 	times map[string][]time.Duration // "endpoint/kind" → launch offsets
 }
 
-func (r *launchRecorder) record(endpoint, kind string) {
+func (r *launchRecorder) Call(ctx context.Context, ep, path string, req, reply any, deliver func(error)) {
 	r.mu.Lock()
-	key := endpoint + "/" + kind
+	key := ep + path[strings.LastIndexByte(path, '/'):]
 	r.times[key] = append(r.times[key], r.clock.Now().Sub(time.Unix(0, 0)))
 	r.mu.Unlock()
-}
-
-func (r *launchRecorder) Home(ctx context.Context, ep string, req *HomeRequest, deliver func(*HomeResponse, error)) {
-	r.record(ep, "home")
-	r.inner.Home(ctx, ep, req, deliver)
-}
-
-func (r *launchRecorder) Probe(ctx context.Context, ep string, req *ProbeRequest, deliver func(*ProbeResponse, error)) {
-	r.record(ep, "probe")
-	r.inner.Probe(ctx, ep, req, deliver)
-}
-
-func (r *launchRecorder) Explain(ctx context.Context, ep string, req *ExplainRequest, deliver func(*ExplainResponse, error)) {
-	r.record(ep, "explain")
-	r.inner.Explain(ctx, ep, req, deliver)
-}
-
-func (r *launchRecorder) Meta(ctx context.Context, ep string, deliver func(*Meta, error)) {
-	r.record(ep, "meta")
-	r.inner.Meta(ctx, ep, deliver)
-}
-
-func (r *launchRecorder) Metrics(ctx context.Context, ep string, deliver func(*obs.Snapshot, error)) {
-	r.record(ep, "metrics")
-	r.inner.Metrics(ctx, ep, deliver)
+	r.inner.Call(ctx, ep, path, req, reply, deliver)
 }
 
 // TestBackoffSchedule pins the exact retry timing: under vopts' 800ms
@@ -276,28 +251,16 @@ type probeLeaker struct {
 	wg    sync.WaitGroup
 }
 
-func (p *probeLeaker) Home(ctx context.Context, ep string, req *HomeRequest, deliver func(*HomeResponse, error)) {
-	p.inner.Home(ctx, ep, req, deliver)
-}
-
-func (p *probeLeaker) Probe(ctx context.Context, ep string, req *ProbeRequest, deliver func(*ProbeResponse, error)) {
+func (p *probeLeaker) Call(ctx context.Context, ep, path string, req, reply any, deliver func(error)) {
+	if path != PathProbe {
+		p.inner.Call(ctx, ep, path, req, reply, deliver)
+		return
+	}
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
 		<-ctx.Done()
 	}()
-}
-
-func (p *probeLeaker) Explain(ctx context.Context, ep string, req *ExplainRequest, deliver func(*ExplainResponse, error)) {
-	p.inner.Explain(ctx, ep, req, deliver)
-}
-
-func (p *probeLeaker) Meta(ctx context.Context, ep string, deliver func(*Meta, error)) {
-	p.inner.Meta(ctx, ep, deliver)
-}
-
-func (p *probeLeaker) Metrics(ctx context.Context, ep string, deliver func(*obs.Snapshot, error)) {
-	p.inner.Metrics(ctx, ep, deliver)
 }
 
 // TestBudgetReleasesAllLegs: a query that ends by budget exhaustion

@@ -437,21 +437,19 @@ type forger struct {
 	probe func(*ProbeResponse) *ProbeResponse
 }
 
-func (f *forger) Home(ctx context.Context, ep string, req *HomeRequest, deliver func(*HomeResponse, error)) {
-	f.Transport.Home(ctx, ep, req, func(r *HomeResponse, err error) {
-		if r != nil && f.home != nil {
-			r = f.home(r)
+func (f *forger) Call(ctx context.Context, ep, path string, req, reply any, deliver func(error)) {
+	f.Transport.Call(ctx, ep, path, req, reply, func(err error) {
+		switch r := reply.(type) {
+		case *HomeResponse:
+			if err == nil && f.home != nil {
+				*r = *f.home(r)
+			}
+		case *ProbeResponse:
+			if err == nil && f.probe != nil {
+				*r = *f.probe(r)
+			}
 		}
-		deliver(r, err)
-	})
-}
-
-func (f *forger) Probe(ctx context.Context, ep string, req *ProbeRequest, deliver func(*ProbeResponse, error)) {
-	f.Transport.Probe(ctx, ep, req, func(r *ProbeResponse, err error) {
-		if r != nil && f.probe != nil {
-			r = f.probe(r)
-		}
-		deliver(r, err)
+		deliver(err)
 	})
 }
 

@@ -305,14 +305,12 @@ type wireReporter struct {
 	wire int
 }
 
-func (w *wireReporter) Meta(ctx context.Context, ep string, deliver func(*Meta, error)) {
-	w.Transport.Meta(ctx, ep, func(m *Meta, err error) {
-		if m != nil {
-			mm := *m
-			mm.Wire = w.wire
-			m = &mm
+func (w *wireReporter) Call(ctx context.Context, ep, path string, req, reply any, deliver func(error)) {
+	w.Transport.Call(ctx, ep, path, req, reply, func(err error) {
+		if m, ok := reply.(*Meta); ok {
+			m.Wire = w.wire
 		}
-		deliver(m, err)
+		deliver(err)
 	})
 }
 

@@ -278,9 +278,3 @@ func (h *Host) HandleExplain(req *ExplainRequest) (*ExplainResponse, error) {
 	h.ctrExplain[req.Shard].Inc()
 	return &ExplainResponse{Items: out, Epoch: h.epoch, Trace: h.closeTrace(t)}, nil
 }
-
-// MetricsSnapshot is the /internal/metricsz payload: this process's raw
-// registry view. Registry instruments are process-global, so a host
-// sharing a process with others (LocalTransport fleets) reports the
-// shared registry — real fleets run one host per process.
-func (h *Host) MetricsSnapshot() obs.Snapshot { return obs.Default.Snapshot() }

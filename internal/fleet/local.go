@@ -39,10 +39,10 @@ func (t *LocalTransport) RemoveHost(endpoint string) {
 	t.mu.Unlock()
 }
 
-// localCall answers one RPC synchronously from the host at endpoint: a
-// missing host fails like a refused connection, a canceled context
-// delivers nothing (see the Transport contract).
-func localCall[Resp any](t *LocalTransport, ctx context.Context, endpoint string, deliver func(*Resp, error), handle func(*Host) (*Resp, error)) {
+// Call implements Transport: it answers synchronously from the host at
+// endpoint. A missing host fails like a refused connection, a canceled
+// context delivers nothing (see the Transport contract).
+func (t *LocalTransport) Call(ctx context.Context, endpoint, path string, req, reply any, deliver func(error)) {
 	if ctx.Err() != nil {
 		return
 	}
@@ -50,38 +50,39 @@ func localCall[Resp any](t *LocalTransport, ctx context.Context, endpoint string
 	h := t.hosts[endpoint]
 	t.mu.RUnlock()
 	if h == nil {
-		deliver(nil, &RPCError{Kind: "dial", Msg: fmt.Sprintf("connect %s: connection refused", endpoint)})
+		deliver(&RPCError{Kind: "dial", Msg: fmt.Sprintf("connect %s: connection refused", endpoint)})
 		return
 	}
-	deliver(handle(h))
+	deliver(answer(h, path, req, reply))
 }
 
-// Home implements Transport.
-func (t *LocalTransport) Home(ctx context.Context, endpoint string, req *HomeRequest, deliver func(*HomeResponse, error)) {
-	localCall(t, ctx, endpoint, deliver, func(h *Host) (*HomeResponse, error) { return h.HandleHome(req) })
+// answer runs the RPC at path on h and fills reply. Registry instruments
+// are process-global, so every in-process host's metrics are the same
+// shared snapshot; real fleets run one host per process.
+func answer(h *Host, path string, req, reply any) error {
+	switch path {
+	case PathHome:
+		return fill(reply.(*HomeResponse))(h.HandleHome(req.(*HomeRequest)))
+	case PathProbe:
+		return fill(reply.(*ProbeResponse))(h.HandleProbe(req.(*ProbeRequest)))
+	case PathExplain:
+		return fill(reply.(*ExplainResponse))(h.HandleExplain(req.(*ExplainRequest)))
+	case PathMeta:
+		*reply.(*Meta) = *h.Meta()
+	case PathMetrics:
+		*reply.(*obs.Snapshot) = obs.Default.Snapshot()
+	default:
+		panic("fleet: no RPC at " + path)
+	}
+	return nil
 }
 
-// Probe implements Transport.
-func (t *LocalTransport) Probe(ctx context.Context, endpoint string, req *ProbeRequest, deliver func(*ProbeResponse, error)) {
-	localCall(t, ctx, endpoint, deliver, func(h *Host) (*ProbeResponse, error) { return h.HandleProbe(req) })
-}
-
-// Explain implements Transport.
-func (t *LocalTransport) Explain(ctx context.Context, endpoint string, req *ExplainRequest, deliver func(*ExplainResponse, error)) {
-	localCall(t, ctx, endpoint, deliver, func(h *Host) (*ExplainResponse, error) { return h.HandleExplain(req) })
-}
-
-// Meta implements Transport.
-func (t *LocalTransport) Meta(ctx context.Context, endpoint string, deliver func(*Meta, error)) {
-	localCall(t, ctx, endpoint, deliver, func(h *Host) (*Meta, error) { return h.Meta(), nil })
-}
-
-// Metrics implements Transport. In-process hosts share one registry, so
-// each live endpoint reports the same process-wide snapshot — the
-// federation caveat Host.MetricsSnapshot documents.
-func (t *LocalTransport) Metrics(ctx context.Context, endpoint string, deliver func(*obs.Snapshot, error)) {
-	localCall(t, ctx, endpoint, deliver, func(h *Host) (*obs.Snapshot, error) {
-		s := h.MetricsSnapshot()
-		return &s, nil
-	})
+// fill copies a handler's response into reply when it succeeded.
+func fill[T any](reply *T) func(*T, error) error {
+	return func(v *T, err error) error {
+		if err == nil {
+			*reply = *v
+		}
+		return err
+	}
 }

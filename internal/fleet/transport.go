@@ -8,16 +8,27 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
-
-	"repro/internal/obs"
 )
 
-// Transport is how the coordinator reaches shard servers. It is
-// deliberately asynchronous — each call arranges for deliver to be
-// invoked at most once, later, with the response or an error — because
-// that shape admits three implementations with identical coordinator
-// code above them:
+// The internal routes a shard server answers, one per RPC; Transport.Call
+// takes one of them as its path. Home, probe and explain are POSTs of
+// the wire request; meta and metrics are GETs with no request.
+const (
+	PathHome    = "/internal/home"     // HomeRequest → HomeResponse
+	PathProbe   = "/internal/probe"    // ProbeRequest → ProbeResponse
+	PathExplain = "/internal/explain"  // ExplainRequest → ExplainResponse
+	PathMeta    = "/internal/meta"     // nil → Meta
+	PathMetrics = "/internal/metricsz" // nil → obs.Snapshot
+)
+
+// Transport is how the coordinator reaches shard servers: one
+// asynchronous call, in the shape of net/rpc's Client.Go. Call runs the
+// RPC at path (one of the Path constants) on the server at endpoint,
+// with req the wire request (nil for meta and metrics) and reply a
+// pointer the caller allocated, fresh for each call, to the path's
+// response type. The transport fills reply, then calls deliver(nil), or
+// calls deliver with the failure. That shape admits three
+// implementations with identical coordinator code above them:
 //
 //   - HTTPTransport: real network calls, deliver runs on a goroutine.
 //   - LocalTransport: in-process hosts, deliver runs synchronously
@@ -27,22 +38,13 @@ import (
 //
 // Contract: deliver is called at most once per call ("drop" faults
 // simply never deliver — the coordinator's per-attempt deadline is the
-// only recovery, exactly as with a real black-holed packet). Transports
-// should stop work when ctx is done but need not deliver a cancellation
-// error; the coordinator never blocks on a specific call. deliver may
-// run on any goroutine; the coordinator's inbox serializes.
+// only recovery, exactly as with a real black-holed packet), and the
+// caller reads reply only after deliver(nil). Transports should stop
+// work when ctx is done but need not deliver a cancellation error; the
+// coordinator never blocks on a specific call. deliver may run on any
+// goroutine; the coordinator's inbox serializes.
 type Transport interface {
-	// Home runs a query's home leg on the server at endpoint.
-	Home(ctx context.Context, endpoint string, req *HomeRequest, deliver func(*HomeResponse, error))
-	// Probe runs a sibling scan on the server at endpoint.
-	Probe(ctx context.Context, endpoint string, req *ProbeRequest, deliver func(*ProbeResponse, error))
-	// Explain fetches term-level contribution breakdowns.
-	Explain(ctx context.Context, endpoint string, req *ExplainRequest, deliver func(*ExplainResponse, error))
-	// Meta fetches a server's self-description.
-	Meta(ctx context.Context, endpoint string, deliver func(*Meta, error))
-	// Metrics fetches a server's raw observability snapshot — the
-	// federated-scrape leg behind the coordinator's /metrics?scope=fleet.
-	Metrics(ctx context.Context, endpoint string, deliver func(*obs.Snapshot, error))
+	Call(ctx context.Context, endpoint, path string, req, reply any, deliver func(error))
 }
 
 // RPCError is a typed failure from a shard server. Status carries the
@@ -85,30 +87,22 @@ func IsTransient(err error) bool {
 	return true
 }
 
-// HTTPTransport reaches shard servers over HTTP: one POST per leg, JSON
-// bodies, responses decoded off a shared client. The zero value uses
-// http.DefaultClient.
+// HTTPTransport reaches shard servers over HTTP: one request per call,
+// JSON bodies, responses decoded off a shared client. Build one with
+// NewHTTPTransport.
 type HTTPTransport struct {
-	// Client issues the requests; http.DefaultClient when nil. Callers
-	// running fleets at scale should set one with a tuned
-	// MaxIdleConnsPerHost — every leg of every query hits the same few
-	// endpoints.
+	// Client issues the requests.
 	Client *http.Client
 }
 
 // NewHTTPTransport returns a transport with a connection-pooled client
-// suitable for a small fleet.
+// suitable for a small fleet: every leg of every query hits the same
+// few endpoints. The client sets no timeout of its own; the coordinator
+// cancels each call's context at its attempt deadline.
 func NewHTTPTransport() *HTTPTransport {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConnsPerHost = 32
-	return &HTTPTransport{Client: &http.Client{Transport: tr, Timeout: 30 * time.Second}}
-}
-
-func (t *HTTPTransport) client() *http.Client {
-	if t.Client != nil {
-		return t.Client
-	}
-	return http.DefaultClient
+	return &HTTPTransport{Client: &http.Client{Transport: tr}}
 }
 
 // serverError is the error-body shape internal endpoints send (the same
@@ -141,7 +135,7 @@ func (t *HTTPTransport) roundTrip(ctx context.Context, url string, req, out any)
 	if err != nil {
 		return &RPCError{Kind: "request", Msg: err.Error()}
 	}
-	resp, err := t.client().Do(hr)
+	resp, err := t.Client.Do(hr)
 	if err != nil {
 		return &RPCError{Kind: "dial", Msg: err.Error()}
 	}
@@ -160,40 +154,7 @@ func (t *HTTPTransport) roundTrip(ctx context.Context, url string, req, out any)
 	return nil
 }
 
-// httpCall runs one RPC on its own goroutine — POST req as JSON to url,
-// or GET when req is nil — and delivers the decoded reply or the error.
-func httpCall[Resp any](t *HTTPTransport, ctx context.Context, url string, req any, deliver func(*Resp, error)) {
-	go func() {
-		var out Resp
-		if err := t.roundTrip(ctx, url, req, &out); err != nil {
-			deliver(nil, err)
-			return
-		}
-		deliver(&out, nil)
-	}()
-}
-
-// Home implements Transport.
-func (t *HTTPTransport) Home(ctx context.Context, endpoint string, req *HomeRequest, deliver func(*HomeResponse, error)) {
-	httpCall(t, ctx, endpoint+"/internal/home", req, deliver)
-}
-
-// Probe implements Transport.
-func (t *HTTPTransport) Probe(ctx context.Context, endpoint string, req *ProbeRequest, deliver func(*ProbeResponse, error)) {
-	httpCall(t, ctx, endpoint+"/internal/probe", req, deliver)
-}
-
-// Explain implements Transport.
-func (t *HTTPTransport) Explain(ctx context.Context, endpoint string, req *ExplainRequest, deliver func(*ExplainResponse, error)) {
-	httpCall(t, ctx, endpoint+"/internal/explain", req, deliver)
-}
-
-// Meta implements Transport.
-func (t *HTTPTransport) Meta(ctx context.Context, endpoint string, deliver func(*Meta, error)) {
-	httpCall(t, ctx, endpoint+"/internal/meta", nil, deliver)
-}
-
-// Metrics implements Transport.
-func (t *HTTPTransport) Metrics(ctx context.Context, endpoint string, deliver func(*obs.Snapshot, error)) {
-	httpCall(t, ctx, endpoint+"/internal/metricsz", nil, deliver)
+// Call implements Transport: it runs roundTrip on its own goroutine.
+func (t *HTTPTransport) Call(ctx context.Context, endpoint, path string, req, reply any, deliver func(error)) {
+	go func() { deliver(t.roundTrip(ctx, endpoint+path, req, reply)) }()
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/forum"
 	"repro/internal/match"
+	"repro/internal/obs"
 )
 
 // Tests for the HTTP half of the Transport interface: a coordinator
@@ -47,48 +48,32 @@ func hostHandler(t testing.TB, h *Host) http.Handler {
 		}
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /internal/home", func(w http.ResponseWriter, r *http.Request) {
-		var req HomeRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, badRequest("%v", err))
-			return
+	route := func(path string, newReq, newReply func() any) {
+		pattern := "GET " + path
+		if newReq != nil {
+			pattern = "POST " + path
 		}
-		resp, err := h.HandleHome(&req)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeOK(w, resp)
-	})
-	mux.HandleFunc("POST /internal/probe", func(w http.ResponseWriter, r *http.Request) {
-		var req ProbeRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, badRequest("%v", err))
-			return
-		}
-		resp, err := h.HandleProbe(&req)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeOK(w, resp)
-	})
-	mux.HandleFunc("POST /internal/explain", func(w http.ResponseWriter, r *http.Request) {
-		var req ExplainRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, badRequest("%v", err))
-			return
-		}
-		resp, err := h.HandleExplain(&req)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeOK(w, resp)
-	})
-	mux.HandleFunc("GET /internal/meta", func(w http.ResponseWriter, r *http.Request) {
-		writeOK(w, h.Meta())
-	})
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			var req any
+			if newReq != nil {
+				req = newReq()
+				if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+					writeErr(w, badRequest("%v", err))
+					return
+				}
+			}
+			reply := newReply()
+			if err := answer(h, path, req, reply); err != nil {
+				writeErr(w, err)
+				return
+			}
+			writeOK(w, reply)
+		})
+	}
+	route(PathHome, func() any { return new(HomeRequest) }, func() any { return new(HomeResponse) })
+	route(PathProbe, func() any { return new(ProbeRequest) }, func() any { return new(ProbeResponse) })
+	route(PathExplain, func() any { return new(ExplainRequest) }, func() any { return new(ExplainResponse) })
+	route(PathMeta, nil, func() any { return new(Meta) })
 	return mux
 }
 
@@ -121,10 +106,10 @@ func TestHTTPTransportFleet(t *testing.T) {
 // shape roundTrip can meet.
 func TestHTTPTransportErrors(t *testing.T) {
 	tr := NewHTTPTransport()
-	call := func(f func(deliver func(any, error))) error {
+	call := func(endpoint, path string, req, reply any) error {
 		t.Helper()
 		ch := make(chan error, 1)
-		f(func(_ any, err error) { ch <- err })
+		tr.Call(context.Background(), endpoint, path, req, reply, func(err error) { ch <- err })
 		select {
 		case err := <-ch:
 			return err
@@ -151,9 +136,7 @@ func TestHTTPTransportErrors(t *testing.T) {
 			_, _ = w.Write([]byte(`{"error": {"kind": "unknown_doc", "message": "document not found"}}`))
 		}))
 		defer ts.Close()
-		err := call(func(d func(any, error)) {
-			tr.Home(context.Background(), ts.URL, &HomeRequest{K: 5}, func(r *HomeResponse, e error) { d(r, e) })
-		})
+		err := call(ts.URL, PathHome, &HomeRequest{K: 5}, new(HomeResponse))
 		rpc := wantRPC(err, http.StatusNotFound, "unknown_doc")
 		if !strings.Contains(rpc.Error(), "unknown_doc") {
 			t.Fatalf("typed Error() should name the kind: %q", rpc.Error())
@@ -167,9 +150,7 @@ func TestHTTPTransportErrors(t *testing.T) {
 			http.Error(w, "boom", http.StatusInternalServerError)
 		}))
 		defer ts.Close()
-		err := call(func(d func(any, error)) {
-			tr.Probe(context.Background(), ts.URL, &ProbeRequest{Depth: 1}, func(r *ProbeResponse, e error) { d(r, e) })
-		})
+		err := call(ts.URL, PathProbe, &ProbeRequest{Depth: 1}, new(ProbeResponse))
 		rpc := wantRPC(err, http.StatusInternalServerError, "")
 		if !strings.Contains(rpc.Error(), "boom") {
 			t.Fatalf("prose Error() should carry the body: %q", rpc.Error())
@@ -183,69 +164,67 @@ func TestHTTPTransportErrors(t *testing.T) {
 			_, _ = w.Write([]byte("not json"))
 		}))
 		defer ts.Close()
-		err := call(func(d func(any, error)) {
-			tr.Explain(context.Background(), ts.URL, &ExplainRequest{}, func(r *ExplainResponse, e error) { d(r, e) })
-		})
+		err := call(ts.URL, PathExplain, &ExplainRequest{}, new(ExplainResponse))
 		wantRPC(err, 0, "decode")
 	})
 	t.Run("refused", func(t *testing.T) {
 		ts := httptest.NewServer(http.NotFoundHandler())
 		url := ts.URL
 		ts.Close()
-		err := call(func(d func(any, error)) {
-			tr.Meta(context.Background(), url, func(m *Meta, e error) { d(m, e) })
-		})
+		err := call(url, PathMeta, nil, new(Meta))
 		wantRPC(err, 0, "dial")
 		if !IsTransient(err) {
 			t.Fatalf("refused connection must be transient: %v", err)
 		}
 	})
 	t.Run("bad-endpoint", func(t *testing.T) {
-		err := call(func(d func(any, error)) {
-			tr.Meta(context.Background(), "http://\x00bad", func(m *Meta, e error) { d(m, e) })
-		})
+		err := call("http://\x00bad", PathMetrics, nil, new(obs.Snapshot))
 		wantRPC(err, 0, "request")
-	})
-	t.Run("zero-value-client", func(t *testing.T) {
-		var zero HTTPTransport
-		if zero.client() != http.DefaultClient {
-			t.Fatal("zero-value transport must fall back to http.DefaultClient")
-		}
 	})
 }
 
-// TestLocalTransportRemoveHost pins the refused-connection semantics of
-// a killed in-process host and the no-delivery contract for canceled
-// contexts.
+// rpcCall is one call of an internal RPC; kind is its Chaos script key.
+type rpcCall struct {
+	kind, path string
+	req, reply any
+}
+
+// rpcs is one call of each internal RPC, each with a fresh reply.
+func rpcs() []rpcCall {
+	return []rpcCall{
+		{"home", PathHome, &HomeRequest{K: 5}, new(HomeResponse)},
+		{"probe", PathProbe, &ProbeRequest{Depth: 1}, new(ProbeResponse)},
+		{"explain", PathExplain, &ExplainRequest{}, new(ExplainResponse)},
+		{"meta", PathMeta, nil, new(Meta)},
+		{"metricsz", PathMetrics, nil, new(obs.Snapshot)},
+	}
+}
+
+// TestLocalTransportRemoveHost pins, on every path, the refused-connection
+// semantics of a killed in-process host and the no-delivery contract for
+// canceled contexts.
 func TestLocalTransportRemoveHost(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 20, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 1, 42, 0)
 	f.lt.RemoveHost(epName(0, 0))
-
-	delivered := 0
-	wantDial := func(err error) {
-		t.Helper()
-		delivered++
-		var rpc *RPCError
-		if !errors.As(err, &rpc) || rpc.Kind != "dial" {
-			t.Fatalf("want dial error from removed host, got %v", err)
-		}
-	}
-	ctx := context.Background()
-	f.lt.Home(ctx, "s0", &HomeRequest{K: 5}, func(_ *HomeResponse, err error) { wantDial(err) })
-	f.lt.Probe(ctx, "s0", &ProbeRequest{Depth: 1}, func(_ *ProbeResponse, err error) { wantDial(err) })
-	f.lt.Explain(ctx, "s0", &ExplainRequest{}, func(_ *ExplainResponse, err error) { wantDial(err) })
-	f.lt.Meta(ctx, "s0", func(_ *Meta, err error) { wantDial(err) })
-	if delivered != 4 {
-		t.Fatalf("want 4 dial deliveries, got %d", delivered)
-	}
-
-	canceled, cancel := context.WithCancel(ctx)
+	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	f.lt.Home(canceled, "s0", &HomeRequest{K: 5}, func(_ *HomeResponse, _ error) { t.Error("delivered after cancel") })
-	f.lt.Probe(canceled, "s0", &ProbeRequest{Depth: 1}, func(_ *ProbeResponse, _ error) { t.Error("delivered after cancel") })
-	f.lt.Explain(canceled, "s0", &ExplainRequest{}, func(_ *ExplainResponse, _ error) { t.Error("delivered after cancel") })
-	f.lt.Meta(canceled, "s0", func(_ *Meta, _ error) { t.Error("delivered after cancel") })
+	for _, rpc := range rpcs() {
+		delivered := 0
+		f.lt.Call(context.Background(), "s0", rpc.path, rpc.req, rpc.reply, func(err error) {
+			delivered++
+			var re *RPCError
+			if !errors.As(err, &re) || re.Kind != "dial" {
+				t.Errorf("%s: want dial error from removed host, got %v", rpc.path, err)
+			}
+		})
+		if delivered != 1 {
+			t.Errorf("%s: %d dial deliveries, want 1", rpc.path, delivered)
+		}
+		f.lt.Call(canceled, "s0", rpc.path, rpc.req, rpc.reply, func(error) {
+			t.Errorf("%s: delivered after cancel", rpc.path)
+		})
+	}
 }
 
 // TestHostRequestValidation drives every malformed internal request
@@ -351,52 +330,31 @@ func TestHostProbeFloors(t *testing.T) {
 	}
 }
 
-// TestChaosExplainMetaFaults covers the explain/meta verbs of the
-// fault injector directly: scripted errors are delivered, drops are
-// black holes, and unscripted calls pass through.
-func TestChaosExplainMetaFaults(t *testing.T) {
+// TestChaosFaults covers every path of the fault injector directly:
+// scripted errors are delivered, drops are black holes, and unscripted
+// calls pass through to the live host.
+func TestChaosFaults(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 20, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 1, 42, 0)
-	clock := NewVirtualClock(time.Unix(0, 0))
-	ch := NewChaos(f.lt, clock)
-
 	boom := &RPCError{Status: http.StatusInternalServerError, Kind: "scripted", Msg: "boom"}
-	ch.Script("s0", "explain", ChaosAction{Err: boom}, ChaosAction{Drop: true})
-	ch.Script("s0", "meta", ChaosAction{Err: boom}, ChaosAction{Drop: true})
-
-	got := 0
-	ch.Explain(context.Background(), "s0", &ExplainRequest{}, func(_ *ExplainResponse, err error) {
-		got++
-		if !errors.Is(err, boom) {
-			t.Fatalf("scripted explain error not delivered: %v", err)
+	for _, rpc := range rpcs() {
+		ch := NewChaos(f.lt, NewVirtualClock(time.Unix(0, 0)))
+		ch.Script("s0", rpc.kind, ChaosAction{Err: boom}, ChaosAction{Drop: true})
+		var got []error
+		for range 3 {
+			ch.Call(context.Background(), "s0", rpc.path, rpc.req, rpc.reply, func(err error) { got = append(got, err) })
 		}
-	})
-	ch.Explain(context.Background(), "s0", &ExplainRequest{}, func(_ *ExplainResponse, _ error) {
-		t.Error("dropped explain must never deliver")
-	})
-	ch.Meta(context.Background(), "s0", func(_ *Meta, err error) {
-		got++
-		if !errors.Is(err, boom) {
-			t.Fatalf("scripted meta error not delivered: %v", err)
+		if len(got) != 2 || !errors.Is(got[0], boom) {
+			t.Fatalf("%s: deliveries %v, want the scripted error, nothing for the drop, then the pass-through", rpc.path, got)
 		}
-	})
-	ch.Meta(context.Background(), "s0", func(_ *Meta, _ error) {
-		t.Error("dropped meta must never deliver")
-	})
-	// Script exhausted: the next call passes through to the live host.
-	ch.Meta(context.Background(), "s0", func(m *Meta, err error) {
-		got++
-		if err != nil || m == nil || m.Docs != len(docs) {
-			t.Fatalf("pass-through meta: %v / %+v", err, m)
+		if got[1] != nil || reflect.ValueOf(rpc.reply).Elem().IsZero() {
+			t.Errorf("%s: pass-through %v left reply %+v", rpc.path, got[1], rpc.reply)
 		}
-	})
-	if got != 3 {
-		t.Fatalf("want 3 deliveries, got %d", got)
 	}
 }
 
 // TestCoordinatorRejectsMalformedReplies: a shard that answers with the
-// wrong list count, a foreign snapshot epoch, or an empty delivery must
+// wrong list count, a foreign snapshot epoch, or a zero reply must
 // be treated as failed — degrading the query to a well-formed partial,
 // never merging the bogus lists.
 func TestCoordinatorRejectsMalformedReplies(t *testing.T) {
@@ -413,7 +371,7 @@ func TestCoordinatorRejectsMalformedReplies(t *testing.T) {
 			r.Epoch++
 			return r
 		}},
-		{"empty-delivery", func(r *ProbeResponse) *ProbeResponse { return nil }},
+		{"zero-reply", func(r *ProbeResponse) *ProbeResponse { return &ProbeResponse{} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

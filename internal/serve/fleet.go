@@ -46,11 +46,11 @@ type ShardServer struct {
 func NewShardServer(h *fleet.Host, cfg Config) *ShardServer {
 	s := &ShardServer{host: h, mux: http.NewServeMux(), observer: newObserver(cfg)}
 	h.SetTracer(s.tracer)
-	s.mux.HandleFunc("POST /internal/home", s.observe("/internal/home", false, hostRPC(ctrShardHome, h.HandleHome)))
-	s.mux.HandleFunc("POST /internal/probe", s.observe("/internal/probe", false, hostRPC(ctrShardProbe, h.HandleProbe)))
-	s.mux.HandleFunc("POST /internal/explain", s.observe("/internal/explain", false, hostRPC(ctrShardExplain, h.HandleExplain)))
-	s.mux.HandleFunc("GET /internal/meta", s.observe("/internal/meta", false, s.handleMeta))
-	s.mux.HandleFunc("GET /internal/metricsz", s.observe("/internal/metricsz", false, s.handleMetricsz))
+	s.mux.HandleFunc("POST "+fleet.PathHome, s.observe(fleet.PathHome, false, hostRPC(ctrShardHome, h.HandleHome)))
+	s.mux.HandleFunc("POST "+fleet.PathProbe, s.observe(fleet.PathProbe, false, hostRPC(ctrShardProbe, h.HandleProbe)))
+	s.mux.HandleFunc("POST "+fleet.PathExplain, s.observe(fleet.PathExplain, false, hostRPC(ctrShardExplain, h.HandleExplain)))
+	s.mux.HandleFunc("GET "+fleet.PathMeta, s.observe(fleet.PathMeta, false, s.handleMeta))
+	s.mux.HandleFunc("GET "+fleet.PathMetrics, s.observe(fleet.PathMetrics, false, s.handleMetricsz))
 	s.mux.HandleFunc("GET /metrics", s.observe("/metrics", false, s.handleMetrics))
 	s.mux.HandleFunc("GET /healthz", s.observe("/healthz", false, handleHealthz))
 	s.mux.HandleFunc("GET /debug/traces", s.observe("/debug/traces", false, s.handleTraces))

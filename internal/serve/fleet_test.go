@@ -84,7 +84,7 @@ func TestFleetServeEndToEnd(t *testing.T) {
 	t.Cleanup(fleetTS.Close)
 
 	t.Run("shard-surface", func(t *testing.T) {
-		resp, err := http.Get(shardTS[1].URL + "/internal/meta")
+		resp, err := http.Get(shardTS[1].URL + fleet.PathMeta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,15 +97,15 @@ func TestFleetServeEndToEnd(t *testing.T) {
 			t.Fatalf("unexpected meta: %+v", m)
 		}
 
-		resp, body := postJSON(t, shardTS[1].URL+"/internal/home", `{"shard": 1, "local_doc": 999999, "k": 5}`)
+		resp, body := postJSON(t, shardTS[1].URL+fleet.PathHome, `{"shard": 1, "local_doc": 999999, "k": 5}`)
 		if resp.StatusCode != http.StatusNotFound || typedError(t, body).Kind != "unknown_doc" {
 			t.Fatalf("unknown doc: status %d body %s", resp.StatusCode, body)
 		}
-		resp, body = postJSON(t, shardTS[1].URL+"/internal/probe", `{"shard": 2, "probes": [], "depth": 10}`)
+		resp, body = postJSON(t, shardTS[1].URL+fleet.PathProbe, `{"shard": 2, "probes": [], "depth": 10}`)
 		if resp.StatusCode != http.StatusMisdirectedRequest || typedError(t, body).Kind != "not_owned" {
 			t.Fatalf("misdirected probe: status %d body %s", resp.StatusCode, body)
 		}
-		resp, body = postJSON(t, shardTS[1].URL+"/internal/home", `{bad json`)
+		resp, body = postJSON(t, shardTS[1].URL+fleet.PathHome, `{bad json`)
 		if resp.StatusCode != http.StatusBadRequest || typedError(t, body).Kind != "bad_request" {
 			t.Fatalf("bad json: status %d body %s", resp.StatusCode, body)
 		}
@@ -133,7 +133,7 @@ func TestFleetServeCancellationReleasesGoroutines(t *testing.T) {
 	for s := 0; s < f.g.NumShards(); s++ {
 		inner := NewShardServer(f.hosts[s], Config{}).Handler()
 		shardTS[s] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/internal/probe" {
+			if r.URL.Path == fleet.PathProbe {
 				hanging.Add(1)
 				defer hanging.Add(-1)
 				// Drain the body so the server's background read can detect
@@ -212,7 +212,7 @@ func TestShardServeAuxSurfaces(t *testing.T) {
 		t.Fatalf("/metrics prometheus: status %d content-type %q body %.120s", resp.StatusCode, resp.Header.Get("Content-Type"), body)
 	}
 	// Explain for a shard this server does not own.
-	resp, body = postJSON(t, shardTS.URL+"/internal/explain", `{"shard": 3, "items": []}`)
+	resp, body = postJSON(t, shardTS.URL+fleet.PathExplain, `{"shard": 3, "items": []}`)
 	if resp.StatusCode != http.StatusMisdirectedRequest || typedError(t, body).Kind != "not_owned" {
 		t.Fatalf("misdirected explain: status %d body %s", resp.StatusCode, body)
 	}
@@ -222,7 +222,7 @@ func TestShardServeAuxSurfaces(t *testing.T) {
 	}
 	p := home.Probes[0]
 	req, _ := json.Marshal(fleet.ExplainRequest{Shard: 1, Items: []fleet.ExplainItem{{Cluster: p.Cluster, Terms: p.Terms, QF: p.QF}}})
-	resp, body = postJSON(t, shardTS.URL+"/internal/explain", string(req))
+	resp, body = postJSON(t, shardTS.URL+fleet.PathExplain, string(req))
 	var er fleet.ExplainResponse
 	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &er) != nil || len(er.Items) != 1 {
 		t.Fatalf("explain item: status %d body %s", resp.StatusCode, body)

@@ -397,28 +397,21 @@ type killSwitch struct {
 	dead [4]bool
 }
 
-func (k *killSwitch) Home(ctx context.Context, ep string, req *fleet.HomeRequest, deliver func(*fleet.HomeResponse, error)) {
-	if k.dead[req.Shard] {
-		deliver(nil, errShardKilled)
+func (k *killSwitch) Call(ctx context.Context, ep, path string, req, reply any, deliver func(error)) {
+	shard := -1
+	switch r := req.(type) {
+	case *fleet.HomeRequest:
+		shard = r.Shard
+	case *fleet.ProbeRequest:
+		shard = r.Shard
+	case *fleet.ExplainRequest:
+		shard = r.Shard
+	}
+	if shard >= 0 && k.dead[shard] {
+		deliver(errShardKilled)
 		return
 	}
-	k.Transport.Home(ctx, ep, req, deliver)
-}
-
-func (k *killSwitch) Probe(ctx context.Context, ep string, req *fleet.ProbeRequest, deliver func(*fleet.ProbeResponse, error)) {
-	if k.dead[req.Shard] {
-		deliver(nil, errShardKilled)
-		return
-	}
-	k.Transport.Probe(ctx, ep, req, deliver)
-}
-
-func (k *killSwitch) Explain(ctx context.Context, ep string, req *fleet.ExplainRequest, deliver func(*fleet.ExplainResponse, error)) {
-	if k.dead[req.Shard] {
-		deliver(nil, errShardKilled)
-		return
-	}
-	k.Transport.Explain(ctx, ep, req, deliver)
+	k.Transport.Call(ctx, ep, path, req, reply, deliver)
 }
 
 // liveRow is a row's engine during a sequence, behind its two servers.

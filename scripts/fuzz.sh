@@ -5,38 +5,27 @@
 #   scripts/fuzz.sh           # 10s per target (CI smoke)
 #   scripts/fuzz.sh 5m        # longer local session
 #
-# Go runs one -fuzz pattern per package invocation, so targets are
-# enumerated explicitly and run sequentially. The checked-in seed
-# corpora under testdata/fuzz/ always replay as part of plain
-# `go test ./...`; this script does additional coverage-guided input
-# generation on top.
+# Go runs one -fuzz pattern per package invocation, so the targets are
+# listed with `go test -list`, read per package, and run sequentially:
+# a new Fuzz function is picked up without editing this script. The
+# checked-in seed corpora under testdata/fuzz/ always replay as part of
+# plain `go test ./...`; this script does additional coverage-guided
+# input generation on top.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FUZZTIME="${1:-10s}"
 
-declare -a TARGETS=(
-    "./internal/textproc FuzzTokenize"
-    "./internal/textproc FuzzSplitSentences"
-    "./internal/textproc FuzzStripHTML"
-    "./internal/textproc FuzzDecodeEntity"
-    "./internal/textproc FuzzStem"
-    "./internal/pos FuzzTagWords"
-    "./internal/segment FuzzStrategies"
-    "./internal/variant FuzzTile"
-    "./internal/secfile FuzzDecode"
-    "./internal/secfile FuzzParseStringTable"
-    "./internal/index FuzzIndexLoad"
-    "./internal/index FuzzValidateSnapshot"
-    "./internal/index FuzzDict"
-    "./internal/core FuzzReadPipeline"
-    "./internal/serve FuzzDecodeRelated"
-    "./internal/serve FuzzAddBody"
-    "./internal/fleet FuzzProbeRequest"
-    "./internal/fleet FuzzExplainRequest"
-    "./internal/fleet FuzzProbeReply"
-)
+# `go test -list` prints a package's matching names, then its "ok" line.
+listing=$(go test -list '^Fuzz' ./...)
+mapfile -t TARGETS < <(awk '
+    /^Fuzz/ { names[n++] = $1; next }
+    /^ok/   { for (i = 0; i < n; i++) print $2, names[i]; n = 0 }' <<<"$listing")
+if [ "${#TARGETS[@]}" -eq 0 ]; then
+    echo "no fuzz targets found" >&2
+    exit 1
+fi
 
 for entry in "${TARGETS[@]}"; do
     read -r pkg target <<<"$entry"
