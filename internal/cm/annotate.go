@@ -5,22 +5,14 @@ import (
 	"repro/internal/textproc"
 )
 
-// TagSentence returns the sentence's tokens lower-cased and tagged, in
-// buf's memory when that is large enough. It is the one pass over the words
-// that everything downstream shares: AnnotateTagged reads the tags, and a
-// caller that goes on to filter and stem the words
-// (segment.newDocFromSentences) reads Lower instead of lower-casing again.
-func TagSentence(buf []pos.TaggedToken, sent textproc.Sentence) []pos.TaggedToken {
-	buf = buf[:0]
-	for _, t := range sent.Tokens {
-		buf = append(buf, pos.TaggedToken{Text: t.Text, Lower: t.Lower()})
-	}
-	pos.TagTokens(buf)
-	return buf
-}
-
-// AnnotateTagged is Annotate for a sentence whose tokens are already
-// tagged (by TagSentence).
+// AnnotateTagged computes the communication-means annotation of one
+// sentence from its tokens as TagSentence tagged them. Tense, Subject and
+// PartOfSpeech are counted per token (each verb group contributes to
+// exactly one tense; each personal pronoun to one person; each
+// verb/noun/adjective/adverb token to one POS bucket). Style and Status are
+// sentence-level categorical observations: the sentence contributes one
+// count to interrogative/negative/affirmative and, if it contains a verb,
+// one count to passive or active.
 func AnnotateTagged(sent textproc.Sentence, tagged []pos.TaggedToken) Annotation {
 	var a Annotation
 	hasVerb := false
@@ -28,7 +20,7 @@ func AnnotateTagged(sent textproc.Sentence, tagged []pos.TaggedToken) Annotation
 	negative := false
 
 	for i, tt := range tagged {
-		if tt.Tag != pos.Punct && tt.Lower != "" {
+		if tt.Tag != pos.Punct {
 			a.Words++
 		}
 		switch tt.Tag {
@@ -53,10 +45,10 @@ func AnnotateTagged(sent textproc.Sentence, tagged []pos.TaggedToken) Annotation
 		}
 		// A future modal with no verb to carry it ("I will, for sure.") still
 		// signals futurity.
-		if tt.Tag == pos.Modal && pos.IsFutureMarker(tt.Lower) && !verbFollows(tagged, i) {
+		if tt.Tag == pos.Modal && tt.Form&pos.FormFuture != 0 && !verbFollows(tagged, i) {
 			a.Counts[TenseFuture]++
 		}
-		if pos.IsNegation(tt.Lower) {
+		if tt.Form&pos.FormNegation != 0 {
 			negative = true
 		}
 	}
@@ -90,27 +82,27 @@ func verbTense(tagged []pos.TaggedToken, i int) Feature {
 	for j := i - 1; j >= 0 && seen < 3; j-- {
 		tt := tagged[j]
 		if tt.Tag == pos.Punct {
-			if tt.Text == "," || tt.Text == ";" {
+			if tt.Form&pos.FormClauseBreak != 0 {
 				break
 			}
 			continue
 		}
 		seen++
 		if tt.Tag == pos.Modal {
-			if pos.IsFutureMarker(tt.Lower) {
+			if tt.Form&pos.FormFuture != 0 {
 				return TenseFuture
 			}
 			return TensePresent // conditional/ability modals read as present
 		}
-		switch tt.Lower {
-		case "had", "was", "were", "did", "didn't", "wasn't", "weren't", "hadn't":
+		switch {
+		case tt.Form&pos.FormPastAux != 0:
 			return TensePast
-		case "have", "has", "'ve", "haven't", "hasn't":
+		case tt.Form&pos.FormPerfectAux != 0:
 			// Perfect aspect reports a past event.
 			if tagged[i].Tag == pos.VerbPastPart {
 				return TensePast
 			}
-		case "going", "gonna":
+		case tt.Form&pos.FormGoing != 0:
 			// "going to install" — future.
 			if tagged[i].Tag == pos.VerbBase {
 				return TenseFuture
@@ -139,7 +131,7 @@ func hasPassiveAux(tagged []pos.TaggedToken, i int) bool {
 			continue
 		}
 		seen++
-		if pos.IsBeForm(tt.Lower) || pos.IsGetForm(tt.Lower) || tt.Lower == "been" || tt.Lower == "being" {
+		if tt.Form&pos.FormBeGet != 0 {
 			return true
 		}
 		if tt.Tag == pos.Adverb || tt.Tag == pos.Particle {
@@ -189,15 +181,6 @@ func isInterrogative(sent textproc.Sentence, tagged []pos.TaggedToken) bool {
 	if first == nil {
 		return false
 	}
-	if pos.IsWhWord(first.Lower) {
-		return true
-	}
-	if second != nil && second.Tag.IsPronoun() {
-		switch first.Lower {
-		case "do", "does", "did", "can", "could", "would", "will", "should",
-			"is", "are", "was", "were", "have", "has", "had", "may", "might":
-			return true
-		}
-	}
-	return false
+	return first.Form&pos.FormWh != 0 ||
+		first.Form&pos.FormInverts != 0 && second != nil && second.Tag.IsPronoun()
 }

@@ -219,14 +219,9 @@ func TestStringNames(t *testing.T) {
 }
 
 // annotate computes the communication-means annotation of one sentence.
-// Tense, Subject and PartOfSpeech are counted per token (each verb group
-// contributes to exactly one tense; each personal pronoun to one person;
-// each verb/noun/adjective/adverb token to one POS bucket). Style and
-// Status are sentence-level categorical observations: the sentence
-// contributes one count to interrogative/negative/affirmative and, if it
-// contains a verb, one count to passive or active.
 func annotate(sent textproc.Sentence) Annotation {
-	return AnnotateTagged(sent, TagSentence(nil, sent))
+	tags, _ := TagSentence(nil, nil, sent.Text)
+	return AnnotateTagged(sent, tags)
 }
 
 // merge combines the annotations of a half-open sentence range [lo, hi)

@@ -367,8 +367,9 @@ func numVariants(d Domain, topic int) int { return len(spec(d).topics[topic].var
 func contentWords(text string) []string {
 	var out []string
 	for _, s := range textproc.SplitSentences(text) {
-		for _, tok := range s.Tokens {
-			if w := tok.Lower(); tok.IsWord() && !textproc.IsStopword(w) {
+		for start, end := textproc.NextToken(s.Text, 0); start < end; start, end = textproc.NextToken(s.Text, end) {
+			tok := s.Text[start:end]
+			if w := strings.ToLower(tok); textproc.IsWord(tok) && !textproc.IsStopword(w) {
 				out = append(out, w)
 			}
 		}

@@ -150,12 +150,12 @@ func TestAdverbBetweenAuxAndParticiple(t *testing.T) {
 
 func TestIsGetForm(t *testing.T) {
 	for _, w := range []string{"get", "gets", "got", "gotten", "getting"} {
-		if !IsGetForm(w) {
-			t.Errorf("IsGetForm(%q) = false", w)
+		if !hasForm(w, FormBeGet) {
+			t.Errorf("%q lacks FormBeGet", w)
 		}
 	}
-	if IsGetForm("give") {
-		t.Error("IsGetForm(give) = true")
+	if hasForm("give", FormBeGet) {
+		t.Error("give has FormBeGet")
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 // tagger must never panic on any UTF-8 (or non-UTF-8) token — it sees
 // whatever the tokenizer emits, including pure punctuation, digits
 // glued to letters, and mangled bytes — and must honor its structural
-// contract: one output per input, text preserved, Lower consistent,
-// every tag inside the declared tag set, and the lexical tag the one the
-// reference probe chain (oracle_test.go) assigns. Splitting here is plain
-// whitespace splitting so the harness does not depend on textproc.
+// contract: one output per input, every tag inside the declared tag set,
+// and the lexical tag and forms the ones the reference probe chain and
+// word lists (oracle_test.go) assign. Splitting here is plain whitespace
+// splitting so the harness does not depend on textproc.
 func FuzzTagWords(f *testing.F) {
 	f.Add("My hard disk makes a clicking noise when reading .")
 	f.Add("I 've been trying to install MySQL 5.5 but it didn 't work !")
@@ -26,18 +26,10 @@ func FuzzTagWords(f *testing.F) {
 			t.Fatalf("TagWords returned %d tags for %d tokens", len(tagged), len(tokens))
 		}
 		for i, tt := range tagged {
-			if tt.Text != tokens[i] {
-				t.Fatalf("token %d: Text = %q, want %q", i, tt.Text, tokens[i])
-			}
-			if tt.Lower != strings.ToLower(tokens[i]) {
-				t.Fatalf("token %d: Lower = %q, want %q", i, tt.Lower, strings.ToLower(tokens[i]))
-			}
 			if tt.Tag > Punct {
 				t.Fatalf("token %d: tag %d outside the declared tag set", i, tt.Tag)
 			}
-			if got, want := lexicalTag(tt.Lower), refLexicalTag(tt.Lower); got != want {
-				t.Fatalf("token %d: lexicalTag(%q) = %v, the probe chain says %v", i, tt.Lower, got, want)
-			}
+			checkLexical(t, strings.ToLower(tokens[i]))
 		}
 		// Tagging is per-sentence in the pipeline, but the repair pass
 		// must also survive a second application over its own output

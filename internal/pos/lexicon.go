@@ -43,13 +43,13 @@ var auxPast = []string{
 }
 
 // beForms are the forms of "to be"; they matter for passive detection.
-var beForms = set(
+var beForms = []string{
 	"be", "am", "is", "are", "was", "were", "been", "being",
 	"'s", "'re", "'m", "isn't", "aren't", "wasn't", "weren't", "ain't",
-)
+}
 
 // getForms participate in the colloquial "get"-passive ("got installed").
-var getForms = set("get", "gets", "got", "gotten", "getting")
+var getForms = []string{"get", "gets", "got", "gotten", "getting"}
 
 var determiners = []string{
 	"the", "a", "an", "this", "that", "these", "those", "each", "every",
@@ -155,6 +155,33 @@ func set(words ...string) map[string]bool {
 	}
 	return m
 }
+
+// formWords holds the forms of every word that has one. A negation is
+// also any word ending in "n't" (a contracted auxiliary, or "n't" itself),
+// which forms tests by its suffix.
+var formWords = func() map[string]Form {
+	m := make(map[string]Form)
+	add := func(f Form, words ...string) {
+		for _, w := range words {
+			m[w] |= f
+		}
+	}
+	add(FormTo, "to")
+	add(FormHave, "have", "has", "had", "having", "'ve", "haven't", "hasn't", "hadn't")
+	add(FormBeGet, beForms...)
+	add(FormBeGet, getForms...)
+	add(FormNegation, "not", "no", "never", "none", "nothing", "nobody", "nowhere",
+		"neither", "nor", "cannot", "without", "hardly", "barely", "scarcely")
+	add(FormFuture, "will", "shall", "'ll", "won't", "shan't", "gonna")
+	add(FormWh, whWords...)
+	add(FormPastAux, auxPast...)
+	add(FormPerfectAux, "have", "has", "'ve", "haven't", "hasn't")
+	add(FormGoing, "going", "gonna")
+	add(FormInverts, "do", "does", "did", "can", "could", "would", "will", "should",
+		"is", "are", "was", "were", "have", "has", "had", "may", "might")
+	add(FormClauseBreak, ",", ";")
+	return m
+}()
 
 // lexicon is the context-free tag of every word any list above (or an
 // irregular-verb table) knows, so tagging a word costs one hash and an

@@ -205,12 +205,12 @@ func sourceKeys() []string {
 	keys := []string{"not", "be", "been", "being", "n't"}
 	for _, list := range [][]string{
 		pronounFirst, pronounSecond, pronounThird, modals, auxPresent, auxPast,
-		determiners, prepositions, conjunctions, whWords,
+		beForms, getForms, determiners, prepositions, conjunctions, whWords,
 		commonAdjectives, commonAdverbs, commonNouns,
 	} {
 		keys = append(keys, list...)
 	}
-	for _, set := range []map[string]bool{beForms, getForms, baseVerbs} {
+	for _, set := range []map[string]bool{baseVerbs} {
 		for w := range set {
 			keys = append(keys, w)
 		}
@@ -246,8 +246,8 @@ func TestLexiconMatchesProbeChain(t *testing.T) {
 		}
 	}
 	for _, w := range whWords {
-		if !IsWhWord(w) {
-			t.Errorf("IsWhWord(%q) = false: a list ahead of whWords shadows it", w)
+		if lexicon[w] != WhWord {
+			t.Errorf("lexicon[%q] = %v: a list ahead of whWords shadows it", w, lexicon[w])
 		}
 	}
 }
@@ -271,10 +271,58 @@ func inflections(w string) []string {
 	return out
 }
 
+// refFormWords are the word lists the repair pass and the annotator
+// compared a token's text with before its forms were bits (pos's repair,
+// cm's verbTense, hasPassiveAux and isInterrogative), one list a form;
+// FormNegation is refNegation.
+var refFormWords = map[Form][]string{
+	FormTo:   {"to"},
+	FormHave: {"have", "has", "had", "having", "'ve", "haven't", "hasn't", "hadn't"},
+	FormBeGet: {"be", "am", "is", "are", "was", "were", "been", "being", "'s", "'re", "'m",
+		"isn't", "aren't", "wasn't", "weren't", "ain't", "get", "gets", "got", "gotten", "getting"},
+	FormFuture:     {"will", "shall", "'ll", "won't", "shan't", "gonna"},
+	FormWh:         whWords,
+	FormPastAux:    {"had", "was", "were", "did", "didn't", "wasn't", "weren't", "hadn't"},
+	FormPerfectAux: {"have", "has", "'ve", "haven't", "hasn't"},
+	FormGoing:      {"going", "gonna"},
+	FormInverts: {"do", "does", "did", "can", "could", "would", "will", "should",
+		"is", "are", "was", "were", "have", "has", "had", "may", "might"},
+	FormClauseBreak: {",", ";"},
+}
+
+func refNegation(w string) bool {
+	switch w {
+	case "not", "no", "never", "none", "nothing", "nobody", "nowhere", "neither",
+		"nor", "cannot", "without", "hardly", "barely", "scarcely":
+		return true
+	}
+	return strings.HasSuffix(w, "n't")
+}
+
+func refForms(lower string) Form {
+	var f Form
+	for form, words := range refFormWords {
+		for _, w := range words {
+			if w == lower {
+				f |= form
+			}
+		}
+	}
+	if refNegation(lower) {
+		f |= FormNegation
+	}
+	return f
+}
+
+// checkLexical holds Lexical to the probe chain and the form lists.
 func checkLexical(t *testing.T, lower string) {
 	t.Helper()
-	if got, want := lexicalTag(lower), refLexicalTag(lower); got != want {
-		t.Errorf("lexicalTag(%q) = %v, the probe chain says %v", lower, got, want)
+	got := Lexical(lower)
+	if want := refLexicalTag(lower); got.Tag != want {
+		t.Errorf("lexicalTag(%q) = %v, the probe chain says %v", lower, got.Tag, want)
+	}
+	if want := refForms(lower); got.Form != want {
+		t.Errorf("Lexical(%q).Form = %#x, the word lists say %#x", lower, got.Form, want)
 	}
 }
 
@@ -305,6 +353,13 @@ func TestLexicalTagMatchesProbeChain(t *testing.T) {
 	}
 	for _, v := range inflections("") {
 		checkLexical(t, v)
+	}
+	for _, words := range refFormWords {
+		for _, w := range words {
+			for _, v := range inflections(w) {
+				checkLexical(t, v)
+			}
+		}
 	}
 	// Every token of the checked-in fuzz corpus.
 	files, err := filepath.Glob("testdata/fuzz/FuzzTagWords/*")

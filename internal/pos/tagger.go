@@ -5,20 +5,24 @@ import (
 	"unicode"
 )
 
-// TagTokens assigns a part-of-speech tag to every token of one sentence, in
-// place. Tokens are the word/punctuation strings produced by
-// textproc.SplitSentences, in order; Text and Lower are the caller's, and Lower must be strings.ToLower(Text): a
-// caller that needs the lower-cased words again (to filter stop words, to
-// stem) lower-cases once and shares them through this field. Tagging
-// proceeds in two passes: a lexical pass (the lexicon, then morphology and
-// suffix heuristics) followed by a contextual repair pass that fixes the
-// classic ambiguities (noun/verb after determiners, base form after modals
-// and "to", participles after auxiliaries).
-func TagTokens(tt []TaggedToken) {
-	for i := range tt {
-		tt[i].Tag = lexicalTag(tt[i].Lower)
+// Lexical returns what the tagger knows of one lower-cased token out of
+// context: its lexical tag (the lexicon, then morphology and suffix
+// heuristics) and its forms. Tagging a sentence is Lexical for every token,
+// then Repair: a contextual pass that fixes the classic ambiguities
+// (noun/verb after determiners, base form after modals and "to",
+// participles after auxiliaries). Lexical depends on the word alone, so a
+// caller that meets a word again may reuse its answer.
+func Lexical(lower string) TaggedToken {
+	return TaggedToken{Tag: lexicalTag(lower), Form: forms(lower)}
+}
+
+// forms returns the forms of the lower-cased word w.
+func forms(w string) Form {
+	f := formWords[w]
+	if strings.HasSuffix(w, "n't") {
+		f |= FormNegation
 	}
-	repair(tt)
+	return f
 }
 
 // firstByte classifies a token by its first byte, read as a Latin-1 code
@@ -165,15 +169,15 @@ func suffixTag(lower string) Tag {
 	return Noun
 }
 
-// repair applies contextual correction rules over the lexically tagged
-// sequence, left to right.
-func repair(tt []TaggedToken) {
+// Repair applies the contextual correction rules, left to right, to the
+// tokens of one sentence, each holding its Lexical answer.
+func Repair(tt []TaggedToken) {
 	for i := range tt {
 		cur := &tt[i]
 		prev := prevWord(tt, i)
 
 		// "to" + verb → infinitive particle + base form.
-		if cur.Tag.IsVerb() && prev != nil && prev.Lower == "to" {
+		if cur.Tag.IsVerb() && prev != nil && prev.Form&FormTo != 0 {
 			prev.Tag = Particle
 			if cur.Tag == VerbPresent {
 				cur.Tag = VerbBase
@@ -186,16 +190,16 @@ func repair(tt []TaggedToken) {
 		}
 
 		// have/has/had + past verb → past participle (perfect aspect).
-		if cur.Tag == VerbPast && prev != nil && isHaveForm(prev.Lower) {
+		if cur.Tag == VerbPast && prev != nil && prev.Form&FormHave != 0 {
 			cur.Tag = VerbPastPart
 		}
 		// be-form + past verb → past participle (passive candidate); also
 		// allow one intervening adverb or negation ("was not suggested").
 		if cur.Tag == VerbPast && prev != nil {
-			if beForms[prev.Lower] || getForms[prev.Lower] {
+			if prev.Form&FormBeGet != 0 {
 				cur.Tag = VerbPastPart
 			} else if prev.Tag == Adverb || prev.Tag == Particle {
-				if pp := prevWordBefore(tt, i, prev); pp != nil && (beForms[pp.Lower] || getForms[pp.Lower]) {
+				if pp := prevWordBefore(tt, i, prev); pp != nil && pp.Form&FormBeGet != 0 {
 					cur.Tag = VerbPastPart
 				}
 			}
@@ -228,16 +232,6 @@ func repair(tt []TaggedToken) {
 			}
 		}
 	}
-}
-
-// isHaveForm reports whether w is a form of "to have" (including negated
-// contractions), for perfect-aspect detection.
-func isHaveForm(w string) bool {
-	switch w {
-	case "have", "has", "had", "having", "'ve", "haven't", "hasn't", "hadn't":
-		return true
-	}
-	return false
 }
 
 // prevWord returns the nearest preceding non-punctuation token, or nil.
@@ -277,34 +271,4 @@ func nextWord(tt []TaggedToken, i int) *TaggedToken {
 		}
 	}
 	return nil
-}
-
-// IsNegation reports whether the lower-cased word functions as a negation
-// marker ("not", "never", "didn't", ...).
-func IsNegation(w string) bool {
-	switch w {
-	case "not", "no", "never", "none", "nothing", "nobody", "nowhere", "neither",
-		"nor", "cannot", "without", "hardly", "barely", "scarcely":
-		return true
-	}
-	return strings.HasSuffix(w, "n't") // contracted auxiliaries, and "n't" itself
-}
-
-// IsBeForm reports whether the lower-cased word is a form of "to be".
-func IsBeForm(w string) bool { return beForms[w] }
-
-// IsGetForm reports whether the lower-cased word is a form of "to get".
-func IsGetForm(w string) bool { return getForms[w] }
-
-// IsWhWord reports whether the lower-cased word is an interrogative word.
-func IsWhWord(w string) bool { return lexicon[w] == WhWord }
-
-// IsFutureMarker reports whether the lower-cased word signals future tense
-// ("will", "shall", "'ll", "won't").
-func IsFutureMarker(w string) bool {
-	switch w {
-	case "will", "shall", "'ll", "won't", "shan't", "gonna":
-		return true
-	}
-	return false
 }

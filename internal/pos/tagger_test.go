@@ -8,14 +8,25 @@ import (
 	"repro/internal/textproc"
 )
 
-// TagWords tags the token strings of one sentence: TagTokens for callers
-// that have not lower-cased the words themselves.
-func TagWords(tokens []string) []TaggedToken {
-	out := make([]TaggedToken, len(tokens))
+// taggedWord is one token of a test sentence with its tag in context.
+type taggedWord struct {
+	Text  string
+	Lower string
+	Tag   Tag
+}
+
+// TagWords tags the token strings of one sentence the way the front end
+// does: Lexical for every lower-cased token, then Repair.
+func TagWords(tokens []string) []taggedWord {
+	tt := make([]TaggedToken, len(tokens))
 	for i, tok := range tokens {
-		out[i] = TaggedToken{Text: tok, Lower: strings.ToLower(tok)}
+		tt[i] = Lexical(strings.ToLower(tok))
 	}
-	TagTokens(out)
+	Repair(tt)
+	out := make([]taggedWord, len(tokens))
+	for i, tok := range tokens {
+		out[i] = taggedWord{Text: tok, Lower: strings.ToLower(tok), Tag: tt[i].Tag}
+	}
 	return out
 }
 
@@ -29,21 +40,21 @@ func tagOf(t *testing.T, sentence string, i int) Tag {
 	return tt[i].Tag
 }
 
-func tagsOf(sentence string) []TaggedToken { return TagWords(tokenTexts(sentence)) }
+func tagsOf(sentence string) []taggedWord { return TagWords(tokenTexts(sentence)) }
 
 // tokenTexts is every token of text, punctuation included, as the
 // sentence splitter cuts them.
 func tokenTexts(text string) []string {
 	var words []string
 	for _, s := range textproc.SplitSentences(text) {
-		for _, tok := range s.Tokens {
-			words = append(words, tok.Text)
+		for start, end := textproc.NextToken(s.Text, 0); start < end; start, end = textproc.NextToken(s.Text, end) {
+			words = append(words, s.Text[start:end])
 		}
 	}
 	return words
 }
 
-func findTag(tt []TaggedToken, word string) Tag {
+func findTag(tt []taggedWord, word string) Tag {
 	for _, x := range tt {
 		if x.Lower == word {
 			return x.Tag
@@ -200,21 +211,24 @@ func TestIrregularLookups(t *testing.T) {
 	}
 }
 
+// hasForm reports whether Lexical gives the lower-cased word w the form f.
+func hasForm(w string, f Form) bool { return Lexical(w).Form&f != 0 }
+
 func TestHelperPredicates(t *testing.T) {
-	if !IsNegation("not") || !IsNegation("didn't") || !IsNegation("never") {
-		t.Error("IsNegation misses obvious negators")
+	if !hasForm("not", FormNegation) || !hasForm("didn't", FormNegation) || !hasForm("never", FormNegation) {
+		t.Error("FormNegation misses obvious negators")
 	}
-	if IsNegation("now") {
-		t.Error("IsNegation(now) = true")
+	if hasForm("now", FormNegation) {
+		t.Error("now has FormNegation")
 	}
-	if !IsBeForm("was") || !IsBeForm("is") || IsBeForm("have") {
-		t.Error("IsBeForm wrong")
+	if !hasForm("was", FormBeGet) || !hasForm("is", FormBeGet) || hasForm("have", FormBeGet) {
+		t.Error("FormBeGet wrong")
 	}
-	if !IsFutureMarker("will") || !IsFutureMarker("'ll") || IsFutureMarker("would") {
-		t.Error("IsFutureMarker wrong")
+	if !hasForm("will", FormFuture) || !hasForm("'ll", FormFuture) || hasForm("would", FormFuture) {
+		t.Error("FormFuture wrong")
 	}
-	if !IsWhWord("what") || IsWhWord("the") {
-		t.Error("IsWhWord wrong")
+	if !hasForm("what", FormWh) || hasForm("the", FormWh) {
+		t.Error("FormWh wrong")
 	}
 }
 

@@ -89,9 +89,45 @@ func (t Tag) IsPronoun() bool {
 	return t == PronounFirst || t == PronounSecond || t == PronounThird
 }
 
-// TaggedToken pairs a token's text with its assigned tag.
+// Form is a set of closed-class memberships of one word that hold whatever
+// its context: the ones the repair rules test a token for (FormTo,
+// FormHave, FormBeGet) and the ones the communication-means annotator
+// tests (the rest). Lexical computes them beside the tag, once per word, so
+// neither pass compares a token's text with a word list.
+type Form uint16
+
+const (
+	// FormTo marks "to", the infinitive particle before a verb.
+	FormTo Form = 1 << iota
+	// FormHave marks a form of "to have", negated contractions included:
+	// a perfect auxiliary before a past verb.
+	FormHave
+	// FormBeGet marks a form of "to be" or "to get": a passive auxiliary.
+	FormBeGet
+	// FormNegation marks a negation ("not", "never", "didn't", ...).
+	FormNegation
+	// FormFuture marks a future marker ("will", "'ll", "won't", "gonna").
+	FormFuture
+	// FormWh marks an interrogative word.
+	FormWh
+	// FormPastAux marks a past auxiliary ("had", "was", "didn't", ...):
+	// the verb group it opens is in the past.
+	FormPastAux
+	// FormPerfectAux marks a present form of "to have" ("has", "'ve",
+	// "haven't", ...): with a past participle, a past event.
+	FormPerfectAux
+	// FormGoing marks "going" and "gonna": with a base verb, the future.
+	FormGoing
+	// FormInverts marks an auxiliary or modal that opens a question when a
+	// pronoun follows it ("Do you", "Can I").
+	FormInverts
+	// FormClauseBreak marks "," and ";", which end a verb group.
+	FormClauseBreak
+)
+
+// TaggedToken is one token of a sentence as the tagger sees it: its tag and
+// its word's forms.
 type TaggedToken struct {
-	Text  string // original token text
-	Lower string // lower-cased text
-	Tag   Tag
+	Tag  Tag
+	Form Form
 }

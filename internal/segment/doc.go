@@ -18,60 +18,48 @@ import (
 	"repro/internal/textproc"
 )
 
-// Doc is a document prepared for segmentation: its sentence units, their
-// communication-means annotations, and a prefix-sum table that answers
-// "annotation of sentences [lo,hi)" in constant time. Doc is immutable
-// after construction and safe for concurrent use.
+// Doc is a document prepared for segmentation: its sentence units, a
+// prefix-sum table of their communication-means annotations that answers
+// "annotation of sentences [lo,hi)" in constant time, and their stemmed
+// content terms. Doc is immutable after construction and safe for
+// concurrent use.
 type Doc struct {
-	Text   string
-	Sents  []textproc.Sentence
-	Anns   []cm.Annotation
-	prefix []cm.Annotation // prefix[i] = sum of Anns[0:i]
-	terms  [][]string      // stemmed content terms per sentence
+	Text    string
+	Sents   []textproc.Sentence
+	prefix  []cm.Annotation // prefix[i] = sum of the annotations of sentences [0,i)
+	terms   []string        // stemmed content terms, sentence after sentence
+	termEnd []int           // sentence i's terms are terms[termEnd[i]:termEnd[i+1]]
 }
 
 // NewDoc prepares raw post text for segmentation: HTML is stripped, the
 // text is split into sentence units, and every sentence is annotated.
+// cm.TagSentence looks each token up once and hands back the tags that
+// cm.AnnotateTagged reads and the sentence's content terms, already
+// filtered and stemmed.
 func NewDoc(text string) *Doc {
-	clean := textproc.StripHTML(text)
-	return newDocFromSentences(clean, textproc.SplitSentences(clean))
-}
-
-// newDocFromSentences builds a Doc from pre-split sentences. The text must
-// be the string the sentence offsets refer to.
-//
-// Each sentence's tokens are lower-cased and tagged once (cm.TagSentence);
-// the annotation reads the tags and the content terms are the same
-// lower-cased words, stop words dropped, stemmed.
-func newDocFromSentences(text string, sents []textproc.Sentence) *Doc {
+	text = textproc.StripHTML(text)
+	sents := textproc.SplitSentences(text)
 	d := &Doc{
-		Text:   text,
-		Sents:  sents,
-		Anns:   make([]cm.Annotation, len(sents)),
-		prefix: make([]cm.Annotation, len(sents)+1),
-		terms:  make([][]string, len(sents)),
+		Text:    text,
+		Sents:   sents,
+		prefix:  make([]cm.Annotation, len(sents)+1),
+		termEnd: make([]int, len(sents)+1),
 	}
-	total, longest := 0, 0
-	for _, s := range sents {
-		total += len(s.Tokens)
-		longest = max(longest, len(s.Tokens))
-	}
-	// One array for the terms of every sentence; it cannot grow past the
-	// token count, so the per-sentence slices of it stay valid.
-	terms := make([]string, 0, total)
-	tagged := make([]pos.TaggedToken, 0, longest)
+	// A sentence's tags and the post's terms are collected on the stack
+	// (no post of the benchmark corpus fills either buffer; a longer one
+	// spills to the heap) and only the terms are copied out, at their
+	// final length.
+	var tagBuf [64]pos.TaggedToken
+	var termBuf [128]string
+	tags, terms := tagBuf[:0], termBuf[:0]
 	for i, s := range sents {
-		tagged = cm.TagSentence(tagged, s)
-		d.Anns[i] = cm.AnnotateTagged(s, tagged)
-		d.prefix[i].AddInto(&d.Anns[i], &d.prefix[i+1])
-		first := len(terms)
-		for j, t := range s.Tokens {
-			if w := tagged[j].Lower; t.IsWord() && !textproc.IsStopword(w) {
-				terms = append(terms, textproc.Stem(w))
-			}
-		}
-		d.terms[i] = terms[first:len(terms):len(terms)]
+		tags, terms = cm.TagSentence(tags, terms, s.Text)
+		ann := cm.AnnotateTagged(s, tags)
+		d.prefix[i].AddInto(&ann, &d.prefix[i+1])
+		d.termEnd[i+1] = len(terms)
 	}
+	d.terms = make([]string, len(terms))
+	copy(d.terms, terms)
 	return d
 }
 
@@ -99,23 +87,14 @@ func (d *Doc) Terms(lo, hi int) []string {
 // TermCount returns the number of content terms in sentence units
 // [lo, hi) — the capacity Terms/appendTerms will fill — without
 // materializing them.
-func (d *Doc) TermCount(lo, hi int) int {
-	n := 0
-	for i := lo; i < hi; i++ {
-		n += len(d.terms[i])
-	}
-	return n
-}
+func (d *Doc) TermCount(lo, hi int) int { return d.termEnd[hi] - d.termEnd[lo] }
 
 // appendTerms appends the content terms of sentence units [lo, hi) to dst
 // and returns the extended slice. It lets callers that merge several
 // segments size one buffer up front (see TermCount) instead of growing
 // through repeated copies.
 func (d *Doc) appendTerms(dst []string, lo, hi int) []string {
-	for i := lo; i < hi; i++ {
-		dst = append(dst, d.terms[i]...)
-	}
-	return dst
+	return append(dst, d.terms[d.termEnd[lo]:d.termEnd[hi]]...)
 }
 
 // Segmentation is a division of a Doc into consecutive segments

@@ -96,7 +96,7 @@ func FuzzSplitSentences(f *testing.F) {
 				t.Fatalf("sentence %d: Index = %d", i, s.Index)
 			}
 			tokPrev := s.Start
-			for j, tok := range s.Tokens {
+			for j, tok := range sentenceTokens(s) {
 				if tok.Start < s.Start || tok.End > s.End || tok.Start >= tok.End {
 					t.Fatalf("sentence %d token %d: span [%d,%d) outside sentence [%d,%d)", i, j, tok.Start, tok.End, s.Start, s.End)
 				}

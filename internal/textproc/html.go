@@ -175,6 +175,14 @@ func collapseSpace(s string) string {
 	return strings.TrimSpace(b.String())
 }
 
+// collapseCheck marks the bytes isCollapsed has to look at.
+var collapseCheck = func() (check [256]bool) {
+	for c := range check {
+		check[c] = c >= utf8.RuneSelf || c == '\t' || c == '\r' || c == ' ' || c == '\n'
+	}
+	return check
+}()
+
 // isCollapsed reports whether collapseSpace would return s unchanged, for
 // ASCII s (anything else is left to collapseSpace, which also re-encodes
 // invalid UTF-8): blanks are single spaces between two visible characters,
@@ -189,7 +197,11 @@ func isCollapsed(s string) bool {
 		return false
 	}
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
+		c := s[i]
+		if !collapseCheck[c] {
+			continue // a visible ASCII byte: most of them
+		}
+		switch {
 		case c >= utf8.RuneSelf, c == '\t', c == '\r':
 			return false
 		case c == ' ':

@@ -9,14 +9,12 @@ import (
 // Sentence is a contiguous span of the source text treated as a single text
 // unit by the segmentation layer (Sec 9.1.2.B of the paper: sentences are
 // the natural text units for intention segmentation). Start and End are byte
-// offsets into the source; Tokens are the word/punctuation tokens inside the
-// span with offsets still relative to the full source text.
+// offsets into the source; NextToken walks the tokens of Text.
 type Sentence struct {
-	Text   string
-	Start  int
-	End    int
-	Tokens []Token
-	Index  int // zero-based sentence index within the document
+	Text  string
+	Start int
+	End   int
+	Index int // zero-based sentence index within the document
 }
 
 // EndsWith reports whether the sentence's final non-space rune equals r.
@@ -49,22 +47,15 @@ func SplitSentences(text string) []Sentence {
 	if len(spans) == 0 {
 		return nil
 	}
-	// One array holds the tokens of every sentence, each sentence a slice
-	// of it: one allocation for the post rather than a growing one per
-	// sentence.
 	sentences := make([]Sentence, len(spans))
-	tokens := make([]Token, 0, tokenEstimate(len(text)))
 	for i, sp := range spans {
 		sentences[i] = Sentence{Text: text[sp[0]:sp[1]], Start: sp[0], End: sp[1], Index: i}
-		spans[i][0] = len(tokens)
-		tokens = appendTokens(tokens, sentences[i].Text, sp[0])
-		spans[i][1] = len(tokens)
-	}
-	for i, sp := range spans {
-		sentences[i].Tokens = tokens[sp[0]:sp[1]:sp[1]]
 	}
 	return sentences
 }
+
+// sentenceByte marks the bytes sentenceSpans acts on.
+var sentenceByte = [256]bool{'.': true, '!': true, '?': true, '\n': true}
 
 // sentenceSpans appends the [start, end) byte span of every sentence of
 // text, trimmed of surrounding space, to spans. Every byte it acts on is
@@ -80,6 +71,10 @@ func sentenceSpans(spans [][2]int, text string) [][2]int {
 		start = end
 	}
 	for i := 0; i < n; {
+		if !sentenceByte[text[i]] {
+			i++ // most bytes: no terminator, no newline
+			continue
+		}
 		switch c := text[i]; c {
 		case '.', '!', '?':
 			// Consume the full terminator run (e.g. "?!", "...").
@@ -119,8 +114,6 @@ func sentenceSpans(spans [][2]int, text string) [][2]int {
 				start = j
 			}
 			i = j
-		default:
-			i++
 		}
 	}
 	if start < n {

@@ -76,7 +76,7 @@ func TestSplitSentencesOffsets(t *testing.T) {
 		if src[s.Start:s.End] != s.Text {
 			t.Errorf("sentence offsets wrong: src[%d:%d]=%q, text=%q", s.Start, s.End, src[s.Start:s.End], s.Text)
 		}
-		for _, tok := range s.Tokens {
+		for _, tok := range sentenceTokens(s) {
 			if src[tok.Start:tok.End] != tok.Text {
 				t.Errorf("token offsets wrong: src[%d:%d]=%q, token=%q", tok.Start, tok.End, src[tok.Start:tok.End], tok.Text)
 			}

@@ -1,76 +1,23 @@
 package textproc
 
-import (
-	"strings"
-	"sync/atomic"
-)
-
 // Stem reduces an English word to its stem using the classic Porter (1980)
 // algorithm. Input is expected lower-cased; words shorter than three bytes
 // and words with non-ASCII bytes are returned unchanged (standard Porter
 // behavior).
 //
-// Forum vocabulary is Zipfian — about a thousand head terms make up almost
-// every word of every post — so Stem answers from a memo of recent words
-// and runs the algorithm only for words the memo does not hold. Stemming is
-// a pure function of the word and an entry is returned only for the very
-// word it was computed from, so the memo decides how long a call takes and
-// never what it returns. A returned stem may share memory with word or with
-// the stem an earlier call returned.
+// The algorithm runs on a stack buffer. Every step only shortens the word
+// or rewrites its tail, so a stem that is a prefix of the word — most are —
+// is returned as that prefix, without allocating.
 func Stem(word string) string {
 	if len(word) < 3 {
 		return word
 	}
-	if len(word) > memoMaxWord {
-		return porter(word)
-	}
-	slot := &stemMemo[memoSlot(word)]
-	if e := slot.Load(); e != nil && e.word == word {
-		return e.stem
-	}
-	// The entry owns its bytes: word is usually a substring of a post (of a
-	// request body, on /add), which an entry sharing its memory would keep
-	// alive for as long as the entry stays.
-	e := &memoEntry{word: strings.Clone(word)}
-	e.stem = porter(e.word)
-	slot.Store(e)
-	return e.stem
-}
-
-// The stem memo is a direct-mapped table: a word hashes to one slot, a
-// slot holds the last word stemmed there, readers and writers meet through
-// one atomic pointer and nobody waits. A lost race or a collision costs one
-// more run of the algorithm. Its size is fixed: memoSlots entries of at
-// most memoMaxWord bytes each (longer tokens — URLs, pasted hashes — are
-// stemmed uncached, so hostile input cannot park megabytes here).
-const (
-	memoSlots   = 1 << 12
-	memoMaxWord = 32
-)
-
-type memoEntry struct{ word, stem string }
-
-var stemMemo [memoSlots]atomic.Pointer[memoEntry]
-
-// memoSlot is the word's FNV-1a hash, folded onto the table.
-func memoSlot(word string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(word); i++ {
-		h = (h ^ uint32(word[i])) * 16777619
-	}
-	return (h ^ h>>16) % memoSlots
-}
-
-// porter runs the algorithm on a stack buffer. Every step only shortens the
-// word or rewrites its tail, so a stem that is a prefix of the word — most
-// are — is returned as that prefix, without allocating.
-func porter(word string) string {
 	for i := 0; i < len(word); i++ {
 		if word[i] > 127 {
 			return word // non-ASCII: leave untouched
 		}
 	}
-	var buf [memoMaxWord]byte
+	var buf [32]byte // longer words spill to the heap
 	w := append(buf[:0], word...)
 	w = step1a(w)
 	w = step1b(w)

@@ -8,6 +8,35 @@ import (
 	"unicode"
 )
 
+// Token is one token of a text as the tests see it: its text, its byte
+// offsets (text[Start:End] == Text) and its index among the text's tokens.
+type Token struct {
+	Text     string
+	Start    int
+	End      int
+	Position int
+}
+
+// tokenize is every token NextToken finds in text.
+func tokenize(text string) []Token {
+	var out []Token
+	for start, end := NextToken(text, 0); start < end; start, end = NextToken(text, end) {
+		out = append(out, Token{Text: text[start:end], Start: start, End: end, Position: len(out)})
+	}
+	return out
+}
+
+// sentenceTokens is the tokens of s with offsets into the text s was split
+// from.
+func sentenceTokens(s Sentence) []Token {
+	toks := tokenize(s.Text)
+	for i := range toks {
+		toks[i].Start += s.Start
+		toks[i].End += s.Start
+	}
+	return toks
+}
+
 func TestTokenizeSimple(t *testing.T) {
 	toks := tokenize("I have an HP system.")
 	var got []string
@@ -60,7 +89,7 @@ func TestTokenizeUnicode(t *testing.T) {
 	toks := tokenize("café naïve — test")
 	var words []string
 	for _, tok := range toks {
-		if tok.IsWord() {
+		if IsWord(tok.Text) {
 			words = append(words, tok.Text)
 		}
 	}
@@ -174,8 +203,8 @@ func wordsOf(text string) []string {
 	toks := tokenize(text)
 	out := make([]string, 0, len(toks))
 	for _, t := range toks {
-		if t.IsWord() {
-			out = append(out, t.Lower())
+		if IsWord(t.Text) {
+			out = append(out, strings.ToLower(t.Text))
 		}
 	}
 	return out
