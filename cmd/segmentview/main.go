@@ -6,9 +6,13 @@
 //
 //	segmentview < post.txt
 //	echo "I have an HP system. ... " | segmentview
+//
+// It exits 2 on an input without a sentence, and 1 when stdin cannot be
+// read.
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -19,52 +23,67 @@ import (
 	"repro/internal/variant"
 )
 
+// badInput is an input without a post in it: exit status 2.
+type badInput string
+
+func (e badInput) Error() string { return string(e) }
+
 func main() {
-	raw, err := io.ReadAll(os.Stdin)
-	if err != nil {
+	if err := run(os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "segmentview:", err)
+		if errors.As(err, new(badInput)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
+	}
+}
+
+// run reads one post from stdin and prints its sentence units, CM
+// tracks and segmentations to stdout.
+func run(stdin io.Reader, stdout io.Writer) error {
+	raw, err := io.ReadAll(stdin)
+	if err != nil {
+		return fmt.Errorf("reading stdin: %w", err)
 	}
 	text := strings.TrimSpace(string(raw))
 	if text == "" {
-		fmt.Fprintln(os.Stderr, "segmentview: empty input; pipe a forum post on stdin")
-		os.Exit(2)
+		return badInput("empty input; pipe a forum post on stdin")
 	}
 	d := segment.NewDoc(text)
 	if d.Len() == 0 {
-		fmt.Fprintln(os.Stderr, "segmentview: no sentences found")
-		os.Exit(2)
+		return badInput("no sentences found")
 	}
 
-	fmt.Printf("%d sentence units\n\n", d.Len())
-	fmt.Println("CM tracks (dominant categorical value per communication mean):")
-	fmt.Printf("%-4s %-8s %-7s %-9s %-8s  %s\n", "#", "tense", "subj", "style", "status", "sentence")
+	fmt.Fprintf(stdout, "%d sentence units\n\n", d.Len())
+	fmt.Fprintln(stdout, "CM tracks (dominant categorical value per communication mean):")
+	fmt.Fprintf(stdout, "%-4s %-8s %-7s %-9s %-8s  %s\n", "#", "tense", "subj", "style", "status", "sentence")
 	for i := 0; i < d.Len(); i++ {
 		a := d.Range(i, i+1)
-		fmt.Printf("%-4d %-8s %-7s %-9s %-8s  %s\n", i,
+		fmt.Fprintf(stdout, "%-4d %-8s %-7s %-9s %-8s  %s\n", i,
 			dominant(a, cm.Tense), dominant(a, cm.Subject),
 			dominant(a, cm.Style), dominant(a, cm.Status),
 			truncate(d.Sents[i].Text, 60))
 	}
 
-	fmt.Println("\nSegmentations (borders are sentence indices):")
+	fmt.Fprintln(stdout, "\nSegmentations (borders are sentence indices):")
 	strategies := []segment.Strategy{
 		segment.Greedy{}, variant.Tile{}, variant.StepbyStep{},
 		variant.TopDown{}, variant.TextTiling{},
 	}
 	for _, st := range strategies {
 		seg := st.Segment(d)
-		fmt.Printf("  %-12s %v  (%d segments)\n", st.Name(), seg.Borders, seg.NumSegments())
+		fmt.Fprintf(stdout, "  %-12s %v  (%d segments)\n", st.Name(), seg.Borders, seg.NumSegments())
 	}
 
-	fmt.Println("\nGreedy segments:")
+	fmt.Fprintln(stdout, "\nGreedy segments:")
 	for i, r := range (segment.Greedy{}).Segment(d).Segments() {
 		var parts []string
 		for s := r[0]; s < r[1]; s++ {
 			parts = append(parts, d.Sents[s].Text)
 		}
-		fmt.Printf("  [%d] %s\n", i, strings.Join(parts, " "))
+		fmt.Fprintf(stdout, "  [%d] %s\n", i, strings.Join(parts, " "))
 	}
+	return nil
 }
 
 // dominant names the most frequent categorical value of a mean in the

@@ -8,8 +8,8 @@
 // IntentIntent-MR.
 //
 // No server selects a baseline: internal/core builds the paper's method
-// only. Only internal/experiments, cmd/intentmatch and the examples
-// import this package, which keeps it and the internal/lda sampler off
+// only. Only internal/experiments, cmd/intentmatch and this package's
+// Example tests import it, which keeps it and the internal/lda sampler off
 // cmd/serve's dependency graph (CI checks it).
 package baseline
 
@@ -48,14 +48,14 @@ type Method struct {
 // that a table can build every column the same way.
 var (
 	FullText = Method{"FullText", func(docs []*segment.Doc, _ Config) (match.Matcher, error) {
-		return NewFullText(Terms(docs)), nil
+		return newFullText(postTerms(docs)), nil
 	}}
 	LDA = Method{"LDA", func(docs []*segment.Doc, cfg Config) (match.Matcher, error) {
 		ldaCfg := cfg.LDA
 		if ldaCfg.Seed == 0 {
 			ldaCfg.Seed = cfg.Seed
 		}
-		return newLDA(Terms(docs), ldaCfg)
+		return newLDA(postTerms(docs), ldaCfg)
 	}}
 	ContentMR = Method{"Content-MR", func(docs []*segment.Doc, cfg Config) (match.Matcher, error) {
 		mrCfg := match.MRConfig{Strategy: variant.TextTiling{}, Vectorize: contentVector, Group: match.GroupKMeans(8), Seed: cfg.Seed}
@@ -109,9 +109,9 @@ func Prepare(texts []string) []*segment.Doc {
 	return docs
 }
 
-// Terms returns every document's whole-post index terms: the stemmed
+// postTerms returns every document's whole-post index terms: the stemmed
 // content terms of all its sentences.
-func Terms(docs []*segment.Doc) [][]string {
+func postTerms(docs []*segment.Doc) [][]string {
 	terms := make([][]string, len(docs))
 	for i, d := range docs {
 		terms[i] = d.Terms(0, d.Len())
@@ -127,9 +127,9 @@ type FullTextMatcher struct {
 	terms [][]string
 }
 
-// NewFullText indexes the collection; docs[i] holds the content terms of
+// newFullText indexes the collection; docs[i] holds the content terms of
 // document i.
-func NewFullText(docs [][]string) *FullTextMatcher {
+func newFullText(docs [][]string) *FullTextMatcher {
 	ft := &FullTextMatcher{ix: index.New(), terms: docs}
 	for _, terms := range docs {
 		ft.ix.Add(terms)

@@ -27,7 +27,7 @@ func buildCorpus(t testing.TB, domain forum.Domain, n int, seed int64) *testCorp
 		texts[i] = p.Text
 	}
 	tc.docs = Prepare(texts)
-	tc.terms = Terms(tc.docs)
+	tc.terms = postTerms(tc.docs)
 	return tc
 }
 
@@ -61,7 +61,7 @@ func precision(res []match.Result, rel map[int]bool) float64 {
 
 func TestFullTextMatch(t *testing.T) {
 	tc := buildCorpus(t, forum.TechSupport, 120, 1)
-	ft := NewFullText(tc.terms)
+	ft := newFullText(tc.terms)
 	for _, q := range []int{0, 5, 50} {
 		res := ft.Match(q, 5)
 		if len(res) == 0 {
@@ -79,7 +79,7 @@ func TestFullTextMatch(t *testing.T) {
 
 func TestFullTextPrefersSameTopic(t *testing.T) {
 	tc := buildCorpus(t, forum.TechSupport, 200, 2)
-	ft := NewFullText(tc.terms)
+	ft := newFullText(tc.terms)
 	hits, total := 0, 0
 	for q := 0; q < 30; q++ {
 		for _, r := range ft.Match(q, 5) {
@@ -126,7 +126,7 @@ func TestLDAMatcher(t *testing.T) {
 // does not explain.
 func TestFullTextMatchExplainedReconciles(t *testing.T) {
 	tc := buildCorpus(t, forum.TechSupport, 80, 99)
-	ft := NewFullText(tc.terms)
+	ft := newFullText(tc.terms)
 	var _ match.Explainer = ft
 	if _, ok := any(&LDAMatcher{}).(match.Explainer); ok {
 		t.Fatal("LDAMatcher must not satisfy match.Explainer")
@@ -167,7 +167,7 @@ func TestMRBeatsFullTextOnConfusableCorpus(t *testing.T) {
 	// is shared but needs differ, intention-based matching finds more truly
 	// related posts than whole-post matching.
 	tc := buildCorpus(t, forum.TechSupport, 300, 8)
-	ft := NewFullText(tc.terms)
+	ft := newFullText(tc.terms)
 	mr := match.NewMR("IntentIntent-MR", tc.docs, match.MRConfig{})
 
 	var ftPrec, mrPrec float64
@@ -194,7 +194,7 @@ func TestMethodsFollowTheRecipes(t *testing.T) {
 	cfg := Config{LDA: lda.Config{K: 3, Iterations: 10}, Seed: 9}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	recipes := map[string]match.Matcher{
-		"FullText": NewFullText(tc.terms),
+		"FullText": newFullText(tc.terms),
 		"Content-MR": match.NewMR("Content-MR", tc.docs, match.MRConfig{Strategy: variant.TextTiling{},
 			Vectorize: contentVector, Group: match.GroupKMeans(8), Seed: 9}),
 		"SentIntent-MR":   match.NewMR("SentIntent-MR", tc.docs, match.MRConfig{Strategy: variant.Sentences{}, Seed: 9}),

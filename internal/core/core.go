@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"time"
 
@@ -179,8 +180,9 @@ const maxLineBytes = 1 << 20
 // ReadCorpus reads Build's texts from a JSON-lines corpus, one
 // {"text": …} object a line (cmd/gencorpus output; other fields are
 // ignored). Blank and whitespace-only lines are skipped; a line that is
-// not such an object or is longer than maxLineBytes is refused with its
-// line number, and so is a corpus without a post.
+// not such an object, whose text is blank (what serve's /add refuses
+// too) or that is longer than maxLineBytes is refused with its line
+// number, and so is a corpus without a post.
 func ReadCorpus(r io.Reader) ([]string, error) {
 	var texts []string
 	sc := bufio.NewScanner(r)
@@ -194,6 +196,9 @@ func ReadCorpus(r io.Reader) ([]string, error) {
 		var rec struct{ Text string }
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return nil, fmt.Errorf("corpus line %d: %w", line, err)
+		}
+		if strings.TrimSpace(rec.Text) == "" {
+			return nil, fmt.Errorf("corpus line %d: no text", line)
 		}
 		texts = append(texts, rec.Text)
 	}

@@ -135,21 +135,23 @@ func TestHealthDomainOutOfSample(t *testing.T) {
 	}
 }
 
-// TestReadCorpus: blank, whitespace-only and CRLF lines read as the
-// posts around them; a bad line and an over-long one are refused by
-// line number; a corpus without a post is refused.
-func TestReadCorpus(t *testing.T) {
+// corpusCase is one input of ReadCorpus and what it reads: the texts,
+// or an error that begins with err.
+type corpusCase struct {
+	name, in string
+	want     []string
+	err      string
+}
+
+// corpusCases are TestReadCorpus's rows and FuzzReadCorpus's seeds.
+func corpusCases() []corpusCase {
 	line := func(size int) (string, string) { // a record of size bytes, and its text
 		text := strings.Repeat("a", size-len(`{"text": ""}`))
 		return `{"text": "` + text + `"}`, text
 	}
 	atBound, text := line(maxLineBytes)
 	pastBound, _ := line(maxLineBytes + 1)
-	for _, c := range []struct {
-		name, in string
-		want     []string
-		err      string
-	}{
+	return []corpusCase{
 		{name: "plain", in: "{\"text\": \"a\"}\n{\"id\": 1, \"text\": \"b\"}\n", want: []string{"a", "b"}},
 		{name: "no final newline", in: `{"text": "a"}`, want: []string{"a"}},
 		{name: "blank lines", in: "\n{\"text\": \"a\"}\n\n\n{\"text\": \"b\"}\n\n", want: []string{"a", "b"}},
@@ -161,7 +163,17 @@ func TestReadCorpus(t *testing.T) {
 		{name: "a line past the bound", in: "{\"text\": \"a\"}\n\n" + pastBound + "\n{\"text\": \"b\"}\n", err: "corpus line 3: longer than 1048576 bytes"},
 		{name: "empty", in: "", err: "empty corpus"},
 		{name: "blank only", in: "\n \n\r\n", err: "empty corpus"},
-	} {
+		{name: "no text field", in: "{\"text\": \"a\"}\n{\"id\": 1}\n", err: "corpus line 2: no text"},
+		{name: "blank text", in: "{\"text\": \"a\"}\n{\"text\": \" \\t\"}\n", err: "corpus line 2: no text"},
+		{name: "null", in: "null\n", err: "corpus line 1: no text"},
+	}
+}
+
+// TestReadCorpus: blank, whitespace-only and CRLF lines read as the
+// posts around them; a bad line, a blank text and an over-long line are
+// refused by line number; a corpus without a post is refused.
+func TestReadCorpus(t *testing.T) {
+	for _, c := range corpusCases() {
 		t.Run(c.name, func(t *testing.T) {
 			got, err := ReadCorpus(strings.NewReader(c.in))
 			if c.err != "" {

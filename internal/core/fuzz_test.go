@@ -2,13 +2,67 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/match"
 	"repro/internal/secfile"
 )
+
+// FuzzReadCorpus drives arbitrary bytes through ReadCorpus, the corpus
+// file that serve and intentmatch build from. Whatever the input, it
+// never panics; every text it accepts is not blank and came from a line
+// within maxLineBytes; and the accepted texts, written out again as
+// JSONL, read back as the same slice (when each written line is itself
+// within the bound: escaping can lengthen a line up to threefold).
+func FuzzReadCorpus(f *testing.F) {
+	for _, c := range corpusCases() {
+		if len(c.in) < 4096 { // not the 1 MiB rows: mutating them stalls the engine
+			f.Add([]byte(c.in))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		texts, err := ReadCorpus(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		longest := 0
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			longest = max(longest, len(line))
+		}
+		if longest > maxLineBytes { // a CRLF line's carriage return included
+			t.Fatalf("accepted a line of %d bytes", longest)
+		}
+		var again bytes.Buffer
+		enc := json.NewEncoder(&again)
+		enc.SetEscapeHTML(false)
+		for _, text := range texts {
+			if strings.TrimSpace(text) == "" {
+				t.Fatalf("accepted a blank text %q", text)
+			}
+			n := again.Len()
+			if err := enc.Encode(struct {
+				Text string `json:"text"`
+			}{text}); err != nil {
+				t.Fatal(err)
+			}
+			if again.Len()-n > maxLineBytes {
+				return
+			}
+		}
+		reread, err := ReadCorpus(&again)
+		if err != nil {
+			t.Fatalf("re-encoded corpus refused: %v", err)
+		}
+		if !slices.Equal(reread, texts) {
+			t.Fatalf("re-encoded corpus read back as %.80q, want %.80q", reread, texts)
+		}
+	})
+}
 
 // FuzzReadPipeline drives arbitrary bytes through the snapshot loader,
 // the trust boundary of `serve -load`: container, header, embedded

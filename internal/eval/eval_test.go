@@ -246,16 +246,13 @@ func TestPrecision(t *testing.T) {
 	}
 }
 
-func TestMeanPrecisionAndZeroFraction(t *testing.T) {
+func TestMeanPrecision(t *testing.T) {
 	per := []float64{1, 0, 0.5, 0}
 	if got := MeanPrecision(per); got != 0.375 {
 		t.Errorf("MeanPrecision = %v, want 0.375", got)
 	}
-	if got := ZeroFraction(per); got != 0.5 {
-		t.Errorf("ZeroFraction = %v, want 0.5", got)
-	}
-	if MeanPrecision(nil) != 0 || ZeroFraction(nil) != 0 {
-		t.Error("empty inputs should give 0")
+	if MeanPrecision(nil) != 0 {
+		t.Error("empty input should give 0")
 	}
 }
 

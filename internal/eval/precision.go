@@ -32,18 +32,3 @@ func MeanPrecision(perQuery []float64) float64 {
 	}
 	return sum / float64(len(perQuery))
 }
-
-// ZeroFraction returns the fraction of queries with precision 0 — the
-// "lists with no true positives" statistic of Sec 9.2.2.
-func ZeroFraction(perQuery []float64) float64 {
-	if len(perQuery) == 0 {
-		return 0
-	}
-	zeros := 0
-	for _, p := range perQuery {
-		if p == 0 {
-			zeros++
-		}
-	}
-	return float64(zeros) / float64(len(perQuery))
-}

@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"container/heap"
 	"context"
-	"sync"
 	"time"
 )
 
@@ -17,10 +15,10 @@ import (
 // waiter: all of its timing needs reduce to "block until something is
 // delivered, a scheduled instant arrives, or the request is canceled",
 // which is exactly Wait. Fault injectors schedule their deliveries with
-// AfterFunc on the same clock; under VirtualClock those callbacks run
-// synchronously inside Wait, in strict timestamp order, from the
-// waiting goroutine itself — so a scripted schedule produces one and
-// only one interleaving.
+// AfterFunc on the same clock; under fleettest.VirtualClock those
+// callbacks run synchronously inside Wait, in strict timestamp order,
+// from the waiting goroutine itself — so a scripted schedule produces
+// one and only one interleaving.
 
 // WaitOutcome says why Wait returned.
 type WaitOutcome int
@@ -83,85 +81,14 @@ func (RealClock) Wait(ctx context.Context, notify <-chan struct{}, until time.Ti
 // AfterFunc implements Clock.
 func (RealClock) AfterFunc(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
 
-// VirtualClock is a deterministic Clock for tests: time advances only
-// inside Wait, events fire in (timestamp, registration) order, and
-// event callbacks run synchronously on the waiting goroutine — so a
-// scripted fault schedule has exactly one possible interleaving. The
-// zero value is not usable; call NewVirtualClock.
-type VirtualClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	seq    int64
-	events eventHeap
-}
-
-// NewVirtualClock returns a virtual clock starting at start.
-func NewVirtualClock(start time.Time) *VirtualClock {
-	return &VirtualClock{now: start}
-}
-
-// Now implements Clock.
-func (c *VirtualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// AfterFunc implements Clock: fn is queued to run at now+d during a
-// future Wait. Negative d means "immediately" (it still queues, so the
-// deliver-before-return ordering of synchronous transports is
-// preserved).
-func (c *VirtualClock) AfterFunc(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	c.mu.Lock()
-	c.seq++
-	heap.Push(&c.events, event{at: c.now.Add(d), seq: c.seq, fn: fn})
-	c.mu.Unlock()
-}
-
-// Wait implements Clock. Due events (at ≤ until) fire one at a time in
-// order, each callback running before the next pops — a callback that
-// causes a delivery makes the very next iteration observe notify, so
-// deliveries can never be overtaken by a later timestamp. With no due
-// event and nothing delivered, time jumps straight to until.
-func (c *VirtualClock) Wait(ctx context.Context, notify <-chan struct{}, until time.Time) WaitOutcome {
-	for {
-		select {
-		case <-notify:
-			return WaitNotified
-		default:
-		}
-		if ctx.Err() != nil {
-			return WaitCanceled
-		}
-		c.mu.Lock()
-		if len(c.events) > 0 && !c.events[0].at.After(until) {
-			ev := heap.Pop(&c.events).(event)
-			if ev.at.After(c.now) {
-				c.now = ev.at
-			}
-			c.mu.Unlock()
-			ev.fn()
-			continue
-		}
-		if c.now.Before(until) {
-			c.now = until
-		}
-		c.mu.Unlock()
-		return WaitDeadline
-	}
-}
-
-// event is one scheduled callback.
+// event is one scheduled coordinator action.
 type event struct {
 	at  time.Time
 	seq int64
 	fn  func()
 }
 
-// eventHeap orders events by (time, registration sequence).
+// eventHeap orders a scatter's actions by (time, registration sequence).
 type eventHeap []event
 
 func (h eventHeap) Len() int { return len(h) }

@@ -45,8 +45,8 @@ import (
 // channel; retries, hedges, and attempt timeouts are actions on a
 // time-ordered heap the loop itself fires. The loop blocks only in
 // Clock.Wait — under the real clock that is a plain select; under
-// VirtualClock the whole query (scripted fault deliveries included)
-// executes deterministically on one goroutine.
+// fleettest.VirtualClock the whole query (scripted fault deliveries
+// included) executes deterministically on one goroutine.
 
 // Coordinator-level observability. Per-shard instruments are resolved
 // per Coordinator via the GetOrNew registrars.
@@ -80,7 +80,7 @@ type Options struct {
 	// Transport reaches the shard servers. Required.
 	Transport Transport
 	// Clock drives every timeout, backoff, and hedge decision.
-	// RealClock{} when nil; tests install a VirtualClock.
+	// RealClock{} when nil; tests install a fleettest.VirtualClock.
 	Clock Clock
 	// Timeout is the whole-query budget T, explain legs included: when
 	// it expires, unanswered siblings become Missing and an unanswered
@@ -251,8 +251,8 @@ func (c *Coordinator) bootstrapMeta(ctx context.Context, eps []string) (*Meta, e
 // fetchOne is the synchronous-over-async skeleton for the one-shot GETs
 // (meta bootstrap, metrics scrape): issue the call, then block in the
 // same Clock.Wait discipline as the query loop (so it works under
-// VirtualClock and chaos too) until the delivery or the per-attempt
-// deadline.
+// fleettest's VirtualClock and Chaos too) until the delivery or the
+// per-attempt deadline.
 func fetchOne[T any](c *Coordinator, ctx context.Context, ep, path string) (*T, error) {
 	notify := make(chan struct{}, 1)
 	var mu sync.Mutex

@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"context"
@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
+	"repro/internal/fleet/fleettest"
 	"repro/internal/forum"
 	"repro/internal/match"
 )
@@ -16,7 +18,7 @@ import (
 // cancellation paths.
 
 func TestVirtualClockOrdering(t *testing.T) {
-	clock := NewVirtualClock(time.Unix(0, 0))
+	clock := fleettest.NewVirtualClock(time.Unix(0, 0))
 	var fired []string
 	clock.AfterFunc(30*time.Millisecond, func() { fired = append(fired, "c") })
 	clock.AfterFunc(10*time.Millisecond, func() { fired = append(fired, "a") })
@@ -25,7 +27,7 @@ func TestVirtualClockOrdering(t *testing.T) {
 
 	notify := make(chan struct{}, 1)
 	ctx := context.Background()
-	if got := clock.Wait(ctx, notify, clock.Now().Add(20*time.Millisecond)); got != WaitDeadline {
+	if got := clock.Wait(ctx, notify, clock.Now().Add(20*time.Millisecond)); got != fleet.WaitDeadline {
 		t.Fatalf("Wait outcome %v, want WaitDeadline", got)
 	}
 	if want := "now,a,b"; strings.Join(fired, ",") != want {
@@ -35,7 +37,7 @@ func TestVirtualClockOrdering(t *testing.T) {
 		t.Fatalf("clock at %v after Wait, want 20ms", got)
 	}
 	// The 30ms event is still pending; a later Wait past it fires it.
-	if got := clock.Wait(ctx, notify, clock.Now().Add(time.Hour)); got != WaitDeadline {
+	if got := clock.Wait(ctx, notify, clock.Now().Add(time.Hour)); got != fleet.WaitDeadline {
 		t.Fatalf("second Wait outcome %v", got)
 	}
 	if strings.Join(fired, ",") != "now,a,b,c" {
@@ -44,12 +46,12 @@ func TestVirtualClockOrdering(t *testing.T) {
 
 	// A due notify beats the deadline; a canceled context beats both.
 	notify <- struct{}{}
-	if got := clock.Wait(ctx, notify, clock.Now()); got != WaitNotified {
+	if got := clock.Wait(ctx, notify, clock.Now()); got != fleet.WaitNotified {
 		t.Fatalf("pending notify: outcome %v, want WaitNotified", got)
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if got := clock.Wait(cctx, notify, clock.Now().Add(time.Hour)); got != WaitCanceled {
+	if got := clock.Wait(cctx, notify, clock.Now().Add(time.Hour)); got != fleet.WaitCanceled {
 		t.Fatalf("canceled ctx: outcome %v, want WaitCanceled", got)
 	}
 }
@@ -58,12 +60,12 @@ func TestVirtualClockOrdering(t *testing.T) {
 // later-scheduled event fires — the "deliveries cannot be overtaken"
 // guarantee the chaos suite depends on.
 func TestVirtualClockDeliveryBeatsLaterEvent(t *testing.T) {
-	clock := NewVirtualClock(time.Unix(0, 0))
+	clock := fleettest.NewVirtualClock(time.Unix(0, 0))
 	notify := make(chan struct{}, 1)
 	late := false
 	clock.AfterFunc(10*time.Millisecond, func() { notify <- struct{}{} })
 	clock.AfterFunc(20*time.Millisecond, func() { late = true })
-	if got := clock.Wait(context.Background(), notify, clock.Now().Add(time.Hour)); got != WaitNotified {
+	if got := clock.Wait(context.Background(), notify, clock.Now().Add(time.Hour)); got != fleet.WaitNotified {
 		t.Fatalf("outcome %v, want WaitNotified", got)
 	}
 	if late {
@@ -72,26 +74,26 @@ func TestVirtualClockDeliveryBeatsLaterEvent(t *testing.T) {
 }
 
 func TestRealClockWait(t *testing.T) {
-	clock := RealClock{}
+	clock := fleet.RealClock{}
 	notify := make(chan struct{}, 1)
 	ctx := context.Background()
-	if got := clock.Wait(ctx, notify, time.Now().Add(-time.Second)); got != WaitDeadline {
+	if got := clock.Wait(ctx, notify, time.Now().Add(-time.Second)); got != fleet.WaitDeadline {
 		t.Fatalf("past deadline, empty inbox: %v, want WaitDeadline", got)
 	}
 	notify <- struct{}{}
-	if got := clock.Wait(ctx, notify, time.Now().Add(-time.Second)); got != WaitNotified {
+	if got := clock.Wait(ctx, notify, time.Now().Add(-time.Second)); got != fleet.WaitNotified {
 		t.Fatalf("past deadline, pending delivery: %v, want WaitNotified", got)
 	}
 	notify <- struct{}{}
-	if got := clock.Wait(ctx, notify, time.Now().Add(time.Minute)); got != WaitNotified {
+	if got := clock.Wait(ctx, notify, time.Now().Add(time.Minute)); got != fleet.WaitNotified {
 		t.Fatalf("future deadline, pending delivery: %v, want WaitNotified", got)
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if got := clock.Wait(cctx, notify, time.Now().Add(time.Minute)); got != WaitCanceled {
+	if got := clock.Wait(cctx, notify, time.Now().Add(time.Minute)); got != fleet.WaitCanceled {
 		t.Fatalf("canceled: %v, want WaitCanceled", got)
 	}
-	if got := clock.Wait(ctx, notify, time.Now().Add(2*time.Millisecond)); got != WaitDeadline {
+	if got := clock.Wait(ctx, notify, time.Now().Add(2*time.Millisecond)); got != fleet.WaitDeadline {
 		t.Fatalf("short deadline: %v, want WaitDeadline", got)
 	}
 }
@@ -100,23 +102,23 @@ func TestRealClockWait(t *testing.T) {
 // 500ms an attempt, a 25ms backoff doubling per retry, a hedge after
 // 100ms and two retries a leg.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if _, ok := o.Clock.(RealClock); !ok {
+	o := fleet.Options{}.WithDefaults()
+	if _, ok := o.Clock.(fleet.RealClock); !ok {
 		t.Fatalf("default clock %T, want RealClock", o.Clock)
 	}
-	if o.Timeout != 2*time.Second || o.attempt() != 500*time.Millisecond ||
-		o.backoff() != 25*time.Millisecond || o.hedgeAfter() != 100*time.Millisecond || legRetries != 2 {
+	if o.Timeout != 2*time.Second || o.Attempt() != 500*time.Millisecond ||
+		o.Backoff() != 25*time.Millisecond || o.HedgeAfter() != 100*time.Millisecond || fleet.LegRetries != 2 {
 		t.Fatalf("budget %v derives attempt %v, backoff %v, hedge after %v, %d retries",
-			o.Timeout, o.attempt(), o.backoff(), o.hedgeAfter(), legRetries)
+			o.Timeout, o.Attempt(), o.Backoff(), o.HedgeAfter(), fleet.LegRetries)
 	}
 }
 
 func TestBootstrapValidation(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 80, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 2, 42, 0)
-	clock := NewVirtualClock(time.Unix(0, 0))
-	try := func(topo Topology) error {
-		_, err := New(context.Background(), topo, vopts(f.lt, clock))
+	clock := fleettest.NewVirtualClock(time.Unix(0, 0))
+	try := func(topo fleet.Topology) error {
+		_, err := fleet.New(context.Background(), topo, vopts(f.lt, clock))
 		return err
 	}
 	wantErr := func(name string, err error, frag string) {
@@ -126,35 +128,35 @@ func TestBootstrapValidation(t *testing.T) {
 		}
 	}
 
-	wantErr("empty", try(Topology{}), "empty")
+	wantErr("empty", try(fleet.Topology{}), "empty")
 	wantErr("no-transport", func() error {
-		_, err := New(context.Background(), f.topo(0), Options{})
+		_, err := fleet.New(context.Background(), f.topo(0), fleet.Options{})
 		return err
 	}(), "Transport is required")
-	wantErr("duplicate-shard", try(Topology{Endpoints: []ShardEndpoints{
+	wantErr("duplicate-shard", try(fleet.Topology{Endpoints: []fleet.ShardEndpoints{
 		{Shard: 0, Primary: "s0"}, {Shard: 0, Primary: "s1"},
 	}}), "twice")
-	wantErr("no-primary", try(Topology{Endpoints: []ShardEndpoints{{Shard: 0}}}), "no primary")
-	wantErr("wrong-owner", try(Topology{Endpoints: []ShardEndpoints{
+	wantErr("no-primary", try(fleet.Topology{Endpoints: []fleet.ShardEndpoints{{Shard: 0}}}), "no primary")
+	wantErr("wrong-owner", try(fleet.Topology{Endpoints: []fleet.ShardEndpoints{
 		{Shard: 0, Primary: "s1"}, {Shard: 1, Primary: "s0"},
 	}}), "serves shards")
-	wantErr("under-covered", try(Topology{Endpoints: []ShardEndpoints{
+	wantErr("under-covered", try(fleet.Topology{Endpoints: []fleet.ShardEndpoints{
 		{Shard: 0, Primary: "s0"},
 	}}), "topology lists")
-	wantErr("dead-endpoint", try(Topology{Endpoints: []ShardEndpoints{
+	wantErr("dead-endpoint", try(fleet.Topology{Endpoints: []fleet.ShardEndpoints{
 		{Shard: 0, Primary: "s0"}, {Shard: 1, Primary: "nowhere"},
 	}}), "bootstrapping shard 1")
 
 	// Mixed snapshot lineages across the fleet must be refused outright.
-	imposter := newHost("other-build", 2, f.g.Seed(), f.g.NumClusters(),
+	imposter := fleet.NewHost("other-build", 2, f.g.Seed(), f.g.NumClusters(),
 		map[int]*match.MR{1: f.g.ShardMR(1)}, f.g.NumDocs)
 	f.lt.AddHost("imposter", imposter)
-	wantErr("mixed-epochs", try(Topology{Endpoints: []ShardEndpoints{
+	wantErr("mixed-epochs", try(fleet.Topology{Endpoints: []fleet.ShardEndpoints{
 		{Shard: 0, Primary: "s0"}, {Shard: 1, Primary: "imposter"},
 	}}), "epoch")
 
 	// A dead primary with a live replica bootstraps fine.
-	if _, err := New(context.Background(), Topology{Endpoints: []ShardEndpoints{
+	if _, err := fleet.New(context.Background(), fleet.Topology{Endpoints: []fleet.ShardEndpoints{
 		{Shard: 0, Primary: "nowhere", Replicas: []string{"s0"}},
 		{Shard: 1, Primary: "s1"},
 	}}, vopts(f.lt, clock)); err != nil {
@@ -165,8 +167,8 @@ func TestBootstrapValidation(t *testing.T) {
 // launchRecorder timestamps every attempt the coordinator launches, so
 // the backoff test can pin the exact retry schedule.
 type launchRecorder struct {
-	inner Transport
-	clock Clock
+	inner fleet.Transport
+	clock fleet.Clock
 	mu    sync.Mutex
 	times map[string][]time.Duration // "endpoint/kind" → launch offsets
 }
@@ -185,17 +187,17 @@ func (r *launchRecorder) Call(ctx context.Context, ep, path string, req, reply a
 func TestBackoffSchedule(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 80, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 2, 42, 0)
-	clock := NewVirtualClock(time.Unix(0, 0))
-	ch := NewChaos(f.lt, clock)
+	clock := fleettest.NewVirtualClock(time.Unix(0, 0))
+	ch := fleettest.NewChaos(f.lt, clock)
 	rec := &launchRecorder{inner: ch, clock: clock, times: make(map[string][]time.Duration)}
-	c, err := New(context.Background(), f.topo(0), vopts(rec, clock))
+	c, err := fleet.New(context.Background(), f.topo(0), vopts(rec, clock))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
 	doc := 0
 	home := f.g.Route(doc)
 	sib := 1 - home
-	flap := ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "flap"}}
+	flap := fleettest.ChaosAction{Err: &fleet.RPCError{Status: 500, Kind: "injected", Msg: "flap"}}
 	ch.Script(epName(sib, 0), "probe", flap, flap)
 	res, rerr := c.Query(context.Background(), doc, 5, false)
 	if rerr != nil {
@@ -225,11 +227,11 @@ func TestRetryBudgetWithoutReplica(t *testing.T) {
 	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 2, 42, 0)
 	const doc = 0
 	sib := 1 - f.g.Route(doc)
-	clock := NewVirtualClock(time.Unix(0, 0))
-	ch := NewChaos(f.lt, clock)
-	ch.Script(epName(sib, 0), "probe", repeat(ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "down"}}, 8)...)
+	clock := fleettest.NewVirtualClock(time.Unix(0, 0))
+	ch := fleettest.NewChaos(f.lt, clock)
+	ch.Script(epName(sib, 0), "probe", repeat(fleettest.ChaosAction{Err: &fleet.RPCError{Status: 500, Kind: "injected", Msg: "down"}}, 8)...)
 	rec := &launchRecorder{inner: ch, clock: clock, times: make(map[string][]time.Duration)}
-	c, err := New(context.Background(), f.topo(0), vopts(rec, clock))
+	c, err := fleet.New(context.Background(), f.topo(0), vopts(rec, clock))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
@@ -237,8 +239,8 @@ func TestRetryBudgetWithoutReplica(t *testing.T) {
 	if err != nil || !res.Partial || len(res.Missing) != 1 || res.Missing[0] != sib {
 		t.Fatalf("answer partial=%v missing=%v err=%v, want shard %d missing", res.Partial, res.Missing, err, sib)
 	}
-	if got := len(rec.times[epName(sib, 0)+"/probe"]); got != legRetries+1 {
-		t.Errorf("the failing sibling got %d attempts, want %d", got, legRetries+1)
+	if got := len(rec.times[epName(sib, 0)+"/probe"]); got != fleet.LegRetries+1 {
+		t.Errorf("the failing sibling got %d attempts, want %d", got, fleet.LegRetries+1)
 	}
 }
 
@@ -247,12 +249,12 @@ func TestRetryBudgetWithoutReplica(t *testing.T) {
 // stuck connection. Every park must be released by the time a query
 // returns, whatever path ended it.
 type probeLeaker struct {
-	inner Transport
+	inner fleet.Transport
 	wg    sync.WaitGroup
 }
 
 func (p *probeLeaker) Call(ctx context.Context, ep, path string, req, reply any, deliver func(error)) {
-	if path != PathProbe {
+	if path != fleet.PathProbe {
 		p.inner.Call(ctx, ep, path, req, reply, deliver)
 		return
 	}
@@ -269,14 +271,14 @@ func (p *probeLeaker) Call(ctx context.Context, ep, path string, req, reply any,
 func TestBudgetReleasesAllLegs(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 80, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 4, 42, 0)
-	clock := NewVirtualClock(time.Unix(0, 0))
+	clock := fleettest.NewVirtualClock(time.Unix(0, 0))
 	// The home leg's first attempt is lost and its retry answers at
 	// 350ms, so the siblings' third attempts, launched at 750ms, are
 	// parked when the 800ms budget runs out.
-	ch := NewChaos(f.lt, clock)
-	ch.Script(epName(f.g.Route(0), 0), "home", ChaosAction{Drop: true}, ChaosAction{ReplyDelay: 150 * time.Millisecond})
+	ch := fleettest.NewChaos(f.lt, clock)
+	ch.Script(epName(f.g.Route(0), 0), "home", fleettest.ChaosAction{Drop: true}, fleettest.ChaosAction{ReplyDelay: 150 * time.Millisecond})
 	leaker := &probeLeaker{inner: ch}
-	c, err := New(context.Background(), f.topo(0), vopts(leaker, clock))
+	c, err := fleet.New(context.Background(), f.topo(0), vopts(leaker, clock))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}

@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"bytes"
@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
+	"repro/internal/fleet/fleettest"
 	"repro/internal/forum"
 	"repro/internal/match"
 	"repro/internal/obs"
@@ -57,8 +59,8 @@ func delta(c *obs.Counter) func() int64 {
 }
 
 // repeat builds an n-long schedule of the same action.
-func repeat(a ChaosAction, n int) []ChaosAction {
-	out := make([]ChaosAction, n)
+func repeat(a fleettest.ChaosAction, n int) []fleettest.ChaosAction {
+	out := make([]fleettest.ChaosAction, n)
 	for i := range out {
 		out[i] = a
 	}
@@ -69,15 +71,15 @@ func repeat(a ChaosAction, n int) []ChaosAction {
 // shared backend, fresh coordinator (so shard health starts clean).
 type scenario struct {
 	f     *testFleet
-	clock *VirtualClock
-	ch    *Chaos
-	c     *Coordinator
+	clock *fleettest.VirtualClock
+	ch    *fleettest.Chaos
+	c     *fleet.Coordinator
 }
 
 func newScenario(t testing.TB, f *testFleet, replicas int) *scenario {
 	t.Helper()
-	clock := NewVirtualClock(time.Unix(0, 0))
-	ch := NewChaos(f.lt, clock)
+	clock := fleettest.NewVirtualClock(time.Unix(0, 0))
+	ch := fleettest.NewChaos(f.lt, clock)
 	return &scenario{f: f, clock: clock, ch: ch, c: f.coordinator(t, f.topo(replicas), vopts(ch, clock))}
 }
 
@@ -158,7 +160,7 @@ func TestFaultInjection(t *testing.T) {
 		}()
 		select {
 		case err := <-done:
-			if !errors.Is(err, ErrUnknownDoc) {
+			if !errors.Is(err, fleet.ErrUnknownDoc) {
 				t.Fatalf("doc two billion: want ErrUnknownDoc, got %v", err)
 			}
 		case <-time.After(2 * time.Second):
@@ -167,8 +169,8 @@ func TestFaultInjection(t *testing.T) {
 		if sc.elapsed() != 0 {
 			t.Fatalf("a healthy query consumed virtual time: %v", sc.elapsed())
 		}
-		retries := delta(ctrRetries)
-		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "flap"}})
+		retries := delta(fleet.CtrRetries)
+		sc.ch.Script(epName(sibs[0], 0), "probe", fleettest.ChaosAction{Err: &fleet.RPCError{Status: 500, Kind: "injected", Msg: "flap"}})
 		res, err = sc.c.Query(context.Background(), doc, k, false)
 		assertFull(t, res, err)
 		if retries() != 1 || sc.elapsed() != 10*time.Millisecond {
@@ -178,12 +180,12 @@ func TestFaultInjection(t *testing.T) {
 
 	t.Run("sibling-black-holed-partial", func(t *testing.T) {
 		sc := newScenario(t, f, 1)
-		partials := delta(ctrPartial)
-		timeouts := delta(ctrAttemptTimeouts)
+		partials := delta(fleet.CtrPartial)
+		timeouts := delta(fleet.CtrAttemptTimeouts)
 		// Both endpoints of the shard swallow everything: attempts, the
 		// hedge, and every retry vanish. Only timeouts recover.
-		sc.ch.Script(epName(sibs[0], 0), "", repeat(ChaosAction{Drop: true}, 8)...)
-		sc.ch.Script(epName(sibs[0], 1), "", repeat(ChaosAction{Drop: true}, 8)...)
+		sc.ch.Script(epName(sibs[0], 0), "", repeat(fleettest.ChaosAction{Drop: true}, 8)...)
+		sc.ch.Script(epName(sibs[0], 1), "", repeat(fleettest.ChaosAction{Drop: true}, 8)...)
 		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertPartial(t, res, err, sibs[0])
 		if partials() < 1 || timeouts() < 2 {
@@ -193,14 +195,14 @@ func TestFaultInjection(t *testing.T) {
 
 	t.Run("slow-trickle-late-duplicate", func(t *testing.T) {
 		sc := newScenario(t, f, 0)
-		dups := delta(ctrDupReplies)
+		dups := delta(fleet.CtrDupReplies)
 		// sibs[0]'s first reply trickles in at t=300ms — after its attempt
 		// timed out at t=200ms and the retry already answered. sibs[1]
 		// stays pending past t=300ms (its retry answers at 350ms) so the
 		// loop is alive to observe the stale duplicate.
-		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{ReplyDelay: 300 * time.Millisecond})
+		sc.ch.Script(epName(sibs[0], 0), "probe", fleettest.ChaosAction{ReplyDelay: 300 * time.Millisecond})
 		sc.ch.Script(epName(sibs[1], 0), "probe",
-			ChaosAction{Drop: true}, ChaosAction{Delay: 150 * time.Millisecond})
+			fleettest.ChaosAction{Drop: true}, fleettest.ChaosAction{Delay: 150 * time.Millisecond})
 		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertFull(t, res, err)
 		if dups() < 1 {
@@ -210,10 +212,10 @@ func TestFaultInjection(t *testing.T) {
 
 	t.Run("hedge-replica-wins", func(t *testing.T) {
 		sc := newScenario(t, f, 1)
-		hedges, wins := delta(ctrHedges), delta(ctrHedgeWins)
+		hedges, wins := delta(fleet.CtrHedges), delta(fleet.CtrHedgeWins)
 		// Primary is near-dead; the hedge fires at 40ms and the replica
 		// answers instantly.
-		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{Delay: 10 * time.Second})
+		sc.ch.Script(epName(sibs[0], 0), "probe", fleettest.ChaosAction{Delay: 10 * time.Second})
 		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertFull(t, res, err)
 		if hedges() < 1 || wins() < 1 {
@@ -223,12 +225,12 @@ func TestFaultInjection(t *testing.T) {
 
 	t.Run("hedge-fired-primary-wins", func(t *testing.T) {
 		sc := newScenario(t, f, 1)
-		hedges, wins := delta(ctrHedges), delta(ctrHedgeWins)
+		hedges, wins := delta(fleet.CtrHedges), delta(fleet.CtrHedgeWins)
 		// Primary answers at 60ms — after the 40ms hedge fires, before the
 		// replica's 80ms reply. The primary's answer must win and the
 		// hedge must not count as a win.
-		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{ReplyDelay: 60 * time.Millisecond})
-		sc.ch.Script(epName(sibs[0], 1), "probe", ChaosAction{ReplyDelay: 40 * time.Millisecond})
+		sc.ch.Script(epName(sibs[0], 0), "probe", fleettest.ChaosAction{ReplyDelay: 60 * time.Millisecond})
+		sc.ch.Script(epName(sibs[0], 1), "probe", fleettest.ChaosAction{ReplyDelay: 40 * time.Millisecond})
 		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertFull(t, res, err)
 		if hedges() < 1 {
@@ -245,9 +247,9 @@ func TestFaultInjection(t *testing.T) {
 		// still under the 40ms hedge delay, so no hedge and the answer
 		// at 30ms. A delay learned from the fast history would hedge.
 		const history = 64
-		sc.ch.Script(epName(sibs[0], 0), "probe", repeat(ChaosAction{ReplyDelay: 5 * time.Millisecond}, history)...)
-		sc.ch.Script(epName(sibs[0], 0), "probe", ChaosAction{ReplyDelay: 30 * time.Millisecond})
-		hedges := delta(ctrHedges)
+		sc.ch.Script(epName(sibs[0], 0), "probe", repeat(fleettest.ChaosAction{ReplyDelay: 5 * time.Millisecond}, history)...)
+		sc.ch.Script(epName(sibs[0], 0), "probe", fleettest.ChaosAction{ReplyDelay: 30 * time.Millisecond})
+		hedges := delta(fleet.CtrHedges)
 		for i := 0; i < history; i++ {
 			res, err := sc.c.Query(context.Background(), doc, k, false)
 			assertFull(t, res, err)
@@ -265,11 +267,11 @@ func TestFaultInjection(t *testing.T) {
 
 	t.Run("epoch-mismatch-rejected", func(t *testing.T) {
 		sc := newScenario(t, f, 0)
-		mism := delta(ctrEpochMismatch)
+		mism := delta(fleet.CtrEpochMismatch)
 		// After bootstrap, sibs[0]'s endpoint is redeployed with a host
 		// from a different snapshot lineage (different name → different
 		// epoch). Its replies must never be merged.
-		imposter := newHost("other-build", f.g.NumShards(), f.g.Seed(), f.g.NumClusters(),
+		imposter := fleet.NewHost("other-build", f.g.NumShards(), f.g.Seed(), f.g.NumClusters(),
 			map[int]*match.MR{sibs[0]: f.g.ShardMR(sibs[0])}, f.g.NumDocs)
 		f.lt.AddHost(epName(sibs[0], 0), imposter)
 		t.Cleanup(func() { f.lt.AddHost(epName(sibs[0], 0), f.hosts[sibs[0]]) })
@@ -283,7 +285,7 @@ func TestFaultInjection(t *testing.T) {
 	t.Run("cancel-mid-scatter", func(t *testing.T) {
 		sc := newScenario(t, f, 0)
 		for _, s := range sibs {
-			sc.ch.Script(epName(s, 0), "probe", repeat(ChaosAction{Delay: time.Hour}, 8)...)
+			sc.ch.Script(epName(s, 0), "probe", repeat(fleettest.ChaosAction{Delay: time.Hour}, 8)...)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -298,7 +300,7 @@ func TestFaultInjection(t *testing.T) {
 	// 150ms after it was sent: the gather finishes at 350ms of the 800ms
 	// budget.
 	slowHome := func(sc *scenario) {
-		sc.ch.Script(epName(home, 0), "home", ChaosAction{Drop: true}, ChaosAction{ReplyDelay: 150 * time.Millisecond})
+		sc.ch.Script(epName(home, 0), "home", fleettest.ChaosAction{Drop: true}, fleettest.ChaosAction{ReplyDelay: 150 * time.Millisecond})
 	}
 
 	t.Run("budget-exhausted-siblings-missing", func(t *testing.T) {
@@ -308,7 +310,7 @@ func TestFaultInjection(t *testing.T) {
 		sc := newScenario(t, f, 0)
 		slowHome(sc)
 		for _, s := range sibs {
-			sc.ch.Script(epName(s, 0), "probe", repeat(ChaosAction{Drop: true}, 8)...)
+			sc.ch.Script(epName(s, 0), "probe", repeat(fleettest.ChaosAction{Drop: true}, 8)...)
 		}
 		res, err := sc.c.Query(context.Background(), doc, k, false)
 		assertPartial(t, res, err, sibs...)
@@ -321,9 +323,9 @@ func TestFaultInjection(t *testing.T) {
 		// A silent home spends its three attempts of 200ms each and is a
 		// typed 503 at 600ms, inside the budget.
 		sc := newScenario(t, f, 0)
-		sc.ch.Script(epName(home, 0), "home", repeat(ChaosAction{Drop: true}, 8)...)
+		sc.ch.Script(epName(home, 0), "home", repeat(fleettest.ChaosAction{Drop: true}, 8)...)
 		_, err := sc.c.Query(context.Background(), doc, k, false)
-		var rpc *RPCError
+		var rpc *fleet.RPCError
 		if !errors.As(err, &rpc) || rpc.Status != http.StatusServiceUnavailable || rpc.Kind != "fleet_unavailable" {
 			t.Fatalf("want typed 503 fleet_unavailable, got %v", err)
 		}
@@ -339,7 +341,7 @@ func TestFaultInjection(t *testing.T) {
 		sc := newScenario(t, f, 0)
 		slowHome(sc)
 		silent := f.g.Route(full[0].DocID)
-		sc.ch.Script(epName(silent, 0), "explain", repeat(ChaosAction{Drop: true}, 8)...)
+		sc.ch.Script(epName(silent, 0), "explain", repeat(fleettest.ChaosAction{Drop: true}, 8)...)
 		res, err := sc.c.Query(context.Background(), doc, k, true)
 		if err != nil {
 			t.Fatalf("explain: %v", err)
@@ -356,7 +358,7 @@ func TestFaultInjection(t *testing.T) {
 	t.Run("explain-shard-degrades-to-partial", func(t *testing.T) {
 		sc := newScenario(t, f, 0)
 		// Related legs succeed; the explain batch on sibs[0] is dropped.
-		sc.ch.Script(epName(sibs[0], 0), "explain", repeat(ChaosAction{Drop: true}, 8)...)
+		sc.ch.Script(epName(sibs[0], 0), "explain", repeat(fleettest.ChaosAction{Drop: true}, 8)...)
 		res, err := sc.c.Query(context.Background(), doc, k, true)
 		exps := res.Explanations
 		if err != nil {
@@ -402,13 +404,13 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 		sc := newScenario(t, f, 1)
 		// A bit of everything: flapping errors, drops, slow replies, a
 		// near-dead primary forcing a hedge.
-		sc.ch.Script("s0", "probe", ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "flap"}})
-		sc.ch.Script("s1", "", repeat(ChaosAction{Drop: true}, 8)...)
-		sc.ch.Script("s1-r1", "", repeat(ChaosAction{Drop: true}, 8)...)
+		sc.ch.Script("s0", "probe", fleettest.ChaosAction{Err: &fleet.RPCError{Status: 500, Kind: "injected", Msg: "flap"}})
+		sc.ch.Script("s1", "", repeat(fleettest.ChaosAction{Drop: true}, 8)...)
+		sc.ch.Script("s1-r1", "", repeat(fleettest.ChaosAction{Drop: true}, 8)...)
 		sc.ch.Script("s2", "probe",
-			ChaosAction{ReplyDelay: 150 * time.Millisecond},
-			ChaosAction{Delay: 60 * time.Millisecond})
-		sc.ch.Script("s3", "probe", ChaosAction{Delay: 10 * time.Second})
+			fleettest.ChaosAction{ReplyDelay: 150 * time.Millisecond},
+			fleettest.ChaosAction{Delay: 60 * time.Millisecond})
+		sc.ch.Script("s3", "probe", fleettest.ChaosAction{Delay: 10 * time.Second})
 		var out bytes.Buffer
 		for _, doc := range []int{3, 17, 42} {
 			res, err := sc.c.Query(context.Background(), doc, 6, false)
@@ -432,19 +434,19 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 // a network can put in front of the coordinator, which the scripted Chaos
 // cannot express. A nil rewrite passes replies through.
 type forger struct {
-	Transport
-	home  func(*HomeResponse) *HomeResponse
-	probe func(*ProbeResponse) *ProbeResponse
+	fleet.Transport
+	home  func(*fleet.HomeResponse) *fleet.HomeResponse
+	probe func(*fleet.ProbeResponse) *fleet.ProbeResponse
 }
 
 func (f *forger) Call(ctx context.Context, ep, path string, req, reply any, deliver func(error)) {
 	f.Transport.Call(ctx, ep, path, req, reply, func(err error) {
 		switch r := reply.(type) {
-		case *HomeResponse:
+		case *fleet.HomeResponse:
 			if err == nil && f.home != nil {
 				*r = *f.home(r)
 			}
-		case *ProbeResponse:
+		case *fleet.ProbeResponse:
 			if err == nil && f.probe != nil {
 				*r = *f.probe(r)
 			}
@@ -486,7 +488,7 @@ func TestCoordinatorRejectsForgedLists(t *testing.T) {
 	// whole budget: the first attempt and its two retries.
 	query := func(t *testing.T, fg *forger, leg string) (match.Answer, error) {
 		t.Helper()
-		clock := NewVirtualClock(time.Unix(0, 0))
+		clock := fleettest.NewVirtualClock(time.Unix(0, 0))
 		rec := &launchRecorder{inner: fg, clock: clock, times: make(map[string][]time.Duration)}
 		res, err := f.coordinator(t, f.topo(0), vopts(rec, clock)).Query(context.Background(), doc, k, false)
 		if got := len(rec.times[leg]); got != 3 {
@@ -496,14 +498,14 @@ func TestCoordinatorRejectsForgedLists(t *testing.T) {
 	}
 	want503 := func(t *testing.T, err error) {
 		t.Helper()
-		var rpc *RPCError
+		var rpc *fleet.RPCError
 		if !errors.As(err, &rpc) || rpc.Status != http.StatusServiceUnavailable || rpc.Kind != "fleet_unavailable" {
 			t.Fatalf("want typed 503 fleet_unavailable, got %v", err)
 		}
 	}
 	for _, fc := range forgeries {
 		t.Run("sibling-"+fc.name, func(t *testing.T) {
-			res, err := query(t, &forger{Transport: f.lt, probe: func(r *ProbeResponse) *ProbeResponse {
+			res, err := query(t, &forger{Transport: f.lt, probe: func(r *fleet.ProbeResponse) *fleet.ProbeResponse {
 				r.Lists[0] = fc.list
 				return r
 			}}, epName(sib, 0)+"/probe")
@@ -513,7 +515,7 @@ func TestCoordinatorRejectsForgedLists(t *testing.T) {
 			sameResults(t, "home-only", homeOnly, res.Results)
 		})
 		t.Run("home-"+fc.name, func(t *testing.T) {
-			_, err := query(t, &forger{Transport: f.lt, home: func(r *HomeResponse) *HomeResponse {
+			_, err := query(t, &forger{Transport: f.lt, home: func(r *fleet.HomeResponse) *fleet.HomeResponse {
 				r.Lists[0] = fc.list
 				return r
 			}}, epName(home, 0)+"/home")
@@ -521,7 +523,7 @@ func TestCoordinatorRejectsForgedLists(t *testing.T) {
 		})
 	}
 	t.Run("home-wrong-depth", func(t *testing.T) {
-		_, err := query(t, &forger{Transport: f.lt, home: func(r *HomeResponse) *HomeResponse {
+		_, err := query(t, &forger{Transport: f.lt, home: func(r *fleet.HomeResponse) *fleet.HomeResponse {
 			r.N++
 			return r
 		}}, epName(home, 0)+"/home")
@@ -544,11 +546,11 @@ func FuzzProbeReply(f *testing.F) {
 	dir := shard.NewDirectory(fl.g.Seed(), 2)
 	dir.Grow(len(docs))
 	_, local, _ := dir.Lookup(doc)
-	hr, err := fl.hosts[home].HandleHome(&HomeRequest{Shard: home, LocalDoc: local, K: k})
+	hr, err := fl.hosts[home].HandleHome(&fleet.HomeRequest{Shard: home, LocalDoc: local, K: k})
 	if err != nil {
 		f.Fatal(err)
 	}
-	pr, err := fl.hosts[sib].HandleProbe(&ProbeRequest{Shard: sib, Probes: hr.Probes, Depth: hr.N})
+	pr, err := fl.hosts[sib].HandleProbe(&fleet.ProbeRequest{Shard: sib, Probes: hr.Probes, Depth: hr.N})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -559,15 +561,15 @@ func FuzzProbeReply(f *testing.F) {
 	f.Add(mustJSON(f, pr))
 	f.Add([]byte(`{"lists": [[{"d": 1, "s": 1e308}, {"d": 1e9, "s": 0.5}]]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var forged ProbeResponse
+		var forged fleet.ProbeResponse
 		if json.Unmarshal(body, &forged) != nil {
 			return
 		}
-		fg := &forger{Transport: fl.lt, probe: func(r *ProbeResponse) *ProbeResponse {
+		fg := &forger{Transport: fl.lt, probe: func(r *fleet.ProbeResponse) *fleet.ProbeResponse {
 			forged.Epoch, forged.Docs = r.Epoch, r.Docs
 			return &forged
 		}}
-		res, err := fl.coordinator(t, fl.topo(0), vopts(fg, NewVirtualClock(time.Unix(0, 0)))).Query(context.Background(), doc, k, true)
+		res, err := fl.coordinator(t, fl.topo(0), vopts(fg, fleettest.NewVirtualClock(time.Unix(0, 0)))).Query(context.Background(), doc, k, true)
 		if err != nil {
 			t.Fatalf("a sibling's reply failed the query: %v", err)
 		}

@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"context"
@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
+	"repro/internal/fleet/fleettest"
 	"repro/internal/forum"
 	"repro/internal/index"
 	"repro/internal/match"
@@ -42,8 +44,8 @@ func genDocs(t testing.TB, domain forum.Domain, n int, seed int64) []*segment.Do
 type testFleet struct {
 	mr    *match.MR
 	g     *shard.Group
-	hosts map[int]*Host
-	lt    *LocalTransport
+	hosts map[int]*fleet.Host
+	lt    *fleettest.LocalTransport
 }
 
 // epName names the LocalTransport endpoint for (shard, replica);
@@ -65,7 +67,7 @@ func buildBackend(t testing.TB, docs []*segment.Doc, cfg match.MRConfig, nShards
 	if err != nil {
 		t.Fatalf("NewGroup(%d): %v", nShards, err)
 	}
-	f := &testFleet{mr: mr, g: g, hosts: HostsForGroup(g), lt: NewLocalTransport()}
+	f := &testFleet{mr: mr, g: g, hosts: fleet.HostsForGroup(g), lt: fleettest.NewLocalTransport()}
 	for s := 0; s < nShards; s++ {
 		for r := 0; r <= replicas; r++ {
 			f.lt.AddHost(epName(s, r), f.hosts[s])
@@ -76,10 +78,10 @@ func buildBackend(t testing.TB, docs []*segment.Doc, cfg match.MRConfig, nShards
 
 // topo builds the coordinator-side endpoint map with the given replica
 // count per shard.
-func (f *testFleet) topo(replicas int) Topology {
-	var topo Topology
+func (f *testFleet) topo(replicas int) fleet.Topology {
+	var topo fleet.Topology
 	for s := 0; s < f.g.NumShards(); s++ {
-		se := ShardEndpoints{Shard: s, Primary: epName(s, 0)}
+		se := fleet.ShardEndpoints{Shard: s, Primary: epName(s, 0)}
 		for r := 1; r <= replicas; r++ {
 			se.Replicas = append(se.Replicas, epName(s, r))
 		}
@@ -92,15 +94,15 @@ func (f *testFleet) topo(replicas int) Topology {
 // budget of 800ms, so the derived schedule is in round numbers — each
 // attempt cut at 200ms, retries backing off 10ms then 20ms, a hedge
 // at 40ms. All timing below is virtual — the suite never sleeps.
-func vopts(tr Transport, clock Clock) Options {
-	return Options{Transport: tr, Clock: clock, Timeout: 800 * time.Millisecond}
+func vopts(tr fleet.Transport, clock fleet.Clock) fleet.Options {
+	return fleet.Options{Transport: tr, Clock: clock, Timeout: 800 * time.Millisecond}
 }
 
 // coordinator bootstraps a Coordinator over the backend or fails the
 // test.
-func (f *testFleet) coordinator(t testing.TB, topo Topology, opts Options) *Coordinator {
+func (f *testFleet) coordinator(t testing.TB, topo fleet.Topology, opts fleet.Options) *fleet.Coordinator {
 	t.Helper()
-	c, err := New(context.Background(), topo, opts)
+	c, err := fleet.New(context.Background(), topo, opts)
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
@@ -158,11 +160,11 @@ func saveSnapshot(t *testing.T, domain forum.Domain, n int, seed int64, shards i
 // coordinator routing the four-shard topology onto them.
 func TestLoadHostFleet(t *testing.T) {
 	path := saveSnapshot(t, forum.TechSupport, 160, 99, 4)
-	hostA, err := LoadHost(path, []int{0, 1})
+	hostA, err := fleet.LoadHost(path, []int{0, 1})
 	if err != nil {
 		t.Fatalf("LoadHost A: %v", err)
 	}
-	hostB, err := LoadHost(path, []int{2, 3})
+	hostB, err := fleet.LoadHost(path, []int{2, 3})
 	if err != nil {
 		t.Fatalf("LoadHost B: %v", err)
 	}
@@ -173,17 +175,17 @@ func TestLoadHostFleet(t *testing.T) {
 	if !slices.Equal(a.Shards, []int{0, 1}) {
 		t.Fatalf("host A owns wrong shards: %v", a.Shards)
 	}
-	if _, err := LoadHost(filepath.Join(t.TempDir(), "missing"), nil); err == nil {
+	if _, err := fleet.LoadHost(filepath.Join(t.TempDir(), "missing"), nil); err == nil {
 		t.Fatal("LoadHost of a missing file succeeded")
 	}
-	lt := NewLocalTransport()
+	lt := fleettest.NewLocalTransport()
 	lt.AddHost("a", hostA)
 	lt.AddHost("b", hostB)
-	topo := Topology{Endpoints: []ShardEndpoints{
+	topo := fleet.Topology{Endpoints: []fleet.ShardEndpoints{
 		{Shard: 0, Primary: "a"}, {Shard: 1, Primary: "a"},
 		{Shard: 2, Primary: "b"}, {Shard: 3, Primary: "b"},
 	}}
-	c, err := New(context.Background(), topo, vopts(lt, NewVirtualClock(time.Unix(0, 0))))
+	c, err := fleet.New(context.Background(), topo, vopts(lt, fleettest.NewVirtualClock(time.Unix(0, 0))))
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
@@ -199,11 +201,11 @@ func TestLoadHostFleet(t *testing.T) {
 func TestLoadHostMixedSnapshots(t *testing.T) {
 	tech := saveSnapshot(t, forum.TechSupport, 120, 42, 2)
 	travel := saveSnapshot(t, forum.Travel, 150, 42, 2)
-	host0, err := LoadHost(tech, []int{0})
+	host0, err := fleet.LoadHost(tech, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	host1, err := LoadHost(travel, []int{1})
+	host1, err := fleet.LoadHost(travel, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +213,11 @@ func TestLoadHostMixedSnapshots(t *testing.T) {
 	if m0.Name != m1.Name || m0.TotalShards != m1.TotalShards || m0.Seed != m1.Seed || m0.Clusters != m1.Clusters {
 		t.Fatalf("the two builds differ in topology (%+v, %+v); the case needs them alike", m0, m1)
 	}
-	lt := NewLocalTransport()
+	lt := fleettest.NewLocalTransport()
 	lt.AddHost("tech", host0)
 	lt.AddHost("travel", host1)
-	topo := Topology{Endpoints: []ShardEndpoints{{Shard: 0, Primary: "tech"}, {Shard: 1, Primary: "travel"}}}
-	if _, err := New(context.Background(), topo, vopts(lt, NewVirtualClock(time.Unix(0, 0)))); err == nil || !strings.Contains(err.Error(), "mixed snapshots") {
+	topo := fleet.Topology{Endpoints: []fleet.ShardEndpoints{{Shard: 0, Primary: "tech"}, {Shard: 1, Primary: "travel"}}}
+	if _, err := fleet.New(context.Background(), topo, vopts(lt, fleettest.NewVirtualClock(time.Unix(0, 0)))); err == nil || !strings.Contains(err.Error(), "mixed snapshots") {
 		t.Fatalf("fleet over two builds: bootstrap error %v, want mixed snapshots", err)
 	}
 }
@@ -301,13 +303,13 @@ func TestRefPartialOracleMatchesGroup(t *testing.T) {
 // wireReporter makes every shard's /internal/meta report a chosen wire
 // version — a peer built from another tree.
 type wireReporter struct {
-	Transport
+	fleet.Transport
 	wire int
 }
 
 func (w *wireReporter) Call(ctx context.Context, ep, path string, req, reply any, deliver func(error)) {
 	w.Transport.Call(ctx, ep, path, req, reply, func(err error) {
-		if m, ok := reply.(*Meta); ok {
+		if m, ok := reply.(*fleet.Meta); ok {
 			m.Wire = w.wire
 		}
 		deliver(err)
@@ -321,14 +323,14 @@ func (w *wireReporter) Call(ctx context.Context, ep, path string, req, reply any
 func TestBootstrapRejectsWireMismatch(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 60, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 2, 42, 0)
-	for _, wire := range []int{0, WireVersion - 1, WireVersion + 1} {
-		_, err := New(context.Background(), f.topo(0), Options{Transport: &wireReporter{f.lt, wire}})
-		var rpc *RPCError
+	for _, wire := range []int{0, fleet.WireVersion - 1, fleet.WireVersion + 1} {
+		_, err := fleet.New(context.Background(), f.topo(0), fleet.Options{Transport: &wireReporter{f.lt, wire}})
+		var rpc *fleet.RPCError
 		if !errors.As(err, &rpc) || rpc.Kind != "wire_mismatch" {
 			t.Fatalf("peer on wire %d: bootstrap error %v, want a typed wire_mismatch", wire, err)
 		}
 	}
-	if _, err := New(context.Background(), f.topo(0), Options{Transport: &wireReporter{f.lt, WireVersion}}); err != nil {
+	if _, err := fleet.New(context.Background(), f.topo(0), fleet.Options{Transport: &wireReporter{f.lt, fleet.WireVersion}}); err != nil {
 		t.Fatalf("peer on this tree's wire version: %v", err)
 	}
 }

@@ -15,8 +15,8 @@ import (
 // more shard partitions of a collection and answering the internal
 // probe surface (home leg, sibling scan, explain, meta). It is
 // transport-agnostic — internal/serve wraps it in HTTP handlers, and
-// LocalTransport calls it directly so the fault-injection suite runs a
-// whole fleet in one process with zero sockets.
+// fleettest.LocalTransport calls it directly so the fault-injection
+// suite runs a whole fleet in one process with zero sockets.
 type Host struct {
 	name     string
 	total    int

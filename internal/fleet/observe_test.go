@@ -1,10 +1,12 @@
-package fleet
+package fleet_test
 
 import (
 	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/fleet"
+	"repro/internal/fleet/fleettest"
 	"repro/internal/forum"
 	"repro/internal/match"
 	"repro/internal/obs"
@@ -166,8 +168,8 @@ func TestStitchedTraceShardDeathMidScatter(t *testing.T) {
 	// attempt, hedge, and retry. The deterministic VirtualClock replays
 	// the whole degraded timeline — attempt timeouts, retries, budget
 	// exhaustion — with zero wall-clock sleeping.
-	sc.ch.Script(epName(dead, 0), "", repeat(ChaosAction{Drop: true}, 8)...)
-	sc.ch.Script(epName(dead, 1), "", repeat(ChaosAction{Drop: true}, 8)...)
+	sc.ch.Script(epName(dead, 0), "", repeat(fleettest.ChaosAction{Drop: true}, 8)...)
+	sc.ch.Script(epName(dead, 1), "", repeat(fleettest.ChaosAction{Drop: true}, 8)...)
 
 	tr := obs.NewTrace()
 	res, err := sc.c.Query(obs.WithTrace(context.Background(), tr), doc, k, false)
@@ -200,7 +202,7 @@ func TestStitchedTraceShardDeathMidScatter(t *testing.T) {
 func TestScrapeFleetSumsAndMarksFailures(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 80, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 3, 42, 0)
-	c := f.coordinator(t, f.topo(0), Options{Transport: f.lt})
+	c := f.coordinator(t, f.topo(0), fleet.Options{Transport: f.lt})
 
 	// Drive some traffic so counters are non-zero.
 	for d := 0; d < 5; d++ {
@@ -261,12 +263,12 @@ func TestHealthLedgerTracksFailures(t *testing.T) {
 	// Exactly one query's worth of failures (maxAttempts = retries + 2 =
 	// 4), so the follow-up query finds a healthy shard again.
 	sc.ch.Script(epName(sibs[0], 0), "probe",
-		repeat(ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "down"}}, 4)...)
+		repeat(fleettest.ChaosAction{Err: &fleet.RPCError{Status: 500, Kind: "injected", Msg: "down"}}, 4)...)
 
 	if _, err := sc.c.Query(context.Background(), doc, k, false); err != nil {
 		t.Fatalf("related: %v", err)
 	}
-	h := sc.c.health()
+	h := sc.c.Health()
 	if len(h) != 4 {
 		t.Fatalf("health entries: %d, want 4", len(h))
 	}
@@ -285,7 +287,7 @@ func TestHealthLedgerTracksFailures(t *testing.T) {
 	if _, err := sc.c.Query(context.Background(), doc, k, false); err != nil {
 		t.Fatalf("recovery related: %v", err)
 	}
-	h = sc.c.health()
+	h = sc.c.Health()
 	if h[sibs[0]].ConsecutiveFailures != 0 {
 		t.Fatalf("streak not reset after recovery: %+v", h[sibs[0]])
 	}

@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"context"
@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
+	"repro/internal/fleet/fleettest"
 	"repro/internal/forum"
 	"repro/internal/match"
 	"repro/internal/obs"
@@ -38,30 +40,30 @@ func TestFleetChaosStress(t *testing.T) {
 	extra := genDocs(t, forum.TechSupport, 160, 42)[120:]
 	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 4, 42, 1)
 
-	clock := RealClock{}
-	ch := NewChaos(f.lt, clock)
+	clock := fleet.RealClock{}
+	ch := fleettest.NewChaos(f.lt, clock)
 	// Seeded degradation: every call's fate is a pure function of
 	// (endpoint, kind, call index). Meta stays healthy so bootstrap and
 	// re-bootstrap always work.
-	ch.Fallback = func(endpoint, kind string, call int) ChaosAction {
+	ch.Fallback = func(endpoint, kind string, call int) fleettest.ChaosAction {
 		if kind == "meta" {
-			return ChaosAction{}
+			return fleettest.ChaosAction{}
 		}
 		h := fnv.New64a()
 		fmt.Fprintf(h, "%s/%s/%d", endpoint, kind, call)
 		x := h.Sum64()
 		switch {
 		case x%13 == 0:
-			return ChaosAction{Drop: true}
+			return fleettest.ChaosAction{Drop: true}
 		case x%7 == 0:
-			return ChaosAction{Err: &RPCError{Status: 500, Kind: "injected", Msg: "stress flap"}}
+			return fleettest.ChaosAction{Err: &fleet.RPCError{Status: 500, Kind: "injected", Msg: "stress flap"}}
 		case x%3 == 0:
-			return ChaosAction{Delay: time.Duration(x%4) * time.Millisecond}
+			return fleettest.ChaosAction{Delay: time.Duration(x%4) * time.Millisecond}
 		}
-		return ChaosAction{}
+		return fleettest.ChaosAction{}
 	}
 	// A 200ms budget: attempts cut at 50ms, a hedge after 10ms.
-	c, err := New(context.Background(), f.topo(1), Options{Transport: ch, Clock: clock, Timeout: 200 * time.Millisecond})
+	c, err := fleet.New(context.Background(), f.topo(1), fleet.Options{Transport: ch, Clock: clock, Timeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
@@ -69,11 +71,11 @@ func TestFleetChaosStress(t *testing.T) {
 	// Monotone-counter watcher: samples the fleet instruments while
 	// traffic runs and fails on any decrease.
 	watched := []*obs.Counter{
-		ctrRetries, ctrHedges, ctrHedgeWins, ctrPartial,
-		ctrDupReplies, ctrAttemptTimeouts, ctrEpochMismatch,
+		fleet.CtrRetries, fleet.CtrHedges, fleet.CtrHedgeWins, fleet.CtrPartial,
+		fleet.CtrDupReplies, fleet.CtrAttemptTimeouts, fleet.CtrEpochMismatch,
 	}
-	watched = append(watched, c.ctrLegOK...)
-	watched = append(watched, c.ctrLegMiss...)
+	watched = append(watched, c.CtrLegOK()...)
+	watched = append(watched, c.CtrLegMiss()...)
 	watchStop := make(chan struct{})
 	watchDone := make(chan struct{})
 	var watchErr error
@@ -130,7 +132,7 @@ func TestFleetChaosStress(t *testing.T) {
 				doc := (r*queriesPerReader + q*17) % len(docs)
 				res, err := c.Query(context.Background(), doc, k, false)
 				if err != nil {
-					var rpc *RPCError
+					var rpc *fleet.RPCError
 					if !errors.As(err, &rpc) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 						fail("reader %d doc %d: untyped error %T: %v", r, doc, err, err)
 					}
@@ -189,7 +191,7 @@ func TestFleetChaosStress(t *testing.T) {
 
 	// Quiesced: a fault-free coordinator over the grown corpus must be
 	// exact again, including the documents added mid-traffic.
-	c2, err := New(context.Background(), f.topo(0), Options{Transport: f.lt, Clock: clock})
+	c2, err := fleet.New(context.Background(), f.topo(0), fleet.Options{Transport: f.lt, Clock: clock})
 	if err != nil {
 		t.Fatalf("re-bootstrap: %v", err)
 	}

@@ -31,10 +31,10 @@ const (
 // implementations with identical coordinator code above them:
 //
 //   - HTTPTransport: real network calls, deliver runs on a goroutine.
-//   - LocalTransport: in-process hosts, deliver runs synchronously
-//     before the call returns.
-//   - Chaos: wraps either, rescheduling deliveries through the Clock to
-//     script delays, errors, and drops deterministically.
+//   - fleettest.LocalTransport: in-process hosts, deliver runs
+//     synchronously before the call returns.
+//   - fleettest.Chaos: wraps either, rescheduling deliveries through the
+//     Clock to script delays, errors, and drops deterministically.
 //
 // Contract: deliver is called at most once per call ("drop" faults
 // simply never deliver — the coordinator's per-attempt deadline is the

@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"context"
@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
+	"repro/internal/fleet/fleettest"
 	"repro/internal/forum"
 	"repro/internal/match"
 	"repro/internal/obs"
@@ -25,13 +27,14 @@ import (
 // *RPCError the retry loop can classify.
 
 // hostHandler adapts a Host to the internal HTTP surface, mirroring
-// what internal/serve.ShardServer mounts (serve imports this package,
-// so these in-package tests re-build the thin mux instead).
-func hostHandler(t testing.TB, h *Host) http.Handler {
+// what internal/serve.ShardServer mounts: a thin mux over
+// fleettest.Answer, so that the transport's tests do not run the
+// serving layer's observer and tracer.
+func hostHandler(t testing.TB, h *fleet.Host) http.Handler {
 	t.Helper()
 	writeErr := func(w http.ResponseWriter, err error) {
 		status, kind := http.StatusInternalServerError, "internal"
-		var rpc *RPCError
+		var rpc *fleet.RPCError
 		if errors.As(err, &rpc) {
 			status, kind = rpc.Status, rpc.Kind
 		}
@@ -58,22 +61,22 @@ func hostHandler(t testing.TB, h *Host) http.Handler {
 			if newReq != nil {
 				req = newReq()
 				if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-					writeErr(w, badRequest("%v", err))
+					writeErr(w, fleet.BadRequest("%v", err))
 					return
 				}
 			}
 			reply := newReply()
-			if err := answer(h, path, req, reply); err != nil {
+			if err := fleettest.Answer(h, path, req, reply); err != nil {
 				writeErr(w, err)
 				return
 			}
 			writeOK(w, reply)
 		})
 	}
-	route(PathHome, func() any { return new(HomeRequest) }, func() any { return new(HomeResponse) })
-	route(PathProbe, func() any { return new(ProbeRequest) }, func() any { return new(ProbeResponse) })
-	route(PathExplain, func() any { return new(ExplainRequest) }, func() any { return new(ExplainResponse) })
-	route(PathMeta, nil, func() any { return new(Meta) })
+	route(fleet.PathHome, func() any { return new(fleet.HomeRequest) }, func() any { return new(fleet.HomeResponse) })
+	route(fleet.PathProbe, func() any { return new(fleet.ProbeRequest) }, func() any { return new(fleet.ProbeResponse) })
+	route(fleet.PathExplain, func() any { return new(fleet.ExplainRequest) }, func() any { return new(fleet.ExplainResponse) })
+	route(fleet.PathMeta, nil, func() any { return new(fleet.Meta) })
 	return mux
 }
 
@@ -84,28 +87,28 @@ func TestHTTPTransportFleet(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 60, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 2, 42, 0)
 
-	var topo Topology
+	var topo fleet.Topology
 	for s := 0; s < f.g.NumShards(); s++ {
 		ts := httptest.NewServer(hostHandler(t, f.hosts[s]))
 		t.Cleanup(ts.Close)
-		topo.Endpoints = append(topo.Endpoints, ShardEndpoints{Shard: s, Primary: ts.URL})
+		topo.Endpoints = append(topo.Endpoints, fleet.ShardEndpoints{Shard: s, Primary: ts.URL})
 	}
-	httpC := f.coordinator(t, topo, Options{Transport: NewHTTPTransport()})
-	localC := f.coordinator(t, f.topo(0), Options{Transport: f.lt})
+	httpC := f.coordinator(t, topo, fleet.Options{Transport: fleet.NewHTTPTransport()})
+	localC := f.coordinator(t, f.topo(0), fleet.Options{Transport: f.lt})
 
 	if httpC.SnapshotEpoch() != localC.SnapshotEpoch() || httpC.SnapshotEpoch() == 0 {
 		t.Fatalf("epoch over HTTP %d, local %d", httpC.SnapshotEpoch(), localC.SnapshotEpoch())
 	}
-	if httpC.name != "MR" || httpC.NumShards() != 2 || httpC.NumDocs() != len(docs) {
+	if httpC.Name() != "MR" || httpC.NumShards() != 2 || httpC.NumDocs() != len(docs) {
 		t.Fatalf("bootstrap meta diverged: name %q shards %d docs %d",
-			httpC.name, httpC.NumShards(), httpC.NumDocs())
+			httpC.Name(), httpC.NumShards(), httpC.NumDocs())
 	}
 }
 
 // TestHTTPTransportErrors pins the classification of every failure
 // shape roundTrip can meet.
 func TestHTTPTransportErrors(t *testing.T) {
-	tr := NewHTTPTransport()
+	tr := fleet.NewHTTPTransport()
 	call := func(endpoint, path string, req, reply any) error {
 		t.Helper()
 		ch := make(chan error, 1)
@@ -118,9 +121,9 @@ func TestHTTPTransportErrors(t *testing.T) {
 			return nil
 		}
 	}
-	wantRPC := func(err error, status int, kind string) *RPCError {
+	wantRPC := func(err error, status int, kind string) *fleet.RPCError {
 		t.Helper()
-		var rpc *RPCError
+		var rpc *fleet.RPCError
 		if !errors.As(err, &rpc) {
 			t.Fatalf("want *RPCError, got %T: %v", err, err)
 		}
@@ -136,12 +139,12 @@ func TestHTTPTransportErrors(t *testing.T) {
 			_, _ = w.Write([]byte(`{"error": {"kind": "unknown_doc", "message": "document not found"}}`))
 		}))
 		defer ts.Close()
-		err := call(ts.URL, PathHome, &HomeRequest{K: 5}, new(HomeResponse))
+		err := call(ts.URL, fleet.PathHome, &fleet.HomeRequest{K: 5}, new(fleet.HomeResponse))
 		rpc := wantRPC(err, http.StatusNotFound, "unknown_doc")
 		if !strings.Contains(rpc.Error(), "unknown_doc") {
 			t.Fatalf("typed Error() should name the kind: %q", rpc.Error())
 		}
-		if IsTransient(err) {
+		if fleet.IsTransient(err) {
 			t.Fatalf("404 must be permanent: %v", err)
 		}
 	})
@@ -150,12 +153,12 @@ func TestHTTPTransportErrors(t *testing.T) {
 			http.Error(w, "boom", http.StatusInternalServerError)
 		}))
 		defer ts.Close()
-		err := call(ts.URL, PathProbe, &ProbeRequest{Depth: 1}, new(ProbeResponse))
+		err := call(ts.URL, fleet.PathProbe, &fleet.ProbeRequest{Depth: 1}, new(fleet.ProbeResponse))
 		rpc := wantRPC(err, http.StatusInternalServerError, "")
 		if !strings.Contains(rpc.Error(), "boom") {
 			t.Fatalf("prose Error() should carry the body: %q", rpc.Error())
 		}
-		if !IsTransient(err) {
+		if !fleet.IsTransient(err) {
 			t.Fatalf("500 must be transient: %v", err)
 		}
 	})
@@ -164,21 +167,21 @@ func TestHTTPTransportErrors(t *testing.T) {
 			_, _ = w.Write([]byte("not json"))
 		}))
 		defer ts.Close()
-		err := call(ts.URL, PathExplain, &ExplainRequest{}, new(ExplainResponse))
+		err := call(ts.URL, fleet.PathExplain, &fleet.ExplainRequest{}, new(fleet.ExplainResponse))
 		wantRPC(err, 0, "decode")
 	})
 	t.Run("refused", func(t *testing.T) {
 		ts := httptest.NewServer(http.NotFoundHandler())
 		url := ts.URL
 		ts.Close()
-		err := call(url, PathMeta, nil, new(Meta))
+		err := call(url, fleet.PathMeta, nil, new(fleet.Meta))
 		wantRPC(err, 0, "dial")
-		if !IsTransient(err) {
+		if !fleet.IsTransient(err) {
 			t.Fatalf("refused connection must be transient: %v", err)
 		}
 	})
 	t.Run("bad-endpoint", func(t *testing.T) {
-		err := call("http://\x00bad", PathMetrics, nil, new(obs.Snapshot))
+		err := call("http://\x00bad", fleet.PathMetrics, nil, new(obs.Snapshot))
 		wantRPC(err, 0, "request")
 	})
 }
@@ -192,11 +195,11 @@ type rpcCall struct {
 // rpcs is one call of each internal RPC, each with a fresh reply.
 func rpcs() []rpcCall {
 	return []rpcCall{
-		{"home", PathHome, &HomeRequest{K: 5}, new(HomeResponse)},
-		{"probe", PathProbe, &ProbeRequest{Depth: 1}, new(ProbeResponse)},
-		{"explain", PathExplain, &ExplainRequest{}, new(ExplainResponse)},
-		{"meta", PathMeta, nil, new(Meta)},
-		{"metricsz", PathMetrics, nil, new(obs.Snapshot)},
+		{"home", fleet.PathHome, &fleet.HomeRequest{K: 5}, new(fleet.HomeResponse)},
+		{"probe", fleet.PathProbe, &fleet.ProbeRequest{Depth: 1}, new(fleet.ProbeResponse)},
+		{"explain", fleet.PathExplain, &fleet.ExplainRequest{}, new(fleet.ExplainResponse)},
+		{"meta", fleet.PathMeta, nil, new(fleet.Meta)},
+		{"metricsz", fleet.PathMetrics, nil, new(obs.Snapshot)},
 	}
 }
 
@@ -213,7 +216,7 @@ func TestLocalTransportRemoveHost(t *testing.T) {
 		delivered := 0
 		f.lt.Call(context.Background(), "s0", rpc.path, rpc.req, rpc.reply, func(err error) {
 			delivered++
-			var re *RPCError
+			var re *fleet.RPCError
 			if !errors.As(err, &re) || re.Kind != "dial" {
 				t.Errorf("%s: want dial error from removed host, got %v", rpc.path, err)
 			}
@@ -237,44 +240,44 @@ func TestHostRequestValidation(t *testing.T) {
 
 	wantKind := func(err error, status int, kind string) {
 		t.Helper()
-		var rpc *RPCError
+		var rpc *fleet.RPCError
 		if !errors.As(err, &rpc) || rpc.Status != status || rpc.Kind != kind {
 			t.Fatalf("want status=%d kind=%q, got %v", status, kind, err)
 		}
 	}
-	if _, err := h.HandleHome(&HomeRequest{Shard: 1, LocalDoc: 0, K: 5}); err == nil {
+	if _, err := h.HandleHome(&fleet.HomeRequest{Shard: 1, LocalDoc: 0, K: 5}); err == nil {
 		t.Fatal("home for a shard this host does not own must fail")
 	} else {
 		wantKind(err, http.StatusMisdirectedRequest, "not_owned")
-		if IsTransient(err) {
+		if fleet.IsTransient(err) {
 			t.Fatalf("not_owned must be permanent: %v", err)
 		}
 	}
-	if _, err := h.HandleHome(&HomeRequest{Shard: 0, LocalDoc: 0, K: 0}); err == nil {
+	if _, err := h.HandleHome(&fleet.HomeRequest{Shard: 0, LocalDoc: 0, K: 0}); err == nil {
 		t.Fatal("home with k=0 must fail")
 	} else {
 		wantKind(err, http.StatusBadRequest, "bad_request")
 	}
-	if _, err := h.HandleHome(&HomeRequest{Shard: 0, LocalDoc: 1 << 20, K: 5}); !errors.Is(err, ErrUnknownDoc) {
+	if _, err := h.HandleHome(&fleet.HomeRequest{Shard: 0, LocalDoc: 1 << 20, K: 5}); !errors.Is(err, fleet.ErrUnknownDoc) {
 		t.Fatalf("home for an absent local doc: want ErrUnknownDoc, got %v", err)
 	}
-	if _, err := h.HandleProbe(&ProbeRequest{Shard: 1, Depth: 10}); err == nil {
+	if _, err := h.HandleProbe(&fleet.ProbeRequest{Shard: 1, Depth: 10}); err == nil {
 		t.Fatal("probe for an unowned shard must fail")
 	} else {
 		wantKind(err, http.StatusMisdirectedRequest, "not_owned")
 	}
-	if _, err := h.HandleProbe(&ProbeRequest{Shard: 0, Depth: 0}); err == nil {
+	if _, err := h.HandleProbe(&fleet.ProbeRequest{Shard: 0, Depth: 0}); err == nil {
 		t.Fatal("probe with depth=0 must fail")
 	} else {
 		wantKind(err, http.StatusBadRequest, "bad_request")
 	}
-	probes := []WireProbe{{Cluster: 0, Terms: []string{"a"}, QF: []float64{1}, IDF: []float64{1}}}
-	if _, err := h.HandleProbe(&ProbeRequest{Shard: 0, Depth: 10, Probes: probes, Floors: []float64{1, 2}}); err == nil {
+	probes := []fleet.WireProbe{{Cluster: 0, Terms: []string{"a"}, QF: []float64{1}, IDF: []float64{1}}}
+	if _, err := h.HandleProbe(&fleet.ProbeRequest{Shard: 0, Depth: 10, Probes: probes, Floors: []float64{1, 2}}); err == nil {
 		t.Fatal("probe with mismatched floors must fail")
 	} else {
 		wantKind(err, http.StatusBadRequest, "bad_request")
 	}
-	if _, err := h.HandleExplain(&ExplainRequest{Shard: 1}); err == nil {
+	if _, err := h.HandleExplain(&fleet.ExplainRequest{Shard: 1}); err == nil {
 		t.Fatal("explain for an unowned shard must fail")
 	} else {
 		wantKind(err, http.StatusMisdirectedRequest, "not_owned")
@@ -293,13 +296,13 @@ func TestHostProbeFloors(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 60, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 2, 42, 0)
 	h := f.hosts[0]
-	home, err := h.HandleHome(&HomeRequest{Shard: 0, LocalDoc: 0, K: 5})
+	home, err := h.HandleHome(&fleet.HomeRequest{Shard: 0, LocalDoc: 0, K: 5})
 	if err != nil || len(home.Probes) == 0 {
 		t.Fatalf("home leg: %d probes, err %v", len(home.Probes), err)
 	}
 	probe := func(floors []float64) [][]match.Result {
 		t.Helper()
-		resp, err := h.HandleProbe(&ProbeRequest{Shard: 0, Probes: home.Probes, Depth: home.N, Floors: floors})
+		resp, err := h.HandleProbe(&fleet.ProbeRequest{Shard: 0, Probes: home.Probes, Depth: home.N, Floors: floors})
 		if err != nil {
 			t.Fatalf("probe with floors %v: %v", floors, err)
 		}
@@ -336,10 +339,10 @@ func TestHostProbeFloors(t *testing.T) {
 func TestChaosFaults(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 20, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 1, 42, 0)
-	boom := &RPCError{Status: http.StatusInternalServerError, Kind: "scripted", Msg: "boom"}
+	boom := &fleet.RPCError{Status: http.StatusInternalServerError, Kind: "scripted", Msg: "boom"}
 	for _, rpc := range rpcs() {
-		ch := NewChaos(f.lt, NewVirtualClock(time.Unix(0, 0)))
-		ch.Script("s0", rpc.kind, ChaosAction{Err: boom}, ChaosAction{Drop: true})
+		ch := fleettest.NewChaos(f.lt, fleettest.NewVirtualClock(time.Unix(0, 0)))
+		ch.Script("s0", rpc.kind, fleettest.ChaosAction{Err: boom}, fleettest.ChaosAction{Drop: true})
 		var got []error
 		for range 3 {
 			ch.Call(context.Background(), "s0", rpc.path, rpc.req, rpc.reply, func(err error) { got = append(got, err) })
@@ -361,22 +364,22 @@ func TestCoordinatorRejectsMalformedReplies(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 40, 42)
 	cases := []struct {
 		name   string
-		tamper func(*ProbeResponse) *ProbeResponse
+		tamper func(*fleet.ProbeResponse) *fleet.ProbeResponse
 	}{
-		{"truncated-lists", func(r *ProbeResponse) *ProbeResponse {
+		{"truncated-lists", func(r *fleet.ProbeResponse) *fleet.ProbeResponse {
 			r.Lists = r.Lists[:0]
 			return r
 		}},
-		{"foreign-epoch", func(r *ProbeResponse) *ProbeResponse {
+		{"foreign-epoch", func(r *fleet.ProbeResponse) *fleet.ProbeResponse {
 			r.Epoch++
 			return r
 		}},
-		{"zero-reply", func(r *ProbeResponse) *ProbeResponse { return &ProbeResponse{} }},
+		{"zero-reply", func(r *fleet.ProbeResponse) *fleet.ProbeResponse { return &fleet.ProbeResponse{} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 2, 42, 0)
-			c := f.coordinator(t, f.topo(0), vopts(&forger{Transport: f.lt, probe: tc.tamper}, NewVirtualClock(time.Unix(0, 0))))
+			c := f.coordinator(t, f.topo(0), vopts(&forger{Transport: f.lt, probe: tc.tamper}, fleettest.NewVirtualClock(time.Unix(0, 0))))
 			res, err := c.Query(context.Background(), 3, 5, false)
 			if err != nil {
 				t.Fatalf("Related under a lying sibling must degrade, not fail: %v", err)

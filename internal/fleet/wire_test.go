@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"bytes"
@@ -9,18 +9,19 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/forum"
 	"repro/internal/match"
 )
 
 // wireHost is a two-shard backend's host of shard 0 and the probes of a
 // real home leg on it: what a sibling probe and an explain item carry.
-func wireHost(t testing.TB) (*Host, []WireProbe) {
+func wireHost(t testing.TB) (*fleet.Host, []fleet.WireProbe) {
 	t.Helper()
 	docs := genDocs(t, forum.TechSupport, 40, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 2, 42, 0)
 	h := f.hosts[0]
-	home, err := h.HandleHome(&HomeRequest{Shard: 0, LocalDoc: 0, K: 5})
+	home, err := h.HandleHome(&fleet.HomeRequest{Shard: 0, LocalDoc: 0, K: 5})
 	if err != nil {
 		t.Fatalf("home leg: %v", err)
 	}
@@ -33,8 +34,8 @@ func wireHost(t testing.TB) (*Host, []WireProbe) {
 }
 
 // clone deep-copies probes so a case can damage its own.
-func clone(probes []WireProbe) []WireProbe {
-	out := make([]WireProbe, len(probes))
+func clone(probes []fleet.WireProbe) []fleet.WireProbe {
+	out := make([]fleet.WireProbe, len(probes))
 	for i, p := range probes {
 		p.Terms = append([]string(nil), p.Terms...)
 		p.QF = append([]float64(nil), p.QF...)
@@ -46,7 +47,7 @@ func clone(probes []WireProbe) []WireProbe {
 
 func wantBadRequest(t *testing.T, what string, err error) {
 	t.Helper()
-	var rpc *RPCError
+	var rpc *fleet.RPCError
 	if !errors.As(err, &rpc) || rpc.Status != http.StatusBadRequest || rpc.Kind != "bad_request" {
 		t.Fatalf("%s: want a 400 bad_request, got %v", what, err)
 	}
@@ -59,23 +60,23 @@ func wantBadRequest(t *testing.T, what string, err error) {
 // end) and never a reply JSON cannot encode.
 func TestHostRejectsMalformedProbes(t *testing.T) {
 	h, probes := wireHost(t)
-	if _, err := h.HandleProbe(&ProbeRequest{Shard: 0, Probes: probes, Depth: 10}); err != nil {
+	if _, err := h.HandleProbe(&fleet.ProbeRequest{Shard: 0, Probes: probes, Depth: 10}); err != nil {
 		t.Fatalf("the undamaged probes: %v", err)
 	}
 	for _, tc := range []struct {
 		name   string
-		damage func(p *WireProbe)
+		damage func(p *fleet.WireProbe)
 	}{
-		{"qf-and-idf-truncated", func(p *WireProbe) { p.QF, p.IDF = p.QF[:1], p.IDF[:1] }},
-		{"qf-truncated", func(p *WireProbe) { p.QF = p.QF[:1] }},
-		{"idf-truncated", func(p *WireProbe) { p.IDF = p.IDF[:1] }},
-		{"qf-too-long", func(p *WireProbe) { p.QF = append(p.QF, 1) }},
-		{"qf-negative", func(p *WireProbe) { p.QF[1] = -1 }},
-		{"qf-nan", func(p *WireProbe) { p.QF[0] = math.NaN() }},
-		{"idf-inf", func(p *WireProbe) { p.IDF[1] = math.Inf(1) }},
-		{"avg-unique-negative", func(p *WireProbe) { p.AvgUnique = -2 }},
-		{"avg-unique-nan", func(p *WireProbe) { p.AvgUnique = math.NaN() }},
-		{"score-overflow", func(p *WireProbe) {
+		{"qf-and-idf-truncated", func(p *fleet.WireProbe) { p.QF, p.IDF = p.QF[:1], p.IDF[:1] }},
+		{"qf-truncated", func(p *fleet.WireProbe) { p.QF = p.QF[:1] }},
+		{"idf-truncated", func(p *fleet.WireProbe) { p.IDF = p.IDF[:1] }},
+		{"qf-too-long", func(p *fleet.WireProbe) { p.QF = append(p.QF, 1) }},
+		{"qf-negative", func(p *fleet.WireProbe) { p.QF[1] = -1 }},
+		{"qf-nan", func(p *fleet.WireProbe) { p.QF[0] = math.NaN() }},
+		{"idf-inf", func(p *fleet.WireProbe) { p.IDF[1] = math.Inf(1) }},
+		{"avg-unique-negative", func(p *fleet.WireProbe) { p.AvgUnique = -2 }},
+		{"avg-unique-nan", func(p *fleet.WireProbe) { p.AvgUnique = math.NaN() }},
+		{"score-overflow", func(p *fleet.WireProbe) {
 			for i := range p.QF {
 				p.QF[i], p.IDF[i] = math.MaxFloat64, math.MaxFloat64
 			}
@@ -84,19 +85,19 @@ func TestHostRejectsMalformedProbes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := clone(probes)
 			tc.damage(&bad[len(bad)-1])
-			_, err := h.HandleProbe(&ProbeRequest{Shard: 0, Probes: bad, Depth: 10})
+			_, err := h.HandleProbe(&fleet.ProbeRequest{Shard: 0, Probes: bad, Depth: 10})
 			wantBadRequest(t, "probe", err)
 		})
 	}
 	p := probes[0]
-	item := ExplainItem{Cluster: p.Cluster, Terms: p.Terms, QF: p.QF}
-	if _, err := h.HandleExplain(&ExplainRequest{Shard: 0, Items: []ExplainItem{item}}); err != nil {
+	item := fleet.ExplainItem{Cluster: p.Cluster, Terms: p.Terms, QF: p.QF}
+	if _, err := h.HandleExplain(&fleet.ExplainRequest{Shard: 0, Items: []fleet.ExplainItem{item}}); err != nil {
 		t.Fatalf("the undamaged explain item: %v", err)
 	}
 	for name, qf := range map[string][]float64{"truncated": p.QF[:1], "negative": append([]float64{-1}, p.QF[1:]...)} {
 		bad := item
 		bad.QF = qf
-		_, err := h.HandleExplain(&ExplainRequest{Shard: 0, Items: []ExplainItem{item, bad}})
+		_, err := h.HandleExplain(&fleet.ExplainRequest{Shard: 0, Items: []fleet.ExplainItem{item, bad}})
 		wantBadRequest(t, "explain item qf "+name, err)
 	}
 }
@@ -143,15 +144,15 @@ func FuzzProbeRequest(f *testing.F) {
 	h, probes := wireHost(f)
 	truncated := clone(probes)
 	truncated[0].QF, truncated[0].IDF = truncated[0].QF[:1], truncated[0].IDF[:1]
-	fuzzHostRPC(f, []ProbeRequest{
+	fuzzHostRPC(f, []fleet.ProbeRequest{
 		{Probes: probes, Depth: 10},
 		{Probes: probes[:1], Depth: 3, Floors: []float64{0.5}, Trace: true, TraceID: "t"},
 		{Probes: clone(probes)[:1], Depth: 1},
 		{},
 		{Probes: truncated, Depth: 10},
 	}, `{"probes": [{"cluster": 0, "terms": ["a", "b"], "qf": [1e308, 1e308], "idf": [1e308, 1e308]}], "depth": 5}`,
-		func(r *ProbeRequest) (*ProbeResponse, error) { r.Shard = 0; return h.HandleProbe(r) },
-		func(r *ProbeRequest, p *ProbeResponse) (int, int) { return len(p.Lists), len(r.Probes) })
+		func(r *fleet.ProbeRequest) (*fleet.ProbeResponse, error) { r.Shard = 0; return h.HandleProbe(r) },
+		func(r *fleet.ProbeRequest, p *fleet.ProbeResponse) (int, int) { return len(p.Lists), len(r.Probes) })
 }
 
 // FuzzExplainRequest fuzzes /internal/explain: one contribution list an
@@ -161,13 +162,13 @@ func FuzzProbeRequest(f *testing.F) {
 func FuzzExplainRequest(f *testing.F) {
 	h, probes := wireHost(f)
 	p := probes[0]
-	fuzzHostRPC(f, []ExplainRequest{
-		{Items: []ExplainItem{{Cluster: p.Cluster, Terms: p.Terms, QF: p.QF}}},
-		{Items: []ExplainItem{{LocalDoc: 3, Cluster: p.Cluster, Terms: p.Terms[:1], QF: p.QF[:1]}}, Trace: true, TraceID: "t"},
+	fuzzHostRPC(f, []fleet.ExplainRequest{
+		{Items: []fleet.ExplainItem{{Cluster: p.Cluster, Terms: p.Terms, QF: p.QF}}},
+		{Items: []fleet.ExplainItem{{LocalDoc: 3, Cluster: p.Cluster, Terms: p.Terms[:1], QF: p.QF[:1]}}, Trace: true, TraceID: "t"},
 		{},
 	}, `{"items": [{"local_doc": 0, "cluster": 0, "terms": ["a"], "qf": [1], "norm": 0}]}`,
-		func(r *ExplainRequest) (*ExplainResponse, error) { r.Shard = 0; return h.HandleExplain(r) },
-		func(r *ExplainRequest, e *ExplainResponse) (int, int) { return len(e.Items), len(r.Items) })
+		func(r *fleet.ExplainRequest) (*fleet.ExplainResponse, error) { r.Shard = 0; return h.HandleExplain(r) },
+		func(r *fleet.ExplainRequest, e *fleet.ExplainResponse) (int, int) { return len(e.Items), len(r.Items) })
 }
 
 // TestWireListsGolden pins the bytes of a reply's candidate lists: a
@@ -179,9 +180,9 @@ func TestWireListsGolden(t *testing.T) {
 		reply any
 		want  string
 	}{
-		{&HomeResponse{Lists: lists, N: 4, Epoch: 9, Docs: 10},
+		{&fleet.HomeResponse{Lists: lists, N: 4, Epoch: 9, Docs: 10},
 			`{"probes":null,"lists":[[{"d":3,"s":0.5},{"d":1,"s":0.25}],[]],"n":4,"epoch":9,"docs":10}`},
-		{&ProbeResponse{Lists: lists, Epoch: 9, Docs: 10},
+		{&fleet.ProbeResponse{Lists: lists, Epoch: 9, Docs: 10},
 			`{"lists":[[{"d":3,"s":0.5},{"d":1,"s":0.25}],[]],"epoch":9,"docs":10}`},
 	} {
 		b, err := json.Marshal(tc.reply)
@@ -189,7 +190,7 @@ func TestWireListsGolden(t *testing.T) {
 			t.Fatalf("%T encodes as %s (err %v), want %s", tc.reply, b, err, tc.want)
 		}
 	}
-	var back ProbeResponse
+	var back fleet.ProbeResponse
 	if err := json.Unmarshal([]byte(`{"lists":[[{"d":3,"s":0.5},{"d":1,"s":0.25}],[]]}`), &back); err != nil || !reflect.DeepEqual(back.Lists, lists) {
 		t.Fatalf("decoded %v (err %v), want %v", back.Lists, err, lists)
 	}

@@ -62,7 +62,7 @@ func TestAllDomainsGenerateValidPosts(t *testing.T) {
 					t.Fatalf("%v post %d segment %d empty", d, p.ID, i)
 				}
 			}
-			if p.Topic < 0 || p.Topic >= NumTopics(d) {
+			if p.Topic < 0 || p.Topic >= numTopics(d) {
 				t.Fatalf("topic out of range")
 			}
 			if p.Variant < 0 || p.Variant >= numVariants(d, p.Topic) {
@@ -359,6 +359,9 @@ func (p Post) numSentences() int {
 	}
 	return n
 }
+
+// numTopics returns the number of topics a domain generates from.
+func numTopics(d Domain) int { return len(spec(d).topics) }
 
 // numVariants returns the number of request variants of a domain topic.
 func numVariants(d Domain, topic int) int { return len(spec(d).topics[topic].variants) }

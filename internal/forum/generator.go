@@ -44,9 +44,6 @@ func Intentions(d Domain) []string {
 	return out
 }
 
-// NumTopics returns the number of topics a domain generates from.
-func NumTopics(d Domain) int { return len(spec(d).topics) }
-
 // Generate produces a deterministic synthetic corpus.
 func Generate(cfg Config) []Post {
 	posts := make([]Post, cfg.NumPosts)

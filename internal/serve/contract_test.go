@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/fleet"
+	"repro/internal/fleet/fleettest"
 	"repro/internal/forum"
 	"repro/internal/match"
 	"repro/internal/obs"
@@ -57,7 +58,7 @@ func contractEngines(t *testing.T) []*contractEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt := fleet.NewLocalTransport()
+	lt := fleettest.NewLocalTransport()
 	topo := fleet.Topology{}
 	for s, h := range fleet.HostsForGroup(g) {
 		ep := fmt.Sprintf("contract-s%d", s)

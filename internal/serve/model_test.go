@@ -20,6 +20,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/fleet/fleettest"
 	"repro/internal/forum"
 	"repro/internal/match"
 	"repro/internal/obs"
@@ -531,7 +532,7 @@ func (lr *liveRow) serveFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	var topo fleet.Topology
-	lt := fleet.NewLocalTransport()
+	lt := fleettest.NewLocalTransport()
 	for half := range 2 {
 		var own []int
 		for s := range lr.shards {
@@ -574,7 +575,7 @@ func (lr *liveRow) serveFleet(t *testing.T) {
 	// waits short and still gives each attempt 50ms.
 	opts := fleet.Options{Transport: lr.kill, Timeout: 200 * time.Millisecond}
 	if lr.fleet == "local" {
-		opts.Clock = fleet.NewVirtualClock(time.Unix(0, 0))
+		opts.Clock = fleettest.NewVirtualClock(time.Unix(0, 0))
 	}
 	c, err := fleet.New(context.Background(), topo, opts)
 	if err != nil {

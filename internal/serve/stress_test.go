@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/fleet/fleettest"
 	"repro/internal/forum"
 	"repro/internal/obs"
 )
@@ -87,7 +88,7 @@ func TestRecycledTracesStress(t *testing.T) {
 func lateReplicaCoordinator(t *testing.T) *fleet.Coordinator {
 	t.Helper()
 	const prefix = "late"
-	lt := fleet.NewLocalTransport()
+	lt := fleettest.NewLocalTransport()
 	var topo fleet.Topology
 	for s, h := range fleetBackend().hosts {
 		primary, replica := fmt.Sprintf("%s-p%d", prefix, s), fmt.Sprintf("%s-r%d", prefix, s)
@@ -95,12 +96,12 @@ func lateReplicaCoordinator(t *testing.T) *fleet.Coordinator {
 		lt.AddHost(replica, h)
 		topo.Endpoints = append(topo.Endpoints, fleet.ShardEndpoints{Shard: s, Primary: primary, Replicas: []string{replica}})
 	}
-	chaos := fleet.NewChaos(lt, fleet.RealClock{})
-	chaos.Fallback = func(endpoint, kind string, call int) fleet.ChaosAction {
+	chaos := fleettest.NewChaos(lt, fleet.RealClock{})
+	chaos.Fallback = func(endpoint, kind string, call int) fleettest.ChaosAction {
 		if kind == "probe" && strings.HasPrefix(endpoint, prefix+"-p") && call%4 == 1 {
-			return fleet.ChaosAction{ReplyDelay: 20 * time.Millisecond}
+			return fleettest.ChaosAction{ReplyDelay: 20 * time.Millisecond}
 		}
-		return fleet.ChaosAction{}
+		return fleettest.ChaosAction{}
 	}
 	c, err := fleet.New(context.Background(), topo, fleet.Options{Transport: chaos, Timeout: 200 * time.Millisecond})
 	if err != nil {

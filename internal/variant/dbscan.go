@@ -16,10 +16,10 @@ const Noise = -1
 // classic density-based algorithm of Ester et al. (1996) under Euclidean
 // distance. It returns one label per point — 0..k-1 for cluster members,
 // Noise for outliers — and the number of clusters k. Region queries run
-// through a Grid cell-list index with a reused neighbor buffer, dropping
+// through a grid cell-list index with a reused neighbor buffer, dropping
 // the per-query cost from an O(n) scan to the candidate cells around the
 // query point; the labeling is identical to the naive quadratic form
-// (the test oracle in export_test.go). Use Sampled for collections
+// (the test oracle in export_test.go). Use sampled for collections
 // where even near-linear passes per point are too slow.
 func dbscan(points [][]float64, eps float64, minPts int) (labels []int, k int) {
 	n := len(points)
@@ -29,7 +29,7 @@ func dbscan(points [][]float64, eps float64, minPts int) (labels []int, k int) {
 	}
 	const unvisited = Noise - 1
 
-	grid := NewGrid(points, eps)
+	cells := newGrid(points, eps)
 	var nb []int32    // reused region-query buffer
 	var queue []int32 // reused expansion frontier
 
@@ -38,7 +38,7 @@ func dbscan(points [][]float64, eps float64, minPts int) (labels []int, k int) {
 		if labels[i] != unvisited {
 			continue
 		}
-		nb = grid.Radius(points[i], eps, i, nb)
+		nb = cells.Radius(points[i], eps, i, nb)
 		if len(nb)+1 < minPts {
 			labels[i] = Noise
 			continue
@@ -56,7 +56,7 @@ func dbscan(points [][]float64, eps float64, minPts int) (labels []int, k int) {
 				continue
 			}
 			labels[j] = k
-			nb = grid.Radius(points[j], eps, j, nb)
+			nb = cells.Radius(points[j], eps, j, nb)
 			if len(nb)+1 >= minPts {
 				queue = append(queue, nb...)
 			}
@@ -99,10 +99,10 @@ func estimateEps(points [][]float64, k int) float64 {
 	return 2 * kd[int(float64(len(kd))*0.9)]
 }
 
-// EstimateEpsSampled runs the k-distance eps heuristic on a deterministic
+// estimateEpsSampled runs the k-distance eps heuristic on a deterministic
 // systematic sample of at most maxSample points (the exact heuristic is
 // quadratic in the sample size).
-func EstimateEpsSampled(points [][]float64, k, maxSample int) float64 {
+func estimateEpsSampled(points [][]float64, k, maxSample int) float64 {
 	if maxSample <= 0 || len(points) <= maxSample {
 		return estimateEps(points, k)
 	}
@@ -114,14 +114,14 @@ func EstimateEpsSampled(points [][]float64, k, maxSample int) float64 {
 	return estimateEps(sample, k)
 }
 
-// Sampled runs DBSCAN on a deterministic sample of at most sampleSize
+// sampled runs DBSCAN on a deterministic sample of at most sampleSize
 // points, derives centroids, and assigns every remaining point to the
 // nearest centroid within 2·eps (Noise otherwise). It trades exactness
 // for linear scaling, which is what makes the Table 6 StackOverflow-scale
 // grouping run in minutes instead of hours. The per-point assignment runs
-// its candidate lookup through the same Grid index DBSCAN queries, in
+// its candidate lookup through the same grid index DBSCAN queries, in
 // parallel over at most GOMAXPROCS goroutines.
-func Sampled(points [][]float64, eps float64, minPts, sampleSize int) (labels []int, k int) {
+func sampled(points [][]float64, eps float64, minPts, sampleSize int) (labels []int, k int) {
 	n := len(points)
 	if n <= sampleSize {
 		return dbscan(points, eps, minPts)
@@ -144,16 +144,16 @@ func Sampled(points [][]float64, eps float64, minPts, sampleSize int) (labels []
 	// than comparing against every centroid. Both paths pick the same
 	// centroid: the nearest within assignEps, lowest index on ties.
 	const gridAssignMin = 32
-	var grid *Grid
+	var cells *grid
 	if k >= gridAssignMin {
-		grid = NewGrid(cents, assignEps)
+		cells = newGrid(cents, assignEps)
 	}
 	par.Chunks(n, func(lo, hi int) {
 		var buf []int32
 		for i := lo; i < hi; i++ {
 			best, bestD := Noise, math.Inf(1)
-			if grid != nil {
-				buf = grid.Radius(points[i], assignEps, -1, buf)
+			if cells != nil {
+				buf = cells.Radius(points[i], assignEps, -1, buf)
 				for _, c := range buf {
 					if d := cluster.SqDist(points[i], cents[c]); d < bestD {
 						best, bestD = int(c), d
@@ -172,12 +172,12 @@ func Sampled(points [][]float64, eps float64, minPts, sampleSize int) (labels []
 	return labels, k
 }
 
-// AssignNoise relabels every Noise point to its nearest cluster centroid,
+// assignNoise relabels every Noise point to its nearest cluster centroid,
 // so that all segments can participate in matching. It returns the number
 // of points reassigned. With no centroids nothing changes. Points are
 // independent, so the pass runs over at most GOMAXPROCS goroutines; labels
 // are identical for any GOMAXPROCS.
-func AssignNoise(points [][]float64, labels []int, centroids [][]float64) int {
+func assignNoise(points [][]float64, labels []int, centroids [][]float64) int {
 	if len(centroids) == 0 {
 		return 0
 	}

@@ -133,9 +133,9 @@ func TestEstimateEps(t *testing.T) {
 func TestSampledMatchesExactOnSmallInput(t *testing.T) {
 	pts, _ := twoBlobs(20, 4)
 	exactLabels, exactK := dbscan(pts, 0.1, 3)
-	sampLabels, sampK := Sampled(pts, 0.1, 3, 1000)
+	sampLabels, sampK := sampled(pts, 0.1, 3, 1000)
 	if exactK != sampK {
-		t.Fatalf("Sampled k=%d, exact k=%d", sampK, exactK)
+		t.Fatalf("sampled k=%d, exact k=%d", sampK, exactK)
 	}
 	for i := range pts {
 		if (exactLabels[i] == Noise) != (sampLabels[i] == Noise) {
@@ -146,9 +146,9 @@ func TestSampledMatchesExactOnSmallInput(t *testing.T) {
 
 func TestSampledLargeInput(t *testing.T) {
 	pts, want := twoBlobs(600, 5)
-	labels, k := Sampled(pts, 0.1, 3, 100)
+	labels, k := sampled(pts, 0.1, 3, 100)
 	if k != 2 {
-		t.Fatalf("Sampled found %d clusters, want 2", k)
+		t.Fatalf("sampled found %d clusters, want 2", k)
 	}
 	// Points of the same blob must agree with each other.
 	agree := 0
@@ -166,15 +166,15 @@ func TestAssignNoise(t *testing.T) {
 	pts := [][]float64{{0, 0}, {10, 10}, {1, 1}, {9, 9}}
 	labels := []int{0, 1, Noise, Noise}
 	cents := [][]float64{{0, 0}, {10, 10}}
-	moved := AssignNoise(pts, labels, cents)
+	moved := assignNoise(pts, labels, cents)
 	if moved != 2 {
 		t.Fatalf("moved = %d, want 2", moved)
 	}
 	if labels[2] != 0 || labels[3] != 1 {
-		t.Errorf("labels after AssignNoise = %v", labels)
+		t.Errorf("labels after assignNoise = %v", labels)
 	}
-	if AssignNoise(pts, labels, nil) != 0 {
-		t.Error("AssignNoise with no centroids should move nothing")
+	if assignNoise(pts, labels, nil) != 0 {
+		t.Error("assignNoise with no centroids should move nothing")
 	}
 }
 
@@ -190,6 +190,6 @@ func BenchmarkSampled10000(b *testing.B) {
 	pts, _ := twoBlobs(5000, 9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Sampled(pts, 0.1, 4, 500)
+		sampled(pts, 0.1, 4, 500)
 	}
 }

@@ -19,7 +19,7 @@ const maxGridDims = 3
 // cellKey addresses one lattice cell. Unused trailing dimensions stay 0.
 type cellKey [maxGridDims]int32
 
-// Grid is a cell-list spatial index over dense vectors: points are binned
+// grid is a cell-list spatial index over dense vectors: points are binned
 // into an axis-aligned lattice of edge length `cell` on their
 // highest-variance dimensions, and a radius query scans only the cells
 // that can intersect the query ball instead of the whole collection. A
@@ -27,8 +27,8 @@ type cellKey [maxGridDims]int32
 // full-dimension Euclidean distance, so results are identical to a linear
 // scan (projection onto a dimension subset never increases distance).
 //
-// A Grid is immutable after New and safe for concurrent queries.
-type Grid struct {
+// A grid is immutable after newGrid and safe for concurrent queries.
+type grid struct {
 	points [][]float64
 	cell   float64
 	dims   [maxGridDims]int // dimension indices keyed by the lattice
@@ -36,12 +36,12 @@ type Grid struct {
 	cells  map[cellKey][]int32
 }
 
-// NewGrid indexes points with the given cell edge length, typically the
+// newGrid indexes points with the given cell edge length, typically the
 // radius the queries will use (then a query scans 3^d cells). cell <= 0
 // degenerates to a single cell holding every point — still correct,
 // equivalent to a linear scan.
-func NewGrid(points [][]float64, cell float64) *Grid {
-	g := &Grid{points: points, cell: cell}
+func newGrid(points [][]float64, cell float64) *grid {
+	g := &grid{points: points, cell: cell}
 	if len(points) == 0 {
 		return g
 	}
@@ -62,7 +62,7 @@ func NewGrid(points [][]float64, cell float64) *Grid {
 }
 
 // keyOf returns the lattice cell containing p.
-func (g *Grid) keyOf(p []float64) cellKey {
+func (g *grid) keyOf(p []float64) cellKey {
 	var k cellKey
 	if g.cell <= 0 {
 		return k
@@ -79,7 +79,7 @@ func (g *Grid) keyOf(p []float64) cellKey {
 // the buffer sorted ascending. Passing the previous result as buf makes
 // repeated queries allocation-free once the buffer has grown to the
 // largest neighborhood.
-func (g *Grid) Radius(q []float64, r float64, exclude int, buf []int32) []int32 {
+func (g *grid) Radius(q []float64, r float64, exclude int, buf []int32) []int32 {
 	buf = buf[:0]
 	if len(g.points) == 0 || r < 0 {
 		return buf

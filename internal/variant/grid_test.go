@@ -46,7 +46,7 @@ func TestGridRadiusMatchesLinearScan(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 5, 28} {
 		pts := randPoints(150, dim, rng)
 		for _, r := range []float64{0, 0.02, 0.1, 0.5, 2} {
-			g := NewGrid(pts, r)
+			g := newGrid(pts, r)
 			var buf []int32
 			for i := 0; i < len(pts); i += 17 {
 				buf = g.Radius(pts[i], r, i, buf)
@@ -130,7 +130,7 @@ func TestParallelInvariance(t *testing.T) {
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	wantEps := estimateEps(pts, 3)
-	wantSampledL, wantSampledK := Sampled(pts, 0.1, 4, 300)
+	wantSampledL, wantSampledK := sampled(pts, 0.1, 4, 300)
 	km := cluster.KMeans(pts, 4, 42, 0)
 	cents := cluster.Centroids(pts, km, 4)
 	noisy := append([]int(nil), km...)
@@ -138,20 +138,20 @@ func TestParallelInvariance(t *testing.T) {
 		noisy[i] = Noise
 	}
 	wantNoise := append([]int(nil), noisy...)
-	wantMoved := AssignNoise(pts, wantNoise, cents)
+	wantMoved := assignNoise(pts, wantNoise, cents)
 
 	for _, procs := range []int{2, 3, 8} {
 		runtime.GOMAXPROCS(procs)
 		if got := estimateEps(pts, 3); got != wantEps {
 			t.Errorf("GOMAXPROCS=%d: estimateEps %v != %v", procs, got, wantEps)
 		}
-		gotL, gotK := Sampled(pts, 0.1, 4, 300)
+		gotL, gotK := sampled(pts, 0.1, 4, 300)
 		if gotK != wantSampledK || !slices.Equal(gotL, wantSampledL) {
-			t.Errorf("GOMAXPROCS=%d: Sampled differs", procs)
+			t.Errorf("GOMAXPROCS=%d: sampled differs", procs)
 		}
 		relabel := append([]int(nil), noisy...)
-		if moved := AssignNoise(pts, relabel, cents); moved != wantMoved || !slices.Equal(relabel, wantNoise) {
-			t.Errorf("GOMAXPROCS=%d: AssignNoise differs (moved %d want %d)", procs, moved, wantMoved)
+		if moved := assignNoise(pts, relabel, cents); moved != wantMoved || !slices.Equal(relabel, wantNoise) {
+			t.Errorf("GOMAXPROCS=%d: assignNoise differs (moved %d want %d)", procs, moved, wantMoved)
 		}
 	}
 }
@@ -163,17 +163,17 @@ func TestEstimateEpsSampled(t *testing.T) {
 	for i := 0; i < 1200; i++ {
 		vecs = append(vecs, []float64{float64(i) / 100, float64(i%13) / 10})
 	}
-	eps := EstimateEpsSampled(vecs, 3, 500)
+	eps := estimateEpsSampled(vecs, 3, 500)
 	if eps <= 0 {
 		t.Errorf("sampled eps = %v, want > 0", eps)
 	}
 	// Small sets use the exact estimator; both paths must agree on scale.
-	exact := EstimateEpsSampled(vecs[:400], 3, 500)
+	exact := estimateEpsSampled(vecs[:400], 3, 500)
 	if exact <= 0 {
 		t.Errorf("exact eps = %v", exact)
 	}
 	// The sampled path must equal the exact estimator over the sample.
-	if got, want := EstimateEpsSampled(vecs, 3, 400), estimateEps(vecs[:1200:1200], 3); got <= 0 || want <= 0 {
+	if got, want := estimateEpsSampled(vecs, 3, 400), estimateEps(vecs[:1200:1200], 3); got <= 0 || want <= 0 {
 		t.Errorf("estimators degenerate: sampled %v exact %v", got, want)
 	}
 }

@@ -15,19 +15,19 @@ import (
 
 // GroupDBSCAN is the paper's grouping (Sec 6) as a match.MRConfig Group
 // stage: DBSCAN with minPts 4 at an eps estimated on a 500-vector sample
-// (Sampled beyond 2 000 vectors), every noise point then assigned to its
+// (sampled beyond 2 000 vectors), every noise point then assigned to its
 // nearest cluster centroid so that all segments take part in matching,
 // and one catch-all cluster when DBSCAN finds none. It draws no random
 // numbers; the labeling is the same for any GOMAXPROCS.
 func GroupDBSCAN(vectors [][]float64, _ int64) (labels []int, k int) {
-	labels, k = Sampled(vectors, EstimateEpsSampled(vectors, 3, 500), 4, 2000)
+	labels, k = sampled(vectors, estimateEpsSampled(vectors, 3, 500), 4, 2000)
 	if k == 0 {
 		for i := range labels {
 			labels[i] = 0
 		}
 		return labels, 1
 	}
-	AssignNoise(vectors, labels, cluster.Centroids(vectors, labels, k))
+	assignNoise(vectors, labels, cluster.Centroids(vectors, labels, k))
 	return labels, k
 }
 

@@ -28,7 +28,7 @@ func corpusDocs(n int, seed int64) []*segment.Doc {
 func TestGroupDBSCANAssignsNoise(t *testing.T) {
 	pts, _ := twoBlobs(20, 2)
 	pts = append(pts, []float64{0.5, 0.1}, []float64{0.1, 0.9})
-	raw, rawK := Sampled(pts, EstimateEpsSampled(pts, 3, 500), 4, 2000)
+	raw, rawK := sampled(pts, estimateEpsSampled(pts, 3, 500), 4, 2000)
 	labels, k := GroupDBSCAN(pts, 0)
 	if k != rawK || k == 0 {
 		t.Fatalf("k = %d, DBSCAN found %d", k, rawK)

@@ -6,8 +6,9 @@
 #   COVER_MIN=90.0 scripts/coverage.sh   # custom floor
 #   COVER_OUT=cov.out scripts/coverage.sh
 #
-# The gate measures the library surface (./internal/...) — cmd/ and
-# examples/ are thin mains around it and would only dilute the number.
+# The gate measures the library surface (./internal/...) — cmd/ is
+# thin mains around it, tested on their own, and would only dilute the
+# number.
 # Coverage is counted where the code lives: -coverpkg credits a
 # statement to its own package whichever package's tests ran it, so
 # code exercised only through its callers (the index through the

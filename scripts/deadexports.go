@@ -13,6 +13,9 @@
 // package, F from another file of its own), a method when any other
 // non-test file selects a field or method of that name. The check can
 // therefore miss a dead method whose name is common, never the reverse.
+// A package whose name ends in "test" (fleettest, after net/http's
+// httptest) is test support: its exports are for tests, and are not
+// listed.
 package main
 
 import (
@@ -30,16 +33,10 @@ import (
 
 // allowed are the exported names kept on purpose, each with its reason.
 var allowed = map[string]string{
-	"internal/fleet.NewChaos":                  "fault injection for fleet's own tests; a test package would be an import cycle",
-	"internal/fleet.Chaos.Script":              "fault injection for fleet's own tests; a test package would be an import cycle",
-	"internal/fleet.NewVirtualClock":           "fake clock for fleet's own tests; a test package would be an import cycle",
-	"internal/fleet.NewLocalTransport":         "in-process transport for fleet's and serve's tests; a test package would be an import cycle",
-	"internal/fleet.LocalTransport.AddHost":    "in-process transport for fleet's and serve's tests; a test package would be an import cycle",
-	"internal/fleet.LocalTransport.RemoveHost": "in-process transport for fleet's and serve's tests; a test package would be an import cycle",
-	"internal/fleet.HostsForGroup":             "in-process fleet over a live shard group for fleet's and serve's tests; a test package would be an import cycle",
-	"internal/fleet.eventHeap.Less":            "heap.Interface",
-	"internal/obs.Snapshot.MarshalJSON":        "json.Marshaler: the /metrics JSON body",
-	"internal/obs.Disable":                     "restores the process-wide recording switch after a test in six packages; only obs can reach it",
+	"internal/fleet.HostsForGroup":      "fleet Hosts over a live shard group for fleet's and serve's tests; it builds them with the unexported newHost, which fleettest cannot reach",
+	"internal/fleet.eventHeap.Less":     "heap.Interface",
+	"internal/obs.Snapshot.MarshalJSON": "json.Marshaler: the /metrics JSON body",
+	"internal/obs.Disable":              "restores the process-wide recording switch after a test in six packages; only obs can reach it",
 }
 
 type decl struct {
@@ -101,7 +98,7 @@ func main() {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				sels[n.Name] = true
-				if !n.Name.IsExported() {
+				if !n.Name.IsExported() || strings.HasSuffix(f.Name.Name, "test") {
 					return true
 				}
 				d := decl{name: n.Name.Name, file: path, pos: fset.Position(n.Pos()), pkg: dir}
