@@ -7,10 +7,11 @@ import (
 	"repro/internal/forum"
 )
 
-// Sharded pipeline coverage at the public API: Build-time validation,
-// the shard accessors, and directory persistence. That a sharded
-// pipeline ranks as the unsharded one does, built or loaded, before and
-// after adds, is internal/serve's model test (TestEnginesMatchModel).
+// Sharded pipeline coverage at the public API: Build-time validation and
+// directory persistence. That a sharded pipeline ranks as the unsharded
+// one does, built or loaded, before and after adds, is internal/serve's
+// model test (TestEnginesMatchModel); that its shard counts add up to
+// its documents, the history test's (TestHistoriesMatchModel).
 
 func goldenTexts(t *testing.T, n int) []string {
 	t.Helper()
@@ -20,34 +21,6 @@ func goldenTexts(t *testing.T, n int) []string {
 		texts[i] = p.Text
 	}
 	return texts
-}
-
-func TestShardedPipeline(t *testing.T) {
-	texts := goldenTexts(t, 120)
-	plain, err := Build(texts, Config{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := Build(texts, Config{Seed: 9, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.Shards() != 4 || plain.Shards() != 0 {
-		t.Fatalf("Shards() = %d/%d, want 4/0", sharded.Shards(), plain.Shards())
-	}
-	sum := 0
-	for _, c := range sharded.ShardDocs() {
-		sum += c
-	}
-	if sum != 120 {
-		t.Fatalf("ShardDocs sums to %d, want 120", sum)
-	}
-	if plain.ShardDocs() != nil {
-		t.Error("unsharded ShardDocs should be nil")
-	}
-	if sharded.NumClusters() != plain.NumClusters() {
-		t.Errorf("NumClusters %d vs %d", sharded.NumClusters(), plain.NumClusters())
-	}
 }
 
 // TestShardedPipelinePersistence: a sharded pipeline saves as one

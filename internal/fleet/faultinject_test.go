@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -576,16 +578,197 @@ func FuzzProbeReply(f *testing.F) {
 		if res.Partial && (len(res.Missing) != 1 || res.Missing[0] != sib) {
 			t.Fatalf("partial with missing %v, want [%d]", res.Missing, sib)
 		}
-		if len(res.Results) > k || len(res.Explanations) != len(res.Results) {
-			t.Fatalf("%d results, %d explanations for k = %d", len(res.Results), len(res.Explanations), k)
+		if err := answerShape(res, doc, k, len(docs)); err != nil {
+			t.Fatal(err)
 		}
-		for i, r := range res.Results {
-			if r.DocID == doc || r.DocID < 0 || r.DocID >= len(docs) || !(r.Score > 0) {
-				t.Fatalf("result %d: %+v", i, r)
-			}
-			if i > 0 && !res.Results[i-1].Before(r) {
-				t.Fatalf("results out of order at %d: %v", i, res.Results)
-			}
+	})
+}
+
+// replyForger decodes body into every reply at path, in place of what
+// the shard answered, as the HTTP transport decodes a reply it is sent;
+// a meta or home reply keeps the shard's document count, the one input
+// taken on trust (DESIGN §8).
+type replyForger struct {
+	fleet.Transport
+	path string
+	body []byte
+}
+
+func (f *replyForger) Call(ctx context.Context, ep, path string, req, reply any, deliver func(error)) {
+	f.Transport.Call(ctx, ep, path, req, reply, func(err error) {
+		if err == nil && path == f.path {
+			err = forgeReply(reply, f.body)
 		}
+		deliver(err)
+	})
+}
+
+func forgeReply(reply any, body []byte) error {
+	switch r := reply.(type) {
+	case *fleet.Meta:
+		docs := r.Docs
+		*r = fleet.Meta{}
+		defer func() { r.Docs = docs }()
+	case *fleet.HomeResponse:
+		docs := r.Docs
+		*r = fleet.HomeResponse{}
+		defer func() { r.Docs = docs }()
+	case *fleet.ExplainResponse:
+		*r = fleet.ExplainResponse{}
+	case *obs.Snapshot:
+		*r = obs.Snapshot{}
+	}
+	return json.Unmarshal(body, reply)
+}
+
+// answerShape is what any explained answer of a two-shard fleet over
+// docs documents must be, whatever a shard replied: at most k results,
+// each another document, scored positive, best first, one explanation
+// each.
+func answerShape(res match.Answer, doc, k, docs int) error {
+	if len(res.Results) > k || len(res.Explanations) != len(res.Results) {
+		return fmt.Errorf("%d results, %d explanations for k = %d", len(res.Results), len(res.Explanations), k)
+	}
+	for i, r := range res.Results {
+		if r.DocID == doc || r.DocID < 0 || r.DocID >= docs || !(r.Score > 0) {
+			return fmt.Errorf("result %d: %+v", i, r)
+		}
+		if i > 0 && !res.Results[i-1].Before(r) {
+			return fmt.Errorf("results out of order at %d: %v", i, res.Results)
+		}
+	}
+	return nil
+}
+
+// FuzzCoordinatorReplies holds the coordinator's other reply decodes to
+// what FuzzProbeReply holds a probe reply's: a shard's meta at
+// bootstrap, its home and explain replies to a query and its metrics to
+// a scrape, each row seeded with the bytes of the genuine reply. A
+// forged meta either fails bootstrap or yields a coordinator of the
+// topology's shards whose answers are well-formed or typed errors; a
+// forged home reply leaves a well-formed answer or a typed error; a
+// forged explain reply cannot move the results; a forged snapshot still
+// accounts for every shard of the scrape.
+func FuzzCoordinatorReplies(f *testing.F) {
+	docs := genDocs(f, forum.TechSupport, 60, 42)
+	fl := buildBackend(f, docs, match.MRConfig{Seed: 7}, 2, 42, 0)
+	const doc, k = 3, 5
+	ctx := context.Background()
+	coordinator := func(tr fleet.Transport) (*fleet.Coordinator, error) {
+		return fleet.New(ctx, fl.topo(0), vopts(tr, fleettest.NewVirtualClock(time.Unix(0, 0))))
+	}
+	// queried: a query is a well-formed answer or a typed error.
+	queried := func(t *testing.T, c *fleet.Coordinator) {
+		res, err := c.Query(ctx, doc, k, true)
+		var rpc *fleet.RPCError
+		if err != nil && !errors.As(err, &rpc) {
+			t.Fatalf("a query failed untyped: %v", err)
+		}
+		if err := answerShape(res, doc, k, len(docs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := []struct {
+		path  string
+		check func(t *testing.T, c *fleet.Coordinator)
+	}{
+		{fleet.PathMeta, func(t *testing.T, c *fleet.Coordinator) {
+			if c.NumShards() != 2 {
+				t.Fatalf("bootstrapped %d shards over a topology of 2", c.NumShards())
+			}
+			queried(t, c)
+		}},
+		{fleet.PathHome, queried},
+		{fleet.PathExplain, func(t *testing.T, c *fleet.Coordinator) {
+			res, err := c.Query(ctx, doc, k, true)
+			if err != nil {
+				t.Fatalf("a forged explain reply failed the query: %v", err)
+			}
+			if want := fl.g.Match(doc, k); !reflect.DeepEqual(res.Results, want) {
+				t.Fatalf("a forged explain reply moved the results: %v, want %v", res.Results, want)
+			}
+			if err := answerShape(res, doc, k, len(docs)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{fleet.PathMetrics, func(t *testing.T, c *fleet.Coordinator) {
+			scrapes, _ := c.ScrapeFleet(ctx)
+			for s, sc := range scrapes {
+				if sc.Shard != s || (sc.Snapshot == nil) == (sc.Err == "") {
+					t.Fatalf("scrape %d of %d: %+v", s, len(scrapes), sc)
+				}
+			}
+			if len(scrapes) != 2 {
+				t.Fatalf("%d scrapes of 2 shards", len(scrapes))
+			}
+		}},
+	}
+	// The genuine replies of one bootstrap, explained query and scrape.
+	rec := &replyRecorder{Transport: fl.lt, eps: map[string]string{}, bodies: map[string][]byte{}}
+	c, err := coordinator(rec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := c.Query(ctx, doc, k, true); err != nil {
+		f.Fatal(err)
+	}
+	c.ScrapeFleet(ctx)
+	for i, row := range rows {
+		body := rec.bodies[row.path]
+		if body == nil {
+			f.Fatalf("no genuine reply at %s", row.path)
+		}
+		f.Add(uint8(i), body)
+	}
+	f.Add(uint8(0), []byte(`{"name": "MR", "shards": [0, 1], "total_shards": 2, "seed": 9, "epoch": 1, "wire": 3}`))
+	f.Add(uint8(3), []byte(`{"histograms": {"h": {"buckets": [{"le": 1, "gt": 5, "count": -3}]}}}`))
+	f.Fuzz(func(t *testing.T, row uint8, body []byte) {
+		r := rows[int(row)%len(rows)]
+		if json.Unmarshal(body, newReplyAt(r.path)) != nil {
+			return
+		}
+		c, err := coordinator(&replyForger{Transport: fl.lt, path: r.path, body: body})
+		switch {
+		case err != nil && r.path != fleet.PathMeta:
+			t.Fatal(err)
+		case err == nil:
+			r.check(t, c)
+		}
+	})
+}
+
+// newReplyAt allocates the reply an RPC at path decodes into.
+func newReplyAt(path string) any {
+	switch path {
+	case fleet.PathMeta:
+		return new(fleet.Meta)
+	case fleet.PathHome:
+		return new(fleet.HomeResponse)
+	case fleet.PathExplain:
+		return new(fleet.ExplainResponse)
+	default:
+		return new(obs.Snapshot)
+	}
+}
+
+// replyRecorder keeps the encoding of the reply at each path from the
+// first endpoint by name that answered there, whatever order the legs
+// ran in.
+type replyRecorder struct {
+	fleet.Transport
+	mu     sync.Mutex
+	eps    map[string]string
+	bodies map[string][]byte
+}
+
+func (r *replyRecorder) Call(ctx context.Context, ep, path string, req, reply any, deliver func(error)) {
+	r.Transport.Call(ctx, ep, path, req, reply, func(err error) {
+		r.mu.Lock()
+		if prev, ok := r.eps[path]; err == nil && (!ok || ep < prev) {
+			r.eps[path] = ep
+			r.bodies[path], _ = json.Marshal(reply)
+		}
+		r.mu.Unlock()
+		deliver(err)
 	})
 }

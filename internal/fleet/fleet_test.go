@@ -287,19 +287,6 @@ func refPartial(t testing.TB, f *testFleet, docID, k int, missing map[int]bool) 
 	return match.TopKScores(scores, k, docID)
 }
 
-// TestRefPartialOracleMatchesGroup sanity-checks the oracle itself:
-// with nothing missing it must agree with shard.Group bit-for-bit,
-// otherwise every partial assertion downstream would be vacuous.
-func TestRefPartialOracleMatchesGroup(t *testing.T) {
-	docs := genDocs(t, forum.TechSupport, 120, 42)
-	f := buildBackend(t, docs, match.MRConfig{Seed: 7}, 4, 42, 0)
-	for doc := 0; doc < len(docs); doc += 11 {
-		want := f.g.Match(doc, 6)
-		got := refPartial(t, f, doc, 6, nil)
-		sameResults(t, fmt.Sprintf("doc %d", doc), want, got)
-	}
-}
-
 // wireReporter makes every shard's /internal/meta report a chosen wire
 // version — a peer built from another tree.
 type wireReporter struct {

@@ -54,15 +54,14 @@ func (t *LocalTransport) Call(ctx context.Context, endpoint, path string, req, r
 		deliver(&fleet.RPCError{Kind: "dial", Msg: fmt.Sprintf("connect %s: connection refused", endpoint)})
 		return
 	}
-	deliver(Answer(h, path, req, reply))
+	deliver(answer(h, path, req, reply))
 }
 
-// Answer runs the RPC at path on h and fills reply: the in-process
-// dispatch LocalTransport calls, and a test's HTTP mux over a Host too.
-// Registry instruments are process-global, so every in-process host's
-// metrics are the same shared snapshot; real fleets run one host per
-// process.
-func Answer(h *fleet.Host, path string, req, reply any) error {
+// answer runs the RPC at path on h and fills reply: LocalTransport's
+// in-process dispatch. Registry instruments are process-global, so every
+// in-process host's metrics are the same shared snapshot; real fleets
+// run one host per process.
+func answer(h *fleet.Host, path string, req, reply any) error {
 	switch path {
 	case fleet.PathHome:
 		return fill(reply.(*fleet.HomeResponse))(h.HandleHome(req.(*fleet.HomeRequest)))

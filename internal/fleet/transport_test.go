@@ -2,7 +2,6 @@ package fleet_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/forum"
 	"repro/internal/match"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // Tests for the HTTP half of the Transport interface: a coordinator
@@ -26,70 +26,17 @@ import (
 // connections, garbage payloads — must come back as a well-formed
 // *RPCError the retry loop can classify.
 
-// hostHandler adapts a Host to the internal HTTP surface, mirroring
-// what internal/serve.ShardServer mounts: a thin mux over
-// fleettest.Answer, so that the transport's tests do not run the
-// serving layer's observer and tracer.
-func hostHandler(t testing.TB, h *fleet.Host) http.Handler {
-	t.Helper()
-	writeErr := func(w http.ResponseWriter, err error) {
-		status, kind := http.StatusInternalServerError, "internal"
-		var rpc *fleet.RPCError
-		if errors.As(err, &rpc) {
-			status, kind = rpc.Status, rpc.Kind
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_ = json.NewEncoder(w).Encode(map[string]map[string]string{
-			"error": {"kind": kind, "message": err.Error()},
-		})
-	}
-	writeOK := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(v); err != nil {
-			t.Errorf("encode response: %v", err)
-		}
-	}
-	mux := http.NewServeMux()
-	route := func(path string, newReq, newReply func() any) {
-		pattern := "GET " + path
-		if newReq != nil {
-			pattern = "POST " + path
-		}
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			var req any
-			if newReq != nil {
-				req = newReq()
-				if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-					writeErr(w, fleet.BadRequest("%v", err))
-					return
-				}
-			}
-			reply := newReply()
-			if err := fleettest.Answer(h, path, req, reply); err != nil {
-				writeErr(w, err)
-				return
-			}
-			writeOK(w, reply)
-		})
-	}
-	route(fleet.PathHome, func() any { return new(fleet.HomeRequest) }, func() any { return new(fleet.HomeResponse) })
-	route(fleet.PathProbe, func() any { return new(fleet.ProbeRequest) }, func() any { return new(fleet.ProbeResponse) })
-	route(fleet.PathExplain, func() any { return new(fleet.ExplainRequest) }, func() any { return new(fleet.ExplainResponse) })
-	route(fleet.PathMeta, nil, func() any { return new(fleet.Meta) })
-	return mux
-}
-
-// TestHTTPTransportFleet bootstraps a coordinator over real sockets: it
-// must read the same snapshot epoch and topology as one over
-// LocalTransport on the very same hosts.
+// TestHTTPTransportFleet bootstraps a coordinator over real sockets, each
+// a shard server of the serving layer, so the transport meets the real
+// routes and error envelope: it must read the same snapshot epoch and
+// topology as one over LocalTransport on the very same hosts.
 func TestHTTPTransportFleet(t *testing.T) {
 	docs := genDocs(t, forum.TechSupport, 60, 42)
 	f := buildBackend(t, docs, match.MRConfig{Seed: 42}, 2, 42, 0)
 
 	var topo fleet.Topology
 	for s := 0; s < f.g.NumShards(); s++ {
-		ts := httptest.NewServer(hostHandler(t, f.hosts[s]))
+		ts := httptest.NewServer(serve.NewShardServer(f.hosts[s], serve.Config{}).Handler())
 		t.Cleanup(ts.Close)
 		topo.Endpoints = append(topo.Endpoints, fleet.ShardEndpoints{Shard: s, Primary: ts.URL})
 	}
