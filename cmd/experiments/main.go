@@ -95,7 +95,7 @@ func run(args []string, stdout io.Writer) error {
 		// The same per-phase spans cmd/serve exposes on /metrics, here as
 		// an end-of-run digest: build.segment is Fig 11(a), build.vectorize
 		// + build.cluster + build.refine are Fig 11(b), match.query /
-		// core.related are Fig 11(c). See EXPERIMENTS.md, "obs span names".
+		// core.related are Fig 11(c). See EXPERIMENTS.md, "Fig 11".
 		fmt.Fprintln(stdout, "## obs snapshot")
 		for _, line := range obs.Default.Snapshot().SummaryLines() {
 			fmt.Fprintln(stdout, line)

@@ -17,12 +17,13 @@ import (
 )
 
 // updateLedger rewrites the committed ledger from a fresh run instead of
-// checking against it: go test ./internal/experiments -run TestLedger -update
-var updateLedger = flag.Bool("update", false, "rewrite EXPERIMENTS.json at the repository root")
+// checking against it, and then the ledger blocks of EXPERIMENTS.md from
+// the ledger: go test ./internal/experiments -run TestLedger -update
+var updateLedger = flag.Bool("update", false, "rewrite EXPERIMENTS.json and the ledger blocks of EXPERIMENTS.md")
 
 const (
-	ledgerFile = "../../EXPERIMENTS.json"
-	docFile    = "../../EXPERIMENTS.md"
+	ledgerFile = repoRoot + "/EXPERIMENTS.json"
+	docFile    = repoRoot + "/EXPERIMENTS.md"
 )
 
 // ledgerOptions is the canonical run: Scale 300, 80 queries, Fig 11 at
@@ -52,8 +53,8 @@ type ledger struct {
 }
 
 // ledgerExp is one experiment's verdict: ✓ when all its claims hold,
-// ✗ when all are reversed, ◐ otherwise. Heading is the title it has in
-// EXPERIMENTS.md, "## <heading> — … (<verdict>…)".
+// ✗ when all are reversed, ◐ otherwise. Heading is the title of its
+// block in EXPERIMENTS.md, "## <heading> (<verdict>)".
 type ledgerExp struct {
 	ID      string `json:"id"`
 	Heading string `json:"heading"`
@@ -248,8 +249,8 @@ func round(x float64) float64 { return math.Round(x*1e4) / 1e4 }
 
 // TestLedger re-runs the paper's experiments over the ledger's seeds and
 // holds them to EXPERIMENTS.json: every quality cell's interval must
-// overlap its committed one, every claim keep its verdict, and every
-// experiment heading of EXPERIMENTS.md carry its experiment's verdict.
+// overlap its committed one, and every claim and experiment keep its
+// verdict. TestLedgerBlocks holds EXPERIMENTS.md to the file.
 func TestLedger(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the ledger's timings and its run time assume no race detector")
@@ -286,6 +287,14 @@ func TestLedger(t *testing.T) {
 		if err := os.WriteFile(ledgerFile, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		l, doc := readLedgerDoc(t)
+		rendered, _, err := renderDoc(doc, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(docFile, []byte(rendered), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		return
 	}
 	if got.Scale != want.Scale || got.Queries != want.Queries || !slices.Equal(got.Seeds, want.Seeds) {
@@ -318,23 +327,154 @@ func TestLedger(t *testing.T) {
 	if !slices.Equal(got.Experiments, want.Experiments) {
 		t.Errorf("experiment verdicts %v, committed %v", got.Experiments, want.Experiments)
 	}
+}
+
+// The ledger blocks of EXPERIMENTS.md: one an experiment, rendered from
+// EXPERIMENTS.json alone and never edited by hand.
+const (
+	blockOpen  = "<!-- ledger "
+	blockClose = "<!-- /ledger -->"
+)
+
+// readLedgerDoc reads the committed ledger and EXPERIMENTS.md.
+func readLedgerDoc(t *testing.T) (ledger, string) {
+	t.Helper()
+	raw, err := os.ReadFile(ledgerFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l ledger
+	if err := json.Unmarshal(raw, &l); err != nil {
+		t.Fatal(err)
+	}
 	doc, err := os.ReadFile(docFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range got.Experiments {
-		var marks []string
-		for _, line := range strings.Split(string(doc), "\n") {
-			if key, rest, ok := strings.Cut(line, " — "); ok && key == "## "+e.Heading {
-				if i := strings.LastIndex(rest, " ("); i >= 0 {
-					mark, _, _ := strings.Cut(rest[i+2:], ",")
-					marks = append(marks, strings.TrimSuffix(mark, ")"))
-				}
-			}
+	return l, string(doc)
+}
+
+// renderDoc returns doc with every ledger block rendered from l, and the
+// experiments whose block that changed. It fails on a block of no
+// experiment, a second block of one, an unclosed block, and an
+// experiment without a block.
+func renderDoc(doc string, l ledger) (string, []string, error) {
+	byID := map[string]ledgerExp{}
+	for _, e := range l.Experiments {
+		byID[e.ID] = e
+	}
+	seen := map[string]bool{}
+	var out strings.Builder
+	var changed []string
+	lines := strings.SplitAfter(doc, "\n")
+	for i := 0; i < len(lines); i++ {
+		out.WriteString(lines[i])
+		id, ok := strings.CutPrefix(strings.TrimSuffix(lines[i], "\n"), blockOpen)
+		if !ok {
+			continue
 		}
-		if len(marks) != 1 || marks[0] != e.Verdict {
-			t.Errorf("EXPERIMENTS.md: headings \"## %s — … (mark)\" carry %v; the ledger's verdict is %s",
-				e.Heading, marks, e.Verdict)
+		id = strings.TrimSuffix(id, " -->")
+		e, known := byID[id]
+		switch {
+		case !known:
+			return "", nil, fmt.Errorf("EXPERIMENTS.md:%d: a ledger block of no experiment, %q", i+1, id)
+		case seen[id]:
+			return "", nil, fmt.Errorf("EXPERIMENTS.md:%d: a second ledger block of %s", i+1, id)
+		}
+		seen[id] = true
+		var body strings.Builder
+		for i++; i < len(lines) && strings.TrimSuffix(lines[i], "\n") != blockClose; i++ {
+			body.WriteString(lines[i])
+		}
+		if i == len(lines) {
+			return "", nil, fmt.Errorf("EXPERIMENTS.md: the ledger block of %s has no %q", id, blockClose)
+		}
+		want := renderBlock(l, e)
+		if body.String() != want {
+			changed = append(changed, id)
+		}
+		out.WriteString(want)
+		out.WriteString(lines[i])
+	}
+	for _, e := range l.Experiments {
+		if !seen[e.ID] {
+			return "", nil, fmt.Errorf("EXPERIMENTS.md has no ledger block %q%s -->", blockOpen, e.ID)
 		}
 	}
+	return out.String(), changed, nil
+}
+
+// renderBlock is e's block: its heading with the verdict, a table of
+// every stored cell of e as "mean [lo, hi]", and a bullet a claim.
+func renderBlock(l ledger, e ledgerExp) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "## %s (%s)\n\n", e.Heading, e.Verdict)
+	var rows, cols []string
+	cells := map[[2]string]ledgerCell{}
+	for _, c := range l.Cells {
+		exp, rest, _ := strings.Cut(c.ID, "/")
+		if exp != e.ID {
+			continue
+		}
+		i := strings.LastIndex(rest, "/")
+		r, col := rest[:i], rest[i+1:]
+		if !slices.Contains(rows, r) {
+			rows = append(rows, r)
+		}
+		if !slices.Contains(cols, col) {
+			cols = append(cols, col)
+		}
+		cells[[2]string{r, col}] = c
+	}
+	if len(rows) > 0 {
+		b.WriteString("| |")
+		for _, col := range cols {
+			b.WriteString(" " + col + " |")
+		}
+		b.WriteString("\n|---|" + strings.Repeat("---|", len(cols)) + "\n")
+		for _, r := range rows {
+			b.WriteString("| " + r + " |")
+			for _, col := range cols {
+				if c, ok := cells[[2]string{r, col}]; ok {
+					fmt.Fprintf(&b, " %s [%s, %s] |", num(c.Mean), num(c.Lo), num(c.Hi))
+				} else {
+					b.WriteString(" — |")
+				}
+			}
+			b.WriteString("\n")
+		}
+		b.WriteString("\n")
+	}
+	for _, c := range l.Claims {
+		if c.Exp == e.ID {
+			fmt.Fprintf(&b, "- %s %s\n", c.Verdict, c.Text)
+		}
+	}
+	return b.String()
+}
+
+// num is the one number format of the blocks: the stored value, in the
+// fewest digits that read back to it.
+func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
+// TestLedgerBlocks holds every ledger block of EXPERIMENTS.md, byte for
+// byte, to its rendering from EXPERIMENTS.json. A block that differs is
+// rewritten by go test ./internal/experiments -run TestLedger -update.
+func TestLedgerBlocks(t *testing.T) {
+	l, doc := readLedgerDoc(t)
+	rendered, changed, err := renderDoc(doc, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(changed) == 0 {
+		return
+	}
+	have, want := strings.Split(doc, "\n"), strings.Split(rendered, "\n")
+	for i := range min(len(have), len(want)) {
+		if have[i] != want[i] {
+			t.Errorf("EXPERIMENTS.md:%d reads\n\t%s\nwhere EXPERIMENTS.json renders\n\t%s", i+1, have[i], want[i])
+			break
+		}
+	}
+	t.Errorf("the ledger blocks of %v differ from their rendering; re-render with -run TestLedger -update", changed)
 }

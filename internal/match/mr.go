@@ -20,7 +20,7 @@ import (
 // path. The build.* spans are the primary measurement of the per-phase
 // build timings — BuildStats is derived from the same StartAlways/Stop
 // pair, so the phase accounting works with any obs sink state — and map
-// onto the paper's Fig 11 phases (see EXPERIMENTS.md, "obs span names"):
+// onto the paper's Fig 11 phases (see EXPERIMENTS.md, "Fig 11"):
 // build.segment is Fig 11(a), build.vectorize + build.cluster +
 // build.refine make up Fig 11(b), and match.query is the per-query
 // latency behind Fig 11(c). Recording is free when obs is disabled.

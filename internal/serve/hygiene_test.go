@@ -85,6 +85,10 @@ func TestSingleflightCollapseServe(t *testing.T) {
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
+	// A failure below must not leave the leader parked: ts.Close waits
+	// for every request in flight.
+	releaseLeader := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseLeader)
 	var first atomic.Bool
 	var computes atomic.Int64
 	srv.testHookCompute = func() {
@@ -127,15 +131,24 @@ func TestSingleflightCollapseServe(t *testing.T) {
 	if resp, body := postJSON(t, ts.URL+"/add", `{"text": "usb dock firmware flash bricked after update"}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("add during flight: status %d body %s", resp.StatusCode, body)
 	}
-	freshResp, freshBody := postJSON(t, ts.URL+"/related", query)
-	if freshResp.StatusCode != http.StatusOK {
-		t.Fatalf("post-add query: status %d body %s", freshResp.StatusCode, freshBody)
+	// The post-add query has a deadline of its own. An add that leaves
+	// the epoch where it was sends it into the parked flight, where it
+	// would wait for go test's timeout instead of failing here.
+	client := &http.Client{Timeout: 5 * time.Second}
+	freshResp, err := client.Post(ts.URL+"/related", "application/json", strings.NewReader(query))
+	if err != nil {
+		t.Fatalf("post-add query: no answer within %v, so it joined the old epoch's parked flight (did the add move the epoch?): %v", client.Timeout, err)
+	}
+	freshBody, err := io.ReadAll(freshResp.Body)
+	freshResp.Body.Close()
+	if err != nil || freshResp.StatusCode != http.StatusOK {
+		t.Fatalf("post-add query: status %d body %s err %v", freshResp.StatusCode, freshBody, err)
 	}
 	if fs := srv.flight.Stats(); fs.Leaders != 2 || fs.Followers != m-1 {
 		t.Fatalf("post-add flight stats = %+v, want 2 leaders, %d followers", fs, m-1)
 	}
 
-	close(release)
+	releaseLeader()
 	wg.Wait()
 	for i := 0; i < m; i++ {
 		if errs[i] != nil || statuses[i] != http.StatusOK {

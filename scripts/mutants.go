@@ -62,7 +62,7 @@ type mutant struct {
 	name, aim    string
 	file, anchor string
 	repl         string
-	// killers are the tests, "pkg.TestName" with pkg the last element of
+	// killers are the tests, "<pkg>.<test>" with pkg the last element of
 	// the package path, that must catch the fault. For an equivalent row
 	// they are the score tests that must not.
 	killers    []string
