@@ -98,8 +98,9 @@ func (acc *accumulator) release() {
 // nothing, because drainDense walks every cell of the index anyway. It
 // is kept out of line: inlined into its caller's loop over the lists, the
 // compiler keeps this loop's counter on the stack and every posting pays
-// a store-to-load round trip (EXPERIMENTS.md, PR 25: 183 → 160 µs a
-// request).
+// a store-to-load round trip (PR 25's step table in EXPERIMENTS.md at
+// `6a1bd4d`: inlined 159.3–172.8 µs a request, out of line
+// 145.4–151.6 µs).
 //
 //go:noinline
 func (acc *accumulator) addOnes(inv []float64, ones []int32, qf, idf float64) {
@@ -111,8 +112,9 @@ func (acc *accumulator) addOnes(inv []float64, ones []int32, qf, idf float64) {
 
 // accumulateOnes is addOnes for a sparse probe, one drained by the
 // touched bitset: it marks every cell it writes. Out of line for
-// addOnes' reason (EXPERIMENTS.md, PR 26: 96 → 85 µs a probe of 25 000
-// postings into 32 000 units).
+// addOnes' reason (PR 26's section in EXPERIMENTS.md at `6a1bd4d`:
+// inlined 95.6 µs a probe of 25 000 postings into 32 000 units,
+// `//go:noinline` 85.1 µs).
 //
 //go:noinline
 func (acc *accumulator) accumulateOnes(inv []float64, ones []int32, qf, idf float64) {
@@ -205,11 +207,12 @@ func (acc *accumulator) exhaust(cols *unitNorms, units int, postings int64, topN
 // postings postings into an index of units units skips the touched
 // bitset: once it writes as many times as the index has cells, marking
 // each write and finding the marks again costs more than reading every
-// cell once (EXPERIMENTS.md, PR 25, has the sweep: the two cross between
-// half a posting a unit and one). A sparser probe — rare terms only, or a
-// large index — marks and drains by the bitset, so a probe's cost follows
-// what it touched either way: drainDense never reads more cells than the
-// probe accumulated postings. The choice reads nothing but the probe.
+// cell once (PR 25's dense/bitset sweep in EXPERIMENTS.md at `6a1bd4d`:
+// the two cross between half a posting a unit and one). A sparser probe
+// — rare terms only, or a large index — marks and drains by the bitset,
+// so a probe's cost follows what it touched either way: drainDense
+// never reads more cells than the probe accumulated postings. The
+// choice reads nothing but the probe.
 func denseProbe(postings int64, units int) bool { return postings >= int64(units) }
 
 // drainTop empties the accumulator of a sparse exhaustive probe

@@ -246,14 +246,14 @@ func mustAppendRelated(t *testing.T, key cache.Key, results []match.Result) {
 }
 
 // TestAppendEncodersMatchEncodeBody holds the append encoders to
-// encodeBody byte for byte: every plain 200 body the contract corpus can
+// encodeBody byte for byte: every plain 200 body the model's corpus can
 // produce (the contract table's among them), the edge scores, random
 // bit patterns, the empty answer, and every /add reply shape; and what
 // they decline — explanations, missing shards, a score JSON cannot
 // carry — still comes out of encodeBody, error included.
 func TestAppendEncodersMatchEncodeBody(t *testing.T) {
-	p := freshHygienePipeline(t, contractPosts, 0)
-	for doc := 0; doc < contractPosts; doc++ {
+	p := openRow(t, rowNamed("unsharded")).eng
+	for doc := 0; doc < modelBase; doc++ {
 		for _, k := range []int{3, 5} {
 			ans, err := p.Query(context.Background(), doc, k, false)
 			if err != nil {
@@ -282,7 +282,7 @@ func TestAppendEncodersMatchEncodeBody(t *testing.T) {
 		mustAppendRelated(t, cache.Key{Doc: i, K: 5}, []match.Result{{DocID: rng.Int(), Score: s}, {DocID: -i, Score: -s}})
 	}
 
-	for _, id := range []int{0, 1, contractPosts, -1, math.MaxInt64, math.MinInt64} {
+	for _, id := range []int{0, 1, modelBase, -1, math.MaxInt64, math.MinInt64} {
 		want, _ := encodeBody(AddResponse{DocID: id})
 		if got := appendAdd(nil, id); !bytes.Equal(got, want) {
 			t.Fatalf("appendAdd(%d) = %q, encodeBody %q", id, got, want)

@@ -85,7 +85,7 @@ func (c *handlerCall) do() int {
 func benchHandler(b *testing.B, cacheEntries int) {
 	obs.Enable()
 	b.Cleanup(obs.Disable)
-	c := newHandlerCall(New(testPipeline(), benchConfig(cacheEntries)).Handler(), "/related", `{"doc_id": 3, "k": 10}`)
+	c := newHandlerCall(New(openRow(b, rowNamed("unsharded")).eng, benchConfig(cacheEntries)).Handler(), "/related", `{"doc_id": 3, "k": 10}`)
 	if status := c.do(); status != http.StatusOK { // with a cache, this is the miss that fills it
 		b.Fatalf("status %d", status)
 	}
@@ -103,7 +103,7 @@ func benchHandler(b *testing.B, cacheEntries int) {
 func BenchmarkHandlerHit(b *testing.B) { benchHandler(b, 4096) }
 
 // BenchmarkHandlerMiss is the same request with the cache off: the
-// envelope around one Algorithm 1 + 2 run on the 150-post test pipeline.
+// envelope around one Algorithm 1 + 2 run on the model's 100 posts.
 func BenchmarkHandlerMiss(b *testing.B) { benchHandler(b, 0) }
 
 // stubEngine answers at once and allocates nothing, so a handler call

@@ -14,8 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/forum"
 	"repro/internal/obs"
 )
 
@@ -25,23 +23,6 @@ import (
 // cached server answers byte for byte what the model says under any
 // interleaving of queries, adds, loads and shard failures is the model
 // test (TestEnginesMatchModel).
-
-// freshHygienePipeline builds a private pipeline for tests that mutate
-// their collection (the shared testPipeline serves many tests, so it
-// must never be added to).
-func freshHygienePipeline(t *testing.T, numPosts, shards int) *core.Pipeline {
-	t.Helper()
-	posts := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: numPosts, Seed: 42})
-	texts := make([]string, len(posts))
-	for i, p := range posts {
-		texts[i] = p.Text
-	}
-	p, err := core.Build(texts, core.Config{Seed: 42, Shards: shards})
-	if err != nil {
-		t.Fatalf("core.Build: %v", err)
-	}
-	return p
-}
 
 // waitFor polls cond with a deadline; hygiene state transitions (a
 // follower joining a flight, a waiter entering the queue) happen on
@@ -79,7 +60,7 @@ func rawPost(url, body string) (int, []byte, error) {
 func TestSingleflightCollapseServe(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	srv := New(freshHygienePipeline(t, 100, 0), Config{CacheEntries: 64})
+	srv := New(openRow(t, rowNamed("unsharded")).eng, Config{CacheEntries: 64})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -183,7 +164,7 @@ func TestAdmissionShedServe(t *testing.T) {
 	t.Cleanup(obs.Disable)
 	// No cache: with singleflight off, computes stay request-cancelable,
 	// which is what lets the queued waiter unwind.
-	srv := New(testPipeline(), Config{MaxInflight: 1, MaxQueued: 1})
+	srv := New(openRow(t, rowNamed("unsharded")).eng, Config{MaxInflight: 1, MaxQueued: 1})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

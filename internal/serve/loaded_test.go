@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/core"
@@ -12,35 +12,28 @@ import (
 // core.docs reading 0 after serve -load: only Build and Add set the
 // gauge, so a restored server reported an empty collection on /metrics
 // until its first /add. Both restore paths — the single snapshot file
-// and the shard directory — must publish the persisted size.
+// (the unsharded row's Save+Load) and the shard directory (the sharded
+// row's) — must publish the persisted size.
 func TestLoadedPipelineReportsCollectionSize(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	const posts = 60
-	var file bytes.Buffer
-	if _, err := freshHygienePipeline(t, posts, 0).WriteTo(&file); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := freshHygienePipeline(t, posts, 4).WriteShardDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	for name, load := range map[string]func() (*core.Pipeline, error){
-		"snapshot file":   func() (*core.Pipeline, error) { return core.ReadPipeline(&file) },
-		"shard directory": func() (*core.Pipeline, error) { return core.ReadShardDir(dir) },
-	} {
+	body, _ := json.Marshal(AddRequest{Text: theModel().addText(0)})
+	for _, name := range []string{"unsharded", "shards=4"} {
+		lr := openRow(t, rowNamed(name))
+		if status, got := serveOnce(lr.srv[0], "/add", string(body)); status != 200 {
+			t.Fatalf("%s: /add answered %d %s", name, status, got)
+		}
 		// Another build in the same process moves the gauge elsewhere, as
 		// the offline build that wrote the snapshot never ran in a serving
 		// process at all.
-		freshHygienePipeline(t, posts/2, 0)
-		loaded, err := load()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		openRow(t, rowNamed("unsharded"))
+		lr.saveLoad(t)
 		var snap obs.Snapshot
-		getJSON(t, newServerFor(t, loaded, Config{}).URL+"/metrics", &snap)
-		if got := snap.Gauges["core.docs"]; got != posts || loaded.Stats().NumDocs != posts {
-			t.Fatalf("%s: core.docs = %d after load, want %d (NumDocs %d)", name, got, posts, loaded.Stats().NumDocs)
+		if err := json.Unmarshal(request(lr.srv[0], "GET", "/metrics", "").Body.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		if got, n := snap.Gauges["core.docs"], lr.eng.(*core.Pipeline).Stats().NumDocs; got != modelBase+1 || n != modelBase+1 {
+			t.Fatalf("%s: core.docs = %d after load, want %d (NumDocs %d)", name, got, modelBase+1, n)
 		}
 	}
 }

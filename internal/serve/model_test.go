@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"net/http"
@@ -39,18 +40,23 @@ import (
 //
 // The model is a map-and-sort scorer sharing no code with the engines.
 // From them it takes only the segmentation — each document's refined
-// segments, read off a reference matcher fed the same adds — and the
-// routing, for partial answers; denominators, NU, df, pIDF, the lists,
-// cuts and sums it counts itself. Its answer is a function of the
-// collection prefix p and the dead shards.
+// segments, read off a reference matcher fed the same adds, and held to
+// Sec 6's rule: at most one segment a cluster, together holding exactly
+// the document's words — and the routing, for partial answers;
+// denominators, NU, df, pIDF, the lists, cuts and sums it counts
+// itself, and it cuts explanations for the wire on its own. Its answer
+// is a function of the collection prefix p and the dead shards. On
+// every explained step the engine's in-process answer, every term of
+// every explanation, is held to the model's too.
 //
 // A failing sequence is shrunk on the row it failed on and printed as a
 // Go literal: add it to modelRegressions to keep it.
 
 const (
-	modelBase = 100 // posts every engine is built over
-	modelSeed = 42  // build and routing seed of every engine
-	modelHot  = 8   // doc ids the generator favours, so that caches hit
+	modelBase      = 100 // posts every engine is built over
+	modelSeed      = 42  // build and routing seed of every engine
+	modelHot       = 8   // doc ids the generator favours, so that caches hit
+	modelWireTerms = 16  // terms a cluster of a /related explanation shows
 )
 
 // modelRegressions are sequences that once failed, each on its row; the
@@ -184,14 +190,14 @@ type modelQuery struct {
 // stream, the reference matcher's segmentation and the model's tables.
 type modelFixture struct {
 	baseTexts []string
-	baseDocs  []*segment.Doc
 	stream    []string // the add stream, cycled
 
-	mu     sync.Mutex
-	ref    *match.MR
-	segs   [][]*modelSeg
-	tables map[int][]*modelCluster // per collection prefix
-	bodies map[modelQuery][]byte
+	mu      sync.Mutex
+	ref     *match.MR
+	segs    [][]*modelSeg
+	tables  map[int][]*modelCluster // per collection prefix
+	answers map[modelQuery]match.Answer
+	bodies  map[modelQuery][]byte
 }
 
 // modelCorpus is the base every engine is built over and the add stream
@@ -223,12 +229,13 @@ var modelCorpus = sync.OnceValues(func() (base, stream []string) {
 
 // newModel is the model of the base corpus grown by stream, in id order.
 func newModel(stream []string) *modelFixture {
-	f := &modelFixture{stream: stream, tables: map[int][]*modelCluster{}, bodies: map[modelQuery][]byte{}}
+	f := &modelFixture{stream: stream, tables: map[int][]*modelCluster{}, answers: map[modelQuery]match.Answer{}, bodies: map[modelQuery][]byte{}}
 	f.baseTexts, _ = modelCorpus()
+	var docs []*segment.Doc
 	for _, text := range f.baseTexts {
-		f.baseDocs = append(f.baseDocs, segment.NewDoc(text))
+		docs = append(docs, segment.NewDoc(text))
 	}
-	f.ref = match.NewMR("IntentIntent-MR", f.baseDocs, match.MRConfig{Seed: modelSeed})
+	f.ref = match.NewMR("IntentIntent-MR", docs, match.MRConfig{Seed: modelSeed})
 	return f
 }
 
@@ -239,15 +246,24 @@ var theModel = sync.OnceValue(func() *modelFixture {
 
 func (f *modelFixture) addText(i int) string { return f.stream[i%len(f.stream)] }
 
+// text is document d's post.
+func (f *modelFixture) text(d int) string {
+	if d < modelBase {
+		return f.baseTexts[d]
+	}
+	return f.addText(d - modelBase)
+}
+
 // clusters counts the intention clusters of the first p documents,
 // feeding the reference matcher the add stream as far as that takes.
 // Callers hold f.mu.
-func (f *modelFixture) clusters(p int) []*modelCluster {
+func (f *modelFixture) clusters(t testing.TB, p int) []*modelCluster {
+	t.Helper()
 	if cs, ok := f.tables[p]; ok {
 		return cs
 	}
 	for f.ref.NumDocs() < p {
-		f.ref.Add(segment.NewDoc(f.addText(f.ref.NumDocs() - modelBase)))
+		f.ref.Add(segment.NewDoc(f.text(f.ref.NumDocs())))
 	}
 	names := f.ref.Dict().Terms()
 	for d := len(f.segs); d < p; d++ {
@@ -260,6 +276,9 @@ func (f *modelFixture) clusters(p int) []*modelCluster {
 			}
 			sort.Strings(s.terms)
 			segs = append(segs, s)
+		}
+		if msg := refined(segs, f.text(d)); msg != "" {
+			t.Fatalf("document %d: %s", d, msg)
 		}
 		f.segs = append(f.segs, segs)
 	}
@@ -283,6 +302,30 @@ func (f *modelFixture) clusters(p int) []*modelCluster {
 	return cs
 }
 
+// refined holds a document's segments to Sec 6's refinement rule: at
+// most one segment a cluster, its members concatenated, so that their
+// term frequencies sum to the words of the whole post.
+func refined(segs []*modelSeg, text string) string {
+	doc := segment.NewDoc(text)
+	post, held, clusters := map[string]float64{}, map[string]float64{}, map[int]bool{}
+	for _, w := range doc.Terms(0, doc.Len()) {
+		post[w]++
+	}
+	for _, s := range segs {
+		if clusters[s.cluster] {
+			return fmt.Sprintf("two segments in cluster %d", s.cluster)
+		}
+		clusters[s.cluster] = true
+		for _, t := range s.terms {
+			held[t] += s.tf[t]
+		}
+	}
+	if !maps.Equal(post, held) {
+		return fmt.Sprintf("its segments hold the words %v, the post %v", held, post)
+	}
+	return ""
+}
+
 type modelEntry struct {
 	doc   int
 	score float64
@@ -295,20 +338,19 @@ func byScore(es []modelEntry) {
 	})
 }
 
-// body is the encoded 200 of the model's answer to q: per segment of the
-// query document (Algorithm 1), every live unit of its cluster scored
-// with Eq 9, sorted in full, cut at n = 2k; the per-document sums in
-// segment order (Algorithm 2); the top k; with explain, every summand
-// down to its term products.
-func (f *modelFixture) body(q modelQuery) []byte {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if b, ok := f.bodies[q]; ok {
-		return b
+// answer is the model's answer to q: per segment of the query document
+// (Algorithm 1), every live unit of its cluster scored with Eq 9, sorted
+// in full, cut at n = 2k; the per-document sums in segment order
+// (Algorithm 2); the top k; with explain, every summand down to its
+// term products, the terms in name order. Callers hold f.mu.
+func (f *modelFixture) answer(t testing.TB, q modelQuery) match.Answer {
+	t.Helper()
+	if ans, ok := f.answers[q]; ok {
+		return ans
 	}
 	route := shard.NewDirectory(modelSeed, max(q.shards, 1)).Route
 	dead := func(doc int) bool { return q.dead&(1<<route(doc)) != 0 }
-	cs, k := f.clusters(q.p), q.key.K
+	cs, k := f.clusters(t, q.p), q.key.K
 	type list struct {
 		seg *modelSeg
 		es  []modelEntry
@@ -348,6 +390,9 @@ func (f *modelFixture) body(q modelQuery) []byte {
 	var ans match.Answer
 	for _, e := range top[:min(len(top), k)] {
 		ans.Results = append(ans.Results, match.Result{DocID: e.doc, Score: e.score})
+		if !q.key.Explain {
+			continue
+		}
 		exp := match.Explanation{DocID: e.doc, Score: e.score}
 		for _, l := range lists {
 			for _, le := range l.es {
@@ -372,12 +417,43 @@ func (f *modelFixture) body(q modelQuery) []byte {
 			ans.Partial, ans.Missing = true, append(ans.Missing, s)
 		}
 	}
-	b, err := encodeBody(relatedResponse(q.key, ans))
-	if err != nil {
-		panic(err)
+	f.answers[q] = ans
+	return ans
+}
+
+// body is the encoded 200 of the model's answer to q, its explanations
+// cut for the wire: per cluster the modelWireTerms largest
+// |contribution|, ties by term, and the rest counted as omitted.
+func (f *modelFixture) body(t testing.TB, q modelQuery) []byte {
+	t.Helper()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if b, ok := f.bodies[q]; ok {
+		return b
 	}
-	f.bodies[q] = b
-	return b
+	ans := f.answer(t, q)
+	resp := RelatedResponse{DocID: q.key.Doc, K: q.key.K, Results: []RelatedResult{}, PartialResults: ans.Partial, ShardsMissing: ans.Missing}
+	for i, r := range ans.Results {
+		res := RelatedResult{DocID: r.DocID, Score: r.Score}
+		if q.key.Explain {
+			for _, c := range ans.Explanations[i].Clusters {
+				terms := append([]match.TermContribution(nil), c.Terms...)
+				sort.Slice(terms, func(a, b int) bool {
+					ca, cb := math.Abs(terms[a].Contribution), math.Abs(terms[b].Contribution)
+					return ca > cb || ca == cb && terms[a].Term < terms[b].Term
+				})
+				res.Explain = append(res.Explain, ClusterExplain{Cluster: c.Cluster, Score: c.Score,
+					Terms: terms[:min(len(terms), modelWireTerms)], OmittedTerms: max(len(terms)-modelWireTerms, 0)})
+			}
+		}
+		resp.Results = append(resp.Results, res)
+	}
+	b, err := json.MarshalIndent(resp, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.bodies[q] = append(b, '\n')
+	return f.bodies[q]
 }
 
 // modelRow is one engine configuration under test: a pipeline (fleet "")
@@ -389,10 +465,21 @@ type modelRow struct {
 	shards int
 }
 
+// modelRows are every engine a Server fronts. Every test of this
+// package that serves an engine opens one of them (openRow).
 var modelRows = []modelRow{
 	{"unsharded", "", 0}, {"shards=2", "", 2}, {"shards=4", "", 4}, {"shards=8", "", 8},
 	{"local/shards=1", "local", 1}, {"local/shards=2", "local", 2}, {"local/shards=4", "local", 4},
 	{"http/shards=4", "http", 4},
+}
+
+func rowNamed(name string) modelRow {
+	for _, row := range modelRows {
+		if row.name == name {
+			return row
+		}
+	}
+	panic("no model row " + name)
 }
 
 // errShardKilled is what a killed shard answers: a transient failure,
@@ -428,12 +515,19 @@ func (k *killSwitch) Call(ctx context.Context, ep, path string, req, reply any, 
 type liveRow struct {
 	modelRow
 	eng    Engine
-	srv    [2]*Server // Config{} and Config{CacheEntries: 64}
+	srv    [2]*Server // rowServers
 	p      int        // the collection prefix the engine serves
 	dir    string     // where Save+Load writes
 	writer *core.Pipeline
 	kill   *killSwitch
 	closes []func()
+
+	// What a test may change in a coordinator row before it is served:
+	// each shard server's handler (HTTP rows), and the coordinator's
+	// options.
+	shardHandler func(http.Handler) http.Handler
+	options      func(*fleet.Options)
+	shardURLs    []string // an HTTP row's shard servers, one a host
 
 	// The cache model. stored is what the cached server may replay: the
 	// complete answers it computed since the engine's epoch last moved —
@@ -443,10 +537,15 @@ type liveRow struct {
 	failing [4]bool
 }
 
+// rowServers are the two servers in front of every row: the defaults,
+// and the hygiene stages on — a cache, and admission with one slot and
+// no queue, which a sequential request never finds taken.
+var rowServers = [2]Config{{}, {CacheEntries: 64, MaxInflight: 1}}
+
 var serverNames = [2]string{"default", "cached"}
 
 func (lr *liveRow) setEngine(eng Engine) {
-	lr.eng, lr.srv = eng, [2]*Server{New(eng, Config{}), New(eng, Config{CacheEntries: 64})}
+	lr.eng, lr.srv = eng, [2]*Server{New(eng, rowServers[0]), New(eng, rowServers[1])}
 	lr.stored, lr.failing = map[cache.Key]bool{}, [4]bool{}
 }
 
@@ -471,24 +570,27 @@ func (lr *liveRow) computed(doc int) {
 	}
 }
 
-func openRow(t *testing.T, f *modelFixture, row modelRow) *liveRow {
+// openRow builds a fresh engine of row over modelCorpus's base, after
+// setup has set what the test changes, and puts it behind rowServers.
+// It is the one place this package's tests build an engine.
+func openRow(t testing.TB, row modelRow, setup ...func(*liveRow)) *liveRow {
 	t.Helper()
+	base, _ := modelCorpus()
+	p, err := core.Build(base, core.Config{Seed: modelSeed, Shards: row.shards})
+	if err != nil {
+		t.Fatal(err)
+	}
 	lr := &liveRow{modelRow: row, p: modelBase, dir: t.TempDir()}
+	for _, s := range setup {
+		s(lr)
+	}
 	if row.fleet == "" {
-		p, err := core.Build(f.baseTexts, core.Config{Seed: modelSeed, Shards: row.shards})
-		if err != nil {
-			t.Fatal(err)
-		}
 		lr.setEngine(p)
 		return lr
 	}
 	// One shard is an unsharded build: its snapshot loads as the one
 	// shard of a one-shard collection.
-	w, err := core.Build(f.baseTexts, core.Config{Seed: modelSeed, Shards: row.shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lr.writer, lr.kill = w, &killSwitch{}
+	lr.writer, lr.kill = p, &killSwitch{}
 	lr.saveLoad(t)
 	return lr
 }
@@ -504,7 +606,7 @@ func (lr *liveRow) close() {
 // streamed or saved in a directory, or — for a coordinator — the
 // writer's snapshot split over two hosts, which brings it up to every
 // add.
-func (lr *liveRow) saveLoad(t *testing.T) {
+func (lr *liveRow) saveLoad(t testing.TB) {
 	t.Helper()
 	var p *core.Pipeline
 	var err error
@@ -528,18 +630,21 @@ func (lr *liveRow) saveLoad(t *testing.T) {
 	lr.setEngine(p)
 }
 
+// snapshot is where a coordinator row's writer saves.
+func (lr *liveRow) snapshot() string { return filepath.Join(lr.dir, "snap") }
+
 // serveFleet saves the writer's snapshot and puts a new coordinator over
 // two hosts loaded from it, owning the lower and the upper half of the
 // shards.
-func (lr *liveRow) serveFleet(t *testing.T) {
+func (lr *liveRow) serveFleet(t testing.TB) {
 	t.Helper()
 	lr.close()
-	path := filepath.Join(lr.dir, "snap")
-	if err := lr.writer.Save(path); err != nil {
+	if err := lr.writer.Save(lr.snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var topo fleet.Topology
 	lt := fleettest.NewLocalTransport()
+	lr.shardURLs = nil
 	for half := range 2 {
 		var own []int
 		for s := range lr.shards {
@@ -550,15 +655,20 @@ func (lr *liveRow) serveFleet(t *testing.T) {
 		if len(own) == 0 {
 			continue
 		}
-		h, err := fleet.LoadHost(path, own)
+		h, err := fleet.LoadHost(lr.snapshot(), own)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ep := fmt.Sprintf("host%d", half)
 		if lr.fleet == "http" {
-			ts := httptest.NewServer(NewShardServer(h, Config{}).Handler())
+			var handler http.Handler = NewShardServer(h, Config{}).Handler()
+			if lr.shardHandler != nil {
+				handler = lr.shardHandler(handler)
+			}
+			ts := httptest.NewServer(handler)
 			lr.closes = append(lr.closes, ts.Close)
 			ep = ts.URL
+			lr.shardURLs = append(lr.shardURLs, ep)
 		}
 		lt.AddHost(ep, h)
 		lt.AddHost(ep+"-replica", h)
@@ -584,6 +694,9 @@ func (lr *liveRow) serveFleet(t *testing.T) {
 	if lr.fleet == "local" {
 		opts.Clock = fleettest.NewVirtualClock(time.Unix(0, 0))
 	}
+	if lr.options != nil {
+		lr.options(&opts)
+	}
 	c, err := fleet.New(context.Background(), topo, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -597,41 +710,92 @@ func errorBody(kind, msg string) []byte {
 	return b
 }
 
-// answer is a pipeline's reply to key at collection prefix p.
-func (f *modelFixture) answer(p int, key cache.Key) (int, []byte) {
-	if key.Doc < 0 || key.Doc >= p {
-		return http.StatusNotFound, errorBody("unknown_doc", core.ErrUnknownDoc.Error())
+// query is what the model says the row answers key with: the query the
+// model answers for a 200, or the status and body of the error. A cache
+// hit replays a complete answer of the same collection: every shard up.
+func (lr *liveRow) query(key cache.Key, hit bool) (modelQuery, int, []byte) {
+	q := modelQuery{p: lr.p, key: key}
+	if key.Doc < 0 || key.Doc >= lr.p {
+		msg := core.ErrUnknownDoc.Error()
+		if lr.writer != nil {
+			msg = fleet.ErrUnknownDoc.Msg
+		}
+		return q, http.StatusNotFound, errorBody("unknown_doc", msg)
 	}
-	return http.StatusOK, f.body(modelQuery{p: p, key: key})
+	if lr.writer == nil || hit {
+		return q, http.StatusOK, nil
+	}
+	q.shards = lr.shards
+	for s := range lr.shards {
+		if lr.kill.dead[s] {
+			q.dead |= 1 << s
+		}
+	}
+	if home := shard.NewDirectory(modelSeed, lr.shards).Route(key.Doc); lr.kill.dead[home] {
+		return q, http.StatusServiceUnavailable, errorBody("fleet_unavailable", fmt.Sprintf("home shard %d unavailable: %v", home, errShardKilled))
+	}
+	return q, http.StatusOK, nil
 }
 
-// want is what the model says the row answers key with. A cache hit
-// replays a complete answer of the same collection: every shard up.
-func (lr *liveRow) want(f *modelFixture, key cache.Key, hit bool) (int, []byte) {
-	switch {
-	case lr.writer == nil:
-		return f.answer(lr.p, key)
-	case key.Doc < 0 || key.Doc >= lr.p:
-		return http.StatusNotFound, errorBody("unknown_doc", fleet.ErrUnknownDoc.Msg)
+// want is the model's reply to key on the row's server.
+func (lr *liveRow) want(t testing.TB, f *modelFixture, key cache.Key, hit bool) (int, []byte) {
+	t.Helper()
+	q, status, body := lr.query(key, hit)
+	if status == http.StatusOK {
+		body = f.body(t, q)
 	}
-	q := modelQuery{p: lr.p, key: key}
-	if !hit {
-		q.shards = lr.shards
-		for s := range lr.shards {
-			if lr.kill.dead[s] {
-				q.dead |= 1 << s
+	return status, body
+}
+
+// reply is a pipeline's reply to key at collection prefix p.
+func (f *modelFixture) reply(t testing.TB, p int, key cache.Key) (int, []byte) {
+	return (&liveRow{p: p}).want(t, f, key, false)
+}
+
+// unabridged holds the engine's in-process explained answer to key to
+// the model's, every term of every cluster compared (in name order), and
+// counts the clusters that carry more terms than the wire shows.
+func (lr *liveRow) unabridged(t testing.TB, f *modelFixture, key cache.Key, tally *modelTally) string {
+	t.Helper()
+	got, err := lr.eng.Query(context.Background(), key.Doc, key.K, true)
+	lr.computed(key.Doc) // a direct query moves a coordinator's view as a served one does
+	q, status, _ := lr.query(key, false)
+	switch {
+	case status != http.StatusOK && err == nil:
+		return fmt.Sprintf("Query(%d, %d, true) answered %+v, the model says %d", key.Doc, key.K, got, status)
+	case status != http.StatusOK:
+		return ""
+	case err != nil:
+		return fmt.Sprintf("Query(%d, %d, true): %v", key.Doc, key.K, err)
+	}
+	for _, exp := range got.Explanations {
+		for _, c := range exp.Clusters {
+			sort.Slice(c.Terms, func(a, b int) bool { return c.Terms[a].Term < c.Terms[b].Term })
+			if len(c.Terms) > modelWireTerms {
+				tally.wide++
 			}
 		}
-		if home := shard.NewDirectory(modelSeed, lr.shards).Route(key.Doc); lr.kill.dead[home] {
-			return http.StatusServiceUnavailable, errorBody("fleet_unavailable", fmt.Sprintf("home shard %d unavailable: %v", home, errShardKilled))
-		}
 	}
-	return http.StatusOK, f.body(q)
+	f.mu.Lock()
+	want := f.answer(t, q)
+	f.mu.Unlock()
+	// %v prints every float exactly and a nil slice as an empty one.
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		return fmt.Sprintf("Query(%d, %d, true) answered\n%+v\nthe model says\n%+v", key.Doc, key.K, got, want)
+	}
+	tally.unabridged++
+	return ""
+}
+
+// request serves one request on s.
+func request(s *Server, method, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return rec
 }
 
 func serveOnce(s *Server, path, body string) (int, []byte) {
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	rec := request(s, http.MethodPost, path, body)
 	return rec.Code, rec.Body.Bytes()
 }
 
@@ -641,6 +805,8 @@ type modelTally struct {
 	answers        map[string]int // /related answers compared, per row
 	statuses       map[int]int
 	hits, partials int
+	unabridged     int // in-process explained answers compared
+	wide           int // their clusters with more terms than the wire shows
 }
 
 type modelFailure struct {
@@ -658,7 +824,7 @@ func runModel(t *testing.T, f *modelFixture, rows []modelRow, ops []modelOp, tal
 	}
 	live := make([]*liveRow, len(rows))
 	for i, row := range rows {
-		live[i] = openRow(t, f, row)
+		live[i] = openRow(t, row)
 		defer live[i].close()
 	}
 	adds := 0
@@ -704,7 +870,7 @@ func runModel(t *testing.T, f *modelFixture, rows []modelRow, ops []modelOp, tal
 					if hit && (partial || !lr.stored[key]) {
 						return &modelFailure{lr.modelRow, i, fmt.Sprintf("%v on the %s server: a cache hit of a partial answer or from before the epoch moved", op, serverNames[si])}
 					}
-					if wantStatus, want := lr.want(f, key, hit); status != wantStatus || !bytes.Equal(got, want) {
+					if wantStatus, want := lr.want(t, f, key, hit); status != wantStatus || !bytes.Equal(got, want) {
 						return &modelFailure{lr.modelRow, i, fmt.Sprintf("%v on the %s server (cache hit %t) answered %d\n%s\nthe model says %d\n%s", op, serverNames[si], hit, status, got, wantStatus, want)}
 					}
 					if !hit {
@@ -720,6 +886,11 @@ func runModel(t *testing.T, f *modelFixture, rows []modelRow, ops []modelOp, tal
 					}
 					if partial {
 						tally.partials++
+					}
+				}
+				if key.Explain {
+					if msg := lr.unabridged(t, f, key, tally); msg != "" {
+						return &modelFailure{lr.modelRow, i, fmt.Sprintf("%v in process: %s", op, msg)}
 					}
 				}
 			}
@@ -782,7 +953,8 @@ func TestEnginesMatchModel(t *testing.T) {
 			t.Fatalf("seed %d, %s, step %d: %s\nshrunk: %s", seed+1, fail.row.name, fail.op, fail.msg, literal(fail.row.name, shrinkModel(t, f, fail, ops)))
 		}
 	}
-	t.Logf("steps %v, statuses %v, %d cache hits, %d partial answers", tally.ops, tally.statuses, tally.hits, tally.partials)
+	t.Logf("steps %v, statuses %v, %d cache hits, %d partial answers; %d explained answers compared in process, %d of their clusters with more than %d terms",
+		tally.ops, tally.statuses, tally.hits, tally.partials, tally.unabridged, tally.wide, modelWireTerms)
 	if testing.Short() {
 		return
 	}
@@ -803,6 +975,9 @@ func TestEnginesMatchModel(t *testing.T) {
 	}
 	if tally.hits < 20 || tally.partials < 20 {
 		t.Errorf("%d cache hits and %d partial answers, want at least 20 of each", tally.hits, tally.partials)
+	}
+	if tally.wide == 0 {
+		t.Errorf("no explained cluster compared in process had more than %d terms", modelWireTerms)
 	}
 }
 
@@ -868,11 +1043,8 @@ func (e pausingEngine) Query(ctx context.Context, doc, k int, explain bool) (mat
 // recordHistory runs one history against a fresh engine of row behind a
 // server configured by cfg.
 func recordHistory(t *testing.T, row modelRow, cfg Config) (*history, *Server) {
-	base, stream := modelCorpus()
-	p, err := core.Build(base, core.Config{Seed: modelSeed, Shards: row.shards})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, stream := modelCorpus()
+	p := openRow(t, row).eng.(*core.Pipeline)
 	var held atomic.Int32
 	srv, h := New(pausingEngine{p, &held}, cfg), &history{texts: map[int]string{}}
 	before := obs.Default.Snapshot()
@@ -1082,7 +1254,7 @@ func checkHistory(t *testing.T, h *history, shards int) (tally histTally) {
 		prev := modelBase
 		for i, call := range calls {
 			if shards > 0 && call.lo < call.hi {
-				if msg := checkShape(f, call); msg != "" {
+				if msg := checkShape(t, f, call); msg != "" {
 					t.Fatalf("reader %d, call %d, %+v in [%d, %d]: %s", c, i, call.key, call.lo, call.hi, msg)
 				}
 				tally.structural++
@@ -1090,13 +1262,13 @@ func checkHistory(t *testing.T, h *history, shards int) (tally histTally) {
 			}
 			p := max(prev, call.lo)
 			for ; p <= call.hi; p++ {
-				if status, want := f.answer(p, call.key); status == call.status && bytes.Equal(want, call.body) {
+				if status, want := f.reply(t, p, call.key); status == call.status && bytes.Equal(want, call.body) {
 					break
 				}
 			}
 			if p > call.hi {
 				near := min(max(prev, call.lo), call.hi)
-				status, want := f.answer(near, call.key)
+				status, want := f.reply(t, near, call.key)
 				t.Fatalf("reader %d, call %d, %+v in [%d, %d], previous p %d, answered %d\n%s\nthe model at p = %d says %d\n%s",
 					c, i, call.key, call.lo, call.hi, prev, call.status, call.body, near, status, want)
 			}
@@ -1123,7 +1295,7 @@ func checkHistory(t *testing.T, h *history, shards int) (tally histTally) {
 		for _, doc := range []int{0, 1, 2, n - 1, n} {
 			key := cache.Key{Doc: doc, K: 5}
 			status, got := serveOnce(srv, "/related", fmt.Sprintf(`{"doc_id": %d}`, doc))
-			if wantStatus, want := f.answer(n, key); status != wantStatus || !bytes.Equal(got, want) {
+			if wantStatus, want := f.reply(t, n, key); status != wantStatus || !bytes.Equal(got, want) {
 				t.Fatalf("a snapshot of %d documents answers doc %d with %d\n%s\nthe model says %d\n%s", n, doc, status, got, wantStatus, want)
 			}
 		}
@@ -1134,10 +1306,10 @@ func checkHistory(t *testing.T, h *history, shards int) (tally histTally) {
 
 // checkShape holds an answer that may mix prefixes to what every prefix
 // of its window has in common.
-func checkShape(f *modelFixture, call histCall) string {
+func checkShape(t *testing.T, f *modelFixture, call histCall) string {
 	key := call.key
 	if key.Doc < 0 || key.Doc >= call.hi || key.Doc >= call.lo && call.status != http.StatusOK {
-		if status, want := f.answer(call.lo, key); call.status != status || !bytes.Equal(call.body, want) {
+		if status, want := f.reply(t, call.lo, key); call.status != status || !bytes.Equal(call.body, want) {
 			return fmt.Sprintf("answered %d %s", call.status, call.body)
 		}
 		return ""
@@ -1164,7 +1336,7 @@ func TestHistoriesMatchModel(t *testing.T) {
 		{CacheEntries: 64, MaxInflight: 2, MaxQueued: histReaders},
 	}
 	saves := 0
-	for _, row := range []modelRow{{"unsharded", "", 0}, {"shards=4", "", 4}} {
+	for _, row := range []modelRow{rowNamed("unsharded"), rowNamed("shards=4")} {
 		for si, cfg := range servers {
 			t.Run(row.name+"/"+serverNames[si], func(t *testing.T) {
 				h, srv := recordHistory(t, row, cfg)

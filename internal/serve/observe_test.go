@@ -6,97 +6,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/forum"
 	"repro/internal/obs"
 )
-
-// --- explain mode ---
-
-func TestRelatedExplain(t *testing.T) {
-	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/related", `{"doc_id": 3, "k": 5, "explain": true}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body = %s", resp.StatusCode, body)
-	}
-	var rr RelatedResponse
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if len(rr.Results) == 0 {
-		t.Fatal("no results")
-	}
-
-	// The explained ranking must match the unexplained one exactly.
-	resp, body = postJSON(t, ts.URL+"/related", `{"doc_id": 3, "k": 5}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plain query status = %d", resp.StatusCode)
-	}
-	var plain RelatedResponse
-	if err := json.Unmarshal(body, &plain); err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Results) != len(rr.Results) {
-		t.Fatalf("explained %d results, plain %d", len(rr.Results), len(plain.Results))
-	}
-
-	for i, res := range rr.Results {
-		if res.DocID != plain.Results[i].DocID || res.Score != plain.Results[i].Score {
-			t.Fatalf("result %d: explained (%d, %v) != plain (%d, %v)",
-				i, res.DocID, res.Score, plain.Results[i].DocID, plain.Results[i].Score)
-		}
-		if len(res.Explain) == 0 {
-			t.Fatalf("result %d has no explain payload", i)
-		}
-		var clusterSum float64
-		for _, c := range res.Explain {
-			clusterSum += c.Score
-			if len(c.Terms) > maxExplainTerms {
-				t.Fatalf("cluster %d serves %d terms, cap is %d", c.Cluster, len(c.Terms), maxExplainTerms)
-			}
-			// Terms arrive largest-|contribution| first.
-			for j := 1; j < len(c.Terms); j++ {
-				if math.Abs(c.Terms[j].Contribution) > math.Abs(c.Terms[j-1].Contribution) {
-					t.Fatalf("cluster %d terms not sorted by |contribution|", c.Cluster)
-				}
-			}
-			// With no elision the served term products still sum to the
-			// cluster score; with elision they can only fall short.
-			var termSum float64
-			for _, tc := range c.Terms {
-				termSum += tc.Contribution
-			}
-			if c.OmittedTerms == 0 {
-				if d := math.Abs(termSum - c.Score); d > 1e-9 {
-					t.Fatalf("cluster %d: term sum %v vs score %v (Δ %g)", c.Cluster, termSum, c.Score, d)
-				}
-			} else if termSum > c.Score+1e-9 {
-				t.Fatalf("cluster %d: truncated term sum %v exceeds score %v", c.Cluster, termSum, c.Score)
-			}
-		}
-		if d := math.Abs(clusterSum - res.Score); d > 1e-9 {
-			t.Fatalf("result %d: cluster sum %v vs served score %v (Δ %g)", i, clusterSum, res.Score, d)
-		}
-	}
-
-	// Plain responses must not carry the field at all.
-	if bytes.Contains(body, []byte(`"explain"`)) {
-		t.Fatal("unexplained response contains an explain field")
-	}
-}
 
 // --- /debug/traces ---
 
 func TestTracesCaptureEveryRequest(t *testing.T) {
 	// SlowQuery 0: deterministic capture — every query and add lands in
 	// the ring, newest first.
-	ts := newTestServerCfg(t, Config{SlowQuery: 0})
+	ts := rowServer(t, "unsharded", Config{SlowQuery: 0})
 	const n = 5
 	for i := 0; i < n; i++ {
 		resp, _ := postJSON(t, ts.URL+"/related", fmt.Sprintf(`{"doc_id": %d, "k": 4}`, i))
@@ -142,8 +64,8 @@ func TestTracesCaptureEveryRequest(t *testing.T) {
 	}
 
 	// An /add request is traced too, with the prepare/commit split.
-	text := forum.Generate(forum.Config{Domain: forum.TechSupport, NumPosts: 1, Seed: 8})[0].Text
-	if resp, _ := postJSON(t, ts.URL+"/add", fmt.Sprintf(`{"text": %q}`, text)); resp.StatusCode != http.StatusOK {
+	_, stream := modelCorpus()
+	if resp, _ := postJSON(t, ts.URL+"/add", fmt.Sprintf(`{"text": %q}`, stream[0])); resp.StatusCode != http.StatusOK {
 		t.Fatal("add failed")
 	}
 	getJSON(t, ts.URL+"/debug/traces", &tres)
@@ -168,20 +90,20 @@ func TestTracesCaptureEveryRequest(t *testing.T) {
 func TestExplainedRequestIsTraced(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	for shards, stages := range map[int][]string{
-		0: {"index.query", "match.list", "match.merge", "match.topk"},
-		4: {"index.query", "shard.list", "shard.merge", "shard.topk"},
+	for row, stages := range map[string][]string{
+		"unsharded": {"index.query", "match.list", "match.merge", "match.topk"},
+		"shards=4":  {"index.query", "shard.list", "shard.merge", "shard.topk"},
 	} {
-		ts := newServerFor(t, freshHygienePipeline(t, 100, shards), Config{SlowQuery: 0})
+		ts := rowServer(t, row, Config{SlowQuery: 0})
 		for _, q := range []string{`{"doc_id": 3, "k": 4}`, `{"doc_id": 3, "k": 4, "explain": true}`} {
 			if resp, body := postJSON(t, ts.URL+"/related", q); resp.StatusCode != http.StatusOK {
-				t.Fatalf("shards=%d %s: status %d body %s", shards, q, resp.StatusCode, body)
+				t.Fatalf("%s %s: status %d body %s", row, q, resp.StatusCode, body)
 			}
 		}
 		var tres TracesResponse
 		getJSON(t, ts.URL+"/debug/traces", &tres)
 		if len(tres.Traces) != 2 {
-			t.Fatalf("shards=%d: captured %d traces, want 2", shards, len(tres.Traces))
+			t.Fatalf("%s: captured %d traces, want 2", row, len(tres.Traces))
 		}
 		count := func(rec obs.TraceRecord) map[string]int {
 			names := map[string]int{}
@@ -193,8 +115,8 @@ func TestExplainedRequestIsTraced(t *testing.T) {
 		explained, plain := count(tres.Traces[0]), count(tres.Traces[1]) // newest first
 		for _, stage := range stages {
 			if plain[stage] == 0 || explained[stage] != plain[stage] {
-				t.Fatalf("shards=%d: %d %q events on the explained request, %d on the plain one (explained %v)",
-					shards, explained[stage], stage, plain[stage], explained)
+				t.Fatalf("%s: %d %q events on the explained request, %d on the plain one (explained %v)",
+					row, explained[stage], stage, plain[stage], explained)
 			}
 		}
 	}
@@ -202,7 +124,7 @@ func TestExplainedRequestIsTraced(t *testing.T) {
 
 func TestTracesDisabled(t *testing.T) {
 	// Negative threshold and no rate budget: nothing is ever captured.
-	ts := newTestServerCfg(t, Config{SlowQuery: -1})
+	ts := rowServer(t, "unsharded", Config{SlowQuery: -1})
 	for i := 0; i < 3; i++ {
 		postJSON(t, ts.URL+"/related", `{"doc_id": 1, "k": 3}`)
 	}
@@ -216,7 +138,7 @@ func TestTracesDisabled(t *testing.T) {
 // --- /metrics content negotiation ---
 
 func TestMetricsPrometheusFormat(t *testing.T) {
-	ts := newTestServer(t)
+	ts := rowServer(t, "unsharded", Config{})
 	postJSON(t, ts.URL+"/related", `{"doc_id": 1, "k": 3}`)
 
 	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
@@ -248,7 +170,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 }
 
 func TestMetricsAcceptNegotiation(t *testing.T) {
-	ts := newTestServer(t)
+	ts := rowServer(t, "unsharded", Config{})
 	// Prometheus's scraper sends Accept: text/plain;version=0.0.4.
 	req, _ := http.NewRequest("GET", ts.URL+"/metrics", nil)
 	req.Header.Set("Accept", "text/plain;version=0.0.4;q=0.5,*/*;q=0.1")
@@ -287,7 +209,7 @@ func TestMetricsAcceptNegotiation(t *testing.T) {
 func TestAccessLog(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
-	ts := newTestServerCfg(t, Config{Logger: logger, SlowQuery: 0})
+	ts := rowServer(t, "unsharded", Config{Logger: logger, SlowQuery: 0})
 
 	if resp, _ := postJSON(t, ts.URL+"/related", `{"doc_id": 7, "k": 3}`); resp.StatusCode != http.StatusOK {
 		t.Fatal("query failed")
@@ -367,13 +289,4 @@ func TestAccessLog(t *testing.T) {
 	if e.Results != nil {
 		t.Fatalf("404 record has a results count: %+v", e)
 	}
-}
-
-// newServerFor wraps an arbitrary pipeline (not the shared one) with a
-// test server.
-func newServerFor(t *testing.T, p *core.Pipeline, cfg Config) *httptest.Server {
-	t.Helper()
-	ts := httptest.NewServer(New(p, cfg).Handler())
-	t.Cleanup(ts.Close)
-	return ts
 }

@@ -33,7 +33,7 @@ func timingNames(t *testing.T, value string) []string {
 func TestStagesOnEveryResponse(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
-	ts := newServerFor(t, freshHygienePipeline(t, 60, 0), Config{CacheEntries: 8, MaxInflight: 4})
+	ts := rowServer(t, "unsharded", Config{CacheEntries: 8, MaxInflight: 4})
 	for _, tc := range []struct {
 		name, path, body string
 		status           int

@@ -33,7 +33,7 @@ import (
 
 // allowed are the exported names kept on purpose, each with its reason.
 var allowed = map[string]string{
-	"internal/fleet.HostsForGroup":      "fleet Hosts over a live shard group for fleet's and serve's tests; it builds them with the unexported newHost, which fleettest cannot reach",
+	"internal/fleet.HostsForGroup":      "fleet Hosts over a live shard group for internal/fleet's tests (buildBackend in fleet_test.go); it builds them with the unexported newHost, which fleettest cannot reach",
 	"internal/fleet.eventHeap.Less":     "heap.Interface",
 	"internal/obs.Snapshot.MarshalJSON": "json.Marshaler: the /metrics JSON body",
 	"internal/obs.Disable":              "restores the process-wide recording switch after a test in six packages; only obs can reach it",

@@ -197,17 +197,14 @@ var catalogue = []mutant{
 		file:    "internal/match/mr.go",
 		anchor:  "for _, r := range refs[gr.lo:gr.hi] {",
 		repl:    "for _, r := range refs[gr.lo : gr.lo+1] {",
-		killers: []string{golden, pinned},
+		killers: []string{model, golden, pinned},
 	},
-	// The model takes an added post's segments from a reference matcher
-	// fed the same adds, so it is blind here too; the pinned snapshot of
-	// a grown pipeline is not.
 	{
 		name: "refine-add-last-only", aim: "Sec 6: a refined segment concatenates its members (add)",
 		file:    "internal/match/incremental.go",
 		anchor:  "mr.dict.AppendIDs(merged[c].tokens, d.Terms(r[0], r[1]))",
 		repl:    "mr.dict.AppendIDs(nil, d.Terms(r[0], r[1]))",
-		killers: []string{pinned},
+		killers: []string{model, pinned},
 	},
 	{
 		name: "add-before-dropped", aim: "Table 3: an add records its pre-refinement segment count",
@@ -248,6 +245,13 @@ var catalogue = []mutant{
 		file:    "internal/match/explain.go",
 		anchor:  "\t\t\t\t\tScore:   lr.Score,",
 		repl:    "\t\t\t\t\tScore:   r.Score,",
+		killers: []string{model},
+	},
+	{
+		name: "explain-wire-smallest", aim: "explain: the wire keeps a cluster's largest |contribution| terms",
+		file:    "internal/serve/serve.go",
+		anchor:  "return ca > cb",
+		repl:    "return ca < cb",
 		killers: []string{model},
 	},
 
