@@ -161,10 +161,10 @@ func TestServerContract(t *testing.T) {
 			if ls.Cache.Capacity != 64 || ls.Cache.Hits != 4 || ls.Cache.HitRate <= 0 || ls.Admission.MaxInflight != 1 || ls.Admission.Shed != 1 {
 				t.Fatalf("%s: cache %+v admission %+v", lr.name, ls.Cache, ls.Admission)
 			}
-			if (lr.writer == nil) == (ls.CacheEpoch != 0) {
+			if (lr.fleet == "") == (ls.CacheEpoch != 0) {
 				t.Fatalf("%s: cache_epoch = %d", lr.name, ls.CacheEpoch)
 			}
-			if lr.writer != nil {
+			if lr.fleet != "" {
 				continue
 			}
 			if ls.NumSegments == 0 || ls.NumClusters == 0 {
@@ -206,7 +206,7 @@ func TestServerContract(t *testing.T) {
 				t.Fatalf("%s: /metrics prometheus: content-type %q body %.120s", lr.name, rec.Header().Get("Content-Type"), rec.Body)
 			}
 			rec = request(lr.srv[0], "GET", "/metrics?scope=fleet", "")
-			if fleetScope := bytes.Contains(rec.Body.Bytes(), []byte(`"scope": "fleet"`)); fleetScope != (lr.writer != nil) {
+			if fleetScope := bytes.Contains(rec.Body.Bytes(), []byte(`"scope": "fleet"`)); fleetScope != (lr.fleet != "") {
 				t.Fatalf("%s: ?scope=fleet answered with the fleet view: %t", lr.name, fleetScope)
 			}
 		}
@@ -219,7 +219,7 @@ func TestServerContract(t *testing.T) {
 		text, _ := json.Marshal(AddRequest{Text: f.addText(0)})
 		for _, lr := range live {
 			rec := request(lr.srv[1], "POST", "/add", string(text))
-			if lr.writer != nil {
+			if lr.fleet != "" {
 				if rec.Code != http.StatusNotImplemented || typedError(t, rec.Body.Bytes()).Kind != "read_only" {
 					t.Fatalf("%s: /add answered %d %s", lr.name, rec.Code, rec.Body)
 				}

@@ -89,6 +89,9 @@ func TestFleetServeEndToEnd(t *testing.T) {
 func TestFleetServeCancellationReleasesGoroutines(t *testing.T) {
 	var hanging atomic.Int64 // probe handlers currently parked; polled, not WaitGroup'd (Wait would race with late Adds)
 	lr := openRow(t, rowNamed("http/shards=4"), func(lr *liveRow) {
+		// A budget past the test's 5s deadlines: only the caller's cancel
+		// can release a parked leg in time.
+		lr.options = func(_ *fleet.Topology, o *fleet.Options) { o.Timeout = 10 * time.Second }
 		lr.shardHandler = func(inner http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == fleet.PathProbe {

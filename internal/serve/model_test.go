@@ -524,9 +524,9 @@ type liveRow struct {
 
 	// What a test may change in a coordinator row before it is served:
 	// each shard server's handler (HTTP rows), and the coordinator's
-	// options.
+	// topology and options.
 	shardHandler func(http.Handler) http.Handler
-	options      func(*fleet.Options)
+	options      func(*fleet.Topology, *fleet.Options)
 	shardURLs    []string // an HTTP row's shard servers, one a host
 
 	// The cache model. stored is what the cached server may replay: the
@@ -695,7 +695,7 @@ func (lr *liveRow) serveFleet(t testing.TB) {
 		opts.Clock = fleettest.NewVirtualClock(time.Unix(0, 0))
 	}
 	if lr.options != nil {
-		lr.options(&opts)
+		lr.options(&topo, &opts)
 	}
 	c, err := fleet.New(context.Background(), topo, opts)
 	if err != nil {
@@ -717,12 +717,12 @@ func (lr *liveRow) query(key cache.Key, hit bool) (modelQuery, int, []byte) {
 	q := modelQuery{p: lr.p, key: key}
 	if key.Doc < 0 || key.Doc >= lr.p {
 		msg := core.ErrUnknownDoc.Error()
-		if lr.writer != nil {
+		if lr.fleet != "" {
 			msg = fleet.ErrUnknownDoc.Msg
 		}
 		return q, http.StatusNotFound, errorBody("unknown_doc", msg)
 	}
-	if lr.writer == nil || hit {
+	if lr.fleet == "" || hit {
 		return q, http.StatusOK, nil
 	}
 	q.shards = lr.shards
@@ -776,9 +776,11 @@ func (lr *liveRow) unabridged(t testing.TB, f *modelFixture, key cache.Key, tall
 			}
 		}
 	}
-	f.mu.Lock()
-	want := f.answer(t, q)
-	f.mu.Unlock()
+	want := func() match.Answer {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return f.answer(t, q)
+	}()
 	// %v prints every float exactly and a nil slice as an empty one.
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		return fmt.Sprintf("Query(%d, %d, true) answered\n%+v\nthe model says\n%+v", key.Doc, key.K, got, want)

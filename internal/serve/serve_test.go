@@ -64,53 +64,21 @@ func getJSON(t *testing.T, url string, v any) *http.Response {
 	return resp
 }
 
+// TestStatsEndpoint and TestMetricsEndpoint read /stats and /metrics
+// over a real connection. What the bodies hold, on every row, is held
+// by the contract's stats and metrics legs (contract_test.go).
 func TestStatsEndpoint(t *testing.T) {
 	ts := rowServer(t, "unsharded", Config{})
 	var st StatsResponse
 	if resp := getJSON(t, ts.URL+"/stats", &st); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if st.Method != "IntentIntent-MR" {
-		t.Fatalf("method = %q", st.Method)
-	}
-	if st.NumDocs != modelBase || st.NumSegments == 0 || st.NumClusters == 0 {
-		t.Fatalf("implausible sizes: %+v", st)
-	}
-	for _, phase := range []string{"preprocess", "segmentation", "vectorization", "clustering", "refinement", "grouping", "indexing"} {
-		if _, ok := st.PhaseNS[phase]; !ok {
-			t.Fatalf("phase_ns missing %q", phase)
-		}
-	}
-	if len(st.Granularity.Before) == 0 || len(st.Granularity.After) == 0 {
-		t.Fatalf("empty granularity: %+v", st.Granularity)
-	}
-	var sum float64
-	for _, v := range st.Granularity.After {
-		sum += v
-	}
-	if sum < 99.0 || sum > 101.0 {
-		t.Fatalf("granularity percentages sum to %v, want ~100", sum)
-	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {
 	ts := rowServer(t, "unsharded", Config{})
-	// Drive one query so the spans are non-empty.
-	postJSON(t, ts.URL+"/related", `{"doc_id": 1, "k": 3}`)
 	var snap obs.Snapshot
 	if resp := getJSON(t, ts.URL+"/metrics", &snap); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if snap.Counters["http.related.requests"] == 0 {
-		t.Fatal("http.related.requests not counted")
-	}
-	if snap.Spans["core.related"].Count == 0 {
-		t.Fatal("core.related span empty after a query")
-	}
-	if snap.Spans["match.query"].Count == 0 {
-		t.Fatal("match.query span empty after a query")
-	}
-	if snap.Histograms["index.query.candidates"].Count == 0 {
-		t.Fatal("index.query.candidates empty after a query")
 	}
 }

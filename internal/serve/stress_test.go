@@ -24,18 +24,23 @@ import (
 // every kind of engine to find one in: the unsharded pipeline, the
 // 4-shard group and the 4-shard coordinator over LocalTransport, on the
 // real clock, each behind the cache, singleflight and admission, under
-// concurrent /related (plain and explained) and /add. About one probe
-// in four to a primary host replies 20 ms late, past the coordinator's
-// 10 ms hedge delay (T/20 of its 200 ms budget) and inside its 50 ms
-// attempt, so the legs of shard 0, which has a replica, hedge, and
-// their late primary replies arrive after the legs are done.
+// concurrent /related (plain and explained) and /add. Every shard of
+// the coordinator gets a replica, and about one probe in four to a
+// primary host replies 20 ms late, past the coordinator's 10 ms hedge
+// delay (T/20 of its 200 ms budget) and inside its 50 ms attempt, so
+// every shard's legs hedge, and their late primary replies arrive after
+// the legs are done.
 func TestRecycledTracesStress(t *testing.T) {
 	obs.Enable()
 	t.Cleanup(obs.Disable)
 	hedges := obs.GetOrNewCounter("fleet.hedges")
 	_, stream := modelCorpus()
 	lateProbes := func(lr *liveRow) {
-		lr.options = func(o *fleet.Options) {
+		lr.options = func(topo *fleet.Topology, o *fleet.Options) {
+			for i := range topo.Endpoints {
+				e := &topo.Endpoints[i]
+				e.Replicas = []string{e.Primary + "-replica"}
+			}
 			chaos := fleettest.NewChaos(o.Transport, fleet.RealClock{})
 			chaos.Fallback = func(endpoint, kind string, call int) fleettest.ChaosAction {
 				if kind == "probe" && !strings.HasSuffix(endpoint, "-replica") && call%4 == 1 {
@@ -58,7 +63,7 @@ func TestRecycledTracesStress(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 60; i++ {
 					path, body := "/related", fmt.Sprintf(`{"doc_id": %d, "k": %d, "explain": %t}`, (w*31+i*7)%modelBase, 3+i%2*2, i%5 == 0)
-					if i%12 == 11 && lr.writer == nil {
+					if i%12 == 11 && lr.fleet == "" {
 						text, _ := json.Marshal(AddRequest{Text: stream[(w*5+i/12)%len(stream)]})
 						path, body = "/add", string(text)
 					}
@@ -73,7 +78,7 @@ func TestRecycledTracesStress(t *testing.T) {
 		if kept := len(srv.tracer.Snapshot()); kept != 0 {
 			t.Errorf("%s: %d traces published; every one should have been recycled", name, kept)
 		}
-		if lr.writer != nil {
+		if lr.fleet != "" {
 			launched := hedges.Value() - hedges0
 			t.Logf("%s: %d hedges launched", name, launched)
 			if launched == 0 {
