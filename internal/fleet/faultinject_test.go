@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -586,8 +587,8 @@ func FuzzProbeReply(f *testing.F) {
 
 // replyForger decodes body into every reply at path, in place of what
 // the shard answered, as the HTTP transport decodes a reply it is sent;
-// a meta or home reply keeps the shard's document count, the one input
-// taken on trust (DESIGN §8).
+// a meta reply keeps the shard's document count, which bootstrap takes
+// whole (DESIGN §8).
 type replyForger struct {
 	fleet.Transport
 	path string
@@ -610,9 +611,7 @@ func forgeReply(reply any, body []byte) error {
 		*r = fleet.Meta{}
 		defer func() { r.Docs = docs }()
 	case *fleet.HomeResponse:
-		docs := r.Docs
 		*r = fleet.HomeResponse{}
-		defer func() { r.Docs = docs }()
 	case *fleet.ExplainResponse:
 		*r = fleet.ExplainResponse{}
 	case *obs.Snapshot:
@@ -648,8 +647,12 @@ func answerShape(res match.Answer, doc, k, docs int) error {
 // topology's shards whose answers are well-formed or typed errors; a
 // forged home reply leaves a well-formed answer or a typed error; a
 // forged explain reply cannot move the results; a forged snapshot still
-// accounts for every shard of the scrape.
+// accounts for every shard of the scrape. A home reply's document count
+// is forged with the rest, and no exec allocates more than execAlloc,
+// 50 times the ≈ 80 KB of the largest genuine one: a count the
+// coordinator took whole would grow its directory 12 B a document.
 func FuzzCoordinatorReplies(f *testing.F) {
+	const execAlloc = 4 << 20
 	docs := genDocs(f, forum.TechSupport, 60, 42)
 	fl := buildBackend(f, docs, match.MRConfig{Seed: 7}, 2, 42, 0)
 	const doc, k = 3, 5
@@ -657,14 +660,16 @@ func FuzzCoordinatorReplies(f *testing.F) {
 	coordinator := func(tr fleet.Transport) (*fleet.Coordinator, error) {
 		return fleet.New(ctx, fl.topo(0), vopts(tr, fleettest.NewVirtualClock(time.Unix(0, 0))))
 	}
-	// queried: a query is a well-formed answer or a typed error.
+	// queried: a query is a well-formed answer or a typed error, its ids
+	// below the count the coordinator holds (a forged home reply may
+	// grow it within the bound).
 	queried := func(t *testing.T, c *fleet.Coordinator) {
 		res, err := c.Query(ctx, doc, k, true)
 		var rpc *fleet.RPCError
 		if err != nil && !errors.As(err, &rpc) {
 			t.Fatalf("a query failed untyped: %v", err)
 		}
-		if err := answerShape(res, doc, k, len(docs)); err != nil {
+		if err := answerShape(res, doc, k, c.NumDocs()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -720,6 +725,16 @@ func FuzzCoordinatorReplies(f *testing.F) {
 		}
 		f.Add(uint8(i), body)
 	}
+	// The genuine home reply claiming more documents: within the bound,
+	// and 2²⁰ of them, whose directory alone is 12 MB.
+	for _, docs := range []int{100, 1 << 20} {
+		var hr fleet.HomeResponse
+		if err := json.Unmarshal(rec.bodies[fleet.PathHome], &hr); err != nil {
+			f.Fatal(err)
+		}
+		hr.Docs = docs
+		f.Add(uint8(1), mustJSON(f, hr))
+	}
 	f.Add(uint8(0), []byte(`{"name": "MR", "shards": [0, 1], "total_shards": 2, "seed": 9, "epoch": 1, "wire": 3}`))
 	f.Add(uint8(3), []byte(`{"histograms": {"h": {"buckets": [{"le": 1, "gt": 5, "count": -3}]}}}`))
 	f.Fuzz(func(t *testing.T, row uint8, body []byte) {
@@ -727,12 +742,18 @@ func FuzzCoordinatorReplies(f *testing.F) {
 		if json.Unmarshal(body, newReplyAt(r.path)) != nil {
 			return
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		c, err := coordinator(&replyForger{Transport: fl.lt, path: r.path, body: body})
 		switch {
 		case err != nil && r.path != fleet.PathMeta:
 			t.Fatal(err)
 		case err == nil:
 			r.check(t, c)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > execAlloc {
+			t.Fatalf("the exec allocated %d bytes, past %d", n, execAlloc)
 		}
 	})
 }

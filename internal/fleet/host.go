@@ -119,7 +119,8 @@ func LoadHost(path string, own []int) (*Host, error) {
 
 // HostsForGroup wraps a live shard.Group as one Host per shard, all
 // sharing the group's matchers and pools — the in-process fleet backend
-// the chaos stress test runs Related and Add against concurrently.
+// of internal/fleet's tests. Its one caller is buildBackend in
+// internal/fleet/fleet_test.go.
 func HostsForGroup(g *shard.Group) map[int]*Host {
 	out := make(map[int]*Host, g.NumShards())
 	for s := 0; s < g.NumShards(); s++ {

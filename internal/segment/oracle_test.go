@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/cm"
 	"repro/internal/forum"
+	"repro/internal/portlog"
 )
 
 // The reference below is Greedy as it was while a Window option bounded
@@ -18,6 +20,13 @@ import (
 // per side (the Window default, and the only value ever used). The
 // shipped Greedy scores each border once; this holds it to the same
 // borders. (internal/variant holds Tile to its reference the same way.)
+//
+// It scores a border from the annotation counts of the units either
+// side, written from Sec 5.2's definitions and calling nothing in cm:
+// Eq 1 is Shannon's index in base 10 (portlog.Log10, the logarithm every
+// score shares, held to math by its own tests), Eq 2 one minus it,
+// averaged over the communication means scored, Eq 3 the depth and Eq 4
+// the plain average of the two coherences and the depth.
 
 // refGreedy is the quadratic Greedy: one greedy elimination per
 // communication mean (or one on the combined score when Plain), then the
@@ -29,16 +38,16 @@ func refGreedy(g Greedy, d *Doc) Segmentation {
 	}
 	if g.Plain {
 		borders := refRun(d, n, func(lo, b, hi int) (float64, float64) {
-			return shannonScoreDepth(d, lo, b, hi)
+			return refScoreDepth(d, refMeans[:], lo, b, hi)
 		})
 		return Segmentation{Borders: borders, N: n}
 	}
 	defends := make(map[int]int)
 	marks := make(map[int]int)
 	for m := cm.Mean(0); m < cm.NumMeans; m++ {
-		mean := m
+		mean := refMeans[m : m+1]
 		kept := refRun(d, n, func(lo, b, hi int) (float64, float64) {
-			return refMeanScoreDepth(d, mean, lo, b, hi)
+			return refScoreDepth(d, mean, lo, b, hi)
 		})
 		keptSet := make(map[int]bool, len(kept))
 		for _, b := range kept {
@@ -46,7 +55,7 @@ func refGreedy(g Greedy, d *Doc) Segmentation {
 		}
 		for b := 1; b < n; b++ {
 			lo, hi := refClamp(0, b, n)
-			_, depth := refMeanScoreDepth(d, mean, lo, b, hi)
+			_, depth := refScoreDepth(d, mean, lo, b, hi)
 			if depth < greedyMinDepth {
 				continue
 			}
@@ -84,8 +93,17 @@ func refRun(d *Doc, n int, score func(lo, b, hi int) (float64, float64)) []int {
 		lo, hi = refClamp(lo, b, hi)
 		initial[i], _ = score(lo, b, hi)
 	}
-	mean, std := MeanStd(initial)
-	threshold := mean + float64(greedyC*std)
+	// The threshold: mean + greedyC·σ of the initial scores, products
+	// rounded as Greedy's are.
+	var mean, std float64
+	for _, s := range initial {
+		mean += s
+	}
+	mean = float64(mean / float64(len(initial)))
+	for _, s := range initial {
+		std += float64((s - mean) * (s - mean))
+	}
+	threshold := mean + float64(greedyC*math.Sqrt(std/float64(len(initial))))
 	for len(borders) > 0 {
 		worst := -1
 		var worstScore float64
@@ -109,18 +127,58 @@ func refRun(d *Doc, n int, score func(lo, b, hi int) (float64, float64)) []int {
 	return borders
 }
 
-// refMeanScoreDepth is the Eq 4 score and Eq 3 depth of one communication
-// mean.
-func refMeanScoreDepth(d *Doc, m cm.Mean, lo, b, hi int) (score, depth float64) {
-	var left, right, merged cm.Annotation
+// refMeans is Table 1's layout: each communication mean's features,
+// from its first to the next mean's first.
+var refMeans = [cm.NumMeans][2]cm.Feature{
+	{cm.TensePresent, cm.SubjectFirst},
+	{cm.SubjectFirst, cm.StyleInterrogative},
+	{cm.StyleInterrogative, cm.StatusPassive},
+	{cm.StatusPassive, cm.POSVerb},
+	{cm.POSVerb, cm.NumFeatures},
+}
+
+// refDiversity is Eq 1 over one mean's counts: −Σ p·log10 p over the
+// non-zero cells, p a cell's share of the mean's observations; an
+// empty table has diversity 0.
+func refDiversity(counts []float64) float64 {
+	var all float64
+	for _, c := range counts {
+		all += c
+	}
+	var div float64
+	for _, c := range counts {
+		if c > 0 {
+			p := c / all
+			div -= float64(p * portlog.Log10(p))
+		}
+	}
+	return div
+}
+
+// refCoherence is Eq 2 over the means scored: the average of 1 − Eq 1.
+func refCoherence(counts *[cm.NumFeatures]float64, means [][2]cm.Feature) float64 {
+	var sum float64
+	for _, m := range means {
+		sum += 1.0 - refDiversity(counts[m[0]:m[1]])
+	}
+	return sum / float64(len(means))
+}
+
+// refScoreDepth is the Eq 4 score and the Eq 3 depth of border b between
+// units [lo, b) and [b, hi), over the means scored.
+func refScoreDepth(d *Doc, means [][2]cm.Feature, lo, b, hi int) (score, depth float64) {
+	var left, right cm.Annotation
 	d.rangeInto(&left, lo, b)
 	d.rangeInto(&right, b, hi)
-	left.AddInto(&right, &merged)
-	cl := cm.ShannonCoherenceOfMean(&left, m)
-	cr := cm.ShannonCoherenceOfMean(&right, m)
-	cd := cm.ShannonCoherenceOfMean(&merged, m)
-	depth = cm.Depth(cl, cr, cd)
-	return cm.BorderScore(cl, cr, depth), depth
+	var merged [cm.NumFeatures]float64
+	for f := range merged {
+		merged[f] = left.Counts[f] + right.Counts[f]
+	}
+	cl, cr, cd := refCoherence(&left.Counts, means), refCoherence(&right.Counts, means), refCoherence(&merged, means)
+	if cd != 0 {
+		depth = (math.Abs(cl-cd) + math.Abs(cr-cd)) / (2 * cd)
+	}
+	return (cl + cr + depth) / 3, depth
 }
 
 // refNeighborhood is the previous border (or the document start) and the

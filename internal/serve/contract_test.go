@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/obs"
@@ -104,10 +107,23 @@ func TestServerContract(t *testing.T) {
 					<-release
 				}
 			}
+			free := sync.OnceFunc(func() { close(release) })
+			defer free()
 			held := make(chan int, 1)
 			go func() { held <- request(srv, "POST", "/related", `{"doc_id": 7, "k": 3}`).Code }()
 			<-entered
-			shed := request(srv, "POST", "/related", `{"doc_id": 8, "k": 3}`)
+			// The shed request has a deadline of its own: a queue that
+			// never refuses would park it behind the held slot until go
+			// test's timeout instead of failing here. (Its context cannot
+			// say so: a flight's leader computes detached from it.)
+			shedC := make(chan *httptest.ResponseRecorder, 1)
+			go func() { shedC <- request(srv, "POST", "/related", `{"doc_id": 8, "k": 3}`) }()
+			var shed *httptest.ResponseRecorder
+			select {
+			case shed = <-shedC:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: a miss past the one slot still waits after 5 s; it must be refused, not queued", lr.name)
+			}
 			if shed.Code != http.StatusServiceUnavailable || typedError(t, shed.Body.Bytes()).Kind != "overloaded" || shed.Header().Get("Retry-After") != "1" {
 				t.Fatalf("%s: shed answered %d %s (Retry-After %q)", lr.name, shed.Code, shed.Body, shed.Header().Get("Retry-After"))
 			}
@@ -117,7 +133,7 @@ func TestServerContract(t *testing.T) {
 					t.Fatalf("%s %+v: cache hit during overload answered %d, not the model's body", lr.name, key, got.Code)
 				}
 			}
-			close(release)
+			free()
 			if status := <-held; status != 200 {
 				t.Fatalf("%s: slot holder answered %d", lr.name, status)
 			}
